@@ -125,7 +125,11 @@ func (c *cohort) loader(downloads []core.Download) error {
 		if i+1 < len(entries) {
 			next = entries[i+1]
 		}
-		if err := c.receiveFragment(e, next); err != nil {
+		err := c.receiveFragment(e, next)
+		// Drop the finished entry: it pins its subscription's buffers, and
+		// a loader's schedule outlives any one fragment by the whole video.
+		entries[i] = nil
+		if err != nil {
 			if next != nil && next.sub != nil {
 				// The handoff had already tuned the successor; release it.
 				m.rcv.Unsubscribe(next.sub)
