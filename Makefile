@@ -5,7 +5,7 @@ GO ?= go
 # machine produced them.
 BENCHMETA = ./scripts/benchmeta.sh
 
-.PHONY: build test vet race chaos test-portable fuzz scale-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
+.PHONY: build test vet race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
 
 build:
 	$(GO) build ./...
@@ -32,12 +32,13 @@ race:
 # vectorized/fallback/GSO identity, io_uring submission + teardown,
 # catch-up run staging), the ingress ladder (recvmmsg/GRO/single-read
 # delivery identity, kill-switch demotion, GRO super-frame splitting,
-# read-error backoff), and the proactive FEC stripe (parity encode,
-# stripe reassembly, defeat escalation, burst loss) — under the race
-# detector.
+# read-error backoff), the proactive FEC stripe (parity encode,
+# stripe reassembly, defeat escalation, burst loss), and the shared
+# receive arena (unsubscribe-while-delivering slot conservation, per-
+# subscription slot quotas) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain
@@ -76,10 +77,21 @@ scale-smoke:
 		-fault-drop 0.02 -unit 50ms -procs 2 -assert-cohort-repair \
 		-out /tmp/BENCH_scale_smoke.json
 
+# The end-to-end benchmark's smoke gate: the harness's own unit tests
+# (benchmark/ is a nested module, so the root `go test ./...` never
+# reaches them), then every skybench workload over 3 s windows. The
+# reports are marked not_for_claims; the gate is that every role still
+# starts, every workload still runs to a report (skybench exits non-zero
+# when one cannot), and each prints `failed 0; outputs correct: true`.
+bench-e2e-smoke:
+	$(GO) test -C benchmark ./...
+	$(GO) run -C benchmark ./skybench -workload all -short
+
 # The PR gate: tier-1 build+test, vet, race-checked concurrency, the
 # chaos suite, the portable-fallback pin, fuzzers, the cohort-repair
-# smoke sweep, vulnerability scan, and the data-path benchmark record.
-verify: build vet test race chaos test-portable fuzz scale-smoke vulncheck bench-datapath
+# smoke sweep, the end-to-end benchmark smoke, vulnerability scan, and
+# the data-path benchmark record.
+verify: build vet test race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

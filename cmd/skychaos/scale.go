@@ -69,6 +69,9 @@ type scaleRow struct {
 	// drops across emulators — per subscribed datagram, not per viewer.
 	Datagrams   int64 `json:"datagrams"`
 	RecvDropped int64 `json:"recv_dropped"`
+	// PeakRecvSlots sums the emulators' shared-receiver slot high-water
+	// marks: times the slot size, the audience's receive-buffer footprint.
+	PeakRecvSlots int64 `json:"peak_recv_slots"`
 	// The ingress ladder ledger, summed across emulators: datagrams
 	// delivered through the recvmmsg rung, kernel receive invocations
 	// (batched_reads/read_syscalls is the achieved ingress batching
@@ -432,6 +435,7 @@ func scalePoint(srv *server.Server, statusURL string, n, procs, videos int,
 		row.StripeDefeats += res.StripeDefeats
 		row.Datagrams += res.Datagrams
 		row.RecvDropped += res.RecvDropped
+		row.PeakRecvSlots += res.PeakRecvSlots
 		row.BatchedReads += res.BatchedReads
 		row.ReadSyscalls += res.ReadSyscalls
 		row.GroSegments += res.GroSegments

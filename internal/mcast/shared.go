@@ -25,7 +25,9 @@ const maxDatagram = 64 << 10
 // DefaultRecvBatch is the most datagrams one recvmmsg call may drain —
 // the ingress mirror of sendmmsgBatch, and for the same reason: large
 // enough that the syscall cost amortizes to noise, small enough that the
-// batch's buffer ring stays a few MiB. It is also the hard ceiling: the
+// batched reader's landing buffer (one maxDatagram span per batch entry)
+// stays at 4 MiB of address space, of which only the pages datagrams
+// actually land on are ever touched. It is also the hard ceiling: the
 // platform layer's syscall arrays are sized to it, so larger configured
 // batches are clamped here.
 const DefaultRecvBatch = 64
@@ -74,12 +76,14 @@ type SharedReceiverConfig struct {
 // The dispatch path mirrors Send's discipline: subscriptions live in
 // copy-on-write snapshots behind an atomic pointer (Subscribe and
 // Unsubscribe copy under a mutex, the read loop only loads), frames are
-// copied into slots the subscriber preallocated, and slot handoff rides
-// buffered int channels — so a steady-state delivery allocates nothing.
-// A batched read classifies and routes the whole batch under one
-// snapshot load. Delivery is best-effort, as multicast is: a subscriber
-// that stops draining its ring loses its own datagrams, never its
-// neighbors'.
+// copied into slots of a receiver-owned arena shared by every
+// subscription of that slot size (see slotArena), and slot handoff rides
+// buffered int channels — so a steady-state delivery allocates nothing,
+// and buffer memory follows the datagrams in flight, not the
+// subscriptions open. A batched read classifies and routes the whole
+// batch under one snapshot load. Delivery is best-effort, as multicast
+// is: a subscriber that stops draining loses its own datagrams, never
+// its neighbors'.
 type SharedReceiver struct {
 	conn     *net.UDPConn
 	classify Classifier
@@ -102,11 +106,21 @@ type SharedReceiver struct {
 	errStreak int
 
 	// mu serializes the writers (Subscribe, Unsubscribe, Close); the read
-	// loop never takes it.
+	// loop takes it only to collect retired subscriptions, and only when
+	// retiring says there are some.
 	mu     sync.Mutex
 	subs   atomic.Pointer[subMap]
 	closed atomic.Bool
 	done   chan struct{}
+
+	// arenas holds one slot arena per slot size (guarded by mu; each
+	// subscription keeps a pointer to its own). retired lists unsubscribed
+	// subscriptions whose queues the read loop has yet to drain. slots is
+	// the number of arena slots filled and not yet released.
+	arenas   map[int]*slotArena
+	retired  []*Subscription
+	retiring atomic.Bool
+	slots    metrics.PaddedGauge
 
 	delivered  metrics.PaddedCounter
 	dropped    metrics.PaddedCounter
@@ -130,8 +144,74 @@ type SharedReceiver struct {
 // subMap is one immutable snapshot of every group's subscriptions.
 type subMap map[Group][]*Subscription
 
-// Subscription is one consumer's tap on a group: a ring of preallocated
-// frame slots filled by the receiver's read loop. The consumer loop is
+// arenaPageSlots is how many slots the arena adds per growth step: small
+// enough that a lightly loaded receiver holds a few dozen KiB, large
+// enough that growing to a burst's depth takes a handful of steps.
+const arenaPageSlots = 32
+
+// slotArena is the receiver's frame memory for one slot size, shared by
+// every subscription of that size. Slots are handed out from a LIFO free
+// stack, so the slot a consumer just released — still in cache — is the
+// next one filled, and only as many pages as the peak number of frames
+// in flight are ever touched: memory follows live traffic, not how many
+// channels were ever tuned. The arena grows a page at a time when the
+// stack runs dry and never shrinks.
+type slotArena struct {
+	slotBytes int
+	// pages is the copy-on-grow page table; Frame loads it without the
+	// lock. Slot i lives in page i/arenaPageSlots.
+	pages atomic.Pointer[[]*arenaPage]
+
+	mu   sync.Mutex
+	free []int // LIFO; capacity always covers every slot, so put never allocates
+}
+
+type arenaPage struct {
+	buf  []byte
+	lens [arenaPageSlots]int // frame length per slot
+}
+
+// get pops a free slot, growing the arena by one page when none is left.
+func (a *slotArena) get() int {
+	a.mu.Lock()
+	if len(a.free) == 0 {
+		a.grow()
+	}
+	slot := a.free[len(a.free)-1]
+	a.free = a.free[:len(a.free)-1]
+	a.mu.Unlock()
+	return slot
+}
+
+// put returns slot to the top of the free stack.
+func (a *slotArena) put(slot int) {
+	a.mu.Lock()
+	a.free = append(a.free, slot)
+	a.mu.Unlock()
+}
+
+// grow adds one page (mu held, free stack empty). Pages already handed
+// out stay where they are: only the table is copied.
+func (a *slotArena) grow() {
+	var old []*arenaPage
+	if p := a.pages.Load(); p != nil {
+		old = *p
+	}
+	pages := append(old[:len(old):len(old)], &arenaPage{buf: make([]byte, arenaPageSlots*a.slotBytes)})
+	a.pages.Store(&pages)
+	a.free = make([]int, 0, len(pages)*arenaPageSlots)
+	for i := len(pages)*arenaPageSlots - 1; i >= len(old)*arenaPageSlots; i-- {
+		a.free = append(a.free, i)
+	}
+}
+
+// locate returns slot's page and its index within the page.
+func (a *slotArena) locate(slot int) (*arenaPage, int) {
+	return (*a.pages.Load())[slot/arenaPageSlots], slot % arenaPageSlots
+}
+
+// Subscription is one consumer's tap on a group: a queue of filled arena
+// slots, fed by the receiver's read loop. The consumer loop is
 //
 //	for slot := range sub.Ready() {
 //	    frame := sub.Frame(slot)
@@ -140,14 +220,18 @@ type subMap map[Group][]*Subscription
 //	}
 //
 // Ready is closed when the SharedReceiver shuts down. A slot's frame is
-// stable until Release returns it to the ring; holding all slots while
-// datagrams keep arriving drops the excess (counted in Dropped).
+// stable until Release returns it to the arena; a subscription may have
+// at most depth slots outstanding (queued or held), and datagrams
+// arriving beyond that quota are dropped (counted in Dropped) — so a
+// stalled consumer costs only its own frames.
 type Subscription struct {
 	g     Group
-	ring  [][]byte
-	used  []int // frame length per slot
+	s     *SharedReceiver
+	arena *slotArena
+	depth int64
 	ready chan int
-	free  chan int
+	// out counts slots filled for this subscription and not yet released.
+	out atomic.Int64
 
 	dropped atomic.Int64
 }
@@ -188,6 +272,7 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 		logf:     logf,
 		batch:    batch,
 		done:     make(chan struct{}),
+		arenas:   make(map[int]*slotArena),
 	}
 	m := make(subMap)
 	s.subs.Store(&m)
@@ -201,29 +286,31 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 // subscription's group is joined with.
 func (s *SharedReceiver) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
-// Subscribe taps group g with a ring of depth slots of slotBytes each.
+// Subscribe taps group g with a quota of depth outstanding slots of
+// slotBytes each, drawn from the receiver's arena for that slot size.
 // Datagrams larger than slotBytes are dropped for this subscription
 // (counted), so size slots for the largest frame the group carries.
 func (s *SharedReceiver) Subscribe(g Group, depth, slotBytes int) (*Subscription, error) {
 	if depth <= 0 || slotBytes <= 0 {
 		return nil, fmt.Errorf("mcast: subscription needs positive depth and slot size (got %d, %d)", depth, slotBytes)
 	}
-	sub := &Subscription{
-		g:     g,
-		ring:  make([][]byte, depth),
-		used:  make([]int, depth),
-		ready: make(chan int, depth),
-		free:  make(chan int, depth),
-	}
-	backing := make([]byte, depth*slotBytes)
-	for i := range sub.ring {
-		sub.ring[i] = backing[i*slotBytes : (i+1)*slotBytes]
-		sub.free <- i
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return nil, fmt.Errorf("mcast: shared receiver closed")
+	}
+	arena := s.arenas[slotBytes]
+	if arena == nil {
+		arena = &slotArena{slotBytes: slotBytes}
+		s.arenas[slotBytes] = arena
+	}
+	sub := &Subscription{
+		g:     g,
+		s:     s,
+		arena: arena,
+		depth: int64(depth),
+		// Sized to the quota, so handing over a filled slot never blocks.
+		ready: make(chan int, depth),
 	}
 	cur := *s.subs.Load()
 	next := cur.clone(g)
@@ -242,8 +329,13 @@ func (m subMap) clone(g Group) subMap {
 	return next
 }
 
-// Unsubscribe detaches sub. One in-flight delivery may still land after
-// return; the consumer simply stops draining Ready.
+// Unsubscribe detaches sub and hands it to the read loop for retirement.
+// A delivery routed under a snapshot loaded before the detach may still
+// land after return; the consumer simply stops draining Ready. Whatever
+// is left queued is returned to the arena by the read loop — the only
+// goroutine that fills the queue, so nothing can slip in behind its
+// drain — on its next pass (or at Close). Slots the consumer still holds
+// are its own to Release.
 func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,6 +356,38 @@ func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 		delete(next, sub.g)
 	}
 	s.subs.Store(&next)
+	s.retired = append(s.retired, sub)
+	s.retiring.Store(true)
+}
+
+// retire returns the queued slots of every unsubscribed subscription to
+// the arena. It runs on the read loop between reads: the next dispatch
+// loads a snapshot that no longer holds them, so their queues stay empty.
+func (s *SharedReceiver) retire() {
+	if !s.retiring.Load() {
+		return
+	}
+	s.mu.Lock()
+	list := s.retired
+	s.retired = nil
+	s.retiring.Store(false)
+	s.mu.Unlock()
+	for _, sub := range list {
+		sub.drain()
+	}
+}
+
+// drain releases every slot still queued on sub, without ever waiting
+// for one (the consumer may be taking them too).
+func (sub *Subscription) drain() {
+	for {
+		select {
+		case slot := <-sub.ready:
+			sub.Release(slot)
+		default:
+			return
+		}
+	}
 }
 
 // run is the read loop: one read (a single datagram or a whole recvmmsg
@@ -282,7 +406,9 @@ func (s *SharedReceiver) run() {
 		if !ok {
 			break
 		}
+		s.retire()
 	}
+	s.retire()
 	// Wake every consumer: snapshot under mu so a racing Subscribe (which
 	// fails after closed is set) cannot add an unclosed channel.
 	s.mu.Lock()
@@ -342,7 +468,7 @@ func (s *SharedReceiver) dispatch(frame []byte) {
 		return
 	}
 	for _, sub := range (*s.subs.Load())[g] {
-		sub.deliver(frame, s)
+		sub.deliver(frame)
 	}
 }
 
@@ -362,30 +488,37 @@ func (s *SharedReceiver) dispatchFrames(frames [][]byte) {
 			continue
 		}
 		for _, sub := range subs[g] {
-			sub.deliver(frame, s)
+			sub.deliver(frame)
 		}
 	}
 }
 
-// deliver copies frame into sub's next free slot, dropping it when the
-// ring is exhausted (consumer too slow) or the slot too small.
-func (sub *Subscription) deliver(frame []byte, s *SharedReceiver) {
-	select {
-	case slot := <-sub.free:
-		if len(frame) > len(sub.ring[slot]) {
-			sub.free <- slot
-			sub.dropped.Add(1)
-			s.dropped.Inc()
-			return
-		}
-		copy(sub.ring[slot], frame)
-		sub.used[slot] = len(frame)
-		sub.ready <- slot // never blocks: slots are conserved
-		s.delivered.Inc()
-	default:
-		sub.dropped.Add(1)
-		s.dropped.Inc()
+// deliver copies frame into a free arena slot and queues it on sub,
+// dropping it when sub is at its quota (consumer too slow) or the slot
+// too small.
+func (sub *Subscription) deliver(frame []byte) {
+	a := sub.arena
+	if len(frame) > a.slotBytes {
+		sub.drop()
+		return
 	}
+	if sub.out.Add(1) > sub.depth {
+		sub.out.Add(-1)
+		sub.drop()
+		return
+	}
+	slot := a.get()
+	page, i := a.locate(slot)
+	copy(page.buf[i*a.slotBytes:], frame)
+	page.lens[i] = len(frame)
+	sub.s.slots.Inc()
+	sub.ready <- slot // never blocks: at most depth slots are outstanding
+	sub.s.delivered.Inc()
+}
+
+func (sub *Subscription) drop() {
+	sub.dropped.Add(1)
+	sub.s.dropped.Inc()
 }
 
 // Ready delivers filled slot indices; it is closed when the shared
@@ -393,21 +526,36 @@ func (sub *Subscription) deliver(frame []byte, s *SharedReceiver) {
 func (sub *Subscription) Ready() <-chan int { return sub.ready }
 
 // Frame returns slot's datagram bytes, valid until Release.
-func (sub *Subscription) Frame(slot int) []byte { return sub.ring[slot][:sub.used[slot]] }
+func (sub *Subscription) Frame(slot int) []byte {
+	page, i := sub.arena.locate(slot)
+	off := i * sub.arena.slotBytes
+	return page.buf[off : off+page.lens[i]]
+}
 
-// Release returns slot to the ring for reuse.
-func (sub *Subscription) Release(slot int) { sub.free <- slot }
+// Release returns slot to the arena for reuse.
+func (sub *Subscription) Release(slot int) {
+	sub.arena.put(slot)
+	sub.out.Add(-1)
+	sub.s.slots.Dec()
+}
 
-// Dropped returns how many datagrams this subscription lost to a full
-// ring or an undersized slot.
+// Dropped returns how many datagrams this subscription lost to a spent
+// quota or an undersized slot.
 func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
 
 // Delivered returns total slot deliveries across all subscriptions;
-// Dropped the datagrams lost to full rings; Unroutable the datagrams the
+// Dropped the datagrams lost to spent quotas; Unroutable the datagrams the
 // classifier rejected.
 func (s *SharedReceiver) Delivered() int64  { return s.delivered.Value() }
 func (s *SharedReceiver) Dropped() int64    { return s.dropped.Value() }
 func (s *SharedReceiver) Unroutable() int64 { return s.unroutable.Value() }
+
+// SlotsInUse returns how many arena slots hold a frame right now (queued
+// on a subscription or held by its consumer); SlotsPeak the most that
+// ever did at once — times the slot size, the receiver's buffer
+// footprint.
+func (s *SharedReceiver) SlotsInUse() int64 { return s.slots.Value() }
+func (s *SharedReceiver) SlotsPeak() int64  { return s.slots.High() }
 
 // The ingress ledger: BatchedReads counts datagrams delivered through
 // the recvmmsg rung (after GRO splitting); ReadSyscalls every kernel

@@ -130,10 +130,12 @@ func TestSharedReceiverFanIn(t *testing.T) {
 	}
 }
 
-// TestSharedReceiverDropsWhenRingFull: a subscriber that stops draining
-// loses its own excess datagrams — counted, never blocking the read loop
-// or its neighbors.
-func TestSharedReceiverDropsWhenRingFull(t *testing.T) {
+// TestSlotQuotaStallsOnlyItsSubscriber: a subscriber that stops draining
+// loses its own excess datagrams at its slot quota — counted, never
+// blocking the read loop — while a neighbour on the same group, drawing
+// on the same arena, receives every one; and the stalled subscription
+// pins exactly its quota of slots, no more.
+func TestSlotQuotaStallsOnlyItsSubscriber(t *testing.T) {
 	s, err := NewSharedReceiver(0, testClassify)
 	if err != nil {
 		t.Fatal(err)
@@ -160,10 +162,16 @@ func TestSharedReceiverDropsWhenRingFull(t *testing.T) {
 		live.Release(drain(t, live))
 	}
 	if got := stuck.Dropped(); got != 4 {
-		t.Errorf("stuck subscription dropped %d datagrams, want 4 (ring depth 2 of 6 sent)", got)
+		t.Errorf("stuck subscription dropped %d datagrams, want 4 (quota 2 of 6 sent)", got)
 	}
 	if live.Dropped() != 0 {
 		t.Errorf("draining subscription dropped %d datagrams, want 0", live.Dropped())
+	}
+	if got := s.SlotsInUse(); got != 2 {
+		t.Errorf("%d slots in use, want 2 (the stalled subscription's quota)", got)
+	}
+	if peak := s.SlotsPeak(); peak < 3 || peak > 2+6 {
+		t.Errorf("slot peak %d, want in [3, 8] (stalled quota plus the live queue)", peak)
 	}
 }
 

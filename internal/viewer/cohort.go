@@ -146,7 +146,7 @@ func (c *cohort) loader(downloads []core.Download) error {
 func (c *cohort) tune(e *tuneEntry) error {
 	m := c.mux
 	grp := mcast.Group{Video: c.video, Channel: e.channel}
-	// Ring slots must hold the largest frame the group carries: with a
+	// Slots must hold the largest frame the group carries: with a
 	// parity stripe that is the parity frame (count byte + coverage
 	// bitmap on top of a chunk-sized block), not the data frame.
 	slotBytes := wire.EncodedSize(m.w.ChunkBytes)
@@ -180,6 +180,14 @@ type cohortFrag struct {
 
 	// diverged marks chunks handed to the per-viewer plane (loader-owned).
 	diverged []bool
+	// divergedIdx lists those chunks in hand-over order, so the loader and
+	// the workers walk the divergence, not the fragment. The loader fills
+	// the next element and then publishes it by bumping ndiverged; workers
+	// read only the first ndiverged elements. It and the two arrays below
+	// are sized for the whole fragment at the first divergence — before
+	// any worker can see the fragment — and never reallocated.
+	divergedIdx []int
+	ndiverged   atomic.Int64
 	// arrived records the broadcast arrival (unix nanos) of each diverged
 	// chunk, once; workers book it into viewer machines that still miss
 	// it. healed marks the recorded arrival as a stripe reconstruction
@@ -238,7 +246,7 @@ func chunkLen(totalBytes, chunkBytes, idx int) int {
 // When next is non-nil it is the successor fragment on the same loader,
 // and this loop performs the tuner handoff itself: it tunes next once
 // its join lead opens, so next's frames accumulate in its subscription
-// ring while this fragment's repair tail drains — mirroring the
+// queue while this fragment's repair tail drains — mirroring the
 // single-tuner client, where they queue in the socket buffer.
 func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
@@ -294,8 +302,6 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	}
 	f.m = NewMachine(op)
 	f.diverged = make([]bool, f.m.NChunks())
-	f.arrived = make([]atomic.Int64, f.m.NChunks())
-	f.healed = make([]atomic.Bool, f.m.NChunks())
 	// One stripe reassembler serves the whole cohort: a reconstruction on
 	// the shared path heals every member at once, exactly like a chunk
 	// caught off the broadcast.
@@ -316,7 +322,7 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	defer m.rcv.Unsubscribe(sub)
 	defer m.jm.leave(grp)
 
-	// Book the backlog that accumulated in the subscription ring during
+	// Book the backlog that accumulated in the subscription queue during
 	// the tuner handoff before the machine's first deadline pass, so a
 	// boundary chunk that already arrived can never be mistaken for a
 	// gap, however late this loop starts. (The single-tuner client does
@@ -347,10 +353,8 @@ drain:
 			// their loss deadlines — lingering here would delay this
 			// loader's next fragment past its join time. Only the loader
 			// goroutine submits work, so the zero reading is stable.
-			for idx, d := range f.diverged {
-				if d && !f.m.Have(idx) {
-					f.m.ResolveRepaired(idx)
-				}
+			for _, idx := range f.divergedIdx[:f.ndiverged.Load()] {
+				f.m.ResolveRepaired(idx)
 			}
 		}
 		if f.m.Done() && f.pending.Load() == 0 && f.inflight.Load() == 0 {
@@ -414,8 +418,8 @@ drain:
 				return err
 			}
 			// The batched ingress rung lands whole contiguous runs in the
-			// ring at once; book the rest of the burst now — bounded by
-			// the ring depth so a saturated group cannot starve the
+			// queue at once; book the rest of the burst now — bounded by
+			// the slot quota so a saturated group cannot starve the
 			// repair passes — instead of paying one scheduler pass and
 			// one deadline recomputation per frame.
 			now = time.Now()
@@ -576,8 +580,18 @@ func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
 // pre-resolved, so per-viewer work stays proportional to divergence, not
 // fragment size; later gaps re-arm (reopen) the existing machines.
 func (c *cohort) diverge(f *cohortFrag, idx int) {
+	first := f.vfs == nil
+	if first {
+		n := f.m.NChunks()
+		f.divergedIdx = make([]int, n)
+		f.arrived = make([]atomic.Int64, n)
+		f.healed = make([]atomic.Bool, n)
+	}
 	f.diverged[idx] = true
-	if f.vfs == nil {
+	nd := f.ndiverged.Load()
+	f.divergedIdx[nd] = idx
+	f.ndiverged.Store(nd + 1)
+	if first {
 		f.vfs = make([]*viewerFrag, len(c.viewers))
 		f.pending.Store(int64(len(c.viewers)))
 		for i, v := range c.viewers {
@@ -610,11 +624,5 @@ func (c *cohort) newViewerFrag(f *cohortFrag, v, gapIdx int) *viewerFrag {
 		led.lost++
 		led.lostBytes += int64(chunkLen(totalBytes, chunkBytes, idx))
 	}
-	vf := &viewerFrag{f: f, viewer: v, vm: NewMachine(p)}
-	for x := 0; x < vf.vm.NChunks(); x++ {
-		if x != gapIdx {
-			vf.vm.ResolveRepaired(x)
-		}
-	}
-	return vf
+	return &viewerFrag{f: f, viewer: v, vm: newResolvedMachine(p, gapIdx)}
 }

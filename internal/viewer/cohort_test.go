@@ -1,12 +1,14 @@
 package viewer
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"skyscraper/internal/content"
 	"skyscraper/internal/des"
+	"skyscraper/internal/mcast"
 	"skyscraper/internal/wire"
 )
 
@@ -404,6 +406,76 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 	}
 	if c.byteErrors.Load() != 0 || c.dup.Load() != 0 {
 		t.Errorf("byteErrors %d dup %d after clean redeliveries", c.byteErrors.Load(), c.dup.Load())
+	}
+}
+
+// TestTuneTurnoverAllocatesNoSlotMemory is the turnover mirror of the
+// gate above: once the receive arena is warm, a cohort's steady cycle of
+// tune (subscribe at the mux's depth), receive a burst, untune must not
+// allocate frame memory again — what a cycle allocates stays a small
+// fraction of one subscription's slot quota, which is what the
+// per-subscription rings used to allocate on every tune.
+func TestTuneTurnoverAllocatesNoSlotMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the gate")
+	}
+	g := mcast.Group{Video: 1, Channel: 2}
+	rcv, err := mcast.NewSharedReceiver(0, func([]byte) (mcast.Group, bool) { return g, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	hub, err := mcast.NewHub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if err := hub.Join(g, rcv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	const depth, burst = 256, 8
+	slotBytes := wire.EncodedSize(1024)
+	frame := make([]byte, slotBytes)
+	cycle := func() {
+		sub, err := rcv.Subscribe(g, depth, slotBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < burst; i++ {
+			if _, err := hub.Send(g, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < burst; i++ {
+			select {
+			case slot := <-sub.Ready():
+				sub.Release(slot)
+			case <-time.After(5 * time.Second):
+				t.Fatal("no delivery within 5s")
+			}
+		}
+		rcv.Unsubscribe(sub)
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // warm the arena
+	}
+	const cycles = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	if limit := uint64(depth * slotBytes / 16); perCycle > limit {
+		t.Errorf("a tune/untune cycle allocates %d bytes, want <= %d (1/16 of the %d-slot quota it may fill)",
+			perCycle, limit, depth)
+	}
+	if peak := rcv.SlotsPeak(); peak > burst {
+		t.Errorf("slot peak %d over %d cycles of %d-frame bursts, want <= %d", peak, cycles+3, burst, burst)
+	}
+	if n := rcv.SlotsInUse(); n != 0 {
+		t.Errorf("%d slots in use after every frame was released", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -408,5 +409,86 @@ func TestMuxScaleSmoke(t *testing.T) {
 	if limit := int64(res.Workers) + 1; snap.ControlSessionsPeak > limit {
 		t.Errorf("server saw %d peak control sessions for %d viewers, want <= %d (mux pool)",
 			snap.ControlSessionsPeak, viewers, limit)
+	}
+}
+
+// TestMuxHeapFlatAcrossFragmentTurnover: a mux's live heap must follow
+// what is tuned now, not what was ever tuned. Cohorts admitted over a
+// long spread keep fragments turning over (at least 3·K of them) for the
+// whole run; the heap in use after a collection late in the run must not
+// have grown over an early sample by anything like the per-fragment
+// buffers the receive path once retained (a quarter MiB per channel ever
+// tuned at this chunk size).
+func TestMuxHeapFlatAcrossFragmentTurnover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live network test")
+	}
+	const k = 5
+	sch := liveScheme(t, 2, k, 2)
+	unit := 100 * time.Millisecond
+	srv := startServer(t, sch, unit, nil)
+	time.Sleep(3 * unit) // every channel once round: the server's frame cache is resident
+
+	m, err := viewer.NewMux(viewer.MuxConfig{
+		ServerAddr:    srv.Addr(),
+		Viewers:       400,
+		SpreadUnits:   12,
+		Seed:          5,
+		JoinLeadFrac:  0.9,
+		SlackFrac:     2.0,
+		RepairLagFrac: 1.125,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *viewer.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := m.Run()
+		done <- outcome{res, err}
+	}()
+	heapAfterGC := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var samples []uint64
+	var out outcome
+	tick := time.NewTicker(2 * unit)
+	defer tick.Stop()
+	for running := true; running; {
+		select {
+		case out = <-done:
+			running = false
+		case <-tick.C:
+			samples = append(samples, heapAfterGC())
+		}
+	}
+	if out.err != nil {
+		t.Fatalf("mux run: %v (result %+v)", out.err, out.res)
+	}
+	if turnovers := out.res.Cohorts * k; turnovers < 3*k {
+		t.Fatalf("only %d fragment turnovers, want >= %d", turnovers, 3*k)
+	}
+	if len(samples) < 8 {
+		t.Fatalf("only %d heap samples over the run", len(samples))
+	}
+	early := samples[len(samples)/4]
+	var late uint64
+	for _, s := range samples[len(samples)/2:] {
+		if s > late {
+			late = s
+		}
+	}
+	t.Logf("%d cohorts x %d fragments; heap in use after GC: early %d KiB, late max %d KiB; peak receive slots %d",
+		out.res.Cohorts, k, early>>10, late>>10, out.res.PeakRecvSlots)
+	const maxGrowth = 2 << 20
+	if late > early+maxGrowth {
+		t.Errorf("heap in use grew %d KiB from early to late in the run, want <= %d KiB: memory follows fragments completed",
+			(late-early)>>10, maxGrowth>>10)
 	}
 }

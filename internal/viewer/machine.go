@@ -247,6 +247,16 @@ type Machine struct {
 	// anchor when the hold expires unhealed. A zero entry means the
 	// hold is over (defeated, healed, or reopened by the cohort).
 	fecUntil []time.Time
+
+	// Next's incremental scan state. Every unresolved chunk is either
+	// dormant — at or past frontier and untouched since construction, so
+	// its gap checkpoint, stripe-defeat instant and loss deadline are all
+	// still ahead — or listed in active (ascending; inActive mirrors
+	// membership), where Next gives it the full per-chunk treatment.
+	// Resolved chunks leave active lazily, on Next's following pass.
+	frontier int
+	active   []int
+	inActive []bool
 }
 
 // NewMachine builds the state machine for one fragment. The gap
@@ -256,6 +266,33 @@ type Machine struct {
 // though, that a repair round trip still fits before the chunk's playback
 // deadline.
 func NewMachine(p FragmentParams) *Machine {
+	m := newMachine(p)
+	for idx := 0; idx < m.nchunks; idx++ {
+		m.arm(idx)
+	}
+	return m
+}
+
+// newResolvedMachine builds the machine NewMachine would, with every
+// chunk but open already resolved (as by ResolveRepaired) — the shape the
+// cohort multiplexer materializes per viewer at a fragment's first
+// divergence — without paying for the schedule of chunks that may never
+// reopen: cost beyond the flat arrays is one chunk's, not the fragment's.
+func newResolvedMachine(p FragmentParams, open int) *Machine {
+	m := newMachine(p)
+	for idx := range m.have {
+		m.have[idx] = true
+	}
+	m.have[open] = false
+	m.got = m.nchunks - 1
+	m.arm(open)
+	m.frontier = m.nchunks
+	m.activate(open)
+	return m
+}
+
+// newMachine sizes a machine for p with no chunk's schedule armed yet.
+func newMachine(p FragmentParams) *Machine {
 	if p.GraceUnits == 0 {
 		p.GraceUnits = DefaultGraceUnits
 	}
@@ -276,15 +313,10 @@ func NewMachine(p FragmentParams) *Machine {
 		have:     make([]bool, nchunks),
 		tryAt:    make([]time.Time, nchunks),
 		attempts: make([]int, nchunks),
-	}
-	for idx := range m.tryAt {
-		m.tryAt[idx] = m.checkpoint(idx)
+		inActive: make([]bool, nchunks),
 	}
 	if p.FecGroup > 0 {
 		m.fecUntil = make([]time.Time, nchunks)
-		for idx := range m.fecUntil {
-			m.fecUntil[idx] = m.fecDefeatAt(idx)
-		}
 	}
 	if p.NackEnabled && !p.DisableRepair {
 		m.nackPhase = make([]uint8, nchunks)
@@ -297,31 +329,37 @@ func NewMachine(p FragmentParams) *Machine {
 		if m.maxNackRounds == 0 {
 			m.maxNackRounds = DefaultMaxNackRounds
 		}
-		// A chunk whose loss deadline leaves no room for a multicast
-		// round never enters the ladder: on the tight just-in-time
-		// channels the unicast plane's immediate round trip is the only
-		// recovery that fits. The room required is the worst-case window
-		// fire (checkpoint + window) plus a re-listen that still ends a
-		// full chunk interval before the deadline (relistenBy's floor is
-		// half an interval), so even a lost re-send escalates to unicast
-		// in time. The bound compares grid times (checkpoint vs
-		// deadline): eligibility is a pure function of the broadcast
-		// geometry, never of driver scheduling.
-		for idx := range m.nackPhase {
-			// With a parity stripe the ladder starts at the chunk's
-			// stripe-defeat instant, not its gap checkpoint, so the
-			// headroom is measured from there — still a pure grid-time
-			// decision.
-			ladderStart := m.tryAt[idx]
-			if m.fecUntil != nil && m.fecUntil[idx].After(ladderStart) {
-				ladderStart = m.fecUntil[idx]
-			}
-			if m.LostBy(idx).Sub(ladderStart) <= m.nackWindow+m.spacing*3/2 {
-				m.nackPhase[idx] = nackDone
-			}
-		}
 	}
 	return m
+}
+
+// arm sets chunk idx's construction-time schedule: its gap checkpoint,
+// its stripe-defeat instant, and whether it may enter the NACK ladder.
+// All three are pure functions of the broadcast geometry.
+func (m *Machine) arm(idx int) {
+	m.tryAt[idx] = m.checkpoint(idx)
+	// With a parity stripe the ladder starts at the chunk's stripe-defeat
+	// instant, not its gap checkpoint, so the headroom below is measured
+	// from there — still a pure grid-time decision.
+	ladderStart := m.tryAt[idx]
+	if m.fecUntil != nil {
+		m.fecUntil[idx] = m.fecDefeatAt(idx)
+		if m.fecUntil[idx].After(ladderStart) {
+			ladderStart = m.fecUntil[idx]
+		}
+	}
+	// A chunk whose loss deadline leaves no room for a multicast round
+	// never enters the ladder: on the tight just-in-time channels the
+	// unicast plane's immediate round trip is the only recovery that
+	// fits. The room required is the worst-case window fire (checkpoint +
+	// window) plus a re-listen that still ends a full chunk interval
+	// before the deadline (relistenBy's floor is half an interval), so
+	// even a lost re-send escalates to unicast in time. The bound
+	// compares grid times (checkpoint vs deadline): eligibility is a pure
+	// function of the broadcast geometry, never of driver scheduling.
+	if m.nackPhase != nil && m.LostBy(idx).Sub(ladderStart) <= m.nackWindow+m.spacing*3/2 {
+		m.nackPhase[idx] = nackDone
+	}
 }
 
 // fecDefeatAt is the grid instant at which chunk idx's parity stripe is
@@ -441,99 +479,35 @@ func (m *Machine) gapPending(idx int) bool {
 // notification) is returned, and otherwise the next deadline to wake at.
 // Drivers loop: act on the returned action, then call Next again with a
 // fresh now until Done.
+//
+// The pass is incremental. A chunk's construction-time gap checkpoint,
+// stripe-defeat instant and loss deadline are each non-decreasing in the
+// chunk index, so the chunks that can need anything at time now are a
+// prefix: the frontier cursor moves over that prefix once, parking each
+// still-missing chunk in the active set, and every later untouched chunk
+// can only contribute a wake time, the earliest of which belongs to the
+// first of them. A call therefore costs the gaps actually open plus the
+// chunks newly due, not the fragment — while returning exactly the
+// action and wake time a scan of every chunk would (the differential
+// test against that scan asserts it).
 func (m *Machine) Next(now time.Time) Action {
-	next := m.deadline
-	nackDue := false
-	var nackAnchor time.Time
-	for idx := 0; idx < m.nchunks; idx++ {
+	m.advance(now)
+	sc := scan{next: m.deadline}
+	live := m.active[:0]
+	for i, idx := range m.active {
+		if !m.have[idx] {
+			if act, acted := m.visit(idx, now, &sc); acted {
+				m.active = append(live, m.active[i:]...)
+				return act
+			}
+		}
 		if m.have[idx] {
-			continue
-		}
-		lb := m.LostBy(idx)
-		if !now.Before(lb) {
-			if m.p.Observe && m.tryAt[idx].IsZero() {
-				// The gap was handed to the per-viewer repair ledgers; they
-				// own its outcome, so the shared machine closes it silently.
-				m.have[idx] = true
-				m.got++
-			} else {
-				m.markLost(idx)
-			}
-			continue
-		}
-		if m.fecUntil != nil && !m.fecUntil[idx].IsZero() {
-			if now.Before(m.fecUntil[idx]) {
-				// The parity stripe may still heal this chunk for free;
-				// every reactive rung holds until the defeat instant.
-				if t := m.fecUntil[idx]; t.Before(next) {
-					next = t
-				}
-				if lb.Before(next) {
-					next = lb
-				}
-				continue
-			}
-			// Stripe defeated: burst loss beyond its reach, or the parity
-			// frame itself lost. The reactive ladder starts here, anchored
-			// at the defeat instant — a grid time — so the aggregation
-			// window of a defeated burst arms from stripe-defeat time, not
-			// first-gap time.
-			if m.fecUntil[idx].After(m.tryAt[idx]) {
-				m.stats.StripeDefeats++
-				m.tryAt[idx] = m.fecUntil[idx]
-			}
-			m.fecUntil[idx] = time.Time{}
-		}
-		if m.nackPhase != nil && m.nackPhase[idx] != nackDone {
-			// Multicast-first: the chunk is still in the NACK ladder.
-			if m.nackPhase[idx] == nackWait && !now.Before(m.tryAt[idx]) {
-				// The re-listen deadline passed without the re-send.
-				m.escalateNack(idx, now)
-			}
-			if m.nackPhase[idx] == nackPre && !now.Before(m.tryAt[idx]) {
-				if int(m.nackTries[idx]) >= m.maxNackRounds && m.nackAt.IsZero() {
-					// Round cap spent: the unicast plane takes over now.
-					m.nackPhase[idx] = nackDone
-				} else {
-					nackDue = true
-					if nackAnchor.IsZero() || m.tryAt[idx].Before(nackAnchor) {
-						nackAnchor = m.tryAt[idx]
-					}
-				}
-			}
-			if m.nackPhase[idx] != nackDone {
-				if t := m.tryAt[idx]; now.Before(t) && t.Before(next) {
-					next = t
-				}
-				if lb.Before(next) {
-					next = lb
-				}
-				continue
-			}
-		}
-		if m.gapPending(idx) {
-			if !now.Before(m.tryAt[idx]) {
-				// Hand the gap to the per-viewer repair plane exactly once;
-				// the shared machine keeps only the loss deadline.
-				m.tryAt[idx] = time.Time{}
-				return Action{Kind: ActGap, Idx: idx}
-			}
-			if m.tryAt[idx].Before(next) {
-				next = m.tryAt[idx]
-			}
-		}
-		if m.repairable(idx) {
-			if !now.Before(m.tryAt[idx]) {
-				return Action{Kind: ActRepair, Idx: idx, Attempt: m.attempts[idx] + 1}
-			}
-			if m.tryAt[idx].Before(next) {
-				next = m.tryAt[idx]
-			}
-		}
-		if lb.Before(next) {
-			next = lb
+			m.inActive[idx] = false
+		} else {
+			live = append(live, idx)
 		}
 	}
+	m.active = live
 	// Arm, then fire, the NACK aggregation window: one seeded-jittered
 	// window gathers a whole burst of losses into one gap bitmap. The
 	// window is anchored at the earliest due checkpoint — a grid time —
@@ -542,9 +516,9 @@ func (m *Machine) Next(now time.Time) Action {
 	// share a bitmap is a pure function of the loss pattern and the seed:
 	// driver scheduling latency cannot split or merge bursts. (The
 	// cohort-equivalence golden tests assert exactly this.)
-	if nackDue && m.nackAt.IsZero() {
+	if sc.nackDue && m.nackAt.IsZero() {
 		m.nackSeq++
-		m.nackAt = nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.nackWindow))
+		m.nackAt = sc.nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.nackWindow))
 	}
 	if !m.nackAt.IsZero() {
 		if !now.Before(m.nackAt) {
@@ -557,11 +531,184 @@ func (m *Machine) Next(now time.Time) Action {
 			// Everything the window covered healed before it fired: the
 			// re-send another viewer's NACK triggered reached us first.
 			m.stats.NacksSuppressed++
-		} else if m.nackAt.Before(next) {
-			next = m.nackAt
+		} else if m.nackAt.Before(sc.next) {
+			sc.next = m.nackAt
 		}
 	}
-	return Action{Kind: ActWait, Wake: next}
+	return Action{Kind: ActWait, Wake: m.dormantWake(sc.next)}
+}
+
+// scan accumulates one Next pass over the active set: the earliest wake
+// time seen, and whether (and from which checkpoint) a NACK aggregation
+// window is due.
+type scan struct {
+	next       time.Time
+	nackDue    bool
+	nackAnchor time.Time
+}
+
+// advance moves the frontier over every chunk that is resolved, already
+// active, or due — past its gap checkpoint or its loss deadline, the
+// earliest instants at which an untouched chunk needs more than a wake
+// time — activating the due ones. It stops at the first dormant chunk
+// still ahead of both; by monotonicity every later dormant chunk is too.
+func (m *Machine) advance(now time.Time) {
+	for ; m.frontier < m.nchunks; m.frontier++ {
+		idx := m.frontier
+		if m.have[idx] || m.inActive[idx] {
+			continue
+		}
+		if now.Before(m.tryAt[idx]) && now.Before(m.LostBy(idx)) {
+			return
+		}
+		m.activate(idx)
+	}
+}
+
+// activate inserts chunk idx into the active set, keeping it ascending:
+// Next must meet due chunks in index order to pick the same first action
+// a full scan would. Frontier activations append; only a Reopen or a
+// RepairResult ahead of the frontier lands mid-list.
+func (m *Machine) activate(idx int) {
+	m.inActive[idx] = true
+	i := len(m.active)
+	m.active = append(m.active, idx)
+	for ; i > 0 && m.active[i-1] > idx; i-- {
+		m.active[i] = m.active[i-1]
+	}
+	m.active[i] = idx
+}
+
+// visit gives one unresolved active chunk its recovery pass at time now.
+// It returns the action the chunk demands, if any; otherwise it folds
+// the chunk's next deadline (and NACK-window demand) into sc.
+func (m *Machine) visit(idx int, now time.Time, sc *scan) (Action, bool) {
+	lb := m.LostBy(idx)
+	if !now.Before(lb) {
+		if m.p.Observe && m.tryAt[idx].IsZero() {
+			// The gap was handed to the per-viewer repair ledgers; they
+			// own its outcome, so the shared machine closes it silently.
+			m.have[idx] = true
+			m.got++
+		} else {
+			m.markLost(idx)
+		}
+		return Action{}, false
+	}
+	if m.fecUntil != nil && !m.fecUntil[idx].IsZero() {
+		if now.Before(m.fecUntil[idx]) {
+			// The parity stripe may still heal this chunk for free;
+			// every reactive rung holds until the defeat instant.
+			sc.wakeBy(m.fecUntil[idx])
+			sc.wakeBy(lb)
+			return Action{}, false
+		}
+		// Stripe defeated: burst loss beyond its reach, or the parity
+		// frame itself lost. The reactive ladder starts here, anchored
+		// at the defeat instant — a grid time — so the aggregation
+		// window of a defeated burst arms from stripe-defeat time, not
+		// first-gap time.
+		if m.fecUntil[idx].After(m.tryAt[idx]) {
+			m.stats.StripeDefeats++
+			m.tryAt[idx] = m.fecUntil[idx]
+		}
+		m.fecUntil[idx] = time.Time{}
+	}
+	if m.nackPhase != nil && m.nackPhase[idx] != nackDone {
+		// Multicast-first: the chunk is still in the NACK ladder.
+		if m.nackPhase[idx] == nackWait && !now.Before(m.tryAt[idx]) {
+			// The re-listen deadline passed without the re-send.
+			m.escalateNack(idx, now)
+		}
+		if m.nackPhase[idx] == nackPre && !now.Before(m.tryAt[idx]) {
+			if int(m.nackTries[idx]) >= m.maxNackRounds && m.nackAt.IsZero() {
+				// Round cap spent: the unicast plane takes over now.
+				m.nackPhase[idx] = nackDone
+			} else {
+				sc.nackDue = true
+				if sc.nackAnchor.IsZero() || m.tryAt[idx].Before(sc.nackAnchor) {
+					sc.nackAnchor = m.tryAt[idx]
+				}
+			}
+		}
+		if m.nackPhase[idx] != nackDone {
+			if now.Before(m.tryAt[idx]) {
+				sc.wakeBy(m.tryAt[idx])
+			}
+			sc.wakeBy(lb)
+			return Action{}, false
+		}
+	}
+	if m.gapPending(idx) {
+		if !now.Before(m.tryAt[idx]) {
+			// Hand the gap to the per-viewer repair plane exactly once;
+			// the shared machine keeps only the loss deadline.
+			m.tryAt[idx] = time.Time{}
+			return Action{Kind: ActGap, Idx: idx}, true
+		}
+		sc.wakeBy(m.tryAt[idx])
+	}
+	if m.repairable(idx) {
+		if !now.Before(m.tryAt[idx]) {
+			return Action{Kind: ActRepair, Idx: idx, Attempt: m.attempts[idx] + 1}, true
+		}
+		sc.wakeBy(m.tryAt[idx])
+	}
+	sc.wakeBy(lb)
+	return Action{}, false
+}
+
+func (sc *scan) wakeBy(t time.Time) {
+	if t.Before(sc.next) {
+		sc.next = t
+	}
+}
+
+// dormantWake folds the dormant chunks' deadlines into next. A dormant
+// chunk is in its construction-time state with every deadline ahead, so
+// all it asks of Next is a wake at the first of them: the stripe-defeat
+// instant under a parity stripe; else its gap checkpoint when something
+// would act there (the NACK ladder, an Observe-mode gap report, a
+// unicast repair); and always its loss deadline. Each is non-decreasing
+// in the chunk index and none precedes the checkpoint, so the walk ends
+// at the first dormant chunk whose checkpoint and loss deadline are both
+// no sooner than the wake already found — usually the frontier chunk.
+func (m *Machine) dormantWake(next time.Time) time.Time {
+	// Whether an untouched chunk (zero attempts) could be pulled over
+	// unicast at its checkpoint — repairable, evaluated once.
+	repair := !m.p.DisableRepair && !m.p.Observe && m.maxTries > 0 &&
+		(m.p.RepairsEnabled == nil || m.p.RepairsEnabled())
+	// Unless some dormant chunks wake at their checkpoint (in the ladder)
+	// while others only at their loss deadline (out of it, unrepairable),
+	// every dormant chunk wakes by the same rule, and the first one's
+	// wake is the earliest.
+	uniform := m.nackPhase == nil || m.fecUntil != nil || m.p.Observe || repair
+	for idx := m.frontier; idx < m.nchunks; idx++ {
+		if m.have[idx] || m.inActive[idx] {
+			continue
+		}
+		lb := m.LostBy(idx)
+		if !m.tryAt[idx].Before(next) && !lb.Before(next) {
+			break
+		}
+		switch {
+		case m.fecUntil != nil:
+			if t := m.fecUntil[idx]; t.Before(next) {
+				next = t
+			}
+		case m.p.Observe || repair || (m.nackPhase != nil && m.nackPhase[idx] != nackDone):
+			if t := m.tryAt[idx]; t.Before(next) {
+				next = t
+			}
+		}
+		if lb.Before(next) {
+			next = lb
+		}
+		if uniform {
+			break
+		}
+	}
+	return next
 }
 
 // ChunkVerdict reports how an arriving broadcast chunk was booked.
@@ -664,6 +811,10 @@ func (m *Machine) Reopen(idx int) {
 		// Likewise the stripe: the per-viewer plane owns the chunk.
 		m.fecUntil[idx] = time.Time{}
 	}
+	// No longer in its construction-time state: Next must visit it.
+	if !m.inActive[idx] {
+		m.activate(idx)
+	}
 }
 
 // RepairResult applies one repair round trip's outcome to chunk idx,
@@ -681,6 +832,12 @@ func (m *Machine) Reopen(idx int) {
 // The attempt counter increments for every outcome, and jitter streams key
 // on the post-increment count so no two retries share a draw.
 func (m *Machine) RepairResult(idx int, outcome RepairOutcome, retryAfter time.Duration, now time.Time) Disposition {
+	if !m.have[idx] && !m.inActive[idx] {
+		// A result for a chunk Next has not reached yet (no driver asks
+		// for one unprompted): its schedule is about to change, so it can
+		// no longer ride ahead of the frontier.
+		m.activate(idx)
+	}
 	m.attempts[idx]++
 	switch outcome {
 	case RepairOK:

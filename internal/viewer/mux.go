@@ -97,7 +97,8 @@ type MuxConfig struct {
 	// recvmmsg call; zero selects mcast.DefaultRecvBatch, 1 pins the
 	// portable single-read path.
 	RecvBatch int
-	// SubDepth is the per-subscription slot ring depth; defaults to 256.
+	// SubDepth is how many received datagrams one subscription may hold
+	// unreleased before further ones are dropped; defaults to 256.
 	SubDepth int
 	// Logf, when non-nil, receives diagnostic output.
 	Logf func(format string, args ...any)
@@ -156,9 +157,12 @@ type Result struct {
 	PeakCohorts int64 `json:"peakCohorts"`
 	// Datagrams counts slot deliveries on the shared receiver (one per
 	// subscribed datagram, not per viewer); RecvDropped the datagrams
-	// lost to a full subscription ring (they surface as repairs).
-	Datagrams   int64 `json:"datagrams"`
-	RecvDropped int64 `json:"recvDropped"`
+	// lost to a subscription at its slot quota (they surface as repairs);
+	// PeakRecvSlots the most receive-arena slots ever filled at once —
+	// times the slot size, the run's receive-buffer footprint.
+	Datagrams     int64 `json:"datagrams"`
+	RecvDropped   int64 `json:"recvDropped"`
+	PeakRecvSlots int64 `json:"peakRecvSlots"`
 	// The ingress ledger of the shared receiver. BatchedReads counts
 	// datagrams drained through the recvmmsg rung (after GRO splitting);
 	// ReadSyscalls every kernel receive invocation —
@@ -439,20 +443,21 @@ func (m *Mux) admit() []*cohort {
 // per-viewer ledgers into the Result.
 func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	res := &Result{
-		Viewers:      m.cfg.Viewers,
-		Cohorts:      len(cohorts),
-		Workers:      m.cfg.Workers,
-		ElapsedSec:   elapsed.Seconds(),
-		PeakViewers:  m.liveViewers.High(),
-		PeakCohorts:  m.activeCohorts.High(),
-		Datagrams:    m.rcv.Delivered(),
-		RecvDropped:  m.rcv.Dropped(),
-		BatchedReads: m.rcv.BatchedReads(),
-		ReadSyscalls: m.rcv.ReadSyscalls(),
-		GroSegments:  m.rcv.GROSegments(),
-		GroFallbacks: m.rcv.GROFallbacks(),
-		ReadErrors:   m.rcv.ReadErrors(),
-		Reconnects:   m.reconnects.Load(),
+		Viewers:       m.cfg.Viewers,
+		Cohorts:       len(cohorts),
+		Workers:       m.cfg.Workers,
+		ElapsedSec:    elapsed.Seconds(),
+		PeakViewers:   m.liveViewers.High(),
+		PeakCohorts:   m.activeCohorts.High(),
+		Datagrams:     m.rcv.Delivered(),
+		RecvDropped:   m.rcv.Dropped(),
+		PeakRecvSlots: m.rcv.SlotsPeak(),
+		BatchedReads:  m.rcv.BatchedReads(),
+		ReadSyscalls:  m.rcv.ReadSyscalls(),
+		GroSegments:   m.rcv.GROSegments(),
+		GroFallbacks:  m.rcv.GROFallbacks(),
+		ReadErrors:    m.rcv.ReadErrors(),
+		Reconnects:    m.reconnects.Load(),
 	}
 	var totalUnits int64
 	for _, s := range m.w.SizeUnits {
@@ -584,7 +589,7 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 	}
 	f := vf.f
 	led := &w.mux.ledgers[vf.viewer]
-	for idx := range f.arrived {
+	for _, idx := range f.divergedIdx[:f.ndiverged.Load()] {
 		if t := f.arrived[idx].Load(); t != 0 && !vf.vm.Have(idx) {
 			// A recorded stripe reconstruction books as a FEC heal — or a
 			// duplicate, for a viewer that already unicast-repaired the

@@ -73,7 +73,8 @@ func (m *Machine) relistenBy(idx int, now time.Time) time.Time {
 }
 
 // fireNack closes the aggregation window that was scheduled to fire at
-// until: every missing chunk whose checkpoint is at or before until and
+// until (not after now, so every candidate is past its checkpoint and in
+// the active set): every missing chunk whose checkpoint is at or before until and
 // under its round cap moves to nackWait with a provisional re-listen
 // deadline, and the collected indices (ascending) form the gap bitmap.
 // Admission compares checkpoints against the scheduled fire time, not the
@@ -82,7 +83,7 @@ func (m *Machine) relistenBy(idx int, now time.Time) time.Time {
 // the re-send some other viewer triggered healed the burst first.
 func (m *Machine) fireNack(until, now time.Time) []int {
 	var chunks []int
-	for idx := 0; idx < m.nchunks; idx++ {
+	for _, idx := range m.active {
 		if m.have[idx] || m.nackPhase[idx] != nackPre || m.tryAt[idx].After(until) {
 			continue
 		}
