@@ -5,7 +5,7 @@ GO ?= go
 # machine produced them.
 BENCHMETA = ./scripts/benchmeta.sh
 
-.PHONY: build test vet race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
+.PHONY: build test vet fmt-check race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
 
 build:
 	$(GO) build ./...
@@ -16,13 +16,18 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Every Go file in the tree is gofmt-clean (benchmark/ included).
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l flags:"; gofmt -l .; exit 1; }
+
 # The parallel sweep engine, the bench scheme cache, the fault injector,
-# the lock-free hub/frame-cache data path, and the wire codecs (shared by
-# every concurrent sender) are concurrent; every PR must pass the race
-# detector over them.
+# the lock-free hub/frame-cache data path, the wire codecs (shared by
+# every concurrent sender), and the server (egress shards, control
+# handlers and re-sends all touching the same cached frames) are
+# concurrent; every PR must pass the race detector over them.
 race:
 	$(GO) test -race ./internal/des ./internal/metrics ./internal/sim ./internal/bench \
-		./internal/faults ./internal/mcast ./internal/viewer ./internal/wire
+		./internal/faults ./internal/mcast ./internal/viewer ./internal/wire ./internal/server
 
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
 # — seeded drop/duplicate/reorder plans, unicast repair, reconnects, idle
@@ -33,12 +38,14 @@ race:
 # catch-up run staging), the ingress ladder (recvmmsg/GRO/single-read
 # delivery identity, kill-switch demotion, GRO super-frame splitting,
 # read-error backoff), the proactive FEC stripe (parity encode,
-# stripe reassembly, defeat escalation, burst loss), and the shared
+# stripe reassembly, defeat escalation, burst loss), the shared
 # receive arena (unsubscribe-while-delivering slot conservation, per-
-# subscription slot quotas) — under the race detector.
+# subscription slot quotas), and the wheel's tick source (never early,
+# stop wakes a parked shard, fallback and demotion, no descriptor or
+# goroutine left behind by restarts) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain
@@ -87,11 +94,11 @@ bench-e2e-smoke:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark ./skybench -workload all -short
 
-# The PR gate: tier-1 build+test, vet, race-checked concurrency, the
+# The PR gate: tier-1 build+test, vet, gofmt, race-checked concurrency, the
 # chaos suite, the portable-fallback pin, fuzzers, the cohort-repair
 # smoke sweep, the end-to-end benchmark smoke, vulnerability scan, and
 # the data-path benchmark record.
-verify: build vet test race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
+verify: build vet fmt-check test race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -135,10 +142,11 @@ bench-scale:
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
 # at 1/8/64 members, GSO super-frames and io_uring submission over the
 # same fan-out, the timer wheel's dispatch cycle at 2..2100 channels,
-# and padded vs unpadded counter contention (see EXPERIMENTS.md
-# "Egress engine").
+# the shard wake lateness of both tick sources at 3.125 and 17.5 ms
+# spacing, and padded vs unpadded counter contention (see
+# EXPERIMENTS.md "Egress engine").
 bench-egress:
-	$(GO) test -bench 'EgressFanout|EgressSuperframe|EgressUring|WheelDispatch|CounterParallel' -benchmem -run '^$$' -json \
+	$(GO) test -bench 'EgressFanout|EgressSuperframe|EgressUring|WheelDispatch|WheelWake|CounterParallel' -benchmem -run '^$$' -json \
 		./internal/mcast ./internal/server ./internal/metrics > BENCH_egress.json
 	$(BENCHMETA) bench-egress >> BENCH_egress.json
 

@@ -35,7 +35,7 @@ func main() {
 		fecMode = flag.String("fec-mode", "",
 			"parity stripe code when -fec-group > 0: xor (heals one erasure per group, the default) or rs (P+Q, heals two)")
 		status = flag.Bool("status", true, "serve an HTTP /status endpoint")
-		cacheB   = flag.Int64("frame-cache-bytes", 0,
+		cacheB = flag.Int64("frame-cache-bytes", 0,
 			"frame cache budget in bytes (0 = default, negative = disable frame residency)")
 		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the status endpoint")
 		repairBW = flag.Int64("repair-bandwidth", 0,

@@ -140,17 +140,18 @@ func (t *stormTable) sweepLocked(now time.Time) {
 //     drop decisions are deterministic per chunk position, so routing the
 //     re-send through it would re-drop exactly the chunk whose loss caused
 //     the storm.
-//   - It patches a private copy of the frame: resident cache frames are
-//     patch-owned by their channel pacer, which may be mid-broadcast on
-//     another goroutine.
+//   - It sends a private copy of the frame, made around the Seq field
+//     (wire.CopyWithSeq): resident cache frames are patch-owned by
+//     their channel pacer, which may be re-patching Seq on another
+//     goroutine at this very moment.
 //
 // The dispatch goes through the hub's repair batch path, so storm
 // re-sends share the sendmmsg/batching ledger with scheduled egress and
 // show up in the repair-datagram ledger.
 func (s *Server) stormResend(video, channel, chunk int, seq uint32, scratch *frameScratch) {
 	cc := s.cache.channel(video, channel)
-	frame := append([]byte(nil), s.cache.acquire(cc, chunk, scratch)...)
-	if err := wire.PatchSeq(frame, seq); err != nil {
+	frame, err := wire.CopyWithSeq(s.cache.acquire(cc, chunk, scratch), seq)
+	if err != nil {
 		s.cfg.Logf("server: storm re-send video%d/ch%d chunk %d: %v", video, channel, chunk, err)
 		return
 	}
@@ -170,8 +171,8 @@ func (s *Server) nackResend(video, channel int, seq uint32, chunks []int, scratc
 	g := mcast.Group{Video: video, Channel: channel}
 	entries := make([]mcast.BatchEntry, 0, len(chunks))
 	for _, chunk := range chunks {
-		frame := append([]byte(nil), s.cache.acquire(cc, chunk, scratch)...)
-		if err := wire.PatchSeq(frame, seq); err != nil {
+		frame, err := wire.CopyWithSeq(s.cache.acquire(cc, chunk, scratch), seq)
+		if err != nil {
 			s.cfg.Logf("server: nack re-send video%d/ch%d chunk %d: %v", video, channel, chunk, err)
 			continue
 		}

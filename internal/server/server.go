@@ -257,9 +257,12 @@ type Server struct {
 	// to the hot counters above.
 	controlSessions metrics.PaddedGauge
 
-	// shards is how many egress shard goroutines the wheel engine runs
-	// (0 under EnginePacer); set once in Start.
-	shards int
+	// wheel holds the wheel engine's egress shards, one goroutine each
+	// (empty under EnginePacer); set once in Start. tickDemoted is set
+	// when a shard had to give up the timerfd tick source for the runtime
+	// timer.
+	wheel       []*wheelShard
+	tickDemoted atomic.Bool
 
 	stop chan struct{}
 	// wg tracks the pacer supervisors and the accept loop; connWG the
@@ -359,7 +362,7 @@ func (s *Server) Start() error {
 	s.wg.Add(1)
 	go s.acceptLoop()
 	s.cfg.Logf("server: broadcasting %d videos x %d channels on %s (unit %v, engine %s, %d shards, vectorized=%v, gso=%v)",
-		sch.Config().Videos, sch.K(), ln.Addr(), s.cfg.Unit, s.EgressEngine(), s.shards, hub.Vectorized(), hub.GSO())
+		sch.Config().Videos, sch.K(), ln.Addr(), s.cfg.Unit, s.EgressEngine(), len(s.wheel), hub.Vectorized(), hub.GSO())
 	return nil
 }
 
@@ -438,8 +441,30 @@ func (s *Server) EgressEngine() string {
 // all channels from (0 under the legacy per-pacer engine); EgressWakeups
 // how many timer wakeups those shards have taken — each wakeup dispatches
 // every chunk due in its tick, so wakeups ≪ chunks is the wheel working.
-func (s *Server) EgressShards() int    { return s.shards }
+func (s *Server) EgressShards() int    { return len(s.wheel) }
 func (s *Server) EgressWakeups() int64 { return s.wheelWakeups.Value() }
+
+// EgressTickSource names what the egress goroutines wait on between
+// ticks: "timerfd" while every wheel shard parks on a timerfd through the
+// netpoller, "timer" for the runtime timer — the per-pacer engine, a
+// non-linux build, or a server whose timerfd failed.
+func (s *Server) EgressTickSource() string {
+	if haveTimerfd && len(s.wheel) > 0 && !s.tickDemoted.Load() {
+		return tickTimerfd
+	}
+	return tickTimer
+}
+
+// wakeLateness merges every shard's wake-lateness histogram: how many
+// nanoseconds past its grid instant each wheel wakeup happened. Empty
+// under the per-pacer engine.
+func (s *Server) wakeLateness() *metrics.Log2Histogram {
+	h := new(metrics.Log2Histogram)
+	for _, sh := range s.wheel {
+		h.Merge(&sh.wakeLate)
+	}
+	return h
+}
 
 // Draining reports whether the server is in graceful shutdown.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -463,6 +488,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 
 	close(s.stop)
+	s.stopWheel()
 	s.ln.Close()
 	for _, c := range conns {
 		c.Close()
@@ -892,7 +918,7 @@ func (s *Server) serveControl(conn net.Conn) {
 				RepairTokens:      s.RepairTokens(),
 				PacerRestarts:     s.pacerRestarts.Value(),
 				PacerDriftEvents:  s.driftEvents.Value(),
-				EgressShards:      s.shards,
+				EgressShards:      len(s.wheel),
 				EgressWakeups:     s.wheelWakeups.Value(),
 				EgressBatches:     s.hub.Batches(),
 				BatchedBytes:      s.hub.BatchedBytes(),

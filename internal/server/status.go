@@ -80,6 +80,15 @@ type StatusSnapshot struct {
 	EgressEngine  string `json:"egressEngine"`
 	EgressShards  int    `json:"egressShards"`
 	EgressWakeups int64  `json:"egressWakeups"`
+	// EgressTickSource is what the shards wait on between ticks:
+	// "timerfd" (grid-exact, through the netpoller) or "timer" (the
+	// runtime timer, which an idle process rounds up to the millisecond).
+	// EgressWakeLateP50Us/P99Us are quantiles, in microseconds, of how far
+	// past its grid instant each shard wakeup happened — resolved to a
+	// power-of-two bucket, interpolated inside it.
+	EgressTickSource    string  `json:"egressTickSource"`
+	EgressWakeLateP50Us float64 `json:"egressWakeLateP50Us"`
+	EgressWakeLateP99Us float64 `json:"egressWakeLateP99Us"`
 	// EgressBatches counts batched hub dispatches and BatchedBytes the
 	// payload bytes they carried; EgressSyscalls the kernel send
 	// invocations (sendmmsg calls on the vectorized path, per-datagram
@@ -160,6 +169,7 @@ func (s *Server) snapshot() StatusSnapshot {
 	superframes, gsoSegments := s.hub.Superframes(), s.hub.GSOSegments()
 	uringSubmits, uringSQEs := s.hub.UringSubmits(), s.hub.UringSQEs()
 	ing := mcast.IngressStats()
+	wakeLate := s.wakeLateness()
 	return StatusSnapshot{
 		RepairsServed:         s.repairs.Value(),
 		RepairBytes:           s.repairBytes.Value(),
@@ -178,8 +188,11 @@ func (s *Server) snapshot() StatusSnapshot {
 		PacerRestarts:         s.pacerRestarts.Value(),
 		PacerDriftEvents:      s.driftEvents.Value(),
 		EgressEngine:          s.EgressEngine(),
-		EgressShards:          s.shards,
+		EgressShards:          len(s.wheel),
 		EgressWakeups:         s.wheelWakeups.Value(),
+		EgressTickSource:      s.EgressTickSource(),
+		EgressWakeLateP50Us:   float64(wakeLate.Quantile(0.50)) / 1e3,
+		EgressWakeLateP99Us:   float64(wakeLate.Quantile(0.99)) / 1e3,
 		EgressBatches:         s.hub.Batches(),
 		BatchedBytes:          s.hub.BatchedBytes(),
 		EgressSyscalls:        s.hub.SendSyscalls(),

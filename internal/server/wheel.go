@@ -35,9 +35,11 @@ package server
 import (
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"skyscraper/internal/mcast"
+	"skyscraper/internal/metrics"
 	"skyscraper/internal/wire"
 )
 
@@ -283,6 +285,15 @@ type wheelShard struct {
 	// cache budget is spent. Empty while the stripe is off.
 	pspares   []*parityScratch
 	pspareIdx int
+
+	// tick is the source the current run parks on between ticks, nil
+	// between runs. tickMu orders its publication against stopWheel so a
+	// stopping server always reaches a parked shard.
+	tickMu sync.Mutex
+	tick   tickSource
+	// wakeLate records, at every wakeup, how far past its grid instant
+	// the shard woke, in nanoseconds.
+	wakeLate metrics.Log2Histogram
 }
 
 // nextSpare hands out the next spare scratch of the current dispatch,
@@ -339,14 +350,67 @@ func (s *Server) startWheel() {
 	if n > len(entries) {
 		n = len(entries)
 	}
-	s.shards = n
-	for si := 0; si < n; si++ {
+	s.wheel = make([]*wheelShard, n)
+	for si := range s.wheel {
 		sh := &wheelShard{s: s, id: si}
 		for j := si; j < len(entries); j += n {
 			sh.entries = append(sh.entries, entries[j])
 		}
+		s.wheel[si] = sh
+	}
+	for _, sh := range s.wheel {
 		s.wg.Add(1)
 		go s.runWheelShard(sh)
+	}
+}
+
+// stopWheel wakes every shard parked on its tick source. Close calls it
+// after closing s.stop: a shard that published its source before this
+// sees the wake, one that publishes after sees the closed channel.
+func (s *Server) stopWheel() {
+	for _, sh := range s.wheel {
+		sh.tickMu.Lock()
+		if sh.tick != nil {
+			sh.tick.wake()
+		}
+		sh.tickMu.Unlock()
+	}
+}
+
+// newTickSource picks what a shard run waits on: the timerfd where the
+// build has one and no shard has had to give it up, the runtime timer
+// otherwise.
+func (s *Server) newTickSource() tickSource {
+	if haveTimerfd && !s.tickDemoted.Load() {
+		src, err := newFdTicks()
+		if err == nil {
+			return src
+		}
+		s.demoteTicks(err)
+	}
+	return newTimerTicks(s.stop)
+}
+
+// demoteTicks records that the timerfd let a shard down — creation
+// failed, or a wait returned something other than a tick — and logs the
+// first occurrence. From then on every shard run waits on the runtime
+// timer; shards still parked on a working timerfd keep it until their
+// run ends.
+func (s *Server) demoteTicks(err error) {
+	if !s.tickDemoted.Swap(true) {
+		s.cfg.Logf("server: timerfd tick source unavailable (%v); egress shards wait on the runtime timer", err)
+	}
+}
+
+// setTick publishes (or, with nil, retires) the run's tick source and
+// closes the one it replaces.
+func (sh *wheelShard) setTick(src tickSource) {
+	sh.tickMu.Lock()
+	old := sh.tick
+	sh.tick = src
+	sh.tickMu.Unlock()
+	if old != nil {
+		old.close()
 	}
 }
 
@@ -407,10 +471,12 @@ func (sh *wheelShard) quantum() time.Duration {
 	return q
 }
 
-// run is the shard dispatch loop: sleep to the earliest due tick, collect
-// everything due, dispatch it as one batch, re-file the entries. Entered
-// fresh after every restart, it rebuilds the wheel from the wall clock so
-// the shard rejoins the absolute grid.
+// run is the shard dispatch loop: park on the tick source until the
+// earliest due tick, collect everything due, dispatch it as one batch,
+// re-file the entries. Entered fresh after every restart, it rebuilds the
+// wheel from the wall clock so the shard rejoins the absolute grid. A
+// wait that ends early or for no reason is harmless: collect crosses no
+// tick, nothing dispatches, and the next pass re-arms from the clock.
 func (sh *wheelShard) run() {
 	s := sh.s
 	sh.wheel.reset(sh.quantum(), time.Since(s.epoch))
@@ -427,21 +493,38 @@ func (sh *wheelShard) run() {
 		<-s.stop
 		return
 	}
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	src := s.newTickSource()
+	sh.setTick(src)
+	defer sh.setTick(nil) // every exit, a panic included, releases the source
+	select {
+	case <-s.stop:
+		return // stopWheel may have passed before the source was published
+	default:
+	}
 	for {
+		next, ok := sh.wheel.nextDue()
 		wait := time.Hour
-		if next, ok := sh.wheel.nextDue(); ok {
+		if ok {
 			wait = time.Until(s.epoch.Add(next))
 		}
-		timer.Reset(wait)
-		select {
-		case <-s.stop:
+		ticked, err := src.wait(wait)
+		if err != nil {
+			// Finish this run on the runtime timer. The loop tolerates a
+			// wait that ended early, so going round again is all it takes.
+			s.demoteTicks(err)
+			src = newTimerTicks(s.stop)
+			sh.setTick(src)
+			continue
+		}
+		if !ticked {
 			return
-		case <-timer.C:
 		}
 		s.wheelWakeups.Inc()
-		sh.due = sh.wheel.collect(time.Since(s.epoch), sh.due[:0])
+		now := time.Since(s.epoch)
+		if ok {
+			sh.wakeLate.Observe(int64(now - next))
+		}
+		sh.due = sh.wheel.collect(now, sh.due[:0])
 		if len(sh.due) > 0 {
 			sh.dispatch()
 		}
@@ -452,13 +535,16 @@ func (sh *wheelShard) run() {
 // identical to pace — hook, cache acquire, 4-byte Seq patch — but the
 // prepared frames leave as one hub batch when the sender supports it
 // (it does not when a fault injector is interposed, which must keep
-// deciding chunk by chunk; those go through per-chunk Send unchanged).
+// deciding chunk by chunk; those go through per-chunk Send, which is
+// synchronous and copies whatever it holds back).
 //
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
 // a restart, a dense schedule — every chunk already due is staged in
 // the same dispatch as one same-group contiguous run (capped at
 // wheelMaxRun and at the repetition boundary), instead of one chunk per
-// wakeup. The run order is the
+// wakeup — for both sender kinds, as pace does when its next instant is
+// already past; a shard that sent one chunk per tick would stay as many
+// ticks late as it once stalled, for ever. The run order is the
 // schedule order, so per-channel (rep, chunk) sequences stay exactly
 // what the pacer engine produces, and the contiguous same-group shape
 // is precisely what the hub's GSO path coalesces into super-frames.
@@ -514,7 +600,7 @@ func (sh *wheelShard) dispatch() {
 			// would retroactively corrupt the earlier staged entry. A
 			// still-behind entry re-files at the current tick and the next
 			// wakeup continues the catch-up.
-			if !batching || e.due > elapsed || staged >= wheelMaxRun || e.c == 0 {
+			if e.due > elapsed || staged >= wheelMaxRun || e.c == 0 {
 				break
 			}
 		}

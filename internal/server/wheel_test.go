@@ -99,7 +99,12 @@ func checkContiguous(t *testing.T, k chanKey, evs []event, chunks int) {
 // shift where a sequence begins by a chunk or two on a loaded machine, so
 // the sequences are aligned on the later start before the element-wise
 // comparison; contiguity pins everything after it.
-func TestWheelGoldenEquivalence(t *testing.T) {
+func TestWheelGoldenEquivalence(t *testing.T) { checkGoldenEquivalence(t) }
+
+// checkGoldenEquivalence is the body of TestWheelGoldenEquivalence, shared
+// with the run that forces the shards onto the runtime-timer tick source.
+func checkGoldenEquivalence(t *testing.T) {
+	t.Helper()
 	sch := wheelScheme(t, 2, 3)
 	const unit = 25 * time.Millisecond
 	wheel := recordEngine(t, EngineWheel, sch, unit, time.Second)

@@ -115,6 +115,16 @@ func (c *Chunk) appendFrame(dst []byte, crc uint32) []byte {
 // can be re-broadcast under any repetition number with this 4-byte patch
 // and no re-encode. The frame must start with a valid chunk header.
 func PatchSeq(frame []byte, seq uint32) error {
+	if err := checkSeqPatchable(frame); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(frame[seqOffset:], seq)
+	return nil
+}
+
+// checkSeqPatchable reports whether frame starts with a chunk header whose
+// Seq field can be rewritten. It reads only the magic and version bytes.
+func checkSeqPatchable(frame []byte) error {
 	if len(frame) < headerSize {
 		return fmt.Errorf("%w: %d bytes", ErrShortFrame, len(frame))
 	}
@@ -124,8 +134,24 @@ func PatchSeq(frame []byte, seq uint32) error {
 	if frame[2] != Version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, frame[2])
 	}
-	binary.BigEndian.PutUint32(frame[seqOffset:], seq)
 	return nil
+}
+
+// CopyWithSeq returns a copy of an encoded frame with its Seq field set
+// to seq. It is PatchSeq for a frame the caller does not own: the copy
+// goes around the Seq field and never reads it, so it is safe while the
+// frame's owner re-patches Seq in place on another goroutine (every other
+// byte of a cached frame is immutable). The frame must start with a valid
+// chunk header.
+func CopyWithSeq(frame []byte, seq uint32) ([]byte, error) {
+	if err := checkSeqPatchable(frame); err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(frame))
+	copy(out, frame[:seqOffset])
+	binary.BigEndian.PutUint32(out[seqOffset:], seq)
+	copy(out[seqOffset+4:], frame[seqOffset+4:])
+	return out, nil
 }
 
 // Decode parses a frame. The returned chunk's Payload aliases frame; copy

@@ -272,6 +272,52 @@ func TestPatchSeqRejectsBadFrames(t *testing.T) {
 	}
 }
 
+// TestCopyWithSeq pins the copying twin of PatchSeq: the copy equals a
+// fresh encode at the requested seq whatever Seq the source carried,
+// leaves the source alone, costs one allocation, and rejects what
+// PatchSeq rejects.
+func TestCopyWithSeq(t *testing.T) {
+	c := Chunk{Video: 5, Channel: 2, Seq: 0xDEADBEEF, Offset: 2048, Total: 8192, Payload: []byte("repetition-invariant")}
+	frame, err := c.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]byte(nil), frame...)
+	for _, seq := range []uint32{0, 7, 1<<32 - 1} {
+		want := c
+		want.Seq = seq
+		ref, err := want.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CopyWithSeq(frame, seq)
+		if err != nil {
+			t.Fatalf("CopyWithSeq(%d): %v", seq, err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("copy at seq %d diverges from a fresh encode", seq)
+		}
+	}
+	if !bytes.Equal(frame, orig) {
+		t.Error("CopyWithSeq modified its source frame")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := CopyWithSeq(frame, 3); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("CopyWithSeq = %v allocs, want 1", allocs)
+	}
+	if _, err := CopyWithSeq(frame[:headerSize-1], 1); !errors.Is(err, ErrShortFrame) {
+		t.Errorf("short frame: %v", err)
+	}
+	bad := append([]byte(nil), frame...)
+	bad[0] = 0xFF
+	if _, err := CopyWithSeq(bad, 1); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("bad magic: %v", err)
+	}
+}
+
 func TestEncodeWithCRC(t *testing.T) {
 	c := Chunk{Video: 1, Channel: 4, Seq: 3, Offset: 512, Total: 4096, Payload: []byte("cached crc")}
 	ref, err := c.Encode(nil)
