@@ -23,8 +23,9 @@ fmt-check:
 # The parallel sweep engine, the bench scheme cache, the fault injector,
 # the lock-free hub/frame-cache data path, the wire codecs (shared by
 # every concurrent sender), and the server (egress shards, control
-# handlers and re-sends all touching the same cached frames) are
-# concurrent; every PR must pass the race detector over them.
+# handlers and re-sends all materialising frames from the same CRC
+# table, each into memory of its own) are concurrent; every PR must pass
+# the race detector over them.
 race:
 	$(GO) test -race ./internal/des ./internal/metrics ./internal/sim ./internal/bench \
 		./internal/faults ./internal/mcast ./internal/viewer ./internal/wire ./internal/server
@@ -42,10 +43,13 @@ race:
 # receive arena (unsubscribe-while-delivering slot conservation, per-
 # subscription slot quotas), and the wheel's tick source (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
-# goroutine left behind by restarts) — under the race detector.
+# goroutine left behind by restarts), and listener-gated materialise-on-
+# send (only heard groups staged, fault counts independent of the
+# audience, re-sends never aliasing dispatch memory, a heap that does not
+# follow the catalog) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain
@@ -109,8 +113,9 @@ bench-sweep:
 	$(BENCHMETA) bench-sweep >> BENCH_sweep.json
 
 # Record the broadcast data-path benchmarks — per-chunk encode (seed vs
-# cached), word-wise content generation, lock-free hub fan-out — with
-# allocation counts (see EXPERIMENTS.md "Data-path throughput").
+# materialise-on-send), word-wise content generation, lock-free hub
+# fan-out — with allocation counts (see EXPERIMENTS.md "Data-path
+# throughput").
 bench-datapath:
 	$(GO) test -bench 'PaceEncode|ContentFill|ContentVerify|HubSend' -benchmem -run '^$$' -json \
 		./internal/server ./internal/content ./internal/mcast > BENCH_datapath.json
@@ -141,7 +146,8 @@ bench-scale:
 
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
 # at 1/8/64 members, GSO super-frames and io_uring submission over the
-# same fan-out, the timer wheel's dispatch cycle at 2..2100 channels,
+# same fan-out, the timer wheel's dispatch cycle at 2..2100 channels and
+# a whole listener-gated dispatch at 200/400 channels with 5 % heard,
 # the shard wake lateness of both tick sources at 3.125 and 17.5 ms
 # spacing, and padded vs unpadded counter contention (see
 # EXPERIMENTS.md "Egress engine").

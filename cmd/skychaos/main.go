@@ -323,18 +323,19 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 			stats.FecHeals, stats.StripeDefeats)
 	}
 
-	// The data-path ledger: what the hub actually put on the wire and how
-	// much of it the frame cache served without re-encoding.
+	// The data-path ledger: what the hub actually put on the wire, and how
+	// many of the frames materialised for it found their payload CRC
+	// cached rather than hashing the payload again.
 	hub := srv.Hub()
 	cs := srv.FrameCacheStats()
 	hitPct := 0.0
-	if lookups := cs.Hits + cs.Misses; lookups > 0 {
-		hitPct = 100 * float64(cs.Hits) / float64(lookups)
+	if built := cs.Hits + cs.Misses; built > 0 {
+		hitPct = 100 * float64(cs.Hits) / float64(built)
 	}
 	fmt.Printf("       data path: %d datagrams (%d bytes) sent, %d send failures; "+
-		"frame cache %d hits / %d misses (%.1f%% hit, %d bytes resident)\n",
+		"%d frames materialised, %d with a cached CRC (%.1f%%), %d bytes of CRC words held\n",
 		hub.Sent(), hub.SentBytes(), hub.SendFailures(),
-		cs.Hits, cs.Misses, hitPct, cs.Bytes)
+		cs.Hits+cs.Misses, cs.Hits, hitPct, cs.Bytes)
 
 	// The egress ledger: how the engine turned those datagrams into
 	// wakeups and kernel sends.

@@ -34,9 +34,7 @@ func main() {
 			"proactive parity stripe group size G: one parity frame per G data chunks, ~1/G bandwidth overhead (0 = off)")
 		fecMode = flag.String("fec-mode", "",
 			"parity stripe code when -fec-group > 0: xor (heals one erasure per group, the default) or rs (P+Q, heals two)")
-		status = flag.Bool("status", true, "serve an HTTP /status endpoint")
-		cacheB = flag.Int64("frame-cache-bytes", 0,
-			"frame cache budget in bytes (0 = default, negative = disable frame residency)")
+		status   = flag.Bool("status", true, "serve an HTTP /status endpoint")
 		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the status endpoint")
 		repairBW = flag.Int64("repair-bandwidth", 0,
 			"repair-plane admission budget in bytes/sec (0 = unlimited); size it with unicast.RepairBandwidthBytes")
@@ -50,13 +48,13 @@ func main() {
 			"egress engine: 'wheel' (sharded timer wheel + batched fan-out), 'uring' (wheel + shared io_uring submission ring batching across shards; falls back to wheel with a logged notice where the kernel lacks io_uring), or 'pacer' (legacy goroutine per channel). UDP GSO super-frames are probed and used automatically on the wheel/uring engines; set SKYSCRAPER_NO_GSO=1 to disable them")
 	)
 	flag.Parse()
-	if err := run(*videos, *channels, *width, *unit, *bpu, *chunk, *fecGroup, *fecMode, *status, *cacheB, *pprofOn, *repairBW, *drainTO, *sndbuf, *rcvbuf, *engine); err != nil {
+	if err := run(*videos, *channels, *width, *unit, *bpu, *chunk, *fecGroup, *fecMode, *status, *pprofOn, *repairBW, *drainTO, *sndbuf, *rcvbuf, *engine); err != nil {
 		fmt.Fprintln(os.Stderr, "skyserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecGroup int, fecMode string, status bool, cacheBytes int64, pprofOn bool, repairBW int64, drainTO time.Duration, sndbuf, rcvbuf int, engine string) error {
+func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecGroup int, fecMode string, status bool, pprofOn bool, repairBW int64, drainTO time.Duration, sndbuf, rcvbuf int, engine string) error {
 	cfg := vod.Config{
 		ServerMbps: 1.5 * float64(videos*channels),
 		Videos:     videos,
@@ -74,7 +72,6 @@ func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecG
 		ChunkBytes:      chunk,
 		FecGroup:        fecGroup,
 		FecMode:         fecMode,
-		FrameCacheBytes: cacheBytes,
 		EnablePprof:     pprofOn,
 		RepairBandwidth: repairBW,
 		EgressEngine:    engine,

@@ -233,20 +233,17 @@ func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
 	if !ok {
 		return in.next.Send(g, frame)
 	}
-	shift := 0
+	shift, covered := 0, 0
 	if wire.IsParity(frame) {
 		shift = parityRollStride * (1 + wire.ParityIndexOf(frame))
+		covered = wire.ParityCountOf(frame)
 	}
 
 	// A frame held from the group's previous send is released after this
 	// send completes, so the held chunk follows its successor onto the
 	// wire.
-	in.mu.Lock()
-	prev := in.held[g]
-	delete(in.held, g)
-	in.mu.Unlock()
-
-	n, err := in.apply(g, frame, video, channel, seq, offset, shift)
+	prev := in.takeHeld(g)
+	n, err := in.apply(g, frame, video, channel, seq, offset, shift, covered)
 	if prev != nil {
 		pn, perr := in.next.Send(g, *prev)
 		framePool.Put(prev)
@@ -258,27 +255,102 @@ func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
 	return n, err
 }
 
-// apply executes the plan's decision for one chunk (or parity frame,
-// whose substream shift keeps its rolls independent of the data chunk
-// sharing its header offset).
-func (in *Injector) apply(g mcast.Group, frame []byte, video, channel uint16, seq, offset uint32, shift int) (int, error) {
+// Unheard accounts for one frame the sender did not build because group g
+// has no listener: it makes the same positional decision Send would and
+// books it in the same counters and trace, so the counts over a window
+// stay a function of the seed alone however the audience moves — but it
+// forwards, delays and holds nothing, and a frame still held for g from
+// its last heard send goes back to the pool (the members it was held for
+// are gone). parity is -1 for a data chunk at byte offset `offset`;
+// otherwise it is the parity index of the frame whose group base is
+// `offset` and which covers `covered` chunks.
+func (in *Injector) Unheard(g mcast.Group, seq, offset uint32, parity, covered int) {
+	shift := 0
+	if parity >= 0 {
+		shift = parityRollStride * (1 + parity)
+	}
+	video, channel := uint16(g.Video), uint16(g.Channel)
+	if v, _ := in.decide(g, video, channel, seq, offset, shift, covered); v == pass {
+		in.duplicate(g, video, channel, seq, offset, shift)
+	}
+	if prev := in.takeHeld(g); prev != nil {
+		framePool.Put(prev)
+	}
+}
+
+// takeHeld removes and returns the frame held for g's next send, if any.
+func (in *Injector) takeHeld(g mcast.Group) *[]byte {
+	in.mu.Lock()
+	prev := in.held[g]
+	delete(in.held, g)
+	in.mu.Unlock()
+	return prev
+}
+
+// verdict is the plan's decision for one frame position.
+type verdict int
+
+const (
+	pass verdict = iota
+	drop
+	burst
+	delay
+	reorder
+)
+
+// decide rolls the plan's dice for one frame position, with the
+// precedence drop > burst > delay > reorder, and books the outcome in
+// the counters and the trace. shift selects the parity substreams and
+// covered is the parity frame's chunk count (both 0 for a data chunk); d
+// is how long a delayed frame is deferred. It is the whole of the plan's
+// randomness short of the duplicate roll, shared by Send and Unheard so
+// the two cannot disagree.
+func (in *Injector) decide(g mcast.Group, video, channel uint16, seq, offset uint32, shift, covered int) (v verdict, d time.Duration) {
 	p := in.plan
 	switch {
 	case p.Drop > 0 && p.roll(shift+rollDrop, video, channel, offset) < p.Drop:
 		in.dropped.Add(1)
 		in.tracef("fault-drop", g, seq, offset, "")
-		return 0, nil
-
-	case in.burstDrop(frame, video, channel, offset, shift):
+		return drop, 0
+	case in.burstDrop(video, channel, offset, shift, covered):
 		in.burstDropped.Add(1)
 		in.tracef("fault-burst", g, seq, offset, "")
-		return 0, nil
-
+		return burst, 0
 	case p.Delay > 0 && p.roll(shift+rollDelay, video, channel, offset) < p.Delay:
-		d := time.Duration(p.roll(shift+rollDelayDur, video, channel, offset) * float64(p.MaxDelay))
+		d = time.Duration(p.roll(shift+rollDelayDur, video, channel, offset) * float64(p.MaxDelay))
 		in.delayed.Add(1)
 		in.tracef("fault-delay", g, seq, offset, " by %v", d)
-		// The pacer reuses its frame buffer, so the deferred send must
+		return delay, d
+	case p.Reorder > 0 && p.roll(shift+rollReorder, video, channel, offset) < p.Reorder:
+		in.reordered.Add(1)
+		in.tracef("fault-reorder", g, seq, offset, " held for next send")
+		return reorder, 0
+	}
+	return pass, 0
+}
+
+// duplicate rolls the duplicate decision for a frame that passed, and
+// books it.
+func (in *Injector) duplicate(g mcast.Group, video, channel uint16, seq, offset uint32, shift int) bool {
+	p := in.plan
+	if p.Duplicate <= 0 || p.roll(shift+rollDup, video, channel, offset) >= p.Duplicate {
+		return false
+	}
+	in.duplicated.Add(1)
+	in.tracef("fault-dup", g, seq, offset, "")
+	return true
+}
+
+// apply executes the plan's decision for one chunk (or parity frame,
+// whose substream shift keeps its rolls independent of the data chunk
+// sharing its header offset).
+func (in *Injector) apply(g mcast.Group, frame []byte, video, channel uint16, seq, offset uint32, shift, covered int) (int, error) {
+	switch v, d := in.decide(g, video, channel, seq, offset, shift, covered); v {
+	case drop, burst:
+		return 0, nil
+
+	case delay:
+		// The sender reuses its frame buffer, so the deferred send must
 		// own a copy (pooled). Errors after the hub closes are expected
 		// noise.
 		cp := copyFrame(frame)
@@ -288,9 +360,7 @@ func (in *Injector) apply(g mcast.Group, frame []byte, video, channel uint16, se
 		})
 		return 0, nil
 
-	case p.Reorder > 0 && p.roll(shift+rollReorder, video, channel, offset) < p.Reorder:
-		in.reordered.Add(1)
-		in.tracef("fault-reorder", g, seq, offset, " held for next send")
+	case reorder:
 		in.mu.Lock()
 		_, already := in.held[g]
 		if !already {
@@ -305,9 +375,7 @@ func (in *Injector) apply(g mcast.Group, frame []byte, video, channel uint16, se
 
 	default:
 		n, err := in.next.Send(g, frame)
-		if err == nil && p.Duplicate > 0 && p.roll(shift+rollDup, video, channel, offset) < p.Duplicate {
-			in.duplicated.Add(1)
-			in.tracef("fault-dup", g, seq, offset, "")
+		if err == nil && in.duplicate(g, video, channel, seq, offset, shift) {
 			if dn, derr := in.next.Send(g, frame); derr == nil {
 				n += dn
 			}
@@ -322,16 +390,14 @@ func (in *Injector) apply(g mcast.Group, frame []byte, video, channel uint16, se
 // chunk it rides immediately behind on the wire — a burst that swallows
 // the end of a group swallows its parity too, which is exactly the
 // correlated failure mode the stripe must escalate past.
-func (in *Injector) burstDrop(frame []byte, video, channel uint16, offset uint32, shift int) bool {
+func (in *Injector) burstDrop(video, channel uint16, offset uint32, shift, covered int) bool {
 	p := in.plan
 	if p.BurstEnter <= 0 || p.BurstDrop <= 0 {
 		return false
 	}
 	chunk := int(offset) / p.ChunkBytes
-	if shift > 0 {
-		if count := wire.ParityCountOf(frame); count > 0 {
-			chunk += count - 1
-		}
+	if shift > 0 && covered > 0 {
+		chunk += covered - 1
 	}
 	if !in.burstBad(video, channel, chunk) {
 		return false

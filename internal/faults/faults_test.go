@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"skyscraper/internal/des"
 	"skyscraper/internal/mcast"
+	"skyscraper/internal/trace"
 	"skyscraper/internal/wire"
 )
 
@@ -494,4 +496,150 @@ func TestFaultZeroPlanTransparent(t *testing.T) {
 	if c := in.Counts(); c != (Counts{}) {
 		t.Errorf("zero plan injected faults: %+v", c)
 	}
+}
+
+// stripeStep is one frame of a striped channel's schedule: a data chunk,
+// or (parity >= 0) the parity frame closing the group based at chunk.
+type stripeStep struct {
+	chunk, parity, covered int
+}
+
+// stripeSchedule lists nchunks data chunks with a P and a Q parity frame
+// behind every group of g (the tail group may be short) — the order the
+// server's egress emits.
+func stripeSchedule(nchunks, g int) []stripeStep {
+	var steps []stripeStep
+	for c := 0; c < nchunks; c++ {
+		steps = append(steps, stripeStep{chunk: c, parity: -1})
+		if (c+1)%g == 0 || c == nchunks-1 {
+			base := c / g * g
+			for pi := 0; pi < 2; pi++ {
+				steps = append(steps, stripeStep{chunk: base, parity: pi, covered: c - base + 1})
+			}
+		}
+	}
+	return steps
+}
+
+// driveSchedule pushes a schedule through a fresh injector, building and
+// sending the frames heard(i) selects and accounting for the rest with
+// Unheard. It returns the injector, what reached the wire, and the trace.
+func driveSchedule(t *testing.T, plan Plan, g mcast.Group, steps []stripeStep, heard func(i int) bool) (*Injector, *recorder, []trace.Event) {
+	t.Helper()
+	plan.Trace = trace.New(1 << 14)
+	rec := newRecorder()
+	in, err := New(rec, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	video, channel := uint16(g.Video), uint16(g.Channel)
+	total := len(steps) * 64
+	for i, st := range steps {
+		if !heard(i) {
+			in.Unheard(g, 1, uint32(st.chunk*64), st.parity, st.covered)
+			continue
+		}
+		var frame []byte
+		if st.parity >= 0 {
+			frame = parityFrame(t, video, channel, st.chunk, st.covered, len(steps), uint8(st.parity))
+		} else {
+			c := wire.Chunk{Video: video, Channel: channel, Seq: 1, Offset: uint32(st.chunk * 64), Total: uint32(total), Payload: make([]byte, 64)}
+			if frame, err = c.Encode(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := in.Send(g, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in, rec, plan.Trace.Events()
+}
+
+// TestFaultUnheardKeepsThePlan: a schedule accounted partly through
+// Unheard injures exactly the positions, with exactly the counts, that
+// the same schedule injures when every frame is built and sent — the
+// counts stay a function of the seed alone however the audience moves —
+// and every frame that was sent meets the same decision either way.
+func TestFaultUnheardKeepsThePlan(t *testing.T) {
+	g := mcast.Group{Video: 3, Channel: 2}
+	steps := stripeSchedule(600, 4)
+	all := func(int) bool { return true }
+	// An arbitrary audience: listeners come and go in uneven stretches,
+	// mid-group and across group boundaries.
+	mix := func(i int) bool { return des.SubSeed(17, uint64(i/5))%3 != 0 }
+
+	t.Run("counts and decisions", func(t *testing.T) {
+		plan := Plan{Seed: 7, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05, Delay: 0.05, MaxDelay: time.Millisecond,
+			BurstEnter: 0.03, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 64}
+		inA, _, evA := driveSchedule(t, plan, g, steps, all)
+		inB, _, evB := driveSchedule(t, plan, g, steps, mix)
+		if a, b := inA.Counts(), inB.Counts(); a != b {
+			t.Fatalf("counts diverge: all-Send %+v, Send/Unheard mix %+v", a, b)
+		}
+		if c := inA.Counts(); c.Dropped == 0 || c.BurstDropped == 0 || c.Duplicated == 0 || c.Reordered == 0 || c.Delayed == 0 {
+			t.Fatalf("plan left a fault kind unexercised: %+v", c)
+		}
+		if len(evA) != len(evB) {
+			t.Fatalf("%d fault events all-Send, %d mixed", len(evA), len(evB))
+		}
+		for i := range evA {
+			if evA[i].Kind != evB[i].Kind || evA[i].Detail != evB[i].Detail {
+				t.Fatalf("fault event %d: all-Send %s %q, mixed %s %q", i, evA[i].Kind, evA[i].Detail, evB[i].Kind, evB[i].Detail)
+			}
+		}
+	})
+
+	t.Run("wire", func(t *testing.T) {
+		// Without delay and reorder a frame reaches the wire within its own
+		// Send, so the wire itself is comparable: every frame that was sent
+		// appears as often (0, 1 or 2 times) as when everything is sent,
+		// and nothing unheard appears at all.
+		plan := Plan{Seed: 7, Drop: 0.1, Duplicate: 0.1, BurstEnter: 0.03, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 64}
+		_, recA, _ := driveSchedule(t, plan, g, steps, all)
+		_, recB, _ := driveSchedule(t, plan, g, steps, mix)
+		type key struct {
+			offset uint32
+			kind   byte
+		}
+		tally := func(r *recorder) map[key]int {
+			m := make(map[key]int)
+			for _, f := range r.frames[g] {
+				_, _, _, off, _ := wire.PeekID(f)
+				m[key{off, f[3]}]++
+			}
+			return m
+		}
+		a, b := tally(recA), tally(recB)
+		for i, st := range steps {
+			k := key{offset: uint32(st.chunk * 64)}
+			if st.parity >= 0 {
+				k.kind = wire.KindParity | byte(st.parity)
+			}
+			if want := a[k]; mix(i) && b[k] != want {
+				t.Fatalf("step %d (chunk %d parity %d) sent in both runs: on the wire %d times mixed, %d times all-Send", i, st.chunk, st.parity, b[k], want)
+			}
+			if !mix(i) && b[k] != 0 {
+				t.Fatalf("step %d (chunk %d parity %d) was unheard yet reached the wire", i, st.chunk, st.parity)
+			}
+		}
+	})
+
+	t.Run("held frame released", func(t *testing.T) {
+		// Every frame is held for its successor; when the successor is
+		// unheard the held copy must go back to the pool, not wait for
+		// Flush, and must not reach the wire.
+		in, rec, _ := driveSchedule(t, Plan{Seed: 7, Reorder: 1}, g, stripeSchedule(2, 4)[:2], func(i int) bool { return i == 0 })
+		in.mu.Lock()
+		held := len(in.held)
+		in.mu.Unlock()
+		if held != 0 {
+			t.Errorf("%d frames still held after the group went quiet", held)
+		}
+		if n := len(rec.frames[g]); n != 0 {
+			t.Errorf("%d frames reached the wire, want 0", n)
+		}
+		if c := in.Counts(); c.Reordered != 2 {
+			t.Errorf("Reordered = %d, want 2 (the unheard frame's decision is still booked)", c.Reordered)
+		}
+	})
 }

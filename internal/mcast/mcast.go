@@ -314,6 +314,23 @@ func (h *Hub) Members(g Group) int {
 	return len((*h.members.Load())[g])
 }
 
+// Listeners is a read-only view of one membership snapshot: which groups
+// had a member at the moment it was taken. A tick-driven sender takes one
+// per tick and skips building frames for groups nobody hears; a member
+// that joins after the snapshot starts with the next tick. Snapshots are
+// immutable, so two Listeners compare equal (==) exactly when no Join,
+// Leave or eviction separates them — a sender that remembers the answers
+// it drew from one need not ask again until the comparison fails. The
+// zero Listeners hears nothing.
+type Listeners struct{ m *membership }
+
+// Listeners returns the current membership snapshot — one atomic load, no
+// lock, no allocation.
+func (h *Hub) Listeners() Listeners { return Listeners{h.members.Load()} }
+
+// Heard reports whether g had at least one member.
+func (l Listeners) Heard(g Group) bool { return l.m != nil && len((*l.m)[g]) > 0 }
+
 // Send delivers one datagram to every current member of g, returning how
 // many receivers it was written to. A send to an empty group succeeds and
 // reaches zero receivers — broadcast semantics, senders never block on

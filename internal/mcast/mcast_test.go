@@ -504,3 +504,51 @@ func BenchmarkHubSend(b *testing.B) {
 		}
 	}
 }
+
+// TestListenersSnapshot pins the read-only membership view the egress gate
+// reads: a snapshot answers for the moment it was taken, stays what it was
+// while the membership moves on, compares equal to another exactly when
+// nothing changed in between, and costs no allocation to take or ask.
+func TestListenersSnapshot(t *testing.T) {
+	hub, err := NewHub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	g, other := Group{Video: 1, Channel: 2}, Group{Video: 1, Channel: 3}
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+
+	var zero Listeners
+	if zero.Heard(g) {
+		t.Error("the zero Listeners hears a group")
+	}
+	empty := hub.Listeners()
+	if empty.Heard(g) || empty != hub.Listeners() {
+		t.Error("an empty hub's snapshot hears a group, or differs from itself")
+	}
+	if err := hub.Join(g, addr); err != nil {
+		t.Fatal(err)
+	}
+	joined := hub.Listeners()
+	if joined == empty || !joined.Heard(g) || joined.Heard(other) || empty.Heard(g) {
+		t.Errorf("after Join: changed %v, heard(g) %v, heard(other) %v, old snapshot heard(g) %v; want true true false false",
+			joined != empty, joined.Heard(g), joined.Heard(other), empty.Heard(g))
+	}
+	if err := hub.Join(g, addr); err != nil { // a no-op join publishes nothing
+		t.Fatal(err)
+	}
+	if hub.Listeners() != joined {
+		t.Error("a duplicate Join changed the snapshot")
+	}
+	hub.Leave(g, addr)
+	if left := hub.Listeners(); left == joined || left.Heard(g) || !joined.Heard(g) {
+		t.Error("after Leave: snapshot unchanged, still hears g, or the old snapshot forgot it")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if hub.Listeners().Heard(g) {
+			t.Fatal("heard a group everyone left")
+		}
+	}); allocs != 0 {
+		t.Errorf("Listeners+Heard allocates %v times, want 0", allocs)
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"skyscraper/internal/mcast"
-	"skyscraper/internal/wire"
 )
 
 // stormKey identifies one broadcast chunk: the unit of storm coalescing.
@@ -133,56 +132,44 @@ func (t *stormTable) sweepLocked(now time.Time) {
 	}
 }
 
-// stormResend answers a coalesced repair storm once, on the chunk's own
-// broadcast group. Two deliberate asymmetries with the normal data path:
+// resend multicasts chunks of (video, channel) under the requester's Seq on
+// the channel's own broadcast group — the server half of both coalescing
+// mechanisms. Two deliberate asymmetries with the normal data path:
 //
 //   - It sends through the hub directly, not s.send: the fault injector's
 //     drop decisions are deterministic per chunk position, so routing the
 //     re-send through it would re-drop exactly the chunk whose loss caused
-//     the storm.
-//   - It sends a private copy of the frame, made around the Seq field
-//     (wire.CopyWithSeq): resident cache frames are patch-owned by
-//     their channel pacer, which may be re-patching Seq on another
-//     goroutine at this very moment.
+//     the request.
+//   - The frames are materialised afresh into the calling connection's own
+//     arena: nothing the egress shards are building is read or written
+//     here, so a re-send cannot race a dispatch.
 //
-// The dispatch goes through the hub's repair batch path, so storm
-// re-sends share the sendmmsg/batching ledger with scheduled egress and
-// show up in the repair-datagram ledger.
-func (s *Server) stormResend(video, channel, chunk int, seq uint32, scratch *frameScratch) {
+// The dispatch goes through the hub's repair batch path, so re-sends
+// share the sendmmsg/batching ledger with scheduled egress and show up in
+// the repair-datagram ledger.
+func (s *Server) resend(what string, video, channel int, seq uint32, chunks []int, a *frameArena) {
 	cc := s.cache.channel(video, channel)
-	frame, err := wire.CopyWithSeq(s.cache.acquire(cc, chunk, scratch), seq)
-	if err != nil {
-		s.cfg.Logf("server: storm re-send video%d/ch%d chunk %d: %v", video, channel, chunk, err)
-		return
-	}
 	g := mcast.Group{Video: video, Channel: channel}
-	if _, err := s.hub.SendRepairBatch([]mcast.BatchEntry{{Group: g, Frame: frame}}); err != nil {
-		s.cfg.Logf("server: storm re-send %v: %v", g, err)
+	a.reset() // the connection's previous re-send has returned
+	entries := make([]mcast.BatchEntry, len(chunks))
+	for i, chunk := range chunks {
+		entries[i] = mcast.BatchEntry{Group: g, Frame: s.cache.materialise(a, cc, chunk, seq)}
 	}
+	if _, err := s.hub.SendRepairBatch(entries); err != nil {
+		s.cfg.Logf("server: %s re-send %v: %v", what, g, err)
+	}
+}
+
+// stormResend answers a coalesced repair storm once, for every client
+// that asked.
+func (s *Server) stormResend(video, channel, chunk int, seq uint32, a *frameArena) {
+	s.resend("storm", video, channel, seq, []int{chunk}, a)
 	s.stormResends.Inc()
 }
 
 // nackResend answers one NACK's accepted chunks with a batched multicast
-// re-send on the channel's broadcast group: one vectorized dispatch heals
-// the whole injured audience. It shares stormResend's two asymmetries
-// (injector bypass, private frame copies) for the same reasons.
-func (s *Server) nackResend(video, channel int, seq uint32, chunks []int, scratch *frameScratch) {
-	cc := s.cache.channel(video, channel)
-	g := mcast.Group{Video: video, Channel: channel}
-	entries := make([]mcast.BatchEntry, 0, len(chunks))
-	for _, chunk := range chunks {
-		frame, err := wire.CopyWithSeq(s.cache.acquire(cc, chunk, scratch), seq)
-		if err != nil {
-			s.cfg.Logf("server: nack re-send video%d/ch%d chunk %d: %v", video, channel, chunk, err)
-			continue
-		}
-		entries = append(entries, mcast.BatchEntry{Group: g, Frame: frame})
-	}
-	if len(entries) == 0 {
-		return
-	}
-	if _, err := s.hub.SendRepairBatch(entries); err != nil {
-		s.cfg.Logf("server: nack re-send %v: %v", g, err)
-	}
-	s.nackResends.Add(int64(len(entries)))
+// re-send: one vectorized dispatch heals the whole injured audience.
+func (s *Server) nackResend(video, channel int, seq uint32, chunks []int, a *frameArena) {
+	s.resend("nack", video, channel, seq, chunks, a)
+	s.nackResends.Add(int64(len(chunks)))
 }

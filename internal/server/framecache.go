@@ -10,33 +10,28 @@ import (
 )
 
 // frameCache exploits the paper's central observation — channel i
-// rebroadcasts the same fragment forever — to make the per-chunk broadcast
-// cost approach a single patched header word. Everything in a chunk's wire
-// frame depends only on (video, channel, offset); the sole per-repetition
-// field is Seq, which the payload CRC deliberately excludes. So the cache
-// keeps, per (video, channel, chunk):
-//
-//   - the payload CRC, always (4 bytes per chunk), so a non-resident chunk
-//     re-encodes without rehashing its payload;
-//   - the fully encoded frame, while the configured byte budget lasts, so
-//     a resident chunk re-broadcasts with a 4-byte wire.PatchSeq and zero
-//     allocation.
-//
-// Residency is first-come: frames are built lazily on first broadcast (or
-// first repair) and stay forever — the working set is the whole catalog
-// and every chunk repeats every period, so there is nothing to evict to.
-// The unicast REPAIR path reads payload bytes straight out of resident
-// frames; a pacer only ever writes the 4 Seq bytes of its own channel's
-// frames, so the two never touch the same memory.
+// rebroadcasts the same fragment forever — without holding the catalog in
+// memory. Everything in a chunk's wire frame depends only on (video,
+// channel, offset) except Seq, which the payload CRC deliberately
+// excludes. Of that, the payload is a cheap streaming read (content.Fill,
+// the stand-in for the paper's cyclic read from storage) and the header
+// is seven stores; the one part that is expensive to recompute and tiny to
+// keep is the payload CRC. So the cache holds exactly that: one word per
+// (video, channel, chunk) and per parity frame, filled lazily on first
+// use, and a frame is materialised when it is sent — payload filled
+// straight into the frame, header written once with its final Seq — into
+// memory its sender owns. Nothing built here is shared: a re-send builds
+// its own frame with its own Seq, so there is no frame a second goroutine
+// could observe half-patched.
 type frameCache struct {
 	chunkBytes int
-	// budget caps the total bytes of resident encoded frames; <= 0 means
-	// no frames are cached (CRCs still are).
-	budget int64
-	used   atomic.Int64
 
+	// hits counts materialisations that found their CRC word, misses those
+	// that had to hash the payload; words is how many CRC words the tables
+	// hold.
 	hits   metrics.AtomicCounter
 	misses metrics.AtomicCounter
+	words  int64
 
 	// chans is indexed [video*K + (channel-1)]; built once, read-only.
 	chans []*channelCache
@@ -44,10 +39,9 @@ type frameCache struct {
 
 	// fecGroup is the parity stripe width G (0 = no stripe); nparity how
 	// many parity frames each group carries (1 = XOR, 2 = RS P+Q). A
-	// parity frame is as repetition-invariant as the chunks it covers —
-	// a pure function of (video, channel, group) — so it gets the same
-	// treatment: CRC always cached, encoded frame resident while the
-	// budget lasts, Seq patched per send.
+	// parity frame is as repetition-invariant as the chunks it covers — a
+	// pure function of (video, channel, group) — so its CRC is cached the
+	// same way.
 	fecGroup int
 	nparity  int
 }
@@ -63,27 +57,24 @@ type channelCache struct {
 	// crcs[c] holds crcSet|crc once chunk c's payload CRC is known; zero
 	// means not yet computed. Writes of the same value may race benignly.
 	crcs []atomic.Uint64
-	// frames[c] holds chunk c's encoded frame once resident.
-	frames []atomic.Pointer[[]byte]
-	// Parity slots, indexed [group*nparity + parityIndex]; empty when the
-	// stripe is off.
-	pcrcs   []atomic.Uint64
-	pframes []atomic.Pointer[[]byte]
+	// pcrcs is the same for parity frames, indexed
+	// [group*nparity + parityIndex]; empty when the stripe is off.
+	pcrcs []atomic.Uint64
 }
 
-// crcSet marks a crcs slot as populated (a CRC of zero is legitimate).
+// crcSet marks a CRC word as populated (a CRC of zero is legitimate).
 const crcSet = 1 << 32
 
 // newFrameCache lays out the cache for a scheme: one channelCache per
-// (video, channel), chunk slots sized from the fragment geometry, plus
-// nparity parity slots per stripe group when fecGroup > 0.
-func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes int, budget int64, fecGroup, nparity int) *frameCache {
+// (video, channel), one CRC word per chunk from the fragment geometry, plus
+// nparity words per stripe group when fecGroup > 0.
+func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes, fecGroup, nparity int) *frameCache {
 	k := sch.K()
 	videos := sch.Config().Videos
 	if fecGroup <= 0 {
 		fecGroup, nparity = 0, 0
 	}
-	fc := &frameCache{chunkBytes: chunkBytes, budget: budget, k: k,
+	fc := &frameCache{chunkBytes: chunkBytes, k: k,
 		chans: make([]*channelCache, videos*k), fecGroup: fecGroup, nparity: nparity}
 	sizes := sch.Sizes()
 	for v := 0; v < videos; v++ {
@@ -97,13 +88,11 @@ func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes int, budget int64,
 				base:    base,
 				total:   uint32(total),
 				crcs:    make([]atomic.Uint64, chunks),
-				frames:  make([]atomic.Pointer[[]byte], chunks),
 			}
 			if fecGroup > 0 {
-				groups := (chunks + fecGroup - 1) / fecGroup
-				cc.pcrcs = make([]atomic.Uint64, groups*nparity)
-				cc.pframes = make([]atomic.Pointer[[]byte], groups*nparity)
+				cc.pcrcs = make([]atomic.Uint64, (chunks+fecGroup-1)/fecGroup*nparity)
 			}
+			fc.words += int64(len(cc.crcs) + len(cc.pcrcs))
 			fc.chans[v*k+i-1] = cc
 			base += int64(total)
 		}
@@ -114,196 +103,125 @@ func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes int, budget int64,
 // channel returns the cache slice for (video v, channel i).
 func (fc *frameCache) channel(v, i int) *channelCache { return fc.chans[v*fc.k+i-1] }
 
-// CacheStats reports the frame cache's activity and occupancy.
+// CacheStats reports the frame cache's activity and footprint.
 type CacheStats struct {
+	// Hits counts frames materialised with a cached CRC, Misses those
+	// whose CRC had to be computed (once per chunk and parity frame).
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Bytes is the resident encoded-frame footprint; Budget its cap.
-	Bytes  int64 `json:"bytes"`
-	Budget int64 `json:"budget"`
+	// Bytes is the footprint of the CRC words — all the cache keeps.
+	Bytes int64 `json:"bytes"`
 }
 
 func (fc *frameCache) stats() CacheStats {
-	return CacheStats{
-		Hits:   fc.hits.Value(),
-		Misses: fc.misses.Value(),
-		Bytes:  fc.used.Load(),
-		Budget: fc.budget,
-	}
+	return CacheStats{Hits: fc.hits.Value(), Misses: fc.misses.Value(), Bytes: 8 * fc.words}
 }
 
-// crc returns chunk c's cached payload CRC.
-func (cc *channelCache) crc(c int) (uint32, bool) {
-	v := cc.crcs[c].Load()
-	return uint32(v), v&crcSet != 0
-}
-
-// encode regenerates chunk c's frame into dst (reusing its capacity):
-// payload from the content function, CRC from the cache when present —
-// computed and cached when not. Seq is left zero; callers patch it.
-func (cc *channelCache) encode(fc *frameCache, c int, dst, payload []byte) []byte {
-	off := c * fc.chunkBytes
-	content.Fill(payload, int(cc.video), cc.base+int64(off))
-	crc, ok := cc.crc(c)
-	if !ok {
-		crc = wire.PayloadCRC(payload)
-		cc.crcs[c].Store(crcSet | uint64(crc))
-	}
-	ch := wire.Chunk{
-		Video:   cc.video,
-		Channel: cc.channel,
-		Offset:  uint32(off),
-		Total:   cc.total,
-		Payload: payload,
-	}
-	// chunkBytes <= wire.MaxPayload is validated at server construction,
-	// so EncodeWithCRC cannot fail.
-	frame, _ := ch.EncodeWithCRC(dst[:0], crc)
-	return frame
-}
-
-// acquire returns chunk c's encoded frame: the resident one on a hit, or
-// a fresh encode on a miss — installed into the cache while the budget
-// lasts, otherwise built in the caller's scratch buffer. The returned
-// frame's Seq field is unspecified; broadcast callers must wire.PatchSeq
-// it, repair callers read only the payload. Only the owning pacer may
-// patch a resident frame.
-func (fc *frameCache) acquire(cc *channelCache, c int, scratch *frameScratch) []byte {
-	slot := &cc.frames[c]
-	if p := slot.Load(); p != nil {
+// crc returns the payload CRC kept in slot, hashing payload to fill the
+// slot the first time.
+func (fc *frameCache) crc(slot *atomic.Uint64, payload []byte) uint32 {
+	if v := slot.Load(); v&crcSet != 0 {
 		fc.hits.Inc()
-		return *p
+		return uint32(v)
 	}
 	fc.misses.Inc()
-	if fc.budget > 0 {
-		// Reserve first, encode after: concurrent misses may each reserve,
-		// but whoever loses backs its reservation out, so occupancy never
-		// overshoots the budget by more than the in-flight encodes.
-		size := int64(wire.EncodedSize(fc.chunkBytes))
-		if fc.used.Add(size) <= fc.budget {
-			frame := cc.encode(fc, c, make([]byte, 0, size), scratch.payload)
-			if slot.CompareAndSwap(nil, &frame) {
-				return frame
-			}
-			// Another goroutine (a concurrent repair) installed first;
-			// theirs is canonical and ours returns its reservation.
-			fc.used.Add(-size)
-			return *slot.Load()
-		}
-		fc.used.Add(-size)
-	}
-	scratch.frame = cc.encode(fc, c, scratch.frame, scratch.payload)
-	return scratch.frame
+	crc := wire.PayloadCRC(payload)
+	slot.Store(crcSet | uint64(crc))
+	return crc
+}
+
+// materialise builds chunk c's frame for repetition seq in a's memory:
+// the payload straight from the content function into its place behind
+// the header, the CRC from the cache. It is the one way a data frame is
+// built — by the wheel, the per-channel pacer and the re-send paths alike.
+// chunkBytes <= wire.MaxPayload is validated at server construction.
+func (fc *frameCache) materialise(a *frameArena, cc *channelCache, c int, seq uint32) []byte {
+	off := c * fc.chunkBytes
+	frame := a.take(wire.EncodedSize(fc.chunkBytes))
+	payload := frame[wire.HeaderSize:]
+	content.Fill(payload, int(cc.video), cc.base+int64(off))
+	wire.PutHeader(frame, wire.KindData, cc.video, cc.channel, seq, uint32(off), cc.total,
+		len(payload), fc.crc(&cc.crcs[c], payload))
+	return frame
 }
 
 // groupCount is how many data chunks stripe group g of this channel
 // covers (the tail group may be short).
 func (cc *channelCache) groupCount(fc *frameCache, g int) int {
-	count := len(cc.frames) - g*fc.fecGroup
+	count := len(cc.crcs) - g*fc.fecGroup
 	if count > fc.fecGroup {
 		count = fc.fecGroup
 	}
 	return count
 }
 
-// encodeParity regenerates the parity frame (group g, index pi) into
-// dst, folding the group's chunk payloads — read straight out of
-// resident data frames where the cache holds them, regenerated into
-// scratch.tmp where it does not — so the common steady-state encode is
-// cache-resident and allocation-free. Seq is left zero; callers patch
-// it, exactly as for data frames.
-func (cc *channelCache) encodeParity(fc *frameCache, g, pi int, dst []byte, scratch *parityScratch) []byte {
+// materialiseParity builds the parity frame (group g, index pi) for
+// repetition seq in a's memory — the one way a parity frame is built. The
+// stripe payload is assembled in place behind the header: the group's
+// first chunk is filled straight into the parity block (its coefficient is
+// 1 under both codes), the rest are regenerated into a chunk of a's
+// memory and folded in.
+func (fc *frameCache) materialiseParity(a *frameArena, cc *channelCache, g, pi int, seq uint32) []byte {
 	count := cc.groupCount(fc, g)
-	payload := wire.AppendParityPayload(scratch.payload[:0], count, nil)
-	payload = payload[:len(payload)+fc.chunkBytes]
-	block := payload[len(payload)-fc.chunkBytes:]
-	clear(block)
+	frame := a.take(wire.EncodedSize(wire.ParityOverhead(count, fc.chunkBytes)))
+	payload := frame[wire.HeaderSize:]
+	prefix := wire.AppendParityPayload(payload[:0], count, nil)
+	block := payload[len(prefix):]
 	first := g * fc.fecGroup
-	off := first * fc.chunkBytes
-	for j := 0; j < count; j++ {
-		src := scratch.tmp
-		if p := cc.frames[first+j].Load(); p != nil {
-			src = (*p)[wire.HeaderSize:]
-		} else {
-			content.Fill(scratch.tmp, int(cc.video), cc.base+int64((first+j)*fc.chunkBytes))
-		}
-		if pi == 0 {
-			wire.XorAccum(block, src)
-		} else {
-			wire.GfMulAccum(block, src, wire.GfExpPow(j))
+	content.Fill(block, int(cc.video), cc.base+int64(first*fc.chunkBytes))
+	if count > 1 {
+		tmp := a.take(fc.chunkBytes)
+		for j := 1; j < count; j++ {
+			content.Fill(tmp, int(cc.video), cc.base+int64((first+j)*fc.chunkBytes))
+			if pi == 0 {
+				wire.XorAccum(block, tmp)
+			} else {
+				wire.GfMulAccum(block, tmp, wire.GfExpPow(j))
+			}
 		}
 	}
-	slot := g*fc.nparity + pi
-	crc64 := cc.pcrcs[slot].Load()
-	crc := uint32(crc64)
-	if crc64&crcSet == 0 {
-		crc = wire.PayloadCRC(payload)
-		cc.pcrcs[slot].Store(crcSet | uint64(crc))
-	}
-	// The payload is bounded by ParityOverhead(MaxFecGroup, chunkBytes)
-	// and chunkBytes <= wire.MaxPayload is validated at construction, so
-	// the encoder cannot fail.
-	frame, _ := wire.EncodeParityFrame(dst[:0], cc.video, cc.channel, 0, uint32(off), cc.total, uint8(pi), payload, crc)
+	// Config.validate keeps ParityOverhead(FecGroup, chunkBytes) within
+	// wire.MaxPayload.
+	wire.PutHeader(frame, wire.KindParity|byte(pi), cc.video, cc.channel, seq, uint32(first*fc.chunkBytes), cc.total,
+		len(payload), fc.crc(&cc.pcrcs[g*fc.nparity+pi], payload))
 	return frame
 }
 
-// acquireParity returns the encoded parity frame for (group g, index
-// pi), mirroring acquire: resident hit, budget-bounded install on miss,
-// caller scratch when the budget is spent. The returned frame's Seq is
-// unspecified; broadcast callers wire.PatchSeq it.
-func (fc *frameCache) acquireParity(cc *channelCache, g, pi int, scratch *parityScratch) []byte {
-	slot := &cc.pframes[g*fc.nparity+pi]
-	if p := slot.Load(); p != nil {
-		fc.hits.Inc()
-		return *p
-	}
-	fc.misses.Inc()
-	if fc.budget > 0 {
-		size := int64(wire.EncodedSize(wire.ParityOverhead(cc.groupCount(fc, g), fc.chunkBytes)))
-		if fc.used.Add(size) <= fc.budget {
-			frame := cc.encodeParity(fc, g, pi, make([]byte, 0, size), scratch)
-			if slot.CompareAndSwap(nil, &frame) {
-				return frame
-			}
-			fc.used.Add(-size)
-			return *slot.Load()
-		}
-		fc.used.Add(-size)
-	}
-	scratch.frame = cc.encodeParity(fc, g, pi, scratch.frame, scratch)
-	return scratch.frame
+// frameArena is a sender's build space for the frames of one tick: frames
+// are carved from one slab, reset hands the whole slab back, and nothing
+// is ever freed piecemeal. A frame is valid from take until the owner's
+// next reset — which the owner calls only after the send that consumed
+// the frames has returned (SendBatch and Send are synchronous; a sender
+// that keeps a frame past its return, like the fault injector, copies it).
+// Each egress shard, each per-channel pacer and each control connection
+// owns one, so concurrent builders never share memory.
+type frameArena struct {
+	slab []byte
+	used int // bytes carved from slab since reset
+	want int // bytes asked for since reset, carved or not
 }
 
-// frameScratch is a caller's reusable build space for non-resident
-// chunks: a payload buffer for the content function and a frame buffer
-// for the encoder. Each pacer and each control connection owns one, so
-// cache misses cost no steady-state allocation either.
-type frameScratch struct {
-	payload []byte
-	frame   []byte
-}
-
-func newFrameScratch(chunkBytes int) *frameScratch {
-	return &frameScratch{
-		payload: make([]byte, chunkBytes),
-		frame:   make([]byte, 0, wire.EncodedSize(chunkBytes)),
+// reset releases every frame taken since the last reset. A tick that asked
+// for more than the slab holds grows it here, once, to what that tick
+// needed plus a quarter — so the steady state allocates nothing, a
+// catch-up burst allocates once, and an audience that grows a group at a
+// time regrows the slab a logarithmic number of times, not once per group.
+func (a *frameArena) reset() {
+	if a.want > len(a.slab) {
+		a.slab = make([]byte, a.want+a.want/4)
 	}
+	a.used, a.want = 0, 0
 }
 
-// parityScratch is the parity encoder's reusable build space: the
-// assembled stripe payload, a regeneration buffer for non-resident
-// chunk payloads, and a frame buffer for budget-spent encodes.
-type parityScratch struct {
-	payload []byte
-	tmp     []byte
-	frame   []byte
-}
-
-func newParityScratch(chunkBytes int) *parityScratch {
-	size := wire.ParityOverhead(wire.MaxFecGroup, chunkBytes)
-	return &parityScratch{
-		payload: make([]byte, 0, size),
-		tmp:     make([]byte, chunkBytes),
-		frame:   make([]byte, 0, wire.EncodedSize(size)),
+// take returns n bytes of build space. A request the slab cannot hold is
+// served from the heap for this tick; reset then sizes the slab so the
+// same demand fits next time.
+func (a *frameArena) take(n int) []byte {
+	a.want += n
+	if a.used+n > len(a.slab) {
+		return make([]byte, n)
 	}
+	b := a.slab[a.used : a.used+n : a.used+n]
+	a.used += n
+	return b
 }

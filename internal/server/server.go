@@ -54,12 +54,6 @@ type Config struct {
 	// ControlWriteTimeout bounds each control reply write. Defaults to
 	// 10 seconds.
 	ControlWriteTimeout time.Duration
-	// FrameCacheBytes caps the resident bytes of the repetition-invariant
-	// frame cache (see frameCache): fully encoded chunk frames are cached
-	// until the budget is spent, after which chunks fall back to a
-	// cached-CRC re-encode per send. 0 means DefaultFrameCacheBytes;
-	// negative disables frame residency (per-chunk CRCs are still cached).
-	FrameCacheBytes int64
 	// EnablePprof registers net/http/pprof's profiling handlers on the
 	// status endpoint's mux (ServeStatus) under /debug/pprof/.
 	EnablePprof bool
@@ -109,8 +103,8 @@ type Config struct {
 
 	// FecGroup enables the proactive parity stripe: every transmission
 	// group of FecGroup data chunks is followed by parity frames
-	// (wire.KindParity) built from the same repetition-invariant cache the
-	// chunks live in, so a receiver heals single-datagram loss locally
+	// (wire.KindParity) materialised the way the chunks are (see
+	// frameCache), so a receiver heals single-datagram loss locally
 	// with zero control round trips. 0 (the default) disables the stripe;
 	// otherwise it must lie in [2, wire.MaxFecGroup]. Receivers learn the
 	// stripe geometry from the Welcome banner.
@@ -130,11 +124,6 @@ type Config struct {
 	// Logf, when non-nil, receives diagnostic output.
 	Logf func(format string, args ...any)
 }
-
-// DefaultFrameCacheBytes is the frame-cache budget when Config leaves
-// FrameCacheBytes zero: enough for ~64K resident chunk frames at the
-// default 1 KiB chunk size, far beyond what examples and tests broadcast.
-const DefaultFrameCacheBytes = 64 << 20
 
 func (c Config) validate() error {
 	switch {
@@ -170,6 +159,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: FecMode = %q, want %q or %q", c.FecMode, wire.FecModeXOR, wire.FecModeRS)
 	case c.FecMode != "" && c.FecGroup == 0:
 		return fmt.Errorf("server: FecMode = %q requires FecGroup > 0", c.FecMode)
+	case c.FecGroup > 0 && wire.ParityOverhead(c.FecGroup, c.ChunkBytes) > wire.MaxPayload:
+		return fmt.Errorf("server: ChunkBytes = %d leaves no room for the parity stripe's %d-byte prefix within %d",
+			c.ChunkBytes, wire.ParityOverhead(c.FecGroup, 0), wire.MaxPayload)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -247,9 +239,14 @@ type Server struct {
 	// shard) panics; driftEvents broadcasts that missed their schedule by
 	// over one unit; wheelWakeups timer wakeups of the wheel engine's
 	// shards — each one dispatches every chunk due in its tick.
-	pacerRestarts metrics.PaddedCounter
-	driftEvents   metrics.PaddedCounter
-	wheelWakeups  metrics.PaddedCounter
+	// egressScheduled counts data chunks that fell due on the grid,
+	// egressStaged those that had a listener and were materialised: the
+	// gap is work the schedule names and nobody pays for.
+	pacerRestarts   metrics.PaddedCounter
+	driftEvents     metrics.PaddedCounter
+	wheelWakeups    metrics.PaddedCounter
+	egressScheduled metrics.PaddedCounter
+	egressStaged    metrics.PaddedCounter
 
 	// controlSessions is the live control-connection level with its
 	// high-water mark — the server-side audience size a scale run reads
@@ -287,9 +284,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ControlWriteTimeout <= 0 {
 		cfg.ControlWriteTimeout = 10 * time.Second
 	}
-	if cfg.FrameCacheBytes == 0 {
-		cfg.FrameCacheBytes = DefaultFrameCacheBytes
-	}
 	if cfg.StormWindow == 0 {
 		cfg.StormWindow = 2 * cfg.Unit
 	}
@@ -303,7 +297,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.FecMode = wire.FecModeXOR
 	}
 	s := &Server{cfg: cfg, stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
-	s.cache = newFrameCache(cfg.Scheme, cfg.BytesPerUnit, cfg.ChunkBytes, cfg.FrameCacheBytes, cfg.FecGroup, cfg.nparity())
+	s.cache = newFrameCache(cfg.Scheme, cfg.BytesPerUnit, cfg.ChunkBytes, cfg.FecGroup, cfg.nparity())
 	if cfg.RepairBandwidth > 0 {
 		s.repairBudget = metrics.NewTokenBucket(float64(cfg.RepairBandwidth), float64(cfg.RepairBurstBytes))
 	}
@@ -469,8 +463,8 @@ func (s *Server) wakeLateness() *metrics.Log2Histogram {
 // Draining reports whether the server is in graceful shutdown.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// FrameCacheStats reports the frame cache's hits, misses and occupancy
-// (for tests, /status and cmd/skychaos).
+// FrameCacheStats reports the frame cache's CRC hits and misses and its
+// footprint (for tests, /status and cmd/skychaos).
 func (s *Server) FrameCacheStats() CacheStats { return s.cache.stats() }
 
 // Close stops all pacers, the listener, and open control connections.
@@ -508,16 +502,6 @@ func (s *Server) fragmentBytes(i int) int {
 	return int(s.cfg.Scheme.Sizes()[i-1]) * s.cfg.BytesPerUnit
 }
 
-// fragmentBase returns the absolute byte offset of channel i's fragment
-// within the video.
-func (s *Server) fragmentBase(i int) int64 {
-	var units int64
-	for _, sz := range s.cfg.Scheme.Sizes()[:i-1] {
-		units += sz
-	}
-	return units * int64(s.cfg.BytesPerUnit)
-}
-
 // pace runs one channel: video v, channel i. Chunks of repetition n are
 // sent evenly across [epoch + n*period, epoch + (n+1)*period). It runs
 // under the supervisor (runPacer): a panic is recovered and pace is
@@ -525,12 +509,11 @@ func (s *Server) fragmentBase(i int) int64 {
 // the absolute broadcast grid — a restarted pacer rejoins the schedule
 // mid-repetition instead of replaying missed chunks in a burst.
 //
-// Per chunk the pacer acquires the repetition-invariant frame from the
-// cache — a pointer load once resident — patches the 4-byte Seq field in
-// place and hands it to the fan-out: the steady-state broadcast cost is a
-// header patch plus the sends, with zero allocation and no payload or CRC
-// recomputation. Non-resident chunks (budget exhausted or first touch)
-// re-encode into pacer-owned scratch with their cached CRC.
+// Per chunk the pacer asks whether the channel has a listener; if so it
+// materialises the frame (frameCache.materialise — payload filled in
+// place, cached CRC) into its own arena and hands it to the fan-out, with
+// zero steady-state allocation; if not, the chunk is only accounted for in
+// the fault plan. Either way the hook fires and the grid advances.
 //
 // A drift watchdog counts every chunk sent more than one unit after its
 // scheduled instant: sustained drift means the host cannot keep the grid
@@ -544,13 +527,9 @@ func (s *Server) pace(v, i int) {
 		spacing = period / time.Duration(chunks)
 		group   = mcast.Group{Video: v, Channel: i}
 		cc      = s.cache.channel(v, i)
-		scratch = newFrameScratch(s.cfg.ChunkBytes)
+		arena   frameArena
 		timer   = time.NewTimer(0)
 	)
-	var pscratch *parityScratch
-	if s.cfg.FecGroup > 0 {
-		pscratch = newParityScratch(s.cfg.ChunkBytes)
-	}
 	defer timer.Stop()
 	if !timer.Stop() {
 		<-timer.C
@@ -578,25 +557,13 @@ func (s *Server) pace(v, i int) {
 			if hook := s.cfg.PacerHook; hook != nil {
 				hook(v, i, n, c)
 			}
-			frame := s.cache.acquire(cc, c, scratch)
-			if err := wire.PatchSeq(frame, n); err != nil {
-				s.cfg.Logf("server: patching %v seq %d: %v", group, n, err)
-				return
+			arena.reset() // the previous chunk's sends have returned
+			heard := s.hub.Members(group) > 0
+			s.egressScheduled.Inc()
+			if heard {
+				s.egressStaged.Inc()
 			}
-			if _, err := s.send.Send(group, frame); err != nil {
-				select {
-				case <-s.stop:
-					return
-				default:
-				}
-				s.cfg.Logf("server: sending %v seq %d: %v", group, n, err)
-			}
-			// The stripe: one (or two, in RS mode) parity frames follow the
-			// last data chunk of every transmission group, Seq-patched to
-			// the same repetition.
-			if g := s.cfg.FecGroup; g > 0 && ((c+1)%g == 0 || c == chunks-1) {
-				s.sendParity(group, cc, c/g, n, pscratch)
-			}
+			s.emit(&arena, nil, group, cc, c, n, heard)
 			if late := time.Since(at); late > s.cfg.Unit {
 				if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
 					s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",
@@ -608,45 +575,65 @@ func (s *Server) pace(v, i int) {
 	}
 }
 
-// sendParity broadcasts stripe group pg's parity frame(s) for repetition
-// n, immediately behind the group's last data chunk. Parity frames are
-// as repetition-invariant as the chunks they cover, so the steady state
-// is the same acquire + 4-byte Seq patch the data path pays.
-func (s *Server) sendParity(g mcast.Group, cc *channelCache, pg int, n uint32, scratch *parityScratch) {
-	for pi := 0; pi < s.cache.nparity; pi++ {
-		frame := s.cache.acquireParity(cc, pg, pi, scratch)
-		if err := wire.PatchSeq(frame, n); err != nil {
-			s.cfg.Logf("server: patching %v parity seq %d: %v", g, n, err)
-			return
-		}
-		if _, err := s.send.Send(g, frame); err != nil {
-			select {
-			case <-s.stop:
-				return
-			default:
+// emit puts chunk c of repetition n on its way — and behind the last
+// chunk of a stripe group, the group's parity frame(s) under the same
+// repetition number. It is what both engines do with a due chunk once the
+// hook has fired. With a listener the frames are materialised into a and
+// forwarded; without one nothing is built, and the frames are only
+// accounted for in the fault plan, whose counts must not depend on who
+// listens.
+func (s *Server) emit(a *frameArena, batch *[]mcast.BatchEntry, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) {
+	cb, fg := s.cfg.ChunkBytes, s.cfg.FecGroup
+	pg, nparity := 0, 0 // parity frames this chunk closes a stripe group with
+	if fg > 0 && ((c+1)%fg == 0 || c+1 == len(cc.crcs)) {
+		pg, nparity = c/fg, s.cache.nparity
+	}
+	if !heard {
+		if s.inj != nil {
+			s.inj.Unheard(g, n, uint32(c*cb), -1, 0)
+			for pi := 0; pi < nparity; pi++ {
+				s.inj.Unheard(g, n, uint32(pg*fg*cb), pi, cc.groupCount(s.cache, pg))
 			}
-			s.cfg.Logf("server: sending %v parity seq %d: %v", g, n, err)
-			continue
 		}
-		s.parityFrames.Inc()
-		s.parityBytes.Add(int64(len(frame)))
+		return
+	}
+	s.forward(batch, g, s.cache.materialise(a, cc, c, n), n)
+	// A parity frame is larger than a data frame, which ends any GSO run by
+	// the size rule — parity never corrupts super-frame coalescing, it
+	// just books ends of groups.
+	for pi := 0; pi < nparity; pi++ {
+		frame := s.cache.materialiseParity(a, cc, pg, pi, n)
+		if s.forward(batch, g, frame, n) {
+			s.parityFrames.Inc()
+			s.parityBytes.Add(int64(len(frame)))
+		}
 	}
 }
 
-// fillRange copies the broadcast bytes of [off, off+len(dst)) of channel
-// i's fragment into dst, serving from the frame cache when the range sits
-// inside one chunk (the shape every client repair request has) and
-// falling back to the content function for ranges that straddle chunks.
-func (s *Server) fillRange(video, channel int, off int64, dst []byte, scratch *frameScratch) {
-	cc := s.cache.channel(video, channel)
-	cb := int64(s.cfg.ChunkBytes)
-	if c := off / cb; off+int64(len(dst)) <= (c+1)*cb {
-		frame := s.cache.acquire(cc, int(c), scratch)
-		lo := wire.HeaderSize + int(off-c*cb)
-		copy(dst, frame[lo:lo+len(dst)])
-		return
+// forward hands one materialised frame to the fan-out: appended to the
+// tick's batch when there is one (the wheel in front of a batching
+// sender), sent at once otherwise. A failed send is logged unless the
+// server is stopping, whose socket teardown makes trailing sends fail by
+// design.
+func (s *Server) forward(batch *[]mcast.BatchEntry, g mcast.Group, frame []byte, n uint32) bool {
+	if batch != nil {
+		*batch = append(*batch, mcast.BatchEntry{Group: g, Frame: frame})
+		return true
 	}
-	content.Fill(dst, video, cc.base+off)
+	if _, err := s.send.Send(g, frame); err != nil {
+		s.logSendErr(g, n, err)
+		return false
+	}
+	return true
+}
+
+// logSendErr reports a send failure unless the server is stopping.
+func (s *Server) logSendErr(g mcast.Group, n uint32, err error) {
+	select {
+	case <-s.stop:
+	default:
+		s.cfg.Logf("server: sending %v seq %d: %v", g, n, err)
+	}
 }
 
 func (s *Server) acceptLoop() {
@@ -688,9 +675,9 @@ func (s *Server) serveControl(conn net.Conn) {
 			s.hub.Leave(g, a)
 		}
 	}()
-	// Build space for repairs of non-resident chunks; one per connection
-	// so concurrent control sessions never contend.
-	scratch := newFrameScratch(s.cfg.ChunkBytes)
+	// Build space for this connection's multicast re-sends; one per
+	// connection so concurrent control sessions never contend.
+	var arena frameArena
 
 	// connID feeds the storm table's distinct-client counting; the
 	// per-connection limiter rations this client's repair request rate.
@@ -805,7 +792,7 @@ func (s *Server) serveControl(conn net.Conn) {
 				k := stormKey{video: rp.Video, channel: rp.Channel, chunk: int(rp.Offset / cb)}
 				switch s.storms.note(k, connID, now) {
 				case stormResend:
-					s.stormResend(k.video, k.channel, k.chunk, rp.Seq, scratch)
+					s.stormResend(k.video, k.channel, k.chunk, rp.Seq, &arena)
 					fallthrough
 				case stormSuppress:
 					s.suppressed.Inc()
@@ -826,12 +813,11 @@ func (s *Server) serveControl(conn net.Conn) {
 					continue
 				}
 			}
-			// The frame cache (or, for ranges it cannot serve, the content
-			// function) regenerates any chunk on demand, so repairs need
-			// no retransmission buffer.
+			// The content function regenerates any range on demand, so
+			// repairs need no retransmission buffer.
 			reply := *rp
 			reply.Data = make([]byte, rp.Length)
-			s.fillRange(rp.Video, rp.Channel, rp.Offset, reply.Data, scratch)
+			content.Fill(reply.Data, rp.Video, s.cache.channel(rp.Video, rp.Channel).base+rp.Offset)
 			s.repairs.Inc()
 			s.repairBytes.Add(int64(rp.Length))
 			if err := write(&wire.Control{Kind: wire.KindRepairOK, Repair: &reply}); err != nil {
@@ -895,7 +881,7 @@ func (s *Server) serveControl(conn net.Conn) {
 				resend = append(resend, chunk)
 			}
 			if len(resend) > 0 {
-				s.nackResend(nk.Video, nk.Channel, nk.Seq, resend, scratch)
+				s.nackResend(nk.Video, nk.Channel, nk.Seq, resend, &arena)
 			}
 			if err := write(&wire.Control{Kind: wire.KindNackOK, Nack: accepted}); err != nil {
 				return

@@ -80,6 +80,12 @@ type StatusSnapshot struct {
 	EgressEngine  string `json:"egressEngine"`
 	EgressShards  int    `json:"egressShards"`
 	EgressWakeups int64  `json:"egressWakeups"`
+	// EgressScheduled counts data chunks that fell due on the broadcast
+	// grid; EgressStaged those whose group had a listener and were
+	// therefore materialised and sent. Staged/Scheduled is the share of
+	// the schedule somebody hears — what the egress cost follows.
+	EgressScheduled int64 `json:"egressScheduled"`
+	EgressStaged    int64 `json:"egressStaged"`
 	// EgressTickSource is what the shards wait on between ticks:
 	// "timerfd" (grid-exact, through the netpoller) or "timer" (the
 	// runtime timer, which an idle process rounds up to the millisecond).
@@ -142,8 +148,9 @@ type StatusSnapshot struct {
 	MembersEvicted int64 `json:"membersEvicted"`
 	// Draining reports a server in graceful shutdown.
 	Draining bool `json:"draining"`
-	// FrameCache reports the broadcast frame cache's hit rate and
-	// resident footprint.
+	// FrameCache reports how many materialised frames found their payload
+	// CRC cached (hits) or had to compute it (misses), and the bytes of
+	// CRC words held — the cache keeps no frames.
 	FrameCache CacheStats `json:"frameCache"`
 	// FaultsInjected summarizes the fault injector's activity when a
 	// chaos plan is configured; absent otherwise.
@@ -190,6 +197,8 @@ func (s *Server) snapshot() StatusSnapshot {
 		EgressEngine:          s.EgressEngine(),
 		EgressShards:          len(s.wheel),
 		EgressWakeups:         s.wheelWakeups.Value(),
+		EgressScheduled:       s.egressScheduled.Value(),
+		EgressStaged:          s.egressStaged.Value(),
 		EgressTickSource:      s.EgressTickSource(),
 		EgressWakeLateP50Us:   float64(wakeLate.Quantile(0.50)) / 1e3,
 		EgressWakeLateP99Us:   float64(wakeLate.Quantile(0.99)) / 1e3,

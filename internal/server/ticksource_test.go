@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"skyscraper/internal/content"
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/wire"
 )
@@ -452,14 +453,17 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	}
 }
 
-// TestNackResendCopiesAroundSeqPatch runs the two re-send paths flat out
-// against a wheel that is re-patching the same resident frames' Seq every
-// tick. Under -race this is the proof the re-sends never read the Seq
-// bytes; the copies must also carry the seq they were asked for.
-func TestNackResendCopiesAroundSeqPatch(t *testing.T) {
+// TestNackResendNeverAliasesDispatch runs both re-send paths flat out, from
+// two connections' worth of arenas, against a wheel that is materialising
+// the very same chunks for a live member every tick. Under -race this is
+// the proof that a re-send shares no memory with a dispatch (each builds
+// its own frame with its own Seq); on the wire every datagram — scheduled
+// or re-sent — must decode, verify against the content function, and
+// carry the Seq its sender meant.
+func TestNackResendNeverAliasesDispatch(t *testing.T) {
 	srv, err := New(Config{
 		Scheme:       wheelScheme(t, 1, 3),
-		Unit:         4 * time.Millisecond, // a Seq patch per channel per millisecond
+		Unit:         4 * time.Millisecond, // a dispatch per channel per millisecond
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
 		Logf:         t.Logf,
@@ -471,23 +475,65 @@ func TestNackResendCopiesAroundSeqPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	scratch := newFrameScratch(1024)
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for seq := uint32(0); time.Now().Before(deadline); seq++ {
-		for ch := 1; ch <= 3; ch++ {
-			srv.stormResend(0, ch, 0, seq, scratch)
-			srv.nackResend(0, ch, seq, []int{0, 1, 2, 3}, scratch)
-		}
-	}
-	if srv.StormResends() == 0 || srv.NackResends() == 0 {
-		t.Fatalf("re-sends: %d storm, %d nack; want both exercised", srv.StormResends(), srv.NackResends())
-	}
-	frame, err := wire.CopyWithSeq(srv.cache.acquire(srv.cache.channel(0, 1), 0, scratch), 77)
+	recv, err := mcast.NewReceiver()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, err := wire.Decode(frame); err != nil || c.Seq != 77 {
-		t.Errorf("copied frame decodes to seq %d, err %v; want 77", c.Seq, err)
+	for ch := 1; ch <= 3; ch++ {
+		if err := srv.Hub().Join(mcast.Group{Video: 0, Channel: ch}, recv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const resendSeq = 1 << 30 // far above any repetition the schedule reaches
+	var scheduled, resent, bad int
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		buf := make([]byte, wire.EncodedSize(1024))
+		for {
+			n, err := recv.Conn.Read(buf)
+			if err != nil {
+				return
+			}
+			c, err := wire.Decode(buf[:n])
+			if err != nil || content.Verify(c.Payload, int(c.Video), srv.cache.channel(0, int(c.Channel)).base+int64(c.Offset)) >= 0 {
+				bad++
+				continue
+			}
+			if c.Seq >= resendSeq {
+				resent++
+			} else {
+				scheduled++
+			}
+		}
+	}()
+
+	deadline := time.Now().Add(300 * time.Millisecond)
+	var wg sync.WaitGroup
+	for conn := 0; conn < 2; conn++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var arena frameArena
+			for seq := uint32(resendSeq); time.Now().Before(deadline); seq++ {
+				for ch := 1; ch <= 3; ch++ {
+					srv.stormResend(0, ch, 0, seq, &arena)
+					srv.nackResend(0, ch, seq, []int{0, 1, 2, 3}, &arena)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	recv.Close()
+	<-drained
+	if srv.StormResends() == 0 || srv.NackResends() == 0 {
+		t.Fatalf("re-sends: %d storm, %d nack; want both exercised", srv.StormResends(), srv.NackResends())
+	}
+	if bad != 0 {
+		t.Errorf("%d datagrams failed to decode or verify", bad)
+	}
+	if scheduled == 0 || resent == 0 {
+		t.Errorf("received %d scheduled and %d re-sent datagrams; want both flows on the wire", scheduled, resent)
 	}
 }
 

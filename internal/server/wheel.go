@@ -30,6 +30,10 @@
 //   - The drift watchdog: every chunk dispatched more than one unit after
 //     its scheduled instant counts a drift event, same threshold, same
 //     rate-limited logging.
+//
+// What a tick costs follows what is heard, not M·K: every due chunk keeps
+// its place on the grid (hook, cursor, fault-plan accounting), but only a
+// chunk whose group has a listener is materialised and staged.
 package server
 
 import (
@@ -40,7 +44,6 @@ import (
 
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/metrics"
-	"skyscraper/internal/wire"
 )
 
 // Egress engine names for Config.EgressEngine.
@@ -88,9 +91,6 @@ type wheelEntry struct {
 	channel int
 	group   mcast.Group
 	cc      *channelCache
-	// scratch is per-entry so every frame staged into one batch is backed
-	// by distinct memory even when its chunk is not cache-resident.
-	scratch *frameScratch
 
 	period  time.Duration
 	spacing time.Duration
@@ -99,14 +99,14 @@ type wheelEntry struct {
 	n   uint32
 	c   int
 	due time.Duration // offset of the next send from the epoch
+	// heard is whether the channel had a listener in the membership
+	// snapshot the shard last looked at (wheelShard.seen); true until a
+	// dispatch has a hub to ask.
+	heard bool
 	// firstDue remembers the due offset of the first chunk staged in the
 	// current dispatch — the most-late one — for the post-send drift
 	// check, since catch-up staging advances due before the batch leaves.
 	firstDue time.Duration
-	// dead marks a channel whose frames can no longer be patched (the
-	// same condition that makes pace return); it is dropped from the
-	// rotation.
-	dead bool
 }
 
 // resync points the entry at the next chunk at or after elapsed on the
@@ -272,19 +272,12 @@ type wheelShard struct {
 	wheel   timerWheel
 	due     []*wheelEntry
 	batch   []mcast.BatchEntry
-	// spares back the frames of catch-up runs: cache.acquire encodes a
-	// non-resident chunk into the scratch it is handed, so every chunk
-	// staged into one batch needs distinct backing memory. The first
-	// chunk of an entry uses the entry's own scratch; further chunks of
-	// the same dispatch draw from this lazily-grown shard pool (steady
-	// state stages one chunk per entry and never touches it).
-	spares   []*frameScratch
-	spareIdx int
-	// pspares back the parity frames of a dispatch the same way: each
-	// parity frame staged into one batch needs distinct memory when the
-	// cache budget is spent. Empty while the stripe is off.
-	pspares   []*parityScratch
-	pspareIdx int
+	// arena backs every frame one dispatch stages; dispatch resets it on
+	// entry, after the previous tick's sends have returned.
+	arena frameArena
+	// seen is the membership snapshot the entries' heard flags were drawn
+	// from; they are redrawn only when the hub publishes another.
+	seen mcast.Listeners
 
 	// tick is the source the current run parks on between ticks, nil
 	// between runs. tickMu orders its publication against stopWheel so a
@@ -294,27 +287,6 @@ type wheelShard struct {
 	// wakeLate records, at every wakeup, how far past its grid instant
 	// the shard woke, in nanoseconds.
 	wakeLate metrics.Log2Histogram
-}
-
-// nextSpare hands out the next spare scratch of the current dispatch,
-// growing the pool only when a dispatch stages deeper than any before.
-func (sh *wheelShard) nextSpare() *frameScratch {
-	if sh.spareIdx == len(sh.spares) {
-		sh.spares = append(sh.spares, newFrameScratch(sh.s.cfg.ChunkBytes))
-	}
-	sp := sh.spares[sh.spareIdx]
-	sh.spareIdx++
-	return sp
-}
-
-// nextParitySpare is nextSpare for parity scratch.
-func (sh *wheelShard) nextParitySpare() *parityScratch {
-	if sh.pspareIdx == len(sh.pspares) {
-		sh.pspares = append(sh.pspares, newParityScratch(sh.s.cfg.ChunkBytes))
-	}
-	sp := sh.pspares[sh.pspareIdx]
-	sh.pspareIdx++
-	return sp
 }
 
 // newWheelEntry builds the schedule state for (video v, channel i) — the
@@ -328,7 +300,7 @@ func (s *Server) newWheelEntry(v, i int) *wheelEntry {
 		channel: i,
 		group:   mcast.Group{Video: v, Channel: i},
 		cc:      s.cache.channel(v, i),
-		scratch: newFrameScratch(s.cfg.ChunkBytes),
+		heard:   true,
 		period:  period,
 		spacing: period / time.Duration(chunks),
 		chunks:  chunks,
@@ -480,18 +452,9 @@ func (sh *wheelShard) quantum() time.Duration {
 func (sh *wheelShard) run() {
 	s := sh.s
 	sh.wheel.reset(sh.quantum(), time.Since(s.epoch))
-	live := 0
 	for _, e := range sh.entries {
-		if e.dead {
-			continue
-		}
 		e.resync(time.Since(s.epoch))
 		sh.wheel.insert(e)
-		live++
-	}
-	if live == 0 {
-		<-s.stop
-		return
 	}
 	src := s.newTickSource()
 	sh.setTick(src)
@@ -531,12 +494,17 @@ func (sh *wheelShard) run() {
 	}
 }
 
-// dispatch sends one tick's worth of chunks. Frame preparation is
-// identical to pace — hook, cache acquire, 4-byte Seq patch — but the
-// prepared frames leave as one hub batch when the sender supports it
-// (it does not when a fault injector is interposed, which must keep
-// deciding chunk by chunk; those go through per-chunk Send, which is
-// synchronous and copies whatever it holds back).
+// dispatch sends one tick's worth of chunks. Every due chunk fires the
+// hook and advances its cursor; what it costs beyond that depends on who
+// listens. The hub's membership snapshot is read once, on entry (and the
+// per-channel answers redrawn only if it is not the one the last dispatch
+// saw): a chunk whose group has a member is materialised into the shard's
+// arena and staged — into one hub batch when the sender supports it,
+// through per-chunk Send when it does not (a fault injector, which must
+// keep deciding chunk by chunk; Send is synchronous and copies whatever
+// it holds back) — and a chunk nobody hears is not built at all, only
+// accounted for in the fault plan (Server.emit). A group's first member
+// that joins after the read starts with the next tick.
 //
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
 // a restart, a dense schedule — every chunk already due is staged in
@@ -551,109 +519,64 @@ func (sh *wheelShard) run() {
 func (sh *wheelShard) dispatch() {
 	s := sh.s
 	hook := s.cfg.PacerHook
-	bs, batching := s.send.(mcast.BatchSender)
 	sh.batch = sh.batch[:0]
-	sh.spareIdx = 0
-	sh.pspareIdx = 0
+	var batch *[]mcast.BatchEntry // nil: the sender takes one chunk at a time
+	bs, _ := s.send.(mcast.BatchSender)
+	if bs != nil {
+		batch = &sh.batch
+	}
+	sh.arena.reset()
+	if s.hub != nil { // nil only under tests that drive a never-started server
+		if l := s.hub.Listeners(); l != sh.seen {
+			sh.seen = l
+			for _, e := range sh.entries {
+				e.heard = l.Heard(e.group)
+			}
+		}
+	}
 	elapsed := time.Since(s.epoch)
+	var scheduled, staged int64
 	for _, e := range sh.due {
 		e.firstDue = e.due
-		staged := 0
+		run := 0
 		for {
 			if hook != nil {
 				hook(e.video, e.channel, e.n, e.c)
 			}
-			scratch := e.scratch
-			if staged > 0 {
-				scratch = sh.nextSpare()
-			}
-			n, c := e.n, e.c
-			frame := s.cache.acquire(e.cc, c, scratch)
-			if err := wire.PatchSeq(frame, n); err != nil {
-				// The channel cannot broadcast coherent frames; retire it,
-				// as pace does by returning.
-				s.cfg.Logf("server: patching %v seq %d: %v", e.group, n, err)
-				e.dead = true
-				break
-			}
-			staged++
-			if batching {
-				sh.batch = append(sh.batch, mcast.BatchEntry{Group: e.group, Frame: frame})
-			} else if _, err := s.send.Send(e.group, frame); err != nil {
-				sh.logSendErr(e, err)
-			}
+			s.emit(&sh.arena, batch, e.group, e.cc, e.c, e.n, e.heard)
 			e.advance()
-			// The stripe: parity frames follow the last data chunk of every
-			// transmission group, staged into the same batch so they ride
-			// the same sendmmsg/GSO egress. A parity frame is larger than a
-			// data frame, which ends any GSO run by the size rule — parity
-			// never corrupts super-frame coalescing, it just books ends of
-			// groups.
-			if g := s.cfg.FecGroup; g > 0 && ((c+1)%g == 0 || c+1 == e.chunks) {
-				sh.stageParity(e, c/g, n, batching)
-			}
+			run++
 			// A run ends when the entry is caught up, at the wheelMaxRun
-			// cap, or at a repetition boundary. The boundary stop is an
-			// aliasing guard: chunk indices within one repetition are
-			// distinct, but across the wrap the same chunk recurs, and a
-			// cache-resident frame is one shared buffer whose Seq patch
-			// would retroactively corrupt the earlier staged entry. A
-			// still-behind entry re-files at the current tick and the next
-			// wakeup continues the catch-up.
-			if e.due > elapsed || staged >= wheelMaxRun || e.c == 0 {
+			// cap, or at a repetition boundary; a still-behind entry
+			// re-files at the current tick and the next wakeup continues
+			// the catch-up.
+			if e.due > elapsed || run >= wheelMaxRun || e.c == 0 {
 				break
 			}
 		}
+		scheduled += int64(run)
+		if e.heard {
+			staged += int64(run)
+		}
 	}
-	if batching && len(sh.batch) > 0 {
+	s.egressScheduled.Add(scheduled)
+	s.egressStaged.Add(staged)
+	if len(sh.batch) > 0 {
 		if _, err := bs.SendBatch(sh.batch); err != nil {
-			sh.logSendErr(sh.due[0], err)
+			s.logSendErr(sh.due[0].group, sh.due[0].n, err)
 		}
 	}
+	sent := time.Since(s.epoch)
 	for _, e := range sh.due {
-		if e.dead {
-			continue
-		}
 		// One drift sample per entry per dispatch, taken against the
 		// first (most-late) chunk staged — the chunk the old
 		// one-chunk-per-wakeup engine would have sampled.
-		if late := time.Since(s.epoch.Add(e.firstDue)); late > s.cfg.Unit {
+		if late := sent - e.firstDue; late > s.cfg.Unit {
 			if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
 				s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",
 					e.group, e.n, e.c, late, d)
 			}
 		}
 		sh.wheel.insert(e)
-	}
-}
-
-// stageParity stages (or, without a batching sender, sends) stripe group
-// pg's parity frame(s) for repetition n on entry e's channel.
-func (sh *wheelShard) stageParity(e *wheelEntry, pg int, n uint32, batching bool) {
-	s := sh.s
-	for pi := 0; pi < s.cache.nparity; pi++ {
-		frame := s.cache.acquireParity(e.cc, pg, pi, sh.nextParitySpare())
-		if err := wire.PatchSeq(frame, n); err != nil {
-			s.cfg.Logf("server: patching %v parity seq %d: %v", e.group, n, err)
-			return
-		}
-		if batching {
-			sh.batch = append(sh.batch, mcast.BatchEntry{Group: e.group, Frame: frame})
-		} else if _, err := s.send.Send(e.group, frame); err != nil {
-			sh.logSendErr(e, err)
-			continue
-		}
-		s.parityFrames.Inc()
-		s.parityBytes.Add(int64(len(frame)))
-	}
-}
-
-// logSendErr reports a send failure unless the server is stopping (whose
-// socket teardown makes trailing sends fail by design).
-func (sh *wheelShard) logSendErr(e *wheelEntry, err error) {
-	select {
-	case <-sh.s.stop:
-	default:
-		sh.s.cfg.Logf("server: sending %v seq %d: %v", e.group, e.n, err)
 	}
 }

@@ -499,8 +499,14 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 // BenchmarkWheelDispatch measures the scheduling machinery alone: one
 // tick's collect → advance → re-insert cycle with every channel due, at
 // the configured channel counts. This is the per-tick overhead the wheel
-// engine adds on top of frame preparation and the send itself.
+// engine adds on top of frame preparation and the send itself. The "full"
+// cases are the whole dispatch on paper-shaped schedules (200 and 400
+// channels) with 5 % of the channels heard: what a tick costs when it
+// costs what is heard.
 func BenchmarkWheelDispatch(b *testing.B) {
+	for _, k := range []int{20, 40} {
+		b.Run(fmt.Sprintf("full/channels=%d/heard=5%%", 10*k), func(b *testing.B) { benchFullDispatch(b, k) })
+	}
 	for _, channels := range []int{2, 100, 2100} {
 		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
 			const spacing = 25 * time.Millisecond

@@ -10,10 +10,10 @@
 // KindParity and its low nibble selects the parity index within the
 // stripe (0 = P, the plain XOR parity; 1 = Q, the GF(256)-weighted
 // parity of the optional Reed-Solomon mode, which together with P heals
-// two erasures). Because PatchSeq and PeekID ignore the reserved byte,
-// a cached parity frame enjoys the exact affordances of a cached data
-// frame: 4-byte Seq re-patching across repetitions, identity peeking on
-// the fault-injection and mux-routing paths, and a place in the same
+// two erasures). Because PeekID ignores the reserved byte and the CRC
+// excludes Seq, a parity frame enjoys the exact affordances of a data
+// frame: one payload CRC that serves every repetition, identity peeking
+// on the fault-injection and mux-routing paths, and a place in the same
 // batched egress dispatch. Old receivers reject parity frames with
 // ErrBadReserved rather than mis-parsing them as data.
 //
@@ -28,8 +28,8 @@
 // LSB-first from the group base, and the parity block is the XOR (P)
 // or GF-weighted sum (Q) of the covered chunk payloads. All of it is a
 // pure function of (video, channel, group) — repetition-invariant —
-// so the server's frame cache holds parity frames in dedicated slots
-// beside the data frames they protect.
+// so the server's frame cache keeps each parity frame's CRC word beside
+// those of the data chunks it protects.
 package wire
 
 import (
@@ -124,9 +124,9 @@ func ParityCountOf(frame []byte) int {
 
 // EncodeParityFrame appends the wire form of a parity frame to dst. The
 // payload must already be assembled in stripe layout (see
-// AppendParityPayload); crc is PayloadCRC(payload), precomputed so a
-// cached parity frame costs no checksum work to re-send (the frame
-// cache's currency, same as Chunk.EncodeWithCRC).
+// AppendParityPayload); crc is PayloadCRC(payload), precomputed so
+// re-sending the group costs no checksum work (same as
+// Chunk.EncodeWithCRC).
 func EncodeParityFrame(dst []byte, video, channel uint16, seq, base, total uint32, index uint8, payload []byte, crc uint32) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -135,16 +135,7 @@ func EncodeParityFrame(dst []byte, video, channel uint16, seq, base, total uint3
 		return nil, fmt.Errorf("%w: parity index %d", ErrBadParity, index)
 	}
 	var h [headerSize]byte
-	binary.BigEndian.PutUint16(h[0:], Magic)
-	h[2] = Version
-	h[3] = KindParity | index
-	binary.BigEndian.PutUint16(h[4:], video)
-	binary.BigEndian.PutUint16(h[6:], channel)
-	binary.BigEndian.PutUint32(h[seqOffset:], seq)
-	binary.BigEndian.PutUint32(h[12:], base)
-	binary.BigEndian.PutUint32(h[16:], total)
-	binary.BigEndian.PutUint32(h[20:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(h[24:], crc)
+	PutHeader(h[:], KindParity|index, video, channel, seq, base, total, len(payload), crc)
 	dst = append(dst, h[:]...)
 	return append(dst, payload...), nil
 }

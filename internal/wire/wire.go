@@ -37,9 +37,13 @@ const headerSize = HeaderSize
 
 // seqOffset locates the 4-byte Seq field within an encoded header. Seq is
 // the only header field that changes between broadcast repetitions, and it
-// is deliberately excluded from the payload CRC, so a cached frame can be
-// re-sent forever with a 4-byte patch (PatchSeq).
+// is deliberately excluded from the payload CRC, so the CRC of a chunk is
+// computed once and serves every repetition (PutHeader).
 const seqOffset = 8
+
+// KindData is the frame-kind byte of a data chunk: the reserved header
+// byte, zero. Parity frames carry KindParity|index there (parity.go).
+const KindData = 0
 
 // Chunk is one datagram's worth of a fragment broadcast.
 type Chunk struct {
@@ -96,35 +100,37 @@ func (c *Chunk) EncodeWithCRC(dst []byte, crc uint32) ([]byte, error) {
 
 func (c *Chunk) appendFrame(dst []byte, crc uint32) []byte {
 	var h [headerSize]byte
-	binary.BigEndian.PutUint16(h[0:], Magic)
-	h[2] = Version
-	h[3] = 0
-	binary.BigEndian.PutUint16(h[4:], c.Video)
-	binary.BigEndian.PutUint16(h[6:], c.Channel)
-	binary.BigEndian.PutUint32(h[seqOffset:], c.Seq)
-	binary.BigEndian.PutUint32(h[12:], c.Offset)
-	binary.BigEndian.PutUint32(h[16:], c.Total)
-	binary.BigEndian.PutUint32(h[20:], uint32(len(c.Payload)))
-	binary.BigEndian.PutUint32(h[24:], crc)
+	PutHeader(h[:], KindData, c.Video, c.Channel, c.Seq, c.Offset, c.Total, len(c.Payload), crc)
 	dst = append(dst, h[:]...)
 	return append(dst, c.Payload...)
 }
 
-// PatchSeq rewrites the Seq field of an encoded frame in place. The payload
-// CRC covers only the payload, so a repetition-invariant frame cached once
-// can be re-broadcast under any repetition number with this 4-byte patch
-// and no re-encode. The frame must start with a valid chunk header.
-func PatchSeq(frame []byte, seq uint32) error {
-	if err := checkSeqPatchable(frame); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(frame[seqOffset:], seq)
-	return nil
+// PutHeader writes a frame header into h[:HeaderSize] in place, for a
+// sender that builds the payload directly behind it (h[HeaderSize:]) rather
+// than encoding from a separate payload buffer. kind is KindData or
+// KindParity|index; for a parity frame offset carries the group base. crc
+// is PayloadCRC of the n payload bytes, which the caller owns — the CRC
+// excludes Seq, so one computed CRC serves every repetition of the chunk.
+// h must hold at least HeaderSize bytes.
+func PutHeader(h []byte, kind byte, video, channel uint16, seq, offset, total uint32, n int, crc uint32) {
+	_ = h[headerSize-1]
+	binary.BigEndian.PutUint16(h[0:], Magic)
+	h[2] = Version
+	h[3] = kind
+	binary.BigEndian.PutUint16(h[4:], video)
+	binary.BigEndian.PutUint16(h[6:], channel)
+	binary.BigEndian.PutUint32(h[seqOffset:], seq)
+	binary.BigEndian.PutUint32(h[12:], offset)
+	binary.BigEndian.PutUint32(h[16:], total)
+	binary.BigEndian.PutUint32(h[20:], uint32(n))
+	binary.BigEndian.PutUint32(h[24:], crc)
 }
 
-// checkSeqPatchable reports whether frame starts with a chunk header whose
-// Seq field can be rewritten. It reads only the magic and version bytes.
-func checkSeqPatchable(frame []byte) error {
+// PatchSeq rewrites the Seq field of an encoded frame in place. The payload
+// CRC covers only the payload, so a frame its caller owns can be re-sent
+// under another repetition number with this 4-byte patch and no re-encode.
+// The frame must start with a valid chunk header.
+func PatchSeq(frame []byte, seq uint32) error {
 	if len(frame) < headerSize {
 		return fmt.Errorf("%w: %d bytes", ErrShortFrame, len(frame))
 	}
@@ -134,24 +140,8 @@ func checkSeqPatchable(frame []byte) error {
 	if frame[2] != Version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, frame[2])
 	}
+	binary.BigEndian.PutUint32(frame[seqOffset:], seq)
 	return nil
-}
-
-// CopyWithSeq returns a copy of an encoded frame with its Seq field set
-// to seq. It is PatchSeq for a frame the caller does not own: the copy
-// goes around the Seq field and never reads it, so it is safe while the
-// frame's owner re-patches Seq in place on another goroutine (every other
-// byte of a cached frame is immutable). The frame must start with a valid
-// chunk header.
-func CopyWithSeq(frame []byte, seq uint32) ([]byte, error) {
-	if err := checkSeqPatchable(frame); err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(frame))
-	copy(out, frame[:seqOffset])
-	binary.BigEndian.PutUint32(out[seqOffset:], seq)
-	copy(out[seqOffset+4:], frame[seqOffset+4:])
-	return out, nil
 }
 
 // Decode parses a frame. The returned chunk's Payload aliases frame; copy

@@ -272,49 +272,39 @@ func TestPatchSeqRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestCopyWithSeq pins the copying twin of PatchSeq: the copy equals a
-// fresh encode at the requested seq whatever Seq the source carried,
-// leaves the source alone, costs one allocation, and rejects what
-// PatchSeq rejects.
-func TestCopyWithSeq(t *testing.T) {
-	c := Chunk{Video: 5, Channel: 2, Seq: 0xDEADBEEF, Offset: 2048, Total: 8192, Payload: []byte("repetition-invariant")}
-	frame, err := c.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := append([]byte(nil), frame...)
-	for _, seq := range []uint32{0, 7, 1<<32 - 1} {
-		want := c
-		want.Seq = seq
-		ref, err := want.Encode(nil)
-		if err != nil {
-			t.Fatal(err)
+// TestPutHeaderMatchesEncode pins the in-place header encoder against the
+// appending ones: a header written by PutHeader in front of a payload the
+// caller placed itself is byte-identical to Encode / EncodeParityFrame of
+// the same fields, for data and for both parity kinds, and costs no
+// allocation.
+func TestPutHeaderMatchesEncode(t *testing.T) {
+	payload := []byte("built in place, behind its header")
+	for _, kind := range []byte{KindData, KindParity, KindParity | 1} {
+		for _, seq := range []uint32{0, 7, 1<<32 - 1} {
+			var ref []byte
+			var err error
+			if kind == KindData {
+				c := Chunk{Video: 5, Channel: 2, Seq: seq, Offset: 2048, Total: 8192, Payload: payload}
+				ref, err = c.Encode(nil)
+			} else {
+				ref, err = EncodeParityFrame(nil, 5, 2, seq, 2048, 8192, kind&^KindParity, payload, PayloadCRC(payload))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, EncodedSize(len(payload)))
+			copy(got[HeaderSize:], payload)
+			PutHeader(got, kind, 5, 2, seq, 2048, 8192, len(payload), PayloadCRC(payload))
+			if !bytes.Equal(got, ref) {
+				t.Errorf("kind %#02x seq %d: in-place frame diverges from the appending encoder", kind, seq)
+			}
 		}
-		got, err := CopyWithSeq(frame, seq)
-		if err != nil {
-			t.Fatalf("CopyWithSeq(%d): %v", seq, err)
-		}
-		if !bytes.Equal(got, ref) {
-			t.Errorf("copy at seq %d diverges from a fresh encode", seq)
-		}
 	}
-	if !bytes.Equal(frame, orig) {
-		t.Error("CopyWithSeq modified its source frame")
-	}
+	frame := make([]byte, EncodedSize(len(payload)))
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := CopyWithSeq(frame, 3); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 1 {
-		t.Errorf("CopyWithSeq = %v allocs, want 1", allocs)
-	}
-	if _, err := CopyWithSeq(frame[:headerSize-1], 1); !errors.Is(err, ErrShortFrame) {
-		t.Errorf("short frame: %v", err)
-	}
-	bad := append([]byte(nil), frame...)
-	bad[0] = 0xFF
-	if _, err := CopyWithSeq(bad, 1); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic: %v", err)
+		PutHeader(frame, KindData, 5, 2, 3, 2048, 8192, len(payload), 0)
+	}); allocs != 0 {
+		t.Errorf("PutHeader = %v allocs, want 0", allocs)
 	}
 }
 
