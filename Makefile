@@ -43,13 +43,16 @@ race:
 # receive arena (unsubscribe-while-delivering slot conservation, per-
 # subscription slot quotas), and the wheel's tick source (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
-# goroutine left behind by restarts), and listener-gated materialise-on-
-# send (only heard groups staged, fault counts independent of the
-# audience, re-sends never aliasing dispatch memory, a heap that does not
-# follow the catalog) — under the race detector.
+# goroutine left behind by restarts) and wake lead (never early whatever
+# the source does, bounded, follows the measured latency, a stop during
+# a hold), listener-gated materialise-on-send (only heard groups staged,
+# fault counts independent of the audience, re-sends never aliasing
+# dispatch memory, a heap that does not follow the catalog), and the
+# injector as a batch filter (SendBatch ≡ per-entry Send, held frames are
+# copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain
@@ -145,9 +148,11 @@ bench-scale:
 	$(BENCHMETA) bench-scale >> BENCH_scale.json
 
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
-# at 1/8/64 members, GSO super-frames and io_uring submission over the
-# same fan-out, the timer wheel's dispatch cycle at 2..2100 channels and
-# a whole listener-gated dispatch at 200/400 channels with 5 % heard,
+# at 1/8/64 members, GSO super-frames (same-group runs to 1/8/64 members,
+# and one socket hearing 22 groups, with and without parity frames) and
+# io_uring submission over the same fan-out, the timer wheel's dispatch
+# cycle at 2..2100 channels and a whole listener-gated dispatch at
+# 200/400 channels with 5 % heard, plain and behind the fault injector,
 # the shard wake lateness of both tick sources at 3.125 and 17.5 ms
 # spacing, and padded vs unpadded counter contention (see
 # EXPERIMENTS.md "Egress engine").

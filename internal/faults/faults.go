@@ -161,12 +161,15 @@ func copyFrame(frame []byte) *[]byte {
 }
 
 // Injector wraps a Sender with a fault plan. It is safe for concurrent
-// use by multiple pacers; per-channel effects (reordering) assume each
-// group's sends are themselves sequential, which the server guarantees
-// (one pacer goroutine per channel).
+// use by multiple pacers and egress shards; per-channel effects
+// (reordering) assume each group's sends are themselves sequential, which
+// the server guarantees (one pacer goroutine, or one shard, per channel).
 type Injector struct {
-	plan  Plan
-	next  mcast.Sender
+	plan Plan
+	next mcast.Sender
+	// batch is next's batched fan-out, nil when it has none; SendBatch then
+	// feeds next one frame at a time.
+	batch mcast.BatchSender
 	epoch time.Time
 
 	mu   sync.Mutex
@@ -201,6 +204,7 @@ func New(next mcast.Sender, plan Plan) (*Injector, error) {
 		return nil, err
 	}
 	in := &Injector{plan: plan, next: next, epoch: time.Now(), held: make(map[mcast.Group]*[]byte)}
+	in.batch, _ = next.(mcast.BatchSender)
 	if plan.BurstEnter > 0 {
 		in.chains = make(map[mcast.Group]*burstChain)
 	}
@@ -219,8 +223,32 @@ func (in *Injector) Counts() Counts {
 }
 
 func (in *Injector) tracef(kind string, g mcast.Group, seq, offset uint32, format string, args ...any) {
+	if in.plan.Trace == nil {
+		return // nobody keeps the trace: no clock read, no formatting
+	}
 	in.plan.Trace.Addf(trace.Wall(in.epoch, time.Now()), kind,
 		"%v seq %d off %d%s", g, seq, offset, fmt.Sprintf(format, args...))
+}
+
+// staged is what one Send or SendBatch call puts on the wire: the frames
+// that survived the plan, in the order they leave, and the held copies
+// among them, which go back to the pool once the inner send has returned.
+type staged struct {
+	out  []mcast.BatchEntry
+	held []*[]byte
+}
+
+var stagedPool = sync.Pool{New: func() any { return new(staged) }}
+
+// release returns the held copies and the staging itself to their pools.
+func (st *staged) release() {
+	for _, bp := range st.held {
+		framePool.Put(bp)
+	}
+	clear(st.out) // a pooled staging must not pin the caller's frames
+	clear(st.held)
+	st.out, st.held = st.out[:0], st.held[:0]
+	stagedPool.Put(st)
 }
 
 // Send applies the plan to one datagram. Frames that do not parse as data
@@ -229,30 +257,100 @@ func (in *Injector) tracef(kind string, g mcast.Group, seq, offset uint32, forma
 // decision from shifted substreams (parityRollStride), so turning the
 // stripe on never moves a data chunk's fault schedule.
 func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
+	st := stagedPool.Get().(*staged)
+	in.filter(st, g, frame)
+	n, err := in.sendEach(st.out)
+	st.release()
+	return n, err
+}
+
+// SendBatch applies the plan to a tick's worth of datagrams: every entry
+// is decided exactly as Send would decide it, in order, and whatever
+// results — survivors, duplicates, and frames held from an earlier send
+// that this one releases — leaves as one batch in the order per-entry
+// Sends would have put it on the wire. The caller's frames are only read
+// until SendBatch returns; anything held or delayed past that is a copy.
+func (in *Injector) SendBatch(entries []mcast.BatchEntry) (int, error) {
+	st := stagedPool.Get().(*staged)
+	for i := range entries {
+		in.filter(st, entries[i].Group, entries[i].Frame)
+	}
+	var n int
+	var err error
+	if in.batch != nil && len(st.out) > 0 { // nothing survived: nothing to hand over
+		n, err = in.batch.SendBatch(st.out)
+	} else {
+		n, err = in.sendEach(st.out)
+	}
+	st.release()
+	return n, err
+}
+
+// sendEach hands the staged frames to the inner sender one at a time,
+// returning the datagrams written and the first error.
+func (in *Injector) sendEach(out []mcast.BatchEntry) (n int, err error) {
+	for i := range out {
+		sn, serr := in.next.Send(out[i].Group, out[i].Frame)
+		n += sn
+		if err == nil {
+			err = serr
+		}
+	}
+	return n, err
+}
+
+// filter executes the plan's decision for one frame (a parity frame's
+// substream shift keeps its rolls independent of the data chunk sharing
+// its header offset), staging what leaves now. A frame held from the
+// group's previous send is staged behind this one, so the held chunk
+// follows its successor onto the wire.
+func (in *Injector) filter(st *staged, g mcast.Group, frame []byte) {
 	video, channel, seq, offset, ok := wire.PeekID(frame)
 	if !ok {
-		return in.next.Send(g, frame)
+		st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
+		return
 	}
 	shift, covered := 0, 0
 	if wire.IsParity(frame) {
 		shift = parityRollStride * (1 + wire.ParityIndexOf(frame))
 		covered = wire.ParityCountOf(frame)
 	}
-
-	// A frame held from the group's previous send is released after this
-	// send completes, so the held chunk follows its successor onto the
-	// wire.
 	prev := in.takeHeld(g)
-	n, err := in.apply(g, frame, video, channel, seq, offset, shift, covered)
-	if prev != nil {
-		pn, perr := in.next.Send(g, *prev)
-		framePool.Put(prev)
-		n += pn
-		if err == nil {
-			err = perr
+	switch v, d := in.decide(g, video, channel, seq, offset, shift, covered); v {
+	case drop, burst:
+
+	case delay:
+		// The sender reuses its frame buffer, so the deferred send must
+		// own a copy (pooled). Errors after the hub closes are expected
+		// noise.
+		cp := copyFrame(frame)
+		time.AfterFunc(d, func() {
+			_, _ = in.next.Send(g, *cp)
+			framePool.Put(cp)
+		})
+
+	case reorder:
+		in.mu.Lock()
+		_, already := in.held[g]
+		if !already {
+			in.held[g] = copyFrame(frame)
+		}
+		in.mu.Unlock()
+		if already {
+			// Can only hold one frame per group; send straight through.
+			st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
+		}
+
+	default:
+		st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
+		if in.duplicate(g, video, channel, seq, offset, shift) {
+			st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
 		}
 	}
-	return n, err
+	if prev != nil {
+		st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: *prev})
+		st.held = append(st.held, prev)
+	}
 }
 
 // Unheard accounts for one frame the sender did not build because group g
@@ -303,8 +401,8 @@ const (
 // the counters and the trace. shift selects the parity substreams and
 // covered is the parity frame's chunk count (both 0 for a data chunk); d
 // is how long a delayed frame is deferred. It is the whole of the plan's
-// randomness short of the duplicate roll, shared by Send and Unheard so
-// the two cannot disagree.
+// randomness short of the duplicate roll, shared by Send, SendBatch and
+// Unheard so they cannot disagree.
 func (in *Injector) decide(g mcast.Group, video, channel uint16, seq, offset uint32, shift, covered int) (v verdict, d time.Duration) {
 	p := in.plan
 	switch {
@@ -339,49 +437,6 @@ func (in *Injector) duplicate(g mcast.Group, video, channel uint16, seq, offset 
 	in.duplicated.Add(1)
 	in.tracef("fault-dup", g, seq, offset, "")
 	return true
-}
-
-// apply executes the plan's decision for one chunk (or parity frame,
-// whose substream shift keeps its rolls independent of the data chunk
-// sharing its header offset).
-func (in *Injector) apply(g mcast.Group, frame []byte, video, channel uint16, seq, offset uint32, shift, covered int) (int, error) {
-	switch v, d := in.decide(g, video, channel, seq, offset, shift, covered); v {
-	case drop, burst:
-		return 0, nil
-
-	case delay:
-		// The sender reuses its frame buffer, so the deferred send must
-		// own a copy (pooled). Errors after the hub closes are expected
-		// noise.
-		cp := copyFrame(frame)
-		time.AfterFunc(d, func() {
-			_, _ = in.next.Send(g, *cp)
-			framePool.Put(cp)
-		})
-		return 0, nil
-
-	case reorder:
-		in.mu.Lock()
-		_, already := in.held[g]
-		if !already {
-			in.held[g] = copyFrame(frame)
-		}
-		in.mu.Unlock()
-		if already {
-			// Can only hold one frame per group; send straight through.
-			return in.next.Send(g, frame)
-		}
-		return 0, nil
-
-	default:
-		n, err := in.next.Send(g, frame)
-		if err == nil && in.duplicate(g, video, channel, seq, offset, shift) {
-			if dn, derr := in.next.Send(g, frame); derr == nil {
-				n += dn
-			}
-		}
-		return n, err
-	}
 }
 
 // burstDrop decides whether the Gilbert–Elliott chain kills this frame.

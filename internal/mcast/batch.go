@@ -53,9 +53,10 @@ type BatchEntry struct {
 
 // BatchSender is the batched fan-out a tick-driven egress engine wants:
 // all chunks due in one tick delivered with one call. The Hub implements
-// it; interposing senders that must decide per chunk (fault injectors)
-// deliberately do not, so callers fall back to per-chunk Send through
-// them.
+// it, and so does an interposing sender that decides per chunk (the fault
+// injector filters the batch entry by entry and forwards the survivors as
+// one batch), so the tick's egress stays one call whatever stands between
+// the engine and the wire.
 type BatchSender interface {
 	// SendBatch delivers every entry's frame to every current member of
 	// its group, returning the number of datagrams written. Delivery is
@@ -110,9 +111,10 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	if h.closed.Load() {
 		return 0, fmt.Errorf("mcast: hub closed")
 	}
-	// The super-frame path does its own run-major expansion so same-group
-	// adjacent frames share one syscall slot; it is skipped under the
-	// io_uring engine, whose cross-shard ring carries per-datagram SQEs.
+	// The super-frame path lays the expansion out destination-major so all
+	// the frames one address is owed share one syscall slot; it is skipped
+	// under the io_uring engine, whose cross-shard ring carries
+	// per-datagram SQEs.
 	if h.gsoOn.Load() && h.vectorized.Load() && !h.uringOn.Load() {
 		return h.sendBatchGSO(entries)
 	}

@@ -36,12 +36,12 @@ func newTestHub(t testing.TB, groups []Group, nmember int) (*Hub, map[Group][]*R
 	return hub, rcvs
 }
 
-// drainFrames reads exactly want datagrams from r and returns their
-// payloads as strings, sorted for set comparison.
-func drainFrames(t *testing.T, r *Receiver, want int) []string {
+// drainOrdered reads exactly want datagrams from r and returns their
+// payloads as strings in arrival order.
+func drainOrdered(t *testing.T, r *Receiver, want int) []string {
 	t.Helper()
 	var got []string
-	buf := make([]byte, 2048)
+	buf := make([]byte, 8192)
 	for i := 0; i < want; i++ {
 		r.Conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		n, _, err := r.Conn.ReadFromUDPAddrPort(buf)
@@ -56,6 +56,13 @@ func drainFrames(t *testing.T, r *Receiver, want int) []string {
 	if n, _, err := r.Conn.ReadFromUDPAddrPort(buf); err == nil {
 		t.Fatalf("unexpected extra datagram %q", buf[:n])
 	}
+	return got
+}
+
+// drainFrames is drainOrdered with the payloads sorted for set comparison.
+func drainFrames(t *testing.T, r *Receiver, want int) []string {
+	t.Helper()
+	got := drainOrdered(t, r, want)
 	sort.Strings(got)
 	return got
 }
@@ -174,9 +181,15 @@ func goldenFrame(tag string, size int) []byte {
 // batchGoldenCase is one golden-equivalence workload: a batch shape
 // chosen to exercise a specific edge of the GSO run builder, with the
 // super-frame ledger the GSO path must report for it (per member).
+//
+// The audience is `members` receivers on each of goldenG0 and goldenG1,
+// unless shared is set: then receiver i joins the groups shared[i] (one
+// socket hearing many groups, the shape of a viewer mux), members is 1,
+// and the ledger is the hub's total.
 type batchGoldenCase struct {
 	name      string
 	members   int
+	shared    [][]Group
 	entries   func() []BatchEntry
 	perGroup  map[Group]int // frames each member of a group receives
 	wantSuper int           // GSO super-frames per member
@@ -186,13 +199,31 @@ type batchGoldenCase struct {
 var goldenG0 = Group{Video: 1, Channel: 0}
 var goldenG1 = Group{Video: 1, Channel: 1}
 
+// sharedGroups names n groups for the shared-socket cases; oneEach is a
+// batch of one size-byte frame for each of them, in order.
+func sharedGroups(n int) []Group {
+	gs := make([]Group, n)
+	for i := range gs {
+		gs[i] = Group{Video: 2, Channel: i}
+	}
+	return gs
+}
+
+func oneEach(gs []Group, size int) []BatchEntry {
+	es := make([]BatchEntry, len(gs))
+	for i, g := range gs {
+		es[i] = BatchEntry{Group: g, Frame: goldenFrame(fmt.Sprintf("ch%02d", g.Channel), size)}
+	}
+	return es
+}
+
 func batchGoldenCases() []batchGoldenCase {
 	return []batchGoldenCase{
 		{
 			// The original window-handoff workload: more destinations than
 			// one sendmmsg window (2 groups × 40 members × 2 frames = 160
-			// datagrams). Groups alternate entry by entry, so every GSO run
-			// has length 1 and no super-frame may form.
+			// datagrams). Groups alternate entry by entry, but each member
+			// hears one group: its two equal-size frames are one run.
 			name:    "interleaved",
 			members: 40,
 			entries: func() []BatchEntry {
@@ -204,7 +235,9 @@ func batchGoldenCases() []batchGoldenCase {
 				}
 				return es
 			},
-			perGroup: map[Group]int{goldenG0: 2, goldenG1: 2},
+			perGroup:  map[Group]int{goldenG0: 2, goldenG1: 2},
+			wantSuper: 2,
+			wantSegs:  4,
 		},
 		{
 			// One same-group run whose final frame is shorter than the
@@ -224,10 +257,10 @@ func batchGoldenCases() []batchGoldenCase {
 			wantSegs:  5,
 		},
 		{
-			// Mixed groups and a size regrow: a g0 run, a g1 run (group
-			// change breaks coalescing), then a short g0 frame followed by a
-			// longer one (a frame above the open run's segment size must
-			// start fresh — two plain sends, no super-frame).
+			// Mixed groups and a size regrow. A g0 member is owed three full
+			// frames, a short one and a full one: the short frame closes the
+			// run behind itself (one super-frame of 4) and the frame after it
+			// goes out plain. A g1 member's two frames are one super-frame.
 			name:    "mixed-groups",
 			members: 8,
 			entries: func() []BatchEntry {
@@ -243,9 +276,98 @@ func batchGoldenCases() []batchGoldenCase {
 			},
 			perGroup:  map[Group]int{goldenG0: 5, goldenG1: 2},
 			wantSuper: 2,
-			wantSegs:  5,
+			wantSegs:  6,
+		},
+		{
+			// One socket joined to 22 groups, one data-sized frame for each
+			// — a viewer mux's tick. The whole tick is one super-frame.
+			name:      "shared-socket-22-groups",
+			members:   1,
+			shared:    [][]Group{sharedGroups(22)},
+			entries:   func() []BatchEntry { return oneEach(sharedGroups(22), 1052) },
+			wantSuper: 1,
+			wantSegs:  22,
+		},
+		{
+			// The same tick with a parity-sized frame behind the 11th data
+			// frame: the larger frame closes the run of 11 and opens one of
+			// its own segment size, which the next (shorter) data frame
+			// closes; the last 10 are a third run.
+			name:    "shared-socket-22-groups+parity",
+			members: 1,
+			shared:  [][]Group{sharedGroups(22)},
+			entries: func() []BatchEntry {
+				es := oneEach(sharedGroups(22), 1052)
+				parity := BatchEntry{Group: es[10].Group, Frame: goldenFrame("ch10-parity", 1061)}
+				return append(es[:11:11], append([]BatchEntry{parity}, es[11:]...)...)
+			},
+			wantSuper: 3,
+			wantSegs:  23,
+		},
+		{
+			// 70 frames to one address: the kernel's 64-segment cap.
+			name:      "shared-socket-70-groups",
+			members:   1,
+			shared:    [][]Group{sharedGroups(70)},
+			entries:   func() []BatchEntry { return oneEach(sharedGroups(70), 1052) },
+			wantSuper: 2, // 64 + 6
+			wantSegs:  70,
+		},
+		{
+			// 17 frames of one 4 KiB chunk each: 15 fit under maxGSOBytes.
+			name:      "shared-socket-4k-chunks",
+			members:   1,
+			shared:    [][]Group{sharedGroups(17)},
+			entries:   func() []BatchEntry { return oneEach(sharedGroups(17), 4096+28) },
+			wantSuper: 2, // 15 + 2
+			wantSegs:  17,
+		},
+		{
+			// Two sockets whose group sets overlap: each gets its own frames,
+			// in batch order, as its own super-frame.
+			name:      "shared-sockets-overlapping",
+			members:   1,
+			shared:    [][]Group{sharedGroups(9)[:6], sharedGroups(9)[3:]},
+			entries:   func() []BatchEntry { return oneEach(sharedGroups(9), 1052) },
+			wantSuper: 2,
+			wantSegs:  12,
 		},
 	}
+}
+
+// joinShared builds the shared-socket audience of tc on hub: receiver i
+// joined to every group of tc.shared[i].
+func joinShared(t *testing.T, hub *Hub, tc batchGoldenCase) []*Receiver {
+	t.Helper()
+	rs := make([]*Receiver, len(tc.shared))
+	for i, gs := range tc.shared {
+		r, err := NewReceiver()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		for _, g := range gs {
+			if err := hub.Join(g, r.Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs[i] = r
+	}
+	return rs
+}
+
+// owed is what a socket joined to gs must receive from entries: the frames
+// of its groups, in batch order.
+func owed(entries []BatchEntry, gs []Group) []string {
+	var want []string
+	for _, e := range entries {
+		for _, g := range gs {
+			if e.Group == g {
+				want = append(want, string(e.Frame))
+			}
+		}
+	}
+	return want
 }
 
 // runBatchPath sends one golden case through the named egress path on a
@@ -254,7 +376,15 @@ func batchGoldenCases() []batchGoldenCase {
 func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group][][]string) {
 	t.Helper()
 	groups := []Group{goldenG0, goldenG1}
-	hub, rcvs := newTestHub(t, groups, tc.members)
+	var hub *Hub
+	var rcvs map[Group][]*Receiver
+	var shared []*Receiver
+	if tc.shared == nil {
+		hub, rcvs = newTestHub(t, groups, tc.members)
+	} else {
+		hub, _ = newTestHub(t, nil, 0)
+		shared = joinShared(t, hub, tc)
+	}
 	switch mode {
 	case "generic":
 		hub.SetGSO(false)
@@ -274,13 +404,17 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 			return -1, nil
 		}
 	}
-	n, err := hub.SendBatch(tc.entries())
+	entries := tc.entries()
+	n, err := hub.SendBatch(entries)
 	if err != nil {
 		t.Fatalf("%s SendBatch: %v", mode, err)
 	}
 	wantN := 0
 	for _, c := range tc.perGroup {
 		wantN += c * tc.members
+	}
+	for _, gs := range tc.shared {
+		wantN += len(owed(entries, gs))
 	}
 	if n != wantN {
 		t.Fatalf("%s SendBatch wrote %d datagrams, want %d", mode, n, wantN)
@@ -311,6 +445,19 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 		for _, r := range rcvs[g] {
 			frames[g] = append(frames[g], drainFrames(t, r, tc.perGroup[g]))
 		}
+	}
+	// A shared socket must see its frames in batch order on every path —
+	// which is per-group order and more. For the comparison across paths
+	// the sockets are filed under goldenG0, which none of them has joined.
+	for i, r := range shared {
+		want := owed(entries, tc.shared[i])
+		got := drainOrdered(t, r, len(want))
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s: shared socket %d frame %d is %.12q, want %.12q", mode, i, j, got[j], want[j])
+			}
+		}
+		frames[goldenG0] = append(frames[goldenG0], got)
 	}
 	return n, frames
 }

@@ -3,12 +3,16 @@
 // The UDP GSO (UDP_SEGMENT) super-frame path: the rung of the egress
 // ladder above sendmmsg. Where sendmmsg collapses syscalls (64 datagrams
 // per kernel crossing, but still one kernel traversal per datagram), GSO
-// collapses traversals: a run of same-group contiguous frames is handed
-// to the kernel as ONE datagram-sized super-frame plus a cmsg naming the
-// segment size, and the kernel splits it into MTU-sized wire datagrams
-// after traversing the stack once. A transmission group's chunks for a
-// tick are contiguous and repetition-invariant (the frame cache holds
-// them back to back), which is exactly the shape GSO wants.
+// collapses traversals: a run of frames bound for ONE destination address
+// is handed to the kernel as one datagram-sized super-frame plus a cmsg
+// naming the segment size, and the kernel splits it into wire datagrams
+// after traversing the stack once. Runs are cut per destination, not per
+// group: what the kernel needs is one address and a legal segment shape,
+// and the listener that matters — a shared receive socket subscribed to
+// every group its cohorts watch — hears a different group in every frame
+// of a tick. Such a socket gets the whole tick as one super-frame (and,
+// with UDP_GRO armed, reads it back as one buffer); a catch-up run of one
+// group coalesces exactly as it always did.
 //
 // The super-frames themselves still ride the sendmmsg machinery — up to
 // sendmmsgBatch super-frames per syscall — so the two rungs stack: at 64
@@ -22,6 +26,7 @@ package mcast
 
 import (
 	"fmt"
+	"net/netip"
 	"os"
 	"syscall"
 	"unsafe"
@@ -64,19 +69,32 @@ type gsoCmsg struct {
 // gsoMsg is one staged super-frame: the half-open run ds[lo:hi) it
 // gathers (every dest in the run shares one destination address), and
 // the segment size the kernel should split at. A run of one is sent as a
-// plain datagram — no cmsg, no splitting — so batches that never
-// coalesce (mixed groups, odd sizes) cost exactly what the sendmmsg path
-// charges.
+// plain datagram — no cmsg, no splitting — so a destination that is owed
+// one frame, or frames no two of which may share a super-frame, costs
+// exactly what the sendmmsg path charges.
 type gsoMsg struct {
 	lo, hi  int
 	segSize int
 }
 
-// gsoBuf is the reusable staging state of one GSO batch: the run
+// addrChain is one destination address's frames within a batch: the first
+// and last index into gsoBuf.exp, linked through gsoBuf.next in batch
+// order.
+type addrChain struct {
+	head, tail int32
+}
+
+// gsoBuf is the reusable staging state of one GSO batch: the entry-major
+// expansion and the per-address chains threaded through it, the run
 // descriptors, the per-super-frame syscall arrays, and an iovec arena
 // indexed by destination (ds[k]'s iovec is iovs[k], so a run's gather
 // list is the contiguous iovs[lo:hi)). Pooled via batchBuf.
 type gsoBuf struct {
+	exp    []dest
+	next   []int32
+	chains []addrChain
+	byAddr map[netip.AddrPort]int32
+
 	msgs  []gsoMsg
 	iovs  []syscall.Iovec
 	hdrs  [sendmmsgBatch]mmsghdr
@@ -147,63 +165,50 @@ func (h *Hub) SetGSO(on bool) bool {
 }
 
 // sendBatchGSO is SendBatch's super-frame body. It expands the batch
-// run-major instead of entry-major: entries are first coalesced into
-// maximal same-group runs that satisfy the kernel's GSO shape (every
-// segment the same size except a shorter final one, at most maxGSOSegs
-// segments and maxGSOBytes total; a group change, an oversized or empty
-// frame, or a short segment closes the run), then each (run, member)
-// pair becomes one staged message whose destinations are the contiguous
-// ds[lo:hi). Every member still receives exactly the frames the
-// entry-major paths would send — the golden equivalence gate holds —
-// and a failed super-frame marks exactly its run's entries to that
-// member, preserving per-destination attribution.
+// entry-major, as every other path does, threading each (frame, member)
+// pair onto its member address's chain, and then lays the chains out one
+// after another in ds: every address's frames, in batch order and whatever
+// their group, cut into maximal runs of the kernel's GSO shape (cutRuns).
+// Each run becomes one staged message whose destinations are the
+// contiguous ds[lo:hi). Every member still receives exactly the frames
+// the entry-major paths would send it, in the same order — the golden
+// equivalence gate holds — and a failed super-frame marks exactly its
+// run's entries to that member, preserving per-destination attribution.
 func (h *Hub) sendBatchGSO(entries []BatchEntry) (int, error) {
 	m := *h.members.Load()
 	bb := batchPool.Get().(*batchBuf)
 	gb := bb.gso
 	if gb == nil {
-		gb = new(gsoBuf)
+		gb = &gsoBuf{byAddr: make(map[netip.AddrPort]int32)}
 		gb.fn = gb.step
 		bb.gso = gb
 	}
-	ds := bb.ds[:0]
-	msgs := gb.msgs[:0]
-
-	ei := 0
-	for ei < len(entries) {
+	exp, next, chains := gb.exp[:0], gb.next[:0], gb.chains[:0]
+	for ei := range entries {
 		g := entries[ei].Group
-		members := m[g]
-		if len(members) == 0 {
-			ei++
-			continue
-		}
-		// Grow the run [ei, hi): same group, GSO-legal segment shape.
-		segSize := len(entries[ei].Frame)
-		bytes := segSize
-		hi := ei + 1
-		if segSize > 0 {
-			for hi < len(entries) && hi-ei < maxGSOSegs {
-				f := entries[hi].Frame
-				if entries[hi].Group != g || len(f) == 0 || len(f) > segSize || bytes+len(f) > maxGSOBytes {
-					break
-				}
-				short := len(f) < segSize
-				bytes += len(f)
-				hi++
-				if short {
-					break // a short segment is only legal as the final one
-				}
+		for _, ap := range m[g] {
+			k := int32(len(exp))
+			exp = append(exp, dest{ap: ap, frame: entries[ei].Frame, group: g})
+			next = append(next, -1)
+			if ci, seen := gb.byAddr[ap]; seen {
+				next[chains[ci].tail] = k
+				chains[ci].tail = k
+			} else {
+				gb.byAddr[ap] = int32(len(chains))
+				chains = append(chains, addrChain{head: k, tail: k})
 			}
 		}
-		for _, ap := range members {
-			lo := len(ds)
-			for k := ei; k < hi; k++ {
-				ds = append(ds, dest{ap: ap, frame: entries[k].Frame, group: g})
-			}
-			msgs = append(msgs, gsoMsg{lo: lo, hi: len(ds), segSize: segSize})
-		}
-		ei = hi
 	}
+	clear(gb.byAddr)
+	ds, msgs := bb.ds[:0], gb.msgs[:0]
+	for _, ch := range chains {
+		lo := len(ds)
+		for k := ch.head; k >= 0; k = next[k] {
+			ds = append(ds, exp[k])
+		}
+		msgs = cutRuns(msgs, ds, lo)
+	}
+	gb.exp, gb.next, gb.chains = exp, next, chains
 	bb.ds = ds
 	gb.msgs = msgs
 	if len(ds) == 0 {
@@ -245,6 +250,37 @@ func (h *Hub) sendBatchGSO(entries []BatchEntry) (int, error) {
 		return n, fmt.Errorf("mcast: %d of %d batched sends failed: %w", nfail, total, first)
 	}
 	return n, nil
+}
+
+// cutRuns appends the runs of ds[lo:] — one address's frames in the order
+// it must receive them — to msgs. A run is the longest stretch the kernel
+// will segment back into exactly these frames: every frame the size of
+// the first except a shorter final one, at most maxGSOSegs frames and
+// maxGSOBytes in all. A frame larger than the open run's segment size (a
+// parity frame behind data) or an empty one therefore closes the run and
+// opens the next, and a shorter one closes it behind itself.
+func cutRuns(msgs []gsoMsg, ds []dest, lo int) []gsoMsg {
+	for lo < len(ds) {
+		segSize := len(ds[lo].frame)
+		bytes := segSize
+		hi := lo + 1
+		if segSize > 0 {
+			for hi < len(ds) && hi-lo < maxGSOSegs {
+				n := len(ds[hi].frame)
+				if n == 0 || n > segSize || bytes+n > maxGSOBytes {
+					break
+				}
+				bytes += n
+				hi++
+				if n < segSize {
+					break // a short segment is only legal as the final one
+				}
+			}
+		}
+		msgs = append(msgs, gsoMsg{lo: lo, hi: hi, segSize: segSize})
+		lo = hi
+	}
+	return msgs
 }
 
 // step is the RawConn.Write callback of the GSO path: it advances the

@@ -154,37 +154,18 @@ func TestUringSubmitAndTeardown(t *testing.T) {
 	hub.Close() // second Close must be safe with the ring gone
 }
 
-// benchSuperframe measures a coalescible batch — runLen same-group chunks
-// per SendBatch — with the super-frame path on or off, so the GSO rows in
-// BENCH_egress.json read against a sendmmsg baseline over the identical
-// workload.
-func benchSuperframe(b *testing.B, members, runLen int, gso bool) {
-	g := Group{Video: 0, Channel: 0}
-	hub, rcvs := newTestHub(b, []Group{g}, members)
+// benchSuperframe sends one batch per iteration with the super-frame path
+// on or off, so the GSO rows in BENCH_egress.json read against a sendmmsg
+// baseline over the identical workload. drain empties a receiver's socket
+// in the background.
+func benchSuperframe(b *testing.B, hub *Hub, entries []BatchEntry, perBatch int, gso bool) {
 	if !hub.SetVectorized(true) {
 		b.Skip("vectorized path unavailable on this platform")
 	}
 	if on := hub.SetGSO(gso); on != gso && gso {
 		b.Skip("GSO path unavailable on this platform/kernel")
 	}
-	for _, rs := range rcvs {
-		for _, r := range rs {
-			go func(r *Receiver) {
-				buf := make([]byte, 2048)
-				for {
-					if _, _, err := r.Conn.ReadFromUDPAddrPort(buf); err != nil {
-						return
-					}
-				}
-			}(r)
-		}
-	}
-	frame := make([]byte, 1052)
-	entries := make([]BatchEntry, runLen)
-	for i := range entries {
-		entries[i] = BatchEntry{Group: g, Frame: frame}
-	}
-	b.SetBytes(int64(members * runLen * len(frame)))
+	b.SetBytes(int64(perBatch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,20 +183,77 @@ func benchSuperframe(b *testing.B, members, runLen int, gso bool) {
 	}
 }
 
-// BenchmarkEgressSuperframe is the GSO acceptance benchmark: an 8-chunk
-// same-group batch (a typical catch-up run) fanned out to 1/8/64 members,
-// with the super-frame path on (path=gso) against the plain sendmmsg
-// baseline (path=sendmmsg) over the identical workload — the
-// datagrams/syscall delta is the point.
-func BenchmarkEgressSuperframe(b *testing.B) {
-	for _, members := range []int{1, 8, 64} {
-		for _, gso := range []bool{true, false} {
-			path := "sendmmsg"
-			if gso {
-				path = "gso"
+func drainInBackground(r *Receiver) {
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			if _, _, err := r.Conn.ReadFromUDPAddrPort(buf); err != nil {
+				return
 			}
-			b.Run(fmt.Sprintf("members=%d/path=%s", members, path), func(b *testing.B) {
-				benchSuperframe(b, members, 8, gso)
+		}
+	}()
+}
+
+// BenchmarkEgressSuperframe is the GSO acceptance benchmark, the
+// super-frame path on (path=gso) against the plain sendmmsg baseline
+// (path=sendmmsg) over identical workloads — the datagrams/syscall and
+// ns/op deltas are the point. members=N: an 8-chunk same-group batch (a
+// typical catch-up run) fanned out to 1/8/64 members. shared-socket: one
+// socket joined to 22 groups and a tick of one data frame for each — a
+// viewer mux's share of a dense tick — with and without two parity-sized
+// frames breaking the run.
+func BenchmarkEgressSuperframe(b *testing.B) {
+	paths := []struct {
+		name string
+		gso  bool
+	}{{"gso", true}, {"sendmmsg", false}}
+	frame := make([]byte, 1052)
+	for _, members := range []int{1, 8, 64} {
+		for _, p := range paths {
+			b.Run(fmt.Sprintf("members=%d/path=%s", members, p.name), func(b *testing.B) {
+				g := Group{Video: 0, Channel: 0}
+				hub, rcvs := newTestHub(b, []Group{g}, members)
+				for _, r := range rcvs[g] {
+					drainInBackground(r)
+				}
+				entries := make([]BatchEntry, 8)
+				for i := range entries {
+					entries[i] = BatchEntry{Group: g, Frame: frame}
+				}
+				benchSuperframe(b, hub, entries, members*len(entries)*len(frame), p.gso)
+			})
+		}
+	}
+	parity := make([]byte, 1061)
+	for _, withParity := range []bool{false, true} {
+		name := "shared-socket/22-groups"
+		if withParity {
+			name += "+parity"
+		}
+		for _, p := range paths {
+			b.Run(name+"/path="+p.name, func(b *testing.B) {
+				hub, _ := newTestHub(b, nil, 0)
+				r, err := NewReceiver()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { r.Close() })
+				var entries []BatchEntry
+				bytes := 0
+				for ch := 0; ch < 22; ch++ {
+					g := Group{Video: 0, Channel: ch}
+					if err := hub.Join(g, r.Addr()); err != nil {
+						b.Fatal(err)
+					}
+					entries = append(entries, BatchEntry{Group: g, Frame: frame})
+					bytes += len(frame)
+					if withParity && ch%11 == 7 {
+						entries = append(entries, BatchEntry{Group: g, Frame: parity})
+						bytes += len(parity)
+					}
+				}
+				drainInBackground(r)
+				benchSuperframe(b, hub, entries, bytes, p.gso)
 			})
 		}
 	}

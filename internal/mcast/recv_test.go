@@ -21,9 +21,12 @@ func recvTag(frame []byte) string { return string(frame[4:10]) }
 // runRecvPath drives one scripted workload through a fresh shared
 // receiver forced onto the named ingress rung and returns every group's
 // ordered delivery sequence. The script mixes GSO-coalescible same-group
-// runs (including a short final segment), interleaved groups, and plain
-// singles — every shape the split logic must keep in order. nil means the
-// rung is unavailable on this platform/kernel.
+// runs (including a short final segment), interleaved groups, plain
+// singles, and whole ticks for a socket subscribed to six more groups —
+// one frame per group, which the hub sends as cross-group super-frames,
+// with a parity-sized frame breaking the run — every shape the split
+// logic must keep in order. nil means the rung is unavailable on this
+// platform/kernel.
 func runRecvPath(t *testing.T, mode string) map[Group][]string {
 	t.Helper()
 	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Classify: testClassify, Logf: t.Logf})
@@ -66,7 +69,16 @@ func runRecvPath(t *testing.T, mode string) map[Group][]string {
 	if hub.SetVectorized(true) {
 		hub.SetGSO(true)
 	}
-	for _, g := range []Group{gA, gB} {
+	subs := map[Group]*Subscription{gA: subA, gB: subB}
+	var ticked []Group // the groups that get one frame per tick
+	for ch := 2; ch < 8; ch++ {
+		g := Group{Video: 7, Channel: ch}
+		if subs[g], err = s.Subscribe(g, 64, 2048); err != nil {
+			t.Fatal(err)
+		}
+		ticked = append(ticked, g)
+	}
+	for g := range subs {
 		if err := hub.Join(g, s.Addr()); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +94,7 @@ func runRecvPath(t *testing.T, mode string) map[Group][]string {
 	if _, err := hub.Send(gA, recvGoldenFrame(gA, "a00008", 1052)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.SendBatch([]BatchEntry{ // interleaved: runs of one
+	if _, err := hub.SendBatch([]BatchEntry{ // interleaved groups, one address: one super-frame
 		{Group: gA, Frame: recvGoldenFrame(gA, "a00009", 500)},
 		{Group: gB, Frame: recvGoldenFrame(gB, "b00000", 500)},
 		{Group: gA, Frame: recvGoldenFrame(gA, "a00010", 500)},
@@ -104,8 +116,22 @@ func runRecvPath(t *testing.T, mode string) map[Group][]string {
 	}
 
 	want := map[Group]int{gA: 11, gB: 7}
+	for tick := 0; tick < 3; tick++ { // cross-group super-frames: a frame per group per tick
+		var es []BatchEntry
+		for i, g := range ticked {
+			es = append(es, BatchEntry{Group: g, Frame: recvGoldenFrame(g, fmt.Sprintf("t%d-%03d", tick, g.Channel), 1052)})
+			want[g]++
+			if tick == 1 && i == 2 { // a parity-sized frame closes the run mid-tick
+				es = append(es, BatchEntry{Group: g, Frame: recvGoldenFrame(g, fmt.Sprintf("p%d-%03d", tick, g.Channel), 1061)})
+				want[g]++
+			}
+		}
+		if _, err := hub.SendBatch(es); err != nil {
+			t.Fatal(err)
+		}
+	}
 	got := make(map[Group][]string)
-	for g, sub := range map[Group]*Subscription{gA: subA, gB: subB} {
+	for g, sub := range subs {
 		for i := 0; i < want[g]; i++ {
 			slot := drain(t, sub)
 			got[g] = append(got[g], recvTag(sub.Frame(slot)))

@@ -63,7 +63,7 @@ type handDriven struct {
 	sh  *wheelShard
 }
 
-func newHandDriven(t testing.TB, cfg Config, send mcast.Sender) *handDriven {
+func newHandDriven(t testing.TB, cfg Config, send fanout) *handDriven {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -403,15 +403,32 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 // benchFullDispatch is BenchmarkWheelDispatch's whole-dispatch case:
 // collect, gate, materialise, batch hand-off to a stub sender, re-file, on
 // a 10-video, k-channel schedule where every 20th channel (5 %) has a
-// listener. ns/op is ns per dispatch.
-func benchFullDispatch(b *testing.B, k int) {
+// listener. With faulted set the stub stands behind a fault injector
+// running skybench's lossy plan with a G=4 stripe, so the tick also pays
+// the plan's per-entry decisions, heard and unheard. ns/op is ns per
+// dispatch.
+func benchFullDispatch(b *testing.B, k int, faulted bool) {
 	rec := &countingBatchSender{}
-	h := newHandDriven(b, Config{
+	cfg := Config{
 		Scheme:       wheelScheme(b, 10, k),
 		Unit:         100 * time.Millisecond,
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
-	}, rec)
+	}
+	var send fanout = rec
+	var inj *faults.Injector
+	if faulted {
+		cfg.FecGroup = 4
+		cfg.Faults = &faults.Plan{Seed: 1, Drop: 0.02, Duplicate: 0.01, Reorder: 0.01,
+			BurstEnter: 0.01, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
+		var err error
+		if inj, err = faults.New(rec, *cfg.Faults); err != nil {
+			b.Fatal(err)
+		}
+		send = inj
+	}
+	h := newHandDriven(b, cfg, send)
+	h.srv.inj = inj
 	for j := 0; j < len(h.sh.entries); j += 20 {
 		h.join(b, h.sh.entries[j].group)
 	}

@@ -184,12 +184,23 @@ func (c Config) nparity() int {
 	}
 }
 
+// fanout is the sender the egress engines need: one chunk (pace) or one
+// tick's batch (the wheel) to every member of each frame's group. The hub
+// and the fault injector both are one.
+type fanout interface {
+	mcast.Sender
+	mcast.BatchSender
+}
+
 // Server is a running broadcast server. Create with New, start with Start,
 // stop with Close.
 type Server struct {
-	cfg   Config
-	hub   *mcast.Hub
-	send  mcast.Sender
+	cfg Config
+	hub *mcast.Hub
+	// send is what scheduled egress goes through: the hub, or the fault
+	// injector in front of it. The wheel hands it a tick at a time, pace a
+	// chunk at a time.
+	send  fanout
 	inj   *faults.Injector
 	cache *frameCache
 	ln    net.Listener
@@ -449,15 +460,32 @@ func (s *Server) EgressTickSource() string {
 	return tickTimer
 }
 
-// wakeLateness merges every shard's wake-lateness histogram: how many
-// nanoseconds past its grid instant each wheel wakeup happened. Empty
-// under the per-pacer engine.
-func (s *Server) wakeLateness() *metrics.Log2Histogram {
+// shardHist merges one of the per-shard histograms across the wheel.
+// Empty under the per-pacer engine.
+func (s *Server) shardHist(of func(*wheelShard) *metrics.Log2Histogram) *metrics.Log2Histogram {
 	h := new(metrics.Log2Histogram)
 	for _, sh := range s.wheel {
-		h.Merge(&sh.wakeLate)
+		h.Merge(of(sh))
 	}
 	return h
+}
+
+// wakeLateness is how many nanoseconds past its grid instant each wheel
+// dispatch began.
+func (s *Server) wakeLateness() *metrics.Log2Histogram {
+	return s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.wakeLate })
+}
+
+// wakeLead is the longest lead any shard currently arms its tick source
+// with.
+func (s *Server) wakeLead() time.Duration {
+	var lead time.Duration
+	for _, sh := range s.wheel {
+		if l := sh.lead.value(); l > lead {
+			lead = l
+		}
+	}
+	return lead
 }
 
 // Draining reports whether the server is in graceful shutdown.
@@ -611,10 +639,9 @@ func (s *Server) emit(a *frameArena, batch *[]mcast.BatchEntry, g mcast.Group, c
 }
 
 // forward hands one materialised frame to the fan-out: appended to the
-// tick's batch when there is one (the wheel in front of a batching
-// sender), sent at once otherwise. A failed send is logged unless the
-// server is stopping, whose socket teardown makes trailing sends fail by
-// design.
+// tick's batch when there is one (the wheel), sent at once otherwise
+// (pace). A failed send is logged unless the server is stopping, whose
+// socket teardown makes trailing sends fail by design.
 func (s *Server) forward(batch *[]mcast.BatchEntry, g mcast.Group, frame []byte, n uint32) bool {
 	if batch != nil {
 		*batch = append(*batch, mcast.BatchEntry{Group: g, Frame: frame})

@@ -10,6 +10,7 @@ import (
 
 	"skyscraper/internal/faults"
 	"skyscraper/internal/mcast"
+	"skyscraper/internal/metrics"
 )
 
 // StatusSnapshot is the JSON document served at /status.
@@ -90,11 +91,20 @@ type StatusSnapshot struct {
 	// "timerfd" (grid-exact, through the netpoller) or "timer" (the
 	// runtime timer, which an idle process rounds up to the millisecond).
 	// EgressWakeLateP50Us/P99Us are quantiles, in microseconds, of how far
-	// past its grid instant each shard wakeup happened — resolved to a
-	// power-of-two bucket, interpolated inside it.
+	// past its grid instant each shard began its dispatch — resolved to a
+	// power-of-two bucket, interpolated inside it. The tick's budget sits
+	// beside them, same units and resolution: EgressWakeLeadUs is how far
+	// ahead of the instant the shards currently arm their tick source (the
+	// wake latency they have measured; the largest across shards),
+	// EgressStageP50Us how long a dispatch spends building its batch, and
+	// EgressSendP50Us/P99Us how long inside the sender's SendBatch.
 	EgressTickSource    string  `json:"egressTickSource"`
 	EgressWakeLateP50Us float64 `json:"egressWakeLateP50Us"`
 	EgressWakeLateP99Us float64 `json:"egressWakeLateP99Us"`
+	EgressWakeLeadUs    float64 `json:"egressWakeLeadUs"`
+	EgressStageP50Us    float64 `json:"egressStageP50Us"`
+	EgressSendP50Us     float64 `json:"egressSendP50Us"`
+	EgressSendP99Us     float64 `json:"egressSendP99Us"`
 	// EgressBatches counts batched hub dispatches and BatchedBytes the
 	// payload bytes they carried; EgressSyscalls the kernel send
 	// invocations (sendmmsg calls on the vectorized path, per-datagram
@@ -177,6 +187,8 @@ func (s *Server) snapshot() StatusSnapshot {
 	uringSubmits, uringSQEs := s.hub.UringSubmits(), s.hub.UringSQEs()
 	ing := mcast.IngressStats()
 	wakeLate := s.wakeLateness()
+	stageTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.stageTime })
+	sendTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.sendTime })
 	return StatusSnapshot{
 		RepairsServed:         s.repairs.Value(),
 		RepairBytes:           s.repairBytes.Value(),
@@ -202,6 +214,10 @@ func (s *Server) snapshot() StatusSnapshot {
 		EgressTickSource:      s.EgressTickSource(),
 		EgressWakeLateP50Us:   float64(wakeLate.Quantile(0.50)) / 1e3,
 		EgressWakeLateP99Us:   float64(wakeLate.Quantile(0.99)) / 1e3,
+		EgressWakeLeadUs:      float64(s.wakeLead()) / 1e3,
+		EgressStageP50Us:      float64(stageTime.Quantile(0.50)) / 1e3,
+		EgressSendP50Us:       float64(sendTime.Quantile(0.50)) / 1e3,
+		EgressSendP99Us:       float64(sendTime.Quantile(0.99)) / 1e3,
 		EgressBatches:         s.hub.Batches(),
 		BatchedBytes:          s.hub.BatchedBytes(),
 		EgressSyscalls:        s.hub.SendSyscalls(),

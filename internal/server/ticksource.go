@@ -10,15 +10,21 @@
 // a timerfd and reads it through the netpoller (ticksource_linux.go): the
 // kernel's hrtimer makes the fd readable at the instant asked for, that
 // readiness event is what ends the epoll_wait, and the goroutine is
-// parked meanwhile — it holds no P, so the control plane is never
-// starved the way it is by a wait that ends in nanosleep or a spin.
+// parked meanwhile — it holds no P, so the control plane is not starved
+// the way it is by a wait that is all nanosleep or spin. The shard does
+// finish each wait with a hold on the clock, but one bounded by the wake
+// latency it has measured (wakeLead, at most maxWakeLead), not by the
+// length of the wait.
 //
 // Everywhere else, and whenever the timerfd cannot be created or stops
 // answering, the shard waits on time.Timer exactly as before. Which one
 // is chosen from what the code can observe, never from configuration.
 package server
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Tick source names, as /status reports them.
 const (
@@ -40,6 +46,45 @@ type tickSource interface {
 	// close releases what the source holds.
 	close()
 }
+
+// maxWakeLead bounds how far ahead of a grid instant a shard arms its tick
+// source, and with it the hold on the clock that follows the park. A shard
+// also never leads by more than a quarter of its quantum.
+const maxWakeLead = 300 * time.Microsecond
+
+// wakeLead is a shard's estimate of its own wake latency: how long after
+// the instant its tick source was armed for the goroutine is running
+// again. The shard arms the source that much ahead of each grid instant —
+// what the ETF qdisc calls its delta — and holds on the clock for the
+// rest. The estimate is an exponentially weighted mean (weight 1/8) of
+// the measured latencies, 0 until there is one. Wake latency is skewed —
+// mostly a little under its mean, now and then far over — so leading by
+// the mean already has the shard running before the instant more often
+// than not, and no margin is added on top: a margin is hold time, which
+// is CPU. Every sample is clamped to the shard's bound first, so a
+// descheduled process moves the lead by an eighth of the bound and is
+// forgotten within a few ticks.
+//
+// observe belongs to the shard goroutine; value may be read from any.
+type wakeLead struct {
+	lead atomic.Int64 // nanoseconds; 0: no sample yet
+}
+
+// observe folds in one measured wake latency; max is the shard's bound.
+// A negative latency — the source returned early — is no measurement.
+func (l *wakeLead) observe(latency, max time.Duration) {
+	if latency < 0 {
+		return
+	}
+	sample := int64(min(latency, max))
+	if mean := l.lead.Load(); mean != 0 {
+		sample = mean + (sample-mean)/8
+	}
+	l.lead.Store(sample)
+}
+
+// value is the lead to arm the next wait with.
+func (l *wakeLead) value() time.Duration { return time.Duration(l.lead.Load()) }
 
 // newFdTicks creates the timerfd source. A variable so a test can make
 // creation fail, or hand out a broken source, and drive the fallback.

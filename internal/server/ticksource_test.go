@@ -380,8 +380,8 @@ func TestWakeLateReported(t *testing.T) {
 		snap.EgressTickSource, snap.EgressWakeLateP50Us, snap.EgressWakeLateP99Us, samples)
 }
 
-// recordingSender is a plain mcast.Sender — no SendBatch, like the fault
-// injector — that decodes every frame it is handed.
+// recordingSender decodes every frame it is handed, one Send at a time —
+// its SendBatch only loops, the shape of a sender that cannot batch.
 type recordingSender struct {
 	chunkBytes int
 	sent       map[chanKey][]event
@@ -395,6 +395,17 @@ func (r *recordingSender) Send(g mcast.Group, frame []byte) (int, error) {
 	k := chanKey{g.Video, g.Channel}
 	r.sent[k] = append(r.sent[k], event{c.Seq, int(c.Offset) / r.chunkBytes})
 	return 1, nil
+}
+
+func (r *recordingSender) SendBatch(entries []mcast.BatchEntry) (n int, err error) {
+	for _, e := range entries {
+		sn, serr := r.Send(e.Group, e.Frame)
+		n += sn
+		if err == nil {
+			err = serr
+		}
+	}
+	return n, err
 }
 
 // TestWheelCatchupBehindNonBatchingSender: a dispatch that stalls for

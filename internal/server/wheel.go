@@ -284,9 +284,16 @@ type wheelShard struct {
 	// stopping server always reaches a parked shard.
 	tickMu sync.Mutex
 	tick   tickSource
-	// wakeLate records, at every wakeup, how far past its grid instant
-	// the shard woke, in nanoseconds.
-	wakeLate metrics.Log2Histogram
+	// wakeLate records, for every tick, how far past its grid instant the
+	// shard began the dispatch; stageTime how long the dispatch then spent
+	// building its batch, and sendTime, when there was anything to send,
+	// how long inside SendBatch. All in nanoseconds.
+	wakeLate  metrics.Log2Histogram
+	stageTime metrics.Log2Histogram
+	sendTime  metrics.Log2Histogram
+	// lead is how far ahead of a grid instant the shard arms its tick
+	// source, learned from its own wake latency (wakeLead).
+	lead wakeLead
 }
 
 // newWheelEntry builds the schedule state for (video v, channel i) — the
@@ -443,19 +450,30 @@ func (sh *wheelShard) quantum() time.Duration {
 	return q
 }
 
-// run is the shard dispatch loop: park on the tick source until the
-// earliest due tick, collect everything due, dispatch it as one batch,
-// re-file the entries. Entered fresh after every restart, it rebuilds the
-// wheel from the wall clock so the shard rejoins the absolute grid. A
-// wait that ends early or for no reason is harmless: collect crosses no
-// tick, nothing dispatches, and the next pass re-arms from the clock.
+// run is the shard dispatch loop: park on the tick source until a little
+// before the earliest due tick, hold on the clock until its instant,
+// collect everything due, dispatch it as one batch, re-file the entries.
+// Entered fresh after every restart, it rebuilds the wheel from the wall
+// clock so the shard rejoins the absolute grid.
+//
+// The park ends `lead` early because being woken takes time — the timer
+// fires on the instant, the goroutine runs some tens of microseconds
+// later, and every datagram of the tick would leave that late. lead is
+// what the shard has measured that latency to be (wakeLead), so the
+// goroutine is usually running just before the instant and the short hold
+// that follows is what puts the dispatch on it: nothing is sent early, and
+// the hold never exceeds lead. A wait that ends earlier than that — or for
+// no reason — is harmless: nothing dispatches, and the next pass re-arms
+// from the clock.
 func (sh *wheelShard) run() {
 	s := sh.s
-	sh.wheel.reset(sh.quantum(), time.Since(s.epoch))
+	quantum := sh.quantum()
+	sh.wheel.reset(quantum, time.Since(s.epoch))
 	for _, e := range sh.entries {
 		e.resync(time.Since(s.epoch))
 		sh.wheel.insert(e)
 	}
+	maxLead := min(maxWakeLead, quantum/4)
 	src := s.newTickSource()
 	sh.setTick(src)
 	defer sh.setTick(nil) // every exit, a panic included, releases the source
@@ -466,9 +484,10 @@ func (sh *wheelShard) run() {
 	}
 	for {
 		next, ok := sh.wheel.nextDue()
-		wait := time.Hour
+		wait, lead := time.Hour, time.Duration(0)
 		if ok {
-			wait = time.Until(s.epoch.Add(next))
+			lead = sh.lead.value()
+			wait = time.Until(s.epoch.Add(next)) - lead
 		}
 		ticked, err := src.wait(wait)
 		if err != nil {
@@ -485,6 +504,17 @@ func (sh *wheelShard) run() {
 		s.wheelWakeups.Inc()
 		now := time.Since(s.epoch)
 		if ok {
+			if wait > 0 {
+				// The source was armed for next-lead; this is how long
+				// after it the shard is running.
+				sh.lead.observe(now-(next-lead), maxLead)
+			}
+			if next-now > lead {
+				continue // too early to hold for: wait again
+			}
+			for now < next {
+				now = time.Since(s.epoch)
+			}
 			sh.wakeLate.Observe(int64(now - next))
 		}
 		sh.due = sh.wheel.collect(now, sh.due[:0])
@@ -499,32 +529,27 @@ func (sh *wheelShard) run() {
 // listens. The hub's membership snapshot is read once, on entry (and the
 // per-channel answers redrawn only if it is not the one the last dispatch
 // saw): a chunk whose group has a member is materialised into the shard's
-// arena and staged — into one hub batch when the sender supports it,
-// through per-chunk Send when it does not (a fault injector, which must
-// keep deciding chunk by chunk; Send is synchronous and copies whatever
-// it holds back) — and a chunk nobody hears is not built at all, only
-// accounted for in the fault plan (Server.emit). A group's first member
-// that joins after the read starts with the next tick.
+// arena and staged into the tick's one batch — which the sender, hub or
+// fault injector, takes in one call — and a chunk nobody hears is not
+// built at all, only accounted for in the fault plan (Server.emit). A
+// group's first member that joins after the read starts with the next
+// tick.
 //
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
 // a restart, a dense schedule — every chunk already due is staged in
 // the same dispatch as one same-group contiguous run (capped at
 // wheelMaxRun and at the repetition boundary), instead of one chunk per
-// wakeup — for both sender kinds, as pace does when its next instant is
-// already past; a shard that sent one chunk per tick would stay as many
-// ticks late as it once stalled, for ever. The run order is the
-// schedule order, so per-channel (rep, chunk) sequences stay exactly
-// what the pacer engine produces, and the contiguous same-group shape
-// is precisely what the hub's GSO path coalesces into super-frames.
+// wakeup, as pace does when its next instant is already past; a shard
+// that sent one chunk per tick would stay as many ticks late as it once
+// stalled, for ever. The run order is the schedule order, so per-channel
+// (rep, chunk) sequences stay exactly what the pacer engine produces, and
+// a listener's share of the batch — one run or twenty channels' chunks —
+// is what the hub's GSO path coalesces into super-frames.
 func (sh *wheelShard) dispatch() {
 	s := sh.s
 	hook := s.cfg.PacerHook
+	elapsed := time.Since(s.epoch)
 	sh.batch = sh.batch[:0]
-	var batch *[]mcast.BatchEntry // nil: the sender takes one chunk at a time
-	bs, _ := s.send.(mcast.BatchSender)
-	if bs != nil {
-		batch = &sh.batch
-	}
 	sh.arena.reset()
 	if s.hub != nil { // nil only under tests that drive a never-started server
 		if l := s.hub.Listeners(); l != sh.seen {
@@ -534,7 +559,6 @@ func (sh *wheelShard) dispatch() {
 			}
 		}
 	}
-	elapsed := time.Since(s.epoch)
 	var scheduled, staged int64
 	for _, e := range sh.due {
 		e.firstDue = e.due
@@ -543,7 +567,7 @@ func (sh *wheelShard) dispatch() {
 			if hook != nil {
 				hook(e.video, e.channel, e.n, e.c)
 			}
-			s.emit(&sh.arena, batch, e.group, e.cc, e.c, e.n, e.heard)
+			s.emit(&sh.arena, &sh.batch, e.group, e.cc, e.c, e.n, e.heard)
 			e.advance()
 			run++
 			// A run ends when the entry is caught up, at the wheelMaxRun
@@ -561,12 +585,16 @@ func (sh *wheelShard) dispatch() {
 	}
 	s.egressScheduled.Add(scheduled)
 	s.egressStaged.Add(staged)
+	sent := time.Since(s.epoch)
+	sh.stageTime.Observe(int64(sent - elapsed))
 	if len(sh.batch) > 0 {
-		if _, err := bs.SendBatch(sh.batch); err != nil {
+		stagedAt := sent
+		if _, err := s.send.SendBatch(sh.batch); err != nil {
 			s.logSendErr(sh.due[0].group, sh.due[0].n, err)
 		}
+		sent = time.Since(s.epoch)
+		sh.sendTime.Observe(int64(sent - stagedAt))
 	}
-	sent := time.Since(s.epoch)
 	for _, e := range sh.due {
 		// One drift sample per entry per dispatch, taken against the
 		// first (most-late) chunk staged — the chunk the old

@@ -502,11 +502,13 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 // engine adds on top of frame preparation and the send itself. The "full"
 // cases are the whole dispatch on paper-shaped schedules (200 and 400
 // channels) with 5 % of the channels heard: what a tick costs when it
-// costs what is heard.
+// costs what is heard — and, faulted, what the fault injector in front of
+// the sender adds to it.
 func BenchmarkWheelDispatch(b *testing.B) {
 	for _, k := range []int{20, 40} {
-		b.Run(fmt.Sprintf("full/channels=%d/heard=5%%", 10*k), func(b *testing.B) { benchFullDispatch(b, k) })
+		b.Run(fmt.Sprintf("full/channels=%d/heard=5%%", 10*k), func(b *testing.B) { benchFullDispatch(b, k, false) })
 	}
+	b.Run("full/channels=200/heard=5%/faulted", func(b *testing.B) { benchFullDispatch(b, 20, true) })
 	for _, channels := range []int{2, 100, 2100} {
 		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
 			const spacing = 25 * time.Millisecond
