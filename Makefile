@@ -5,7 +5,7 @@ GO ?= go
 # machine produced them.
 BENCHMETA = ./scripts/benchmeta.sh
 
-.PHONY: build test vet fmt-check race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
+.PHONY: build test vet fmt-check race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify loc bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
 
 build:
 	$(GO) build ./...
@@ -33,12 +33,13 @@ race:
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
 # — seeded drop/duplicate/reorder plans, unicast repair, reconnects, idle
 # reaping, graceful degradation, repair admission, storm coalescing,
-# supervised pacers, drain, member eviction, the batched egress
-# engine (wheel/pacer golden equivalence, shard panic recovery,
-# vectorized/fallback/GSO identity, io_uring submission + teardown,
-# catch-up run staging), the ingress ladder (recvmmsg/GRO/single-read
-# delivery identity, kill-switch demotion, GRO super-frame splitting,
-# read-error backoff), the proactive FEC stripe (parity encode,
+# supervised egress shards, drain, member eviction, the batched egress
+# engine (the wheel held to the closed-form grid, shard panic recovery,
+# vectorized/fallback/GSO identity, catch-up run staging), hostile
+# control lines (index overflow), the ingress ladder
+# (recvmmsg/GRO/single-read delivery identity, kill-switch demotion, GRO
+# super-frame splitting, read-error backoff), the proactive FEC stripe
+# (parity encode,
 # stripe reassembly, defeat escalation, burst loss), the shared
 # receive arena (unsubscribe-while-delivering slot conservation, per-
 # subscription slot quotas), and the wheel's tick source (never early,
@@ -52,7 +53,7 @@ race:
 # copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain
@@ -100,6 +101,13 @@ scale-smoke:
 bench-e2e-smoke:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark ./skybench -workload all -short
+
+# The agreed line count for deletion PRs: non-test Go lines outside
+# benchmark/, in total and per internal/* package.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l; }; \
+	printf '%7d  total (non-test Go outside benchmark/)\n' "$$(count .)"; \
+	for d in internal/*/; do printf '%7d  %s\n' "$$(count $$d)" "$${d%/}"; done
 
 # The PR gate: tier-1 build+test, vet, gofmt, race-checked concurrency, the
 # chaos suite, the portable-fallback pin, fuzzers, the cohort-repair
@@ -149,15 +157,15 @@ bench-scale:
 
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
 # at 1/8/64 members, GSO super-frames (same-group runs to 1/8/64 members,
-# and one socket hearing 22 groups, with and without parity frames) and
-# io_uring submission over the same fan-out, the timer wheel's dispatch
-# cycle at 2..2100 channels and a whole listener-gated dispatch at
-# 200/400 channels with 5 % heard, plain and behind the fault injector,
+# and one socket hearing 22 groups, with and without parity frames), the
+# timer wheel's dispatch cycle at 2..2100 channels and a whole
+# listener-gated dispatch at 200/400 channels with 5 % heard, plain and
+# behind the fault injector,
 # the shard wake lateness of both tick sources at 3.125 and 17.5 ms
 # spacing, and padded vs unpadded counter contention (see
 # EXPERIMENTS.md "Egress engine").
 bench-egress:
-	$(GO) test -bench 'EgressFanout|EgressSuperframe|EgressUring|WheelDispatch|WheelWake|CounterParallel' -benchmem -run '^$$' -json \
+	$(GO) test -bench 'EgressFanout|EgressSuperframe|WheelDispatch|WheelWake|CounterParallel' -benchmem -run '^$$' -json \
 		./internal/mcast ./internal/server ./internal/metrics > BENCH_egress.json
 	$(BENCHMETA) bench-egress >> BENCH_egress.json
 

@@ -92,7 +92,7 @@ func main() {
 		assertCohort = flag.Bool("assert-cohort-repair", false,
 			"fail -scale unless every faulted sweep ends undegraded with unicast repairs under half the per-viewer recovery baseline")
 		egressCaps = flag.Bool("egress-caps", false,
-			"probe this kernel's egress fast paths (sendmmsg, UDP GSO, io_uring), print one capability line, and exit")
+			"probe this kernel's egress and ingress fast paths (sendmmsg, UDP GSO, recvmmsg, UDP GRO), print one capability line, and exit")
 	)
 	flag.Parse()
 	burst, err := parseBurst(*faultBurst)
@@ -337,31 +337,25 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 		hub.Sent(), hub.SentBytes(), hub.SendFailures(),
 		cs.Hits+cs.Misses, cs.Hits, hitPct, cs.Bytes)
 
-	// The egress ledger: how the engine turned those datagrams into
+	// The egress ledger: how the wheel turned those datagrams into
 	// wakeups and kernel sends.
 	perSyscall := 0.0
 	if sc := hub.SendSyscalls(); sc > 0 {
 		perSyscall = float64(hub.Sent()) / float64(sc)
 	}
-	fmt.Printf("       egress: %s engine, %d shards, %d wakeups, %d batches, "+
+	fmt.Printf("       egress: %d shards, %d wakeups, %d batches, "+
 		"%d syscalls (%.1f datagrams/syscall, vectorized=%v)\n",
-		srv.EgressEngine(), srv.EgressShards(), srv.EgressWakeups(),
+		srv.EgressShards(), srv.EgressWakeups(),
 		hub.Batches(), hub.SendSyscalls(), perSyscall, hub.Vectorized())
-	// The super-frame and io_uring rows of the same ledger: how many of
-	// those datagrams left as kernel-split super-frames, and how deep the
-	// cross-shard submission ring ran.
+	// The super-frame row of the same ledger: how many of those datagrams
+	// left as kernel-split super-frames.
 	segsPerSF := 0.0
 	if sf := hub.Superframes(); sf > 0 {
 		segsPerSF = float64(hub.GSOSegments()) / float64(sf)
 	}
-	sqeDepth := 0.0
-	if us := hub.UringSubmits(); us > 0 {
-		sqeDepth = float64(hub.UringSQEs()) / float64(us)
-	}
 	fmt.Printf("       superframes: gso=%v, %d superframes carrying %d segments "+
-		"(%.1f segments/superframe, %d fallbacks); uring: %d submits, %d sqes (%.1f sqe depth)\n",
-		hub.GSO(), hub.Superframes(), hub.GSOSegments(), segsPerSF,
-		hub.GSOFallbacks(), hub.UringSubmits(), hub.UringSQEs(), sqeDepth)
+		"(%.1f segments/superframe, %d fallbacks)\n",
+		hub.GSO(), hub.Superframes(), hub.GSOSegments(), segsPerSF, hub.GSOFallbacks())
 
 	// Put the repair traffic in the paper's terms: the unicast burden of
 	// recovering this loss rate, versus one dedicated stream per viewer.
@@ -376,9 +370,9 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 
 // printEgressCaps probes the kernel's egress and ingress fast paths the
 // same way the hub and shared receiver do at creation — sendmmsg
-// availability, the UDP_SEGMENT setsockopt trial, an io_uring setup with
-// a sendmsg opcode probe, plus the recvmmsg trial and the UDP_GRO
-// setsockopt on the receive side — and prints one machine-readable line.
+// availability, the UDP_SEGMENT setsockopt trial, plus the recvmmsg trial
+// and the UDP_GRO setsockopt on the receive side — and prints one
+// machine-readable line.
 // scripts/benchmeta.sh stamps it into every BENCH_*.json so numbers from
 // different kernels are never compared silently.
 func printEgressCaps() error {
@@ -387,7 +381,6 @@ func printEgressCaps() error {
 		return err
 	}
 	defer h.Close()
-	uring := h.EnableUring() == nil
 	recvmmsg, gro := false, false
 	if rcv, err := mcast.NewSharedReceiver(0, func([]byte) (mcast.Group, bool) {
 		return mcast.Group{}, false
@@ -395,8 +388,8 @@ func printEgressCaps() error {
 		recvmmsg, gro = rcv.RecvBatched(), rcv.GRO()
 		rcv.Close()
 	}
-	fmt.Printf("vectorized=%v gso=%v uring=%v recvmmsg=%v gro=%v\n",
-		h.Vectorized(), h.GSO(), uring, recvmmsg, gro)
+	fmt.Printf("vectorized=%v gso=%v recvmmsg=%v gro=%v\n",
+		h.Vectorized(), h.GSO(), recvmmsg, gro)
 	return nil
 }
 

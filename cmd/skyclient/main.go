@@ -83,7 +83,7 @@ func queryStats(addr string) error {
 		return fmt.Errorf("unexpected reply %q: %s", m.Kind, m.Error)
 	}
 	fmt.Printf("uptime          %v\n", time.Duration(m.Stats.UptimeNanos).Round(time.Millisecond))
-	fmt.Printf("channel pacers  %d\n", m.Stats.Channels)
+	fmt.Printf("channels        %d\n", m.Stats.Channels)
 	fmt.Printf("memberships     %d\n", m.Stats.Members)
 	fmt.Printf("datagrams sent  %d\n", m.Stats.DatagramsSent)
 	// Egress ledger — absent (zero) when talking to an older server.
@@ -97,8 +97,8 @@ func queryStats(addr string) error {
 			m.Stats.EgressSyscalls,
 			float64(m.Stats.DatagramsSent)/float64(m.Stats.EgressSyscalls))
 	}
-	// Super-frame and io_uring rows — absent (zero) when the kernel lacks
-	// the fast path or the server predates it.
+	// Super-frame rows — absent (zero) when the kernel lacks the fast
+	// path or the server predates it.
 	if m.Stats.Superframes > 0 {
 		fmt.Printf("superframes     %d carrying %d segments (%.1f segments/superframe)\n",
 			m.Stats.Superframes, m.Stats.GSOSegments,
@@ -106,11 +106,6 @@ func queryStats(addr string) error {
 	}
 	if m.Stats.GSOFallbacks > 0 {
 		fmt.Printf("gso fallbacks   %d\n", m.Stats.GSOFallbacks)
-	}
-	if m.Stats.UringSubmits > 0 {
-		fmt.Printf("uring submits   %d carrying %d sqes (%.1f sqe depth)\n",
-			m.Stats.UringSubmits, m.Stats.UringSQEs,
-			float64(m.Stats.UringSQEs)/float64(m.Stats.UringSubmits))
 	}
 	// Parity stripe row — absent (zero) when FEC is off or the server
 	// predates it.

@@ -44,17 +44,15 @@ func main() {
 			"kernel send-buffer bytes for the broadcast socket (SetWriteBuffer); batched egress bursts up to 64 datagrams per syscall, and the default 4 MiB absorbs such bursts at every tested scale (0 = OS default)")
 		rcvbuf = flag.Int("rcvbuf", 0,
 			"kernel receive-buffer bytes for the broadcast socket (SetReadBuffer); only error traffic lands there (0 = OS default)")
-		engine = flag.String("egress", server.EngineWheel,
-			"egress engine: 'wheel' (sharded timer wheel + batched fan-out), 'uring' (wheel + shared io_uring submission ring batching across shards; falls back to wheel with a logged notice where the kernel lacks io_uring), or 'pacer' (legacy goroutine per channel). UDP GSO super-frames are probed and used automatically on the wheel/uring engines; set SKYSCRAPER_NO_GSO=1 to disable them")
 	)
 	flag.Parse()
-	if err := run(*videos, *channels, *width, *unit, *bpu, *chunk, *fecGroup, *fecMode, *status, *pprofOn, *repairBW, *drainTO, *sndbuf, *rcvbuf, *engine); err != nil {
+	if err := run(*videos, *channels, *width, *unit, *bpu, *chunk, *fecGroup, *fecMode, *status, *pprofOn, *repairBW, *drainTO, *sndbuf, *rcvbuf); err != nil {
 		fmt.Fprintln(os.Stderr, "skyserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecGroup int, fecMode string, status bool, pprofOn bool, repairBW int64, drainTO time.Duration, sndbuf, rcvbuf int, engine string) error {
+func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecGroup int, fecMode string, status bool, pprofOn bool, repairBW int64, drainTO time.Duration, sndbuf, rcvbuf int) error {
 	cfg := vod.Config{
 		ServerMbps: 1.5 * float64(videos*channels),
 		Videos:     videos,
@@ -74,7 +72,6 @@ func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecG
 		FecMode:         fecMode,
 		EnablePprof:     pprofOn,
 		RepairBandwidth: repairBW,
-		EgressEngine:    engine,
 		SendBufBytes:    sndbuf,
 		RecvBufBytes:    rcvbuf,
 		Logf:            log.Printf,

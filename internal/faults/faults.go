@@ -1,7 +1,7 @@
 // Package faults is a deterministic fault-injection layer for the live
 // broadcast stack. The paper proves its jitter-free guarantee over a
 // lossless channel; this package makes the channel lossy on purpose — an
-// Injector interposes between the server's channel pacers and the
+// Injector interposes between the server's egress shards and the
 // multicast hub and drops, duplicates, reorders, or delays data chunks
 // according to a seeded Plan — so the client's loss-recovery path can be
 // exercised and regression-tested.
@@ -143,7 +143,7 @@ type Counts struct {
 }
 
 // framePool recycles the frame copies the injector makes for delayed and
-// held (reordered) chunks. The pacers reuse their send buffers, so every
+// held (reordered) chunks. The shards reuse their send buffers, so every
 // deferred send must own a copy; pooling those copies keeps sustained
 // chaos runs from allocating one slab per injected fault.
 var framePool = sync.Pool{
@@ -161,9 +161,9 @@ func copyFrame(frame []byte) *[]byte {
 }
 
 // Injector wraps a Sender with a fault plan. It is safe for concurrent
-// use by multiple pacers and egress shards; per-channel effects
-// (reordering) assume each group's sends are themselves sequential, which
-// the server guarantees (one pacer goroutine, or one shard, per channel).
+// use by multiple egress shards; per-channel effects (reordering) assume
+// each group's sends are themselves sequential, which the server
+// guarantees (one shard per channel).
 type Injector struct {
 	plan Plan
 	next mcast.Sender

@@ -112,10 +112,8 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 		return 0, fmt.Errorf("mcast: hub closed")
 	}
 	// The super-frame path lays the expansion out destination-major so all
-	// the frames one address is owed share one syscall slot; it is skipped
-	// under the io_uring engine, whose cross-shard ring carries
-	// per-datagram SQEs.
-	if h.gsoOn.Load() && h.vectorized.Load() && !h.uringOn.Load() {
+	// the frames one address is owed share one syscall slot.
+	if h.gsoOn.Load() && h.vectorized.Load() {
 		return h.sendBatchGSO(entries)
 	}
 	m := *h.members.Load()
@@ -135,18 +133,9 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	h.batches.Inc()
 
 	var first error
-	switch {
-	case h.uringOn.Load():
-		var ok bool
-		if first, ok = h.writeDestsUring(ds); ok {
-			break
-		}
-		// The ring went down (teardown or submitter panic) before this
-		// batch was taken; retry through the direct path.
-		fallthrough
-	case h.vectorized.Load():
+	if h.vectorized.Load() {
 		first = h.writeDestsVec(bb)
-	default:
+	} else {
 		first = h.writeDestsGeneric(ds)
 	}
 

@@ -398,11 +398,6 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 		if !hub.SetVectorized(true) || !hub.SetGSO(true) {
 			return -1, nil
 		}
-	case "uring":
-		if err := hub.EnableUring(); err != nil {
-			t.Logf("io_uring unavailable: %v", err)
-			return -1, nil
-		}
 	}
 	entries := tc.entries()
 	n, err := hub.SendBatch(entries)
@@ -419,26 +414,15 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 	if n != wantN {
 		t.Fatalf("%s SendBatch wrote %d datagrams, want %d", mode, n, wantN)
 	}
-	switch mode {
-	case "gso":
+	if mode == "gso" {
 		if got, want := hub.Superframes(), int64(tc.wantSuper*tc.members); got != want {
 			t.Errorf("gso: Superframes = %d, want %d", got, want)
 		}
 		if got, want := hub.GSOSegments(), int64(tc.wantSegs*tc.members); got != want {
 			t.Errorf("gso: GSOSegments = %d, want %d", got, want)
 		}
-	case "uring":
-		if hub.UringSubmits() == 0 {
-			t.Error("uring: UringSubmits = 0, want > 0")
-		}
-		if got := hub.UringSQEs(); got != int64(n) {
-			t.Errorf("uring: UringSQEs = %d, want %d", got, n)
-		}
-		fallthrough
-	default:
-		if hub.Superframes() != 0 {
-			t.Errorf("%s: Superframes = %d, want 0", mode, hub.Superframes())
-		}
+	} else if hub.Superframes() != 0 {
+		t.Errorf("%s: Superframes = %d, want 0", mode, hub.Superframes())
 	}
 	frames := make(map[Group][][]string)
 	for _, g := range groups {
@@ -463,10 +447,9 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 }
 
 // TestBatchPathsIdentical is the fan-out half of the golden equivalence
-// gate, now three-way (plus io_uring where it compiles and the kernel
-// obliges): the portable fallback, the sendmmsg fast path, the GSO
-// super-frame path, and the shared submission ring must deliver exactly
-// the same frame sets to the same members. The cases cover the sendmmsg
+// gate, three-way: the portable fallback, the sendmmsg fast path and the
+// GSO super-frame path must deliver exactly the same frame sets to the
+// same members. The cases cover the sendmmsg
 // window handoff, a short final segment, and group/size breaks that
 // force the run builder to split. Unavailable paths are logged and
 // skipped — the generic baseline always runs.
@@ -474,7 +457,7 @@ func TestBatchPathsIdentical(t *testing.T) {
 	for _, tc := range batchGoldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			nGen, framesGen := runBatchPath(t, "generic", tc)
-			for _, mode := range []string{"sendmmsg", "gso", "uring"} {
+			for _, mode := range []string{"sendmmsg", "gso"} {
 				n, frames := runBatchPath(t, mode, tc)
 				if frames == nil {
 					t.Logf("%s path unavailable on this platform; not compared", mode)

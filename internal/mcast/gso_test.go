@@ -102,58 +102,6 @@ func TestGSOZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestUringSubmitAndTeardown pins the shared submission ring's lifecycle:
-// arming it routes batches through io_uring with the ledger counting
-// submits and SQEs (and GSO standing down), and Close tears the ring
-// down before the socket without stranding or panicking — twice.
-func TestUringSubmitAndTeardown(t *testing.T) {
-	g := Group{Video: 6, Channel: 0}
-	hub, rcvs := newTestHub(t, []Group{g}, 2)
-	if err := hub.EnableUring(); err != nil {
-		t.Skipf("io_uring unavailable: %v", err)
-	}
-	if !hub.UringActive() {
-		t.Fatal("UringActive = false after EnableUring")
-	}
-	if err := hub.EnableUring(); err != nil {
-		t.Fatalf("second EnableUring: %v", err)
-	}
-	entries := []BatchEntry{
-		{Group: g, Frame: []byte("ring-a")},
-		{Group: g, Frame: []byte("ring-b")},
-	}
-	n, err := hub.SendBatch(entries)
-	if err != nil {
-		t.Fatalf("SendBatch: %v", err)
-	}
-	if n != 4 {
-		t.Fatalf("SendBatch wrote %d datagrams, want 4", n)
-	}
-	for _, r := range rcvs[g] {
-		got := drainFrames(t, r, 2)
-		if got[0] != "ring-a" || got[1] != "ring-b" {
-			t.Errorf("member got %q, want [ring-a ring-b]", got)
-		}
-	}
-	if hub.UringSubmits() == 0 {
-		t.Error("UringSubmits = 0, want > 0")
-	}
-	if got := hub.UringSQEs(); got != 4 {
-		t.Errorf("UringSQEs = %d, want 4", got)
-	}
-	if hub.Superframes() != 0 {
-		t.Errorf("Superframes = %d under the submission ring, want 0", hub.Superframes())
-	}
-	hub.Close()
-	if hub.UringActive() {
-		t.Error("UringActive = true after Close")
-	}
-	if _, err := hub.SendBatch(entries); err == nil {
-		t.Error("SendBatch on closed hub succeeded, want error")
-	}
-	hub.Close() // second Close must be safe with the ring gone
-}
-
 // benchSuperframe sends one batch per iteration with the super-frame path
 // on or off, so the GSO rows in BENCH_egress.json read against a sendmmsg
 // baseline over the identical workload. drain empties a receiver's socket
@@ -256,50 +204,5 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 				benchSuperframe(b, hub, entries, bytes, p.gso)
 			})
 		}
-	}
-}
-
-// BenchmarkEgressUring runs the same 8-chunk batch through the shared
-// io_uring submission ring, reporting the achieved SQE depth next to the
-// datagram rate.
-func BenchmarkEgressUring(b *testing.B) {
-	for _, members := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
-			g := Group{Video: 0, Channel: 0}
-			hub, rcvs := newTestHub(b, []Group{g}, members)
-			if err := hub.EnableUring(); err != nil {
-				b.Skipf("io_uring unavailable: %v", err)
-			}
-			for _, rs := range rcvs {
-				for _, r := range rs {
-					go func(r *Receiver) {
-						buf := make([]byte, 2048)
-						for {
-							if _, _, err := r.Conn.ReadFromUDPAddrPort(buf); err != nil {
-								return
-							}
-						}
-					}(r)
-				}
-			}
-			frame := make([]byte, 1052)
-			entries := make([]BatchEntry, 8)
-			for i := range entries {
-				entries[i] = BatchEntry{Group: g, Frame: frame}
-			}
-			b.SetBytes(int64(members * 8 * len(frame)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := hub.SendBatch(entries); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(hub.Sent())/b.Elapsed().Seconds(), "datagrams/s")
-			if s := hub.UringSubmits(); s > 0 {
-				b.ReportMetric(float64(hub.UringSQEs())/float64(s), "sqes/submit")
-			}
-		})
 	}
 }

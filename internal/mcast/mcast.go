@@ -7,8 +7,8 @@
 // delivery behavior the broadcasting schemes depend on.
 //
 // Membership is kept in copy-on-write snapshots behind an atomic pointer:
-// Join and Leave copy under a mutex, while Send — the per-datagram hot
-// path of every channel pacer — reads the current snapshot with no locking
+// Join and Leave copy under a mutex, while Send and SendBatch — the hot
+// path of every egress shard — read the current snapshot with no locking
 // and no allocation. Delivery is best-effort, as multicast is: one
 // failing receiver never starves the rest of the group.
 package mcast
@@ -34,8 +34,8 @@ type Group struct {
 func (g Group) String() string { return fmt.Sprintf("video%d/ch%d", g.Video, g.Channel) }
 
 // Sender is the hub's datagram fan-out, factored out so a fault-injection
-// layer (internal/faults) can interpose between the channel pacers and the
-// wire without the pacers knowing.
+// layer (internal/faults) can interpose between the server's senders and
+// the wire without the senders knowing.
 type Sender interface {
 	// Send delivers one datagram to every current member of g, returning
 	// how many receivers it was written to.
@@ -85,14 +85,6 @@ type Hub struct {
 	gsoOn      atomic.Bool
 	gsoCapable bool
 
-	// The io_uring rung: when armed (EnableUring), batch destination
-	// vectors from every egress shard are enqueued to one shared
-	// submission ring whose submitter coalesces them into single
-	// io_uring_enter calls — batching across shards, not just within one
-	// flush. uring is nil until armed and after teardown.
-	uringOn atomic.Bool
-	uring   *uRing
-
 	// The egress ledger. sent and sentBytes count datagrams and payload
 	// bytes actually written; failed counts members a send could not
 	// reach; batches counts SendBatch dispatches that reached at least
@@ -122,12 +114,6 @@ type Hub struct {
 	gsoSegments  metrics.PaddedCounter
 	gsoSyscalls  metrics.PaddedCounter
 	gsoFallbacks metrics.PaddedCounter
-	// The io_uring ledger. uringSubmits counts io_uring_enter calls;
-	// uringSQEs the send SQEs they carried, so uringSQEs/uringSubmits is
-	// the achieved SQE depth — cross-shard coalescing pushes it above
-	// what any single shard's batch would reach.
-	uringSubmits metrics.PaddedCounter
-	uringSQEs    metrics.PaddedCounter
 
 	// failing tracks consecutive send failures per (group, member) edge,
 	// under mu; a member reaching EvictAfterFailures is removed from its
@@ -164,8 +150,8 @@ type HubConfig struct {
 	// there; sized for symmetry). Zero leaves the OS default.
 	RecvBufBytes int
 	// Logf, when non-nil, receives the hub's diagnostic notices — the
-	// single fall-back lines the fast-path probes (GSO, io_uring) emit
-	// when a kernel capability is missing or kill-switched.
+	// single fall-back line the GSO probe emits when the kernel
+	// capability is missing or kill-switched.
 	Logf func(format string, args ...any)
 }
 
@@ -429,15 +415,6 @@ func (h *Hub) GSOSyscalls() int64 { return h.gsoSyscalls.Value() }
 // rejected a super-frame.
 func (h *Hub) GSOFallbacks() int64 { return h.gsoFallbacks.Value() }
 
-// UringActive reports whether the shared io_uring submission path is
-// armed; UringSubmits counts its io_uring_enter invocations and
-// UringSQEs the send SQEs they carried, so UringSQEs/UringSubmits is the
-// achieved SQE depth (cross-shard coalescing raises it above any single
-// shard's batch size).
-func (h *Hub) UringActive() bool   { return h.uringOn.Load() }
-func (h *Hub) UringSubmits() int64 { return h.uringSubmits.Value() }
-func (h *Hub) UringSQEs() int64    { return h.uringSQEs.Value() }
-
 // Evictions returns how many members have been removed after
 // EvictAfterFailures consecutive send failures.
 func (h *Hub) Evictions() int64 { return h.evicted.Value() }
@@ -446,17 +423,13 @@ func (h *Hub) Evictions() int64 { return h.evicted.Value() }
 // re-sends dispatched via SendRepairBatch.
 func (h *Hub) RepairDatagrams() int64 { return h.repairSent.Value() }
 
-// Close shuts the sending socket; subsequent Joins and Sends fail. When
-// the io_uring path is armed its submitter is stopped first — completing
-// or failing every in-flight batch — so no SQE can reference the socket
-// after it closes.
+// Close shuts the sending socket; subsequent Joins and Sends fail.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed.Swap(true) {
 		return nil
 	}
-	h.closeUring()
 	return h.conn.Close()
 }
 

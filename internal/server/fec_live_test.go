@@ -55,7 +55,7 @@ func TestFecStripeHealsIidLoss(t *testing.T) {
 		t.Error("server sent no parity frames with FecGroup=4")
 	}
 	// Overhead bound: the schedule emits exactly one parity frame per G
-	// data chunks (enforced structurally by the pacer), so the stripe's
+	// data chunks (enforced structurally by Server.emit), so the stripe's
 	// byte overhead is 1/G times the per-frame ratio — which must stay
 	// within the bitmap-and-count header's few extra bytes of a data
 	// frame, or the ≤1/G overhead claim in the ledgers would be off.

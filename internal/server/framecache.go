@@ -133,7 +133,7 @@ func (fc *frameCache) crc(slot *atomic.Uint64, payload []byte) uint32 {
 // materialise builds chunk c's frame for repetition seq in a's memory:
 // the payload straight from the content function into its place behind
 // the header, the CRC from the cache. It is the one way a data frame is
-// built — by the wheel, the per-channel pacer and the re-send paths alike.
+// built — by the wheel and the re-send paths alike.
 // chunkBytes <= wire.MaxPayload is validated at server construction.
 func (fc *frameCache) materialise(a *frameArena, cc *channelCache, c int, seq uint32) []byte {
 	off := c * fc.chunkBytes
@@ -193,8 +193,8 @@ func (fc *frameCache) materialiseParity(a *frameArena, cc *channelCache, g, pi i
 // next reset — which the owner calls only after the send that consumed
 // the frames has returned (SendBatch and Send are synchronous; a sender
 // that keeps a frame past its return, like the fault injector, copies it).
-// Each egress shard, each per-channel pacer and each control connection
-// owns one, so concurrent builders never share memory.
+// Each egress shard and each control connection owns one, so concurrent
+// builders never share memory.
 type frameArena struct {
 	slab []byte
 	used int // bytes carved from slab since reset

@@ -63,7 +63,7 @@ type handDriven struct {
 	sh  *wheelShard
 }
 
-func newHandDriven(t testing.TB, cfg Config, send fanout) *handDriven {
+func newHandDriven(t testing.TB, cfg Config, send mcast.BatchSender) *handDriven {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -415,7 +415,7 @@ func benchFullDispatch(b *testing.B, k int, faulted bool) {
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
 	}
-	var send fanout = rec
+	var send mcast.BatchSender = rec
 	var inj *faults.Injector
 	if faulted {
 		cfg.FecGroup = 4

@@ -279,7 +279,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindJoined {
 		t.Fatalf("join: %v %v", m, err)
 	}
-	time.Sleep(120 * time.Millisecond) // let the pacers send something
+	time.Sleep(120 * time.Millisecond) // let the wheel send something
 	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindStats}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestStatusHTTP(t *testing.T) {
 }
 
 // TestCloseDrainRace races Drain against concurrent Close calls while
-// control handlers are mid-request and pacers are broadcasting. Under
+// control handlers are mid-request and the wheel is broadcasting. Under
 // -race this is the shutdown plane's memory-safety proof; functionally,
 // every shutdown path must return and every handler must terminate.
 func TestCloseDrainRace(t *testing.T) {

@@ -37,7 +37,7 @@ func TestNackMulticastResend(t *testing.T) {
 	}
 
 	// The cohort's aggregated NACK: chunks 1 and 3, one bitmap. Seq 777
-	// cannot collide with the live pacer's repetitions within this test.
+	// cannot collide with the live schedule's repetitions within this test.
 	conn, r := dialRaw(t, srv.Addr())
 	defer conn.Close()
 	req := wire.NackFromChunks(0, 2, 777, []int{1, 3})
@@ -74,7 +74,7 @@ func TestNackMulticastResend(t *testing.T) {
 		}
 		c, err := wire.Decode(buf[:n])
 		if err != nil || c.Seq != 777 {
-			continue // a regular pacer broadcast; keep looking
+			continue // a regular scheduled broadcast; keep looking
 		}
 		seen, ok := want[c.Offset]
 		if !ok {

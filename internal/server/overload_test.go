@@ -205,7 +205,7 @@ func TestStormCoalescing(t *testing.T) {
 	}
 
 	// The storm: 4 distinct connections request the same chunk (seq 777
-	// cannot collide with the live pacer's repetition numbers within this
+	// cannot collide with the live schedule's repetition numbers within this
 	// test's lifetime).
 	req := &wire.Repair{Video: 0, Channel: 2, Seq: 777, Offset: 1024, Length: 1024}
 	wantKinds := []string{wire.KindRepairOK, wire.KindRepairOK, wire.KindBusy, wire.KindBusy}
@@ -248,7 +248,7 @@ func TestStormCoalescing(t *testing.T) {
 		}
 		c, err := wire.Decode(buf[:n])
 		if err != nil || c.Seq != 777 {
-			continue // a regular pacer broadcast; keep looking
+			continue // a regular scheduled broadcast; keep looking
 		}
 		if int(c.Offset) != 1024 || len(c.Payload) != 1024 {
 			t.Fatalf("re-send frame mismatch: offset %d, %d payload bytes", c.Offset, len(c.Payload))
@@ -257,10 +257,11 @@ func TestStormCoalescing(t *testing.T) {
 	}
 }
 
-// TestPacerPanicRecovered injects a panic into one channel pacer
-// mid-broadcast; the supervisor must absorb it and restart the pacer on
-// its absolute schedule, so a concurrent viewing session still completes
-// with verified bytes and the server keeps answering control traffic.
+// TestPacerPanicRecovered is the supervisor's session half (its schedule
+// half is TestWheelShardPanicRecovered): a panic in an egress shard
+// mid-broadcast is absorbed and the shard restarted on its absolute
+// schedule, so a concurrent viewing session still completes with verified
+// bytes and the server keeps answering control traffic.
 func TestPacerPanicRecovered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -271,7 +272,7 @@ func TestPacerPanicRecovered(t *testing.T) {
 		PacerHook: func(video, channel int, rep uint32, chunk int) {
 			// One panic, in the steady state of the widest channel.
 			if video == 0 && channel == 4 && rep >= 1 && !fired.Swap(true) {
-				panic("injected pacer fault")
+				panic("injected shard fault")
 			}
 		},
 	})
@@ -282,7 +283,7 @@ func TestPacerPanicRecovered(t *testing.T) {
 	stats, err := client.Watch(cfg)
 	if err != nil {
 		dumpTrace(t, tb)
-		t.Fatalf("watch across pacer panic: %v (stats %+v)", err, stats)
+		t.Fatalf("watch across shard panic: %v (stats %+v)", err, stats)
 	}
 	if stats.ByteErrors != 0 {
 		t.Errorf("byte errors across restart: %d", stats.ByteErrors)

@@ -1,11 +1,12 @@
 // Package server implements the live Skyscraper Broadcasting server of the
-// demo: for each of the M videos it runs K channel pacers, each repeatedly
-// broadcasting its fragment — chunked, framed (internal/wire) and fanned
-// out through the multicast hub (internal/mcast) — on a rigid absolute
-// schedule: channel i's broadcasts start at epoch + n*size_i*unit for all
-// n, which is the alignment property the client's two-loader reception
-// plan depends on. A TCP control port handles the hello/join/leave
-// signalling a real deployment would delegate to IGMP.
+// demo: for each of the M videos it broadcasts K channels, each repeating
+// its fragment — chunked, framed (internal/wire) and fanned out through
+// the multicast hub (internal/mcast) — on a rigid absolute schedule:
+// channel i's broadcasts start at epoch + n*size_i*unit for all n, which
+// is the alignment property the client's two-loader reception plan depends
+// on. One engine drives every channel's schedule: the sharded timer wheel
+// of wheel.go. A TCP control port handles the hello/join/leave signalling
+// a real deployment would delegate to IGMP.
 //
 // Video minutes are compressed into short wall-clock units so examples and
 // tests can play whole "two-hour" videos in seconds.
@@ -42,7 +43,7 @@ type Config struct {
 	// BytesPerUnit so chunk boundaries never straddle units.
 	ChunkBytes int
 	// Faults, when non-nil, interposes the deterministic fault injector
-	// of internal/faults between the channel pacers and the multicast
+	// of internal/faults between the egress shards and the multicast
 	// hub: chunks are dropped, duplicated, reordered, or delayed per the
 	// plan, so the client's loss-recovery path can be exercised.
 	Faults *faults.Plan
@@ -81,16 +82,6 @@ type Config struct {
 	// StormWindow is the storm-coalescing window. Defaults to 2*Unit.
 	StormWindow time.Duration
 
-	// EgressEngine selects how channel schedules are driven: EngineWheel
-	// (the default when empty) runs all M·K channels from a small pool of
-	// sharded timer-wheel goroutines with batched fan-out; EngineUring is
-	// the wheel plus the hub's shared io_uring submission ring, batching
-	// egress across shards (opt-in; falls back to the wheel with one
-	// logged notice where the kernel lacks io_uring); EnginePacer is
-	// the legacy goroutine-per-channel engine, kept for A/B comparison
-	// and the golden equivalence test. All emit the identical broadcast
-	// sequence on the identical absolute grid.
-	EgressEngine string
 	// SendBufBytes sizes the multicast hub's kernel send buffer
 	// (SetWriteBuffer); batched egress hands the kernel bursts of up to
 	// 64 datagrams per syscall, and a default-sized buffer drops burst
@@ -115,10 +106,9 @@ type Config struct {
 	// GF(256) Reed-Solomon parity (RAID-6 P+Q) and heals two.
 	FecMode string
 
-	// PacerHook, when non-nil, is called for each chunk after the
-	// engine's timer fires and before the chunk is sent — test
-	// instrumentation; a hook that panics exercises the pacer/shard
-	// supervisor.
+	// PacerHook, when non-nil, is called for each chunk after its shard's
+	// tick fires and before the chunk is sent — test instrumentation; a
+	// hook that panics exercises the shard supervisor.
 	PacerHook func(video, channel int, rep uint32, chunk int)
 
 	// Logf, when non-nil, receives diagnostic output.
@@ -147,8 +137,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: StormThreshold = %d must be non-negative", c.StormThreshold)
 	case c.StormWindow < 0:
 		return fmt.Errorf("server: StormWindow = %v must be non-negative", c.StormWindow)
-	case c.EgressEngine != "" && c.EgressEngine != EngineWheel && c.EgressEngine != EnginePacer && c.EgressEngine != EngineUring:
-		return fmt.Errorf("server: EgressEngine = %q, want %q, %q or %q", c.EgressEngine, EngineWheel, EnginePacer, EngineUring)
 	case c.SendBufBytes < 0:
 		return fmt.Errorf("server: SendBufBytes = %d must be non-negative", c.SendBufBytes)
 	case c.RecvBufBytes < 0:
@@ -184,23 +172,14 @@ func (c Config) nparity() int {
 	}
 }
 
-// fanout is the sender the egress engines need: one chunk (pace) or one
-// tick's batch (the wheel) to every member of each frame's group. The hub
-// and the fault injector both are one.
-type fanout interface {
-	mcast.Sender
-	mcast.BatchSender
-}
-
 // Server is a running broadcast server. Create with New, start with Start,
 // stop with Close.
 type Server struct {
 	cfg Config
 	hub *mcast.Hub
-	// send is what scheduled egress goes through: the hub, or the fault
-	// injector in front of it. The wheel hands it a tick at a time, pace a
-	// chunk at a time.
-	send  fanout
+	// send is what scheduled egress goes through, a tick at a time: the
+	// hub, or the fault injector in front of it.
+	send  mcast.BatchSender
 	inj   *faults.Injector
 	cache *frameCache
 	ln    net.Listener
@@ -246,10 +225,10 @@ type Server struct {
 	parityFrames metrics.PaddedCounter
 	parityBytes  metrics.PaddedCounter
 
-	// pacerRestarts counts supervisor restarts after pacer (or egress
-	// shard) panics; driftEvents broadcasts that missed their schedule by
-	// over one unit; wheelWakeups timer wakeups of the wheel engine's
-	// shards — each one dispatches every chunk due in its tick.
+	// pacerRestarts counts supervisor restarts after egress shard panics;
+	// driftEvents broadcasts that missed their schedule by over one unit;
+	// wheelWakeups timer wakeups of the shards — each one dispatches every
+	// chunk due in its tick.
 	// egressScheduled counts data chunks that fell due on the grid,
 	// egressStaged those that had a listener and were materialised: the
 	// gap is work the schedule names and nobody pays for.
@@ -265,15 +244,14 @@ type Server struct {
 	// to the hot counters above.
 	controlSessions metrics.PaddedGauge
 
-	// wheel holds the wheel engine's egress shards, one goroutine each
-	// (empty under EnginePacer); set once in Start. tickDemoted is set
-	// when a shard had to give up the timerfd tick source for the runtime
-	// timer.
+	// wheel holds the egress shards, one goroutine each; set once in
+	// Start. tickDemoted is set when a shard had to give up the timerfd
+	// tick source for the runtime timer.
 	wheel       []*wheelShard
 	tickDemoted atomic.Bool
 
 	stop chan struct{}
-	// wg tracks the pacer supervisors and the accept loop; connWG the
+	// wg tracks the shard supervisors and the accept loop; connWG the
 	// per-connection control handlers. They are separate so Drain can wait
 	// for in-flight handlers alone, and Close waits wg first — acceptLoop
 	// is the only connWG.Add site, so once it exits connWG cannot grow.
@@ -316,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start opens the control listener and launches every channel pacer. The
+// Start opens the control listener and launches the egress shards. The
 // broadcast epoch is the moment Start returns.
 func (s *Server) Start() error {
 	hub, err := mcast.NewHubConfigured(mcast.HubConfig{
@@ -326,11 +304,6 @@ func (s *Server) Start() error {
 	})
 	if err != nil {
 		return err
-	}
-	if s.cfg.EgressEngine == EngineUring {
-		if err := hub.EnableUring(); err != nil {
-			s.cfg.Logf("server: io_uring egress unavailable (%v); using the wheel engine", err)
-		}
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -354,20 +327,11 @@ func (s *Server) Start() error {
 	s.epoch = time.Now()
 
 	sch := s.cfg.Scheme
-	if s.cfg.EgressEngine == EnginePacer {
-		for v := 0; v < sch.Config().Videos; v++ {
-			for i := 1; i <= sch.K(); i++ {
-				s.wg.Add(1)
-				go s.runPacer(v, i)
-			}
-		}
-	} else {
-		s.startWheel()
-	}
+	s.startWheel()
 	s.wg.Add(1)
 	go s.acceptLoop()
-	s.cfg.Logf("server: broadcasting %d videos x %d channels on %s (unit %v, engine %s, %d shards, vectorized=%v, gso=%v)",
-		sch.Config().Videos, sch.K(), ln.Addr(), s.cfg.Unit, s.EgressEngine(), len(s.wheel), hub.Vectorized(), hub.GSO())
+	s.cfg.Logf("server: broadcasting %d videos x %d channels on %s (unit %v, %d shards, vectorized=%v, gso=%v)",
+		sch.Config().Videos, sch.K(), ln.Addr(), s.cfg.Unit, len(s.wheel), hub.Vectorized(), hub.GSO())
 	return nil
 }
 
@@ -422,46 +386,31 @@ func (s *Server) RepairTokens() int64 {
 	return int64(s.repairBudget.Level(time.Now()))
 }
 
-// PacerRestarts returns how many pacer (or egress shard) panics the
-// supervisor has absorbed; PacerDriftEvents how many broadcasts missed
+// PacerRestarts returns how many egress shard panics the supervisor
+// has absorbed; PacerDriftEvents how many broadcasts missed
 // their absolute schedule by more than one unit.
 func (s *Server) PacerRestarts() int64    { return s.pacerRestarts.Value() }
 func (s *Server) PacerDriftEvents() int64 { return s.driftEvents.Value() }
 
-// EgressEngine returns the resolved engine name driving the broadcast
-// schedules. EngineUring is reported only while the hub's ring is
-// actually armed — a failed EnableUring (old kernel) or a runtime
-// teardown resolves honestly to the wheel.
-func (s *Server) EgressEngine() string {
-	if s.cfg.EgressEngine == EnginePacer {
-		return EnginePacer
-	}
-	if s.hub != nil && s.hub.UringActive() {
-		return EngineUring
-	}
-	return EngineWheel
-}
-
-// EgressShards returns how many shard goroutines the wheel engine drives
-// all channels from (0 under the legacy per-pacer engine); EgressWakeups
-// how many timer wakeups those shards have taken — each wakeup dispatches
-// every chunk due in its tick, so wakeups ≪ chunks is the wheel working.
+// EgressShards returns how many shard goroutines the wheel drives all
+// channels from; EgressWakeups how many timer wakeups those shards have
+// taken — each wakeup dispatches every chunk due in its tick, so
+// wakeups ≪ chunks is the wheel working.
 func (s *Server) EgressShards() int    { return len(s.wheel) }
 func (s *Server) EgressWakeups() int64 { return s.wheelWakeups.Value() }
 
-// EgressTickSource names what the egress goroutines wait on between
-// ticks: "timerfd" while every wheel shard parks on a timerfd through the
-// netpoller, "timer" for the runtime timer — the per-pacer engine, a
-// non-linux build, or a server whose timerfd failed.
+// EgressTickSource names what the egress shards wait on between ticks:
+// "timerfd" while every shard parks on a timerfd through the netpoller,
+// "timer" for the runtime timer — a non-linux build, or a server whose
+// timerfd failed.
 func (s *Server) EgressTickSource() string {
-	if haveTimerfd && len(s.wheel) > 0 && !s.tickDemoted.Load() {
+	if haveTimerfd && !s.tickDemoted.Load() {
 		return tickTimerfd
 	}
 	return tickTimer
 }
 
 // shardHist merges one of the per-shard histograms across the wheel.
-// Empty under the per-pacer engine.
 func (s *Server) shardHist(of func(*wheelShard) *metrics.Log2Histogram) *metrics.Log2Histogram {
 	h := new(metrics.Log2Histogram)
 	for _, sh := range s.wheel {
@@ -495,7 +444,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // footprint (for tests, /status and cmd/skychaos).
 func (s *Server) FrameCacheStats() CacheStats { return s.cache.stats() }
 
-// Close stops all pacers, the listener, and open control connections.
+// Close stops the egress shards, the listener, and open control
+// connections.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -515,7 +465,7 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	// Pacer supervisors and the accept loop first: acceptLoop is the only
+	// Shard supervisors and the accept loop first: acceptLoop is the only
 	// place connWG grows, so after wg drains the handler count is final.
 	s.wg.Wait()
 	s.connWG.Wait()
@@ -530,87 +480,14 @@ func (s *Server) fragmentBytes(i int) int {
 	return int(s.cfg.Scheme.Sizes()[i-1]) * s.cfg.BytesPerUnit
 }
 
-// pace runs one channel: video v, channel i. Chunks of repetition n are
-// sent evenly across [epoch + n*period, epoch + (n+1)*period). It runs
-// under the supervisor (runPacer): a panic is recovered and pace is
-// re-entered, so the starting position is derived from the wall clock and
-// the absolute broadcast grid — a restarted pacer rejoins the schedule
-// mid-repetition instead of replaying missed chunks in a burst.
-//
-// Per chunk the pacer asks whether the channel has a listener; if so it
-// materialises the frame (frameCache.materialise — payload filled in
-// place, cached CRC) into its own arena and hands it to the fan-out, with
-// zero steady-state allocation; if not, the chunk is only accounted for in
-// the fault plan. Either way the hook fires and the grid advances.
-//
-// A drift watchdog counts every chunk sent more than one unit after its
-// scheduled instant: sustained drift means the host cannot keep the grid
-// and clients will see schedule misses as losses.
-func (s *Server) pace(v, i int) {
-	var (
-		size    = s.cfg.Scheme.Sizes()[i-1]
-		period  = time.Duration(size) * s.cfg.Unit
-		total   = s.fragmentBytes(i)
-		chunks  = total / s.cfg.ChunkBytes
-		spacing = period / time.Duration(chunks)
-		group   = mcast.Group{Video: v, Channel: i}
-		cc      = s.cache.channel(v, i)
-		arena   frameArena
-		timer   = time.NewTimer(0)
-	)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-	// Resume position: the next chunk at or after now on the absolute
-	// grid. At first start elapsed is ~0, so this is (n=0, c=0).
-	n, c := uint32(0), 0
-	if elapsed := time.Since(s.epoch); elapsed > 0 {
-		n = uint32(elapsed / period)
-		c = int((elapsed % period) / spacing)
-		if c >= chunks {
-			n, c = n+1, 0
-		}
-	}
-	for ; ; n++ {
-		repStart := s.epoch.Add(time.Duration(n) * period)
-		for ; c < chunks; c++ {
-			at := repStart.Add(time.Duration(c) * spacing)
-			timer.Reset(time.Until(at))
-			select {
-			case <-s.stop:
-				return
-			case <-timer.C:
-			}
-			if hook := s.cfg.PacerHook; hook != nil {
-				hook(v, i, n, c)
-			}
-			arena.reset() // the previous chunk's sends have returned
-			heard := s.hub.Members(group) > 0
-			s.egressScheduled.Inc()
-			if heard {
-				s.egressStaged.Inc()
-			}
-			s.emit(&arena, nil, group, cc, c, n, heard)
-			if late := time.Since(at); late > s.cfg.Unit {
-				if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
-					s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",
-						group, n, c, late, d)
-				}
-			}
-		}
-		c = 0
-	}
-}
-
-// emit puts chunk c of repetition n on its way — and behind the last
-// chunk of a stripe group, the group's parity frame(s) under the same
-// repetition number. It is what both engines do with a due chunk once the
-// hook has fired. With a listener the frames are materialised into a and
-// forwarded; without one nothing is built, and the frames are only
-// accounted for in the fault plan, whose counts must not depend on who
-// listens.
-func (s *Server) emit(a *frameArena, batch *[]mcast.BatchEntry, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) {
+// emit stages chunk c of repetition n into the tick's batch — and behind
+// the last chunk of a stripe group, the group's parity frame(s) under the
+// same repetition number — returning the batch. It is what a dispatch does
+// with a due chunk once the hook has fired. With a listener the frames are
+// materialised into a and appended; without one nothing is built, and the
+// frames are only accounted for in the fault plan, whose counts must not
+// depend on who listens.
+func (s *Server) emit(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) []mcast.BatchEntry {
 	cb, fg := s.cfg.ChunkBytes, s.cfg.FecGroup
 	pg, nparity := 0, 0 // parity frames this chunk closes a stripe group with
 	if fg > 0 && ((c+1)%fg == 0 || c+1 == len(cc.crcs)) {
@@ -623,44 +500,19 @@ func (s *Server) emit(a *frameArena, batch *[]mcast.BatchEntry, g mcast.Group, c
 				s.inj.Unheard(g, n, uint32(pg*fg*cb), pi, cc.groupCount(s.cache, pg))
 			}
 		}
-		return
+		return batch
 	}
-	s.forward(batch, g, s.cache.materialise(a, cc, c, n), n)
+	batch = append(batch, mcast.BatchEntry{Group: g, Frame: s.cache.materialise(a, cc, c, n)})
 	// A parity frame is larger than a data frame, which ends any GSO run by
 	// the size rule — parity never corrupts super-frame coalescing, it
 	// just books ends of groups.
 	for pi := 0; pi < nparity; pi++ {
 		frame := s.cache.materialiseParity(a, cc, pg, pi, n)
-		if s.forward(batch, g, frame, n) {
-			s.parityFrames.Inc()
-			s.parityBytes.Add(int64(len(frame)))
-		}
+		batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
+		s.parityFrames.Inc()
+		s.parityBytes.Add(int64(len(frame)))
 	}
-}
-
-// forward hands one materialised frame to the fan-out: appended to the
-// tick's batch when there is one (the wheel), sent at once otherwise
-// (pace). A failed send is logged unless the server is stopping, whose
-// socket teardown makes trailing sends fail by design.
-func (s *Server) forward(batch *[]mcast.BatchEntry, g mcast.Group, frame []byte, n uint32) bool {
-	if batch != nil {
-		*batch = append(*batch, mcast.BatchEntry{Group: g, Frame: frame})
-		return true
-	}
-	if _, err := s.send.Send(g, frame); err != nil {
-		s.logSendErr(g, n, err)
-		return false
-	}
-	return true
-}
-
-// logSendErr reports a send failure unless the server is stopping.
-func (s *Server) logSendErr(g mcast.Group, n uint32, err error) {
-	select {
-	case <-s.stop:
-	default:
-		s.cfg.Logf("server: sending %v seq %d: %v", g, n, err)
-	}
+	return batch
 }
 
 func (s *Server) acceptLoop() {
@@ -741,6 +593,12 @@ func (s *Server) serveControl(conn net.Conn) {
 		// memberships.
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ControlIdleTimeout))
 		m, err := wire.ReadControl(r)
+		if errors.Is(err, wire.ErrBadControl) {
+			// A whole line that does not decode: the stream is still
+			// framed, so it is an error reply, not a disconnect.
+			fail("bad control message: %v", err)
+			continue
+		}
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.cfg.Logf("server: reaping idle control connection %v (%d memberships)",
@@ -796,8 +654,9 @@ func (s *Server) serveControl(conn net.Conn) {
 				continue
 			}
 			total := s.fragmentBytes(rp.Channel)
-			if rp.Length <= 0 || rp.Length > wire.MaxPayload || rp.Offset < 0 || rp.Offset+int64(rp.Length) > int64(total) {
-				fail("repair: bad range [%d, %d) of %d-byte fragment", rp.Offset, rp.Offset+int64(rp.Length), total)
+			// Compared on the fragment's side: Offset+Length can overflow.
+			if rp.Length <= 0 || rp.Length > wire.MaxPayload || rp.Offset < 0 || rp.Offset > int64(total)-int64(rp.Length) {
+				fail("repair: bad range [%d, +%d) of %d-byte fragment", rp.Offset, rp.Length, total)
 				continue
 			}
 			// Admission, cheapest gate first. 1: this connection's request
@@ -863,8 +722,8 @@ func (s *Server) serveControl(conn net.Conn) {
 			}
 			nchunks := (s.fragmentBytes(nk.Channel) + s.cfg.ChunkBytes - 1) / s.cfg.ChunkBytes
 			chunks := nk.Chunks()
-			if last := chunks[len(chunks)-1]; last >= nchunks {
-				fail("nack: chunk %d outside %d-chunk fragment", last, nchunks)
+			if first, last := chunks[0], chunks[len(chunks)-1]; first < 0 || last < 0 || last >= nchunks {
+				fail("nack: chunks %d..%d outside %d-chunk fragment", first, last, nchunks)
 				continue
 			}
 			now := time.Now()
@@ -939,8 +798,6 @@ func (s *Server) serveControl(conn net.Conn) {
 				Superframes:       s.hub.Superframes(),
 				GSOSegments:       s.hub.GSOSegments(),
 				GSOFallbacks:      s.hub.GSOFallbacks(),
-				UringSubmits:      s.hub.UringSubmits(),
-				UringSQEs:         s.hub.UringSQEs(),
 				ParityFrames:      s.parityFrames.Value(),
 				ParityBytes:       s.parityBytes.Value(),
 				Draining:          s.draining.Load(),

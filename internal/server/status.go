@@ -69,18 +69,15 @@ type StatusSnapshot struct {
 	// RepairTokens is the repair budget's current level in bytes, -1 when
 	// unlimited.
 	RepairTokens int64 `json:"repairTokens"`
-	// PacerRestarts counts supervisor restarts after pacer panics;
+	// PacerRestarts counts supervisor restarts after egress shard panics;
 	// PacerDriftEvents broadcasts more than one unit behind schedule.
 	PacerRestarts    int64 `json:"pacerRestarts"`
 	PacerDriftEvents int64 `json:"pacerDriftEvents"`
-	// EgressEngine names the resolved engine driving the channel
-	// schedules ("wheel", "pacer", or "uring" while the shared io_uring
-	// ring is armed); EgressShards how many shard goroutines the wheel
-	// runs (0 under the per-pacer engine); EgressWakeups their timer
-	// wakeups, each dispatching every chunk due in its tick.
-	EgressEngine  string `json:"egressEngine"`
-	EgressShards  int    `json:"egressShards"`
-	EgressWakeups int64  `json:"egressWakeups"`
+	// EgressShards is how many shard goroutines the wheel runs;
+	// EgressWakeups their timer wakeups, each dispatching every chunk due
+	// in its tick.
+	EgressShards  int   `json:"egressShards"`
+	EgressWakeups int64 `json:"egressWakeups"`
 	// EgressScheduled counts data chunks that fell due on the broadcast
 	// grid; EgressStaged those whose group had a listener and were
 	// therefore materialised and sent. Staged/Scheduled is the share of
@@ -145,14 +142,6 @@ type StatusSnapshot struct {
 	GroSegments     int64   `json:"groSegments,omitempty"`
 	GroFallbacks    int64   `json:"groFallbacks,omitempty"`
 	ReadErrors      int64   `json:"readErrors,omitempty"`
-	// The io_uring ledger. UringSubmits counts io_uring_enter calls of
-	// the shared cross-shard submission ring; UringSQEs the send SQEs
-	// they carried; SQEDepth the achieved depth per submit
-	// (UringSQEs/UringSubmits) — cross-shard coalescing pushes it above
-	// any single shard's batch size.
-	UringSubmits int64   `json:"uringSubmits"`
-	UringSQEs    int64   `json:"uringSqes"`
-	SQEDepth     float64 `json:"sqeDepth"`
 	// MembersEvicted counts group members removed after consecutive send
 	// failures.
 	MembersEvicted int64 `json:"membersEvicted"`
@@ -184,7 +173,6 @@ func (s *Server) snapshot() StatusSnapshot {
 		return float64(num) / float64(den)
 	}
 	superframes, gsoSegments := s.hub.Superframes(), s.hub.GSOSegments()
-	uringSubmits, uringSQEs := s.hub.UringSubmits(), s.hub.UringSQEs()
 	ing := mcast.IngressStats()
 	wakeLate := s.wakeLateness()
 	stageTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.stageTime })
@@ -206,7 +194,6 @@ func (s *Server) snapshot() StatusSnapshot {
 		RepairTokens:          s.RepairTokens(),
 		PacerRestarts:         s.pacerRestarts.Value(),
 		PacerDriftEvents:      s.driftEvents.Value(),
-		EgressEngine:          s.EgressEngine(),
 		EgressShards:          len(s.wheel),
 		EgressWakeups:         s.wheelWakeups.Value(),
 		EgressScheduled:       s.egressScheduled.Value(),
@@ -228,9 +215,6 @@ func (s *Server) snapshot() StatusSnapshot {
 		SegmentsPerSuperframe: ratio(gsoSegments, superframes),
 		SegmentsPerSyscall:    ratio(gsoSegments, s.hub.GSOSyscalls()),
 		GSOFallbacks:          s.hub.GSOFallbacks(),
-		UringSubmits:          uringSubmits,
-		UringSQEs:             uringSQEs,
-		SQEDepth:              ratio(uringSQEs, uringSubmits),
 		BatchedReads:          ing.BatchedReads,
 		ReadSyscalls:          ing.ReadSyscalls,
 		ReadsPerSyscall:       ratio(ing.BatchedReads, ing.ReadSyscalls),

@@ -1,18 +1,11 @@
-// Pacer supervision and the graceful-shutdown path.
-//
-// A channel pacer is the one goroutine a video cannot survive losing: if it
-// dies, every client of that channel starves on a rigid schedule nobody
-// else keeps. The supervisor converts a pacer panic into a logged restart
-// with exponential backoff; because pacers derive their position from the
-// absolute broadcast grid (epoch + n*period), a restarted pacer rejoins the
-// schedule mid-stream instead of replaying from the epoch in a burst.
+// The shard supervisor's backoff bounds and the graceful-shutdown path.
+// The supervisor itself is runWheelShard (wheel.go).
 package server
 
 import (
 	"context"
 	"fmt"
 	"net"
-	"runtime/debug"
 	"time"
 
 	"skyscraper/internal/wire"
@@ -20,51 +13,12 @@ import (
 
 const (
 	// pacerRestartBase and pacerRestartMax bound the supervisor's
-	// exponential restart backoff. A pacer that stays up longer than
+	// exponential restart backoff. A shard that stays up longer than
 	// pacerStableAfter earns its backoff reset.
 	pacerRestartBase = 5 * time.Millisecond
 	pacerRestartMax  = 500 * time.Millisecond
 	pacerStableAfter = time.Second
 )
-
-// runPacer supervises one channel pacer: it runs pace under panic
-// recovery, restarting it with backoff until the server stops.
-func (s *Server) runPacer(v, i int) {
-	defer s.wg.Done()
-	backoff := pacerRestartBase
-	for {
-		started := time.Now()
-		if s.paceRecovering(v, i) {
-			return // orderly exit: server stopping
-		}
-		d := s.pacerRestarts.Add(1)
-		if time.Since(started) > pacerStableAfter {
-			backoff = pacerRestartBase
-		}
-		s.cfg.Logf("server: restarting pacer video%d/ch%d in %v (restart #%d)",
-			v, i, backoff, d)
-		select {
-		case <-s.stop:
-			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > pacerRestartMax {
-			backoff = pacerRestartMax
-		}
-	}
-}
-
-// paceRecovering runs one pace attempt, converting a panic into a false
-// return so the supervisor restarts it. An orderly return reports true.
-func (s *Server) paceRecovering(v, i int) (done bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.cfg.Logf("server: pacer video%d/ch%d panicked: %v\n%s", v, i, r, debug.Stack())
-		}
-	}()
-	s.pace(v, i)
-	return true
-}
 
 // Drain shuts the server down gracefully: it stops accepting connections,
 // notifies every control client with a server-initiated bye (so clients

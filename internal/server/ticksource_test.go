@@ -442,7 +442,7 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	srv.epoch = time.Now()
 	sh := &wheelShard{s: srv, id: 0}
 	sh.wheel.reset(time.Millisecond, 0)
-	e := srv.newWheelEntry(0, 2) // 8 chunks per repetition: no boundary inside the run
+	e := srv.newWheelEntry(0, 2)
 	e.resync(0)
 	sh.entries = []*wheelEntry{e}
 

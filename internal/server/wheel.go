@@ -1,35 +1,33 @@
-// The batched egress engine: a sharded hierarchical timer wheel that
-// drives every (video, channel) broadcast schedule from a small fixed
-// pool of shard goroutines.
+// The egress engine: a sharded hierarchical timer wheel that drives every
+// (video, channel) broadcast schedule from a small fixed pool of shard
+// goroutines.
 //
-// The per-pacer engine (pace, supervisor.go) keeps one goroutine and one
-// timer per channel: M videos × K channels means M·K timers firing
-// independently, M·K wakeups per chunk interval, and one Send — itself
-// one syscall per member before the vectorized hub — per chunk. The
-// wheel inverts that: each shard owns a fixed subset of the channels,
-// hashes their next-due instants into a timer wheel quantized to the
-// channels' chunk spacing, and sleeps until the earliest due tick. One
-// wakeup collects *every* chunk due in that tick across all the shard's
-// channels and hands them to the hub as a single batch
-// (mcast.BatchSender), which puts them on the wire in sendmmsg batches.
-// Steady state is therefore one timer wakeup and a handful of syscalls
-// per tick per shard, independent of how many channels share the tick —
-// the paper's O(channels) server cost with the constant actually small.
+// M videos × K channels are M·K schedules, but not M·K timers: each shard
+// owns a fixed subset of the channels, hashes their next-due instants into
+// a timer wheel quantized to the channels' chunk spacing, and sleeps until
+// the earliest due tick. One wakeup collects *every* chunk due in that
+// tick across all the shard's channels and hands them to the sender as a
+// single batch (mcast.BatchSender), which puts them on the wire in
+// sendmmsg batches. Steady state is therefore one timer wakeup and a
+// handful of syscalls per tick per shard, independent of how many channels
+// share the tick — the paper's O(channels) server cost with the constant
+// actually small.
 //
-// Everything the per-pacer engine guarantees is preserved:
+// What every channel is owed:
 //
 //   - The absolute epoch-anchored grid: entry positions are derived from
 //     the wall clock (resync), never from send counts, so chunk c of
-//     repetition n is sent at epoch + n*period_i + c*spacing_i exactly as
-//     pace computes it — the golden equivalence test pins the two engines
-//     to the same (rep, chunk) sequence.
-//   - Supervision: a shard runs under the same panic-recovery/backoff
-//     loop as a pacer (runWheelShard mirrors runPacer); a restarted shard
-//     resyncs every entry from the clock and rejoins the grid
-//     mid-repetition instead of replaying a burst.
+//     repetition n is due at epoch + n*period_i + c*spacing_i — the
+//     golden equivalence test pins every hook firing to the closed form
+//     of that grid.
+//   - Supervision: a shard runs under a panic-recovery/backoff loop
+//     (runWheelShard); a restarted shard resyncs every entry from the
+//     clock and rejoins the grid mid-repetition instead of replaying a
+//     burst.
 //   - The drift watchdog: every chunk dispatched more than one unit after
-//     its scheduled instant counts a drift event, same threshold, same
-//     rate-limited logging.
+//     its scheduled instant counts a drift event, with rate-limited
+//     logging — sustained drift means the host cannot keep the grid and
+//     clients will see schedule misses as losses.
 //
 // What a tick costs follows what is heard, not M·K: every due chunk keeps
 // its place on the grid (hook, cursor, fault-plan accounting), but only a
@@ -44,22 +42,6 @@ import (
 
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/metrics"
-)
-
-// Egress engine names for Config.EgressEngine.
-const (
-	// EngineWheel is the default: sharded timer wheel + batched fan-out.
-	EngineWheel = "wheel"
-	// EnginePacer is the legacy goroutine-per-channel engine, kept
-	// selectable for A/B comparison and the golden equivalence test.
-	EnginePacer = "pacer"
-	// EngineUring is the wheel engine with the hub's shared io_uring
-	// submission path armed: shards enqueue their expanded destination
-	// vectors to one ring whose submitter coalesces them into single
-	// io_uring_enter calls, batching egress across shards. Opt-in;
-	// where the kernel lacks io_uring the server logs one notice and
-	// resolves to the wheel engine.
-	EngineUring = "uring"
 )
 
 // wheelMaxRun caps how many chunks one entry may stage into a single
@@ -109,9 +91,9 @@ type wheelEntry struct {
 	firstDue time.Duration
 }
 
-// resync points the entry at the next chunk at or after elapsed on the
-// absolute grid — the identical floor arithmetic pace uses to resume, so
-// a shard restart rejoins the schedule exactly where a pacer would.
+// resync points the entry at the grid slot containing elapsed — the chunk
+// due now or most recently — so a shard restart rejoins the schedule where
+// the clock is, not where the sends left off.
 func (e *wheelEntry) resync(elapsed time.Duration) {
 	if elapsed < 0 {
 		elapsed = 0
@@ -296,8 +278,9 @@ type wheelShard struct {
 	lead wakeLead
 }
 
-// newWheelEntry builds the schedule state for (video v, channel i) — the
-// same geometry pace derives.
+// newWheelEntry builds the schedule state for (video v, channel i): chunks
+// of repetition n are spread evenly across [epoch + n*period,
+// epoch + (n+1)*period).
 func (s *Server) newWheelEntry(v, i int) *wheelEntry {
 	size := s.cfg.Scheme.Sizes()[i-1]
 	period := time.Duration(size) * s.cfg.Unit
@@ -315,8 +298,8 @@ func (s *Server) newWheelEntry(v, i int) *wheelEntry {
 }
 
 // startWheel launches the egress shards: every (video, channel) entry is
-// dealt round-robin across min(GOMAXPROCS, channels) shards, each
-// supervised like a pacer.
+// dealt round-robin across min(GOMAXPROCS, channels) shards, each under
+// its own supervisor.
 func (s *Server) startWheel() {
 	sch := s.cfg.Scheme
 	var entries []*wheelEntry
@@ -393,11 +376,10 @@ func (sh *wheelShard) setTick(src tickSource) {
 	}
 }
 
-// runWheelShard supervises one shard exactly as runPacer supervises one
-// pacer: panics are recovered, the shard restarts with exponential
-// backoff, and a stable run earns the backoff reset. Restarts land in the
-// same pacerRestarts counter — a shard restart is the wheel engine's
-// pacer restart.
+// runWheelShard supervises one shard: a shard is the one goroutine its
+// channels cannot survive losing, so panics are recovered, the shard
+// restarts with exponential backoff, and a stable run earns the backoff
+// reset. Restarts are counted in pacerRestarts.
 func (s *Server) runWheelShard(sh *wheelShard) {
 	defer s.wg.Done()
 	backoff := pacerRestartBase
@@ -538,13 +520,14 @@ func (sh *wheelShard) run() {
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
 // a restart, a dense schedule — every chunk already due is staged in
 // the same dispatch as one same-group contiguous run (capped at
-// wheelMaxRun and at the repetition boundary), instead of one chunk per
-// wakeup, as pace does when its next instant is already past; a shard
-// that sent one chunk per tick would stay as many ticks late as it once
-// stalled, for ever. The run order is the schedule order, so per-channel
-// (rep, chunk) sequences stay exactly what the pacer engine produces, and
-// a listener's share of the batch — one run or twenty channels' chunks —
-// is what the hub's GSO path coalesces into super-frames.
+// wheelMaxRun), instead of one chunk per wakeup; a shard that sent one
+// chunk per tick would stay as many ticks late as it once stalled, for
+// ever. A run may cross a repetition boundary: every staged frame is
+// materialised into memory of its own with its own repetition number.
+// The run order is the schedule order, so per-channel (rep, chunk)
+// sequences stay contiguous on the grid, and a listener's share of the
+// batch — one run or twenty channels' chunks — is what the hub's GSO path
+// coalesces into super-frames.
 func (sh *wheelShard) dispatch() {
 	s := sh.s
 	hook := s.cfg.PacerHook
@@ -567,14 +550,13 @@ func (sh *wheelShard) dispatch() {
 			if hook != nil {
 				hook(e.video, e.channel, e.n, e.c)
 			}
-			s.emit(&sh.arena, &sh.batch, e.group, e.cc, e.c, e.n, e.heard)
+			sh.batch = s.emit(&sh.arena, sh.batch, e.group, e.cc, e.c, e.n, e.heard)
 			e.advance()
 			run++
-			// A run ends when the entry is caught up, at the wheelMaxRun
-			// cap, or at a repetition boundary; a still-behind entry
-			// re-files at the current tick and the next wakeup continues
-			// the catch-up.
-			if e.due > elapsed || run >= wheelMaxRun || e.c == 0 {
+			// A run ends when the entry is caught up or at the wheelMaxRun
+			// cap; a still-behind entry re-files at the current tick and
+			// the next wakeup continues the catch-up.
+			if e.due > elapsed || run >= wheelMaxRun {
 				break
 			}
 		}
@@ -590,15 +572,18 @@ func (sh *wheelShard) dispatch() {
 	if len(sh.batch) > 0 {
 		stagedAt := sent
 		if _, err := s.send.SendBatch(sh.batch); err != nil {
-			s.logSendErr(sh.due[0].group, sh.due[0].n, err)
+			select {
+			case <-s.stop: // socket teardown fails trailing sends by design
+			default:
+				s.cfg.Logf("server: sending %v seq %d: %v", sh.due[0].group, sh.due[0].n, err)
+			}
 		}
 		sent = time.Since(s.epoch)
 		sh.sendTime.Observe(int64(sent - stagedAt))
 	}
 	for _, e := range sh.due {
 		// One drift sample per entry per dispatch, taken against the
-		// first (most-late) chunk staged — the chunk the old
-		// one-chunk-per-wakeup engine would have sampled.
+		// first (most-late) chunk staged.
 		if late := sent - e.firstDue; late > s.cfg.Unit {
 			if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
 				s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",

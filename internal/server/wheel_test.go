@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"skyscraper/internal/core"
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/vod"
+	"skyscraper/internal/wire"
 )
 
 // wheelScheme builds an M-video, K-channel broadcast (W = 2), the same
@@ -36,24 +38,76 @@ type event struct {
 	c int
 }
 
-// recordEngine runs one server on the given engine for d, recording every
-// (video, channel, rep, chunk) the engine dispatched, in order, per
-// channel.
-func recordEngine(t *testing.T, engine string, sch *core.Scheme, unit, d time.Duration) map[chanKey][]event {
+// grid is the closed form of the paper's broadcast grid (§3–§4) for one
+// channel repeating `chunks` chunks, `spacing` apart, every period — the
+// reference the wheel is held to.
+type grid struct {
+	period, spacing time.Duration
+	chunks          int
+}
+
+// channelGrid is channel i's grid under the 4096/1024 density the wheel
+// tests broadcast at.
+func channelGrid(sch *core.Scheme, i int, unit time.Duration) grid {
+	size := sch.Sizes()[i-1]
+	g := grid{period: time.Duration(size) * unit, chunks: int(size) * 4096 / 1024}
+	g.spacing = g.period / time.Duration(g.chunks)
+	return g
+}
+
+// gridAt returns the slot containing elapsed: chunk c of repetition n with
+// dueOf(n, c) <= elapsed < dueOf(n, c) + spacing — or, in the remainder
+// that flooring spacing leaves at the end of a period, the next
+// repetition's first chunk.
+func (g grid) gridAt(elapsed time.Duration) (n uint32, c int) {
+	n, c = uint32(elapsed/g.period), int(elapsed%g.period/g.spacing)
+	if c >= g.chunks {
+		return n + 1, 0
+	}
+	return n, c
+}
+
+// dueOf is gridAt's inverse: the offset from the epoch at which chunk c of
+// repetition n is due.
+func (g grid) dueOf(n uint32, c int) time.Duration {
+	return time.Duration(n)*g.period + time.Duration(c)*g.spacing
+}
+
+// firings is what the hook saw on one channel, in order: the (rep, chunk)
+// events and, beside each, how long after the epoch it fired.
+type firings struct {
+	events []event
+	at     []time.Duration
+}
+
+// recordWheel runs one server for d, recording every (video, channel, rep,
+// chunk) the wheel dispatched and when, in order, per channel. then, when
+// non-nil, runs in the hook once the firing is recorded. The server comes
+// back closed, its counters still readable.
+func recordWheel(t *testing.T, sch *core.Scheme, unit, d time.Duration, then func(v, i int, n uint32, c int)) (map[chanKey]*firings, *Server) {
 	t.Helper()
 	var mu sync.Mutex
-	events := make(map[chanKey][]event)
+	fired := make(map[chanKey]*firings)
+	var srv *Server
 	srv, err := New(Config{
 		Scheme:       sch,
 		Unit:         unit,
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
-		EgressEngine: engine,
 		PacerHook: func(v, i int, n uint32, c int) {
+			at := time.Since(srv.Epoch())
 			mu.Lock()
-			k := chanKey{v, i}
-			events[k] = append(events[k], event{n, c})
+			f := fired[chanKey{v, i}]
+			if f == nil {
+				f = new(firings)
+				fired[chanKey{v, i}] = f
+			}
+			f.events = append(f.events, event{n, c})
+			f.at = append(f.at, at)
 			mu.Unlock()
+			if then != nil {
+				then(v, i, n, c)
+			}
 		},
 		Logf: t.Logf,
 	})
@@ -63,15 +117,38 @@ func recordEngine(t *testing.T, engine string, sch *core.Scheme, unit, d time.Du
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if engine == EnginePacer && srv.EgressShards() != 0 {
-		t.Errorf("pacer engine reports %d shards, want 0", srv.EgressShards())
-	}
-	if engine == EngineWheel && srv.EgressShards() == 0 {
-		t.Error("wheel engine reports 0 shards")
+	if srv.EgressShards() == 0 {
+		t.Error("wheel reports 0 shards")
 	}
 	time.Sleep(d)
 	srv.Close()
-	return events
+	return fired, srv
+}
+
+// checkOnGrid holds one channel's firings to the closed-form grid: every
+// (n, c) is a slot of it and fired at or after epoch + dueOf(n, c), and
+// within one unit of it. A host that stops the process for longer than a
+// unit makes firings late through no fault of the wheel; the drift
+// watchdog counts exactly those dispatches, so a late firing fails only
+// when the watchdog stayed silent (drift == 0). It returns how many
+// firings were late.
+func checkOnGrid(t *testing.T, k chanKey, f *firings, g grid, unit time.Duration, drift int64) (late int) {
+	t.Helper()
+	for j, ev := range f.events {
+		due, at := g.dueOf(ev.n, ev.c), f.at[j]
+		if n, c := g.gridAt(due); (event{n, c}) != ev {
+			t.Fatalf("video%d/ch%d event %d: (rep %d, chunk %d) is not a grid slot (its instant %v holds (%d, %d))",
+				k.video, k.channel, j, ev.n, ev.c, due, n, c)
+		}
+		if at < due || (at > due+unit && drift == 0) {
+			t.Fatalf("video%d/ch%d event %d: (rep %d, chunk %d) fired at epoch+%v, want within [%v, %v]",
+				k.video, k.channel, j, ev.n, ev.c, at, due, due+unit)
+		}
+		if at > due+unit {
+			late++
+		}
+	}
+	return late
 }
 
 // checkContiguous asserts a channel's event sequence walks the broadcast
@@ -93,12 +170,10 @@ func checkContiguous(t *testing.T, k chanKey, evs []event, chunks int) {
 }
 
 // TestWheelGoldenEquivalence is the schedule half of the golden
-// equivalence gate: for every channel, the wheel engine must emit exactly
-// the (rep, chunk) sequence the per-pacer engine emits — the same
-// absolute grid, walked contiguously, from the epoch. Start jitter can
-// shift where a sequence begins by a chunk or two on a loaded machine, so
-// the sequences are aligned on the later start before the element-wise
-// comparison; contiguity pins everything after it.
+// equivalence gate: for every channel, the wheel must emit exactly the
+// (rep, chunk) sequence of the closed-form grid — from the epoch (start
+// jitter can cost a chunk or two on a loaded machine), walked
+// contiguously, every firing on its instant (checkOnGrid).
 func TestWheelGoldenEquivalence(t *testing.T) { checkGoldenEquivalence(t) }
 
 // checkGoldenEquivalence is the body of TestWheelGoldenEquivalence, shared
@@ -107,50 +182,25 @@ func checkGoldenEquivalence(t *testing.T) {
 	t.Helper()
 	sch := wheelScheme(t, 2, 3)
 	const unit = 25 * time.Millisecond
-	wheel := recordEngine(t, EngineWheel, sch, unit, time.Second)
-	pacer := recordEngine(t, EnginePacer, sch, unit, time.Second)
-
+	fired, srv := recordWheel(t, sch, unit, time.Second, nil)
+	drift, late := srv.PacerDriftEvents(), 0
 	for v := 0; v < 2; v++ {
 		for i := 1; i <= 3; i++ {
 			k := chanKey{v, i}
-			chunks := int(sch.Sizes()[i-1]) * 4096 / 1024
-			we, pe := wheel[k], pacer[k]
-			if len(we) < 8 || len(pe) < 8 {
-				t.Fatalf("video%d/ch%d: too few events (wheel %d, pacer %d)", v, i, len(we), len(pe))
+			f := fired[k]
+			if f == nil || len(f.events) < 8 {
+				t.Fatalf("video%d/ch%d: too few events: %+v", v, i, f)
 			}
-			checkContiguous(t, k, we, chunks)
-			checkContiguous(t, k, pe, chunks)
-			// Both engines resume from the wall clock, so each sequence
-			// must start within a couple of chunks of the epoch.
-			for name, first := range map[string]event{"wheel": we[0], "pacer": pe[0]} {
-				if first.n != 0 || first.c > 2 {
-					t.Fatalf("video%d/ch%d: %s starts at (rep %d, chunk %d), want near (0, 0)",
-						v, i, name, first.n, first.c)
-				}
+			if first := f.events[0]; first.n != 0 || first.c > 2 {
+				t.Fatalf("video%d/ch%d starts at (rep %d, chunk %d), want near (0, 0)", v, i, first.n, first.c)
 			}
-			// Align on the later start; contiguity makes slot arithmetic
-			// exact from there.
-			for len(we) > 0 && len(pe) > 0 && we[0] != pe[0] {
-				if a, b := we[0], pe[0]; a.n < b.n || (a.n == b.n && a.c < b.c) {
-					we = we[1:]
-				} else {
-					pe = pe[1:]
-				}
-			}
-			n := len(we)
-			if len(pe) < n {
-				n = len(pe)
-			}
-			if n < 8 {
-				t.Fatalf("video%d/ch%d: only %d aligned events", v, i, n)
-			}
-			for j := 0; j < n; j++ {
-				if we[j] != pe[j] {
-					t.Fatalf("video%d/ch%d aligned event %d: wheel (rep %d, chunk %d), pacer (rep %d, chunk %d)",
-						v, i, j, we[j].n, we[j].c, pe[j].n, pe[j].c)
-				}
-			}
+			g := channelGrid(sch, i, unit)
+			checkContiguous(t, k, f.events, g.chunks)
+			late += checkOnGrid(t, k, f, g, unit, drift)
 		}
+	}
+	if late > 0 {
+		t.Logf("%d firings over one unit late, in a run whose watchdog counted %d drift events", late, drift)
 	}
 }
 
@@ -207,60 +257,35 @@ func TestWheelSustainsManyChannels(t *testing.T) {
 	t.Logf("sustain: %d shards, %d wakeups, %d drift events", shards, wakeups, drift)
 }
 
-// TestWheelShardPanicRecovered mirrors the pacer supervisor test at the
-// shard level: a hook panic kills a whole shard (many channels), the
-// supervisor restarts it, and every channel on it rejoins the absolute
-// grid — verified by per-channel contiguity holding no worse than one
-// gap across the restart.
+// TestWheelShardPanicRecovered is the supervisor's schedule half (its
+// session half is TestPacerPanicRecovered): a hook panic mid-repetition
+// kills a whole shard (many channels), the supervisor restarts it, and
+// every channel on it rejoins the absolute grid where the clock is — no
+// firing before its instant, none replayed from behind, the panicked
+// channel broadcasting again.
 func TestWheelShardPanicRecovered(t *testing.T) {
 	sch := wheelScheme(t, 2, 3)
-	var mu sync.Mutex
-	events := make(map[chanKey][]event)
-	panicked := false
-	srv, err := New(Config{
-		Scheme:       sch,
-		Unit:         25 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			mu.Lock()
-			events[chanKey{v, i}] = append(events[chanKey{v, i}], event{n, c})
-			doPanic := v == 0 && i == 2 && n >= 1 && !panicked
-			if doPanic {
-				panicked = true
-			}
-			mu.Unlock()
-			if doPanic {
-				panic("wheel_test: injected shard panic")
-			}
-		},
-		Logf: t.Logf,
+	const unit = 25 * time.Millisecond
+	var panicked atomic.Bool
+	fired, srv := recordWheel(t, sch, unit, 600*time.Millisecond, func(v, i int, n uint32, c int) {
+		if v == 0 && i == 2 && n >= 1 && c == 3 && !panicked.Swap(true) {
+			panic("wheel_test: injected shard panic")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(1200 * time.Millisecond)
-	restarts := srv.PacerRestarts()
-	srv.Close()
-
-	if restarts < 1 {
+	if restarts := srv.PacerRestarts(); restarts < 1 {
 		t.Fatalf("PacerRestarts = %d, want >= 1 after injected panic", restarts)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for k, evs := range events {
+	for k, f := range fired {
+		evs := f.events
 		if len(evs) < 2 {
 			t.Errorf("video%d/ch%d: only %d events", k.video, k.channel, len(evs))
 			continue
 		}
+		checkOnGrid(t, k, f, channelGrid(sch, k.channel, unit), unit, srv.PacerDriftEvents())
 		// Across the restart the grid may skip chunks that fell into the
 		// backoff window, and may re-send the slot that was current when
-		// the panic hit (resync floors to the current slot, exactly as
-		// pace's resume does — duplicates are idempotent to clients). It
-		// must never go backwards.
+		// the panic hit (resync floors to the current slot — duplicates are
+		// idempotent to clients). It must never go backwards.
 		for j := 1; j < len(evs); j++ {
 			prev, cur := evs[j-1], evs[j]
 			if cur.n < prev.n || (cur.n == prev.n && cur.c < prev.c) {
@@ -270,8 +295,7 @@ func TestWheelShardPanicRecovered(t *testing.T) {
 		}
 		// The panicked channel must have resumed after its restart.
 		if k == (chanKey{0, 2}) {
-			last := evs[len(evs)-1]
-			if last.n < 1 || len(evs) < 3 {
+			if last := evs[len(evs)-1]; last.n < 2 {
 				t.Errorf("video0/ch2 did not resume after panic: %d events, last (rep %d, chunk %d)",
 					len(evs), last.n, last.c)
 			}
@@ -324,30 +348,50 @@ func TestTimerWheelMechanics(t *testing.T) {
 	}
 }
 
-// TestWheelEntryResyncMatchesPace pins resync to pace's resume
-// arithmetic: next chunk at or after elapsed on the absolute grid.
-func TestWheelEntryResyncMatchesPace(t *testing.T) {
-	e := &wheelEntry{period: 80 * time.Millisecond, spacing: 10 * time.Millisecond, chunks: 8}
+// TestWheelEntryResyncMatchesGrid pins resync — and advance after it — to
+// the closed-form grid, and the closed form to a table of hand-worked
+// slots, on an even geometry and on one whose floored spacing leaves a
+// remainder at the end of each period.
+func TestWheelEntryResyncMatchesGrid(t *testing.T) {
+	const ms = time.Millisecond
 	for _, tc := range []struct {
+		period  time.Duration
+		chunks  int
 		elapsed time.Duration
 		n       uint32
 		c       int
 	}{
-		{0, 0, 0},
-		{9 * time.Millisecond, 0, 0}, // mid-slot floors to the slot
-		{10 * time.Millisecond, 0, 1},
-		{79 * time.Millisecond, 0, 7},
-		{80 * time.Millisecond, 1, 0},
-		{845 * time.Millisecond, 10, 4},
+		{80 * ms, 8, -5 * ms, 0, 0}, // before the epoch: the first slot
+		{80 * ms, 8, 0, 0, 0},
+		{80 * ms, 8, 9 * ms, 0, 0}, // mid-slot floors to the slot
+		{80 * ms, 8, 10 * ms, 0, 1},
+		{80 * ms, 8, 79 * ms, 0, 7},
+		{80 * ms, 8, 80 * ms, 1, 0},
+		{80 * ms, 8, 845 * ms, 10, 4},
+		{100 * ms, 7, 99 * ms, 0, 6},    // spacing floors to 14.285714ms
+		{100 * ms, 7, 100*ms - 1, 1, 0}, // the 2 ns remainder belongs to the next repetition
+		{100 * ms, 7, 350 * ms, 3, 3},
 	} {
-		e.resync(tc.elapsed)
-		if e.n != tc.n || e.c != tc.c {
-			t.Errorf("resync(%v) = (rep %d, chunk %d), want (rep %d, chunk %d)",
-				tc.elapsed, e.n, e.c, tc.n, tc.c)
+		g := grid{tc.period, tc.period / time.Duration(tc.chunks), tc.chunks}
+		n, c := g.gridAt(max(tc.elapsed, 0))
+		if n != tc.n || c != tc.c {
+			t.Errorf("gridAt(%v) = (rep %d, chunk %d), want (rep %d, chunk %d)", tc.elapsed, n, c, tc.n, tc.c)
 		}
-		want := time.Duration(tc.n)*e.period + time.Duration(tc.c)*e.spacing
-		if e.due != want {
-			t.Errorf("resync(%v) due = %v, want %v", tc.elapsed, e.due, want)
+		if rn, rc := g.gridAt(g.dueOf(n, c)); rn != n || rc != c {
+			t.Errorf("gridAt(dueOf(%d, %d)) = (%d, %d): not an inverse", n, c, rn, rc)
+		}
+		e := &wheelEntry{period: g.period, spacing: g.spacing, chunks: g.chunks}
+		e.resync(tc.elapsed)
+		if e.n != n || e.c != c || e.due != g.dueOf(n, c) {
+			t.Errorf("resync(%v) = (rep %d, chunk %d) due %v, want (rep %d, chunk %d) due %v",
+				tc.elapsed, e.n, e.c, e.due, n, c, g.dueOf(n, c))
+		}
+		// advance lands on the slot holding the instant one spacing on.
+		e.advance()
+		wn, wc := g.gridAt(g.dueOf(n, c) + g.spacing)
+		if e.n != wn || e.c != wc || e.due != g.dueOf(wn, wc) {
+			t.Errorf("advance from (%d, %d) = (rep %d, chunk %d) due %v, want (rep %d, chunk %d) due %v",
+				n, c, e.n, e.c, e.due, wn, wc, g.dueOf(wn, wc))
 		}
 	}
 }
@@ -357,8 +401,6 @@ func TestWheelEntryResyncMatchesPace(t *testing.T) {
 type recordingBatchSender struct {
 	batches [][]mcast.BatchEntry
 }
-
-func (r *recordingBatchSender) Send(g mcast.Group, frame []byte) (int, error) { return 1, nil }
 
 func (r *recordingBatchSender) SendBatch(entries []mcast.BatchEntry) (int, error) {
 	r.batches = append(r.batches, append([]mcast.BatchEntry(nil), entries...))
@@ -403,9 +445,9 @@ func catchupDispatch(t *testing.T, chunkBytes int, behind time.Duration) (*recor
 
 // TestWheelCatchupStagesRuns pins the catch-up shaping dispatch feeds
 // the GSO path: a behind-schedule entry stages every due chunk as ONE
-// contiguous same-group run in a single batch, in schedule order, with
-// each staged frame backed by distinct memory; runs stop at the
-// repetition boundary (the resident-frame aliasing guard) and at
+// contiguous same-group run in a single batch, in schedule order and
+// across repetition boundaries, with each staged frame backed by distinct
+// memory and carrying its own repetition number; runs stop at
 // wheelMaxRun; a healthy entry stages exactly one chunk.
 func TestWheelCatchupStagesRuns(t *testing.T) {
 	k1, k2 := chanKey{0, 1}, chanKey{0, 2}
@@ -426,16 +468,17 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 	})
 
 	t.Run("behind", func(t *testing.T) {
-		// 375 ms behind at 62.5 ms spacing: channel 1 (4 chunks per
-		// repetition) must stop its run at the repetition boundary with
-		// chunks 0-3 of rep 0; channel 2 (8 chunks) stages all 7 due.
+		// 375 ms behind at 62.5 ms spacing, 7 chunks due on each channel:
+		// channel 1 (4 chunks per repetition) runs through the repetition
+		// boundary, (0,0)…(0,3) then (1,0)…(1,2); channel 2 (8 chunks)
+		// stages (0,0)…(0,6).
 		rec, events, entries, drift := catchupDispatch(t, 1024, 375*time.Millisecond)
 		if len(rec.batches) != 1 {
 			t.Fatalf("staged %d batches, want 1", len(rec.batches))
 		}
 		batch := rec.batches[0]
-		if len(batch) != 11 {
-			t.Fatalf("staged %d entries, want 11 (4 + 7)", len(batch))
+		if len(batch) != 14 {
+			t.Fatalf("staged %d entries, want 14 (7 + 7)", len(batch))
 		}
 		switches := 0
 		for i := 1; i < len(batch); i++ {
@@ -446,30 +489,42 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 		if switches != 1 {
 			t.Errorf("batch switches groups %d times, want 1 (one contiguous run per channel)", switches)
 		}
-		if evs := events[k1]; len(evs) != 4 || evs[0] != (event{0, 0}) || evs[3] != (event{0, 3}) {
-			t.Errorf("video0/ch1 staged %v, want rep 0 chunks 0-3", evs)
+		if evs := events[k1]; len(evs) != 7 || evs[0] != (event{0, 0}) || evs[6] != (event{1, 2}) {
+			t.Errorf("video0/ch1 staged %v, want (0, 0) through (1, 2)", evs)
 		}
 		checkContiguous(t, k1, events[k1], 4)
 		if evs := events[k2]; len(evs) != 7 || evs[0] != (event{0, 0}) {
 			t.Errorf("video0/ch2 staged %v, want rep 0 chunks 0-6", evs)
 		}
 		checkContiguous(t, k2, events[k2], 8)
-		// Distinct backing memory per staged frame: the boundary stop and
-		// the spare-scratch pool together guarantee no two entries of one
-		// batch share a buffer (a shared resident frame patched twice
-		// would corrupt the earlier entry's Seq).
+		// Distinct backing memory per staged frame, and in each frame's
+		// header the repetition and offset of its own chunk: a run that
+		// crosses the boundary must not stamp one repetition on all of it.
 		seen := make(map[*byte]bool)
+		next := make(map[chanKey]int)
 		for _, be := range batch {
 			p := &be.Frame[0]
 			if seen[p] {
 				t.Fatal("two staged frames share one backing buffer")
 			}
 			seen[p] = true
+			k := chanKey{be.Group.Video, be.Group.Channel}
+			want := events[k][next[k]]
+			next[k]++
+			c, err := wire.Decode(be.Frame)
+			if err != nil {
+				t.Fatalf("staged frame does not decode: %v", err)
+			}
+			if c.Seq != want.n || int(c.Offset) != want.c*1024 {
+				t.Errorf("video%d/ch%d staged a frame with Seq %d offset %d for (rep %d, chunk %d)",
+					k.video, k.channel, c.Seq, c.Offset, want.n, want.c)
+			}
 		}
-		// The boundary-stopped entry re-enters the rotation still behind,
-		// poised at the next repetition's first chunk.
-		if e1 := entries[0]; e1.n != 1 || e1.c != 0 {
-			t.Errorf("channel 1 cursor at (rep %d, chunk %d) after boundary stop, want (1, 0)", e1.n, e1.c)
+		if e1 := entries[0]; e1.n != 1 || e1.c != 3 {
+			t.Errorf("channel 1 cursor at (rep %d, chunk %d) after the run, want (1, 3)", e1.n, e1.c)
+		}
+		if e2 := entries[1]; e2.n != 0 || e2.c != 7 {
+			t.Errorf("channel 2 cursor at (rep %d, chunk %d) after the run, want (0, 7)", e2.n, e2.c)
 		}
 		if drift != 2 {
 			t.Errorf("driftEvents = %d, want 2 (one per late entry per dispatch)", drift)

@@ -100,7 +100,7 @@ type Stats struct {
 	UptimeNanos int64 `json:"uptimeNanos"`
 	// DatagramsSent counts data chunks written to receivers.
 	DatagramsSent int64 `json:"datagramsSent"`
-	// Channels is the number of active channel pacers.
+	// Channels is the number of broadcast channels (videos × K).
 	Channels int `json:"channels"`
 	// Members is the current total group memberships.
 	Members int `json:"members"`
@@ -131,14 +131,14 @@ type Stats struct {
 	// RepairTokens is the current level of the repair token bucket in
 	// bytes, -1 when the budget is unlimited.
 	RepairTokens int64 `json:"repairTokens,omitempty"`
-	// PacerRestarts counts channel pacers restarted by the supervisor
+	// PacerRestarts counts egress shards restarted by the supervisor
 	// after a panic; PacerDriftEvents counts broadcasts that missed
 	// their absolute schedule by more than one unit.
 	PacerRestarts    int64 `json:"pacerRestarts,omitempty"`
 	PacerDriftEvents int64 `json:"pacerDriftEvents,omitempty"`
-	// The egress ledger (absent under the legacy per-pacer engine or on
-	// an idle server). EgressShards is how many shard goroutines drive
-	// all channel schedules; EgressWakeups their timer wakeups, each
+	// The egress ledger (absent on an idle server). EgressShards is how
+	// many shard goroutines drive all channel schedules; EgressWakeups
+	// their timer wakeups, each
 	// dispatching every chunk due in its tick; EgressBatches the batched
 	// hub dispatches and BatchedBytes the payload bytes they carried;
 	// EgressSyscalls the kernel send invocations (sendmmsg calls on the
@@ -158,11 +158,6 @@ type Stats struct {
 	Superframes  int64 `json:"superframes,omitempty"`
 	GSOSegments  int64 `json:"gsoSegments,omitempty"`
 	GSOFallbacks int64 `json:"gsoFallbacks,omitempty"`
-	// The io_uring ledger. UringSubmits counts io_uring_enter calls of
-	// the shared cross-shard submission ring; UringSQEs the send SQEs
-	// they carried, so UringSQEs/UringSubmits is the achieved SQE depth.
-	UringSubmits int64 `json:"uringSubmits,omitempty"`
-	UringSQEs    int64 `json:"uringSqes,omitempty"`
 	// The proactive FEC ledger. ParityFrames counts parity frames put
 	// on the wire alongside the broadcast schedule; ParityBytes their
 	// total encoded bytes, so ParityBytes/BatchedBytes bounds the

@@ -172,12 +172,14 @@ func FuzzControlDecode(f *testing.F) {
 	f.Add([]byte(`{"kind":"repair"`)) // truncated mid-message
 	f.Add([]byte(`{"kind":"repair","repair":{"offset":-9223372036854775808,"length":-1}}` + "\n"))
 	// Malformed gap bitmaps: missing payload, empty, non-canonical
-	// trailing zero, negative base, oversized. All must be rejected with
-	// a typed error, never accepted or panicked on.
+	// trailing zero, negative base, a base whose last chunk index overflows
+	// (it once crashed the server), oversized. All must be rejected with a
+	// typed error, never accepted or panicked on.
 	f.Add([]byte(`{"kind":"nack"}` + "\n"))
 	f.Add([]byte(`{"kind":"nack","nack":{"video":1,"channel":2,"bitmap":""}}` + "\n"))
 	f.Add([]byte(`{"kind":"nack","nack":{"video":1,"channel":2,"baseChunk":0,"bitmap":"AQA="}}` + "\n"))
 	f.Add([]byte(`{"kind":"nack","nack":{"baseChunk":-1,"bitmap":"AQ=="}}` + "\n"))
+	f.Add([]byte(`{"kind":"nack","nack":{"video":0,"channel":1,"baseChunk":9223372036854775800,"bitmap":"AAE="}}` + "\n"))
 	f.Add([]byte(`{"kind":"nackok","nack":{"baseChunk":3,"bitmap":"AAA="}}` + "\n"))
 	f.Add([]byte("garbage\n"))
 	f.Add([]byte("{}\n"))

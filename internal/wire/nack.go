@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MaxNackBitmapBytes bounds the gap bitmap of one NACK. At 8 chunks per
 // byte this covers 32768 chunks — far beyond any fragment the demo
@@ -9,9 +12,10 @@ import "fmt"
 const MaxNackBitmapBytes = 4096
 
 // ErrBadBitmap reports a NACK whose gap bitmap is malformed: empty,
-// oversized, negative base, or (for a request) non-canonical with a
-// trailing zero byte. It wraps ErrBadControl so existing callers that
-// only distinguish truncation from garbage keep working.
+// oversized, negative base, a base so large the bitmap's last chunk index
+// would overflow, or (for a request) non-canonical with a trailing zero
+// byte. It wraps ErrBadControl so existing callers that only distinguish
+// truncation from garbage keep working.
 var ErrBadBitmap = fmt.Errorf("%w: malformed nack gap bitmap", ErrBadControl)
 
 // Nack reports a burst of losses on one channel in a single control
@@ -48,6 +52,8 @@ func validateNack(n *Nack, request bool) error {
 		return fmt.Errorf("%w: empty bitmap", ErrBadBitmap)
 	case len(n.Bitmap) > MaxNackBitmapBytes:
 		return fmt.Errorf("%w: %d bytes exceeds cap %d", ErrBadBitmap, len(n.Bitmap), MaxNackBitmapBytes)
+	case n.BaseChunk > math.MaxInt-8*len(n.Bitmap):
+		return fmt.Errorf("%w: base chunk %d overflows with a %d-byte bitmap", ErrBadBitmap, n.BaseChunk, len(n.Bitmap))
 	case request && n.Bitmap[len(n.Bitmap)-1] == 0:
 		return fmt.Errorf("%w: trailing zero byte (non-canonical)", ErrBadBitmap)
 	}

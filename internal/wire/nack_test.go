@@ -71,6 +71,8 @@ func TestNackDecodeRejectsMalformed(t *testing.T) {
 		{"trailing zero", `{"kind":"nack","nack":{"baseChunk":0,"bitmap":"AQA="}}`},
 		{"oversized", fmt.Sprintf(`{"kind":"nack","nack":{"baseChunk":0,"bitmap":"%s"}}`,
 			base64Bytes(MaxNackBitmapBytes+1))},
+		// MaxInt64-7 + bit 8: the last chunk index would wrap negative.
+		{"overflowing base", `{"kind":"nack","nack":{"video":0,"channel":1,"baseChunk":9223372036854775800,"bitmap":"AAE="}}`},
 		{"reply missing payload", `{"kind":"nackok"}`},
 		{"reply negative base", `{"kind":"nackok","nack":{"baseChunk":-1,"bitmap":"AQ=="}}`},
 	}

@@ -75,7 +75,7 @@ var (
 
 // PayloadCRC returns the checksum Encode stores in the header for the
 // given payload. Exposed so a caller that broadcasts the same payload
-// repeatedly (the server's channel pacers) can compute it once and reuse it
+// repeatedly (the server's frame cache) can compute it once and reuse it
 // through EncodeWithCRC.
 func PayloadCRC(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }
 

@@ -27,11 +27,12 @@ procs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo unknown)}
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 goversion=$(go version 2>/dev/null | awk '{print $3}' || echo unknown)
 
-# Kernel version and egress fast-path capabilities: syscalls-per-datagram
-# numbers depend on whether this kernel offers sendmmsg, UDP GSO
-# (UDP_SEGMENT, >= 4.18) and io_uring sendmsg, so the stamp keeps records
-# from different kernels from being compared silently. The probe is the
-# same one the hub runs at creation (skychaos -egress-caps); if the probe
+# Kernel version and fast-path capabilities: syscalls-per-datagram numbers
+# depend on whether this kernel offers sendmmsg and UDP GSO (UDP_SEGMENT,
+# >= 4.18) on the way out, recvmmsg and UDP GRO on the way in, so the stamp
+# keeps records from different kernels from being compared silently. The
+# probe is the same one the hub and the shared receiver run at creation
+# (skychaos -egress-caps: "vectorized= gso= recvmmsg= gro="); if the probe
 # binary cannot run, the caps are recorded as unknown rather than guessed.
 kernel=$(uname -sr 2>/dev/null || echo unknown)
 caps=$(cd "$(dirname "$0")/.." && go run ./cmd/skychaos -egress-caps 2>/dev/null || echo unknown)
