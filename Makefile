@@ -22,13 +22,15 @@ fmt-check:
 
 # The parallel sweep engine, the bench scheme cache, the fault injector,
 # the lock-free hub/frame-cache data path, the wire codecs (shared by
-# every concurrent sender), and the server (egress shards, control
+# every concurrent sender), the server (egress shards, control
 # handlers and re-sends all materialising frames from the same CRC
-# table, each into memory of its own) are concurrent; every PR must pass
-# the race detector over them.
+# table, each into memory of its own), and the viewer mux with its
+# one-session front (every client.Watch runs the mux's loader, worker and
+# receiver goroutines) are concurrent; every PR must pass the race
+# detector over them.
 race:
 	$(GO) test -race ./internal/des ./internal/metrics ./internal/sim ./internal/bench \
-		./internal/faults ./internal/mcast ./internal/viewer ./internal/wire ./internal/server
+		./internal/faults ./internal/mcast ./internal/viewer ./internal/client ./internal/wire ./internal/server
 
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
 # — seeded drop/duplicate/reorder plans, unicast repair, reconnects, idle
@@ -53,7 +55,7 @@ race:
 # copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain

@@ -1,57 +1,22 @@
-// Package client implements the receiving end of the live Skyscraper
-// Broadcasting demo: the three service routines of Section 3.3 — an Odd
-// Loader, an Even Loader, and a Video Player — over real sockets. Each
-// loader is one tuner (one UDP socket) that joins its transmission groups'
-// channels in video order, always at a broadcast beginning; the player
-// verifies every byte against the deterministic content function and
-// checks the jitter-freeness the paper proves.
-//
-// The paper proves that guarantee over a lossless channel; this client
-// additionally survives a lossy one. Each loader detects gaps in the
-// broadcast via the wire sequence numbering and chunk offsets, requests
-// the missing chunks over unicast (the REPAIR control verb) with
-// exponential backoff and capped retries, and bounds every recovery
-// attempt by the chunk's scheduled playback time. Chunks that cannot be
-// recovered in time degrade into counted losses instead of a wedged
-// session, and a broken control connection is re-dialed with backoff.
+// Package client is the one-session front of the live Skyscraper
+// Broadcasting demo's receiving end. The three service routines of Section
+// 3.3 — an Odd Loader, an Even Loader and a Video Player over at most two
+// tuners — the loss recovery that lets them survive a lossy channel
+// (parity-stripe heals, gap-bitmap NACKs, deadline-bounded unicast repair,
+// control reconnects) and the byte verification all live once, in
+// internal/viewer, where an audience of thousands and a single set-top box
+// are the same cohort code. This package states one viewer (a video, a
+// seed, a disk size), runs it there as a one-viewer cohort, and applies
+// the session's error policy to what comes back.
 package client
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"math"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"skyscraper/internal/content"
-	"skyscraper/internal/core"
-	"skyscraper/internal/mcast"
-	"skyscraper/internal/series"
 	"skyscraper/internal/trace"
 	"skyscraper/internal/viewer"
-	"skyscraper/internal/wire"
 )
-
-// maxRepairAttempts caps the unicast round trips spent on one chunk.
-const maxRepairAttempts = viewer.DefaultMaxRepairAttempts
-
-// errServerDraining reports a server-initiated bye: the server is shutting
-// down gracefully and will answer no further requests on this session.
-var errServerDraining = errors.New("client: server draining (bye received)")
-
-// errBusy is the server's admission pushback on a repair request; it is
-// flow control, not failure.
-type errBusy struct{ retryAfter time.Duration }
-
-func (e *errBusy) Error() string {
-	if e.retryAfter <= 0 {
-		return "client: server busy (re-listen to broadcast)"
-	}
-	return fmt.Sprintf("client: server busy (retry after %v)", e.retryAfter)
-}
 
 // Config parameterizes one viewing session.
 type Config struct {
@@ -120,7 +85,8 @@ type Stats struct {
 	// WaitUnits is the access latency in D1 units (bounded by 1 plus the
 	// configured join lead).
 	WaitUnits float64
-	// Bytes is the total payload received and verified.
+	// Bytes is the payload credited to the session: the whole video less
+	// any lost chunks, every byte of it content-verified.
 	Bytes int64
 	// ByteErrors counts content-verification mismatches (must be 0).
 	ByteErrors int64
@@ -166,384 +132,46 @@ type Stats struct {
 // Watch runs a full viewing session: handshake, two-loader reception of
 // every fragment, loss recovery, byte verification, and jitter accounting.
 // It returns when the whole video has been received and its playback
-// window has passed.
+// window has passed. A session that ends degraded returns its Stats
+// alongside the error.
 func Watch(cfg Config) (*Stats, error) {
-	if cfg.JoinLeadFrac <= 0 {
-		cfg.JoinLeadFrac = 0.5
-	}
-	if cfg.SlackFrac <= 0 {
-		cfg.SlackFrac = 0.5
-	}
-	if cfg.RepairLagFrac <= 0 {
-		cfg.RepairLagFrac = 0.5
-	}
-	if cfg.ControlTimeout <= 0 {
-		cfg.ControlTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-
-	conn, err := net.DialTimeout("tcp", cfg.ServerAddr, cfg.ControlTimeout)
+	res, err := viewer.RunSession(viewer.MuxConfig{
+		ServerAddr:     cfg.ServerAddr,
+		JoinLeadFrac:   cfg.JoinLeadFrac,
+		SlackFrac:      cfg.SlackFrac,
+		RepairLagFrac:  cfg.RepairLagFrac,
+		DisableRepair:  cfg.DisableRepair,
+		DisableNack:    cfg.DisableNack,
+		ControlTimeout: cfg.ControlTimeout,
+		RecvBufBytes:   cfg.RecvBufBytes,
+		Logf:           cfg.Logf,
+	}, viewer.Session{Video: cfg.Video, Seed: cfg.Seed, MaxBufferBytes: cfg.MaxBufferBytes, Trace: cfg.Trace})
 	if err != nil {
-		return nil, fmt.Errorf("client: dialing control: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	r := bufio.NewReader(conn)
-	w, err := handshake(conn, r, cfg.ControlTimeout)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if cfg.Video < 0 || cfg.Video >= w.Videos {
-		conn.Close()
-		return nil, fmt.Errorf("client: video %d outside catalog 0..%d", cfg.Video, w.Videos-1)
-	}
-	if len(w.SizeUnits) != w.ChannelsPerVideo || w.ChannelsPerVideo == 0 {
-		conn.Close()
-		return nil, fmt.Errorf("client: malformed welcome: %d sizes for %d channels", len(w.SizeUnits), w.ChannelsPerVideo)
-	}
-	if w.FecGroup < 0 || w.FecGroup > wire.MaxFecGroup {
-		conn.Close()
-		return nil, fmt.Errorf("client: malformed welcome: FEC group %d outside [0, %d]", w.FecGroup, wire.MaxFecGroup)
-	}
-
-	sess := &session{
-		cfg:   cfg,
-		w:     w,
-		unit:  time.Duration(w.UnitNanos),
-		epoch: time.Unix(0, w.EpochUnixNano),
-		conn:  conn,
-		cr:    r,
-	}
-	defer sess.closeControl()
-	return sess.run()
-}
-
-// handshake sends hello and reads the server's welcome, bounding the round
-// trip with timeout.
-func handshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) (*wire.Welcome, error) {
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
-		defer conn.SetDeadline(time.Time{})
-	}
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindHello}); err != nil {
-		return nil, err
-	}
-	m, err := wire.ReadControl(r)
-	if err != nil {
-		return nil, fmt.Errorf("client: reading welcome: %w", err)
-	}
-	if m.Kind != wire.KindWelcome || m.Welcome == nil {
-		return nil, fmt.Errorf("client: expected welcome, got %q (%s)", m.Kind, m.Error)
-	}
-	return m.Welcome, nil
-}
-
-// session carries one Watch invocation's state.
-type session struct {
-	cfg   Config
-	w     *wire.Welcome
-	unit  time.Duration
-	epoch time.Time
-
-	cmu  sync.Mutex // serializes control round trips and reconnects
-	conn net.Conn   // nil after an unrecovered break
-	cr   *bufio.Reader
-
-	// playStartUnit anchors playback; byte x of the video plays at
-	// unitTime(playStartUnit) + x * unit/BytesPerUnit.
-	playStartUnit int64
-
-	// Counters shared by the two loader goroutines.
-	downloaded, bytes, byteErrors, lateChunks, dupChunks, maxBuffer atomic.Int64
-	lost, repaired, repairReqs, reconnects, busyReplies             atomic.Int64
-	nacks, nackSuppressed, nackRepaired                             atomic.Int64
-	fecHeals, stripeDefeats                                         atomic.Int64
-
-	// serverBye latches a server-initiated bye (graceful drain): no
-	// further repairs are attempted; pending chunks ride the broadcast.
-	serverBye atomic.Bool
-	// redials numbers reconnect sleeps across the whole session, so each
-	// draws from a fresh jitter substream.
-	redials atomic.Int64
-}
-
-// jitterKeyReconnect is the jitter substream key for control reconnects;
-// repair retries key on (channel, chunk) via repairJitterKey, so no two
-// retry sites share a stream.
-const jitterKeyReconnect = ^uint64(0)
-
-func repairJitterKey(channel, idx int) uint64 {
-	return viewer.RepairJitterKey(channel, idx)
-}
-
-// jitterIn returns a deterministic full-jitter delay: uniform in
-// (0, window], bounded below by 1ms so retries never spin, drawn from the
-// substream of the session seed identified by (key, stream). The formula
-// lives in viewer.JitterIn so the virtual-viewer multiplexer draws
-// bit-identical schedules for the seeds its viewers would have used here.
-func (s *session) jitterIn(key, stream uint64, window time.Duration) time.Duration {
-	return viewer.JitterIn(s.cfg.Seed, key, stream, window)
-}
-
-// maxInt64 raises the atomic to at least v.
-func maxInt64(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// unitTime converts an absolute unit index to wall time.
-func (s *session) unitTime(u int64) time.Time {
-	return s.epoch.Add(time.Duration(u) * s.unit)
-}
-
-// tracef journals one recovery event on the broadcast epoch's wall scale.
-func (s *session) tracef(kind, format string, args ...any) {
-	s.cfg.Trace.Addf(trace.Wall(s.epoch, time.Now()), kind, format, args...)
-}
-
-func (s *session) closeControl() {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-		s.cr = nil
-	}
-}
-
-// redialLocked replaces a broken control connection, re-handshaking and
-// verifying the peer still runs the same broadcast. Callers hold cmu.
-func (s *session) redialLocked() error {
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-		s.cr = nil
-	}
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			// Full-jitter backoff with a doubling window: after a server
-			// restart every client of the old process re-dials at once,
-			// and jitter spreads the reconnect wave. The stream index is
-			// session-global so repeated redial rounds stay uncorrelated.
-			window := 10 * time.Millisecond << (attempt - 1)
-			time.Sleep(s.jitterIn(jitterKeyReconnect, uint64(s.redials.Add(1)), window))
-		}
-		conn, err := net.DialTimeout("tcp", s.cfg.ServerAddr, s.cfg.ControlTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r := bufio.NewReader(conn)
-		w, err := handshake(conn, r, s.cfg.ControlTimeout)
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			continue
-		}
-		if w.EpochUnixNano != s.w.EpochUnixNano {
-			conn.Close()
-			return errors.New("client: server restarted (broadcast epoch changed); session cannot continue")
-		}
-		s.conn, s.cr = conn, r
-		s.reconnects.Add(1)
-		s.tracef("reconnect", "control connection re-established (attempt %d)", attempt+1)
-		s.cfg.Logf("client: control connection re-established")
-		return nil
-	}
-	return fmt.Errorf("client: reconnecting control: %w", lastErr)
-}
-
-// roundTrip performs one control request (and, when wantReply, reads the
-// server's answer) under the control lock, transparently re-dialing a
-// broken connection with backoff. Protocol-level rejections are returned
-// as the reply, not as an error; only transport failures are retried.
-func (s *session) roundTrip(msg *wire.Control, wantReply bool) (*wire.Control, error) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if s.conn == nil {
-			if !wantReply {
-				return nil, nil // fire-and-forget on a dead link: drop it
-			}
-			if err := s.redialLocked(); err != nil {
-				return nil, err
-			}
-		}
-		reply, err := s.tryLocked(msg, wantReply)
-		if err == nil {
-			if wantReply && reply.Kind == wire.KindBye {
-				// Server-initiated bye: the server is draining. Latch it,
-				// drop the connection (the server closes it right after),
-				// and let the session degrade onto the broadcast alone.
-				s.serverBye.Store(true)
-				s.tracef("server-bye", "server draining; disabling repairs")
-				s.cfg.Logf("client: server draining (bye); continuing without repairs")
-				s.conn.Close()
-				s.conn, s.cr = nil, nil
-				return nil, errServerDraining
-			}
-			return reply, nil
-		}
-		lastErr = err
-		s.tracef("control-error", "%s round trip: %v", msg.Kind, err)
-		s.conn.Close()
-		s.conn, s.cr = nil, nil
-	}
-	return nil, lastErr
-}
-
-// tryLocked is one deadline-bounded write (and optional reply read) on the
-// current connection. Callers hold cmu and have a non-nil conn.
-func (s *session) tryLocked(msg *wire.Control, wantReply bool) (*wire.Control, error) {
-	_ = s.conn.SetDeadline(time.Now().Add(s.cfg.ControlTimeout))
-	defer s.conn.SetDeadline(time.Time{})
-	if err := wire.WriteControl(s.conn, msg); err != nil {
-		return nil, err
-	}
-	if !wantReply {
-		return nil, nil
-	}
-	return wire.ReadControl(s.cr)
-}
-
-// control performs one join or leave; joins wait for the ack so the
-// membership is in place before the broadcast starts.
-func (s *session) control(kind string, video, channel, port int) error {
-	msg := &wire.Control{Kind: kind, Video: video, Channel: channel, Port: port}
-	if kind != wire.KindJoin {
-		_, err := s.roundTrip(msg, false)
-		return err
-	}
-	reply, err := s.roundTrip(msg, true)
-	if err != nil {
-		return fmt.Errorf("client: waiting for join ack: %w", err)
-	}
-	if reply.Kind != wire.KindJoined {
-		return fmt.Errorf("client: join rejected: %s", reply.Error)
-	}
-	return nil
-}
-
-// repairChunk asks the server to retransmit one chunk over unicast.
-func (s *session) repairChunk(channel int, seq uint32, offset int64, length int) ([]byte, error) {
-	s.repairReqs.Add(1)
-	req := &wire.Repair{Video: s.cfg.Video, Channel: channel, Seq: seq, Offset: offset, Length: length}
-	reply, err := s.roundTrip(&wire.Control{Kind: wire.KindRepair, Repair: req}, true)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Kind == wire.KindBusy {
-		s.busyReplies.Add(1)
-		return nil, &errBusy{retryAfter: time.Duration(reply.RetryAfterNanos)}
-	}
-	if reply.Kind != wire.KindRepairOK || reply.Repair == nil {
-		return nil, fmt.Errorf("repair rejected: %s", reply.Error)
-	}
-	rp := reply.Repair
-	if rp.Video != req.Video || rp.Channel != req.Channel || rp.Offset != req.Offset || len(rp.Data) != length {
-		return nil, fmt.Errorf("repair reply mismatch: got %d/%d@%d (%d bytes)", rp.Video, rp.Channel, rp.Offset, len(rp.Data))
-	}
-	return rp.Data, nil
-}
-
-// nackChunks reports a burst of losses as one gap-bitmap NACK and returns
-// a predicate over the chunks the server accepted for multicast re-send
-// (the rest fall back to unicast). A transport or protocol failure
-// returns an error; the caller escalates every chunk.
-func (s *session) nackChunks(channel int, seq uint32, chunks []int) (func(idx int) bool, error) {
-	s.nacks.Add(1)
-	req := wire.NackFromChunks(s.cfg.Video, channel, seq, chunks)
-	reply, err := s.roundTrip(&wire.Control{Kind: wire.KindNack, Nack: req}, true)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Kind == wire.KindBusy {
-		s.busyReplies.Add(1)
-		return nil, &errBusy{retryAfter: time.Duration(reply.RetryAfterNanos)}
-	}
-	if reply.Kind != wire.KindNackOK {
-		return nil, fmt.Errorf("nack rejected: %s", reply.Error)
-	}
-	acc := reply.Nack
-	if acc == nil {
-		return func(int) bool { return false }, nil
-	}
-	return acc.Has, nil
-}
-
-func (s *session) run() (*Stats, error) {
-	groups := series.Groups(s.w.SizeUnits)
-
-	// Admission: playback starts at the next unit boundary that leaves
-	// room for the join round-trip.
-	arrival := time.Since(s.epoch)
-	arrivalUnits := float64(arrival) / float64(s.unit)
-	s.playStartUnit = int64(math.Ceil(arrivalUnits + s.cfg.JoinLeadFrac))
-	waitUnits := float64(s.playStartUnit) - arrivalUnits
-
-	plan, err := core.PlanForGroups(groups, s.playStartUnit)
-	if err != nil {
-		return nil, fmt.Errorf("client: planning reception: %w", err)
-	}
-
-	// One tuner (socket + goroutine) per loader, exactly as in the
-	// paper's client design.
-	byLoader := map[core.LoaderID][]core.Download{}
-	for _, d := range plan.Downloads {
-		byLoader[d.Loader] = append(byLoader[d.Loader], d)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, ld := range []core.LoaderID{core.OddLoader, core.EvenLoader} {
-		downloads := byLoader[ld]
-		if len(downloads) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ld core.LoaderID, downloads []core.Download) {
-			defer wg.Done()
-			if err := s.loader(ld, downloads); err != nil {
-				errs <- fmt.Errorf("client: %v loader: %w", ld, err)
-			}
-		}(ld, downloads)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	_, _ = s.roundTrip(&wire.Control{Kind: wire.KindBye}, false)
-
 	stats := &Stats{
-		WaitUnits:        waitUnits,
-		Bytes:            s.bytes.Load(),
-		ByteErrors:       s.byteErrors.Load(),
-		LateChunks:       s.lateChunks.Load(),
-		DuplicateChunks:  s.dupChunks.Load(),
-		LostChunks:       s.lost.Load(),
-		RepairedChunks:   s.repaired.Load(),
-		RepairRequests:   s.repairReqs.Load(),
-		NacksSent:        s.nacks.Load(),
-		NacksSuppressed:  s.nackSuppressed.Load(),
-		MulticastRepairs: s.nackRepaired.Load(),
-		FecHeals:         s.fecHeals.Load(),
-		StripeDefeats:    s.stripeDefeats.Load(),
-		BusyReplies:      s.busyReplies.Load(),
-		Reconnects:       s.reconnects.Load(),
-		MaxBufferBytes:   s.maxBuffer.Load(),
-		Groups:           len(groups),
+		WaitUnits:        res.WaitUnits,
+		Bytes:            res.Bytes,
+		ByteErrors:       res.ByteErrors,
+		LateChunks:       res.LateChunks,
+		DuplicateChunks:  res.DuplicateChunks,
+		LostChunks:       res.LostChunks,
+		RepairedChunks:   res.RepairedChunks,
+		RepairRequests:   res.RepairRequests,
+		NacksSent:        res.NacksSent,
+		NacksSuppressed:  res.NacksSuppressed,
+		MulticastRepairs: res.MulticastRepairs,
+		FecHeals:         res.FecHeals,
+		StripeDefeats:    res.StripeDefeats,
+		BusyReplies:      res.BusyReplies,
+		Reconnects:       res.Reconnects,
+		MaxBufferBytes:   res.MaxBufferBytes,
+		Groups:           res.Groups,
 	}
 	if stats.ByteErrors > 0 {
 		return stats, fmt.Errorf("client: %d byte verification errors", stats.ByteErrors)
 	}
-	if !s.cfg.AllowDegraded {
+	if !cfg.AllowDegraded {
 		if stats.LostChunks > 0 {
 			return stats, fmt.Errorf("client: %d chunks lost (unrepaired before playback)", stats.LostChunks)
 		}
@@ -552,401 +180,4 @@ func (s *session) run() (*Stats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// tuneEntry is one fragment on a loader's tuning schedule: which channel
-// to receive, when its join lead opens, and whether the join has fired —
-// possibly early, from inside the previous fragment's receive loop (the
-// tuner handoff in receiveFragment).
-type tuneEntry struct {
-	channel  int
-	g        series.Group
-	j        int
-	tuneUnit int64
-	wantSeq  uint32
-	joinAt   time.Time
-	joined   bool
-	// handoff holds this fragment's datagrams read by the predecessor's
-	// loop during the handoff overlap; booked before the first deadline
-	// pass of this fragment's own loop.
-	handoff []handoffChunk
-}
-
-// handoffChunk is one successor-fragment datagram read by the
-// predecessor's loop — data or parity, copied raw out of the shared read
-// buffer and stamped with its read time so booking is faithful to
-// arrival. The successor decodes it itself, exactly as if it had read it
-// off the socket.
-type handoffChunk struct {
-	frame []byte
-	at    time.Time
-}
-
-// loader receives this loader's transmission groups in order on one tuner.
-func (s *session) loader(ld core.LoaderID, downloads []core.Download) error {
-	rcv, err := mcast.NewReceiverSized(s.cfg.RecvBufBytes)
-	if err != nil {
-		return err
-	}
-	defer rcv.Close()
-	port := rcv.Addr().Port
-
-	// Flatten the schedule so each fragment's receive loop can see its
-	// successor: consecutive broadcast windows on a skyscraper loader abut
-	// exactly, so the handoff between them must not hinge on how fast the
-	// previous fragment's repair tail drains.
-	lead := time.Duration(s.cfg.JoinLeadFrac * float64(s.unit))
-	var entries []*tuneEntry
-	for _, d := range downloads {
-		for j := 0; j < d.Group.Count; j++ {
-			tuneUnit := d.FragmentStart(j)
-			entries = append(entries, &tuneEntry{
-				channel:  d.Group.First + j,
-				g:        d.Group,
-				j:        j,
-				tuneUnit: tuneUnit,
-				wantSeq:  uint32(tuneUnit / d.Group.Size),
-				joinAt:   s.unitTime(tuneUnit).Add(-lead),
-			})
-		}
-	}
-	for i, e := range entries {
-		var next *tuneEntry
-		if i+1 < len(entries) {
-			next = entries[i+1]
-		}
-		if err := s.receiveFragment(rcv, port, e, next); err != nil {
-			return fmt.Errorf("group %d %v channel %d: %w", e.g.Index, e.g, e.channel, err)
-		}
-	}
-	return nil
-}
-
-// accountPayload verifies and books one received or repaired chunk
-// payload. Jitter (late-arrival) accounting lives in the loader state
-// machine, which sees every resolution; this handles what the machine
-// cannot: the bytes themselves.
-func (s *session) accountPayload(payload []byte, videoOffset int64, now time.Time) error {
-	if bad := content.Verify(payload, s.cfg.Video, videoOffset); bad >= 0 {
-		s.byteErrors.Add(1)
-	}
-	s.bytes.Add(int64(len(payload)))
-
-	// Buffer accounting: downloaded minus played, sampled at arrivals
-	// (the high-water mark occurs at an arrival).
-	d := s.downloaded.Add(int64(len(payload)))
-	lvl := d - s.playedBytes(now)
-	maxInt64(&s.maxBuffer, lvl)
-	if s.cfg.MaxBufferBytes > 0 && lvl > s.cfg.MaxBufferBytes {
-		return fmt.Errorf("buffer capacity exceeded: %d > %d bytes", lvl, s.cfg.MaxBufferBytes)
-	}
-	return nil
-}
-
-// receiveFragment tunes one channel at a broadcast beginning and collects
-// the complete fragment, recovering gaps over unicast as playback
-// deadlines approach. The gap-detection/repair/loss policy lives in the
-// shared loader state machine (viewer.Machine); this method supplies its
-// wall clock, socket, and control plane.
-//
-// When next is non-nil it is the successor fragment on the same tuner,
-// and this loop performs the handoff itself: it fires next's join once
-// its lead opens, and any successor datagram it then reads off the
-// shared socket is queued on next's entry instead of discarded. On a
-// skyscraper loader consecutive broadcast windows abut exactly, so the
-// successor's first chunks can land while this fragment's repair tail is
-// still draining; the handoff makes catching them independent of how
-// fast this loop exits.
-func (s *session) receiveFragment(rcv *mcast.Receiver, port int, e, next *tuneEntry) error {
-	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
-	size := g.Size
-	totalBytes := int(size) * s.w.BytesPerUnit
-	videoBase := g.StartUnit*int64(s.w.BytesPerUnit) + int64(j)*size*int64(s.w.BytesPerUnit)
-	wantSeq := uint32(tuneUnit / size) // broadcast repetition starting at tuneUnit
-	m := viewer.NewMachine(viewer.FragmentParams{
-		Video:        s.cfg.Video,
-		Channel:      channel,
-		Size:         size,
-		TuneUnit:     tuneUnit,
-		PlayUnit:     s.playStartUnit + g.StartUnit + int64(j)*size,
-		TotalBytes:   totalBytes,
-		ChunkBytes:   s.w.ChunkBytes,
-		BytesPerUnit: s.w.BytesPerUnit,
-		Epoch:        s.epoch,
-		Unit:         s.unit,
-		Slack:        time.Duration(s.cfg.SlackFrac * float64(s.unit)),
-		Lag:          time.Duration(s.cfg.RepairLagFrac * float64(s.unit)),
-
-		DisableRepair:  s.cfg.DisableRepair,
-		RepairsEnabled: func() bool { return !s.serverBye.Load() },
-		NackEnabled:    s.w.NackRepair && !s.cfg.DisableNack,
-		FecGroup:       s.w.FecGroup,
-		Jitter:         s.jitterIn,
-		OnLost: func(idx, attempts int) {
-			s.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", channel, wantSeq, idx, attempts)
-			s.cfg.Logf("client: ch %d chunk %d lost after %d repair attempts", channel, idx, attempts)
-		},
-	})
-	buf := make([]byte, wire.EncodedSize(wire.MaxPayload))
-
-	// The stripe reassembly buffer (nil when the server broadcasts no
-	// parity): every accepted data chunk and every parity frame folds in,
-	// and a completed group with one hole (two, under RS) hands the
-	// missing payload back with zero control round trips.
-	stripe := viewer.NewStripe(s.w.FecGroup, s.w.FecMode, s.w.ChunkBytes, totalBytes/s.w.ChunkBytes)
-	var heals []viewer.Heal
-	bookHeals := func(now time.Time) error {
-		for _, h := range heals {
-			if m.FecHealed(h.Idx, now) == viewer.Duplicate {
-				continue
-			}
-			s.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", channel, wantSeq, h.Idx)
-			off := int64(h.Idx) * int64(s.w.ChunkBytes)
-			if err := s.accountPayload(h.Payload[:m.ChunkLen(h.Idx)], videoBase+off, now); err != nil {
-				return err
-			}
-		}
-		heals = heals[:0]
-		return nil
-	}
-
-	// Join ahead of the broadcast start — unless the previous fragment's
-	// receive loop already fired this join during its handoff overlap.
-	if !e.joined {
-		if d := time.Until(e.joinAt); d > 0 {
-			time.Sleep(d)
-		}
-		if err := s.control(wire.KindJoin, s.cfg.Video, channel, port); err != nil {
-			return err
-		}
-		e.joined = true
-	}
-	defer func() { _ = s.control(wire.KindLeave, s.cfg.Video, channel, 0) }()
-
-	// Book datagrams the predecessor's loop read for this fragment during
-	// the handoff overlap — before the machine's first deadline pass, so
-	// a boundary chunk that already arrived can never be mistaken for a
-	// gap, however late this loop starts.
-	for _, h := range e.handoff {
-		if stripe != nil && wire.IsParity(h.frame) {
-			p, err := wire.DecodeParity(h.frame)
-			if err != nil || int(p.Video) != s.cfg.Video || int(p.Channel) != channel || p.Seq != wantSeq {
-				continue
-			}
-			heals = stripe.Parity(&p, heals)
-			if err := bookHeals(h.at); err != nil {
-				return err
-			}
-			continue
-		}
-		c, err := wire.Decode(h.frame)
-		if err != nil {
-			if errors.Is(err, wire.ErrBadCRC) {
-				s.byteErrors.Add(1)
-				continue
-			}
-			return err
-		}
-		if int(c.Total) != totalBytes || int(c.Offset)%s.w.ChunkBytes != 0 || int(c.Offset) >= totalBytes {
-			return fmt.Errorf("inconsistent handoff chunk: offset %d", c.Offset)
-		}
-		idx := int(c.Offset) / s.w.ChunkBytes
-		if m.Chunk(idx, h.at) == viewer.Duplicate {
-			continue
-		}
-		if err := s.accountPayload(c.Payload, videoBase+int64(c.Offset), h.at); err != nil {
-			return err
-		}
-		heals = stripe.Data(idx, c.Payload, heals)
-		if err := bookHeals(h.at); err != nil {
-			return err
-		}
-	}
-	e.handoff = nil
-
-	for !m.Done() {
-		now := time.Now()
-		// Tuner handoff: once the successor's join lead opens, fire its
-		// join from here, so whether its first chunks are caught off the
-		// broadcast no longer depends on how fast this loop exits.
-		if next != nil && !next.joined && !now.Before(next.joinAt) {
-			if err := s.control(wire.KindJoin, s.cfg.Video, next.channel, port); err != nil {
-				return err
-			}
-			next.joined = true
-		}
-		act := m.Next(now)
-		if act.Kind == viewer.ActRepair {
-			idx := act.Idx
-			off := int64(idx) * int64(s.w.ChunkBytes)
-			s.tracef("repair-req", "ch %d seq %d chunk %d (attempt %d)", channel, wantSeq, idx, act.Attempt)
-			data, err := s.repairChunk(channel, wantSeq, off, m.ChunkLen(idx))
-			now = time.Now()
-			outcome, retryAfter := viewer.RepairOK, time.Duration(0)
-			if err != nil {
-				var busy *errBusy
-				switch {
-				case errors.As(err, &busy):
-					// Admission pushback is flow control, not failure: the
-					// chunk stays eligible until its playback deadline.
-					s.tracef("repair-busy", "ch %d seq %d chunk %d: %v", channel, wantSeq, idx, err)
-					outcome, retryAfter = viewer.RepairBusy, busy.retryAfter
-				case errors.Is(err, errServerDraining):
-					// No further repairs this session; the chunk rides the
-					// broadcast until its deadline.
-					s.tracef("repair-off", "ch %d seq %d chunk %d: %v", channel, wantSeq, idx, err)
-					outcome = viewer.RepairDisabled
-				default:
-					s.tracef("repair-fail", "ch %d seq %d chunk %d: %v", channel, wantSeq, idx, err)
-					outcome = viewer.RepairFailed
-				}
-			}
-			if m.RepairResult(idx, outcome, retryAfter, now) == viewer.Repaired {
-				s.tracef("repair-ok", "ch %d seq %d chunk %d repaired (attempt %d)", channel, wantSeq, idx, m.Attempts(idx))
-				if err := s.accountPayload(data, videoBase+off, now); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if act.Kind == viewer.ActNack {
-			// Multicast-first recovery: one aggregated gap bitmap for the
-			// burst; accepted chunks heal off the broadcast group, refused
-			// ones escalate to unicast.
-			s.tracef("nack", "ch %d seq %d: %d chunks", channel, wantSeq, len(act.Chunks))
-			accepted, err := s.nackChunks(channel, wantSeq, act.Chunks)
-			now = time.Now()
-			if err != nil {
-				s.tracef("nack-fail", "ch %d seq %d: %v", channel, wantSeq, err)
-				accepted = nil
-			}
-			m.NackResult(act.Chunks, accepted, now)
-			continue
-		}
-
-		// Block on the broadcast until the next recovery deadline (or the
-		// successor's join lead, whichever opens sooner).
-		wake := act.Wake
-		if next != nil && !next.joined && next.joinAt.Before(wake) {
-			wake = next.joinAt
-		}
-		if earliest := now.Add(time.Millisecond); wake.Before(earliest) {
-			wake = earliest
-		}
-		if err := rcv.Conn.SetReadDeadline(wake); err != nil {
-			return err
-		}
-		n, _, err := rcv.Conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue // run another recovery pass
-			}
-			return fmt.Errorf("receiving (%d chunks outstanding): %w", outstanding(m), err)
-		}
-		now = time.Now()
-		if stripe != nil && wire.IsParity(buf[:n]) {
-			// A parity frame: fold it into its group's accumulator and book
-			// whatever it completes. Damaged or stray parity is dropped —
-			// it is redundancy, never worth failing a session over — except
-			// a successor parity frame read during the handoff overlap,
-			// which is queued raw for the successor's loop just like its
-			// data: the successor's first group must not lose its stripe to
-			// tuner-handoff timing.
-			p, err := wire.DecodeParity(buf[:n])
-			if err != nil || int(p.Video) != s.cfg.Video || int(p.Channel) != channel || p.Seq != wantSeq {
-				if err == nil && next != nil && next.joined && int(p.Video) == s.cfg.Video &&
-					int(p.Channel) == next.channel && p.Seq == next.wantSeq {
-					next.handoff = append(next.handoff, handoffChunk{
-						frame: append([]byte(nil), buf[:n]...),
-						at:    now,
-					})
-				}
-				continue
-			}
-			heals = stripe.Parity(&p, heals)
-			if err := bookHeals(now); err != nil {
-				return err
-			}
-			continue
-		}
-		c, err := wire.Decode(buf[:n])
-		if err != nil {
-			if errors.Is(err, wire.ErrBadCRC) {
-				s.byteErrors.Add(1)
-				continue
-			}
-			return err
-		}
-		if int(c.Video) != s.cfg.Video || int(c.Channel) != channel || c.Seq != wantSeq {
-			// A successor datagram read during the handoff overlap is
-			// queued for the successor's own loop (the payload is copied:
-			// the read buffer is reused). Anything else is a stray from an
-			// earlier membership or repetition.
-			if next != nil && next.joined && int(c.Video) == s.cfg.Video &&
-				int(c.Channel) == next.channel && c.Seq == next.wantSeq {
-				next.handoff = append(next.handoff, handoffChunk{
-					frame: append([]byte(nil), buf[:n]...),
-					at:    now,
-				})
-			}
-			continue
-		}
-		if int(c.Total) != totalBytes || int(c.Offset)%s.w.ChunkBytes != 0 || int(c.Offset) >= totalBytes {
-			return fmt.Errorf("inconsistent chunk: offset %d total %d", c.Offset, c.Total)
-		}
-		idx := int(c.Offset) / s.w.ChunkBytes
-		if m.Chunk(idx, now) == viewer.Duplicate {
-			continue
-		}
-		if err := s.accountPayload(c.Payload, videoBase+int64(c.Offset), now); err != nil {
-			return err
-		}
-		heals = stripe.Data(idx, c.Payload, heals)
-		if err := bookHeals(now); err != nil {
-			return err
-		}
-	}
-
-	// Fold the machine's recovery ledger into the session counters.
-	st := m.Stats()
-	s.lateChunks.Add(st.Late)
-	s.dupChunks.Add(st.Duplicates)
-	s.lost.Add(st.Lost)
-	s.repaired.Add(st.Repaired)
-	s.nackSuppressed.Add(st.NacksSuppressed)
-	s.nackRepaired.Add(st.NackRepaired)
-	s.fecHeals.Add(st.FecHeals)
-	s.stripeDefeats.Add(st.StripeDefeats)
-	return nil
-}
-
-// outstanding counts the chunks a machine has not yet resolved.
-func outstanding(m *viewer.Machine) int {
-	n := 0
-	for idx := 0; idx < m.NChunks(); idx++ {
-		if !m.Have(idx) {
-			n++
-		}
-	}
-	return n
-}
-
-// playedBytes returns how many bytes the player has consumed by time t
-// under its fixed schedule.
-func (s *session) playedBytes(t time.Time) int64 {
-	elapsed := t.Sub(s.unitTime(s.playStartUnit))
-	if elapsed <= 0 {
-		return 0
-	}
-	units := float64(elapsed) / float64(s.unit)
-	var total int64
-	for _, sz := range s.w.SizeUnits {
-		total += sz
-	}
-	played := int64(units * float64(s.w.BytesPerUnit))
-	if max := total * int64(s.w.BytesPerUnit); played > max {
-		return max
-	}
-	return played
 }

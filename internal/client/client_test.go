@@ -2,8 +2,11 @@ package client
 
 import (
 	"bufio"
+	"fmt"
 	"net"
+	"regexp"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +14,8 @@ import (
 	"skyscraper/internal/content"
 	"skyscraper/internal/faults"
 	"skyscraper/internal/mcast"
+	"skyscraper/internal/trace"
+	"skyscraper/internal/viewer"
 	"skyscraper/internal/wire"
 )
 
@@ -31,7 +36,9 @@ type fakeServer struct {
 	duplicate      atomic.Bool // send every chunk twice
 	refuseJoins    atomic.Bool
 	refuseRepairs  atomic.Bool
-	garbleWelcome  atomic.Bool
+	// garble, when set (before any client connects), edits the Welcome the
+	// fake is about to send.
+	garble func(*wire.Welcome)
 	// busyFirst answers that many repair requests with Busy (and a 5ms
 	// retry hint) before serving normally; alwaysBusy answers every
 	// repair with a zero-hint Busy (re-listen); byeOnRepair answers the
@@ -116,8 +123,8 @@ func (f *fakeServer) serve(conn net.Conn) {
 				BytesPerUnit:     f.bytesPerUnit,
 				ChunkBytes:       f.chunkBytes,
 			}
-			if f.garbleWelcome.Load() {
-				w.SizeUnits = w.SizeUnits[:1] // disagree with ChannelsPerVideo
+			if f.garble != nil {
+				f.garble(w)
 			}
 			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindWelcome, Welcome: w})
 		case wire.KindJoin:
@@ -283,11 +290,37 @@ func TestWatchJoinRejected(t *testing.T) {
 	}
 }
 
+// TestWatchMalformedWelcome: every field a reception is planned from is
+// checked at the handshake. The zero cases used to reach a division in the
+// loader state machine and crash the process on one control line.
 func TestWatchMalformedWelcome(t *testing.T) {
-	f := newFakeServer(t)
-	f.garbleWelcome.Store(true)
-	if _, err := Watch(Config{ServerAddr: f.addr(), Video: 0}); err == nil || !strings.Contains(err.Error(), "malformed") {
-		t.Fatalf("malformed welcome accepted: %v", err)
+	cases := []struct {
+		name   string
+		garble func(*wire.Welcome)
+	}{
+		{"sizes disagree with channels", func(w *wire.Welcome) { w.SizeUnits = w.SizeUnits[:1] }},
+		{"no channels", func(w *wire.Welcome) { w.ChannelsPerVideo, w.SizeUnits = 0, nil }},
+		{"no videos", func(w *wire.Welcome) { w.Videos = 0 }},
+		{"zero fragment size", func(w *wire.Welcome) { w.SizeUnits[1] = 0 }},
+		{"negative fragment size", func(w *wire.Welcome) { w.SizeUnits[0] = -1 }},
+		{"zero unit", func(w *wire.Welcome) { w.UnitNanos = 0 }},
+		{"zero bytes per unit", func(w *wire.Welcome) { w.BytesPerUnit = 0 }},
+		{"zero chunk bytes", func(w *wire.Welcome) { w.ChunkBytes = 0 }},
+		{"negative chunk bytes", func(w *wire.Welcome) { w.ChunkBytes = -32 }},
+		{"chunk over MaxPayload", func(w *wire.Welcome) { w.ChunkBytes = wire.MaxPayload + 1 }},
+		{"negative FEC group", func(w *wire.Welcome) { w.FecGroup = -1 }},
+		{"FEC group over cap", func(w *wire.Welcome) { w.FecGroup, w.FecMode = wire.MaxFecGroup+1, wire.FecModeXOR }},
+		{"unknown FEC mode", func(w *wire.Welcome) { w.FecGroup, w.FecMode = 4, "fountain" }},
+		{"video bytes overflow", func(w *wire.Welcome) { w.SizeUnits[1], w.BytesPerUnit = 1<<62, 1<<20 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeServer(t)
+			f.garble = tc.garble
+			if _, err := Watch(Config{ServerAddr: f.addr(), Video: 0}); err == nil || !strings.Contains(err.Error(), "malformed") {
+				t.Fatalf("malformed welcome accepted: %v", err)
+			}
+		})
 	}
 }
 
@@ -301,35 +334,6 @@ func TestWatchBadVideo(t *testing.T) {
 func TestWatchNoServer(t *testing.T) {
 	if _, err := Watch(Config{ServerAddr: "127.0.0.1:1"}); err == nil {
 		t.Fatal("dial to dead port succeeded")
-	}
-}
-
-func TestPlayedBytes(t *testing.T) {
-	s := &session{
-		w:     &wire.Welcome{SizeUnits: []int64{1, 2}, BytesPerUnit: 100},
-		unit:  time.Second,
-		epoch: time.Unix(1000, 0),
-	}
-	s.playStartUnit = 10
-	start := s.unitTime(10)
-	if got := s.playedBytes(start.Add(-time.Second)); got != 0 {
-		t.Errorf("before start: %d", got)
-	}
-	if got := s.playedBytes(start.Add(1500 * time.Millisecond)); got != 150 {
-		t.Errorf("1.5 units in: %d, want 150", got)
-	}
-	if got := s.playedBytes(start.Add(time.Hour)); got != 300 {
-		t.Errorf("past end: %d, want 300 (capped)", got)
-	}
-}
-
-func TestMaxInt64(t *testing.T) {
-	var a atomic.Int64
-	maxInt64(&a, 5)
-	maxInt64(&a, 3)
-	maxInt64(&a, 9)
-	if a.Load() != 9 {
-		t.Errorf("maxInt64 = %d, want 9", a.Load())
 	}
 }
 
@@ -504,13 +508,15 @@ func TestWatchBufferCapacity(t *testing.T) {
 // 1ms anti-spin floor.
 func TestBackoffJitterDesync(t *testing.T) {
 	const window = 80 * time.Millisecond
+	// The two retry sites of the one driver: a Config.Seed reaches them
+	// unchanged as viewer.Session.Seed.
+	jitterKeyReconnect, repairJitterKey := viewer.ReconnectJitterKey, viewer.RepairJitterKey
 	schedule := func(seed uint64) []time.Duration {
-		s := &session{cfg: Config{Seed: seed}}
 		var ds []time.Duration
 		for stream := uint64(1); stream <= 8; stream++ {
 			ds = append(ds,
-				s.jitterIn(jitterKeyReconnect, stream, window),
-				s.jitterIn(repairJitterKey(3, 7), stream, window))
+				viewer.JitterIn(seed, jitterKeyReconnect, stream, window),
+				viewer.JitterIn(seed, repairJitterKey(3, 7), stream, window))
 		}
 		return ds
 	}
@@ -533,8 +539,7 @@ func TestBackoffJitterDesync(t *testing.T) {
 		t.Errorf("seeds 1 and 2 collide on %d/%d backoff slots; schedules not desynchronized", same, len(a))
 	}
 	// Distinct retry sites under one seed must also not share a stream.
-	s := &session{cfg: Config{Seed: 1}}
-	if s.jitterIn(jitterKeyReconnect, 1, window) == s.jitterIn(repairJitterKey(1, 1), 1, window) {
+	if viewer.JitterIn(1, jitterKeyReconnect, 1, window) == viewer.JitterIn(1, repairJitterKey(1, 1), 1, window) {
 		t.Error("reconnect and repair sites drew identical jitter from one seed")
 	}
 }
@@ -610,5 +615,85 @@ func TestWatchStopsRepairsOnBye(t *testing.T) {
 	}
 	if stats.LostChunks == 0 {
 		t.Error("no losses counted after repairs were cut off")
+	}
+}
+
+// retryDelays runs fn with a journal against a fake server that drops 30%
+// of the broadcast and refuses every repair, and returns the backoff each
+// failed repair attempt journaled, keyed by "channel/chunk/attempt" (the
+// repetition tuned differs from run to run; the retry sites do not).
+func retryDelays(t *testing.T, fn func(addr string, tb *trace.Buffer) error) map[string]time.Duration {
+	f := newFakeServer(t)
+	f.unit = 80 * time.Millisecond
+	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
+	f.refuseRepairs.Store(true)
+	tb := trace.New(512)
+	if err := fn(f.addr(), tb); err != nil {
+		t.Error(err)
+	}
+	re := regexp.MustCompile(`^ch (\d+) seq \d+ chunk (\d+) attempt (\d+): .*; retry in (\S+)$`)
+	delays := map[string]time.Duration{}
+	for _, e := range tb.Events() {
+		// A failed attempt that rescheduled nothing (the last one: lost)
+		// journals no backoff and does not match.
+		if m := re.FindStringSubmatch(e.Detail); m != nil && e.Kind == "repair-fail" {
+			d, err := time.ParseDuration(m[4])
+			if err != nil {
+				t.Errorf("journal line %q: %v", e.Detail, err)
+			}
+			delays[m[1]+"/"+m[2]+"/"+m[3]] = d
+		}
+	}
+	return delays
+}
+
+// TestWatchSeedIsTheViewerSeed: Config.Seed reaches the retry sites as
+// given. A Watch seeded s and viewer 0 of an audience whose ViewerSeed is s
+// journal the same backoff at every retry site they both visit, and each
+// is the viewer.JitterIn(s, …) draw — no second derivation in between.
+func TestWatchSeedIsTheViewerSeed(t *testing.T) {
+	const muxSeed = 42
+	s := viewer.ViewerSeed(muxSeed, 0)
+	var watch, audience map[string]time.Duration
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		watch = retryDelays(t, func(addr string, tb *trace.Buffer) error {
+			_, err := Watch(Config{ServerAddr: addr, SlackFrac: 1.0, AllowDegraded: true, Seed: s, Trace: tb})
+			return err
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		audience = retryDelays(t, func(addr string, tb *trace.Buffer) error {
+			m, err := viewer.NewMux(viewer.MuxConfig{ServerAddr: addr, Viewers: 1, Seed: muxSeed, SlackFrac: 1.0})
+			if err != nil {
+				return err
+			}
+			m.Journal(tb)
+			_, err = m.Run()
+			return err
+		})
+	}()
+	wg.Wait()
+	shared := 0
+	for site, d := range watch {
+		var ch, idx, attempt int
+		if _, err := fmt.Sscanf(site, "%d/%d/%d", &ch, &idx, &attempt); err != nil {
+			t.Fatal(err)
+		}
+		if want := viewer.JitterIn(s, viewer.RepairJitterKey(ch, idx), uint64(attempt), 4*time.Millisecond<<attempt); d != want {
+			t.Errorf("site %s: Watch backed off %v, want JitterIn(seed, ...) = %v", site, d, want)
+		}
+		if other, ok := audience[site]; ok {
+			shared++
+			if other != d {
+				t.Errorf("site %s: Watch backed off %v, the audience's viewer %v", site, d, other)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Errorf("no retry site in common: watch %v, audience %v", watch, audience)
 	}
 }

@@ -24,7 +24,12 @@ type cohort struct {
 	mux           *Mux
 	video         int
 	playStartUnit int64
-	viewers       []int // global viewer IDs, ascending
+	playStart     time.Time // playStartUnit on the wall clock
+	viewers       []int     // global viewer IDs, ascending
+
+	// The buffer ledger: payload bytes some member holds (downloaded) and
+	// the high-water mark of downloaded minus played, sampled at arrivals.
+	downloaded, maxBuffer atomic.Int64
 
 	// Shared outcome counters, each applying to every viewer of the
 	// cohort; written by the two loader goroutines.
@@ -45,6 +50,42 @@ type cohort struct {
 	// stripeDefeats are cohort-level escalation events, one per defeated
 	// gap (like nacks).
 	fecHeals, stripeDefeats atomic.Int64
+}
+
+// credit books n payload bytes at the first instant any member of the
+// cohort holds them — a shared arrival, a stripe heal, a recorded
+// divergent arrival or the first unicast repair — and raises the buffer
+// high-water mark: an atomic add and a little arithmetic per chunk.
+func (c *cohort) credit(n int, now time.Time) {
+	maxInt64(&c.maxBuffer, c.downloaded.Add(int64(n))-c.mux.playedBytes(now.Sub(c.playStart)))
+}
+
+// overCap fails a session whose buffer outgrew its stated capacity; the
+// receive loops ask between bursts, whichever goroutine did the crediting.
+func (c *cohort) overCap() error {
+	if s := c.mux.sess; s != nil && s.MaxBufferBytes > 0 && c.maxBuffer.Load() > s.MaxBufferBytes {
+		return fmt.Errorf("buffer capacity exceeded: %d > %d bytes", c.maxBuffer.Load(), s.MaxBufferBytes)
+	}
+	return nil
+}
+
+// playedBytes is how much of a video the player has consumed elapsed
+// after its playback start, under its fixed schedule.
+func (m *Mux) playedBytes(elapsed time.Duration) int64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return min(int64(float64(elapsed)/float64(m.unit)*float64(m.w.BytesPerUnit)), m.videoBytes)
+}
+
+// maxInt64 raises the atomic to at least v.
+func maxInt64(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 func (c *cohort) run(groups []series.Group) error {
@@ -97,9 +138,9 @@ type tuneEntry struct {
 	sub      *mcast.Subscription // non-nil once tuned
 }
 
-// loader receives this loader's transmission groups in order — the same
-// two-service-routine shape as the live client, but over a shared
-// subscription instead of a private socket.
+// loader receives this loader's transmission groups in order — one of the
+// paper's two loader routines, its tuner a subscription on the shared
+// socket.
 func (c *cohort) loader(downloads []core.Download) error {
 	m := c.mux
 	// Flatten the schedule so each fragment's receive loop can see its
@@ -195,6 +236,10 @@ type cohortFrag struct {
 	// a FEC heal rather than a broadcast chunk.
 	arrived []atomic.Int64
 	healed  []atomic.Bool
+	// held marks a diverged chunk some member already holds — off the
+	// broadcast or by its own unicast repair, whichever came first — so
+	// the buffer ledger counts it once.
+	held []atomic.Bool
 	// vfs are the per-viewer fragments, materialized at first divergence.
 	vfs []*viewerFrag
 	// pending counts unfinished viewer fragments; inflight counts
@@ -209,6 +254,14 @@ type cohortFrag struct {
 	// reconstruction buffer, consumed before the next frame is read.
 	stripe *Stripe
 	heals  []Heal
+}
+
+// creditFirst credits diverged chunk idx to the buffer ledger unless some
+// member already holds it.
+func (f *cohortFrag) creditFirst(idx, n int, now time.Time) {
+	if f.held[idx].CompareAndSwap(false, true) {
+		f.c.credit(n, now)
+	}
 }
 
 // notify nudges the loader to re-check the completion condition.
@@ -246,8 +299,7 @@ func chunkLen(totalBytes, chunkBytes, idx int) int {
 // When next is non-nil it is the successor fragment on the same loader,
 // and this loop performs the tuner handoff itself: it tunes next once
 // its join lead opens, so next's frames accumulate in its subscription
-// queue while this fragment's repair tail drains — mirroring the
-// single-tuner client, where they queue in the socket buffer.
+// queue while this fragment's repair tail drains.
 func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
 	m := c.mux
@@ -283,6 +335,7 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	op.Observe = !m.cfg.DisableRepair
 	op.DisableRepair = m.cfg.DisableRepair
 	op.OnLost = func(idx, _ int) {
+		m.tracef("chunk-lost", "ch %d seq %d chunk %d lost cohort-wide", channel, f.wantSeq, idx)
 		m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d cohort-wide",
 			c.video, c.playStartUnit, channel, idx)
 		c.lostShared.Add(1)
@@ -291,11 +344,10 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	// The shared machine runs the multicast-first NACK ladder before any
 	// gap is handed to the per-viewer unicast plane: one NACK speaks for
 	// the whole cohort, and one re-send heals it. Timing keys on the first
-	// member's seed, so a single-viewer cohort NACKs bit-identically to a
-	// real client seeded with ViewerSeed — the golden-equivalence anchor.
+	// member's seed, so a one-viewer cohort NACKs on its viewer's own seed.
 	op.NackEnabled = m.w.NackRepair && !m.cfg.DisableNack
 	if op.NackEnabled {
-		seed := ViewerSeed(m.cfg.Seed, c.viewers[0])
+		seed := m.viewerSeed(c.viewers[0])
 		op.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
 			return JitterIn(seed, key, stream, window)
 		}
@@ -325,8 +377,7 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	// Book the backlog that accumulated in the subscription queue during
 	// the tuner handoff before the machine's first deadline pass, so a
 	// boundary chunk that already arrived can never be mistaken for a
-	// gap, however late this loop starts. (The single-tuner client does
-	// the same with the handoff queue its predecessor read for it.)
+	// gap, however late this loop starts.
 drain:
 	for {
 		select {
@@ -347,6 +398,9 @@ drain:
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
+		if err := c.overCap(); err != nil {
+			return err
+		}
 		if f.vfs != nil && f.pending.Load() == 0 && f.inflight.Load() == 0 {
 			// Every viewer has resolved its divergent chunks (repaired or
 			// lost), so the shared machine need not hold them open to
@@ -373,16 +427,19 @@ drain:
 		if !f.m.Done() {
 			act := f.m.Next(now)
 			if act.Kind == ActGap {
+				m.tracef("gap", "ch %d seq %d chunk %d overdue", channel, f.wantSeq, act.Idx)
 				c.diverge(f, act.Idx)
 				continue
 			}
 			if act.Kind == ActNack {
+				m.tracef("nack", "ch %d seq %d: %d chunks", channel, f.wantSeq, len(act.Chunks))
 				accepted, err := m.jm.cc.nack(c.video, channel, f.wantSeq, act.Chunks)
 				if err != nil {
 					var busy *busyError
 					if errors.As(err, &busy) {
 						c.nackBusy.Add(1)
 					}
+					m.tracef("nack-fail", "ch %d seq %d: %v", channel, f.wantSeq, err)
 					m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
 						c.video, c.playStartUnit, channel, len(act.Chunks), err)
 					accepted = nil
@@ -506,6 +563,7 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 		if bad := content.Verify(ch.Payload, c.video, f.videoBase+int64(ch.Offset)); bad >= 0 {
 			c.byteErrors.Add(1)
 		}
+		f.creditFirst(idx, len(ch.Payload), now)
 		f.arrived[idx].Store(now.UnixNano())
 		// The shared machine no longer waits on it; viewers that still
 		// miss it book the recorded arrival on their own clocks.
@@ -525,6 +583,7 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 	if bad := content.Verify(ch.Payload, c.video, f.videoBase+int64(ch.Offset)); bad >= 0 {
 		c.byteErrors.Add(1)
 	}
+	c.credit(len(ch.Payload), now)
 	if f.stripe != nil {
 		f.heals = f.stripe.Data(idx, ch.Payload, f.heals[:0])
 		return c.bookHeals(f, now)
@@ -547,28 +606,28 @@ func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
 	for _, h := range f.heals {
 		idx := h.Idx
 		payload := h.Payload[:chunkLen(f.params.TotalBytes, f.params.ChunkBytes, idx)]
-		off := f.videoBase + int64(idx)*int64(f.params.ChunkBytes)
 		if f.diverged[idx] {
 			if f.arrived[idx].Load() != 0 {
 				c.dup.Add(1)
 				continue
 			}
-			if bad := content.Verify(payload, c.video, off); bad >= 0 {
-				c.byteErrors.Add(1)
-			}
+			f.creditFirst(idx, len(payload), now)
 			f.healed[idx].Store(true)
 			f.arrived[idx].Store(now.UnixNano())
 			f.m.ResolveRepaired(idx)
 			for _, vf := range f.vfs {
 				m.submit(vf, -1)
 			}
+		} else if f.m.FecHealed(idx, now) == Duplicate {
 			continue
+		} else {
+			c.credit(len(payload), now)
 		}
-		if f.m.FecHealed(idx, now) == Duplicate {
-			continue
-		}
-		if bad := content.Verify(payload, c.video, off); bad >= 0 {
+		if bad := content.Verify(payload, c.video, f.videoBase+int64(idx)*int64(f.params.ChunkBytes)); bad >= 0 {
 			c.byteErrors.Add(1)
+		}
+		if m.trace != nil {
+			m.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", f.channel, f.wantSeq, idx)
 		}
 	}
 	f.heals = f.heals[:0]
@@ -586,6 +645,7 @@ func (c *cohort) diverge(f *cohortFrag, idx int) {
 		f.divergedIdx = make([]int, n)
 		f.arrived = make([]atomic.Int64, n)
 		f.healed = make([]atomic.Bool, n)
+		f.held = make([]atomic.Bool, n)
 	}
 	f.diverged[idx] = true
 	nd := f.ndiverged.Load()
@@ -608,21 +668,22 @@ func (c *cohort) diverge(f *cohortFrag, idx int) {
 }
 
 // newViewerFrag builds viewer v's machine for fragment f with only the
-// diverging chunk outstanding. Its policy parameters mirror the live
-// client's exactly, keyed on the viewer's own seed.
+// diverging chunk outstanding, its retry backoff keyed on the viewer's own
+// seed.
 func (c *cohort) newViewerFrag(f *cohortFrag, v, gapIdx int) *viewerFrag {
 	m := c.mux
 	p := f.params
 	p.RepairsEnabled = func() bool { return !m.bye.Load() }
-	seed := ViewerSeed(m.cfg.Seed, v)
+	seed := m.viewerSeed(v)
 	p.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
 		return JitterIn(seed, key, stream, window)
 	}
 	led := &m.ledgers[v]
 	totalBytes, chunkBytes := f.params.TotalBytes, f.params.ChunkBytes
-	p.OnLost = func(idx, _ int) {
+	p.OnLost = func(idx, attempts int) {
 		led.lost++
 		led.lostBytes += int64(chunkLen(totalBytes, chunkBytes, idx))
+		m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", f.channel, f.wantSeq, idx, attempts)
 	}
 	return &viewerFrag{f: f, viewer: v, vm: newResolvedMachine(p, gapIdx)}
 }

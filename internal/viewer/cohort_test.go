@@ -357,8 +357,9 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race for the gate")
 	}
 	const chunkBytes, nchunks = 512, 5
-	m := &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024}}
-	c := &cohort{mux: m, video: 1}
+	m := &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024},
+		unit: 10 * time.Millisecond, videoBytes: 1 << 20}
+	c := &cohort{mux: m, video: 1, playStart: time.Unix(2001, 0)}
 	f := &cohortFrag{
 		c:       c,
 		channel: 2,
@@ -406,6 +407,143 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 	}
 	if c.byteErrors.Load() != 0 || c.dup.Load() != 0 {
 		t.Errorf("byteErrors %d dup %d after clean redeliveries", c.byteErrors.Load(), c.dup.Load())
+	}
+	if want := int64((nchunks - 1) * chunkBytes); c.maxBuffer.Load() != want {
+		t.Errorf("buffer high-water %d before playback, want the %d bytes accepted (duplicates uncounted)", c.maxBuffer.Load(), want)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The cohort buffer ledger: downloaded minus played, sampled at arrivals, a
+// chunk counting from the first instant any member holds it.
+// ---------------------------------------------------------------------------
+
+// TestCohortBufferLedger scripts one fragment in virtual time through
+// every way a chunk can come to be held — shared arrivals, a stripe heal,
+// a unicast repair of a diverged chunk, then that chunk's late broadcast
+// copy and a plain duplicate — and holds the high-water mark to the
+// hand-computed value. Playback runs at 1024 bytes per 10 ms unit from
+// t = 0; chunks are 512 bytes; chunk 2 (healed) and chunk 5 (repaired)
+// are the two the broadcast drops.
+//
+//	t (ms)  event                         downloaded  played  level
+//	 -30    chunk 0, shared                   512        0     512
+//	 -20    chunk 1, shared                  1024        0    1024
+//	 -10    chunk 3, shared                  1536        0    1536
+//	   0    parity: chunk 2 healed           2048        0    2048
+//	   5    chunk 4, shared                  2560      512    2048
+//	   6    chunk 5, viewer 0's repair       3072      614    2458  <- high
+//	   7    chunk 5, late broadcast copy     3072      716    (held: uncounted)
+//	   8    chunk 0, duplicate               3072      819    (uncounted)
+//	  20    chunk 6, shared                  3584     2048    1536
+func TestCohortBufferLedger(t *testing.T) {
+	const chunkBytes, nchunks, highWater = 512, 8, 2458
+	playStart := time.Unix(3000, 0)
+	at := func(ms int) time.Time { return playStart.Add(time.Duration(ms) * time.Millisecond) }
+	sess := &Session{}
+	m := &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024}, sess: sess,
+		unit: 10 * time.Millisecond, videoBytes: 1 << 20,
+		ledgers: make([]viewerLedger, 1), workers: []*worker{{in: make(chan wcmd, 64)}}}
+	c := &cohort{mux: m, video: 1, viewers: []int{0}, playStart: playStart}
+	f := &cohortFrag{
+		c: c, channel: 2, wantSeq: 3, videoBase: 0,
+		params: FragmentParams{
+			Video: 1, Channel: 2, Size: 4, TuneUnit: 12, PlayUnit: 100,
+			TotalBytes: nchunks * chunkBytes, ChunkBytes: chunkBytes, BytesPerUnit: 1024,
+			Epoch: playStart.Add(-time.Second), Unit: 10 * time.Millisecond,
+			Slack: time.Second, Lag: time.Second, FecGroup: 4,
+		},
+		wake: make(chan struct{}, 1),
+	}
+	op := f.params
+	op.Observe = true
+	f.m = NewMachine(op)
+	f.diverged = make([]bool, nchunks)
+	f.stripe = NewStripe(4, wire.FecModeXOR, chunkBytes, nchunks)
+
+	payload := func(idx int) []byte {
+		b := make([]byte, chunkBytes)
+		content.Fill(b, 1, int64(idx*chunkBytes))
+		return b
+	}
+	data := func(idx int) []byte {
+		frame, err := (&wire.Chunk{Video: 1, Channel: 2, Seq: 3, Offset: uint32(idx * chunkBytes),
+			Total: nchunks * chunkBytes, Payload: payload(idx)}).Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	block := make([]byte, chunkBytes)
+	for idx := 0; idx < 4; idx++ {
+		wire.XorAccum(block, payload(idx))
+	}
+	pp := wire.AppendParityPayload(nil, 4, block)
+	parity, err := wire.EncodeParityFrame(nil, 1, 2, 3, 0, nchunks*chunkBytes, 0, pp, wire.PayloadCRC(pp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(ms int, frame []byte, wantLevel int64) {
+		t.Helper()
+		if err := c.handleFrame(f, frame, at(ms)); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.downloaded.Load() - m.playedBytes(at(ms).Sub(playStart)); got != wantLevel {
+			t.Errorf("t=%dms: buffer level %d, want %d", ms, got, wantLevel)
+		}
+	}
+	deliver(-30, data(0), 512)
+	deliver(-20, data(1), 1024)
+	deliver(-10, data(3), 1536)
+	deliver(0, parity, 2048)
+	if f.m.Stats().FecHeals != 1 {
+		t.Fatalf("parity frame healed %d chunks, want chunk 2", f.m.Stats().FecHeals)
+	}
+	deliver(5, data(4), 2048)
+	c.diverge(f, 5)                     // the gap detector hands chunk 5 to the viewer plane
+	f.creditFirst(5, chunkBytes, at(6)) // ... whose worker books viewer 0's repair (worker.step)
+	deliver(7, data(5), 3072-716)
+	deliver(8, data(0), 3072-819)
+	deliver(20, data(6), 1536)
+
+	if got := c.maxBuffer.Load(); got != highWater {
+		t.Errorf("buffer high-water %d, want %d", got, highWater)
+	}
+	if c.byteErrors.Load() != 0 {
+		t.Errorf("%d byte errors on clean content", c.byteErrors.Load())
+	}
+	// The capacity is enforced against the same mark: one byte under it
+	// fails the session, at or over it does not.
+	sess.MaxBufferBytes = highWater - 1
+	if err := c.overCap(); err == nil {
+		t.Errorf("a %d-byte disk held a %d-byte high-water", sess.MaxBufferBytes, highWater)
+	}
+	sess.MaxBufferBytes = highWater + 1
+	if err := c.overCap(); err != nil {
+		t.Errorf("a %d-byte disk refused a %d-byte high-water: %v", sess.MaxBufferBytes, highWater, err)
+	}
+}
+
+func TestPlayedBytes(t *testing.T) {
+	m := &Mux{w: &wire.Welcome{SizeUnits: []int64{1, 2}, BytesPerUnit: 100}, unit: time.Second, videoBytes: 300}
+	if got := m.playedBytes(-time.Second); got != 0 {
+		t.Errorf("before start: %d", got)
+	}
+	if got := m.playedBytes(1500 * time.Millisecond); got != 150 {
+		t.Errorf("1.5 units in: %d, want 150", got)
+	}
+	if got := m.playedBytes(time.Hour); got != 300 {
+		t.Errorf("past end: %d, want 300 (capped)", got)
+	}
+}
+
+func TestMaxInt64(t *testing.T) {
+	var a atomic.Int64
+	maxInt64(&a, 5)
+	maxInt64(&a, 3)
+	maxInt64(&a, 9)
+	if a.Load() != 9 {
+		t.Errorf("maxInt64 = %d, want 9", a.Load())
 	}
 }
 

@@ -4,9 +4,9 @@
 // (and, in Reed-Solomon mode, the GF(256)-weighted sum) of the group's
 // arrivals so a single missing datagram — or two, with P+Q — is
 // reconstructed the moment the last covering frame lands, with zero
-// control round trips. Both the live client and the cohort multiplexer
-// drive one Stripe per fragment reception; the accumulators are pooled
-// and reused, so the steady-state receive path stays allocation-free.
+// control round trips. The cohort multiplexer drives one Stripe per
+// fragment reception; the accumulators are pooled and reused, so the
+// steady-state receive path stays allocation-free.
 package viewer
 
 import "skyscraper/internal/wire"
@@ -54,8 +54,7 @@ func (st *stripeState) reset(chunkBytes int, rs bool) {
 }
 
 // Stripe is the per-fragment reassembly buffer. Not safe for concurrent
-// use; the client drives one per loader, the mux one per cohort
-// fragment (both already serialize their receive paths).
+// use; the mux drives one per cohort fragment, from its receive loop.
 type Stripe struct {
 	group      int
 	rs         bool

@@ -2,7 +2,6 @@ package viewer_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"testing"
@@ -15,6 +14,17 @@ import (
 	"skyscraper/internal/viewer"
 	"skyscraper/internal/vod"
 )
+
+// checkPaperBufferBound holds every cohort of a run to the paper's disk
+// bound, 60·b·D1·(W−1): in the live demo's units (W−1)·BytesPerUnit, plus
+// one chunk of arrival granularity (startServer's 4096 and 1024).
+func checkPaperBufferBound(t *testing.T, res *viewer.Result, sch *core.Scheme) {
+	t.Helper()
+	bound := (sch.Width()-1)*4096 + 1024
+	if res.MaxBufferBytes <= 0 || res.MaxBufferBytes > bound {
+		t.Errorf("buffer high-water %d bytes, want in (0, %d] = (W-1)*BytesPerUnit + ChunkBytes", res.MaxBufferBytes, bound)
+	}
+}
 
 // liveScheme builds a small broadcast: m videos, k channels each, width w.
 func liveScheme(t *testing.T, m, k int, w int64) *core.Scheme {
@@ -50,227 +60,53 @@ func startServer(t *testing.T, sch *core.Scheme, unit time.Duration, plan *fault
 	return srv
 }
 
-// TestMuxGoldenSingleViewer is the cohort-equivalence anchor over real
-// sockets: a one-viewer mux run and a real client.Watch session with the
-// same derived seed, against a server injecting deterministic drops, must
-// report identical recovery stats. The fault injector keys drops without
-// the repetition number, so the two sessions see the same injured chunk
-// positions even though they tune different repetitions.
-func TestMuxGoldenSingleViewer(t *testing.T) {
+// TestWatchNackLadderLive is the live pin of the multicast-first ladder
+// end to end: one client.Watch session against a server injecting a
+// deterministic 25 % drop plan must send gap-bitmap NACKs, recover chunks
+// (off a multicast re-send or over unicast), and finish with nothing lost,
+// late or corrupt.
+func TestWatchNackLadderLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
 	}
 	sch := liveScheme(t, 1, 5, 2) // fragments 1,2,2,2,2 — 9 units per playback
 	srv := startServer(t, sch, 200*time.Millisecond, &faults.Plan{Drop: 0.25, Seed: 11})
 
-	const muxSeed = 42
 	stats, err := client.Watch(client.Config{
 		ServerAddr:   srv.Addr(),
 		Video:        0,
 		JoinLeadFrac: 0.9,
 		// Three units of slack give every chunk enough deadline headroom
-		// for the multicast-first NACK ladder (aggregation window plus
-		// re-listen); with the tighter 2.0 the just-in-time channels
-		// fall back to unicast and the NACK half of the equivalence
-		// would be vacuous.
+		// for the NACK ladder (aggregation window plus re-listen); with
+		// the tighter 2.0 the just-in-time channels fall back to unicast
+		// and the NACK assertion would be vacuous.
 		SlackFrac: 3.0,
 		// Over a unit of repair lag: merely-slow broadcast chunks on a
-		// loaded CI machine must not shift between the repaired and
-		// duplicate columns and break the golden equality (the same
-		// hardening as the server chaos suite's determinism runs). The
-		// extra eighth keeps the lag off the 50ms chunk-spacing grid: an
-		// on-grid lag puts some chunk's repair checkpoint in an exact tie
-		// with the next fragment's start on the same loader, and whether
-		// that repair completes before the next join decides — by
-		// scheduler luck — if the next fragment's first chunk is caught
-		// off the broadcast or repaired. Off-grid, every checkpoint sits
-		// a quarter-spacing clear of the boundary.
+		// loaded CI machine must not be taken for gaps.
 		RepairLagFrac: 1.125,
-		Seed:          viewer.ViewerSeed(muxSeed, 0),
+		Seed:          viewer.ViewerSeed(42, 0),
 		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("client watch: %v (stats %+v)", err, stats)
 	}
-	res, err := viewer.Run(viewer.MuxConfig{
-		ServerAddr:    srv.Addr(),
-		Viewers:       1,
-		Videos:        1,
-		Seed:          muxSeed,
-		JoinLeadFrac:  0.9,
-		SlackFrac:     3.0,
-		RepairLagFrac: 1.125,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("mux run: %v (result %+v)", err, res)
-	}
-
-	if res.Cohorts != 1 || res.Viewers != 1 {
-		t.Errorf("got %d cohorts / %d viewers, want 1/1", res.Cohorts, res.Viewers)
-	}
 	if stats.RepairedChunks+stats.MulticastRepairs == 0 {
-		t.Error("client recovered no chunks under a 25% drop plan; the golden comparison is vacuous")
+		t.Error("client recovered no chunks under a 25% drop plan")
 	}
 	if stats.NacksSent == 0 {
 		t.Error("client sent no NACKs under a 25% drop plan; the multicast-first ladder never engaged")
 	}
-	if res.Bytes != stats.Bytes {
-		t.Errorf("bytes: mux %d, client %d", res.Bytes, stats.Bytes)
-	}
-	if res.RepairedChunks != stats.RepairedChunks {
-		t.Errorf("repaired: mux %d, client %d", res.RepairedChunks, stats.RepairedChunks)
-	}
-	if res.RepairRequests != stats.RepairRequests {
-		t.Errorf("repair requests: mux %d, client %d", res.RepairRequests, stats.RepairRequests)
-	}
-	// The NACK ladder is part of the equivalence: a one-viewer cohort
-	// must aggregate, send, and suppress gap bitmaps exactly as the real
-	// client does — window grouping is grid-anchored, so these counts are
-	// deterministic, not merely close.
-	if res.NacksSent != stats.NacksSent {
-		t.Errorf("nacks sent: mux %d, client %d", res.NacksSent, stats.NacksSent)
-	}
-	if res.NacksSuppressed != stats.NacksSuppressed {
-		t.Errorf("nacks suppressed: mux %d, client %d", res.NacksSuppressed, stats.NacksSuppressed)
-	}
-	if res.MulticastRepairs != stats.MulticastRepairs {
-		t.Errorf("multicast repairs: mux %d, client %d", res.MulticastRepairs, stats.MulticastRepairs)
-	}
-	if res.LostChunks != 0 || stats.LostChunks != 0 {
-		t.Errorf("lost: mux %d, client %d, want 0", res.LostChunks, stats.LostChunks)
-	}
-	if res.LateChunks != 0 || stats.LateChunks != 0 {
-		t.Errorf("late: mux %d, client %d, want 0", res.LateChunks, stats.LateChunks)
-	}
-	if res.ByteErrors != 0 || stats.ByteErrors != 0 {
-		t.Errorf("byte errors: mux %d, client %d, want 0", res.ByteErrors, stats.ByteErrors)
-	}
-	if res.Degraded != 0 {
-		t.Errorf("degraded viewers = %d, want 0", res.Degraded)
+	if stats.LostChunks != 0 || stats.LateChunks != 0 || stats.ByteErrors != 0 {
+		t.Errorf("lost %d late %d byte errors %d, want all 0", stats.LostChunks, stats.LateChunks, stats.ByteErrors)
 	}
 }
 
-// TestMuxGoldenSingleViewerFec extends the equivalence anchor to the
-// proactive parity stripe: with the server interleaving parity frames,
-// the one-viewer mux must reconstruct inside the cohort path — shared
-// stripe, shared machine — and report FEC heals, stripe defeats, and the
-// (defeat-anchored) NACK ledger bit-identically to a real client doing
-// its own reassembly.
-//
-// The equivalence is a pure function of (loss plan, seed) only while the
-// broadcast grid holds. The client and mux runs are sequential, so on a
-// loaded 1-core host a scheduling stall can push one run's server a full
-// unit behind (a counted drift event) and the two sessions legitimately
-// see different timelines. A ledger mismatch is therefore a failure only
-// on a drift-free run; with drift on the books the attempt is discarded
-// and retried on a fresh server.
-func TestMuxGoldenSingleViewerFec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 1, 5, 2)
-	const muxSeed = 42
-	const attempts = 3
-	for attempt := 1; ; attempt++ {
-		srv, err := server.New(server.Config{
-			Scheme:       sch,
-			Unit:         200 * time.Millisecond,
-			BytesPerUnit: 4096,
-			ChunkBytes:   1024,
-			FecGroup:     4,
-			Faults:       &faults.Plan{Drop: 0.25, Seed: 11},
-			Logf:         t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		stats, err := client.Watch(client.Config{
-			ServerAddr:    srv.Addr(),
-			Video:         0,
-			JoinLeadFrac:  0.9,
-			SlackFrac:     3.0,
-			RepairLagFrac: 1.125,
-			Seed:          viewer.ViewerSeed(muxSeed, 0),
-			Logf:          t.Logf,
-		})
-		if err != nil {
-			srv.Close()
-			t.Fatalf("client watch: %v (stats %+v)", err, stats)
-		}
-		res, err := viewer.Run(viewer.MuxConfig{
-			ServerAddr:    srv.Addr(),
-			Viewers:       1,
-			Videos:        1,
-			Seed:          muxSeed,
-			JoinLeadFrac:  0.9,
-			SlackFrac:     3.0,
-			RepairLagFrac: 1.125,
-			Logf:          t.Logf,
-		})
-		drift := srv.PacerDriftEvents()
-		srv.Close()
-		if err != nil {
-			t.Fatalf("mux run: %v (result %+v)", err, res)
-		}
-
-		var diffs []string
-		mismatch := func(format string, args ...any) {
-			diffs = append(diffs, fmt.Sprintf(format, args...))
-		}
-		if stats.FecHeals == 0 {
-			mismatch("client healed nothing off the stripe under a 25%% drop plan; the FEC equivalence is vacuous")
-		}
-		if res.FecHeals != stats.FecHeals {
-			mismatch("fec heals: mux %d, client %d", res.FecHeals, stats.FecHeals)
-		}
-		if res.StripeDefeats != stats.StripeDefeats {
-			mismatch("stripe defeats: mux %d, client %d", res.StripeDefeats, stats.StripeDefeats)
-		}
-		if res.NacksSent != stats.NacksSent {
-			mismatch("nacks sent: mux %d, client %d", res.NacksSent, stats.NacksSent)
-		}
-		if res.NacksSuppressed != stats.NacksSuppressed {
-			mismatch("nacks suppressed: mux %d, client %d", res.NacksSuppressed, stats.NacksSuppressed)
-		}
-		if res.MulticastRepairs != stats.MulticastRepairs {
-			mismatch("multicast repairs: mux %d, client %d", res.MulticastRepairs, stats.MulticastRepairs)
-		}
-		if res.RepairedChunks != stats.RepairedChunks {
-			mismatch("repaired: mux %d, client %d", res.RepairedChunks, stats.RepairedChunks)
-		}
-		if res.Bytes != stats.Bytes {
-			mismatch("bytes: mux %d, client %d", res.Bytes, stats.Bytes)
-		}
-		if res.LostChunks != 0 || stats.LostChunks != 0 || res.ByteErrors != 0 || stats.ByteErrors != 0 {
-			mismatch("lost/byteErrors nonzero: mux %d/%d, client %d/%d",
-				res.LostChunks, res.ByteErrors, stats.LostChunks, stats.ByteErrors)
-		}
-		if res.Degraded != 0 {
-			mismatch("degraded viewers = %d, want 0", res.Degraded)
-		}
-		if len(diffs) == 0 {
-			return
-		}
-		if drift > 0 && attempt < attempts {
-			t.Logf("attempt %d: %d ledger mismatches with %d drift events on the books (grid broke under load); retrying on a fresh server", attempt, len(diffs), drift)
-			continue
-		}
-		for _, d := range diffs {
-			t.Error(d)
-		}
-		return
-	}
-}
-
-// TestMuxMatchesIndependentClients scales the golden anchor to a small
-// cohort: a mux run of n viewers must aggregate to exactly the sums of n
-// independent client sessions seeded viewer-by-viewer — and the result must
-// be bit-identical across worker-pool sizes, since per-viewer bookkeeping
-// is sharded by viewer ID, not by scheduling order.
+// TestMuxMatchesIndependentClients is cohort ≡ independent viewers over
+// real sockets: one n-viewer cohort must aggregate to exactly the sums of
+// n one-viewer sessions (client.Watch, each its own cohort of one) seeded
+// viewer-by-viewer — and the result must be bit-identical across
+// worker-pool sizes, since per-viewer bookkeeping is sharded by viewer ID,
+// not by scheduling order.
 func TestMuxMatchesIndependentClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -292,8 +128,7 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 			RepairLagFrac: 1.125,
 			// This property pins the per-viewer unicast plane: a cohort
 			// NACKs once where n clients NACK n times, so with the ladder
-			// on the sums cannot (and should not) match. Single-viewer
-			// NACK equivalence is TestMuxGoldenSingleViewer's job.
+			// on the sums cannot (and should not) match.
 			DisableNack: true,
 		})
 		if err != nil {
@@ -394,6 +229,7 @@ func TestMuxScaleSmoke(t *testing.T) {
 	if res.Datagrams == 0 {
 		t.Error("shared receiver delivered no datagrams")
 	}
+	checkPaperBufferBound(t, res, sch)
 
 	// The server must not have felt the audience: control sessions stay
 	// bounded by the mux's connection pool, not the viewer count.
@@ -474,6 +310,7 @@ func TestMuxHeapFlatAcrossFragmentTurnover(t *testing.T) {
 	if turnovers := out.res.Cohorts * k; turnovers < 3*k {
 		t.Fatalf("only %d fragment turnovers, want >= %d", turnovers, 3*k)
 	}
+	checkPaperBufferBound(t, out.res, sch)
 	if len(samples) < 8 {
 		t.Fatalf("only %d heap samples over the run", len(samples))
 	}

@@ -1,25 +1,26 @@
-// Package viewer scales the receiving side of the live Skyscraper demo to
-// metropolitan audiences. The paper's server cost is independent of the
-// audience size; demonstrating that requires an audience the test machine
-// can actually hold. This package supplies it in two layers:
+// Package viewer is the receiving side of the live Skyscraper demo: the
+// paper's client (Section 3.3: an Odd Loader, an Even Loader and a Video
+// Player over at most two tuners), written once and run at any audience
+// size. The paper's server cost is independent of the audience; showing
+// that takes an audience the test machine can hold. Two layers:
 //
-//   - Machine (this file): the client's deterministic per-fragment loader
-//     state machine — gap detection on the wire sequence numbering, repair
+//   - Machine (this file): the deterministic per-fragment loader state
+//     machine — gap detection on the wire sequence numbering, repair
 //     scheduling with deadline-bounded jittered backoff, and degradation
-//     accounting — extracted from internal/client so one implementation
-//     drives both a real single-viewer session and the multiplexer below.
+//     accounting.
 //
-//   - Mux (mux.go/cohort.go): a virtual-viewer multiplexer that emulates
-//     100k+ sessions in one process by exploiting the scheme's repetition
-//     invariance: viewers tuned to the same (video, channel set, phase)
-//     form a cohort sharing one receiver subscription and one
-//     decode/CRC/content-verify pass per datagram, with per-viewer state
-//     materialized only when losses force viewers to diverge.
+//   - Mux (mux.go/cohort.go): the one driver of that machine. Viewers
+//     tuned to the same (video, channel set, phase) form a cohort sharing
+//     one receiver subscription and one decode/CRC/content-verify pass
+//     per datagram (repetition invariance), with per-viewer state
+//     materialized only when losses force viewers to diverge: one process
+//     holds 100k+ sessions, and a single session (RunSession, which
+//     client.Watch wraps) is a cohort of one.
 //
 // Machine is pure state: every method takes the current time explicitly
-// and touches no clock, socket, or goroutine, so the same transitions can
-// run against wall time (the live client) or a scripted virtual time (the
-// cohort equivalence property tests).
+// and touches no clock, socket, or goroutine, so the same transitions run
+// against wall time (the mux) or a scripted virtual time (the cohort
+// equivalence property tests).
 package viewer
 
 import (
@@ -62,13 +63,13 @@ func JitterIn(seed, key, stream uint64, window time.Duration) time.Duration {
 	return d
 }
 
-// JitterFunc draws one deterministic backoff delay; the live client binds
-// JitterIn to its session seed, the multiplexer to each viewer's seed.
+// JitterFunc draws one deterministic backoff delay; the multiplexer binds
+// JitterIn to each viewer's seed.
 type JitterFunc func(key, stream uint64, window time.Duration) time.Duration
 
 // FragmentParams describes one fragment reception: the broadcast geometry
 // a loader tunes to and the recovery policy it runs. All times derive from
-// (Epoch, Unit) exactly as in the live client.
+// (Epoch, Unit).
 type FragmentParams struct {
 	// Video and Channel identify the fragment's broadcast group.
 	Video, Channel int
@@ -93,7 +94,7 @@ type FragmentParams struct {
 	// DisableRepair turns recovery off: gaps run out their deadlines and
 	// become losses. MaxRepairAttempts caps round trips per chunk (zero
 	// selects DefaultMaxRepairAttempts). RepairsEnabled, when non-nil, is
-	// consulted before scheduling each repair — the live client parks
+	// consulted before scheduling each repair — the multiplexer parks
 	// repairs after a server-initiated bye. Jitter draws retry backoff
 	// (required unless DisableRepair or Observe).
 	DisableRepair     bool
@@ -215,7 +216,7 @@ const (
 
 // Machine is the loader state machine for one fragment reception. It is
 // not safe for concurrent use; the cohort multiplexer serializes access
-// per cohort and the live client drives one machine per loader.
+// per cohort loader and per viewer.
 type Machine struct {
 	p        FragmentParams
 	nchunks  int
@@ -416,6 +417,10 @@ func (m *Machine) Have(idx int) bool { return m.have[idx] }
 
 // Attempts returns how many repair round trips chunk idx has consumed.
 func (m *Machine) Attempts(idx int) int { return m.attempts[idx] }
+
+// RetryAt is when chunk idx is next due for recovery action: after a
+// Rescheduled repair result, its backoff-jittered retry instant.
+func (m *Machine) RetryAt(idx int) time.Time { return m.tryAt[idx] }
 
 // Stats returns the recovery counters accumulated so far.
 func (m *Machine) Stats() MachineStats { return m.stats }
@@ -817,8 +822,8 @@ func (m *Machine) Reopen(idx int) {
 	}
 }
 
-// RepairResult applies one repair round trip's outcome to chunk idx,
-// mirroring the live client's recovery policy exactly:
+// RepairResult applies one repair round trip's outcome to chunk idx — the
+// recovery policy:
 //
 //   - RepairOK books the chunk (jitter-checked at now).
 //   - RepairBusy reschedules at now + hint (or two chunk intervals when

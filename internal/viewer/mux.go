@@ -18,12 +18,22 @@ import (
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/metrics"
 	"skyscraper/internal/series"
+	"skyscraper/internal/trace"
 	"skyscraper/internal/wire"
 )
 
 // errMuxDraining reports a server-initiated bye on a mux control
 // connection: the repair plane is gone for every emulated viewer.
-var errMuxDraining = errors.New("viewer: server draining (bye received)")
+// errEpochChanged refuses a redial that reached a different broadcast.
+var (
+	errMuxDraining  = errors.New("viewer: server draining (bye received)")
+	errEpochChanged = errors.New("viewer: server restarted (broadcast epoch changed); sessions cannot continue")
+)
+
+// ReconnectJitterKey is the jitter substream key for control reconnects;
+// repair retries key on (channel, chunk) and NACK windows on bit 63 |
+// channel, so no two retry sites of one viewer seed share a stream.
+const ReconnectJitterKey = ^uint64(0)
 
 // busyError is the server's admission pushback on a repair request; it is
 // flow control, not failure.
@@ -43,11 +53,58 @@ func (e *busyError) Error() string {
 const arrivalStream = ^uint64(1)
 
 // ViewerSeed is virtual viewer v's session seed under a mux seeded with
-// muxSeed. A real client.Config{Seed: ViewerSeed(muxSeed, v)} draws
-// bit-identical repair jitter schedules to mux viewer v — the anchor the
-// cohort-equivalence tests build on.
+// muxSeed. A Session{Seed: ViewerSeed(muxSeed, v)} draws bit-identical
+// repair jitter schedules to mux viewer v: a session's seed is used as
+// given, never re-derived.
 func ViewerSeed(muxSeed uint64, v int) uint64 {
 	return des.SubSeed(muxSeed, uint64(v))
+}
+
+// Session names the one viewer RunSession drives: where an audience
+// derives each viewer's video and seed from the mux seed, a session states
+// them. It is what client.Watch runs.
+type Session struct {
+	// Video is the catalog index to watch; Seed the viewer's seed, used as
+	// given (see ViewerSeed).
+	Video int
+	Seed  uint64
+	// MaxBufferBytes, when positive, fails the session once its
+	// downloaded-but-unplayed level exceeds it; Trace, when non-nil,
+	// journals its recovery events (see Mux.Journal).
+	MaxBufferBytes int64
+	Trace          *trace.Buffer
+}
+
+// SessionResult is the Result of a one-viewer run plus the two figures
+// only a single session reports exactly.
+type SessionResult struct {
+	*Result
+	// WaitUnits is the admission wait in D1 units (WaitHist keeps only its
+	// milli-unit bin); Groups the transmission groups received.
+	WaitUnits float64
+	Groups    int
+}
+
+// RunSession runs one viewing session as a one-viewer cohort: the same
+// admit, receive and repair path Run drives for an audience. It fails only
+// when the session could not be driven to its end (refused join, exceeded
+// buffer); losses and jitter are counts in the result, for the caller.
+func RunSession(cfg MuxConfig, s Session) (*SessionResult, error) {
+	cfg.Viewers, cfg.SpreadUnits, cfg.Workers, cfg.Seed = 1, 0, 1, s.Seed
+	m, err := newMux(cfg, &s)
+	if err != nil {
+		return nil, err
+	}
+	m.Journal(s.Trace)
+	if s.Video < 0 || s.Video >= m.w.Videos {
+		m.jm.cc.close()
+		return nil, fmt.Errorf("viewer: video %d outside catalog 0..%d", s.Video, m.w.Videos-1)
+	}
+	res, err := m.Run()
+	if err != nil {
+		return nil, err
+	}
+	return &SessionResult{Result: res, WaitUnits: m.waits[0], Groups: len(series.Groups(m.w.SizeUnits))}, nil
 }
 
 // MuxConfig parameterizes one virtual-viewer multiplexer run.
@@ -152,6 +209,11 @@ type Result struct {
 	StripeDefeats int64 `json:"stripeDefeats"`
 	// Degraded counts viewers that finished with any lost or late chunk.
 	Degraded int `json:"degraded"`
+	// MaxBufferBytes is the highest downloaded-but-unplayed level any
+	// cohort reached (a chunk counts from the first instant any member
+	// holds it: exact for one viewer, never under a member's own level for
+	// more). The paper bounds it by 60·b·D1·(W−1) — (W−1)·BytesPerUnit here.
+	MaxBufferBytes int64 `json:"maxBufferBytes"`
 	// PeakViewers and PeakCohorts are the concurrency high-water marks.
 	PeakViewers int64 `json:"peakViewers"`
 	PeakCohorts int64 `json:"peakCohorts"`
@@ -244,9 +306,14 @@ type viewerLedger struct {
 // materialize only when a loss makes outcomes diverge.
 type Mux struct {
 	cfg   MuxConfig
+	sess  *Session // non-nil for RunSession's one stated viewer
 	w     *wire.Welcome
 	unit  time.Duration
 	epoch time.Time
+	// videoBytes is one whole video's payload (every video shares the
+	// layout); trace the recovery journal, nil for none.
+	videoBytes int64
+	trace      *trace.Buffer
 
 	rcv     *mcast.SharedReceiver
 	jm      *joinManager
@@ -271,8 +338,8 @@ func (m *Mux) LiveViewers() *metrics.PaddedGauge   { return &m.liveViewers }
 func (m *Mux) ActiveCohorts() *metrics.PaddedGauge { return &m.activeCohorts }
 
 // Run emulates cfg.Viewers sessions to completion and aggregates their
-// stats. Like client.Watch, a degraded run still returns its Result
-// alongside the error.
+// stats. A run in which cohorts failed still returns its Result alongside
+// the error.
 func Run(cfg MuxConfig) (*Result, error) {
 	m, err := NewMux(cfg)
 	if err != nil {
@@ -283,7 +350,31 @@ func Run(cfg MuxConfig) (*Result, error) {
 
 // NewMux validates cfg, performs the control handshake, and prepares an
 // emulation. Run executes it.
-func NewMux(cfg MuxConfig) (*Mux, error) {
+func NewMux(cfg MuxConfig) (*Mux, error) { return newMux(cfg, nil) }
+
+// Journal directs the run's recovery events (gap, nack, repair-req,
+// repair-ok, repair-busy, repair-fail, fec-heal, chunk-lost, reconnect,
+// server-bye) into tb on the broadcast epoch's wall scale; call before Run.
+func (m *Mux) Journal(tb *trace.Buffer) { m.trace = tb }
+
+// tracef journals one recovery event. Sites an audience runs per datagram
+// or per repair test m.trace themselves, so no argument is boxed for nothing.
+func (m *Mux) tracef(kind, format string, args ...any) {
+	if m.trace != nil {
+		m.trace.Addf(trace.Wall(m.epoch, time.Now()), kind, format, args...)
+	}
+}
+
+// viewerSeed is viewer v's seed: derived from the mux seed for an
+// audience; for a session the mux seed is the viewer's, as stated.
+func (m *Mux) viewerSeed(v int) uint64 {
+	if m.sess != nil {
+		return m.cfg.Seed
+	}
+	return ViewerSeed(m.cfg.Seed, v)
+}
+
+func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 	if cfg.Viewers <= 0 {
 		return nil, fmt.Errorf("viewer: mux needs a positive viewer count (got %d)", cfg.Viewers)
 	}
@@ -314,20 +405,22 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	m := &Mux{cfg: cfg, stop: make(chan struct{})}
-	cc := &controlConn{mux: m}
-	w, err := cc.welcome()
+	m := &Mux{cfg: cfg, sess: sess, stop: make(chan struct{})}
+	// The join connection redials on the mux seed itself (a session's own
+	// seed): no audience worker's schedule.
+	cc := &controlConn{mux: m, seed: cfg.Seed}
+	cc.mu.Lock()
+	w, err := cc.handshake()
+	cc.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	if len(w.SizeUnits) != w.ChannelsPerVideo || w.ChannelsPerVideo == 0 || w.Videos <= 0 {
-		cc.close()
-		return nil, fmt.Errorf("viewer: malformed welcome: %d sizes for %d channels, %d videos",
-			len(w.SizeUnits), w.ChannelsPerVideo, w.Videos)
 	}
 	m.w = w
 	m.unit = time.Duration(w.UnitNanos)
 	m.epoch = time.Unix(0, w.EpochUnixNano)
+	for _, s := range w.SizeUnits {
+		m.videoBytes += s * int64(w.BytesPerUnit)
+	}
 	m.jm = &joinManager{cc: cc, refs: map[mcast.Group]int{}}
 	return m, nil
 }
@@ -361,7 +454,12 @@ func (m *Mux) Run() (*Result, error) {
 	m.workers = make([]*worker, m.cfg.Workers)
 	for i := range m.workers {
 		w := &worker{mux: m, in: make(chan wcmd, 1024)}
-		w.conn = &controlConn{mux: m}
+		// A session keeps one control connection; an audience's workers
+		// repair in parallel on one each.
+		w.conn = m.jm.cc
+		if m.sess == nil {
+			w.conn = &controlConn{mux: m, seed: m.viewerSeed(i)}
+		}
 		m.workers[i] = w
 		m.wwg.Add(1)
 		go w.run()
@@ -423,14 +521,18 @@ func (m *Mux) admit() []*cohort {
 	byKey := map[ckey]*cohort{}
 	var order []*cohort
 	for v := 0; v < m.cfg.Viewers; v++ {
-		r := des.NewRand(des.SubSeed(ViewerSeed(m.cfg.Seed, v), arrivalStream))
+		r := des.NewRand(des.SubSeed(m.viewerSeed(v), arrivalStream))
 		a := arrivalUnits + r.Float64()*m.cfg.SpreadUnits
 		playStart := int64(math.Ceil(a + m.cfg.JoinLeadFrac))
 		m.waits[v] = float64(playStart) - a
 		k := ckey{video: v % videos, playStart: playStart}
+		if m.sess != nil {
+			k.video = m.sess.Video
+		}
 		co := byKey[k]
 		if co == nil {
-			co = &cohort{mux: m, video: k.video, playStartUnit: k.playStart}
+			co = &cohort{mux: m, video: k.video, playStartUnit: k.playStart,
+				playStart: m.epoch.Add(time.Duration(k.playStart) * m.unit)}
 			byKey[k] = co
 			order = append(order, co)
 		}
@@ -459,19 +561,15 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 		ReadErrors:    m.rcv.ReadErrors(),
 		Reconnects:    m.reconnects.Load(),
 	}
-	var totalUnits int64
-	for _, s := range m.w.SizeUnits {
-		totalUnits += s
-	}
-	videoBytes := totalUnits * int64(m.w.BytesPerUnit)
 	for _, co := range cohorts {
 		n := int64(len(co.viewers))
+		res.MaxBufferBytes = max(res.MaxBufferBytes, co.maxBuffer.Load())
 		sharedLate, sharedLost := co.late.Load(), co.lostShared.Load()
 		res.LateChunks += sharedLate * n
 		res.DuplicateChunks += co.dup.Load() * n
 		res.LostChunks += sharedLost * n
 		res.ByteErrors += co.byteErrors.Load()
-		res.Bytes += n * (videoBytes - co.lostSharedBytes.Load())
+		res.Bytes += n * (m.videoBytes - co.lostSharedBytes.Load())
 		res.NacksSent += co.nacks.Load()
 		res.NacksSuppressed += co.nackSuppressed.Load()
 		res.BusyReplies += co.nackBusy.Load()
@@ -593,7 +691,7 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 		if t := f.arrived[idx].Load(); t != 0 && !vf.vm.Have(idx) {
 			// A recorded stripe reconstruction books as a FEC heal — or a
 			// duplicate, for a viewer that already unicast-repaired the
-			// chunk — exactly as a live client's machine would book it.
+			// chunk.
 			if f.healed[idx].Load() {
 				vf.vm.FecHealed(idx, time.Unix(0, t))
 			} else {
@@ -614,25 +712,40 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 		idx := act.Idx
 		led.repairReqs++
 		off := int64(idx) * int64(f.params.ChunkBytes)
+		if w.mux.trace != nil {
+			w.mux.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.wantSeq, idx, act.Attempt)
+		}
 		data, err := w.conn.repair(f.c.video, f.channel, f.wantSeq, off, vf.vm.ChunkLen(idx))
 		now = time.Now()
-		outcome, retryAfter := RepairOK, time.Duration(0)
+		outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
 		if err != nil {
 			var busy *busyError
 			switch {
 			case errors.As(err, &busy):
 				led.busyReplies++
-				outcome, retryAfter = RepairBusy, busy.retryAfter
+				outcome, retryAfter, kind = RepairBusy, busy.retryAfter, "repair-busy"
 			case errors.Is(err, errMuxDraining):
-				outcome = RepairDisabled
+				outcome, kind = RepairDisabled, "repair-off"
 			default:
-				outcome = RepairFailed
+				outcome, kind = RepairFailed, "repair-fail"
 			}
 		}
-		if vf.vm.RepairResult(idx, outcome, retryAfter, now) == Repaired {
+		disp := vf.vm.RepairResult(idx, outcome, retryAfter, now)
+		if disp == Repaired {
 			if bad := content.Verify(data, f.c.video, f.videoBase+off); bad >= 0 {
 				led.byteErrors++
 			}
+			f.creditFirst(idx, len(data), now)
+		}
+		if w.mux.trace != nil {
+			note := "repaired"
+			if err != nil {
+				note = err.Error()
+			}
+			if disp == Rescheduled {
+				note += fmt.Sprintf("; retry in %v", vf.vm.RetryAt(idx).Sub(now))
+			}
+			w.mux.tracef(kind, "ch %d seq %d chunk %d attempt %d: %s", f.channel, f.wantSeq, idx, act.Attempt, note)
 		}
 	}
 }
@@ -680,85 +793,99 @@ func resetTimer(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// controlConn is one mux-side control connection: dialed on first use,
-// re-dialed transparently on transport failure, serialized by a mutex.
-// The join manager holds one; each worker holds its own, so repair round
+// controlConn is one control connection: dialed on first use, re-dialed
+// with backoff on transport failure, serialized by a mutex. The join
+// manager holds one; each audience worker holds its own, so repair round
 // trips parallelize across workers without interleaving on one socket.
 type controlConn struct {
 	mux *Mux
+	// seed keys the redial backoff (stream ReconnectJitterKey); redials
+	// numbers its sleeps across the run, so each draws a fresh substream.
+	seed    uint64
+	redials uint64
 
 	mu     sync.Mutex
 	conn   net.Conn
 	r      *bufio.Reader
-	w      *wire.Welcome
 	dialed bool
 }
 
-// welcome dials (if needed) and returns the server's welcome.
-func (c *controlConn) welcome() (*wire.Welcome, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureLocked(); err != nil {
-		return nil, err
-	}
-	return c.w, nil
-}
-
-func (c *controlConn) ensureLocked() error {
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, c.mux.cfg.ControlTimeout)
+// handshake dials, says hello and reads the server's welcome — the one
+// place a Welcome enters the process, so the one place it is validated
+// and, on a redial, held to the broadcast epoch the run began under.
+// Callers hold mu and have no connection open.
+func (c *controlConn) handshake() (*wire.Welcome, error) {
+	timeout := c.mux.cfg.ControlTimeout
+	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, timeout)
 	if err != nil {
-		return fmt.Errorf("viewer: dialing control: %w", err)
+		return nil, fmt.Errorf("viewer: dialing control: %w", err)
 	}
 	r := bufio.NewReader(conn)
-	w, err := muxHandshake(conn, r, c.mux.cfg.ControlTimeout)
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	var m *wire.Control
+	if err = wire.WriteControl(conn, &wire.Control{Kind: wire.KindHello}); err == nil {
+		m, err = wire.ReadControl(r)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	if err != nil {
+		err = fmt.Errorf("viewer: reading welcome: %w", err)
+	} else if m.Kind != wire.KindWelcome || m.Welcome == nil {
+		err = fmt.Errorf("viewer: expected welcome, got %q (%s)", m.Kind, m.Error)
+	} else if err = m.Welcome.Validate(); err != nil {
+		err = fmt.Errorf("viewer: %w", err)
+	} else if c.mux.w != nil && m.Welcome.EpochUnixNano != c.mux.w.EpochUnixNano {
+		err = errEpochChanged
+	}
 	if err != nil {
 		conn.Close()
-		return err
-	}
-	if have := c.mux.w; have != nil && w.EpochUnixNano != have.EpochUnixNano {
-		conn.Close()
-		return errors.New("viewer: server restarted (broadcast epoch changed)")
-	}
-	c.conn, c.r, c.w = conn, r, w
-	if c.dialed {
-		c.mux.reconnects.Add(1)
-	}
-	c.dialed = true
-	return nil
-}
-
-func muxHandshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) (*wire.Welcome, error) {
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	defer conn.SetDeadline(time.Time{})
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindHello}); err != nil {
 		return nil, err
 	}
-	m, err := wire.ReadControl(r)
-	if err != nil {
-		return nil, fmt.Errorf("viewer: reading welcome: %w", err)
+	c.conn, c.r = conn, r
+	if c.dialed {
+		c.mux.reconnects.Add(1)
+		c.mux.tracef("reconnect", "control connection re-established")
+		c.mux.cfg.Logf("viewer: control connection re-established")
 	}
-	if m.Kind != wire.KindWelcome || m.Welcome == nil {
-		return nil, fmt.Errorf("viewer: expected welcome, got %q (%s)", m.Kind, m.Error)
-	}
+	c.dialed = true
 	return m.Welcome, nil
 }
 
-// roundTrip performs one control request, re-dialing a broken connection
-// up to three attempts. A server bye latches the mux-wide drain flag.
+// redialLocked replaces a broken connection, sleeping a full-jitter delay
+// from a doubling window between attempts: after a server restart every
+// connection of the old process re-dials at once, and the jitter — keyed
+// on each connection's own seed — spreads the wave. A changed epoch is
+// refused at once: no retry can make it the same broadcast.
+func (c *controlConn) redialLocked() error {
+	var err error
+	for attempt := 0; attempt < 4; attempt++ {
+		if attempt > 0 {
+			c.redials++
+			time.Sleep(JitterIn(c.seed, ReconnectJitterKey, c.redials, 10*time.Millisecond<<(attempt-1)))
+		}
+		if _, err = c.handshake(); err == nil || errors.Is(err, errEpochChanged) {
+			return err
+		}
+	}
+	return fmt.Errorf("viewer: reconnecting control: %w", err)
+}
+
+// roundTrip performs one control request (and, when wantReply, reads the
+// server's answer), transparently re-dialing a broken connection.
+// Protocol-level rejections are returned as the reply, not as an error;
+// only transport failures are retried. A server bye latches the mux-wide
+// drain flag.
 func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Control, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		if c.conn == nil && !wantReply {
-			return nil, nil // fire-and-forget on a dead link: drop it
-		}
-		if err := c.ensureLocked(); err != nil {
-			lastErr = err
-			continue
+		if c.conn == nil {
+			if !wantReply {
+				return nil, nil // fire-and-forget on a dead link: drop it
+			}
+			if err := c.redialLocked(); err != nil {
+				return nil, err
+			}
 		}
 		_ = c.conn.SetDeadline(time.Now().Add(c.mux.cfg.ControlTimeout))
 		err := wire.WriteControl(c.conn, msg)
@@ -770,21 +897,20 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 		if err == nil {
 			if wantReply && reply.Kind == wire.KindBye {
 				c.mux.bye.Store(true)
+				c.mux.tracef("server-bye", "server draining; disabling repairs")
 				c.mux.cfg.Logf("viewer: server draining (bye); repairs disabled for all viewers")
-				c.conn.Close()
-				c.conn, c.r = nil, nil
+				c.closeLocked()
 				return nil, errMuxDraining
 			}
 			return reply, nil
 		}
 		lastErr = err
-		c.conn.Close()
-		c.conn, c.r = nil, nil
+		c.closeLocked()
 	}
 	return nil, lastErr
 }
 
-// repair pulls one chunk over unicast, exactly as the live client does.
+// repair pulls one chunk over unicast.
 func (c *controlConn) repair(video, channel int, seq uint32, offset int64, length int) ([]byte, error) {
 	req := &wire.Repair{Video: video, Channel: channel, Seq: seq, Offset: offset, Length: length}
 	reply, err := c.roundTrip(&wire.Control{Kind: wire.KindRepair, Repair: req}, true)
@@ -806,8 +932,8 @@ func (c *controlConn) repair(video, channel int, seq uint32, offset int64, lengt
 
 // nack reports a burst of losses as one gap-bitmap NACK — the cohort's
 // aggregated voice — and returns a predicate over the chunks the server
-// accepted for multicast re-send, exactly as the live client does. A
-// transport or protocol failure returns an error; the caller escalates
+// accepted for multicast re-send. A transport or protocol failure
+// returns an error; the caller escalates
 // every chunk to the per-viewer unicast plane.
 func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(idx int) bool, error) {
 	req := wire.NackFromChunks(video, channel, seq, chunks)
@@ -830,6 +956,10 @@ func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(i
 func (c *controlConn) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closeLocked()
+}
+
+func (c *controlConn) closeLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.r = nil, nil

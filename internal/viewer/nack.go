@@ -35,9 +35,9 @@ const DefaultMaxNackRounds = 3
 
 // NackJitterKey is the jitter substream key for channel's NACK
 // aggregation windows. Bit 63 keeps the NACK site disjoint from every
-// RepairJitterKey (channel<<32|chunk, both 32-bit) and from the client's
-// reconnect site, so a session seed never correlates its NACK timing with
-// its unicast backoff.
+// RepairJitterKey (channel<<32|chunk, both 32-bit) and from
+// ReconnectJitterKey, so a viewer seed never correlates its NACK timing
+// with its unicast backoff.
 func NackJitterKey(channel int) uint64 {
 	return 1<<63 | uint64(uint32(channel))
 }

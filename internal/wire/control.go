@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Control message kinds exchanged over the TCP control connection.
@@ -217,6 +218,38 @@ type Welcome struct {
 	// erasure per group) or FecModeRS (P+Q, heals two). Empty when
 	// FecGroup is zero.
 	FecMode string `json:"fecMode,omitempty"`
+}
+
+// Validate rejects a Welcome no reception can be planned from: every
+// count and size positive and mutually consistent, so a receiver can size
+// its fragments and machines from it without dividing by zero, indexing
+// past a layout or overflowing a byte count.
+func (w *Welcome) Validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: malformed welcome: %s", ErrBadControl, fmt.Sprintf(format, args...))
+	}
+	switch {
+	case w.Videos <= 0:
+		return bad("%d videos", w.Videos)
+	case w.ChannelsPerVideo <= 0 || len(w.SizeUnits) != w.ChannelsPerVideo:
+		return bad("%d sizes for %d channels", len(w.SizeUnits), w.ChannelsPerVideo)
+	case w.UnitNanos <= 0 || w.BytesPerUnit <= 0:
+		return bad("unit of %d ns carrying %d bytes", w.UnitNanos, w.BytesPerUnit)
+	case w.ChunkBytes <= 0 || w.ChunkBytes > MaxPayload:
+		return bad("chunk size %d outside (0, %d]", w.ChunkBytes, MaxPayload)
+	case w.FecGroup < 0 || w.FecGroup > MaxFecGroup:
+		return bad("FEC group %d outside [0, %d]", w.FecGroup, MaxFecGroup)
+	case w.FecGroup > 0 && w.FecMode != FecModeXOR && w.FecMode != FecModeRS:
+		return bad("unknown FEC mode %q", w.FecMode)
+	}
+	budget := int64(math.MaxInt) / int64(w.BytesPerUnit) // units a video may span
+	for i, s := range w.SizeUnits {
+		if s <= 0 || s > budget {
+			return bad("fragment %d of %d units (video bytes must fit an int)", i+1, s)
+		}
+		budget -= s
+	}
+	return nil
 }
 
 // WriteControl writes one newline-delimited JSON control message.

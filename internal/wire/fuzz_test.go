@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -119,95 +118,6 @@ func FuzzChunkDecode(f *testing.F) {
 		if got.Video != c.Video || got.Channel != c.Channel || got.Offset != c.Offset ||
 			got.Total != c.Total || !bytes.Equal(got.Payload, c.Payload) {
 			t.Fatalf("PatchSeq disturbed a non-Seq field: %+v vs %+v", got, c)
-		}
-	})
-}
-
-// FuzzControlDecode fuzzes the control-verb parse path the server's
-// handler loop runs on every request line, mirroring FuzzChunkDecode: any
-// accepted message — truncated, garbage, or hostile field values — must
-// survive a canonical re-encode (WriteControl) and re-decode to the
-// identical message, so nothing a peer can say desynchronizes the two
-// ends' view of a verb. Seeded with every control kind, including the
-// Busy admission reply.
-func FuzzControlDecode(f *testing.F) {
-	seeds := []*Control{
-		{Kind: KindHello},
-		{Kind: KindWelcome, Welcome: &Welcome{Videos: 2, ChannelsPerVideo: 5, Width: 2,
-			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024}},
-		// KindParity is a data-plane frame kind, not a control verb, but
-		// the capability that announces it travels here: seed the Welcome
-		// that advertises each stripe mode.
-		{Kind: KindWelcome, Welcome: &Welcome{Videos: 1, ChannelsPerVideo: 3, Width: 2,
-			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024,
-			NackRepair: true, FecGroup: 8, FecMode: FecModeXOR}},
-		{Kind: KindWelcome, Welcome: &Welcome{Videos: 1, ChannelsPerVideo: 3, Width: 2,
-			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024,
-			NackRepair: true, FecGroup: 16, FecMode: FecModeRS}},
-		{Kind: KindJoin, Video: 1, Channel: 2, Port: 45678},
-		{Kind: KindJoined, Video: 1, Channel: 2},
-		{Kind: KindLeave, Video: 1, Channel: 2},
-		{Kind: KindError, Error: "join: no channel 9/9"},
-		{Kind: KindBye},
-		{Kind: KindStats},
-		{Kind: KindStatsOK, Stats: &Stats{UptimeNanos: 5, DatagramsSent: 6, Channels: 7, Members: 8,
-			RepairsServed: 9, RepairBytes: 10, BusyReplies: 11, StormResends: 12, SuppressedRepairs: 13,
-			RepairTokens: 14, PacerRestarts: 15, PacerDriftEvents: 16, Draining: true}},
-		{Kind: KindRepair, Repair: &Repair{Video: 1, Channel: 2, Seq: 7, Offset: 1024, Length: 512}},
-		{Kind: KindRepairOK, Repair: &Repair{Video: 1, Channel: 2, Seq: 7, Offset: 1024, Length: 4, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
-		{Kind: KindBusy, RetryAfterNanos: 25e6},
-		{Kind: KindBusy}, // Busy(0): re-listen after a coalesced multicast re-send
-		{Kind: KindNack, Nack: NackFromChunks(1, 2, 7, []int{3, 4, 9})},
-		{Kind: KindNackOK, Nack: &Nack{Video: 1, Channel: 2, Seq: 7, BaseChunk: 3, Bitmap: []byte{0x43}}},
-		{Kind: KindNackOK, Nack: &Nack{Video: 1, Channel: 2, Seq: 7, BaseChunk: 3, Bitmap: []byte{0, 0}}}, // nothing accepted
-	}
-	for _, m := range seeds {
-		var buf bytes.Buffer
-		if err := WriteControl(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte(`{"kind":"busy","retryAfterNanos":-1}` + "\n"))
-	f.Add([]byte(`{"kind":"repair"`)) // truncated mid-message
-	f.Add([]byte(`{"kind":"repair","repair":{"offset":-9223372036854775808,"length":-1}}` + "\n"))
-	// Malformed gap bitmaps: missing payload, empty, non-canonical
-	// trailing zero, negative base, a base whose last chunk index overflows
-	// (it once crashed the server), oversized. All must be rejected with a
-	// typed error, never accepted or panicked on.
-	f.Add([]byte(`{"kind":"nack"}` + "\n"))
-	f.Add([]byte(`{"kind":"nack","nack":{"video":1,"channel":2,"bitmap":""}}` + "\n"))
-	f.Add([]byte(`{"kind":"nack","nack":{"video":1,"channel":2,"baseChunk":0,"bitmap":"AQA="}}` + "\n"))
-	f.Add([]byte(`{"kind":"nack","nack":{"baseChunk":-1,"bitmap":"AQ=="}}` + "\n"))
-	f.Add([]byte(`{"kind":"nack","nack":{"video":0,"channel":1,"baseChunk":9223372036854775800,"bitmap":"AAE="}}` + "\n"))
-	f.Add([]byte(`{"kind":"nackok","nack":{"baseChunk":3,"bitmap":"AAA="}}` + "\n"))
-	f.Add([]byte("garbage\n"))
-	f.Add([]byte("{}\n"))
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	// A binary KindParity frame arriving on the control line is garbage
-	// to this parser; it must be rejected, never mis-parsed.
-	parityPayload := AppendParityPayload(nil, 8, bytes.Repeat([]byte{0x5A}, 32))
-	if parityFrame, err := EncodeParityFrame(nil, 1, 2, 3, 0, 65536, 0, parityPayload, PayloadCRC(parityPayload)); err == nil {
-		f.Add(append(parityFrame, '\n'))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadControl(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
-		}
-		if m.Kind == "" {
-			t.Fatal("accepted a kindless control message")
-		}
-		var buf bytes.Buffer
-		if err := WriteControl(&buf, m); err != nil {
-			t.Fatalf("accepted message failed to re-encode: %v", err)
-		}
-		again, err := ReadControl(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("canonical re-encode stopped decoding: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("decode/encode/decode not idempotent:\n 1st: %+v\n 2nd: %+v", m, again)
 		}
 	})
 }
