@@ -5,16 +5,28 @@ GO ?= go
 # machine produced them.
 BENCHMETA = ./scripts/benchmeta.sh
 
-.PHONY: build test vet fmt-check race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify loc bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
+.PHONY: build build-portable test vet fmt-check race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify loc bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
 
 build:
 	$(GO) build ./...
 
+# The files behind `!linux || (!amd64 && !arm64)` (internal/mcast/stub.go,
+# internal/server/ticksource_other.go) are compiled by nothing else in
+# this gate: a non-linux target and a linux target without the 64-bit
+# Msghdr layout. Cross-compiling needs no network and no C toolchain.
+build-portable:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
+
 test:
 	$(GO) test ./...
 
+# benchmark/ is a nested module the root ./... never reaches; vetting it
+# here makes an exported-name change that breaks the harness fail in
+# seconds instead of inside bench-e2e-smoke.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # Every Go file in the tree is gofmt-clean (benchmark/ included).
 fmt-check:
@@ -37,8 +49,9 @@ race:
 # reaping, graceful degradation, repair admission, storm coalescing,
 # supervised egress shards, drain, member eviction, the batched egress
 # engine (the wheel held to the closed-form grid, shard panic recovery,
-# vectorized/fallback/GSO identity, catch-up run staging), hostile
-# control lines (index overflow), the ingress ladder
+# vectorized/fallback/GSO identity — the sendmmsg stager at runs of one,
+# the portable writer, the stager with super-frames — catch-up run
+# staging), hostile control lines (index overflow), the ingress ladder
 # (recvmmsg/GRO/single-read delivery identity, kill-switch demotion, GRO
 # super-frame splitting, read-error backoff), the proactive FEC stripe
 # (parity encode,
@@ -58,8 +71,8 @@ chaos:
 		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
-# The portable-fallback pin: the whole egress ladder collapsed to plain
-# per-datagram writes (no sendmmsg, no GSO) and the ingress ladder to
+# The portable-fallback pin: egress collapsed to plain per-datagram
+# writes (no sendmmsg stager, so no GSO) and the ingress ladder to
 # plain single-datagram reads (no recvmmsg, no GRO) must still pass the
 # mcast suite, proving the fast paths are accelerations of — not
 # departures from — the portable semantics every non-Linux build runs.
@@ -111,11 +124,11 @@ loc:
 	printf '%7d  total (non-test Go outside benchmark/)\n' "$$(count .)"; \
 	for d in internal/*/; do printf '%7d  %s\n' "$$(count $$d)" "$${d%/}"; done
 
-# The PR gate: tier-1 build+test, vet, gofmt, race-checked concurrency, the
-# chaos suite, the portable-fallback pin, fuzzers, the cohort-repair
-# smoke sweep, the end-to-end benchmark smoke, vulnerability scan, and
-# the data-path benchmark record.
-verify: build vet fmt-check test race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
+# The PR gate: tier-1 build+test, the portable cross-builds, vet, gofmt,
+# race-checked concurrency, the chaos suite, the portable-fallback pin,
+# fuzzers, the cohort-repair smoke sweep, the end-to-end benchmark smoke,
+# vulnerability scan, and the data-path benchmark record.
+verify: build build-portable vet fmt-check test race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -160,7 +173,7 @@ bench-scale:
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
 # at 1/8/64 members, GSO super-frames (same-group runs to 1/8/64 members,
 # and one socket hearing 22 groups, with and without parity frames), the
-# timer wheel's dispatch cycle at 2..2100 channels and a whole
+# wheel's dispatch cycle at 2..2100 channels and a whole
 # listener-gated dispatch at 200/400 channels with 5 % heard, plain and
 # behind the fault injector,
 # the shard wake lateness of both tick sources at 3.125 and 17.5 ms

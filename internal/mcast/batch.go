@@ -1,15 +1,18 @@
-// Vectorized fan-out: the batch half of the hub's egress API.
+// Batched fan-out: the hub's egress.
 //
 // The per-chunk cost model of the paper — server load proportional to
 // channels, not viewers — breaks down if every chunk still costs one
 // write syscall per group member. SendBatch restores it: the caller hands
 // over every chunk due in one scheduling tick, the hub expands them
-// against the membership snapshot into a flat destination vector, and the
-// platform layer puts that vector on the wire in batches of up to
-// sendmmsgBatch datagrams per syscall (hub_linux.go) or one write per
-// datagram where sendmmsg is unavailable or disabled (hub_generic.go,
-// behavior-identical). Destination vectors and the syscall arrays behind
-// them are pooled, so the steady-state batch path allocates nothing.
+// against the membership snapshot into a flat destination vector, and one
+// of two writers puts that vector on the wire: the sendmmsg stager
+// (gso_linux.go: up to sendmmsgBatch messages per syscall, each a run of
+// one address's frames — a GSO super-frame while the kernel takes them, a
+// plain datagram otherwise) or writeDestsGeneric, one write per datagram,
+// where sendmmsg is unavailable or disabled and as the reference the
+// stager is tested against. Send is a batch of one. Destination vectors
+// and the syscall arrays behind them are pooled, so the steady-state path
+// allocates nothing.
 package mcast
 
 import (
@@ -25,10 +28,10 @@ import (
 const NoSendmmsgEnv = "SKYSCRAPER_NO_SENDMMSG"
 
 // NoGSOEnv, when set to any non-empty value before the hub is created,
-// disables the UDP_SEGMENT super-frame path so batches go out as
-// individual datagrams through sendmmsg (or the portable fallback). The
-// decline is logged once and counted in GSOFallbacks. It has no effect
-// on platforms without the fast path.
+// keeps the stager's runs at one frame, so batches go out as individual
+// datagrams through sendmmsg (or the portable fallback). The decline is
+// logged once and counted in GSOFallbacks. It has no effect on platforms
+// without the fast path.
 const NoGSOEnv = "SKYSCRAPER_NO_GSO"
 
 // NoRecvmmsgEnv, when set to any non-empty value before a shared
@@ -73,20 +76,17 @@ type dest struct {
 }
 
 // batchBuf is the pooled working state of one SendBatch call: the
-// expanded destination vector plus the platform's reusable syscall
-// arrays (per-datagram sendmmsg staging in vec, super-frame staging in
-// gso).
+// expanded destination vector plus the stager's reusable syscall arrays.
 type batchBuf struct {
-	ds  []dest
-	vec *vecBuf
-	gso *gsoBuf
+	ds    []dest
+	stage *gsoBuf
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// SendRepairBatch delivers repair re-sends through the same vectorized
-// batch path as scheduled egress — repair traffic shares the sendmmsg and
-// batching ledgers instead of bypassing them — while additionally
+// SendRepairBatch delivers repair re-sends through the same batch path as
+// scheduled egress — repair traffic shares the sendmmsg and batching
+// ledgers instead of bypassing them — while additionally
 // counting the datagrams in the repair ledger (RepairDatagrams) so
 // operators can tell the two flows apart.
 func (h *Hub) SendRepairBatch(entries []BatchEntry) (int, error) {
@@ -102,45 +102,36 @@ func (h *Hub) SendRepairBatch(entries []BatchEntry) (int, error) {
 // datagrams were written. Entries whose groups are empty cost nothing;
 // a batch that expands to zero destinations succeeds trivially.
 //
-// Like Send, SendBatch reads the membership snapshot without locking,
-// allocates nothing steady-state, and is best-effort per destination:
-// a failing member is skipped and counted (and eventually evicted), the
-// rest of the batch is still delivered, and failures aggregate into the
-// returned error.
+// SendBatch reads the membership snapshot without locking, allocates
+// nothing steady-state, and is best-effort per destination: a failing
+// member is skipped and counted (and eventually evicted), the rest of the
+// batch is still delivered, and failures aggregate into the returned
+// error.
 func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	if h.closed.Load() {
 		return 0, fmt.Errorf("mcast: hub closed")
 	}
-	// The super-frame path lays the expansion out destination-major so all
-	// the frames one address is owed share one syscall slot.
-	if h.gsoOn.Load() && h.vectorized.Load() {
-		return h.sendBatchGSO(entries)
-	}
 	m := *h.members.Load()
 	bb := batchPool.Get().(*batchBuf)
-	ds := bb.ds[:0]
-	for ei := range entries {
-		g := entries[ei].Group
-		for _, ap := range m[g] {
-			ds = append(ds, dest{ap: ap, frame: entries[ei].Frame, group: g})
-		}
-	}
-	bb.ds = ds
-	if len(ds) == 0 {
-		batchPool.Put(bb)
-		return 0, nil
-	}
-	h.batches.Inc()
-
 	var first error
 	if h.vectorized.Load() {
-		first = h.writeDestsVec(bb)
+		first = h.writeDestsStaged(bb, m, entries)
 	} else {
+		ds := bb.ds[:0]
+		for ei := range entries {
+			g := entries[ei].Group
+			for _, ap := range m[g] {
+				ds = append(ds, dest{ap: ap, frame: entries[ei].Frame, group: g})
+			}
+		}
+		bb.ds = ds
 		first = h.writeDestsGeneric(ds)
 	}
-
-	n, nfail := h.settleDests(ds, first)
-	total := len(ds)
+	total := len(bb.ds)
+	if total > 0 {
+		h.batches.Inc()
+	}
+	n, nfail := h.settleDests(bb.ds)
 	batchPool.Put(bb)
 	if nfail > 0 {
 		return n, fmt.Errorf("mcast: %d of %d batched sends failed: %w", nfail, total, first)
@@ -148,13 +139,10 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	return n, nil
 }
 
-// settleDests is the single accounting tail every batched dispatch path
-// shares (SendBatch, sendOneVec, and the GSO expansion): per-destination
-// failure/eviction notes plus the sent/sentBytes/batchedBytes/failed
-// ledger counters. Keeping it in one place is what keeps the /status
-// batching-factor honest — single-chunk vectorized sends used to skip
-// the batch counters and skew it.
-func (h *Hub) settleDests(ds []dest, first error) (n, nfail int) {
+// settleDests is the accounting tail of a batch, whichever writer carried
+// it: per-destination failure/eviction notes plus the
+// sent/sentBytes/batchedBytes/failed ledger counters.
+func (h *Hub) settleDests(ds []dest) (n, nfail int) {
 	var bytes int64
 	for i := range ds {
 		d := &ds[i]
@@ -180,39 +168,11 @@ func (h *Hub) settleDests(ds []dest, first error) (n, nfail int) {
 	return n, nfail
 }
 
-// sendOneVec is Send's vectorized body: one frame to one group's members
-// through the same pooled machinery and the same ledger accounting as
-// SendBatch, so a lone chunk to a large group still costs
-// ceil(members/sendmmsgBatch) syscalls and still shows up in the batch
-// counters (repair singles used to skip them, skewing the batching
-// factor in /status).
-func (h *Hub) sendOneVec(g Group, frame []byte) (int, error) {
-	members := (*h.members.Load())[g]
-	if len(members) == 0 {
-		return 0, nil
-	}
-	bb := batchPool.Get().(*batchBuf)
-	ds := bb.ds[:0]
-	for _, ap := range members {
-		ds = append(ds, dest{ap: ap, frame: frame, group: g})
-	}
-	bb.ds = ds
-	h.batches.Inc()
-	first := h.writeDestsVec(bb)
-
-	n, nfail := h.settleDests(ds, first)
-	batchPool.Put(bb)
-	if nfail > 0 {
-		return n, fmt.Errorf("mcast: %d of %d sends to %v failed: %w", nfail, len(members), g, first)
-	}
-	return n, nil
-}
-
 // writeDestsGeneric is the portable destination-vector writer: one
 // WriteToUDPAddrPort per datagram, marking failed destinations in place
 // and returning the first error. It is the whole story on platforms
 // without sendmmsg and the explicit fallback everywhere else, and its
-// delivery semantics define what the vectorized path must match.
+// delivery semantics define what the stager must match.
 func (h *Hub) writeDestsGeneric(ds []dest) error {
 	var first error
 	for i := range ds {

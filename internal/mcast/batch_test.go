@@ -370,6 +370,24 @@ func owed(entries []BatchEntry, gs []Group) []string {
 	return want
 }
 
+// setBatchPath forces hub onto the named egress path, reporting false where
+// the platform or kernel does not have it.
+func setBatchPath(hub *Hub, mode string) bool {
+	switch mode {
+	case "generic":
+		hub.SetGSO(false)
+		hub.SetVectorized(false)
+	case "sendmmsg":
+		if !hub.SetVectorized(true) {
+			return false
+		}
+		hub.SetGSO(false)
+	case "gso":
+		return hub.SetVectorized(true) && hub.SetGSO(true)
+	}
+	return true
+}
+
 // runBatchPath sends one golden case through the named egress path on a
 // fresh hub and returns what every member received. nil means the path is
 // unavailable on this platform/kernel.
@@ -385,19 +403,8 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 		hub, _ = newTestHub(t, nil, 0)
 		shared = joinShared(t, hub, tc)
 	}
-	switch mode {
-	case "generic":
-		hub.SetGSO(false)
-		hub.SetVectorized(false)
-	case "sendmmsg":
-		if !hub.SetVectorized(true) {
-			return -1, nil
-		}
-		hub.SetGSO(false)
-	case "gso":
-		if !hub.SetVectorized(true) || !hub.SetGSO(true) {
-			return -1, nil
-		}
+	if !setBatchPath(hub, mode) {
+		return -1, nil
 	}
 	entries := tc.entries()
 	n, err := hub.SendBatch(entries)
@@ -423,6 +430,12 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 		}
 	} else if hub.Superframes() != 0 {
 		t.Errorf("%s: Superframes = %d, want 0", mode, hub.Superframes())
+	}
+	if mode == "sendmmsg" && tc.shared != nil {
+		// Runs of one: a message per datagram, sendmmsgBatch to a syscall.
+		if got, want := hub.SendSyscalls(), int64((n+63)/64); got != want {
+			t.Errorf("sendmmsg: SendSyscalls = %d for %d datagrams, want %d", got, n, want)
+		}
 	}
 	frames := make(map[Group][][]string)
 	for _, g := range groups {

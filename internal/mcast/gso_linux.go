@@ -1,31 +1,27 @@
 //go:build linux && (amd64 || arm64)
 
-// The UDP GSO (UDP_SEGMENT) super-frame path: the rung of the egress
-// ladder above sendmmsg. Where sendmmsg collapses syscalls (64 datagrams
-// per kernel crossing, but still one kernel traversal per datagram), GSO
-// collapses traversals: a run of frames bound for ONE destination address
-// is handed to the kernel as one datagram-sized super-frame plus a cmsg
-// naming the segment size, and the kernel splits it into wire datagrams
-// after traversing the stack once. Runs are cut per destination, not per
-// group: what the kernel needs is one address and a legal segment shape,
-// and the listener that matters — a shared receive socket subscribed to
-// every group its cohorts watch — hears a different group in every frame
-// of a tick. Such a socket gets the whole tick as one super-frame (and,
-// with UDP_GRO armed, reads it back as one buffer); a catch-up run of one
-// group coalesces exactly as it always did.
+// The sendmmsg stager: the one path by which a batch reaches sendmmsg(2).
+// A batch is expanded destination-major — every frame one address is owed,
+// in batch order and whatever its group — and each address's frames are cut
+// into runs (cutRuns). A run is one message of the syscall, up to
+// sendmmsgBatch messages per kernel crossing; a run of more than one frame
+// carries a UDP_SEGMENT cmsg, so the kernel traverses the stack once and
+// splits the super-frame into the wire datagrams. How long a run may grow is
+// the only thing the hub's capabilities decide: maxGSOSegs while GSO is on,
+// 1 otherwise (SKYSCRAPER_NO_GSO, a failed probe, a runtime EINVAL
+// demotion), and a run of one is a plain datagram.
 //
-// The super-frames themselves still ride the sendmmsg machinery — up to
-// sendmmsgBatch super-frames per syscall — so the two rungs stack: at 64
-// members and 8-chunk runs one syscall can carry 64*8 = 512 wire
-// datagrams. The path keeps the batch contract exactly: per-destination
-// failure attribution (a failed super-frame marks exactly its run's
-// entries to that member), pooled staging arrays, zero steady-state
-// allocations, and a clean fall-back (probe failure, SKYSCRAPER_NO_GSO,
-// or runtime demotion) to the per-datagram sendmmsg path.
+// Runs are cut per destination, not per group: what the kernel needs is one
+// address and a legal segment shape, and the listener that matters — a
+// shared receive socket subscribed to every group its cohorts watch — hears
+// a different group in every frame of a tick. Such a socket gets the whole
+// tick as one super-frame (and, with UDP_GRO armed, reads it back as one
+// buffer). The batch contract holds at every cap: per-destination failure
+// attribution (a failed message marks exactly its run's entries to that
+// member), pooled staging arrays, zero steady-state allocations.
 package mcast
 
 import (
-	"fmt"
 	"net/netip"
 	"os"
 	"syscall"
@@ -66,12 +62,10 @@ type gsoCmsg struct {
 	_     [6]byte
 }
 
-// gsoMsg is one staged super-frame: the half-open run ds[lo:hi) it
-// gathers (every dest in the run shares one destination address), and
-// the segment size the kernel should split at. A run of one is sent as a
-// plain datagram — no cmsg, no splitting — so a destination that is owed
-// one frame, or frames no two of which may share a super-frame, costs
-// exactly what the sendmmsg path charges.
+// gsoMsg is one staged message: the half-open run ds[lo:hi) it gathers
+// (every dest in the run shares one destination address), and the segment
+// size the kernel should split at. A run of one is sent as a plain
+// datagram — no cmsg, no splitting.
 type gsoMsg struct {
 	lo, hi  int
 	segSize int
@@ -84,23 +78,26 @@ type addrChain struct {
 	head, tail int32
 }
 
-// gsoBuf is the reusable staging state of one GSO batch: the entry-major
+// gsoBuf is the reusable staging state of one batch: the entry-major
 // expansion and the per-address chains threaded through it, the run
-// descriptors, the per-super-frame syscall arrays, and an iovec arena
-// indexed by destination (ds[k]'s iovec is iovs[k], so a run's gather
-// list is the contiguous iovs[lo:hi)). Pooled via batchBuf.
+// descriptors and the cap they were cut at, the per-message syscall arrays,
+// an iovec arena indexed by destination (ds[k]'s iovec is iovs[k], so a
+// run's gather list is the contiguous iovs[lo:hi)), a cursor into msgs, and
+// the RawConn.Write callback, bound once so the hot path never allocates a
+// closure. Pooled via batchBuf.
 type gsoBuf struct {
 	exp    []dest
 	next   []int32
 	chains []addrChain
 	byAddr map[netip.AddrPort]int32
 
-	msgs  []gsoMsg
-	iovs  []syscall.Iovec
-	hdrs  [sendmmsgBatch]mmsghdr
-	sa4   [sendmmsgBatch]syscall.RawSockaddrInet4
-	sa6   [sendmmsgBatch]syscall.RawSockaddrInet6
-	cmsgs [sendmmsgBatch]gsoCmsg
+	msgs    []gsoMsg
+	maxSegs int
+	iovs    []syscall.Iovec
+	hdrs    [sendmmsgBatch]mmsghdr
+	sa4     [sendmmsgBatch]syscall.RawSockaddrInet4
+	sa6     [sendmmsgBatch]syscall.RawSockaddrInet6
+	cmsgs   [sendmmsgBatch]gsoCmsg
 
 	h     *Hub
 	ds    []dest
@@ -109,12 +106,11 @@ type gsoBuf struct {
 	fn    func(fd uintptr) bool
 }
 
-// initGSO arms the super-frame path at hub creation: declined by the
-// SKYSCRAPER_NO_GSO kill-switch, skipped when the sendmmsg machinery it
-// rides is unavailable, and probed against the kernel (a setsockopt
-// trial of UDP_SEGMENT; value 0 is valid-but-disabled on supporting
-// kernels and ENOPROTOOPT before 4.18). Each decline is logged once and
-// counted in GSOFallbacks.
+// initGSO raises the stager's run cap at hub creation: declined by the
+// SKYSCRAPER_NO_GSO kill-switch, skipped when the stager itself is off,
+// and probed against the kernel (a setsockopt trial of UDP_SEGMENT; value
+// 0 is valid-but-disabled on supporting kernels and ENOPROTOOPT before
+// 4.18). Each decline is logged once and counted in GSOFallbacks.
 func (h *Hub) initGSO() {
 	if os.Getenv(NoGSOEnv) != "" {
 		h.gsoFallbacks.Inc()
@@ -122,9 +118,7 @@ func (h *Hub) initGSO() {
 		return
 	}
 	if !h.vectorized.Load() {
-		// GSO super-frames ride the sendmmsg arrays; without the
-		// vectorized path there is nothing to attach the cmsg to.
-		return
+		return // no sendmmsg message to attach the cmsg to
 	}
 	if !h.probeGSO() {
 		h.gsoFallbacks.Inc()
@@ -149,9 +143,9 @@ func (h *Hub) probeGSO() bool {
 	return ok
 }
 
-// SetGSO is a test hook that forces the super-frame path on or off,
-// returning whether it is now active. Enabling fails where the creation-
-// time probe did not pass or the sendmmsg machinery is off.
+// SetGSO is a test hook that forces super-frames on or off, returning
+// whether they are now on. Enabling fails where the creation-time probe
+// did not pass or the stager is off.
 func (h *Hub) SetGSO(on bool) bool {
 	if !on {
 		h.gsoOn.Store(false)
@@ -164,24 +158,21 @@ func (h *Hub) SetGSO(on bool) bool {
 	return true
 }
 
-// sendBatchGSO is SendBatch's super-frame body. It expands the batch
-// entry-major, as every other path does, threading each (frame, member)
+// writeDestsStaged is SendBatch's sendmmsg body. It expands the batch
+// entry-major, as the portable writer does, threading each (frame, member)
 // pair onto its member address's chain, and then lays the chains out one
-// after another in ds: every address's frames, in batch order and whatever
-// their group, cut into maximal runs of the kernel's GSO shape (cutRuns).
-// Each run becomes one staged message whose destinations are the
-// contiguous ds[lo:hi). Every member still receives exactly the frames
-// the entry-major paths would send it, in the same order — the golden
-// equivalence gate holds — and a failed super-frame marks exactly its
-// run's entries to that member, preserving per-destination attribution.
-func (h *Hub) sendBatchGSO(entries []BatchEntry) (int, error) {
-	m := *h.members.Load()
-	bb := batchPool.Get().(*batchBuf)
-	gb := bb.gso
+// after another in bb.ds: every address's frames, in batch order and
+// whatever their group, cut into maximal runs of the shape the hub may
+// send (cutRuns). Each run becomes one staged message whose destinations
+// are the contiguous ds[lo:hi). Every member receives exactly the frames
+// writeDestsGeneric would send it, in the same order — the golden
+// equivalence gate holds — and failed destinations are marked in place.
+func (h *Hub) writeDestsStaged(bb *batchBuf, m membership, entries []BatchEntry) error {
+	gb := bb.stage
 	if gb == nil {
 		gb = &gsoBuf{byAddr: make(map[netip.AddrPort]int32)}
 		gb.fn = gb.step
-		bb.gso = gb
+		bb.stage = gb
 	}
 	exp, next, chains := gb.exp[:0], gb.next[:0], gb.chains[:0]
 	for ei := range entries {
@@ -200,22 +191,24 @@ func (h *Hub) sendBatchGSO(entries []BatchEntry) (int, error) {
 		}
 	}
 	clear(gb.byAddr)
+	gb.maxSegs = 1
+	if h.gsoOn.Load() {
+		gb.maxSegs = maxGSOSegs
+	}
 	ds, msgs := bb.ds[:0], gb.msgs[:0]
 	for _, ch := range chains {
 		lo := len(ds)
 		for k := ch.head; k >= 0; k = next[k] {
 			ds = append(ds, exp[k])
 		}
-		msgs = cutRuns(msgs, ds, lo)
+		msgs = cutRuns(msgs, ds, lo, gb.maxSegs)
 	}
 	gb.exp, gb.next, gb.chains = exp, next, chains
 	bb.ds = ds
 	gb.msgs = msgs
 	if len(ds) == 0 {
-		batchPool.Put(bb)
-		return 0, nil
+		return nil
 	}
-	h.batches.Inc()
 	if cap(gb.iovs) < len(ds) {
 		gb.iovs = make([]syscall.Iovec, len(ds))
 	}
@@ -225,8 +218,9 @@ func (h *Hub) sendBatchGSO(entries []BatchEntry) (int, error) {
 	gb.ds = ds
 	gb.idx = 0
 	gb.first = nil
-	err := h.rc.Write(gb.fn)
-	if err != nil {
+	// RawConn.Write runs the callback until it returns true, parking the
+	// goroutine on the netpoller whenever the socket's send buffer is full.
+	if err := h.rc.Write(gb.fn); err != nil {
 		// The runtime refused the write (socket closed mid-batch):
 		// every message past the cursor never reached the kernel.
 		for i := gb.idx; i < len(gb.msgs); i++ {
@@ -242,30 +236,23 @@ func (h *Hub) sendBatchGSO(entries []BatchEntry) (int, error) {
 	gb.h = nil
 	gb.ds = nil
 	gb.first = nil
-
-	n, nfail := h.settleDests(ds, first)
-	total := len(ds)
-	batchPool.Put(bb)
-	if nfail > 0 {
-		return n, fmt.Errorf("mcast: %d of %d batched sends failed: %w", nfail, total, first)
-	}
-	return n, nil
+	return first
 }
 
 // cutRuns appends the runs of ds[lo:] — one address's frames in the order
 // it must receive them — to msgs. A run is the longest stretch the kernel
 // will segment back into exactly these frames: every frame the size of
-// the first except a shorter final one, at most maxGSOSegs frames and
+// the first except a shorter final one, at most maxSegs frames and
 // maxGSOBytes in all. A frame larger than the open run's segment size (a
 // parity frame behind data) or an empty one therefore closes the run and
 // opens the next, and a shorter one closes it behind itself.
-func cutRuns(msgs []gsoMsg, ds []dest, lo int) []gsoMsg {
+func cutRuns(msgs []gsoMsg, ds []dest, lo, maxSegs int) []gsoMsg {
 	for lo < len(ds) {
 		segSize := len(ds[lo].frame)
 		bytes := segSize
 		hi := lo + 1
 		if segSize > 0 {
-			for hi < len(ds) && hi-lo < maxGSOSegs {
+			for hi < len(ds) && hi-lo < maxSegs {
 				n := len(ds[hi].frame)
 				if n == 0 || n > segSize || bytes+n > maxGSOBytes {
 					break
@@ -283,12 +270,14 @@ func cutRuns(msgs []gsoMsg, ds []dest, lo int) []gsoMsg {
 	return msgs
 }
 
-// step is the RawConn.Write callback of the GSO path: it advances the
-// cursor through the staged messages one sendmmsg at a time, exactly
-// like vecBuf.step but with each message a whole run. An errno marks
-// exactly msgs[idx]'s run failed and resumes one past it. An EINVAL on a
-// genuine super-frame additionally demotes the hub to the per-datagram
-// path — the kernel accepted the probe but rejected the real shape, and
+// step is the RawConn.Write callback: it advances the cursor through the
+// staged messages one sendmmsg at a time. Returning false parks the
+// goroutine until the socket is writable again; returning true ends the
+// batch. sendmmsg errors only when its *first* message fails, so an errno
+// marks exactly msgs[idx]'s run failed and the loop resumes one past it —
+// the per-destination semantics of the portable one-write-each loop. An
+// EINVAL on a genuine super-frame additionally lowers the hub's run cap to
+// one — the kernel accepted the probe but rejected the real shape, and
 // failing every future tick would be worse than losing the optimization.
 func (gb *gsoBuf) step(fd uintptr) bool {
 	for gb.idx < len(gb.msgs) {
@@ -296,7 +285,9 @@ func (gb *gsoBuf) step(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
 			uintptr(unsafe.Pointer(&gb.hdrs[0])), uintptr(n), 0, 0, 0)
 		gb.h.syscalls.Inc()
-		gb.h.gsoSyscalls.Inc()
+		if gb.maxSegs > 1 {
+			gb.h.gsoSyscalls.Inc()
+		}
 		if errno != 0 {
 			switch errno {
 			case syscall.EAGAIN:
@@ -332,10 +323,9 @@ func (gb *gsoBuf) step(fd uintptr) bool {
 }
 
 // prepare fills the syscall arrays from msgs[idx:] — up to sendmmsgBatch
-// headers, each one super-frame (gather list iovs[lo:hi)) to one
-// destination — and returns how many it staged. Runs of more than one
-// segment carry the UDP_SEGMENT cmsg; runs of one go out as plain
-// datagrams.
+// headers, each one run (gather list iovs[lo:hi)) to one destination — and
+// returns how many it staged. Runs of more than one segment carry the
+// UDP_SEGMENT cmsg; runs of one go out as plain datagrams.
 func (gb *gsoBuf) prepare() int {
 	n := len(gb.msgs) - gb.idx
 	if n > sendmmsgBatch {

@@ -8,9 +8,10 @@ import (
 )
 
 // TestGSOKillSwitch pins graceful degradation: with SKYSCRAPER_NO_GSO
-// set, a fresh hub declines the super-frame path with exactly one logged
-// notice and one counted fallback, cannot be forced back on, and still
-// delivers batches through the rest of the egress ladder.
+// set, a fresh hub declines super-frames with exactly one logged notice
+// and one counted fallback, cannot be forced back on, and still delivers
+// batches as runs of one; a hub that loses GSO between two batches does
+// the same from the next batch on.
 func TestGSOKillSwitch(t *testing.T) {
 	t.Setenv(NoGSOEnv, "1")
 	var notices []string
@@ -64,6 +65,30 @@ func TestGSOKillSwitch(t *testing.T) {
 	}
 	if hub.Superframes() != 0 {
 		t.Errorf("Superframes = %d after kill-switch, want 0", hub.Superframes())
+	}
+
+	// Demotion at run time is the same stager with a lower cap: one hub,
+	// GSO switched off between two batches.
+	t.Setenv(NoGSOEnv, "")
+	live, _ := newTestHub(t, nil, 0)
+	if !live.GSO() {
+		t.Skip("GSO path unavailable on this platform/kernel")
+	}
+	if err := live.Join(g, r.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct{ superframes, syscalls int64 }{{1, 1}, {1, 2}} {
+		if n, err := live.SendBatch(entries); err != nil || n != 2 {
+			t.Fatalf("SendBatch %d = %d, %v; want 2, nil", i, n, err)
+		}
+		if got := drainOrdered(t, r, 2); got[0] != "after-kill-a" || got[1] != "after-kill-b" {
+			t.Errorf("batch %d: member got %q, want [after-kill-a after-kill-b]", i, got)
+		}
+		if live.Superframes() != want.superframes || live.SendSyscalls() != want.syscalls {
+			t.Errorf("batch %d: Superframes = %d, SendSyscalls = %d; want %d, %d",
+				i, live.Superframes(), live.SendSyscalls(), want.superframes, want.syscalls)
+		}
+		live.SetGSO(false)
 	}
 }
 

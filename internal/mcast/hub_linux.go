@@ -1,27 +1,25 @@
 //go:build linux && (amd64 || arm64)
 
-// The sendmmsg(2) fast path. One syscall puts up to sendmmsgBatch
-// datagrams on the wire, so a chunk fanned out to a large group — or a
+// The sendmmsg(2) capability. One syscall puts up to sendmmsgBatch
+// messages on the wire, so a chunk fanned out to a large group — or a
 // whole scheduling tick's worth of chunks — costs ceil(n/64) kernel
-// crossings instead of n. Everything the syscall needs (mmsghdr, iovec,
-// and raw sockaddr arrays) lives in a pooled vecBuf, so the steady-state
-// path allocates nothing.
+// crossings instead of n. What is staged into those messages, and the one
+// call site of the syscall, is gso_linux.go.
 //
 // This file is restricted to linux/{amd64,arm64}: the stdlib syscall
 // package's Msghdr.Iovlen is a uint64 only on those targets (there is no
 // SetIovlen portability shim outside x/sys, which this repo does not
 // depend on), and the sendmmsg syscall number is hardcoded per arch in
 // hub_linux_{amd64,arm64}.go because the frozen stdlib tables predate the
-// syscall. Every other platform compiles hub_generic.go instead.
+// syscall. Every other platform compiles stub.go instead.
 package mcast
 
 import (
 	"os"
 	"syscall"
-	"unsafe"
 )
 
-// sendmmsgBatch is the most datagrams handed to one sendmmsg call. 64
+// sendmmsgBatch is the most messages handed to one sendmmsg call. 64
 // matches UIO_MAXIOV-scale batching used by DNS servers and QUIC stacks:
 // large enough that the syscall cost amortizes to noise, small enough
 // that the per-buffer sockaddr/iovec arrays stay a few KiB.
@@ -34,23 +32,6 @@ type mmsghdr struct {
 	hdr syscall.Msghdr
 	n   uint32
 	_   [4]byte
-}
-
-// vecBuf is the reusable syscall state of one batch write: fixed-size
-// header/iovec/sockaddr arrays, a cursor into the destination vector, and
-// the pre-bound RawConn.Write callback (bound once at construction so the
-// hot path never allocates a closure).
-type vecBuf struct {
-	msgs [sendmmsgBatch]mmsghdr
-	iovs [sendmmsgBatch]syscall.Iovec
-	sa4  [sendmmsgBatch]syscall.RawSockaddrInet4
-	sa6  [sendmmsgBatch]syscall.RawSockaddrInet6
-
-	h     *Hub
-	ds    []dest
-	idx   int
-	first error
-	fn    func(fd uintptr) bool
 }
 
 // initVectorized arms the sendmmsg path: it caches the socket's RawConn
@@ -85,118 +66,4 @@ func (h *Hub) SetVectorized(on bool) bool {
 	}
 	h.vectorized.Store(true)
 	return true
-}
-
-// writeDestsVec drives the whole destination vector through sendmmsg,
-// marking failed destinations in place. The RawConn.Write contract runs
-// the callback until it returns true, parking the goroutine on the
-// netpoller whenever the socket's send buffer is full.
-func (h *Hub) writeDestsVec(bb *batchBuf) error {
-	vb := bb.vec
-	if vb == nil {
-		vb = new(vecBuf)
-		vb.fn = vb.step
-		bb.vec = vb
-	}
-	vb.h = h
-	vb.ds = bb.ds
-	vb.idx = 0
-	vb.first = nil
-	err := h.rc.Write(vb.fn)
-	if err != nil {
-		// The runtime refused the write (socket closed mid-batch):
-		// everything past the cursor never reached the kernel.
-		for i := vb.idx; i < len(vb.ds); i++ {
-			vb.ds[i].failed = true
-		}
-		if vb.first == nil {
-			vb.first = err
-		}
-	}
-	first := vb.first
-	vb.h = nil
-	vb.ds = nil
-	vb.first = nil
-	return first
-}
-
-// step is the RawConn.Write callback: it advances the cursor through the
-// destination vector one sendmmsg at a time. Returning false parks the
-// goroutine until the socket is writable again; returning true ends the
-// batch. sendmmsg errors only when its *first* datagram fails, so an
-// errno marks exactly ds[idx] failed and the loop resumes one past it —
-// identical per-destination semantics to the fallback's one-write-each
-// loop.
-func (vb *vecBuf) step(fd uintptr) bool {
-	for vb.idx < len(vb.ds) {
-		n := vb.prepare()
-		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&vb.msgs[0])), uintptr(n), 0, 0, 0)
-		vb.h.syscalls.Inc()
-		if errno != 0 {
-			switch errno {
-			case syscall.EAGAIN:
-				return false
-			case syscall.EINTR:
-				continue
-			default:
-				vb.ds[vb.idx].failed = true
-				if vb.first == nil {
-					vb.first = errno
-				}
-				vb.idx++
-			}
-			continue
-		}
-		vb.idx += int(r1)
-	}
-	return true
-}
-
-// prepare fills the syscall arrays from ds[idx:] — up to sendmmsgBatch
-// headers, each one datagram to one destination — and returns how many
-// it staged.
-func (vb *vecBuf) prepare() int {
-	n := len(vb.ds) - vb.idx
-	if n > sendmmsgBatch {
-		n = sendmmsgBatch
-	}
-	for i := 0; i < n; i++ {
-		d := &vb.ds[vb.idx+i]
-		iov := &vb.iovs[i]
-		if len(d.frame) > 0 {
-			iov.Base = &d.frame[0]
-		} else {
-			iov.Base = nil
-		}
-		iov.SetLen(len(d.frame))
-
-		hdr := &vb.msgs[i].hdr
-		addr := d.ap.Addr()
-		p := d.ap.Port()
-		if addr.Is4() {
-			sa := &vb.sa4[i]
-			sa.Family = syscall.AF_INET
-			sa.Port = p<<8 | p>>8 // network byte order on these LE targets
-			sa.Addr = addr.As4()
-			hdr.Name = (*byte)(unsafe.Pointer(sa))
-			hdr.Namelen = syscall.SizeofSockaddrInet4
-		} else {
-			sa := &vb.sa6[i]
-			sa.Family = syscall.AF_INET6
-			sa.Port = p<<8 | p>>8
-			sa.Flowinfo = 0
-			sa.Addr = addr.As16()
-			sa.Scope_id = 0
-			hdr.Name = (*byte)(unsafe.Pointer(sa))
-			hdr.Namelen = syscall.SizeofSockaddrInet6
-		}
-		hdr.Iov = iov
-		hdr.Iovlen = 1
-		hdr.Control = nil
-		hdr.Controllen = 0
-		hdr.Flags = 0
-		vb.msgs[i].n = 0
-	}
-	return n
 }

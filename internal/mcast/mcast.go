@@ -70,29 +70,29 @@ type Hub struct {
 	closed  atomic.Bool
 	logf    func(format string, args ...any)
 
-	// rc is the sending socket's raw handle, used by the vectorized
-	// (sendmmsg) fan-out; vectorized reports whether that fast path is
-	// compiled in and enabled. On platforms without it, or with it
-	// disabled via NoSendmmsgEnv or SetVectorized(false), every write
-	// goes through WriteToUDPAddrPort.
+	// rc is the sending socket's raw handle, used by the sendmmsg stager
+	// (gso_linux.go); vectorized reports whether the stager is compiled in
+	// and enabled. On platforms without it, or with it disabled via
+	// NoSendmmsgEnv or SetVectorized(false), every write goes through
+	// WriteToUDPAddrPort.
 	rc         syscall.RawConn
 	vectorized atomic.Bool
 
-	// The GSO rung of the egress ladder: gsoOn routes batches through the
-	// UDP_SEGMENT super-frame path (gso_linux.go); gsoCapable records the
-	// creation-time capability probe, so the test hook SetGSO can re-arm
-	// the path only where the kernel accepted it.
+	// gsoOn lets the stager send an address's run of frames as one
+	// UDP_SEGMENT super-frame; off, every run is one frame. gsoCapable
+	// records the creation-time capability probe, so the test hook SetGSO
+	// can re-arm it only where the kernel accepted it.
 	gsoOn      atomic.Bool
 	gsoCapable bool
 
 	// The egress ledger. sent and sentBytes count datagrams and payload
 	// bytes actually written; failed counts members a send could not
-	// reach; batches counts SendBatch dispatches that reached at least
-	// one destination, batchedBytes their bytes; syscalls counts kernel
-	// send invocations (sendmmsg calls on the vectorized path, individual
-	// datagram writes otherwise), so sent/syscalls is the batching
-	// factor. Padded: the counters are bumped concurrently by every
-	// egress shard, and unpadded neighbors would share cache lines.
+	// reach; batches counts SendBatch dispatches (a Send is one) that
+	// reached at least one destination, batchedBytes their bytes; syscalls
+	// counts kernel send invocations (sendmmsg calls on the vectorized
+	// path, individual datagram writes otherwise), so sent/syscalls is the
+	// batching factor. Padded: the counters are bumped concurrently by
+	// every egress shard, and unpadded neighbors would share cache lines.
 	sent         metrics.PaddedCounter
 	sentBytes    metrics.PaddedCounter
 	failed       metrics.PaddedCounter
@@ -108,7 +108,7 @@ type Hub struct {
 	// kernel split into MTU-sized segments); gsoSegments the frames they
 	// carried; gsoSyscalls the sendmmsg invocations the GSO path made, so
 	// gsoSegments/gsoSyscalls is the segmentation factor; gsoFallbacks
-	// how many times the GSO path was declined or abandoned (probe
+	// how many times super-frames were declined or abandoned (probe
 	// failure, kill-switch, or a runtime EINVAL demotion).
 	superframes  metrics.PaddedCounter
 	gsoSegments  metrics.PaddedCounter
@@ -320,49 +320,11 @@ func (l Listeners) Heard(g Group) bool { return l.m != nil && len((*l.m)[g]) > 0
 // Send delivers one datagram to every current member of g, returning how
 // many receivers it was written to. A send to an empty group succeeds and
 // reaches zero receivers — broadcast semantics, senders never block on
-// membership.
-//
-// Send reads the membership snapshot without locking and allocates
-// nothing on the success path. Delivery is best-effort: a member whose
-// write fails is skipped, the rest of the group still receives the
-// datagram, and the failures are aggregated into the returned error.
-// When the vectorized fan-out is enabled the group's datagrams go to the
-// kernel in sendmmsg batches; otherwise one write syscall per member.
+// membership. It is a SendBatch of one entry: same lock-free snapshot
+// read, same best-effort delivery, same ledger, no allocation.
 func (h *Hub) Send(g Group, frame []byte) (int, error) {
-	if h.closed.Load() {
-		return 0, fmt.Errorf("mcast: hub closed")
-	}
-	if h.vectorized.Load() {
-		return h.sendOneVec(g, frame)
-	}
-	members := (*h.members.Load())[g]
-	n := 0
-	nfail := 0
-	var first error
-	for _, ap := range members {
-		h.syscalls.Inc()
-		if _, err := h.conn.WriteToUDPAddrPort(frame, ap); err != nil {
-			nfail++
-			if first == nil {
-				first = err
-			}
-			h.noteFailure(g, ap)
-			continue
-		}
-		n++
-		if h.nfailing.Load() != 0 {
-			h.noteSuccess(g, ap)
-		}
-	}
-	if n > 0 {
-		h.sent.Add(int64(n))
-		h.sentBytes.Add(int64(n) * int64(len(frame)))
-	}
-	if nfail > 0 {
-		h.failed.Add(int64(nfail))
-		return n, fmt.Errorf("mcast: %d of %d sends to %v failed: %w", nfail, len(members), g, first)
-	}
-	return n, nil
+	one := [1]BatchEntry{{Group: g, Frame: frame}}
+	return h.SendBatch(one[:])
 }
 
 // TotalMembers returns the membership count across all groups.

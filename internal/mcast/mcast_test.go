@@ -361,31 +361,32 @@ func TestFailureCounterResetsOnSuccess(t *testing.T) {
 	hub.Leave(g, rcv.Addr())
 }
 
-// TestSendCounters: byte and datagram counters advance together.
+// TestSendCounters pins the egress ledger of Send, which is a SendBatch of
+// one entry whichever writer carries it: the portable loop, the sendmmsg
+// stager and the stager with super-frames on must report the same
+// datagrams, bytes and batches.
 func TestSendCounters(t *testing.T) {
-	hub, err := NewHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	rcv, err := NewReceiver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcv.Close()
-	g := Group{Video: 0, Channel: 1}
-	if err := hub.Join(g, rcv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 100)
-	for i := 0; i < 5; i++ {
-		if _, err := hub.Send(g, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hub.Sent() != 5 || hub.SentBytes() != 500 || hub.SendFailures() != 0 {
-		t.Errorf("counters: sent=%d bytes=%d failed=%d, want 5/500/0",
-			hub.Sent(), hub.SentBytes(), hub.SendFailures())
+	for _, mode := range []string{"generic", "sendmmsg", "gso"} {
+		t.Run(mode, func(t *testing.T) {
+			g := Group{Video: 0, Channel: 1}
+			hub, _ := newTestHub(t, []Group{g}, 1)
+			if !setBatchPath(hub, mode) {
+				t.Skipf("%s path unavailable on this platform", mode)
+			}
+			frame := make([]byte, 100)
+			for i := 0; i < 5; i++ {
+				if _, err := hub.Send(g, frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if hub.Sent() != 5 || hub.SentBytes() != 500 || hub.SendFailures() != 0 {
+				t.Errorf("counters: sent=%d bytes=%d failed=%d, want 5/500/0",
+					hub.Sent(), hub.SentBytes(), hub.SendFailures())
+			}
+			if hub.Batches() != 5 || hub.BatchedBytes() != 500 {
+				t.Errorf("batch ledger: batches=%d bytes=%d, want 5/500", hub.Batches(), hub.BatchedBytes())
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@
 // goroutine, so the steady-state batched read allocates nothing. The
 // platform restriction matches hub_linux.go (stdlib Msghdr layout and
 // the hardcoded syscall numbers); every other platform compiles
-// recv_stub.go and reads one datagram per syscall.
+// stub.go and reads one datagram per syscall.
 package mcast
 
 import (

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +20,7 @@ import (
 type countingBatchSender struct {
 	batches, frames, parity, bad int
 	groups                       map[mcast.Group]int // frames per group; nil = not tracked
+	err                          error               // what SendBatch reports, having counted
 }
 
 func (r *countingBatchSender) Send(g mcast.Group, frame []byte) (int, error) {
@@ -29,7 +33,7 @@ func (r *countingBatchSender) SendBatch(entries []mcast.BatchEntry) (int, error)
 	for i := range entries {
 		r.note(entries[i].Group, entries[i].Frame)
 	}
-	return len(entries), nil
+	return len(entries), r.err
 }
 
 func (r *countingBatchSender) note(g mcast.Group, frame []byte) {
@@ -51,6 +55,11 @@ func (r *countingBatchSender) note(g mcast.Group, frame []byte) {
 		r.groups[g]++
 	}
 }
+
+// warmTicks is how many ticks a test runs before it measures a dispatch's
+// steady state: far more than the due list, arena and batch take to reach
+// their steady size.
+const warmTicks = 256
 
 // handDriven is a server that was never started, with a real hub for
 // membership, a caller-chosen sender, and one shard owning every channel,
@@ -87,18 +96,17 @@ func newHandDriven(t testing.TB, cfg Config, send mcast.BatchSender) *handDriven
 			sh.entries = append(sh.entries, srv.newWheelEntry(v, i))
 		}
 	}
-	sh.wheel.reset(sh.quantum(), 0)
+	sh.tickLen = sh.quantum()
 	for _, e := range sh.entries {
 		e.resync(0)
-		sh.wheel.insert(e)
 	}
 	return &handDriven{srv: srv, sh: sh}
 }
 
 // tick dispatches the next due instant and reports how many entries it held.
 func (h *handDriven) tick() int {
-	next, _ := h.sh.wheel.nextDue()
-	h.sh.due = h.sh.wheel.collect(next, h.sh.due[:0])
+	next, _ := h.sh.nextDue()
+	h.sh.collect(next)
 	if len(h.sh.due) > 0 {
 		h.sh.dispatch()
 	}
@@ -124,6 +132,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 	sch := wheelScheme(t, 10, 20)
 	events := make(map[chanKey][]event)
 	recording := true
+	var lastLog string
 	rec := &countingBatchSender{groups: make(map[mcast.Group]int)}
 	h := newHandDriven(t, Config{
 		Scheme:       sch,
@@ -135,7 +144,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 				events[chanKey{v, i}] = append(events[chanKey{v, i}], event{n, c})
 			}
 		},
-		Logf: t.Logf,
+		Logf: func(f string, a ...any) { lastLog = fmt.Sprintf(f, a...) },
 	}, rec)
 	heard := []mcast.Group{{Video: 0, Channel: 1}, {Video: 3, Channel: 7}, {Video: 5, Channel: 20}, {Video: 9, Channel: 2}, {Video: 9, Channel: 19}}
 	var addr *net.UDPAddr
@@ -179,10 +188,10 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 		t.Errorf("frame cache served %d materialisations, want %d", st.Hits+st.Misses, len(heard)*ticks)
 	}
 
-	// The wheel's slot slices grow the first time round; one lap later the
-	// dispatch cycle is in its steady state.
+	// The due list, arena and batch grow in the first ticks; a while later
+	// the dispatch cycle is in its steady state.
 	recording, rec.groups = false, nil
-	for i := 0; i < wheelSlots; i++ {
+	for i := 0; i < warmTicks; i++ {
 		h.tick()
 	}
 	if allocs := testing.AllocsPerRun(50, func() { h.tick() }); allocs != 0 {
@@ -195,6 +204,23 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 	h.tick()
 	if got := h.srv.egressStaged.Value() - before; got != int64(len(heard)-1) {
 		t.Errorf("tick after a Leave staged %d chunks, want %d", got, len(heard)-1)
+	}
+
+	// A failed send is logged against the first chunk it staged: not the
+	// first due entry, which nobody hears any more, and not the repetition
+	// the cursor moves on to when that chunk was the last of its own.
+	first := h.sh.entries[3*20+6]
+	if first.group != heard[1] {
+		t.Fatalf("entry %d is %v, want %v", 3*20+6, first.group, heard[1])
+	}
+	for first.c != first.chunks-1 {
+		h.tick()
+	}
+	want := fmt.Sprintf("sending %v seq %d: refused", first.group, first.n)
+	rec.err = errors.New("refused")
+	h.tick()
+	if !strings.Contains(lastLog, want) {
+		t.Errorf("failed send logged %q, want it to name %q", lastLog, want)
 	}
 }
 
@@ -401,7 +427,7 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 }
 
 // benchFullDispatch is BenchmarkWheelDispatch's whole-dispatch case:
-// collect, gate, materialise, batch hand-off to a stub sender, re-file, on
+// collect, gate, materialise, batch hand-off to a stub sender, advance, on
 // a 10-video, k-channel schedule where every 20th channel (5 %) has a
 // listener. With faulted set the stub stands behind a fault injector
 // running skybench's lossy plan with a G=4 stripe, so the tick also pays
@@ -432,7 +458,7 @@ func benchFullDispatch(b *testing.B, k int, faulted bool) {
 	for j := 0; j < len(h.sh.entries); j += 20 {
 		h.join(b, h.sh.entries[j].group)
 	}
-	for i := 0; i <= wheelSlots; i++ { // one lap: slot slices, arena and batch at their steady size
+	for i := 0; i < warmTicks; i++ { // due list, arena and batch at their steady size
 		h.tick()
 	}
 	before := h.srv.egressStaged.Value()

@@ -441,7 +441,6 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	srv.send = rec
 	srv.epoch = time.Now()
 	sh := &wheelShard{s: srv, id: 0}
-	sh.wheel.reset(time.Millisecond, 0)
 	e := srv.newWheelEntry(0, 2)
 	e.resync(0)
 	sh.entries = []*wheelEntry{e}

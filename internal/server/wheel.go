@@ -1,17 +1,17 @@
-// The egress engine: a sharded hierarchical timer wheel that drives every
-// (video, channel) broadcast schedule from a small fixed pool of shard
-// goroutines.
+// The egress engine: the wheel, a small fixed pool of shard goroutines
+// that drives every (video, channel) broadcast schedule.
 //
 // M videos × K channels are M·K schedules, but not M·K timers: each shard
-// owns a fixed subset of the channels, hashes their next-due instants into
-// a timer wheel quantized to the channels' chunk spacing, and sleeps until
-// the earliest due tick. One wakeup collects *every* chunk due in that
-// tick across all the shard's channels and hands them to the sender as a
-// single batch (mcast.BatchSender), which puts them on the wire in
-// sendmmsg batches. Steady state is therefore one timer wakeup and a
-// handful of syscalls per tick per shard, independent of how many channels
-// share the tick — the paper's O(channels) server cost with the constant
-// actually small.
+// owns a fixed subset of the channels as a flat list, quantizes time to
+// their chunk spacing, and sleeps until the earliest due tick. One wakeup
+// collects *every* chunk due in that tick across all the shard's channels
+// and hands them to the sender as a single batch (mcast.BatchSender), which
+// puts them on the wire in sendmmsg batches. The paper broadcasts every
+// channel at the one display rate, so every entry is due every tick and
+// finding the due ones is a pass over the list — there is no structure to
+// keep. Steady state is one timer wakeup and a handful of syscalls per tick
+// per shard, independent of how many channels share the tick — the paper's
+// O(channels) server cost with the constant actually small.
 //
 // What every channel is owed:
 //
@@ -50,16 +50,11 @@ import (
 // one super-frame on the GSO path.
 const wheelMaxRun = 64
 
-// wheelSlots is the fan-out of each wheel level: 256 level-0 slots of one
-// quantum each, 256 level-1 slots of wheelSlots quanta each, and an
-// overflow list beyond that horizon.
-const wheelSlots = 256
-
 // Bounds on the wheel quantum. The quantum tracks the finest chunk
 // spacing so same-tick chunks batch without adding schedule error beyond
 // one spacing; the floor keeps a pathological spacing from turning the
-// wheel into a busy loop, the ceiling keeps idle boundary scans frequent
-// enough that a sparse wheel still cascades promptly.
+// wheel into a busy loop, the ceiling bounds how much of a sparse schedule
+// one tick may gather.
 const (
 	minWheelQuantum = 50 * time.Microsecond
 	maxWheelQuantum = time.Second
@@ -121,137 +116,17 @@ func (e *wheelEntry) advance() {
 	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
 }
 
-// timerWheel is a two-level hierarchical timer wheel over epoch offsets.
-// Level 0 resolves single ticks across a 256-tick window starting at cur;
-// level 1 resolves 256-tick windows across a 65536-tick horizon; entries
-// beyond that wait in overflow. Slots hold entry pointers in reused
-// slices, so steady-state insert/collect allocates nothing.
-type timerWheel struct {
-	quantum  time.Duration
-	cur      int64 // next tick not yet collected
-	level0   [wheelSlots][]*wheelEntry
-	level1   [wheelSlots][]*wheelEntry
-	overflow []*wheelEntry
-}
-
-// reset re-arms the wheel at the tick containing now, clearing all slots
-// (their capacity is kept).
-func (w *timerWheel) reset(quantum time.Duration, now time.Duration) {
-	w.quantum = quantum
-	w.cur = int64(now / quantum)
-	for i := range w.level0 {
-		w.level0[i] = w.level0[i][:0]
-		w.level1[i] = w.level1[i][:0]
-	}
-	w.overflow = w.overflow[:0]
-}
-
-// insert files e by its due tick. Past-due entries land in the current
-// tick and come out on the next collect.
-func (w *timerWheel) insert(e *wheelEntry) {
-	t := int64(e.due / w.quantum)
-	if t < w.cur {
-		t = w.cur
-	}
-	switch dt := t - w.cur; {
-	case dt < wheelSlots:
-		w.level0[t%wheelSlots] = append(w.level0[t%wheelSlots], e)
-	case dt < wheelSlots*wheelSlots:
-		w.level1[(t/wheelSlots)%wheelSlots] = append(w.level1[(t/wheelSlots)%wheelSlots], e)
-	default:
-		w.overflow = append(w.overflow, e)
-	}
-}
-
-// collect advances the wheel to the tick containing now, appending every
-// entry due in the crossed ticks to out (one tick's entries dispatch
-// together — that is the batching). Level-1 windows cascade into level 0
-// as cur crosses their boundaries, and overflow is re-filed once per
-// level-1 lap.
-func (w *timerWheel) collect(now time.Duration, out []*wheelEntry) []*wheelEntry {
-	target := int64(now / w.quantum)
-	for w.cur <= target {
-		if w.cur%wheelSlots == 0 {
-			w.cascade()
-		}
-		slot := &w.level0[w.cur%wheelSlots]
-		out = append(out, *slot...)
-		*slot = (*slot)[:0]
-		w.cur++
-	}
-	return out
-}
-
-// cascade re-files the level-1 slot covering the window that starts at
-// cur, and — once per level-1 lap — the overflow list. An entry whose due
-// tick is a whole lap ahead goes back where it was and waits for the next
-// cascade; everything else drops into level 0.
-func (w *timerWheel) cascade() {
-	slot := &w.level1[(w.cur/wheelSlots)%wheelSlots]
-	pending := *slot
-	*slot = (*slot)[:0]
-	for _, e := range pending {
-		w.insert(e)
-	}
-	if w.cur%(wheelSlots*wheelSlots) == 0 {
-		pending = w.overflow
-		w.overflow = w.overflow[:0]
-		for _, e := range pending {
-			w.insert(e)
-		}
-	}
-}
-
-// nextDue returns the epoch offset the shard should sleep until: the
-// earliest due entry in the level-0 window if there is one, otherwise the
-// next cascade boundary (at which closer entries may surface from level 1
-// or overflow). ok is false when the wheel is empty.
-func (w *timerWheel) nextDue() (next time.Duration, ok bool) {
-	boundary := (w.cur/wheelSlots + 1) * wheelSlots
-	best := time.Duration(-1)
-	for t := w.cur; t < boundary+wheelSlots; t++ {
-		slot := w.level0[t%wheelSlots]
-		if len(slot) == 0 {
-			continue
-		}
-		best = slot[0].due
-		for _, e := range slot[1:] {
-			if e.due < best {
-				best = e.due
-			}
-		}
-		// A past-due entry (clamped into this slot by insert) keeps its
-		// stale due offset, but collect only releases the slot once the
-		// clock enters tick t. Waking any earlier would spin — timer
-		// fires, collect crosses no tick, nothing dispatches, repeat —
-		// burning the core exactly when the schedule is already behind.
-		if bt := time.Duration(t) * w.quantum; best < bt {
-			best = bt
-		}
-		break
-	}
-	more := len(w.overflow) > 0
-	for i := 0; !more && i < wheelSlots; i++ {
-		more = len(w.level1[i]) > 0
-	}
-	if more {
-		if bt := time.Duration(boundary) * w.quantum; best < 0 || bt < best {
-			// Level-0 slots past the boundary can hold later entries than
-			// an uncascaded level-1 window; waking at the boundary keeps
-			// the scan cheap and never oversleeps a due entry.
-			best = bt
-		}
-	}
-	return best, best >= 0
-}
-
 // wheelShard owns a fixed subset of the channel entries and runs their
 // schedule from one goroutine. due and batch are reused across wakeups.
 type wheelShard struct {
 	s       *Server
 	id      int
 	entries []*wheelEntry
-	wheel   timerWheel
+	// tickLen is the run's quantum and cur the next tick not yet collected:
+	// time is cut into ticks of tickLen from the epoch, and one tick's
+	// entries dispatch together — that is the batching.
+	tickLen time.Duration
+	cur     int64
 	due     []*wheelEntry
 	batch   []mcast.BatchEntry
 	// arena backs every frame one dispatch stages; dispatch resets it on
@@ -432,11 +307,47 @@ func (sh *wheelShard) quantum() time.Duration {
 	return q
 }
 
+// collect fills due with every entry whose due tick the clock has reached
+// and advances cur past the tick containing now. A past-due entry belongs
+// to tick cur: it waits for the clock to enter it, so a dispatch that left
+// an entry behind hands it to the next tick, not to a spin on this one.
+func (sh *wheelShard) collect(now time.Duration) {
+	sh.due = sh.due[:0]
+	target := int64(now / sh.tickLen)
+	if target < sh.cur {
+		return
+	}
+	sh.cur = target + 1
+	end := time.Duration(sh.cur) * sh.tickLen
+	for _, e := range sh.entries {
+		if e.due < end {
+			sh.due = append(sh.due, e)
+		}
+	}
+}
+
+// nextDue returns the epoch offset the shard should sleep until: the
+// earliest due offset, but never before the start of the tick that will
+// release it — a past-due entry keeps its stale offset while collect waits
+// for tick cur, and waking any earlier would spin (timer fires, collect
+// crosses no tick, nothing dispatches, repeat), burning the core exactly
+// when the schedule is already behind. ok is false for a shard of nothing.
+func (sh *wheelShard) nextDue() (next time.Duration, ok bool) {
+	if len(sh.entries) == 0 {
+		return 0, false
+	}
+	next = sh.entries[0].due
+	for _, e := range sh.entries[1:] {
+		next = min(next, e.due)
+	}
+	return max(next, time.Duration(sh.cur)*sh.tickLen), true
+}
+
 // run is the shard dispatch loop: park on the tick source until a little
 // before the earliest due tick, hold on the clock until its instant,
-// collect everything due, dispatch it as one batch, re-file the entries.
-// Entered fresh after every restart, it rebuilds the wheel from the wall
-// clock so the shard rejoins the absolute grid.
+// collect everything due, dispatch it as one batch. Entered fresh after
+// every restart, it resyncs every entry from the wall clock so the shard
+// rejoins the absolute grid.
 //
 // The park ends `lead` early because being woken takes time — the timer
 // fires on the instant, the goroutine runs some tens of microseconds
@@ -449,13 +360,13 @@ func (sh *wheelShard) quantum() time.Duration {
 // from the clock.
 func (sh *wheelShard) run() {
 	s := sh.s
-	quantum := sh.quantum()
-	sh.wheel.reset(quantum, time.Since(s.epoch))
+	sh.tickLen = sh.quantum()
+	start := time.Since(s.epoch)
+	sh.cur = int64(start / sh.tickLen)
 	for _, e := range sh.entries {
-		e.resync(time.Since(s.epoch))
-		sh.wheel.insert(e)
+		e.resync(start)
 	}
-	maxLead := min(maxWakeLead, quantum/4)
+	maxLead := min(maxWakeLead, sh.tickLen/4)
 	src := s.newTickSource()
 	sh.setTick(src)
 	defer sh.setTick(nil) // every exit, a panic included, releases the source
@@ -465,7 +376,7 @@ func (sh *wheelShard) run() {
 	default:
 	}
 	for {
-		next, ok := sh.wheel.nextDue()
+		next, ok := sh.nextDue()
 		wait, lead := time.Hour, time.Duration(0)
 		if ok {
 			lead = sh.lead.value()
@@ -499,7 +410,7 @@ func (sh *wheelShard) run() {
 			}
 			sh.wakeLate.Observe(int64(now - next))
 		}
-		sh.due = sh.wheel.collect(now, sh.due[:0])
+		sh.collect(now)
 		if len(sh.due) > 0 {
 			sh.dispatch()
 		}
@@ -543,7 +454,11 @@ func (sh *wheelShard) dispatch() {
 		}
 	}
 	var scheduled, staged int64
+	var firstSeq uint32 // repetition of the first staged chunk
 	for _, e := range sh.due {
+		if len(sh.batch) == 0 {
+			firstSeq = e.n
+		}
 		e.firstDue = e.due
 		run := 0
 		for {
@@ -554,8 +469,8 @@ func (sh *wheelShard) dispatch() {
 			e.advance()
 			run++
 			// A run ends when the entry is caught up or at the wheelMaxRun
-			// cap; a still-behind entry re-files at the current tick and
-			// the next wakeup continues the catch-up.
+			// cap; a still-behind entry is due again at the next tick and
+			// that wakeup continues the catch-up.
 			if e.due > elapsed || run >= wheelMaxRun {
 				break
 			}
@@ -575,7 +490,7 @@ func (sh *wheelShard) dispatch() {
 			select {
 			case <-s.stop: // socket teardown fails trailing sends by design
 			default:
-				s.cfg.Logf("server: sending %v seq %d: %v", sh.due[0].group, sh.due[0].n, err)
+				s.cfg.Logf("server: sending %v seq %d: %v", sh.batch[0].Group, firstSeq, err)
 			}
 		}
 		sent = time.Since(s.epoch)
@@ -590,6 +505,5 @@ func (sh *wheelShard) dispatch() {
 					e.group, e.n, e.c, late, d)
 			}
 		}
-		sh.wheel.insert(e)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -303,45 +304,49 @@ func TestWheelShardPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestTimerWheelMechanics pins the wheel data structure itself: entries
-// surface exactly at their due ticks, level-1 windows cascade into level
-// 0, and the overflow list re-files once per lap.
+// TestTimerWheelMechanics pins the shard's due-list itself: entries
+// surface exactly at their due ticks, however far off, a past-due one at
+// the current tick, and nextDue names the earliest. An entry that has
+// surfaced is taken off the list here, where a dispatch would advance it.
 func TestTimerWheelMechanics(t *testing.T) {
 	q := time.Millisecond
-	var w timerWheel
-	w.reset(q, 0)
 	mk := func(due time.Duration) *wheelEntry {
 		return &wheelEntry{due: due, period: time.Hour, spacing: time.Hour, chunks: 1}
 	}
-	near := mk(3 * q)                   // level 0
-	mid := mk(300 * q)                  // level 1
-	far := mk(time.Duration(70000) * q) // overflow (beyond 65,536 ticks)
-	past := mk(-5 * q)                  // clamped to the current tick
-	for _, e := range []*wheelEntry{near, mid, far, past} {
-		w.insert(e)
+	near := mk(3 * q)
+	mid := mk(300 * q)
+	far := mk(time.Duration(70000) * q)
+	past := mk(-5 * q) // clamped to the current tick
+	w := &wheelShard{tickLen: q, entries: []*wheelEntry{near, mid, far, past}}
+	collect := func(now time.Duration) []*wheelEntry {
+		w.collect(now)
+		for _, e := range w.due {
+			w.entries = slices.DeleteFunc(w.entries, func(have *wheelEntry) bool { return have == e })
+		}
+		return w.due
 	}
 
-	got := w.collect(0, nil)
+	got := collect(0)
 	if len(got) != 1 || got[0] != past {
 		t.Fatalf("collect(0) = %v entries, want just the past-due entry", len(got))
 	}
 	if next, ok := w.nextDue(); !ok || next != 3*q {
 		t.Fatalf("nextDue = %v, %v; want %v, true", next, ok, 3*q)
 	}
-	got = w.collect(3*q, nil)
+	got = collect(3 * q)
 	if len(got) != 1 || got[0] != near {
 		t.Fatalf("collect(3q) = %v entries, want the near entry", len(got))
 	}
-	if got = w.collect(299*q, nil); len(got) != 0 {
+	if got = collect(299 * q); len(got) != 0 {
 		t.Fatalf("collect(299q) returned %d entries early", len(got))
 	}
-	got = w.collect(300*q, nil)
+	got = collect(300 * q)
 	if len(got) != 1 || got[0] != mid {
-		t.Fatalf("collect(300q) = %d entries, want the cascaded level-1 entry", len(got))
+		t.Fatalf("collect(300q) = %d entries, want the 300q entry", len(got))
 	}
-	got = w.collect(70000*q, nil)
+	got = collect(70000 * q)
 	if len(got) != 1 || got[0] != far {
-		t.Fatalf("collect(70000q) = %d entries, want the overflow entry", len(got))
+		t.Fatalf("collect(70000q) = %d entries, want the 70000q entry", len(got))
 	}
 	if _, ok := w.nextDue(); ok {
 		t.Error("nextDue reports work on an empty wheel")
@@ -432,7 +437,6 @@ func catchupDispatch(t *testing.T, chunkBytes int, behind time.Duration) (*recor
 	srv.send = rec
 	srv.epoch = time.Now().Add(-behind)
 	sh := &wheelShard{s: srv, id: 0}
-	sh.wheel.reset(time.Millisecond, 0)
 	for _, ch := range []int{1, 2} {
 		e := srv.newWheelEntry(0, ch)
 		e.resync(0)
@@ -552,8 +556,8 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 }
 
 // BenchmarkWheelDispatch measures the scheduling machinery alone: one
-// tick's collect → advance → re-insert cycle with every channel due, at
-// the configured channel counts. This is the per-tick overhead the wheel
+// tick's collect → advance cycle with every channel due, at the
+// configured channel counts. This is the per-tick overhead the wheel
 // engine adds on top of frame preparation and the send itself. The "full"
 // cases are the whole dispatch on paper-shaped schedules (200 and 400
 // channels) with 5 % of the channels heard: what a tick costs when it
@@ -575,22 +579,18 @@ func BenchmarkWheelDispatch(b *testing.B) {
 					chunks:  8,
 				}
 			}
-			var w timerWheel
-			w.reset(spacing, 0)
 			for _, e := range entries {
 				e.resync(0)
-				w.insert(e)
 			}
-			var due []*wheelEntry
+			w := &wheelShard{tickLen: spacing, entries: entries}
 			now := time.Duration(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += spacing
-				due = w.collect(now, due[:0])
-				for _, e := range due {
+				w.collect(now)
+				for _, e := range w.due {
 					e.advance()
-					w.insert(e)
 				}
 			}
 			b.StopTimer()
