@@ -57,7 +57,10 @@ race:
 # (parity encode,
 # stripe reassembly, defeat escalation, burst loss), the shared
 # receive arena (unsubscribe-while-delivering slot conservation, per-
-# subscription slot quotas), and the wheel's tick source (never early,
+# subscription slot quotas, one refcounted slot per datagram whatever
+# the release order, holders out of step never torn, 200 closed
+# receivers leaving no descriptor, mapping or goroutine), and the
+# wheel's tick source (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
 # goroutine left behind by restarts) and wake lead (never early whatever
 # the source does, bounded, follows the measured latency, a stop during
@@ -186,7 +189,8 @@ bench-egress:
 
 # Record the ingress-ladder benchmarks: the shared receiver draining
 # 1/8/64-datagram bursts through each rung (single-read, recvmmsg,
-# recvmmsg+GRO), reporting datagrams/s, the achieved
+# recvmmsg+GRO) to 1 and to 4 subscriptions of the group, reporting
+# datagrams/s, ns/delivery, B/op, the achieved
 # datagrams-per-read-syscall batching factor, GRO segments recovered per
 # op, and allocation counts; then the 8k-viewer faulted capacity sweep
 # twice — once with the ingress ladder pinned off (the "before"), once

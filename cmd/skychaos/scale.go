@@ -70,7 +70,9 @@ type scaleRow struct {
 	Datagrams   int64 `json:"datagrams"`
 	RecvDropped int64 `json:"recv_dropped"`
 	// PeakRecvSlots sums the emulators' shared-receiver slot high-water
-	// marks: times the slot size, the audience's receive-buffer footprint.
+	// marks — slots, not deliveries: one slot holds a datagram for every
+	// subscription that hears it. Times the slot size, the audience's
+	// receive-buffer footprint.
 	PeakRecvSlots int64 `json:"peak_recv_slots"`
 	// The ingress ladder ledger, summed across emulators: datagrams
 	// delivered through the recvmmsg rung, kernel receive invocations

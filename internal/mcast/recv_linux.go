@@ -3,7 +3,7 @@
 // The ingress ladder's fast rungs: recvmmsg(2) batched receive and UDP
 // GRO coalesced receive — the mirror image of hub_linux.go and
 // gso_linux.go. One recvmmsg call drains up to the configured batch of
-// datagrams into a reusable buffer ring, so a burst of 64 costs one
+// datagrams into a reusable landing zone, so a burst of 64 costs one
 // kernel crossing instead of 64; with UDP_GRO armed on top, the kernel
 // hands a whole super-frame burst (the shape gso_linux.go emits) over as
 // ONE coalesced buffer plus a cmsg naming the segment size, and the
@@ -11,10 +11,13 @@
 // of the stack per burst, closing the send/receive symmetry.
 //
 // Everything the syscall needs lives in one recvBuf owned by the read
-// goroutine, so the steady-state batched read allocates nothing. The
-// platform restriction matches hub_linux.go (stdlib Msghdr layout and
-// the hardcoded syscall numbers); every other platform compiles
-// stub.go and reads one datagram per syscall.
+// goroutine, so the steady-state batched read allocates nothing. Its
+// landing zone is an anonymous private mapping, not a Go slice: the GC
+// would count the whole 4 MiB as live heap and pace twice that much
+// garbage headroom against it, though only the pages datagrams land on
+// are ever touched. The platform restriction matches hub_linux.go
+// (stdlib Msghdr layout and the hardcoded syscall numbers); every other
+// platform compiles stub.go and reads one datagram per syscall.
 package mcast
 
 import (
@@ -55,10 +58,11 @@ type groCmsg struct {
 
 // recvBuf is the reusable state of the batched read loop: fixed syscall
 // arrays sized to the batch ceiling, one contiguous maxDatagram-strided
-// buffer ring the iovecs point into, and the frame views rebuilt from it
-// after every drain. It is owned by the run goroutine; fn is the
-// pre-bound RawConn.Read callback (bound once so the hot path never
-// allocates a closure).
+// landing zone the iovecs point into (mapped outside the Go heap, and
+// unmapped by the run goroutine once it has dispatched its last batch),
+// and the frame views rebuilt from it after every drain. It is owned by
+// the run goroutine; fn is the pre-bound RawConn.Read callback (bound
+// once so the hot path never allocates a closure).
 type recvBuf struct {
 	hdrs  [DefaultRecvBatch]mmsghdr
 	iovs  [DefaultRecvBatch]syscall.Iovec
@@ -76,7 +80,8 @@ type recvBuf struct {
 // initRecv arms the ingress ladder at receiver creation: the recvmmsg
 // rung first (declined silently by SKYSCRAPER_NO_RECVMMSG — the fallback
 // is behavior-identical, mirroring initVectorized — and probed against
-// the kernel), then the GRO rung on top of it (declined by
+// the kernel, then declined with a log line if its landing zone cannot
+// be mapped), then the GRO rung on top of it (declined by
 // SKYSCRAPER_NO_GRO or a failed sockopt, each logged once and counted in
 // GROFallbacks). A batch of 1 pins the portable path outright.
 func (s *SharedReceiver) initRecv() {
@@ -95,9 +100,14 @@ func (s *SharedReceiver) initRecv() {
 		s.logf("mcast: kernel lacks recvmmsg; shared receiver falls back to per-datagram reads")
 		return
 	}
-	rb := &recvBuf{s: s}
+	bufs, err := syscall.Mmap(-1, 0, s.batch*maxDatagram,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		s.logf("mcast: cannot map the recvmmsg landing zone (%v); shared receiver falls back to per-datagram reads", err)
+		return
+	}
+	rb := &recvBuf{s: s, bufs: bufs}
 	rb.fn = rb.step
-	rb.bufs = make([]byte, s.batch*maxDatagram)
 	rb.frames = make([][]byte, 0, s.batch)
 	s.rb = rb
 	s.mmsgCapable = true
@@ -119,6 +129,19 @@ func (s *SharedReceiver) initRecv() {
 	}
 	s.groCapable = true
 	s.groOn.Store(true)
+}
+
+// freeRecv unmaps the landing zone. The run goroutine calls it once its
+// last dispatch is done, so no frame view into the zone outlives it (a
+// delivered frame lives in the slot arena).
+func (s *SharedReceiver) freeRecv() {
+	if s.rb == nil {
+		return
+	}
+	if err := syscall.Munmap(s.rb.bufs); err != nil {
+		s.logf("mcast: unmapping the recvmmsg landing zone: %v", err)
+	}
+	s.rb.bufs = nil // a stray use panics on bounds instead of faulting
 }
 
 // probeRecvmmsg asks the kernel whether recvmmsg exists. A zero-length

@@ -3,6 +3,7 @@ package mcast
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -24,12 +25,13 @@ const maxDatagram = 64 << 10
 
 // DefaultRecvBatch is the most datagrams one recvmmsg call may drain —
 // the ingress mirror of sendmmsgBatch, and for the same reason: large
-// enough that the syscall cost amortizes to noise, small enough that the
-// batched reader's landing buffer (one maxDatagram span per batch entry)
-// stays at 4 MiB of address space, of which only the pages datagrams
-// actually land on are ever touched. It is also the hard ceiling: the
-// platform layer's syscall arrays are sized to it, so larger configured
-// batches are clamped here.
+// enough that the syscall cost amortizes to noise. The batched reader's
+// landing zone holds one maxDatagram span per batch entry, 4 MiB of
+// address space mapped outside the Go heap (recv_linux.go): only the
+// pages datagrams actually land on cost RSS, and the GC neither counts
+// nor paces against any of it. It is also the hard ceiling: the platform
+// layer's syscall arrays are sized to it, so larger configured batches
+// are clamped here.
 const DefaultRecvBatch = 64
 
 // Read-error backoff: a persistent (non-closed) receive error used to
@@ -67,22 +69,26 @@ type SharedReceiverConfig struct {
 //
 // The read side is a two-rung ladder mirroring the hub's egress: a
 // recvmmsg rung drains up to the configured batch of datagrams per
-// syscall into a reusable buffer ring (recv_linux.go), and a UDP GRO rung
-// on top receives the hub's GSO super-frames as one coalesced buffer
-// that is split back into wire-sized frames in userspace. Platforms (or
-// kill-switches) without the rungs read one datagram per syscall through
-// the portable path — behavior-identical, just slower.
+// syscall into a landing zone mapped outside the Go heap (recv_linux.go),
+// and a UDP GRO rung on top receives the hub's GSO super-frames as one
+// coalesced buffer that is split back into wire-sized frames in
+// userspace. Platforms (or kill-switches) without the rungs read one
+// datagram per syscall through the portable path — behavior-identical,
+// just slower.
 //
 // The dispatch path mirrors Send's discipline: subscriptions live in
 // copy-on-write snapshots behind an atomic pointer (Subscribe and
-// Unsubscribe copy under a mutex, the read loop only loads), frames are
-// copied into slots of a receiver-owned arena shared by every
-// subscription of that slot size (see slotArena), and slot handoff rides
-// buffered int channels — so a steady-state delivery allocates nothing,
-// and buffer memory follows the datagrams in flight, not the
-// subscriptions open. A batched read classifies and routes the whole
-// batch under one snapshot load. Delivery is best-effort, as multicast
-// is: a subscriber that stops draining loses its own datagrams, never
+// Unsubscribe copy under a mutex, the read loop only loads). Each
+// datagram is copied ONCE per slot size into a slot of a receiver-owned
+// arena (see slotArena), and that one slot is queued on every
+// subscription of the group that had quota for it, with a reference
+// count the last Release drops; slot handoff rides buffered int
+// channels. So a steady-state delivery allocates nothing, and buffer
+// memory follows the datagrams in flight — not the subscriptions open,
+// and not how many of them hear each datagram. A batched read classifies
+// and routes the whole batch under one snapshot load. Delivery is
+// best-effort, as multicast is: a subscriber that stops draining loses
+// its own datagrams (its quota counts the shared slots it pins), never
 // its neighbors'.
 type SharedReceiver struct {
 	conn     *net.UDPConn
@@ -116,11 +122,14 @@ type SharedReceiver struct {
 	// arenas holds one slot arena per slot size (guarded by mu; each
 	// subscription keeps a pointer to its own). retired lists unsubscribed
 	// subscriptions whose queues the read loop has yet to drain. slots is
-	// the number of arena slots filled and not yet released.
+	// the number of arena slots filled and not yet released by their last
+	// holder. taken is the read loop's scratch list of the subscriptions
+	// that accepted the datagram being fanned out.
 	arenas   map[int]*slotArena
 	retired  []*Subscription
 	retiring atomic.Bool
 	slots    metrics.PaddedGauge
+	taken    []*Subscription
 
 	delivered  metrics.PaddedCounter
 	dropped    metrics.PaddedCounter
@@ -141,7 +150,9 @@ type SharedReceiver struct {
 	readErrors   metrics.PaddedCounter
 }
 
-// subMap is one immutable snapshot of every group's subscriptions.
+// subMap is one immutable snapshot of every group's subscriptions. Within
+// a group, subscriptions sharing an arena are adjacent, so the fan-out
+// walks one run per slot size.
 type subMap map[Group][]*Subscription
 
 // arenaPageSlots is how many slots the arena adds per growth step: small
@@ -150,11 +161,14 @@ type subMap map[Group][]*Subscription
 const arenaPageSlots = 32
 
 // slotArena is the receiver's frame memory for one slot size, shared by
-// every subscription of that size. Slots are handed out from a LIFO free
-// stack, so the slot a consumer just released — still in cache — is the
-// next one filled, and only as many pages as the peak number of frames
-// in flight are ever touched: memory follows live traffic, not how many
-// channels were ever tuned. The arena grows a page at a time when the
+// every subscription of that size. A slot holds one datagram however
+// many subscriptions it was queued on; its reference count says how many
+// have yet to Release it, and the last one returns it. Slots are handed
+// out from a LIFO free stack, so the slot a consumer just released —
+// still in cache — is the next one filled, and only as many pages as the
+// peak number of datagrams in flight are ever touched: memory follows
+// live traffic, not how many channels were ever tuned nor how many
+// subscriptions hear each one. The arena grows a page at a time when the
 // stack runs dry and never shrinks.
 type slotArena struct {
 	slotBytes int
@@ -168,7 +182,8 @@ type slotArena struct {
 
 type arenaPage struct {
 	buf  []byte
-	lens [arenaPageSlots]int // frame length per slot
+	lens [arenaPageSlots]int          // frame length per slot
+	refs [arenaPageSlots]atomic.Int32 // holders yet to Release each slot
 }
 
 // get pops a free slot, growing the arena by one page when none is left.
@@ -219,18 +234,21 @@ func (a *slotArena) locate(slot int) (*arenaPage, int) {
 //	    sub.Release(slot)
 //	}
 //
-// Ready is closed when the SharedReceiver shuts down. A slot's frame is
-// stable until Release returns it to the arena; a subscription may have
-// at most depth slots outstanding (queued or held), and datagrams
-// arriving beyond that quota are dropped (counted in Dropped) — so a
-// stalled consumer costs only its own frames.
+// Ready is closed when the SharedReceiver shuts down. The same slot may
+// be queued on every subscription of the group, so a frame is shared and
+// read-only: consumers must not write to it, and it is stable until this
+// subscription's Release. A subscription may have at most depth slots
+// outstanding (queued or held), and datagrams arriving beyond that quota
+// are dropped (counted in Dropped) — so a stalled consumer costs only
+// its own frames.
 type Subscription struct {
 	g     Group
 	s     *SharedReceiver
 	arena *slotArena
 	depth int64
 	ready chan int
-	// out counts slots filled for this subscription and not yet released.
+	// out counts slots queued on this subscription and not yet released
+	// by it.
 	out atomic.Int64
 
 	dropped atomic.Int64
@@ -314,7 +332,15 @@ func (s *SharedReceiver) Subscribe(g Group, depth, slotBytes int) (*Subscription
 	}
 	cur := *s.subs.Load()
 	next := cur.clone(g)
-	next[g] = append(next[g], sub)
+	// Insert behind the last subscription on the same arena (or at the
+	// end), keeping each slot size one contiguous run.
+	list, at := next[g], len(next[g])
+	for i, have := range list {
+		if have.arena == arena {
+			at = i + 1
+		}
+	}
+	next[g] = slices.Insert(list, at, sub)
 	s.subs.Store(&next)
 	return sub, nil
 }
@@ -332,10 +358,10 @@ func (m subMap) clone(g Group) subMap {
 // Unsubscribe detaches sub and hands it to the read loop for retirement.
 // A delivery routed under a snapshot loaded before the detach may still
 // land after return; the consumer simply stops draining Ready. Whatever
-// is left queued is returned to the arena by the read loop — the only
-// goroutine that fills the queue, so nothing can slip in behind its
-// drain — on its next pass (or at Close). Slots the consumer still holds
-// are its own to Release.
+// is left queued is released by the read loop — the only goroutine that
+// fills the queue, so nothing can slip in behind its drain — on its next
+// pass (or at Close). Slots the consumer still holds are its own to
+// Release.
 func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,9 +386,9 @@ func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 	s.retiring.Store(true)
 }
 
-// retire returns the queued slots of every unsubscribed subscription to
-// the arena. It runs on the read loop between reads: the next dispatch
-// loads a snapshot that no longer holds them, so their queues stay empty.
+// retire releases the queued slots of every unsubscribed subscription.
+// It runs on the read loop between reads: the next dispatch loads a
+// snapshot that no longer holds them, so their queues stay empty.
 func (s *SharedReceiver) retire() {
 	if !s.retiring.Load() {
 		return
@@ -377,8 +403,8 @@ func (s *SharedReceiver) retire() {
 	}
 }
 
-// drain releases every slot still queued on sub, without ever waiting
-// for one (the consumer may be taking them too).
+// drain releases sub's reference to every slot still queued on it,
+// without ever waiting for one (the consumer may be taking them too).
 func (sub *Subscription) drain() {
 	for {
 		select {
@@ -395,12 +421,15 @@ func (sub *Subscription) drain() {
 // every ready channel and closes them all on exit.
 func (s *SharedReceiver) run() {
 	defer close(s.done)
-	buf := make([]byte, maxDatagram)
+	var buf []byte // the portable rung's buffer, made on its first read
 	for {
 		var ok bool
 		if s.mmsgOn.Load() {
 			ok = s.readBatched()
 		} else {
+			if buf == nil {
+				buf = make([]byte, maxDatagram)
+			}
 			ok = s.readSingle(buf)
 		}
 		if !ok {
@@ -408,6 +437,7 @@ func (s *SharedReceiver) run() {
 		}
 		s.retire()
 	}
+	s.freeRecv()
 	s.retire()
 	// Wake every consumer: snapshot under mu so a racing Subscribe (which
 	// fails after closed is set) cannot add an unclosed channel.
@@ -459,17 +489,15 @@ func (s *SharedReceiver) noteReadError() bool {
 }
 
 // dispatch routes one datagram to every subscription of its group. It is
-// the per-datagram hot path: a snapshot load, the classifier, and slot
-// handoffs — no locks, no allocation.
+// the per-datagram hot path: a snapshot load, the classifier, and the
+// fan-out — no allocation once the read loop's scratch list is warm.
 func (s *SharedReceiver) dispatch(frame []byte) {
 	g, ok := s.classify(frame)
 	if !ok {
 		s.unroutable.Inc()
 		return
 	}
-	for _, sub := range (*s.subs.Load())[g] {
-		sub.deliver(frame)
-	}
+	s.fanOut((*s.subs.Load())[g], frame)
 }
 
 // dispatchFrames routes a whole received batch under ONE subscription-
@@ -487,33 +515,58 @@ func (s *SharedReceiver) dispatchFrames(frames [][]byte) {
 			s.unroutable.Inc()
 			continue
 		}
-		for _, sub := range subs[g] {
-			sub.deliver(frame)
-		}
+		s.fanOut(subs[g], frame)
 	}
 }
 
-// deliver copies frame into a free arena slot and queues it on sub,
-// dropping it when sub is at its quota (consumer too slow) or the slot
-// too small.
-func (sub *Subscription) deliver(frame []byte) {
-	a := sub.arena
+// fanOut delivers frame to a group's subscriptions, one run of
+// same-arena subscriptions at a time.
+func (s *SharedReceiver) fanOut(subs []*Subscription, frame []byte) {
+	for len(subs) > 0 {
+		n := 1
+		for n < len(subs) && subs[n].arena == subs[0].arena {
+			n++
+		}
+		s.deliver(subs[:n], frame)
+		subs = subs[n:]
+	}
+}
+
+// deliver copies frame once into a free slot of the run's arena and
+// queues that slot on every subscription of the run with quota left,
+// each holding one reference. A subscription at its quota (consumer too
+// slow), or every one when the slot is too small, drops it.
+func (s *SharedReceiver) deliver(run []*Subscription, frame []byte) {
+	a := run[0].arena
 	if len(frame) > a.slotBytes {
-		sub.drop()
+		for _, sub := range run {
+			sub.drop()
+		}
 		return
 	}
-	if sub.out.Add(1) > sub.depth {
-		sub.out.Add(-1)
-		sub.drop()
+	taken := s.taken[:0]
+	for _, sub := range run {
+		if sub.out.Add(1) > sub.depth {
+			sub.out.Add(-1)
+			sub.drop()
+			continue
+		}
+		taken = append(taken, sub)
+	}
+	s.taken = taken
+	if len(taken) == 0 {
 		return
 	}
 	slot := a.get()
 	page, i := a.locate(slot)
 	copy(page.buf[i*a.slotBytes:], frame)
 	page.lens[i] = len(frame)
-	sub.s.slots.Inc()
-	sub.ready <- slot // never blocks: at most depth slots are outstanding
-	sub.s.delivered.Inc()
+	page.refs[i].Store(int32(len(taken))) // before any holder can Release
+	s.slots.Inc()
+	for _, sub := range taken {
+		sub.ready <- slot // never blocks: at most depth slots are outstanding
+	}
+	s.delivered.Add(int64(len(taken)))
 }
 
 func (sub *Subscription) drop() {
@@ -525,33 +578,39 @@ func (sub *Subscription) drop() {
 // receiver shuts down.
 func (sub *Subscription) Ready() <-chan int { return sub.ready }
 
-// Frame returns slot's datagram bytes, valid until Release.
+// Frame returns slot's datagram bytes, valid until Release. They may be
+// shared with other subscriptions of the group: read them, never write.
 func (sub *Subscription) Frame(slot int) []byte {
 	page, i := sub.arena.locate(slot)
 	off := i * sub.arena.slotBytes
 	return page.buf[off : off+page.lens[i]]
 }
 
-// Release returns slot to the arena for reuse.
+// Release drops this subscription's reference to slot; the last holder
+// returns it to the arena for reuse.
 func (sub *Subscription) Release(slot int) {
-	sub.arena.put(slot)
 	sub.out.Add(-1)
-	sub.s.slots.Dec()
+	page, i := sub.arena.locate(slot)
+	if page.refs[i].Add(-1) == 0 {
+		sub.arena.put(slot)
+		sub.s.slots.Dec()
+	}
 }
 
 // Dropped returns how many datagrams this subscription lost to a spent
 // quota or an undersized slot.
 func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
 
-// Delivered returns total slot deliveries across all subscriptions;
-// Dropped the datagrams lost to spent quotas; Unroutable the datagrams the
-// classifier rejected.
+// Delivered returns total deliveries, one per (datagram, subscription)
+// however many share a slot; Dropped the datagrams lost to spent quotas;
+// Unroutable the datagrams the classifier rejected.
 func (s *SharedReceiver) Delivered() int64  { return s.delivered.Value() }
 func (s *SharedReceiver) Dropped() int64    { return s.dropped.Value() }
 func (s *SharedReceiver) Unroutable() int64 { return s.unroutable.Value() }
 
 // SlotsInUse returns how many arena slots hold a frame right now (queued
-// on a subscription or held by its consumer); SlotsPeak the most that
+// on or held by at least one subscription) — about one per datagram in
+// flight, per slot size, not one per delivery; SlotsPeak the most that
 // ever did at once — times the slot size, the receiver's buffer
 // footprint.
 func (s *SharedReceiver) SlotsInUse() int64 { return s.slots.Value() }

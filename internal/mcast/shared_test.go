@@ -100,8 +100,8 @@ func TestSharedReceiverRoutes(t *testing.T) {
 	}
 }
 
-// TestSharedReceiverFanIn: two subscriptions on the same group each get
-// their own copy of every datagram.
+// TestSharedReceiverFanIn: two subscriptions on the same group each
+// receive every datagram.
 func TestSharedReceiverFanIn(t *testing.T) {
 	s, err := NewSharedReceiver(0, testClassify)
 	if err != nil {

@@ -33,6 +33,7 @@ func (h *Hub) writeDestsStaged(*batchBuf, membership, []BatchEntry) error {
 }
 
 func (s *SharedReceiver) initRecv() {}
+func (s *SharedReceiver) freeRecv() {}
 
 // SetRecvBatched and SetGRO report false: neither can be enabled here.
 func (s *SharedReceiver) SetRecvBatched(on bool) bool { return false }

@@ -217,11 +217,13 @@ type Result struct {
 	// PeakViewers and PeakCohorts are the concurrency high-water marks.
 	PeakViewers int64 `json:"peakViewers"`
 	PeakCohorts int64 `json:"peakCohorts"`
-	// Datagrams counts slot deliveries on the shared receiver (one per
-	// subscribed datagram, not per viewer); RecvDropped the datagrams
-	// lost to a subscription at its slot quota (they surface as repairs);
-	// PeakRecvSlots the most receive-arena slots ever filled at once —
-	// times the slot size, the run's receive-buffer footprint.
+	// Datagrams counts deliveries on the shared receiver, one per
+	// (datagram, subscription) — not per viewer; RecvDropped the
+	// datagrams lost to a subscription at its slot quota (they surface as
+	// repairs); PeakRecvSlots the most receive-arena slots ever filled at
+	// once — slots, not deliveries: every subscription that hears a
+	// datagram shares its one slot, so this tracks datagrams in flight.
+	// Times the slot size, it is the run's receive-buffer footprint.
 	Datagrams     int64 `json:"datagrams"`
 	RecvDropped   int64 `json:"recvDropped"`
 	PeakRecvSlots int64 `json:"peakRecvSlots"`
