@@ -46,7 +46,6 @@ import (
 	"skyscraper/internal/trace"
 	"skyscraper/internal/unicast"
 	"skyscraper/internal/vod"
-	"skyscraper/internal/wire"
 )
 
 func main() {
@@ -312,50 +311,41 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 		drop, injected.Dropped+injected.BurstDropped, stats.FecHeals, stats.RepairedChunks,
 		stats.RepairRequests, stats.DuplicateChunks, stats.StripeDefeats,
 		stats.LostChunks, stats.LateChunks, stats.Bytes, verdict)
+	st := srv.Status()
 	if fecGroup > 0 {
-		mode := fecMode
-		if mode == "" {
-			mode = wire.FecModeXOR
-		}
 		fmt.Printf("       parity stripe: G=%d mode=%s, %d parity frames (%d bytes) broadcast; "+
 			"%d heals with zero control round trips, %d stripe defeats escalated\n",
-			fecGroup, mode, srv.ParityFramesSent(), srv.ParityBytesSent(),
+			fecGroup, st.FecMode, st.ParityFrames, st.ParityBytes,
 			stats.FecHeals, stats.StripeDefeats)
 	}
 
 	// The data-path ledger: what the hub actually put on the wire, and how
 	// many of the frames materialised for it found their payload CRC
 	// cached rather than hashing the payload again.
-	hub := srv.Hub()
-	cs := srv.FrameCacheStats()
+	cs := st.FrameCache
 	hitPct := 0.0
 	if built := cs.Hits + cs.Misses; built > 0 {
 		hitPct = 100 * float64(cs.Hits) / float64(built)
 	}
 	fmt.Printf("       data path: %d datagrams (%d bytes) sent, %d send failures; "+
 		"%d frames materialised, %d with a cached CRC (%.1f%%), %d bytes of CRC words held\n",
-		hub.Sent(), hub.SentBytes(), hub.SendFailures(),
+		st.DatagramsSent, st.DatagramBytes, st.SendFailures,
 		cs.Hits+cs.Misses, cs.Hits, hitPct, cs.Bytes)
 
 	// The egress ledger: how the wheel turned those datagrams into
-	// wakeups and kernel sends.
+	// wakeups and kernel sends, and how many left as kernel-split
+	// super-frames.
 	perSyscall := 0.0
-	if sc := hub.SendSyscalls(); sc > 0 {
-		perSyscall = float64(hub.Sent()) / float64(sc)
+	if st.EgressSyscalls > 0 {
+		perSyscall = float64(st.DatagramsSent) / float64(st.EgressSyscalls)
 	}
 	fmt.Printf("       egress: %d shards, %d wakeups, %d batches, "+
 		"%d syscalls (%.1f datagrams/syscall, vectorized=%v)\n",
-		srv.EgressShards(), srv.EgressWakeups(),
-		hub.Batches(), hub.SendSyscalls(), perSyscall, hub.Vectorized())
-	// The super-frame row of the same ledger: how many of those datagrams
-	// left as kernel-split super-frames.
-	segsPerSF := 0.0
-	if sf := hub.Superframes(); sf > 0 {
-		segsPerSF = float64(hub.GSOSegments()) / float64(sf)
-	}
+		st.EgressShards, st.EgressWakeups,
+		st.EgressBatches, st.EgressSyscalls, perSyscall, st.Vectorized)
 	fmt.Printf("       superframes: gso=%v, %d superframes carrying %d segments "+
 		"(%.1f segments/superframe, %d fallbacks)\n",
-		hub.GSO(), hub.Superframes(), hub.GSOSegments(), segsPerSF, hub.GSOFallbacks())
+		st.GSO, st.Superframes, st.GSOSegments, st.SegmentsPerSuperframe, st.GSOFallbacks)
 
 	// Put the repair traffic in the paper's terms: the unicast burden of
 	// recovering this loss rate, versus one dedicated stream per viewer.
@@ -559,8 +549,9 @@ func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 		}
 	}
 	row.ElapsedSec = time.Since(start).Seconds()
-	row.RepairBytesServed = srv.RepairBytesServed()
-	row.StormResends = srv.StormResends()
-	row.SuppressedRepairs = srv.SuppressedRepairs()
+	st := srv.Status()
+	row.RepairBytesServed = st.RepairBytes
+	row.StormResends = st.StormResends
+	row.SuppressedRepairs = st.SuppressedRepairs
 	return row, nil
 }

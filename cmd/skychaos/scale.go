@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/exec"
 	"strconv"
@@ -270,10 +269,6 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 		return nil, err
 	}
 	defer srv.Close()
-	statusURL, err := srv.ServeStatus()
-	if err != nil {
-		return nil, err
-	}
 
 	res := &scaleSweepResult{DropRate: sw.drop}
 	fmt.Printf("sweep: drop=%v\n", sw.drop)
@@ -281,7 +276,7 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 		"viewers", "procs", "cohorts", "p50-wait", "p99-wait", "fec-heals", "repairs", "defeats", "busy%", "degraded",
 		"nacks", "mc-heals", "datagrams", "srv-cpu-s", "srv-dgs", "sessions")
 	for _, n := range sw.counts {
-		row, err := scalePoint(srv, statusURL, n, procs, videos, spread, seed, muxWorkers, recvBatch, noRepair, verbose)
+		row, err := scalePoint(srv, n, procs, videos, spread, seed, muxWorkers, recvBatch, noRepair, verbose)
 		if err != nil {
 			return nil, fmt.Errorf("drop %v viewers %d: %w", sw.drop, n, err)
 		}
@@ -350,7 +345,7 @@ func assertCohortRepair(report *scaleReport, chunksPerViewer int) error {
 
 // scalePoint runs one audience size: procs emulator processes splitting n
 // viewers, measured against the server's CPU and wire ledgers.
-func scalePoint(srv *server.Server, statusURL string, n, procs, videos int,
+func scalePoint(srv *server.Server, n, procs, videos int,
 	spread float64, seed uint64, muxWorkers, recvBatch int, noRepair, verbose bool) (*scaleRow, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -360,10 +355,7 @@ func scalePoint(srv *server.Server, statusURL string, n, procs, videos int,
 		procs = n
 	}
 	cpu0 := cpuSeconds()
-	dg0 := srv.Hub().Sent()
-	rp0 := srv.RepairsServed()
-	nr0 := srv.NackResends() + srv.StormResends()
-	pf0, pb0 := srv.ParityFramesSent(), srv.ParityBytesSent()
+	s0 := srv.Status()
 	start := time.Now()
 
 	var wg sync.WaitGroup
@@ -451,22 +443,13 @@ func scalePoint(srv *server.Server, statusURL string, n, procs, videos int,
 	if row.RepairRequests > 0 {
 		row.BusyRate = float64(row.BusyReplies) / float64(row.RepairRequests)
 	}
-	row.ServerDatagrams = srv.Hub().Sent() - dg0
-	row.ServerRepairs = srv.RepairsServed() - rp0
-	row.ServerNackResends = srv.NackResends() + srv.StormResends() - nr0
-	row.ServerParityFrames = srv.ParityFramesSent() - pf0
-	row.ServerParityBytes = srv.ParityBytesSent() - pb0
-
-	resp, err := http.Get(statusURL + "/status")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var snap server.StatusSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	row.ControlSessionsPeak = snap.ControlSessionsPeak
+	s1 := srv.Status()
+	row.ServerDatagrams = s1.DatagramsSent - s0.DatagramsSent
+	row.ServerRepairs = s1.RepairsServed - s0.RepairsServed
+	row.ServerNackResends = s1.NackResends + s1.StormResends - s0.NackResends - s0.StormResends
+	row.ServerParityFrames = s1.ParityFrames - s0.ParityFrames
+	row.ServerParityBytes = s1.ParityBytes - s0.ParityBytes
+	row.ControlSessionsPeak = s1.ControlSessionsPeak
 	return row, nil
 }
 

@@ -5,16 +5,19 @@
 // Usage:
 //
 //	skyclient -server 127.0.0.1:PORT -video 0
+//	skyclient -server 127.0.0.1:PORT -stats   # the server's status document
 package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
-	"time"
 
 	"skyscraper/internal/client"
 	"skyscraper/internal/wire"
@@ -25,7 +28,7 @@ func main() {
 		addr      = flag.String("server", "", "server control address (required)")
 		video     = flag.Int("video", 0, "video index to watch")
 		verbose   = flag.Bool("v", false, "log protocol details")
-		queryFlag = flag.Bool("stats", false, "query server stats instead of watching")
+		queryFlag = flag.Bool("stats", false, "print the server's status document (the /status JSON) instead of watching")
 		rcvbuf    = flag.Int("rcvbuf", 0,
 			"kernel receive-buffer bytes per tuner socket (SetReadBuffer); the server's batched egress delivers in bursts, so size this to absorb one (0 = 4 MiB default)")
 	)
@@ -36,7 +39,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *queryFlag {
-		if err := queryStats(*addr); err != nil {
+		if err := queryStats(os.Stdout, *addr); err != nil {
 			fmt.Fprintln(os.Stderr, "skyclient:", err)
 			os.Exit(1)
 		}
@@ -65,8 +68,9 @@ func main() {
 	}
 }
 
-// queryStats asks the server for its operational snapshot.
-func queryStats(addr string) error {
+// queryStats asks the server for its status document — the one GET
+// /status serves — and writes it to w as indented JSON.
+func queryStats(w io.Writer, addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -82,52 +86,11 @@ func queryStats(addr string) error {
 	if m.Kind != wire.KindStatsOK || m.Stats == nil {
 		return fmt.Errorf("unexpected reply %q: %s", m.Kind, m.Error)
 	}
-	fmt.Printf("uptime          %v\n", time.Duration(m.Stats.UptimeNanos).Round(time.Millisecond))
-	fmt.Printf("channels        %d\n", m.Stats.Channels)
-	fmt.Printf("memberships     %d\n", m.Stats.Members)
-	fmt.Printf("datagrams sent  %d\n", m.Stats.DatagramsSent)
-	// Egress ledger — absent (zero) when talking to an older server.
-	if m.Stats.EgressShards > 0 {
-		fmt.Printf("egress shards   %d\n", m.Stats.EgressShards)
-		fmt.Printf("egress wakeups  %d\n", m.Stats.EgressWakeups)
+	var doc bytes.Buffer
+	if err := json.Indent(&doc, m.Stats, "", "  "); err != nil {
+		return err
 	}
-	if m.Stats.EgressSyscalls > 0 {
-		fmt.Printf("egress batches  %d (%d bytes batched)\n", m.Stats.EgressBatches, m.Stats.BatchedBytes)
-		fmt.Printf("send syscalls   %d (%.1f datagrams/syscall)\n",
-			m.Stats.EgressSyscalls,
-			float64(m.Stats.DatagramsSent)/float64(m.Stats.EgressSyscalls))
-	}
-	// Super-frame rows — absent (zero) when the kernel lacks the fast
-	// path or the server predates it.
-	if m.Stats.Superframes > 0 {
-		fmt.Printf("superframes     %d carrying %d segments (%.1f segments/superframe)\n",
-			m.Stats.Superframes, m.Stats.GSOSegments,
-			float64(m.Stats.GSOSegments)/float64(m.Stats.Superframes))
-	}
-	if m.Stats.GSOFallbacks > 0 {
-		fmt.Printf("gso fallbacks   %d\n", m.Stats.GSOFallbacks)
-	}
-	// Parity stripe row — absent (zero) when FEC is off or the server
-	// predates it.
-	if m.Stats.ParityFrames > 0 {
-		fmt.Printf("parity frames   %d (%d bytes) broadcast proactively\n",
-			m.Stats.ParityFrames, m.Stats.ParityBytes)
-	}
-	// Ingress ladder rows — absent (zero) on a pure egress server or one
-	// that predates the receive-side ledger.
-	if m.Stats.ReadSyscalls > 0 {
-		fmt.Printf("read syscalls   %d (%.1f datagrams/readsyscall)\n",
-			m.Stats.ReadSyscalls,
-			float64(m.Stats.BatchedReads)/float64(m.Stats.ReadSyscalls))
-	}
-	if m.Stats.GroSegments > 0 {
-		fmt.Printf("gro segments    %d split from coalesced super-frames\n", m.Stats.GroSegments)
-	}
-	if m.Stats.GroFallbacks > 0 {
-		fmt.Printf("gro fallbacks   %d\n", m.Stats.GroFallbacks)
-	}
-	if m.Stats.ReadErrors > 0 {
-		fmt.Printf("read errors     %d (backoff-throttled)\n", m.Stats.ReadErrors)
-	}
-	return nil
+	doc.WriteByte('\n')
+	_, err = doc.WriteTo(w)
+	return err
 }

@@ -65,5 +65,5 @@ func main() {
 	}
 	wg.Wait()
 	fmt.Println("all clients received jitter-free, byte-exact video from shared broadcasts")
-	fmt.Printf("server datagrams sent: %d (independent of audience size)\n", srv.Hub().Sent())
+	fmt.Printf("server datagrams sent: %d (independent of audience size)\n", srv.Status().DatagramsSent)
 }

@@ -80,54 +80,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats reports a completed session.
-type Stats struct {
-	// WaitUnits is the access latency in D1 units (bounded by 1 plus the
-	// configured join lead).
-	WaitUnits float64
-	// Bytes is the payload credited to the session: the whole video less
-	// any lost chunks, every byte of it content-verified.
-	Bytes int64
-	// ByteErrors counts content-verification mismatches (must be 0).
-	ByteErrors int64
-	// LateChunks counts payload chunks that arrived after their
-	// scheduled playback time plus slack (jitter; 0 when the paper's
-	// guarantee holds).
-	LateChunks int64
-	// DuplicateChunks counts retransmissions discarded (tuning overlap
-	// or injected duplication).
-	DuplicateChunks int64
-	// LostChunks counts chunks neither broadcast nor repaired before
-	// their playback deadline (0 in a healthy or repairable session).
-	LostChunks int64
-	// RepairedChunks counts chunks recovered over unicast REPAIR.
-	RepairedChunks int64
-	// RepairRequests counts REPAIR round trips issued, retries included.
-	RepairRequests int64
-	// NacksSent counts gap-bitmap NACK round trips issued (one may cover
-	// a burst of losses); NacksSuppressed aggregation windows that closed
-	// with nothing left to report; MulticastRepairs chunks healed by a
-	// NACK-triggered multicast re-send rather than a unicast pull.
-	NacksSent        int64
-	NacksSuppressed  int64
-	MulticastRepairs int64
-	// FecHeals counts chunks reconstructed locally from the proactive
-	// parity stripe — zero control round trips; StripeDefeats gaps the
-	// stripe could not cover (burst loss) that escalated to the NACK
-	// ladder.
-	FecHeals      int64
-	StripeDefeats int64
-	// BusyReplies counts repair requests the server pushed back with Busy
-	// (admission control or storm suppression).
-	BusyReplies int64
-	// Reconnects counts control-connection re-dials that succeeded.
-	Reconnects int64
-	// MaxBufferBytes is the high-water mark of downloaded-but-unplayed
-	// data.
-	MaxBufferBytes int64
-	// Groups is the number of transmission groups received.
-	Groups int
-}
+// Stats reports a completed session: the one-viewer cohort's result, so
+// every chunk-outcome and repair count reads as in viewer.Result, plus the
+// session's WaitUnits and Groups.
+type Stats = viewer.SessionResult
 
 // Watch runs a full viewing session: handshake, two-loader reception of
 // every fragment, loss recovery, byte verification, and jitter accounting.
@@ -135,7 +91,7 @@ type Stats struct {
 // window has passed. A session that ends degraded returns its Stats
 // alongside the error.
 func Watch(cfg Config) (*Stats, error) {
-	res, err := viewer.RunSession(viewer.MuxConfig{
+	stats, err := viewer.RunSession(viewer.MuxConfig{
 		ServerAddr:     cfg.ServerAddr,
 		JoinLeadFrac:   cfg.JoinLeadFrac,
 		SlackFrac:      cfg.SlackFrac,
@@ -148,25 +104,6 @@ func Watch(cfg Config) (*Stats, error) {
 	}, viewer.Session{Video: cfg.Video, Seed: cfg.Seed, MaxBufferBytes: cfg.MaxBufferBytes, Trace: cfg.Trace})
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
-	}
-	stats := &Stats{
-		WaitUnits:        res.WaitUnits,
-		Bytes:            res.Bytes,
-		ByteErrors:       res.ByteErrors,
-		LateChunks:       res.LateChunks,
-		DuplicateChunks:  res.DuplicateChunks,
-		LostChunks:       res.LostChunks,
-		RepairedChunks:   res.RepairedChunks,
-		RepairRequests:   res.RepairRequests,
-		NacksSent:        res.NacksSent,
-		NacksSuppressed:  res.NacksSuppressed,
-		MulticastRepairs: res.MulticastRepairs,
-		FecHeals:         res.FecHeals,
-		StripeDefeats:    res.StripeDefeats,
-		BusyReplies:      res.BusyReplies,
-		Reconnects:       res.Reconnects,
-		MaxBufferBytes:   res.MaxBufferBytes,
-		Groups:           res.Groups,
 	}
 	if stats.ByteErrors > 0 {
 		return stats, fmt.Errorf("client: %d byte verification errors", stats.ByteErrors)

@@ -145,9 +145,9 @@ func TestArenaUnsubscribeWhileDelivering(t *testing.T) {
 
 	// The read loop retires a detached subscription on its next pass, so
 	// turn it with one more datagram per look.
-	for deadline := time.Now().Add(5 * time.Second); s.SlotsInUse() != 0; {
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().SlotsInUse != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d slots still in use with no subscription left", s.SlotsInUse())
+			t.Fatalf("%d slots still in use with no subscription left", s.Stats().SlotsInUse)
 		}
 		send(0)
 		time.Sleep(time.Millisecond)
@@ -157,7 +157,7 @@ func TestArenaUnsubscribeWhileDelivering(t *testing.T) {
 	// theirs only until the read loop's next pass, so a few generations
 	// may overlap — never the 360 this test created.
 	const bound = 3 * subscribers * depth
-	if peak := s.SlotsPeak(); peak > bound {
+	if peak := s.Stats().SlotsPeak; peak > bound {
 		t.Errorf("slot peak %d, want <= %d (a few generations of %d subscriptions at quota %d)", peak, bound, subscribers, depth)
 	}
 	s.mu.Lock()
@@ -211,11 +211,11 @@ func TestArenaSharedSlotRefcount(t *testing.T) {
 		s.dispatch(frame)
 	}
 	n := int64(len(orders))
-	if got := s.Delivered(); got != n*int64(len(subs)) {
+	if got := s.Stats().Delivered; got != n*int64(len(subs)) {
 		t.Fatalf("delivered %d, want %d (one per datagram and subscription)", got, n*int64(len(subs)))
 	}
-	if peak, in := s.SlotsPeak(), s.SlotsInUse(); peak != 2*n || in != 2*n {
-		t.Fatalf("slot peak %d, in use %d; want %d each (one per datagram and slot size)", peak, in, 2*n)
+	if st := s.Stats(); st.SlotsPeak != 2*n || st.SlotsInUse != 2*n {
+		t.Fatalf("slot peak %d, in use %d; want %d each (one per datagram and slot size)", st.SlotsPeak, st.SlotsInUse, 2*n)
 	}
 	slots := make([][]int, len(subs))
 	for i, sub := range subs {
@@ -240,7 +240,7 @@ func TestArenaSharedSlotRefcount(t *testing.T) {
 			if left[subs[i].arena]--; left[subs[i].arena] == 0 {
 				want--
 			}
-			if got := s.SlotsInUse(); got != want {
+			if got := s.Stats().SlotsInUse; got != want {
 				t.Fatalf("datagram %d, release order %v, after subscription %d: %d slots in use, want %d", k, order, i, got, want)
 			}
 		}
@@ -374,9 +374,9 @@ func TestArenaSharedHoldersOutOfStep(t *testing.T) {
 	for _, ss := range all {
 		s.Unsubscribe(ss.Subscription)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.SlotsInUse() != 0; {
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().SlotsInUse != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d slots still in use with no subscription left", s.SlotsInUse())
+			t.Fatalf("%d slots still in use with no subscription left", s.Stats().SlotsInUse)
 		}
 		if _, err := hub.Send(groups[0], testFrame(groups[0], frameLen)); err != nil {
 			t.Fatal(err)

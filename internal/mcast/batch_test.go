@@ -97,21 +97,21 @@ func TestSendBatchFanOut(t *testing.T) {
 			t.Errorf("g1 member got %q, want [chunk-b]", got)
 		}
 	}
-	if hub.Sent() != 9 {
-		t.Errorf("Sent = %d, want 9", hub.Sent())
+	if hub.Stats().DatagramsSent != 9 {
+		t.Errorf("DatagramsSent = %d, want 9", hub.Stats().DatagramsSent)
 	}
-	if hub.Batches() != 1 {
-		t.Errorf("Batches = %d, want 1", hub.Batches())
+	if hub.Stats().EgressBatches != 1 {
+		t.Errorf("EgressBatches = %d, want 1", hub.Stats().EgressBatches)
 	}
 	wantBytes := int64(3*len("chunk-a") + 3*len("chunk-b") + 3*len("chunk-c"))
-	if hub.BatchedBytes() != wantBytes {
-		t.Errorf("BatchedBytes = %d, want %d", hub.BatchedBytes(), wantBytes)
+	if hub.Stats().BatchedBytes != wantBytes {
+		t.Errorf("BatchedBytes = %d, want %d", hub.Stats().BatchedBytes, wantBytes)
 	}
-	if hub.SendSyscalls() == 0 {
-		t.Error("SendSyscalls = 0, want > 0")
+	if hub.Stats().EgressSyscalls == 0 {
+		t.Error("EgressSyscalls = 0, want > 0")
 	}
-	if hub.Vectorized() && hub.SendSyscalls() >= 9 {
-		t.Errorf("vectorized path made %d syscalls for 9 datagrams, want fewer", hub.SendSyscalls())
+	if hub.Vectorized() && hub.Stats().EgressSyscalls >= 9 {
+		t.Errorf("vectorized path made %d syscalls for 9 datagrams, want fewer", hub.Stats().EgressSyscalls)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestSendBatchEmpty(t *testing.T) {
 	if n, err := hub.SendBatch([]BatchEntry{{Group: Group{1, 1}, Frame: []byte("x")}}); n != 0 || err != nil {
 		t.Fatalf("SendBatch(empty group) = %d, %v; want 0, nil", n, err)
 	}
-	if hub.Batches() != 0 {
-		t.Errorf("Batches = %d, want 0", hub.Batches())
+	if hub.Stats().EgressBatches != 0 {
+		t.Errorf("EgressBatches = %d, want 0", hub.Stats().EgressBatches)
 	}
 	hub.Close()
 	if _, err := hub.SendBatch([]BatchEntry{{Group: Group{0, 0}, Frame: []byte("x")}}); err == nil {
@@ -156,11 +156,11 @@ func TestSendBatchBestEffort(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("SendBatch wrote %d datagrams, want 2", n)
 	}
-	if hub.SendFailures() != 1 {
-		t.Errorf("SendFailures = %d, want 1", hub.SendFailures())
+	if hub.Stats().SendFailures != 1 {
+		t.Errorf("SendFailures = %d, want 1", hub.Stats().SendFailures)
 	}
-	if hub.Sent() != 2 {
-		t.Errorf("Sent = %d, want 2", hub.Sent())
+	if hub.Stats().DatagramsSent != 2 {
+		t.Errorf("DatagramsSent = %d, want 2", hub.Stats().DatagramsSent)
 	}
 	for _, r := range rcvs[g] {
 		got := drainFrames(t, r, 1)
@@ -422,19 +422,19 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 		t.Fatalf("%s SendBatch wrote %d datagrams, want %d", mode, n, wantN)
 	}
 	if mode == "gso" {
-		if got, want := hub.Superframes(), int64(tc.wantSuper*tc.members); got != want {
+		if got, want := hub.Stats().Superframes, int64(tc.wantSuper*tc.members); got != want {
 			t.Errorf("gso: Superframes = %d, want %d", got, want)
 		}
-		if got, want := hub.GSOSegments(), int64(tc.wantSegs*tc.members); got != want {
+		if got, want := hub.Stats().GSOSegments, int64(tc.wantSegs*tc.members); got != want {
 			t.Errorf("gso: GSOSegments = %d, want %d", got, want)
 		}
-	} else if hub.Superframes() != 0 {
-		t.Errorf("%s: Superframes = %d, want 0", mode, hub.Superframes())
+	} else if hub.Stats().Superframes != 0 {
+		t.Errorf("%s: Superframes = %d, want 0", mode, hub.Stats().Superframes)
 	}
 	if mode == "sendmmsg" && tc.shared != nil {
 		// Runs of one: a message per datagram, sendmmsgBatch to a syscall.
-		if got, want := hub.SendSyscalls(), int64((n+63)/64); got != want {
-			t.Errorf("sendmmsg: SendSyscalls = %d for %d datagrams, want %d", got, n, want)
+		if got, want := hub.Stats().EgressSyscalls, int64((n+63)/64); got != want {
+			t.Errorf("sendmmsg: EgressSyscalls = %d for %d datagrams, want %d", got, n, want)
 		}
 	}
 	frames := make(map[Group][][]string)
@@ -568,9 +568,9 @@ func benchFanout(b *testing.B, members int, vectorized bool) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(hub.Sent())/b.Elapsed().Seconds(), "datagrams/s")
-	if s := hub.SendSyscalls(); s > 0 {
-		b.ReportMetric(float64(hub.Sent())/float64(s), "datagrams/syscall")
+	b.ReportMetric(float64(hub.Stats().DatagramsSent)/b.Elapsed().Seconds(), "datagrams/s")
+	if s := hub.Stats().EgressSyscalls; s > 0 {
+		b.ReportMetric(float64(hub.Stats().DatagramsSent)/float64(s), "datagrams/syscall")
 	}
 }
 

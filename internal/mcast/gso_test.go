@@ -29,7 +29,7 @@ func TestGSOKillSwitch(t *testing.T) {
 		t.Error("SetGSO(true) re-armed a kill-switched hub")
 	}
 	if gsoCompiled {
-		if got := hub.GSOFallbacks(); got != 1 {
+		if got := hub.Stats().GSOFallbacks; got != 1 {
 			t.Errorf("GSOFallbacks = %d, want 1", got)
 		}
 		count := 0
@@ -63,8 +63,8 @@ func TestGSOKillSwitch(t *testing.T) {
 	if got[0] != "after-kill-a" || got[1] != "after-kill-b" {
 		t.Errorf("member got %q, want [after-kill-a after-kill-b]", got)
 	}
-	if hub.Superframes() != 0 {
-		t.Errorf("Superframes = %d after kill-switch, want 0", hub.Superframes())
+	if hub.Stats().Superframes != 0 {
+		t.Errorf("Superframes = %d after kill-switch, want 0", hub.Stats().Superframes)
 	}
 
 	// Demotion at run time is the same stager with a lower cap: one hub,
@@ -84,9 +84,9 @@ func TestGSOKillSwitch(t *testing.T) {
 		if got := drainOrdered(t, r, 2); got[0] != "after-kill-a" || got[1] != "after-kill-b" {
 			t.Errorf("batch %d: member got %q, want [after-kill-a after-kill-b]", i, got)
 		}
-		if live.Superframes() != want.superframes || live.SendSyscalls() != want.syscalls {
-			t.Errorf("batch %d: Superframes = %d, SendSyscalls = %d; want %d, %d",
-				i, live.Superframes(), live.SendSyscalls(), want.superframes, want.syscalls)
+		if st := live.Stats(); st.Superframes != want.superframes || st.EgressSyscalls != want.syscalls {
+			t.Errorf("batch %d: Superframes = %d, EgressSyscalls = %d; want %d, %d",
+				i, st.Superframes, st.EgressSyscalls, want.superframes, want.syscalls)
 		}
 		live.SetGSO(false)
 	}
@@ -122,7 +122,7 @@ func TestGSOZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("GSO SendBatch allocates %v objects per call, want 0", allocs)
 	}
-	if hub.Superframes() == 0 {
+	if hub.Stats().Superframes == 0 {
 		t.Error("Superframes = 0; the alloc gate did not exercise the GSO path")
 	}
 }
@@ -147,12 +147,12 @@ func benchSuperframe(b *testing.B, hub *Hub, entries []BatchEntry, perBatch int,
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(hub.Sent())/b.Elapsed().Seconds(), "datagrams/s")
-	if s := hub.SendSyscalls(); s > 0 {
-		b.ReportMetric(float64(hub.Sent())/float64(s), "datagrams/syscall")
+	b.ReportMetric(float64(hub.Stats().DatagramsSent)/b.Elapsed().Seconds(), "datagrams/s")
+	if s := hub.Stats().EgressSyscalls; s > 0 {
+		b.ReportMetric(float64(hub.Stats().DatagramsSent)/float64(s), "datagrams/syscall")
 	}
-	if sf := hub.Superframes(); sf > 0 {
-		b.ReportMetric(float64(hub.GSOSegments())/float64(sf), "segments/superframe")
+	if sf := hub.Stats().Superframes; sf > 0 {
+		b.ReportMetric(float64(hub.Stats().GSOSegments)/float64(sf), "segments/superframe")
 	}
 }
 

@@ -85,31 +85,16 @@ type Hub struct {
 	gsoOn      atomic.Bool
 	gsoCapable bool
 
-	// The egress ledger. sent and sentBytes count datagrams and payload
-	// bytes actually written; failed counts members a send could not
-	// reach; batches counts SendBatch dispatches (a Send is one) that
-	// reached at least one destination, batchedBytes their bytes; syscalls
-	// counts kernel send invocations (sendmmsg calls on the vectorized
-	// path, individual datagram writes otherwise), so sent/syscalls is the
-	// batching factor. Padded: the counters are bumped concurrently by
-	// every egress shard, and unpadded neighbors would share cache lines.
+	// The egress ledger Stats reports as HubStats, field for field. Padded:
+	// the counters are bumped concurrently by every egress shard, and
+	// unpadded neighbors would share cache lines.
 	sent         metrics.PaddedCounter
 	sentBytes    metrics.PaddedCounter
 	failed       metrics.PaddedCounter
 	batches      metrics.PaddedCounter
 	batchedBytes metrics.PaddedCounter
 	syscalls     metrics.PaddedCounter
-	// repairSent counts the subset of sent that were repair re-sends
-	// (storm- or NACK-triggered), so ledgers can tell repair traffic
-	// from schedule traffic sharing the same batch path.
-	repairSent metrics.PaddedCounter
-	// The super-frame ledger. superframes counts GSO super-datagrams put
-	// on the wire (each one syscall-slot carrying several wire frames the
-	// kernel split into MTU-sized segments); gsoSegments the frames they
-	// carried; gsoSyscalls the sendmmsg invocations the GSO path made, so
-	// gsoSegments/gsoSyscalls is the segmentation factor; gsoFallbacks
-	// how many times super-frames were declined or abandoned (probe
-	// failure, kill-switch, or a runtime EINVAL demotion).
+	repairSent   metrics.PaddedCounter
 	superframes  metrics.PaddedCounter
 	gsoSegments  metrics.PaddedCounter
 	gsoSyscalls  metrics.PaddedCounter
@@ -327,63 +312,83 @@ func (h *Hub) Send(g Group, frame []byte) (int, error) {
 	return h.SendBatch(one[:])
 }
 
-// TotalMembers returns the membership count across all groups.
-func (h *Hub) TotalMembers() int {
-	n := 0
-	for _, m := range *h.members.Load() {
-		n += len(m)
-	}
-	return n
-}
-
-// Sent returns the total datagrams written since creation.
-func (h *Hub) Sent() int64 { return h.sent.Value() }
-
-// SentBytes returns the total datagram bytes written since creation.
-func (h *Hub) SentBytes() int64 { return h.sentBytes.Value() }
-
-// SendFailures returns how many member writes have failed since creation;
-// each failed member was skipped while the rest of its group was served.
-func (h *Hub) SendFailures() int64 { return h.failed.Value() }
-
-// Batches returns how many SendBatch dispatches reached at least one
-// destination; BatchedBytes the payload bytes they carried.
-func (h *Hub) Batches() int64      { return h.batches.Value() }
-func (h *Hub) BatchedBytes() int64 { return h.batchedBytes.Value() }
-
-// SendSyscalls returns how many kernel send invocations the hub has made:
-// one per sendmmsg on the vectorized path, one per datagram otherwise.
-// Sent()/SendSyscalls() is therefore the achieved batching factor.
-func (h *Hub) SendSyscalls() int64 { return h.syscalls.Value() }
-
 // Vectorized reports whether the sendmmsg fast path is active.
 func (h *Hub) Vectorized() bool { return h.vectorized.Load() }
 
 // GSO reports whether the UDP_SEGMENT super-frame path is active.
 func (h *Hub) GSO() bool { return h.gsoOn.Load() }
 
-// Superframes returns how many GSO super-datagrams have been put on the
-// wire; GSOSegments the wire frames those superframes carried (each one
-// an MTU-sized datagram after the kernel split); GSOSyscalls the
-// sendmmsg invocations the GSO path made, so GSOSegments/GSOSyscalls is
-// the achieved segmentation factor.
-func (h *Hub) Superframes() int64 { return h.superframes.Value() }
-func (h *Hub) GSOSegments() int64 { return h.gsoSegments.Value() }
-func (h *Hub) GSOSyscalls() int64 { return h.gsoSyscalls.Value() }
+// HubStats is the hub's egress ledger at one instant. Its json keys are
+// the ones the server's /status document publishes it under.
+type HubStats struct {
+	// DatagramsSent and DatagramBytes count datagrams and payload bytes
+	// written; SendFailures the member writes that failed (the rest of the
+	// group was still served); Memberships the current (member, group)
+	// joins; MembersEvicted the members removed after EvictAfterFailures
+	// consecutive failures.
+	DatagramsSent  int64 `json:"datagramsSent"`
+	DatagramBytes  int64 `json:"datagramBytes"`
+	SendFailures   int64 `json:"sendFailures"`
+	Memberships    int   `json:"memberships"`
+	MembersEvicted int64 `json:"membersEvicted"`
+	// RepairDatagrams counts the datagrams sent through SendRepairBatch
+	// (storm- and NACK-triggered re-sends), so repair traffic is told
+	// apart from schedule traffic on the same batch path.
+	RepairDatagrams int64 `json:"repairDatagrams"`
+	// EgressBatches counts SendBatch dispatches (a Send is one) that
+	// reached at least one destination, BatchedBytes their bytes, and
+	// EgressSyscalls the kernel send invocations (sendmmsg calls on the
+	// vectorized path, one per datagram otherwise), so
+	// DatagramsSent/EgressSyscalls is the batching factor.
+	EgressBatches  int64 `json:"egressBatches"`
+	BatchedBytes   int64 `json:"batchedBytes"`
+	EgressSyscalls int64 `json:"egressSyscalls"`
+	Vectorized     bool  `json:"vectorized"`
+	// The super-frame (UDP GSO) ledger: Superframes counts super-datagrams
+	// put on the wire, GSOSegments the wire frames they carried (one
+	// MTU-sized datagram each after the kernel split), GSOSyscalls the
+	// sendmmsg calls that carried them, and the two ratios follow from
+	// those. GSOFallbacks counts the times the path was declined or
+	// abandoned: the creation-time probe failing, the SKYSCRAPER_NO_GSO
+	// kill-switch, or a runtime demotion after the kernel rejected one.
+	GSO                   bool    `json:"gso"`
+	Superframes           int64   `json:"superframes"`
+	GSOSegments           int64   `json:"gsoSegments"`
+	GSOSyscalls           int64   `json:"gsoSyscalls"`
+	SegmentsPerSuperframe float64 `json:"segmentsPerSuperframe"`
+	SegmentsPerSyscall    float64 `json:"segmentsPerSyscall"`
+	GSOFallbacks          int64   `json:"gsoFallbacks"`
+}
 
-// GSOFallbacks returns how many times the GSO path was declined or
-// abandoned: the creation-time probe failing (old kernel), the
-// SKYSCRAPER_NO_GSO kill-switch, or a runtime demotion after the kernel
-// rejected a super-frame.
-func (h *Hub) GSOFallbacks() int64 { return h.gsoFallbacks.Value() }
-
-// Evictions returns how many members have been removed after
-// EvictAfterFailures consecutive send failures.
-func (h *Hub) Evictions() int64 { return h.evicted.Value() }
-
-// RepairDatagrams returns how many of the sent datagrams were repair
-// re-sends dispatched via SendRepairBatch.
-func (h *Hub) RepairDatagrams() int64 { return h.repairSent.Value() }
+// Stats returns the hub's ledger.
+func (h *Hub) Stats() HubStats {
+	st := HubStats{
+		DatagramsSent:   h.sent.Value(),
+		DatagramBytes:   h.sentBytes.Value(),
+		SendFailures:    h.failed.Value(),
+		MembersEvicted:  h.evicted.Value(),
+		RepairDatagrams: h.repairSent.Value(),
+		EgressBatches:   h.batches.Value(),
+		BatchedBytes:    h.batchedBytes.Value(),
+		EgressSyscalls:  h.syscalls.Value(),
+		Vectorized:      h.Vectorized(),
+		GSO:             h.GSO(),
+		Superframes:     h.superframes.Value(),
+		GSOSegments:     h.gsoSegments.Value(),
+		GSOSyscalls:     h.gsoSyscalls.Value(),
+		GSOFallbacks:    h.gsoFallbacks.Value(),
+	}
+	for _, m := range *h.members.Load() {
+		st.Memberships += len(m)
+	}
+	if st.Superframes > 0 {
+		st.SegmentsPerSuperframe = float64(st.GSOSegments) / float64(st.Superframes)
+	}
+	if st.GSOSyscalls > 0 {
+		st.SegmentsPerSyscall = float64(st.GSOSegments) / float64(st.GSOSyscalls)
+	}
+	return st
+}
 
 // Close shuts the sending socket; subsequent Joins and Sends fail.
 func (h *Hub) Close() error {

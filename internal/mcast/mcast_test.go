@@ -50,8 +50,8 @@ func TestJoinSendLeave(t *testing.T) {
 	if string(buf[:n]) != string(msg) {
 		t.Errorf("received %q", buf[:n])
 	}
-	if hub.Sent() != 1 {
-		t.Errorf("Sent = %d", hub.Sent())
+	if hub.Stats().DatagramsSent != 1 {
+		t.Errorf("DatagramsSent = %d", hub.Stats().DatagramsSent)
 	}
 
 	hub.Leave(g, rcv.Addr())
@@ -216,11 +216,11 @@ func TestSendBestEffort(t *testing.T) {
 			t.Errorf("healthy receiver %d starved: %q, %v", i, buf[:rn], err)
 		}
 	}
-	if hub.SendFailures() != 1 {
-		t.Errorf("SendFailures = %d, want 1", hub.SendFailures())
+	if hub.Stats().SendFailures != 1 {
+		t.Errorf("SendFailures = %d, want 1", hub.Stats().SendFailures)
 	}
-	if hub.Sent() != 2 {
-		t.Errorf("Sent = %d, want 2", hub.Sent())
+	if hub.Stats().DatagramsSent != 2 {
+		t.Errorf("DatagramsSent = %d, want 2", hub.Stats().DatagramsSent)
 	}
 
 	// A member that closed its socket mid-group is simply unreachable UDP:
@@ -283,15 +283,15 @@ func TestEvictDeadMember(t *testing.T) {
 		t.Fatalf("members after %d failures = %d, want 1 (dead member evicted)",
 			EvictAfterFailures, hub.Members(g))
 	}
-	if hub.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", hub.Evictions())
+	if hub.Stats().MembersEvicted != 1 {
+		t.Errorf("MembersEvicted = %d, want 1", hub.Stats().MembersEvicted)
 	}
 	// Post-eviction sends are clean: no failures, healthy member served.
-	failedBefore := hub.SendFailures()
+	failedBefore := hub.Stats().SendFailures
 	if n, err := hub.Send(g, frame); err != nil || n != 1 {
 		t.Errorf("post-eviction send: n=%d err=%v", n, err)
 	}
-	if hub.SendFailures() != failedBefore {
+	if hub.Stats().SendFailures != failedBefore {
 		t.Error("evicted member still charged a send failure")
 	}
 	buf := make([]byte, 32)
@@ -350,8 +350,8 @@ func TestFailureCounterResetsOnSuccess(t *testing.T) {
 	if hub.Members(g) != 0 {
 		t.Fatal("member not evicted at the threshold")
 	}
-	if hub.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", hub.Evictions())
+	if hub.Stats().MembersEvicted != 1 {
+		t.Errorf("MembersEvicted = %d, want 1", hub.Stats().MembersEvicted)
 	}
 	if hub.nfailing.Load() != 0 {
 		t.Errorf("nfailing after eviction = %d, want 0", hub.nfailing.Load())
@@ -379,12 +379,13 @@ func TestSendCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if hub.Sent() != 5 || hub.SentBytes() != 500 || hub.SendFailures() != 0 {
+			st := hub.Stats()
+			if st.DatagramsSent != 5 || st.DatagramBytes != 500 || st.SendFailures != 0 {
 				t.Errorf("counters: sent=%d bytes=%d failed=%d, want 5/500/0",
-					hub.Sent(), hub.SentBytes(), hub.SendFailures())
+					st.DatagramsSent, st.DatagramBytes, st.SendFailures)
 			}
-			if hub.Batches() != 5 || hub.BatchedBytes() != 500 {
-				t.Errorf("batch ledger: batches=%d bytes=%d, want 5/500", hub.Batches(), hub.BatchedBytes())
+			if st.EgressBatches != 5 || st.BatchedBytes != 500 {
+				t.Errorf("batch ledger: batches=%d bytes=%d, want 5/500", st.EgressBatches, st.BatchedBytes)
 			}
 		})
 	}

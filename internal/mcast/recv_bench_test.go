@@ -74,13 +74,13 @@ func benchSharedRecvDrain(b *testing.B, burst, subs int, mode string) {
 		}
 	}
 	b.StopTimer()
-	datagrams := s.Delivered() / int64(subs)
+	datagrams := s.Stats().Delivered / int64(subs)
 	b.ReportMetric(float64(datagrams)/b.Elapsed().Seconds(), "datagrams/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Delivered()), "ns/delivery")
-	if rs := s.ReadSyscalls(); rs > 0 {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Stats().Delivered), "ns/delivery")
+	if rs := s.Stats().ReadSyscalls; rs > 0 {
 		b.ReportMetric(float64(datagrams)/float64(rs), "datagrams/readsyscall")
 	}
-	if gs := s.GROSegments(); gs > 0 {
+	if gs := s.Stats().GROSegments; gs > 0 {
 		b.ReportMetric(float64(gs)/float64(b.N), "grosegments/op")
 	}
 }

@@ -67,7 +67,7 @@ func TestGROSplit(t *testing.T) {
 			t.Errorf("frame %d carries %q…%q, want all %q", i, f[0], f[len(f)-1], wantByte[i])
 		}
 	}
-	if got := rb.s.GROSegments(); got != 6 {
+	if got := rb.s.Stats().GROSegments; got != 6 {
 		t.Errorf("GROSegments = %d, want 6 (4 from the tailed super-frame + 2 exact)", got)
 	}
 

@@ -138,13 +138,13 @@ func runRecvPath(t *testing.T, mode string) map[Group][]string {
 			sub.Release(slot)
 		}
 	}
-	if s.Dropped() != 0 || s.Unroutable() != 0 {
-		t.Errorf("%s: dropped=%d unroutable=%d, want 0/0", mode, s.Dropped(), s.Unroutable())
+	if st := s.Stats(); st.Dropped != 0 || st.Unroutable != 0 {
+		t.Errorf("%s: dropped=%d unroutable=%d, want 0/0", mode, st.Dropped, st.Unroutable)
 	}
-	if mode == "gro" && s.GRO() && hub.Superframes() > 0 && s.GROSegments() == 0 {
-		t.Errorf("gro: %d super-frames on the wire but GROSegments = 0; coalesced receive never engaged", hub.Superframes())
+	if mode == "gro" && s.GRO() && hub.Stats().Superframes > 0 && s.Stats().GROSegments == 0 {
+		t.Errorf("gro: %d super-frames on the wire but GROSegments = 0; coalesced receive never engaged", hub.Stats().Superframes)
 	}
-	if mode != "single" && s.RecvBatched() && s.BatchedReads() == 0 {
+	if mode != "single" && s.RecvBatched() && s.Stats().BatchedReads == 0 {
 		t.Errorf("%s: BatchedReads = 0; the batched rung never engaged", mode)
 	}
 	return got
@@ -219,7 +219,7 @@ func TestRecvKillSwitch(t *testing.T) {
 			t.Error("SetGRO(true) re-armed a kill-switched receiver")
 		}
 		if recvCompiled && s.RecvBatched() {
-			if got := s.GROFallbacks(); got != 1 {
+			if got := s.Stats().GROFallbacks; got != 1 {
 				t.Errorf("GROFallbacks = %d, want 1", got)
 			}
 			count := 0
@@ -292,7 +292,7 @@ func TestRecvErrorBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	errs := s.ReadErrors()
+	errs := s.Stats().ReadErrors
 	if errs == 0 {
 		t.Fatal("ReadErrors = 0; the failing reads were not counted")
 	}
@@ -319,44 +319,4 @@ func TestRecvErrorBackoff(t *testing.T) {
 		t.Fatalf("got %d bytes after recovery, want 64", len(sub.Frame(slot)))
 	}
 	sub.Release(slot)
-}
-
-// TestIngressStatsAggregates pins the process-wide ledger: a receiver's
-// counters remain visible through IngressStats after it is closed.
-func TestIngressStatsAggregates(t *testing.T) {
-	before := IngressStats()
-	s, err := NewSharedReceiver(0, testClassify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group{Video: 9, Channel: 1}
-	sub, err := s.Subscribe(g, 8, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, err := NewHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	if err := hub.Join(g, s.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.Send(g, testFrame(g, 64)); err != nil {
-		t.Fatal(err)
-	}
-	sub.Release(drain(t, sub))
-	live := IngressStats()
-	if live.ReadSyscalls <= before.ReadSyscalls {
-		t.Errorf("live ReadSyscalls = %d, want > %d", live.ReadSyscalls, before.ReadSyscalls)
-	}
-	syscalls := s.ReadSyscalls()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	after := IngressStats()
-	if after.ReadSyscalls < before.ReadSyscalls+syscalls {
-		t.Errorf("retired ReadSyscalls = %d, want >= %d: closed receiver fell out of the ledger",
-			after.ReadSyscalls, before.ReadSyscalls+syscalls)
-	}
 }

@@ -131,18 +131,10 @@ type SharedReceiver struct {
 	slots    metrics.PaddedGauge
 	taken    []*Subscription
 
-	delivered  metrics.PaddedCounter
-	dropped    metrics.PaddedCounter
-	unroutable metrics.PaddedCounter
-
-	// The ingress ledger. batchedReads counts datagrams delivered through
-	// the recvmmsg rung (post-GRO-split, i.e. wire-equivalent frames);
-	// readSyscalls every kernel receive invocation on either path —
-	// batchedReads/readSyscalls is the achieved ingress batching factor.
-	// groSegments counts frames recovered by splitting coalesced GRO
-	// buffers; groFallbacks how many times the GRO rung was declined or
-	// abandoned; readErrors the socket read failures (satellite of the
-	// backoff above).
+	// The ledger Stats reports as ReceiverStats, field for field.
+	delivered    metrics.PaddedCounter
+	dropped      metrics.PaddedCounter
+	unroutable   metrics.PaddedCounter
 	batchedReads metrics.PaddedCounter
 	readSyscalls metrics.PaddedCounter
 	groSegments  metrics.PaddedCounter
@@ -295,7 +287,6 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 	m := make(subMap)
 	s.subs.Store(&m)
 	s.initRecv()
-	registerIngress(s)
 	go s.run()
 	return s, nil
 }
@@ -601,31 +592,49 @@ func (sub *Subscription) Release(slot int) {
 // quota or an undersized slot.
 func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
 
-// Delivered returns total deliveries, one per (datagram, subscription)
-// however many share a slot; Dropped the datagrams lost to spent quotas;
-// Unroutable the datagrams the classifier rejected.
-func (s *SharedReceiver) Delivered() int64  { return s.delivered.Value() }
-func (s *SharedReceiver) Dropped() int64    { return s.dropped.Value() }
-func (s *SharedReceiver) Unroutable() int64 { return s.unroutable.Value() }
+// ReceiverStats is a shared receiver's ledger at one instant.
+type ReceiverStats struct {
+	// Delivered counts deliveries, one per (datagram, subscription)
+	// however many share a slot; Dropped the datagrams lost to a spent
+	// quota or an undersized slot; Unroutable those the classifier
+	// rejected.
+	Delivered  int64 `json:"delivered"`
+	Dropped    int64 `json:"dropped"`
+	Unroutable int64 `json:"unroutable"`
+	// SlotsInUse is how many arena slots hold a frame (queued on or held
+	// by at least one subscription) — about one per datagram in flight per
+	// slot size, not one per delivery; SlotsPeak the most that ever did at
+	// once — times the slot size, the receiver's buffer footprint.
+	SlotsInUse int64 `json:"slotsInUse"`
+	SlotsPeak  int64 `json:"slotsPeak"`
+	// The ingress ledger: BatchedReads counts datagrams delivered through
+	// the recvmmsg rung (after GRO splitting) and ReadSyscalls every kernel
+	// receive invocation on either rung, so BatchedReads/ReadSyscalls is
+	// the batching factor; GROSegments counts frames recovered from
+	// coalesced super-frames, GROFallbacks declines and demotions of the
+	// GRO rung, ReadErrors failed (and backoff-throttled) socket reads.
+	BatchedReads int64 `json:"batchedReads"`
+	ReadSyscalls int64 `json:"readSyscalls"`
+	GROSegments  int64 `json:"groSegments"`
+	GROFallbacks int64 `json:"groFallbacks"`
+	ReadErrors   int64 `json:"readErrors"`
+}
 
-// SlotsInUse returns how many arena slots hold a frame right now (queued
-// on or held by at least one subscription) — about one per datagram in
-// flight, per slot size, not one per delivery; SlotsPeak the most that
-// ever did at once — times the slot size, the receiver's buffer
-// footprint.
-func (s *SharedReceiver) SlotsInUse() int64 { return s.slots.Value() }
-func (s *SharedReceiver) SlotsPeak() int64  { return s.slots.High() }
-
-// The ingress ledger: BatchedReads counts datagrams delivered through
-// the recvmmsg rung (after GRO splitting); ReadSyscalls every kernel
-// receive invocation on either rung; GROSegments frames recovered from
-// coalesced super-frames; GROFallbacks declines and demotions of the GRO
-// rung; ReadErrors failed socket reads.
-func (s *SharedReceiver) BatchedReads() int64 { return s.batchedReads.Value() }
-func (s *SharedReceiver) ReadSyscalls() int64 { return s.readSyscalls.Value() }
-func (s *SharedReceiver) GROSegments() int64  { return s.groSegments.Value() }
-func (s *SharedReceiver) GROFallbacks() int64 { return s.groFallbacks.Value() }
-func (s *SharedReceiver) ReadErrors() int64   { return s.readErrors.Value() }
+// Stats returns the receiver's ledger.
+func (s *SharedReceiver) Stats() ReceiverStats {
+	return ReceiverStats{
+		Delivered:    s.delivered.Value(),
+		Dropped:      s.dropped.Value(),
+		Unroutable:   s.unroutable.Value(),
+		SlotsInUse:   s.slots.Value(),
+		SlotsPeak:    s.slots.High(),
+		BatchedReads: s.batchedReads.Value(),
+		ReadSyscalls: s.readSyscalls.Value(),
+		GROSegments:  s.groSegments.Value(),
+		GROFallbacks: s.groFallbacks.Value(),
+		ReadErrors:   s.readErrors.Value(),
+	}
+}
 
 // RecvBatched reports whether the recvmmsg rung is live; GRO whether the
 // coalesced-receive rung on top of it is.
@@ -643,64 +652,5 @@ func (s *SharedReceiver) Close() error {
 	err := s.conn.Close()
 	s.mu.Unlock()
 	<-s.done
-	retireIngress(s)
 	return err
-}
-
-// IngressTotals is the process-wide ingress ledger: the summed counters
-// of every SharedReceiver the process has opened, live and closed. A
-// host runs many receivers over a session (one per cohort mux, recreated
-// on retune), so per-receiver counters alone would undercount; this is
-// what wire.Stats and /status report.
-type IngressTotals struct {
-	BatchedReads int64
-	ReadSyscalls int64
-	GROSegments  int64
-	GROFallbacks int64
-	ReadErrors   int64
-}
-
-var (
-	ingressMu      sync.Mutex
-	ingressLive    = make(map[*SharedReceiver]struct{})
-	ingressRetired IngressTotals
-)
-
-func registerIngress(s *SharedReceiver) {
-	ingressMu.Lock()
-	ingressLive[s] = struct{}{}
-	ingressMu.Unlock()
-}
-
-// retireIngress folds a closed receiver's final counter values into the
-// retired totals so IngressStats keeps counting it after the receiver is
-// gone.
-func retireIngress(s *SharedReceiver) {
-	ingressMu.Lock()
-	defer ingressMu.Unlock()
-	if _, ok := ingressLive[s]; !ok {
-		return
-	}
-	delete(ingressLive, s)
-	ingressRetired.add(s)
-}
-
-func (t *IngressTotals) add(s *SharedReceiver) {
-	t.BatchedReads += s.BatchedReads()
-	t.ReadSyscalls += s.ReadSyscalls()
-	t.GROSegments += s.GROSegments()
-	t.GROFallbacks += s.GROFallbacks()
-	t.ReadErrors += s.ReadErrors()
-}
-
-// IngressStats returns the process-wide ingress ledger: retired
-// receivers' final counts plus every live receiver's current ones.
-func IngressStats() IngressTotals {
-	ingressMu.Lock()
-	defer ingressMu.Unlock()
-	t := ingressRetired
-	for s := range ingressLive {
-		t.add(s)
-	}
-	return t
 }

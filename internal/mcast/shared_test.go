@@ -94,9 +94,9 @@ func TestSharedReceiverRoutes(t *testing.T) {
 		t.Fatalf("group B's datagram leaked to subscription A (%d bytes)", len(subA.Frame(slot)))
 	default:
 	}
-	if s.Delivered() != 2 || s.Dropped() != 0 || s.Unroutable() != 0 {
+	if st := s.Stats(); st.Delivered != 2 || st.Dropped != 0 || st.Unroutable != 0 {
 		t.Errorf("counters: delivered=%d dropped=%d unroutable=%d, want 2/0/0",
-			s.Delivered(), s.Dropped(), s.Unroutable())
+			st.Delivered, st.Dropped, st.Unroutable)
 	}
 }
 
@@ -167,10 +167,10 @@ func TestSlotQuotaStallsOnlyItsSubscriber(t *testing.T) {
 	if live.Dropped() != 0 {
 		t.Errorf("draining subscription dropped %d datagrams, want 0", live.Dropped())
 	}
-	if got := s.SlotsInUse(); got != 2 {
+	if got := s.Stats().SlotsInUse; got != 2 {
 		t.Errorf("%d slots in use, want 2 (the stalled subscription's quota)", got)
 	}
-	if peak := s.SlotsPeak(); peak < 3 || peak > 2+6 {
+	if peak := s.Stats().SlotsPeak; peak < 3 || peak > 2+6 {
 		t.Errorf("slot peak %d, want in [3, 8] (stalled quota plus the live queue)", peak)
 	}
 }
@@ -207,8 +207,8 @@ func TestSharedReceiverOversizeAndUnroutable(t *testing.T) {
 	if slot := drain(t, sub); len(sub.Frame(slot)) != 32 {
 		t.Fatalf("got %d bytes, want the 32-byte frame", len(sub.Frame(slot)))
 	}
-	if sub.Dropped() != 1 || s.Unroutable() != 1 {
-		t.Errorf("dropped=%d unroutable=%d, want 1/1", sub.Dropped(), s.Unroutable())
+	if sub.Dropped() != 1 || s.Stats().Unroutable != 1 {
+		t.Errorf("dropped=%d unroutable=%d, want 1/1", sub.Dropped(), s.Stats().Unroutable)
 	}
 }
 

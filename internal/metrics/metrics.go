@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -181,27 +180,6 @@ func (g *Gauge) TimeAverage(t float64) float64 {
 	return (g.weightSum + g.level*(t-g.lastT)) / (t - g.startT)
 }
 
-// AtomicCounter is a monotone event counter safe for concurrent use. It
-// sits on the live data path's hot loops (hub fan-out, frame cache), so
-// increments are single atomic adds with no locking; unlike Counter it may
-// be updated from many goroutines at once. The zero value is ready to use
-// and must not be copied after first use.
-type AtomicCounter struct{ n atomic.Int64 }
-
-// Inc adds one.
-func (c *AtomicCounter) Inc() { c.n.Add(1) }
-
-// Add adds delta, which must be non-negative.
-func (c *AtomicCounter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: AtomicCounter.Add of negative delta")
-	}
-	c.n.Add(delta)
-}
-
-// Value returns the current count.
-func (c *AtomicCounter) Value() int64 { return c.n.Load() }
-
 // TokenBucket is a continuously refilled token bucket, the admission
 // primitive of the server's overload-safe repair plane: capacity refills
 // at rate tokens/second up to burst, and each admitted request spends its
@@ -216,7 +194,6 @@ type TokenBucket struct {
 	burst  float64 // bucket depth
 	tokens float64
 	last   time.Time
-	denied AtomicCounter
 }
 
 // NewTokenBucket returns a full bucket refilling at rate tokens/second up
@@ -254,7 +231,6 @@ func (b *TokenBucket) Take(now time.Time, n float64) (bool, time.Duration) {
 		b.tokens -= n
 		return true, 0
 	}
-	b.denied.Inc()
 	return false, time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 }
 
@@ -265,15 +241,6 @@ func (b *TokenBucket) Level(now time.Time) float64 {
 	b.refillLocked(now)
 	return b.tokens
 }
-
-// Denied returns how many Take calls have been refused.
-func (b *TokenBucket) Denied() int64 { return b.denied.Value() }
-
-// Rate returns the refill rate in tokens/second.
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
-// Burst returns the bucket depth.
-func (b *TokenBucket) Burst() float64 { return b.burst }
 
 // Counter is a monotone event counter.
 type Counter struct{ n int64 }

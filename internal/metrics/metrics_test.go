@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -231,43 +232,12 @@ func TestCounter(t *testing.T) {
 	c.Add(-1)
 }
 
-func TestAtomicCounter(t *testing.T) {
-	var c AtomicCounter
-	if c.Value() != 0 {
-		t.Errorf("zero value = %d", c.Value())
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-			}
-			c.Add(500)
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 8*1500 {
-		t.Errorf("Value = %d, want %d", got, 8*1500)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
 // TestTokenBucket drives the bucket on a synthetic clock: spends succeed
 // until the burst is gone, retry-after hints are exact, and refill is
 // linear in elapsed time and capped at the burst.
 func TestTokenBucket(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	b := NewTokenBucket(100, 50) // 100 tokens/s, depth 50
-	if b.Rate() != 100 || b.Burst() != 50 {
-		t.Fatalf("rate/burst = %v/%v", b.Rate(), b.Burst())
-	}
 	if ok, _ := b.Take(t0, 30); !ok {
 		t.Fatal("fresh bucket refused a within-burst spend")
 	}
@@ -280,9 +250,6 @@ func TestTokenBucket(t *testing.T) {
 	}
 	if retry != 100*time.Millisecond { // 10 tokens at 100/s
 		t.Errorf("retry-after = %v, want 100ms", retry)
-	}
-	if b.Denied() != 1 {
-		t.Errorf("Denied = %d, want 1", b.Denied())
 	}
 	// Refill honors the hint exactly.
 	if ok, _ := b.Take(t0.Add(retry), 10); !ok {
@@ -313,7 +280,7 @@ func TestTokenBucket(t *testing.T) {
 func TestTokenBucketConcurrent(t *testing.T) {
 	b := NewTokenBucket(1e6, 1000)
 	start := time.Now()
-	var admitted AtomicCounter
+	var admitted atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -328,8 +295,8 @@ func TestTokenBucketConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	if max := 1000 + elapsed*1e6 + 1; float64(admitted.Value()) > max {
-		t.Errorf("admitted %d tokens, budget allowed at most %v", admitted.Value(), max)
+	if max := 1000 + elapsed*1e6 + 1; float64(admitted.Load()) > max {
+		t.Errorf("admitted %d tokens, budget allowed at most %v", admitted.Load(), max)
 	}
 }
 

@@ -8,14 +8,12 @@ import "sync/atomic"
 // line pairs.
 const cacheLine = 64
 
-// PaddedCounter is AtomicCounter insulated against false sharing: the hot
-// word is padded onto its own cache line(s), so a struct or array of
-// PaddedCounters updated by different cores does not bounce a shared line
-// between them on every increment. Use it for counters that sit on
-// per-datagram or per-chunk hot paths and are bumped concurrently with
-// *other* counters declared next to them (the mcast hub's egress ledger,
-// the server's repair and pacing counters); plain AtomicCounter remains
-// the right choice for cold or isolated counts.
+// PaddedCounter is the concurrent monotone event counter: increments are
+// single atomic adds with no locking, and the hot word is padded onto its
+// own cache line(s), so a struct or array of PaddedCounters updated by
+// different cores does not bounce a shared line between them on every
+// increment (the mcast hub's egress ledger, the server's repair, pacing
+// and frame-cache counters). Counter is its single-goroutine sibling.
 //
 // The zero value is ready to use and must not be copied after first use.
 type PaddedCounter struct {

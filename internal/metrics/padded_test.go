@@ -108,12 +108,12 @@ func TestPaddedGaugeLayout(t *testing.T) {
 const benchCounters = 64
 
 func BenchmarkCounterParallelUnpadded(b *testing.B) {
-	var cs [benchCounters]AtomicCounter
+	var cs [benchCounters]atomic.Int64
 	var next atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		c := &cs[int(next.Add(1)-1)%benchCounters]
 		for pb.Next() {
-			c.Inc()
+			c.Add(1)
 		}
 	})
 }

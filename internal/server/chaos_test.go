@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"testing"
@@ -162,7 +163,7 @@ func TestChaosDeterministicStats(t *testing.T) {
 	if sigs[0].repaired == 0 {
 		t.Error("seed 1 at 5% drop repaired nothing; determinism claim untested")
 	}
-	if srv.RepairsServed() == 0 {
+	if srv.Status().RepairsServed == 0 {
 		t.Error("server served no repairs")
 	}
 }
@@ -194,8 +195,8 @@ func TestChaosDegradedWithoutRepair(t *testing.T) {
 	if want := int64(sch.TotalUnits())*4096 - stats.LostChunks*1024; stats.Bytes != want {
 		t.Errorf("bytes = %d, want %d (total minus %d lost chunks)", stats.Bytes, want, stats.LostChunks)
 	}
-	if srv.RepairsServed() != 0 {
-		t.Errorf("server served %d repairs to a repair-disabled client", srv.RepairsServed())
+	if srv.Status().RepairsServed != 0 {
+		t.Errorf("server served %d repairs to a repair-disabled client", srv.Status().RepairsServed)
 	}
 }
 
@@ -230,7 +231,7 @@ func TestControlIdleReaped(t *testing.T) {
 		t.Fatal("server never closed the idle connection")
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for srv.Hub().TotalMembers() != 0 {
+	for srv.Status().Memberships != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("membership survived idle reaping")
 		}
@@ -293,10 +294,11 @@ func TestRepairProtocol(t *testing.T) {
 	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindStats}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindStatsOK || m.Stats.RepairsServed != 1 {
+	var st server.StatusSnapshot
+	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindStatsOK || json.Unmarshal(m.Stats, &st) != nil || st.RepairsServed != 1 {
 		t.Errorf("stats after repairs: %+v %v", m, err)
 	}
-	if srv.RepairsServed() != 1 {
-		t.Errorf("RepairsServed = %d, want 1", srv.RepairsServed())
+	if srv.Status().RepairsServed != 1 {
+		t.Errorf("RepairsServed = %d, want 1", srv.Status().RepairsServed)
 	}
 }

@@ -51,8 +51,9 @@ func TestFecStripeHealsIidLoss(t *testing.T) {
 		dumpTrace(t, tb)
 		t.Fatalf("stripe healed nothing under 8%% iid drop: %+v", stats)
 	}
-	if srv.ParityFramesSent() == 0 {
-		t.Error("server sent no parity frames with FecGroup=4")
+	st := srv.Status()
+	if st.ParityFrames == 0 {
+		t.Fatal("server sent no parity frames with FecGroup=4")
 	}
 	// Overhead bound: the schedule emits exactly one parity frame per G
 	// data chunks (enforced structurally by Server.emit), so the stripe's
@@ -60,7 +61,7 @@ func TestFecStripeHealsIidLoss(t *testing.T) {
 	// within the bitmap-and-count header's few extra bytes of a data
 	// frame, or the ≤1/G overhead claim in the ledgers would be off.
 	dataFrame := int64(wire.EncodedSize(1024))
-	if perFrame := srv.ParityBytesSent() / srv.ParityFramesSent(); perFrame > dataFrame+dataFrame/8 {
+	if perFrame := st.ParityBytes / st.ParityFrames; perFrame > dataFrame+dataFrame/8 {
 		t.Errorf("parity frame averages %d bytes vs %d-byte data frames; overhead claim broken", perFrame, dataFrame)
 	}
 }
@@ -146,9 +147,9 @@ func TestFecOffNoParityOnWire(t *testing.T) {
 		dumpTrace(t, tb)
 		t.Fatalf("watch: %v (stats %+v)", err, stats)
 	}
-	if srv.ParityFramesSent() != 0 || srv.ParityBytesSent() != 0 {
+	if st := srv.Status(); st.ParityFrames != 0 || st.ParityBytes != 0 {
 		t.Errorf("FEC-off server sent %d parity frames (%d bytes)",
-			srv.ParityFramesSent(), srv.ParityBytesSent())
+			st.ParityFrames, st.ParityBytes)
 	}
 	if stats.FecHeals != 0 || stats.StripeDefeats != 0 {
 		t.Errorf("FEC-off client booked stripe activity: %+v", stats)

@@ -27,10 +27,10 @@ type frameCache struct {
 	chunkBytes int
 
 	// hits counts materialisations that found their CRC word, misses those
-	// that had to hash the payload; words is how many CRC words the tables
-	// hold.
-	hits   metrics.AtomicCounter
-	misses metrics.AtomicCounter
+	// that had to hash the payload (padded: every shard and control
+	// connection bumps them); words is how many CRC words the tables hold.
+	hits   metrics.PaddedCounter
+	misses metrics.PaddedCounter
 	words  int64
 
 	// chans is indexed [video*K + (channel-1)]; built once, read-only.

@@ -184,7 +184,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 			t.Errorf("%v: %d frames staged, want %d", g, rec.groups[g], ticks)
 		}
 	}
-	if st := h.srv.FrameCacheStats(); st.Hits+st.Misses != int64(len(heard)*ticks) {
+	if st := h.srv.cache.stats(); st.Hits+st.Misses != int64(len(heard)*ticks) {
 		t.Errorf("frame cache served %d materialisations, want %d", st.Hits+st.Misses, len(heard)*ticks)
 	}
 
@@ -412,7 +412,7 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 	if rec.bad != 0 {
 		t.Fatalf("%d staged frames failed to decode", rec.bad)
 	}
-	st := h.srv.FrameCacheStats()
+	st := h.srv.cache.stats()
 	if want := (CacheStats{Misses: words, Bytes: 8 * words}); st != want {
 		t.Errorf("frame cache %+v, want %+v: every chunk of the catalog materialised exactly once, cold", st, want)
 	}

@@ -332,7 +332,7 @@ func TestTickBudgetReported(t *testing.T) {
 			t.Fatal("the wheel stopped dispatching")
 		}
 	}
-	snap := srv.snapshot()
+	snap := srv.Status()
 	if snap.EgressSendP50Us <= 0 || snap.EgressSendP99Us < snap.EgressSendP50Us || snap.EgressStageP50Us <= 0 {
 		t.Errorf("tick budget: stage p50 %v us, send p50 %v us, p99 %v us", snap.EgressStageP50Us, snap.EgressSendP50Us, snap.EgressSendP99Us)
 	}

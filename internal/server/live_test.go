@@ -3,10 +3,8 @@ package server_test
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"math"
 	"net"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -255,105 +253,6 @@ func TestDisconnectCleansMemberships(t *testing.T) {
 			t.Fatal("membership survived disconnect")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStatsEndpoint queries the server's operational snapshot over the
-// control protocol.
-func TestStatsEndpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 2, 3, 2)
-	srv := startServer(t, sch, 50*time.Millisecond)
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoin, Video: 0, Channel: 1, Port: 33333}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindJoined {
-		t.Fatalf("join: %v %v", m, err)
-	}
-	time.Sleep(120 * time.Millisecond) // let the wheel send something
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindStats}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.ReadControl(r)
-	if err != nil || m.Kind != wire.KindStatsOK || m.Stats == nil {
-		t.Fatalf("stats: %+v %v", m, err)
-	}
-	if m.Stats.Channels != 6 {
-		t.Errorf("channels = %d, want 6", m.Stats.Channels)
-	}
-	if m.Stats.Members != 1 {
-		t.Errorf("members = %d, want 1", m.Stats.Members)
-	}
-	if m.Stats.DatagramsSent == 0 {
-		t.Error("no datagrams counted despite an active membership")
-	}
-	if m.Stats.UptimeNanos <= 0 {
-		t.Error("non-positive uptime")
-	}
-}
-
-// TestStatusHTTP exercises the ops-facing HTTP endpoint.
-func TestStatusHTTP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 1, 4, 2)
-	srv := startServer(t, sch, 50*time.Millisecond)
-	base, err := srv.ServeStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("healthz status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap server.StatusSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Videos != 1 || snap.ChannelsPerVideo != 4 || len(snap.SizeUnits) != 4 {
-		t.Errorf("snapshot %+v", snap)
-	}
-	if snap.ControlAddr != srv.Addr() {
-		t.Errorf("control addr %q != %q", snap.ControlAddr, srv.Addr())
-	}
-	if snap.UnitMillis != 50 {
-		t.Errorf("unit %v ms", snap.UnitMillis)
-	}
-	// Unknown path is a 404.
-	resp, err = http.Get(base + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("unknown path status %d", resp.StatusCode)
-	}
-	// ServeStatus before Start is rejected.
-	raw, err := server.New(server.Config{Scheme: sch, Unit: 50 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.ServeStatus(); err == nil {
-		t.Error("ServeStatus before Start accepted")
 	}
 }
 

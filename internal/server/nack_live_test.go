@@ -54,10 +54,10 @@ func TestNackMulticastResend(t *testing.T) {
 	if !m.Nack.Has(1) || !m.Nack.Has(3) {
 		t.Fatalf("accepted bitmap %v, want chunks 1 and 3", m.Nack.Chunks())
 	}
-	if got := srv.NacksServed(); got != 1 {
+	if got := srv.Status().NacksServed; got != 1 {
 		t.Errorf("NacksServed = %d, want 1", got)
 	}
-	if got := srv.NackResends(); got != 2 {
+	if got := srv.Status().NackResends; got != 2 {
 		t.Errorf("NackResends = %d, want 2 (one per accepted chunk)", got)
 	}
 
@@ -104,10 +104,10 @@ func TestNackMulticastResend(t *testing.T) {
 	if m2.Kind != wire.KindNackOK || !m2.Nack.Has(1) || !m2.Nack.Has(3) {
 		t.Fatalf("suppressed NACK answered %+v, want NackOK accepting both chunks", m2)
 	}
-	if got := srv.NackResends(); got != 2 {
+	if got := srv.Status().NackResends; got != 2 {
 		t.Errorf("NackResends after suppressed NACK = %d, want still 2", got)
 	}
-	if got := srv.NackSuppressed(); got != 2 {
+	if got := srv.Status().NackSuppressed; got != 2 {
 		t.Errorf("NackSuppressed = %d, want 2", got)
 	}
 
@@ -156,7 +156,7 @@ func TestNackRefusedOverBudget(t *testing.T) {
 	if m.Nack.Has(2) {
 		t.Fatal("over-budget NACK still accepted the chunk")
 	}
-	if got := srv.NackResends(); got != 0 {
+	if got := srv.Status().NackResends; got != 0 {
 		t.Errorf("NackResends = %d, want 0 (budget refused)", got)
 	}
 }

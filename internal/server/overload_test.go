@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"sync"
@@ -99,7 +100,7 @@ func TestOverloadRepairBudget(t *testing.T) {
 	if hung.Load() != 0 {
 		t.Fatalf("%d hammer connections timed out or died", hung.Load())
 	}
-	served := srv.RepairBytesServed()
+	served := srv.Status().RepairBytes
 	ceiling := 1.1 * (rate*elapsed + burst)
 	if float64(served) > ceiling {
 		t.Errorf("served %d repair bytes in %.3fs, budget ceiling %.0f", served, elapsed, ceiling)
@@ -111,10 +112,10 @@ func TestOverloadRepairBudget(t *testing.T) {
 	if busies.Load() == 0 {
 		t.Error("demand at several times the budget produced no Busy replies")
 	}
-	if srv.BusyReplies() != busies.Load() {
-		t.Errorf("server counted %d Busy replies, clients saw %d", srv.BusyReplies(), busies.Load())
+	if srv.Status().BusyReplies != busies.Load() {
+		t.Errorf("server counted %d Busy replies, clients saw %d", srv.Status().BusyReplies, busies.Load())
 	}
-	if tokens := srv.RepairTokens(); tokens < 0 || tokens > burst {
+	if tokens := srv.Status().RepairTokens; tokens < 0 || tokens > burst {
 		t.Errorf("RepairTokens = %d outside [0, %d]", tokens, burst)
 	}
 }
@@ -173,7 +174,7 @@ func TestOverloadClientsTerminate(t *testing.T) {
 	if sawBusy == 0 {
 		t.Error("no client saw a Busy reply despite the starved budget")
 	}
-	if srv.BusyReplies() == 0 {
+	if srv.Status().BusyReplies == 0 {
 		t.Error("server issued no Busy replies despite the starved budget")
 	}
 }
@@ -226,14 +227,14 @@ func TestStormCoalescing(t *testing.T) {
 		}
 		conn.Close()
 	}
-	if srv.StormResends() != 1 {
-		t.Errorf("StormResends = %d, want 1 (one re-send per window)", srv.StormResends())
+	if srv.Status().StormResends != 1 {
+		t.Errorf("StormResends = %d, want 1 (one re-send per window)", srv.Status().StormResends)
 	}
-	if srv.SuppressedRepairs() != 2 {
-		t.Errorf("SuppressedRepairs = %d, want 2", srv.SuppressedRepairs())
+	if srv.Status().SuppressedRepairs != 2 {
+		t.Errorf("SuppressedRepairs = %d, want 2", srv.Status().SuppressedRepairs)
 	}
-	if srv.BusyReplies() != 2 {
-		t.Errorf("BusyReplies = %d, want 2", srv.BusyReplies())
+	if srv.Status().BusyReplies != 2 {
+		t.Errorf("BusyReplies = %d, want 2", srv.Status().BusyReplies)
 	}
 
 	// The re-send reached the group, tagged with the storm's seq and
@@ -291,8 +292,8 @@ func TestPacerPanicRecovered(t *testing.T) {
 	if !fired.Load() {
 		t.Fatal("panic hook never fired; the supervisor went untested")
 	}
-	if srv.PacerRestarts() < 1 {
-		t.Errorf("PacerRestarts = %d, want >= 1", srv.PacerRestarts())
+	if srv.Status().PacerRestarts < 1 {
+		t.Errorf("PacerRestarts = %d, want >= 1", srv.Status().PacerRestarts)
 	}
 	// The server is alive: a fresh control round trip still works.
 	conn, r := dialRaw(t, srv.Addr())
@@ -303,8 +304,9 @@ func TestPacerPanicRecovered(t *testing.T) {
 	if err != nil || m.Kind != wire.KindStatsOK {
 		t.Fatalf("stats after restart: %+v %v", m, err)
 	}
-	if m.Stats.PacerRestarts < 1 {
-		t.Errorf("stats report %d pacer restarts, want >= 1", m.Stats.PacerRestarts)
+	var st server.StatusSnapshot
+	if err := json.Unmarshal(m.Stats, &st); err != nil || st.PacerRestarts < 1 {
+		t.Errorf("stats report %d pacer restarts (%v), want >= 1", st.PacerRestarts, err)
 	}
 }
 
@@ -342,7 +344,7 @@ func TestDrainGraceful(t *testing.T) {
 	if err != nil || m.Kind != wire.KindBye {
 		t.Fatalf("expected server bye, got %+v %v", m, err)
 	}
-	if !srv.Draining() {
+	if !srv.Status().Draining {
 		t.Error("bye received but server does not report draining")
 	}
 	// Health flips out of rotation: 503 while draining, or the endpoint

@@ -14,6 +14,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -348,57 +349,6 @@ func (s *Server) Hub() *mcast.Hub { return s.hub }
 // nil otherwise (for tests and cmd/skychaos).
 func (s *Server) Injector() *faults.Injector { return s.inj }
 
-// RepairsServed returns how many unicast chunk repairs have been answered.
-func (s *Server) RepairsServed() int64 { return s.repairs.Value() }
-
-// ParityFramesSent returns how many proactive parity frames have been
-// broadcast; ParityBytesSent the wire bytes they cost (the stripe's
-// overhead, bounded by ~1/G of the broadcast).
-func (s *Server) ParityFramesSent() int64 { return s.parityFrames.Value() }
-func (s *Server) ParityBytesSent() int64  { return s.parityBytes.Value() }
-
-// RepairBytesServed returns the payload bytes those repairs carried.
-func (s *Server) RepairBytesServed() int64 { return s.repairBytes.Value() }
-
-// BusyReplies returns how many repair requests were pushed back with Busy
-// (admission denials plus storm suppressions).
-func (s *Server) BusyReplies() int64 { return s.busyReplies.Value() }
-
-// StormResends returns how many coalesced repair storms were answered via
-// a multicast re-send; SuppressedRepairs the unicast requests absorbed.
-func (s *Server) StormResends() int64      { return s.stormResends.Value() }
-func (s *Server) SuppressedRepairs() int64 { return s.suppressed.Value() }
-
-// NacksServed returns how many gap-bitmap NACK messages were answered;
-// NackResends how many multicast re-sends those NACKs triggered;
-// NackSuppressed how many NACKed chunks were absorbed because a re-send
-// within the storm window was already in flight.
-func (s *Server) NacksServed() int64    { return s.nacksServed.Value() }
-func (s *Server) NackResends() int64    { return s.nackResends.Value() }
-func (s *Server) NackSuppressed() int64 { return s.nackSuppressed.Value() }
-
-// RepairTokens returns the repair token bucket's current level in bytes,
-// or -1 when the budget is unlimited.
-func (s *Server) RepairTokens() int64 {
-	if s.repairBudget == nil {
-		return -1
-	}
-	return int64(s.repairBudget.Level(time.Now()))
-}
-
-// PacerRestarts returns how many egress shard panics the supervisor
-// has absorbed; PacerDriftEvents how many broadcasts missed
-// their absolute schedule by more than one unit.
-func (s *Server) PacerRestarts() int64    { return s.pacerRestarts.Value() }
-func (s *Server) PacerDriftEvents() int64 { return s.driftEvents.Value() }
-
-// EgressShards returns how many shard goroutines the wheel drives all
-// channels from; EgressWakeups how many timer wakeups those shards have
-// taken — each wakeup dispatches every chunk due in its tick, so
-// wakeups ≪ chunks is the wheel working.
-func (s *Server) EgressShards() int    { return len(s.wheel) }
-func (s *Server) EgressWakeups() int64 { return s.wheelWakeups.Value() }
-
 // EgressTickSource names what the egress shards wait on between ticks:
 // "timerfd" while every shard parks on a timerfd through the netpoller,
 // "timer" for the runtime timer — a non-linux build, or a server whose
@@ -436,13 +386,6 @@ func (s *Server) wakeLead() time.Duration {
 	}
 	return lead
 }
-
-// Draining reports whether the server is in graceful shutdown.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// FrameCacheStats reports the frame cache's CRC hits and misses and its
-// footprint (for tests, /status and cmd/skychaos).
-func (s *Server) FrameCacheStats() CacheStats { return s.cache.stats() }
 
 // Close stops the egress shards, the listener, and open control
 // connections.
@@ -773,45 +716,12 @@ func (s *Server) serveControl(conn net.Conn) {
 				return
 			}
 		case wire.KindStats:
-			st := &wire.Stats{
-				UptimeNanos:       int64(time.Since(s.epoch)),
-				DatagramsSent:     s.hub.Sent(),
-				Channels:          sch.Config().Videos * sch.K(),
-				Members:           s.hub.TotalMembers(),
-				RepairsServed:     s.repairs.Value(),
-				RepairBytes:       s.repairBytes.Value(),
-				BusyReplies:       s.busyReplies.Value(),
-				StormResends:      s.stormResends.Value(),
-				SuppressedRepairs: s.suppressed.Value(),
-				NacksServed:       s.nacksServed.Value(),
-				NackResends:       s.nackResends.Value(),
-				NackSuppressed:    s.nackSuppressed.Value(),
-				RepairDatagrams:   s.hub.RepairDatagrams(),
-				RepairTokens:      s.RepairTokens(),
-				PacerRestarts:     s.pacerRestarts.Value(),
-				PacerDriftEvents:  s.driftEvents.Value(),
-				EgressShards:      len(s.wheel),
-				EgressWakeups:     s.wheelWakeups.Value(),
-				EgressBatches:     s.hub.Batches(),
-				BatchedBytes:      s.hub.BatchedBytes(),
-				EgressSyscalls:    s.hub.SendSyscalls(),
-				Superframes:       s.hub.Superframes(),
-				GSOSegments:       s.hub.GSOSegments(),
-				GSOFallbacks:      s.hub.GSOFallbacks(),
-				ParityFrames:      s.parityFrames.Value(),
-				ParityBytes:       s.parityBytes.Value(),
-				Draining:          s.draining.Load(),
+			doc, err := json.Marshal(s.Status())
+			if err != nil {
+				fail("stats: %v", err)
+				continue
 			}
-			// The ingress ledger covers every shared receiver this process
-			// opened — zero on a pure egress server, live on a relay or a
-			// co-located emulation.
-			ing := mcast.IngressStats()
-			st.BatchedReads = ing.BatchedReads
-			st.ReadSyscalls = ing.ReadSyscalls
-			st.GroSegments = ing.GROSegments
-			st.GroFallbacks = ing.GROFallbacks
-			st.ReadErrors = ing.ReadErrors
-			if err := write(&wire.Control{Kind: wire.KindStatsOK, Stats: st}); err != nil {
+			if err := write(&wire.Control{Kind: wire.KindStatsOK, Stats: doc}); err != nil {
 				return
 			}
 		case wire.KindLeave:

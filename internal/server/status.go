@@ -13,7 +13,9 @@ import (
 	"skyscraper/internal/metrics"
 )
 
-// StatusSnapshot is the JSON document served at /status.
+// StatusSnapshot is the server's one operational document: GET /status
+// serves it as JSON, and so does the control plane's KindStatsOK reply.
+// The hub's egress ledger is embedded, so its keys sit at the top level.
 type StatusSnapshot struct {
 	// Videos and ChannelsPerVideo describe the broadcast layout.
 	Videos           int   `json:"videos"`
@@ -25,15 +27,7 @@ type StatusSnapshot struct {
 	UnitMillis float64 `json:"unitMillis"`
 	// UptimeMillis is time since the broadcast epoch.
 	UptimeMillis float64 `json:"uptimeMillis"`
-	// DatagramsSent counts chunks written to receivers so far;
-	// DatagramBytes the bytes those datagrams carried, and SendFailures
-	// the member writes that failed (the rest of the group still got the
-	// datagram).
-	DatagramsSent int64 `json:"datagramsSent"`
-	DatagramBytes int64 `json:"datagramBytes"`
-	SendFailures  int64 `json:"sendFailures"`
-	// Memberships is the current total of (client, channel) joins.
-	Memberships int `json:"memberships"`
+	mcast.HubStats
 	// ControlSessions is the live control-connection count and
 	// ControlSessionsPeak its high-water mark — with the virtual-viewer
 	// multiplexer, one session can stand for a whole cohort of viewers.
@@ -51,13 +45,10 @@ type StatusSnapshot struct {
 	SuppressedRepairs int64 `json:"suppressedRepairs"`
 	// NacksServed counts gap-bitmap NACK messages answered; NackResends
 	// the multicast re-sends they triggered; NackSuppressed the NACKed
-	// chunks absorbed by a re-send already in flight; RepairDatagrams
-	// the multicast repair re-sends (storm- and NACK-triggered) on the
-	// wire, so repair traffic is distinguishable from schedule traffic.
-	NacksServed     int64 `json:"nacksServed"`
-	NackResends     int64 `json:"nackResends"`
-	NackSuppressed  int64 `json:"nackSuppressed"`
-	RepairDatagrams int64 `json:"repairDatagrams"`
+	// chunks absorbed by a re-send already in flight.
+	NacksServed    int64 `json:"nacksServed"`
+	NackResends    int64 `json:"nackResends"`
+	NackSuppressed int64 `json:"nackSuppressed"`
 	// FecGroup/FecMode echo the configured parity stripe (0/"" when
 	// off); ParityFrames/ParityBytes count the stripe's broadcast
 	// overhead — the proactive repair the control-plane counters above
@@ -102,49 +93,6 @@ type StatusSnapshot struct {
 	EgressStageP50Us    float64 `json:"egressStageP50Us"`
 	EgressSendP50Us     float64 `json:"egressSendP50Us"`
 	EgressSendP99Us     float64 `json:"egressSendP99Us"`
-	// EgressBatches counts batched hub dispatches and BatchedBytes the
-	// payload bytes they carried; EgressSyscalls the kernel send
-	// invocations (sendmmsg calls on the vectorized path, per-datagram
-	// writes otherwise) — DatagramsSent/EgressSyscalls is the achieved
-	// batching factor. Vectorized reports whether the sendmmsg fast path
-	// is active.
-	EgressBatches  int64 `json:"egressBatches"`
-	BatchedBytes   int64 `json:"batchedBytes"`
-	EgressSyscalls int64 `json:"egressSyscalls"`
-	Vectorized     bool  `json:"vectorized"`
-	// The super-frame (UDP GSO) ledger. GSO reports whether the
-	// UDP_SEGMENT path is active; Superframes counts super-datagrams put
-	// on the wire (one syscall slot each, split by the kernel);
-	// GSOSegments the wire datagrams they carried;
-	// SegmentsPerSuperframe the achieved coalescing factor
-	// (GSOSegments/Superframes); SegmentsPerSyscall the wire datagrams
-	// per GSO-path sendmmsg call; GSOFallbacks how many times the path
-	// was declined or abandoned (probe failure, SKYSCRAPER_NO_GSO,
-	// runtime demotion).
-	GSO                   bool    `json:"gso"`
-	Superframes           int64   `json:"superframes"`
-	GSOSegments           int64   `json:"gsoSegments"`
-	SegmentsPerSuperframe float64 `json:"segmentsPerSuperframe"`
-	SegmentsPerSyscall    float64 `json:"segmentsPerSyscall"`
-	GSOFallbacks          int64   `json:"gsoFallbacks"`
-	// The ingress ladder ledger, summed over every shared receiver this
-	// process has opened (zero on a pure egress server). BatchedReads
-	// counts datagrams delivered through the recvmmsg rung; ReadSyscalls
-	// every kernel receive invocation on either rung —
-	// BatchedReads/ReadSyscalls is the achieved ingress batching factor.
-	// GroSegments counts wire datagrams recovered by splitting UDP_GRO
-	// super-frames; GroFallbacks how many times a rung was declined or
-	// abandoned; ReadErrors counted (and backoff-throttled) receive
-	// failures.
-	BatchedReads    int64   `json:"batchedReads,omitempty"`
-	ReadSyscalls    int64   `json:"readSyscalls,omitempty"`
-	ReadsPerSyscall float64 `json:"readsPerSyscall,omitempty"`
-	GroSegments     int64   `json:"groSegments,omitempty"`
-	GroFallbacks    int64   `json:"groFallbacks,omitempty"`
-	ReadErrors      int64   `json:"readErrors,omitempty"`
-	// MembersEvicted counts group members removed after consecutive send
-	// failures.
-	MembersEvicted int64 `json:"membersEvicted"`
 	// Draining reports a server in graceful shutdown.
 	Draining bool `json:"draining"`
 	// FrameCache reports how many materialised frames found their payload
@@ -158,86 +106,61 @@ type StatusSnapshot struct {
 	ControlAddr string `json:"controlAddr"`
 }
 
-// snapshot assembles the current status.
-func (s *Server) snapshot() StatusSnapshot {
+// Status assembles the server's current document. Call it after Start.
+func (s *Server) Status() StatusSnapshot {
 	sch := s.cfg.Scheme
 	var injected *faults.Counts
 	if s.inj != nil {
 		c := s.inj.Counts()
 		injected = &c
 	}
-	ratio := func(num, den int64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
+	repairTokens := int64(-1)
+	if s.repairBudget != nil {
+		repairTokens = int64(s.repairBudget.Level(time.Now()))
 	}
-	superframes, gsoSegments := s.hub.Superframes(), s.hub.GSOSegments()
-	ing := mcast.IngressStats()
 	wakeLate := s.wakeLateness()
 	stageTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.stageTime })
 	sendTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.sendTime })
 	return StatusSnapshot{
-		RepairsServed:         s.repairs.Value(),
-		RepairBytes:           s.repairBytes.Value(),
-		BusyReplies:           s.busyReplies.Value(),
-		StormResends:          s.stormResends.Value(),
-		SuppressedRepairs:     s.suppressed.Value(),
-		NacksServed:           s.nacksServed.Value(),
-		NackResends:           s.nackResends.Value(),
-		NackSuppressed:        s.nackSuppressed.Value(),
-		RepairDatagrams:       s.hub.RepairDatagrams(),
-		FecGroup:              s.cfg.FecGroup,
-		FecMode:               s.cfg.FecMode,
-		ParityFrames:          s.parityFrames.Value(),
-		ParityBytes:           s.parityBytes.Value(),
-		RepairTokens:          s.RepairTokens(),
-		PacerRestarts:         s.pacerRestarts.Value(),
-		PacerDriftEvents:      s.driftEvents.Value(),
-		EgressShards:          len(s.wheel),
-		EgressWakeups:         s.wheelWakeups.Value(),
-		EgressScheduled:       s.egressScheduled.Value(),
-		EgressStaged:          s.egressStaged.Value(),
-		EgressTickSource:      s.EgressTickSource(),
-		EgressWakeLateP50Us:   float64(wakeLate.Quantile(0.50)) / 1e3,
-		EgressWakeLateP99Us:   float64(wakeLate.Quantile(0.99)) / 1e3,
-		EgressWakeLeadUs:      float64(s.wakeLead()) / 1e3,
-		EgressStageP50Us:      float64(stageTime.Quantile(0.50)) / 1e3,
-		EgressSendP50Us:       float64(sendTime.Quantile(0.50)) / 1e3,
-		EgressSendP99Us:       float64(sendTime.Quantile(0.99)) / 1e3,
-		EgressBatches:         s.hub.Batches(),
-		BatchedBytes:          s.hub.BatchedBytes(),
-		EgressSyscalls:        s.hub.SendSyscalls(),
-		Vectorized:            s.hub.Vectorized(),
-		GSO:                   s.hub.GSO(),
-		Superframes:           superframes,
-		GSOSegments:           gsoSegments,
-		SegmentsPerSuperframe: ratio(gsoSegments, superframes),
-		SegmentsPerSyscall:    ratio(gsoSegments, s.hub.GSOSyscalls()),
-		GSOFallbacks:          s.hub.GSOFallbacks(),
-		BatchedReads:          ing.BatchedReads,
-		ReadSyscalls:          ing.ReadSyscalls,
-		ReadsPerSyscall:       ratio(ing.BatchedReads, ing.ReadSyscalls),
-		GroSegments:           ing.GROSegments,
-		GroFallbacks:          ing.GROFallbacks,
-		ReadErrors:            ing.ReadErrors,
-		MembersEvicted:        s.hub.Evictions(),
-		Draining:              s.draining.Load(),
-		FaultsInjected:        injected,
-		Videos:                sch.Config().Videos,
-		ChannelsPerVideo:      sch.K(),
-		Width:                 sch.Width(),
-		SizeUnits:             append([]int64(nil), sch.Sizes()...),
-		UnitMillis:            float64(s.cfg.Unit) / float64(time.Millisecond),
-		UptimeMillis:          float64(time.Since(s.epoch)) / float64(time.Millisecond),
-		DatagramsSent:         s.hub.Sent(),
-		DatagramBytes:         s.hub.SentBytes(),
-		SendFailures:          s.hub.SendFailures(),
-		Memberships:           s.hub.TotalMembers(),
-		ControlSessions:       s.controlSessions.Value(),
-		ControlSessionsPeak:   s.controlSessions.High(),
-		FrameCache:            s.cache.stats(),
-		ControlAddr:           s.Addr(),
+		Videos:              sch.Config().Videos,
+		ChannelsPerVideo:    sch.K(),
+		Width:               sch.Width(),
+		SizeUnits:           append([]int64(nil), sch.Sizes()...),
+		UnitMillis:          float64(s.cfg.Unit) / float64(time.Millisecond),
+		UptimeMillis:        float64(time.Since(s.epoch)) / float64(time.Millisecond),
+		HubStats:            s.hub.Stats(),
+		ControlSessions:     s.controlSessions.Value(),
+		ControlSessionsPeak: s.controlSessions.High(),
+		RepairsServed:       s.repairs.Value(),
+		RepairBytes:         s.repairBytes.Value(),
+		BusyReplies:         s.busyReplies.Value(),
+		StormResends:        s.stormResends.Value(),
+		SuppressedRepairs:   s.suppressed.Value(),
+		NacksServed:         s.nacksServed.Value(),
+		NackResends:         s.nackResends.Value(),
+		NackSuppressed:      s.nackSuppressed.Value(),
+		FecGroup:            s.cfg.FecGroup,
+		FecMode:             s.cfg.FecMode,
+		ParityFrames:        s.parityFrames.Value(),
+		ParityBytes:         s.parityBytes.Value(),
+		RepairTokens:        repairTokens,
+		PacerRestarts:       s.pacerRestarts.Value(),
+		PacerDriftEvents:    s.driftEvents.Value(),
+		EgressShards:        len(s.wheel),
+		EgressWakeups:       s.wheelWakeups.Value(),
+		EgressScheduled:     s.egressScheduled.Value(),
+		EgressStaged:        s.egressStaged.Value(),
+		EgressTickSource:    s.EgressTickSource(),
+		EgressWakeLateP50Us: float64(wakeLate.Quantile(0.50)) / 1e3,
+		EgressWakeLateP99Us: float64(wakeLate.Quantile(0.99)) / 1e3,
+		EgressWakeLeadUs:    float64(s.wakeLead()) / 1e3,
+		EgressStageP50Us:    float64(stageTime.Quantile(0.50)) / 1e3,
+		EgressSendP50Us:     float64(sendTime.Quantile(0.50)) / 1e3,
+		EgressSendP99Us:     float64(sendTime.Quantile(0.99)) / 1e3,
+		Draining:            s.draining.Load(),
+		FrameCache:          s.cache.stats(),
+		FaultsInjected:      injected,
+		ControlAddr:         s.Addr(),
 	}
 }
 
@@ -261,7 +184,7 @@ func (s *Server) ServeStatus() (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.snapshot()); err != nil {
+		if err := json.NewEncoder(w).Encode(s.Status()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -220,9 +220,10 @@ func TestTickShardPanicsLeakNothing(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	settle(func() bool { return srv.PacerRestarts() >= panics })
+	settle(func() bool { return srv.Status().PacerRestarts >= panics })
 	time.Sleep(100 * time.Millisecond) // and a stretch of healthy broadcasting
-	restarts, wakeups := srv.PacerRestarts(), srv.EgressWakeups()
+	st := srv.Status()
+	restarts, wakeups := st.PacerRestarts, st.EgressWakeups
 	srv.Close()
 
 	if restarts < panics {
@@ -250,7 +251,7 @@ func TestTickCreationFailureFallsBack(t *testing.T) {
 	logs := &logCounter{t: t, marker: "timerfd tick source unavailable"}
 	srv := hourServer(t, logs.logf)
 	time.Sleep(50 * time.Millisecond)
-	snap := srv.snapshot()
+	snap := srv.Status()
 	srv.Close()
 	if snap.EgressTickSource != tickTimer {
 		t.Errorf("egressTickSource = %q, want %q", snap.EgressTickSource, tickTimer)
@@ -259,6 +260,17 @@ func TestTickCreationFailureFallsBack(t *testing.T) {
 		t.Errorf("%d fallback log lines, want %d", logs.n.Load(), want)
 	}
 	checkGoldenEquivalence(t)
+}
+
+// waitFor polls cond until it holds, failing the test once d has passed:
+// a running wheel is waited on for what it has done, not for how long.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within %v", what, d)
+		}
+	}
 }
 
 // brokenTicks is a timerfd that opens and then answers every wait with an
@@ -304,16 +316,15 @@ func TestTickReadFailureDemotes(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	source, wakeups, restarts := srv.EgressTickSource(), srv.EgressWakeups(), srv.PacerRestarts()
+	// The schedule keeps running on the timer: ten wakeups after the
+	// demotion.
+	waitFor(t, 10*time.Second, "ten wakeups on the runtime timer", func() bool {
+		st := srv.Status()
+		return st.EgressTickSource == tickTimer && st.EgressWakeups >= 10
+	})
+	restarts := srv.Status().PacerRestarts
 	srv.Close()
 
-	if source != tickTimer {
-		t.Errorf("EgressTickSource = %q after a failed wait, want %q", source, tickTimer)
-	}
-	if wakeups < 10 {
-		t.Errorf("EgressWakeups = %d, want the schedule to keep running on the timer", wakeups)
-	}
 	if restarts != 0 {
 		t.Errorf("PacerRestarts = %d, want 0 (demotion is not a restart)", restarts)
 	}
@@ -348,8 +359,10 @@ func TestWakeLateReported(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	snap, samples, wakeups := srv.snapshot(), srv.wakeLateness().Count(), srv.EgressWakeups()
+	waitFor(t, 10*time.Second, "ten wake-lateness samples", func() bool { return srv.wakeLateness().Count() >= 10 })
+	samples := srv.wakeLateness().Count()
+	snap := srv.Status()
+	wakeups := snap.EgressWakeups
 	srv.Close()
 
 	want := tickTimer
@@ -359,8 +372,8 @@ func TestWakeLateReported(t *testing.T) {
 	if snap.EgressTickSource != want {
 		t.Errorf("egressTickSource = %q, want %q", snap.EgressTickSource, want)
 	}
-	// snapshot, Count and EgressWakeups are three reads of a running
-	// server, so the counts agree only loosely.
+	// A shard counts its wakeup before it records the wakeup's lateness,
+	// and the samples were read first.
 	if samples < 10 || samples > wakeups {
 		t.Errorf("%d wake-lateness samples for %d wakeups", samples, wakeups)
 	}
@@ -536,8 +549,8 @@ func TestNackResendNeverAliasesDispatch(t *testing.T) {
 	wg.Wait()
 	recv.Close()
 	<-drained
-	if srv.StormResends() == 0 || srv.NackResends() == 0 {
-		t.Fatalf("re-sends: %d storm, %d nack; want both exercised", srv.StormResends(), srv.NackResends())
+	if st := srv.Status(); st.StormResends == 0 || st.NackResends == 0 {
+		t.Fatalf("re-sends: %d storm, %d nack; want both exercised", st.StormResends, st.NackResends)
 	}
 	if bad != 0 {
 		t.Errorf("%d datagrams failed to decode or verify", bad)

@@ -118,7 +118,7 @@ func recordWheel(t *testing.T, sch *core.Scheme, unit, d time.Duration, then fun
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.EgressShards() == 0 {
+	if srv.Status().EgressShards == 0 {
 		t.Error("wheel reports 0 shards")
 	}
 	time.Sleep(d)
@@ -184,7 +184,7 @@ func checkGoldenEquivalence(t *testing.T) {
 	sch := wheelScheme(t, 2, 3)
 	const unit = 25 * time.Millisecond
 	fired, srv := recordWheel(t, sch, unit, time.Second, nil)
-	drift, late := srv.PacerDriftEvents(), 0
+	drift, late := srv.Status().PacerDriftEvents, 0
 	for v := 0; v < 2; v++ {
 		for i := 1; i <= 3; i++ {
 			k := chanKey{v, i}
@@ -237,7 +237,8 @@ func TestWheelSustainsManyChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Second)
-	shards, wakeups, drift := srv.EgressShards(), srv.EgressWakeups(), srv.PacerDriftEvents()
+	st := srv.Status()
+	shards, wakeups, drift := st.EgressShards, st.EgressWakeups, st.PacerDriftEvents
 	srv.Close()
 
 	if max := runtime.GOMAXPROCS(0); shards < 1 || shards > max {
@@ -273,7 +274,7 @@ func TestWheelShardPanicRecovered(t *testing.T) {
 			panic("wheel_test: injected shard panic")
 		}
 	})
-	if restarts := srv.PacerRestarts(); restarts < 1 {
+	if restarts := srv.Status().PacerRestarts; restarts < 1 {
 		t.Fatalf("PacerRestarts = %d, want >= 1 after injected panic", restarts)
 	}
 	for k, f := range fired {
@@ -282,7 +283,7 @@ func TestWheelShardPanicRecovered(t *testing.T) {
 			t.Errorf("video%d/ch%d: only %d events", k.video, k.channel, len(evs))
 			continue
 		}
-		checkOnGrid(t, k, f, channelGrid(sch, k.channel, unit), unit, srv.PacerDriftEvents())
+		checkOnGrid(t, k, f, channelGrid(sch, k.channel, unit), unit, srv.Status().PacerDriftEvents)
 		// Across the restart the grid may skip chunks that fell into the
 		// backoff window, and may re-send the slot that was current when
 		// the panic hit (resync floors to the current slot — duplicates are

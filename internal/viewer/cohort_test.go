@@ -617,11 +617,11 @@ func TestTuneTurnoverAllocatesNoSlotMemory(t *testing.T) {
 		t.Errorf("a tune/untune cycle allocates %d bytes, want <= %d (1/16 of the %d-slot quota it may fill)",
 			perCycle, limit, depth)
 	}
-	if peak := rcv.SlotsPeak(); peak > burst {
+	if peak := rcv.Stats().SlotsPeak; peak > burst {
 		t.Errorf("slot peak %d over %d cycles of %d-frame bursts to two subscriptions, want <= %d (one slot per datagram)",
 			peak, cycles+3, burst, burst)
 	}
-	if n := rcv.SlotsInUse(); n != 0 {
+	if n := rcv.Stats().SlotsInUse; n != 0 {
 		t.Errorf("%d slots in use after every frame was released", n)
 	}
 }

@@ -183,7 +183,7 @@ type Result struct {
 	// mismatches (counted once per cohort on the shared path).
 	Bytes      int64 `json:"bytes"`
 	ByteErrors int64 `json:"byteErrors"`
-	// Chunk outcome sums over viewers, as in client.Stats.
+	// Chunk outcome sums over viewers.
 	LateChunks      int64 `json:"lateChunks"`
 	DuplicateChunks int64 `json:"duplicateChunks"`
 	LostChunks      int64 `json:"lostChunks"`
@@ -546,6 +546,7 @@ func (m *Mux) admit() []*cohort {
 // aggregate folds cohort-shared counters (applied to every member) and
 // per-viewer ledgers into the Result.
 func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
+	rs := m.rcv.Stats()
 	res := &Result{
 		Viewers:       m.cfg.Viewers,
 		Cohorts:       len(cohorts),
@@ -553,14 +554,14 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 		ElapsedSec:    elapsed.Seconds(),
 		PeakViewers:   m.liveViewers.High(),
 		PeakCohorts:   m.activeCohorts.High(),
-		Datagrams:     m.rcv.Delivered(),
-		RecvDropped:   m.rcv.Dropped(),
-		PeakRecvSlots: m.rcv.SlotsPeak(),
-		BatchedReads:  m.rcv.BatchedReads(),
-		ReadSyscalls:  m.rcv.ReadSyscalls(),
-		GroSegments:   m.rcv.GROSegments(),
-		GroFallbacks:  m.rcv.GROFallbacks(),
-		ReadErrors:    m.rcv.ReadErrors(),
+		Datagrams:     rs.Delivered,
+		RecvDropped:   rs.Dropped,
+		PeakRecvSlots: rs.SlotsPeak,
+		BatchedReads:  rs.BatchedReads,
+		ReadSyscalls:  rs.ReadSyscalls,
+		GroSegments:   rs.GROSegments,
+		GroFallbacks:  rs.GROFallbacks,
+		ReadErrors:    rs.ReadErrors,
 		Reconnects:    m.reconnects.Load(),
 	}
 	for _, co := range cohorts {

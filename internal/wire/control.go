@@ -62,8 +62,9 @@ type Control struct {
 	Channel int `json:"channel,omitempty"`
 	// Port is the client's UDP port for Join.
 	Port int `json:"port,omitempty"`
-	// Stats payload for KindStatsOK.
-	Stats *Stats `json:"stats,omitempty"`
+	// Stats is the KindStatsOK payload: the server's status document,
+	// carried as opaque JSON (its schema is the server's, not the wire's).
+	Stats json.RawMessage `json:"stats,omitempty"`
 	// Repair payload for KindRepair/KindRepairOK.
 	Repair *Repair `json:"repair,omitempty"`
 	// Nack payload for KindNack/KindNackOK.
@@ -93,94 +94,6 @@ type Repair struct {
 	// Data carries the chunk bytes in a KindRepairOK reply (base64 in
 	// the JSON encoding).
 	Data []byte `json:"data,omitempty"`
-}
-
-// Stats is the server's operational snapshot, returned for KindStats.
-type Stats struct {
-	// UptimeNanos is time since the broadcast epoch.
-	UptimeNanos int64 `json:"uptimeNanos"`
-	// DatagramsSent counts data chunks written to receivers.
-	DatagramsSent int64 `json:"datagramsSent"`
-	// Channels is the number of broadcast channels (videos × K).
-	Channels int `json:"channels"`
-	// Members is the current total group memberships.
-	Members int `json:"members"`
-	// RepairsServed counts unicast chunk repairs answered.
-	RepairsServed int64 `json:"repairsServed,omitempty"`
-	// RepairBytes counts the payload bytes those repairs carried.
-	RepairBytes int64 `json:"repairBytes,omitempty"`
-	// BusyReplies counts repair requests pushed back with KindBusy
-	// (admission denials and storm suppressions combined).
-	BusyReplies int64 `json:"busyReplies,omitempty"`
-	// StormResends counts coalesced repair storms answered once via a
-	// multicast re-send on the chunk's broadcast group;
-	// SuppressedRepairs the individual unicast requests those re-sends
-	// absorbed.
-	StormResends      int64 `json:"stormResends,omitempty"`
-	SuppressedRepairs int64 `json:"suppressedRepairs,omitempty"`
-	// NacksServed counts gap-bitmap NACK messages answered; NackResends
-	// the multicast re-sends those NACKs triggered; NackSuppressed the
-	// NACKed chunks absorbed because a re-send within the storm window
-	// was already in flight (the client just re-listens).
-	NacksServed    int64 `json:"nacksServed,omitempty"`
-	NackResends    int64 `json:"nackResends,omitempty"`
-	NackSuppressed int64 `json:"nackSuppressed,omitempty"`
-	// RepairDatagrams counts multicast repair re-sends (storm- and
-	// NACK-triggered) put on the wire by the hub, so the egress ledger
-	// distinguishes repair traffic from schedule traffic.
-	RepairDatagrams int64 `json:"repairDatagrams,omitempty"`
-	// RepairTokens is the current level of the repair token bucket in
-	// bytes, -1 when the budget is unlimited.
-	RepairTokens int64 `json:"repairTokens,omitempty"`
-	// PacerRestarts counts egress shards restarted by the supervisor
-	// after a panic; PacerDriftEvents counts broadcasts that missed
-	// their absolute schedule by more than one unit.
-	PacerRestarts    int64 `json:"pacerRestarts,omitempty"`
-	PacerDriftEvents int64 `json:"pacerDriftEvents,omitempty"`
-	// The egress ledger (absent on an idle server). EgressShards is how
-	// many shard goroutines drive all channel schedules; EgressWakeups
-	// their timer wakeups, each
-	// dispatching every chunk due in its tick; EgressBatches the batched
-	// hub dispatches and BatchedBytes the payload bytes they carried;
-	// EgressSyscalls the kernel send invocations (sendmmsg calls on the
-	// vectorized path, per-datagram writes otherwise), so
-	// DatagramsSent/EgressSyscalls is the achieved batching factor.
-	EgressShards   int   `json:"egressShards,omitempty"`
-	EgressWakeups  int64 `json:"egressWakeups,omitempty"`
-	EgressBatches  int64 `json:"egressBatches,omitempty"`
-	BatchedBytes   int64 `json:"batchedBytes,omitempty"`
-	EgressSyscalls int64 `json:"egressSyscalls,omitempty"`
-	// The super-frame (UDP GSO) ledger. Superframes counts GSO
-	// super-datagrams put on the wire — each one syscall slot the kernel
-	// split into several wire datagrams; GSOSegments the wire datagrams
-	// they carried, so GSOSegments/Superframes is the coalescing factor;
-	// GSOFallbacks how many times the GSO path was declined or abandoned
-	// (probe failure, kill-switch, runtime demotion).
-	Superframes  int64 `json:"superframes,omitempty"`
-	GSOSegments  int64 `json:"gsoSegments,omitempty"`
-	GSOFallbacks int64 `json:"gsoFallbacks,omitempty"`
-	// The proactive FEC ledger. ParityFrames counts parity frames put
-	// on the wire alongside the broadcast schedule; ParityBytes their
-	// total encoded bytes, so ParityBytes/BatchedBytes bounds the
-	// stripe's bandwidth overhead (≤ 1/G by construction).
-	ParityFrames int64 `json:"parityFrames,omitempty"`
-	ParityBytes  int64 `json:"parityBytes,omitempty"`
-	// The ingress ledger, summed over every shared receiver the process
-	// has opened (absent on a process that never receives).
-	// BatchedReads counts datagrams drained through the recvmmsg rung
-	// (after GRO splitting); ReadSyscalls every kernel receive
-	// invocation, so BatchedReads/ReadSyscalls is the achieved ingress
-	// batching factor; GroSegments frames recovered from coalesced GRO
-	// super-frames; GroFallbacks declines/demotions of the GRO rung;
-	// ReadErrors failed socket reads.
-	BatchedReads int64 `json:"batchedReads,omitempty"`
-	ReadSyscalls int64 `json:"readSyscalls,omitempty"`
-	GroSegments  int64 `json:"groSegments,omitempty"`
-	GroFallbacks int64 `json:"groFallbacks,omitempty"`
-	ReadErrors   int64 `json:"readErrors,omitempty"`
-	// Draining reports a server in graceful shutdown: no new
-	// connections, in-flight repairs finishing.
-	Draining bool `json:"draining,omitempty"`
 }
 
 // Welcome describes the broadcast the server is running, everything a

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -44,9 +45,8 @@ func FuzzControlDecode(f *testing.F) {
 		{Kind: wire.KindError, Error: "join: no channel 9/9"},
 		{Kind: wire.KindBye},
 		{Kind: wire.KindStats},
-		{Kind: wire.KindStatsOK, Stats: &wire.Stats{UptimeNanos: 5, DatagramsSent: 6, Channels: 7, Members: 8,
-			RepairsServed: 9, RepairBytes: 10, BusyReplies: 11, StormResends: 12, SuppressedRepairs: 13,
-			RepairTokens: 14, PacerRestarts: 15, PacerDriftEvents: 16, Draining: true}},
+		{Kind: wire.KindStatsOK, Stats: json.RawMessage(`{"videos":2,"datagramsSent":6,"memberships":8,"repairTokens":-1,` +
+			`"frameCache":{"hits":1,"misses":2,"bytes":64},"egressTickSource":"timerfd","draining":true}`)},
 		{Kind: wire.KindRepair, Repair: &wire.Repair{Video: 1, Channel: 2, Seq: 7, Offset: 1024, Length: 512}},
 		{Kind: wire.KindRepairOK, Repair: &wire.Repair{Video: 1, Channel: 2, Seq: 7, Offset: 1024, Length: 4, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
 		{Kind: wire.KindBusy, RetryAfterNanos: 25e6},
@@ -65,6 +65,9 @@ func FuzzControlDecode(f *testing.F) {
 	f.Add([]byte(`{"kind":"busy","retryAfterNanos":-1}` + "\n"))
 	f.Add([]byte(`{"kind":"repair"`)) // truncated mid-message
 	f.Add([]byte(`{"kind":"repair","repair":{"offset":-9223372036854775808,"length":-1}}` + "\n"))
+	// A stats payload with insignificant whitespace and an HTML-escapable
+	// string: decoded as sent, re-encoded compact.
+	f.Add([]byte(`{"kind":"statsok","stats":{ "controlAddr" : "<a&b>" , "sizeUnits" : [ 1, 2 ] }}` + "\n"))
 	// Malformed gap bitmaps: missing payload, empty, non-canonical
 	// trailing zero, negative base, a base whose last chunk index overflows
 	// (it once crashed the server), oversized. All must be rejected with a
@@ -101,6 +104,13 @@ func FuzzControlDecode(f *testing.F) {
 		again, err := wire.ReadControl(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("canonical re-encode stopped decoding: %v", err)
+		}
+		if m.Stats != nil {
+			// The stats payload is opaque JSON, and json.Marshal compacts
+			// (and HTML-escapes) a RawMessage: compare its canonical form.
+			if m.Stats, err = json.Marshal(m.Stats); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if !reflect.DeepEqual(m, again) {
 			t.Fatalf("decode/encode/decode not idempotent:\n 1st: %+v\n 2nd: %+v", m, again)
