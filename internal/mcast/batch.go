@@ -111,7 +111,7 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	if h.closed.Load() {
 		return 0, fmt.Errorf("mcast: hub closed")
 	}
-	m := *h.members.Load()
+	m := h.members.load()
 	bb := batchPool.Get().(*batchBuf)
 	var first error
 	if h.vectorized.Load() {
@@ -120,7 +120,7 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 		ds := bb.ds[:0]
 		for ei := range entries {
 			g := entries[ei].Group
-			for _, ap := range m[g] {
+			for _, ap := range m.list(g) {
 				ds = append(ds, dest{ap: ap, frame: entries[ei].Frame, group: g})
 			}
 		}

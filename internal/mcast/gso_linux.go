@@ -167,7 +167,7 @@ func (h *Hub) SetGSO(on bool) bool {
 // are the contiguous ds[lo:hi). Every member receives exactly the frames
 // writeDestsGeneric would send it, in the same order — the golden
 // equivalence gate holds — and failed destinations are marked in place.
-func (h *Hub) writeDestsStaged(bb *batchBuf, m membership, entries []BatchEntry) error {
+func (h *Hub) writeDestsStaged(bb *batchBuf, m groupMap[netip.AddrPort], entries []BatchEntry) error {
 	gb := bb.stage
 	if gb == nil {
 		gb = &gsoBuf{byAddr: make(map[netip.AddrPort]int32)}
@@ -177,7 +177,7 @@ func (h *Hub) writeDestsStaged(bb *batchBuf, m membership, entries []BatchEntry)
 	exp, next, chains := gb.exp[:0], gb.next[:0], gb.chains[:0]
 	for ei := range entries {
 		g := entries[ei].Group
-		for _, ap := range m[g] {
+		for _, ap := range m.list(g) {
 			k := int32(len(exp))
 			exp = append(exp, dest{ap: ap, frame: entries[ei].Frame, group: g})
 			next = append(next, -1)

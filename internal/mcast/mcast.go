@@ -6,17 +6,19 @@
 // leave at will), physically unicast datagrams, which preserves exactly the
 // delivery behavior the broadcasting schemes depend on.
 //
-// Membership is kept in copy-on-write snapshots behind an atomic pointer:
-// Join and Leave copy under a mutex, while Send and SendBatch — the hot
-// path of every egress shard — read the current snapshot with no locking
-// and no allocation. Delivery is best-effort, as multicast is: one
-// failing receiver never starves the rest of the group.
+// Membership is kept copy-on-write behind atomic pointers (groupLists):
+// Join and Leave replace one group's member list under a mutex, while
+// Send and SendBatch — the hot path of every egress shard — read the
+// current lists with no locking and no allocation. Delivery is
+// best-effort, as multicast is: one failing receiver never starves the
+// rest of the group.
 package mcast
 
 import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -42,10 +44,59 @@ type Sender interface {
 	Send(g Group, frame []byte) (int, error)
 }
 
-// membership is one immutable snapshot of every group's subscribers.
-// Snapshots are never mutated after publication; Join and Leave build a
-// replacement and swap the pointer.
-type membership map[Group][]netip.AddrPort
+// groupMap is one immutable snapshot of which groups have members: each
+// present group maps to its member list, which writers replace (never
+// mutate) behind its own atomic pointer. A group is present exactly when
+// its list is non-empty.
+type groupMap[T any] map[Group]*atomic.Pointer[[]T]
+
+// list returns group g's current members.
+func (m groupMap[T]) list(g Group) []T {
+	if p := m[g]; p != nil {
+		return *p.Load()
+	}
+	return nil
+}
+
+// groupLists is a copy-on-write registry of one member list per group,
+// read without locks. Writers, serialized by their owner's mutex, publish
+// a fresh list for the group they touch; only a group's first member or
+// last leaver publishes a new map, so a join or leave copies one group's
+// list, not every group's. The hub's membership and the shared
+// receiver's subscriptions are both one.
+type groupLists[T any] struct{ m atomic.Pointer[groupMap[T]] }
+
+// init publishes the empty map, so the registry is never the zero value.
+func (gl *groupLists[T]) init() { gl.m.Store(&groupMap[T]{}) }
+
+// load returns the current snapshot — one atomic load.
+func (gl *groupLists[T]) load() groupMap[T] { return *gl.m.Load() }
+
+// store publishes list as group g's members (writers only; list must
+// never be mutated afterwards). An empty list removes the group.
+func (gl *groupLists[T]) store(g Group, list []T) {
+	cur := gl.load()
+	p := cur[g]
+	switch {
+	case p != nil && len(list) > 0:
+		p.Store(&list)
+		return
+	case p == nil && len(list) == 0:
+		return
+	}
+	next := make(groupMap[T], len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	if len(list) == 0 {
+		delete(next, g)
+	} else {
+		p = new(atomic.Pointer[[]T])
+		p.Store(&list)
+		next[g] = p
+	}
+	gl.m.Store(&next)
+}
 
 // EvictAfterFailures is how many consecutive send failures remove a member
 // from its group: a receiver whose address errors on every write (torn
@@ -66,7 +117,7 @@ type Hub struct {
 	// mu serializes the writers (Join, Leave, Close). Send never takes it.
 	mu      sync.Mutex
 	conn    *net.UDPConn
-	members atomic.Pointer[membership]
+	members groupLists[netip.AddrPort]
 	closed  atomic.Bool
 	logf    func(format string, args ...any)
 
@@ -163,8 +214,7 @@ func NewHubConfigured(cfg HubConfig) (*Hub, error) {
 	if h.logf == nil {
 		h.logf = func(string, ...any) {}
 	}
-	m := make(membership)
-	h.members.Store(&m)
+	h.members.init()
 	h.initVectorized()
 	h.initGSO()
 	return h, nil
@@ -175,17 +225,6 @@ func NewHubConfigured(cfg HubConfig) (*Hub, error) {
 func addrPort(addr *net.UDPAddr) netip.AddrPort {
 	ap := addr.AddrPort()
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-}
-
-// clone copies the snapshot, deep-copying only group g — the one the
-// caller is about to edit; other groups share their (immutable) slices.
-func (m membership) clone(g Group) membership {
-	next := make(membership, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	next[g] = append([]netip.AddrPort(nil), m[g]...)
-	return next
 }
 
 // Join subscribes addr to group g. Joining twice is a no-op.
@@ -199,15 +238,11 @@ func (h *Hub) Join(g Group, addr *net.UDPAddr) error {
 	if h.closed.Load() {
 		return fmt.Errorf("mcast: hub closed")
 	}
-	cur := *h.members.Load()
-	for _, have := range cur[g] {
-		if have == ap {
-			return nil
-		}
+	cur := h.members.load().list(g)
+	if slices.Contains(cur, ap) {
+		return nil
 	}
-	next := cur.clone(g)
-	next[g] = append(next[g], ap)
-	h.members.Store(&next)
+	h.members.store(g, append(cur[:len(cur):len(cur)], ap))
 	return nil
 }
 
@@ -224,25 +259,12 @@ func (h *Hub) Leave(g Group, addr *net.UDPAddr) {
 	h.forgetLocked(memberKey{g, ap})
 }
 
-// removeLocked drops ap from group g in a fresh snapshot. Callers hold mu.
+// removeLocked drops ap from group g in a fresh list. Callers hold mu.
 func (h *Hub) removeLocked(g Group, ap netip.AddrPort) {
-	cur := *h.members.Load()
-	idx := -1
-	for i, have := range cur[g] {
-		if have == ap {
-			idx = i
-			break
-		}
+	cur := h.members.load().list(g)
+	if idx := slices.Index(cur, ap); idx >= 0 {
+		h.members.store(g, slices.Delete(slices.Clone(cur), idx, idx+1))
 	}
-	if idx < 0 {
-		return
-	}
-	next := cur.clone(g)
-	next[g] = append(next[g][:idx], next[g][idx+1:]...)
-	if len(next[g]) == 0 {
-		delete(next, g)
-	}
-	h.members.Store(&next)
 }
 
 // forgetLocked clears ap's failure record. Callers hold mu.
@@ -282,25 +304,31 @@ func (h *Hub) noteSuccess(g Group, ap netip.AddrPort) {
 
 // Members returns the current subscriber count of g.
 func (h *Hub) Members(g Group) int {
-	return len((*h.members.Load())[g])
+	return len(h.members.load().list(g))
 }
 
 // Listeners is a read-only view of one membership snapshot: which groups
 // had a member at the moment it was taken. A tick-driven sender takes one
 // per tick and skips building frames for groups nobody hears; a member
 // that joins after the snapshot starts with the next tick. Snapshots are
-// immutable, so two Listeners compare equal (==) exactly when no Join,
-// Leave or eviction separates them — a sender that remembers the answers
-// it drew from one need not ask again until the comparison fails. The
-// zero Listeners hears nothing.
-type Listeners struct{ m *membership }
+// immutable, so two Listeners compare equal (==) exactly when no group
+// gained its first member or lost its last in between — a sender that
+// remembers the answers it drew from one need not ask again until the
+// comparison fails. The zero Listeners hears nothing.
+type Listeners struct{ m *groupMap[netip.AddrPort] }
 
 // Listeners returns the current membership snapshot — one atomic load, no
 // lock, no allocation.
-func (h *Hub) Listeners() Listeners { return Listeners{h.members.Load()} }
+func (h *Hub) Listeners() Listeners { return Listeners{h.members.m.Load()} }
 
 // Heard reports whether g had at least one member.
-func (l Listeners) Heard(g Group) bool { return l.m != nil && len((*l.m)[g]) > 0 }
+func (l Listeners) Heard(g Group) bool {
+	if l.m == nil {
+		return false
+	}
+	_, ok := (*l.m)[g]
+	return ok
+}
 
 // Send delivers one datagram to every current member of g, returning how
 // many receivers it was written to. A send to an empty group succeeds and
@@ -378,8 +406,9 @@ func (h *Hub) Stats() HubStats {
 		GSOSyscalls:     h.gsoSyscalls.Value(),
 		GSOFallbacks:    h.gsoFallbacks.Value(),
 	}
-	for _, m := range *h.members.Load() {
-		st.Memberships += len(m)
+	m := h.members.load()
+	for g := range m {
+		st.Memberships += len(m.list(g))
 	}
 	if st.Superframes > 0 {
 		st.SegmentsPerSuperframe = float64(st.GSOSegments) / float64(st.Superframes)

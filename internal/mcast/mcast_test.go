@@ -2,6 +2,7 @@ package mcast
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -552,5 +553,52 @@ func TestListenersSnapshot(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Listeners+Heard allocates %v times, want 0", allocs)
+	}
+}
+
+// allocBytes is the heap bytes one call of f allocates, averaged over n.
+func allocBytes(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestMembershipCopiesOneGroup: a Join or Leave that leaves its group
+// heard replaces that group's member list only — the snapshot a sender
+// compares does not change, and the cost does not grow with the groups
+// the hub holds.
+func TestMembershipCopiesOneGroup(t *testing.T) {
+	hub, err := NewHub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	first := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	second := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 10}
+	for ch := range 500 {
+		if err := hub.Join(Group{Video: 1, Channel: ch}, first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := Group{Video: 1, Channel: 7}
+	before := hub.Listeners()
+	per := allocBytes(200, func() {
+		if err := hub.Join(g, second); err != nil {
+			t.Fatal(err)
+		}
+		if hub.Members(g) != 2 {
+			t.Fatalf("group holds %d members after the second join, want 2", hub.Members(g))
+		}
+		hub.Leave(g, second)
+	})
+	if hub.Listeners() != before || hub.Members(g) != 1 {
+		t.Errorf("a join and leave inside a heard group replaced the snapshot, or left %d members", hub.Members(g))
+	}
+	if per > 256 {
+		t.Errorf("Join+Leave inside a heard group of a 500-group hub allocates %d B, want <= 256 (one group's list)", per)
 	}
 }

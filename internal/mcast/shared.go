@@ -76,10 +76,10 @@ type SharedReceiverConfig struct {
 // datagram per syscall through the portable path — behavior-identical,
 // just slower.
 //
-// The dispatch path mirrors Send's discipline: subscriptions live in
-// copy-on-write snapshots behind an atomic pointer (Subscribe and
-// Unsubscribe copy under a mutex, the read loop only loads). Each
-// datagram is copied ONCE per slot size into a slot of a receiver-owned
+// The dispatch path mirrors Send's discipline: subscriptions live in a
+// copy-on-write groupLists (Subscribe and Unsubscribe replace one
+// group's list under a mutex, the read loop only loads). Each datagram
+// is copied ONCE per slot size into a slot of a receiver-owned
 // arena (see slotArena), and that one slot is queued on every
 // subscription of the group that had quota for it, with a reference
 // count the last Release drops; slot handoff rides buffered int
@@ -115,7 +115,7 @@ type SharedReceiver struct {
 	// loop takes it only to collect retired subscriptions, and only when
 	// retiring says there are some.
 	mu     sync.Mutex
-	subs   atomic.Pointer[subMap]
+	subs   groupLists[*Subscription]
 	closed atomic.Bool
 	done   chan struct{}
 
@@ -141,11 +141,6 @@ type SharedReceiver struct {
 	groFallbacks metrics.PaddedCounter
 	readErrors   metrics.PaddedCounter
 }
-
-// subMap is one immutable snapshot of every group's subscriptions. Within
-// a group, subscriptions sharing an arena are adjacent, so the fan-out
-// walks one run per slot size.
-type subMap map[Group][]*Subscription
 
 // arenaPageSlots is how many slots the arena adds per growth step: small
 // enough that a lightly loaded receiver holds a few dozen KiB, large
@@ -284,8 +279,7 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 		done:     make(chan struct{}),
 		arenas:   make(map[int]*slotArena),
 	}
-	m := make(subMap)
-	s.subs.Store(&m)
+	s.subs.init()
 	s.initRecv()
 	go s.run()
 	return s, nil
@@ -321,29 +315,18 @@ func (s *SharedReceiver) Subscribe(g Group, depth, slotBytes int) (*Subscription
 		// Sized to the quota, so handing over a filled slot never blocks.
 		ready: make(chan int, depth),
 	}
-	cur := *s.subs.Load()
-	next := cur.clone(g)
 	// Insert behind the last subscription on the same arena (or at the
-	// end), keeping each slot size one contiguous run.
-	list, at := next[g], len(next[g])
+	// end), keeping each slot size one contiguous run: the fan-out walks
+	// one run per slot size.
+	list := s.subs.load().list(g)
+	at := len(list)
 	for i, have := range list {
 		if have.arena == arena {
 			at = i + 1
 		}
 	}
-	next[g] = slices.Insert(list, at, sub)
-	s.subs.Store(&next)
+	s.subs.store(g, slices.Insert(slices.Clone(list), at, sub))
 	return sub, nil
-}
-
-// clone copies the snapshot, deep-copying only group g's slice.
-func (m subMap) clone(g Group) subMap {
-	next := make(subMap, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	next[g] = append([]*Subscription(nil), m[g]...)
-	return next
 }
 
 // Unsubscribe detaches sub and hands it to the read loop for retirement.
@@ -356,23 +339,12 @@ func (m subMap) clone(g Group) subMap {
 func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := *s.subs.Load()
-	idx := -1
-	for i, have := range cur[sub.g] {
-		if have == sub {
-			idx = i
-			break
-		}
-	}
+	list := s.subs.load().list(sub.g)
+	idx := slices.Index(list, sub)
 	if idx < 0 {
 		return
 	}
-	next := cur.clone(sub.g)
-	next[sub.g] = append(next[sub.g][:idx], next[sub.g][idx+1:]...)
-	if len(next[sub.g]) == 0 {
-		delete(next, sub.g)
-	}
-	s.subs.Store(&next)
+	s.subs.store(sub.g, slices.Delete(slices.Clone(list), idx, idx+1))
 	s.retired = append(s.retired, sub)
 	s.retiring.Store(true)
 }
@@ -433,13 +405,13 @@ func (s *SharedReceiver) run() {
 	// Wake every consumer: snapshot under mu so a racing Subscribe (which
 	// fails after closed is set) cannot add an unclosed channel.
 	s.mu.Lock()
-	subs := *s.subs.Load()
-	s.mu.Unlock()
-	for _, list := range subs {
-		for _, sub := range list {
+	subs := s.subs.load()
+	for g := range subs {
+		for _, sub := range subs.list(g) {
 			close(sub.ready)
 		}
 	}
+	s.mu.Unlock()
 }
 
 // readSingle is the portable rung: one datagram per kernel crossing. It
@@ -488,7 +460,7 @@ func (s *SharedReceiver) dispatch(frame []byte) {
 		s.unroutable.Inc()
 		return
 	}
-	s.fanOut((*s.subs.Load())[g], frame)
+	s.fanOut(s.subs.load().list(g), frame)
 }
 
 // dispatchFrames routes a whole received batch under ONE subscription-
@@ -499,14 +471,14 @@ func (s *SharedReceiver) dispatch(frame []byte) {
 // subscription observes is identical to what per-datagram dispatch would
 // have produced.
 func (s *SharedReceiver) dispatchFrames(frames [][]byte) {
-	subs := *s.subs.Load()
+	subs := s.subs.load()
 	for _, frame := range frames {
 		g, ok := s.classify(frame)
 		if !ok {
 			s.unroutable.Inc()
 			continue
 		}
-		s.fanOut(subs[g], frame)
+		s.fanOut(subs.list(g), frame)
 	}
 }
 

@@ -272,3 +272,34 @@ func TestSharedRecvZeroAlloc(t *testing.T) {
 		t.Errorf("dispatch allocates %v objects per datagram, want 0", allocs)
 	}
 }
+
+// TestSubscriptionsCopyOneGroup: subscribing to, and leaving, a group that
+// keeps a subscription replaces that group's list only, at a cost that
+// does not grow with the groups the receiver serves.
+func TestSubscriptionsCopyOneGroup(t *testing.T) {
+	s, err := NewSharedReceiver(0, testClassify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for ch := range 500 {
+		if _, err := s.Subscribe(Group{Video: 1, Channel: ch}, 4, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := Group{Video: 1, Channel: 7}
+	before := s.subs.m.Load()
+	per := allocBytes(200, func() {
+		sub, err := s.Subscribe(g, 4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Unsubscribe(sub)
+	})
+	if s.subs.m.Load() != before {
+		t.Error("a subscription inside a subscribed group replaced the group map")
+	}
+	if per > 1024 {
+		t.Errorf("Subscribe+Unsubscribe inside a subscribed group of 500 allocates %d B, want <= 1024 (one group's list)", per)
+	}
+}

@@ -8,6 +8,8 @@
 // compile everywhere, and the kill-switches have nothing to switch off.
 package mcast
 
+import "net/netip"
+
 // gsoCompiled and recvCompiled report at compile time whether this build
 // contains the egress and ingress fast paths; tests use them to decide
 // what the kill-switches can prove.
@@ -28,7 +30,7 @@ func (h *Hub) initGSO()        {}
 func (h *Hub) SetVectorized(on bool) bool { return false }
 func (h *Hub) SetGSO(on bool) bool        { return false }
 
-func (h *Hub) writeDestsStaged(*batchBuf, membership, []BatchEntry) error {
+func (h *Hub) writeDestsStaged(*batchBuf, groupMap[netip.AddrPort], []BatchEntry) error {
 	panic("mcast: sendmmsg stager invoked without platform support")
 }
 

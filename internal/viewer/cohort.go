@@ -105,24 +105,20 @@ func (c *cohort) run(groups []series.Group) error {
 	for _, d := range plan.Downloads {
 		byLoader[d.Loader] = append(byLoader[d.Loader], d)
 	}
+	// The cohort's own goroutine is the odd loader (every plan's first
+	// group is odd); only the even loader gets a goroutine of its own.
+	var evenErr error
 	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, ld := range []core.LoaderID{core.OddLoader, core.EvenLoader} {
-		downloads := byLoader[ld]
-		if len(downloads) == 0 {
-			continue
-		}
+	if even := byLoader[core.EvenLoader]; len(even) > 0 {
 		wg.Add(1)
-		go func(ld core.LoaderID, downloads []core.Download) {
+		go func() {
 			defer wg.Done()
-			if err := c.loader(downloads); err != nil {
-				errs <- fmt.Errorf("viewer: cohort (video %d, start %d) %v loader: %w", c.video, c.playStartUnit, ld, err)
-			}
-		}(ld, downloads)
+			evenErr = c.loader(core.EvenLoader, even)
+		}()
 	}
+	oddErr := c.loader(core.OddLoader, byLoader[core.OddLoader])
 	wg.Wait()
-	close(errs)
-	return <-errs
+	return errors.Join(oddErr, evenErr)
 }
 
 // tuneEntry is one fragment on a loader's tuning schedule: which channel
@@ -138,10 +134,10 @@ type tuneEntry struct {
 	sub      *mcast.Subscription // non-nil once tuned
 }
 
-// loader receives this loader's transmission groups in order — one of the
+// loader receives loader ld's transmission groups in order — one of the
 // paper's two loader routines, its tuner a subscription on the shared
 // socket.
-func (c *cohort) loader(downloads []core.Download) error {
+func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 	m := c.mux
 	// Flatten the schedule so each fragment's receive loop can see its
 	// successor: consecutive broadcast windows on a skyscraper loader abut
@@ -176,7 +172,8 @@ func (c *cohort) loader(downloads []core.Download) error {
 				m.rcv.Unsubscribe(next.sub)
 				m.jm.leave(mcast.Group{Video: c.video, Channel: next.channel})
 			}
-			return fmt.Errorf("group %d %v channel %d: %w", e.g.Index, e.g, e.channel, err)
+			return fmt.Errorf("viewer: cohort (video %d, start %d) %v loader: group %d %v channel %d: %w",
+				c.video, c.playStartUnit, ld, e.g.Index, e.g, e.channel, err)
 		}
 	}
 	return nil
@@ -219,27 +216,18 @@ type cohortFrag struct {
 	params FragmentParams
 	m      *Machine
 
-	// diverged marks chunks handed to the per-viewer plane (loader-owned).
-	diverged []bool
-	// divergedIdx lists those chunks in hand-over order, so the loader and
-	// the workers walk the divergence, not the fragment. The loader fills
-	// the next element and then publishes it by bumping ndiverged; workers
-	// read only the first ndiverged elements. It and the two arrays below
-	// are sized for the whole fragment at the first divergence — before
-	// any worker can see the fragment — and never reallocated.
-	divergedIdx []int
-	ndiverged   atomic.Int64
-	// arrived records the broadcast arrival (unix nanos) of each diverged
-	// chunk, once; workers book it into viewer machines that still miss
-	// it. healed marks the recorded arrival as a stripe reconstruction
-	// (set before the arrived store publishes it), so workers book it as
-	// a FEC heal rather than a broadcast chunk.
-	arrived []atomic.Int64
-	healed  []atomic.Bool
-	// held marks a diverged chunk some member already holds — off the
-	// broadcast or by its own unicast repair, whichever came first — so
-	// the buffer ledger counts it once.
-	held []atomic.Bool
+	// diverged marks chunks handed to the per-viewer plane (loader-owned;
+	// nil until the fragment's first divergence).
+	diverged bitset
+	// divs records those chunks in hand-over order, so the loader and the
+	// workers walk the divergence, not the fragment, and memory follows
+	// the chunks diverged. The loader fills the next record and then
+	// publishes it by bumping ndiverged; workers read only the first
+	// ndiverged, through divergence. Records live in fixed blocks that never
+	// move: a full table is replaced by a longer copy sharing its blocks,
+	// so nothing a worker reads is ever reallocated under it.
+	divs      atomic.Pointer[[]*divBlock]
+	ndiverged atomic.Int64
 	// vfs are the per-viewer fragments, materialized at first divergence.
 	vfs []*viewerFrag
 	// pending counts unfinished viewer fragments; inflight counts
@@ -256,10 +244,68 @@ type cohortFrag struct {
 	heals  []Heal
 }
 
-// creditFirst credits diverged chunk idx to the buffer ledger unless some
+// divergence is the shared record of one diverged chunk.
+type divergence struct {
+	idx int
+	// arrived records the chunk's broadcast arrival (unix nanos), once;
+	// workers book it into viewer machines that still miss it. healed
+	// marks the recorded arrival as a stripe reconstruction (set before
+	// the arrived store publishes it), so workers book it as a FEC heal
+	// rather than a broadcast chunk.
+	arrived atomic.Int64
+	healed  atomic.Bool
+	// held marks the chunk held by some member — off the broadcast or by
+	// its own unicast repair, whichever came first — so the buffer ledger
+	// counts it once.
+	held atomic.Bool
+}
+
+// divBlockLen is how many divergence records one block holds.
+const divBlockLen = 8
+
+type divBlock [divBlockLen]divergence
+
+// addDivergence marks chunk idx diverged and publishes its record
+// (loader only).
+func (f *cohortFrag) addDivergence(idx int) {
+	if f.diverged == nil {
+		f.diverged = newBitset(f.m.NChunks())
+	}
+	f.diverged.set(idx)
+	k := int(f.ndiverged.Load())
+	var blocks []*divBlock
+	if p := f.divs.Load(); p != nil {
+		blocks = *p
+	}
+	if k == len(blocks)*divBlockLen {
+		blocks = append(blocks[:len(blocks):len(blocks)], new(divBlock))
+		f.divs.Store(&blocks)
+	}
+	blocks[k/divBlockLen][k%divBlockLen].idx = idx
+	f.ndiverged.Store(int64(k + 1))
+}
+
+// divergence returns published record k (k < ndiverged); safe from any
+// goroutine.
+func (f *cohortFrag) divergence(k int) *divergence {
+	blocks := *f.divs.Load()
+	return &blocks[k/divBlockLen][k%divBlockLen]
+}
+
+// divergenceOf returns diverged chunk idx's record.
+func (f *cohortFrag) divergenceOf(idx int) *divergence {
+	for k := range int(f.ndiverged.Load()) {
+		if d := f.divergence(k); d.idx == idx {
+			return d
+		}
+	}
+	return nil
+}
+
+// creditFirst credits diverged chunk d to the buffer ledger unless some
 // member already holds it.
-func (f *cohortFrag) creditFirst(idx, n int, now time.Time) {
-	if f.held[idx].CompareAndSwap(false, true) {
+func (f *cohortFrag) creditFirst(d *divergence, n int, now time.Time) {
+	if d.held.CompareAndSwap(false, true) {
 		f.c.credit(n, now)
 	}
 }
@@ -353,11 +399,11 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 		}
 	}
 	f.m = NewMachine(op)
-	f.diverged = make([]bool, f.m.NChunks())
 	// One stripe reassembler serves the whole cohort: a reconstruction on
 	// the shared path heals every member at once, exactly like a chunk
 	// caught off the broadcast.
-	f.stripe = NewStripe(m.w.FecGroup, m.w.FecMode, m.w.ChunkBytes, f.m.NChunks())
+	f.stripe = m.stripes.stripe(f.m.NChunks())
+	defer f.stripe.recycle()
 
 	// Join ahead of the broadcast start — unless the previous fragment's
 	// receive loop already tuned this entry during its handoff overlap.
@@ -407,8 +453,8 @@ drain:
 			// their loss deadlines — lingering here would delay this
 			// loader's next fragment past its join time. Only the loader
 			// goroutine submits work, so the zero reading is stable.
-			for _, idx := range f.divergedIdx[:f.ndiverged.Load()] {
-				f.m.ResolveRepaired(idx)
+			for k := range int(f.ndiverged.Load()) {
+				f.m.ResolveRepaired(f.divergence(k).idx)
 			}
 		}
 		if f.m.Done() && f.pending.Load() == 0 && f.inflight.Load() == 0 {
@@ -553,8 +599,9 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 		return nil // post-deadline stray
 	}
 	idx := int(ch.Offset) / m.w.ChunkBytes
-	if f.diverged[idx] {
-		if f.arrived[idx].Load() != 0 {
+	if f.diverged != nil && f.diverged.has(idx) {
+		d := f.divergenceOf(idx)
+		if d.arrived.Load() != 0 {
 			// A further broadcast copy of an already-recorded divergent
 			// chunk: booked cohort-wide.
 			c.dup.Add(1)
@@ -563,8 +610,8 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 		if bad := content.Verify(ch.Payload, c.video, f.videoBase+int64(ch.Offset)); bad >= 0 {
 			c.byteErrors.Add(1)
 		}
-		f.creditFirst(idx, len(ch.Payload), now)
-		f.arrived[idx].Store(now.UnixNano())
+		f.creditFirst(d, len(ch.Payload), now)
+		d.arrived.Store(now.UnixNano())
 		// The shared machine no longer waits on it; viewers that still
 		// miss it book the recorded arrival on their own clocks.
 		f.m.ResolveRepaired(idx)
@@ -606,14 +653,15 @@ func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
 	for _, h := range f.heals {
 		idx := h.Idx
 		payload := h.Payload[:chunkLen(f.params.TotalBytes, f.params.ChunkBytes, idx)]
-		if f.diverged[idx] {
-			if f.arrived[idx].Load() != 0 {
+		if f.diverged != nil && f.diverged.has(idx) {
+			d := f.divergenceOf(idx)
+			if d.arrived.Load() != 0 {
 				c.dup.Add(1)
 				continue
 			}
-			f.creditFirst(idx, len(payload), now)
-			f.healed[idx].Store(true)
-			f.arrived[idx].Store(now.UnixNano())
+			f.creditFirst(d, len(payload), now)
+			d.healed.Store(true)
+			d.arrived.Store(now.UnixNano())
 			f.m.ResolveRepaired(idx)
 			for _, vf := range f.vfs {
 				m.submit(vf, -1)
@@ -639,19 +687,8 @@ func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
 // pre-resolved, so per-viewer work stays proportional to divergence, not
 // fragment size; later gaps re-arm (reopen) the existing machines.
 func (c *cohort) diverge(f *cohortFrag, idx int) {
-	first := f.vfs == nil
-	if first {
-		n := f.m.NChunks()
-		f.divergedIdx = make([]int, n)
-		f.arrived = make([]atomic.Int64, n)
-		f.healed = make([]atomic.Bool, n)
-		f.held = make([]atomic.Bool, n)
-	}
-	f.diverged[idx] = true
-	nd := f.ndiverged.Load()
-	f.divergedIdx[nd] = idx
-	f.ndiverged.Store(nd + 1)
-	if first {
+	f.addDivergence(idx)
+	if f.vfs == nil {
 		f.vfs = make([]*viewerFrag, len(c.viewers))
 		f.pending.Store(int64(len(c.viewers)))
 		for i, v := range c.viewers {

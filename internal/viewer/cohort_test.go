@@ -2,6 +2,7 @@ package viewer
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -377,8 +378,6 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 	op := f.params
 	op.Observe = true
 	f.m = NewMachine(op)
-	f.diverged = make([]bool, nchunks)
-	f.arrived = make([]atomic.Int64, nchunks)
 
 	// Only nchunks-1 distinct frames, so the machine never completes and
 	// repeated deliveries walk the Accepted, then the Duplicate, branch.
@@ -458,7 +457,6 @@ func TestCohortBufferLedger(t *testing.T) {
 	op := f.params
 	op.Observe = true
 	f.m = NewMachine(op)
-	f.diverged = make([]bool, nchunks)
 	f.stripe = NewStripe(4, wire.FecModeXOR, chunkBytes, nchunks)
 
 	payload := func(idx int) []byte {
@@ -500,8 +498,8 @@ func TestCohortBufferLedger(t *testing.T) {
 		t.Fatalf("parity frame healed %d chunks, want chunk 2", f.m.Stats().FecHeals)
 	}
 	deliver(5, data(4), 2048)
-	c.diverge(f, 5)                     // the gap detector hands chunk 5 to the viewer plane
-	f.creditFirst(5, chunkBytes, at(6)) // ... whose worker books viewer 0's repair (worker.step)
+	c.diverge(f, 5)                                     // the gap detector hands chunk 5 to the viewer plane
+	f.creditFirst(f.divergenceOf(5), chunkBytes, at(6)) // ... whose worker books viewer 0's repair (worker.step)
 	deliver(7, data(5), 3072-716)
 	deliver(8, data(0), 3072-819)
 	deliver(20, data(6), 1536)
@@ -658,6 +656,42 @@ func TestMergeWaitHists(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("merged %v, want %v", got, want)
+		}
+	}
+}
+
+// TestDivergenceRecordsPublish: workers read a fragment's divergence
+// records while the loader appends them across block boundaries; every
+// published record is whole, in hand-over order (run under -race).
+func TestDivergenceRecordsPublish(t *testing.T) {
+	const n = 100
+	p := testParams(time.Unix(1000, 0))
+	p.TotalBytes = n * p.ChunkBytes
+	f := &cohortFrag{m: NewMachine(p)}
+	order := func(k int) int { return 3 * k % n } // a permutation of 0..n-1
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for nd := 0; nd < n; {
+				nd = int(f.ndiverged.Load())
+				for k := range nd {
+					if d := f.divergence(k); d.idx != order(k) {
+						t.Errorf("record %d holds chunk %d, want %d", k, d.idx, order(k))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for k := range n {
+		f.addDivergence(order(k))
+	}
+	wg.Wait()
+	for k := range n {
+		if d := f.divergenceOf(order(k)); d == nil || d != f.divergence(k) || !f.diverged.has(order(k)) {
+			t.Fatalf("chunk %d: record %p, want record %d", order(k), d, k)
 		}
 	}
 }

@@ -5,11 +5,19 @@
 // arrivals so a single missing datagram — or two, with P+Q — is
 // reconstructed the moment the last covering frame lands, with zero
 // control round trips. The cohort multiplexer drives one Stripe per
-// fragment reception; the accumulators are pooled and reused, so the
-// steady-state receive path stays allocation-free.
+// fragment reception, drawn from one free list per Mux (stripePool):
+// chunk-sized accumulators go back to it once their group completes or
+// is evicted (at the stripe's next call, when the heals that alias them
+// are consumed) and the rest when the fragment ends, stripes themselves
+// when recycled. So the audience holds accumulators for the groups in
+// flight, and a recycled stripe's receive path allocates nothing.
 package viewer
 
-import "skyscraper/internal/wire"
+import (
+	"sync"
+
+	"skyscraper/internal/wire"
+)
 
 // stripeSlots is how many groups a Stripe tracks at once. Groups
 // broadcast (and complete) in schedule order; a handful of slots rides
@@ -37,65 +45,136 @@ type stripeState struct {
 	accP, accQ []byte
 }
 
-func (st *stripeState) reset(chunkBytes int, rs bool) {
-	st.got, st.gotN, st.pGot, st.qGot = 0, 0, false, false
-	if st.accP == nil {
-		st.accP = make([]byte, chunkBytes)
-	} else {
-		clear(st.accP)
+// stripePool is the free list of stripes and chunk-sized accumulators
+// shared by every Stripe of one stripe geometry: the Mux keeps one for
+// all its cohorts' fragments, which draw from it concurrently.
+type stripePool struct {
+	group, chunkBytes int
+	rs                bool
+
+	mu      sync.Mutex
+	stripes []*Stripe
+	states  []*stripeState
+}
+
+// newStripePool returns the free list for stripes of width group over
+// chunkBytes-byte chunks; mode is wire.FecModeXOR or wire.FecModeRS.
+// group <= 0 returns nil, whose stripes are nil (FEC off).
+func newStripePool(group int, mode string, chunkBytes int) *stripePool {
+	if group <= 0 {
+		return nil
 	}
-	if rs {
-		if st.accQ == nil {
-			st.accQ = make([]byte, chunkBytes)
-		} else {
-			clear(st.accQ)
+	return &stripePool{group: min(group, wire.MaxFecGroup), rs: mode == wire.FecModeRS, chunkBytes: chunkBytes}
+}
+
+// stripe draws an empty reassembly buffer for a fragment of nchunks
+// chunks; recycle returns it.
+func (p *stripePool) stripe(nchunks int) *Stripe {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	var s *Stripe
+	if n := len(p.stripes); n > 0 {
+		s = p.stripes[n-1]
+		p.stripes = p.stripes[:n-1]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		s = &Stripe{pool: p}
+		for i := range s.slots {
+			s.slots[i].g = -1
 		}
 	}
+	s.nchunks = nchunks
+	return s
+}
+
+// state draws a cleared accumulator.
+func (p *stripePool) state() *stripeState {
+	p.mu.Lock()
+	var st *stripeState
+	if n := len(p.states); n > 0 {
+		st = p.states[n-1]
+		p.states = p.states[:n-1]
+	}
+	p.mu.Unlock()
+	if st == nil {
+		st = &stripeState{accP: make([]byte, p.chunkBytes)}
+		if p.rs {
+			st.accQ = make([]byte, p.chunkBytes)
+		}
+		return st
+	}
+	st.got, st.gotN, st.pGot, st.qGot = 0, 0, false, false
+	clear(st.accP)
+	clear(st.accQ)
+	return st
 }
 
 // Stripe is the per-fragment reassembly buffer. Not safe for concurrent
 // use; the mux drives one per cohort fragment, from its receive loop.
 type Stripe struct {
-	group      int
-	rs         bool
-	chunkBytes int
-	nchunks    int
-	slots      [stripeSlots]struct {
+	pool    *stripePool
+	nchunks int
+	slots   [stripeSlots]struct {
 		g  int // group index, -1 when empty
 		st *stripeState
 	}
-	pool []*stripeState
+	// spent holds the accumulators released since the last call. A heal's
+	// payload aliases one, and the pool is shared with other cohorts, so
+	// they go back to it only at the next call (or recycle), once the
+	// caller has consumed the heals.
+	spent []*stripeState
 }
 
 // NewStripe builds the reassembly buffer for a fragment of nchunks
-// chunks under a stripe of width group. mode is wire.FecModeXOR or
-// wire.FecModeRS; group <= 0 returns nil (no stripe — callers treat a
-// nil Stripe as FEC off).
+// chunks under a stripe of width group, drawing on a free list of its
+// own. mode is wire.FecModeXOR or wire.FecModeRS; group <= 0 returns nil
+// (no stripe — callers treat a nil Stripe as FEC off).
 func NewStripe(group int, mode string, chunkBytes, nchunks int) *Stripe {
-	if group <= 0 {
-		return nil
+	return newStripePool(group, mode, chunkBytes).stripe(nchunks)
+}
+
+// recycle returns the stripe, and every accumulator it still holds, to
+// its pool; the stripe must not be used afterwards. A nil stripe is a
+// no-op.
+func (s *Stripe) recycle() {
+	if s == nil {
+		return
 	}
-	if group > wire.MaxFecGroup {
-		group = wire.MaxFecGroup
-	}
-	s := &Stripe{group: group, rs: mode == wire.FecModeRS, chunkBytes: chunkBytes, nchunks: nchunks}
 	for i := range s.slots {
-		s.slots[i].g = -1
+		if s.slots[i].st != nil {
+			s.release(i)
+		}
 	}
-	return s
+	s.flush()
+	p := s.pool
+	p.mu.Lock()
+	p.stripes = append(p.stripes, s)
+	p.mu.Unlock()
+}
+
+// flush returns the spent accumulators to the pool.
+func (s *Stripe) flush() {
+	if len(s.spent) == 0 {
+		return
+	}
+	p := s.pool
+	p.mu.Lock()
+	p.states = append(p.states, s.spent...)
+	p.mu.Unlock()
+	clear(s.spent)
+	s.spent = s.spent[:0]
 }
 
 // Group returns the stripe width G.
-func (s *Stripe) Group() int { return s.group }
+func (s *Stripe) Group() int { return s.pool.group }
 
 // count is how many data chunks group g covers (the tail group may be
 // short).
 func (s *Stripe) count(g int) int {
-	c := s.nchunks - g*s.group
-	if c > s.group {
-		c = s.group
-	}
-	return c
+	return min(s.nchunks-g*s.pool.group, s.pool.group)
 }
 
 // state finds or creates the accumulator for group g, evicting the
@@ -118,22 +197,15 @@ func (s *Stripe) state(g int) *stripeState {
 		s.release(oldest)
 		free = oldest
 	}
-	var st *stripeState
-	if n := len(s.pool); n > 0 {
-		st = s.pool[n-1]
-		s.pool = s.pool[:n-1]
-	} else {
-		st = &stripeState{}
-	}
-	st.reset(s.chunkBytes, s.rs)
+	st := s.pool.state()
 	s.slots[free].g = g
 	s.slots[free].st = st
 	return st
 }
 
-// release returns slot i's accumulator to the pool.
+// release empties slot i, its accumulator spent.
 func (s *Stripe) release(i int) {
-	s.pool = append(s.pool, s.slots[i].st)
+	s.spent = append(s.spent, s.slots[i].st)
 	s.slots[i].g = -1
 	s.slots[i].st = nil
 }
@@ -155,16 +227,17 @@ func (s *Stripe) Data(idx int, payload []byte, heals []Heal) []Heal {
 	if s == nil || idx < 0 || idx >= s.nchunks {
 		return heals
 	}
-	g := idx / s.group
+	s.flush()
+	g := idx / s.pool.group
 	st := s.state(g)
-	pos := idx - g*s.group
+	pos := idx - g*s.pool.group
 	if st.got&(1<<pos) != 0 {
 		return heals
 	}
 	st.got |= 1 << pos
 	st.gotN++
 	wire.XorAccum(st.accP, payload)
-	if s.rs {
+	if s.pool.rs {
 		wire.GfMulAccum(st.accQ, payload, wire.GfExpPow(pos))
 	}
 	return s.tryHeal(g, st, heals)
@@ -176,18 +249,22 @@ func (s *Stripe) Data(idx int, payload []byte, heals []Heal) []Heal {
 // block) are dropped — the broadcast never emits them, so they are
 // damage or misconfiguration, and folding them would corrupt heals.
 func (s *Stripe) Parity(p *wire.Parity, heals []Heal) []Heal {
-	if s == nil || int(p.Base)%s.chunkBytes != 0 {
+	if s == nil {
 		return heals
 	}
-	base := int(p.Base) / s.chunkBytes
-	if base%s.group != 0 || base >= s.nchunks {
+	s.flush()
+	if int(p.Base)%s.pool.chunkBytes != 0 {
 		return heals
 	}
-	g := base / s.group
-	if p.Count != s.count(g) || len(p.Block) < s.chunkBytes {
+	base := int(p.Base) / s.pool.chunkBytes
+	if base%s.pool.group != 0 || base >= s.nchunks {
 		return heals
 	}
-	if p.Index == 1 && !s.rs {
+	g := base / s.pool.group
+	if p.Count != s.count(g) || len(p.Block) < s.pool.chunkBytes {
+		return heals
+	}
+	if p.Index == 1 && !s.pool.rs {
 		return heals
 	}
 	st := s.state(g)
@@ -213,8 +290,8 @@ func (s *Stripe) Parity(p *wire.Parity, heals []Heal) []Heal {
 // tryHeal reconstructs whatever the group's accumulated parity can
 // prove, appending heals, and releases the group once nothing is
 // missing. Heal payloads alias the group's accumulators; they stay
-// valid until the next call into the Stripe (release only returns the
-// buffers to the pool).
+// valid until the next call into the Stripe (a released accumulator is
+// held as spent until then).
 func (s *Stripe) tryHeal(g int, st *stripeState, heals []Heal) []Heal {
 	count := s.count(g)
 	missing := count - st.gotN
@@ -222,7 +299,7 @@ func (s *Stripe) tryHeal(g int, st *stripeState, heals []Heal) []Heal {
 		s.releaseGroup(g)
 		return heals
 	}
-	base := g * s.group
+	base := g * s.pool.group
 	switch {
 	case missing == 1 && st.pGot:
 		// accP = P ⊕ (XOR of all arrived) = the one missing chunk.

@@ -2,6 +2,7 @@ package viewer
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -326,4 +327,79 @@ func TestMachineFecHealedDuplicate(t *testing.T) {
 	if st.FecHeals != 0 || st.Duplicates != 1 {
 		t.Errorf("stats = %+v, want 0 heals, 1 duplicate", st)
 	}
+}
+
+// TestStripeRecycledZeroAlloc: a stripe drawn from a warm pool receives a
+// fragment — heals on every group, one group still open at the end — and
+// goes back with every accumulator it held, allocating nothing.
+func TestStripeRecycledZeroAlloc(t *testing.T) {
+	for _, mode := range []string{wire.FecModeXOR, wire.FecModeRS} {
+		pool := newStripePool(4, mode, 8)
+		var data [12][]byte
+		for idx := range data {
+			data[idx] = fecChunk(idx)
+		}
+		p0, p1 := fecFrame(t, 0, 4, 0), fecFrame(t, 4, 4, 0)
+		q1 := fecFrame(t, 4, 4, 1)
+		heals := make([]Heal, 0, 8)
+		healed := 0
+		fragment := func() {
+			s := pool.stripe(len(data))
+			for idx := range data {
+				// Chunk 1 is lost from group 0; chunks 4 and 5 from group 1
+				// (two erasures: only P+Q heals them); group 2 never sees
+				// its parity and is still open when the fragment ends.
+				if idx == 1 || idx == 4 || idx == 5 {
+					continue
+				}
+				heals = s.Data(idx, data[idx], heals[:0])
+			}
+			heals = s.Parity(p0, heals[:0])
+			healed = len(heals)
+			heals = s.Parity(p1, heals[:0])
+			if mode == wire.FecModeRS {
+				heals = s.Parity(q1, heals)
+			}
+			healed += len(heals)
+			s.recycle()
+		}
+		fragment()
+		want := 1
+		if mode == wire.FecModeRS {
+			want = 3
+		}
+		if healed != want {
+			t.Fatalf("%s: %d heals, want %d", mode, healed, want)
+		}
+		if allocs := testing.AllocsPerRun(100, fragment); allocs != 0 {
+			t.Errorf("%s: a fragment on a recycled stripe allocates %v times, want 0", mode, allocs)
+		}
+	}
+}
+
+// TestStripePoolShared: the cohorts of one mux draw stripes from one pool
+// concurrently; every fragment still heals exactly (run under -race).
+func TestStripePoolShared(t *testing.T) {
+	pool := newStripePool(4, wire.FecModeXOR, 8)
+	p0 := fecFrame(t, 0, 4, 0)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var heals []Heal
+			for range 50 {
+				s := pool.stripe(8)
+				for _, idx := range []int{0, 2, 3, 4} {
+					heals = s.Data(idx, fecChunk(idx), heals[:0])
+				}
+				heals = s.Parity(p0, heals[:0])
+				if len(heals) != 1 || heals[0].Idx != 1 || !bytes.Equal(heals[0].Payload, fecChunk(1)) {
+					t.Errorf("%d heals, want chunk 1 healed exactly", len(heals))
+				}
+				s.recycle()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -24,6 +24,8 @@
 package viewer
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"skyscraper/internal/des"
@@ -93,7 +95,8 @@ type FragmentParams struct {
 
 	// DisableRepair turns recovery off: gaps run out their deadlines and
 	// become losses. MaxRepairAttempts caps round trips per chunk (zero
-	// selects DefaultMaxRepairAttempts). RepairsEnabled, when non-nil, is
+	// selects DefaultMaxRepairAttempts; caps past 255 are clamped to it,
+	// the per-chunk counter being a byte). RepairsEnabled, when non-nil, is
 	// consulted before scheduling each repair — the multiplexer parks
 	// repairs after a server-initiated bye. Jitter draws retry backoff
 	// (required unless DisableRepair or Observe).
@@ -114,7 +117,7 @@ type FragmentParams struct {
 	// (ActRepair/ActGap) as last resort. Requires Jitter. NackWindow is
 	// the aggregation window (zero selects two chunk intervals);
 	// MaxNackRounds caps windows joined per chunk (zero selects
-	// DefaultMaxNackRounds).
+	// DefaultMaxNackRounds; caps past 255 are clamped to it).
 	NackEnabled   bool
 	NackWindow    time.Duration
 	MaxNackRounds int
@@ -217,193 +220,266 @@ const (
 // Machine is the loader state machine for one fragment reception. It is
 // not safe for concurrent use; the cohort multiplexer serializes access
 // per cohort loader and per viewer.
+//
+// Its memory is the open gaps, not the fragment: besides two bits per
+// chunk (resolved, listed), per-chunk recovery state exists only for the
+// chunks in the active set. Every other unresolved chunk is dormant —
+// untouched since construction — and its gap checkpoint, stripe-defeat
+// instant and NACK eligibility are pure functions of the geometry
+// (dormant), recomputed when needed instead of stored.
 type Machine struct {
-	p        FragmentParams
-	nchunks  int
-	spacing  time.Duration
-	start    time.Time
-	deadline time.Time
-	wantSeq  uint32
-	maxTries int
+	p       FragmentParams // defaults and caps applied by NewMachine
+	nchunks int
+	spacing time.Duration
 
-	have     []bool
-	got      int
-	tryAt    []time.Time
-	attempts []int
-	stats    MachineStats
-
-	// NACK ladder state (nack.go); nackPhase is nil unless NackEnabled,
-	// which keeps every legacy path untouched. nackSeq numbers armed
-	// aggregation windows, providing the jitter stream.
-	nackPhase     []uint8
-	nackTries     []uint8
-	nackAt        time.Time
-	nackSeq       uint64
-	nackWindow    time.Duration
-	maxNackRounds int
-
-	// fecUntil, nil unless FecGroup is set, holds each chunk's
-	// stripe-defeat instant: a missing chunk takes no reactive action
-	// before it, and the defeat instant becomes the chunk's ladder
-	// anchor when the hold expires unhealed. A zero entry means the
-	// hold is over (defeated, healed, or reopened by the cohort).
-	fecUntil []time.Time
+	// bits holds two bitsets back to back, each nchunks bits rounded up to
+	// whole words: resolved chunks (received, repaired, or declared lost),
+	// then listed chunks (those in active).
+	bits bitset
+	got  int
 
 	// Next's incremental scan state. Every unresolved chunk is either
 	// dormant — at or past frontier and untouched since construction, so
 	// its gap checkpoint, stripe-defeat instant and loss deadline are all
-	// still ahead — or listed in active (ascending; inActive mirrors
-	// membership), where Next gives it the full per-chunk treatment.
-	// Resolved chunks leave active lazily, on Next's following pass.
+	// still ahead — or listed in active (ascending by index), where Next
+	// gives it the full per-chunk treatment. Resolved chunks leave active
+	// lazily, on Next's following pass.
 	frontier int
-	active   []int
-	inActive []bool
+	active   []openChunk
+
+	stats MachineStats
+
+	// The NACK aggregation window (nack.go): nackAt is when the armed
+	// window fires (zero when none is armed); nackSeq numbers armed
+	// windows, providing the jitter stream.
+	nackAt  time.Time
+	nackSeq uint64
 }
 
-// NewMachine builds the state machine for one fragment. The gap
-// detector's per-chunk checkpoints are fixed at construction: the server
-// paces chunk idx at start + idx*spacing, so if it has not arrived one
-// Lag past that it is presumed missing and repair begins — early enough,
-// though, that a repair round trip still fits before the chunk's playback
-// deadline.
-func NewMachine(p FragmentParams) *Machine {
-	m := newMachine(p)
-	for idx := 0; idx < m.nchunks; idx++ {
-		m.arm(idx)
-	}
-	return m
+// openChunk is the recovery state of one chunk in the active set.
+type openChunk struct {
+	idx int
+	// tryAt is when the chunk is next due for recovery action: its gap
+	// checkpoint, a repair retry, or a NACK re-listen deadline. In Observe
+	// mode it is cleared once the gap has been handed over.
+	tryAt time.Time
+	// fecUntil is the stripe-defeat instant while the chunk holds on the
+	// parity stripe: no reactive action before it, and it becomes the
+	// ladder anchor when the hold expires unhealed. Zero when there is no
+	// stripe or the hold is over (defeated, or reopened by the cohort).
+	fecUntil time.Time
+	// attempts counts repair round trips; phase is the NACK ladder phase
+	// (nackDone unless the ladder is on and the chunk eligible); tries the
+	// aggregation windows joined. The caps NewMachine applies keep both
+	// counters inside their byte.
+	attempts, phase, tries uint8
 }
+
+// bitset is a set of small non-negative integers, one bit each.
+type bitset []uint64
+
+func newBitset(n int) bitset             { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool          { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitset) set(i int)               { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) unset(i int)             { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (m *Machine) listed(idx int) bool   { return m.bits.has(len(m.bits)*32 + idx) }
+func (m *Machine) setListed(idx int)     { m.bits.set(len(m.bits)*32 + idx) }
+func (m *Machine) unsetListed(idx int)   { m.bits.unset(len(m.bits)*32 + idx) }
+func (m *Machine) resolved(idx int) bool { return m.bits.has(idx) }
 
 // newResolvedMachine builds the machine NewMachine would, with every
 // chunk but open already resolved (as by ResolveRepaired) — the shape the
 // cohort multiplexer materializes per viewer at a fragment's first
-// divergence — without paying for the schedule of chunks that may never
-// reopen: cost beyond the flat arrays is one chunk's, not the fragment's.
+// divergence — without walking the fragment: the resolved bits are set a
+// word at a time and only the open chunk gets a record.
 func newResolvedMachine(p FragmentParams, open int) *Machine {
-	m := newMachine(p)
-	for idx := range m.have {
-		m.have[idx] = true
+	m := NewMachine(p)
+	for w := range len(m.bits) / 2 {
+		m.bits[w] = ^uint64(0)
 	}
-	m.have[open] = false
+	m.bits.unset(open)
 	m.got = m.nchunks - 1
-	m.arm(open)
 	m.frontier = m.nchunks
-	m.activate(open)
+	m.list(m.dormant(open))
 	return m
 }
 
-// newMachine sizes a machine for p with no chunk's schedule armed yet.
-func newMachine(p FragmentParams) *Machine {
+// NewMachine builds the state machine for one fragment, applying p's
+// defaults and caps. The gap detector's per-chunk checkpoints are fixed
+// by the geometry: the server paces chunk idx at start + idx*spacing, so
+// if it has not arrived one Lag past that it is presumed missing and
+// repair begins — early enough, though, that a repair round trip still
+// fits before the chunk's playback deadline.
+func NewMachine(p FragmentParams) *Machine {
 	if p.GraceUnits == 0 {
 		p.GraceUnits = DefaultGraceUnits
 	}
-	maxTries := p.MaxRepairAttempts
-	if maxTries == 0 {
-		maxTries = DefaultMaxRepairAttempts
+	if p.MaxRepairAttempts == 0 {
+		p.MaxRepairAttempts = DefaultMaxRepairAttempts
 	}
 	nchunks := (p.TotalBytes + p.ChunkBytes - 1) / p.ChunkBytes
-	period := time.Duration(p.Size) * p.Unit
-	m := &Machine{
-		p:        p,
-		nchunks:  nchunks,
-		spacing:  period / time.Duration(nchunks),
-		start:    p.Epoch.Add(time.Duration(p.TuneUnit) * p.Unit),
-		deadline: p.Epoch.Add(time.Duration(p.TuneUnit+p.Size)*p.Unit + time.Duration(p.GraceUnits)*p.Unit),
-		wantSeq:  uint32(p.TuneUnit / p.Size),
-		maxTries: maxTries,
-		have:     make([]bool, nchunks),
-		tryAt:    make([]time.Time, nchunks),
-		attempts: make([]int, nchunks),
-		inActive: make([]bool, nchunks),
-	}
-	if p.FecGroup > 0 {
-		m.fecUntil = make([]time.Time, nchunks)
-	}
-	if p.NackEnabled && !p.DisableRepair {
-		m.nackPhase = make([]uint8, nchunks)
-		m.nackTries = make([]uint8, nchunks)
-		m.nackWindow = p.NackWindow
-		if m.nackWindow == 0 {
-			m.nackWindow = 2 * m.spacing
+	spacing := time.Duration(p.Size) * p.Unit / time.Duration(nchunks)
+	p.NackEnabled = p.NackEnabled && !p.DisableRepair
+	if p.NackEnabled {
+		if p.NackWindow == 0 {
+			p.NackWindow = 2 * spacing
 		}
-		m.maxNackRounds = p.MaxNackRounds
-		if m.maxNackRounds == 0 {
-			m.maxNackRounds = DefaultMaxNackRounds
+		if p.MaxNackRounds == 0 {
+			p.MaxNackRounds = DefaultMaxNackRounds
 		}
 	}
-	return m
+	// The per-chunk counters are bytes: a cap past 255 would let one wrap
+	// before it ever reached the cap.
+	p.MaxRepairAttempts = min(p.MaxRepairAttempts, math.MaxUint8)
+	p.MaxNackRounds = min(p.MaxNackRounds, math.MaxUint8)
+	return &Machine{
+		p:       p,
+		nchunks: nchunks,
+		spacing: spacing,
+		bits:    make(bitset, 2*((nchunks+63)/64)),
+	}
 }
 
-// arm sets chunk idx's construction-time schedule: its gap checkpoint,
-// its stripe-defeat instant, and whether it may enter the NACK ladder.
-// All three are pure functions of the broadcast geometry.
-func (m *Machine) arm(idx int) {
-	m.tryAt[idx] = m.checkpoint(idx)
+// dormant is chunk idx's construction-time recovery state: its gap
+// checkpoint, its stripe-defeat instant, and whether it may enter the
+// NACK ladder. All three are pure functions of the broadcast geometry,
+// which is why a dormant chunk needs no storage.
+func (m *Machine) dormant(idx int) openChunk {
+	lb := m.lostOff(idx)
+	cp := m.checkpointOff(idx, lb)
+	c := openChunk{idx: idx, tryAt: m.at(cp), phase: nackDone}
 	// With a parity stripe the ladder starts at the chunk's stripe-defeat
-	// instant, not its gap checkpoint, so the headroom below is measured
-	// from there — still a pure grid-time decision.
-	ladderStart := m.tryAt[idx]
-	if m.fecUntil != nil {
-		m.fecUntil[idx] = m.fecDefeatAt(idx)
-		if m.fecUntil[idx].After(ladderStart) {
-			ladderStart = m.fecUntil[idx]
-		}
+	// instant, not its gap checkpoint, so the headroom is measured from
+	// there — still a pure grid-time decision.
+	ladderStart := cp
+	if m.p.FecGroup > 0 {
+		fec := m.fecDefeatOff(idx, cp, lb)
+		c.fecUntil = m.at(fec)
+		ladderStart = max(ladderStart, fec)
 	}
-	// A chunk whose loss deadline leaves no room for a multicast round
-	// never enters the ladder: on the tight just-in-time channels the
-	// unicast plane's immediate round trip is the only recovery that
-	// fits. The room required is the worst-case window fire (checkpoint +
-	// window) plus a re-listen that still ends a full chunk interval
-	// before the deadline (relistenBy's floor is half an interval), so
-	// even a lost re-send escalates to unicast in time. The bound
-	// compares grid times (checkpoint vs deadline): eligibility is a pure
-	// function of the broadcast geometry, never of driver scheduling.
-	if m.nackPhase != nil && m.LostBy(idx).Sub(ladderStart) <= m.nackWindow+m.spacing*3/2 {
-		m.nackPhase[idx] = nackDone
+	if m.ladderRoom(ladderStart, lb) {
+		c.phase = nackPre
 	}
+	return c
 }
 
-// fecDefeatAt is the grid instant at which chunk idx's parity stripe is
+// ladderRoom reports whether a chunk whose ladder would start at
+// ladderStart, with loss deadline lb (both offsets), may enter the NACK
+// ladder. One whose loss deadline leaves no room for a multicast round
+// never does: on the tight just-in-time channels the unicast plane's
+// immediate round trip is the only recovery that fits. The room required
+// is the worst-case window fire (checkpoint + window) plus a re-listen
+// that still ends a full chunk interval before the deadline (relistenBy's
+// floor is half an interval), so even a lost re-send escalates to unicast
+// in time. The bound compares grid times: eligibility is a pure function
+// of the broadcast geometry, never of driver scheduling.
+func (m *Machine) ladderRoom(ladderStart, lb time.Duration) bool {
+	return m.p.NackEnabled && lb-ladderStart > m.p.NackWindow+m.spacing*3/2
+}
+
+// state returns chunk idx's recovery state: its record when listed, else
+// its dormant state.
+func (m *Machine) state(idx int) openChunk {
+	if m.listed(idx) {
+		return *m.find(idx)
+	}
+	return m.dormant(idx)
+}
+
+// find returns listed chunk idx's record. The pointer is valid until the
+// active set next grows or is compacted.
+func (m *Machine) find(idx int) *openChunk {
+	i, _ := slices.BinarySearchFunc(m.active, idx, func(c openChunk, idx int) int { return c.idx - idx })
+	return &m.active[i]
+}
+
+// open returns chunk idx's record, listing its dormant state first if it
+// has none: its schedule is about to change, so it can no longer ride
+// ahead of the frontier.
+func (m *Machine) open(idx int) *openChunk {
+	if m.listed(idx) {
+		return m.find(idx)
+	}
+	return m.list(m.dormant(idx))
+}
+
+// list inserts c into the active set, keeping it ascending: Next must
+// meet due chunks in index order to pick the same first action a full
+// scan would. Frontier activations append; only a Reopen or a
+// RepairResult ahead of the frontier lands mid-list.
+func (m *Machine) list(c openChunk) *openChunk {
+	m.setListed(c.idx)
+	i := len(m.active)
+	m.active = append(m.active, c)
+	for ; i > 0 && m.active[i-1].idx > c.idx; i-- {
+		m.active[i] = m.active[i-1]
+	}
+	m.active[i] = c
+	return &m.active[i]
+}
+
+// The broadcast geometry. Every schedule instant of a chunk is computed
+// as an offset from Epoch and converted once (at), so a dormant chunk's
+// schedule costs a few integer operations to recompute.
+
+// at converts an offset from Epoch to an instant.
+func (m *Machine) at(off time.Duration) time.Time { return m.p.Epoch.Add(off) }
+
+// arrivalOff is chunk idx's expected broadcast arrival: the server paces
+// it at the tune instant plus idx+1 chunk intervals.
+func (m *Machine) arrivalOff(idx int) time.Duration {
+	return time.Duration(m.p.TuneUnit)*m.p.Unit + time.Duration(idx+1)*m.spacing
+}
+
+// playOff is when chunk idx's first byte is consumed by the player.
+func (m *Machine) playOff(idx int) time.Duration {
+	off := idx * m.p.ChunkBytes
+	return time.Duration(m.p.PlayUnit)*m.p.Unit +
+		time.Duration(float64(off)/float64(m.p.BytesPerUnit)*float64(m.p.Unit))
+}
+
+// deadlineOff is the receive cutoff (see Deadline).
+func (m *Machine) deadlineOff() time.Duration {
+	return time.Duration(m.p.TuneUnit+m.p.Size)*m.p.Unit + time.Duration(m.p.GraceUnits)*m.p.Unit
+}
+
+// lostOff is chunk idx's loss deadline (see LostBy).
+func (m *Machine) lostOff(idx int) time.Duration {
+	return min(m.playOff(idx)+m.p.Slack, m.deadlineOff())
+}
+
+// checkpointOff is the gap detector's initial deadline for chunk idx,
+// whose loss deadline is lb (see NewMachine): one Lag past its expected
+// arrival, clamped so a unicast round trip still fits before lb, and
+// never before the expected arrival itself.
+func (m *Machine) checkpointOff(idx int, lb time.Duration) time.Duration {
+	expected := m.arrivalOff(idx)
+	return max(min(expected+m.p.Lag, lb-m.spacing), expected)
+}
+
+// checkpoint is checkpointOff as an instant.
+func (m *Machine) checkpoint(idx int) time.Time {
+	return m.at(m.checkpointOff(idx, m.lostOff(idx)))
+}
+
+// fecDefeatOff is the grid instant at which chunk idx's parity stripe is
 // declared defeated: the parity frame rides the same dispatch as the
 // group's last data chunk, so half a chunk interval past that chunk's
 // gap checkpoint the stripe can no longer heal anything — either the
 // reconstruction already happened or the loss exceeded the stripe. The
 // instant is clamped like a checkpoint (a unicast round trip must still
-// fit before the loss deadline) and never precedes the chunk's own
-// checkpoint. A pure function of the broadcast geometry: cohorts and
+// fit before the loss deadline lb) and never precedes the chunk's own
+// checkpoint cp. A pure function of the broadcast geometry: cohorts and
 // single viewers compute identical defeat times, which is what keeps
 // NACK grouping bit-identical between them.
-func (m *Machine) fecDefeatAt(idx int) time.Time {
-	last := (idx/m.p.FecGroup+1)*m.p.FecGroup - 1
-	if last >= m.nchunks {
-		last = m.nchunks - 1
-	}
-	t := m.checkpoint(last).Add(m.spacing / 2)
-	if latest := m.LostBy(idx).Add(-m.spacing); t.After(latest) {
-		t = latest
-	}
-	if cp := m.tryAt[idx]; t.Before(cp) {
-		t = cp
-	}
-	return t
-}
-
-// checkpoint is the gap detector's initial per-chunk deadline (see
-// NewMachine).
-func (m *Machine) checkpoint(idx int) time.Time {
-	expected := m.start.Add(time.Duration(idx+1) * m.spacing)
-	t := expected.Add(m.p.Lag)
-	if latest := m.LostBy(idx).Add(-m.spacing); t.After(latest) {
-		t = latest
-	}
-	if t.Before(expected) {
-		t = expected
-	}
-	return t
+func (m *Machine) fecDefeatOff(idx int, cp, lb time.Duration) time.Duration {
+	last := min((idx/m.p.FecGroup+1)*m.p.FecGroup-1, m.nchunks-1)
+	t := m.checkpointOff(last, m.lostOff(last)) + m.spacing/2
+	return max(min(t, lb-m.spacing), cp)
 }
 
 // WantSeq is the broadcast repetition this reception tunes to.
-func (m *Machine) WantSeq() uint32 { return m.wantSeq }
+func (m *Machine) WantSeq() uint32 { return uint32(m.p.TuneUnit / m.p.Size) }
 
 // NChunks is the fragment's chunk count.
 func (m *Machine) NChunks() int { return m.nchunks }
@@ -413,20 +489,27 @@ func (m *Machine) NChunks() int { return m.nchunks }
 func (m *Machine) Done() bool { return m.got >= m.nchunks }
 
 // Have reports whether chunk idx is resolved.
-func (m *Machine) Have(idx int) bool { return m.have[idx] }
+func (m *Machine) Have(idx int) bool { return m.resolved(idx) }
 
 // Attempts returns how many repair round trips chunk idx has consumed.
-func (m *Machine) Attempts(idx int) int { return m.attempts[idx] }
+// The count is recovery state: it lives while the chunk is open and
+// retires with its record once the chunk is resolved.
+func (m *Machine) Attempts(idx int) int {
+	if m.listed(idx) {
+		return int(m.find(idx).attempts)
+	}
+	return 0
+}
 
 // RetryAt is when chunk idx is next due for recovery action: after a
 // Rescheduled repair result, its backoff-jittered retry instant.
-func (m *Machine) RetryAt(idx int) time.Time { return m.tryAt[idx] }
+func (m *Machine) RetryAt(idx int) time.Time { return m.state(idx).tryAt }
 
 // Stats returns the recovery counters accumulated so far.
 func (m *Machine) Stats() MachineStats { return m.stats }
 
 // Deadline is the receive cutoff: the broadcast's nominal end plus grace.
-func (m *Machine) Deadline() time.Time { return m.deadline }
+func (m *Machine) Deadline() time.Time { return m.at(m.deadlineOff()) }
 
 // ChunkLen returns chunk idx's payload length (the tail chunk may be
 // short).
@@ -438,45 +521,40 @@ func (m *Machine) ChunkLen(idx int) int {
 }
 
 // PlayAt is when chunk idx's first byte is consumed by the player.
-func (m *Machine) PlayAt(idx int) time.Time {
-	off := idx * m.p.ChunkBytes
-	base := m.p.Epoch.Add(time.Duration(m.p.PlayUnit) * m.p.Unit)
-	return base.Add(time.Duration(float64(off) / float64(m.p.BytesPerUnit) * float64(m.p.Unit)))
-}
+func (m *Machine) PlayAt(idx int) time.Time { return m.at(m.playOff(idx)) }
 
 // LostBy is the point past which chunk idx can no longer play jitter-free;
 // recovery gives up there (bounded by the receive cutoff for chunks whose
 // playback lies far in the future).
-func (m *Machine) LostBy(idx int) time.Time {
-	lb := m.PlayAt(idx).Add(m.p.Slack)
-	if lb.After(m.deadline) {
-		return m.deadline
-	}
-	return lb
+func (m *Machine) LostBy(idx int) time.Time { return m.at(m.lostOff(idx)) }
+
+// book marks chunk idx resolved.
+func (m *Machine) book(idx int) {
+	m.bits.set(idx)
+	m.got++
 }
 
-// markLost books chunk idx as unrecoverable.
-func (m *Machine) markLost(idx int) {
-	m.have[idx] = true
-	m.got++
+// markLost books chunk idx as unrecoverable after attempts round trips.
+func (m *Machine) markLost(idx int, attempts uint8) {
+	m.book(idx)
 	m.stats.Lost++
 	if m.p.OnLost != nil {
-		m.p.OnLost(idx, m.attempts[idx])
+		m.p.OnLost(idx, int(attempts))
 	}
 }
 
-// repairable reports whether chunk idx may still be pulled over unicast.
-func (m *Machine) repairable(idx int) bool {
-	if m.p.DisableRepair || m.p.Observe || m.attempts[idx] >= m.maxTries {
+// repairable reports whether chunk c may still be pulled over unicast.
+func (m *Machine) repairable(c *openChunk) bool {
+	if m.p.DisableRepair || m.p.Observe || int(c.attempts) >= m.p.MaxRepairAttempts {
 		return false
 	}
 	return m.p.RepairsEnabled == nil || m.p.RepairsEnabled()
 }
 
-// gapPending reports whether chunk idx still owes an ActGap notification
+// gapPending reports whether chunk c still owes an ActGap notification
 // (Observe mode: tryAt is cleared once the gap is handed over).
-func (m *Machine) gapPending(idx int) bool {
-	return m.p.Observe && !m.tryAt[idx].IsZero()
+func (m *Machine) gapPending(c *openChunk) bool {
+	return m.p.Observe && !c.tryAt.IsZero()
 }
 
 // Next runs one recovery pass at time now: overdue chunks are declared
@@ -497,19 +575,20 @@ func (m *Machine) gapPending(idx int) bool {
 // test against that scan asserts it).
 func (m *Machine) Next(now time.Time) Action {
 	m.advance(now)
-	sc := scan{next: m.deadline}
+	sc := scan{next: m.Deadline()}
 	live := m.active[:0]
-	for i, idx := range m.active {
-		if !m.have[idx] {
-			if act, acted := m.visit(idx, now, &sc); acted {
+	for i := range m.active {
+		c := &m.active[i]
+		if !m.resolved(c.idx) {
+			if act, acted := m.visit(c, now, &sc); acted {
 				m.active = append(live, m.active[i:]...)
 				return act
 			}
 		}
-		if m.have[idx] {
-			m.inActive[idx] = false
+		if m.resolved(c.idx) {
+			m.unsetListed(c.idx)
 		} else {
-			live = append(live, idx)
+			live = append(live, *c)
 		}
 	}
 	m.active = live
@@ -523,7 +602,7 @@ func (m *Machine) Next(now time.Time) Action {
 	// cohort-equivalence golden tests assert exactly this.)
 	if sc.nackDue && m.nackAt.IsZero() {
 		m.nackSeq++
-		m.nackAt = sc.nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.nackWindow))
+		m.nackAt = sc.nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.p.NackWindow))
 	}
 	if !m.nackAt.IsZero() {
 		if !now.Before(m.nackAt) {
@@ -553,58 +632,44 @@ type scan struct {
 }
 
 // advance moves the frontier over every chunk that is resolved, already
-// active, or due — past its gap checkpoint or its loss deadline, the
+// listed, or due — past its gap checkpoint or its loss deadline, the
 // earliest instants at which an untouched chunk needs more than a wake
-// time — activating the due ones. It stops at the first dormant chunk
-// still ahead of both; by monotonicity every later dormant chunk is too.
+// time — listing the due ones. It stops at the first dormant chunk still
+// ahead of both; by monotonicity every later dormant chunk is too.
 func (m *Machine) advance(now time.Time) {
+	off := now.Sub(m.p.Epoch)
 	for ; m.frontier < m.nchunks; m.frontier++ {
 		idx := m.frontier
-		if m.have[idx] || m.inActive[idx] {
+		if m.resolved(idx) || m.listed(idx) {
 			continue
 		}
-		if now.Before(m.tryAt[idx]) && now.Before(m.LostBy(idx)) {
+		if lb := m.lostOff(idx); off < m.checkpointOff(idx, lb) && off < lb {
 			return
 		}
-		m.activate(idx)
+		m.list(m.dormant(idx))
 	}
-}
-
-// activate inserts chunk idx into the active set, keeping it ascending:
-// Next must meet due chunks in index order to pick the same first action
-// a full scan would. Frontier activations append; only a Reopen or a
-// RepairResult ahead of the frontier lands mid-list.
-func (m *Machine) activate(idx int) {
-	m.inActive[idx] = true
-	i := len(m.active)
-	m.active = append(m.active, idx)
-	for ; i > 0 && m.active[i-1] > idx; i-- {
-		m.active[i] = m.active[i-1]
-	}
-	m.active[i] = idx
 }
 
 // visit gives one unresolved active chunk its recovery pass at time now.
 // It returns the action the chunk demands, if any; otherwise it folds
 // the chunk's next deadline (and NACK-window demand) into sc.
-func (m *Machine) visit(idx int, now time.Time, sc *scan) (Action, bool) {
-	lb := m.LostBy(idx)
+func (m *Machine) visit(c *openChunk, now time.Time, sc *scan) (Action, bool) {
+	lb := m.LostBy(c.idx)
 	if !now.Before(lb) {
-		if m.p.Observe && m.tryAt[idx].IsZero() {
+		if m.p.Observe && c.tryAt.IsZero() {
 			// The gap was handed to the per-viewer repair ledgers; they
 			// own its outcome, so the shared machine closes it silently.
-			m.have[idx] = true
-			m.got++
+			m.book(c.idx)
 		} else {
-			m.markLost(idx)
+			m.markLost(c.idx, c.attempts)
 		}
 		return Action{}, false
 	}
-	if m.fecUntil != nil && !m.fecUntil[idx].IsZero() {
-		if now.Before(m.fecUntil[idx]) {
+	if !c.fecUntil.IsZero() {
+		if now.Before(c.fecUntil) {
 			// The parity stripe may still heal this chunk for free;
 			// every reactive rung holds until the defeat instant.
-			sc.wakeBy(m.fecUntil[idx])
+			sc.wakeBy(c.fecUntil)
 			sc.wakeBy(lb)
 			return Action{}, false
 		}
@@ -613,51 +678,51 @@ func (m *Machine) visit(idx int, now time.Time, sc *scan) (Action, bool) {
 		// at the defeat instant — a grid time — so the aggregation
 		// window of a defeated burst arms from stripe-defeat time, not
 		// first-gap time.
-		if m.fecUntil[idx].After(m.tryAt[idx]) {
+		if c.fecUntil.After(c.tryAt) {
 			m.stats.StripeDefeats++
-			m.tryAt[idx] = m.fecUntil[idx]
+			c.tryAt = c.fecUntil
 		}
-		m.fecUntil[idx] = time.Time{}
+		c.fecUntil = time.Time{}
 	}
-	if m.nackPhase != nil && m.nackPhase[idx] != nackDone {
+	if c.phase != nackDone {
 		// Multicast-first: the chunk is still in the NACK ladder.
-		if m.nackPhase[idx] == nackWait && !now.Before(m.tryAt[idx]) {
+		if c.phase == nackWait && !now.Before(c.tryAt) {
 			// The re-listen deadline passed without the re-send.
-			m.escalateNack(idx, now)
+			m.escalateNack(c, now)
 		}
-		if m.nackPhase[idx] == nackPre && !now.Before(m.tryAt[idx]) {
-			if int(m.nackTries[idx]) >= m.maxNackRounds && m.nackAt.IsZero() {
+		if c.phase == nackPre && !now.Before(c.tryAt) {
+			if int(c.tries) >= m.p.MaxNackRounds && m.nackAt.IsZero() {
 				// Round cap spent: the unicast plane takes over now.
-				m.nackPhase[idx] = nackDone
+				c.phase = nackDone
 			} else {
 				sc.nackDue = true
-				if sc.nackAnchor.IsZero() || m.tryAt[idx].Before(sc.nackAnchor) {
-					sc.nackAnchor = m.tryAt[idx]
+				if sc.nackAnchor.IsZero() || c.tryAt.Before(sc.nackAnchor) {
+					sc.nackAnchor = c.tryAt
 				}
 			}
 		}
-		if m.nackPhase[idx] != nackDone {
-			if now.Before(m.tryAt[idx]) {
-				sc.wakeBy(m.tryAt[idx])
+		if c.phase != nackDone {
+			if now.Before(c.tryAt) {
+				sc.wakeBy(c.tryAt)
 			}
 			sc.wakeBy(lb)
 			return Action{}, false
 		}
 	}
-	if m.gapPending(idx) {
-		if !now.Before(m.tryAt[idx]) {
+	if m.gapPending(c) {
+		if !now.Before(c.tryAt) {
 			// Hand the gap to the per-viewer repair plane exactly once;
 			// the shared machine keeps only the loss deadline.
-			m.tryAt[idx] = time.Time{}
-			return Action{Kind: ActGap, Idx: idx}, true
+			c.tryAt = time.Time{}
+			return Action{Kind: ActGap, Idx: c.idx}, true
 		}
-		sc.wakeBy(m.tryAt[idx])
+		sc.wakeBy(c.tryAt)
 	}
-	if m.repairable(idx) {
-		if !now.Before(m.tryAt[idx]) {
-			return Action{Kind: ActRepair, Idx: idx, Attempt: m.attempts[idx] + 1}, true
+	if m.repairable(c) {
+		if !now.Before(c.tryAt) {
+			return Action{Kind: ActRepair, Idx: c.idx, Attempt: int(c.attempts) + 1}, true
 		}
-		sc.wakeBy(m.tryAt[idx])
+		sc.wakeBy(c.tryAt)
 	}
 	sc.wakeBy(lb)
 	return Action{}, false
@@ -681,37 +746,38 @@ func (sc *scan) wakeBy(t time.Time) {
 func (m *Machine) dormantWake(next time.Time) time.Time {
 	// Whether an untouched chunk (zero attempts) could be pulled over
 	// unicast at its checkpoint — repairable, evaluated once.
-	repair := !m.p.DisableRepair && !m.p.Observe && m.maxTries > 0 &&
+	repair := !m.p.DisableRepair && !m.p.Observe && m.p.MaxRepairAttempts > 0 &&
 		(m.p.RepairsEnabled == nil || m.p.RepairsEnabled())
+	fec := m.p.FecGroup > 0
 	// Unless some dormant chunks wake at their checkpoint (in the ladder)
 	// while others only at their loss deadline (out of it, unrepairable),
 	// every dormant chunk wakes by the same rule, and the first one's
 	// wake is the earliest.
-	uniform := m.nackPhase == nil || m.fecUntil != nil || m.p.Observe || repair
+	uniform := !m.p.NackEnabled || fec || m.p.Observe || repair
+	off := next.Sub(m.p.Epoch)
+	wake := off
 	for idx := m.frontier; idx < m.nchunks; idx++ {
-		if m.have[idx] || m.inActive[idx] {
+		if m.resolved(idx) || m.listed(idx) {
 			continue
 		}
-		lb := m.LostBy(idx)
-		if !m.tryAt[idx].Before(next) && !lb.Before(next) {
+		lb := m.lostOff(idx)
+		cp := m.checkpointOff(idx, lb)
+		if cp >= wake && lb >= wake {
 			break
 		}
 		switch {
-		case m.fecUntil != nil:
-			if t := m.fecUntil[idx]; t.Before(next) {
-				next = t
-			}
-		case m.p.Observe || repair || (m.nackPhase != nil && m.nackPhase[idx] != nackDone):
-			if t := m.tryAt[idx]; t.Before(next) {
-				next = t
-			}
+		case fec:
+			wake = min(wake, m.fecDefeatOff(idx, cp, lb))
+		case m.p.Observe || repair || m.ladderRoom(cp, lb):
+			wake = min(wake, cp)
 		}
-		if lb.Before(next) {
-			next = lb
-		}
+		wake = min(wake, lb)
 		if uniform {
 			break
 		}
+	}
+	if wake < off {
+		return m.at(wake)
 	}
 	return next
 }
@@ -729,17 +795,21 @@ const (
 // Chunk books the broadcast arrival of chunk idx at time now. Data landing
 // after its playback time plus slack counts as jitter.
 func (m *Machine) Chunk(idx int, now time.Time) ChunkVerdict {
-	if m.have[idx] {
+	if m.resolved(idx) {
 		m.stats.Duplicates++
 		return Duplicate
 	}
-	if m.nackPhase != nil && m.nackPhase[idx] == nackWait {
+	if m.listed(idx) && m.find(idx).phase == nackWait {
 		// Healed by the multicast re-send while re-listening.
 		m.stats.NackRepaired++
 	}
-	m.have[idx] = true
-	m.got++
-	if now.After(m.PlayAt(idx).Add(m.p.Slack)) {
+	return m.arrive(idx, now)
+}
+
+// arrive books the fresh arrival of unresolved chunk idx at time now.
+func (m *Machine) arrive(idx int, now time.Time) ChunkVerdict {
+	m.book(idx)
+	if now.Sub(m.p.Epoch) > m.playOff(idx)+m.p.Slack {
 		m.stats.Late++
 	}
 	return Accepted
@@ -753,28 +823,21 @@ func (m *Machine) Chunk(idx int, now time.Time) ChunkVerdict {
 // heal that lands after the ladder engaged is booked like a broadcast
 // arrival (NackRepaired while re-listening, Late past playback).
 func (m *Machine) FecHealed(idx int, now time.Time) ChunkVerdict {
-	if m.have[idx] {
+	if m.resolved(idx) {
 		m.stats.Duplicates++
 		return Duplicate
 	}
 	m.stats.FecHeals++
-	if m.fecUntil != nil && !m.fecUntil[idx].IsZero() {
-		if m.nackPhase != nil && m.nackPhase[idx] != nackDone {
-			// The stripe beat the window to it: one NACK that will now
-			// never be sent.
-			m.stats.NacksSuppressed++
-		}
-		m.fecUntil[idx] = time.Time{}
+	c := m.state(idx)
+	if !c.fecUntil.IsZero() && c.phase != nackDone {
+		// The stripe beat the window to it: one NACK that will now
+		// never be sent.
+		m.stats.NacksSuppressed++
 	}
-	if m.nackPhase != nil && m.nackPhase[idx] == nackWait {
+	if c.phase == nackWait {
 		m.stats.NackRepaired++
 	}
-	m.have[idx] = true
-	m.got++
-	if now.After(m.PlayAt(idx).Add(m.p.Slack)) {
-		m.stats.Late++
-	}
-	return Accepted
+	return m.arrive(idx, now)
 }
 
 // ResolveRepaired marks a still-missing chunk resolved outside the
@@ -784,11 +847,10 @@ func (m *Machine) FecHealed(idx int, now time.Time) ChunkVerdict {
 // stats (the per-viewer ledgers own them). It reports whether the chunk
 // was still outstanding.
 func (m *Machine) ResolveRepaired(idx int) bool {
-	if m.have[idx] {
+	if m.resolved(idx) {
 		return false
 	}
-	m.have[idx] = true
-	m.got++
+	m.book(idx)
 	return true
 }
 
@@ -800,26 +862,16 @@ func (m *Machine) ResolveRepaired(idx int) bool {
 // diverges too, leaving the machine exactly as if the chunk had never
 // been resolved.
 func (m *Machine) Reopen(idx int) {
-	if !m.have[idx] {
+	if !m.resolved(idx) {
 		return
 	}
-	m.have[idx] = false
+	m.bits.unset(idx)
 	m.got--
-	m.attempts[idx] = 0
-	m.tryAt[idx] = m.checkpoint(idx)
-	if m.nackPhase != nil {
-		// A reopened chunk is already being repaired over unicast by the
-		// per-viewer plane; the ladder does not re-enter for it.
-		m.nackPhase[idx] = nackDone
-	}
-	if m.fecUntil != nil {
-		// Likewise the stripe: the per-viewer plane owns the chunk.
-		m.fecUntil[idx] = time.Time{}
-	}
-	// No longer in its construction-time state: Next must visit it.
-	if !m.inActive[idx] {
-		m.activate(idx)
-	}
+	// No longer in its construction-time state, so Next must visit it: a
+	// reopened chunk is already being repaired over unicast by the
+	// per-viewer plane, so neither the ladder nor the stripe hold
+	// re-enters for it.
+	*m.open(idx) = openChunk{idx: idx, tryAt: m.checkpoint(idx), phase: nackDone}
 }
 
 // RepairResult applies one repair round trip's outcome to chunk idx — the
@@ -835,43 +887,42 @@ func (m *Machine) Reopen(idx int) {
 //   - RepairDisabled parks the chunk on the broadcast.
 //
 // The attempt counter increments for every outcome, and jitter streams key
-// on the post-increment count so no two retries share a draw.
+// on the post-increment count so no two retries share a draw. A result
+// for a chunk resolved meanwhile has nothing left to schedule: it reports
+// Repaired for RepairOK and Parked otherwise.
 func (m *Machine) RepairResult(idx int, outcome RepairOutcome, retryAfter time.Duration, now time.Time) Disposition {
-	if !m.have[idx] && !m.inActive[idx] {
-		// A result for a chunk Next has not reached yet (no driver asks
-		// for one unprompted): its schedule is about to change, so it can
-		// no longer ride ahead of the frontier.
-		m.activate(idx)
+	if m.resolved(idx) {
+		if outcome == RepairOK {
+			return Repaired
+		}
+		return Parked
 	}
-	m.attempts[idx]++
+	c := m.open(idx)
+	if c.attempts < math.MaxUint8 {
+		c.attempts++
+	}
 	switch outcome {
 	case RepairOK:
-		if !m.have[idx] {
-			m.have[idx] = true
-			m.got++
-			m.stats.Repaired++
-			if now.After(m.PlayAt(idx).Add(m.p.Slack)) {
-				m.stats.Late++
-			}
-		}
+		m.stats.Repaired++
+		m.arrive(idx, now)
 		return Repaired
 	case RepairBusy:
 		wait := retryAfter
 		if wait <= 0 {
 			wait = 2 * m.spacing
 		}
-		m.tryAt[idx] = now.Add(wait +
-			m.p.Jitter(RepairJitterKey(m.p.Channel, idx), uint64(m.attempts[idx]), wait/2+time.Millisecond))
+		c.tryAt = now.Add(wait +
+			m.p.Jitter(RepairJitterKey(m.p.Channel, idx), uint64(c.attempts), wait/2+time.Millisecond))
 		return Rescheduled
 	case RepairDisabled:
 		return Parked
 	default: // RepairFailed
-		if m.attempts[idx] >= m.maxTries {
-			m.markLost(idx)
+		if int(c.attempts) >= m.p.MaxRepairAttempts {
+			m.markLost(idx, c.attempts)
 			return LostNow
 		}
-		window := 4 * time.Millisecond << m.attempts[idx]
-		m.tryAt[idx] = now.Add(m.p.Jitter(RepairJitterKey(m.p.Channel, idx), uint64(m.attempts[idx]), window))
+		window := 4 * time.Millisecond << c.attempts
+		c.tryAt = now.Add(m.p.Jitter(RepairJitterKey(m.p.Channel, idx), uint64(c.attempts), window))
 		return Rescheduled
 	}
 }

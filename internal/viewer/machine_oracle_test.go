@@ -12,94 +12,32 @@ import (
 
 // nextFullScan is the reference implementation of Machine.Next: the
 // original pass that revisits every chunk of the fragment on every call.
-// It reads and writes only the per-chunk schedule state (have, tryAt,
-// attempts, the NACK and stripe arrays), never the frontier or the
-// active set, so a machine driven exclusively through it behaves exactly
-// as machines did before Next became incremental. The differential
-// property test drives one machine through Next and a twin through this
-// and requires identical actions, wake times and stats.
+// It reads each unresolved chunk's recovery state through state — its
+// record when listed, its schedule recomputed from the geometry when
+// dormant — and stores it back only when the pass changed it, never
+// touching the frontier or pruning the active set, so a machine driven
+// exclusively through it behaves exactly as machines did before Next
+// became incremental. The differential property test drives one machine
+// through Next and a twin through this and requires identical actions,
+// wake times and stats.
 func (m *Machine) nextFullScan(now time.Time) Action {
-	next := m.deadline
+	next := m.Deadline()
 	nackDue := false
 	var nackAnchor time.Time
 	for idx := 0; idx < m.nchunks; idx++ {
-		if m.have[idx] {
+		if m.Have(idx) {
 			continue
 		}
-		lb := m.LostBy(idx)
-		if !now.Before(lb) {
-			if m.p.Observe && m.tryAt[idx].IsZero() {
-				m.have[idx] = true
-				m.got++
-			} else {
-				m.markLost(idx)
-			}
-			continue
-		}
-		if m.fecUntil != nil && !m.fecUntil[idx].IsZero() {
-			if now.Before(m.fecUntil[idx]) {
-				if t := m.fecUntil[idx]; t.Before(next) {
-					next = t
-				}
-				if lb.Before(next) {
-					next = lb
-				}
-				continue
-			}
-			if m.fecUntil[idx].After(m.tryAt[idx]) {
-				m.stats.StripeDefeats++
-				m.tryAt[idx] = m.fecUntil[idx]
-			}
-			m.fecUntil[idx] = time.Time{}
-		}
-		if m.nackPhase != nil && m.nackPhase[idx] != nackDone {
-			if m.nackPhase[idx] == nackWait && !now.Before(m.tryAt[idx]) {
-				m.escalateNack(idx, now)
-			}
-			if m.nackPhase[idx] == nackPre && !now.Before(m.tryAt[idx]) {
-				if int(m.nackTries[idx]) >= m.maxNackRounds && m.nackAt.IsZero() {
-					m.nackPhase[idx] = nackDone
-				} else {
-					nackDue = true
-					if nackAnchor.IsZero() || m.tryAt[idx].Before(nackAnchor) {
-						nackAnchor = m.tryAt[idx]
-					}
-				}
-			}
-			if m.nackPhase[idx] != nackDone {
-				if t := m.tryAt[idx]; now.Before(t) && t.Before(next) {
-					next = t
-				}
-				if lb.Before(next) {
-					next = lb
-				}
-				continue
-			}
-		}
-		if m.gapPending(idx) {
-			if !now.Before(m.tryAt[idx]) {
-				m.tryAt[idx] = time.Time{}
-				return Action{Kind: ActGap, Idx: idx}
-			}
-			if m.tryAt[idx].Before(next) {
-				next = m.tryAt[idx]
-			}
-		}
-		if m.repairable(idx) {
-			if !now.Before(m.tryAt[idx]) {
-				return Action{Kind: ActRepair, Idx: idx, Attempt: m.attempts[idx] + 1}
-			}
-			if m.tryAt[idx].Before(next) {
-				next = m.tryAt[idx]
-			}
-		}
-		if lb.Before(next) {
-			next = lb
+		c := m.state(idx)
+		act, acted := m.fullScanChunk(&c, now, &next, &nackDue, &nackAnchor)
+		m.store(c)
+		if acted {
+			return act
 		}
 	}
 	if nackDue && m.nackAt.IsZero() {
 		m.nackSeq++
-		m.nackAt = nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.nackWindow))
+		m.nackAt = nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.p.NackWindow))
 	}
 	if !m.nackAt.IsZero() {
 		if !now.Before(m.nackAt) {
@@ -117,22 +55,106 @@ func (m *Machine) nextFullScan(now time.Time) Action {
 	return Action{Kind: ActWait, Wake: next}
 }
 
+// fullScanChunk is the full scan's pass over one unresolved chunk c.
+func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next *time.Time, nackDue *bool, nackAnchor *time.Time) (Action, bool) {
+	wakeBy := func(t time.Time) {
+		if t.Before(*next) {
+			*next = t
+		}
+	}
+	lb := m.LostBy(c.idx)
+	if !now.Before(lb) {
+		if m.p.Observe && c.tryAt.IsZero() {
+			m.book(c.idx)
+		} else {
+			m.markLost(c.idx, c.attempts)
+		}
+		return Action{}, false
+	}
+	if !c.fecUntil.IsZero() {
+		if now.Before(c.fecUntil) {
+			wakeBy(c.fecUntil)
+			wakeBy(lb)
+			return Action{}, false
+		}
+		if c.fecUntil.After(c.tryAt) {
+			m.stats.StripeDefeats++
+			c.tryAt = c.fecUntil
+		}
+		c.fecUntil = time.Time{}
+	}
+	if c.phase != nackDone {
+		if c.phase == nackWait && !now.Before(c.tryAt) {
+			m.escalateNack(c, now)
+		}
+		if c.phase == nackPre && !now.Before(c.tryAt) {
+			if int(c.tries) >= m.p.MaxNackRounds && m.nackAt.IsZero() {
+				c.phase = nackDone
+			} else {
+				*nackDue = true
+				if nackAnchor.IsZero() || c.tryAt.Before(*nackAnchor) {
+					*nackAnchor = c.tryAt
+				}
+			}
+		}
+		if c.phase != nackDone {
+			if now.Before(c.tryAt) {
+				wakeBy(c.tryAt)
+			}
+			wakeBy(lb)
+			return Action{}, false
+		}
+	}
+	if m.gapPending(c) {
+		if !now.Before(c.tryAt) {
+			c.tryAt = time.Time{}
+			return Action{Kind: ActGap, Idx: c.idx}, true
+		}
+		wakeBy(c.tryAt)
+	}
+	if m.repairable(c) {
+		if !now.Before(c.tryAt) {
+			return Action{Kind: ActRepair, Idx: c.idx, Attempt: int(c.attempts) + 1}, true
+		}
+		wakeBy(c.tryAt)
+	}
+	wakeBy(lb)
+	return Action{}, false
+}
+
 // fireNackFullScan is fireNack over every chunk of the fragment.
 func (m *Machine) fireNackFullScan(until, now time.Time) []int {
 	var chunks []int
 	for idx := 0; idx < m.nchunks; idx++ {
-		if m.have[idx] || m.nackPhase[idx] != nackPre || m.tryAt[idx].After(until) {
+		if m.Have(idx) {
 			continue
 		}
-		if int(m.nackTries[idx]) >= m.maxNackRounds {
+		c := m.state(idx)
+		if c.phase != nackPre || c.tryAt.After(until) || int(c.tries) >= m.p.MaxNackRounds {
 			continue
 		}
-		m.nackTries[idx]++
-		m.nackPhase[idx] = nackWait
-		m.tryAt[idx] = m.relistenBy(idx, now)
+		c.tries++
+		c.phase = nackWait
+		c.tryAt = m.relistenBy(idx, now)
+		m.store(c)
 		chunks = append(chunks, idx)
 	}
 	return chunks
+}
+
+// arrival is chunk idx's expected broadcast arrival instant.
+func (m *Machine) arrival(idx int) time.Time { return m.at(m.arrivalOff(idx)) }
+
+// store writes c back as its chunk's recovery state: into its record when
+// listed, into a new record when it departs from the chunk's dormant
+// state, and nowhere when a dormant chunk stays dormant.
+func (m *Machine) store(c openChunk) {
+	switch {
+	case m.listed(c.idx):
+		*m.find(c.idx) = c
+	case c != m.dormant(c.idx):
+		m.list(c)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +203,12 @@ func (mp *machinePair) check() {
 	if !reflect.DeepEqual(mp.lostInc, mp.lostRef) {
 		mp.failf("OnLost: incremental %v, full scan %v", mp.lostInc, mp.lostRef)
 	}
+	// Attempts are recovery state, which retires with a resolved chunk's
+	// record (lazily on the incremental side, never on the reference
+	// side), so they are compared while the chunk is open.
 	for idx := 0; idx < mp.inc.NChunks(); idx++ {
-		if mp.inc.Have(idx) != mp.ref.Have(idx) || mp.inc.Attempts(idx) != mp.ref.Attempts(idx) {
+		if mp.inc.Have(idx) != mp.ref.Have(idx) ||
+			!mp.inc.Have(idx) && mp.inc.Attempts(idx) != mp.ref.Attempts(idx) {
 			mp.failf("chunk %d: incremental have=%v attempts=%d, full scan have=%v attempts=%d", idx,
 				mp.inc.Have(idx), mp.inc.Attempts(idx), mp.ref.Have(idx), mp.ref.Attempts(idx))
 		}
@@ -315,7 +341,7 @@ func TestMachineNextMatchesFullScan(t *testing.T) {
 func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 	m := mp.ref
 	n := m.NChunks()
-	start := m.start
+	start := m.arrival(-1)
 	// Broadcast arrivals: each chunk at its grid instant unless dropped;
 	// some late, some reordered, some duplicated.
 	var arrivals []arrival
@@ -324,7 +350,7 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 		if m.Have(idx) || r.Float64() < drop {
 			continue
 		}
-		at := start.Add(time.Duration(idx+1) * m.spacing)
+		at := m.arrival(idx)
 		switch r.Intn(10) {
 		case 0: // late, possibly past its deadline
 			at = at.Add(time.Duration(r.Intn(int(6*m.p.Unit) + 1)))
@@ -473,9 +499,11 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 // (Observe-mode) machine as a fragment streams in — each op books the
 // next chunk's arrival and polls — at three fragment sizes, lossless and
 // with every sixteenth chunk lost (reported as a gap, then resolved four
-// chunk intervals later, as the per-viewer plane would). The frontier
-// pass must cost the same at 4096 chunks as at 32; the fullscan rows run
-// the reference scan over the same script for contrast.
+// chunk intervals later, as the per-viewer plane would). Each fragment's
+// NewMachine is inside the timed loop, so B/op is the machine's memory
+// per chunk received. The frontier pass must cost the same at 4096
+// chunks as at 32; the fullscan rows run the reference scan over the
+// same script for contrast.
 func BenchmarkMachineNext(b *testing.B) {
 	impls := []struct {
 		name string
@@ -502,12 +530,10 @@ func BenchmarkMachineNext(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if idx == n {
-							b.StopTimer()
 							m = NewMachine(p)
 							idx = 0
-							b.StartTimer()
 						}
-						at := m.start.Add(time.Duration(idx+1) * m.spacing)
+						at := m.arrival(idx)
 						if lossEvery == 0 || idx%lossEvery != lossEvery-1 {
 							m.Chunk(idx, at)
 						}

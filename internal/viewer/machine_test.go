@@ -1,6 +1,7 @@
 package viewer
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -383,5 +384,95 @@ func TestJitterInDeterminismAndBounds(t *testing.T) {
 	}
 	if d := JitterIn(7, 3, 1, 0); d < time.Millisecond {
 		t.Errorf("zero window drew %v, want >= 1ms floor", d)
+	}
+}
+
+// TestMachineFootprint holds a machine's memory to its open gaps: the
+// cohort's shared machine (Observe mode, NACK ladder, parity stripe) over
+// a 384-chunk fragment received without loss allocates its two bits per
+// chunk and its fixed fields, not per-chunk recovery state.
+func TestMachineFootprint(t *testing.T) {
+	const n = 384
+	p := FragmentParams{
+		Video: 1, Channel: 2, Size: 8, TuneUnit: 8, PlayUnit: 12,
+		TotalBytes: n * 1024, ChunkBytes: 1024, BytesPerUnit: n * 1024 / 8,
+		Epoch: time.Unix(1000, 0), Unit: 100 * time.Millisecond,
+		Slack: 50 * time.Millisecond, Lag: 50 * time.Millisecond,
+		Observe: true, NackEnabled: true, FecGroup: 4,
+		Jitter: func(key, stream uint64, window time.Duration) time.Duration { return window },
+	}
+	var bad string
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			m := NewMachine(p)
+			for idx := range n {
+				at := m.arrival(idx)
+				m.Chunk(idx, at)
+				if act := m.Next(at); act.Kind != ActWait {
+					bad = fmt.Sprintf("chunk %d: Next = %+v on a lossless pass", idx, act)
+				}
+			}
+			if !m.Done() {
+				bad = "machine not done after a lossless pass"
+			}
+		}
+	})
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if got := res.AllocedBytesPerOp(); got > 512 {
+		t.Errorf("NewMachine + lossless pass over %d chunks allocates %d B, want <= 512", n, got)
+	}
+}
+
+// TestMachineCountersCappedAtWidth: the per-chunk repair and NACK-round
+// counters are bytes, so caps past 255 are clamped to 255 — a cap the
+// counter can never reach would leave a chunk in the ladder, or retrying,
+// for as long as its deadline allows.
+func TestMachineCountersCappedAtWidth(t *testing.T) {
+	for _, limit := range []int{255, 256, 1000} {
+		want := min(limit, 255)
+		epoch := time.Unix(1000, 0)
+		p := nackParams(epoch)
+		p.NackWindow = 10 * time.Millisecond
+		p.MaxNackRounds = limit
+		p.MaxRepairAttempts = limit
+		p.GraceUnits = 4000 // deadline room for far more rounds than the cap
+		p.Slack = 4000 * time.Second
+		m := NewMachine(p)
+		for idx := 1; idx < 4; idx++ {
+			m.Chunk(idx, epoch.Add(time.Duration(5+idx)*time.Second))
+		}
+		now := m.checkpoint(0)
+		nacks := 0
+	ladder:
+		for iter := 0; ; iter++ {
+			if iter > 10*want {
+				t.Fatalf("cap %d: chunk still in the NACK ladder after %d rounds", limit, nacks)
+			}
+			switch act := m.Next(now); act.Kind {
+			case ActNack:
+				nacks++
+				m.NackResult(act.Chunks, func(int) bool { return true }, now)
+			case ActRepair:
+				break ladder
+			default:
+				now = act.Wake
+			}
+		}
+		if nacks != want {
+			t.Errorf("cap %d: %d NACK rounds before unicast, want %d", limit, nacks, want)
+		}
+		tries := 0
+		for d := Rescheduled; d != LostNow; tries++ {
+			if tries > 2*want {
+				t.Fatalf("cap %d: chunk still retrying after %d repair attempts", limit, tries)
+			}
+			d = m.RepairResult(0, RepairFailed, 0, now)
+		}
+		if tries != want {
+			t.Errorf("cap %d: lost after %d repair attempts, want %d", limit, tries, want)
+		}
 	}
 }

@@ -319,6 +319,7 @@ type Mux struct {
 
 	rcv     *mcast.SharedReceiver
 	jm      *joinManager
+	stripes *stripePool // every cohort fragment's parity stripe; nil without one
 	workers []*worker
 	stop    chan struct{}
 	wwg     sync.WaitGroup
@@ -424,6 +425,7 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 		m.videoBytes += s * int64(w.BytesPerUnit)
 	}
 	m.jm = &joinManager{cc: cc, refs: map[mcast.Group]int{}}
+	m.stripes = newStripePool(w.FecGroup, w.FecMode, w.ChunkBytes)
 	return m, nil
 }
 
@@ -690,15 +692,16 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 	}
 	f := vf.f
 	led := &w.mux.ledgers[vf.viewer]
-	for _, idx := range f.divergedIdx[:f.ndiverged.Load()] {
-		if t := f.arrived[idx].Load(); t != 0 && !vf.vm.Have(idx) {
+	for k := range int(f.ndiverged.Load()) {
+		d := f.divergence(k)
+		if t := d.arrived.Load(); t != 0 && !vf.vm.Have(d.idx) {
 			// A recorded stripe reconstruction books as a FEC heal — or a
 			// duplicate, for a viewer that already unicast-repaired the
 			// chunk.
-			if f.healed[idx].Load() {
-				vf.vm.FecHealed(idx, time.Unix(0, t))
+			if d.healed.Load() {
+				vf.vm.FecHealed(d.idx, time.Unix(0, t))
 			} else {
-				vf.vm.Chunk(idx, time.Unix(0, t))
+				vf.vm.Chunk(d.idx, time.Unix(0, t))
 			}
 		}
 	}
@@ -738,7 +741,7 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 			if bad := content.Verify(data, f.c.video, f.videoBase+off); bad >= 0 {
 				led.byteErrors++
 			}
-			f.creditFirst(idx, len(data), now)
+			f.creditFirst(f.divergenceOf(idx), len(data), now)
 		}
 		if w.mux.trace != nil {
 			note := "repaired"

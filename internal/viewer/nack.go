@@ -45,14 +45,14 @@ func NackJitterKey(channel int) uint64 {
 // escalateNack moves a chunk on from an expired re-listen deadline: back
 // to nackPre for another round when tries and deadline room remain,
 // otherwise to the unicast plane, due immediately either way.
-func (m *Machine) escalateNack(idx int, now time.Time) {
-	if int(m.nackTries[idx]) < m.maxNackRounds &&
-		m.LostBy(idx).Sub(now) > m.nackWindow+2*m.spacing {
-		m.nackPhase[idx] = nackPre
+func (m *Machine) escalateNack(c *openChunk, now time.Time) {
+	if int(c.tries) < m.p.MaxNackRounds &&
+		m.LostBy(c.idx).Sub(now) > m.p.NackWindow+2*m.spacing {
+		c.phase = nackPre
 	} else {
-		m.nackPhase[idx] = nackDone
+		c.phase = nackDone
 	}
-	m.tryAt[idx] = now
+	c.tryAt = now
 }
 
 // relistenBy is how long a NACKed chunk waits on the broadcast group for
@@ -83,17 +83,16 @@ func (m *Machine) relistenBy(idx int, now time.Time) time.Time {
 // the re-send some other viewer triggered healed the burst first.
 func (m *Machine) fireNack(until, now time.Time) []int {
 	var chunks []int
-	for _, idx := range m.active {
-		if m.have[idx] || m.nackPhase[idx] != nackPre || m.tryAt[idx].After(until) {
+	for i := range m.active {
+		c := &m.active[i]
+		if m.resolved(c.idx) || c.phase != nackPre || c.tryAt.After(until) ||
+			int(c.tries) >= m.p.MaxNackRounds {
 			continue
 		}
-		if int(m.nackTries[idx]) >= m.maxNackRounds {
-			continue
-		}
-		m.nackTries[idx]++
-		m.nackPhase[idx] = nackWait
-		m.tryAt[idx] = m.relistenBy(idx, now)
-		chunks = append(chunks, idx)
+		c.tries++
+		c.phase = nackWait
+		c.tryAt = m.relistenBy(c.idx, now)
+		chunks = append(chunks, c.idx)
 	}
 	return chunks
 }
@@ -105,15 +104,18 @@ func (m *Machine) fireNack(until, now time.Time) []int {
 // plane immediately.
 func (m *Machine) NackResult(chunks []int, accepted func(idx int) bool, now time.Time) {
 	for _, idx := range chunks {
-		if idx < 0 || idx >= m.nchunks || m.have[idx] ||
-			m.nackPhase == nil || m.nackPhase[idx] != nackWait {
+		if idx < 0 || idx >= m.nchunks || m.resolved(idx) || !m.listed(idx) {
+			continue
+		}
+		c := m.find(idx)
+		if c.phase != nackWait {
 			continue
 		}
 		if accepted != nil && accepted(idx) {
-			m.tryAt[idx] = m.relistenBy(idx, now)
+			c.tryAt = m.relistenBy(idx, now)
 			continue
 		}
-		m.nackPhase[idx] = nackDone
-		m.tryAt[idx] = now
+		c.phase = nackDone
+		c.tryAt = now
 	}
 }

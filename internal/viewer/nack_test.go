@@ -255,14 +255,14 @@ func TestMachineNackDeadlineIneligible(t *testing.T) {
 }
 
 // TestMachineNackDisabledByRepairOff: DisableRepair wins over NackEnabled
-// — no ladder state is allocated and gaps ride to their loss deadlines.
+// — the ladder stays off and gaps ride to their loss deadlines.
 func TestMachineNackDisabledByRepairOff(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	p := nackParams(epoch)
 	p.DisableRepair = true
 	m := NewMachine(p)
-	if m.nackPhase != nil {
-		t.Fatal("ladder allocated under DisableRepair")
+	if m.p.NackEnabled {
+		t.Fatal("ladder enabled under DisableRepair")
 	}
 	act := m.Next(epoch.Add(5*time.Second + 250*time.Millisecond))
 	if act.Kind != ActWait {
