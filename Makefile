@@ -46,8 +46,9 @@ race:
 
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
 # — seeded drop/duplicate/reorder plans, unicast repair, reconnects, idle
-# reaping, graceful degradation, repair admission, storm coalescing,
-# supervised egress shards, drain, member eviction, the batched egress
+# reaping, graceful degradation, repair admission, the NACK re-send table
+# (sweep at cap, window expiry, one window per repetition), supervised
+# egress shards, drain, member eviction, the batched egress
 # engine (the wheel held to the closed-form grid, shard panic recovery,
 # vectorized/fallback/GSO identity — the sendmmsg stager at runs of one,
 # the portable writer, the stager with super-frames — catch-up run
@@ -71,7 +72,7 @@ race:
 # copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: egress collapsed to plain per-datagram

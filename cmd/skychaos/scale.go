@@ -131,7 +131,7 @@ type scaleReport struct {
 // parent merges the documents; a degraded run still reports before the
 // non-zero exit.
 func emulate(serverAddr string, viewers, videos int, spread float64, seed uint64,
-	workers, recvBatch int, noRepair, verbose bool) error {
+	workers int, noRepair, verbose bool) error {
 	cfg := viewer.MuxConfig{
 		ServerAddr:   serverAddr,
 		Viewers:      viewers,
@@ -139,7 +139,6 @@ func emulate(serverAddr string, viewers, videos int, spread float64, seed uint64
 		SpreadUnits:  spread,
 		Seed:         seed,
 		Workers:      workers,
-		RecvBatch:    recvBatch,
 		JoinLeadFrac: 0.9,
 		// Two units of slack (matching the chaos-suite clients): the NACK
 		// ladder only engages on chunks with a multicast round's worth of
@@ -191,7 +190,7 @@ func parseCounts(s string) ([]int, error) {
 // sweep must come back undegraded with sublinear unicast-repair growth —
 // the O(cohorts)-not-O(viewers) property, enforced.
 func scaleSweep(videos, channels int, width int64, unit time.Duration,
-	seed uint64, sweeps []sweepSpec, procs, muxWorkers, recvBatch int,
+	seed uint64, sweeps []sweepSpec, procs, muxWorkers int,
 	spread float64, fecGroup int, fecMode string, burst burstSpec,
 	noRepair, verbose, assertCohort bool, out string) error {
 	if procs <= 0 {
@@ -216,7 +215,7 @@ func scaleSweep(videos, channels int, width int64, unit time.Duration,
 		report.Burst = fmt.Sprintf("%g,%g,%g", burst.enter, burst.exit, burst.drop)
 	}
 	for _, sw := range sweeps {
-		res, err := runScaleSweep(sch, unit, seed, sw, procs, videos, muxWorkers, recvBatch, spread, fecGroup, fecMode, burst, noRepair, verbose)
+		res, err := runScaleSweep(sch, unit, seed, sw, procs, videos, muxWorkers, spread, fecGroup, fecMode, burst, noRepair, verbose)
 		if err != nil {
 			return err
 		}
@@ -243,7 +242,7 @@ func scaleSweep(videos, channels int, width int64, unit time.Duration,
 // runScaleSweep runs one sweep against its own server, so each drop rate
 // gets a clean fault plan and cost ledger.
 func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSpec,
-	procs, videos, muxWorkers, recvBatch int, spread float64, fecGroup int, fecMode string,
+	procs, videos, muxWorkers int, spread float64, fecGroup int, fecMode string,
 	burst burstSpec, noRepair, verbose bool) (*scaleSweepResult, error) {
 	scfg := server.Config{
 		Scheme:       sch,
@@ -276,7 +275,7 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 		"viewers", "procs", "cohorts", "p50-wait", "p99-wait", "fec-heals", "repairs", "defeats", "busy%", "degraded",
 		"nacks", "mc-heals", "datagrams", "srv-cpu-s", "srv-dgs", "sessions")
 	for _, n := range sw.counts {
-		row, err := scalePoint(srv, n, procs, videos, spread, seed, muxWorkers, recvBatch, noRepair, verbose)
+		row, err := scalePoint(srv, n, procs, videos, spread, seed, muxWorkers, noRepair, verbose)
 		if err != nil {
 			return nil, fmt.Errorf("drop %v viewers %d: %w", sw.drop, n, err)
 		}
@@ -346,7 +345,7 @@ func assertCohortRepair(report *scaleReport, chunksPerViewer int) error {
 // scalePoint runs one audience size: procs emulator processes splitting n
 // viewers, measured against the server's CPU and wire ledgers.
 func scalePoint(srv *server.Server, n, procs, videos int,
-	spread float64, seed uint64, muxWorkers, recvBatch int, noRepair, verbose bool) (*scaleRow, error) {
+	spread float64, seed uint64, muxWorkers int, noRepair, verbose bool) (*scaleRow, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -379,9 +378,6 @@ func scalePoint(srv *server.Server, n, procs, videos int,
 		}
 		if muxWorkers > 0 {
 			args = append(args, "-mux-workers", strconv.Itoa(muxWorkers))
-		}
-		if recvBatch > 0 {
-			args = append(args, "-recv-batch", strconv.Itoa(recvBatch))
 		}
 		if noRepair {
 			args = append(args, "-no-repair")
@@ -446,7 +442,7 @@ func scalePoint(srv *server.Server, n, procs, videos int,
 	s1 := srv.Status()
 	row.ServerDatagrams = s1.DatagramsSent - s0.DatagramsSent
 	row.ServerRepairs = s1.RepairsServed - s0.RepairsServed
-	row.ServerNackResends = s1.NackResends + s1.StormResends - s0.NackResends - s0.StormResends
+	row.ServerNackResends = s1.NackResends - s0.NackResends
 	row.ServerParityFrames = s1.ParityFrames - s0.ParityFrames
 	row.ServerParityBytes = s1.ParityBytes - s0.ParityBytes
 	row.ControlSessionsPeak = s1.ControlSessionsPeak

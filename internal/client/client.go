@@ -12,7 +12,6 @@ package client
 
 import (
 	"fmt"
-	"time"
 
 	"skyscraper/internal/trace"
 	"skyscraper/internal/viewer"
@@ -32,9 +31,10 @@ type Config struct {
 	// scheduled playback before it counts as jitter. Defaults to 0.5.
 	SlackFrac float64
 	// RepairLagFrac is how long after a chunk's expected arrival, as a
-	// fraction of one unit, a loader waits before requesting a unicast
-	// repair (absorbs pacing drift and reordering before declaring a
-	// gap). Defaults to 0.5.
+	// fraction of one unit, a loader waits before declaring the chunk a
+	// gap and starting its recovery — a NACK when the server offers the
+	// ladder, a unicast repair otherwise (absorbs pacing drift and
+	// reordering). Defaults to 0.5.
 	RepairLagFrac float64
 	// DisableRepair turns the loss-recovery path off: missing chunks are
 	// never requested from the server and become LostChunks when their
@@ -58,9 +58,6 @@ type Config struct {
 	// server in lockstep — while a given seed always reproduces the same
 	// schedule.
 	Seed uint64
-	// ControlTimeout bounds each control round trip (join acks, repair
-	// replies) and each reconnect dial. Defaults to 5 seconds.
-	ControlTimeout time.Duration
 	// MaxBufferBytes, when positive, is the client's disk capacity; the
 	// session fails if reception would exceed it. Provision it from the
 	// scheme's 60*b*D1*(W-1) bound (in the live demo's units:
@@ -92,15 +89,14 @@ type Stats = viewer.SessionResult
 // alongside the error.
 func Watch(cfg Config) (*Stats, error) {
 	stats, err := viewer.RunSession(viewer.MuxConfig{
-		ServerAddr:     cfg.ServerAddr,
-		JoinLeadFrac:   cfg.JoinLeadFrac,
-		SlackFrac:      cfg.SlackFrac,
-		RepairLagFrac:  cfg.RepairLagFrac,
-		DisableRepair:  cfg.DisableRepair,
-		DisableNack:    cfg.DisableNack,
-		ControlTimeout: cfg.ControlTimeout,
-		RecvBufBytes:   cfg.RecvBufBytes,
-		Logf:           cfg.Logf,
+		ServerAddr:    cfg.ServerAddr,
+		JoinLeadFrac:  cfg.JoinLeadFrac,
+		SlackFrac:     cfg.SlackFrac,
+		RepairLagFrac: cfg.RepairLagFrac,
+		DisableRepair: cfg.DisableRepair,
+		DisableNack:   cfg.DisableNack,
+		RecvBufBytes:  cfg.RecvBufBytes,
+		Logf:          cfg.Logf,
 	}, viewer.Session{Video: cfg.Video, Seed: cfg.Seed, MaxBufferBytes: cfg.MaxBufferBytes, Trace: cfg.Trace})
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)

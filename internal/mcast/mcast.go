@@ -360,7 +360,7 @@ type HubStats struct {
 	Memberships    int   `json:"memberships"`
 	MembersEvicted int64 `json:"membersEvicted"`
 	// RepairDatagrams counts the datagrams sent through SendRepairBatch
-	// (storm- and NACK-triggered re-sends), so repair traffic is told
+	// (NACK-triggered re-sends), so repair traffic is told
 	// apart from schedule traffic on the same batch path.
 	RepairDatagrams int64 `json:"repairDatagrams"`
 	// EgressBatches counts SendBatch dispatches (a Send is one) that

@@ -120,7 +120,7 @@ func TestRecvCloseLeaksNothing(t *testing.T) {
 	}
 	// The runtime may map a little more heap meanwhile; a leaked landing
 	// zone per receiver would be receivers × 4 MiB.
-	zone := int64(DefaultRecvBatch * maxDatagram)
+	zone := int64(recvBatch * maxDatagram)
 	if grown := anonBytes(t) - anon; grown > 8*zone {
 		t.Errorf("anonymous mappings grew %d MiB over %d closed receivers (%.1f landing zones)",
 			grown>>20, receivers, float64(grown)/float64(zone))

@@ -57,20 +57,19 @@ type groCmsg struct {
 }
 
 // recvBuf is the reusable state of the batched read loop: fixed syscall
-// arrays sized to the batch ceiling, one contiguous maxDatagram-strided
+// arrays sized to recvBatch, one contiguous maxDatagram-strided
 // landing zone the iovecs point into (mapped outside the Go heap, and
 // unmapped by the run goroutine once it has dispatched its last batch),
 // and the frame views rebuilt from it after every drain. It is owned by
 // the run goroutine; fn is the pre-bound RawConn.Read callback (bound
 // once so the hot path never allocates a closure).
 type recvBuf struct {
-	hdrs  [DefaultRecvBatch]mmsghdr
-	iovs  [DefaultRecvBatch]syscall.Iovec
-	ctrls [DefaultRecvBatch]groCmsg
+	hdrs  [recvBatch]mmsghdr
+	iovs  [recvBatch]syscall.Iovec
+	ctrls [recvBatch]groCmsg
 	bufs  []byte
 
 	frames [][]byte
-	vlen   int
 	n      int
 	errno  syscall.Errno
 	s      *SharedReceiver
@@ -83,11 +82,8 @@ type recvBuf struct {
 // the kernel, then declined with a log line if its landing zone cannot
 // be mapped), then the GRO rung on top of it (declined by
 // SKYSCRAPER_NO_GRO or a failed sockopt, each logged once and counted in
-// GROFallbacks). A batch of 1 pins the portable path outright.
+// GROFallbacks).
 func (s *SharedReceiver) initRecv() {
-	if s.batch <= 1 {
-		return
-	}
 	if os.Getenv(NoRecvmmsgEnv) != "" {
 		return
 	}
@@ -100,7 +96,7 @@ func (s *SharedReceiver) initRecv() {
 		s.logf("mcast: kernel lacks recvmmsg; shared receiver falls back to per-datagram reads")
 		return
 	}
-	bufs, err := syscall.Mmap(-1, 0, s.batch*maxDatagram,
+	bufs, err := syscall.Mmap(-1, 0, recvBatch*maxDatagram,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		s.logf("mcast: cannot map the recvmmsg landing zone (%v); shared receiver falls back to per-datagram reads", err)
@@ -108,7 +104,7 @@ func (s *SharedReceiver) initRecv() {
 	}
 	rb := &recvBuf{s: s, bufs: bufs}
 	rb.fn = rb.step
-	rb.frames = make([][]byte, 0, s.batch)
+	rb.frames = make([][]byte, 0, recvBatch)
 	s.rb = rb
 	s.mmsgCapable = true
 	s.mmsgOn.Store(true)
@@ -250,9 +246,8 @@ func (s *SharedReceiver) readBatched() bool {
 func (rb *recvBuf) prepare() {
 	rb.n = 0
 	rb.errno = 0
-	rb.vlen = rb.s.batch
 	gro := rb.s.groOn.Load()
-	for i := 0; i < rb.vlen; i++ {
+	for i := 0; i < recvBatch; i++ {
 		iov := &rb.iovs[i]
 		iov.Base = &rb.bufs[i*maxDatagram]
 		iov.SetLen(maxDatagram)
@@ -285,7 +280,7 @@ func (rb *recvBuf) prepare() {
 func (rb *recvBuf) step(fd uintptr) bool {
 	for {
 		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&rb.hdrs[0])), uintptr(rb.vlen), msgDontwait, 0, 0)
+			uintptr(unsafe.Pointer(&rb.hdrs[0])), recvBatch, msgDontwait, 0, 0)
 		rb.s.readSyscalls.Inc()
 		if errno != 0 {
 			switch errno {

@@ -23,16 +23,14 @@ type Classifier func(frame []byte) (Group, bool)
 // payload loopback can carry.
 const maxDatagram = 64 << 10
 
-// DefaultRecvBatch is the most datagrams one recvmmsg call may drain —
-// the ingress mirror of sendmmsgBatch, and for the same reason: large
-// enough that the syscall cost amortizes to noise. The batched reader's
-// landing zone holds one maxDatagram span per batch entry, 4 MiB of
-// address space mapped outside the Go heap (recv_linux.go): only the
-// pages datagrams actually land on cost RSS, and the GC neither counts
-// nor paces against any of it. It is also the hard ceiling: the platform
-// layer's syscall arrays are sized to it, so larger configured batches
-// are clamped here.
-const DefaultRecvBatch = 64
+// recvBatch is the most datagrams one recvmmsg call may drain — the
+// ingress mirror of sendmmsgBatch, and for the same reason: large enough
+// that the syscall cost amortizes to noise. The batched reader's landing
+// zone holds one maxDatagram span per batch entry, 4 MiB of address space
+// mapped outside the Go heap (recv_linux.go): only the pages datagrams
+// actually land on cost RSS, and the GC neither counts nor paces against
+// any of it.
+const recvBatch = 64
 
 // Read-error backoff: a persistent (non-closed) receive error used to
 // spin the read loop hot. After readErrStreak consecutive failures the
@@ -50,10 +48,6 @@ type SharedReceiverConfig struct {
 	// RecvBufBytes is the kernel receive buffer (SetReadBuffer); zero or
 	// negative selects DefaultRecvBufBytes.
 	RecvBufBytes int
-	// Batch is the most datagrams drained per recvmmsg call, clamped to
-	// [1, DefaultRecvBatch]; zero or negative selects DefaultRecvBatch.
-	// A batch of 1 pins the portable single-read path.
-	Batch int
 	// Classify routes datagrams to groups; required.
 	Classify Classifier
 	// Logf receives the one-line notices of the ingress ladder (probe
@@ -68,9 +62,9 @@ type SharedReceiverConfig struct {
 // kernel-side cost scales with cohorts, not audience size.
 //
 // The read side is a two-rung ladder mirroring the hub's egress: a
-// recvmmsg rung drains up to the configured batch of datagrams per
-// syscall into a landing zone mapped outside the Go heap (recv_linux.go),
-// and a UDP GRO rung on top receives the hub's GSO super-frames as one
+// recvmmsg rung drains up to recvBatch datagrams per syscall into a
+// landing zone mapped outside the Go heap (recv_linux.go), and a UDP
+// GRO rung on top receives the hub's GSO super-frames as one
 // coalesced buffer that is split back into wire-sized frames in
 // userspace. Platforms (or kill-switches) without the rungs read one
 // datagram per syscall through the portable path — behavior-identical,
@@ -100,7 +94,6 @@ type SharedReceiver struct {
 	// mmsgCapable/groCapable record what the creation-time probes proved;
 	// mmsgOn/groOn are the live switches (runtime demotion, test hooks).
 	rc          syscall.RawConn
-	batch       int
 	rb          *recvBuf
 	mmsgOn      atomic.Bool
 	groOn       atomic.Bool
@@ -263,10 +256,6 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 	if err != nil {
 		return nil, err
 	}
-	batch := cfg.Batch
-	if batch <= 0 || batch > DefaultRecvBatch {
-		batch = DefaultRecvBatch
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -275,7 +264,6 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 		conn:     r.Conn,
 		classify: cfg.Classify,
 		logf:     logf,
-		batch:    batch,
 		done:     make(chan struct{}),
 		arenas:   make(map[int]*slotArena),
 	}

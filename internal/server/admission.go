@@ -1,15 +1,15 @@
-// Repair-plane admission control: the storm-coalescing table that turns
-// correlated unicast repair bursts back into multicast, and the server-side
-// re-send it triggers.
+// Repair-plane admission: the NACK re-send table that answers a lost
+// chunk once on its own broadcast group however many cohorts report it,
+// and the server-side re-send itself.
 //
 // The paper's core argument is that per-client unicast collapses under
 // metropolitan load; the repair plane inherits the same failure mode in
 // miniature. A transient fault that hits a whole neighborhood (a dropped
-// broadcast datagram reaches nobody) makes every affected client pull the
-// same chunk over TCP at once. Instead of serving N identical unicasts, the
-// server answers the storm once on the chunk's own broadcast group and
-// tells the queued clients to re-listen — restoring the multicast economics
-// the scheme is built on.
+// broadcast datagram reaches nobody) makes every injured cohort report the
+// same chunk at once. Instead of one re-send per report, the server
+// answers the first NACK once on the chunk's own broadcast group and
+// absorbs the rest — restoring the multicast economics the scheme is built
+// on.
 package server
 
 import (
@@ -17,124 +17,97 @@ import (
 	"time"
 
 	"skyscraper/internal/mcast"
+	"skyscraper/internal/metrics"
 )
 
-// stormKey identifies one broadcast chunk: the unit of storm coalescing.
-// Only chunk-aligned, full-chunk repair requests participate — exactly the
-// shape a client recovering a lost datagram sends.
-type stormKey struct {
+// resendKey identifies what one multicast re-send heals: a chunk of one
+// broadcast repetition. The repetition is part of the key because the
+// re-send carries the requester's Seq and a receiver drops frames of any
+// other repetition as strays — a re-send for repetition n heals nobody
+// waiting on n+1, however close in time the two NACKs are.
+type resendKey struct {
 	video   int
 	channel int
+	seq     uint32
 	chunk   int
 }
 
-// stormVerdict is the admission decision for one repair request.
-type stormVerdict int
+// resendTableCap is the table size at which inserts start sweeping
+// expired windows, so a long-running server's table cannot grow unbounded.
+const resendTableCap = 4096
 
-const (
-	// stormPass: below threshold; serve the unicast normally.
-	stormPass stormVerdict = iota
-	// stormResend: this request crossed the threshold — answer the whole
-	// storm with one multicast re-send and tell this client to re-listen.
-	stormResend
-	// stormSuppress: the window's re-send already happened; tell this
-	// client to re-listen without re-sending again.
-	stormSuppress
-)
+// nackLateUnits is how long past a repetition's end the server still
+// answers NACKs for it: two units past a viewer's receive cutoff
+// (viewer.DefaultGraceUnits), for control-plane delay.
+const nackLateUnits = 8
 
-// stormTableCap bounds the table; reaching it triggers a sweep of expired
-// windows so a long-running server's table cannot grow without bound.
-const stormTableCap = 4096
-
-// stormState is one chunk's active coalescing window.
-type stormState struct {
-	windowStart time.Time
-	// conns are the distinct control connections that asked for the chunk
-	// this window: the storm signal is many *clients*, not one client
-	// retrying.
-	conns  map[int64]struct{}
-	resent bool
+// repetitionLive reports whether a viewer can still be receiving
+// repetition seq of a channel of the given period at elapsed past the
+// epoch: begun, give or take a unit of clock skew, and over at most
+// nackLateUnits ago. Seq keys the re-send table, so the server answers
+// only live repetitions, or one connection could open windows — and
+// trigger re-sends — without limit.
+func repetitionLive(seq uint32, period, unit, elapsed time.Duration) bool {
+	n, late := int64(seq), elapsed-nackLateUnits*unit
+	return n <= int64((elapsed+unit)/period) && (late < 0 || n >= int64(late/period))
 }
 
-// stormTable counts distinct-client repair requests per chunk within a
-// sliding window and decides when a burst should coalesce into one
-// multicast re-send. Safe for concurrent use.
-type stormTable struct {
-	mu        sync.Mutex
-	threshold int
-	window    time.Duration
-	states    map[stormKey]*stormState
+// resendTable remembers when each chunk was last re-sent and absorbs the
+// NACKs that arrive within one window of it. A NACK is already the
+// aggregated voice of a whole cohort, so the first one in a window
+// triggers the re-send and every later one for the same key rides it —
+// the requester just keeps re-listening. Safe for concurrent use.
+type resendTable struct {
+	mu     sync.Mutex
+	window time.Duration
+	sent   map[resendKey]time.Time
+	// sweepAt is where the next insert sweeps: resendTableCap, or twice
+	// what the last sweep left, so live windows are not rescanned per insert.
+	sweepAt int
 }
 
-func newStormTable(threshold int, window time.Duration) *stormTable {
-	return &stormTable{
-		threshold: threshold,
-		window:    window,
-		states:    make(map[stormKey]*stormState),
-	}
+func newResendTable(window time.Duration) *resendTable {
+	return &resendTable{window: window, sent: make(map[resendKey]time.Time), sweepAt: resendTableCap}
 }
 
-// note records that connID requested k at now and returns the admission
-// verdict for that request.
-func (t *stormTable) note(k stormKey, connID int64, now time.Time) stormVerdict {
+// note records a NACK for k at now. accept reports whether the requester
+// is covered, resend whether this NACK must send the chunk: a window still
+// open for k accepts without a re-send; otherwise the chunk's bytes are
+// taken from budget (nil means unlimited) and, if it has them, a window
+// opens and the chunk is re-sent. The budget is asked under the table's
+// lock, so a chunk it refuses is never seen as in flight.
+func (t *resendTable) note(k resendKey, now time.Time, budget *metrics.TokenBucket, bytes int) (accept, resend bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.states[k]
-	if st == nil || now.Sub(st.windowStart) > t.window {
-		if len(t.states) >= stormTableCap {
-			t.sweepLocked(now)
+	if at, ok := t.sent[k]; ok && now.Sub(at) <= t.window {
+		return true, false
+	}
+	if budget != nil {
+		if ok, _ := budget.Take(now, float64(bytes)); !ok {
+			return false, false
 		}
-		st = &stormState{windowStart: now, conns: make(map[int64]struct{}, t.threshold)}
-		t.states[k] = st
 	}
-	st.conns[connID] = struct{}{}
-	if len(st.conns) < t.threshold {
-		return stormPass
+	if len(t.sent) >= t.sweepAt {
+		t.sweepLocked(now)
+		t.sweepAt = max(resendTableCap, 2*len(t.sent))
 	}
-	if !st.resent {
-		st.resent = true
-		return stormResend
-	}
-	return stormSuppress
-}
-
-// noteNack records a NACK for chunk k and reports whether the server
-// should multicast a re-send now. Unlike note, it needs no distinct-client
-// threshold: a NACK is already the aggregated voice of a whole cohort, so
-// the first one in a window triggers the re-send and every later one for
-// the same chunk is absorbed — the requester just keeps re-listening. A
-// window opened by unicast requests counts too: if its re-send already
-// happened, the NACK rides it.
-func (t *stormTable) noteNack(k stormKey, now time.Time) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.states[k]
-	if st == nil || now.Sub(st.windowStart) > t.window {
-		if len(t.states) >= stormTableCap {
-			t.sweepLocked(now)
-		}
-		st = &stormState{windowStart: now, conns: make(map[int64]struct{})}
-		t.states[k] = st
-	}
-	if st.resent {
-		return false
-	}
-	st.resent = true
-	return true
+	t.sent[k] = now
+	return true, true
 }
 
 // sweepLocked drops expired windows. Callers hold mu.
-func (t *stormTable) sweepLocked(now time.Time) {
-	for k, st := range t.states {
-		if now.Sub(st.windowStart) > t.window {
-			delete(t.states, k)
+func (t *resendTable) sweepLocked(now time.Time) {
+	for k, at := range t.sent {
+		if now.Sub(at) > t.window {
+			delete(t.sent, k)
 		}
 	}
 }
 
-// resend multicasts chunks of (video, channel) under the requester's Seq on
-// the channel's own broadcast group — the server half of both coalescing
-// mechanisms. Two deliberate asymmetries with the normal data path:
+// nackResend answers one NACK's accepted chunks with a batched multicast
+// re-send under the requester's Seq on the channel's own broadcast group:
+// one vectorized dispatch heals the whole injured audience. Two deliberate
+// asymmetries with the normal data path:
 //
 //   - It sends through the hub directly, not s.send: the fault injector's
 //     drop decisions are deterministic per chunk position, so routing the
@@ -147,7 +120,7 @@ func (t *stormTable) sweepLocked(now time.Time) {
 // The dispatch goes through the hub's repair batch path, so re-sends
 // share the sendmmsg/batching ledger with scheduled egress and show up in
 // the repair-datagram ledger.
-func (s *Server) resend(what string, video, channel int, seq uint32, chunks []int, a *frameArena) {
+func (s *Server) nackResend(video, channel int, seq uint32, chunks []int, a *frameArena) {
 	cc := s.cache.channel(video, channel)
 	g := mcast.Group{Video: video, Channel: channel}
 	a.reset() // the connection's previous re-send has returned
@@ -156,20 +129,7 @@ func (s *Server) resend(what string, video, channel int, seq uint32, chunks []in
 		entries[i] = mcast.BatchEntry{Group: g, Frame: s.cache.materialise(a, cc, chunk, seq)}
 	}
 	if _, err := s.hub.SendRepairBatch(entries); err != nil {
-		s.cfg.Logf("server: %s re-send %v: %v", what, g, err)
+		s.cfg.Logf("server: nack re-send %v: %v", g, err)
 	}
-}
-
-// stormResend answers a coalesced repair storm once, for every client
-// that asked.
-func (s *Server) stormResend(video, channel, chunk int, seq uint32, a *frameArena) {
-	s.resend("storm", video, channel, seq, []int{chunk}, a)
-	s.stormResends.Inc()
-}
-
-// nackResend answers one NACK's accepted chunks with a batched multicast
-// re-send: one vectorized dispatch heals the whole injured audience.
-func (s *Server) nackResend(video, channel int, seq uint32, chunks []int, a *frameArena) {
-	s.resend("nack", video, channel, seq, chunks, a)
 	s.nackResends.Add(int64(len(chunks)))
 }

@@ -13,12 +13,11 @@ import (
 
 // TestControlOverflowRejected sends the control lines whose index
 // arithmetic once overflowed into the frame builder — a NACK whose last
-// chunk index wraps negative, a repair whose Offset+Length wraps negative —
-// and their in-range-arithmetic neighbours. Each is answered with
-// KindError on a connection that stays usable, with storm coalescing off
-// (where the repair used to be answered from outside the fragment) and on
-// (where it used to panic an unrecovered control goroutine and take the
-// broadcast down), while a viewer's session runs to completion beside it.
+// chunk index wraps negative, a repair whose Offset+Length wraps negative
+// (once answered from outside the fragment, and once an unrecovered panic
+// that took the broadcast down) — and their in-range-arithmetic
+// neighbours. Each is answered with KindError on a connection that stays
+// usable, while a viewer's session runs to completion beside it.
 func TestControlOverflowRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -36,32 +35,30 @@ func TestControlOverflowRejected(t *testing.T) {
 		{"repair huge offset, no wrap", wire.Control{Kind: wire.KindRepair,
 			Repair: &wire.Repair{Video: 0, Channel: 1, Offset: math.MaxInt64 - 4096, Length: 1024}}},
 	}
-	for _, storm := range []int{0, 1} {
-		sch := liveScheme(t, 1, 3, 2)
-		srv := startChaosServer(t, sch, 50*time.Millisecond, server.Config{StormThreshold: storm})
-		tb := trace.New(256)
-		watched := make(chan error, 1)
-		go func() {
-			_, err := client.Watch(chaosClient(srv.Addr(), 0, tb))
-			watched <- err
-		}()
+	sch := liveScheme(t, 1, 3, 2)
+	srv := startChaosServer(t, sch, 50*time.Millisecond, server.Config{})
+	tb := trace.New(256)
+	watched := make(chan error, 1)
+	go func() {
+		_, err := client.Watch(chaosClient(srv.Addr(), 0, tb))
+		watched <- err
+	}()
 
-		conn, r := dialRaw(t, srv.Addr())
-		for _, tc := range hostile {
-			if err := wire.WriteControl(conn, &tc.msg); err != nil {
-				t.Fatal(err)
-			}
-			m, err := wire.ReadControl(r)
-			if err != nil {
-				t.Fatalf("storm threshold %d, %s: no reply: %v", storm, tc.name, err)
-			}
-			if m.Kind != wire.KindError {
-				t.Errorf("storm threshold %d, %s: answered %q, want %q", storm, tc.name, m.Kind, wire.KindError)
-			}
+	conn, r := dialRaw(t, srv.Addr())
+	for _, tc := range hostile {
+		if err := wire.WriteControl(conn, &tc.msg); err != nil {
+			t.Fatal(err)
 		}
-		if err := <-watched; err != nil {
-			dumpTrace(t, tb)
-			t.Fatalf("storm threshold %d: watch beside the hostile connection: %v", storm, err)
+		m, err := wire.ReadControl(r)
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", tc.name, err)
 		}
+		if m.Kind != wire.KindError {
+			t.Errorf("%s: answered %q, want %q", tc.name, m.Kind, wire.KindError)
+		}
+	}
+	if err := <-watched; err != nil {
+		dumpTrace(t, tb)
+		t.Fatalf("watch beside the hostile connection: %v", err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"skyscraper/internal/client"
 	"skyscraper/internal/faults"
-	"skyscraper/internal/mcast"
 	"skyscraper/internal/server"
 	"skyscraper/internal/trace"
 	"skyscraper/internal/wire"
@@ -176,85 +175,6 @@ func TestOverloadClientsTerminate(t *testing.T) {
 	}
 	if srv.Status().BusyReplies == 0 {
 		t.Error("server issued no Busy replies despite the starved budget")
-	}
-}
-
-// TestStormCoalescing drives the storm path at the protocol level: when
-// StormThreshold distinct connections pull the same chunk inside the
-// window, the threshold-crossing request is answered once by a multicast
-// re-send on the chunk's broadcast group, and it plus every later
-// request get Busy(0) — re-listen, don't re-pull.
-func TestStormCoalescing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 1, 3, 2)
-	srv := startChaosServer(t, sch, 50*time.Millisecond, server.Config{
-		StormThreshold: 3,
-		StormWindow:    2 * time.Second,
-	})
-
-	// A group member to witness the multicast re-send.
-	rcv, err := mcast.NewReceiver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcv.Close()
-	g := mcast.Group{Video: 0, Channel: 2}
-	if err := srv.Hub().Join(g, rcv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-
-	// The storm: 4 distinct connections request the same chunk (seq 777
-	// cannot collide with the live schedule's repetition numbers within this
-	// test's lifetime).
-	req := &wire.Repair{Video: 0, Channel: 2, Seq: 777, Offset: 1024, Length: 1024}
-	wantKinds := []string{wire.KindRepairOK, wire.KindRepairOK, wire.KindBusy, wire.KindBusy}
-	for i, want := range wantKinds {
-		conn, r := dialRaw(t, srv.Addr())
-		if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindRepair, Repair: req}); err != nil {
-			t.Fatal(err)
-		}
-		m, err := wire.ReadControl(r)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if m.Kind != want {
-			t.Fatalf("request %d answered %q, want %q", i, m.Kind, want)
-		}
-		if m.Kind == wire.KindBusy && m.RetryAfterNanos != 0 {
-			t.Errorf("storm Busy carries retry hint %d, want 0 (re-listen)", m.RetryAfterNanos)
-		}
-		conn.Close()
-	}
-	if srv.Status().StormResends != 1 {
-		t.Errorf("StormResends = %d, want 1 (one re-send per window)", srv.Status().StormResends)
-	}
-	if srv.Status().SuppressedRepairs != 2 {
-		t.Errorf("SuppressedRepairs = %d, want 2", srv.Status().SuppressedRepairs)
-	}
-	if srv.Status().BusyReplies != 2 {
-		t.Errorf("BusyReplies = %d, want 2", srv.Status().BusyReplies)
-	}
-
-	// The re-send reached the group, tagged with the storm's seq and
-	// carrying the frame-cache bytes of the requested chunk.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		_ = rcv.Conn.SetReadDeadline(deadline)
-		buf := make([]byte, wire.EncodedSize(wire.MaxPayload))
-		n, _, err := rcv.Conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			t.Fatal("multicast re-send never reached the group")
-		}
-		c, err := wire.Decode(buf[:n])
-		if err != nil || c.Seq != 777 {
-			continue // a regular scheduled broadcast; keep looking
-		}
-		if int(c.Offset) != 1024 || len(c.Payload) != 1024 {
-			t.Fatalf("re-send frame mismatch: offset %d, %d payload bytes", c.Offset, len(c.Payload))
-		}
-		break
 	}
 }
 

@@ -53,35 +53,22 @@ type Config struct {
 	// memberships); a half-open client therefore cannot pin a handler
 	// goroutine forever. Defaults to 2 minutes.
 	ControlIdleTimeout time.Duration
-	// ControlWriteTimeout bounds each control reply write. Defaults to
-	// 10 seconds.
-	ControlWriteTimeout time.Duration
 	// EnablePprof registers net/http/pprof's profiling handlers on the
 	// status endpoint's mux (ServeStatus) under /debug/pprof/.
 	EnablePprof bool
 
-	// RepairBandwidth caps the unicast repair plane at this many repair
+	// RepairBandwidth caps the repair plane — unicast repair replies and
+	// NACK-triggered multicast re-sends alike — at this many repair
 	// payload bytes per second, enforced by a token bucket; an over-budget
-	// request is refused with a Busy reply carrying a retry-after hint
-	// instead of being queued. 0 means unlimited. Size it with
+	// unicast request is refused with a Busy reply carrying a retry-after
+	// hint instead of being queued, an over-budget NACKed chunk is left
+	// unaccepted. 0 means unlimited. Size it with
 	// unicast.RepairBandwidthBytes from the expected loss rate and session
 	// count.
 	RepairBandwidth int64
 	// RepairBurstBytes is the repair token bucket's depth. Defaults to a
 	// quarter second of RepairBandwidth, but at least one chunk.
 	RepairBurstBytes int64
-	// RepairPerConnPerSec caps repair requests per control connection per
-	// second, so one broken client cannot consume the shared repair
-	// budget. 0 means unlimited.
-	RepairPerConnPerSec float64
-	// StormThreshold coalesces repair storms: when this many distinct
-	// clients request the same chunk within StormWindow, the server
-	// answers once with a multicast re-send on the chunk's broadcast group
-	// and replies Busy(0) to the unicasts so the clients re-listen.
-	// 0 disables coalescing.
-	StormThreshold int
-	// StormWindow is the storm-coalescing window. Defaults to 2*Unit.
-	StormWindow time.Duration
 
 	// SendBufBytes sizes the multicast hub's kernel send buffer
 	// (SetWriteBuffer); batched egress hands the kernel bursts of up to
@@ -116,6 +103,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// controlWriteTimeout bounds each control reply write, and Drain's bye.
+const controlWriteTimeout = 10 * time.Second
+
 func (c Config) validate() error {
 	switch {
 	case c.Scheme == nil:
@@ -132,12 +122,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: RepairBandwidth = %d must be non-negative", c.RepairBandwidth)
 	case c.RepairBurstBytes < 0:
 		return fmt.Errorf("server: RepairBurstBytes = %d must be non-negative", c.RepairBurstBytes)
-	case c.RepairPerConnPerSec < 0:
-		return fmt.Errorf("server: RepairPerConnPerSec = %v must be non-negative", c.RepairPerConnPerSec)
-	case c.StormThreshold < 0:
-		return fmt.Errorf("server: StormThreshold = %d must be non-negative", c.StormThreshold)
-	case c.StormWindow < 0:
-		return fmt.Errorf("server: StormWindow = %v must be non-negative", c.StormWindow)
 	case c.SendBufBytes < 0:
 		return fmt.Errorf("server: SendBufBytes = %d must be non-negative", c.SendBufBytes)
 	case c.RecvBufBytes < 0:
@@ -191,28 +175,20 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 
 	// repairBudget is the repair plane's shared token bucket (nil when
-	// RepairBandwidth is 0); storms is the coalescing table — always
-	// present, because NACK re-send dedup needs it even when the
-	// unicast storm threshold (StormThreshold > 0) is off.
+	// RepairBandwidth is 0); resends is the NACK re-send table.
 	repairBudget *metrics.TokenBucket
-	storms       *stormTable
+	resends      *resendTable
 
-	// draining marks a server in graceful shutdown (Drain); connSeq hands
-	// out control-connection IDs for the storm table's distinct-client
-	// counting.
+	// draining marks a server in graceful shutdown (Drain).
 	draining atomic.Bool
-	connSeq  atomic.Int64
 
 	// repairs counts unicast chunk repairs answered; repairBytes their
-	// payload bytes; busyReplies the requests pushed back with Busy;
-	// suppressed the unicasts absorbed by storm re-sends (stormResends).
+	// payload bytes; busyReplies the requests pushed back with Busy.
 	// Padded: they sit next to each other and are bumped from concurrent
 	// control handlers and egress shards.
-	repairs      metrics.PaddedCounter
-	repairBytes  metrics.PaddedCounter
-	busyReplies  metrics.PaddedCounter
-	stormResends metrics.PaddedCounter
-	suppressed   metrics.PaddedCounter
+	repairs     metrics.PaddedCounter
+	repairBytes metrics.PaddedCounter
+	busyReplies metrics.PaddedCounter
 	// nacksServed counts gap-bitmap NACK messages answered; nackResends
 	// the multicast re-sends they triggered; nackSuppressed the NACKed
 	// chunks absorbed because a re-send was already in flight.
@@ -271,12 +247,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ControlIdleTimeout <= 0 {
 		cfg.ControlIdleTimeout = 2 * time.Minute
 	}
-	if cfg.ControlWriteTimeout <= 0 {
-		cfg.ControlWriteTimeout = 10 * time.Second
-	}
-	if cfg.StormWindow == 0 {
-		cfg.StormWindow = 2 * cfg.Unit
-	}
 	if cfg.RepairBandwidth > 0 && cfg.RepairBurstBytes == 0 {
 		cfg.RepairBurstBytes = cfg.RepairBandwidth / 4
 		if min := int64(cfg.ChunkBytes); cfg.RepairBurstBytes < min {
@@ -291,7 +261,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RepairBandwidth > 0 {
 		s.repairBudget = metrics.NewTokenBucket(float64(cfg.RepairBandwidth), float64(cfg.RepairBurstBytes))
 	}
-	s.storms = newStormTable(cfg.StormThreshold, cfg.StormWindow)
+	// A NACK for a chunk re-sent within the last two units rides that
+	// re-send; after that, the chunk is re-sent again.
+	s.resends = newResendTable(2 * cfg.Unit)
 	return s, nil
 }
 
@@ -501,24 +473,12 @@ func (s *Server) serveControl(conn net.Conn) {
 	// connection so concurrent control sessions never contend.
 	var arena frameArena
 
-	// connID feeds the storm table's distinct-client counting; the
-	// per-connection limiter rations this client's repair request rate.
-	connID := s.connSeq.Add(1)
-	var connLimit *metrics.TokenBucket
-	if rate := s.cfg.RepairPerConnPerSec; rate > 0 {
-		burst := rate
-		if burst < 1 {
-			burst = 1
-		}
-		connLimit = metrics.NewTokenBucket(rate, burst)
-	}
-
 	sch := s.cfg.Scheme
 	r := bufio.NewReader(conn)
 	// Every reply write is deadline-bounded so a client that stops
 	// draining its socket cannot wedge the handler.
 	write := func(m *wire.Control) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.ControlWriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(controlWriteTimeout))
 		return wire.WriteControl(conn, m)
 	}
 	fail := func(format string, args ...any) {
@@ -602,40 +562,9 @@ func (s *Server) serveControl(conn net.Conn) {
 				fail("repair: bad range [%d, +%d) of %d-byte fragment", rp.Offset, rp.Length, total)
 				continue
 			}
-			// Admission, cheapest gate first. 1: this connection's request
-			// rate.
-			now := time.Now()
-			if connLimit != nil {
-				if ok, retry := connLimit.Take(now, 1); !ok {
-					if err := busy(retry); err != nil {
-						return
-					}
-					continue
-				}
-			}
-			// 2: storm coalescing — many distinct clients pulling the same
-			// chunk are answered once, by multicast, on the chunk's own
-			// group. Only chunk-aligned full-chunk requests (the shape a
-			// lost datagram produces) participate.
-			if cb := int64(s.cfg.ChunkBytes); s.cfg.StormThreshold > 0 && rp.Length == s.cfg.ChunkBytes && rp.Offset%cb == 0 {
-				k := stormKey{video: rp.Video, channel: rp.Channel, chunk: int(rp.Offset / cb)}
-				switch s.storms.note(k, connID, now) {
-				case stormResend:
-					s.stormResend(k.video, k.channel, k.chunk, rp.Seq, &arena)
-					fallthrough
-				case stormSuppress:
-					s.suppressed.Inc()
-					// Busy(0): the answer is (already) in flight on the
-					// broadcast group; re-listen instead of re-pulling.
-					if err := busy(0); err != nil {
-						return
-					}
-					continue
-				}
-			}
-			// 3: the shared repair byte budget.
+			// Admission: the shared repair byte budget.
 			if s.repairBudget != nil {
-				if ok, retry := s.repairBudget.Take(now, float64(rp.Length)); !ok {
+				if ok, retry := s.repairBudget.Take(time.Now(), float64(rp.Length)); !ok {
 					if err := busy(retry); err != nil {
 						return
 					}
@@ -670,44 +599,33 @@ func (s *Server) serveControl(conn net.Conn) {
 				continue
 			}
 			now := time.Now()
-			// One NACK costs one per-connection token regardless of how
-			// many chunks it reports: aggregation must not be taxed.
-			if connLimit != nil {
-				if ok, retry := connLimit.Take(now, 1); !ok {
-					if err := busy(retry); err != nil {
-						return
-					}
-					continue
-				}
+			if period := time.Duration(sch.Sizes()[nk.Channel-1]) * s.cfg.Unit; !repetitionLive(nk.Seq, period, s.cfg.Unit, now.Sub(s.epoch)) {
+				fail("nack: repetition %d of channel %d/%d is not on the air", nk.Seq, nk.Video, nk.Channel)
+				continue
 			}
 			s.nacksServed.Inc()
 			accepted := &wire.Nack{Video: nk.Video, Channel: nk.Channel, Seq: nk.Seq,
 				BaseChunk: nk.BaseChunk, Bitmap: make([]byte, len(nk.Bitmap))}
 			resend := chunks[:0]
 			for _, chunk := range chunks {
-				k := stormKey{video: nk.Video, channel: nk.Channel, chunk: chunk}
-				if !s.storms.noteNack(k, now) {
+				// A fresh re-send spends the shared repair byte budget like
+				// any repair; a refused chunk stays unmarked and the client
+				// falls back to unicast (which is budget-gated too, so an
+				// over-budget plane degrades, not amplifies).
+				clen := min(s.cfg.ChunkBytes, s.fragmentBytes(nk.Channel)-chunk*s.cfg.ChunkBytes)
+				k := resendKey{video: nk.Video, channel: nk.Channel, seq: nk.Seq, chunk: chunk}
+				accept, fresh := s.resends.note(k, now, s.repairBudget, clen)
+				if !accept {
+					continue
+				}
+				accepted.Set(chunk)
+				if fresh {
+					resend = append(resend, chunk)
+				} else {
 					// A re-send within the window is already in flight;
 					// the client just keeps re-listening.
 					s.nackSuppressed.Inc()
-					accepted.Set(chunk)
-					continue
 				}
-				// The re-send spends the shared repair byte budget like
-				// any repair; a refused chunk stays unmarked and the
-				// client falls back to unicast (which is budget-gated
-				// too, so an over-budget plane degrades, not amplifies).
-				clen := s.cfg.ChunkBytes
-				if rem := s.fragmentBytes(nk.Channel) - chunk*s.cfg.ChunkBytes; rem < clen {
-					clen = rem
-				}
-				if s.repairBudget != nil {
-					if ok, _ := s.repairBudget.Take(now, float64(clen)); !ok {
-						continue
-					}
-				}
-				accepted.Set(chunk)
-				resend = append(resend, chunk)
 			}
 			if len(resend) > 0 {
 				s.nackResend(nk.Video, nk.Channel, nk.Seq, resend, &arena)

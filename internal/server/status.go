@@ -37,12 +37,8 @@ type StatusSnapshot struct {
 	// the payload bytes they carried.
 	RepairsServed int64 `json:"repairsServed"`
 	RepairBytes   int64 `json:"repairBytes"`
-	// BusyReplies counts repair requests pushed back with Busy;
-	// StormResends coalesced storms answered by one multicast re-send;
-	// SuppressedRepairs the unicast requests those re-sends absorbed.
-	BusyReplies       int64 `json:"busyReplies"`
-	StormResends      int64 `json:"stormResends"`
-	SuppressedRepairs int64 `json:"suppressedRepairs"`
+	// BusyReplies counts repair requests pushed back with Busy.
+	BusyReplies int64 `json:"busyReplies"`
 	// NacksServed counts gap-bitmap NACK messages answered; NackResends
 	// the multicast re-sends they triggered; NackSuppressed the NACKed
 	// chunks absorbed by a re-send already in flight.
@@ -134,8 +130,6 @@ func (s *Server) Status() StatusSnapshot {
 		RepairsServed:       s.repairs.Value(),
 		RepairBytes:         s.repairBytes.Value(),
 		BusyReplies:         s.busyReplies.Value(),
-		StormResends:        s.stormResends.Value(),
-		SuppressedRepairs:   s.suppressed.Value(),
 		NacksServed:         s.nacksServed.Value(),
 		NackResends:         s.nackResends.Value(),
 		NackSuppressed:      s.nackSuppressed.Value(),

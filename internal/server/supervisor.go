@@ -45,7 +45,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// interleave. The immediate read deadline then wakes a handler
 		// blocked in ReadControl; one mid-request keeps running and
 		// finishes its reply under its own write deadline.
-		_ = c.SetWriteDeadline(time.Now().Add(s.cfg.ControlWriteTimeout))
+		_ = c.SetWriteDeadline(time.Now().Add(controlWriteTimeout))
 		_ = wire.WriteControl(c, &wire.Control{Kind: wire.KindBye})
 		_ = c.SetReadDeadline(time.Now())
 	}

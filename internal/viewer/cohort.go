@@ -179,6 +179,10 @@ func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 	return nil
 }
 
+// subDepth is how many received datagrams one subscription may hold
+// unreleased before further ones are dropped.
+const subDepth = 256
+
 // tune opens the cohort's tap on entry e's channel: subscribe first so no
 // datagram lands between the join ack and the tap, then join.
 func (c *cohort) tune(e *tuneEntry) error {
@@ -191,7 +195,7 @@ func (c *cohort) tune(e *tuneEntry) error {
 	if m.w.FecGroup > 0 {
 		slotBytes = wire.EncodedSize(wire.ParityOverhead(m.w.FecGroup, m.w.ChunkBytes))
 	}
-	sub, err := m.rcv.Subscribe(grp, m.cfg.SubDepth, slotBytes)
+	sub, err := m.rcv.Subscribe(grp, subDepth, slotBytes)
 	if err != nil {
 		return err
 	}
@@ -527,7 +531,7 @@ drain:
 			// one deadline recomputation per frame.
 			now = time.Now()
 		burst:
-			for i := 1; i < m.cfg.SubDepth; i++ {
+			for i := 1; i < subDepth; i++ {
 				select {
 				case slot, ok := <-sub.Ready():
 					if !ok {

@@ -878,10 +878,11 @@ func (m *Machine) Reopen(idx int) {
 // recovery policy:
 //
 //   - RepairOK books the chunk (jitter-checked at now).
-//   - RepairBusy reschedules at now + hint (or two chunk intervals when
-//     the hint is zero: the answer is in flight on the broadcast group)
-//     plus half-window full jitter, so viewers released together do not
-//     re-storm.
+//   - RepairBusy reschedules at now + hint plus half-window full jitter,
+//     so viewers released together do not re-storm. A zero hint — the
+//     protocol's "re-listen, a multicast re-send is in flight"; this
+//     repository's server sends only budget hints — waits two chunk
+//     intervals.
 //   - RepairFailed retries under full-jitter exponential backoff until
 //     the attempt cap, then declares the chunk lost.
 //   - RepairDisabled parks the chunk on the broadcast.

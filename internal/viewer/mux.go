@@ -145,18 +145,9 @@ type MuxConfig struct {
 	// (Welcome.NackRepair): each cohort NACKs as one voice, so a burst of
 	// losses costs one aggregated gap bitmap regardless of cohort size.
 	DisableNack bool
-	// ControlTimeout bounds each control round trip; defaults to 5s.
-	ControlTimeout time.Duration
 	// RecvBufBytes sizes the shared UDP socket's kernel buffer; zero
 	// selects mcast.DefaultRecvBufBytes.
 	RecvBufBytes int
-	// RecvBatch is the most datagrams the shared receiver drains per
-	// recvmmsg call; zero selects mcast.DefaultRecvBatch, 1 pins the
-	// portable single-read path.
-	RecvBatch int
-	// SubDepth is how many received datagrams one subscription may hold
-	// unreleased before further ones are dropped; defaults to 256.
-	SubDepth int
 	// Logf, when non-nil, receives diagnostic output.
 	Logf func(format string, args ...any)
 }
@@ -390,12 +381,6 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 	if cfg.RepairLagFrac <= 0 {
 		cfg.RepairLagFrac = 0.5
 	}
-	if cfg.ControlTimeout <= 0 {
-		cfg.ControlTimeout = 5 * time.Second
-	}
-	if cfg.SubDepth <= 0 {
-		cfg.SubDepth = 256
-	}
 	if cfg.SpreadUnits < 0 {
 		cfg.SpreadUnits = 0
 	}
@@ -434,7 +419,6 @@ func (m *Mux) Run() (*Result, error) {
 	defer m.jm.cc.close()
 	rcv, err := mcast.NewSharedReceiverConfigured(mcast.SharedReceiverConfig{
 		RecvBufBytes: m.cfg.RecvBufBytes,
-		Batch:        m.cfg.RecvBatch,
 		Logf:         m.cfg.Logf,
 		Classify: func(frame []byte) (mcast.Group, bool) {
 			v, ch, _, _, ok := wire.PeekID(frame)
@@ -799,6 +783,9 @@ func resetTimer(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
+// controlTimeout bounds each control round trip and each dial.
+const controlTimeout = 5 * time.Second
+
 // controlConn is one control connection: dialed on first use, re-dialed
 // with backoff on transport failure, serialized by a mutex. The join
 // manager holds one; each audience worker holds its own, so repair round
@@ -821,13 +808,12 @@ type controlConn struct {
 // and, on a redial, held to the broadcast epoch the run began under.
 // Callers hold mu and have no connection open.
 func (c *controlConn) handshake() (*wire.Welcome, error) {
-	timeout := c.mux.cfg.ControlTimeout
-	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, timeout)
+	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, controlTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("viewer: dialing control: %w", err)
 	}
 	r := bufio.NewReader(conn)
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+	_ = conn.SetDeadline(time.Now().Add(controlTimeout))
 	var m *wire.Control
 	if err = wire.WriteControl(conn, &wire.Control{Kind: wire.KindHello}); err == nil {
 		m, err = wire.ReadControl(r)
@@ -893,7 +879,7 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 				return nil, err
 			}
 		}
-		_ = c.conn.SetDeadline(time.Now().Add(c.mux.cfg.ControlTimeout))
+		_ = c.conn.SetDeadline(time.Now().Add(controlTimeout))
 		err := wire.WriteControl(c.conn, msg)
 		var reply *wire.Control
 		if err == nil && wantReply {

@@ -56,8 +56,8 @@ func (m *Machine) escalateNack(c *openChunk, now time.Time) {
 }
 
 // relistenBy is how long a NACKed chunk waits on the broadcast group for
-// its multicast re-send: two chunk intervals (matching the Busy(0)
-// re-listen policy), clamped so a unicast round trip still fits before
+// its multicast re-send: two chunk intervals (the wait RepairResult gives
+// a zero-hint Busy), clamped so a unicast round trip still fits before
 // the loss deadline — but never below half an interval, because the
 // re-send is already in flight and racing it with a unicast pull would
 // only manufacture duplicates.

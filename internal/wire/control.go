@@ -23,16 +23,17 @@ const (
 	KindRepair   = "repair"
 	KindRepairOK = "repairok"
 	// KindBusy is the server's admission-control pushback: the repair
-	// plane is over budget (or the request was coalesced into a multicast
-	// re-send). RetryAfterNanos carries the earliest useful retry time; a
-	// zero hint means "re-listen to the broadcast group" — the answer is
-	// already in flight as a multicast re-send.
+	// plane is over budget. RetryAfterNanos carries the earliest useful
+	// retry time. A zero hint means "re-listen to the broadcast group" —
+	// the answer is already in flight as a multicast re-send. Clients
+	// honor it; this repository's server sends only budget hints.
 	KindBusy = "busy"
 	// KindNack reports a burst of losses on one channel as a compact gap
 	// bitmap (see Nack); the server answers with KindNackOK whose bitmap
 	// marks the chunks it accepted for a multicast re-send on the
 	// channel's broadcast group. Chunks left unmarked were refused
-	// (budget) and fall back to unicast KindRepair.
+	// (budget) and fall back to unicast KindRepair. A NACK for a
+	// repetition no viewer can still be receiving gets KindError.
 	KindNack   = "nack"
 	KindNackOK = "nackok"
 )
@@ -198,7 +199,7 @@ func ReadControl(r *bufio.Reader) (*Control, error) {
 		return nil, fmt.Errorf("%w: missing kind", ErrBadControl)
 	}
 	// Gap bitmaps are validated at decode so a malformed NACK surfaces as
-	// a typed error here, not as a panic deep in the storm table.
+	// a typed error here, not as a panic deep in the server's re-send table.
 	switch m.Kind {
 	case KindNack:
 		if m.Nack == nil {
