@@ -65,14 +65,18 @@ race:
 # stop wakes a parked shard, fallback and demotion, no descriptor or
 # goroutine left behind by restarts) and wake lead (never early whatever
 # the source does, bounded, follows the measured latency, a stop during
-# a hold), listener-gated materialise-on-send (only heard groups staged,
-# fault counts independent of the audience, re-sends never aliasing
-# dispatch memory, a heap that does not follow the catalog), and the
+# a hold; the stage lead follows the staging time, the sum bounded), the
+# tick split in two (staging sends nothing and fires no hook, a join
+# between stage and release starts with the next tick, each frame's
+# fault decision made once), listener-gated materialise-on-send (only
+# heard groups staged, fault counts independent of the audience, re-sends
+# never aliasing dispatch memory, a heap that does not follow the
+# catalog), and the
 # injector as a batch filter (SendBatch ≡ per-entry Send, held frames are
 # copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: egress collapsed to plain per-datagram

@@ -63,10 +63,11 @@ const warmTicks = 256
 
 // handDriven is a server that was never started, with a real hub for
 // membership, a caller-chosen sender, and one shard owning every channel,
-// driven tick by tick on the wheel's own virtual time: tick() collects
-// exactly the next due instant's entries and dispatches them. The epoch
-// sits an hour ahead of the wall clock, so no entry ever looks behind and
-// every dispatch stages exactly one chunk per due entry.
+// driven tick by tick on the wheel's own virtual time: stage() collects
+// exactly the next due instant's entries and stages them, release() puts
+// them on the wire, and tick() is the two in a row. The epoch sits an
+// hour ahead of the wall clock, so no entry ever looks behind and every
+// tick stages exactly one chunk per due entry.
 type handDriven struct {
 	srv *Server
 	sh  *wheelShard
@@ -103,14 +104,30 @@ func newHandDriven(t testing.TB, cfg Config, send mcast.BatchSender) *handDriven
 	return &handDriven{srv: srv, sh: sh}
 }
 
-// tick dispatches the next due instant and reports how many entries it held.
-func (h *handDriven) tick() int {
+// stage collects and stages the next due instant, as a shard does inside
+// its wake lead, and reports how many entries it held.
+func (h *handDriven) stage() int {
 	next, _ := h.sh.nextDue()
 	h.sh.collect(next)
 	if len(h.sh.due) > 0 {
-		h.sh.dispatch()
+		h.sh.stage(next)
 	}
 	return len(h.sh.due)
+}
+
+// release sends what stage staged, as a shard does at the instant.
+func (h *handDriven) release() {
+	if len(h.sh.due) > 0 {
+		h.sh.release()
+	}
+}
+
+// tick stages and releases the next due instant and reports how many
+// entries it held.
+func (h *handDriven) tick() int {
+	n := h.stage()
+	h.release()
+	return n
 }
 
 // join subscribes a throwaway loopback address to g.
@@ -227,14 +244,19 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 // TestDispatchFaultCountsIgnoreHeardGroups: the fault plan's counts over a
 // stretch of schedule are the same whether every frame is built and sent
 // through the injector (no gate — the parent's behaviour), nobody listens,
-// or members sit on a few groups; and only heard frames reach the wire.
-// This pins the positions the engine hands to Injector.Unheard — data
-// offsets, parity bases, parity indices, tail-group coverage — to the ones
-// the frames themselves would have carried.
+// members sit on a few groups, or members come and go between a tick's
+// stage and its release; and only heard frames reach the wire. This pins
+// the positions the engine hands to Injector.Unheard — data offsets,
+// parity bases, parity indices, tail-group coverage — to the ones the
+// frames themselves would have carried, and that each frame is decided
+// exactly once, at stage (Unheard) or at release (SendBatch), whatever
+// the membership does in between.
 func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 	plan := faults.Plan{Seed: 11, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
 		BurstEnter: 0.05, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
-	run := func(gated bool, heard []mcast.Group) (faults.Counts, *countingBatchSender) {
+	some := []mcast.Group{{Video: 0, Channel: 1}, {Video: 1, Channel: 3}, {Video: 2, Channel: 5}}
+	// between, when set, runs between each tick's stage and its release.
+	run := func(gated bool, heard []mcast.Group, between func(h *handDriven, tick int)) (faults.Counts, *countingBatchSender) {
 		onWire := &countingBatchSender{}
 		inj, err := faults.New(onWire, plan)
 		if err != nil {
@@ -258,24 +280,96 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 			h.join(t, g)
 		}
 		for i := 0; i < 60; i++ { // ten repetitions of the longest channel
-			h.tick()
+			h.stage()
+			if between != nil {
+				between(h, i)
+			}
+			h.release()
 		}
 		return inj.Counts(), onWire
 	}
-	all, allWire := run(false, nil)
-	none, noneWire := run(true, nil)
-	some, someWire := run(true, []mcast.Group{{Video: 0, Channel: 1}, {Video: 1, Channel: 3}, {Video: 2, Channel: 5}})
+	all, allWire := run(false, nil, nil)
+	none, noneWire := run(true, nil, nil)
+	three, threeWire := run(true, some, nil)
+	// The three groups' members leave after one tick's stage and come back
+	// after the next one's: every tick's membership at release differs
+	// from what its stage read.
+	addrs := make([]*net.UDPAddr, len(some))
+	flipping, flippingWire := run(true, nil, func(h *handDriven, tick int) {
+		for j, g := range some {
+			if tick%2 == 0 {
+				addrs[j] = h.join(t, g)
+			} else {
+				h.srv.hub.Leave(g, addrs[j])
+			}
+		}
+	})
 	if all.Dropped == 0 || all.BurstDropped == 0 || all.Duplicated == 0 || all.Reordered == 0 {
 		t.Fatalf("plan left a fault kind unexercised: %+v", all)
 	}
-	if none != all || some != all {
-		t.Errorf("fault counts depend on the audience:\n  ungated %+v\n  nobody  %+v\n  3 of 15 %+v", all, none, some)
+	if none != all || three != all || flipping != all {
+		t.Errorf("fault counts depend on the audience:\n  ungated  %+v\n  nobody   %+v\n  3 of 15  %+v\n  flipping %+v", all, none, three, flipping)
 	}
 	if noneWire.frames != 0 {
 		t.Errorf("%d frames reached the wire with nobody listening", noneWire.frames)
 	}
-	if someWire.frames == 0 || someWire.frames >= allWire.frames || someWire.parity == 0 || someWire.bad+allWire.bad != 0 {
-		t.Errorf("wire: %d frames (%d parity, %d bad) for 3 heard groups, %d (%d bad) ungated", someWire.frames, someWire.parity, someWire.bad, allWire.frames, allWire.bad)
+	if threeWire.frames == 0 || threeWire.frames >= allWire.frames || threeWire.parity == 0 || threeWire.bad+allWire.bad != 0 {
+		t.Errorf("wire: %d frames (%d parity, %d bad) for 3 heard groups, %d (%d bad) ungated", threeWire.frames, threeWire.parity, threeWire.bad, allWire.frames, allWire.bad)
+	}
+	// Each member is present at every other stage, so the flipping run
+	// puts some frames on the wire, and fewer than the steady three.
+	if flippingWire.frames == 0 || flippingWire.frames >= threeWire.frames || flippingWire.bad != 0 {
+		t.Errorf("wire: %d frames (%d bad) with members flipping between stage and release, %d with them steady", flippingWire.frames, flippingWire.bad, threeWire.frames)
+	}
+}
+
+// TestStageSendsNothingBeforeRelease: staging a tick — fault plan and all
+// — puts nothing on the wire and fires no hook; release fires the hook for
+// every staged chunk and hands the tick over in one batch.
+func TestStageSendsNothingBeforeRelease(t *testing.T) {
+	plan := faults.Plan{Seed: 3, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
+		BurstEnter: 0.05, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
+	onWire := &countingBatchSender{}
+	inj, err := faults.New(onWire, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := 0
+	h := newHandDriven(t, Config{
+		Scheme:       wheelScheme(t, 10, 20),
+		Unit:         100 * time.Millisecond,
+		BytesPerUnit: 4096,
+		ChunkBytes:   1024,
+		FecGroup:     4,
+		Faults:       &plan,
+		PacerHook:    func(v, i int, n uint32, c int) { hooked++ },
+		Logf:         t.Logf,
+	}, inj)
+	h.srv.inj = inj
+	for j := 0; j < len(h.sh.entries); j += 20 {
+		h.join(t, h.sh.entries[j].group)
+	}
+	for i := 0; i < 40; i++ {
+		frames, batches := onWire.frames, onWire.batches
+		hooked = 0
+		due := h.stage()
+		if onWire.frames != frames || onWire.batches != batches || hooked != 0 {
+			t.Fatalf("tick %d: staging sent %d frames in %d batches and fired the hook %d times, want none",
+				i, onWire.frames-frames, onWire.batches-batches, hooked)
+		}
+		if len(h.sh.batch) == 0 {
+			t.Fatalf("tick %d: nothing staged for 10 heard groups", i)
+		}
+		h.release()
+		if hooked != due {
+			t.Fatalf("tick %d: release fired the hook %d times for %d staged chunks", i, hooked, due)
+		}
+		if onWire.batches > batches+1 {
+			t.Fatalf("tick %d: release sent %d batches, want at most 1", i, onWire.batches-batches)
+		}
+	}
+	if onWire.frames == 0 || onWire.bad != 0 {
+		t.Errorf("wire: %d frames, %d bad", onWire.frames, onWire.bad)
 	}
 }
 
@@ -298,10 +392,10 @@ func firstChunk(t *testing.T, r *mcast.Receiver, chunkBytes int) event {
 }
 
 // TestJoinBeforeTickHearsThatTick: gating adds no off-by-one to start
-// latency. A group's first member, joined before tick t's dispatch begins,
-// receives chunk t; one that joins an empty group once the dispatch has
-// read the membership — here from inside tick t's own hook — is not heard
-// by tick t and starts with t+1.
+// latency. A group's first member, joined before tick t's staging begins,
+// receives chunk t; one that joins an empty group once staging has read
+// the membership — here between tick t's stage and its release, where the
+// hook now fires — is not heard by tick t and starts with t+1.
 func TestJoinBeforeTickHearsThatTick(t *testing.T) {
 	g, gLate := mcast.Group{Video: 0, Channel: 2}, mcast.Group{Video: 0, Channel: 3} // 8 chunks per repetition each
 	early, err := mcast.NewReceiver()
@@ -314,33 +408,29 @@ func TestJoinBeforeTickHearsThatTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	var h *handDriven
-	h = newHandDriven(t, Config{
+	h := newHandDriven(t, Config{
 		Scheme:       wheelScheme(t, 1, 3),
 		Unit:         100 * time.Millisecond,
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			if v == gLate.Video && i == gLate.Channel && n == 0 && c == 2 {
-				if err := h.srv.hub.Join(gLate, late.Addr()); err != nil {
-					t.Error(err)
-				}
-			}
-		},
-		Logf: t.Logf,
+		Logf:         t.Logf,
 	}, nil) // the real hub sends
 	h.tick() // chunk 0
 	h.tick() // chunk 1
 	if err := h.srv.hub.Join(g, early.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	h.tick() // chunk 2: early is a member; late joins mid-dispatch
-	h.tick() // chunk 3
+	h.stage() // chunk 2: early is a member
+	if err := h.srv.hub.Join(gLate, late.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	h.release() // late joined after the stage
+	h.tick()    // chunk 3
 	if got := firstChunk(t, early, 1024); got != (event{0, 2}) {
-		t.Errorf("member joined before tick 2's dispatch first received (rep %d, chunk %d), want (0, 2)", got.n, got.c)
+		t.Errorf("member joined before tick 2's stage first received (rep %d, chunk %d), want (0, 2)", got.n, got.c)
 	}
 	if got := firstChunk(t, late, 1024); got != (event{0, 3}) {
-		t.Errorf("member joined during tick 2's dispatch first received (rep %d, chunk %d), want (0, 3)", got.n, got.c)
+		t.Errorf("member joined between tick 2's stage and release first received (rep %d, chunk %d), want (0, 3)", got.n, got.c)
 	}
 }
 
@@ -426,14 +516,18 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 	}
 }
 
-// benchFullDispatch is BenchmarkWheelDispatch's whole-dispatch case:
-// collect, gate, materialise, batch hand-off to a stub sender, advance, on
-// a 10-video, k-channel schedule where every 20th channel (5 %) has a
-// listener. With faulted set the stub stands behind a fault injector
-// running skybench's lossy plan with a G=4 stripe, so the tick also pays
-// the plan's per-entry decisions, heard and unheard. ns/op is ns per
-// dispatch.
-func benchFullDispatch(b *testing.B, k int, faulted bool) {
+// benchFullDispatch is BenchmarkWheelDispatch's whole-tick case on a
+// 10-video, k-channel schedule where every 20th channel (5 %) has a
+// listener. With faulted set the stub sender stands behind a fault
+// injector running skybench's lossy plan with a G=4 stripe, so staging
+// also pays the plan's per-entry decisions, heard and unheard. Every
+// iteration stages and releases one tick, as a shard does; phase picks
+// which half ns/op times: "stage" — collect, gate, materialise or book
+// with the fault plan, advance: what the shard does before the instant —
+// or "release" — the batch hand-off to the sender, through the injector
+// when faulted: what is left for the instant. allocs/op counts the whole
+// tick.
+func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 	rec := &countingBatchSender{}
 	cfg := Config{
 		Scheme:       wheelScheme(b, 10, k),
@@ -462,12 +556,22 @@ func benchFullDispatch(b *testing.B, k int, faulted bool) {
 		h.tick()
 	}
 	before := h.srv.egressStaged.Value()
+	var spent time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.tick()
+		began := time.Now()
+		h.stage()
+		staged := time.Now()
+		h.release()
+		if phase == "stage" {
+			spent += staged.Sub(began)
+		} else {
+			spent += time.Since(staged)
+		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(spent)/float64(b.N), "ns/op")
 	b.ReportMetric(float64(h.srv.egressStaged.Value()-before)/float64(b.N), "staged/tick")
 	b.ReportMetric(float64(len(h.sh.entries)), "channels/tick")
 }

@@ -19,7 +19,7 @@ import (
 // it is forgotten; and that an early return is not a measurement.
 func TestWakeLeadEstimator(t *testing.T) {
 	const bound = 250 * time.Microsecond // quantum/4 of a 1 ms wheel
-	var l wakeLead
+	var l leadEstimator
 	if got := l.value(); got != 0 {
 		t.Fatalf("lead before any sample = %v, want 0", got)
 	}
@@ -60,6 +60,73 @@ func TestWakeLeadEstimator(t *testing.T) {
 	}
 	if got := l.value(); got < bound-time.Microsecond {
 		t.Errorf("lead under sustained slow wakes = %v, want the bound %v", got, bound)
+	}
+}
+
+// TestStageLeadEstimator pins the stage lead on scripted staging times,
+// no clock involved: it adopts its first sample, follows the measured time
+// when the tick's cost changes, clamps every sample to the shard's bound,
+// and the lead the shard arms with — wake latency plus staging time —
+// never exceeds min(maxWakeLead, quantum/4), however the two split it.
+func TestStageLeadEstimator(t *testing.T) {
+	const us = time.Microsecond
+	for _, tc := range []struct {
+		name          string
+		spacing       time.Duration // the shard's quantum
+		wake          time.Duration // every wake sample
+		stage, then   time.Duration // the staging samples, before and after the tick's cost changes
+		bound         time.Duration
+		stageLead     time.Duration // settled on `then`
+		lead          time.Duration // what the shard arms with, settled
+		firstStageObs time.Duration // the stage lead after one sample
+	}{
+		{"light tick", 3125 * us, 60 * us, 12 * us, 12 * us, 300 * us, 12 * us, 72 * us, 12 * us},
+		{"faulted tick", 3125 * us, 60 * us, 108 * us, 108 * us, 300 * us, 108 * us, 168 * us, 108 * us},
+		{"audience arrives", 3125 * us, 60 * us, 12 * us, 108 * us, 300 * us, 108 * us, 168 * us, 12 * us},
+		{"audience leaves", 3125 * us, 60 * us, 108 * us, 12 * us, 300 * us, 12 * us, 72 * us, 108 * us},
+		{"stage over bound", 3125 * us, 60 * us, 5 * time.Millisecond, 5 * time.Millisecond, 300 * us, 300 * us, 300 * us, 300 * us},
+		{"sum over bound", 3125 * us, 200 * us, 150 * us, 150 * us, 300 * us, 150 * us, 300 * us, 150 * us},
+		{"fine quantum", 400 * us, 60 * us, 108 * us, 108 * us, 100 * us, 100 * us, 100 * us, 100 * us},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := &wheelShard{entries: []*wheelEntry{{spacing: tc.spacing}}}
+			bound := sh.leadBound()
+			if bound != tc.bound {
+				t.Fatalf("bound = %v at a %v quantum, want %v", bound, tc.spacing, tc.bound)
+			}
+			if got := sh.lead(bound); got != 0 {
+				t.Fatalf("lead before any sample = %v, want 0", got)
+			}
+			sh.stageLead.observe(tc.stage, bound)
+			if got := sh.stageLead.value(); got != tc.firstStageObs {
+				t.Fatalf("stage lead after the first sample = %v, want %v", got, tc.firstStageObs)
+			}
+			for i := 0; i < 64; i++ {
+				sh.wakeLead.observe(tc.wake, bound)
+				sh.stageLead.observe(tc.stage, bound)
+				if got := sh.lead(bound); got > bound {
+					t.Fatalf("lead = %v exceeds the bound %v", got, bound)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				sh.wakeLead.observe(tc.wake, bound)
+				sh.stageLead.observe(tc.then, bound)
+				if got := sh.lead(bound); got > bound {
+					t.Fatalf("lead = %v exceeds the bound %v", got, bound)
+				}
+			}
+			near := func(got, want time.Duration) bool { return got >= want-us && got <= want+us }
+			if got := sh.stageLead.value(); !near(got, tc.stageLead) {
+				t.Errorf("stage lead = %v after 64 samples of %v, want %v", got, tc.then, tc.stageLead)
+			}
+			if got := sh.lead(bound); !near(got, tc.lead) {
+				t.Errorf("armed lead = %v, want %v", got, tc.lead)
+			}
+			srv := &Server{wheel: []*wheelShard{sh}}
+			if got := srv.wakeLead(); got != sh.lead(bound) {
+				t.Errorf("/status lead = %v, want the armed %v", got, sh.lead(bound))
+			}
+		})
 	}
 }
 

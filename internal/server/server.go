@@ -94,9 +94,10 @@ type Config struct {
 	// GF(256) Reed-Solomon parity (RAID-6 P+Q) and heals two.
 	FecMode string
 
-	// PacerHook, when non-nil, is called for each chunk after its shard's
-	// tick fires and before the chunk is sent — test instrumentation; a
-	// hook that panics exercises the shard supervisor.
+	// PacerHook, when non-nil, is called for each chunk at its tick's
+	// instant — after the shard has staged the tick and held on the clock
+	// to the instant, before the tick's batch is sent — test
+	// instrumentation; a hook that panics exercises the shard supervisor.
 	PacerHook func(video, channel int, rep uint32, chunk int)
 
 	// Logf, when non-nil, receives diagnostic output.
@@ -204,7 +205,7 @@ type Server struct {
 
 	// pacerRestarts counts supervisor restarts after egress shard panics;
 	// driftEvents broadcasts that missed their schedule by over one unit;
-	// wheelWakeups timer wakeups of the shards — each one dispatches every
+	// wheelWakeups timer wakeups of the shards — each one releases every
 	// chunk due in its tick.
 	// egressScheduled counts data chunks that fell due on the grid,
 	// egressStaged those that had a listener and were materialised: the
@@ -342,19 +343,17 @@ func (s *Server) shardHist(of func(*wheelShard) *metrics.Log2Histogram) *metrics
 }
 
 // wakeLateness is how many nanoseconds past its grid instant each wheel
-// dispatch began.
+// shard began releasing its tick.
 func (s *Server) wakeLateness() *metrics.Log2Histogram {
 	return s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.wakeLate })
 }
 
 // wakeLead is the longest lead any shard currently arms its tick source
-// with.
+// with: its wake latency plus its staging time, within its bound.
 func (s *Server) wakeLead() time.Duration {
 	var lead time.Duration
 	for _, sh := range s.wheel {
-		if l := sh.lead.value(); l > lead {
-			lead = l
-		}
+		lead = max(lead, sh.lead(sh.leadBound()))
 	}
 	return lead
 }
@@ -397,11 +396,11 @@ func (s *Server) fragmentBytes(i int) int {
 
 // emit stages chunk c of repetition n into the tick's batch — and behind
 // the last chunk of a stripe group, the group's parity frame(s) under the
-// same repetition number — returning the batch. It is what a dispatch does
-// with a due chunk once the hook has fired. With a listener the frames are
-// materialised into a and appended; without one nothing is built, and the
-// frames are only accounted for in the fault plan, whose counts must not
-// depend on who listens.
+// same repetition number — returning the batch. It is what staging a tick
+// does with each due chunk (wheelShard.stage). With a listener the frames
+// are materialised into a and appended; without one nothing is built, and
+// the frames are only accounted for in the fault plan, whose counts must
+// not depend on who listens.
 func (s *Server) emit(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) []mcast.BatchEntry {
 	cb, fg := s.cfg.ChunkBytes, s.cfg.FecGroup
 	pg, nparity := 0, 0 // parity frames this chunk closes a stripe group with

@@ -61,8 +61,8 @@ type StatusSnapshot struct {
 	PacerRestarts    int64 `json:"pacerRestarts"`
 	PacerDriftEvents int64 `json:"pacerDriftEvents"`
 	// EgressShards is how many shard goroutines the wheel runs;
-	// EgressWakeups their timer wakeups, each dispatching every chunk due
-	// in its tick.
+	// EgressWakeups their timer wakeups, each staging and releasing every
+	// chunk due in its tick.
 	EgressShards  int   `json:"egressShards"`
 	EgressWakeups int64 `json:"egressWakeups"`
 	// EgressScheduled counts data chunks that fell due on the broadcast
@@ -75,12 +75,13 @@ type StatusSnapshot struct {
 	// "timerfd" (grid-exact, through the netpoller) or "timer" (the
 	// runtime timer, which an idle process rounds up to the millisecond).
 	// EgressWakeLateP50Us/P99Us are quantiles, in microseconds, of how far
-	// past its grid instant each shard began its dispatch — resolved to a
-	// power-of-two bucket, interpolated inside it. The tick's budget sits
-	// beside them, same units and resolution: EgressWakeLeadUs is how far
-	// ahead of the instant the shards currently arm their tick source (the
-	// wake latency they have measured; the largest across shards),
-	// EgressStageP50Us how long a dispatch spends building its batch, and
+	// past its grid instant each shard began releasing its tick — resolved
+	// to a power-of-two bucket, interpolated inside it. The tick's budget
+	// sits beside them, same units and resolution: EgressWakeLeadUs is how
+	// far ahead of the instant the shards currently arm their tick source
+	// (the wake latency plus the staging time they have measured; the
+	// largest across shards), EgressStageP50Us how long staging a tick's
+	// batch takes — spent before the instant when the lead covers it — and
 	// EgressSendP50Us/P99Us how long inside the sender's SendBatch.
 	EgressTickSource    string  `json:"egressTickSource"`
 	EgressWakeLateP50Us float64 `json:"egressWakeLateP50Us"`

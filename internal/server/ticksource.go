@@ -13,8 +13,8 @@
 // parked meanwhile — it holds no P, so the control plane is not starved
 // the way it is by a wait that is all nanosleep or spin. The shard does
 // finish each wait with a hold on the clock, but one bounded by the wake
-// latency it has measured (wakeLead, at most maxWakeLead), not by the
-// length of the wait.
+// latency and staging time it has measured (leadEstimator, together at
+// most maxWakeLead), not by the length of the wait.
 //
 // Everywhere else, and whenever the timerfd cannot be created or stops
 // answering, the shard waits on time.Timer exactly as before. Which one
@@ -52,39 +52,41 @@ type tickSource interface {
 // also never leads by more than a quarter of its quantum.
 const maxWakeLead = 300 * time.Microsecond
 
-// wakeLead is a shard's estimate of its own wake latency: how long after
-// the instant its tick source was armed for the goroutine is running
-// again. The shard arms the source that much ahead of each grid instant —
-// what the ETF qdisc calls its delta — and holds on the clock for the
-// rest. The estimate is an exponentially weighted mean (weight 1/8) of
-// the measured latencies, 0 until there is one. Wake latency is skewed —
-// mostly a little under its mean, now and then far over — so leading by
-// the mean already has the shard running before the instant more often
-// than not, and no margin is added on top: a margin is hold time, which
-// is CPU. Every sample is clamped to the shard's bound first, so a
-// descheduled process moves the lead by an eighth of the bound and is
+// leadEstimator is a shard's estimate of one thing that stands between
+// its park and the instant a tick leaves: its wake latency — how long
+// after the instant its tick source was armed for the goroutine is
+// running again — or its staging time — how long building the tick's
+// batch takes. The shard arms the source the sum of the two ahead of each
+// grid instant — what the ETF qdisc calls its delta — and holds on the
+// clock for the rest. The estimate is an exponentially weighted mean
+// (weight 1/8) of the measured durations, 0 until there is one. Both are
+// skewed — mostly a little under their mean, now and then far over — so
+// leading by the mean already has the batch built before the instant more
+// often than not, and no margin is added on top: a margin is hold time,
+// which is CPU. Every sample is clamped to the shard's bound first, so a
+// descheduled process moves the estimate by an eighth of the bound and is
 // forgotten within a few ticks.
 //
 // observe belongs to the shard goroutine; value may be read from any.
-type wakeLead struct {
-	lead atomic.Int64 // nanoseconds; 0: no sample yet
+type leadEstimator struct {
+	mean atomic.Int64 // nanoseconds; 0: no sample yet
 }
 
-// observe folds in one measured wake latency; max is the shard's bound.
-// A negative latency — the source returned early — is no measurement.
-func (l *wakeLead) observe(latency, max time.Duration) {
-	if latency < 0 {
+// observe folds in one measured duration; max is the shard's bound. A
+// negative duration — the source returned early — is no measurement.
+func (l *leadEstimator) observe(d, max time.Duration) {
+	if d < 0 {
 		return
 	}
-	sample := int64(min(latency, max))
-	if mean := l.lead.Load(); mean != 0 {
+	sample := int64(min(d, max))
+	if mean := l.mean.Load(); mean != 0 {
 		sample = mean + (sample-mean)/8
 	}
-	l.lead.Store(sample)
+	l.mean.Store(sample)
 }
 
-// value is the lead to arm the next wait with.
-func (l *wakeLead) value() time.Duration { return time.Duration(l.lead.Load()) }
+// value is the current estimate.
+func (l *leadEstimator) value() time.Duration { return time.Duration(l.mean.Load()) }
 
 // newFdTicks creates the timerfd source. A variable so a test can make
 // creation fail, or hand out a broken source, and drive the fallback.

@@ -421,12 +421,13 @@ func (r *recordingSender) SendBatch(entries []mcast.BatchEntry) (n int, err erro
 	return n, err
 }
 
-// TestWheelCatchupBehindNonBatchingSender: a dispatch that stalls for
-// several ticks in front of a sender that cannot batch (the fault
-// injector's shape) is made good by the very next dispatch — every chunk
-// that fell due goes out as one run, in order, and the entry is back
-// within one spacing of its grid — instead of one chunk per tick with the
-// stall carried for ever.
+// TestWheelCatchupBehindNonBatchingSender: a tick that stalls for several
+// ticks in front of a sender that cannot batch (the fault injector's
+// shape) is made good by the very next tick — every chunk that fell due
+// goes out as one run, in order, and the entry is back within one spacing
+// of its grid — instead of one chunk per tick with the stall carried for
+// ever. The stalled tick is a drift event, and its log line names the
+// chunk that was late, not the one the cursor has moved on to.
 func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	const (
 		unit    = 200 * time.Millisecond
@@ -434,6 +435,7 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 		stall   = 5*spacing + spacing/2
 	)
 	blocked := false
+	var logged []string
 	srv, err := New(Config{
 		Scheme:       wheelScheme(t, 1, 3),
 		Unit:         unit,
@@ -445,7 +447,10 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 				time.Sleep(stall)
 			}
 		},
-		Logf: t.Logf,
+		Logf: func(format string, args ...any) {
+			logged = append(logged, fmt.Sprintf(format, args...))
+			t.Logf(format, args...)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -457,22 +462,28 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	e := srv.newWheelEntry(0, 2)
 	e.resync(0)
 	sh.entries = []*wheelEntry{e}
+	tick := func() {
+		sh.due = append(sh.due[:0], e)
+		sh.stage(time.Since(srv.epoch))
+		sh.release()
+	}
 
-	sh.due = append(sh.due[:0], e)
-	sh.dispatch() // sends chunk 0, after the hook's stall
+	tick() // sends chunk 0, after the hook's stall
 	k := chanKey{0, 2}
 	if got := rec.sent[k]; len(got) != 1 || got[0] != (event{0, 0}) {
-		t.Fatalf("stalled dispatch sent %v, want [(0, 0)]", got)
+		t.Fatalf("stalled tick sent %v, want [(0, 0)]", got)
 	}
-	sh.due = append(sh.due[:0], e)
-	sh.dispatch() // one further dispatch: the whole backlog
+	if len(logged) != 1 || !strings.Contains(logged[0], "pacing drift: "+e.group.String()+" seq 0 chunk 0 sent") {
+		t.Errorf("stalled tick logged %q, want one drift line naming seq 0 chunk 0", logged)
+	}
+	tick() // one further tick: the whole backlog
 	got := rec.sent[k]
 	if len(got) != 6 {
-		t.Fatalf("sent %d chunks after the catch-up dispatch, want 6 (chunk 0, then the 5 that fell due): %v", len(got), got)
+		t.Fatalf("sent %d chunks after the catch-up tick, want 6 (chunk 0, then the 5 that fell due): %v", len(got), got)
 	}
 	checkContiguous(t, k, got, e.chunks)
 	if late := time.Since(srv.epoch) - e.due; late >= spacing {
-		t.Errorf("entry still %v behind its grid after one catch-up dispatch, want < %v", late, spacing)
+		t.Errorf("entry still %v behind its grid after one catch-up tick, want < %v", late, spacing)
 	}
 }
 

@@ -13,6 +13,13 @@
 // per shard, independent of how many channels share the tick — the paper's
 // O(channels) server cost with the constant actually small.
 //
+// A tick is built before its instant and only sent on it. Nothing in a
+// frame depends on the instant it leaves at, so a shard wakes early
+// enough to stage the whole batch — fault-plan decisions for every due
+// chunk, materialised frames for the heard ones, cursors advanced — then
+// holds on the clock, and at the instant only releases it: the hook, the
+// one send, the drift check.
+//
 // What every channel is owed:
 //
 //   - The absolute epoch-anchored grid: entry positions are derived from
@@ -24,10 +31,10 @@
 //     (runWheelShard); a restarted shard resyncs every entry from the
 //     clock and rejoins the grid mid-repetition instead of replaying a
 //     burst.
-//   - The drift watchdog: every chunk dispatched more than one unit after
-//     its scheduled instant counts a drift event, with rate-limited
-//     logging — sustained drift means the host cannot keep the grid and
-//     clients will see schedule misses as losses.
+//   - The drift watchdog: every chunk sent more than one unit after its
+//     scheduled instant counts a drift event, with rate-limited logging —
+//     sustained drift means the host cannot keep the grid and clients
+//     will see schedule misses as losses.
 //
 // What a tick costs follows what is heard, not M·K: every due chunk keeps
 // its place on the grid (hook, cursor, fault-plan accounting), but only a
@@ -78,12 +85,17 @@ type wheelEntry struct {
 	due time.Duration // offset of the next send from the epoch
 	// heard is whether the channel had a listener in the membership
 	// snapshot the shard last looked at (wheelShard.seen); true until a
-	// dispatch has a hub to ask.
+	// stage has a hub to ask.
 	heard bool
-	// firstDue remembers the due offset of the first chunk staged in the
-	// current dispatch — the most-late one — for the post-send drift
-	// check, since catch-up staging advances due before the batch leaves.
+	// The tick being staged: its first chunk (repetition firstN, chunk
+	// firstC, due at firstDue — the most-late one) and how many chunks it
+	// holds. Staging advances the cursor past them before the batch
+	// leaves, so release reads them here: the hook walks the run, and the
+	// drift check measures and names its first chunk.
+	firstN   uint32
+	firstC   int
 	firstDue time.Duration
+	run      int
 }
 
 // resync points the entry at the grid slot containing elapsed — the chunk
@@ -103,16 +115,20 @@ func (e *wheelEntry) resync(elapsed time.Duration) {
 	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
 }
 
+// step returns the chunk after chunk c of repetition n.
+func (e *wheelEntry) step(n uint32, c int) (uint32, int) {
+	if c++; c >= e.chunks {
+		return n + 1, 0
+	}
+	return n, c
+}
+
 // advance moves the cursor to the next chunk. The due offset is always
 // recomputed from (n, c) — not incremented by spacing — because spacing
 // is the floor of period/chunks, and accumulating it would let the
 // schedule creep off the repetition boundaries the clients compute.
 func (e *wheelEntry) advance() {
-	e.c++
-	if e.c >= e.chunks {
-		e.c = 0
-		e.n++
-	}
+	e.n, e.c = e.step(e.n, e.c)
 	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
 }
 
@@ -124,13 +140,16 @@ type wheelShard struct {
 	entries []*wheelEntry
 	// tickLen is the run's quantum and cur the next tick not yet collected:
 	// time is cut into ticks of tickLen from the epoch, and one tick's
-	// entries dispatch together — that is the batching.
+	// entries leave together — that is the batching.
 	tickLen time.Duration
 	cur     int64
 	due     []*wheelEntry
 	batch   []mcast.BatchEntry
-	// arena backs every frame one dispatch stages; dispatch resets it on
-	// entry, after the previous tick's sends have returned.
+	// batchSeq is the repetition of the batch's first frame, for the log
+	// line of a failed send.
+	batchSeq uint32
+	// arena backs every frame one tick stages; stage resets it on entry,
+	// after the previous tick's sends have returned.
 	arena frameArena
 	// seen is the membership snapshot the entries' heard flags were drawn
 	// from; they are redrawn only when the hub publishes another.
@@ -142,15 +161,18 @@ type wheelShard struct {
 	tickMu sync.Mutex
 	tick   tickSource
 	// wakeLate records, for every tick, how far past its grid instant the
-	// shard began the dispatch; stageTime how long the dispatch then spent
-	// building its batch, and sendTime, when there was anything to send,
-	// how long inside SendBatch. All in nanoseconds.
+	// shard began the release; stageTime how long staging the tick took
+	// (before the instant, when the lead covered it), and sendTime, when
+	// there was anything to send, how long inside SendBatch. All in
+	// nanoseconds.
 	wakeLate  metrics.Log2Histogram
 	stageTime metrics.Log2Histogram
 	sendTime  metrics.Log2Histogram
-	// lead is how far ahead of a grid instant the shard arms its tick
-	// source, learned from its own wake latency (wakeLead).
-	lead wakeLead
+	// wakeLead and stageLead are what the shard has measured its wake
+	// latency and its staging time to be; it arms its tick source their
+	// sum ahead of a grid instant (lead).
+	wakeLead  leadEstimator
+	stageLead leadEstimator
 }
 
 // newWheelEntry builds the schedule state for (video v, channel i): chunks
@@ -343,21 +365,36 @@ func (sh *wheelShard) nextDue() (next time.Duration, ok bool) {
 	return max(next, time.Duration(sh.cur)*sh.tickLen), true
 }
 
-// run is the shard dispatch loop: park on the tick source until a little
-// before the earliest due tick, hold on the clock until its instant,
-// collect everything due, dispatch it as one batch. Entered fresh after
-// every restart, it resyncs every entry from the wall clock so the shard
-// rejoins the absolute grid.
+// leadBound is how far ahead of a grid instant the shard may arm its tick
+// source: maxWakeLead, and never more than a quarter of its quantum.
+func (sh *wheelShard) leadBound() time.Duration {
+	return min(maxWakeLead, sh.quantum()/4)
+}
+
+// lead is how far ahead of a grid instant the shard arms its tick source:
+// the time it takes to be running again, plus the time it takes to stage
+// the tick, within bound.
+func (sh *wheelShard) lead(bound time.Duration) time.Duration {
+	return min(sh.wakeLead.value()+sh.stageLead.value(), bound)
+}
+
+// run is the shard's tick loop: park on the tick source until a little
+// before the earliest due tick, collect everything due and stage it as
+// one batch, hold on the clock until the instant, release the batch.
+// Entered fresh after every restart, it resyncs every entry from the wall
+// clock so the shard rejoins the absolute grid.
 //
-// The park ends `lead` early because being woken takes time — the timer
-// fires on the instant, the goroutine runs some tens of microseconds
-// later, and every datagram of the tick would leave that late. lead is
-// what the shard has measured that latency to be (wakeLead), so the
-// goroutine is usually running just before the instant and the short hold
-// that follows is what puts the dispatch on it: nothing is sent early, and
-// the hold never exceeds lead. A wait that ends earlier than that — or for
-// no reason — is harmless: nothing dispatches, and the next pass re-arms
-// from the clock.
+// The park ends `lead` early because the tick takes time before anything
+// can be sent: being woken — the timer fires on the instant, the goroutine
+// runs some tens of microseconds later — and staging the batch, which
+// behind a fault plan takes longer than the wake. Both are measured
+// (wakeLead, stageLead), so the batch is usually built just before the
+// instant and the short hold that follows is what puts the send on it:
+// nothing is sent early, and the hold never exceeds lead. A shard that
+// wakes late, or whose staging overruns, sends late by the overrun; one
+// already past the instant stages and sends at once. A wait that ends
+// earlier than lead — or for no reason — is harmless: nothing is staged,
+// and the next pass re-arms from the clock.
 func (sh *wheelShard) run() {
 	s := sh.s
 	sh.tickLen = sh.quantum()
@@ -366,7 +403,7 @@ func (sh *wheelShard) run() {
 	for _, e := range sh.entries {
 		e.resync(start)
 	}
-	maxLead := min(maxWakeLead, sh.tickLen/4)
+	maxLead := sh.leadBound()
 	src := s.newTickSource()
 	sh.setTick(src)
 	defer sh.setTick(nil) // every exit, a panic included, releases the source
@@ -379,7 +416,7 @@ func (sh *wheelShard) run() {
 		next, ok := sh.nextDue()
 		wait, lead := time.Hour, time.Duration(0)
 		if ok {
-			lead = sh.lead.value()
+			lead = sh.lead(maxLead)
 			wait = time.Until(s.epoch.Add(next)) - lead
 		}
 		ticked, err := src.wait(wait)
@@ -395,42 +432,47 @@ func (sh *wheelShard) run() {
 			return
 		}
 		s.wheelWakeups.Inc()
+		if !ok {
+			continue
+		}
 		now := time.Since(s.epoch)
-		if ok {
-			if wait > 0 {
-				// The source was armed for next-lead; this is how long
-				// after it the shard is running.
-				sh.lead.observe(now-(next-lead), maxLead)
-			}
-			if next-now > lead {
-				continue // too early to hold for: wait again
-			}
-			for now < next {
-				now = time.Since(s.epoch)
-			}
-			sh.wakeLate.Observe(int64(now - next))
+		if wait > 0 {
+			// The source was armed for next-lead; this is how long
+			// after it the shard is running.
+			sh.wakeLead.observe(now-(next-lead), maxLead)
 		}
-		sh.collect(now)
-		if len(sh.due) > 0 {
-			sh.dispatch()
+		if next-now > lead {
+			continue // too early to stage for: wait again
 		}
+		at := max(now, next)
+		sh.collect(at)
+		if len(sh.due) == 0 {
+			continue
+		}
+		sh.stageLead.observe(sh.stage(at), maxLead)
+		for now < next {
+			now = time.Since(s.epoch)
+		}
+		sh.wakeLate.Observe(int64(now - next))
+		sh.release()
 	}
 }
 
-// dispatch sends one tick's worth of chunks. Every due chunk fires the
-// hook and advances its cursor; what it costs beyond that depends on who
-// listens. The hub's membership snapshot is read once, on entry (and the
-// per-channel answers redrawn only if it is not the one the last dispatch
-// saw): a chunk whose group has a member is materialised into the shard's
-// arena and staged into the tick's one batch — which the sender, hub or
-// fault injector, takes in one call — and a chunk nobody hears is not
-// built at all, only accounted for in the fault plan (Server.emit). A
-// group's first member that joins after the read starts with the next
-// tick.
+// stage builds the tick collect put in due, for the batch to leave at the
+// epoch offset at, and reports how long that took; it sends nothing and
+// fires no hook. The hub's membership snapshot is read once, on entry
+// (and the per-channel answers redrawn only if it is not the one the last
+// stage saw): a chunk whose group has a member is materialised into the
+// shard's arena and staged into the tick's one batch, and a chunk nobody
+// hears is not built at all, only accounted for in the fault plan
+// (Server.emit). Every due chunk advances its cursor. A group's first
+// member that joins after the read starts with the next tick — even when
+// it joins before this tick is released: release sends what was staged,
+// so each chunk's fault-plan decision is made exactly once.
 //
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
-// a restart, a dense schedule — every chunk already due is staged in
-// the same dispatch as one same-group contiguous run (capped at
+// a restart, a dense schedule — every chunk already due at `at` is
+// staged in the same tick as one same-group contiguous run (capped at
 // wheelMaxRun), instead of one chunk per wakeup; a shard that sent one
 // chunk per tick would stay as many ticks late as it once stalled, for
 // ever. A run may cross a repetition boundary: every staged frame is
@@ -439,10 +481,9 @@ func (sh *wheelShard) run() {
 // sequences stay contiguous on the grid, and a listener's share of the
 // batch — one run or twenty channels' chunks — is what the hub's GSO path
 // coalesces into super-frames.
-func (sh *wheelShard) dispatch() {
+func (sh *wheelShard) stage(at time.Duration) time.Duration {
 	s := sh.s
-	hook := s.cfg.PacerHook
-	elapsed := time.Since(s.epoch)
+	began := time.Now()
 	sh.batch = sh.batch[:0]
 	sh.arena.reset()
 	if s.hub != nil { // nil only under tests that drive a never-started server
@@ -454,55 +495,67 @@ func (sh *wheelShard) dispatch() {
 		}
 	}
 	var scheduled, staged int64
-	var firstSeq uint32 // repetition of the first staged chunk
 	for _, e := range sh.due {
 		if len(sh.batch) == 0 {
-			firstSeq = e.n
+			sh.batchSeq = e.n
 		}
-		e.firstDue = e.due
-		run := 0
+		e.firstN, e.firstC, e.firstDue, e.run = e.n, e.c, e.due, 0
 		for {
-			if hook != nil {
-				hook(e.video, e.channel, e.n, e.c)
-			}
 			sh.batch = s.emit(&sh.arena, sh.batch, e.group, e.cc, e.c, e.n, e.heard)
 			e.advance()
-			run++
+			e.run++
 			// A run ends when the entry is caught up or at the wheelMaxRun
 			// cap; a still-behind entry is due again at the next tick and
 			// that wakeup continues the catch-up.
-			if e.due > elapsed || run >= wheelMaxRun {
+			if e.due > at || e.run >= wheelMaxRun {
 				break
 			}
 		}
-		scheduled += int64(run)
+		scheduled += int64(e.run)
 		if e.heard {
-			staged += int64(run)
+			staged += int64(e.run)
 		}
 	}
 	s.egressScheduled.Add(scheduled)
 	s.egressStaged.Add(staged)
+	took := time.Since(began)
+	sh.stageTime.Observe(int64(took))
+	return took
+}
+
+// release puts the staged tick on the wire: it fires the hook for every
+// staged chunk, hands the batch — to the hub or the fault injector — to
+// the sender in one call, and takes one drift sample per due entry,
+// against the first (most-late) chunk the entry staged.
+func (sh *wheelShard) release() {
+	s := sh.s
+	if hook := s.cfg.PacerHook; hook != nil {
+		for _, e := range sh.due {
+			n, c := e.firstN, e.firstC
+			for range e.run {
+				hook(e.video, e.channel, n, c)
+				n, c = e.step(n, c)
+			}
+		}
+	}
 	sent := time.Since(s.epoch)
-	sh.stageTime.Observe(int64(sent - elapsed))
 	if len(sh.batch) > 0 {
 		stagedAt := sent
 		if _, err := s.send.SendBatch(sh.batch); err != nil {
 			select {
 			case <-s.stop: // socket teardown fails trailing sends by design
 			default:
-				s.cfg.Logf("server: sending %v seq %d: %v", sh.batch[0].Group, firstSeq, err)
+				s.cfg.Logf("server: sending %v seq %d: %v", sh.batch[0].Group, sh.batchSeq, err)
 			}
 		}
 		sent = time.Since(s.epoch)
 		sh.sendTime.Observe(int64(sent - stagedAt))
 	}
 	for _, e := range sh.due {
-		// One drift sample per entry per dispatch, taken against the
-		// first (most-late) chunk staged.
 		if late := sent - e.firstDue; late > s.cfg.Unit {
 			if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
 				s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",
-					e.group, e.n, e.c, late, d)
+					e.group, e.firstN, e.firstC, late, d)
 			}
 		}
 	}

@@ -402,8 +402,8 @@ func TestWheelEntryResyncMatchesGrid(t *testing.T) {
 	}
 }
 
-// recordingBatchSender captures every batch a shard dispatches, for
-// direct dispatch() tests that bypass the hub.
+// recordingBatchSender captures every batch a shard releases, for direct
+// stage/release tests that bypass the hub.
 type recordingBatchSender struct {
 	batches [][]mcast.BatchEntry
 }
@@ -414,8 +414,8 @@ func (r *recordingBatchSender) SendBatch(entries []mcast.BatchEntry) (int, error
 }
 
 // catchupDispatch builds a two-channel shard whose epoch sits behind the
-// wall clock by the given offset, runs one dispatch, and returns what it
-// staged: the recorded batches, the hook's per-channel (rep, chunk)
+// wall clock by the given offset, stages and releases one tick, and
+// returns what it staged: the recorded batches, the hook's per-channel (rep, chunk)
 // events, the shard's entries, and the drift-event count.
 func catchupDispatch(t *testing.T, chunkBytes int, behind time.Duration) (*recordingBatchSender, map[chanKey][]event, []*wheelEntry, int64) {
 	t.Helper()
@@ -444,7 +444,8 @@ func catchupDispatch(t *testing.T, chunkBytes int, behind time.Duration) (*recor
 		sh.entries = append(sh.entries, e)
 		sh.due = append(sh.due, e)
 	}
-	sh.dispatch()
+	sh.stage(time.Since(srv.epoch))
+	sh.release()
 	return rec, events, sh.entries, srv.driftEvents.Value()
 }
 
@@ -560,15 +561,18 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 // tick's collect → advance cycle with every channel due, at the
 // configured channel counts. This is the per-tick overhead the wheel
 // engine adds on top of frame preparation and the send itself. The "full"
-// cases are the whole dispatch on paper-shaped schedules (200 and 400
-// channels) with 5 % of the channels heard: what a tick costs when it
-// costs what is heard — and, faulted, what the fault injector in front of
-// the sender adds to it.
+// cases are the whole tick on paper-shaped schedules (200 and 400
+// channels) with 5 % of the channels heard — what a tick costs when it
+// costs what is heard, and, faulted, what the fault injector in front of
+// the sender adds to it — split into its stage (before the instant) and
+// its release (at it).
 func BenchmarkWheelDispatch(b *testing.B) {
-	for _, k := range []int{20, 40} {
-		b.Run(fmt.Sprintf("full/channels=%d/heard=5%%", 10*k), func(b *testing.B) { benchFullDispatch(b, k, false) })
+	for _, phase := range []string{"stage", "release"} {
+		for _, k := range []int{20, 40} {
+			b.Run(fmt.Sprintf("full/channels=%d/heard=5%%/%s", 10*k, phase), func(b *testing.B) { benchFullDispatch(b, k, false, phase) })
+		}
+		b.Run("full/channels=200/heard=5%/faulted/"+phase, func(b *testing.B) { benchFullDispatch(b, 20, true, phase) })
 	}
-	b.Run("full/channels=200/heard=5%/faulted", func(b *testing.B) { benchFullDispatch(b, 20, true) })
 	for _, channels := range []int{2, 100, 2100} {
 		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
 			const spacing = 25 * time.Millisecond
