@@ -72,8 +72,8 @@ race:
 # heard groups staged, fault counts independent of the audience, re-sends
 # never aliasing dispatch memory, a heap that does not follow the
 # catalog), and the
-# injector as a batch filter (SendBatch ≡ per-entry Send, held frames are
-# copies) — under the race detector.
+# injector's one decision path at stage (Stage ≡ per-chunk Send, counts
+# pinned per seed, held frames are copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release' \

@@ -62,8 +62,6 @@ func main() {
 		maxDelay = flag.Duration("max-delay", 5*time.Millisecond, "delay upper bound when -delay > 0")
 		fecGroup = flag.Int("fec-group", 0,
 			"proactive parity stripe group size G: one parity frame per G data chunks (0 = off)")
-		fecMode = flag.String("fec-mode", "",
-			"parity stripe code when -fec-group > 0: xor (one erasure per group, the default) or rs (two)")
 		faultBurst = flag.String("fault-burst", "",
 			"Gilbert–Elliott burst loss as enter,exit,drop (e.g. 0.05,0.35,1); empty disables")
 		noRepair = flag.Bool("no-repair", false, "disable the repair path; losses degrade the session instead")
@@ -143,7 +141,7 @@ func main() {
 			sweeps = append(sweeps, sweepSpec{drop: *faultDrop, counts: fcounts})
 		}
 		if err := scaleSweep(*videos, *channels, *width, *unit, *seed, sweeps,
-			*procs, *muxWorkers, *spread, *fecGroup, *fecMode, burst,
+			*procs, *muxWorkers, *spread, *fecGroup, burst,
 			*noRepair, *verbose, *assertCohort, scaleOut); err != nil {
 			fmt.Fprintln(os.Stderr, "skychaos:", err)
 			os.Exit(1)
@@ -171,7 +169,7 @@ func main() {
 		"drop", "injected", "fec-heals", "repaired", "requests", "dups", "defeats", "lost", "late", "bytes", "verdict")
 	for _, rate := range rates {
 		if err := sweep(*videos, *channels, *width, *unit, rate, *dup, *reorder, *delay, *maxDelay,
-			*seed, *fecGroup, *fecMode, burst, *noRepair, *verbose); err != nil {
+			*seed, *fecGroup, burst, *noRepair, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "skychaos: drop %v: %v\n", rate, err)
 			failed = true
 		}
@@ -246,7 +244,7 @@ func parseRates(s string) ([]float64, error) {
 // error.
 func sweep(videos, channels int, width int64, unit time.Duration,
 	drop, dup, reorder, delay float64, maxDelay time.Duration,
-	seed uint64, fecGroup int, fecMode string, burst burstSpec,
+	seed uint64, fecGroup int, burst burstSpec,
 	noRepair, verbose bool) error {
 	cfg := vod.Config{
 		ServerMbps: 1.5 * float64(videos*channels),
@@ -270,7 +268,6 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
 		FecGroup:     fecGroup,
-		FecMode:      fecMode,
 		Faults:       plan,
 	})
 	if err != nil {
@@ -311,9 +308,9 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 		stats.LostChunks, stats.LateChunks, stats.Bytes, verdict)
 	st := srv.Status()
 	if fecGroup > 0 {
-		fmt.Printf("       parity stripe: G=%d mode=%s, %d parity frames (%d bytes) broadcast; "+
+		fmt.Printf("       parity stripe: G=%d, %d parity frames (%d bytes) broadcast; "+
 			"%d heals with zero control round trips, %d stripe defeats escalated\n",
-			fecGroup, st.FecMode, st.ParityFrames, st.ParityBytes,
+			fecGroup, st.ParityFrames, st.ParityBytes,
 			stats.FecHeals, stats.StripeDefeats)
 	}
 

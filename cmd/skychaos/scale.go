@@ -117,11 +117,10 @@ type scaleReport struct {
 	UnitNanos   int64   `json:"unit_nanos"`
 	Seed        uint64  `json:"seed"`
 	SpreadUnits float64 `json:"spread_units"`
-	// FecGroup/FecMode record the parity stripe the server broadcast with
-	// (0/"" when off), and Burst the Gilbert–Elliott loss triple, so rows
+	// FecGroup records the parity stripe the server broadcast with (0 when
+	// off), and Burst the Gilbert–Elliott loss triple, so rows
 	// from different repair configurations are never compared silently.
 	FecGroup int                `json:"fec_group"`
-	FecMode  string             `json:"fec_mode,omitempty"`
 	Burst    string             `json:"burst,omitempty"`
 	Sweeps   []scaleSweepResult `json:"sweeps"`
 }
@@ -191,7 +190,7 @@ func parseCounts(s string) ([]int, error) {
 // the O(cohorts)-not-O(viewers) property, enforced.
 func scaleSweep(videos, channels int, width int64, unit time.Duration,
 	seed uint64, sweeps []sweepSpec, procs, muxWorkers int,
-	spread float64, fecGroup int, fecMode string, burst burstSpec,
+	spread float64, fecGroup int, burst burstSpec,
 	noRepair, verbose, assertCohort bool, out string) error {
 	if procs <= 0 {
 		procs = 1
@@ -209,13 +208,13 @@ func scaleSweep(videos, channels int, width int64, unit time.Duration,
 	report := scaleReport{
 		Videos: videos, Channels: channels, Width: width,
 		UnitNanos: int64(unit), Seed: seed, SpreadUnits: spread,
-		FecGroup: fecGroup, FecMode: fecMode,
+		FecGroup: fecGroup,
 	}
 	if burst.set {
 		report.Burst = fmt.Sprintf("%g,%g,%g", burst.enter, burst.exit, burst.drop)
 	}
 	for _, sw := range sweeps {
-		res, err := runScaleSweep(sch, unit, seed, sw, procs, videos, muxWorkers, spread, fecGroup, fecMode, burst, noRepair, verbose)
+		res, err := runScaleSweep(sch, unit, seed, sw, procs, videos, muxWorkers, spread, fecGroup, burst, noRepair, verbose)
 		if err != nil {
 			return err
 		}
@@ -242,7 +241,7 @@ func scaleSweep(videos, channels int, width int64, unit time.Duration,
 // runScaleSweep runs one sweep against its own server, so each drop rate
 // gets a clean fault plan and cost ledger.
 func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSpec,
-	procs, videos, muxWorkers int, spread float64, fecGroup int, fecMode string,
+	procs, videos, muxWorkers int, spread float64, fecGroup int,
 	burst burstSpec, noRepair, verbose bool) (*scaleSweepResult, error) {
 	scfg := server.Config{
 		Scheme:       sch,
@@ -250,7 +249,6 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
 		FecGroup:     fecGroup,
-		FecMode:      fecMode,
 	}
 	if sw.drop > 0 || burst.set {
 		plan := &faults.Plan{Seed: seed, Drop: sw.drop}

@@ -32,8 +32,6 @@ func main() {
 		chunk    = flag.Int("chunk", 1024, "chunk payload bytes (must divide bytes-per-unit)")
 		fecGroup = flag.Int("fec-group", 0,
 			"proactive parity stripe group size G: one parity frame per G data chunks, ~1/G bandwidth overhead (0 = off)")
-		fecMode = flag.String("fec-mode", "",
-			"parity stripe code when -fec-group > 0: xor (heals one erasure per group, the default) or rs (P+Q, heals two)")
 		status   = flag.Bool("status", true, "serve an HTTP /status endpoint")
 		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the status endpoint")
 		repairBW = flag.Int64("repair-bandwidth", 0,
@@ -46,13 +44,13 @@ func main() {
 			"kernel receive-buffer bytes for the broadcast socket (SetReadBuffer); only error traffic lands there (0 = OS default)")
 	)
 	flag.Parse()
-	if err := run(*videos, *channels, *width, *unit, *bpu, *chunk, *fecGroup, *fecMode, *status, *pprofOn, *repairBW, *drainTO, *sndbuf, *rcvbuf); err != nil {
+	if err := run(*videos, *channels, *width, *unit, *bpu, *chunk, *fecGroup, *status, *pprofOn, *repairBW, *drainTO, *sndbuf, *rcvbuf); err != nil {
 		fmt.Fprintln(os.Stderr, "skyserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecGroup int, fecMode string, status bool, pprofOn bool, repairBW int64, drainTO time.Duration, sndbuf, rcvbuf int) error {
+func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecGroup int, status bool, pprofOn bool, repairBW int64, drainTO time.Duration, sndbuf, rcvbuf int) error {
 	cfg := vod.Config{
 		ServerMbps: 1.5 * float64(videos*channels),
 		Videos:     videos,
@@ -69,7 +67,6 @@ func run(videos, channels int, width int64, unit time.Duration, bpu, chunk, fecG
 		BytesPerUnit:    bpu,
 		ChunkBytes:      chunk,
 		FecGroup:        fecGroup,
-		FecMode:         fecMode,
 		EnablePprof:     pprofOn,
 		RepairBandwidth: repairBW,
 		SendBufBytes:    sndbuf,

@@ -309,8 +309,7 @@ func TestWatchMalformedWelcome(t *testing.T) {
 		{"negative chunk bytes", func(w *wire.Welcome) { w.ChunkBytes = -32 }},
 		{"chunk over MaxPayload", func(w *wire.Welcome) { w.ChunkBytes = wire.MaxPayload + 1 }},
 		{"negative FEC group", func(w *wire.Welcome) { w.FecGroup = -1 }},
-		{"FEC group over cap", func(w *wire.Welcome) { w.FecGroup, w.FecMode = wire.MaxFecGroup+1, wire.FecModeXOR }},
-		{"unknown FEC mode", func(w *wire.Welcome) { w.FecGroup, w.FecMode = 4, "fountain" }},
+		{"FEC group over cap", func(w *wire.Welcome) { w.FecGroup = wire.MaxFecGroup + 1 }},
 		{"video bytes overflow", func(w *wire.Welcome) { w.SizeUnits[1], w.BytesPerUnit = 1<<62, 1<<20 }},
 	}
 	for _, tc := range cases {

@@ -1,10 +1,10 @@
 // Package faults is a deterministic fault-injection layer for the live
 // broadcast stack. The paper proves its jitter-free guarantee over a
 // lossless channel; this package makes the channel lossy on purpose — an
-// Injector interposes between the server's egress shards and the
-// multicast hub and drops, duplicates, reorders, or delays data chunks
-// according to a seeded Plan — so the client's loss-recovery path can be
-// exercised and regression-tested.
+// Injector decides, as the server's egress shards stage each tick, which
+// scheduled frames to drop, duplicate, reorder, or delay according to a
+// seeded Plan — so the client's loss-recovery path can be exercised and
+// regression-tested.
 //
 // Every decision is a pure function of (seed, video, channel, chunk
 // offset), derived through the same SplitMix64 substream machinery the
@@ -111,14 +111,13 @@ const (
 	rollBurstDrop
 )
 
-// parityRollStride shifts the decision substreams for parity frames. A
+// parityRollShift shifts the decision substreams for parity frames. A
 // parity frame carries its group's base offset — the same header offset
 // as the group's first data chunk — and an unshifted roll would injure
 // both with one decision: correlated loss that defeats the stripe
 // exactly when it is supposed to help, and (worse for the golden gates)
-// a data-chunk fault schedule that shifts when FEC turns on. The shift
-// is scaled by 1+parity index so P and Q fail independently too.
-const parityRollStride = 8
+// a data-chunk fault schedule that shifts when FEC turns on.
+const parityRollShift = 8
 
 // roll maps one (chunk position, decision kind) to a uniform value in
 // [0, 1). Seq is deliberately absent from the key — see the package
@@ -160,16 +159,15 @@ func copyFrame(frame []byte) *[]byte {
 	return bp
 }
 
-// Injector wraps a Sender with a fault plan. It is safe for concurrent
-// use by multiple egress shards; per-channel effects (reordering) assume
-// each group's sends are themselves sequential, which the server
-// guarantees (one shard per channel).
+// Injector applies a fault plan to the frames of a broadcast: Stage
+// decides each scheduled frame as the server builds its tick, and next
+// receives what leaves later — delayed frames, and what Flush releases.
+// It is safe for concurrent use by multiple egress shards; per-channel
+// effects (reordering) assume each group's frames are staged
+// sequentially, which the server guarantees (one shard per channel).
 type Injector struct {
-	plan Plan
-	next mcast.Sender
-	// batch is next's batched fan-out, nil when it has none; SendBatch then
-	// feeds next one frame at a time.
-	batch mcast.BatchSender
+	plan  Plan
+	next  mcast.Sender
 	epoch time.Time
 
 	mu   sync.Mutex
@@ -204,7 +202,6 @@ func New(next mcast.Sender, plan Plan) (*Injector, error) {
 		return nil, err
 	}
 	in := &Injector{plan: plan, next: next, epoch: time.Now(), held: make(map[mcast.Group]*[]byte)}
-	in.batch, _ = next.(mcast.BatchSender)
 	if plan.BurstEnter > 0 {
 		in.chains = make(map[mcast.Group]*burstChain)
 	}
@@ -230,106 +227,55 @@ func (in *Injector) tracef(kind string, g mcast.Group, seq, offset uint32, forma
 		"%v seq %d off %d%s", g, seq, offset, fmt.Sprintf(format, args...))
 }
 
-// staged is what one Send or SendBatch call puts on the wire: the frames
-// that survived the plan, in the order they leave, and the held copies
-// among them, which go back to the pool once the inner send has returned.
-type staged struct {
-	out  []mcast.BatchEntry
-	held []*[]byte
+// Stage makes the plan's decision for one scheduled frame of group g and
+// appends to batch what leaves with it; the server calls it for every
+// frame of a tick as it stages the tick, heard or not, and sends the
+// batch unfiltered at the instant. covered is 0 for a data chunk at byte
+// offset `offset`, and for a parity frame the number of chunks it covers
+// from its group base `offset` (wire.ParityCount).
+//
+// frame is the built frame, or nil when nobody hears g and the server
+// did not build it. A heard frame that passes is appended — twice when
+// the plan duplicates it — and one the plan reorders is held back and
+// appended behind g's next heard frame instead; a delayed frame leaves
+// through next later, its delay counted from this call (the server
+// stages at most one wake lead before the instant). An unheard frame is only booked: its decision
+// lands in the counters and the trace exactly as a heard one's would, so
+// the counts over a window are a function of the seed alone however the
+// audience moves, and a frame still held for g goes back to the pool
+// (the members it was held for are gone).
+//
+// frame must stay valid until batch is sent; anything that outlives that
+// is a copy. A held frame leaves in memory from take, which must stay
+// valid until batch is sent too — the server passes its tick arena.
+func (in *Injector) Stage(batch []mcast.BatchEntry, g mcast.Group, seq, offset uint32, covered int, frame []byte, take func(n int) []byte) []mcast.BatchEntry {
+	return in.stage(batch, g, uint16(g.Video), uint16(g.Channel), seq, offset, covered, frame, take)
 }
 
-var stagedPool = sync.Pool{New: func() any { return new(staged) }}
-
-// release returns the held copies and the staging itself to their pools.
-func (st *staged) release() {
-	for _, bp := range st.held {
-		framePool.Put(bp)
-	}
-	clear(st.out) // a pooled staging must not pin the caller's frames
-	clear(st.held)
-	st.out, st.held = st.out[:0], st.held[:0]
-	stagedPool.Put(st)
-}
-
-// Send applies the plan to one datagram. Frames that do not parse as data
-// chunks or parity frames (control traffic never passes through here,
-// but be safe) are forwarded untouched. Parity frames draw every
-// decision from shifted substreams (parityRollStride), so turning the
-// stripe on never moves a data chunk's fault schedule.
-func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
-	st := stagedPool.Get().(*staged)
-	in.filter(st, g, frame)
-	n, err := in.sendEach(st.out)
-	st.release()
-	return n, err
-}
-
-// SendBatch applies the plan to a tick's worth of datagrams: every entry
-// is decided exactly as Send would decide it, in order, and whatever
-// results — survivors, duplicates, and frames held from an earlier send
-// that this one releases — leaves as one batch in the order per-entry
-// Sends would have put it on the wire. The caller's frames are only read
-// until SendBatch returns; anything held or delayed past that is a copy.
-func (in *Injector) SendBatch(entries []mcast.BatchEntry) (int, error) {
-	st := stagedPool.Get().(*staged)
-	for i := range entries {
-		in.filter(st, entries[i].Group, entries[i].Frame)
-	}
-	var n int
-	var err error
-	if in.batch != nil && len(st.out) > 0 { // nothing survived: nothing to hand over
-		n, err = in.batch.SendBatch(st.out)
-	} else {
-		n, err = in.sendEach(st.out)
-	}
-	st.release()
-	return n, err
-}
-
-// sendEach hands the staged frames to the inner sender one at a time,
-// returning the datagrams written and the first error.
-func (in *Injector) sendEach(out []mcast.BatchEntry) (n int, err error) {
-	for i := range out {
-		sn, serr := in.next.Send(out[i].Group, out[i].Frame)
-		n += sn
-		if err == nil {
-			err = serr
-		}
-	}
-	return n, err
-}
-
-// filter executes the plan's decision for one frame (a parity frame's
-// substream shift keeps its rolls independent of the data chunk sharing
-// its header offset), staging what leaves now. A frame held from the
-// group's previous send is staged behind this one, so the held chunk
-// follows its successor onto the wire.
-func (in *Injector) filter(st *staged, g mcast.Group, frame []byte) {
-	video, channel, seq, offset, ok := wire.PeekID(frame)
-	if !ok {
-		st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
-		return
-	}
-	shift, covered := 0, 0
-	if wire.IsParity(frame) {
-		shift = parityRollStride * (1 + wire.ParityIndexOf(frame))
-		covered = wire.ParityCountOf(frame)
+// stage is Stage with the identity the rolls are keyed on given apart
+// from g, as Send reads it from the frame.
+func (in *Injector) stage(batch []mcast.BatchEntry, g mcast.Group, video, channel uint16, seq, offset uint32, covered int, frame []byte, take func(n int) []byte) []mcast.BatchEntry {
+	shift := 0
+	if covered > 0 {
+		shift = parityRollShift
 	}
 	prev := in.takeHeld(g)
-	switch v, d := in.decide(g, video, channel, seq, offset, shift, covered); v {
-	case drop, burst:
+	switch v, d := in.decide(g, video, channel, seq, offset, shift, covered); {
+	case frame == nil:
+		if v == pass {
+			in.duplicate(g, video, channel, seq, offset, shift)
+		}
 
-	case delay:
-		// The sender reuses its frame buffer, so the deferred send must
-		// own a copy (pooled). Errors after the hub closes are expected
-		// noise.
+	case v == delay:
+		// The deferred send must own a copy (pooled). Errors after the
+		// hub closes are expected noise.
 		cp := copyFrame(frame)
 		time.AfterFunc(d, func() {
 			_, _ = in.next.Send(g, *cp)
 			framePool.Put(cp)
 		})
 
-	case reorder:
+	case v == reorder:
 		in.mu.Lock()
 		_, already := in.held[g]
 		if !already {
@@ -338,42 +284,66 @@ func (in *Injector) filter(st *staged, g mcast.Group, frame []byte) {
 		in.mu.Unlock()
 		if already {
 			// Can only hold one frame per group; send straight through.
-			st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
+			batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
 		}
 
-	default:
-		st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
+	case v == pass:
+		batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
 		if in.duplicate(g, video, channel, seq, offset, shift) {
-			st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: frame})
+			batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
 		}
 	}
 	if prev != nil {
-		st.out = append(st.out, mcast.BatchEntry{Group: g, Frame: *prev})
-		st.held = append(st.held, prev)
-	}
-}
-
-// Unheard accounts for one frame the sender did not build because group g
-// has no listener: it makes the same positional decision Send would and
-// books it in the same counters and trace, so the counts over a window
-// stay a function of the seed alone however the audience moves — but it
-// forwards, delays and holds nothing, and a frame still held for g from
-// its last heard send goes back to the pool (the members it was held for
-// are gone). parity is -1 for a data chunk at byte offset `offset`;
-// otherwise it is the parity index of the frame whose group base is
-// `offset` and which covers `covered` chunks.
-func (in *Injector) Unheard(g mcast.Group, seq, offset uint32, parity, covered int) {
-	shift := 0
-	if parity >= 0 {
-		shift = parityRollStride * (1 + parity)
-	}
-	video, channel := uint16(g.Video), uint16(g.Channel)
-	if v, _ := in.decide(g, video, channel, seq, offset, shift, covered); v == pass {
-		in.duplicate(g, video, channel, seq, offset, shift)
-	}
-	if prev := in.takeHeld(g); prev != nil {
+		if frame != nil {
+			cp := take(len(*prev))
+			copy(cp, *prev)
+			batch = append(batch, mcast.BatchEntry{Group: g, Frame: cp})
+		}
 		framePool.Put(prev)
 	}
+	return batch
+}
+
+// sendScratch is Send's batch and the room for a released held frame.
+type sendScratch struct {
+	out []mcast.BatchEntry
+	buf []byte
+}
+
+var sendScratchPool = sync.Pool{New: func() any { return new(sendScratch) }}
+
+func (sc *sendScratch) take(n int) []byte {
+	if cap(sc.buf) < n {
+		sc.buf = make([]byte, n)
+	}
+	return sc.buf[:n]
+}
+
+// Send applies the plan to one data chunk and hands what leaves to next,
+// frame by frame: Stage's decision, for a caller that sends as it goes.
+// Anything else — a parity frame, whose coverage the frame does not
+// carry, or a frame that does not parse — is forwarded untouched. Kept
+// for benchmark/harness and the tests that drive a lone sender; the
+// harness follow-up of ROADMAP item 3(c) deletes it.
+func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
+	video, channel, seq, offset, ok := wire.PeekID(frame)
+	if !ok || wire.IsParity(frame) {
+		return in.next.Send(g, frame)
+	}
+	sc := sendScratchPool.Get().(*sendScratch)
+	sc.out = in.stage(sc.out[:0], g, video, channel, seq, offset, 0, frame, sc.take)
+	var n int
+	var err error
+	for _, e := range sc.out {
+		sn, serr := in.next.Send(e.Group, e.Frame)
+		n += sn
+		if err == nil {
+			err = serr
+		}
+	}
+	clear(sc.out) // a pooled scratch must not pin the caller's frames
+	sendScratchPool.Put(sc)
+	return n, err
 }
 
 // takeHeld removes and returns the frame held for g's next send, if any.
@@ -401,8 +371,7 @@ const (
 // the counters and the trace. shift selects the parity substreams and
 // covered is the parity frame's chunk count (both 0 for a data chunk); d
 // is how long a delayed frame is deferred. It is the whole of the plan's
-// randomness short of the duplicate roll, shared by Send, SendBatch and
-// Unheard so they cannot disagree.
+// randomness short of the duplicate roll.
 func (in *Injector) decide(g mcast.Group, video, channel uint16, seq, offset uint32, shift, covered int) (v verdict, d time.Duration) {
 	p := in.plan
 	switch {
@@ -441,7 +410,7 @@ func (in *Injector) duplicate(g mcast.Group, video, channel uint16, seq, offset 
 
 // burstDrop decides whether the Gilbert–Elliott chain kills this frame.
 // A data chunk consults the chain state at its own position; a parity
-// frame (shift > 0) at the last position it covers, because that is the
+// frame (covered > 0) at the last position it covers, because that is the
 // chunk it rides immediately behind on the wire — a burst that swallows
 // the end of a group swallows its parity too, which is exactly the
 // correlated failure mode the stripe must escalate past.
@@ -451,7 +420,7 @@ func (in *Injector) burstDrop(video, channel uint16, offset uint32, shift, cover
 		return false
 	}
 	chunk := int(offset) / p.ChunkBytes
-	if shift > 0 && covered > 0 {
+	if covered > 0 {
 		chunk += covered - 1
 	}
 	if !in.burstBad(video, channel, chunk) {
@@ -495,9 +464,9 @@ func (in *Injector) burstBad(video, channel uint16, chunk int) bool {
 	return ch.bad[chunk/64]&(1<<(chunk%64)) != 0
 }
 
-// Flush releases every frame currently held for reordering. The server
-// calls it on shutdown; tests call it after a bounded send sequence so no
-// chunk is withheld forever.
+// Flush releases every frame currently held for reordering through next.
+// The server calls it on shutdown; benchmark/harness and tests call it
+// after a bounded send sequence so no chunk is withheld forever.
 func (in *Injector) Flush() {
 	in.mu.Lock()
 	held := in.held

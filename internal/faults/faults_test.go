@@ -235,13 +235,13 @@ func TestFaultDelayDefers(t *testing.T) {
 	}
 }
 
-// parityFrame encodes one parity frame covering count chunks from base
-// (chunk index), with 64-byte chunks to match sendStream.
-func parityFrame(t *testing.T, video, channel uint16, base, count, total int, index uint8) []byte {
+// parityFrame encodes the parity frame of the group based at chunk base
+// of an nchunks-chunk fragment, with 64-byte chunks to match sendStream.
+func parityFrame(t testing.TB, video, channel uint16, base, nchunks int, seq uint32) []byte {
 	t.Helper()
-	payload := wire.AppendParityPayload(nil, count, make([]byte, 64))
-	frame, err := wire.EncodeParityFrame(nil, video, channel, 1,
-		uint32(base*64), uint32(total*64), index, payload, wire.PayloadCRC(payload))
+	block := make([]byte, 64)
+	frame, err := wire.EncodeParityFrame(nil, video, channel, seq,
+		uint32(base*64), uint32(nchunks*64), 0, block, wire.PayloadCRC(block))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,48 +385,33 @@ func TestFaultBurstSeqIndependence(t *testing.T) {
 }
 
 // TestFaultParityDoesNotShiftData is the FEC-off golden gate at the
-// injector level: interleaving parity frames into the stream must not
+// injector level: staging parity frames between the data chunks must not
 // change which data chunks are injured — parity rolls live on shifted
 // substreams, so turning the stripe on cannot reshuffle the loss pattern
 // a seeded run was recorded under.
 func TestFaultParityDoesNotShiftData(t *testing.T) {
 	const n, group = 240, 8
 	plan := Plan{Seed: 29, Drop: 0.2, BurstEnter: 0.05, BurstExit: 0.5, BurstDrop: 1, ChunkBytes: 64}
-	g := mcast.Group{}
-
-	dataOnly := newRecorder()
-	in, err := New(dataOnly, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendStream(t, in, g, 1, 2, n)
-
-	interleaved := newRecorder()
-	in2, err := New(interleaved, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	for c := 0; c < n; c++ {
-		frame, err := (&wire.Chunk{
-			Video: 1, Channel: 2, Seq: 1,
-			Offset: uint32(c * 64), Total: uint32(n * 64), Payload: make([]byte, 64),
-		}).Encode(buf[:0])
+	g := mcast.Group{Video: 1, Channel: 2}
+	run := func(striped bool) []uint32 {
+		rec := newBatchRecorder()
+		in, err := New(rec, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = frame
-		if _, err := in2.Send(g, frame); err != nil {
-			t.Fatal(err)
-		}
-		if (c+1)%group == 0 {
-			if _, err := in2.Send(g, parityFrame(t, 1, 2, c+1-group, group, n, 0)); err != nil {
-				t.Fatal(err)
+		var a tickArena
+		for c := 0; c < n; c++ {
+			batch := in.Stage(nil, g, 1, uint32(c*64), 0, dataFrame(t, 1, 2, 1, c, n), a.take)
+			if striped && (c+1)%group == 0 {
+				base := c + 1 - group
+				batch = in.Stage(batch, g, 1, uint32(base*64), wire.ParityCount(uint32(base*64), n*64, group, 64),
+					parityFrame(t, 1, 2, base, n, 1), a.take)
 			}
+			rec.SendBatch(batch)
 		}
+		return rec.dataOffsets(g)
 	}
-
-	a, b := dataOnly.dataOffsets(g), interleaved.dataOffsets(g)
+	a, b := run(false), run(true)
 	if len(a) != len(b) {
 		t.Fatalf("surviving data count changed with parity interleaved: %d vs %d", len(a), len(b))
 	}
@@ -438,23 +423,31 @@ func TestFaultParityDoesNotShiftData(t *testing.T) {
 }
 
 // TestFaultParityFaulted: parity frames are subject to the plan like any
-// chunk — a Drop=1 plan eats them (they are not control passthrough),
-// on their own roll substream.
+// chunk — a Drop=1 plan eats a staged one (it is not control
+// passthrough), on its own roll substream. Send, which cannot know a
+// parity frame's coverage, forwards one untouched.
 func TestFaultParityFaulted(t *testing.T) {
-	g := mcast.Group{}
+	g := mcast.Group{Video: 1, Channel: 2}
 	rec := newRecorder()
 	in, err := New(rec, Plan{Seed: 31, Drop: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.Send(g, parityFrame(t, 1, 2, 0, 8, 64, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.frames[g]) != 0 {
-		t.Error("Drop=1 plan passed a parity frame through")
+	frame := parityFrame(t, 1, 2, 0, 64, 1)
+	if batch := in.Stage(nil, g, 1, 0, 8, frame, nil); len(batch) != 0 {
+		t.Error("Drop=1 plan staged a parity frame")
 	}
 	if c := in.Counts(); c.Dropped != 1 {
 		t.Errorf("counts = %+v, want the parity frame counted dropped", c)
+	}
+	if _, err := in.Send(g, frame); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.frames[g]) != 1 {
+		t.Error("Send did not forward a parity frame untouched")
+	}
+	if c := in.Counts(); c.Dropped != 1 {
+		t.Errorf("counts = %+v after Send of a parity frame, want it not decided", c)
 	}
 }
 
@@ -498,71 +491,63 @@ func TestFaultZeroPlanTransparent(t *testing.T) {
 	}
 }
 
-// stripeStep is one frame of a striped channel's schedule: a data chunk,
-// or (parity >= 0) the parity frame closing the group based at chunk.
-type stripeStep struct {
-	chunk, parity, covered int
-}
-
-// stripeSchedule lists nchunks data chunks with a P and a Q parity frame
-// behind every group of g (the tail group may be short) — the order the
-// server's egress emits.
-func stripeSchedule(nchunks, g int) []stripeStep {
-	var steps []stripeStep
-	for c := 0; c < nchunks; c++ {
-		steps = append(steps, stripeStep{chunk: c, parity: -1})
-		if (c+1)%g == 0 || c == nchunks-1 {
-			base := c / g * g
-			for pi := 0; pi < 2; pi++ {
-				steps = append(steps, stripeStep{chunk: base, parity: pi, covered: c - base + 1})
+// stripeSchedule lists two repetitions of nchunks data chunks with the
+// parity frame behind every group of g (the tail group may be short) —
+// the order the server's egress stages them.
+func stripeSchedule(g mcast.Group, nchunks, group int) []scheduled {
+	var steps []scheduled
+	for seq := uint32(1); seq <= 2; seq++ {
+		for c := 0; c < nchunks; c++ {
+			steps = append(steps, scheduled{g: g, seq: seq, offset: uint32(c * 64)})
+			if (c+1)%group == 0 || c == nchunks-1 {
+				base := uint32(c / group * group * 64)
+				steps = append(steps, scheduled{g: g, seq: seq, offset: base,
+					covered: wire.ParityCount(base, uint32(nchunks*64), group, 64)})
 			}
 		}
 	}
 	return steps
 }
 
-// driveSchedule pushes a schedule through a fresh injector, building and
-// sending the frames heard(i) selects and accounting for the rest with
-// Unheard. It returns the injector, what reached the wire, and the trace.
-func driveSchedule(t *testing.T, plan Plan, g mcast.Group, steps []stripeStep, heard func(i int) bool) (*Injector, *recorder, []trace.Event) {
+// driveSchedule stages a schedule through a fresh injector a frame a
+// tick, building the frames heard(i) selects and staging the rest
+// unbuilt, and sends each tick's batch. It returns the injector, what
+// reached the wire, and the trace.
+func driveSchedule(t *testing.T, plan Plan, steps []scheduled, nchunks int, heard func(i int) bool) (*Injector, *recorder, []trace.Event) {
 	t.Helper()
 	plan.Trace = trace.New(1 << 14)
-	rec := newRecorder()
+	rec := newBatchRecorder()
 	in, err := New(rec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	video, channel := uint16(g.Video), uint16(g.Channel)
-	total := len(steps) * 64
+	var a tickArena
 	for i, st := range steps {
-		if !heard(i) {
-			in.Unheard(g, 1, uint32(st.chunk*64), st.parity, st.covered)
-			continue
-		}
-		var frame []byte
-		if st.parity >= 0 {
-			frame = parityFrame(t, video, channel, st.chunk, st.covered, len(steps), uint8(st.parity))
-		} else {
-			c := wire.Chunk{Video: video, Channel: channel, Seq: 1, Offset: uint32(st.chunk * 64), Total: uint32(total), Payload: make([]byte, 64)}
-			if frame, err = c.Encode(nil); err != nil {
-				t.Fatal(err)
+		if heard(i) {
+			video, channel := uint16(st.g.Video), uint16(st.g.Channel)
+			if st.covered > 0 {
+				st.frame = parityFrame(t, video, channel, int(st.offset/64), nchunks, st.seq)
+			} else {
+				st.frame = dataFrame(t, video, channel, st.seq, int(st.offset/64), nchunks)
 			}
 		}
-		if _, err := in.Send(g, frame); err != nil {
-			t.Fatal(err)
+		if batch := in.Stage(nil, st.g, st.seq, st.offset, st.covered, st.frame, a.take); len(batch) > 0 {
+			rec.SendBatch(batch)
 		}
 	}
-	return in, rec, plan.Trace.Events()
+	return in, &rec.recorder, plan.Trace.Events()
 }
 
-// TestFaultUnheardKeepsThePlan: a schedule accounted partly through
-// Unheard injures exactly the positions, with exactly the counts, that
-// the same schedule injures when every frame is built and sent — the
-// counts stay a function of the seed alone however the audience moves —
-// and every frame that was sent meets the same decision either way.
+// TestFaultUnheardKeepsThePlan: a schedule staged partly unbuilt (its
+// group unheard) injures exactly the positions, with exactly the counts,
+// that the same schedule injures when every frame is built and sent —
+// the counts stay a function of the seed alone however the audience
+// moves — and every frame that was sent meets the same decision either
+// way.
 func TestFaultUnheardKeepsThePlan(t *testing.T) {
 	g := mcast.Group{Video: 3, Channel: 2}
-	steps := stripeSchedule(600, 4)
+	const nchunks = 300
+	steps := stripeSchedule(g, nchunks, 4)
 	all := func(int) bool { return true }
 	// An arbitrary audience: listeners come and go in uneven stretches,
 	// mid-group and across group boundaries.
@@ -571,55 +556,52 @@ func TestFaultUnheardKeepsThePlan(t *testing.T) {
 	t.Run("counts and decisions", func(t *testing.T) {
 		plan := Plan{Seed: 7, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05, Delay: 0.05, MaxDelay: time.Millisecond,
 			BurstEnter: 0.03, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 64}
-		inA, _, evA := driveSchedule(t, plan, g, steps, all)
-		inB, _, evB := driveSchedule(t, plan, g, steps, mix)
+		inA, _, evA := driveSchedule(t, plan, steps, nchunks, all)
+		inB, _, evB := driveSchedule(t, plan, steps, nchunks, mix)
 		if a, b := inA.Counts(), inB.Counts(); a != b {
-			t.Fatalf("counts diverge: all-Send %+v, Send/Unheard mix %+v", a, b)
+			t.Fatalf("counts diverge: all heard %+v, heard/unheard mix %+v", a, b)
 		}
 		if c := inA.Counts(); c.Dropped == 0 || c.BurstDropped == 0 || c.Duplicated == 0 || c.Reordered == 0 || c.Delayed == 0 {
 			t.Fatalf("plan left a fault kind unexercised: %+v", c)
 		}
 		if len(evA) != len(evB) {
-			t.Fatalf("%d fault events all-Send, %d mixed", len(evA), len(evB))
+			t.Fatalf("%d fault events all heard, %d mixed", len(evA), len(evB))
 		}
 		for i := range evA {
 			if evA[i].Kind != evB[i].Kind || evA[i].Detail != evB[i].Detail {
-				t.Fatalf("fault event %d: all-Send %s %q, mixed %s %q", i, evA[i].Kind, evA[i].Detail, evB[i].Kind, evB[i].Detail)
+				t.Fatalf("fault event %d: all heard %s %q, mixed %s %q", i, evA[i].Kind, evA[i].Detail, evB[i].Kind, evB[i].Detail)
 			}
 		}
 	})
 
 	t.Run("wire", func(t *testing.T) {
-		// Without delay and reorder a frame reaches the wire within its own
-		// Send, so the wire itself is comparable: every frame that was sent
+		// Without delay and reorder a frame reaches the wire in its own
+		// tick, so the wire itself is comparable: every frame that was sent
 		// appears as often (0, 1 or 2 times) as when everything is sent,
 		// and nothing unheard appears at all.
 		plan := Plan{Seed: 7, Drop: 0.1, Duplicate: 0.1, BurstEnter: 0.03, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 64}
-		_, recA, _ := driveSchedule(t, plan, g, steps, all)
-		_, recB, _ := driveSchedule(t, plan, g, steps, mix)
+		_, recA, _ := driveSchedule(t, plan, steps, nchunks, all)
+		_, recB, _ := driveSchedule(t, plan, steps, nchunks, mix)
 		type key struct {
-			offset uint32
-			kind   byte
+			seq, offset uint32
+			parity      bool
 		}
 		tally := func(r *recorder) map[key]int {
 			m := make(map[key]int)
 			for _, f := range r.frames[g] {
-				_, _, _, off, _ := wire.PeekID(f)
-				m[key{off, f[3]}]++
+				_, _, seq, off, _ := wire.PeekID(f)
+				m[key{seq, off, wire.IsParity(f)}]++
 			}
 			return m
 		}
 		a, b := tally(recA), tally(recB)
 		for i, st := range steps {
-			k := key{offset: uint32(st.chunk * 64)}
-			if st.parity >= 0 {
-				k.kind = wire.KindParity | byte(st.parity)
-			}
+			k := key{st.seq, st.offset, st.covered > 0}
 			if want := a[k]; mix(i) && b[k] != want {
-				t.Fatalf("step %d (chunk %d parity %d) sent in both runs: on the wire %d times mixed, %d times all-Send", i, st.chunk, st.parity, b[k], want)
+				t.Fatalf("step %d (%+v) sent in both runs: on the wire %d times mixed, %d times all heard", i, k, b[k], want)
 			}
 			if !mix(i) && b[k] != 0 {
-				t.Fatalf("step %d (chunk %d parity %d) was unheard yet reached the wire", i, st.chunk, st.parity)
+				t.Fatalf("step %d (%+v) was unheard yet reached the wire", i, k)
 			}
 		}
 	})
@@ -628,7 +610,7 @@ func TestFaultUnheardKeepsThePlan(t *testing.T) {
 		// Every frame is held for its successor; when the successor is
 		// unheard the held copy must go back to the pool, not wait for
 		// Flush, and must not reach the wire.
-		in, rec, _ := driveSchedule(t, Plan{Seed: 7, Reorder: 1}, g, stripeSchedule(2, 4)[:2], func(i int) bool { return i == 0 })
+		in, rec, _ := driveSchedule(t, Plan{Seed: 7, Reorder: 1}, steps[:2], nchunks, func(i int) bool { return i == 0 })
 		in.mu.Lock()
 		held := len(in.held)
 		in.mu.Unlock()

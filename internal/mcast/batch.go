@@ -56,10 +56,7 @@ type BatchEntry struct {
 
 // BatchSender is the batched fan-out a tick-driven egress engine wants:
 // all chunks due in one tick delivered with one call. The Hub implements
-// it, and so does an interposing sender that decides per chunk (the fault
-// injector filters the batch entry by entry and forwards the survivors as
-// one batch), so the tick's egress stays one call whatever stands between
-// the engine and the wire.
+// it; the engine's tests stand a recording stub in its place.
 type BatchSender interface {
 	// SendBatch delivers every entry's frame to every current member of
 	// its group, returning the number of datagrams written. Delivery is

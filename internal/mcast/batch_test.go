@@ -289,17 +289,19 @@ func batchGoldenCases() []batchGoldenCase {
 			wantSegs:  22,
 		},
 		{
-			// The same tick with a parity-sized frame behind the 11th data
-			// frame: the larger frame closes the run of 11 and opens one of
-			// its own segment size, which the next (shorter) data frame
-			// closes; the last 10 are a third run.
+			// The same tick with a larger frame mid-run, behind the 11th
+			// data frame: it closes the run of 11 and opens one of its own
+			// segment size, which the next (shorter) data frame closes; the
+			// last 10 are a third run. The server sends no larger frame
+			// (a parity frame is a data frame's size), but a sender may, and
+			// cutRuns must still cut it right. (The case keeps its name.)
 			name:    "shared-socket-22-groups+parity",
 			members: 1,
 			shared:  [][]Group{sharedGroups(22)},
 			entries: func() []BatchEntry {
 				es := oneEach(sharedGroups(22), 1052)
-				parity := BatchEntry{Group: es[10].Group, Frame: goldenFrame("ch10-parity", 1061)}
-				return append(es[:11:11], append([]BatchEntry{parity}, es[11:]...)...)
+				larger := BatchEntry{Group: es[10].Group, Frame: goldenFrame("ch10-larger", 1061)}
+				return append(es[:11:11], append([]BatchEntry{larger}, es[11:]...)...)
 			},
 			wantSuper: 3,
 			wantSegs:  23,

@@ -243,9 +243,9 @@ func (h *Hub) writeDestsStaged(bb *batchBuf, m groupMap[netip.AddrPort], entries
 // it must receive them — to msgs. A run is the longest stretch the kernel
 // will segment back into exactly these frames: every frame the size of
 // the first except a shorter final one, at most maxSegs frames and
-// maxGSOBytes in all. A frame larger than the open run's segment size (a
-// parity frame behind data) or an empty one therefore closes the run and
-// opens the next, and a shorter one closes it behind itself.
+// maxGSOBytes in all. A frame larger than the open run's segment size or
+// an empty one therefore closes the run and opens the next, and a shorter
+// one closes it behind itself.
 func cutRuns(msgs []gsoMsg, ds []dest, lo, maxSegs int) []gsoMsg {
 	for lo < len(ds) {
 		segSize := len(ds[lo].frame)

@@ -173,8 +173,9 @@ func drainInBackground(r *Receiver) {
 // ns/op deltas are the point. members=N: an 8-chunk same-group batch (a
 // typical catch-up run) fanned out to 1/8/64 members. shared-socket: one
 // socket joined to 22 groups and a tick of one data frame for each — a
-// viewer mux's share of a dense tick — with and without two parity-sized
-// frames breaking the run.
+// viewer mux's share of a dense tick — with and without two larger frames
+// mid-run breaking it (the server sends none: a parity frame is a data
+// frame's size; the case keeps cutRuns's handling of one measured).
 func BenchmarkEgressSuperframe(b *testing.B) {
 	paths := []struct {
 		name string
@@ -197,11 +198,11 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 			})
 		}
 	}
-	parity := make([]byte, 1061)
-	for _, withParity := range []bool{false, true} {
+	larger := make([]byte, 1061)
+	for _, withLarger := range []bool{false, true} {
 		name := "shared-socket/22-groups"
-		if withParity {
-			name += "+parity"
+		if withLarger {
+			name += "+larger-frames"
 		}
 		for _, p := range paths {
 			b.Run(name+"/path="+p.name, func(b *testing.B) {
@@ -220,9 +221,9 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 					}
 					entries = append(entries, BatchEntry{Group: g, Frame: frame})
 					bytes += len(frame)
-					if withParity && ch%11 == 7 {
-						entries = append(entries, BatchEntry{Group: g, Frame: parity})
-						bytes += len(parity)
+					if withLarger && ch%11 == 7 {
+						entries = append(entries, BatchEntry{Group: g, Frame: larger})
+						bytes += len(larger)
 					}
 				}
 				drainInBackground(r)

@@ -55,42 +55,64 @@ func TestFecStripeHealsIidLoss(t *testing.T) {
 	if st.ParityFrames == 0 {
 		t.Fatal("server sent no parity frames with FecGroup=4")
 	}
-	// Overhead bound: the schedule emits exactly one parity frame per G
-	// data chunks (enforced structurally by Server.emit), so the stripe's
-	// byte overhead is 1/G times the per-frame ratio — which must stay
-	// within the bitmap-and-count header's few extra bytes of a data
-	// frame, or the ≤1/G overhead claim in the ledgers would be off.
-	dataFrame := int64(wire.EncodedSize(1024))
-	if perFrame := st.ParityBytes / st.ParityFrames; perFrame > dataFrame+dataFrame/8 {
-		t.Errorf("parity frame averages %d bytes vs %d-byte data frames; overhead claim broken", perFrame, dataFrame)
+	// Overhead: the schedule emits exactly one parity frame per G data
+	// chunks (enforced structurally by Server.emit), each exactly a data
+	// frame's size, so the stripe's byte overhead is exactly 1/G.
+	if dataFrame := int64(wire.EncodedSize(1024)); st.ParityBytes != st.ParityFrames*dataFrame {
+		t.Errorf("%d parity frames in %d bytes, want each a %d-byte data frame's size", st.ParityFrames, st.ParityBytes, dataFrame)
 	}
 }
 
-// TestFecRSHealsDoubleErasure: in Reed-Solomon mode the P+Q stripe
-// recovers two losses per group, so a loss rate that defeats the XOR
-// stripe still finishes without escalation.
-func TestFecRSHealsDoubleErasure(t *testing.T) {
+// TestFecMaxPayloadChunksHeal: a parity frame is a data frame's size, so
+// the largest chunk the wire carries leaves room for the stripe. FecGroup
+// 4 with ChunkBytes == wire.MaxPayload is a valid configuration, and its
+// stripe heals live; FecMode accepts "" and "xor" and nothing else.
+func TestFecMaxPayloadChunksHeal(t *testing.T) {
+	sch := liveScheme(t, 1, 5, 2)
+	cfg := server.Config{
+		Scheme:       sch,
+		Unit:         200 * time.Millisecond,
+		BytesPerUnit: 4 * wire.MaxPayload,
+		ChunkBytes:   wire.MaxPayload,
+		FecGroup:     4,
+		Faults:       &faults.Plan{Seed: 3, Drop: 0.08},
+		Logf:         t.Logf,
+	}
+	for _, mode := range []string{"rs", "XOR", "none"} {
+		bad := cfg
+		bad.FecMode = mode
+		if _, err := server.New(bad); err == nil {
+			t.Errorf("FecMode %q accepted", mode)
+		}
+	}
+	cfg.FecMode = "xor"
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("FecGroup 4 with %d-byte chunks: %v", wire.MaxPayload, err)
+	}
 	if testing.Short() {
 		t.Skip("live network test")
 	}
-	sch := liveScheme(t, 1, 5, 2)
-	srv := startChaosServer(t, sch, 80*time.Millisecond, server.Config{
-		FecGroup: 8,
-		FecMode:  wire.FecModeRS,
-		Faults:   &faults.Plan{Seed: 9, Drop: 0.12},
-	})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
 	tb := trace.New(256)
 	stats, err := client.Watch(fecClient(srv.Addr(), 0, tb))
 	if err != nil {
 		dumpTrace(t, tb)
-		t.Fatalf("watch under rs fec: %v (stats %+v)", err, stats)
+		t.Fatalf("watch: %v (stats %+v)", err, stats)
 	}
 	if stats.ByteErrors != 0 || stats.LateChunks != 0 || stats.LostChunks != 0 {
 		dumpTrace(t, tb)
-		t.Fatalf("degraded under rs fec: %+v", stats)
+		t.Fatalf("degraded: %+v", stats)
 	}
 	if stats.FecHeals == 0 {
-		t.Fatalf("rs stripe healed nothing under 12%% drop: %+v", stats)
+		dumpTrace(t, tb)
+		t.Fatalf("stripe healed nothing under 8%% iid drop: %+v", stats)
+	}
+	if st := srv.Status(); st.ParityBytes != st.ParityFrames*int64(wire.EncodedSize(wire.MaxPayload)) {
+		t.Errorf("%d parity frames in %d bytes, want each %d", st.ParityFrames, st.ParityBytes, wire.EncodedSize(wire.MaxPayload))
 	}
 }
 

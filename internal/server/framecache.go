@@ -37,13 +37,11 @@ type frameCache struct {
 	chans []*channelCache
 	k     int
 
-	// fecGroup is the parity stripe width G (0 = no stripe); nparity how
-	// many parity frames each group carries (1 = XOR, 2 = RS P+Q). A
-	// parity frame is as repetition-invariant as the chunks it covers — a
-	// pure function of (video, channel, group) — so its CRC is cached the
-	// same way.
+	// fecGroup is the parity stripe width G (0 = no stripe). A parity
+	// frame is as repetition-invariant as the chunks it covers — a pure
+	// function of (video, channel, group) — so its CRC is cached the same
+	// way.
 	fecGroup int
-	nparity  int
 }
 
 // channelCache is one channel's slice of the cache.
@@ -57,8 +55,8 @@ type channelCache struct {
 	// crcs[c] holds crcSet|crc once chunk c's payload CRC is known; zero
 	// means not yet computed. Writes of the same value may race benignly.
 	crcs []atomic.Uint64
-	// pcrcs is the same for parity frames, indexed
-	// [group*nparity + parityIndex]; empty when the stripe is off.
+	// pcrcs is the same for parity frames, indexed by stripe group;
+	// empty when the stripe is off.
 	pcrcs []atomic.Uint64
 }
 
@@ -67,15 +65,12 @@ const crcSet = 1 << 32
 
 // newFrameCache lays out the cache for a scheme: one channelCache per
 // (video, channel), one CRC word per chunk from the fragment geometry, plus
-// nparity words per stripe group when fecGroup > 0.
-func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes, fecGroup, nparity int) *frameCache {
+// one per stripe group when fecGroup > 0.
+func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes, fecGroup int) *frameCache {
 	k := sch.K()
 	videos := sch.Config().Videos
-	if fecGroup <= 0 {
-		fecGroup, nparity = 0, 0
-	}
 	fc := &frameCache{chunkBytes: chunkBytes, k: k,
-		chans: make([]*channelCache, videos*k), fecGroup: fecGroup, nparity: nparity}
+		chans: make([]*channelCache, videos*k), fecGroup: max(fecGroup, 0)}
 	sizes := sch.Sizes()
 	for v := 0; v < videos; v++ {
 		var base int64
@@ -90,7 +85,7 @@ func newFrameCache(sch *core.Scheme, bytesPerUnit, chunkBytes, fecGroup, nparity
 				crcs:    make([]atomic.Uint64, chunks),
 			}
 			if fecGroup > 0 {
-				cc.pcrcs = make([]atomic.Uint64, (chunks+fecGroup-1)/fecGroup*nparity)
+				cc.pcrcs = make([]atomic.Uint64, (chunks+fecGroup-1)/fecGroup)
 			}
 			fc.words += int64(len(cc.crcs) + len(cc.pcrcs))
 			fc.chans[v*k+i-1] = cc
@@ -148,42 +143,29 @@ func (fc *frameCache) materialise(a *frameArena, cc *channelCache, c int, seq ui
 // groupCount is how many data chunks stripe group g of this channel
 // covers (the tail group may be short).
 func (cc *channelCache) groupCount(fc *frameCache, g int) int {
-	count := len(cc.crcs) - g*fc.fecGroup
-	if count > fc.fecGroup {
-		count = fc.fecGroup
-	}
-	return count
+	return wire.ParityCount(uint32(g*fc.fecGroup*fc.chunkBytes), cc.total, fc.fecGroup, fc.chunkBytes)
 }
 
-// materialiseParity builds the parity frame (group g, index pi) for
-// repetition seq in a's memory — the one way a parity frame is built. The
-// stripe payload is assembled in place behind the header: the group's
-// first chunk is filled straight into the parity block (its coefficient is
-// 1 under both codes), the rest are regenerated into a chunk of a's
-// memory and folded in.
-func (fc *frameCache) materialiseParity(a *frameArena, cc *channelCache, g, pi int, seq uint32) []byte {
+// materialiseParity builds group g's parity frame for repetition seq in
+// a's memory — the one way a parity frame is built. It is a data frame's
+// size, its payload the XOR block alone, assembled in place behind the
+// header: the group's first chunk is filled straight into it, the rest
+// are regenerated into a chunk of a's memory and folded in.
+func (fc *frameCache) materialiseParity(a *frameArena, cc *channelCache, g int, seq uint32) []byte {
 	count := cc.groupCount(fc, g)
-	frame := a.take(wire.EncodedSize(wire.ParityOverhead(count, fc.chunkBytes)))
-	payload := frame[wire.HeaderSize:]
-	prefix := wire.AppendParityPayload(payload[:0], count, nil)
-	block := payload[len(prefix):]
+	frame := a.take(wire.EncodedSize(fc.chunkBytes))
+	block := frame[wire.HeaderSize:]
 	first := g * fc.fecGroup
 	content.Fill(block, int(cc.video), cc.base+int64(first*fc.chunkBytes))
 	if count > 1 {
 		tmp := a.take(fc.chunkBytes)
 		for j := 1; j < count; j++ {
 			content.Fill(tmp, int(cc.video), cc.base+int64((first+j)*fc.chunkBytes))
-			if pi == 0 {
-				wire.XorAccum(block, tmp)
-			} else {
-				wire.GfMulAccum(block, tmp, wire.GfExpPow(j))
-			}
+			wire.XorAccum(block, tmp)
 		}
 	}
-	// Config.validate keeps ParityOverhead(FecGroup, chunkBytes) within
-	// wire.MaxPayload.
-	wire.PutHeader(frame, wire.KindParity|byte(pi), cc.video, cc.channel, seq, uint32(first*fc.chunkBytes), cc.total,
-		len(payload), fc.crc(&cc.pcrcs[g*fc.nparity+pi], payload))
+	wire.PutHeader(frame, wire.KindParity, cc.video, cc.channel, seq, uint32(first*fc.chunkBytes), cc.total,
+		len(block), fc.crc(&cc.pcrcs[g], block))
 	return frame
 }
 
@@ -191,8 +173,8 @@ func (fc *frameCache) materialiseParity(a *frameArena, cc *channelCache, g, pi i
 // are carved from one slab, reset hands the whole slab back, and nothing
 // is ever freed piecemeal. A frame is valid from take until the owner's
 // next reset — which the owner calls only after the send that consumed
-// the frames has returned (SendBatch and Send are synchronous; a sender
-// that keeps a frame past its return, like the fault injector, copies it).
+// the frames has returned (SendBatch and Send are synchronous; the fault
+// injector, which keeps a frame across ticks, copies it).
 // Each egress shard and each control connection owns one, so concurrent
 // builders never share memory.
 type frameArena struct {

@@ -58,7 +58,7 @@ func seedEncode(dst, payload []byte, cc *channelCache, c int, seq uint32) []byte
 // keeps CRC words and nothing else.
 func TestMaterialiseGoldenEquivalence(t *testing.T) {
 	sch := cacheScheme(t, 2, 4, 2) // fragments 1,2,2,2 per video
-	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 0, 0)
+	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 0)
 	var arena frameArena
 	payload := make([]byte, testChunkBytes)
 	var golden []byte
@@ -136,7 +136,7 @@ func TestMaterialiseZeroAlloc(t *testing.T) {
 		t.Skip("the hub's sync.Pool drops Puts under the race detector; alloc count is meaningless")
 	}
 	sch := cacheScheme(t, 1, 3, 2)
-	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 0, 0)
+	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 0)
 	var arena frameArena
 	cc := fc.channel(0, 3)
 	chunks := int(cc.total) / testChunkBytes
@@ -186,13 +186,12 @@ func TestMaterialiseZeroAlloc(t *testing.T) {
 // TestParityGoldenEncode pins the parity encoder against an independent
 // reference: for every group of every channel, the materialised parity
 // frame must be byte-identical to wire.EncodeParityFrame over exactly the
-// XOR (index 0) and GF(256)-weighted sum (index 1) of the group's
-// content-function chunks, and the tail group's short coverage must be
-// declared exactly.
+// XOR of the group's content-function chunks — the tail group's short
+// coverage included — whether its CRC word was computed or cached.
 func TestParityGoldenEncode(t *testing.T) {
 	sch := cacheScheme(t, 1, 3, 2)
 	const fecGroup = 3 // channel 3 has 8 chunks: groups of 3, 3, 2
-	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, fecGroup, 2)
+	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, fecGroup)
 	var arena frameArena
 	payload := make([]byte, testChunkBytes)
 	for pass := 0; pass < 2; pass++ { // CRC computed, then CRC cached
@@ -200,42 +199,55 @@ func TestParityGoldenEncode(t *testing.T) {
 			cc := fc.channel(0, i)
 			chunks := int(cc.total) / testChunkBytes
 			for g := 0; g*fecGroup < chunks; g++ {
-				count := chunks - g*fecGroup
-				if count > fecGroup {
-					count = fecGroup
+				want := make([]byte, testChunkBytes)
+				for c := g * fecGroup; c < min((g+1)*fecGroup, chunks); c++ {
+					content.Fill(payload, 0, cc.base+int64(c*testChunkBytes))
+					wire.XorAccum(want, payload)
 				}
-				for pi := 0; pi < 2; pi++ {
-					want := make([]byte, testChunkBytes)
-					for j := 0; j < count; j++ {
-						content.Fill(payload, 0, cc.base+int64((g*fecGroup+j)*testChunkBytes))
-						if pi == 0 {
-							wire.XorAccum(want, payload)
-						} else {
-							wire.GfMulAccum(want, payload, wire.GfExpPow(j))
-						}
-					}
+				arena.reset()
+				frame := fc.materialiseParity(&arena, cc, g, 7)
+				ref, err := wire.EncodeParityFrame(nil, cc.video, cc.channel, 7, uint32(g*fecGroup*testChunkBytes), cc.total, 0, want, wire.PayloadCRC(want))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(frame, ref) {
+					t.Fatalf("ch %d group %d: materialised parity frame differs from the XOR of its chunks", i, g)
+				}
+			}
+		}
+	}
+}
+
+// TestParityFrameIsDataFrameSize: a parity frame is exactly as long as
+// the data frames it rides between — the header and one chunk — for
+// every group of every channel, tail groups included, at every stripe
+// width and chunk size, so a stripe never ends a GSO run. It decodes, and
+// the coverage the receiver computes from the geometry is the group's.
+func TestParityFrameIsDataFrameSize(t *testing.T) {
+	sch := cacheScheme(t, 1, 4, 2) // fragments of 1, 2, 2, 2 units
+	for _, chunkBytes := range []int{1024, 4096, wire.MaxPayload} {
+		for _, group := range []int{2, 4, 64} {
+			// Five chunks a unit: fragments of 5 and 10 chunks, so every
+			// width has a short tail group.
+			fc := newFrameCache(sch, 5*chunkBytes, chunkBytes, group)
+			var arena frameArena
+			for i := 1; i <= sch.K(); i++ {
+				cc := fc.channel(0, i)
+				chunks := len(cc.crcs)
+				for g := 0; g*group < chunks; g++ {
 					arena.reset()
-					frame := fc.materialiseParity(&arena, cc, g, pi, 7)
-					if !wire.IsParity(frame) {
-						t.Fatalf("ch %d group %d index %d: frame not recognized as parity", i, g, pi)
+					data := fc.materialise(&arena, cc, g*group, 3)
+					parity := fc.materialiseParity(&arena, cc, g, 3)
+					if len(parity) != len(data) || len(data) != wire.EncodedSize(chunkBytes) {
+						t.Fatalf("chunk %d G=%d ch %d group %d: parity frame %d bytes, data frame %d", chunkBytes, group, i, g, len(parity), len(data))
 					}
-					p, err := wire.DecodeParity(frame)
+					p, err := wire.DecodeParity(parity)
 					if err != nil {
-						t.Fatalf("ch %d group %d index %d: %v", i, g, pi, err)
+						t.Fatalf("chunk %d G=%d ch %d group %d: %v", chunkBytes, group, i, g, err)
 					}
-					if p.Seq != 7 || int(p.Base) != g*fecGroup*testChunkBytes || p.Count != count || int(p.Index) != pi {
-						t.Fatalf("ch %d group %d index %d: decoded header %+v", i, g, pi, p)
-					}
-					if !bytes.Equal(p.Block[:testChunkBytes], want) {
-						t.Fatalf("ch %d group %d index %d: parity block differs from reference fold", i, g, pi)
-					}
-					pp := wire.AppendParityPayload(nil, count, want)
-					ref, err := wire.EncodeParityFrame(nil, cc.video, cc.channel, 7, uint32(g*fecGroup*testChunkBytes), cc.total, uint8(pi), pp, wire.PayloadCRC(pp))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(frame, ref) {
-						t.Fatalf("ch %d group %d index %d: materialised parity frame differs from the appending encoder's", i, g, pi)
+					want := min(group, chunks-g*group)
+					if got := wire.ParityCount(p.Base, p.Total, group, chunkBytes); got != want {
+						t.Fatalf("chunk %d G=%d ch %d group %d: coverage %d, want %d", chunkBytes, group, i, g, got, want)
 					}
 				}
 			}
@@ -248,20 +260,18 @@ func TestParityGoldenEncode(t *testing.T) {
 // allocates nothing once the arena has seen one.
 func TestParityMaterialiseZeroAlloc(t *testing.T) {
 	sch := cacheScheme(t, 1, 3, 2)
-	for _, nparity := range []int{1, 2} {
-		fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 4, nparity)
-		var arena frameArena
-		cc := fc.channel(0, 3)
-		fc.materialiseParity(&arena, cc, 0, nparity-1, 0) // size the arena
-		seq := uint32(0)
-		allocs := testing.AllocsPerRun(100, func() {
-			arena.reset()
-			fc.materialiseParity(&arena, cc, int(seq)%2, nparity-1, seq)
-			seq++
-		})
-		if allocs != 0 {
-			t.Fatalf("parity index %d: materialise allocates %v times per group, want 0", nparity-1, allocs)
-		}
+	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 4)
+	var arena frameArena
+	cc := fc.channel(0, 3)
+	fc.materialiseParity(&arena, cc, 0, 0) // size the arena
+	seq := uint32(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		arena.reset()
+		fc.materialiseParity(&arena, cc, int(seq)%2, seq)
+		seq++
+	})
+	if allocs != 0 {
+		t.Fatalf("materialise allocates %v times per group, want 0", allocs)
 	}
 }
 
@@ -271,7 +281,7 @@ func TestParityMaterialiseZeroAlloc(t *testing.T) {
 // does now (fill in place behind the header + cached CRC).
 func BenchmarkPaceEncode(b *testing.B) {
 	sch := cacheScheme(b, 1, 3, 2)
-	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 0, 0)
+	fc := newFrameCache(sch, testBytesPerUnit, testChunkBytes, 0)
 	cc := fc.channel(0, 3)
 	chunks := int(cc.total) / testChunkBytes
 

@@ -246,10 +246,9 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 // through the injector (no gate — the parent's behaviour), nobody listens,
 // members sit on a few groups, or members come and go between a tick's
 // stage and its release; and only heard frames reach the wire. This pins
-// the positions the engine hands to Injector.Unheard — data offsets,
-// parity bases, parity indices, tail-group coverage — to the ones the
-// frames themselves would have carried, and that each frame is decided
-// exactly once, at stage (Unheard) or at release (SendBatch), whatever
+// the positions the engine hands to Injector.Stage — data offsets, parity
+// bases, tail-group coverage — to be the same whether or not a frame was
+// built, and that each frame is decided exactly once, at stage, whatever
 // the membership does in between.
 func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 	plan := faults.Plan{Seed: 11, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
@@ -268,10 +267,9 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 			BytesPerUnit: 3 * 1024, // 3-chunk units under G=4: groups straddle units, tails are short
 			ChunkBytes:   1024,
 			FecGroup:     4,
-			FecMode:      "rs",
 			Faults:       &plan,
 			Logf:         t.Logf,
-		}, inj)
+		}, onWire)
 		h.srv.inj = inj
 		if !gated {
 			h.srv.hub = nil // no membership to ask: everything is staged
@@ -344,7 +342,7 @@ func TestStageSendsNothingBeforeRelease(t *testing.T) {
 		Faults:       &plan,
 		PacerHook:    func(v, i int, n uint32, c int) { hooked++ },
 		Logf:         t.Logf,
-	}, inj)
+	}, onWire)
 	h.srv.inj = inj
 	for j := 0; j < len(h.sh.entries); j += 20 {
 		h.join(t, h.sh.entries[j].group)
@@ -522,11 +520,10 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 // injector running skybench's lossy plan with a G=4 stripe, so staging
 // also pays the plan's per-entry decisions, heard and unheard. Every
 // iteration stages and releases one tick, as a shard does; phase picks
-// which half ns/op times: "stage" — collect, gate, materialise or book
+// which half ns/op times: "stage" — collect, gate, materialise, decide
 // with the fault plan, advance: what the shard does before the instant —
-// or "release" — the batch hand-off to the sender, through the injector
-// when faulted: what is left for the instant. allocs/op counts the whole
-// tick.
+// or "release" — the batch hand-off to the sender: what is left for the
+// instant. allocs/op counts the whole tick.
 func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 	rec := &countingBatchSender{}
 	cfg := Config{
@@ -535,7 +532,6 @@ func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
 	}
-	var send mcast.BatchSender = rec
 	var inj *faults.Injector
 	if faulted {
 		cfg.FecGroup = 4
@@ -545,9 +541,8 @@ func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 		if inj, err = faults.New(rec, *cfg.Faults); err != nil {
 			b.Fatal(err)
 		}
-		send = inj
 	}
-	h := newHandDriven(b, cfg, send)
+	h := newHandDriven(b, cfg, rec)
 	h.srv.inj = inj
 	for j := 0; j < len(h.sh.entries); j += 20 {
 		h.join(b, h.sh.entries[j].group)
@@ -574,4 +569,59 @@ func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 	b.ReportMetric(float64(spent)/float64(b.N), "ns/op")
 	b.ReportMetric(float64(h.srv.egressStaged.Value()-before)/float64(b.N), "staged/tick")
 	b.ReportMetric(float64(len(h.sh.entries)), "channels/tick")
+}
+
+// TestStripeTickIsOneRun: a parity frame is a data frame's size, so a
+// FecGroup 4 tick — every heard group's data chunk, and on every fourth
+// tick its parity frame behind it — reaches a receiver joined to all the
+// groups as one GSO super-frame per destination, cut only by the
+// super-frame's byte and segment caps, at 1 KiB and 4 KiB chunks alike.
+func TestStripeTickIsOneRun(t *testing.T) {
+	const groups, maxSuperBytes = 10, 65000 // the hub's super-frame byte cap
+	for _, chunkBytes := range []int{1024, 4096} {
+		t.Run(fmt.Sprintf("chunk=%d", chunkBytes), func(t *testing.T) {
+			h := newHandDriven(t, Config{
+				Scheme:       wheelScheme(t, 1, groups),
+				Unit:         100 * time.Millisecond,
+				BytesPerUnit: 4 * chunkBytes,
+				ChunkBytes:   chunkBytes,
+				FecGroup:     4,
+				Logf:         t.Logf,
+			}, nil)
+			hub := h.srv.hub
+			if !hub.GSO() {
+				t.Skip("no UDP GSO on this host")
+			}
+			r, err := mcast.NewReceiver()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			for _, e := range h.sh.entries {
+				if err := hub.Join(e.group, r.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			perSuper := min(64, maxSuperBytes/wire.EncodedSize(chunkBytes))
+			parityTicks := 0
+			for tick := 0; tick < 8; tick++ {
+				before := hub.Stats()
+				h.stage()
+				frames := len(h.sh.batch)
+				if frames == 2*groups {
+					parityTicks++
+				}
+				h.release()
+				after := hub.Stats()
+				supers, segs := after.Superframes-before.Superframes, after.GSOSegments-before.GSOSegments
+				if want := int64((frames + perSuper - 1) / perSuper); supers != want || segs != int64(frames) {
+					t.Errorf("tick %d: %d frames left as %d super-frames of %d segments, want %d super-frames",
+						tick, frames, supers, segs, want)
+				}
+			}
+			if parityTicks != 2 {
+				t.Fatalf("%d of 8 ticks carried parity, want 2", parityTicks)
+			}
+		})
+	}
 }

@@ -81,17 +81,17 @@ type Config struct {
 	RecvBufBytes int
 
 	// FecGroup enables the proactive parity stripe: every transmission
-	// group of FecGroup data chunks is followed by parity frames
-	// (wire.KindParity) materialised the way the chunks are (see
-	// frameCache), so a receiver heals single-datagram loss locally
-	// with zero control round trips. 0 (the default) disables the stripe;
-	// otherwise it must lie in [2, wire.MaxFecGroup]. Receivers learn the
-	// stripe geometry from the Welcome banner.
+	// group of FecGroup data chunks is followed by one XOR parity frame
+	// (wire.KindParity), as long as a data frame and materialised the way
+	// the chunks are (see frameCache), so a receiver heals a single lost
+	// datagram per group locally with zero control round trips. 0 (the
+	// default) disables the stripe; otherwise it must lie in
+	// [2, wire.MaxFecGroup]. Receivers learn the stripe width from the
+	// Welcome banner.
 	FecGroup int
-	// FecMode selects the stripe's code when FecGroup > 0:
-	// wire.FecModeXOR (the default when empty) emits one XOR parity frame
-	// per group and heals one erasure; wire.FecModeRS adds a second
-	// GF(256) Reed-Solomon parity (RAID-6 P+Q) and heals two.
+	// FecMode names the stripe's code: "" or "xor", the only one. Kept for
+	// benchmark/harness, which sets it; the harness follow-up of ROADMAP
+	// item 3(c) deletes it.
 	FecMode string
 
 	// PacerHook, when non-nil, is called for each chunk at its tick's
@@ -129,13 +129,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: RecvBufBytes = %d must be non-negative", c.RecvBufBytes)
 	case c.FecGroup != 0 && (c.FecGroup < 2 || c.FecGroup > wire.MaxFecGroup):
 		return fmt.Errorf("server: FecGroup = %d outside {0} ∪ [2, %d]", c.FecGroup, wire.MaxFecGroup)
-	case c.FecMode != "" && c.FecMode != wire.FecModeXOR && c.FecMode != wire.FecModeRS:
-		return fmt.Errorf("server: FecMode = %q, want %q or %q", c.FecMode, wire.FecModeXOR, wire.FecModeRS)
+	case c.FecMode != "" && c.FecMode != "xor":
+		return fmt.Errorf("server: FecMode = %q, want \"\" or \"xor\"", c.FecMode)
 	case c.FecMode != "" && c.FecGroup == 0:
 		return fmt.Errorf("server: FecMode = %q requires FecGroup > 0", c.FecMode)
-	case c.FecGroup > 0 && wire.ParityOverhead(c.FecGroup, c.ChunkBytes) > wire.MaxPayload:
-		return fmt.Errorf("server: ChunkBytes = %d leaves no room for the parity stripe's %d-byte prefix within %d",
-			c.ChunkBytes, wire.ParityOverhead(c.FecGroup, 0), wire.MaxPayload)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -145,26 +142,14 @@ func (c Config) validate() error {
 	return nil
 }
 
-// nparity is how many parity frames each stripe group carries under the
-// configured mode: 0 with the stripe off, 1 for XOR, 2 for RS P+Q.
-func (c Config) nparity() int {
-	switch {
-	case c.FecGroup <= 0:
-		return 0
-	case c.FecMode == wire.FecModeRS:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // Server is a running broadcast server. Create with New, start with Start,
 // stop with Close.
 type Server struct {
 	cfg Config
 	hub *mcast.Hub
 	// send is what scheduled egress goes through, a tick at a time: the
-	// hub, or the fault injector in front of it.
+	// hub (a stub under tests). inj, when a fault plan is configured,
+	// decides each scheduled frame as its tick is staged (emit).
 	send  mcast.BatchSender
 	inj   *faults.Injector
 	cache *frameCache
@@ -199,7 +184,7 @@ type Server struct {
 
 	// parityFrames counts stripe parity frames put on the wire;
 	// parityBytes their encoded bytes — the stripe's bandwidth overhead,
-	// bounded by nparity/FecGroup of the broadcast by construction.
+	// 1/FecGroup of the broadcast by construction.
 	parityFrames metrics.PaddedCounter
 	parityBytes  metrics.PaddedCounter
 
@@ -254,11 +239,8 @@ func New(cfg Config) (*Server, error) {
 			cfg.RepairBurstBytes = min
 		}
 	}
-	if cfg.FecGroup > 0 && cfg.FecMode == "" {
-		cfg.FecMode = wire.FecModeXOR
-	}
 	s := &Server{cfg: cfg, stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
-	s.cache = newFrameCache(cfg.Scheme, cfg.BytesPerUnit, cfg.ChunkBytes, cfg.FecGroup, cfg.nparity())
+	s.cache = newFrameCache(cfg.Scheme, cfg.BytesPerUnit, cfg.ChunkBytes, cfg.FecGroup)
 	if cfg.RepairBandwidth > 0 {
 		s.repairBudget = metrics.NewTokenBucket(float64(cfg.RepairBandwidth), float64(cfg.RepairBurstBytes))
 	}
@@ -294,7 +276,6 @@ func (s *Server) Start() error {
 			return err
 		}
 		s.inj = inj
-		s.send = inj
 		s.cfg.Logf("server: fault injection enabled: %+v", *s.cfg.Faults)
 	}
 	s.ln = ln
@@ -395,36 +376,43 @@ func (s *Server) fragmentBytes(i int) int {
 }
 
 // emit stages chunk c of repetition n into the tick's batch — and behind
-// the last chunk of a stripe group, the group's parity frame(s) under the
+// the last chunk of a stripe group, the group's parity frame under the
 // same repetition number — returning the batch. It is what staging a tick
 // does with each due chunk (wheelShard.stage). With a listener the frames
-// are materialised into a and appended; without one nothing is built, and
-// the frames are only accounted for in the fault plan, whose counts must
-// not depend on who listens.
+// are materialised into a; without one nothing is built. Under a fault
+// plan every frame, built or not, meets its decision here, once (the
+// plan's counts must not depend on who listens), and the batch holds
+// what the plan lets leave at the instant.
 func (s *Server) emit(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) []mcast.BatchEntry {
 	cb, fg := s.cfg.ChunkBytes, s.cfg.FecGroup
-	pg, nparity := 0, 0 // parity frames this chunk closes a stripe group with
-	if fg > 0 && ((c+1)%fg == 0 || c+1 == len(cc.crcs)) {
-		pg, nparity = c/fg, s.cache.nparity
+	var frame []byte
+	if heard {
+		frame = s.cache.materialise(a, cc, c, n)
 	}
-	if !heard {
-		if s.inj != nil {
-			s.inj.Unheard(g, n, uint32(c*cb), -1, 0)
-			for pi := 0; pi < nparity; pi++ {
-				s.inj.Unheard(g, n, uint32(pg*fg*cb), pi, cc.groupCount(s.cache, pg))
-			}
-		}
+	batch = s.stageFrame(a, batch, g, n, uint32(c*cb), 0, frame)
+	if fg == 0 || ((c+1)%fg != 0 && c+1 != len(cc.crcs)) {
 		return batch
 	}
-	batch = append(batch, mcast.BatchEntry{Group: g, Frame: s.cache.materialise(a, cc, c, n)})
-	// A parity frame is larger than a data frame, which ends any GSO run by
-	// the size rule — parity never corrupts super-frame coalescing, it
-	// just books ends of groups.
-	for pi := 0; pi < nparity; pi++ {
-		frame := s.cache.materialiseParity(a, cc, pg, pi, n)
-		batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
+	pg := c / fg
+	var parity []byte
+	if heard {
+		parity = s.cache.materialiseParity(a, cc, pg, n)
 		s.parityFrames.Inc()
-		s.parityBytes.Add(int64(len(frame)))
+		s.parityBytes.Add(int64(len(parity)))
+	}
+	return s.stageFrame(a, batch, g, n, uint32(pg*fg*cb), cc.groupCount(s.cache, pg), parity)
+}
+
+// stageFrame appends one scheduled frame of group g — nil when unbuilt —
+// to the batch: what the fault plan lets leave when there is one (covered
+// is 0 for data, the chunks a parity frame covers otherwise), the frame
+// itself when there is none.
+func (s *Server) stageFrame(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, seq, offset uint32, covered int, frame []byte) []mcast.BatchEntry {
+	if s.inj != nil {
+		return s.inj.Stage(batch, g, seq, offset, covered, frame, a.take)
+	}
+	if frame != nil {
+		batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
 	}
 	return batch
 }
@@ -521,7 +509,6 @@ func (s *Server) serveControl(conn net.Conn) {
 				ChunkBytes:       s.cfg.ChunkBytes,
 				NackRepair:       true,
 				FecGroup:         s.cfg.FecGroup,
-				FecMode:          s.cfg.FecMode,
 			}
 			if err := write(&wire.Control{Kind: wire.KindWelcome, Welcome: w}); err != nil {
 				return

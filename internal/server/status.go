@@ -45,14 +45,12 @@ type StatusSnapshot struct {
 	NacksServed    int64 `json:"nacksServed"`
 	NackResends    int64 `json:"nackResends"`
 	NackSuppressed int64 `json:"nackSuppressed"`
-	// FecGroup/FecMode echo the configured parity stripe (0/"" when
-	// off); ParityFrames/ParityBytes count the stripe's broadcast
-	// overhead — the proactive repair the control-plane counters above
-	// never see.
-	FecGroup     int    `json:"fecGroup,omitempty"`
-	FecMode      string `json:"fecMode,omitempty"`
-	ParityFrames int64  `json:"parityFrames,omitempty"`
-	ParityBytes  int64  `json:"parityBytes,omitempty"`
+	// FecGroup echoes the configured parity stripe width (0 when off);
+	// ParityFrames/ParityBytes count the stripe's broadcast overhead —
+	// the proactive repair the control-plane counters above never see.
+	FecGroup     int   `json:"fecGroup,omitempty"`
+	ParityFrames int64 `json:"parityFrames,omitempty"`
+	ParityBytes  int64 `json:"parityBytes,omitempty"`
 	// RepairTokens is the repair budget's current level in bytes, -1 when
 	// unlimited.
 	RepairTokens int64 `json:"repairTokens"`
@@ -135,7 +133,6 @@ func (s *Server) Status() StatusSnapshot {
 		NackResends:         s.nackResends.Value(),
 		NackSuppressed:      s.nackSuppressed.Value(),
 		FecGroup:            s.cfg.FecGroup,
-		FecMode:             s.cfg.FecMode,
 		ParityFrames:        s.parityFrames.Value(),
 		ParityBytes:         s.parityBytes.Value(),
 		RepairTokens:        repairTokens,

@@ -111,7 +111,7 @@ func decodeStrict(t *testing.T, doc []byte) StatusSnapshot {
 // configuration rather than its traffic, so two reads of it agree exactly.
 func layoutEcho(s StatusSnapshot) StatusSnapshot {
 	return StatusSnapshot{Videos: s.Videos, ChannelsPerVideo: s.ChannelsPerVideo, Width: s.Width,
-		SizeUnits: s.SizeUnits, UnitMillis: s.UnitMillis, FecGroup: s.FecGroup, FecMode: s.FecMode,
+		SizeUnits: s.SizeUnits, UnitMillis: s.UnitMillis, FecGroup: s.FecGroup,
 		EgressShards: s.EgressShards, EgressTickSource: s.EgressTickSource, ControlAddr: s.ControlAddr,
 		FrameCache: CacheStats{Bytes: s.FrameCache.Bytes},
 		HubStats:   mcast.HubStats{Memberships: s.Memberships, Vectorized: s.Vectorized, GSO: s.GSO}}
@@ -124,7 +124,7 @@ func checkDocument(t *testing.T, srv *Server, plane string, got StatusSnapshot) 
 	t.Helper()
 	want := layoutEcho(srv.Status())
 	if want.Videos != 2 || want.ChannelsPerVideo != 3 || want.UnitMillis != 20 || want.FecGroup != 4 ||
-		want.FecMode != wire.FecModeXOR || want.ControlAddr != srv.Addr() || want.Memberships != 1 {
+		want.ControlAddr != srv.Addr() || want.Memberships != 1 {
 		t.Fatalf("layout echo %+v does not describe the configured server", want)
 	}
 	if e := layoutEcho(got); !reflect.DeepEqual(e, want) {

@@ -464,11 +464,13 @@ func (sh *wheelShard) run() {
 // (and the per-channel answers redrawn only if it is not the one the last
 // stage saw): a chunk whose group has a member is materialised into the
 // shard's arena and staged into the tick's one batch, and a chunk nobody
-// hears is not built at all, only accounted for in the fault plan
-// (Server.emit). Every due chunk advances its cursor. A group's first
+// hears is not built at all. Under a fault plan every due frame, built or
+// not, meets the plan's decision here (Server.emit), and the batch holds
+// what leaves — a frame held back from the group's previous tick copied
+// into the arena. Every due chunk advances its cursor. A group's first
 // member that joins after the read starts with the next tick — even when
 // it joins before this tick is released: release sends what was staged,
-// so each chunk's fault-plan decision is made exactly once.
+// so each frame's fault-plan decision is made exactly once.
 //
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
 // a restart, a dense schedule — every chunk already due at `at` is
@@ -524,8 +526,8 @@ func (sh *wheelShard) stage(at time.Duration) time.Duration {
 }
 
 // release puts the staged tick on the wire: it fires the hook for every
-// staged chunk, hands the batch — to the hub or the fault injector — to
-// the sender in one call, and takes one drift sample per due entry,
+// staged chunk, hands the batch to the hub in one call — the fault plan,
+// if any, decided it at stage — and takes one drift sample per due entry,
 // against the first (most-late) chunk the entry staged.
 func (sh *wheelShard) release() {
 	s := sh.s

@@ -188,14 +188,9 @@ const subDepth = 256
 func (c *cohort) tune(e *tuneEntry) error {
 	m := c.mux
 	grp := mcast.Group{Video: c.video, Channel: e.channel}
-	// Slots must hold the largest frame the group carries: with a
-	// parity stripe that is the parity frame (count byte + coverage
-	// bitmap on top of a chunk-sized block), not the data frame.
-	slotBytes := wire.EncodedSize(m.w.ChunkBytes)
-	if m.w.FecGroup > 0 {
-		slotBytes = wire.EncodedSize(wire.ParityOverhead(m.w.FecGroup, m.w.ChunkBytes))
-	}
-	sub, err := m.rcv.Subscribe(grp, subDepth, slotBytes)
+	// Every frame the group carries, data or parity, is one chunk behind
+	// a header, so that is the slot size.
+	sub, err := m.rcv.Subscribe(grp, subDepth, wire.EncodedSize(m.w.ChunkBytes))
 	if err != nil {
 		return err
 	}
@@ -579,7 +574,8 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 			return nil
 		}
 		p, err := wire.DecodeParity(frame)
-		if err != nil || int(p.Video) != c.video || int(p.Channel) != f.channel || p.Seq != f.wantSeq {
+		if err != nil || int(p.Video) != c.video || int(p.Channel) != f.channel || p.Seq != f.wantSeq ||
+			int(p.Total) != f.params.TotalBytes {
 			return nil
 		}
 		f.heals = f.stripe.Parity(&p, f.heals[:0])

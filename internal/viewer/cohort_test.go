@@ -417,6 +417,70 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 // chunk counting from the first instant any member holds it.
 // ---------------------------------------------------------------------------
 
+// stripeChunkBytes and stripeNChunks are the geometry of stripeCohort's
+// fragment: eight 512-byte chunks under a G=4 stripe.
+const stripeChunkBytes, stripeNChunks = 512, 8
+
+// stripeCohort is a one-viewer cohort receiving fragment 2 of video 1,
+// repetition 3, in virtual time — stripeNChunks chunks of
+// stripeChunkBytes under a G=4 stripe — with playback at 1024 bytes per
+// 10 ms unit from playStart. Its frames are stripeData and stripeParity.
+func stripeCohort(t *testing.T, playStart time.Time) (*cohort, *cohortFrag) {
+	t.Helper()
+	m := &Mux{w: &wire.Welcome{ChunkBytes: stripeChunkBytes, BytesPerUnit: 1024}, sess: &Session{},
+		unit: 10 * time.Millisecond, videoBytes: 1 << 20,
+		ledgers: make([]viewerLedger, 1), workers: []*worker{{in: make(chan wcmd, 64)}}}
+	c := &cohort{mux: m, video: 1, viewers: []int{0}, playStart: playStart}
+	f := &cohortFrag{
+		c: c, channel: 2, wantSeq: 3, videoBase: 0,
+		params: FragmentParams{
+			Video: 1, Channel: 2, Size: 4, TuneUnit: 12, PlayUnit: 100,
+			TotalBytes: stripeNChunks * stripeChunkBytes, ChunkBytes: stripeChunkBytes, BytesPerUnit: 1024,
+			Epoch: playStart.Add(-time.Second), Unit: 10 * time.Millisecond,
+			Slack: time.Second, Lag: time.Second, FecGroup: 4,
+		},
+		wake: make(chan struct{}, 1),
+	}
+	op := f.params
+	op.Observe = true
+	f.m = NewMachine(op)
+	f.stripe = newStripePool(4, stripeChunkBytes).stripe(stripeNChunks)
+	return c, f
+}
+
+// stripePayload is the content of stripeCohort's chunk idx.
+func stripePayload(idx int) []byte {
+	b := make([]byte, stripeChunkBytes)
+	content.Fill(b, 1, int64(idx*stripeChunkBytes))
+	return b
+}
+
+// stripeData is stripeCohort's data frame for chunk idx.
+func stripeData(t *testing.T, idx int) []byte {
+	t.Helper()
+	frame, err := (&wire.Chunk{Video: 1, Channel: 2, Seq: 3, Offset: uint32(idx * stripeChunkBytes),
+		Total: stripeNChunks * stripeChunkBytes, Payload: stripePayload(idx)}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// stripeParity is the parity frame of stripeCohort's first group, with
+// the group base and fragment size its header claims.
+func stripeParity(t *testing.T, base, total uint32) []byte {
+	t.Helper()
+	block := make([]byte, stripeChunkBytes)
+	for idx := 0; idx < 4; idx++ {
+		wire.XorAccum(block, stripePayload(idx))
+	}
+	frame, err := wire.EncodeParityFrame(nil, 1, 2, 3, base, total, 0, block, wire.PayloadCRC(block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // TestCohortBufferLedger scripts one fragment in virtual time through
 // every way a chunk can come to be held — shared arrivals, a stripe heal,
 // a unicast repair of a diverged chunk, then that chunk's late broadcast
@@ -436,51 +500,12 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 //	   8    chunk 0, duplicate               3072      819    (uncounted)
 //	  20    chunk 6, shared                  3584     2048    1536
 func TestCohortBufferLedger(t *testing.T) {
-	const chunkBytes, nchunks, highWater = 512, 8, 2458
 	playStart := time.Unix(3000, 0)
+	const highWater = 2458
+	c, f := stripeCohort(t, playStart)
+	m, sess := c.mux, c.mux.sess
 	at := func(ms int) time.Time { return playStart.Add(time.Duration(ms) * time.Millisecond) }
-	sess := &Session{}
-	m := &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024}, sess: sess,
-		unit: 10 * time.Millisecond, videoBytes: 1 << 20,
-		ledgers: make([]viewerLedger, 1), workers: []*worker{{in: make(chan wcmd, 64)}}}
-	c := &cohort{mux: m, video: 1, viewers: []int{0}, playStart: playStart}
-	f := &cohortFrag{
-		c: c, channel: 2, wantSeq: 3, videoBase: 0,
-		params: FragmentParams{
-			Video: 1, Channel: 2, Size: 4, TuneUnit: 12, PlayUnit: 100,
-			TotalBytes: nchunks * chunkBytes, ChunkBytes: chunkBytes, BytesPerUnit: 1024,
-			Epoch: playStart.Add(-time.Second), Unit: 10 * time.Millisecond,
-			Slack: time.Second, Lag: time.Second, FecGroup: 4,
-		},
-		wake: make(chan struct{}, 1),
-	}
-	op := f.params
-	op.Observe = true
-	f.m = NewMachine(op)
-	f.stripe = NewStripe(4, wire.FecModeXOR, chunkBytes, nchunks)
-
-	payload := func(idx int) []byte {
-		b := make([]byte, chunkBytes)
-		content.Fill(b, 1, int64(idx*chunkBytes))
-		return b
-	}
-	data := func(idx int) []byte {
-		frame, err := (&wire.Chunk{Video: 1, Channel: 2, Seq: 3, Offset: uint32(idx * chunkBytes),
-			Total: nchunks * chunkBytes, Payload: payload(idx)}).Encode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame
-	}
-	block := make([]byte, chunkBytes)
-	for idx := 0; idx < 4; idx++ {
-		wire.XorAccum(block, payload(idx))
-	}
-	pp := wire.AppendParityPayload(nil, 4, block)
-	parity, err := wire.EncodeParityFrame(nil, 1, 2, 3, 0, nchunks*chunkBytes, 0, pp, wire.PayloadCRC(pp))
-	if err != nil {
-		t.Fatal(err)
-	}
+	parity := stripeParity(t, 0, stripeNChunks*stripeChunkBytes)
 	deliver := func(ms int, frame []byte, wantLevel int64) {
 		t.Helper()
 		if err := c.handleFrame(f, frame, at(ms)); err != nil {
@@ -490,6 +515,7 @@ func TestCohortBufferLedger(t *testing.T) {
 			t.Errorf("t=%dms: buffer level %d, want %d", ms, got, wantLevel)
 		}
 	}
+	data := func(idx int) []byte { return stripeData(t, idx) }
 	deliver(-30, data(0), 512)
 	deliver(-20, data(1), 1024)
 	deliver(-10, data(3), 1536)
@@ -498,8 +524,8 @@ func TestCohortBufferLedger(t *testing.T) {
 		t.Fatalf("parity frame healed %d chunks, want chunk 2", f.m.Stats().FecHeals)
 	}
 	deliver(5, data(4), 2048)
-	c.diverge(f, 5)                                     // the gap detector hands chunk 5 to the viewer plane
-	f.creditFirst(f.divergenceOf(5), chunkBytes, at(6)) // ... whose worker books viewer 0's repair (worker.step)
+	c.diverge(f, 5)                                           // the gap detector hands chunk 5 to the viewer plane
+	f.creditFirst(f.divergenceOf(5), stripeChunkBytes, at(6)) // ... whose worker books viewer 0's repair (worker.step)
 	deliver(7, data(5), 3072-716)
 	deliver(8, data(0), 3072-819)
 	deliver(20, data(6), 1536)

@@ -1,10 +1,8 @@
 // Stripe reassembly: the receive half of the proactive FEC stripe. The
 // broadcast interleaves one parity frame per transmission group of G
-// data chunks (wire.KindParity); Stripe accumulates the running XOR
-// (and, in Reed-Solomon mode, the GF(256)-weighted sum) of the group's
-// arrivals so a single missing datagram — or two, with P+Q — is
-// reconstructed the moment the last covering frame lands, with zero
-// control round trips. The cohort multiplexer drives one Stripe per
+// data chunks (wire.KindParity); Stripe accumulates the running XOR of
+// the group's arrivals so a single missing datagram is reconstructed the
+// moment the last covering frame lands, with zero control round trips. The cohort multiplexer drives one Stripe per
 // fragment reception, drawn from one free list per Mux (stripePool):
 // chunk-sized accumulators go back to it once their group completes or
 // is evicted (at the stripe's next call, when the heals that alias them
@@ -35,14 +33,14 @@ type Heal struct {
 }
 
 // stripeState accumulates one group: a bitmap of arrived data chunks,
-// and running parity folds. accP holds P ⊕ (XOR of arrived data): when
+// and the running parity fold. accP holds P ⊕ (XOR of arrived data): when
 // exactly one covered chunk is missing and P arrived, accP IS that
-// chunk. accQ (RS mode only) holds Q ⊕ Σ αⁱ·dataᵢ over the arrivals.
+// chunk.
 type stripeState struct {
-	got        uint64
-	gotN       int
-	pGot, qGot bool
-	accP, accQ []byte
+	got  uint64
+	gotN int
+	pGot bool
+	accP []byte
 }
 
 // stripePool is the free list of stripes and chunk-sized accumulators
@@ -50,7 +48,6 @@ type stripeState struct {
 // all its cohorts' fragments, which draw from it concurrently.
 type stripePool struct {
 	group, chunkBytes int
-	rs                bool
 
 	mu      sync.Mutex
 	stripes []*Stripe
@@ -58,13 +55,13 @@ type stripePool struct {
 }
 
 // newStripePool returns the free list for stripes of width group over
-// chunkBytes-byte chunks; mode is wire.FecModeXOR or wire.FecModeRS.
-// group <= 0 returns nil, whose stripes are nil (FEC off).
-func newStripePool(group int, mode string, chunkBytes int) *stripePool {
+// chunkBytes-byte chunks. group <= 0 returns nil, whose stripes are nil
+// (FEC off).
+func newStripePool(group, chunkBytes int) *stripePool {
 	if group <= 0 {
 		return nil
 	}
-	return &stripePool{group: min(group, wire.MaxFecGroup), rs: mode == wire.FecModeRS, chunkBytes: chunkBytes}
+	return &stripePool{group: min(group, wire.MaxFecGroup), chunkBytes: chunkBytes}
 }
 
 // stripe draws an empty reassembly buffer for a fragment of nchunks
@@ -100,15 +97,10 @@ func (p *stripePool) state() *stripeState {
 	}
 	p.mu.Unlock()
 	if st == nil {
-		st = &stripeState{accP: make([]byte, p.chunkBytes)}
-		if p.rs {
-			st.accQ = make([]byte, p.chunkBytes)
-		}
-		return st
+		return &stripeState{accP: make([]byte, p.chunkBytes)}
 	}
-	st.got, st.gotN, st.pGot, st.qGot = 0, 0, false, false
+	st.got, st.gotN, st.pGot = 0, 0, false
 	clear(st.accP)
-	clear(st.accQ)
 	return st
 }
 
@@ -130,10 +122,11 @@ type Stripe struct {
 
 // NewStripe builds the reassembly buffer for a fragment of nchunks
 // chunks under a stripe of width group, drawing on a free list of its
-// own. mode is wire.FecModeXOR or wire.FecModeRS; group <= 0 returns nil
-// (no stripe — callers treat a nil Stripe as FEC off).
+// own; group <= 0 returns nil (no stripe — callers treat a nil Stripe as
+// FEC off). mode is ignored: it is kept for benchmark/harness, and the
+// harness follow-up of ROADMAP item 3(c) deletes it.
 func NewStripe(group int, mode string, chunkBytes, nchunks int) *Stripe {
-	return newStripePool(group, mode, chunkBytes).stripe(nchunks)
+	return newStripePool(group, chunkBytes).stripe(nchunks)
 }
 
 // recycle returns the stripe, and every accumulator it still holds, to
@@ -172,9 +165,10 @@ func (s *Stripe) flush() {
 func (s *Stripe) Group() int { return s.pool.group }
 
 // count is how many data chunks group g covers (the tail group may be
-// short).
+// short); 0 past the fragment's end.
 func (s *Stripe) count(g int) int {
-	return min(s.nchunks-g*s.pool.group, s.pool.group)
+	cb := s.pool.chunkBytes
+	return wire.ParityCount(uint32(g*s.pool.group*cb), uint32(s.nchunks*cb), s.pool.group, cb)
 }
 
 // state finds or creates the accumulator for group g, evicting the
@@ -237,118 +231,60 @@ func (s *Stripe) Data(idx int, payload []byte, heals []Heal) []Heal {
 	st.got |= 1 << pos
 	st.gotN++
 	wire.XorAccum(st.accP, payload)
-	if s.pool.rs {
-		wire.GfMulAccum(st.accQ, payload, wire.GfExpPow(pos))
-	}
 	return s.tryHeal(g, st, heals)
 }
 
 // Parity folds a decoded parity frame into its group and appends any
-// reconstruction it completes to heals. Frames whose geometry disagrees
-// with the configured stripe (misaligned base, wrong coverage, short
-// block) are dropped — the broadcast never emits them, so they are
-// damage or misconfiguration, and folding them would corrupt heals.
+// reconstruction it completes to heals. The frame covers count(g) chunks
+// of the group its base starts; one whose base is no group start inside
+// the fragment, or whose block is not one chunk long, is dropped — the
+// broadcast never emits it, so it is damage or misconfiguration, and
+// folding it would corrupt heals.
 func (s *Stripe) Parity(p *wire.Parity, heals []Heal) []Heal {
 	if s == nil {
 		return heals
 	}
 	s.flush()
-	if int(p.Base)%s.pool.chunkBytes != 0 {
-		return heals
-	}
-	base := int(p.Base) / s.pool.chunkBytes
-	if base%s.pool.group != 0 || base >= s.nchunks {
-		return heals
-	}
-	g := base / s.pool.group
-	if p.Count != s.count(g) || len(p.Block) < s.pool.chunkBytes {
-		return heals
-	}
-	if p.Index == 1 && !s.pool.rs {
+	span := uint32(s.pool.group * s.pool.chunkBytes)
+	g := int(p.Base / span)
+	if p.Base%span != 0 || s.count(g) == 0 || len(p.Block) != s.pool.chunkBytes {
 		return heals
 	}
 	st := s.state(g)
-	switch p.Index {
-	case 0:
-		if st.pGot {
-			return heals
-		}
-		st.pGot = true
-		wire.XorAccum(st.accP, p.Block)
-	case 1:
-		if st.qGot {
-			return heals
-		}
-		st.qGot = true
-		wire.XorAccum(st.accQ, p.Block)
-	default:
+	if st.pGot {
 		return heals
 	}
+	st.pGot = true
+	wire.XorAccum(st.accP, p.Block)
 	return s.tryHeal(g, st, heals)
 }
 
-// tryHeal reconstructs whatever the group's accumulated parity can
-// prove, appending heals, and releases the group once nothing is
-// missing. Heal payloads alias the group's accumulators; they stay
+// tryHeal reconstructs the group's one missing chunk once its parity has
+// arrived, appending the heal, and releases the group once nothing is
+// missing. A heal's payload aliases the group's accumulator; it stays
 // valid until the next call into the Stripe (a released accumulator is
 // held as spent until then).
 func (s *Stripe) tryHeal(g int, st *stripeState, heals []Heal) []Heal {
 	count := s.count(g)
-	missing := count - st.gotN
-	if missing == 0 {
+	switch missing := count - st.gotN; {
+	case missing == 0:
 		s.releaseGroup(g)
-		return heals
-	}
-	base := g * s.pool.group
-	switch {
 	case missing == 1 && st.pGot:
 		// accP = P ⊕ (XOR of all arrived) = the one missing chunk.
-		pos := missingPos(st.got, count, 0)
-		heals = append(heals, Heal{Idx: base + pos, Payload: st.accP})
-		s.releaseGroup(g)
-	case missing == 1 && st.qGot:
-		// Only Q survived: accQ = α^pos · d, one scale recovers d.
-		pos := missingPos(st.got, count, 0)
-		gfScale(st.accQ, wire.GfDiv(1, wire.GfExpPow(pos)))
-		heals = append(heals, Heal{Idx: base + pos, Payload: st.accQ})
-		s.releaseGroup(g)
-	case missing == 2 && st.pGot && st.qGot:
-		// RAID-6 two-erasure solve at positions a < b:
-		//   accP = d_a ⊕ d_b
-		//   accQ = α^a·d_a ⊕ α^b·d_b
-		// so (α^b·accP ⊕ accQ) = (α^a ⊕ α^b)·d_a.
-		a := missingPos(st.got, count, 0)
-		b := missingPos(st.got, count, 1)
-		ca, cb := wire.GfExpPow(a), wire.GfExpPow(b)
-		denom := ca ^ cb
-		wire.GfMulAccum(st.accQ, st.accP, cb) // accQ ⊕= α^b·accP
-		gfScale(st.accQ, wire.GfDiv(1, denom))
-		wire.XorAccum(st.accP, st.accQ) // accP = d_a ⊕ d_b ⊕ d_a = d_b
-		heals = append(heals, Heal{Idx: base + a, Payload: st.accQ}, Heal{Idx: base + b, Payload: st.accP})
+		pos := missingPos(st.got, count)
+		heals = append(heals, Heal{Idx: g*s.pool.group + pos, Payload: st.accP})
 		s.releaseGroup(g)
 	}
 	return heals
 }
 
-// missingPos returns the nth (0-based) unset bit among positions
-// [0, count) of got.
-func missingPos(got uint64, count, nth int) int {
+// missingPos returns the first unset bit among positions [0, count) of
+// got.
+func missingPos(got uint64, count int) int {
 	for pos := 0; pos < count; pos++ {
 		if got&(1<<pos) == 0 {
-			if nth == 0 {
-				return pos
-			}
-			nth--
+			return pos
 		}
 	}
 	return -1
-}
-
-// gfScale multiplies every byte of b by c in GF(256), in place.
-func gfScale(b []byte, c byte) {
-	for i, v := range b {
-		if v != 0 {
-			b[i] = wire.GfMul(c, v)
-		}
-	}
 }

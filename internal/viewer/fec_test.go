@@ -18,37 +18,31 @@ func fecChunk(idx int) []byte {
 	return b
 }
 
-// fecParity computes the group's parity block over chunks [base, base+count):
-// index 0 is the XOR sum P, index 1 the GF(256)-weighted sum Q.
-func fecParity(base, count int, index uint8) []byte {
+// fecParity computes the XOR parity block over chunks [base, base+count).
+func fecParity(base, count int) []byte {
 	block := make([]byte, 8)
 	for pos := 0; pos < count; pos++ {
-		d := fecChunk(base + pos)
-		if index == 0 {
-			wire.XorAccum(block, d)
-		} else {
-			wire.GfMulAccum(block, d, wire.GfExpPow(pos))
-		}
+		wire.XorAccum(block, fecChunk(base+pos))
 	}
 	return block
 }
 
-func fecFrame(t *testing.T, base, count int, index uint8) *wire.Parity {
-	t.Helper()
-	return &wire.Parity{
-		Base:   uint32(base * 8),
-		Total:  64,
-		Index:  index,
-		Count:  count,
-		Block:  fecParity(base, count, index),
-		Bitmap: []byte{0xff},
-	}
+// fecFrame is the decoded parity frame of the group based at chunk base,
+// covering count 8-byte chunks.
+func fecFrame(base, count int) *wire.Parity {
+	return &wire.Parity{Base: uint32(base * 8), Total: 64, Block: fecParity(base, count)}
+}
+
+// newStripe is a stripe of width group over chunkBytes-byte chunks for a
+// fragment of nchunks, on a free list of its own.
+func newStripe(group, chunkBytes, nchunks int) *Stripe {
+	return newStripePool(group, chunkBytes).stripe(nchunks)
 }
 
 // TestStripeXorHeal: one chunk of a group lost; the parity frame arriving
 // after the survivors reconstructs it exactly.
 func TestStripeXorHeal(t *testing.T) {
-	s := NewStripe(4, wire.FecModeXOR, 8, 8)
+	s := newStripe(4, 8, 8)
 	var heals []Heal
 	for _, idx := range []int{0, 2, 3} {
 		heals = s.Data(idx, fecChunk(idx), heals)
@@ -56,7 +50,7 @@ func TestStripeXorHeal(t *testing.T) {
 	if len(heals) != 0 {
 		t.Fatalf("heals before parity: %v", heals)
 	}
-	heals = s.Parity(fecFrame(t, 0, 4, 0), heals)
+	heals = s.Parity(fecFrame(0, 4), heals)
 	if len(heals) != 1 || heals[0].Idx != 1 {
 		t.Fatalf("heals = %v, want one heal of chunk 1", heals)
 	}
@@ -68,8 +62,8 @@ func TestStripeXorHeal(t *testing.T) {
 // TestStripeParityBeforeData: reordering puts the parity frame first; the
 // heal fires the moment the last covering data chunk lands.
 func TestStripeParityBeforeData(t *testing.T) {
-	s := NewStripe(4, wire.FecModeXOR, 8, 8)
-	heals := s.Parity(fecFrame(t, 0, 4, 0), nil)
+	s := newStripe(4, 8, 8)
+	heals := s.Parity(fecFrame(0, 4), nil)
 	for _, idx := range []int{0, 1} {
 		heals = s.Data(idx, fecChunk(idx), heals)
 	}
@@ -82,72 +76,35 @@ func TestStripeParityBeforeData(t *testing.T) {
 	}
 }
 
-// TestStripeRSTwoErasure: in Reed-Solomon mode the P+Q pair recovers two
-// missing chunks of one group.
-func TestStripeRSTwoErasure(t *testing.T) {
-	s := NewStripe(4, wire.FecModeRS, 8, 8)
-	var heals []Heal
-	for _, idx := range []int{1, 3} {
-		heals = s.Data(idx, fecChunk(idx), heals)
-	}
-	heals = s.Parity(fecFrame(t, 0, 4, 0), heals)
-	if len(heals) != 0 {
-		t.Fatalf("P alone healed a two-erasure group: %v", heals)
-	}
-	heals = s.Parity(fecFrame(t, 0, 4, 1), heals)
-	if len(heals) != 2 {
-		t.Fatalf("heals = %v, want chunks 0 and 2", heals)
-	}
-	for _, h := range heals {
-		if h.Idx != 0 && h.Idx != 2 {
-			t.Fatalf("healed unexpected chunk %d", h.Idx)
-		}
-		if !bytes.Equal(h.Payload, fecChunk(h.Idx)) {
-			t.Errorf("chunk %d payload %v, want %v", h.Idx, h.Payload, fecChunk(h.Idx))
-		}
-	}
-}
-
-// TestStripeQOnlyHeal: the P frame was itself lost; Q alone still solves a
-// single erasure (one GF scale).
-func TestStripeQOnlyHeal(t *testing.T) {
-	s := NewStripe(4, wire.FecModeRS, 8, 8)
-	var heals []Heal
-	for _, idx := range []int{0, 1, 3} {
-		heals = s.Data(idx, fecChunk(idx), heals)
-	}
-	heals = s.Parity(fecFrame(t, 0, 4, 1), heals)
-	if len(heals) != 1 || heals[0].Idx != 2 || !bytes.Equal(heals[0].Payload, fecChunk(2)) {
-		t.Fatalf("heals = %v, want chunk 2 from Q alone", heals)
-	}
-}
-
 // TestStripeTailGroup: the last group of a fragment is short; its parity
 // covers only the remaining chunks.
 func TestStripeTailGroup(t *testing.T) {
-	s := NewStripe(4, wire.FecModeXOR, 8, 6) // groups {0..3}, {4,5}
+	s := newStripe(4, 8, 6) // groups {0..3}, {4,5}
 	heals := s.Data(5, fecChunk(5), nil)
-	heals = s.Parity(fecFrame(t, 4, 2, 0), heals)
+	heals = s.Parity(fecFrame(4, 2), heals)
 	if len(heals) != 1 || heals[0].Idx != 4 || !bytes.Equal(heals[0].Payload, fecChunk(4)) {
 		t.Fatalf("heals = %v, want tail chunk 4", heals)
 	}
 }
 
 // TestStripeGeometryReject: parity whose geometry disagrees with the
-// configured stripe is dropped, never folded.
+// configured stripe is dropped, never folded — a base off a group
+// boundary, a base past the fragment's end, a block that is not one chunk
+// — and the cohort drops a parity frame whose header names another
+// fragment size before the stripe sees it, as it does a data frame.
 func TestStripeGeometryReject(t *testing.T) {
-	s := NewStripe(4, wire.FecModeXOR, 8, 8)
+	s := newStripe(4, 8, 8)
 	var heals []Heal
 	for _, idx := range []int{0, 2, 3} {
 		heals = s.Data(idx, fecChunk(idx), heals)
 	}
 	bad := []*wire.Parity{
-		{Base: 4, Count: 4, Index: 0, Block: fecParity(0, 4, 0)},     // misaligned byte base
-		{Base: 8, Count: 4, Index: 0, Block: fecParity(0, 4, 0)},     // base not on a group boundary
-		{Base: 0, Count: 3, Index: 0, Block: fecParity(0, 4, 0)},     // wrong coverage
-		{Base: 0, Count: 4, Index: 0, Block: fecParity(0, 4, 0)[:4]}, // short block
-		{Base: 0, Count: 4, Index: 1, Block: fecParity(0, 4, 1)},     // Q in XOR mode
-		{Base: 64, Count: 4, Index: 0, Block: fecParity(0, 4, 0)},    // beyond the fragment
+		{Base: 4, Block: fecParity(0, 4)},       // misaligned byte base
+		{Base: 8, Block: fecParity(0, 4)},       // base not on a group boundary
+		{Base: 64, Block: fecParity(0, 4)},      // base past the fragment's end
+		{Base: 1 << 31, Block: fecParity(0, 4)}, // far past it
+		{Base: 0, Block: fecParity(0, 4)[:4]},   // short block
+		{Base: 0, Block: make([]byte, 9)},       // long block
 	}
 	for i, p := range bad {
 		if heals = s.Parity(p, heals); len(heals) != 0 {
@@ -155,21 +112,46 @@ func TestStripeGeometryReject(t *testing.T) {
 		}
 	}
 	// The group is intact: the genuine parity frame still heals it.
-	heals = s.Parity(fecFrame(t, 0, 4, 0), heals)
+	heals = s.Parity(fecFrame(0, 4), heals)
 	if len(heals) != 1 || heals[0].Idx != 1 {
 		t.Fatalf("heals after rejects = %v, want chunk 1", heals)
 	}
+
+	t.Run("wrong Total at the cohort", func(t *testing.T) {
+		playStart := time.Unix(3000, 0)
+		c, f := stripeCohort(t, playStart)
+		for _, idx := range []int{0, 1, 3} {
+			if err := c.handleFrame(f, stripeData(t, idx), playStart); err != nil {
+				t.Fatal(err)
+			}
+		}
+		total := uint32(stripeNChunks * stripeChunkBytes)
+		for _, wrong := range []uint32{total - stripeChunkBytes, total + stripeChunkBytes} {
+			if err := c.handleFrame(f, stripeParity(t, 0, wrong), playStart); err != nil {
+				t.Fatal(err)
+			}
+			if n := f.m.Stats().FecHeals; n != 0 {
+				t.Fatalf("parity frame claiming a %d-byte fragment healed %d chunks of a %d-byte one", wrong, n, total)
+			}
+		}
+		if err := c.handleFrame(f, stripeParity(t, 0, total), playStart); err != nil {
+			t.Fatal(err)
+		}
+		if n := f.m.Stats().FecHeals; n != 1 {
+			t.Fatalf("the genuine parity frame healed %d chunks, want chunk 2", n)
+		}
+	})
 }
 
 // TestStripeDuplicateDataIgnored: retransmitted chunks must not fold into
 // the accumulator twice, or the eventual heal would be garbage.
 func TestStripeDuplicateDataIgnored(t *testing.T) {
-	s := NewStripe(4, wire.FecModeXOR, 8, 8)
+	s := newStripe(4, 8, 8)
 	var heals []Heal
 	for _, idx := range []int{0, 0, 2, 2, 3} {
 		heals = s.Data(idx, fecChunk(idx), heals)
 	}
-	heals = s.Parity(fecFrame(t, 0, 4, 0), heals)
+	heals = s.Parity(fecFrame(0, 4), heals)
 	if len(heals) != 1 || !bytes.Equal(heals[0].Payload, fecChunk(1)) {
 		t.Fatalf("heals = %v, want exact chunk 1 despite duplicates", heals)
 	}
@@ -179,7 +161,7 @@ func TestStripeDuplicateDataIgnored(t *testing.T) {
 // the oldest, and a late parity frame for an evicted group heals nothing
 // (its defeat deadline has passed in the machine anyway).
 func TestStripeEviction(t *testing.T) {
-	s := NewStripe(2, wire.FecModeXOR, 8, 2*(stripeSlots+1))
+	s := newStripe(2, 8, 2*(stripeSlots+1))
 	var heals []Heal
 	for g := 0; g <= stripeSlots; g++ {
 		// First chunk of each group arrives, second is missing.
@@ -187,13 +169,13 @@ func TestStripeEviction(t *testing.T) {
 	}
 	// Group 0 was evicted by group stripeSlots; its parity re-creates an
 	// empty accumulator and cannot heal.
-	heals = s.Parity(fecFrame(t, 0, 2, 0), heals)
+	heals = s.Parity(fecFrame(0, 2), heals)
 	if len(heals) != 0 {
 		t.Fatalf("evicted group healed: %v", heals)
 	}
 	// A still-tracked group heals normally.
 	base := 2 * stripeSlots
-	heals = s.Parity(fecFrame(t, base, 2, 0), heals)
+	heals = s.Parity(fecFrame(base, 2), heals)
 	if len(heals) != 1 || heals[0].Idx != base+1 || !bytes.Equal(heals[0].Payload, fecChunk(base+1)) {
 		t.Fatalf("heals = %v, want chunk %d", heals, base+1)
 	}
@@ -201,14 +183,14 @@ func TestStripeEviction(t *testing.T) {
 
 // TestStripeNil: group <= 0 means FEC off; a nil Stripe absorbs calls.
 func TestStripeNil(t *testing.T) {
-	s := NewStripe(0, wire.FecModeXOR, 8, 8)
+	s := NewStripe(0, "", 8, 8)
 	if s != nil {
 		t.Fatalf("NewStripe(0) = %v, want nil", s)
 	}
 	if heals := s.Data(0, fecChunk(0), nil); len(heals) != 0 {
 		t.Fatalf("nil stripe healed: %v", heals)
 	}
-	if heals := s.Parity(fecFrame(t, 0, 4, 0), nil); len(heals) != 0 {
+	if heals := s.Parity(fecFrame(0, 4), nil); len(heals) != 0 {
 		t.Fatalf("nil stripe healed: %v", heals)
 	}
 }
@@ -330,58 +312,49 @@ func TestMachineFecHealedDuplicate(t *testing.T) {
 }
 
 // TestStripeRecycledZeroAlloc: a stripe drawn from a warm pool receives a
-// fragment — heals on every group, one group still open at the end — and
-// goes back with every accumulator it held, allocating nothing.
+// fragment — a heal in one group, one defeated by two erasures, one still
+// open at the end — and goes back with every accumulator it held,
+// allocating nothing.
 func TestStripeRecycledZeroAlloc(t *testing.T) {
-	for _, mode := range []string{wire.FecModeXOR, wire.FecModeRS} {
-		pool := newStripePool(4, mode, 8)
-		var data [12][]byte
+	pool := newStripePool(4, 8)
+	var data [12][]byte
+	for idx := range data {
+		data[idx] = fecChunk(idx)
+	}
+	p0, p1 := fecFrame(0, 4), fecFrame(4, 4)
+	heals := make([]Heal, 0, 8)
+	healed := 0
+	fragment := func() {
+		s := pool.stripe(len(data))
 		for idx := range data {
-			data[idx] = fecChunk(idx)
-		}
-		p0, p1 := fecFrame(t, 0, 4, 0), fecFrame(t, 4, 4, 0)
-		q1 := fecFrame(t, 4, 4, 1)
-		heals := make([]Heal, 0, 8)
-		healed := 0
-		fragment := func() {
-			s := pool.stripe(len(data))
-			for idx := range data {
-				// Chunk 1 is lost from group 0; chunks 4 and 5 from group 1
-				// (two erasures: only P+Q heals them); group 2 never sees
-				// its parity and is still open when the fragment ends.
-				if idx == 1 || idx == 4 || idx == 5 {
-					continue
-				}
-				heals = s.Data(idx, data[idx], heals[:0])
+			// Chunk 1 is lost from group 0; chunks 4 and 5 from group 1
+			// (two erasures: the stripe cannot heal them); group 2 never
+			// sees its parity and is still open when the fragment ends.
+			if idx == 1 || idx == 4 || idx == 5 {
+				continue
 			}
-			heals = s.Parity(p0, heals[:0])
-			healed = len(heals)
-			heals = s.Parity(p1, heals[:0])
-			if mode == wire.FecModeRS {
-				heals = s.Parity(q1, heals)
-			}
-			healed += len(heals)
-			s.recycle()
+			heals = s.Data(idx, data[idx], heals[:0])
 		}
-		fragment()
-		want := 1
-		if mode == wire.FecModeRS {
-			want = 3
-		}
-		if healed != want {
-			t.Fatalf("%s: %d heals, want %d", mode, healed, want)
-		}
-		if allocs := testing.AllocsPerRun(100, fragment); allocs != 0 {
-			t.Errorf("%s: a fragment on a recycled stripe allocates %v times, want 0", mode, allocs)
-		}
+		heals = s.Parity(p0, heals[:0])
+		healed = len(heals)
+		heals = s.Parity(p1, heals[:0])
+		healed += len(heals)
+		s.recycle()
+	}
+	fragment()
+	if healed != 1 {
+		t.Fatalf("%d heals, want 1", healed)
+	}
+	if allocs := testing.AllocsPerRun(100, fragment); allocs != 0 {
+		t.Errorf("a fragment on a recycled stripe allocates %v times, want 0", allocs)
 	}
 }
 
 // TestStripePoolShared: the cohorts of one mux draw stripes from one pool
 // concurrently; every fragment still heals exactly (run under -race).
 func TestStripePoolShared(t *testing.T) {
-	pool := newStripePool(4, wire.FecModeXOR, 8)
-	p0 := fecFrame(t, 0, 4, 0)
+	pool := newStripePool(4, 8)
+	p0 := fecFrame(0, 4)
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)

@@ -410,7 +410,7 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 		m.videoBytes += s * int64(w.BytesPerUnit)
 	}
 	m.jm = &joinManager{cc: cc, refs: map[mcast.Group]int{}}
-	m.stripes = newStripePool(w.FecGroup, w.FecMode, w.ChunkBytes)
+	m.stripes = newStripePool(w.FecGroup, w.ChunkBytes)
 	return m, nil
 }
 

@@ -128,10 +128,6 @@ type Welcome struct {
 	// (see KindParity). Zero means no stripe — receivers then never see
 	// parity frames and run the PR-8 reactive ladder unchanged.
 	FecGroup int `json:"fecGroup,omitempty"`
-	// FecMode is the stripe kind: FecModeXOR (one P frame, heals one
-	// erasure per group) or FecModeRS (P+Q, heals two). Empty when
-	// FecGroup is zero.
-	FecMode string `json:"fecMode,omitempty"`
 }
 
 // Validate rejects a Welcome no reception can be planned from: every
@@ -153,8 +149,6 @@ func (w *Welcome) Validate() error {
 		return bad("chunk size %d outside (0, %d]", w.ChunkBytes, MaxPayload)
 	case w.FecGroup < 0 || w.FecGroup > MaxFecGroup:
 		return bad("FEC group %d outside [0, %d]", w.FecGroup, MaxFecGroup)
-	case w.FecGroup > 0 && w.FecMode != FecModeXOR && w.FecMode != FecModeRS:
-		return bad("unknown FEC mode %q", w.FecMode)
 	}
 	budget := int64(math.MaxInt) / int64(w.BytesPerUnit) // units a video may span
 	for i, s := range w.SizeUnits {

@@ -31,14 +31,14 @@ func FuzzControlDecode(f *testing.F) {
 		{Kind: wire.KindWelcome, Welcome: &wire.Welcome{Videos: 2, ChannelsPerVideo: 5, Width: 2,
 			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024}},
 		// KindParity is a data-plane frame kind, not a control verb, but
-		// the capability that announces it travels here: seed the Welcome
-		// that advertises each stripe mode.
+		// the capability that announces it travels here: seed Welcomes
+		// that advertise a stripe, one of them at the widest one.
 		{Kind: wire.KindWelcome, Welcome: &wire.Welcome{Videos: 1, ChannelsPerVideo: 3, Width: 2,
 			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024,
-			NackRepair: true, FecGroup: 8, FecMode: wire.FecModeXOR}},
+			NackRepair: true, FecGroup: 8}},
 		{Kind: wire.KindWelcome, Welcome: &wire.Welcome{Videos: 1, ChannelsPerVideo: 3, Width: 2,
 			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024,
-			NackRepair: true, FecGroup: 16, FecMode: wire.FecModeRS}},
+			NackRepair: true, FecGroup: wire.MaxFecGroup}},
 		{Kind: wire.KindJoin, Video: 1, Channel: 2, Port: 45678},
 		{Kind: wire.KindJoined, Video: 1, Channel: 2},
 		{Kind: wire.KindLeave, Video: 1, Channel: 2},
@@ -83,8 +83,8 @@ func FuzzControlDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	// A binary wire.KindParity frame arriving on the control line is garbage
 	// to this parser; it must be rejected, never mis-parsed.
-	parityPayload := wire.AppendParityPayload(nil, 8, bytes.Repeat([]byte{0x5A}, 32))
-	if parityFrame, err := wire.EncodeParityFrame(nil, 1, 2, 3, 0, 65536, 0, parityPayload, wire.PayloadCRC(parityPayload)); err == nil {
+	parityBlock := bytes.Repeat([]byte{0x5A}, 32)
+	if parityFrame, err := wire.EncodeParityFrame(nil, 1, 2, 3, 0, 65536, 0, parityBlock, wire.PayloadCRC(parityBlock)); err == nil {
 		f.Add(append(parityFrame, '\n'))
 	}
 	// A Welcome that decodes but cannot be planned from: zero ChunkBytes.

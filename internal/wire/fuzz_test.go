@@ -54,13 +54,13 @@ func FuzzChunkDecode(f *testing.F) {
 		}
 		f.Add(frame, uint32(n)*7)
 	}
-	for _, count := range []int{1, 8, MaxFecGroup} {
-		payload := AppendParityPayload(nil, count, bytes.Repeat([]byte{0x5A}, 64))
-		frame, err := EncodeParityFrame(nil, 1, 2, 3, 4096, 65536, 0, payload, PayloadCRC(payload))
+	for _, n := range []int{1, 8, 64} {
+		block := bytes.Repeat([]byte{0x5A}, n)
+		frame, err := EncodeParityFrame(nil, 1, 2, 3, 4096, 65536, 0, block, PayloadCRC(block))
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame, uint32(count)*11)
+		f.Add(frame, uint32(n)*11)
 	}
 	f.Add([]byte{}, uint32(0))
 	f.Add(bytes.Repeat([]byte{0xA5}, headerSize), uint32(1))
@@ -69,7 +69,7 @@ func FuzzChunkDecode(f *testing.F) {
 			if _, err := Decode(data); err == nil {
 				t.Fatal("frame accepted as both data chunk and parity")
 			}
-			re, err := EncodeParityFrame(nil, p.Video, p.Channel, p.Seq, p.Base, p.Total, p.Index, data[headerSize:], PayloadCRC(data[headerSize:]))
+			re, err := EncodeParityFrame(nil, p.Video, p.Channel, p.Seq, p.Base, p.Total, 0, p.Block, PayloadCRC(p.Block))
 			if err != nil {
 				t.Fatalf("accepted parity failed to re-encode: %v", err)
 			}
@@ -87,8 +87,7 @@ func FuzzChunkDecode(f *testing.F) {
 				t.Fatalf("patched parity Seq = %d, want %d", got.Seq, seq)
 			}
 			if got.Video != p.Video || got.Channel != p.Channel || got.Base != p.Base ||
-				got.Total != p.Total || got.Index != p.Index || got.Count != p.Count ||
-				!bytes.Equal(got.Bitmap, p.Bitmap) || !bytes.Equal(got.Block, p.Block) {
+				got.Total != p.Total || !bytes.Equal(got.Block, p.Block) {
 				t.Fatalf("PatchSeq disturbed a non-Seq parity field: %+v vs %+v", got, p)
 			}
 		}

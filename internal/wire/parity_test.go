@@ -6,21 +6,26 @@ import (
 	"testing"
 )
 
-func mustParityFrame(t testing.TB, count int, block []byte, index uint8) []byte {
+func mustParityFrame(t testing.TB, block []byte) []byte {
 	t.Helper()
-	payload := AppendParityPayload(nil, count, block)
-	frame, err := EncodeParityFrame(nil, 3, 2, 7, 8192, 65536, index, payload, PayloadCRC(payload))
+	frame, err := EncodeParityFrame(nil, 3, 2, 7, 8192, 65536, 0, block, PayloadCRC(block))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
 }
 
+// TestParityRoundTrip: a parity frame is the header and the block, as
+// long as a data frame of the block's size, and decodes back to its
+// fields.
 func TestParityRoundTrip(t *testing.T) {
 	block := bytes.Repeat([]byte{0xC3}, 1024)
-	frame := mustParityFrame(t, 8, block, 0)
+	frame := mustParityFrame(t, block)
 	if !IsParity(frame) {
 		t.Fatal("IsParity = false on an encoded parity frame")
+	}
+	if len(frame) != EncodedSize(len(block)) {
+		t.Fatalf("parity frame %d bytes, a data frame of its block %d", len(frame), EncodedSize(len(block)))
 	}
 	p, err := DecodeParity(frame)
 	if err != nil {
@@ -29,25 +34,17 @@ func TestParityRoundTrip(t *testing.T) {
 	if p.Video != 3 || p.Channel != 2 || p.Seq != 7 || p.Base != 8192 || p.Total != 65536 {
 		t.Fatalf("header fields: %+v", p)
 	}
-	if p.Index != 0 || p.Count != 8 || !bytes.Equal(p.Block, block) {
-		t.Fatalf("stripe fields: index %d count %d block %d bytes", p.Index, p.Count, len(p.Block))
-	}
-	for i := 0; i < 8; i++ {
-		if !p.Covers(i) {
-			t.Fatalf("stripe does not cover chunk %d", i)
-		}
-	}
-	if p.Covers(8) || p.Covers(-1) {
-		t.Fatal("stripe covers out-of-range chunk")
+	if !bytes.Equal(p.Block, block) {
+		t.Fatalf("block: %d bytes back", len(p.Block))
 	}
 }
 
 // TestParityRejectedByDataDecoder pins the compatibility story: a parity
 // frame presented to the data-chunk decoder fails with ErrBadReserved
 // (old receivers drop it as garbage rather than mis-parse it), and the
-// identity peek the injector and mux route on still works.
+// identity peek the mux routes on still works.
 func TestParityRejectedByDataDecoder(t *testing.T) {
-	frame := mustParityFrame(t, 4, make([]byte, 64), 1)
+	frame := mustParityFrame(t, make([]byte, 64))
 	if _, err := Decode(frame); !errors.Is(err, ErrBadReserved) {
 		t.Fatalf("Decode(parity) = %v, want ErrBadReserved", err)
 	}
@@ -67,29 +64,29 @@ func TestParityRejectedByDataDecoder(t *testing.T) {
 	}
 }
 
+// TestParityDecodeRejectsMalformed: the parity decoder checks what any
+// frame's decoder checks — length and CRC — and that the parity index is
+// 0; the encoder refuses any other index.
 func TestParityDecodeRejectsMalformed(t *testing.T) {
-	good := mustParityFrame(t, 8, make([]byte, 32), 0)
+	good := mustParityFrame(t, make([]byte, 32))
 	cases := map[string]func() []byte{
-		"zero count": func() []byte {
-			payload := append([]byte{0}, make([]byte, 33)...)
-			f, _ := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 0, payload, PayloadCRC(payload))
+		"parity index 1": func() []byte {
+			f := append([]byte(nil), good...)
+			f[3] = KindParity | 1
 			return f
 		},
-		"count past cap": func() []byte {
-			payload := append([]byte{MaxFecGroup + 1}, make([]byte, 64)...)
-			f, _ := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 0, payload, PayloadCRC(payload))
+		"parity index 15": func() []byte {
+			f := append([]byte(nil), good...)
+			f[3] = KindParity | 15
 			return f
 		},
-		"short payload": func() []byte {
-			payload := []byte{8, 0xFF} // bitmap but no block
-			f, _ := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 0, payload, PayloadCRC(payload))
+		"length says more": func() []byte {
+			f := append([]byte(nil), good...)
+			f[23]++
 			return f
 		},
-		"bits past count": func() []byte {
-			payload := append([]byte{4, 0xFF}, make([]byte, 16)...) // count 4, bits 4..7 set
-			f, _ := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 0, payload, PayloadCRC(payload))
-			return f
-		},
+		"frame carries more": func() []byte { return append(append([]byte(nil), good...), 0) },
+		"short header":       func() []byte { return good[:HeaderSize-1] },
 		"bad crc": func() []byte {
 			f := append([]byte(nil), good...)
 			f[len(f)-1] ^= 1
@@ -97,104 +94,69 @@ func TestParityDecodeRejectsMalformed(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		frame := mk()
-		if _, err := DecodeParity(frame); err == nil {
+		if _, err := DecodeParity(mk()); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 2, []byte{1, 1, 0}, 0); err == nil {
-		t.Error("encoder accepted parity index 2")
+	if _, err := DecodeParity(good); err != nil {
+		t.Fatalf("the unaltered frame: %v", err)
+	}
+	if _, err := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 1, []byte{1, 1, 0}, 0); err == nil {
+		t.Error("encoder accepted parity index 1")
 	}
 }
 
-// TestParityShortTailBitmap checks the canonical all-ones bitmap for a
-// count that does not fill its final byte.
-func TestParityShortTailBitmap(t *testing.T) {
-	payload := AppendParityPayload(nil, 11, make([]byte, 8))
-	if payload[0] != 11 || payload[1] != 0xFF || payload[2] != 0x07 {
-		t.Fatalf("payload prefix = %x", payload[:3])
-	}
-	frame, err := EncodeParityFrame(nil, 1, 1, 0, 0, 0, 0, payload, PayloadCRC(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := DecodeParity(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Covers(10) || p.Covers(11) {
-		t.Fatal("coverage bitmap wrong at the tail")
-	}
-}
-
-// TestGfField pins the GF(256) arithmetic the Q parity rests on:
-// mul/div inverses, the generator's order, and the accumulate helpers
-// against a byte-wise reference.
-func TestGfField(t *testing.T) {
-	if GfExpPow(0) != 1 || GfExpPow(255) != 1 {
-		t.Fatal("alpha^0 or alpha^255 != 1")
-	}
-	for a := 1; a < 256; a++ {
-		for _, b := range []int{1, 2, 29, 127, 255} {
-			m := GfMul(byte(a), byte(b))
-			if GfDiv(m, byte(b)) != byte(a) {
-				t.Fatalf("div(mul(%d,%d),%d) != %d", a, b, b, a)
-			}
-		}
-		if GfMul(byte(a), 0) != 0 || GfMul(0, byte(a)) != 0 {
-			t.Fatal("mul by zero != zero")
-		}
-	}
-	// Distributivity over XOR, the property erasure solving uses:
-	// c·(x^y) == c·x ^ c·y.
-	for _, c := range []byte{2, 7, 0x1d, 0xFF} {
-		for x := 0; x < 256; x += 17 {
-			for y := 0; y < 256; y += 23 {
-				if GfMul(c, byte(x)^byte(y)) != GfMul(c, byte(x))^GfMul(c, byte(y)) {
-					t.Fatalf("distributivity fails at c=%d x=%d y=%d", c, x, y)
+// TestParityCount pins the coverage the sender and the receiver both
+// derive from the stripe geometry: a full group is G chunks, the
+// fragment's tail group what is left, and a base that is not a group
+// start inside the fragment covers nothing.
+func TestParityCount(t *testing.T) {
+	for _, cb := range []int{1024, 4096, MaxPayload} {
+		for _, g := range []int{2, 4, 64} {
+			span := uint32(g * cb)
+			for _, nchunks := range []int{1, g - 1, g, g + 1, 3*g + 1, 5 * g} {
+				if nchunks <= 0 {
+					continue
+				}
+				total := uint32(nchunks * cb)
+				covered := 0
+				for base := uint32(0); base < total; base += span {
+					n := ParityCount(base, total, g, cb)
+					if want := min(g, nchunks-int(base)/cb); n != want {
+						t.Fatalf("cb %d G %d %d chunks: group at %d covers %d, want %d", cb, g, nchunks, base, n, want)
+					}
+					covered += n
+				}
+				if covered != nchunks {
+					t.Fatalf("cb %d G %d: groups cover %d of %d chunks", cb, g, covered, nchunks)
+				}
+				for _, base := range []uint32{total, total + span, uint32(cb), span + uint32(cb)/2} {
+					if base%span != 0 || base >= total {
+						if n := ParityCount(base, total, g, cb); n != 0 {
+							t.Fatalf("cb %d G %d %d chunks: base %d covers %d, want 0", cb, g, nchunks, base, n)
+						}
+					}
 				}
 			}
 		}
 	}
+	if ParityCount(0, 4096, 0, 1024) != 0 || ParityCount(0, 4096, 4, 0) != 0 {
+		t.Fatal("a degenerate geometry covers chunks")
+	}
+}
+
+// TestXorAccum holds the word-at-a-time fold to a byte-wise reference.
+func TestXorAccum(t *testing.T) {
 	dst := make([]byte, 37) // odd length exercises the word/byte split
 	src := make([]byte, 37)
 	ref := make([]byte, 37)
 	for i := range src {
 		src[i] = byte(i * 7)
 		dst[i] = byte(i * 13)
-		ref[i] = dst[i]
+		ref[i] = dst[i] ^ src[i]
 	}
 	XorAccum(dst, src)
-	for i := range ref {
-		ref[i] ^= src[i]
-	}
 	if !bytes.Equal(dst, ref) {
 		t.Fatal("XorAccum disagrees with byte-wise reference")
-	}
-	GfMulAccum(dst, src, 0x1d)
-	for i := range ref {
-		ref[i] ^= GfMul(0x1d, src[i])
-	}
-	if !bytes.Equal(dst, ref) {
-		t.Fatal("GfMulAccum disagrees with byte-wise reference")
-	}
-}
-
-// TestParityOverhead pins the payload-size arithmetic the frame cache
-// budgets with.
-func TestParityOverhead(t *testing.T) {
-	for _, tc := range []struct{ count, block, want int }{
-		{1, 1024, 1 + 1 + 1024},
-		{8, 1024, 1 + 1 + 1024},
-		{9, 1024, 1 + 2 + 1024},
-		{64, 512, 1 + 8 + 512},
-	} {
-		if got := ParityOverhead(tc.count, tc.block); got != tc.want {
-			t.Errorf("ParityOverhead(%d,%d) = %d, want %d", tc.count, tc.block, got, tc.want)
-		}
-		payload := AppendParityPayload(nil, tc.count, make([]byte, tc.block))
-		if len(payload) != tc.want {
-			t.Errorf("AppendParityPayload(%d,%d) = %d bytes, want %d", tc.count, tc.block, len(payload), tc.want)
-		}
 	}
 }

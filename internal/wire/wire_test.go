@@ -275,11 +275,10 @@ func TestPatchSeqRejectsBadFrames(t *testing.T) {
 // TestPutHeaderMatchesEncode pins the in-place header encoder against the
 // appending ones: a header written by PutHeader in front of a payload the
 // caller placed itself is byte-identical to Encode / EncodeParityFrame of
-// the same fields, for data and for both parity kinds, and costs no
-// allocation.
+// the same fields, for data and for parity, and costs no allocation.
 func TestPutHeaderMatchesEncode(t *testing.T) {
 	payload := []byte("built in place, behind its header")
-	for _, kind := range []byte{KindData, KindParity, KindParity | 1} {
+	for _, kind := range []byte{KindData, KindParity} {
 		for _, seq := range []uint32{0, 7, 1<<32 - 1} {
 			var ref []byte
 			var err error
@@ -287,7 +286,7 @@ func TestPutHeaderMatchesEncode(t *testing.T) {
 				c := Chunk{Video: 5, Channel: 2, Seq: seq, Offset: 2048, Total: 8192, Payload: payload}
 				ref, err = c.Encode(nil)
 			} else {
-				ref, err = EncodeParityFrame(nil, 5, 2, seq, 2048, 8192, kind&^KindParity, payload, PayloadCRC(payload))
+				ref, err = EncodeParityFrame(nil, 5, 2, seq, 2048, 8192, 0, payload, PayloadCRC(payload))
 			}
 			if err != nil {
 				t.Fatal(err)
