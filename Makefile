@@ -37,7 +37,7 @@ fmt-check:
 # every concurrent sender), the server (egress shards, control
 # handlers and re-sends all materialising frames from the same CRC
 # table, each into memory of its own), and the viewer mux with its
-# one-session front (every client.Watch runs the mux's loader, worker and
+# one-session front (every client.Watch runs the mux's loader and
 # receiver goroutines) are concurrent; every PR must pass the race
 # detector over them.
 race:

@@ -77,10 +77,9 @@ func main() {
 		serverAddr = flag.String("server", "", "server control address for -emulate")
 		viewers    = flag.String("viewers", "1000,10000,100000",
 			"comma-separated audience sizes for -scale (single count for -emulate)")
-		procs      = flag.Int("procs", 2, "emulator processes per -scale point")
-		spread     = flag.Float64("spread", 4, "admission spread in D1 units for the virtual audience")
-		muxWorkers = flag.Int("mux-workers", 0, "repair worker pool per emulator (0 = GOMAXPROCS, capped)")
-		faultDrop  = flag.Float64("fault-drop", 0.02,
+		procs     = flag.Int("procs", 2, "emulator processes per -scale point")
+		spread    = flag.Float64("spread", 4, "admission spread in D1 units for the virtual audience")
+		faultDrop = flag.Float64("fault-drop", 0.02,
 			"drop rate for the faulted contrast sweep in -scale (0 disables it)")
 		faultViewers = flag.String("fault-viewers", "500,2000,8000",
 			"comma-separated audience sizes for the faulted -scale sweep")
@@ -108,7 +107,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "skychaos: -emulate needs a single -viewers count, got %q\n", *viewers)
 			os.Exit(2)
 		}
-		if err := emulate(*serverAddr, n, *videos, *spread, *seed, *muxWorkers, *noRepair, *verbose); err != nil {
+		if err := emulate(*serverAddr, n, *videos, *spread, *seed, *noRepair, *verbose); err != nil {
 			fmt.Fprintln(os.Stderr, "skychaos:", err)
 			os.Exit(1)
 		}
@@ -141,7 +140,7 @@ func main() {
 			sweeps = append(sweeps, sweepSpec{drop: *faultDrop, counts: fcounts})
 		}
 		if err := scaleSweep(*videos, *channels, *width, *unit, *seed, sweeps,
-			*procs, *muxWorkers, *spread, *fecGroup, burst,
+			*procs, *spread, *fecGroup, burst,
 			*noRepair, *verbose, *assertCohort, scaleOut); err != nil {
 			fmt.Fprintln(os.Stderr, "skychaos:", err)
 			os.Exit(1)

@@ -85,8 +85,8 @@ type scaleRow struct {
 	ReadErrors   int64 `json:"read_errors,omitempty"`
 	// Server-side deltas over the window: CPU burned by the server
 	// process, datagrams put on the wire, unicast repairs answered, and
-	// the control-session high-water mark (audience-independence: bounded
-	// by the emulators' connection pools, not by Viewers).
+	// the control-session high-water mark (audience-independence: one
+	// session per emulator process, whatever Viewers is).
 	ServerCPUSec        float64 `json:"server_cpu_sec"`
 	ServerDatagrams     int64   `json:"server_datagrams"`
 	ServerRepairs       int64   `json:"server_repairs"`
@@ -130,14 +130,13 @@ type scaleReport struct {
 // parent merges the documents; a degraded run still reports before the
 // non-zero exit.
 func emulate(serverAddr string, viewers, videos int, spread float64, seed uint64,
-	workers int, noRepair, verbose bool) error {
+	noRepair, verbose bool) error {
 	cfg := viewer.MuxConfig{
 		ServerAddr:   serverAddr,
 		Viewers:      viewers,
 		Videos:       videos,
 		SpreadUnits:  spread,
 		Seed:         seed,
-		Workers:      workers,
 		JoinLeadFrac: 0.9,
 		// Two units of slack (matching the chaos-suite clients): the NACK
 		// ladder only engages on chunks with a multicast round's worth of
@@ -189,7 +188,7 @@ func parseCounts(s string) ([]int, error) {
 // sweep must come back undegraded with sublinear unicast-repair growth —
 // the O(cohorts)-not-O(viewers) property, enforced.
 func scaleSweep(videos, channels int, width int64, unit time.Duration,
-	seed uint64, sweeps []sweepSpec, procs, muxWorkers int,
+	seed uint64, sweeps []sweepSpec, procs int,
 	spread float64, fecGroup int, burst burstSpec,
 	noRepair, verbose, assertCohort bool, out string) error {
 	if procs <= 0 {
@@ -214,7 +213,7 @@ func scaleSweep(videos, channels int, width int64, unit time.Duration,
 		report.Burst = fmt.Sprintf("%g,%g,%g", burst.enter, burst.exit, burst.drop)
 	}
 	for _, sw := range sweeps {
-		res, err := runScaleSweep(sch, unit, seed, sw, procs, videos, muxWorkers, spread, fecGroup, burst, noRepair, verbose)
+		res, err := runScaleSweep(sch, unit, seed, sw, procs, videos, spread, fecGroup, burst, noRepair, verbose)
 		if err != nil {
 			return err
 		}
@@ -241,7 +240,7 @@ func scaleSweep(videos, channels int, width int64, unit time.Duration,
 // runScaleSweep runs one sweep against its own server, so each drop rate
 // gets a clean fault plan and cost ledger.
 func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSpec,
-	procs, videos, muxWorkers int, spread float64, fecGroup int,
+	procs, videos int, spread float64, fecGroup int,
 	burst burstSpec, noRepair, verbose bool) (*scaleSweepResult, error) {
 	scfg := server.Config{
 		Scheme:       sch,
@@ -273,7 +272,7 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 		"viewers", "procs", "cohorts", "p50-wait", "p99-wait", "fec-heals", "repairs", "defeats", "busy%", "degraded",
 		"nacks", "mc-heals", "datagrams", "srv-cpu-s", "srv-dgs", "sessions")
 	for _, n := range sw.counts {
-		row, err := scalePoint(srv, n, procs, videos, spread, seed, muxWorkers, noRepair, verbose)
+		row, err := scalePoint(srv, n, procs, videos, spread, seed, noRepair, verbose)
 		if err != nil {
 			return nil, fmt.Errorf("drop %v viewers %d: %w", sw.drop, n, err)
 		}
@@ -343,7 +342,7 @@ func assertCohortRepair(report *scaleReport, chunksPerViewer int) error {
 // scalePoint runs one audience size: procs emulator processes splitting n
 // viewers, measured against the server's CPU and wire ledgers.
 func scalePoint(srv *server.Server, n, procs, videos int,
-	spread float64, seed uint64, muxWorkers int, noRepair, verbose bool) (*scaleRow, error) {
+	spread float64, seed uint64, noRepair, verbose bool) (*scaleRow, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -373,9 +372,6 @@ func scalePoint(srv *server.Server, n, procs, videos int,
 			// Each emulator holds a distinct viewer population: a derived
 			// seed keeps its arrival and jitter substreams disjoint.
 			"-seed", strconv.FormatUint(des.SubSeed(seed, uint64(i+1)), 10),
-		}
-		if muxWorkers > 0 {
-			args = append(args, "-mux-workers", strconv.Itoa(muxWorkers))
 		}
 		if noRepair {
 			args = append(args, "-no-repair")

@@ -17,9 +17,10 @@ import (
 // cohort is one set of viewers tuned identically: same video, same
 // playback start unit, hence the same channel set, the same broadcast
 // repetitions, and — by repetition invariance — byte-identical datagrams.
-// One pair of loader goroutines receives for the whole cohort; shared
-// counters here apply to every member, and per-viewer ledgers take over
-// only where losses make outcomes diverge.
+// The fault plan drops by position, so every member also misses the same
+// chunks: one pair of loader goroutines receives and recovers for the
+// whole cohort, one machine per fragment, and every outcome counter here
+// applies to every member.
 type cohort struct {
 	mux           *Mux
 	video         int
@@ -27,35 +28,25 @@ type cohort struct {
 	playStart     time.Time // playStartUnit on the wall clock
 	viewers       []int     // global viewer IDs, ascending
 
-	// The buffer ledger: payload bytes some member holds (downloaded) and
+	// The buffer ledger: payload bytes the cohort holds (downloaded) and
 	// the high-water mark of downloaded minus played, sampled at arrivals.
 	downloaded, maxBuffer atomic.Int64
 
-	// Shared outcome counters, each applying to every viewer of the
-	// cohort; written by the two loader goroutines.
+	// Chunk outcomes, each applying to every viewer of the cohort (the
+	// aggregator multiplies them by its size); written by the two loader
+	// goroutines. byteErrors counts verifications, once per cohort.
 	late, dup, lostShared, lostSharedBytes, byteErrors atomic.Int64
+	repaired, nackRepaired, fecHeals                   atomic.Int64
 
-	// NACK-ladder counters. nacks and nackSuppressed are cohort-level
-	// events (one NACK speaks for every member); nackRepaired chunks heal
-	// every member at once, so the aggregator multiplies it by the cohort
-	// size. nackBusy counts admission pushback on NACK round trips.
-	nacks, nackSuppressed, nackRepaired, nackBusy atomic.Int64
-
-	// Parity-stripe counters. fecHeals chunks are reconstructed on the
-	// shared path before any divergence and heal every member at once
-	// (multiplied by the cohort size, like nackRepaired); heals of
-	// already-diverged chunks are booked per viewer through the machines
-	// instead, because a member may have unicast-repaired the chunk
-	// already (the heal is that viewer's duplicate, not a heal).
-	// stripeDefeats are cohort-level escalation events, one per defeated
-	// gap (like nacks).
-	fecHeals, stripeDefeats atomic.Int64
+	// Recovery events, one per cohort whatever its size: one NACK, one
+	// unicast round trip and one stripe defeat speak for every member.
+	// busy counts admission pushback on NACK and repair round trips.
+	nacks, nackSuppressed, repairReqs, busy, stripeDefeats atomic.Int64
 }
 
-// credit books n payload bytes at the first instant any member of the
-// cohort holds them — a shared arrival, a stripe heal, a recorded
-// divergent arrival or the first unicast repair — and raises the buffer
-// high-water mark: an atomic add and a little arithmetic per chunk.
+// credit books n payload bytes at the instant the cohort holds them — a
+// broadcast arrival, a stripe heal or a unicast repair — and raises the
+// buffer high-water mark: an atomic add and a little arithmetic per chunk.
 func (c *cohort) credit(n int, now time.Time) {
 	maxInt64(&c.maxBuffer, c.downloaded.Add(int64(n))-c.mux.playedBytes(now.Sub(c.playStart)))
 }
@@ -203,38 +194,14 @@ func (c *cohort) tune(e *tuneEntry) error {
 }
 
 // cohortFrag is one fragment reception shared by the whole cohort: the
-// Observe-mode machine the loader drives, plus the divergence state the
-// worker pool picks up when gaps appear.
+// machine the loader drives and the parity stripe it reassembles.
 type cohortFrag struct {
-	c         *cohort
-	channel   int
-	videoBase int64
-	wantSeq   uint32
-	// params is the per-viewer machine template (repair mode); the
-	// loader's shared machine runs an Observe-mode copy of it.
-	params FragmentParams
-	m      *Machine
-
-	// diverged marks chunks handed to the per-viewer plane (loader-owned;
-	// nil until the fragment's first divergence).
-	diverged bitset
-	// divs records those chunks in hand-over order, so the loader and the
-	// workers walk the divergence, not the fragment, and memory follows
-	// the chunks diverged. The loader fills the next record and then
-	// publishes it by bumping ndiverged; workers read only the first
-	// ndiverged, through divergence. Records live in fixed blocks that never
-	// move: a full table is replaced by a longer copy sharing its blocks,
-	// so nothing a worker reads is ever reallocated under it.
-	divs      atomic.Pointer[[]*divBlock]
-	ndiverged atomic.Int64
-	// vfs are the per-viewer fragments, materialized at first divergence.
-	vfs []*viewerFrag
-	// pending counts unfinished viewer fragments; inflight counts
-	// commands queued to workers. The fragment completes when the shared
-	// machine is done and both reach zero.
-	pending  atomic.Int64
-	inflight atomic.Int64
-	wake     chan struct{}
+	c          *cohort
+	channel    int
+	videoBase  int64
+	wantSeq    uint32
+	totalBytes int
+	m          *Machine
 
 	// stripe reassembles the broadcast's parity stripe once for the whole
 	// cohort (nil when the server sends none); heals is its reusable
@@ -243,103 +210,9 @@ type cohortFrag struct {
 	heals  []Heal
 }
 
-// divergence is the shared record of one diverged chunk.
-type divergence struct {
-	idx int
-	// arrived records the chunk's broadcast arrival (unix nanos), once;
-	// workers book it into viewer machines that still miss it. healed
-	// marks the recorded arrival as a stripe reconstruction (set before
-	// the arrived store publishes it), so workers book it as a FEC heal
-	// rather than a broadcast chunk.
-	arrived atomic.Int64
-	healed  atomic.Bool
-	// held marks the chunk held by some member — off the broadcast or by
-	// its own unicast repair, whichever came first — so the buffer ledger
-	// counts it once.
-	held atomic.Bool
-}
-
-// divBlockLen is how many divergence records one block holds.
-const divBlockLen = 8
-
-type divBlock [divBlockLen]divergence
-
-// addDivergence marks chunk idx diverged and publishes its record
-// (loader only).
-func (f *cohortFrag) addDivergence(idx int) {
-	if f.diverged == nil {
-		f.diverged = newBitset(f.m.NChunks())
-	}
-	f.diverged.set(idx)
-	k := int(f.ndiverged.Load())
-	var blocks []*divBlock
-	if p := f.divs.Load(); p != nil {
-		blocks = *p
-	}
-	if k == len(blocks)*divBlockLen {
-		blocks = append(blocks[:len(blocks):len(blocks)], new(divBlock))
-		f.divs.Store(&blocks)
-	}
-	blocks[k/divBlockLen][k%divBlockLen].idx = idx
-	f.ndiverged.Store(int64(k + 1))
-}
-
-// divergence returns published record k (k < ndiverged); safe from any
-// goroutine.
-func (f *cohortFrag) divergence(k int) *divergence {
-	blocks := *f.divs.Load()
-	return &blocks[k/divBlockLen][k%divBlockLen]
-}
-
-// divergenceOf returns diverged chunk idx's record.
-func (f *cohortFrag) divergenceOf(idx int) *divergence {
-	for k := range int(f.ndiverged.Load()) {
-		if d := f.divergence(k); d.idx == idx {
-			return d
-		}
-	}
-	return nil
-}
-
-// creditFirst credits diverged chunk d to the buffer ledger unless some
-// member already holds it.
-func (f *cohortFrag) creditFirst(d *divergence, n int, now time.Time) {
-	if d.held.CompareAndSwap(false, true) {
-		f.c.credit(n, now)
-	}
-}
-
-// notify nudges the loader to re-check the completion condition.
-func (f *cohortFrag) notify() {
-	select {
-	case f.wake <- struct{}{}:
-	default:
-	}
-}
-
-// viewerFrag is one viewer's divergent view of a fragment. After the
-// loader materializes it, every field is owned by the viewer's worker.
-type viewerFrag struct {
-	f      *cohortFrag
-	viewer int
-	vm     *Machine
-	done   bool
-	// folded is the machine-stats prefix already credited to the ledger:
-	// a viewer can finish, be reopened by a later gap, and finish again,
-	// so each finish folds only the delta since the last one.
-	folded MachineStats
-}
-
-func chunkLen(totalBytes, chunkBytes, idx int) int {
-	if rem := totalBytes - idx*chunkBytes; rem < chunkBytes {
-		return rem
-	}
-	return chunkBytes
-}
-
 // receiveFragment tunes one channel for the whole cohort: one join, one
-// subscription, one decode/verify pass per datagram regardless of the
-// cohort's size.
+// subscription, one decode/verify pass per datagram and one recovery
+// round trip per loss, regardless of the cohort's size.
 //
 // When next is non-nil it is the successor fragment on the same loader,
 // and this loop performs the tuner handoff itself: it tunes next once
@@ -349,58 +222,48 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
 	m := c.mux
 	size := g.Size
-	totalBytes := int(size) * m.w.BytesPerUnit
 	f := &cohortFrag{
-		c:         c,
-		channel:   channel,
-		videoBase: (g.StartUnit + int64(j)*size) * int64(m.w.BytesPerUnit),
-		wantSeq:   uint32(tuneUnit / size),
-		params: FragmentParams{
-			Video:        c.video,
-			Channel:      channel,
-			Size:         size,
-			TuneUnit:     tuneUnit,
-			PlayUnit:     c.playStartUnit + g.StartUnit + int64(j)*size,
-			TotalBytes:   totalBytes,
-			ChunkBytes:   m.w.ChunkBytes,
-			BytesPerUnit: m.w.BytesPerUnit,
-			Epoch:        m.epoch,
-			Unit:         m.unit,
-			Slack:        time.Duration(m.cfg.SlackFrac * float64(m.unit)),
-			Lag:          time.Duration(m.cfg.RepairLagFrac * float64(m.unit)),
-			FecGroup:     m.w.FecGroup,
-		},
-		wake: make(chan struct{}, 1),
+		c:          c,
+		channel:    channel,
+		videoBase:  (g.StartUnit + int64(j)*size) * int64(m.w.BytesPerUnit),
+		wantSeq:    uint32(tuneUnit / size),
+		totalBytes: int(size) * m.w.BytesPerUnit,
 	}
-	op := f.params
-	// With repairs on, the shared machine only observes: gaps are handed
-	// to the per-viewer plane. With repairs off there is nothing to
-	// diverge over, so it keeps the deadline accounting itself and every
-	// loss is cohort-wide.
-	op.Observe = !m.cfg.DisableRepair
-	op.DisableRepair = m.cfg.DisableRepair
-	op.OnLost = func(idx, _ int) {
-		m.tracef("chunk-lost", "ch %d seq %d chunk %d lost cohort-wide", channel, f.wantSeq, idx)
-		m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d cohort-wide",
-			c.video, c.playStartUnit, channel, idx)
-		c.lostShared.Add(1)
-		c.lostSharedBytes.Add(int64(chunkLen(totalBytes, m.w.ChunkBytes, idx)))
-	}
-	// The shared machine runs the multicast-first NACK ladder before any
-	// gap is handed to the per-viewer unicast plane: one NACK speaks for
-	// the whole cohort, and one re-send heals it. Timing keys on the first
-	// member's seed, so a one-viewer cohort NACKs on its viewer's own seed.
-	op.NackEnabled = m.w.NackRepair && !m.cfg.DisableNack
-	if op.NackEnabled {
-		seed := m.viewerSeed(c.viewers[0])
-		op.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
+	// Recovery timing — NACK windows and repair backoff — keys on the
+	// first member's seed, so a one-viewer cohort recovers on its viewer's
+	// own seed.
+	seed := m.viewerSeed(c.viewers[0])
+	f.m = NewMachine(FragmentParams{
+		Video:          c.video,
+		Channel:        channel,
+		Size:           size,
+		TuneUnit:       tuneUnit,
+		PlayUnit:       c.playStartUnit + g.StartUnit + int64(j)*size,
+		TotalBytes:     f.totalBytes,
+		ChunkBytes:     m.w.ChunkBytes,
+		BytesPerUnit:   m.w.BytesPerUnit,
+		Epoch:          m.epoch,
+		Unit:           m.unit,
+		Slack:          time.Duration(m.cfg.SlackFrac * float64(m.unit)),
+		Lag:            time.Duration(m.cfg.RepairLagFrac * float64(m.unit)),
+		FecGroup:       m.w.FecGroup,
+		DisableRepair:  m.cfg.DisableRepair,
+		RepairsEnabled: func() bool { return !m.bye.Load() },
+		NackEnabled:    m.w.NackRepair && !m.cfg.DisableNack,
+		Jitter: func(key, stream uint64, window time.Duration) time.Duration {
 			return JitterIn(seed, key, stream, window)
-		}
-	}
-	f.m = NewMachine(op)
-	// One stripe reassembler serves the whole cohort: a reconstruction on
-	// the shared path heals every member at once, exactly like a chunk
-	// caught off the broadcast.
+		},
+		OnLost: func(idx, attempts int) {
+			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", channel, f.wantSeq, idx, attempts)
+			m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d",
+				c.video, c.playStartUnit, channel, idx)
+			c.lostShared.Add(1)
+			c.lostSharedBytes.Add(int64(f.m.ChunkLen(idx)))
+		},
+	})
+	// One stripe reassembler serves the whole cohort: a reconstruction
+	// heals every member at once, exactly like a chunk caught off the
+	// broadcast.
 	f.stripe = m.stripes.stripe(f.m.NChunks())
 	defer f.stripe.recycle()
 
@@ -446,17 +309,7 @@ drain:
 		if err := c.overCap(); err != nil {
 			return err
 		}
-		if f.vfs != nil && f.pending.Load() == 0 && f.inflight.Load() == 0 {
-			// Every viewer has resolved its divergent chunks (repaired or
-			// lost), so the shared machine need not hold them open to
-			// their loss deadlines — lingering here would delay this
-			// loader's next fragment past its join time. Only the loader
-			// goroutine submits work, so the zero reading is stable.
-			for k := range int(f.ndiverged.Load()) {
-				f.m.ResolveRepaired(f.divergence(k).idx)
-			}
-		}
-		if f.m.Done() && f.pending.Load() == 0 && f.inflight.Load() == 0 {
+		if f.m.Done() {
 			break
 		}
 		now := time.Now()
@@ -468,47 +321,23 @@ drain:
 				return err
 			}
 		}
-		var wake time.Time
-		if !f.m.Done() {
-			act := f.m.Next(now)
-			if act.Kind == ActGap {
-				m.tracef("gap", "ch %d seq %d chunk %d overdue", channel, f.wantSeq, act.Idx)
-				c.diverge(f, act.Idx)
-				continue
-			}
-			if act.Kind == ActNack {
-				m.tracef("nack", "ch %d seq %d: %d chunks", channel, f.wantSeq, len(act.Chunks))
-				accepted, err := m.jm.cc.nack(c.video, channel, f.wantSeq, act.Chunks)
-				if err != nil {
-					var busy *busyError
-					if errors.As(err, &busy) {
-						c.nackBusy.Add(1)
-					}
-					m.tracef("nack-fail", "ch %d seq %d: %v", channel, f.wantSeq, err)
-					m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
-						c.video, c.playStartUnit, channel, len(act.Chunks), err)
-					accepted = nil
-				}
-				f.m.NackResult(act.Chunks, accepted, time.Now())
-				continue
-			}
-			if f.m.Done() {
-				continue // that pass resolved the rest
-			}
-			wake = act.Wake
-		} else {
-			// Only worker completions remain; f.wake is the primary
-			// signal, the timer a backstop.
-			wake = now.Add(20 * time.Millisecond)
+		act := f.m.Next(now)
+		switch act.Kind {
+		case ActNack:
+			c.nack(f, act.Chunks)
+			continue
+		case ActRepair:
+			c.repair(f, act)
+			continue
 		}
+		if f.m.Done() {
+			continue // that pass resolved the rest
+		}
+		wake := act.Wake
 		if next != nil && next.sub == nil && next.joinAt.Before(wake) {
 			wake = next.joinAt
 		}
-		d := wake.Sub(now)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		resetTimer(timer, d)
+		resetTimer(timer, max(wake.Sub(now), time.Millisecond))
 		select {
 		case slot, ok := <-sub.Ready():
 			if !ok {
@@ -541,17 +370,17 @@ drain:
 					break burst
 				}
 			}
-		case <-f.wake:
 		case <-timer.C:
 		}
 	}
 
-	// Fold the shared machine's ledger in: these outcomes hit every
-	// viewer of the cohort identically. (Shared losses were booked
-	// through OnLost, with their byte counts.)
+	// Fold the machine's ledger in: these outcomes hit every viewer of the
+	// cohort identically. (Losses were booked through OnLost, with their
+	// byte counts.)
 	st := f.m.Stats()
 	c.late.Add(st.Late)
 	c.dup.Add(st.Duplicates)
+	c.repaired.Add(st.Repaired)
 	c.nacks.Add(st.Nacks)
 	c.nackSuppressed.Add(st.NacksSuppressed)
 	c.nackRepaired.Add(st.NackRepaired)
@@ -560,10 +389,73 @@ drain:
 	return nil
 }
 
+// nack sends one gap-bitmap NACK for the whole cohort and applies the
+// server's answer to the machine.
+func (c *cohort) nack(f *cohortFrag, chunks []int) {
+	m := c.mux
+	m.tracef("nack", "ch %d seq %d: %d chunks", f.channel, f.wantSeq, len(chunks))
+	accepted, err := m.jm.cc.nack(c.video, f.channel, f.wantSeq, chunks)
+	if err != nil {
+		var busy *busyError
+		if errors.As(err, &busy) {
+			c.busy.Add(1)
+		}
+		m.tracef("nack-fail", "ch %d seq %d: %v", f.channel, f.wantSeq, err)
+		m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
+			c.video, c.playStartUnit, f.channel, len(chunks), err)
+		accepted = nil
+	}
+	f.m.NackResult(chunks, accepted, time.Now())
+}
+
+// repair pulls chunk act.Idx over unicast once for the whole cohort — its
+// members miss the same chunks, so one copy heals them all — and applies
+// the outcome to the machine.
+func (c *cohort) repair(f *cohortFrag, act Action) {
+	m := c.mux
+	idx := act.Idx
+	c.repairReqs.Add(1)
+	off := int64(idx) * int64(m.w.ChunkBytes)
+	if m.trace != nil {
+		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.wantSeq, idx, act.Attempt)
+	}
+	data, err := m.jm.cc.repair(c.video, f.channel, f.wantSeq, off, f.m.ChunkLen(idx))
+	now := time.Now()
+	outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
+	if err != nil {
+		var busy *busyError
+		switch {
+		case errors.As(err, &busy):
+			c.busy.Add(1)
+			outcome, retryAfter, kind = RepairBusy, busy.retryAfter, "repair-busy"
+		case errors.Is(err, errMuxDraining):
+			outcome, kind = RepairDisabled, "repair-off"
+		default:
+			outcome, kind = RepairFailed, "repair-fail"
+		}
+	}
+	disp := f.m.RepairResult(idx, outcome, retryAfter, now)
+	if disp == Repaired {
+		if bad := content.Verify(data, c.video, f.videoBase+off); bad >= 0 {
+			c.byteErrors.Add(1)
+		}
+		c.credit(len(data), now)
+	}
+	if m.trace != nil {
+		note := "repaired"
+		if err != nil {
+			note = err.Error()
+		}
+		if disp == Rescheduled {
+			note += fmt.Sprintf("; retry in %v", f.m.RetryAt(idx).Sub(now))
+		}
+		m.tracef(kind, "ch %d seq %d chunk %d attempt %d: %s", f.channel, f.wantSeq, idx, act.Attempt, note)
+	}
+}
+
 // handleFrame books one datagram for the whole cohort: one decode, one
 // CRC check, one content verification — O(1) in the cohort's size. This
-// is the steady-state hot path; on the converged branch it allocates
-// nothing.
+// is the steady-state hot path; it allocates nothing.
 func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 	m := c.mux
 	if wire.IsParity(frame) {
@@ -575,11 +467,12 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 		}
 		p, err := wire.DecodeParity(frame)
 		if err != nil || int(p.Video) != c.video || int(p.Channel) != f.channel || p.Seq != f.wantSeq ||
-			int(p.Total) != f.params.TotalBytes {
+			int(p.Total) != f.totalBytes {
 			return nil
 		}
 		f.heals = f.stripe.Parity(&p, f.heals[:0])
-		return c.bookHeals(f, now)
+		c.bookHeals(f, now)
+		return nil
 	}
 	ch, err := wire.Decode(frame)
 	if err != nil {
@@ -592,38 +485,13 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 	if int(ch.Video) != c.video || int(ch.Channel) != f.channel || ch.Seq != f.wantSeq {
 		return nil // stray datagram from an earlier membership or repetition
 	}
-	if int(ch.Total) != f.params.TotalBytes || int(ch.Offset)%m.w.ChunkBytes != 0 || int(ch.Offset) >= f.params.TotalBytes {
+	if int(ch.Total) != f.totalBytes || int(ch.Offset)%m.w.ChunkBytes != 0 || int(ch.Offset) >= f.totalBytes {
 		return fmt.Errorf("inconsistent chunk: offset %d total %d", ch.Offset, ch.Total)
 	}
 	if f.m.Done() {
 		return nil // post-deadline stray
 	}
 	idx := int(ch.Offset) / m.w.ChunkBytes
-	if f.diverged != nil && f.diverged.has(idx) {
-		d := f.divergenceOf(idx)
-		if d.arrived.Load() != 0 {
-			// A further broadcast copy of an already-recorded divergent
-			// chunk: booked cohort-wide.
-			c.dup.Add(1)
-			return nil
-		}
-		if bad := content.Verify(ch.Payload, c.video, f.videoBase+int64(ch.Offset)); bad >= 0 {
-			c.byteErrors.Add(1)
-		}
-		f.creditFirst(d, len(ch.Payload), now)
-		d.arrived.Store(now.UnixNano())
-		// The shared machine no longer waits on it; viewers that still
-		// miss it book the recorded arrival on their own clocks.
-		f.m.ResolveRepaired(idx)
-		for _, vf := range f.vfs {
-			m.submit(vf, -1)
-		}
-		if f.stripe != nil {
-			f.heals = f.stripe.Data(idx, ch.Payload, f.heals[:0])
-			return c.bookHeals(f, now)
-		}
-		return nil
-	}
 	if f.m.Chunk(idx, now) == Duplicate {
 		return nil
 	}
@@ -633,45 +501,27 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 	c.credit(len(ch.Payload), now)
 	if f.stripe != nil {
 		f.heals = f.stripe.Data(idx, ch.Payload, f.heals[:0])
-		return c.bookHeals(f, now)
+		c.bookHeals(f, now)
 	}
 	return nil
 }
 
 // bookHeals books every chunk the stripe just reconstructed, for the
 // whole cohort at once. A heal is indistinguishable from a broadcast
-// arrival except in its accounting: the shared machine counts it as a
-// FEC heal (suppressing the NACK its window would have sent), and a
-// heal of an already-diverged chunk feeds the per-viewer plane through
-// the same recorded-arrival path a late broadcast copy would use —
-// marked healed, so each viewer's machine books it as its own FEC heal
-// or, if that viewer already unicast-repaired the chunk, a duplicate.
-// Heal payloads alias the stripe's pooled accumulators, so they are
-// consumed here, before the next frame is read.
-func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
+// arrival except in its accounting: the machine counts it as a FEC heal,
+// suppressing the NACK its window would have sent. Heal payloads alias
+// the stripe's pooled accumulators, so they are consumed here, before the
+// next frame is read.
+func (c *cohort) bookHeals(f *cohortFrag, now time.Time) {
 	m := c.mux
 	for _, h := range f.heals {
 		idx := h.Idx
-		payload := h.Payload[:chunkLen(f.params.TotalBytes, f.params.ChunkBytes, idx)]
-		if f.diverged != nil && f.diverged.has(idx) {
-			d := f.divergenceOf(idx)
-			if d.arrived.Load() != 0 {
-				c.dup.Add(1)
-				continue
-			}
-			f.creditFirst(d, len(payload), now)
-			d.healed.Store(true)
-			d.arrived.Store(now.UnixNano())
-			f.m.ResolveRepaired(idx)
-			for _, vf := range f.vfs {
-				m.submit(vf, -1)
-			}
-		} else if f.m.FecHealed(idx, now) == Duplicate {
+		if f.m.FecHealed(idx, now) == Duplicate {
 			continue
-		} else {
-			c.credit(len(payload), now)
 		}
-		if bad := content.Verify(payload, c.video, f.videoBase+int64(idx)*int64(f.params.ChunkBytes)); bad >= 0 {
+		payload := h.Payload[:f.m.ChunkLen(idx)]
+		c.credit(len(payload), now)
+		if bad := content.Verify(payload, c.video, f.videoBase+int64(idx)*int64(m.w.ChunkBytes)); bad >= 0 {
 			c.byteErrors.Add(1)
 		}
 		if m.trace != nil {
@@ -679,48 +529,4 @@ func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
 		}
 	}
 	f.heals = f.heals[:0]
-	return nil
-}
-
-// diverge hands a gap to the per-viewer repair plane. The first gap of a
-// fragment materializes one machine per viewer — with every other chunk
-// pre-resolved, so per-viewer work stays proportional to divergence, not
-// fragment size; later gaps re-arm (reopen) the existing machines.
-func (c *cohort) diverge(f *cohortFrag, idx int) {
-	f.addDivergence(idx)
-	if f.vfs == nil {
-		f.vfs = make([]*viewerFrag, len(c.viewers))
-		f.pending.Store(int64(len(c.viewers)))
-		for i, v := range c.viewers {
-			f.vfs[i] = c.newViewerFrag(f, v, idx)
-		}
-		for _, vf := range f.vfs {
-			c.mux.submit(vf, -1)
-		}
-		return
-	}
-	for _, vf := range f.vfs {
-		c.mux.submit(vf, idx)
-	}
-}
-
-// newViewerFrag builds viewer v's machine for fragment f with only the
-// diverging chunk outstanding, its retry backoff keyed on the viewer's own
-// seed.
-func (c *cohort) newViewerFrag(f *cohortFrag, v, gapIdx int) *viewerFrag {
-	m := c.mux
-	p := f.params
-	p.RepairsEnabled = func() bool { return !m.bye.Load() }
-	seed := m.viewerSeed(v)
-	p.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
-		return JitterIn(seed, key, stream, window)
-	}
-	led := &m.ledgers[v]
-	totalBytes, chunkBytes := f.params.TotalBytes, f.params.ChunkBytes
-	p.OnLost = func(idx, attempts int) {
-		led.lost++
-		led.lostBytes += int64(chunkLen(totalBytes, chunkBytes, idx))
-		m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", f.channel, f.wantSeq, idx, attempts)
-	}
-	return &viewerFrag{f: f, viewer: v, vm: newResolvedMachine(p, gapIdx)}
 }

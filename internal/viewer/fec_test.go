@@ -272,24 +272,23 @@ func TestMachineFecDefeatAnchorsWindow(t *testing.T) {
 	}
 }
 
-// TestMachineFecObserveGapWaits: in the cohort's Observe mode a gap is
-// not handed to the per-viewer plane until its stripe hold expires, so
-// divergence (the expensive path) waits for the free repair to miss.
-func TestMachineFecObserveGapWaits(t *testing.T) {
+// TestMachineFecHoldDelaysRepair: a gap is not pulled over unicast
+// until its stripe hold expires, so the cohort's round trip waits for the
+// free repair to miss.
+func TestMachineFecHoldDelaysRepair(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	p := testParams(epoch)
 	p.FecGroup = 2
-	p.Observe = true
 	m := NewMachine(p)
 	for idx := 1; idx < 4; idx++ {
 		m.Chunk(idx, epoch.Add(time.Duration(5+idx)*time.Second))
 	}
 	if act := m.Next(epoch.Add(5*time.Second + 300*time.Millisecond)); act.Kind != ActWait {
-		t.Fatalf("Next during hold = %+v, want wait (no early divergence)", act)
+		t.Fatalf("Next during hold = %+v, want wait (no early repair)", act)
 	}
 	act := m.Next(epoch.Add(6*time.Second + 800*time.Millisecond))
-	if act.Kind != ActGap || act.Idx != 0 {
-		t.Fatalf("Next after defeat = %+v, want gap handoff of chunk 0", act)
+	if act.Kind != ActRepair || act.Idx != 0 || act.Attempt != 1 {
+		t.Fatalf("Next after defeat = %+v, want repair of chunk 0, attempt 1", act)
 	}
 	if st := m.Stats(); st.StripeDefeats != 1 {
 		t.Errorf("stats = %+v, want 1 stripe defeat", st)

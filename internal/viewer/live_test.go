@@ -102,11 +102,11 @@ func TestWatchNackLadderLive(t *testing.T) {
 }
 
 // TestMuxMatchesIndependentClients is cohort ≡ independent viewers over
-// real sockets: one n-viewer cohort must aggregate to exactly the sums of
-// n one-viewer sessions (client.Watch, each its own cohort of one) seeded
-// viewer-by-viewer — and the result must be bit-identical across
-// worker-pool sizes, since per-viewer bookkeeping is sharded by viewer ID,
-// not by scheduling order.
+// real sockets. The fault plan drops by position, so every member of a
+// cohort misses the same chunks, and the cohort recovers each once, on
+// its first member's seed: a 3-viewer cohort must book exactly 3 times
+// the chunk outcomes of one client.Watch seeded as that member, and pull
+// over unicast exactly as often as that one client does.
 func TestMuxMatchesIndependentClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -116,70 +116,58 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 
 	const n = 3
 	const muxSeed = 7
-	mux := func(workers int) *viewer.Result {
-		res, err := viewer.Run(viewer.MuxConfig{
-			ServerAddr:    srv.Addr(),
-			Viewers:       n,
-			Videos:        1,
-			Seed:          muxSeed,
-			Workers:       workers,
-			JoinLeadFrac:  0.9,
-			SlackFrac:     2.0,
-			RepairLagFrac: 1.125,
-			// This property pins the per-viewer unicast plane: a cohort
-			// NACKs once where n clients NACK n times, so with the ladder
-			// on the sums cannot (and should not) match.
-			DisableNack: true,
-		})
-		if err != nil {
-			t.Fatalf("mux run (%d workers): %v (result %+v)", workers, err, res)
-		}
-		return res
+	served := srv.Status().RepairsServed
+	res, err := viewer.Run(viewer.MuxConfig{
+		ServerAddr:    srv.Addr(),
+		Viewers:       n,
+		Videos:        1,
+		Seed:          muxSeed,
+		JoinLeadFrac:  0.9,
+		SlackFrac:     2.0,
+		RepairLagFrac: 1.125,
+		// This property pins unicast repair: with the ladder on, a re-send
+		// another session's NACK triggered can heal a chunk first, so the
+		// two runs could recover by different rungs.
+		DisableNack: true,
+	})
+	if err != nil {
+		t.Fatalf("mux run: %v (result %+v)", err, res)
 	}
-	res1 := mux(1)
-	res3 := mux(3)
+	if res.Cohorts != 1 {
+		t.Fatalf("%d viewers admitted at once formed %d cohorts, want 1", n, res.Cohorts)
+	}
+	if got, want := srv.Status().RepairsServed-served, res.RepairRequests-res.BusyReplies; got != want {
+		t.Errorf("server served %d repairs for the mux run, want its %d requests less %d busy replies = %d",
+			got, res.RepairRequests, res.BusyReplies, want)
+	}
 
+	st, err := client.Watch(client.Config{
+		ServerAddr:    srv.Addr(),
+		Video:         0,
+		JoinLeadFrac:  0.9,
+		SlackFrac:     2.0,
+		RepairLagFrac: 1.125,
+		Seed:          viewer.ViewerSeed(muxSeed, 0),
+		DisableNack:   true,
+	})
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
 	type sums struct {
-		bytes, lost, late, dup, repaired, reqs, busy, byteErrors int64
+		bytes, lost, late, dup, repaired, byteErrors int64
 	}
 	fold := func(r *viewer.Result) sums {
-		return sums{r.Bytes, r.LostChunks, r.LateChunks, r.DuplicateChunks,
-			r.RepairedChunks, r.RepairRequests, r.BusyReplies, r.ByteErrors}
+		return sums{r.Bytes, r.LostChunks, r.LateChunks, r.DuplicateChunks, r.RepairedChunks, r.ByteErrors}
 	}
-	if fold(res1) != fold(res3) {
-		t.Errorf("stats depend on worker count:\n 1 worker  %+v\n 3 workers %+v", fold(res1), fold(res3))
+	want := fold(st.Result)
+	want = sums{n * want.bytes, n * want.lost, n * want.late, n * want.dup, n * want.repaired, n * want.byteErrors}
+	if got := fold(res); got != want {
+		t.Errorf("mux chunk outcomes differ from %d x one client:\n mux        %+v\n %d x client %+v", n, got, n, want)
 	}
-
-	// The clients run sequentially: repetition invariance makes their
-	// phase irrelevant to the stats, and one session at a time keeps the
-	// comparison free of scheduling contention on small CI machines.
-	var want sums
-	for v := 0; v < n; v++ {
-		st, err := client.Watch(client.Config{
-			ServerAddr:    srv.Addr(),
-			Video:         0,
-			JoinLeadFrac:  0.9,
-			SlackFrac:     2.0,
-			RepairLagFrac: 1.125,
-			Seed:          viewer.ViewerSeed(muxSeed, v),
-			DisableNack:   true,
-		})
-		if err != nil {
-			t.Fatalf("client %d: %v", v, err)
-		}
-		want.bytes += st.Bytes
-		want.lost += st.LostChunks
-		want.late += st.LateChunks
-		want.dup += st.DuplicateChunks
-		want.repaired += st.RepairedChunks
-		want.reqs += st.RepairRequests
-		want.busy += st.BusyReplies
-		want.byteErrors += st.ByteErrors
+	if res.RepairRequests != st.RepairRequests {
+		t.Errorf("mux pulled %d repairs, the one client %d: a cohort pulls each chunk once", res.RepairRequests, st.RepairRequests)
 	}
-	if got := fold(res1); got != want {
-		t.Errorf("mux aggregate differs from %d independent clients:\n mux     %+v\n clients %+v", n, got, want)
-	}
-	if res1.RepairedChunks == 0 {
+	if res.RepairedChunks == 0 {
 		t.Error("no repairs under a 25% drop plan; the comparison is vacuous")
 	}
 }
@@ -231,8 +219,8 @@ func TestMuxScaleSmoke(t *testing.T) {
 	}
 	checkPaperBufferBound(t, res, sch)
 
-	// The server must not have felt the audience: control sessions stay
-	// bounded by the mux's connection pool, not the viewer count.
+	// The server must not have felt the audience: the mux holds one
+	// control session whatever the viewer count.
 	resp, err := http.Get(statusURL + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +230,8 @@ func TestMuxScaleSmoke(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if limit := int64(res.Workers) + 1; snap.ControlSessionsPeak > limit {
-		t.Errorf("server saw %d peak control sessions for %d viewers, want <= %d (mux pool)",
-			snap.ControlSessionsPeak, viewers, limit)
+	if snap.ControlSessionsPeak != 1 {
+		t.Errorf("server saw %d peak control sessions for %d viewers, want the mux's one", snap.ControlSessionsPeak, viewers)
 	}
 }
 

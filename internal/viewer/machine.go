@@ -11,16 +11,15 @@
 //
 //   - Mux (mux.go/cohort.go): the one driver of that machine. Viewers
 //     tuned to the same (video, channel set, phase) form a cohort sharing
-//     one receiver subscription and one decode/CRC/content-verify pass
-//     per datagram (repetition invariance), with per-viewer state
-//     materialized only when losses force viewers to diverge: one process
-//     holds 100k+ sessions, and a single session (RunSession, which
-//     client.Watch wraps) is a cohort of one.
+//     one receiver subscription, one decode/CRC/content-verify pass per
+//     datagram and one machine per fragment (repetition invariance: every
+//     member receives the same datagrams, so every member misses the same
+//     chunks): one process holds 100k+ sessions, and a single session
+//     (RunSession, which client.Watch wraps) is a cohort of one.
 //
 // Machine is pure state: every method takes the current time explicitly
 // and touches no clock, socket, or goroutine, so the same transitions run
-// against wall time (the mux) or a scripted virtual time (the cohort
-// equivalence property tests).
+// against wall time (the mux) or a scripted virtual time (the tests).
 package viewer
 
 import (
@@ -99,22 +98,21 @@ type FragmentParams struct {
 	// the per-chunk counter being a byte). RepairsEnabled, when non-nil, is
 	// consulted before scheduling each repair — the multiplexer parks
 	// repairs after a server-initiated bye. Jitter draws retry backoff
-	// (required unless DisableRepair or Observe).
+	// (required unless DisableRepair).
 	DisableRepair     bool
 	MaxRepairAttempts int
 	RepairsEnabled    func() bool
 	Jitter            JitterFunc
 
-	// Observe switches the machine into the cohort multiplexer's shared
-	// mode: instead of scheduling repairs itself, Next reports each
-	// detected gap exactly once (ActGap) and keeps only the loss
-	// deadlines; the per-viewer repair ledgers take over from there.
+	// Observe is read as DisableRepair. Kept for benchmark/harness, which
+	// sets it to time a machine that schedules no repair; the harness
+	// follow-up of ROADMAP item 3(c) deletes it.
 	Observe bool
 
 	// NackEnabled turns on the multicast-first NACK ladder (nack.go):
 	// missing chunks are aggregated into jittered gap-bitmap NACKs
-	// (ActNack) and heal off multicast re-sends, with the unicast plane
-	// (ActRepair/ActGap) as last resort. Requires Jitter. NackWindow is
+	// (ActNack) and heal off multicast re-sends, with unicast repair
+	// (ActRepair) as last resort. Requires Jitter. NackWindow is
 	// the aggregation window (zero selects two chunk intervals);
 	// MaxNackRounds caps windows joined per chunk (zero selects
 	// DefaultMaxNackRounds; caps past 255 are clamped to it).
@@ -167,8 +165,6 @@ const (
 	ActWait ActionKind = iota
 	// ActRepair requests one unicast round trip for chunk Action.Idx now.
 	ActRepair
-	// ActGap (Observe mode) reports chunk Action.Idx overdue, exactly once.
-	ActGap
 	// ActNack asks for one gap-bitmap NACK round trip covering
 	// Action.Chunks; the driver reports the reply via NackResult.
 	ActNack
@@ -177,7 +173,7 @@ const (
 // Action is one decision from Next.
 type Action struct {
 	Kind ActionKind
-	// Idx is the chunk for ActRepair/ActGap.
+	// Idx is the chunk for ActRepair.
 	Idx int
 	// Attempt is the 1-based repair attempt ActRepair begins.
 	Attempt int
@@ -218,8 +214,7 @@ const (
 )
 
 // Machine is the loader state machine for one fragment reception. It is
-// not safe for concurrent use; the cohort multiplexer serializes access
-// per cohort loader and per viewer.
+// not safe for concurrent use; a cohort's loader is its only driver.
 //
 // Its memory is the open gaps, not the fragment: besides two bits per
 // chunk (resolved, listed), per-chunk recovery state exists only for the
@@ -260,13 +255,12 @@ type Machine struct {
 type openChunk struct {
 	idx int
 	// tryAt is when the chunk is next due for recovery action: its gap
-	// checkpoint, a repair retry, or a NACK re-listen deadline. In Observe
-	// mode it is cleared once the gap has been handed over.
+	// checkpoint, a repair retry, or a NACK re-listen deadline.
 	tryAt time.Time
 	// fecUntil is the stripe-defeat instant while the chunk holds on the
 	// parity stripe: no reactive action before it, and it becomes the
 	// ladder anchor when the hold expires unhealed. Zero when there is no
-	// stripe or the hold is over (defeated, or reopened by the cohort).
+	// stripe or the hold is over.
 	fecUntil time.Time
 	// attempts counts repair round trips; phase is the NACK ladder phase
 	// (nackDone unless the ladder is on and the chunk eligible); tries the
@@ -287,23 +281,6 @@ func (m *Machine) setListed(idx int)     { m.bits.set(len(m.bits)*32 + idx) }
 func (m *Machine) unsetListed(idx int)   { m.bits.unset(len(m.bits)*32 + idx) }
 func (m *Machine) resolved(idx int) bool { return m.bits.has(idx) }
 
-// newResolvedMachine builds the machine NewMachine would, with every
-// chunk but open already resolved (as by ResolveRepaired) — the shape the
-// cohort multiplexer materializes per viewer at a fragment's first
-// divergence — without walking the fragment: the resolved bits are set a
-// word at a time and only the open chunk gets a record.
-func newResolvedMachine(p FragmentParams, open int) *Machine {
-	m := NewMachine(p)
-	for w := range len(m.bits) / 2 {
-		m.bits[w] = ^uint64(0)
-	}
-	m.bits.unset(open)
-	m.got = m.nchunks - 1
-	m.frontier = m.nchunks
-	m.list(m.dormant(open))
-	return m
-}
-
 // NewMachine builds the state machine for one fragment, applying p's
 // defaults and caps. The gap detector's per-chunk checkpoints are fixed
 // by the geometry: the server paces chunk idx at start + idx*spacing, so
@@ -317,6 +294,7 @@ func NewMachine(p FragmentParams) *Machine {
 	if p.MaxRepairAttempts == 0 {
 		p.MaxRepairAttempts = DefaultMaxRepairAttempts
 	}
+	p.DisableRepair = p.DisableRepair || p.Observe
 	nchunks := (p.TotalBytes + p.ChunkBytes - 1) / p.ChunkBytes
 	spacing := time.Duration(p.Size) * p.Unit / time.Duration(nchunks)
 	p.NackEnabled = p.NackEnabled && !p.DisableRepair
@@ -405,8 +383,8 @@ func (m *Machine) open(idx int) *openChunk {
 
 // list inserts c into the active set, keeping it ascending: Next must
 // meet due chunks in index order to pick the same first action a full
-// scan would. Frontier activations append; only a Reopen or a
-// RepairResult ahead of the frontier lands mid-list.
+// scan would. Frontier activations append; only a RepairResult ahead of
+// the frontier lands mid-list.
 func (m *Machine) list(c openChunk) *openChunk {
 	m.setListed(c.idx)
 	i := len(m.active)
@@ -545,21 +523,15 @@ func (m *Machine) markLost(idx int, attempts uint8) {
 
 // repairable reports whether chunk c may still be pulled over unicast.
 func (m *Machine) repairable(c *openChunk) bool {
-	if m.p.DisableRepair || m.p.Observe || int(c.attempts) >= m.p.MaxRepairAttempts {
+	if m.p.DisableRepair || int(c.attempts) >= m.p.MaxRepairAttempts {
 		return false
 	}
 	return m.p.RepairsEnabled == nil || m.p.RepairsEnabled()
 }
 
-// gapPending reports whether chunk c still owes an ActGap notification
-// (Observe mode: tryAt is cleared once the gap is handed over).
-func (m *Machine) gapPending(c *openChunk) bool {
-	return m.p.Observe && !c.tryAt.IsZero()
-}
-
 // Next runs one recovery pass at time now: overdue chunks are declared
-// lost, the first due repair (or, in Observe mode, undelivered gap
-// notification) is returned, and otherwise the next deadline to wake at.
+// lost, the first due repair is returned, and otherwise the next deadline
+// to wake at.
 // Drivers loop: act on the returned action, then call Next again with a
 // fresh now until Done.
 //
@@ -598,8 +570,7 @@ func (m *Machine) Next(now time.Time) Action {
 	// not at the wall clock, and fireNack admits chunks by comparing
 	// their checkpoints against the scheduled fire time, so which chunks
 	// share a bitmap is a pure function of the loss pattern and the seed:
-	// driver scheduling latency cannot split or merge bursts. (The
-	// cohort-equivalence golden tests assert exactly this.)
+	// driver scheduling latency cannot split or merge bursts.
 	if sc.nackDue && m.nackAt.IsZero() {
 		m.nackSeq++
 		m.nackAt = sc.nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.p.NackWindow))
@@ -656,13 +627,7 @@ func (m *Machine) advance(now time.Time) {
 func (m *Machine) visit(c *openChunk, now time.Time, sc *scan) (Action, bool) {
 	lb := m.LostBy(c.idx)
 	if !now.Before(lb) {
-		if m.p.Observe && c.tryAt.IsZero() {
-			// The gap was handed to the per-viewer repair ledgers; they
-			// own its outcome, so the shared machine closes it silently.
-			m.book(c.idx)
-		} else {
-			m.markLost(c.idx, c.attempts)
-		}
+		m.markLost(c.idx, c.attempts)
 		return Action{}, false
 	}
 	if !c.fecUntil.IsZero() {
@@ -709,15 +674,6 @@ func (m *Machine) visit(c *openChunk, now time.Time, sc *scan) (Action, bool) {
 			return Action{}, false
 		}
 	}
-	if m.gapPending(c) {
-		if !now.Before(c.tryAt) {
-			// Hand the gap to the per-viewer repair plane exactly once;
-			// the shared machine keeps only the loss deadline.
-			c.tryAt = time.Time{}
-			return Action{Kind: ActGap, Idx: c.idx}, true
-		}
-		sc.wakeBy(c.tryAt)
-	}
 	if m.repairable(c) {
 		if !now.Before(c.tryAt) {
 			return Action{Kind: ActRepair, Idx: c.idx, Attempt: int(c.attempts) + 1}, true
@@ -738,22 +694,22 @@ func (sc *scan) wakeBy(t time.Time) {
 // chunk is in its construction-time state with every deadline ahead, so
 // all it asks of Next is a wake at the first of them: the stripe-defeat
 // instant under a parity stripe; else its gap checkpoint when something
-// would act there (the NACK ladder, an Observe-mode gap report, a
-// unicast repair); and always its loss deadline. Each is non-decreasing
-// in the chunk index and none precedes the checkpoint, so the walk ends
-// at the first dormant chunk whose checkpoint and loss deadline are both
-// no sooner than the wake already found — usually the frontier chunk.
+// would act there (the NACK ladder, a unicast repair); and always its
+// loss deadline. Each is non-decreasing in the chunk index and none
+// precedes the checkpoint, so the walk ends at the first dormant chunk
+// whose checkpoint and loss deadline are both no sooner than the wake
+// already found — usually the frontier chunk.
 func (m *Machine) dormantWake(next time.Time) time.Time {
 	// Whether an untouched chunk (zero attempts) could be pulled over
 	// unicast at its checkpoint — repairable, evaluated once.
-	repair := !m.p.DisableRepair && !m.p.Observe && m.p.MaxRepairAttempts > 0 &&
+	repair := !m.p.DisableRepair && m.p.MaxRepairAttempts > 0 &&
 		(m.p.RepairsEnabled == nil || m.p.RepairsEnabled())
 	fec := m.p.FecGroup > 0
 	// Unless some dormant chunks wake at their checkpoint (in the ladder)
 	// while others only at their loss deadline (out of it, unrepairable),
 	// every dormant chunk wakes by the same rule, and the first one's
 	// wake is the earliest.
-	uniform := !m.p.NackEnabled || fec || m.p.Observe || repair
+	uniform := !m.p.NackEnabled || fec || repair
 	off := next.Sub(m.p.Epoch)
 	wake := off
 	for idx := m.frontier; idx < m.nchunks; idx++ {
@@ -768,7 +724,7 @@ func (m *Machine) dormantWake(next time.Time) time.Time {
 		switch {
 		case fec:
 			wake = min(wake, m.fecDefeatOff(idx, cp, lb))
-		case m.p.Observe || repair || m.ladderRoom(cp, lb):
+		case repair || m.ladderRoom(cp, lb):
 			wake = min(wake, cp)
 		}
 		wake = min(wake, lb)
@@ -838,40 +794,6 @@ func (m *Machine) FecHealed(idx int, now time.Time) ChunkVerdict {
 		m.stats.NackRepaired++
 	}
 	return m.arrive(idx, now)
-}
-
-// ResolveRepaired marks a still-missing chunk resolved outside the
-// broadcast — the cohort multiplexer calls it when every viewer has
-// recovered the chunk over unicast, so the shared machine need not hold
-// the fragment open to its deadline. Unlike Chunk it books no arrival
-// stats (the per-viewer ledgers own them). It reports whether the chunk
-// was still outstanding.
-func (m *Machine) ResolveRepaired(idx int) bool {
-	if m.resolved(idx) {
-		return false
-	}
-	m.book(idx)
-	return true
-}
-
-// Reopen reverses a ResolveRepaired: the chunk becomes outstanding again
-// with its construction-time gap checkpoint and a zero attempt count. The
-// cohort multiplexer materializes per-viewer machines lazily — at the
-// first divergence every chunk except the diverging one is pre-resolved —
-// and Reopen re-arms a chunk when a later gap on the same fragment
-// diverges too, leaving the machine exactly as if the chunk had never
-// been resolved.
-func (m *Machine) Reopen(idx int) {
-	if !m.resolved(idx) {
-		return
-	}
-	m.bits.unset(idx)
-	m.got--
-	// No longer in its construction-time state, so Next must visit it: a
-	// reopened chunk is already being repaired over unicast by the
-	// per-viewer plane, so neither the ladder nor the stripe hold
-	// re-enters for it.
-	*m.open(idx) = openChunk{idx: idx, tryAt: m.checkpoint(idx), phase: nackDone}
 }
 
 // RepairResult applies one repair round trip's outcome to chunk idx — the

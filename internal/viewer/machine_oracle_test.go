@@ -64,11 +64,7 @@ func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next *time.Time, na
 	}
 	lb := m.LostBy(c.idx)
 	if !now.Before(lb) {
-		if m.p.Observe && c.tryAt.IsZero() {
-			m.book(c.idx)
-		} else {
-			m.markLost(c.idx, c.attempts)
-		}
+		m.markLost(c.idx, c.attempts)
 		return Action{}, false
 	}
 	if !c.fecUntil.IsZero() {
@@ -105,13 +101,6 @@ func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next *time.Time, na
 			return Action{}, false
 		}
 	}
-	if m.gapPending(c) {
-		if !now.Before(c.tryAt) {
-			c.tryAt = time.Time{}
-			return Action{Kind: ActGap, Idx: c.idx}, true
-		}
-		wakeBy(c.tryAt)
-	}
 	if m.repairable(c) {
 		if !now.Before(c.tryAt) {
 			return Action{Kind: ActRepair, Idx: c.idx, Attempt: int(c.attempts) + 1}, true
@@ -145,6 +134,12 @@ func (m *Machine) fireNackFullScan(until, now time.Time) []int {
 // arrival is chunk idx's expected broadcast arrival instant.
 func (m *Machine) arrival(idx int) time.Time { return m.at(m.arrivalOff(idx)) }
 
+// arrival is one scripted broadcast delivery.
+type arrival struct {
+	at  time.Time
+	idx int
+}
+
 // store writes c back as its chunk's recovery state: into its record when
 // listed, into a new record when it departs from the chunk's dormant
 // state, and nowhere when a dormant chunk stays dormant.
@@ -171,7 +166,7 @@ type machinePair struct {
 	lostInc, lostRef [][2]int
 	label            string
 	// kinds counts the actions Next returned, by kind.
-	kinds *[4]int
+	kinds *[3]int
 }
 
 func (mp *machinePair) failf(format string, args ...any) {
@@ -227,17 +222,6 @@ func (mp *machinePair) fecHealed(idx int, now time.Time) {
 	}
 }
 
-func (mp *machinePair) resolveRepaired(idx int) {
-	if a, b := mp.inc.ResolveRepaired(idx), mp.ref.ResolveRepaired(idx); a != b {
-		mp.failf("ResolveRepaired(%d): %v vs %v", idx, a, b)
-	}
-}
-
-func (mp *machinePair) reopen(idx int) {
-	mp.inc.Reopen(idx)
-	mp.ref.Reopen(idx)
-}
-
 func (mp *machinePair) repairResult(idx int, out RepairOutcome, retryAfter time.Duration, now time.Time) {
 	if a, b := mp.inc.RepairResult(idx, out, retryAfter, now), mp.ref.RepairResult(idx, out, retryAfter, now); a != b {
 		mp.failf("RepairResult(%d, %v): %v vs %v", idx, out, a, b)
@@ -276,10 +260,10 @@ func diffGeometry(r *des.Rand) FragmentParams {
 
 // TestMachineNextMatchesFullScan is the seeded differential property
 // behind Next's frontier: over random geometries and every policy mix
-// (Observe, NACK ladder, parity stripe, repairs off or parked mid-run),
-// scripts of dropped, duplicated, reordered and late arrivals, stripe
-// heals, cohort-style ResolveRepaired/Reopen traffic, repair and NACK
-// outcomes, and drivers that wake early or oversleep, the incremental
+// (NACK ladder, parity stripe, repairs off or parked mid-run), scripts of
+// dropped, duplicated, reordered and late arrivals, stripe heals, repair
+// and NACK outcomes, and drivers that wake early or oversleep, the
+// incremental
 // pass and the full scan must agree on every action, every wake time,
 // every OnLost callback and every counter.
 func TestMachineNextMatchesFullScan(t *testing.T) {
@@ -287,16 +271,15 @@ func TestMachineNextMatchesFullScan(t *testing.T) {
 	if testing.Short() {
 		runs = 800
 	}
-	var kinds [4]int
+	var kinds [3]int
 	for seed := uint64(1); seed <= uint64(runs); seed++ {
 		r := des.NewRand(des.SubSeed(0xD1FF, seed))
 		p := diffGeometry(r)
-		p.Observe = r.Intn(2) == 0
 		p.NackEnabled = r.Intn(2) == 0
 		if r.Intn(2) == 0 {
 			p.FecGroup = 4
 		}
-		p.DisableRepair = !p.Observe && r.Intn(6) == 0
+		p.DisableRepair = r.Intn(6) == 0
 		jseed := des.SubSeed(seed, 7)
 		p.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
 			return JitterIn(jseed, key, stream, window)
@@ -306,26 +289,11 @@ func TestMachineNextMatchesFullScan(t *testing.T) {
 			p.RepairsEnabled = func() bool { return repairsOn }
 		}
 		mp := &machinePair{t: t, kinds: &kinds}
-		mp.label = fmt.Sprintf("seed %d (observe=%v nack=%v fec=%d norepair=%v)", seed, p.Observe, p.NackEnabled, p.FecGroup, p.DisableRepair)
+		mp.label = fmt.Sprintf("seed %d (nack=%v fec=%d norepair=%v)", seed, p.NackEnabled, p.FecGroup, p.DisableRepair)
 		pi, pr := p, p
 		pi.OnLost = func(idx, attempts int) { mp.lostInc = append(mp.lostInc, [2]int{idx, attempts}) }
 		pr.OnLost = func(idx, attempts int) { mp.lostRef = append(mp.lostRef, [2]int{idx, attempts}) }
-		mp.ref = NewMachine(pr)
-		n := mp.ref.NChunks()
-		// A third of the runs start in the per-viewer shape: everything
-		// resolved but one chunk, built directly on the incremental side
-		// and the long way round on the reference side.
-		if r.Intn(3) == 0 {
-			open := r.Intn(n)
-			mp.inc = newResolvedMachine(pi, open)
-			for idx := 0; idx < n; idx++ {
-				if idx != open {
-					mp.ref.ResolveRepaired(idx)
-				}
-			}
-		} else {
-			mp.inc = NewMachine(pi)
-		}
+		mp.ref, mp.inc = NewMachine(pr), NewMachine(pi)
 		mp.check()
 		runDiffScript(mp, r, &repairsOn)
 	}
@@ -365,11 +333,10 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at.Before(arrivals[j].at) })
 
 	// Pending side effects scheduled by earlier actions: a multicast
-	// re-send after a NACK, a cohort-style resolve or reopen after a gap
-	// handover.
+	// re-send after a NACK, arriving as data or as a stripe heal.
 	type effect struct {
 		at   time.Time
-		kind int // 0 chunk, 1 resolveRepaired, 2 reopen, 3 fecHealed
+		heal bool
 		idx  int
 	}
 	var effects []effect
@@ -386,15 +353,10 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 		}
 		for i := 0; i < len(effects); {
 			if e := effects[i]; !e.at.After(now) {
-				switch e.kind {
-				case 0:
-					mp.chunk(e.idx, now)
-				case 1:
-					mp.resolveRepaired(e.idx)
-				case 2:
-					mp.reopen(e.idx)
-				case 3:
+				if e.heal {
 					mp.fecHealed(e.idx, now)
+				} else {
+					mp.chunk(e.idx, now)
 				}
 				effects = append(effects[:i], effects[i+1:]...)
 				continue
@@ -405,19 +367,11 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 		switch r.Intn(40) {
 		case 0:
 			*repairsOn = !*repairsOn
-		case 1: // the cohort resolves a chunk, maybe reopens it later
-			idx := r.Intn(n)
-			mp.resolveRepaired(idx)
-			if r.Intn(2) == 0 {
-				effects = append(effects, effect{at: now.Add(time.Duration(r.Intn(int(2*m.p.Unit) + 1))), kind: 2, idx: idx})
-			}
-		case 2:
-			mp.reopen(r.Intn(n))
-		case 3:
+		case 1:
 			if m.p.FecGroup > 0 {
 				mp.fecHealed(r.Intn(n), now)
 			}
-		case 4: // a repair result nobody asked for, possibly ahead of the frontier
+		case 2: // a repair result nobody asked for, possibly ahead of the frontier
 			if idx := r.Intn(n); !mp.ref.Have(idx) {
 				mp.repairResult(idx, RepairOutcome(r.Intn(4)), 0, now)
 			}
@@ -438,13 +392,6 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 			now = now.Add(time.Duration(r.Intn(2000)) * time.Microsecond) // round trip
 			mp.repairResult(act.Idx, out, hint, now)
 			continue
-		case ActGap:
-			// The per-viewer plane owns it now: it may resolve it, and a
-			// late broadcast copy may still land.
-			if r.Intn(2) == 0 {
-				effects = append(effects, effect{at: now.Add(time.Duration(r.Intn(int(3*m.p.Unit) + 1))), kind: 1, idx: act.Idx})
-			}
-			continue
 		case ActNack:
 			now = now.Add(time.Duration(r.Intn(2000)) * time.Microsecond)
 			var accepted func(int) bool
@@ -459,11 +406,8 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 			mp.nackResult(act.Chunks, accepted, now)
 			for _, idx := range act.Chunks {
 				if accepted != nil && accepted(idx) && r.Intn(4) != 0 { // the re-send itself may be lost
-					kind := 0
-					if m.p.FecGroup > 0 && r.Intn(4) == 0 {
-						kind = 3
-					}
-					effects = append(effects, effect{at: now.Add(time.Duration(r.Intn(int(3*m.spacing) + 1))), kind: kind, idx: idx})
+					heal := m.p.FecGroup > 0 && r.Intn(4) == 0
+					effects = append(effects, effect{at: now.Add(time.Duration(r.Intn(int(3*m.spacing) + 1))), heal: heal, idx: idx})
 				}
 			}
 			continue
@@ -495,11 +439,10 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 	mp.check()
 }
 
-// BenchmarkMachineNext times one Next call on the cohort's shared
-// (Observe-mode) machine as a fragment streams in — each op books the
-// next chunk's arrival and polls — at three fragment sizes, lossless and
-// with every sixteenth chunk lost (reported as a gap, then resolved four
-// chunk intervals later, as the per-viewer plane would). Each fragment's
+// BenchmarkMachineNext times one Next call on a cohort's machine as a
+// fragment streams in — each op books the next chunk's arrival and polls
+// — at three fragment sizes, lossless and with every sixteenth chunk lost
+// (pulled over unicast, answered at once, when Next asks). Each fragment's
 // NewMachine is inside the timed loop, so B/op is the machine's memory
 // per chunk received. The frontier pass must cost the same at 4096
 // chunks as at 32; the fullscan rows run the reference scan over the
@@ -522,7 +465,6 @@ func BenchmarkMachineNext(b *testing.B) {
 						TotalBytes: n * 1024, ChunkBytes: 1024, BytesPerUnit: n * 1024 / 8,
 						Epoch: time.Unix(1000, 0), Unit: 100 * time.Millisecond,
 						Slack: 50 * time.Millisecond, Lag: 50 * time.Millisecond,
-						Observe: true,
 					}
 					m := NewMachine(p)
 					idx := 0
@@ -537,10 +479,8 @@ func BenchmarkMachineNext(b *testing.B) {
 						if lossEvery == 0 || idx%lossEvery != lossEvery-1 {
 							m.Chunk(idx, at)
 						}
-						if lossEvery != 0 && idx >= 4 && (idx-4)%lossEvery == lossEvery-1 {
-							m.ResolveRepaired(idx - 4)
-						}
-						for impl.next(m, at).Kind == ActGap {
+						for act := impl.next(m, at); act.Kind == ActRepair; act = impl.next(m, at) {
+							m.RepairResult(act.Idx, RepairOK, 0, at)
 						}
 						idx++
 					}

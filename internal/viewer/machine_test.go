@@ -244,110 +244,6 @@ func TestMachineLateAndDuplicate(t *testing.T) {
 	}
 }
 
-// TestMachineObserveGapOnce: in Observe mode the machine reports each
-// gap exactly once and schedules no repairs of its own.
-func TestMachineObserveGapOnce(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	p := testParams(epoch)
-	p.Observe = true
-	p.Jitter = nil // Observe mode draws no jitter
-	m := NewMachine(p)
-	checkpoint := epoch.Add(5*time.Second + 250*time.Millisecond)
-
-	act := m.Next(checkpoint)
-	if act.Kind != ActGap || act.Idx != 0 {
-		t.Fatalf("Next = %+v, want gap chunk 0", act)
-	}
-	// The gap is handed over; only the loss deadline remains.
-	act = m.Next(checkpoint)
-	if act.Kind != ActWait {
-		t.Fatalf("second Next = %+v, want wait", act)
-	}
-	if wantWake := epoch.Add(6*time.Second + 250*time.Millisecond); !act.Wake.Equal(wantWake) {
-		t.Errorf("wake = %v, want chunk 1's checkpoint %v", act.Wake, wantWake)
-	}
-}
-
-// TestMachineResolveRepaired: the cohort multiplexer closes a chunk all
-// viewers recovered over unicast without touching arrival stats.
-func TestMachineResolveRepaired(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	p := testParams(epoch)
-	p.Observe = true
-	p.Jitter = nil
-	m := NewMachine(p)
-	if !m.ResolveRepaired(2) {
-		t.Fatal("resolve of outstanding chunk reported stale")
-	}
-	if m.ResolveRepaired(2) {
-		t.Fatal("second resolve reported outstanding")
-	}
-	if st := m.Stats(); st != (MachineStats{}) {
-		t.Errorf("resolve dirtied stats: %+v", st)
-	}
-	if !m.Have(2) {
-		t.Error("resolved chunk not booked")
-	}
-}
-
-// TestMachineObserveHandedOverClosesSilently: once a gap is handed to
-// the per-viewer ledgers, the shared Observe machine closes it at its
-// deadline without booking a loss — the viewers own the outcome.
-func TestMachineObserveHandedOverClosesSilently(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	p := testParams(epoch)
-	p.Observe = true
-	p.Jitter = nil
-	lostIdx := -1
-	p.OnLost = func(idx, attempts int) { lostIdx = idx }
-	m := NewMachine(p)
-	if act := m.Next(epoch.Add(5*time.Second + 250*time.Millisecond)); act.Kind != ActGap || act.Idx != 0 {
-		t.Fatalf("Next = %+v, want gap chunk 0", act)
-	}
-	// Resolve the rest so only the handed-over chunk remains, then pass
-	// every deadline.
-	for idx := 1; idx < 4; idx++ {
-		m.Chunk(idx, epoch.Add(time.Duration(5+idx)*time.Second))
-	}
-	m.Next(m.Deadline().Add(time.Second))
-	if !m.Done() {
-		t.Fatal("machine not done past its deadline")
-	}
-	if st := m.Stats(); st.Lost != 0 {
-		t.Errorf("handed-over chunk booked as lost: %+v", st)
-	}
-	if lostIdx != -1 {
-		t.Errorf("OnLost fired for handed-over chunk %d", lostIdx)
-	}
-}
-
-// TestMachineReopen: Reopen reverses a ResolveRepaired, restoring the
-// construction-time checkpoint and attempt count.
-func TestMachineReopen(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	m := NewMachine(testParams(epoch))
-	fresh := NewMachine(testParams(epoch))
-	if !m.ResolveRepaired(1) {
-		t.Fatal("resolve of outstanding chunk reported stale")
-	}
-	m.Reopen(1)
-	if m.Have(1) || m.Attempts(1) != 0 {
-		t.Fatalf("reopened chunk: have=%v attempts=%d, want outstanding with 0 attempts", m.Have(1), m.Attempts(1))
-	}
-	// Both machines now want the same first repair at chunk 1's checkpoint.
-	at := epoch.Add(6*time.Second + 250*time.Millisecond)
-	m.Chunk(0, epoch.Add(5*time.Second))
-	fresh.Chunk(0, epoch.Add(5*time.Second))
-	got, want := m.Next(at), fresh.Next(at)
-	if got.Kind != want.Kind || got.Idx != want.Idx || got.Attempt != want.Attempt || !got.Wake.Equal(want.Wake) {
-		t.Errorf("reopened Next = %+v, fresh Next = %+v", got, want)
-	}
-	m.Reopen(2) // no-op on an outstanding chunk
-	if m.Have(2) {
-		t.Error("Reopen dirtied an outstanding chunk")
-	}
-}
-
 // TestMachineLostByCappedByDeadline: chunks whose playback lies past the
 // receive cutoff give up at the cutoff, not at playback.
 func TestMachineLostByCappedByDeadline(t *testing.T) {
@@ -387,10 +283,10 @@ func TestJitterInDeterminismAndBounds(t *testing.T) {
 	}
 }
 
-// TestMachineFootprint holds a machine's memory to its open gaps: the
-// cohort's shared machine (Observe mode, NACK ladder, parity stripe) over
-// a 384-chunk fragment received without loss allocates its two bits per
-// chunk and its fixed fields, not per-chunk recovery state.
+// TestMachineFootprint holds a machine's memory to its open gaps: a
+// cohort's machine (repairs, NACK ladder, parity stripe) over a 384-chunk
+// fragment received without loss allocates its two bits per chunk and its
+// fixed fields, not per-chunk recovery state.
 func TestMachineFootprint(t *testing.T) {
 	const n = 384
 	p := FragmentParams{
@@ -398,7 +294,7 @@ func TestMachineFootprint(t *testing.T) {
 		TotalBytes: n * 1024, ChunkBytes: 1024, BytesPerUnit: n * 1024 / 8,
 		Epoch: time.Unix(1000, 0), Unit: 100 * time.Millisecond,
 		Slack: 50 * time.Millisecond, Lag: 50 * time.Millisecond,
-		Observe: true, NackEnabled: true, FecGroup: 4,
+		NackEnabled: true, FecGroup: 4,
 		Jitter: func(key, stream uint64, window time.Duration) time.Duration { return window },
 	}
 	var bad string

@@ -2,18 +2,15 @@ package viewer
 
 import (
 	"bufio"
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"skyscraper/internal/content"
 	"skyscraper/internal/des"
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/metrics"
@@ -22,8 +19,8 @@ import (
 	"skyscraper/internal/wire"
 )
 
-// errMuxDraining reports a server-initiated bye on a mux control
-// connection: the repair plane is gone for every emulated viewer.
+// errMuxDraining reports a server-initiated bye on the mux's control
+// connection: unicast repair is gone for every emulated viewer.
 // errEpochChanged refuses a redial that reached a different broadcast.
 var (
 	errMuxDraining  = errors.New("viewer: server draining (bye received)")
@@ -35,8 +32,8 @@ var (
 // channel, so no two retry sites of one viewer seed share a stream.
 const ReconnectJitterKey = ^uint64(0)
 
-// busyError is the server's admission pushback on a repair request; it is
-// flow control, not failure.
+// busyError is the server's admission pushback on a NACK or repair round
+// trip; it is flow control, not failure.
 type busyError struct{ retryAfter time.Duration }
 
 func (e *busyError) Error() string {
@@ -53,9 +50,10 @@ func (e *busyError) Error() string {
 const arrivalStream = ^uint64(1)
 
 // ViewerSeed is virtual viewer v's session seed under a mux seeded with
-// muxSeed. A Session{Seed: ViewerSeed(muxSeed, v)} draws bit-identical
-// repair jitter schedules to mux viewer v: a session's seed is used as
-// given, never re-derived.
+// muxSeed. A cohort times its recovery on its first member's seed, so a
+// Session{Seed: ViewerSeed(muxSeed, v)} draws bit-identical NACK and
+// repair jitter schedules to a mux cohort led by viewer v: a session's
+// seed is used as given, never re-derived.
 func ViewerSeed(muxSeed uint64, v int) uint64 {
 	return des.SubSeed(muxSeed, uint64(v))
 }
@@ -90,7 +88,7 @@ type SessionResult struct {
 // when the session could not be driven to its end (refused join, exceeded
 // buffer); losses and jitter are counts in the result, for the caller.
 func RunSession(cfg MuxConfig, s Session) (*SessionResult, error) {
-	cfg.Viewers, cfg.SpreadUnits, cfg.Workers, cfg.Seed = 1, 0, 1, s.Seed
+	cfg.Viewers, cfg.SpreadUnits, cfg.Seed = 1, 0, s.Seed
 	m, err := newMux(cfg, &s)
 	if err != nil {
 		return nil, err
@@ -125,22 +123,19 @@ type MuxConfig struct {
 	// Seed keys every viewer's deterministic substreams (arrival offset,
 	// repair jitter) via ViewerSeed.
 	Seed uint64
-	// Workers sizes the repair-plane worker pool; per-viewer bookkeeping
-	// for diverged viewers is sharded over it by viewer ID (viewer v is
-	// owned by worker v mod Workers), so stats are independent of the
-	// worker count. Zero selects GOMAXPROCS capped at 8. Each worker
-	// lazily dials one control connection.
+	// Workers is ignored. Kept for benchmark/harness, which sets it; the
+	// harness follow-up of ROADMAP item 3(c) deletes it.
 	Workers int
 	// JoinLeadFrac, SlackFrac, RepairLagFrac mirror client.Config (all
 	// default to 0.5).
 	JoinLeadFrac  float64
 	SlackFrac     float64
 	RepairLagFrac float64
-	// DisableRepair turns per-viewer loss recovery off: gaps become
-	// cohort-wide losses at their playback deadlines.
+	// DisableRepair turns loss recovery off: gaps become losses at their
+	// playback deadlines.
 	DisableRepair bool
-	// DisableNack turns off the cohort-level multicast-first NACK ladder:
-	// gaps go straight to the per-viewer unicast repair plane. The ladder
+	// DisableNack turns off the multicast-first NACK ladder: gaps go
+	// straight to unicast repair, one round trip per cohort. The ladder
 	// is on by default whenever the server advertises it
 	// (Welcome.NackRepair): each cohort NACKs as one voice, so a burst of
 	// losses costs one aggregated gap bitmap regardless of cohort size.
@@ -159,29 +154,32 @@ type WaitBucket struct {
 	Count      int64 `json:"count"`
 }
 
-// Result reports a completed mux run. Aggregates are sums over all
+// Result reports a completed mux run. Chunk outcomes are sums over all
 // emulated viewers, so they compare directly against the same number of
-// independent client sessions.
+// independent client sessions; control round trips are per cohort.
 type Result struct {
 	Viewers int `json:"viewers"`
 	Cohorts int `json:"cohorts"`
-	Workers int `json:"workers"`
 	// ElapsedSec is the wall time from first admission to last cohort
 	// completion.
 	ElapsedSec float64 `json:"elapsedSec"`
 	// Bytes is total payload credited across viewers (video bytes minus
 	// each viewer's lost bytes); ByteErrors content-verification
-	// mismatches (counted once per cohort on the shared path).
+	// mismatches (counted once per cohort).
 	Bytes      int64 `json:"bytes"`
 	ByteErrors int64 `json:"byteErrors"`
-	// Chunk outcome sums over viewers.
+	// Chunk outcome sums over viewers: a cohort's one unicast repair
+	// heals every member, so RepairedChunks counts it once per member.
 	LateChunks      int64 `json:"lateChunks"`
 	DuplicateChunks int64 `json:"duplicateChunks"`
 	LostChunks      int64 `json:"lostChunks"`
 	RepairedChunks  int64 `json:"repairedChunks"`
-	RepairRequests  int64 `json:"repairRequests"`
-	BusyReplies     int64 `json:"busyReplies"`
-	Reconnects      int64 `json:"reconnects"`
+	// RepairRequests counts unicast repair round trips and BusyReplies
+	// admission pushbacks on NACK and repair round trips. Both are per
+	// cohort, NOT per viewer, like NacksSent: one pull heals the cohort.
+	RepairRequests int64 `json:"repairRequests"`
+	BusyReplies    int64 `json:"busyReplies"`
+	Reconnects     int64 `json:"reconnects"`
 	// NacksSent counts gap-bitmap NACK round trips and NacksSuppressed
 	// aggregation windows that closed with nothing left to report. Both
 	// are per cohort, NOT per viewer — the cohort NACKs as one voice,
@@ -281,22 +279,11 @@ func histFromCounts(counts map[int64]int64) []WaitBucket {
 	return out
 }
 
-// viewerLedger is one viewer's divergence bookkeeping: every field is
-// written only by the viewer's owner worker (single-writer by the
-// viewer-ID sharding), and read only after the worker pool has drained.
-type viewerLedger struct {
-	lost, late, dup, repaired int64
-	repairReqs, busyReplies   int64
-	byteErrors                int64
-	lostBytes                 int64
-	fecHeals                  int64
-}
-
 // Mux is the virtual-viewer multiplexer: one process emulating Viewers
 // sessions against a live server. Viewers tuned to the same (video,
 // playback start) form a cohort sharing one receiver subscription per
-// channel and one decode/verify pass per datagram; per-viewer machines
-// materialize only when a loss makes outcomes diverge.
+// channel, one decode/verify pass per datagram and one machine per
+// fragment; every control round trip goes over one connection.
 type Mux struct {
 	cfg   MuxConfig
 	sess  *Session // non-nil for RunSession's one stated viewer
@@ -311,25 +298,17 @@ type Mux struct {
 	rcv     *mcast.SharedReceiver
 	jm      *joinManager
 	stripes *stripePool // every cohort fragment's parity stripe; nil without one
-	workers []*worker
-	stop    chan struct{}
-	wwg     sync.WaitGroup
 
 	// bye latches a server-initiated drain for every viewer at once.
 	bye        atomic.Bool
 	reconnects atomic.Int64
 
-	ledgers []viewerLedger
-	waits   []float64 // per-viewer admission wait in units; read-only after admission
+	waits []float64 // per-viewer admission wait in units; read-only after admission
 
+	// The concurrency levels; their peaks are PeakViewers and PeakCohorts.
 	liveViewers   metrics.PaddedGauge
 	activeCohorts metrics.PaddedGauge
 }
-
-// LiveViewers and ActiveCohorts expose the emulation's concurrency
-// levels (and, via High, their peaks) for live sampling.
-func (m *Mux) LiveViewers() *metrics.PaddedGauge   { return &m.liveViewers }
-func (m *Mux) ActiveCohorts() *metrics.PaddedGauge { return &m.activeCohorts }
 
 // Run emulates cfg.Viewers sessions to completion and aggregates their
 // stats. A run in which cohorts failed still returns its Result alongside
@@ -346,9 +325,10 @@ func Run(cfg MuxConfig) (*Result, error) {
 // emulation. Run executes it.
 func NewMux(cfg MuxConfig) (*Mux, error) { return newMux(cfg, nil) }
 
-// Journal directs the run's recovery events (gap, nack, repair-req,
-// repair-ok, repair-busy, repair-fail, fec-heal, chunk-lost, reconnect,
-// server-bye) into tb on the broadcast epoch's wall scale; call before Run.
+// Journal directs the run's recovery events (nack, nack-fail, repair-req,
+// repair-ok, repair-busy, repair-off, repair-fail, fec-heal, chunk-lost,
+// reconnect, server-bye) into tb on the broadcast epoch's wall scale; call
+// before Run.
 func (m *Mux) Journal(tb *trace.Buffer) { m.trace = tb }
 
 // tracef journals one recovery event. Sites an audience runs per datagram
@@ -384,18 +364,12 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 	if cfg.SpreadUnits < 0 {
 		cfg.SpreadUnits = 0
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers > 8 {
-			cfg.Workers = 8
-		}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	m := &Mux{cfg: cfg, sess: sess, stop: make(chan struct{})}
-	// The join connection redials on the mux seed itself (a session's own
-	// seed): no audience worker's schedule.
+	m := &Mux{cfg: cfg, sess: sess}
+	// The control connection redials on the mux seed itself (a session's
+	// own seed).
 	cc := &controlConn{mux: m, seed: cfg.Seed}
 	cc.mu.Lock()
 	w, err := cc.handshake()
@@ -437,21 +411,7 @@ func (m *Mux) Run() (*Result, error) {
 
 	groups := series.Groups(m.w.SizeUnits)
 	cohorts := m.admit()
-	m.cfg.Logf("viewer: %d viewers in %d cohorts over %d workers", m.cfg.Viewers, len(cohorts), m.cfg.Workers)
-
-	m.workers = make([]*worker, m.cfg.Workers)
-	for i := range m.workers {
-		w := &worker{mux: m, in: make(chan wcmd, 1024)}
-		// A session keeps one control connection; an audience's workers
-		// repair in parallel on one each.
-		w.conn = m.jm.cc
-		if m.sess == nil {
-			w.conn = &controlConn{mux: m, seed: m.viewerSeed(i)}
-		}
-		m.workers[i] = w
-		m.wwg.Add(1)
-		go w.run()
-	}
+	m.cfg.Logf("viewer: %d viewers in %d cohorts", m.cfg.Viewers, len(cohorts))
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -466,12 +426,7 @@ func (m *Mux) Run() (*Result, error) {
 		}(co)
 	}
 	wg.Wait()
-	close(m.stop)
-	m.wwg.Wait()
 	_, _ = m.jm.cc.roundTrip(&wire.Control{Kind: wire.KindBye}, false)
-	for _, w := range m.workers {
-		w.conn.close()
-	}
 	close(errCh)
 	var firstErr error
 	failed := 0
@@ -498,7 +453,6 @@ func (m *Mux) admit() []*cohort {
 	if videos <= 0 || videos > m.w.Videos {
 		videos = m.w.Videos
 	}
-	m.ledgers = make([]viewerLedger, m.cfg.Viewers)
 	m.waits = make([]float64, m.cfg.Viewers)
 	arrivalUnits := float64(time.Since(m.epoch)) / float64(m.unit)
 
@@ -529,14 +483,13 @@ func (m *Mux) admit() []*cohort {
 	return order
 }
 
-// aggregate folds cohort-shared counters (applied to every member) and
-// per-viewer ledgers into the Result.
+// aggregate folds the cohorts' counters into the Result: chunk outcomes
+// once per member, control round trips once per cohort.
 func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	rs := m.rcv.Stats()
 	res := &Result{
 		Viewers:       m.cfg.Viewers,
 		Cohorts:       len(cohorts),
-		Workers:       m.cfg.Workers,
 		ElapsedSec:    elapsed.Seconds(),
 		PeakViewers:   m.liveViewers.High(),
 		PeakCohorts:   m.activeCohorts.High(),
@@ -553,35 +506,22 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	for _, co := range cohorts {
 		n := int64(len(co.viewers))
 		res.MaxBufferBytes = max(res.MaxBufferBytes, co.maxBuffer.Load())
-		sharedLate, sharedLost := co.late.Load(), co.lostShared.Load()
-		res.LateChunks += sharedLate * n
+		late, lost := co.late.Load(), co.lostShared.Load()
+		res.LateChunks += late * n
 		res.DuplicateChunks += co.dup.Load() * n
-		res.LostChunks += sharedLost * n
-		res.ByteErrors += co.byteErrors.Load()
-		res.Bytes += n * (m.videoBytes - co.lostSharedBytes.Load())
-		res.NacksSent += co.nacks.Load()
-		res.NacksSuppressed += co.nackSuppressed.Load()
-		res.BusyReplies += co.nackBusy.Load()
-		// A multicast re-send lands on the shared subscription, so the one
-		// healed chunk is credited to every member of the cohort; a parity
-		// reconstruction on the shared path heals identically.
+		res.LostChunks += lost * n
+		res.RepairedChunks += co.repaired.Load() * n
 		res.MulticastRepairs += co.nackRepaired.Load() * n
 		res.FecHeals += co.fecHeals.Load() * n
+		res.Bytes += n * (m.videoBytes - co.lostSharedBytes.Load())
+		res.ByteErrors += co.byteErrors.Load()
+		res.RepairRequests += co.repairReqs.Load()
+		res.BusyReplies += co.busy.Load()
+		res.NacksSent += co.nacks.Load()
+		res.NacksSuppressed += co.nackSuppressed.Load()
 		res.StripeDefeats += co.stripeDefeats.Load()
-		for _, v := range co.viewers {
-			led := &m.ledgers[v]
-			res.LateChunks += led.late
-			res.DuplicateChunks += led.dup
-			res.LostChunks += led.lost
-			res.RepairedChunks += led.repaired
-			res.FecHeals += led.fecHeals
-			res.RepairRequests += led.repairReqs
-			res.BusyReplies += led.busyReplies
-			res.ByteErrors += led.byteErrors
-			res.Bytes -= led.lostBytes
-			if led.lost+sharedLost > 0 || led.late+sharedLate > 0 {
-				res.Degraded++
-			}
+		if lost > 0 || late > 0 {
+			res.Degraded += int(n)
 		}
 	}
 	counts := map[int64]int64{}
@@ -591,185 +531,6 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	res.WaitHist = histFromCounts(counts)
 	return res
 }
-
-// submit hands a viewer-fragment to its owner worker, tracking the
-// handoff in the fragment's inflight count so the cohort loader cannot
-// conclude the fragment while commands are still queued.
-func (m *Mux) submit(vf *viewerFrag, reopen int) {
-	vf.f.inflight.Add(1)
-	m.workers[vf.viewer%len(m.workers)].in <- wcmd{vf: vf, reopen: reopen}
-}
-
-// wcmd is one loader-to-worker handoff: wake vf (and first reopen chunk
-// `reopen`, when >= 0, re-arming it for repair).
-type wcmd struct {
-	vf     *viewerFrag
-	reopen int
-}
-
-// worker owns the divergent side of the emulation for viewers v with
-// v mod Workers == its index: their machines, their repair round trips
-// (over one lazily-dialed control connection), and their ledgers. All
-// state of a given viewer is touched by exactly one worker, which is
-// what makes stats worker-count-independent.
-type worker struct {
-	mux  *Mux
-	in   chan wcmd
-	h    wakeHeap
-	conn *controlConn
-}
-
-func (w *worker) run() {
-	defer w.mux.wwg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		var tc <-chan time.Time
-		if len(w.h) > 0 {
-			d := time.Until(w.h[0].at)
-			if d < 0 {
-				d = 0
-			}
-			resetTimer(timer, d)
-			tc = timer.C
-		}
-		select {
-		case cmd := <-w.in:
-			w.exec(cmd)
-		case <-tc:
-			now := time.Now()
-			for len(w.h) > 0 && !w.h[0].at.After(now) {
-				e := heap.Pop(&w.h).(wakeEntry)
-				w.step(e.vf, time.Now())
-				e.vf.f.notify()
-			}
-		case <-w.mux.stop:
-			return
-		}
-	}
-}
-
-// exec applies one loader command. A reopen on a finished viewer brings
-// it back into the pending count before the chunk is re-armed.
-func (w *worker) exec(cmd wcmd) {
-	vf := cmd.vf
-	f := vf.f
-	if cmd.reopen >= 0 {
-		if vf.done {
-			vf.done = false
-			f.pending.Add(1)
-		}
-		vf.vm.Reopen(cmd.reopen)
-	}
-	f.inflight.Add(-1)
-	if !vf.done {
-		w.step(vf, time.Now())
-	}
-	f.notify()
-}
-
-// step advances one viewer's machine: book any recorded broadcast
-// arrivals, then run repairs until the machine parks (heap) or finishes.
-func (w *worker) step(vf *viewerFrag, now time.Time) {
-	if vf.done {
-		return
-	}
-	f := vf.f
-	led := &w.mux.ledgers[vf.viewer]
-	for k := range int(f.ndiverged.Load()) {
-		d := f.divergence(k)
-		if t := d.arrived.Load(); t != 0 && !vf.vm.Have(d.idx) {
-			// A recorded stripe reconstruction books as a FEC heal — or a
-			// duplicate, for a viewer that already unicast-repaired the
-			// chunk.
-			if d.healed.Load() {
-				vf.vm.FecHealed(d.idx, time.Unix(0, t))
-			} else {
-				vf.vm.Chunk(d.idx, time.Unix(0, t))
-			}
-		}
-	}
-	for {
-		if vf.vm.Done() {
-			w.finish(vf)
-			return
-		}
-		act := vf.vm.Next(now)
-		if act.Kind != ActRepair {
-			heap.Push(&w.h, wakeEntry{at: act.Wake, vf: vf})
-			return
-		}
-		idx := act.Idx
-		led.repairReqs++
-		off := int64(idx) * int64(f.params.ChunkBytes)
-		if w.mux.trace != nil {
-			w.mux.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.wantSeq, idx, act.Attempt)
-		}
-		data, err := w.conn.repair(f.c.video, f.channel, f.wantSeq, off, vf.vm.ChunkLen(idx))
-		now = time.Now()
-		outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
-		if err != nil {
-			var busy *busyError
-			switch {
-			case errors.As(err, &busy):
-				led.busyReplies++
-				outcome, retryAfter, kind = RepairBusy, busy.retryAfter, "repair-busy"
-			case errors.Is(err, errMuxDraining):
-				outcome, kind = RepairDisabled, "repair-off"
-			default:
-				outcome, kind = RepairFailed, "repair-fail"
-			}
-		}
-		disp := vf.vm.RepairResult(idx, outcome, retryAfter, now)
-		if disp == Repaired {
-			if bad := content.Verify(data, f.c.video, f.videoBase+off); bad >= 0 {
-				led.byteErrors++
-			}
-			f.creditFirst(f.divergenceOf(idx), len(data), now)
-		}
-		if w.mux.trace != nil {
-			note := "repaired"
-			if err != nil {
-				note = err.Error()
-			}
-			if disp == Rescheduled {
-				note += fmt.Sprintf("; retry in %v", vf.vm.RetryAt(idx).Sub(now))
-			}
-			w.mux.tracef(kind, "ch %d seq %d chunk %d attempt %d: %s", f.channel, f.wantSeq, idx, act.Attempt, note)
-		}
-	}
-}
-
-// finish folds a completed viewer-fragment's machine stats into the
-// viewer's ledger (losses and their bytes were already booked through
-// the machine's OnLost callback).
-func (w *worker) finish(vf *viewerFrag) {
-	vf.done = true
-	st := vf.vm.Stats()
-	led := &w.mux.ledgers[vf.viewer]
-	led.late += st.Late - vf.folded.Late
-	led.dup += st.Duplicates - vf.folded.Duplicates
-	led.repaired += st.Repaired - vf.folded.Repaired
-	led.fecHeals += st.FecHeals - vf.folded.FecHeals
-	vf.folded = st
-	vf.f.pending.Add(-1)
-}
-
-// wakeHeap orders parked viewer-fragments by wake time. Stale entries
-// (a viewer re-woken through the channel and finished) are filtered by
-// the done flag in step.
-type wakeEntry struct {
-	at time.Time
-	vf *viewerFrag
-}
-
-type wakeHeap []wakeEntry
-
-func (h wakeHeap) Len() int           { return len(h) }
-func (h wakeHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h wakeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *wakeHeap) Push(x any)        { *h = append(*h, x.(wakeEntry)) }
-func (h *wakeHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // resetTimer re-arms a timer whose channel is only read by its owner
 // loop (the pre-Go-1.23 drain discipline).
@@ -786,10 +547,9 @@ func resetTimer(t *time.Timer, d time.Duration) {
 // controlTimeout bounds each control round trip and each dial.
 const controlTimeout = 5 * time.Second
 
-// controlConn is one control connection: dialed on first use, re-dialed
-// with backoff on transport failure, serialized by a mutex. The join
-// manager holds one; each audience worker holds its own, so repair round
-// trips parallelize across workers without interleaving on one socket.
+// controlConn is the mux's one control connection: re-dialed with
+// backoff on transport failure, serialized by a mutex. Joins, leaves,
+// NACKs and repairs of every cohort share it.
 type controlConn struct {
 	mux *Mux
 	// seed keys the redial backoff (stream ReconnectJitterKey); redials
@@ -844,8 +604,8 @@ func (c *controlConn) handshake() (*wire.Welcome, error) {
 
 // redialLocked replaces a broken connection, sleeping a full-jitter delay
 // from a doubling window between attempts: after a server restart every
-// connection of the old process re-dials at once, and the jitter — keyed
-// on each connection's own seed — spreads the wave. A changed epoch is
+// audience of the old process re-dials at once, and the jitter — keyed on
+// each mux's own seed — spreads the wave. A changed epoch is
 // refused at once: no retry can make it the same broadcast.
 func (c *controlConn) redialLocked() error {
 	var err error
@@ -924,9 +684,9 @@ func (c *controlConn) repair(video, channel int, seq uint32, offset int64, lengt
 
 // nack reports a burst of losses as one gap-bitmap NACK — the cohort's
 // aggregated voice — and returns a predicate over the chunks the server
-// accepted for multicast re-send. A transport or protocol failure
-// returns an error; the caller escalates
-// every chunk to the per-viewer unicast plane.
+// accepted for multicast re-send. A transport or protocol failure, or a
+// reply for another fragment repetition, returns an error; the caller
+// escalates every chunk to unicast repair.
 func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(idx int) bool, error) {
 	req := wire.NackFromChunks(video, channel, seq, chunks)
 	reply, err := c.roundTrip(&wire.Control{Kind: wire.KindNack, Nack: req}, true)
@@ -939,10 +699,11 @@ func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(i
 	if reply.Kind != wire.KindNackOK {
 		return nil, fmt.Errorf("viewer: nack rejected: %s", reply.Error)
 	}
-	if acc := reply.Nack; acc != nil {
-		return acc.Has, nil
+	acc := reply.Nack // ReadControl rejects a KindNackOK without one
+	if acc.Video != video || acc.Channel != channel || acc.Seq != seq {
+		return nil, fmt.Errorf("viewer: nack reply mismatch: got %d/%d seq %d", acc.Video, acc.Channel, acc.Seq)
 	}
-	return func(int) bool { return false }, nil
+	return acc.Has, nil
 }
 
 func (c *controlConn) close() {

@@ -15,7 +15,7 @@ import "time"
 //	nackWait — reported; the machine re-listens on the broadcast group for
 //	           the multicast re-send until a clamped re-listen deadline.
 //	nackDone — the ladder is exhausted (or disabled); the chunk belongs to
-//	           the legacy unicast plane (ActRepair / ActGap).
+//	           unicast repair (ActRepair), pulled once for the cohort.
 //
 // The aggregation window is armed once per burst with a seeded full-jitter
 // draw, so the viewers of different cohorts desynchronize their NACKs the

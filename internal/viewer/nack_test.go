@@ -179,33 +179,6 @@ func TestMachineNackRefusedFallsBack(t *testing.T) {
 	}
 }
 
-// TestMachineNackObserveEscalatesToGap: in the cohort's Observe mode the
-// ladder's unicast fallback is the per-viewer plane — an exhausted chunk
-// surfaces as ActGap, exactly once.
-func TestMachineNackObserveEscalatesToGap(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	p := nackParams(epoch)
-	p.Observe = true
-	m := NewMachine(p)
-	for idx := 1; idx < 4; idx++ {
-		m.Chunk(idx, epoch.Add(time.Duration(5+idx)*time.Second))
-	}
-	m.Next(epoch.Add(5*time.Second + 250*time.Millisecond))
-	fire := epoch.Add(6*time.Second + 250*time.Millisecond)
-	act := m.Next(fire)
-	if act.Kind != ActNack {
-		t.Fatalf("Next at fire = %+v, want nack (ladder precedes divergence)", act)
-	}
-	m.NackResult(act.Chunks, func(int) bool { return false }, fire)
-	act = m.Next(fire.Add(10 * time.Millisecond))
-	if act.Kind != ActGap || act.Idx != 0 {
-		t.Fatalf("Next after refusal = %+v, want gap handoff", act)
-	}
-	if act := m.Next(fire.Add(20 * time.Millisecond)); act.Kind != ActWait {
-		t.Fatalf("gap handed twice: %+v", act)
-	}
-}
-
 // TestMachineNackRoundCap: a chunk joins at most MaxNackRounds windows;
 // past the cap an expired re-listen goes to the unicast plane even with
 // deadline room left.
