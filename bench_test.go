@@ -196,7 +196,7 @@ func benchSweep(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := sim.NewSB(sch)
+	cs := sim.New(sch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -219,7 +219,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := sim.NewSB(sch)
+	cs := sim.New(sch)
 	serialStart := time.Now()
 	if _, err := sim.Sweep(cs, sweepBenchClients, 1000, 10, 42, sim.Workers(1)); err != nil {
 		b.Fatal(err)
@@ -384,7 +384,7 @@ func BenchmarkSimSBClient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := sim.NewSB(sch)
+	cs := sim.New(sch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.Client(float64(i%1000)*0.37, i%10); err != nil {
@@ -399,7 +399,7 @@ func BenchmarkSimPBClient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := sim.NewPB(sch)
+	cs := sim.New(sch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.Client(float64(i%1000)*0.37, i%10); err != nil {
@@ -415,7 +415,7 @@ func BenchmarkSimPPBClient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := sim.NewPPB(sch)
+	cs := sim.New(sch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.Client(float64(i%1000)*0.37, i%10); err != nil {

@@ -33,10 +33,8 @@ func main() {
 		step      = flag.Float64("step", 20, "bandwidth sweep step (Mbit/s) for figures 5-8")
 		csv       = flag.Bool("csv", false, "emit CSV instead of ASCII plots")
 		crossVal  = flag.Bool("crossvalidate", false, "print simulation-vs-analysis table")
-		parallel  = flag.Bool("parallel", true, "evaluate a figure's bandwidth points concurrently (values are identical either way)")
 	)
 	flag.Parse()
-	bench.SetParallel(*parallel)
 	start := time.Now()
 	if err := run(*figure, *table, *all, *bandwidth, *step, *csv, *crossVal); err != nil {
 		fmt.Fprintln(os.Stderr, "skyfigs:", err)
@@ -44,8 +42,8 @@ func main() {
 	}
 	// Wall-clock goes to stderr so CSV output stays machine-readable; it
 	// makes the scheme-cache and parallel-point wins visible from the CLI.
-	fmt.Fprintf(os.Stderr, "skyfigs: regenerated in %v (parallel=%v, %d scheme constructions)\n",
-		time.Since(start).Round(time.Microsecond), *parallel, bench.CacheBuilds())
+	fmt.Fprintf(os.Stderr, "skyfigs: regenerated in %v (%d scheme constructions)\n",
+		time.Since(start).Round(time.Microsecond), bench.CacheBuilds())
 }
 
 func run(figure string, table int, all bool, bandwidth, step float64, csv, crossVal bool) error {

@@ -13,15 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"skyscraper/internal/batch"
+	"skyscraper/internal/bench"
 	"skyscraper/internal/catalog"
-	"skyscraper/internal/core"
-	"skyscraper/internal/ppb"
-	"skyscraper/internal/pyramid"
 	"skyscraper/internal/sim"
-	"skyscraper/internal/staggered"
 	"skyscraper/internal/trace"
 	"skyscraper/internal/vod"
 	"skyscraper/internal/workload"
@@ -58,61 +54,22 @@ func run(scheme string, cfg vod.Config, width int64, clients int, window float64
 	if scheme == "batch" {
 		return runBatch(cfg, policy, channels, reqRate, patience, clients, seed, traceN)
 	}
-	cs, perf, err := buildScheme(scheme, cfg, width)
+	sch, err := bench.NewScheme(scheme, cfg, width)
 	if err != nil {
 		return err
 	}
-	res, err := sim.Sweep(cs, clients, window, cfg.Videos, seed, sim.Workers(workers))
+	res, err := sim.Sweep(sim.New(sch), clients, window, cfg.Videos, seed, sim.Workers(workers))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("scheme        %s  (B=%g Mbit/s, M=%d, D=%g min, b=%g Mbit/s)\n",
 		res.Scheme, cfg.ServerMbps, cfg.Videos, cfg.LengthMin, cfg.RateMbps)
 	fmt.Printf("clients       %d over %g minutes\n", res.Clients, window)
-	fmt.Printf("wait (min)    %s   [analytic worst %.4f]\n", res.WaitMin.String(), perf.AccessLatencyMin())
-	fmt.Printf("buffer (Mbit) %s   [analytic worst %.4f]\n", res.BufferMbit.String(), perf.BufferMbit())
+	fmt.Printf("wait (min)    %s   [analytic worst %.4f]\n", res.WaitMin.String(), sch.AccessLatencyMin())
+	fmt.Printf("buffer (Mbit) %s   [analytic worst %.4f]\n", res.BufferMbit.String(), sch.BufferMbit())
 	fmt.Printf("streams       max %g\n", res.Streams.Max())
-	fmt.Printf("disk bw       %.4f Mbit/s (analytic)\n", perf.DiskBandwidthMbps())
+	fmt.Printf("disk bw       %.4f Mbit/s (analytic)\n", sch.DiskBandwidthMbps())
 	return nil
-}
-
-func buildScheme(name string, cfg vod.Config, width int64) (sim.ClientSim, vod.Performer, error) {
-	switch strings.ToLower(name) {
-	case "sb":
-		s, err := core.New(cfg, width)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sim.NewSB(s), s, nil
-	case "pb:a", "pb:b":
-		m := pyramid.MethodA
-		if name == "pb:b" {
-			m = pyramid.MethodB
-		}
-		s, err := pyramid.New(cfg, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sim.NewPB(s), s, nil
-	case "ppb:a", "ppb:b":
-		m := ppb.MethodA
-		if name == "ppb:b" {
-			m = ppb.MethodB
-		}
-		s, err := ppb.New(cfg, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sim.NewPPB(s), s, nil
-	case "staggered":
-		s, err := staggered.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sim.NewStaggered(s), s, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown scheme %q", name)
-	}
 }
 
 func runBatch(cfg vod.Config, policyName string, channels int, reqRate, patience float64, clients int, seed uint64, traceN int) error {

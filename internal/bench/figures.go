@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +19,7 @@ import (
 	"skyscraper/internal/ppb"
 	"skyscraper/internal/pyramid"
 	"skyscraper/internal/sim"
+	"skyscraper/internal/staggered"
 	"skyscraper/internal/vod"
 )
 
@@ -26,12 +28,36 @@ import (
 // broadcast series", plus 0 for the W = infinity curves.
 var Widths = []int64{2, 52, 1705, 54612, 0}
 
-// WidthName renders a width the way the paper labels its curves.
-func WidthName(w int64) string {
-	if w == 0 {
-		return "SB:W=infinite"
+// constructors is the one table of scheme names: the spelling cmd/skysim's
+// -scheme flag takes, mapped to the scheme's constructor. Only SB reads
+// width.
+var constructors = map[string]func(cfg vod.Config, width int64) (vod.Scheme, error){
+	"sb":        func(cfg vod.Config, w int64) (vod.Scheme, error) { return scheme(core.New(cfg, w)) },
+	"pb:a":      func(cfg vod.Config, _ int64) (vod.Scheme, error) { return scheme(pyramid.New(cfg, pyramid.MethodA)) },
+	"pb:b":      func(cfg vod.Config, _ int64) (vod.Scheme, error) { return scheme(pyramid.New(cfg, pyramid.MethodB)) },
+	"ppb:a":     func(cfg vod.Config, _ int64) (vod.Scheme, error) { return scheme(ppb.New(cfg, ppb.MethodA)) },
+	"ppb:b":     func(cfg vod.Config, _ int64) (vod.Scheme, error) { return scheme(ppb.New(cfg, ppb.MethodB)) },
+	"staggered": func(cfg vod.Config, _ int64) (vod.Scheme, error) { return scheme(staggered.New(cfg)) },
+}
+
+// scheme forgets a constructor's concrete type; a failed construction
+// yields a nil interface, never a typed nil.
+func scheme[S vod.Scheme](s S, err error) (vod.Scheme, error) {
+	if err != nil {
+		return nil, err
 	}
-	return fmt.Sprintf("SB:W=%d", w)
+	return s, nil
+}
+
+// NewScheme builds the scheme called name ("sb", "pb:a", "pb:b", "ppb:a",
+// "ppb:b" or "staggered", in any case) for cfg; width is SB's W, 0 for
+// uncapped, and is ignored by the other schemes.
+func NewScheme(name string, cfg vod.Config, width int64) (vod.Scheme, error) {
+	build, ok := constructors[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("unknown scheme %q", name)
+	}
+	return build(cfg, width)
 }
 
 // Curve is one named line on a figure; Y is NaN where the scheme is
@@ -56,42 +82,50 @@ func Bandwidths(step float64) []float64 {
 	return out
 }
 
-// schemes materializes every scheme variant at one bandwidth; entries for
-// infeasible variants are nil.
-type schemes struct {
-	sb   map[int64]*core.Scheme // by width
-	pbA  *pyramid.Scheme
-	pbB  *pyramid.Scheme
-	ppbA *ppb.Scheme
-	ppbB *ppb.Scheme
-}
+// variants is one bandwidth point's scheme variants in the paper's curve
+// order — SB at each of Widths, then PB:a, PB:b, PPB:a and PPB:b — with the
+// infeasible ones left out.
+type variants []vod.Scheme
 
-func at(bandwidth float64) schemes {
+func at(bandwidth float64) variants {
 	cfg := vod.DefaultConfig(bandwidth)
-	s := schemes{sb: make(map[int64]*core.Scheme, len(Widths))}
-	for _, w := range Widths {
-		if sch, err := core.New(cfg, w); err == nil {
-			s.sb[w] = sch
+	var v variants
+	add := func(s vod.Scheme, err error) {
+		if err == nil {
+			v = append(v, s)
 		}
 	}
-	s.pbA, _ = pyramid.New(cfg, pyramid.MethodA)
-	s.pbB, _ = pyramid.New(cfg, pyramid.MethodB)
-	s.ppbA, _ = ppb.New(cfg, ppb.MethodA)
-	s.ppbB, _ = ppb.New(cfg, ppb.MethodB)
-	return s
+	for _, w := range Widths {
+		add(NewScheme("sb", cfg, w))
+	}
+	for _, name := range []string{"pb:a", "pb:b", "ppb:a", "ppb:b"} {
+		add(NewScheme(name, cfg, 0))
+	}
+	return v
 }
 
-// cacheEntry holds one bandwidth point's materialized schemes; the Once
+// named returns the variant whose Name is name, or nil if it is
+// infeasible here.
+func (v variants) named(name string) vod.Scheme {
+	for _, s := range v {
+		if s.Name() == name {
+			return s
+		}
+	}
+	return nil
+}
+
+// cacheEntry holds one bandwidth point's materialized variants; the Once
 // makes construction happen exactly once even under concurrent misses.
 type cacheEntry struct {
 	once sync.Once
-	s    schemes
+	v    variants
 }
 
 // schemeCache memoizes at() per bandwidth. Every curve of every figure —
 // Figures 5-8 sweep the same points for nine variants each — and
-// CrossValidate share it, so a full regeneration constructs each schemes
-// value once per bandwidth point instead of once per (curve, point). The
+// CrossValidate share it, so a full regeneration constructs the variants
+// once per bandwidth point instead of once per (curve, point). The
 // entries are immutable after construction and safe to share across the
 // goroutines evaluating points concurrently.
 var schemeCache = struct {
@@ -100,8 +134,8 @@ var schemeCache = struct {
 	builds atomic.Int64
 }{m: make(map[float64]*cacheEntry)}
 
-// cachedAt returns the memoized schemes for one bandwidth point.
-func cachedAt(bandwidth float64) schemes {
+// cachedAt returns the memoized variants for one bandwidth point.
+func cachedAt(bandwidth float64) variants {
 	schemeCache.mu.Lock()
 	e := schemeCache.m[bandwidth]
 	if e == nil {
@@ -110,10 +144,10 @@ func cachedAt(bandwidth float64) schemes {
 	}
 	schemeCache.mu.Unlock()
 	e.once.Do(func() {
-		e.s = at(bandwidth)
+		e.v = at(bandwidth)
 		schemeCache.builds.Add(1)
 	})
-	return e.s
+	return e.v
 }
 
 // ResetCache discards every memoized bandwidth point (benchmarks use it to
@@ -124,36 +158,20 @@ func ResetCache() {
 	schemeCache.mu.Unlock()
 }
 
-// CacheBuilds reports how many times a schemes value has been constructed
+// CacheBuilds reports how many times a point's variants have been built
 // since process start (ResetCache does not reset it), so callers can
 // assert the once-per-point guarantee.
 func CacheBuilds() int64 { return schemeCache.builds.Load() }
 
-// parallelOff disables concurrent point evaluation when set (the
-// default is concurrent; cmd/skyfigs exposes this as -parallel).
-var parallelOff atomic.Bool
-
-// SetParallel toggles concurrent evaluation of a figure's bandwidth
-// points. Results are identical either way — each point writes its own
-// slot — only wall-clock changes.
-func SetParallel(on bool) { parallelOff.Store(!on) }
-
-// ParallelEnabled reports whether point evaluation runs concurrently.
-func ParallelEnabled() bool { return !parallelOff.Load() }
-
 // metric builds one curve over the bandwidth sweep, with eval returning
 // NaN for infeasible points. Points are independent, so they are evaluated
-// concurrently (unless SetParallel(false)); every point hits the
+// concurrently, on up to GOMAXPROCS workers; each writes its own slot, so
+// the worker count changes only wall-clock. Every point hits the
 // sweep-level scheme cache.
-func metric(name string, bands []float64, eval func(s schemes) float64) Curve {
+func metric(name string, bands []float64, eval func(v variants) float64) Curve {
 	c := Curve{Name: name, X: bands, Y: make([]float64, len(bands))}
-	workers := runtime.GOMAXPROCS(0)
-	if parallelOff.Load() {
-		workers = 1
-	} else if workers > len(bands) {
-		workers = len(bands)
-	}
-	if workers == 1 {
+	workers := min(runtime.GOMAXPROCS(0), len(bands))
+	if workers <= 1 {
 		for i, b := range bands {
 			c.Y[i] = eval(cachedAt(b))
 		}
@@ -178,67 +196,32 @@ func metric(name string, bands []float64, eval func(s schemes) float64) Curve {
 	return c
 }
 
-func orNaN(p vod.Performer, f func(vod.Performer) float64) float64 {
-	if p == nil || (isNilPtr(p)) {
+// of evaluates f on the variant called name, NaN where it is infeasible.
+func of(name string, f func(vod.Scheme) float64) func(variants) float64 {
+	return func(v variants) float64 {
+		if s := v.named(name); s != nil {
+			return f(s)
+		}
 		return math.NaN()
 	}
-	return f(p)
 }
 
-// isNilPtr reports whether a Performer interface holds a typed nil.
-func isNilPtr(p vod.Performer) bool {
-	switch v := p.(type) {
-	case *core.Scheme:
-		return v == nil
-	case *pyramid.Scheme:
-		return v == nil
-	case *ppb.Scheme:
-		return v == nil
-	default:
-		return false
-	}
-}
+// The design parameters of Figure 5, read from whichever variants have
+// them.
+func kOf(s vod.Scheme) float64     { return float64(s.(interface{ K() int }).K()) }
+func pOf(s vod.Scheme) float64     { return float64(s.(interface{ P() int }).P()) }
+func alphaOf(s vod.Scheme) float64 { return s.(interface{ Alpha() float64 }).Alpha() }
 
 // Figure5a reproduces Figure 5(a): the values of K (all schemes) and P
 // (PPB) under different network-I/O bandwidths.
 func Figure5a(bands []float64) []Curve {
 	return []Curve{
-		metric("SB (K)", bands, func(s schemes) float64 {
-			if sch := s.sb[52]; sch != nil {
-				return float64(sch.K())
-			}
-			return math.NaN()
-		}),
-		metric("PB:a (K)", bands, func(s schemes) float64 {
-			if s.pbA == nil {
-				return math.NaN()
-			}
-			return float64(s.pbA.K())
-		}),
-		metric("PB:b (K)", bands, func(s schemes) float64 {
-			if s.pbB == nil {
-				return math.NaN()
-			}
-			return float64(s.pbB.K())
-		}),
-		metric("PPB:a (K)", bands, func(s schemes) float64 {
-			if s.ppbA == nil {
-				return math.NaN()
-			}
-			return float64(s.ppbA.K())
-		}),
-		metric("PPB:a (P)", bands, func(s schemes) float64 {
-			if s.ppbA == nil {
-				return math.NaN()
-			}
-			return float64(s.ppbA.P())
-		}),
-		metric("PPB:b (P)", bands, func(s schemes) float64 {
-			if s.ppbB == nil {
-				return math.NaN()
-			}
-			return float64(s.ppbB.P())
-		}),
+		metric("SB (K)", bands, of("SB:W=52", kOf)),
+		metric("PB:a (K)", bands, of("PB:a", kOf)),
+		metric("PB:b (K)", bands, of("PB:b", kOf)),
+		metric("PPB:a (K)", bands, of("PPB:a", kOf)),
+		metric("PPB:a (P)", bands, of("PPB:a", pOf)),
+		metric("PPB:b (P)", bands, of("PPB:b", pOf)),
 	}
 }
 
@@ -246,65 +229,30 @@ func Figure5a(bands []float64) []Curve {
 // pyramid-based schemes.
 func Figure5b(bands []float64) []Curve {
 	return []Curve{
-		metric("PB:a (alpha)", bands, func(s schemes) float64 {
-			if s.pbA == nil {
-				return math.NaN()
-			}
-			return s.pbA.Alpha()
-		}),
-		metric("PB:b (alpha)", bands, func(s schemes) float64 {
-			if s.pbB == nil {
-				return math.NaN()
-			}
-			return s.pbB.Alpha()
-		}),
-		metric("PPB:a (alpha)", bands, func(s schemes) float64 {
-			if s.ppbA == nil {
-				return math.NaN()
-			}
-			return s.ppbA.Alpha()
-		}),
-		metric("PPB:b (alpha)", bands, func(s schemes) float64 {
-			if s.ppbB == nil {
-				return math.NaN()
-			}
-			return s.ppbB.Alpha()
-		}),
+		metric("PB:a (alpha)", bands, of("PB:a", alphaOf)),
+		metric("PB:b (alpha)", bands, of("PB:b", alphaOf)),
+		metric("PPB:a (alpha)", bands, of("PPB:a", alphaOf)),
+		metric("PPB:b (alpha)", bands, of("PPB:b", alphaOf)),
 	}
 }
 
-// performers lists every curve of Figures 6-8 in the paper's order.
-func performers(s schemes) []vod.Performer {
-	out := []vod.Performer{}
-	for _, w := range Widths {
-		if sch := s.sb[w]; sch != nil {
-			out = append(out, sch)
-		} else {
-			out = append(out, (*core.Scheme)(nil))
+// figureOver builds the Figure 6-8 family: one curve per scheme variant,
+// named by the variant and in the paper's order. A variant infeasible at
+// every point of bands has no curve.
+func figureOver(bands []float64, f func(vod.Scheme) float64) []Curve {
+	var names []string
+	seen := map[string]bool{}
+	for _, b := range bands {
+		for _, s := range cachedAt(b) {
+			if n := s.Name(); !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
 		}
 	}
-	out = append(out, s.pbA, s.pbB, s.ppbA, s.ppbB)
-	return out
-}
-
-// performerNames matches performers' order.
-func performerNames() []string {
-	names := []string{}
-	for _, w := range Widths {
-		names = append(names, WidthName(w))
-	}
-	return append(names, "PB:a", "PB:b", "PPB:a", "PPB:b")
-}
-
-// figureOver builds the Figure 6-8 family: one curve per scheme variant.
-func figureOver(bands []float64, f func(vod.Performer) float64) []Curve {
-	names := performerNames()
 	curves := make([]Curve, len(names))
 	for i, n := range names {
-		i := i
-		curves[i] = metric(n, bands, func(s schemes) float64 {
-			return orNaN(performers(s)[i], f)
-		})
+		curves[i] = metric(n, bands, of(n, f))
 	}
 	return curves
 }
@@ -312,24 +260,24 @@ func figureOver(bands []float64, f func(vod.Performer) float64) []Curve {
 // Figure6 reproduces Figure 6: client disk bandwidth requirement in
 // MByte/s versus network-I/O bandwidth.
 func Figure6(bands []float64) []Curve {
-	return figureOver(bands, func(p vod.Performer) float64 {
-		return vod.MbpsToMBps(p.DiskBandwidthMbps())
+	return figureOver(bands, func(s vod.Scheme) float64 {
+		return vod.MbpsToMBps(s.DiskBandwidthMbps())
 	})
 }
 
 // Figure7 reproduces Figure 7: access latency in minutes versus
 // network-I/O bandwidth.
 func Figure7(bands []float64) []Curve {
-	return figureOver(bands, func(p vod.Performer) float64 {
-		return p.AccessLatencyMin()
+	return figureOver(bands, func(s vod.Scheme) float64 {
+		return s.AccessLatencyMin()
 	})
 }
 
 // Figure8 reproduces Figure 8: client storage requirement in MBytes versus
 // network-I/O bandwidth.
 func Figure8(bands []float64) []Curve {
-	return figureOver(bands, func(p vod.Performer) float64 {
-		return vod.MbitToMByte(p.BufferMbit())
+	return figureOver(bands, func(s vod.Scheme) float64 {
+		return vod.MbitToMByte(s.BufferMbit())
 	})
 }
 
@@ -390,51 +338,31 @@ type CrossRow struct {
 
 // CrossValidate measures worst-case latency and buffer over sampled
 // arrival phases for every feasible scheme at every bandwidth, pairing
-// them with the closed forms.
+// them with the closed forms. Of SB it plays W = 2 and W = 52 only.
 func CrossValidate(bands []float64, phases int) ([]CrossRow, error) {
 	var rows []CrossRow
 	for _, b := range bands {
-		s := cachedAt(b)
-		type pair struct {
-			p vod.Performer
-			c sim.ClientSim
-		}
-		var pairs []pair
-		if sch := s.sb[2]; sch != nil {
-			pairs = append(pairs, pair{sch, sim.NewSB(sch)})
-		}
-		if sch := s.sb[52]; sch != nil {
-			pairs = append(pairs, pair{sch, sim.NewSB(sch)})
-		}
-		if s.pbA != nil {
-			pairs = append(pairs, pair{s.pbA, sim.NewPB(s.pbA)})
-		}
-		if s.pbB != nil {
-			pairs = append(pairs, pair{s.pbB, sim.NewPB(s.pbB)})
-		}
-		if s.ppbA != nil {
-			pairs = append(pairs, pair{s.ppbA, sim.NewPPB(s.ppbA)})
-		}
-		if s.ppbB != nil {
-			pairs = append(pairs, pair{s.ppbB, sim.NewPPB(s.ppbB)})
-		}
-		for _, pr := range pairs {
-			row := CrossRow{
-				Scheme:           pr.c.Name(),
-				Bandwidth:        b,
-				AnalyticLatency:  pr.p.AccessLatencyMin(),
-				AnalyticBufferMB: vod.MbitToMByte(pr.p.BufferMbit()),
+		for _, s := range cachedAt(b) {
+			if w, ok := s.(interface{ Width() int64 }); ok && w.Width() != 2 && w.Width() != 52 {
+				continue
 			}
-			lat := pr.p.AccessLatencyMin()
+			c := sim.New(s)
+			row := CrossRow{
+				Scheme:           s.Name(),
+				Bandwidth:        b,
+				AnalyticLatency:  s.AccessLatencyMin(),
+				AnalyticBufferMB: vod.MbitToMByte(s.BufferMbit()),
+			}
+			lat := s.AccessLatencyMin()
 			for i := 0; i < phases; i++ {
 				// Golden-ratio stride covers arrival phases
 				// quasi-uniformly across many latency periods
 				// (SB's buffer worst case needs phases spread over
 				// its whole broadcast period, not just one D1).
 				arrival := float64(i) * lat * 1.61803398875
-				res, err := pr.c.Client(arrival, 0)
+				res, err := c.Client(arrival, 0)
 				if err != nil {
-					return nil, fmt.Errorf("bench: %s at B=%v: %w", pr.c.Name(), b, err)
+					return nil, fmt.Errorf("bench: %s at B=%v: %w", s.Name(), b, err)
 				}
 				row.MeasuredLatency = math.Max(row.MeasuredLatency, res.WaitMin)
 				row.MeasuredBufferMB = math.Max(row.MeasuredBufferMB, vod.MbitToMByte(res.MaxBufferMbit))

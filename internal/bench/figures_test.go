@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"skyscraper/internal/core"
@@ -34,6 +35,30 @@ func valueAt(t *testing.T, c Curve, x float64) float64 {
 	}
 	t.Fatalf("curve %q has no x = %v", c.Name, x)
 	return 0
+}
+
+// TestNewScheme: every name in the table builds its scheme, in any case;
+// an infeasible build is a nil interface with an error, never a typed
+// nil; an unknown name is an error.
+func TestNewScheme(t *testing.T) {
+	cfg := vod.DefaultConfig(320)
+	for name, want := range map[string]string{
+		"sb": "SB:W=52", "pb:a": "PB:a", "PB:B": "PB:b", "ppb:a": "PPB:a", "ppb:b": "PPB:b", "staggered": "Staggered",
+	} {
+		s, err := NewScheme(name, cfg, 52)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Name() != want {
+			t.Errorf("%s builds %q, want %q", name, s.Name(), want)
+		}
+	}
+	if s, err := NewScheme("ppb:b", vod.DefaultConfig(30), 0); err == nil || s != nil {
+		t.Errorf("infeasible PPB:b at 30 Mbit/s = %v, %v; want nil and an error", s, err)
+	}
+	if _, err := NewScheme("harmonic", cfg, 0); err == nil {
+		t.Error("unknown scheme accepted")
+	}
 }
 
 func TestBandwidths(t *testing.T) {
@@ -187,10 +212,11 @@ func TestCombinedWin(t *testing.T) {
 
 // TestSchemeCacheBuildsOncePerPoint: regenerating every sweep figure
 // constructs each bandwidth point's schemes exactly once, no matter how
-// many curves and figures share it or whether points run concurrently.
+// many curves and figures share it or whether points run concurrently
+// (the default GOMAXPROCS) or serially (GOMAXPROCS 1).
 func TestSchemeCacheBuildsOncePerPoint(t *testing.T) {
-	for _, parallel := range []bool{true, false} {
-		SetParallel(parallel)
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		prev := runtime.GOMAXPROCS(procs)
 		ResetCache()
 		before := CacheBuilds()
 		bands := Bandwidths(50)
@@ -200,23 +226,23 @@ func TestSchemeCacheBuildsOncePerPoint(t *testing.T) {
 		Figure7(bands)
 		Figure8(bands)
 		if got := CacheBuilds() - before; got != int64(len(bands)) {
-			t.Errorf("parallel=%v: %d constructions for %d bandwidth points, want one each",
-				parallel, got, len(bands))
+			t.Errorf("GOMAXPROCS=%d: %d constructions for %d bandwidth points, want one each",
+				procs, got, len(bands))
 		}
+		runtime.GOMAXPROCS(prev)
 	}
-	SetParallel(true)
 	ResetCache()
 }
 
 // TestParallelPointsIdentical: concurrent point evaluation changes only
-// wall-clock, never values.
+// wall-clock, never values — GOMAXPROCS 1 evaluates the points serially.
 func TestParallelPointsIdentical(t *testing.T) {
 	bands := Bandwidths(100)
 	figs := []func([]float64) []Curve{Figure5a, Figure5b, Figure6, Figure7, Figure8}
 	for fi, fig := range figs {
-		SetParallel(false)
+		prev := runtime.GOMAXPROCS(1)
 		serial := fig(bands)
-		SetParallel(true)
+		runtime.GOMAXPROCS(prev)
 		parallel := fig(bands)
 		if len(serial) != len(parallel) {
 			t.Fatalf("figure %d: curve counts differ", fi)

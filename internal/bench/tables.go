@@ -21,21 +21,21 @@ type Table1Row struct {
 // Table1 evaluates the Table 1 formulas at the given bandwidth for the
 // paper's default workload.
 func Table1(bandwidth float64) []Table1Row {
-	s := cachedAt(bandwidth)
+	v := cachedAt(bandwidth)
 	rows := []Table1Row{}
 	add := func(name, iof, lf, bf string, p vod.Performer) {
 		r := Table1Row{Scheme: name, IOFormula: iof, LatencyFormula: lf, BufferFormula: bf,
 			IOMbps: math.NaN(), LatencyMin: math.NaN(), BufferMbit: math.NaN()}
-		if p != nil && !isNilPtr(p) {
+		if p != nil {
 			r.IOMbps = p.DiskBandwidthMbps()
 			r.LatencyMin = p.AccessLatencyMin()
 			r.BufferMbit = p.BufferMbit()
 		}
 		rows = append(rows, r)
 	}
-	add("PB", "b + 2B/K", "D1*M*K*b/B = D1/alpha", "60b(D_{K-1} + D_K(1 - bK/B))", s.pbB)
-	add("PPB", "b + B/(KPM)", "D1*M*K*b/B = D1/(P+alpha)", "60b(D_{K-1}+D_K)*MKb/B", s.ppbB)
-	add("SB", "b | 2b | 3b (by W, K)", "D1 = D / sum min(f(i),W)", "60*b*D1*(W-1)", s.sb[52])
+	add("PB", "b + 2B/K", "D1*M*K*b/B = D1/alpha", "60b(D_{K-1} + D_K(1 - bK/B))", v.named("PB:b"))
+	add("PPB", "b + B/(KPM)", "D1*M*K*b/B = D1/(P+alpha)", "60b(D_{K-1}+D_K)*MKb/B", v.named("PPB:b"))
+	add("SB", "b | 2b | 3b (by W, K)", "D1 = D / sum min(f(i),W)", "60*b*D1*(W-1)", v.named("SB:W=52"))
 	return rows
 }
 
@@ -54,27 +54,26 @@ type Table2Row struct {
 
 // Table2 evaluates the parameter rules at the given bandwidth.
 func Table2(bandwidth float64) []Table2Row {
-	s := cachedAt(bandwidth)
+	v := cachedAt(bandwidth)
 	rows := []Table2Row{}
-	if s.pbA != nil {
-		rows = append(rows, Table2Row{Scheme: "PB:a", KRule: "ceil(B/(bMe))", PRule: "n/a",
-			ARule: "B/(bMK)", K: s.pbA.K(), Alpha: s.pbA.Alpha(), Comment: "alpha <= e"})
+	add := func(name string, r Table2Row) {
+		s := v.named(name)
+		if s == nil {
+			return
+		}
+		r.Scheme, r.K, r.Alpha = name, int(kOf(s)), alphaOf(s)
+		if pp, ok := s.(interface{ P() int }); ok {
+			r.P = pp.P()
+		}
+		rows = append(rows, r)
 	}
-	if s.pbB != nil {
-		rows = append(rows, Table2Row{Scheme: "PB:b", KRule: "floor(B/(bMe))", PRule: "n/a",
-			ARule: "B/(bMK)", K: s.pbB.K(), Alpha: s.pbB.Alpha(), Comment: "alpha >= e"})
-	}
-	if s.ppbA != nil {
-		rows = append(rows, Table2Row{Scheme: "PPB:a", KRule: "max K in [2,7] feasible", PRule: "floor(B/(KMb) - 2)",
-			ARule: "B/(KMb) - P", K: s.ppbA.K(), P: s.ppbA.P(), Alpha: s.ppbA.Alpha()})
-	}
-	if s.ppbB != nil {
-		rows = append(rows, Table2Row{Scheme: "PPB:b", KRule: "max K in [2,7] feasible", PRule: "max(2, floor(B/(KMb)) - 2)",
-			ARule: "B/(KMb) - P", K: s.ppbB.K(), P: s.ppbB.P(), Alpha: s.ppbB.Alpha()})
-	}
-	if sb := s.sb[52]; sb != nil {
+	add("PB:a", Table2Row{KRule: "ceil(B/(bMe))", PRule: "n/a", ARule: "B/(bMK)", Comment: "alpha <= e"})
+	add("PB:b", Table2Row{KRule: "floor(B/(bMe))", PRule: "n/a", ARule: "B/(bMK)", Comment: "alpha >= e"})
+	add("PPB:a", Table2Row{KRule: "max K in [2,7] feasible", PRule: "floor(B/(KMb) - 2)", ARule: "B/(KMb) - P"})
+	add("PPB:b", Table2Row{KRule: "max K in [2,7] feasible", PRule: "max(2, floor(B/(KMb)) - 2)", ARule: "B/(KMb) - P"})
+	if sb := v.named("SB:W=52"); sb != nil {
 		rows = append(rows, Table2Row{Scheme: "SB", KRule: "floor(B/(bM))", PRule: "n/a", ARule: "n/a (series + W)",
-			K: sb.K(), Comment: fmt.Sprintf("W tunable; D1 = %.4f min at W=52", sb.UnitMinutes())})
+			K: int(kOf(sb)), Comment: fmt.Sprintf("W tunable; D1 = %.4f min at W=52", sb.AccessLatencyMin())})
 	}
 	return rows
 }

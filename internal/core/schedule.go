@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"skyscraper/internal/series"
+	"skyscraper/internal/vod"
 )
 
 // LoaderID identifies one of the client's two download routines
@@ -107,6 +109,39 @@ func (e *ErrSchedule) Error() string {
 // (the parity interleaving of odd and even groups prevents it).
 func (s *Scheme) PlanSchedule(playStart int64) (*Schedule, error) {
 	return PlanForGroups(s.groups, playStart)
+}
+
+// Reception implements vod.Scheme: the server's K channels per video each
+// rebroadcast their fragment back-to-back at the display rate (all aligned
+// at virtual time 0), and the client executes the two-loader reception
+// plan, tuning only at broadcast beginnings. All videos are symmetric, so
+// the video index plays no part.
+func (s *Scheme) Reception(arrivalMin float64, _ int) (downloads, playbacks []vod.Flow, err error) {
+	d1 := s.UnitMinutes()
+	// Playback starts at the next fragment-1 broadcast: channel 1 has
+	// period D1 aligned to time 0.
+	playUnit := int64(math.Ceil(arrivalMin / d1))
+	plan, err := s.PlanSchedule(playUnit)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := s.cfg.RateMbps
+	for _, dl := range plan.Downloads {
+		g := dl.Group
+		for j := 0; j < g.Count; j++ {
+			seg := g.First + j
+			// Compute every boundary as unit*d1 so that identical
+			// instants are bitwise-equal floats; back-to-back
+			// fragment downloads must not appear to overlap.
+			dU := dl.FragmentStart(j)
+			pU := playUnit + g.StartUnit + int64(j)*g.Size
+			downloads = append(downloads, vod.Flow{
+				Segment: seg, StartMin: float64(dU) * d1, EndMin: float64(dU+g.Size) * d1, RateMbps: b})
+			playbacks = append(playbacks, vod.Flow{
+				Segment: seg, StartMin: float64(pU) * d1, EndMin: float64(pU+g.Size) * d1, RateMbps: b})
+		}
+	}
+	return downloads, playbacks, nil
 }
 
 // PlanForGroups is PlanSchedule for a bare transmission-group list, used by

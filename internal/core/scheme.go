@@ -32,7 +32,8 @@ type Scheme struct {
 	k      int
 	sizes  []int64 // capped relative fragment sizes, len k
 	groups []series.Group
-	total  int64 // sum of sizes: video length in D1 units
+	total  int64  // sum of sizes: video length in D1 units
+	name   string // the paper's curve label, see Name
 }
 
 // New builds the SB scheme for cfg with the paper's skyscraper series and
@@ -65,6 +66,10 @@ func NewWithSeries(cfg vod.Config, s series.Series, width int64) (*Scheme, error
 		sizes:  sizes,
 		groups: groups,
 		total:  series.Sum(s, k, width),
+		name:   "SB:W=infinite",
+	}
+	if width > 0 {
+		sch.name = fmt.Sprintf("SB:W=%d", width)
 	}
 	return sch, nil
 }
@@ -168,12 +173,7 @@ func (s *Scheme) ServerChannelsUsed() int { return s.k * s.cfg.Videos }
 
 // Name implements the repository-wide performer convention, matching the
 // paper's curve labels ("SB:W=52"; width 0 renders as "SB:W=infinite").
-func (s *Scheme) Name() string {
-	if s.width <= 0 {
-		return "SB:W=infinite"
-	}
-	return fmt.Sprintf("SB:W=%d", s.width)
-}
+func (s *Scheme) Name() string { return s.name }
 
 // String summarizes the scheme.
 func (s *Scheme) String() string {

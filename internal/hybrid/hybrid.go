@@ -123,9 +123,9 @@ func Evaluate(plan *Plan, cat *catalog.Catalog, reqs []workload.Request) (*Repor
 		return nil, fmt.Errorf("hybrid: nil plan or catalog")
 	}
 	rep := &Report{Plan: plan}
-	var sbSim *sim.SB
+	var sbSim sim.ClientSim
 	if plan.SB != nil {
-		sbSim = sim.NewSB(plan.SB)
+		sbSim = sim.New(plan.SB)
 	}
 	var coldReqs []workload.Request
 	for _, r := range reqs {

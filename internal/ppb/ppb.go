@@ -183,6 +183,118 @@ func (s *Scheme) BufferMbit() float64 {
 	return 60 * s.cfg.RateMbps * (s.FragmentMinutes(s.k-1) + s.FragmentMinutes(s.k)) * scale
 }
 
+// Reception implements vod.Scheme with the paper's full PPB client,
+// including the buffer-reduction mechanism SB criticizes for its
+// synchronization cost: "PPB occasionally pauses the incoming stream to
+// allow the playback to catch up. This is done by allowing a client to
+// discontinue the current stream and tune to another subchannel, which
+// broadcasts the same fragment, at a later time to collect the remaining
+// data." Concretely, each segment is received as a sequence of bursts: the
+// client tunes as late as the playback deadline permits, downloads until
+// its lead over the player reaches one replica offset worth of data
+// (60*b*period/P Mbit — the minimum lead that makes a pause safe), pauses,
+// and resumes mid-broadcast on a later replica. This is what makes the
+// Table 1 storage bound attainable.
+//
+// Each segment's P subchannels broadcast it back-to-back, phase-shifted by
+// 1/P of the broadcast period, so broadcast starts form a grid of pitch
+// period/P and byte x of the segment is in flight at every grid time plus
+// x/rate. All videos are symmetric, so the video index plays no part.
+func (s *Scheme) Reception(arrivalMin float64, _ int) (downloads, playbacks []vod.Flow, err error) {
+	// Playback begins at the earliest replica of the first segment.
+	playAt := vod.FirstAtOrAfter(arrivalMin, s.PhaseOffsetMinutes(1), 0)
+	for i := 1; i <= s.k; i++ {
+		playDur := s.FragmentMinutes(i)
+		bursts, err := s.segmentBursts(i, playAt)
+		if err != nil {
+			return nil, nil, err
+		}
+		downloads = append(downloads, bursts...)
+		playbacks = append(playbacks, vod.Flow{Segment: i, StartMin: playAt, EndMin: playAt + playDur, RateMbps: s.cfg.RateMbps})
+		playAt += playDur
+	}
+	return downloads, playbacks, nil
+}
+
+// segmentBursts builds the pause/resume download schedule for segment i
+// whose playback starts at playStart minutes.
+func (s *Scheme) segmentBursts(i int, playStart float64) ([]vod.Flow, error) {
+	var (
+		b     = s.cfg.RateMbps
+		r     = s.SubchannelMbps()
+		step  = s.PhaseOffsetMinutes(i)            // replica phase pitch
+		total = s.FragmentMbits(i)                 // segment content
+		theta = 60 * b * step                      // minimum lead that makes a pause safe
+		x     = 0.0                                // Mbit received so far
+		prev  = math.Inf(-1)                       // end of previous burst
+		limit = 16 + 4*int(math.Ceil(total/theta)) // iteration guard
+	)
+	played := func(t float64) float64 {
+		v := 60 * b * (t - playStart)
+		if v < 0 {
+			return 0
+		}
+		if v > total {
+			return total
+		}
+		return v
+	}
+	var bursts []vod.Flow
+	for n := 0; x < total-1e-9; n++ {
+		if n >= limit {
+			return nil, fmt.Errorf("ppb: segment %d burst schedule did not converge after %d bursts", i, n)
+		}
+		// Byte x is in flight at every grid time k*step plus x/(60r);
+		// resume as late as the playback deadline of byte x permits.
+		deadline := playStart + x/(60*b)
+		base := x / (60 * r)
+		// The epsilon absorbs float rounding when the deadline falls
+		// exactly on the replica grid; overshooting the deadline by
+		// step*1e-9 minutes is far below the data tolerance.
+		kk := math.Floor((deadline-base)/step + 1e-9)
+		start := base + kk*step
+		if start < prev-1e-9 {
+			return nil, fmt.Errorf("ppb: segment %d: no replica carries byte %.3f Mbit between %.6f and its deadline %.6f",
+				i, x, prev, deadline)
+		}
+		if start < prev {
+			start = prev
+		}
+		// Download until done, or until the lead over the player
+		// reaches theta (then a pause of up to one replica offset is
+		// safe).
+		fullEnd := start + (total-x)/(60*r)
+		pauseAt := math.Inf(1)
+		if lead := x + 0 - played(start); lead < theta {
+			// Before playback starts the lead grows at 60r; after,
+			// at 60(r-b).
+			if start < playStart {
+				t := start + (theta-x)/(60*r)
+				if t <= playStart {
+					pauseAt = t
+				} else {
+					leadAtPlay := x + 60*r*(playStart-start)
+					pauseAt = playStart + (theta-leadAtPlay)/(60*(r-b))
+				}
+			} else {
+				pauseAt = start + (theta-lead)/(60*(r-b))
+			}
+		}
+		end := math.Min(fullEnd, pauseAt)
+		if end <= start+1e-12 {
+			// Degenerate alignment: the lead is already theta at the
+			// resume point; the next grid slot still meets the
+			// deadline, so skip forward one replica.
+			prev = start + step
+			continue
+		}
+		bursts = append(bursts, vod.Flow{Segment: i, StartMin: start, EndMin: end, RateMbps: r})
+		x += 60 * r * (end - start)
+		prev = end
+	}
+	return bursts, nil
+}
+
 // String summarizes the scheme.
 func (s *Scheme) String() string {
 	return fmt.Sprintf("%s{K=%d P=%d alpha=%.4f}", s.Name(), s.k, s.p, s.alpha)

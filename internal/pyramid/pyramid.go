@@ -155,6 +155,40 @@ func (s *Scheme) BufferMbit() float64 {
 	return 60 * s.cfg.RateMbps * (dPrev + dLast*(1-played))
 }
 
+// Reception implements vod.Scheme. Channel i cycles through the i-th
+// segments of all M videos sequentially; the client downloads its video's
+// first segment at the first occurrence, plays it back concurrently, and
+// tunes for each subsequent segment at the earliest broadcast after
+// beginning to play back the current one (Section 2).
+func (s *Scheme) Reception(arrivalMin float64, video int) (downloads, playbacks []vod.Flow, err error) {
+	var playAt, prevPlayStart float64
+	for i := 1; i <= s.k; i++ {
+		// Channel i broadcasts S_i of video v during
+		// [cycle*n + v*T_i, ... + T_i), where T_i is the broadcast
+		// duration of one segment at the channel rate.
+		dur := s.BroadcastMinutes(i)
+		cycle := float64(s.cfg.Videos) * dur
+		offset := float64(video) * dur
+		// "It downloads the next fragment at the earliest possible time
+		// after beginning to play back the current fragment": tune for
+		// segment i once segment i-1's playback has begun.
+		ready := arrivalMin
+		if i > 1 {
+			ready = prevPlayStart
+		}
+		start := vod.FirstAtOrAfter(ready, cycle, offset)
+		if i == 1 {
+			playAt = start // playback begins with the first download
+		}
+		playDur := s.FragmentMinutes(i)
+		downloads = append(downloads, vod.Flow{Segment: i, StartMin: start, EndMin: start + dur, RateMbps: s.ChannelMbps()})
+		playbacks = append(playbacks, vod.Flow{Segment: i, StartMin: playAt, EndMin: playAt + playDur, RateMbps: s.cfg.RateMbps})
+		prevPlayStart = playAt
+		playAt += playDur
+	}
+	return downloads, playbacks, nil
+}
+
 // String summarizes the scheme.
 func (s *Scheme) String() string {
 	return fmt.Sprintf("%s{K=%d alpha=%.4f}", s.Name(), s.k, s.alpha)

@@ -1,20 +1,22 @@
-// Package sim contains event-driven simulations of every broadcasting
+// Package sim is the event-driven simulator that plays every broadcasting
 // scheme in this repository. Where the analytic packages (core, pyramid,
 // ppb, staggered) evaluate the paper's closed forms, this package actually
-// plays the protocols out: server channels emit periodic broadcasts on a
-// virtual clock, clients tune, loaders fill a buffer, and a player drains
-// it — so access latency, buffer high-water marks and stream concurrency
-// are *measured*, and jitter-freeness is checked rather than assumed. The
-// tests cross-validate the measurements against the closed forms, which is
-// this reproduction's substitute for the authors' testbed.
+// plays each scheme's client protocol — its vod.Scheme.Reception — out on a
+// virtual clock: loaders fill a buffer and a player drains it, so access
+// latency, buffer high-water marks and stream concurrency are *measured*,
+// and jitter-freeness is checked rather than assumed. The tests
+// cross-validate the measurements against the closed forms, which is this
+// reproduction's substitute for the authors' testbed.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"skyscraper/internal/des"
 	"skyscraper/internal/metrics"
+	"skyscraper/internal/vod"
 )
 
 // ClientResult reports one simulated client's reception of one video.
@@ -52,25 +54,55 @@ type ClientSim interface {
 	Client(arrivalMin float64, video int) (ClientResult, error)
 }
 
-// flow is a constant-rate transfer of one segment's data over an interval.
-type flow struct {
-	segment  int // 1-based segment index
-	startMin float64
-	endMin   float64
-	rateMbps float64
+// New returns the simulator of scheme s: each client's arrival and video
+// are checked once, then s's Reception is played out by runFlows.
+func New(s vod.Scheme) ClientSim { return schemeSim{s} }
+
+// NewSB is New, kept only because benchmark/harness calls it.
+func NewSB(s vod.Scheme) ClientSim { return New(s) }
+
+// NewPB is New, kept only because benchmark/harness calls it.
+func NewPB(s vod.Scheme) ClientSim { return New(s) }
+
+// NewPPB is New, kept only because benchmark/harness calls it.
+func NewPPB(s vod.Scheme) ClientSim { return New(s) }
+
+// NewStaggered is New, kept only because benchmark/harness calls it.
+func NewStaggered(s vod.Scheme) ClientSim { return New(s) }
+
+type schemeSim struct{ s vod.Scheme }
+
+// Name implements ClientSim: the scheme's own name.
+func (c schemeSim) Name() string { return c.s.Name() }
+
+// Client implements ClientSim.
+func (c schemeSim) Client(arrivalMin float64, video int) (ClientResult, error) {
+	if n := c.s.Config().Videos; video < 0 || video >= n {
+		return ClientResult{}, fmt.Errorf("sim: video %d outside broadcast set 0..%d", video, n-1)
+	}
+	if !(arrivalMin >= 0) || math.IsInf(arrivalMin, 1) {
+		return ClientResult{}, fmt.Errorf("sim: arrival %v is not a finite time >= 0", arrivalMin)
+	}
+	downloads, playbacks, err := c.s.Reception(arrivalMin, video)
+	var res ClientResult
+	if err == nil {
+		res, err = runFlows(downloads, playbacks, arrivalMin)
+	}
+	if err != nil {
+		return ClientResult{}, fmt.Errorf("sim: %s: %w", c.s.Name(), err)
+	}
+	return res, nil
 }
 
-func (f flow) mbit() float64 { return (f.endMin - f.startMin) * 60 * f.rateMbps }
-
-// cumulative returns the Mbit transferred by time t.
-func (f flow) cumulative(t float64) float64 {
-	if t <= f.startMin {
+// cumulative returns the Mbit f has transferred by time t.
+func cumulative(f vod.Flow, t float64) float64 {
+	if t <= f.StartMin {
 		return 0
 	}
-	if t >= f.endMin {
-		return f.mbit()
+	if t >= f.EndMin {
+		return f.Mbit()
 	}
-	return (t - f.startMin) * 60 * f.rateMbps
+	return (t - f.StartMin) * 60 * f.RateMbps
 }
 
 // runFlows executes a client's download and playback flows on a discrete
@@ -79,67 +111,67 @@ func (f flow) cumulative(t float64) float64 {
 // Every played segment must be covered by one or more download bursts (a
 // pausing client, like PPB's, receives a segment in several bursts from
 // phase-shifted replicas) delivering exactly the played volume.
-func runFlows(downloads, playbacks []flow, arrivalMin float64) (ClientResult, error) {
+func runFlows(downloads, playbacks []vod.Flow, arrivalMin float64) (ClientResult, error) {
 	if len(playbacks) == 0 {
 		return ClientResult{}, fmt.Errorf("sim: no playback flows")
 	}
-	dl := make(map[int][]flow, len(playbacks))
+	dl := make(map[int][]vod.Flow, len(playbacks))
 	for _, f := range downloads {
-		if f.endMin < f.startMin || f.rateMbps <= 0 {
+		if f.EndMin < f.StartMin || f.RateMbps <= 0 {
 			return ClientResult{}, fmt.Errorf("sim: malformed download flow %+v", f)
 		}
-		dl[f.segment] = append(dl[f.segment], f)
+		dl[f.Segment] = append(dl[f.Segment], f)
 	}
 	// Tolerance for data-volume comparisons: 1e-4 Mbit is about 12 bytes,
 	// far above accumulated float64 noise and far below any real jitter.
 	const tol = 1e-4
-	playStart, playEnd := playbacks[0].startMin, playbacks[0].endMin
+	playStart, playEnd := playbacks[0].StartMin, playbacks[0].EndMin
 	for _, p := range playbacks {
-		bursts, ok := dl[p.segment]
+		bursts, ok := dl[p.Segment]
 		if !ok {
-			return ClientResult{}, fmt.Errorf("sim: segment %d played but never downloaded", p.segment)
+			return ClientResult{}, fmt.Errorf("sim: segment %d played but never downloaded", p.Segment)
 		}
-		sort.Slice(bursts, func(i, j int) bool { return bursts[i].startMin < bursts[j].startMin })
+		sort.Slice(bursts, func(i, j int) bool { return bursts[i].StartMin < bursts[j].StartMin })
 		var got float64
-		breakpoints := []float64{p.startMin, p.endMin}
+		breakpoints := []float64{p.StartMin, p.EndMin}
 		for i, b := range bursts {
-			got += b.mbit()
-			breakpoints = append(breakpoints, b.startMin, b.endMin)
-			if i > 0 && b.startMin < bursts[i-1].endMin-1e-12 {
-				return ClientResult{}, fmt.Errorf("sim: segment %d bursts overlap at t=%.6f", p.segment, b.startMin)
+			got += b.Mbit()
+			breakpoints = append(breakpoints, b.StartMin, b.EndMin)
+			if i > 0 && b.StartMin < bursts[i-1].EndMin-1e-12 {
+				return ClientResult{}, fmt.Errorf("sim: segment %d bursts overlap at t=%.6f", p.Segment, b.StartMin)
 			}
 		}
-		if diff := got - p.mbit(); diff > tol || diff < -tol {
+		if diff := got - p.Mbit(); diff > tol || diff < -tol {
 			return ClientResult{}, fmt.Errorf("sim: segment %d downloads %.6f Mbit but plays %.6f",
-				p.segment, got, p.mbit())
+				p.Segment, got, p.Mbit())
 		}
 		// Causality is a piecewise-linear comparison; extremes occur at
 		// breakpoints of either curve.
 		for _, t := range breakpoints {
 			var cum float64
 			for _, b := range bursts {
-				cum += b.cumulative(t)
+				cum += cumulative(b, t)
 			}
-			if short := p.cumulative(t) - cum; short > tol {
+			if short := cumulative(p, t) - cum; short > tol {
 				return ClientResult{}, fmt.Errorf("sim: jitter on segment %d: player is %.6f Mbit ahead at t=%.6f",
-					p.segment, short, t)
+					p.Segment, short, t)
 			}
 		}
-		if p.startMin < playStart {
-			playStart = p.startMin
+		if p.StartMin < playStart {
+			playStart = p.StartMin
 		}
-		if p.endMin > playEnd {
-			playEnd = p.endMin
+		if p.EndMin > playEnd {
+			playEnd = p.EndMin
 		}
 	}
 
 	// A download that coincides exactly with its segment's playback
 	// streams through to the player and touches no disk; everything else
 	// is written to (and later read from) the client buffer.
-	passThrough := func(f flow) bool {
+	passThrough := func(f vod.Flow) bool {
 		for _, p := range playbacks {
-			if p.segment == f.segment {
-				return f.startMin == p.startMin && f.endMin == p.endMin && f.rateMbps == p.rateMbps
+			if p.Segment == f.Segment {
+				return f.StartMin == p.StartMin && f.EndMin == p.EndMin && f.RateMbps == p.RateMbps
 			}
 		}
 		return false
@@ -166,21 +198,21 @@ func runFlows(downloads, playbacks []flow, arrivalMin float64) (ClientResult, er
 	}
 	var edges []edge
 	for _, f := range downloads {
-		e0 := edge{t: f.startMin, dRate: +f.rateMbps, stream: +1}
-		e1 := edge{t: f.endMin, dRate: -f.rateMbps, stream: -1}
+		e0 := edge{t: f.StartMin, dRate: +f.RateMbps, stream: +1}
+		e1 := edge{t: f.EndMin, dRate: -f.RateMbps, stream: -1}
 		if !passThrough(f) {
-			e0.wRate, e1.wRate = +f.rateMbps, -f.rateMbps
+			e0.wRate, e1.wRate = +f.RateMbps, -f.RateMbps
 		}
 		edges = append(edges, e0, e1)
-		total += f.mbit()
+		total += f.Mbit()
 	}
 	for _, p := range playbacks {
 		edges = append(edges,
-			edge{t: p.startMin, dRate: -p.rateMbps, play: +1},
-			edge{t: p.endMin, dRate: +p.rateMbps, play: -1})
+			edge{t: p.StartMin, dRate: -p.RateMbps, play: +1},
+			edge{t: p.EndMin, dRate: +p.RateMbps, play: -1})
 	}
 	sort.SliceStable(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-	playRate := playbacks[0].rateMbps
+	playRate := playbacks[0].RateMbps
 	var rate float64 // net fill rate Mbit/s
 	prev := edges[0].t
 	for _, e := range edges {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,23 +12,23 @@ import (
 	"skyscraper/internal/vod"
 )
 
-func sbSim(t *testing.T, serverMbps float64, width int64) *SB {
+func sbSim(t *testing.T, serverMbps float64, width int64) (*core.Scheme, ClientSim) {
 	t.Helper()
 	sch, err := core.New(vod.DefaultConfig(serverMbps), width)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSB(sch)
+	return sch, New(sch)
 }
 
 func TestSBClientBasics(t *testing.T) {
-	s := sbSim(t, 320, 2)
+	sch, s := sbSim(t, 320, 2)
 	res, err := s.Client(10.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WaitMin < 0 || res.WaitMin > s.Scheme().AccessLatencyMin()+1e-9 {
-		t.Errorf("wait = %v, want within [0, %v]", res.WaitMin, s.Scheme().AccessLatencyMin())
+	if res.WaitMin < 0 || res.WaitMin > sch.AccessLatencyMin()+1e-9 {
+		t.Errorf("wait = %v, want within [0, %v]", res.WaitMin, sch.AccessLatencyMin())
 	}
 	if math.Abs(res.DownloadedMbit-10800) > 1e-6 {
 		t.Errorf("downloaded %v Mbit, want 10800 (whole video, each byte once)", res.DownloadedMbit)
@@ -53,8 +52,7 @@ func TestSBMeasuredMatchesAnalytic(t *testing.T) {
 	}{
 		{320, 2}, {320, 12}, {320, 52}, {600, 52}, {150, 5},
 	} {
-		s := sbSim(t, tc.serverMbps, tc.width)
-		sch := s.Scheme()
+		sch, s := sbSim(t, tc.serverMbps, tc.width)
 		d1 := sch.UnitMinutes()
 		period := sch.PhasePeriod()
 		samples := int64(600)
@@ -92,34 +90,67 @@ func TestSBMeasuredMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestSBRejectsBadInput(t *testing.T) {
-	s := sbSim(t, 320, 2)
-	if _, err := s.Client(-1, 0); err == nil {
-		t.Error("negative arrival accepted")
+// TestNewRejectsBadInput: the one simulator checks every scheme's input
+// once — a negative, NaN or infinite arrival and an out-of-range video are
+// refused — and names the simulation after the scheme.
+func TestNewRejectsBadInput(t *testing.T) {
+	cfg := vod.DefaultConfig(320)
+	sb, err := core.New(cfg, 52)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Client(1, 99); err == nil {
-		t.Error("out-of-range video accepted")
+	pb, err := pyramid.New(cfg, pyramid.MethodB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(s.Name(), "SB") {
-		t.Errorf("name %q", s.Name())
+	pp, err := ppb.New(cfg, ppb.MethodB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := staggered.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncapped, err := core.New(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range []vod.Scheme{sb, uncapped, pb, pp, st} {
+		s := New(sch)
+		if s.Name() != sch.Name() {
+			t.Errorf("simulator named %q, scheme %q", s.Name(), sch.Name())
+		}
+		for _, bad := range []struct {
+			arrival float64
+			video   int
+		}{
+			{-1, 0}, {math.NaN(), 0}, {math.Inf(1), 0}, {math.Inf(-1), 0}, {1, 99}, {1, -1}, {1, cfg.Videos},
+		} {
+			if _, err := s.Client(bad.arrival, bad.video); err == nil {
+				t.Errorf("%s: arrival %v video %d accepted", sch.Name(), bad.arrival, bad.video)
+			}
+		}
+		if _, err := s.Client(1, cfg.Videos-1); err != nil {
+			t.Errorf("%s: last video refused: %v", sch.Name(), err)
+		}
 	}
 }
 
-func pbSim(t *testing.T, serverMbps float64, m pyramid.Method) *PB {
+func pbSim(t *testing.T, serverMbps float64, m pyramid.Method) (*pyramid.Scheme, ClientSim) {
 	t.Helper()
 	sch, err := pyramid.New(vod.DefaultConfig(serverMbps), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPB(sch)
+	return sch, New(sch)
 }
 
 func TestPBClientJitterFreeAndBounded(t *testing.T) {
 	for _, m := range []pyramid.Method{pyramid.MethodA, pyramid.MethodB} {
 		for _, b := range []float64{100, 320, 600} {
-			s := pbSim(t, b, m)
-			lat := s.Scheme().AccessLatencyMin()
-			bound := s.Scheme().BufferMbit()
+			sch, s := pbSim(t, b, m)
+			lat := sch.AccessLatencyMin()
+			bound := sch.BufferMbit()
 			var worstWait, worstBuf float64
 			for i := 0; i < 400; i++ {
 				arrival := float64(i) * lat / 37.7 // irrational-ish phase coverage
@@ -158,21 +189,21 @@ func TestPBClientJitterFreeAndBounded(t *testing.T) {
 	}
 }
 
-func ppbSim(t *testing.T, serverMbps float64, m ppb.Method) *PPB {
+func ppbSim(t *testing.T, serverMbps float64, m ppb.Method) (*ppb.Scheme, ClientSim) {
 	t.Helper()
 	sch, err := ppb.New(vod.DefaultConfig(serverMbps), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPPB(sch)
+	return sch, New(sch)
 }
 
 func TestPPBClientJitterFreeAndBounded(t *testing.T) {
 	for _, m := range []ppb.Method{ppb.MethodA, ppb.MethodB} {
 		for _, b := range []float64{100, 320, 600} {
-			s := ppbSim(t, b, m)
-			lat := s.Scheme().AccessLatencyMin()
-			bound := s.Scheme().BufferMbit()
+			sch, s := ppbSim(t, b, m)
+			lat := sch.AccessLatencyMin()
+			bound := sch.BufferMbit()
 			var worstWait, worstBuf float64
 			for i := 0; i < 400; i++ {
 				arrival := float64(i) * lat / 23.3
@@ -210,7 +241,7 @@ func TestStaggeredClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStaggered(sch)
+	s := New(sch)
 	res, err := s.Client(7.5, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +267,7 @@ func TestStaggeredClient(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	s := sbSim(t, 320, 52)
+	sch, s := sbSim(t, 320, 52)
 	res, err := Sweep(s, 200, 500, 10, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -244,11 +275,11 @@ func TestSweep(t *testing.T) {
 	if res.Clients != 200 || res.WaitMin.Count() != 200 {
 		t.Errorf("sweep counted %d/%d", res.Clients, res.WaitMin.Count())
 	}
-	if res.WaitMin.Max() > s.Scheme().AccessLatencyMin()+1e-9 {
-		t.Errorf("sweep max wait %v exceeds bound %v", res.WaitMin.Max(), s.Scheme().AccessLatencyMin())
+	if res.WaitMin.Max() > sch.AccessLatencyMin()+1e-9 {
+		t.Errorf("sweep max wait %v exceeds bound %v", res.WaitMin.Max(), sch.AccessLatencyMin())
 	}
-	if res.BufferMbit.Max() > s.Scheme().BufferMbit()+1e-6 {
-		t.Errorf("sweep max buffer %v exceeds bound %v", res.BufferMbit.Max(), s.Scheme().BufferMbit())
+	if res.BufferMbit.Max() > sch.BufferMbit()+1e-6 {
+		t.Errorf("sweep max buffer %v exceeds bound %v", res.BufferMbit.Max(), sch.BufferMbit())
 	}
 	if res.Streams.Max() > 2 {
 		t.Errorf("sweep saw %v streams", res.Streams.Max())
@@ -258,9 +289,28 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsNonFiniteWindow: arrivals are drawn over [0, window),
+// so a NaN or infinite window would hand every client a non-finite
+// arrival — which a staggered client, whose flows are all arithmetic on
+// it, would otherwise play without complaint.
+func TestSweepRejectsNonFiniteWindow(t *testing.T) {
+	_, sb := sbSim(t, 320, 52)
+	st, err := staggered.New(vod.DefaultConfig(320))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []ClientSim{sb, New(st)} {
+		for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			if _, err := Sweep(s, 10, w, 10, 1); err == nil {
+				t.Errorf("%s: Sweep accepted window %v", s.Name(), w)
+			}
+		}
+	}
+}
+
 // TestSweepDeterministic checks that equal seeds reproduce results exactly.
 func TestSweepDeterministic(t *testing.T) {
-	s := sbSim(t, 320, 12)
+	_, s := sbSim(t, 320, 12)
 	a, err := Sweep(s, 50, 100, 10, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -274,37 +324,20 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-func TestFirstAtOrAfter(t *testing.T) {
-	cases := []struct {
-		t, period, offset, want float64
-	}{
-		{0, 5, 0, 0},
-		{0.1, 5, 0, 5},
-		{5, 5, 0, 5},
-		{4.9, 5, 3, 8},
-		{2, 5, 3, 3},
-	}
-	for _, c := range cases {
-		if got := firstAtOrAfter(c.t, c.period, c.offset); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("firstAtOrAfter(%v, %v, %v) = %v, want %v", c.t, c.period, c.offset, got, c.want)
-		}
-	}
-}
-
 func TestRunFlowsRejectsViolations(t *testing.T) {
 	// Playback before download: jitter.
-	d := []flow{{segment: 1, startMin: 5, endMin: 6, rateMbps: 1.5}}
-	p := []flow{{segment: 1, startMin: 4, endMin: 5, rateMbps: 1.5}}
+	d := []vod.Flow{{Segment: 1, StartMin: 5, EndMin: 6, RateMbps: 1.5}}
+	p := []vod.Flow{{Segment: 1, StartMin: 4, EndMin: 5, RateMbps: 1.5}}
 	if _, err := runFlows(d, p, 0); err == nil {
 		t.Error("causality violation accepted")
 	}
 	// Mismatched totals.
-	p2 := []flow{{segment: 1, startMin: 6, endMin: 8, rateMbps: 1.5}}
+	p2 := []vod.Flow{{Segment: 1, StartMin: 6, EndMin: 8, RateMbps: 1.5}}
 	if _, err := runFlows(d, p2, 0); err == nil {
 		t.Error("size mismatch accepted")
 	}
 	// Played but never downloaded.
-	p3 := []flow{{segment: 2, startMin: 6, endMin: 7, rateMbps: 1.5}}
+	p3 := []vod.Flow{{Segment: 2, StartMin: 6, EndMin: 7, RateMbps: 1.5}}
 	if _, err := runFlows(d, p3, 0); err == nil {
 		t.Error("undownloaded segment accepted")
 	}
@@ -330,15 +363,15 @@ func TestSBDiskIOTiers(t *testing.T) {
 		{600, 1}, {600, 2}, {45, 52}, {320, 5}, {320, 12}, {320, 52}, {600, 52},
 	}
 	for _, tc := range cases {
-		s := sbSim(t, tc.serverMbps, tc.width)
-		want := s.Scheme().DiskBandwidthMbps()
+		sch, s := sbSim(t, tc.serverMbps, tc.width)
+		want := sch.DiskBandwidthMbps()
 		var worst float64
-		period := s.Scheme().PhasePeriod()
+		period := sch.PhasePeriod()
 		stride := period / 500
 		if stride < 1 {
 			stride = 1
 		}
-		d1 := s.Scheme().UnitMinutes()
+		d1 := sch.UnitMinutes()
 		for u := int64(0); u < period; u += stride {
 			res, err := s.Client(float64(u)*d1, 0)
 			if err != nil {
@@ -361,8 +394,8 @@ func TestSBDiskIOTiers(t *testing.T) {
 // TestPBDiskIOMatchesFormula checks the measured PB peak I/O against
 // b + 2B/K.
 func TestPBDiskIOMatchesFormula(t *testing.T) {
-	s := pbSim(t, 320, pyramid.MethodB)
-	want := s.Scheme().DiskBandwidthMbps()
+	sch, s := pbSim(t, 320, pyramid.MethodB)
+	want := sch.DiskBandwidthMbps()
 	var worst float64
 	for i := 0; i < 300; i++ {
 		res, err := s.Client(float64(i)*0.173, 0)
@@ -385,9 +418,9 @@ func TestPBDiskIOMatchesFormula(t *testing.T) {
 // the pause/resume client may transiently overlap two segments' bursts,
 // so up to b + 2r is tolerated (Table 1 reports the steady rate).
 func TestPPBDiskIONearFormula(t *testing.T) {
-	s := ppbSim(t, 320, ppb.MethodB)
-	b := s.Scheme().Config().RateMbps
-	r := s.Scheme().SubchannelMbps()
+	sch, s := ppbSim(t, 320, ppb.MethodB)
+	b := sch.Config().RateMbps
+	r := sch.SubchannelMbps()
 	var worst float64
 	for i := 0; i < 200; i++ {
 		res, err := s.Client(float64(i)*0.37, 0)
@@ -412,7 +445,7 @@ func TestStaggeredDiskIOIsDisplayRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStaggered(sch)
+	s := New(sch)
 	res, err := s.Client(1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +469,7 @@ func TestPPBProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		s := NewPPB(sch)
+		s := New(sch)
 		arrival := float64(aSel) * sch.AccessLatencyMin() / 997
 		res, err := s.Client(arrival, 0)
 		if err != nil {
@@ -461,7 +494,7 @@ func TestSBPropertyAgainstAnalytic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := NewSB(sch)
+		s := New(sch)
 		arrival := float64(aSel) * sch.UnitMinutes() / 7.3
 		res, err := s.Client(arrival, 0)
 		if err != nil {

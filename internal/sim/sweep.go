@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,8 +62,8 @@ type shardAcc struct {
 // and the violation with the lowest client index is returned, again
 // independent of scheduling.
 func Sweep(cs ClientSim, n int, windowMin float64, videos int, seed uint64, opts ...SweepOption) (*SweepResult, error) {
-	if n <= 0 || windowMin <= 0 || videos <= 0 {
-		return nil, fmt.Errorf("sim: Sweep needs positive n, window and videos (got %d, %v, %d)", n, windowMin, videos)
+	if n <= 0 || !(windowMin > 0) || math.IsInf(windowMin, 1) || videos <= 0 {
+		return nil, fmt.Errorf("sim: Sweep needs positive n, videos and a finite window (got %d, %v, %d)", n, windowMin, videos)
 	}
 	var cfg sweepConfig
 	for _, o := range opts {

@@ -61,7 +61,7 @@ func TestSweepWorkersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sims := []ClientSim{NewSB(sbSch), NewPB(pbSch), NewPPB(ppbSch), NewStaggered(stSch)}
+	sims := []ClientSim{New(sbSch), New(pbSch), New(ppbSch), New(stSch)}
 	const n, window, videos = 700, 500.0, 10
 	for _, cs := range sims {
 		want, err := Sweep(cs, n, window, videos, 42, Workers(1))
@@ -88,7 +88,7 @@ func TestSweepWorkersProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewSB(sch)
+	cs := New(sch)
 	f := func(seed uint64) bool {
 		a, err := Sweep(cs, 600, 300, 10, seed, Workers(1))
 		if err != nil {
@@ -160,7 +160,7 @@ func TestSweepWorkersOptionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewSB(sch)
+	cs := New(sch)
 	for _, w := range []int{-3, 0, 1000} {
 		res, err := Sweep(cs, 50, 100, 10, 1, Workers(w))
 		if err != nil {

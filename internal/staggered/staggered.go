@@ -56,6 +56,15 @@ func (s *Scheme) BufferMbit() float64 { return 0 }
 // rate passes through the client.
 func (s *Scheme) DiskBandwidthMbps() float64 { return s.cfg.RateMbps }
 
+// Reception implements vod.Scheme: the client waits for the next of the N
+// phase-shifted full-file streams of its video and plays it straight
+// through, so its one download is its playback.
+func (s *Scheme) Reception(arrivalMin float64, _ int) (downloads, playbacks []vod.Flow, err error) {
+	start := vod.FirstAtOrAfter(arrivalMin, s.BatchingIntervalMin(), 0)
+	f := []vod.Flow{{Segment: 1, StartMin: start, EndMin: start + s.cfg.LengthMin, RateMbps: s.cfg.RateMbps}}
+	return f, f, nil
+}
+
 // String summarizes the scheme.
 func (s *Scheme) String() string {
 	return fmt.Sprintf("Staggered{N=%d interval=%.2fmin}", s.n, s.BatchingIntervalMin())

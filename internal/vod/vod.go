@@ -14,6 +14,7 @@ package vod
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Config describes one metropolitan VoD deployment: a server with B Mbit/s
@@ -50,14 +51,14 @@ func DefaultConfig(serverMbps float64) Config {
 // sufficient to broadcast at least one channel per video.
 func (c Config) Validate() error {
 	switch {
-	case c.ServerMbps <= 0:
-		return fmt.Errorf("vod: server bandwidth B = %v Mbit/s must be positive", c.ServerMbps)
+	case !positiveFinite(c.ServerMbps):
+		return fmt.Errorf("vod: server bandwidth B = %v Mbit/s must be positive and finite", c.ServerMbps)
 	case c.Videos <= 0:
 		return fmt.Errorf("vod: video count M = %d must be positive", c.Videos)
-	case c.LengthMin <= 0:
-		return fmt.Errorf("vod: video length D = %v min must be positive", c.LengthMin)
-	case c.RateMbps <= 0:
-		return fmt.Errorf("vod: display rate b = %v Mbit/s must be positive", c.RateMbps)
+	case !positiveFinite(c.LengthMin):
+		return fmt.Errorf("vod: video length D = %v min must be positive and finite", c.LengthMin)
+	case !positiveFinite(c.RateMbps):
+		return fmt.Errorf("vod: display rate b = %v Mbit/s must be positive and finite", c.RateMbps)
 	}
 	if c.ChannelsPerVideo() < 1 {
 		return fmt.Errorf("vod: B = %v Mbit/s cannot afford one %v Mbit/s channel per video for M = %d videos",
@@ -65,6 +66,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite is false for zero, negatives, NaN and +Inf alike.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Channels returns floor(B/b), the number of b-Mbit/s logical channels the
 // server bandwidth can sustain (Section 3.1).
@@ -112,4 +116,49 @@ type Performer interface {
 	// DiskBandwidthMbps is the client storage-I/O bandwidth requirement
 	// in Mbit/s.
 	DiskBandwidthMbps() float64
+}
+
+// Flow is a constant-rate transfer of one segment's data over an interval
+// of virtual time: a download from a broadcast channel, or the player
+// consuming the segment.
+type Flow struct {
+	Segment  int // 1-based segment index
+	StartMin float64
+	EndMin   float64
+	RateMbps float64
+}
+
+// Mbit is the data the flow carries.
+func (f Flow) Mbit() float64 { return (f.EndMin - f.StartMin) * 60 * f.RateMbps }
+
+// Scheme is a broadcasting scheme as the simulator plays it: its closed
+// forms, the deployment it was built for, and the client protocol it
+// prescribes. A new scheme implements it in its own package and takes one
+// line in the name table of internal/bench.
+type Scheme interface {
+	Performer
+	// Config returns the deployment the scheme was built for.
+	Config() Config
+	// Reception states the client protocol for a client arriving at
+	// arrivalMin (virtual minutes, finite and >= 0) for video (in
+	// 0..Videos-1): the download flows it tunes to and the playback flows
+	// that consume them. The caller checks the flows for jitter.
+	Reception(arrivalMin float64, video int) (downloads, playbacks []Flow, err error)
+}
+
+// FirstAtOrAfter returns the earliest element of {offset + n*period : n>=0}
+// that is >= t; t at or before offset yields offset itself. It is when a
+// client arriving at t first sees a broadcast that repeats every period.
+func FirstAtOrAfter(t, period, offset float64) float64 {
+	if t <= offset {
+		return offset
+	}
+	n := math.Ceil((t - offset) / period)
+	at := offset + n*period
+	// Guard against float rounding placing us one period late when t
+	// falls exactly on the grid.
+	if prev := at - period; prev >= t {
+		return prev
+	}
+	return at
 }

@@ -69,3 +69,39 @@ func TestChannelsPerVideoProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateRejectsNonFinite: NaN and +Inf compare false against 0, so a
+// sign test alone lets them through; every float parameter must be finite.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []Config{
+		{ServerMbps: nan, Videos: 10, LengthMin: 120, RateMbps: 1.5},
+		{ServerMbps: inf, Videos: 10, LengthMin: 120, RateMbps: 1.5},
+		{ServerMbps: 320, Videos: 10, LengthMin: nan, RateMbps: 1.5},
+		{ServerMbps: 320, Videos: 10, LengthMin: inf, RateMbps: 1.5},
+		{ServerMbps: 320, Videos: 10, LengthMin: 120, RateMbps: nan},
+		{ServerMbps: 320, Videos: 10, LengthMin: 120, RateMbps: inf},
+		{ServerMbps: -inf, Videos: 10, LengthMin: 120, RateMbps: 1.5},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", c)
+		}
+	}
+}
+
+func TestFirstAtOrAfter(t *testing.T) {
+	cases := []struct {
+		t, period, offset, want float64
+	}{
+		{0, 5, 0, 0},
+		{0.1, 5, 0, 5},
+		{5, 5, 0, 5},
+		{4.9, 5, 3, 8},
+		{2, 5, 3, 3},
+	}
+	for _, c := range cases {
+		if got := FirstAtOrAfter(c.t, c.period, c.offset); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("FirstAtOrAfter(%v, %v, %v) = %v, want %v", c.t, c.period, c.offset, got, c.want)
+		}
+	}
+}

@@ -143,10 +143,10 @@ type (
 
 // SimulateSB, SimulatePyramid, SimulatePPB and SimulateStaggered wrap a
 // scheme for event-driven simulation.
-func SimulateSB(s *Scheme) ClientSim                 { return sim.NewSB(s) }
-func SimulatePyramid(s *PyramidScheme) ClientSim     { return sim.NewPB(s) }
-func SimulatePPB(s *PPBScheme) ClientSim             { return sim.NewPPB(s) }
-func SimulateStaggered(s *StaggeredScheme) ClientSim { return sim.NewStaggered(s) }
+func SimulateSB(s *Scheme) ClientSim                 { return sim.New(s) }
+func SimulatePyramid(s *PyramidScheme) ClientSim     { return sim.New(s) }
+func SimulatePPB(s *PPBScheme) ClientSim             { return sim.New(s) }
+func SimulateStaggered(s *StaggeredScheme) ClientSim { return sim.New(s) }
 
 // Sweep simulates n clients with uniform arrivals over windowMin minutes.
 func Sweep(cs ClientSim, n int, windowMin float64, videos int, seed uint64) (*SweepResult, error) {
