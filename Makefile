@@ -45,8 +45,11 @@ race:
 		./internal/faults ./internal/mcast ./internal/viewer ./internal/client ./internal/wire ./internal/server
 
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
-# — seeded drop/duplicate/reorder plans, unicast repair, reconnects, idle
-# reaping, graceful degradation, repair admission, the NACK re-send table
+# — seeded drop/duplicate/reorder plans, unicast repair, reconnects (and
+# re-joins on a redial), graceful degradation, repair admission, the
+# control session's step (verbs on a virtual clock, the control-sequence
+# fuzzer's seeds, memberships shared and released exactly, the line cap
+# the longest lines fit), the NACK re-send table
 # (sweep at cap, window expiry, one window per repetition), supervised
 # egress shards, drain, member eviction, the batched egress
 # engine (the wheel held to the closed-form grid, shard panic recovery,
@@ -76,7 +79,7 @@ race:
 # pinned per seed, held frames are copies) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: egress collapsed to plain per-datagram
@@ -91,10 +94,14 @@ test-portable:
 
 # Ten seconds of coverage-guided fuzzing per wire decoder (frame and
 # control planes): malformed input must error, never panic, and every
-# accepted message must survive an encode/decode round trip.
+# accepted message must survive an encode/decode round trip. Then ten
+# seconds of control sessions played as sequences against a model; a new
+# input is minimized for at most 100 runs, so the ten seconds go to
+# running sequences.
 fuzz:
 	$(GO) test ./internal/wire -fuzz 'FuzzChunkDecode$$' -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/wire -fuzz 'FuzzControlDecode$$' -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server -fuzz 'FuzzControlSequence$$' -fuzztime 10s -fuzzminimizetime 100x -run '^$$'
 
 # Known-vulnerability scan, skipped quietly where the tool is not
 # installed (the repo adds no dependencies, so this guards the stdlib).

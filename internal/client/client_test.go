@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,6 +53,22 @@ type fakeServer struct {
 	// plan, when set (before any client connects), routes every data
 	// chunk through a deterministic fault injector.
 	plan *faults.Plan
+
+	// conns records every control connection's memberships, in accept
+	// order. A hangup drops the connection's memberships, as the real
+	// server does.
+	mu    sync.Mutex
+	conns []*fakeConn
+}
+
+// fakeConn is what one control connection joined and still holds.
+type fakeConn struct {
+	joins []int        // channels joined, in order
+	held  map[int]bool // channels held now
+	// heldAtHangup is what the connection held when it went; strayLeaves
+	// counts Leaves for channels it did not hold.
+	heldAtHangup []int
+	strayLeaves  int
 }
 
 // udpSender adapts a (socket, destination) pair to mcast.Sender so the
@@ -100,6 +117,18 @@ func (f *fakeServer) accept() {
 
 func (f *fakeServer) serve(conn net.Conn) {
 	defer conn.Close()
+	fc := &fakeConn{held: make(map[int]bool)}
+	f.mu.Lock()
+	f.conns = append(f.conns, fc)
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		for ch := range fc.held {
+			fc.heldAtHangup = append(fc.heldAtHangup, ch)
+		}
+		clear(fc.held)
+		f.mu.Unlock()
+	}()
 	r := bufio.NewReader(conn)
 	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -132,6 +161,10 @@ func (f *fakeServer) serve(conn net.Conn) {
 				_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindError, Error: "no capacity"})
 				continue
 			}
+			f.mu.Lock()
+			fc.joins = append(fc.joins, m.Channel)
+			fc.held[m.Channel] = true
+			f.mu.Unlock()
 			dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: m.Port}
 			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoined, Video: m.Video, Channel: m.Channel})
 			go f.sendFragment(udp, dst, m.Channel)
@@ -165,10 +198,15 @@ func (f *fakeServer) serve(conn net.Conn) {
 			reply.Data = make([]byte, rp.Length)
 			content.Fill(reply.Data, rp.Video, base*int64(f.bytesPerUnit)+rp.Offset)
 			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindRepairOK, Repair: &reply})
-		case wire.KindLeave, wire.KindBye:
-			if m.Kind == wire.KindBye {
-				return
+		case wire.KindLeave:
+			f.mu.Lock()
+			if !fc.held[m.Channel] {
+				fc.strayLeaves++
 			}
+			delete(fc.held, m.Channel)
+			f.mu.Unlock()
+		case wire.KindBye:
+			return
 		}
 	}
 }
@@ -445,8 +483,9 @@ func TestWatchStrictModeFailsOnLoss(t *testing.T) {
 }
 
 // TestWatchReconnectsControl: the server hangs up the control connection
-// after the first join; the client must re-dial, re-handshake, and still
-// complete the session — including repairs over the new connection.
+// after the first join, dropping its membership; the client must re-dial,
+// re-handshake, join again every group it still holds, and complete the
+// session — including repairs over the new connection.
 func TestWatchReconnectsControl(t *testing.T) {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
@@ -464,6 +503,25 @@ func TestWatchReconnectsControl(t *testing.T) {
 	}
 	if want := int64(3 * 64); stats.Bytes != want {
 		t.Errorf("bytes = %d, want %d", stats.Bytes, want)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.conns) < 2 {
+		t.Fatalf("%d control connections, want a redial", len(f.conns))
+	}
+	first, second := f.conns[0], f.conns[1]
+	if len(first.heldAtHangup) == 0 {
+		t.Fatal("the hung-up connection held no membership")
+	}
+	for _, ch := range first.heldAtHangup {
+		if !slices.Contains(second.joins, ch) {
+			t.Errorf("channel %d held at the hangup never re-joined on the new connection (joins %v)", ch, second.joins)
+		}
+	}
+	for i, fc := range f.conns {
+		if fc.strayLeaves != 0 {
+			t.Errorf("connection %d got %d leaves for channels it never joined", i, fc.strayLeaves)
+		}
 	}
 }
 

@@ -324,7 +324,7 @@ func (sc *sendScratch) take(n int) []byte {
 // Anything else — a parity frame, whose coverage the frame does not
 // carry, or a frame that does not parse — is forwarded untouched. Kept
 // for benchmark/harness and the tests that drive a lone sender; the
-// harness follow-up of ROADMAP item 3(c) deletes it.
+// harness follow-up of ROADMAP item 2 deletes it.
 func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
 	video, channel, seq, offset, ok := wire.PeekID(frame)
 	if !ok || wire.IsParity(frame) {

@@ -234,11 +234,15 @@ func (b *TokenBucket) Take(now time.Time, n float64) (bool, time.Duration) {
 	return false, time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 }
 
-// Level returns the token count at time now (for observability).
+// Level returns the token count at time now (for observability). It
+// leaves the bucket as it was: a reader on another clock than the
+// spenders' cannot move their refill.
 func (b *TokenBucket) Level(now time.Time) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.refillLocked(now)
+	if dt := now.Sub(b.last).Seconds(); !b.last.IsZero() && dt > 0 {
+		return math.Min(b.burst, b.tokens+dt*b.rate)
+	}
 	return b.tokens
 }
 

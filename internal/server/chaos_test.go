@@ -1,21 +1,15 @@
 package server_test
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"skyscraper/internal/client"
-	"skyscraper/internal/content"
 	"skyscraper/internal/core"
 	"skyscraper/internal/faults"
 	"skyscraper/internal/server"
 	"skyscraper/internal/trace"
-	"skyscraper/internal/wire"
 )
 
 // startChaosServer is startServer with a fault plan and hardened-control
@@ -197,108 +191,5 @@ func TestChaosDegradedWithoutRepair(t *testing.T) {
 	}
 	if srv.Status().RepairsServed != 0 {
 		t.Errorf("server served %d repairs to a repair-disabled client", srv.Status().RepairsServed)
-	}
-}
-
-// TestControlIdleReaped: a half-open client that joins and then goes
-// silent must not pin its server goroutine or its memberships forever.
-func TestControlIdleReaped(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 1, 3, 2)
-	srv := startChaosServer(t, sch, 50*time.Millisecond, server.Config{
-		ControlIdleTimeout: 60 * time.Millisecond,
-	})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoin, Video: 0, Channel: 1, Port: 45678}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindJoined {
-		t.Fatalf("join: %v %v", m, err)
-	}
-	// Go silent. The server must reap the connection: our next read sees
-	// it closed, and the membership disappears.
-	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	if _, err := wire.ReadControl(r); err == nil {
-		t.Fatal("idle connection still open after the idle timeout")
-	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatal("server never closed the idle connection")
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for srv.Status().Memberships != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("membership survived idle reaping")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRepairProtocol drives the REPAIR verb directly: a valid request
-// returns exactly the bytes the broadcast would have carried; malformed
-// ones are rejected without killing the connection.
-func TestRepairProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 1, 3, 2) // fragments 1,2,2
-	srv := startChaosServer(t, sch, 50*time.Millisecond, server.Config{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	// Channel 2's fragment covers video bytes [1*4096, 3*4096); ask for
-	// the chunk at fragment offset 1024.
-	req := &wire.Repair{Video: 0, Channel: 2, Seq: 9, Offset: 1024, Length: 1024}
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindRepair, Repair: req}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.ReadControl(r)
-	if err != nil || m.Kind != wire.KindRepairOK || m.Repair == nil {
-		t.Fatalf("repair: %+v %v", m, err)
-	}
-	if m.Repair.Channel != 2 || m.Repair.Seq != 9 || m.Repair.Offset != 1024 || len(m.Repair.Data) != 1024 {
-		t.Fatalf("repair echo mismatch: %+v", m.Repair)
-	}
-	want := make([]byte, 1024)
-	content.Fill(want, 0, 1*4096+1024)
-	if !bytes.Equal(m.Repair.Data, want) {
-		t.Error("repair bytes differ from the broadcast content function")
-	}
-
-	// Out-of-range and malformed repairs are errors, not disconnects.
-	bad := []*wire.Control{
-		{Kind: wire.KindRepair}, // no payload
-		{Kind: wire.KindRepair, Repair: &wire.Repair{Video: 0, Channel: 9, Offset: 0, Length: 1024}},
-		{Kind: wire.KindRepair, Repair: &wire.Repair{Video: 0, Channel: 2, Offset: 2 * 4096, Length: 1024}},
-		{Kind: wire.KindRepair, Repair: &wire.Repair{Video: 0, Channel: 2, Offset: 0, Length: -5}},
-	}
-	for i, b := range bad {
-		if err := wire.WriteControl(conn, b); err != nil {
-			t.Fatal(err)
-		}
-		if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindError {
-			t.Errorf("bad repair %d answered with %+v %v", i, m, err)
-		}
-	}
-
-	// The connection still works, and the stats count the one good repair.
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindStats}); err != nil {
-		t.Fatal(err)
-	}
-	var st server.StatusSnapshot
-	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindStatsOK || json.Unmarshal(m.Stats, &st) != nil || st.RepairsServed != 1 {
-		t.Errorf("stats after repairs: %+v %v", m, err)
-	}
-	if srv.Status().RepairsServed != 1 {
-		t.Errorf("RepairsServed = %d, want 1", srv.Status().RepairsServed)
 	}
 }

@@ -56,6 +56,16 @@ func (r *countingBatchSender) note(g mcast.Group, frame []byte) {
 	}
 }
 
+// sendOnly lifts a scheduled-egress stub to the server's hub seam: it
+// holds no memberships, and re-send batches go where scheduled ones do.
+type sendOnly struct{ mcast.BatchSender }
+
+func (o sendOnly) SendRepairBatch(entries []mcast.BatchEntry) (int, error) {
+	return o.SendBatch(entries)
+}
+func (sendOnly) Join(mcast.Group, *net.UDPAddr) error { return nil }
+func (sendOnly) Leave(mcast.Group, *net.UDPAddr)      {}
+
 // warmTicks is how many ticks a test runs before it measures a dispatch's
 // steady state: far more than the due list, arena and batch take to reach
 // their steady size.
@@ -85,9 +95,9 @@ func newHandDriven(t testing.TB, cfg Config, send mcast.BatchSender) *handDriven
 	}
 	t.Cleanup(func() { hub.Close() })
 	srv.hub = hub
-	srv.send = send
-	if send == nil {
-		srv.send = hub
+	srv.send = hub
+	if send != nil {
+		srv.send = sendOnly{send}
 	}
 	srv.epoch = time.Now().Add(time.Hour)
 	sh := &wheelShard{s: srv}

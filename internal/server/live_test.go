@@ -3,7 +3,6 @@ package server_test
 import (
 	"bufio"
 	"context"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -166,14 +165,16 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestControlProtocolErrors drives the control port directly and checks
-// the server rejects malformed requests without dying.
-func TestControlProtocolErrors(t *testing.T) {
+// TestDisconnectCleansMemberships: every membership a control session
+// added is dropped by its Leave or, when the connection goes, by the
+// server — two receiver ports joined to one group included.
+func TestDisconnectCleansMemberships(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
 	}
 	sch := liveScheme(t, 1, 3, 2)
 	srv := startServer(t, sch, 50*time.Millisecond)
+	g := mcast.Group{Video: 0, Channel: 1}
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -181,78 +182,42 @@ func TestControlProtocolErrors(t *testing.T) {
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-
-	// Join for a channel that does not exist.
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoin, Video: 0, Channel: 99, Port: 12345}); err != nil {
+	send := func(m *wire.Control, want string) {
+		t.Helper()
+		if err := wire.WriteControl(conn, m); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := wire.ReadControl(r); err != nil || got.Kind != want {
+			t.Fatalf("%s: %v %v, want %s", m.Kind, got, err, want)
+		}
+	}
+	join := func() {
+		t.Helper()
+		for _, port := range []int{23456, 23457} {
+			send(&wire.Control{Kind: wire.KindJoin, Video: 0, Channel: 1, Port: port}, wire.KindJoined)
+		}
+		if n := srv.Hub().Members(g); n != 2 {
+			t.Fatalf("%d members after joins on two ports, want 2", n)
+		}
+	}
+	join()
+	// Leave has no reply; the hello behind it orders the check after it.
+	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindLeave, Video: 0, Channel: 1}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := wire.ReadControl(r)
-	if err != nil {
-		t.Fatal(err)
+	send(&wire.Control{Kind: wire.KindHello}, wire.KindWelcome)
+	if n := srv.Hub().Members(g); n != 0 {
+		t.Fatalf("%d members survived leave", n)
 	}
-	if m.Kind != wire.KindError {
-		t.Errorf("bad join answered with %q", m.Kind)
-	}
-
-	// Bad port.
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoin, Video: 0, Channel: 1, Port: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = wire.ReadControl(r); err != nil || m.Kind != wire.KindError {
-		t.Errorf("bad port: %v %v", m, err)
-	}
-
-	// Unknown kind.
-	if err := wire.WriteControl(conn, &wire.Control{Kind: "subscribe"}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = wire.ReadControl(r); err != nil || m.Kind != wire.KindError {
-		t.Errorf("unknown kind: %v %v", m, err)
-	}
-
-	// The connection still works: hello succeeds.
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindHello}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = wire.ReadControl(r); err != nil || m.Kind != wire.KindWelcome {
-		t.Errorf("hello after errors: %v %v", m, err)
-	}
-	if m.Welcome.ChannelsPerVideo != 3 || math.Abs(float64(m.Welcome.UnitNanos)-50e6) > 1 {
-		t.Errorf("welcome payload %+v", m.Welcome)
-	}
-}
-
-// TestDisconnectCleansMemberships verifies that dropping the control
-// connection removes the client's group memberships.
-func TestDisconnectCleansMemberships(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live network test")
-	}
-	sch := liveScheme(t, 1, 3, 2)
-	srv := startServer(t, sch, 50*time.Millisecond)
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	if err := wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoin, Video: 0, Channel: 1, Port: 23456}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := wire.ReadControl(r); err != nil || m.Kind != wire.KindJoined {
-		t.Fatalf("join: %v %v", m, err)
-	}
+	join()
 	conn.Close()
-	// The server reaps the membership when the control loop notices.
+	// The server drops the memberships when the control loop notices.
 	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if srv.Hub().Members(mcast.Group{Video: 0, Channel: 1}) == 0 {
-			break
-		}
+	for srv.Hub().Members(g) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("membership survived disconnect")
+			t.Fatalf("%d members survived disconnect", srv.Hub().Members(g))
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -13,8 +13,6 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -22,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skyscraper/internal/content"
 	"skyscraper/internal/core"
 	"skyscraper/internal/faults"
 	"skyscraper/internal/mcast"
@@ -48,11 +45,6 @@ type Config struct {
 	// hub: chunks are dropped, duplicated, reordered, or delayed per the
 	// plan, so the client's loss-recovery path can be exercised.
 	Faults *faults.Plan
-	// ControlIdleTimeout bounds how long a control connection may sit
-	// idle between requests before the server reaps it (and its group
-	// memberships); a half-open client therefore cannot pin a handler
-	// goroutine forever. Defaults to 2 minutes.
-	ControlIdleTimeout time.Duration
 	// EnablePprof registers net/http/pprof's profiling handlers on the
 	// status endpoint's mux (ServeStatus) under /debug/pprof/.
 	EnablePprof bool
@@ -91,7 +83,7 @@ type Config struct {
 	FecGroup int
 	// FecMode names the stripe's code: "" or "xor", the only one. Kept for
 	// benchmark/harness, which sets it; the harness follow-up of ROADMAP
-	// item 3(c) deletes it.
+	// item 2 deletes it.
 	FecMode string
 
 	// PacerHook, when non-nil, is called for each chunk at its tick's
@@ -147,18 +139,21 @@ func (c Config) validate() error {
 type Server struct {
 	cfg Config
 	hub *mcast.Hub
-	// send is what scheduled egress goes through, a tick at a time: the
-	// hub (a stub under tests). inj, when a fault plan is configured,
-	// decides each scheduled frame as its tick is staged (emit).
-	send  mcast.BatchSender
+	// send is what scheduled egress, NACK re-sends and memberships go
+	// through: the hub (a stub under tests). inj, when a fault plan is
+	// configured, decides each scheduled frame as its tick is staged (emit).
+	send  hubSeam
 	inj   *faults.Injector
 	cache *frameCache
 	ln    net.Listener
 	epoch time.Time
 
+	// mu guards closed, conns and held: how many control sessions hold
+	// each hub membership.
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
+	held   map[member]int
 
 	// repairBudget is the repair plane's shared token bucket (nil when
 	// RepairBandwidth is 0); resends is the NACK re-send table.
@@ -230,16 +225,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.ControlIdleTimeout <= 0 {
-		cfg.ControlIdleTimeout = 2 * time.Minute
-	}
 	if cfg.RepairBandwidth > 0 && cfg.RepairBurstBytes == 0 {
-		cfg.RepairBurstBytes = cfg.RepairBandwidth / 4
-		if min := int64(cfg.ChunkBytes); cfg.RepairBurstBytes < min {
-			cfg.RepairBurstBytes = min
-		}
+		cfg.RepairBurstBytes = max(cfg.RepairBandwidth/4, int64(cfg.ChunkBytes))
 	}
-	s := &Server{cfg: cfg, stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	s := &Server{cfg: cfg, stop: make(chan struct{}), conns: make(map[net.Conn]struct{}), held: make(map[member]int)}
 	s.cache = newFrameCache(cfg.Scheme, cfg.BytesPerUnit, cfg.ChunkBytes, cfg.FecGroup)
 	if cfg.RepairBandwidth > 0 {
 		s.repairBudget = metrics.NewTokenBucket(float64(cfg.RepairBandwidth), float64(cfg.RepairBurstBytes))
@@ -261,13 +250,17 @@ func (s *Server) Start() error {
 	if err != nil {
 		return err
 	}
+	// No idle reaping: a viewer is silent for a whole fragment between
+	// joins, and its memberships must outlive the silence. A half-open
+	// peer is found by the TCP keep-alive net.Listen enables on every
+	// accepted connection (15 s idle, then 9 probes 15 s apart), which
+	// fails the handler's read within about 150 s.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		hub.Close()
 		return fmt.Errorf("server: control listener: %w", err)
 	}
-	s.hub = hub
-	s.send = hub
+	s.hub, s.send = hub, hub
 	if s.cfg.Faults != nil {
 		inj, err := faults.New(hub, *s.cfg.Faults)
 		if err != nil {
@@ -348,16 +341,12 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
 
 	close(s.stop)
 	s.stopWheel()
 	s.ln.Close()
-	for _, c := range conns {
+	for _, c := range s.openConns() {
 		c.Close()
 	}
 	// Shard supervisors and the accept loop first: acceptLoop is the only
@@ -415,229 +404,4 @@ func (s *Server) stageFrame(a *frameArena, batch []mcast.BatchEntry, g mcast.Gro
 		batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})
 	}
 	return batch
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed || s.draining.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go s.serveControl(conn)
-	}
-}
-
-// serveControl handles one client's control session, tracking its group
-// memberships so a dropped connection cleans up after itself.
-func (s *Server) serveControl(conn net.Conn) {
-	defer s.connWG.Done()
-	s.controlSessions.Inc()
-	defer s.controlSessions.Dec()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	joined := make(map[mcast.Group]*net.UDPAddr)
-	defer func() {
-		for g, a := range joined {
-			s.hub.Leave(g, a)
-		}
-	}()
-	// Build space for this connection's multicast re-sends; one per
-	// connection so concurrent control sessions never contend.
-	var arena frameArena
-
-	sch := s.cfg.Scheme
-	r := bufio.NewReader(conn)
-	// Every reply write is deadline-bounded so a client that stops
-	// draining its socket cannot wedge the handler.
-	write := func(m *wire.Control) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(controlWriteTimeout))
-		return wire.WriteControl(conn, m)
-	}
-	fail := func(format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		s.cfg.Logf("server: %v: %s", conn.RemoteAddr(), msg)
-		_ = write(&wire.Control{Kind: wire.KindError, Error: msg})
-	}
-	busy := func(retry time.Duration) error {
-		s.busyReplies.Inc()
-		return write(&wire.Control{Kind: wire.KindBusy, RetryAfterNanos: int64(retry)})
-	}
-	for {
-		// Idle reaping: a half-open or silent client times out here, the
-		// handler returns, and the deferred cleanup drops its
-		// memberships.
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ControlIdleTimeout))
-		m, err := wire.ReadControl(r)
-		if errors.Is(err, wire.ErrBadControl) {
-			// A whole line that does not decode: the stream is still
-			// framed, so it is an error reply, not a disconnect.
-			fail("bad control message: %v", err)
-			continue
-		}
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				s.cfg.Logf("server: reaping idle control connection %v (%d memberships)",
-					conn.RemoteAddr(), len(joined))
-			}
-			return // disconnect
-		}
-		switch m.Kind {
-		case wire.KindHello:
-			w := &wire.Welcome{
-				Videos:           sch.Config().Videos,
-				ChannelsPerVideo: sch.K(),
-				Width:            sch.Width(),
-				UnitNanos:        int64(s.cfg.Unit),
-				EpochUnixNano:    s.epoch.UnixNano(),
-				SizeUnits:        append([]int64(nil), sch.Sizes()...),
-				BytesPerUnit:     s.cfg.BytesPerUnit,
-				ChunkBytes:       s.cfg.ChunkBytes,
-				NackRepair:       true,
-				FecGroup:         s.cfg.FecGroup,
-			}
-			if err := write(&wire.Control{Kind: wire.KindWelcome, Welcome: w}); err != nil {
-				return
-			}
-		case wire.KindJoin:
-			if m.Video < 0 || m.Video >= sch.Config().Videos || m.Channel < 1 || m.Channel > sch.K() {
-				fail("join: no channel %d/%d", m.Video, m.Channel)
-				continue
-			}
-			if m.Port <= 0 || m.Port > 65535 {
-				fail("join: bad port %d", m.Port)
-				continue
-			}
-			g := mcast.Group{Video: m.Video, Channel: m.Channel}
-			addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: m.Port}
-			if err := s.hub.Join(g, addr); err != nil {
-				fail("join: %v", err)
-				continue
-			}
-			joined[g] = addr
-			if err := write(&wire.Control{Kind: wire.KindJoined, Video: m.Video, Channel: m.Channel}); err != nil {
-				return
-			}
-		case wire.KindRepair:
-			rp := m.Repair
-			if rp == nil {
-				fail("repair: missing parameters")
-				continue
-			}
-			if rp.Video < 0 || rp.Video >= sch.Config().Videos || rp.Channel < 1 || rp.Channel > sch.K() {
-				fail("repair: no channel %d/%d", rp.Video, rp.Channel)
-				continue
-			}
-			total := s.fragmentBytes(rp.Channel)
-			// Compared on the fragment's side: Offset+Length can overflow.
-			if rp.Length <= 0 || rp.Length > wire.MaxPayload || rp.Offset < 0 || rp.Offset > int64(total)-int64(rp.Length) {
-				fail("repair: bad range [%d, +%d) of %d-byte fragment", rp.Offset, rp.Length, total)
-				continue
-			}
-			// Admission: the shared repair byte budget.
-			if s.repairBudget != nil {
-				if ok, retry := s.repairBudget.Take(time.Now(), float64(rp.Length)); !ok {
-					if err := busy(retry); err != nil {
-						return
-					}
-					continue
-				}
-			}
-			// The content function regenerates any range on demand, so
-			// repairs need no retransmission buffer.
-			reply := *rp
-			reply.Data = make([]byte, rp.Length)
-			content.Fill(reply.Data, rp.Video, s.cache.channel(rp.Video, rp.Channel).base+rp.Offset)
-			s.repairs.Inc()
-			s.repairBytes.Add(int64(rp.Length))
-			if err := write(&wire.Control{Kind: wire.KindRepairOK, Repair: &reply}); err != nil {
-				return
-			}
-		case wire.KindNack:
-			// Cohort-aware repair: one gap bitmap reports a burst of
-			// losses, and the accepted chunks are answered with a batched
-			// multicast re-send on the channel's own broadcast group —
-			// one dispatch heals every injured member. ReadControl has
-			// already validated the bitmap shape.
-			nk := m.Nack
-			if nk.Video < 0 || nk.Video >= sch.Config().Videos || nk.Channel < 1 || nk.Channel > sch.K() {
-				fail("nack: no channel %d/%d", nk.Video, nk.Channel)
-				continue
-			}
-			nchunks := (s.fragmentBytes(nk.Channel) + s.cfg.ChunkBytes - 1) / s.cfg.ChunkBytes
-			chunks := nk.Chunks()
-			if first, last := chunks[0], chunks[len(chunks)-1]; first < 0 || last < 0 || last >= nchunks {
-				fail("nack: chunks %d..%d outside %d-chunk fragment", first, last, nchunks)
-				continue
-			}
-			now := time.Now()
-			if period := time.Duration(sch.Sizes()[nk.Channel-1]) * s.cfg.Unit; !repetitionLive(nk.Seq, period, s.cfg.Unit, now.Sub(s.epoch)) {
-				fail("nack: repetition %d of channel %d/%d is not on the air", nk.Seq, nk.Video, nk.Channel)
-				continue
-			}
-			s.nacksServed.Inc()
-			accepted := &wire.Nack{Video: nk.Video, Channel: nk.Channel, Seq: nk.Seq,
-				BaseChunk: nk.BaseChunk, Bitmap: make([]byte, len(nk.Bitmap))}
-			resend := chunks[:0]
-			for _, chunk := range chunks {
-				// A fresh re-send spends the shared repair byte budget like
-				// any repair; a refused chunk stays unmarked and the client
-				// falls back to unicast (which is budget-gated too, so an
-				// over-budget plane degrades, not amplifies).
-				clen := min(s.cfg.ChunkBytes, s.fragmentBytes(nk.Channel)-chunk*s.cfg.ChunkBytes)
-				k := resendKey{video: nk.Video, channel: nk.Channel, seq: nk.Seq, chunk: chunk}
-				accept, fresh := s.resends.note(k, now, s.repairBudget, clen)
-				if !accept {
-					continue
-				}
-				accepted.Set(chunk)
-				if fresh {
-					resend = append(resend, chunk)
-				} else {
-					// A re-send within the window is already in flight;
-					// the client just keeps re-listening.
-					s.nackSuppressed.Inc()
-				}
-			}
-			if len(resend) > 0 {
-				s.nackResend(nk.Video, nk.Channel, nk.Seq, resend, &arena)
-			}
-			if err := write(&wire.Control{Kind: wire.KindNackOK, Nack: accepted}); err != nil {
-				return
-			}
-		case wire.KindStats:
-			doc, err := json.Marshal(s.Status())
-			if err != nil {
-				fail("stats: %v", err)
-				continue
-			}
-			if err := write(&wire.Control{Kind: wire.KindStatsOK, Stats: doc}); err != nil {
-				return
-			}
-		case wire.KindLeave:
-			g := mcast.Group{Video: m.Video, Channel: m.Channel}
-			if a, ok := joined[g]; ok {
-				s.hub.Leave(g, a)
-				delete(joined, g)
-			}
-		case wire.KindBye:
-			return
-		default:
-			fail("unknown control kind %q", m.Kind)
-		}
-	}
 }

@@ -456,7 +456,7 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recordingSender{chunkBytes: 1024, sent: make(map[chanKey][]event)}
-	srv.send = rec
+	srv.send = sendOnly{rec}
 	srv.epoch = time.Now()
 	sh := &wheelShard{s: srv, id: 0}
 	e := srv.newWheelEntry(0, 2)

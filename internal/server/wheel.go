@@ -57,6 +57,15 @@ import (
 // one super-frame on the GSO path.
 const wheelMaxRun = 64
 
+// The supervisor's (runWheelShard) restart backoff: exponential between
+// pacerRestartBase and pacerRestartMax, reset for a shard that stayed up
+// longer than pacerStableAfter.
+const (
+	pacerRestartBase = 5 * time.Millisecond
+	pacerRestartMax  = 500 * time.Millisecond
+	pacerStableAfter = time.Second
+)
+
 // Bounds on the wheel quantum. The quantum tracks the finest chunk
 // spacing so same-tick chunks batch without adding schedule error beyond
 // one spacing; the floor keeps a pathological spacing from turning the

@@ -435,7 +435,7 @@ func catchupDispatch(t *testing.T, chunkBytes int, behind time.Duration) (*recor
 		t.Fatal(err)
 	}
 	rec := &recordingBatchSender{}
-	srv.send = rec
+	srv.send = sendOnly{rec}
 	srv.epoch = time.Now().Add(-behind)
 	sh := &wheelShard{s: srv, id: 0}
 	for _, ch := range []int{1, 2} {

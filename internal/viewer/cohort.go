@@ -161,7 +161,7 @@ func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 			if next != nil && next.sub != nil {
 				// The handoff had already tuned the successor; release it.
 				m.rcv.Unsubscribe(next.sub)
-				m.jm.leave(mcast.Group{Video: c.video, Channel: next.channel})
+				m.cc.leave(mcast.Group{Video: c.video, Channel: next.channel})
 			}
 			return fmt.Errorf("viewer: cohort (video %d, start %d) %v loader: group %d %v channel %d: %w",
 				c.video, c.playStartUnit, ld, e.g.Index, e.g, e.channel, err)
@@ -185,7 +185,7 @@ func (c *cohort) tune(e *tuneEntry) error {
 	if err != nil {
 		return err
 	}
-	if err := m.jm.join(grp); err != nil {
+	if err := m.cc.join(grp); err != nil {
 		m.rcv.Unsubscribe(sub)
 		return err
 	}
@@ -280,7 +280,7 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	sub := e.sub
 	grp := mcast.Group{Video: c.video, Channel: channel}
 	defer m.rcv.Unsubscribe(sub)
-	defer m.jm.leave(grp)
+	defer m.cc.leave(grp)
 
 	// Book the backlog that accumulated in the subscription queue during
 	// the tuner handoff before the machine's first deadline pass, so a
@@ -394,7 +394,7 @@ drain:
 func (c *cohort) nack(f *cohortFrag, chunks []int) {
 	m := c.mux
 	m.tracef("nack", "ch %d seq %d: %d chunks", f.channel, f.wantSeq, len(chunks))
-	accepted, err := m.jm.cc.nack(c.video, f.channel, f.wantSeq, chunks)
+	accepted, err := m.cc.nack(c.video, f.channel, f.wantSeq, chunks)
 	if err != nil {
 		var busy *busyError
 		if errors.As(err, &busy) {
@@ -419,7 +419,7 @@ func (c *cohort) repair(f *cohortFrag, act Action) {
 	if m.trace != nil {
 		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.wantSeq, idx, act.Attempt)
 	}
-	data, err := m.jm.cc.repair(c.video, f.channel, f.wantSeq, off, f.m.ChunkLen(idx))
+	data, err := m.cc.repair(c.video, f.channel, f.wantSeq, off, f.m.ChunkLen(idx))
 	now := time.Now()
 	outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
 	if err != nil {

@@ -124,7 +124,7 @@ type Stripe struct {
 // chunks under a stripe of width group, drawing on a free list of its
 // own; group <= 0 returns nil (no stripe — callers treat a nil Stripe as
 // FEC off). mode is ignored: it is kept for benchmark/harness, and the
-// harness follow-up of ROADMAP item 3(c) deletes it.
+// harness follow-up of ROADMAP item 2 deletes it.
 func NewStripe(group int, mode string, chunkBytes, nchunks int) *Stripe {
 	return newStripePool(group, chunkBytes).stripe(nchunks)
 }

@@ -106,7 +106,7 @@ type FragmentParams struct {
 
 	// Observe is read as DisableRepair. Kept for benchmark/harness, which
 	// sets it to time a machine that schedules no repair; the harness
-	// follow-up of ROADMAP item 3(c) deletes it.
+	// follow-up of ROADMAP item 2 deletes it.
 	Observe bool
 
 	// NackEnabled turns on the multicast-first NACK ladder (nack.go):

@@ -95,7 +95,7 @@ func RunSession(cfg MuxConfig, s Session) (*SessionResult, error) {
 	}
 	m.Journal(s.Trace)
 	if s.Video < 0 || s.Video >= m.w.Videos {
-		m.jm.cc.close()
+		m.cc.close()
 		return nil, fmt.Errorf("viewer: video %d outside catalog 0..%d", s.Video, m.w.Videos-1)
 	}
 	res, err := m.Run()
@@ -124,7 +124,7 @@ type MuxConfig struct {
 	// repair jitter) via ViewerSeed.
 	Seed uint64
 	// Workers is ignored. Kept for benchmark/harness, which sets it; the
-	// harness follow-up of ROADMAP item 3(c) deletes it.
+	// harness follow-up of ROADMAP item 2 deletes it.
 	Workers int
 	// JoinLeadFrac, SlackFrac, RepairLagFrac mirror client.Config (all
 	// default to 0.5).
@@ -296,7 +296,7 @@ type Mux struct {
 	trace      *trace.Buffer
 
 	rcv     *mcast.SharedReceiver
-	jm      *joinManager
+	cc      *controlConn
 	stripes *stripePool // every cohort fragment's parity stripe; nil without one
 
 	// bye latches a server-initiated drain for every viewer at once.
@@ -370,7 +370,7 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 	m := &Mux{cfg: cfg, sess: sess}
 	// The control connection redials on the mux seed itself (a session's
 	// own seed).
-	cc := &controlConn{mux: m, seed: cfg.Seed}
+	cc := &controlConn{mux: m, seed: cfg.Seed, refs: map[mcast.Group]int{}}
 	cc.mu.Lock()
 	w, err := cc.handshake()
 	cc.mu.Unlock()
@@ -383,14 +383,14 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 	for _, s := range w.SizeUnits {
 		m.videoBytes += s * int64(w.BytesPerUnit)
 	}
-	m.jm = &joinManager{cc: cc, refs: map[mcast.Group]int{}}
+	m.cc = cc
 	m.stripes = newStripePool(w.FecGroup, w.ChunkBytes)
 	return m, nil
 }
 
 // Run executes the emulation prepared by NewMux.
 func (m *Mux) Run() (*Result, error) {
-	defer m.jm.cc.close()
+	defer m.cc.close()
 	rcv, err := mcast.NewSharedReceiverConfigured(mcast.SharedReceiverConfig{
 		RecvBufBytes: m.cfg.RecvBufBytes,
 		Logf:         m.cfg.Logf,
@@ -407,7 +407,7 @@ func (m *Mux) Run() (*Result, error) {
 	}
 	defer rcv.Close()
 	m.rcv = rcv
-	m.jm.port = rcv.Addr().Port
+	m.cc.port = rcv.Addr().Port
 
 	groups := series.Groups(m.w.SizeUnits)
 	cohorts := m.admit()
@@ -426,7 +426,7 @@ func (m *Mux) Run() (*Result, error) {
 		}(co)
 	}
 	wg.Wait()
-	_, _ = m.jm.cc.roundTrip(&wire.Control{Kind: wire.KindBye}, false)
+	_, _ = m.cc.roundTrip(&wire.Control{Kind: wire.KindBye}, false)
 	close(errCh)
 	var firstErr error
 	failed := 0
@@ -549,24 +549,31 @@ const controlTimeout = 5 * time.Second
 
 // controlConn is the mux's one control connection: re-dialed with
 // backoff on transport failure, serialized by a mutex. Joins, leaves,
-// NACKs and repairs of every cohort share it.
+// NACKs and repairs of every cohort share it, and so do the group
+// memberships: refcounted across cohorts, the first subscriber of a group
+// joins it on the server, the last leaves, and a redial joins every held
+// group again — the server drops a connection's memberships with it.
 type controlConn struct {
 	mux *Mux
 	// seed keys the redial backoff (stream ReconnectJitterKey); redials
 	// numbers its sleeps across the run, so each draws a fresh substream.
 	seed    uint64
 	redials uint64
+	// port is the shared receiver's, where every join sends the group.
+	port int
 
 	mu     sync.Mutex
 	conn   net.Conn
 	r      *bufio.Reader
 	dialed bool
+	refs   map[mcast.Group]int
 }
 
 // handshake dials, says hello and reads the server's welcome — the one
 // place a Welcome enters the process, so the one place it is validated
-// and, on a redial, held to the broadcast epoch the run began under.
-// Callers hold mu and have no connection open.
+// and, on a redial, held to the broadcast epoch the run began under — and
+// on a redial joins every held group again. Callers hold mu and have no
+// connection open.
 func (c *controlConn) handshake() (*wire.Welcome, error) {
 	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, controlTimeout)
 	if err != nil {
@@ -578,7 +585,6 @@ func (c *controlConn) handshake() (*wire.Welcome, error) {
 	if err = wire.WriteControl(conn, &wire.Control{Kind: wire.KindHello}); err == nil {
 		m, err = wire.ReadControl(r)
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if err != nil {
 		err = fmt.Errorf("viewer: reading welcome: %w", err)
 	} else if m.Kind != wire.KindWelcome || m.Welcome == nil {
@@ -588,6 +594,19 @@ func (c *controlConn) handshake() (*wire.Welcome, error) {
 	} else if c.mux.w != nil && m.Welcome.EpochUnixNano != c.mux.w.EpochUnixNano {
 		err = errEpochChanged
 	}
+	for g := range c.refs {
+		if err != nil {
+			break
+		}
+		var reply *wire.Control
+		if err = wire.WriteControl(conn, c.joinMsg(g)); err == nil {
+			reply, err = wire.ReadControl(r)
+		}
+		if err == nil && reply.Kind != wire.KindJoined {
+			err = fmt.Errorf("viewer: re-join %v rejected: %s", g, reply.Error)
+		}
+	}
+	_ = conn.SetDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -629,6 +648,11 @@ func (c *controlConn) redialLocked() error {
 func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Control, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.roundTripLocked(msg, wantReply)
+}
+
+// roundTripLocked is roundTrip for callers holding mu.
+func (c *controlConn) roundTripLocked(msg *wire.Control, wantReply bool) (*wire.Control, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if c.conn == nil {
@@ -719,44 +743,38 @@ func (c *controlConn) closeLocked() {
 	}
 }
 
-// joinManager refcounts group memberships across every cohort on one
-// control connection: the first subscriber of a group joins it on the
-// server, the last leaves, and overlapping cohorts in between share the
-// membership — the server-side analogue of the shared receiver.
-type joinManager struct {
-	cc   *controlConn
-	port int
-
-	mu   sync.Mutex
-	refs map[mcast.Group]int
+func (c *controlConn) joinMsg(g mcast.Group) *wire.Control {
+	return &wire.Control{Kind: wire.KindJoin, Video: g.Video, Channel: g.Channel, Port: c.port}
 }
 
-func (jm *joinManager) join(g mcast.Group) error {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	if jm.refs[g]++; jm.refs[g] > 1 {
+// join adds one subscriber of g, joining it on the server for the first.
+func (c *controlConn) join(g mcast.Group) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.refs[g] > 0 {
+		c.refs[g]++
 		return nil
 	}
-	reply, err := jm.cc.roundTrip(&wire.Control{Kind: wire.KindJoin, Video: g.Video, Channel: g.Channel, Port: jm.port}, true)
+	reply, err := c.roundTripLocked(c.joinMsg(g), true)
 	if err != nil {
-		jm.refs[g]--
 		return fmt.Errorf("viewer: waiting for join ack: %w", err)
 	}
 	if reply.Kind != wire.KindJoined {
-		jm.refs[g]--
 		return fmt.Errorf("viewer: join rejected: %s", reply.Error)
 	}
+	c.refs[g] = 1
 	return nil
 }
 
-func (jm *joinManager) leave(g mcast.Group) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	if jm.refs[g] == 0 {
+// leave drops one subscriber of g, leaving it on the server with the last.
+func (c *controlConn) leave(g mcast.Group) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.refs[g] == 0 {
 		return
 	}
-	if jm.refs[g]--; jm.refs[g] == 0 {
-		delete(jm.refs, g)
-		_, _ = jm.cc.roundTrip(&wire.Control{Kind: wire.KindLeave, Video: g.Video, Channel: g.Channel}, false)
+	if c.refs[g]--; c.refs[g] == 0 {
+		delete(c.refs, g)
+		_, _ = c.roundTripLocked(&wire.Control{Kind: wire.KindLeave, Video: g.Video, Channel: g.Channel}, false)
 	}
 }

@@ -48,7 +48,15 @@ var (
 	// ErrBadControl reports a complete line that is not a valid control
 	// message.
 	ErrBadControl = errors.New("wire: malformed control message")
+	// ErrControlTooLong reports a control line over MaxControlLine bytes.
+	// The stream's framing is lost with it, so it ends the connection.
+	ErrControlTooLong = fmt.Errorf("wire: control line over %d bytes", MaxControlLine)
 )
+
+// MaxControlLine bounds one control line, newline included. The longest
+// legitimate line, a KindRepairOK carrying MaxPayload bytes, is about
+// 43.7 KB in base64.
+const MaxControlLine = 2 * MaxPayload
 
 // Control is the envelope for every control message; unused fields are
 // omitted from the JSON encoding.
@@ -175,10 +183,24 @@ func WriteControl(w io.Writer, m *Control) error {
 
 // ReadControl reads one newline-delimited JSON control message. A read
 // that ends cleanly between messages returns the underlying error (io.EOF
-// on an orderly close); one that ends mid-line returns ErrTruncated, and a
-// complete but undecodable line returns ErrBadControl.
+// on an orderly close); one that ends mid-line returns ErrTruncated, a
+// complete but undecodable line returns ErrBadControl, and a line longer
+// than MaxControlLine returns ErrControlTooLong once at most one buffer
+// past the cap has been read.
 func ReadControl(r *bufio.Reader) (*Control, error) {
-	line, err := r.ReadBytes('\n')
+	var line []byte
+	var err error
+	for {
+		var frag []byte
+		frag, err = r.ReadSlice('\n')
+		if len(line)+len(frag) > MaxControlLine {
+			return nil, ErrControlTooLong
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			break
+		}
+	}
 	if err != nil {
 		if len(line) > 0 {
 			return nil, fmt.Errorf("%w: %d bytes then %v", ErrTruncated, len(line), err)

@@ -60,7 +60,7 @@ type Parity struct {
 	Total uint32
 	// Count is always 0: the frame does not carry its coverage, which
 	// ParityCount computes. Kept for benchmark/harness, which reads it;
-	// the harness follow-up of ROADMAP item 3(c) deletes it.
+	// the harness follow-up of ROADMAP item 2 deletes it.
 	Count int
 	// Block is the XOR of the covered chunk payloads. Aliases the decoded
 	// frame.
@@ -82,7 +82,7 @@ func ParityCount(base, total uint32, group, chunkBytes int) int {
 
 // ParityOverhead returns blockBytes: a parity frame's payload is its
 // block alone. Kept for benchmark/harness, which sizes its receive
-// buffer with it; the harness follow-up of ROADMAP item 3(c) deletes it.
+// buffer with it; the harness follow-up of ROADMAP item 2 deletes it.
 func ParityOverhead(count, blockBytes int) int { return blockBytes }
 
 // IsParity reports whether an encoded frame carries the parity kind
@@ -99,7 +99,7 @@ func IsParity(frame []byte) bool {
 // payload is the parity block, and crc is PayloadCRC(payload),
 // precomputed so re-sending the group costs no checksum work (same as
 // Chunk.EncodeWithCRC). index must be 0. Kept with this signature for
-// benchmark/harness; the harness follow-up of ROADMAP item 3(c) drops index.
+// benchmark/harness; the harness follow-up of ROADMAP item 2 drops index.
 func EncodeParityFrame(dst []byte, video, channel uint16, seq, base, total uint32, index uint8, payload []byte, crc uint32) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -115,7 +115,7 @@ func EncodeParityFrame(dst []byte, video, channel uint16, seq, base, total uint3
 
 // AppendParityPayload appends the parity payload — the block itself — to
 // dst; count is ignored. Kept for benchmark/harness; the harness
-// follow-up of ROADMAP item 3(c) deletes it.
+// follow-up of ROADMAP item 2 deletes it.
 func AppendParityPayload(dst []byte, count int, block []byte) []byte {
 	return append(dst, block...)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,47 @@ func TestReadControlTruncated(t *testing.T) {
 	r = bufio.NewReader(bytes.NewBufferString(""))
 	if _, err := ReadControl(r); !errors.Is(err, io.EOF) {
 		t.Errorf("clean close: got %v, want io.EOF", err)
+	}
+}
+
+// endlessLine is a peer that never sends a newline and refuses to be read
+// past limit bytes, noting the attempt.
+type endlessLine struct {
+	read, limit int
+	overRead    bool
+}
+
+func (e *endlessLine) Read(p []byte) (int, error) {
+	if e.read >= e.limit {
+		e.overRead = true
+		return 0, errors.New("read past the control line cap plus one buffer")
+	}
+	n := min(len(p), e.limit-e.read)
+	for i := range p[:n] {
+		p[i] = 'x'
+	}
+	e.read += n
+	return n, nil
+}
+
+// TestReadControlLineCap: a line with no newline in sight is cut off at
+// MaxControlLine — read at most one buffer past it — as a connection
+// error, not ErrBadControl: the stream's framing is lost. A line of
+// exactly MaxControlLine bytes still decodes.
+func TestReadControlLineCap(t *testing.T) {
+	const buf = 4096
+	peer := &endlessLine{limit: MaxControlLine + buf}
+	_, err := ReadControl(bufio.NewReaderSize(peer, buf))
+	if peer.overRead || !errors.Is(err, ErrControlTooLong) || errors.Is(err, ErrBadControl) {
+		t.Fatalf("endless line: got %v after %d bytes, want ErrControlTooLong", err, peer.read)
+	}
+	hello := `{"kind":"hello"}`
+	line := hello + strings.Repeat(" ", MaxControlLine-len(hello)-1) + "\n"
+	if m, err := ReadControl(bufio.NewReader(strings.NewReader(line))); err != nil || m.Kind != KindHello {
+		t.Fatalf("line of exactly MaxControlLine bytes: %v %v", m, err)
+	}
+	if _, err := ReadControl(bufio.NewReader(strings.NewReader(" " + line))); !errors.Is(err, ErrControlTooLong) {
+		t.Fatalf("line one byte over the cap: %v, want ErrControlTooLong", err)
 	}
 }
 
