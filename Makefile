@@ -54,8 +54,8 @@ race:
 # egress shards, drain, member eviction, the batched egress
 # engine (the wheel held to the closed-form grid, shard panic recovery,
 # vectorized/fallback/GSO identity — the sendmmsg stager at runs of one,
-# the portable writer, the stager with super-frames — catch-up run
-# staging), hostile control lines (index overflow), the ingress ladder
+# the portable writer, the stager with super-frames — the stager's
+# shortest-chain-first send order, catch-up run staging), hostile control lines (index overflow), the ingress ladder
 # (recvmmsg/GRO/single-read delivery identity, kill-switch demotion, GRO
 # super-frame splitting, read-error backoff), the proactive FEC stripe
 # (parity encode,
@@ -187,7 +187,9 @@ bench-scale:
 
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
 # at 1/8/64 members, GSO super-frames (same-group runs to 1/8/64 members,
-# and one socket hearing 22 groups, with and without parity frames), the
+# one socket hearing 22 groups, with and without larger frames mid-run,
+# and the mixed tick: that socket's chain first in batch order and two
+# one-group sockets the shortest-first reorder sends ahead of it), the
 # wheel's dispatch cycle at 2..2100 channels and a whole
 # listener-gated dispatch at 200/400 channels with 5 % heard, plain and
 # behind the fault injector,

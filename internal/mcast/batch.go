@@ -8,9 +8,10 @@
 // of two writers puts that vector on the wire: the sendmmsg stager
 // (gso_linux.go: up to sendmmsgBatch messages per syscall, each a run of
 // one address's frames — a GSO super-frame while the kernel takes them, a
-// plain datagram otherwise) or writeDestsGeneric, one write per datagram,
-// where sendmmsg is unavailable or disabled and as the reference the
-// stager is tested against. Send is a batch of one. Destination vectors
+// plain datagram otherwise — with the addresses owed the fewest frames
+// sent first) or writeDestsGeneric, one write per datagram in entry
+// order, where sendmmsg is unavailable or disabled and as the reference
+// the stager is tested against. Send is a batch of one. Destination vectors
 // and the syscall arrays behind them are pooled, so the steady-state path
 // allocates nothing.
 package mcast

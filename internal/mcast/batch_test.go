@@ -337,9 +337,23 @@ func batchGoldenCases() []batchGoldenCase {
 	}
 }
 
+// mixedTick is a tick heard by listeners of unequal weight: one socket
+// joined to 22 groups, whose frames lead the batch, then two one-group
+// sockets, whose groups come last — a viewer mux beside two set-top boxes.
+// The batch is one data-sized frame per group in that order, so the
+// longest destination chain appears first and the stager must reorder.
+func mixedTick() batchGoldenCase {
+	gs := sharedGroups(24)
+	return batchGoldenCase{
+		name:    "mixed",
+		shared:  [][]Group{gs[:22], gs[22:23], gs[23:]},
+		entries: func() []BatchEntry { return oneEach(gs, 1052) },
+	}
+}
+
 // joinShared builds the shared-socket audience of tc on hub: receiver i
 // joined to every group of tc.shared[i].
-func joinShared(t *testing.T, hub *Hub, tc batchGoldenCase) []*Receiver {
+func joinShared(t testing.TB, hub *Hub, tc batchGoldenCase) []*Receiver {
 	t.Helper()
 	rs := make([]*Receiver, len(tc.shared))
 	for i, gs := range tc.shared {
@@ -510,15 +524,19 @@ func TestNoSendmmsgEnvToggle(t *testing.T) {
 	}
 }
 
-// TestSendBatchZeroAlloc is the alloc gate for the batched hot path.
+// TestSendBatchZeroAlloc is the alloc gate for the batched hot path at runs
+// of one frame (the sendmmsg stager where the platform has it, the portable
+// writer otherwise). The batch is mixedTick's, heavy chain first, so the
+// stager's shortest-first reorder runs inside the measured call.
 func TestSendBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc count is meaningless")
 	}
-	g := Group{Video: 2, Channel: 0}
-	hub, _ := newTestHub(t, []Group{g}, 4)
-	frame := make([]byte, 1052)
-	entries := []BatchEntry{{Group: g, Frame: frame}, {Group: g, Frame: frame}}
+	hub, _ := newTestHub(t, nil, 0)
+	hub.SetGSO(false)
+	tc := mixedTick()
+	joinShared(t, hub, tc)
+	entries := tc.entries()
 	// Warm the pools, then pin the steady state on one P so the pooled
 	// buffers are actually reused.
 	if _, err := hub.SendBatch(entries); err != nil {

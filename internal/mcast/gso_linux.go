@@ -3,7 +3,14 @@
 // The sendmmsg stager: the one path by which a batch reaches sendmmsg(2).
 // A batch is expanded destination-major — every frame one address is owed,
 // in batch order and whatever its group — and each address's frames are cut
-// into runs (cutRuns). A run is one message of the syscall, up to
+// into runs (cutRuns). Addresses leave shortest chain first: one owed a
+// single frame (a set-top box on one channel) goes before a socket owed a
+// frame of each of its twenty groups, because on loopback each message's
+// receive and its listener's wake-up run inside the sendmmsg call, and a
+// heavy message sent first delays every message behind it. Ascending chain
+// length minimises the tick's mean per-listener completion time (SPT
+// order); the heavy listener waits only for the light messages, a few
+// microseconds. A run is one message of the syscall, up to
 // sendmmsgBatch messages per kernel crossing; a run of more than one frame
 // carries a UDP_SEGMENT cmsg, so the kernel traverses the stack once and
 // splits the super-frame into the wire datagrams. How long a run may grow is
@@ -22,8 +29,10 @@
 package mcast
 
 import (
+	"cmp"
 	"net/netip"
 	"os"
+	"slices"
 	"syscall"
 	"unsafe"
 )
@@ -73,9 +82,20 @@ type gsoMsg struct {
 
 // addrChain is one destination address's frames within a batch: the first
 // and last index into gsoBuf.exp, linked through gsoBuf.next in batch
-// order.
+// order, and how many frames the chain holds.
 type addrChain struct {
 	head, tail int32
+	n          int32
+}
+
+// shorterChain orders chains by frames owed, ties in first-appearance
+// order: chains are created in expansion order, so a chain's head is its
+// first appearance. The key is unique, so any sort yields one order.
+func shorterChain(a, b addrChain) int {
+	if c := cmp.Compare(a.n, b.n); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.head, b.head)
 }
 
 // gsoBuf is the reusable staging state of one batch: the entry-major
@@ -160,13 +180,16 @@ func (h *Hub) SetGSO(on bool) bool {
 
 // writeDestsStaged is SendBatch's sendmmsg body. It expands the batch
 // entry-major, as the portable writer does, threading each (frame, member)
-// pair onto its member address's chain, and then lays the chains out one
-// after another in bb.ds: every address's frames, in batch order and
+// pair onto its member address's chain and counting the chain's frames,
+// puts the chains in shortest-first order (shorterChain: a scan when they
+// already are, as when every chain has one length), and then lays them out
+// one after another in bb.ds: every address's frames, in batch order and
 // whatever their group, cut into maximal runs of the shape the hub may
 // send (cutRuns). Each run becomes one staged message whose destinations
 // are the contiguous ds[lo:hi). Every member receives exactly the frames
 // writeDestsGeneric would send it, in the same order — the golden
 // equivalence gate holds — and failed destinations are marked in place.
+// Only the order in which addresses are reached differs.
 func (h *Hub) writeDestsStaged(bb *batchBuf, m groupMap[netip.AddrPort], entries []BatchEntry) error {
 	gb := bb.stage
 	if gb == nil {
@@ -184,13 +207,17 @@ func (h *Hub) writeDestsStaged(bb *batchBuf, m groupMap[netip.AddrPort], entries
 			if ci, seen := gb.byAddr[ap]; seen {
 				next[chains[ci].tail] = k
 				chains[ci].tail = k
+				chains[ci].n++
 			} else {
 				gb.byAddr[ap] = int32(len(chains))
-				chains = append(chains, addrChain{head: k, tail: k})
+				chains = append(chains, addrChain{head: k, tail: k, n: 1})
 			}
 		}
 	}
 	clear(gb.byAddr)
+	if !slices.IsSortedFunc(chains, shorterChain) {
+		slices.SortFunc(chains, shorterChain)
+	}
 	gb.maxSegs = 1
 	if h.gsoOn.Load() {
 		gb.maxSegs = maxGSOSegs

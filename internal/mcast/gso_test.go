@@ -93,21 +93,20 @@ func TestGSOKillSwitch(t *testing.T) {
 }
 
 // TestGSOZeroAlloc extends the alloc gate to the super-frame path: a
-// coalescible same-group batch must reach the wire without allocating.
+// mixed tick — a 22-frame super-frame chain first in batch order, then two
+// plain datagrams the stager moves ahead of it — must reach the wire
+// without allocating.
 func TestGSOZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc count is meaningless")
 	}
-	g := Group{Video: 5, Channel: 1}
-	hub, _ := newTestHub(t, []Group{g}, 4)
+	hub, _ := newTestHub(t, nil, 0)
 	if !hub.GSO() {
 		t.Skip("GSO path unavailable on this platform/kernel")
 	}
-	frame := make([]byte, 1052)
-	entries := make([]BatchEntry, 8)
-	for i := range entries {
-		entries[i] = BatchEntry{Group: g, Frame: frame}
-	}
+	tc := mixedTick()
+	joinShared(t, hub, tc)
+	entries := tc.entries()
 	// Warm the pools, then pin the steady state on one P so the pooled
 	// buffers are actually reused.
 	if _, err := hub.SendBatch(entries); err != nil {
@@ -176,6 +175,9 @@ func drainInBackground(r *Receiver) {
 // viewer mux's share of a dense tick — with and without two larger frames
 // mid-run breaking it (the server sends none: a parity frame is a data
 // frame's size; the case keeps cutRuns's handling of one measured).
+// mixed: mixedTick, the 22-group socket's chain first in batch order and
+// two one-group sockets behind it, so every op pays the shortest-first
+// reorder.
 func BenchmarkEgressSuperframe(b *testing.B) {
 	paths := []struct {
 		name string
@@ -230,5 +232,20 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 				benchSuperframe(b, hub, entries, bytes, p.gso)
 			})
 		}
+	}
+	for _, p := range paths {
+		b.Run("mixed/path="+p.name, func(b *testing.B) {
+			hub, _ := newTestHub(b, nil, 0)
+			tc := mixedTick()
+			for _, r := range joinShared(b, hub, tc) {
+				drainInBackground(r)
+			}
+			entries := tc.entries()
+			bytes := 0
+			for _, e := range entries {
+				bytes += len(e.Frame)
+			}
+			benchSuperframe(b, hub, entries, bytes, p.gso)
+		})
 	}
 }

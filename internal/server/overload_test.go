@@ -178,12 +178,12 @@ func TestOverloadClientsTerminate(t *testing.T) {
 	}
 }
 
-// TestPacerPanicRecovered is the supervisor's session half (its schedule
-// half is TestWheelShardPanicRecovered): a panic in an egress shard
+// TestShardPanicRecoveredSession is the supervisor's session half (its
+// schedule half is TestWheelShardPanicRecovered): a panic in an egress shard
 // mid-broadcast is absorbed and the shard restarted on its absolute
 // schedule, so a concurrent viewing session still completes with verified
 // bytes and the server keeps answering control traffic.
-func TestPacerPanicRecovered(t *testing.T) {
+func TestShardPanicRecoveredSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
 	}

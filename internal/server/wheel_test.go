@@ -260,11 +260,11 @@ func TestWheelSustainsManyChannels(t *testing.T) {
 }
 
 // TestWheelShardPanicRecovered is the supervisor's schedule half (its
-// session half is TestPacerPanicRecovered): a hook panic mid-repetition
-// kills a whole shard (many channels), the supervisor restarts it, and
-// every channel on it rejoins the absolute grid where the clock is — no
-// firing before its instant, none replayed from behind, the panicked
-// channel broadcasting again.
+// session half is TestShardPanicRecoveredSession): a hook panic
+// mid-repetition kills a whole shard (many channels), the supervisor
+// restarts it, and every channel on it rejoins the absolute grid where the
+// clock is — no firing before its instant, none replayed from behind, the
+// panicked channel broadcasting again.
 func TestWheelShardPanicRecovered(t *testing.T) {
 	sch := wheelScheme(t, 2, 3)
 	const unit = 25 * time.Millisecond
