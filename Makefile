@@ -5,7 +5,7 @@ GO ?= go
 # machine produced them.
 BENCHMETA = ./scripts/benchmeta.sh
 
-.PHONY: build build-portable test vet fmt-check race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify loc bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
+.PHONY: build build-portable test test-time vet fmt-check race chaos chaos-check test-portable fuzz scale-smoke bench-e2e-smoke vulncheck verify loc bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ build-portable:
 
 test:
 	$(GO) test ./...
+
+# The 15 slowest top-level tests of the tier-1 suite, slowest first, read
+# off go test -v's "--- PASS: Name (Ns)" lines: the slow-test table in
+# ROADMAP.md is this output.
+test-time:
+	@$(GO) test -count=1 -v ./... 2>&1 | sed -n 's/^--- PASS: \([^ ]*\) (\([0-9.]*\)s)$$/\2s  \1/p' | sort -rn | head -15
 
 # benchmark/ is a nested module the root ./... never reaches; vetting it
 # here makes an exported-name change that breaks the harness fail in
@@ -52,10 +58,12 @@ race:
 # the longest lines fit), the NACK re-send table
 # (sweep at cap, window expiry, one window per repetition), supervised
 # egress shards, drain, member eviction, the batched egress
-# engine (the wheel held to the closed-form grid, shard panic recovery,
-# vectorized/fallback/GSO identity — the sendmmsg stager at runs of one,
-# the portable writer, the stager with super-frames — the stager's
-# shortest-chain-first send order, catch-up run staging), hostile control lines (index overflow), the ingress ladder
+# engine (the wheel's real tick loop on a virtual clock held to the
+# closed-form grid under scripted wakes, stalls and panics, shard panic
+# recovery, vectorized/fallback/GSO identity — the sendmmsg stager at
+# runs of one, the portable writer, the stager with super-frames — the
+# stager's shortest-chain-first send order, catch-up run staging),
+# hostile control lines (index overflow), the ingress ladder
 # (recvmmsg/GRO/single-read delivery identity, kill-switch demotion, GRO
 # super-frame splitting, read-error backoff), the proactive FEC stripe
 # (parity encode,
@@ -64,23 +72,35 @@ race:
 # subscription slot quotas, one refcounted slot per datagram whatever
 # the release order, holders out of step never torn, 200 closed
 # receivers leaving no descriptor, mapping or goroutine), and the
-# wheel's tick source (never early,
+# wheel's tick source on the wall clock (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
-# goroutine left behind by restarts) and wake lead (never early whatever
-# the source does, bounded, follows the measured latency, a stop during
-# a hold; the stage lead follows the staging time, the sum bounded), the
-# tick split in two (staging sends nothing and fires no hook, a join
-# between stage and release starts with the next tick, each frame's
+# goroutine left behind by restarts) and its wake lead on the virtual one
+# (never early whatever the source does, bounded, follows the wake
+# latency, a stop during a hold; the stage lead follows the staging time,
+# the sum bounded), the
+# tick split in two (staging sends nothing, a join between stage and
+# release starts with the next tick, each frame's
 # fault decision made once), listener-gated materialise-on-send (only
 # heard groups staged, fault counts independent of the audience, re-sends
 # never aliasing dispatch memory, a heap that does not follow the
 # catalog), and the
 # injector's one decision path at stage (Stage ≡ per-chunk Send, counts
 # pinned per seed, held frames are copies) — under the race detector.
+CHAOS_PKGS = ./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
+CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release
+
 chaos:
-	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release' \
-		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
+	$(GO) test -race -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
+
+# Every alternative of CHAOS_RUN selects at least one Test or Fuzz
+# function of CHAOS_PKGS: a word left behind by a renamed or deleted test
+# fails here instead of quietly selecting nothing.
+chaos-check:
+	@names=$$($(GO) test -list '.*' $(CHAOS_PKGS) | grep -E '^(Test|Fuzz)'); \
+	dead=; for w in $$(echo '$(CHAOS_RUN)' | tr '|' ' '); do \
+		echo "$$names" | grep -q -- "$$w" || dead="$$dead $$w"; \
+	done; \
+	if [ -n "$$dead" ]; then echo "chaos-check: CHAOS_RUN words matching no test:$$dead"; exit 1; fi
 
 # The portable-fallback pin: egress collapsed to plain per-datagram
 # writes (no sendmmsg stager, so no GSO) and the ingress ladder to
@@ -140,10 +160,11 @@ loc:
 	for d in internal/*/; do printf '%7d  %s\n' "$$(count $$d)" "$${d%/}"; done
 
 # The PR gate: tier-1 build+test, the portable cross-builds, vet, gofmt,
-# race-checked concurrency, the chaos suite, the portable-fallback pin,
-# fuzzers, the cohort-repair smoke sweep, the end-to-end benchmark smoke,
+# race-checked concurrency, the chaos suite and the check that its -run
+# list names live tests, the portable-fallback pin, fuzzers, the
+# cohort-repair smoke sweep, the end-to-end benchmark smoke,
 # vulnerability scan, and the data-path benchmark record.
-verify: build build-portable vet fmt-check test race chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
+verify: build build-portable vet fmt-check test race chaos-check chaos test-portable fuzz scale-smoke bench-e2e-smoke vulncheck bench-datapath
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -110,7 +110,7 @@ func (s *Server) serveControl(conn net.Conn) {
 		case err != nil:
 			return // disconnect, or a line too long to keep the framing
 		default:
-			reply, done = cs.step(time.Now(), m)
+			reply, done = cs.step(s.clock.now(), m)
 		}
 		if reply != nil {
 			// Deadline-bounded, so a client that stops draining its

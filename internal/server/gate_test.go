@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,301 +16,193 @@ import (
 	"skyscraper/internal/wire"
 )
 
-// countingBatchSender is a stub fan-out for dispatches driven by hand: it
-// checks every staged frame (decodes, belongs to its entry's group) and
-// counts, allocating nothing.
-type countingBatchSender struct {
-	batches, frames, parity, bad int
-	groups                       map[mcast.Group]int // frames per group; nil = not tracked
-	err                          error               // what SendBatch reports, having counted
-}
-
-func (r *countingBatchSender) Send(g mcast.Group, frame []byte) (int, error) {
-	r.note(g, frame)
-	return 1, nil
-}
-
-func (r *countingBatchSender) SendBatch(entries []mcast.BatchEntry) (int, error) {
-	r.batches++
-	for i := range entries {
-		r.note(entries[i].Group, entries[i].Frame)
-	}
-	return len(entries), r.err
-}
-
-func (r *countingBatchSender) note(g mcast.Group, frame []byte) {
-	r.frames++
-	video, channel, _, _, ok := wire.PeekID(frame)
-	if !ok || int(video) != g.Video || int(channel) != g.Channel {
-		r.bad++
-		return
-	}
-	if wire.IsParity(frame) {
-		r.parity++
-		if _, err := wire.DecodeParity(frame); err != nil {
-			r.bad++
-		}
-	} else if _, err := wire.Decode(frame); err != nil {
-		r.bad++
-	}
-	if r.groups != nil {
-		r.groups[g]++
-	}
-}
-
-// sendOnly lifts a scheduled-egress stub to the server's hub seam: it
-// holds no memberships, and re-send batches go where scheduled ones do.
-type sendOnly struct{ mcast.BatchSender }
-
-func (o sendOnly) SendRepairBatch(entries []mcast.BatchEntry) (int, error) {
-	return o.SendBatch(entries)
-}
-func (sendOnly) Join(mcast.Group, *net.UDPAddr) error { return nil }
-func (sendOnly) Leave(mcast.Group, *net.UDPAddr)      {}
-
 // warmTicks is how many ticks a test runs before it measures a dispatch's
 // steady state: far more than the due list, arena and batch take to reach
 // their steady size.
 const warmTicks = 256
 
-// handDriven is a server that was never started, with a real hub for
-// membership, a caller-chosen sender, and one shard owning every channel,
-// driven tick by tick on the wheel's own virtual time: stage() collects
-// exactly the next due instant's entries and stages them, release() puts
-// them on the wire, and tick() is the two in a row. The epoch sits an
-// hour ahead of the wall clock, so no entry ever looks behind and every
-// tick stages exactly one chunk per due entry.
-type handDriven struct {
-	srv *Server
-	sh  *wheelShard
-}
-
-func newHandDriven(t testing.TB, cfg Config, send mcast.BatchSender) *handDriven {
-	t.Helper()
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, err := mcast.NewHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hub.Close() })
-	srv.hub = hub
-	srv.send = hub
-	if send != nil {
-		srv.send = sendOnly{send}
-	}
-	srv.epoch = time.Now().Add(time.Hour)
-	sh := &wheelShard{s: srv}
-	sch := cfg.Scheme
-	for v := 0; v < sch.Config().Videos; v++ {
-		for i := 1; i <= sch.K(); i++ {
-			sh.entries = append(sh.entries, srv.newWheelEntry(v, i))
-		}
-	}
-	sh.tickLen = sh.quantum()
-	for _, e := range sh.entries {
-		e.resync(0)
-	}
-	return &handDriven{srv: srv, sh: sh}
-}
-
-// stage collects and stages the next due instant, as a shard does inside
-// its wake lead, and reports how many entries it held.
-func (h *handDriven) stage() int {
-	next, _ := h.sh.nextDue()
-	h.sh.collect(next)
-	if len(h.sh.due) > 0 {
-		h.sh.stage(next)
-	}
-	return len(h.sh.due)
-}
-
-// release sends what stage staged, as a shard does at the instant.
-func (h *handDriven) release() {
-	if len(h.sh.due) > 0 {
-		h.sh.release()
-	}
-}
-
-// tick stages and releases the next due instant and reports how many
-// entries it held.
-func (h *handDriven) tick() int {
-	n := h.stage()
-	h.release()
-	return n
-}
-
-// join subscribes a throwaway loopback address to g.
-func (h *handDriven) join(t testing.TB, g mcast.Group) *net.UDPAddr {
-	t.Helper()
-	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9} // discard; a stub sender never writes
-	if err := h.srv.hub.Join(g, addr); err != nil {
-		t.Fatal(err)
-	}
-	return addr
+// mallocs is how many heap objects the process has allocated so far.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // TestDispatchStagesOnlyHeardGroups: on a 200-channel schedule with
-// members on 5 groups, every channel's hook still sees every (rep, chunk)
-// in grid order, but only the 5 heard groups' chunks are materialised and
-// staged, and a steady-state dispatch allocates nothing.
+// members on 5 groups, every channel's cursor walks the grid a chunk a
+// tick, but only the 5 heard groups' chunks are materialised and staged,
+// and a steady-state tick allocates nothing. A group that loses its last
+// member stops costing from the next tick, and a failed send is logged
+// against the first chunk it staged.
 func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 	const ticks = 40
-	sch := wheelScheme(t, 10, 20)
-	events := make(map[chanKey][]event)
-	recording := true
-	var lastLog string
-	rec := &countingBatchSender{groups: make(map[mcast.Group]int)}
-	h := newHandDriven(t, Config{
-		Scheme:       sch,
-		Unit:         100 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			if recording {
-				events[chanKey{v, i}] = append(events[chanKey{v, i}], event{n, c})
-			}
-		},
-		Logf: func(f string, a ...any) { lastLog = fmt.Sprintf(f, a...) },
-	}, rec)
 	heard := []mcast.Group{{Video: 0, Channel: 1}, {Video: 3, Channel: 7}, {Video: 5, Channel: 20}, {Video: 9, Channel: 2}, {Video: 9, Channel: 19}}
-	var addr *net.UDPAddr
-	for _, g := range heard {
-		addr = h.join(t, g)
-	}
-	for i := 0; i < ticks; i++ {
-		if n := h.tick(); n != 200 {
-			t.Fatalf("tick %d dispatched %d entries, want all 200 (equal spacing)", i, n)
+	const (
+		measure = ticks + 1 + warmTicks // the park that begins the alloc-free window
+		leave   = measure + 50          // the park that ends it and empties heard[0]
+	)
+	var (
+		cursors   []time.Duration // every entry's next due offset after `ticks` ticks
+		allocs    uint64
+		afterLeft int64 // chunks staged by the tick after the Leave
+		want      string
+		logged    []string
+	)
+	r := twice(t, func() *wheelRig {
+		logged, want = nil, ""
+		r := newWheelRig(t, Config{
+			Scheme:       wheelScheme(t, 10, 20),
+			Unit:         100 * time.Millisecond,
+			BytesPerUnit: 4096,
+			ChunkBytes:   1024,
+			Logf:         func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) },
+		})
+		var addr *net.UDPAddr
+		for _, g := range heard {
+			addr = r.join(t, g)
 		}
-	}
-
-	for v := 0; v < 10; v++ {
-		for i := 1; i <= 20; i++ {
-			k := chanKey{v, i}
-			evs := events[k]
-			if len(evs) != ticks || evs[0] != (event{0, 0}) {
-				t.Fatalf("video%d/ch%d: hook saw %d chunks starting at %v, want %d from (0, 0)", v, i, len(evs), evs[0], ticks)
+		first := r.sh.entries[3*20+6] // heard[1]
+		var m0 uint64
+		var staged0 int64
+		procs := 0
+		failAt := 0
+		r.vc.onPark = func(n int) {
+			switch n {
+			case ticks + 1:
+				cursors = nil
+				for _, e := range r.sh.entries {
+					cursors = append(cursors, e.due)
+				}
+				r.log.quiet = true // the frames of the first ticks are checked; the rest are counted
+			case measure: // one P, as testing.AllocsPerRun measures
+				procs, m0 = runtime.GOMAXPROCS(1), mallocs()
+			case leave:
+				allocs = mallocs() - m0
+				runtime.GOMAXPROCS(procs)
+				r.srv.hub.Leave(heard[0], addr)
+				staged0 = r.srv.egressStaged.Value()
+			case leave + 1:
+				afterLeft = r.srv.egressStaged.Value() - staged0
 			}
-			checkContiguous(t, k, evs, int(sch.Sizes()[i-1])*4)
+			switch {
+			case n > leave+1 && failAt == 0 && first.c == first.chunks-1:
+				// Not the first due entry, which nobody hears any more, and
+				// not the repetition the cursor moves on to.
+				failAt, want = n, fmt.Sprintf("sending %v seq %d: refused", first.group, first.n)
+				r.log.err = errors.New("refused")
+			case failAt > 0:
+				r.log.err = nil
+			}
+		}
+		r.play(leave + 12)
+		return r
+	})
+
+	for j, e := range r.sh.entries {
+		if cursors[j] != ticks*e.spacing {
+			t.Fatalf("%v: after %d ticks the cursor is due at %v, want %v", e.group, ticks, cursors[j], ticks*e.spacing)
 		}
 	}
-	if got, want := h.srv.egressScheduled.Value(), int64(200*ticks); got != want {
-		t.Errorf("egressScheduled = %d, want %d", got, want)
-	}
-	if got, want := h.srv.egressStaged.Value(), int64(len(heard)*ticks); got != want {
-		t.Errorf("egressStaged = %d, want %d (chunks with a member)", got, want)
-	}
-	if rec.frames != len(heard)*ticks || rec.batches != ticks || rec.bad != 0 {
-		t.Errorf("sender saw %d frames in %d batches (%d bad), want %d in %d, all good", rec.frames, rec.batches, rec.bad, len(heard)*ticks, ticks)
-	}
-	if len(rec.groups) != len(heard) {
-		t.Errorf("frames staged for %d groups, want the %d heard ones", len(rec.groups), len(heard))
+	by := r.channels()
+	if len(by) != len(heard) {
+		t.Errorf("frames sent for %d groups, want the %d heard ones", len(by), len(heard))
 	}
 	for _, g := range heard {
-		if rec.groups[g] != ticks {
-			t.Errorf("%v: %d frames staged, want %d", g, rec.groups[g], ticks)
+		frames := by[chanKey{g.Video, g.Channel}]
+		if len(frames) != ticks || frames[0].n != 0 || frames[0].c != 0 {
+			t.Fatalf("%v: %d frames from the first %d ticks, want one a tick from (0, 0)", g, len(frames), ticks)
 		}
+		checkContiguous(t, chanKey{g.Video, g.Channel}, events(frames), r.grid(g).chunks)
 	}
-	if st := h.srv.cache.stats(); st.Hits+st.Misses != int64(len(heard)*ticks) {
-		t.Errorf("frame cache served %d materialisations, want %d", st.Hits+st.Misses, len(heard)*ticks)
+	if got, want := r.srv.egressScheduled.Value(), int64(200*r.srv.wheelWakeups.Value()); got != want {
+		t.Errorf("egressScheduled = %d, want %d: every channel every tick", got, want)
 	}
+	if r.log.bad != 0 || r.log.batches != int(r.srv.wheelWakeups.Value()) {
+		t.Errorf("sender saw %d batches (%d bad frames) in %d ticks, want one a tick, all good", r.log.batches, r.log.bad, r.srv.wheelWakeups.Value())
+	}
+	if st := r.srv.cache.stats(); st.Hits+st.Misses != int64(r.log.frames) {
+		t.Errorf("frame cache served %d materialisations for %d frames sent", st.Hits+st.Misses, r.log.frames)
+	}
+	if allocs != 0 {
+		t.Errorf("50 steady-state ticks allocated %d times, want 0", allocs)
+	}
+	if afterLeft != int64(len(heard)-1) {
+		t.Errorf("tick after a Leave staged %d chunks, want %d", afterLeft, len(heard)-1)
+	}
+	if i := slices.IndexFunc(logged, func(l string) bool { return strings.Contains(l, "sending") }); i < 0 || !strings.Contains(logged[i], want) {
+		t.Errorf("failed send logged %q, want it to name %q", logged, want)
+	}
+}
 
-	// The due list, arena and batch grow in the first ticks; a while later
-	// the dispatch cycle is in its steady state.
-	recording, rec.groups = false, nil
-	for i := 0; i < warmTicks; i++ {
-		h.tick()
+// faultRig is a wheelRig with the stripe on and a fault plan deciding
+// every frame at stage.
+func faultRig(t *testing.T, plan faults.Plan, videos, channels, bytesPerUnit int) *wheelRig {
+	t.Helper()
+	r := newWheelRig(t, Config{
+		Scheme:       wheelScheme(t, videos, channels),
+		Unit:         100 * time.Millisecond,
+		BytesPerUnit: bytesPerUnit,
+		ChunkBytes:   1024,
+		FecGroup:     4,
+		Faults:       &plan,
+		Logf:         t.Logf,
+	})
+	inj, err := faults.New(r.log, plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { h.tick() }); allocs != 0 {
-		t.Errorf("steady-state dispatch allocates %v times, want 0", allocs)
-	}
-
-	// A group that loses its last member stops costing from the next tick.
-	h.srv.hub.Leave(heard[0], addr)
-	before := h.srv.egressStaged.Value()
-	h.tick()
-	if got := h.srv.egressStaged.Value() - before; got != int64(len(heard)-1) {
-		t.Errorf("tick after a Leave staged %d chunks, want %d", got, len(heard)-1)
-	}
-
-	// A failed send is logged against the first chunk it staged: not the
-	// first due entry, which nobody hears any more, and not the repetition
-	// the cursor moves on to when that chunk was the last of its own.
-	first := h.sh.entries[3*20+6]
-	if first.group != heard[1] {
-		t.Fatalf("entry %d is %v, want %v", 3*20+6, first.group, heard[1])
-	}
-	for first.c != first.chunks-1 {
-		h.tick()
-	}
-	want := fmt.Sprintf("sending %v seq %d: refused", first.group, first.n)
-	rec.err = errors.New("refused")
-	h.tick()
-	if !strings.Contains(lastLog, want) {
-		t.Errorf("failed send logged %q, want it to name %q", lastLog, want)
-	}
+	r.srv.inj = inj
+	r.vc.work = 2 * time.Microsecond
+	return r
 }
 
 // TestDispatchFaultCountsIgnoreHeardGroups: the fault plan's counts over a
 // stretch of schedule are the same whether every frame is built and sent
 // through the injector (no gate — the parent's behaviour), nobody listens,
-// members sit on a few groups, or members come and go between a tick's
-// stage and its release; and only heard frames reach the wire. This pins
-// the positions the engine hands to Injector.Stage — data offsets, parity
-// bases, tail-group coverage — to be the same whether or not a frame was
-// built, and that each frame is decided exactly once, at stage, whatever
-// the membership does in between.
+// members sit on a few groups, or members come and go from tick to tick;
+// and only heard frames reach the wire. This pins the positions the engine
+// hands to Injector.Stage — data offsets, parity bases, tail-group
+// coverage — to be the same whether or not a frame was built, and that
+// each frame is decided exactly once, at stage, whatever the membership
+// does.
 func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 	plan := faults.Plan{Seed: 11, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
 		BurstEnter: 0.05, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
 	some := []mcast.Group{{Video: 0, Channel: 1}, {Video: 1, Channel: 3}, {Video: 2, Channel: 5}}
-	// between, when set, runs between each tick's stage and its release.
-	run := func(gated bool, heard []mcast.Group, between func(h *handDriven, tick int)) (faults.Counts, *countingBatchSender) {
-		onWire := &countingBatchSender{}
-		inj, err := faults.New(onWire, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := newHandDriven(t, Config{
-			Scheme:       wheelScheme(t, 3, 5),
-			Unit:         100 * time.Millisecond,
-			BytesPerUnit: 3 * 1024, // 3-chunk units under G=4: groups straddle units, tails are short
-			ChunkBytes:   1024,
-			FecGroup:     4,
-			Faults:       &plan,
-			Logf:         t.Logf,
-		}, onWire)
-		h.srv.inj = inj
-		if !gated {
-			h.srv.hub = nil // no membership to ask: everything is staged
-		}
-		for _, g := range heard {
-			h.join(t, g)
-		}
-		for i := 0; i < 60; i++ { // ten repetitions of the longest channel
-			h.stage()
-			if between != nil {
-				between(h, i)
+	// flip, when set, runs before each tick.
+	run := func(gated bool, heard []mcast.Group, flip func(r *wheelRig, tick int)) (faults.Counts, *sendLog) {
+		var counts faults.Counts
+		r := twice(t, func() *wheelRig {
+			// 3-chunk units under G=4: groups straddle units, tails are short.
+			r := faultRig(t, plan, 3, 5, 3*1024)
+			if !gated {
+				r.srv.hub = nil // no membership to ask: everything is staged
 			}
-			h.release()
-		}
-		return inj.Counts(), onWire
+			for _, g := range heard {
+				r.join(t, g)
+			}
+			if flip != nil {
+				r.vc.onPark = func(n int) { flip(r, n) }
+			}
+			r.play(60) // ten repetitions of the longest channel
+			counts = r.srv.inj.Counts()
+			return r
+		})
+		return counts, r.log
 	}
 	all, allWire := run(false, nil, nil)
 	none, noneWire := run(true, nil, nil)
 	three, threeWire := run(true, some, nil)
-	// The three groups' members leave after one tick's stage and come back
-	// after the next one's: every tick's membership at release differs
-	// from what its stage read.
+	// The three groups' members join before every odd tick and leave
+	// before every even one: no two ticks in a row stage for the same
+	// audience.
 	addrs := make([]*net.UDPAddr, len(some))
-	flipping, flippingWire := run(true, nil, func(h *handDriven, tick int) {
+	flipping, flippingWire := run(true, nil, func(r *wheelRig, tick int) {
 		for j, g := range some {
-			if tick%2 == 0 {
-				addrs[j] = h.join(t, g)
+			if tick%2 == 1 {
+				addrs[j] = r.join(t, g)
 			} else {
-				h.srv.hub.Leave(g, addrs[j])
+				r.srv.hub.Leave(g, addrs[j])
 			}
 		}
 	})
@@ -327,118 +221,80 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 	// Each member is present at every other stage, so the flipping run
 	// puts some frames on the wire, and fewer than the steady three.
 	if flippingWire.frames == 0 || flippingWire.frames >= threeWire.frames || flippingWire.bad != 0 {
-		t.Errorf("wire: %d frames (%d bad) with members flipping between stage and release, %d with them steady", flippingWire.frames, flippingWire.bad, threeWire.frames)
+		t.Errorf("wire: %d frames (%d bad) with members flipping between ticks, %d with them steady", flippingWire.frames, flippingWire.bad, threeWire.frames)
 	}
 }
 
 // TestStageSendsNothingBeforeRelease: staging a tick — fault plan and all
-// — puts nothing on the wire and fires no hook; release fires the hook for
-// every staged chunk and hands the tick over in one batch.
+// — puts nothing on the wire; release hands the tick over in one batch,
+// and no frame leaves before its grid instant.
 func TestStageSendsNothingBeforeRelease(t *testing.T) {
 	plan := faults.Plan{Seed: 3, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
 		BurstEnter: 0.05, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
-	onWire := &countingBatchSender{}
-	inj, err := faults.New(onWire, plan)
-	if err != nil {
-		t.Fatal(err)
+	var problems []string
+	r := twice(t, func() *wheelRig {
+		problems = nil
+		r := faultRig(t, plan, 10, 20, 4096)
+		for j := 0; j < len(r.sh.entries); j += 20 {
+			r.join(t, r.sh.entries[j].group)
+		}
+		// What the sender had seen when the tick's park returned.
+		frames, batches := 0, 0
+		r.vc.onPark = func(n int) {
+			if n > 1 && r.log.batches != batches+1 {
+				problems = append(problems, fmt.Sprintf("tick %d: released %d batches, want 1", n-1, r.log.batches-batches))
+			}
+			frames, batches = r.log.frames, r.log.batches
+		}
+		r.log.onSend = func([]mcast.BatchEntry) {
+			if r.log.frames != frames || r.log.batches != batches {
+				problems = append(problems, fmt.Sprintf("staging sent %d frames in %d batches", r.log.frames-frames, r.log.batches-batches))
+			}
+		}
+		r.play(40)
+		return r
+	})
+	for _, p := range problems {
+		t.Error(p)
 	}
-	hooked := 0
-	h := newHandDriven(t, Config{
-		Scheme:       wheelScheme(t, 10, 20),
-		Unit:         100 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		FecGroup:     4,
-		Faults:       &plan,
-		PacerHook:    func(v, i int, n uint32, c int) { hooked++ },
-		Logf:         t.Logf,
-	}, onWire)
-	h.srv.inj = inj
-	for j := 0; j < len(h.sh.entries); j += 20 {
-		h.join(t, h.sh.entries[j].group)
+	if r.log.frames == 0 || r.log.bad != 0 {
+		t.Errorf("wire: %d frames, %d bad", r.log.frames, r.log.bad)
 	}
-	for i := 0; i < 40; i++ {
-		frames, batches := onWire.frames, onWire.batches
-		hooked = 0
-		due := h.stage()
-		if onWire.frames != frames || onWire.batches != batches || hooked != 0 {
-			t.Fatalf("tick %d: staging sent %d frames in %d batches and fired the hook %d times, want none",
-				i, onWire.frames-frames, onWire.batches-batches, hooked)
-		}
-		if len(h.sh.batch) == 0 {
-			t.Fatalf("tick %d: nothing staged for 10 heard groups", i)
-		}
-		h.release()
-		if hooked != due {
-			t.Fatalf("tick %d: release fired the hook %d times for %d staged chunks", i, hooked, due)
-		}
-		if onWire.batches > batches+1 {
-			t.Fatalf("tick %d: release sent %d batches, want at most 1", i, onWire.batches-batches)
+	for _, f := range r.log.sent {
+		if due := r.grid(f.g).dueOf(f.n, f.c); f.at < due {
+			t.Fatalf("%v (rep %d, chunk %d) left at epoch+%v, before its instant %v", f.g, f.n, f.c, f.at, due)
 		}
 	}
-	if onWire.frames == 0 || onWire.bad != 0 {
-		t.Errorf("wire: %d frames, %d bad", onWire.frames, onWire.bad)
-	}
-}
-
-// firstChunk reads one datagram from r and returns its (rep, chunk).
-func firstChunk(t *testing.T, r *mcast.Receiver, chunkBytes int) event {
-	t.Helper()
-	buf := make([]byte, wire.EncodedSize(chunkBytes))
-	if err := r.Conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	n, err := r.Conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := wire.Decode(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return event{c.Seq, int(c.Offset) / chunkBytes}
 }
 
 // TestJoinBeforeTickHearsThatTick: gating adds no off-by-one to start
 // latency. A group's first member, joined before tick t's staging begins,
 // receives chunk t; one that joins an empty group once staging has read
-// the membership — here between tick t's stage and its release, where the
-// hook now fires — is not heard by tick t and starts with t+1.
+// the membership — here as tick t's release begins — is not heard by
+// tick t and starts with t+1.
 func TestJoinBeforeTickHearsThatTick(t *testing.T) {
 	g, gLate := mcast.Group{Video: 0, Channel: 2}, mcast.Group{Video: 0, Channel: 3} // 8 chunks per repetition each
-	early, err := mcast.NewReceiver()
-	if err != nil {
-		t.Fatal(err)
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 100 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+		r.vc.onPark = func(n int) {
+			if n == 3 { // before chunk 2's stage
+				r.join(t, g)
+			}
+		}
+		r.log.onSend = func([]mcast.BatchEntry) {
+			if r.log.batches == 0 { // chunk 2's release: the first one anybody hears
+				r.join(t, gLate)
+			}
+		}
+		r.play(4)
+		return r
+	})
+	by := r.channels()
+	if f := by[chanKey{0, 2}]; len(f) == 0 || (event{f[0].n, f[0].c}) != (event{0, 2}) {
+		t.Errorf("member joined before tick 2's stage first received %v, want (0, 2)", events(f))
 	}
-	defer early.Close()
-	late, err := mcast.NewReceiver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer late.Close()
-	h := newHandDriven(t, Config{
-		Scheme:       wheelScheme(t, 1, 3),
-		Unit:         100 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		Logf:         t.Logf,
-	}, nil) // the real hub sends
-	h.tick() // chunk 0
-	h.tick() // chunk 1
-	if err := h.srv.hub.Join(g, early.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	h.stage() // chunk 2: early is a member
-	if err := h.srv.hub.Join(gLate, late.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	h.release() // late joined after the stage
-	h.tick()    // chunk 3
-	if got := firstChunk(t, early, 1024); got != (event{0, 2}) {
-		t.Errorf("member joined before tick 2's stage first received (rep %d, chunk %d), want (0, 2)", got.n, got.c)
-	}
-	if got := firstChunk(t, late, 1024); got != (event{0, 3}) {
-		t.Errorf("member joined between tick 2's stage and release first received (rep %d, chunk %d), want (0, 3)", got.n, got.c)
+	if f := by[chanKey{0, 3}]; len(f) == 0 || (event{f[0].n, f[0].c}) != (event{0, 3}) {
+		t.Errorf("member joined as tick 2's release began first received %v, want (0, 3)", events(f))
 	}
 }
 
@@ -467,14 +323,14 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 	before := heapInuse()
 
 	sch := cacheScheme(t, videos, channels, 52) // 1,2,2,5,5,12,12,25,25,52 units
-	rec := &countingBatchSender{}
-	h := newHandDriven(t, Config{
+	r := newWheelRig(t, Config{
 		Scheme:       sch,
 		Unit:         100 * time.Millisecond,
 		BytesPerUnit: bytesPerUnit,
 		ChunkBytes:   chunkBytes,
 		Logf:         t.Logf,
-	}, rec)
+	})
+	r.log.quiet = true
 	// Every channel has the same chunk spacing, so a tick is one chunk per
 	// channel and a channel's period is its chunk count in ticks.
 	type stint struct {
@@ -485,37 +341,36 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 	var stints []stint
 	var words int64
 	last := 0
-	for j, e := range h.sh.entries {
+	for j, e := range r.sh.entries {
 		st := stint{g: e.group, join: j * stagger, leave: j*stagger + e.chunks}
 		stints = append(stints, st)
 		words += int64(e.chunks)
-		if st.leave > last {
-			last = st.leave
-		}
+		last = max(last, st.leave)
 	}
 	if catalog := words * chunkBytes; catalog < 4*(64<<20) {
 		t.Fatalf("catalog is %d MiB, want at least 256", catalog>>20)
 	}
-	for tick := 0; tick < last; tick++ {
+	r.vc.onPark = func(n int) {
+		tick := n - 1
 		for j := range stints {
 			switch st := &stints[j]; tick {
 			case st.join:
-				st.addr = h.join(t, st.g)
+				st.addr = r.join(t, st.g)
 			case st.leave:
-				h.srv.hub.Leave(st.g, st.addr)
+				r.srv.hub.Leave(st.g, st.addr)
 			}
 		}
-		h.tick()
 	}
-	if rec.bad != 0 {
-		t.Fatalf("%d staged frames failed to decode", rec.bad)
+	r.play(last)
+	if r.log.bad != 0 {
+		t.Fatalf("%d sent frames failed to decode", r.log.bad)
 	}
-	st := h.srv.cache.stats()
+	st := r.srv.cache.stats()
 	if want := (CacheStats{Misses: words, Bytes: 8 * words}); st != want {
 		t.Errorf("frame cache %+v, want %+v: every chunk of the catalog materialised exactly once, cold", st, want)
 	}
 	after := heapInuse()
-	runtime.KeepAlive(h)
+	runtime.KeepAlive(r)
 	t.Logf("catalog %d MiB materialised; CRC table %d KiB; heap in use %d KiB before, %d KiB after",
 		words*chunkBytes>>20, st.Bytes>>10, before>>10, after>>10)
 	if grew := after - before; grew > st.Bytes+slack {
@@ -526,59 +381,139 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 
 // benchFullDispatch is BenchmarkWheelDispatch's whole-tick case on a
 // 10-video, k-channel schedule where every 20th channel (5 %) has a
-// listener. With faulted set the stub sender stands behind a fault
-// injector running skybench's lossy plan with a G=4 stripe, so staging
-// also pays the plan's per-entry decisions, heard and unheard. Every
-// iteration stages and releases one tick, as a shard does; phase picks
-// which half ns/op times: "stage" — collect, gate, materialise, decide
-// with the fault plan, advance: what the shard does before the instant —
-// or "release" — the batch hand-off to the sender: what is left for the
-// instant. allocs/op counts the whole tick.
+// listener. With faulted set the sender stands behind a fault injector
+// running skybench's lossy plan with a G=4 stripe, so staging also pays
+// the plan's per-entry decisions, heard and unheard. Every iteration is
+// one tick of the shard's loop on a virtual clock; phase picks which part
+// ns/op times: "stage" — from the wake to the hand-over: collect, gate,
+// materialise, decide with the fault plan, advance, what the shard does
+// before the instant — or "release" — from the hand-over to the next
+// park: the send, what is left for the instant. allocs/op counts the
+// whole tick.
 func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
-	rec := &countingBatchSender{}
 	cfg := Config{
 		Scheme:       wheelScheme(b, 10, k),
 		Unit:         100 * time.Millisecond,
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
 	}
-	var inj *faults.Injector
 	if faulted {
 		cfg.FecGroup = 4
 		cfg.Faults = &faults.Plan{Seed: 1, Drop: 0.02, Duplicate: 0.01, Reorder: 0.01,
 			BurstEnter: 0.01, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
-		var err error
-		if inj, err = faults.New(rec, *cfg.Faults); err != nil {
+	}
+	r := newWheelRig(b, cfg)
+	if faulted {
+		inj, err := faults.New(r.log, *cfg.Faults)
+		if err != nil {
 			b.Fatal(err)
 		}
+		r.srv.inj = inj
 	}
-	h := newHandDriven(b, cfg, rec)
-	h.srv.inj = inj
-	for j := 0; j < len(h.sh.entries); j += 20 {
-		h.join(b, h.sh.entries[j].group)
+	r.log.quiet = true
+	for j := 0; j < len(r.sh.entries); j += 20 {
+		r.join(b, r.sh.entries[j].group)
 	}
-	for i := 0; i < warmTicks; i++ { // due list, arena and batch at their steady size
-		h.tick()
-	}
-	before := h.srv.egressStaged.Value()
+	// The timed ticks are warmTicks+1 … warmTicks+b.N: the due list, arena
+	// and batch are at their steady size by then.
+	var mark time.Time
 	var spent time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		began := time.Now()
-		h.stage()
-		staged := time.Now()
-		h.release()
-		if phase == "stage" {
-			spent += staged.Sub(began)
-		} else {
-			spent += time.Since(staged)
+	var staged int64
+	r.vc.onPark = func(n int) {
+		now := time.Now()
+		switch n {
+		case warmTicks + 1:
+			staged = -r.srv.egressStaged.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+		case warmTicks + b.N + 1:
+			staged += r.srv.egressStaged.Value()
+			b.StopTimer()
+		}
+		if n > warmTicks+1 && phase == "release" {
+			spent += now.Sub(mark)
+		}
+		mark = now
+	}
+	r.log.onSend = func([]mcast.BatchEntry) {
+		now := time.Now()
+		if p := r.vc.parks; p > warmTicks && p <= warmTicks+b.N && phase == "stage" {
+			spent += now.Sub(mark)
+		}
+		mark = now
+	}
+	r.play(warmTicks + b.N + 1)
+	b.ReportMetric(float64(spent)/float64(b.N), "ns/op")
+	b.ReportMetric(float64(staged)/float64(b.N), "staged/tick")
+	b.ReportMetric(float64(len(r.sh.entries)), "channels/tick")
+}
+
+// TestNackResendNeverAliasesDispatch runs NACK re-sends flat out, from
+// two connections' worth of arenas, against a wheel that is materialising
+// the very same chunks for a live member every tick. Under -race this is
+// the proof that a re-send shares no memory with a dispatch (each builds
+// its own frame with its own Seq); every frame — scheduled or re-sent —
+// must decode, verify against the content function, and carry the Seq
+// its sender meant.
+func TestNackResendNeverAliasesDispatch(t *testing.T) {
+	const resendSeq = 1 << 30 // far above any repetition the schedule reaches
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{
+			Scheme:       wheelScheme(t, 1, 3),
+			Unit:         4 * time.Millisecond, // a dispatch per channel per millisecond
+			BytesPerUnit: 4096,
+			ChunkBytes:   1024,
+			Logf:         t.Logf,
+		})
+		r.hearAll(t)
+		r.vc.work = time.Microsecond
+		done := make(chan struct{})
+		var wg, ready sync.WaitGroup
+		for conn := 0; conn < 2; conn++ {
+			wg.Add(1)
+			ready.Add(1)
+			go func() {
+				defer wg.Done()
+				var arena frameArena
+				for seq := uint32(resendSeq); ; seq++ {
+					for ch := 1; ch <= 3; ch++ {
+						r.srv.nackResend(0, ch, seq, []int{0, 1, 2, 3}, &arena)
+					}
+					if seq == resendSeq {
+						ready.Done()
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		r.vc.onPark = func(n int) {
+			if n == 1 { // both connections are re-sending before the first tick
+				ready.Wait()
+			}
+		}
+		r.play(300)
+		close(done)
+		wg.Wait()
+		return r
+	})
+	if r.log.resent == 0 {
+		t.Fatal("no re-send was exercised")
+	}
+	if r.log.bad != 0 {
+		t.Errorf("%d frames failed to decode or verify", r.log.bad)
+	}
+	if r.log.frames != 3*300 {
+		t.Errorf("%d scheduled frames in 300 ticks of 3 channels", r.log.frames)
+	}
+	for _, f := range r.log.sent {
+		if f.n >= resendSeq {
+			t.Fatalf("a scheduled frame carries re-send Seq %d", f.n)
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(spent)/float64(b.N), "ns/op")
-	b.ReportMetric(float64(h.srv.egressStaged.Value()-before)/float64(b.N), "staged/tick")
-	b.ReportMetric(float64(len(h.sh.entries)), "channels/tick")
 }
 
 // TestStripeTickIsOneRun: a parity frame is a data frame's size, so a
@@ -590,45 +525,50 @@ func TestStripeTickIsOneRun(t *testing.T) {
 	const groups, maxSuperBytes = 10, 65000 // the hub's super-frame byte cap
 	for _, chunkBytes := range []int{1024, 4096} {
 		t.Run(fmt.Sprintf("chunk=%d", chunkBytes), func(t *testing.T) {
-			h := newHandDriven(t, Config{
+			r := newWheelRig(t, Config{
 				Scheme:       wheelScheme(t, 1, groups),
 				Unit:         100 * time.Millisecond,
 				BytesPerUnit: 4 * chunkBytes,
 				ChunkBytes:   chunkBytes,
 				FecGroup:     4,
 				Logf:         t.Logf,
-			}, nil)
-			hub := h.srv.hub
+			})
+			hub := r.srv.hub
 			if !hub.GSO() {
 				t.Skip("no UDP GSO on this host")
 			}
-			r, err := mcast.NewReceiver()
+			r.srv.send = hub // the real fan-out, to a real receiver
+			recv, err := mcast.NewReceiver()
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { r.Close() })
-			for _, e := range h.sh.entries {
-				if err := hub.Join(e.group, r.Addr()); err != nil {
+			t.Cleanup(func() { recv.Close() })
+			for _, e := range r.sh.entries {
+				if err := hub.Join(e.group, recv.Addr()); err != nil {
 					t.Fatal(err)
 				}
 			}
 			perSuper := min(64, maxSuperBytes/wire.EncodedSize(chunkBytes))
 			parityTicks := 0
-			for tick := 0; tick < 8; tick++ {
-				before := hub.Stats()
-				h.stage()
-				frames := len(h.sh.batch)
-				if frames == 2*groups {
-					parityTicks++
-				}
-				h.release()
+			var before mcast.HubStats
+			// Each park but the first checks the tick before it, whose
+			// batch is still the shard's.
+			r.vc.onPark = func(n int) {
 				after := hub.Stats()
-				supers, segs := after.Superframes-before.Superframes, after.GSOSegments-before.GSOSegments
-				if want := int64((frames + perSuper - 1) / perSuper); supers != want || segs != int64(frames) {
-					t.Errorf("tick %d: %d frames left as %d super-frames of %d segments, want %d super-frames",
-						tick, frames, supers, segs, want)
+				if n > 1 {
+					frames := len(r.sh.batch)
+					if frames == 2*groups {
+						parityTicks++
+					}
+					supers, segs := after.Superframes-before.Superframes, after.GSOSegments-before.GSOSegments
+					if want := int64((frames + perSuper - 1) / perSuper); supers != want || segs != int64(frames) {
+						t.Errorf("tick %d: %d frames left as %d super-frames of %d segments, want %d super-frames",
+							n-1, frames, supers, segs, want)
+					}
 				}
+				before = after
 			}
+			r.play(9)
 			if parityTicks != 2 {
 				t.Fatalf("%d of 8 ticks carried parity, want 2", parityTicks)
 			}

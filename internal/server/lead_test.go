@@ -2,11 +2,7 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,185 +126,55 @@ func TestStageLeadEstimator(t *testing.T) {
 	}
 }
 
-// tickScript is how a scriptedTicks departs from the real source it waits
-// on: it returns `early` sooner than asked (a source that breaks the
-// never-less contract), stays parked `late` longer (a slow wake), and
-// after failAfter waits answers with an error. first, when set, runs
-// inside the first wait.
-type tickScript struct {
-	early, late time.Duration
-	failAfter   int64 // 0: never
-	first       func()
-}
-
-type scriptedTicks struct {
-	tickScript
-	inner tickSource
-	waits atomic.Int64
-	run   *leadRunLog
-}
-
-func (s *scriptedTicks) wait(d time.Duration) (bool, error) {
-	n := s.waits.Add(1)
-	if n == 1 && s.first != nil {
-		s.first()
-	}
-	if s.failAfter > 0 && n > s.failAfter {
-		return false, errors.New("lead_test: scripted failure")
-	}
-	armed := time.Now()
-	ticked, err := s.inner.wait(d - s.early + s.late)
-	if ticked && d > 0 {
-		s.run.note(&s.run.wakes, time.Since(armed)-d)
-	}
-	return ticked, err
-}
-func (s *scriptedTicks) wake()  { s.inner.wake() }
-func (s *scriptedTicks) close() { s.inner.close() }
-
-// leadRunLog is what a leadRun measured, in dispatch order: for every
-// chunk, how long after its grid instant epoch + n·period + c·spacing the
-// dispatch reached its hook (negative: before it), and for every wait
-// that parked, how long past the instant it was asked for the source
-// returned (scripted lateness included).
-type leadRunLog struct {
-	mu         sync.Mutex
-	late       []time.Duration
-	wakes      []time.Duration
-	dispatched chan struct{} // closed once the wanted chunks are out
-}
-
-func (l *leadRunLog) note(to *[]time.Duration, v time.Duration) {
-	l.mu.Lock()
-	*to = append(*to, v)
-	l.mu.Unlock()
-}
-
-// earliest is how long before its instant the most premature chunk was
-// dispatched; ≤ 0 when none was early.
-func (l *leadRunLog) earliest() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	worst := -time.Hour
-	for _, v := range l.late {
-		if -v > worst {
-			worst = -v
-		}
-	}
-	return worst
-}
-
-// median of the samples from index skip on.
-func median(samples []time.Duration, skip int) time.Duration {
-	tail := append([]time.Duration(nil), samples[skip:]...)
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	return tail[len(tail)/2]
-}
-
-// leadRun runs one hand-built shard — never-started server, no hub, two
-// unheard channels on a 5 ms grid — on sources following script, each
-// waiting on a real timerfd. It returns once `chunks` chunks have been
-// dispatched, with the server (its wheel is that one shard, still
-// running), a stop function that ends the run and waits for it, and the
-// log.
-func leadRun(t *testing.T, chunks int, script func(*Server) tickScript) (*Server, func(), *leadRunLog) {
+// leadRig is a wheelRig of one video's three channels, every group
+// heard, on a 5 ms grid (lead bound 300 µs) whose readings cost `work`
+// each.
+func leadRig(t *testing.T, work time.Duration) *wheelRig {
 	t.Helper()
-	if !haveTimerfd {
-		t.Skip("the scripted source waits on a timerfd")
-	}
-	log := &leadRunLog{dispatched: make(chan struct{})}
-	saved := newFdTicks
-	var srv *Server
-	var opened atomic.Int64
-	newFdTicks = func() (tickSource, error) {
-		inner, err := openTimerfd()
-		if err != nil {
-			return nil, err
-		}
-		opened.Add(1)
-		return &scriptedTicks{tickScript: script(srv), inner: inner, run: log}, nil
-	}
-	t.Cleanup(func() { newFdTicks = saved })
-
-	sh := &wheelShard{}
-	seen := 0 // the hook runs on the shard goroutine only
-	var err error
-	srv, err = New(Config{
-		Scheme:       wheelScheme(t, 1, 3),
-		Unit:         20 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			e := sh.entries[i-1]
-			due := time.Duration(n)*e.period + time.Duration(c)*e.spacing
-			log.note(&log.late, time.Since(srv.epoch)-due)
-			if seen++; seen == chunks {
-				close(log.dispatched)
-			}
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.s = srv
-	for i := 1; i <= 2; i++ {
-		e := srv.newWheelEntry(0, i)
-		e.heard = false // and with no hub to ask, it stays so: nothing is built or sent
-		sh.entries = append(sh.entries, e)
-	}
-	srv.wheel = []*wheelShard{sh}
-	srv.epoch = time.Now()
-	ended := make(chan struct{})
-	go func() {
-		defer close(ended)
-		sh.run()
-	}()
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			close(srv.stop)
-			srv.stopWheel()
-			select {
-			case <-ended:
-			case <-time.After(5 * time.Second):
-				t.Error("the shard run did not end within 5 s of the stop")
-			}
-		})
-	}
-	t.Cleanup(stop)
-	select {
-	case <-log.dispatched:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%d chunks not dispatched in 10 s", chunks)
-	}
-	if opened.Load() == 0 {
-		t.Fatal("the seam was never used")
-	}
-	return srv, stop, log
+	r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 20 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+	r.hearAll(t)
+	r.vc.work = work
+	return r
 }
 
-// TestLeadNeverDispatchesEarly: whatever the source does — waits exactly,
-// wakes slowly, returns a little or a lot sooner than asked, or fails
-// mid-run and is replaced by the runtime timer — no chunk's dispatch
-// begins before its grid instant, and the lead stays within its bound.
+// TestLeadNeverDispatchesEarly: whatever the tick source does — waits
+// exactly, wakes slowly, returns a little or a lot sooner than asked, or
+// fails mid-run and is replaced by the runtime timer — every frame leaves
+// on or after its grid instant, every channel walks its grid, no hold is
+// longer than the lead bound and the lead stays within it.
 func TestLeadNeverDispatchesEarly(t *testing.T) {
-	for name, sc := range map[string]tickScript{
+	for name, sc := range map[string]struct {
+		wake   time.Duration
+		failAt int
+	}{
 		"exact":         {},
-		"slow wake":     {late: 150 * time.Microsecond},
-		"a little soon": {early: 100 * time.Microsecond},
-		"far too soon":  {early: 3 * time.Millisecond},
-		"demoted":       {failAfter: 12},
+		"slow wake":     {wake: 150 * time.Microsecond},
+		"a little soon": {wake: -100 * time.Microsecond},
+		"far too soon":  {wake: -3 * time.Millisecond},
+		"demoted":       {failAt: 12},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, _, log := leadRun(t, 120, func(*Server) tickScript { return sc })
-			if early := log.earliest(); early > 0 {
-				t.Errorf("a chunk was dispatched %v before its grid instant", early)
+			r := twice(t, func() *wheelRig {
+				r := leadRig(t, 5*time.Microsecond)
+				r.vc.wake = sc.wake
+				r.vc.onPark = func(n int) { r.vc.fail = n == sc.failAt }
+				r.play(40)
+				return r
+			})
+			by := checkOnGrid(t, r, r.srv.cfg.Unit)
+			for k, frames := range by {
+				if len(frames) != 40 {
+					t.Errorf("video%d/ch%d sent %d chunks in 40 ticks", k.video, k.channel, len(frames))
+				}
 			}
-			if lead := srv.wakeLead(); lead < 0 || lead > maxWakeLead {
-				t.Errorf("lead = %v, outside [0, %v]", lead, maxWakeLead)
+			bound := r.sh.leadBound()
+			if lead := r.srv.wakeLead(); lead < 0 || lead > bound {
+				t.Errorf("lead = %v, outside [0, %v]", lead, bound)
 			}
-			if want := sc.failAfter > 0; srv.tickDemoted.Load() != want {
+			if r.vc.maxHold > bound {
+				t.Errorf("a hold waited %v, over the lead bound %v", r.vc.maxHold, bound)
+			}
+			if want := sc.failAt > 0; r.srv.tickDemoted.Load() != want {
 				t.Errorf("tick source demoted = %v, want %v", !want, want)
 			}
 		})
@@ -316,101 +182,141 @@ func TestLeadNeverDispatchesEarly(t *testing.T) {
 }
 
 // TestLeadFollowsWakeLatency: the lead is 0 when the first wait is armed;
-// with every wake scripted 250 µs slow (on top of what the timerfd takes)
-// it settles at no less than that and no more than the bound; and the
-// dispatches land that much nearer their instants — measured within the
-// run, so a loaded host moves both sides: the median chunk is dispatched
-// at least half the scripted lateness sooner after its instant than the
-// median wait returned after its own.
+// with every wake 250 µs late it settles at no less than that and no more
+// than the bound; and from the third tick on every frame leaves less than
+// half that lateness after its instant, although every wake is late by
+// all of it.
 func TestLeadFollowsWakeLatency(t *testing.T) {
 	const late = 250 * time.Microsecond
-	var firstLead atomic.Int64
-	firstLead.Store(-1)
-	srv, stop, log := leadRun(t, 300, func(srv *Server) tickScript {
-		return tickScript{late: late, first: func() { firstLead.CompareAndSwap(-1, int64(srv.wakeLead())) }}
-	})
-	stop()
-	if got := time.Duration(firstLead.Load()); got != 0 {
-		t.Errorf("lead when the first wait was armed = %v, want 0", got)
-	}
-	if lead := srv.wakeLead(); lead < late || lead > maxWakeLead {
-		t.Errorf("lead = %v after 300 chunks of wakes %v slow, want within [%v, %v]", lead, late, late, maxWakeLead)
-	}
-	// The first third of the run is the estimator converging.
-	dispatch, wake := median(log.late, len(log.late)/3), median(log.wakes, len(log.wakes)/3)
-	if dispatch > wake-late/2 {
-		t.Errorf("median dispatch %v after its instant, median wake %v after its own: the lead recovered less than %v", dispatch, wake, late/2)
-	}
-	t.Logf("median wake %v late, median dispatch %v late, lead %v", wake, dispatch, srv.wakeLead())
-}
-
-// TestLeadCloseDuringHold: with every wait returning as soon as the hold
-// may begin, the shard spends all its time holding on the clock; a stop
-// still ends the run at once, because a hold is bounded by the lead.
-func TestLeadCloseDuringHold(t *testing.T) {
-	_, stop, log := leadRun(t, 60, func(*Server) tickScript { return tickScript{early: time.Hour} })
-	if early := log.earliest(); early > 0 {
-		t.Errorf("a chunk was dispatched %v before its grid instant", early)
-	}
-	began := time.Now()
-	stop()
-	if took := time.Since(began); took > time.Second {
-		t.Errorf("the run took %v to end after the stop", took)
-	}
-}
-
-// TestTickBudgetReported: a wheel with a listener fills the staging and
-// send histograms, and /status carries the tick's budget — lead, staging,
-// send — under its names beside the wake lateness.
-func TestTickBudgetReported(t *testing.T) {
-	ticks := make(chan struct{}, 1024)
-	srv, err := New(Config{
-		Scheme:       wheelScheme(t, 1, 3),
-		Unit:         20 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			select {
-			case ticks <- struct{}{}:
-			default:
+	firstLead := time.Duration(-1)
+	r := twice(t, func() *wheelRig {
+		r := leadRig(t, 5*time.Microsecond)
+		r.vc.wake = late
+		r.vc.onPark = func(n int) {
+			if n == 1 {
+				firstLead = r.srv.wakeLead()
 			}
-		},
-		Logf: t.Logf,
+		}
+		r.play(100)
+		return r
 	})
-	if err != nil {
-		t.Fatal(err)
+	if firstLead != 0 {
+		t.Errorf("lead when the first wait was armed = %v, want 0", firstLead)
 	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
+	bound := r.sh.leadBound()
+	if lead := r.srv.wakeLead(); lead < late || lead > bound {
+		t.Errorf("lead = %v after 100 ticks of wakes %v late, want within [%v, %v]", lead, late, late, bound)
 	}
-	defer srv.Close()
-	recv, err := mcast.NewReceiver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	if err := srv.Hub().Join(mcast.Group{Video: 0, Channel: 1}, recv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ { // ~20 ticks of three channels, all after the join
-		select {
-		case <-ticks:
-		case <-time.After(10 * time.Second):
-			t.Fatal("the wheel stopped dispatching")
+	for k, frames := range checkOnGrid(t, r, r.srv.cfg.Unit) {
+		g := r.grid(frames[0].g)
+		for _, f := range frames {
+			if lag := f.at - g.dueOf(f.n, f.c); f.batch > 2 && lag >= late/2 {
+				t.Fatalf("video%d/ch%d (rep %d, chunk %d) left %v after its instant, want < %v", k.video, k.channel, f.n, f.c, lag, late/2)
+			}
 		}
 	}
-	snap := srv.Status()
-	if snap.EgressSendP50Us <= 0 || snap.EgressSendP99Us < snap.EgressSendP50Us || snap.EgressStageP50Us <= 0 {
-		t.Errorf("tick budget: stage p50 %v us, send p50 %v us, p99 %v us", snap.EgressStageP50Us, snap.EgressSendP50Us, snap.EgressSendP99Us)
+}
+
+// TestLeadCloseDuringHold: with every wait returning at once, the shard
+// spends its time between ticks re-arming and holding on the clock; a stop
+// that comes during a hold still ends the run as soon as the held tick is
+// out, because a hold is bounded by the lead.
+func TestLeadCloseDuringHold(t *testing.T) {
+	var atStop int
+	r := twice(t, func() *wheelRig {
+		atStop = -1
+		r := leadRig(t, 3*time.Microsecond)
+		r.vc.wake = -time.Hour
+		r.vc.onHold = func(int) {
+			if atStop < 0 && r.log.batches >= 10 {
+				atStop = r.log.batches
+				close(r.srv.stop)
+			}
+		}
+		r.play(1000)
+		return r
+	})
+	checkOnGrid(t, r, r.srv.cfg.Unit)
+	if atStop < 0 {
+		t.Fatal("no hold to stop in")
 	}
-	if max := float64(maxWakeLead) / 1e3; snap.EgressWakeLeadUs < 0 || snap.EgressWakeLeadUs > max {
-		t.Errorf("egressWakeLeadUs = %v, outside [0, %v]", snap.EgressWakeLeadUs, max)
+	if r.log.batches != atStop+1 {
+		t.Errorf("%d releases after a stop during a hold, want just the held tick's", r.log.batches-atStop)
+	}
+	if bound := r.sh.leadBound(); r.vc.maxHold > bound {
+		t.Errorf("a hold waited %v, over the lead bound %v", r.vc.maxHold, bound)
+	}
+}
+
+// TestTickBudgetReported: with a listener, every tick's staging and send
+// are timed — here each reading of the clock costs 10 µs, so both take
+// exactly that — and /status carries the tick's budget — lead, staging,
+// send — under its names beside the wake lateness.
+func TestTickBudgetReported(t *testing.T) {
+	const work = 10 * time.Microsecond
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 20 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+		r.join(t, mcast.Group{Video: 0, Channel: 1})
+		r.vc.work = work
+		r.play(20)
+		return r
+	})
+	snap := r.srv.Status()
+	// A log2 bucket holds [2^(b-1), 2^b) ns; its quantiles interpolate
+	// inside it.
+	inBucket := func(us float64) bool { return us >= float64(work)/2e3 && us <= 2*float64(work)/1e3 }
+	if !inBucket(snap.EgressStageP50Us) || !inBucket(snap.EgressSendP50Us) || !inBucket(snap.EgressSendP99Us) {
+		t.Errorf("tick budget: stage p50 %v us, send p50 %v us, p99 %v us; want each in %v's bucket",
+			snap.EgressStageP50Us, snap.EgressSendP50Us, snap.EgressSendP99Us, work)
+	}
+	if max := float64(r.sh.leadBound()) / 1e3; snap.EgressWakeLeadUs <= 0 || snap.EgressWakeLeadUs > max {
+		t.Errorf("egressWakeLeadUs = %v, outside (0, %v]", snap.EgressWakeLeadUs, max)
 	}
 	doc, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{`"egressWakeLeadUs":`, `"egressStageP50Us":`, `"egressSendP50Us":`, `"egressSendP99Us":`} {
+		if !strings.Contains(string(doc), field) {
+			t.Errorf("/status document lacks %s", field)
+		}
+	}
+}
+
+// TestWakeLateReported: a shard whose every wake comes twice the lead
+// bound late leads by the bound and releases each tick the rest late; the
+// wake-lateness histogram holds one sample a wakeup, and /status carries
+// it with the tick source under their names.
+func TestWakeLateReported(t *testing.T) {
+	const ticks = 20
+	var bound time.Duration
+	r := twice(t, func() *wheelRig {
+		r := leadRig(t, 5*time.Microsecond)
+		bound = r.sh.leadBound()
+		r.vc.wake = 2 * bound
+		r.play(ticks)
+		return r
+	})
+	samples, snap := r.srv.wakeLateness().Count(), r.srv.Status()
+	if samples != ticks || snap.EgressWakeups != ticks {
+		t.Errorf("%d wake-lateness samples for %d wakeups, want one for each of %d ticks", samples, snap.EgressWakeups, ticks)
+	}
+	// Led by the bound and woken twice it late: the rest of the bound late.
+	if p50 := time.Duration(snap.EgressWakeLateP50Us * 1e3); p50 < bound/2 || p50 > 2*bound {
+		t.Errorf("wake late p50 = %v, want in %v's bucket", p50, bound)
+	}
+	if snap.EgressWakeLateP99Us < snap.EgressWakeLateP50Us {
+		t.Errorf("wake late p99 %v us < p50 %v us", snap.EgressWakeLateP99Us, snap.EgressWakeLateP50Us)
+	}
+	want := tickTimer
+	if haveTimerfd {
+		want = tickTimerfd
+	}
+	doc, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"egressTickSource":"` + want + `"`, `"egressWakeLateP50Us":`, `"egressWakeLateP99Us":`} {
 		if !strings.Contains(string(doc), field) {
 			t.Errorf("/status document lacks %s", field)
 		}

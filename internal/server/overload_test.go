@@ -187,16 +187,18 @@ func TestShardPanicRecoveredSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
 	}
-	sch := liveScheme(t, 1, 4, 2)
-	var fired atomic.Bool
-	srv := startChaosServer(t, sch, 80*time.Millisecond, server.Config{
-		PacerHook: func(video, channel int, rep uint32, chunk int) {
-			// One panic, in the steady state of the widest channel.
-			if video == 0 && channel == 4 && rep >= 1 && !fired.Swap(true) {
-				panic("injected shard fault")
-			}
-		},
-	})
+	const unit = 80 * time.Millisecond
+	srv, err := server.New(server.Config{Scheme: liveScheme(t, 1, 4, 2), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One panic, in the steady state: past the widest channel's first
+	// repetition (5 units).
+	server.PanicShards(srv, 1, 5*unit)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
 
 	tb := trace.New(256)
 	cfg := chaosClient(srv.Addr(), 0, tb)
@@ -209,11 +211,8 @@ func TestShardPanicRecoveredSession(t *testing.T) {
 	if stats.ByteErrors != 0 {
 		t.Errorf("byte errors across restart: %d", stats.ByteErrors)
 	}
-	if !fired.Load() {
-		t.Fatal("panic hook never fired; the supervisor went untested")
-	}
-	if srv.Status().PacerRestarts < 1 {
-		t.Errorf("PacerRestarts = %d, want >= 1", srv.Status().PacerRestarts)
+	if got := srv.Status().ShardRestarts; got != 1 {
+		t.Fatalf("ShardRestarts = %d, want 1: the clock's panic went unsupervised", got)
 	}
 	// The server is alive: a fresh control round trip still works.
 	conn, r := dialRaw(t, srv.Addr())
@@ -225,8 +224,8 @@ func TestShardPanicRecoveredSession(t *testing.T) {
 		t.Fatalf("stats after restart: %+v %v", m, err)
 	}
 	var st server.StatusSnapshot
-	if err := json.Unmarshal(m.Stats, &st); err != nil || st.PacerRestarts < 1 {
-		t.Errorf("stats report %d pacer restarts (%v), want >= 1", st.PacerRestarts, err)
+	if err := json.Unmarshal(m.Stats, &st); err != nil || st.ShardRestarts < 1 {
+		t.Errorf("stats report %d shard restarts (%v), want >= 1", st.ShardRestarts, err)
 	}
 }
 

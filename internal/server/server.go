@@ -86,12 +86,6 @@ type Config struct {
 	// item 2 deletes it.
 	FecMode string
 
-	// PacerHook, when non-nil, is called for each chunk at its tick's
-	// instant — after the shard has staged the tick and held on the clock
-	// to the instant, before the tick's batch is sent — test
-	// instrumentation; a hook that panics exercises the shard supervisor.
-	PacerHook func(video, channel int, rep uint32, chunk int)
-
 	// Logf, when non-nil, receives diagnostic output.
 	Logf func(format string, args ...any)
 }
@@ -146,6 +140,7 @@ type Server struct {
 	inj   *faults.Injector
 	cache *frameCache
 	ln    net.Listener
+	clock clock
 	epoch time.Time
 
 	// mu guards closed, conns and held: how many control sessions hold
@@ -183,14 +178,14 @@ type Server struct {
 	parityFrames metrics.PaddedCounter
 	parityBytes  metrics.PaddedCounter
 
-	// pacerRestarts counts supervisor restarts after egress shard panics;
+	// shardRestarts counts supervisor restarts after egress shard panics;
 	// driftEvents broadcasts that missed their schedule by over one unit;
 	// wheelWakeups timer wakeups of the shards — each one releases every
 	// chunk due in its tick.
 	// egressScheduled counts data chunks that fell due on the grid,
 	// egressStaged those that had a listener and were materialised: the
 	// gap is work the schedule names and nobody pays for.
-	pacerRestarts   metrics.PaddedCounter
+	shardRestarts   metrics.PaddedCounter
 	driftEvents     metrics.PaddedCounter
 	wheelWakeups    metrics.PaddedCounter
 	egressScheduled metrics.PaddedCounter
@@ -228,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RepairBandwidth > 0 && cfg.RepairBurstBytes == 0 {
 		cfg.RepairBurstBytes = max(cfg.RepairBandwidth/4, int64(cfg.ChunkBytes))
 	}
-	s := &Server{cfg: cfg, stop: make(chan struct{}), conns: make(map[net.Conn]struct{}), held: make(map[member]int)}
+	s := &Server{cfg: cfg, clock: wallClock{}, stop: make(chan struct{}), conns: make(map[net.Conn]struct{}), held: make(map[member]int)}
 	s.cache = newFrameCache(cfg.Scheme, cfg.BytesPerUnit, cfg.ChunkBytes, cfg.FecGroup)
 	if cfg.RepairBandwidth > 0 {
 		s.repairBudget = metrics.NewTokenBucket(float64(cfg.RepairBandwidth), float64(cfg.RepairBurstBytes))
@@ -272,7 +267,7 @@ func (s *Server) Start() error {
 		s.cfg.Logf("server: fault injection enabled: %+v", *s.cfg.Faults)
 	}
 	s.ln = ln
-	s.epoch = time.Now()
+	s.epoch = s.clock.now()
 
 	sch := s.cfg.Scheme
 	s.startWheel()
@@ -288,6 +283,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Epoch returns the broadcast time origin.
 func (s *Server) Epoch() time.Time { return s.epoch }
+
+// since is how far the clock is past the epoch.
+func (s *Server) since() time.Duration { return s.clock.now().Sub(s.epoch) }
 
 // Hub exposes the multicast hub (for tests and stats).
 func (s *Server) Hub() *mcast.Hub { return s.hub }

@@ -54,10 +54,11 @@ type StatusSnapshot struct {
 	// RepairTokens is the repair budget's current level in bytes, -1 when
 	// unlimited.
 	RepairTokens int64 `json:"repairTokens"`
-	// PacerRestarts counts supervisor restarts after egress shard panics;
-	// PacerDriftEvents broadcasts more than one unit behind schedule.
-	PacerRestarts    int64 `json:"pacerRestarts"`
-	PacerDriftEvents int64 `json:"pacerDriftEvents"`
+	// ShardRestarts counts supervisor restarts after egress shard panics;
+	// DriftEvents broadcasts more than one unit behind schedule. The keys
+	// keep the names the pacer, the wheel's predecessor, gave them.
+	ShardRestarts int64 `json:"pacerRestarts"`
+	DriftEvents   int64 `json:"pacerDriftEvents"`
 	// EgressShards is how many shard goroutines the wheel runs;
 	// EgressWakeups their timer wakeups, each staging and releasing every
 	// chunk due in its tick.
@@ -111,7 +112,7 @@ func (s *Server) Status() StatusSnapshot {
 	}
 	repairTokens := int64(-1)
 	if s.repairBudget != nil {
-		repairTokens = int64(s.repairBudget.Level(time.Now()))
+		repairTokens = int64(s.repairBudget.Level(s.clock.now()))
 	}
 	wakeLate := s.wakeLateness()
 	stageTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.stageTime })
@@ -122,7 +123,7 @@ func (s *Server) Status() StatusSnapshot {
 		Width:               sch.Width(),
 		SizeUnits:           append([]int64(nil), sch.Sizes()...),
 		UnitMillis:          float64(s.cfg.Unit) / float64(time.Millisecond),
-		UptimeMillis:        float64(time.Since(s.epoch)) / float64(time.Millisecond),
+		UptimeMillis:        float64(s.since()) / float64(time.Millisecond),
 		HubStats:            s.hub.Stats(),
 		ControlSessions:     s.controlSessions.Value(),
 		ControlSessionsPeak: s.controlSessions.High(),
@@ -136,8 +137,8 @@ func (s *Server) Status() StatusSnapshot {
 		ParityFrames:        s.parityFrames.Value(),
 		ParityBytes:         s.parityBytes.Value(),
 		RepairTokens:        repairTokens,
-		PacerRestarts:       s.pacerRestarts.Value(),
-		PacerDriftEvents:    s.driftEvents.Value(),
+		ShardRestarts:       s.shardRestarts.Value(),
+		DriftEvents:         s.driftEvents.Value(),
 		EgressShards:        len(s.wheel),
 		EgressWakeups:       s.wheelWakeups.Value(),
 		EgressScheduled:     s.egressScheduled.Value(),

@@ -229,3 +229,14 @@ func TestStatusCarriesHubStats(t *testing.T) {
 		}
 	}
 }
+
+// waitFor polls cond until it holds, failing the test once d has passed:
+// a running server is waited on for what it has done, not for how long.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within %v", what, d)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,10 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"skyscraper/internal/content"
-	"skyscraper/internal/mcast"
-	"skyscraper/internal/wire"
 )
 
 // forEachTickSource runs fn once per tick source this build has, handing
@@ -67,13 +62,13 @@ func (l *logCounter) logf(format string, args ...any) {
 }
 
 // TestTickSourceNeverEarly: a wait returns at or after the instant it was
-// armed for, for both sources, across 1,000 waits of 0-3 ms. How long
+// armed for, for both sources, across 100 waits of 0-1.5 ms. How long
 // after is the benchmark's business, not a test's.
 func TestTickSourceNeverEarly(t *testing.T) {
 	forEachTickSource(t, func(t *testing.T, src tickSource, _ chan struct{}) {
 		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 1000; i++ {
-			d := time.Duration(rng.Int63n(int64(3 * time.Millisecond)))
+		for i := 0; i < 100; i++ {
+			d := time.Duration(rng.Int63n(int64(1500 * time.Microsecond)))
 			at := time.Now().Add(d)
 			ticked, err := src.wait(time.Until(at))
 			if err != nil || !ticked {
@@ -188,9 +183,10 @@ func openFDs() int {
 	return len(ents)
 }
 
-// TestTickShardPanicsLeakNothing: six supervised shard restarts and a
-// Close leave the descriptor table and the goroutine count where they
-// were — each run's tick source is released on the way out, panic or not.
+// TestTickShardPanicsLeakNothing: four supervised shard restarts — the
+// wall clock panicking in a shard's hold — and a Close leave the
+// descriptor table and the goroutine count where they were: each run's
+// tick source is released on the way out, panic or not.
 func TestTickShardPanicsLeakNothing(t *testing.T) {
 	settle := func(want func() bool) {
 		for i := 0; i < 100 && !want(); i++ {
@@ -199,37 +195,31 @@ func TestTickShardPanicsLeakNothing(t *testing.T) {
 	}
 	fds0, gor0 := openFDs(), runtime.NumGoroutine()
 
-	const panics = 6 // the restart backoff doubles from 5 ms: ~315 ms in all
-	var fired atomic.Int64
+	const panics = 4 // the restart backoff doubles from 5 ms: ~75 ms in all
 	srv, err := New(Config{
 		Scheme:       wheelScheme(t, 1, 3),
 		Unit:         20 * time.Millisecond,
 		BytesPerUnit: 4096,
 		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			if i == 1 && fired.Load() < panics {
-				fired.Add(1)
-				panic("ticksource_test: injected shard panic")
-			}
-		},
-		Logf: func(string, ...any) {}, // six stack traces help nobody
+		Logf:         func(string, ...any) {}, // four stack traces help nobody
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	PanicShards(srv, panics, 0)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	settle(func() bool { return srv.Status().PacerRestarts >= panics })
-	time.Sleep(100 * time.Millisecond) // and a stretch of healthy broadcasting
+	settle(func() bool { return srv.Status().ShardRestarts >= panics })
+	wakeups := srv.Status().EgressWakeups
+	settle(func() bool { return srv.Status().EgressWakeups >= wakeups+10 }) // and a stretch of healthy broadcasting
 	st := srv.Status()
-	restarts, wakeups := st.PacerRestarts, st.EgressWakeups
 	srv.Close()
 
-	if restarts < panics {
-		t.Fatalf("PacerRestarts = %d, want >= %d", restarts, panics)
+	if st.ShardRestarts != panics {
+		t.Fatalf("ShardRestarts = %d, want %d", st.ShardRestarts, panics)
 	}
-	if wakeups == 0 {
+	if st.EgressWakeups < wakeups+10 {
 		t.Error("no wakeups after the restarts")
 	}
 	settle(func() bool { return runtime.NumGoroutine() <= gor0 })
@@ -245,12 +235,12 @@ func TestTickShardPanicsLeakNothing(t *testing.T) {
 
 // TestTickCreationFailureFallsBack: with timerfd creation failing, the
 // wheel runs on the runtime timer — one log line, "timer" in /status —
-// and emits the golden (rep, chunk) sequence all the same.
+// and the epoch's tick goes out all the same.
 func TestTickCreationFailureFallsBack(t *testing.T) {
 	forceTimerTicks(t)
 	logs := &logCounter{t: t, marker: "timerfd tick source unavailable"}
 	srv := hourServer(t, logs.logf)
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 5*time.Second, "the epoch's tick", func() bool { return srv.Status().EgressScheduled == 3 })
 	snap := srv.Status()
 	srv.Close()
 	if snap.EgressTickSource != tickTimer {
@@ -258,18 +248,6 @@ func TestTickCreationFailureFallsBack(t *testing.T) {
 	}
 	if want := int64(1); haveTimerfd && logs.n.Load() != want {
 		t.Errorf("%d fallback log lines, want %d", logs.n.Load(), want)
-	}
-	checkGoldenEquivalence(t)
-}
-
-// waitFor polls cond until it holds, failing the test once d has passed:
-// a running wheel is waited on for what it has done, not for how long.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: not within %v", what, d)
-		}
 	}
 }
 
@@ -322,11 +300,11 @@ func TestTickReadFailureDemotes(t *testing.T) {
 		st := srv.Status()
 		return st.EgressTickSource == tickTimer && st.EgressWakeups >= 10
 	})
-	restarts := srv.Status().PacerRestarts
+	restarts := srv.Status().ShardRestarts
 	srv.Close()
 
 	if restarts != 0 {
-		t.Errorf("PacerRestarts = %d, want 0 (demotion is not a restart)", restarts)
+		t.Errorf("ShardRestarts = %d, want 0 (demotion is not a restart)", restarts)
 	}
 	if logs.n.Load() != 1 {
 		t.Errorf("%d demotion log lines, want 1", logs.n.Load())
@@ -340,233 +318,6 @@ func TestTickReadFailureDemotes(t *testing.T) {
 		if !b.closed.Load() {
 			t.Errorf("broken source %d was not closed", i)
 		}
-	}
-}
-
-// TestWakeLateReported: a running wheel fills the wake-lateness histogram
-// and /status carries the three tick-source fields under their names.
-func TestWakeLateReported(t *testing.T) {
-	srv, err := New(Config{
-		Scheme:       wheelScheme(t, 2, 3),
-		Unit:         20 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "ten wake-lateness samples", func() bool { return srv.wakeLateness().Count() >= 10 })
-	samples := srv.wakeLateness().Count()
-	snap := srv.Status()
-	wakeups := snap.EgressWakeups
-	srv.Close()
-
-	want := tickTimer
-	if haveTimerfd {
-		want = tickTimerfd
-	}
-	if snap.EgressTickSource != want {
-		t.Errorf("egressTickSource = %q, want %q", snap.EgressTickSource, want)
-	}
-	// A shard counts its wakeup before it records the wakeup's lateness,
-	// and the samples were read first.
-	if samples < 10 || samples > wakeups {
-		t.Errorf("%d wake-lateness samples for %d wakeups", samples, wakeups)
-	}
-	if snap.EgressWakeLateP50Us <= 0 || snap.EgressWakeLateP99Us < snap.EgressWakeLateP50Us {
-		t.Errorf("wake-late quantiles p50 %v us, p99 %v us", snap.EgressWakeLateP50Us, snap.EgressWakeLateP99Us)
-	}
-	doc, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"egressTickSource":"` + want + `"`, `"egressWakeLateP50Us":`, `"egressWakeLateP99Us":`} {
-		if !strings.Contains(string(doc), field) {
-			t.Errorf("/status document lacks %s", field)
-		}
-	}
-	t.Logf("%s: wake late p50 %.0f us, p99 %.0f us over %d wakeups",
-		snap.EgressTickSource, snap.EgressWakeLateP50Us, snap.EgressWakeLateP99Us, samples)
-}
-
-// recordingSender decodes every frame it is handed, one Send at a time —
-// its SendBatch only loops, the shape of a sender that cannot batch.
-type recordingSender struct {
-	chunkBytes int
-	sent       map[chanKey][]event
-}
-
-func (r *recordingSender) Send(g mcast.Group, frame []byte) (int, error) {
-	c, err := wire.Decode(frame)
-	if err != nil {
-		return 0, err
-	}
-	k := chanKey{g.Video, g.Channel}
-	r.sent[k] = append(r.sent[k], event{c.Seq, int(c.Offset) / r.chunkBytes})
-	return 1, nil
-}
-
-func (r *recordingSender) SendBatch(entries []mcast.BatchEntry) (n int, err error) {
-	for _, e := range entries {
-		sn, serr := r.Send(e.Group, e.Frame)
-		n += sn
-		if err == nil {
-			err = serr
-		}
-	}
-	return n, err
-}
-
-// TestWheelCatchupBehindNonBatchingSender: a tick that stalls for several
-// ticks in front of a sender that cannot batch (the fault injector's
-// shape) is made good by the very next tick — every chunk that fell due
-// goes out as one run, in order, and the entry is back within one spacing
-// of its grid — instead of one chunk per tick with the stall carried for
-// ever. The stalled tick is a drift event, and its log line names the
-// chunk that was late, not the one the cursor has moved on to.
-func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
-	const (
-		unit    = 200 * time.Millisecond
-		spacing = unit / 4
-		stall   = 5*spacing + spacing/2
-	)
-	blocked := false
-	var logged []string
-	srv, err := New(Config{
-		Scheme:       wheelScheme(t, 1, 3),
-		Unit:         unit,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			if !blocked {
-				blocked = true
-				time.Sleep(stall)
-			}
-		},
-		Logf: func(format string, args ...any) {
-			logged = append(logged, fmt.Sprintf(format, args...))
-			t.Logf(format, args...)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingSender{chunkBytes: 1024, sent: make(map[chanKey][]event)}
-	srv.send = sendOnly{rec}
-	srv.epoch = time.Now()
-	sh := &wheelShard{s: srv, id: 0}
-	e := srv.newWheelEntry(0, 2)
-	e.resync(0)
-	sh.entries = []*wheelEntry{e}
-	tick := func() {
-		sh.due = append(sh.due[:0], e)
-		sh.stage(time.Since(srv.epoch))
-		sh.release()
-	}
-
-	tick() // sends chunk 0, after the hook's stall
-	k := chanKey{0, 2}
-	if got := rec.sent[k]; len(got) != 1 || got[0] != (event{0, 0}) {
-		t.Fatalf("stalled tick sent %v, want [(0, 0)]", got)
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "pacing drift: "+e.group.String()+" seq 0 chunk 0 sent") {
-		t.Errorf("stalled tick logged %q, want one drift line naming seq 0 chunk 0", logged)
-	}
-	tick() // one further tick: the whole backlog
-	got := rec.sent[k]
-	if len(got) != 6 {
-		t.Fatalf("sent %d chunks after the catch-up tick, want 6 (chunk 0, then the 5 that fell due): %v", len(got), got)
-	}
-	checkContiguous(t, k, got, e.chunks)
-	if late := time.Since(srv.epoch) - e.due; late >= spacing {
-		t.Errorf("entry still %v behind its grid after one catch-up tick, want < %v", late, spacing)
-	}
-}
-
-// TestNackResendNeverAliasesDispatch runs NACK re-sends flat out, from
-// two connections' worth of arenas, against a wheel that is materialising
-// the very same chunks for a live member every tick. Under -race this is
-// the proof that a re-send shares no memory with a dispatch (each builds
-// its own frame with its own Seq); on the wire every datagram — scheduled
-// or re-sent — must decode, verify against the content function, and
-// carry the Seq its sender meant.
-func TestNackResendNeverAliasesDispatch(t *testing.T) {
-	srv, err := New(Config{
-		Scheme:       wheelScheme(t, 1, 3),
-		Unit:         4 * time.Millisecond, // a dispatch per channel per millisecond
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	recv, err := mcast.NewReceiver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ch := 1; ch <= 3; ch++ {
-		if err := srv.Hub().Join(mcast.Group{Video: 0, Channel: ch}, recv.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const resendSeq = 1 << 30 // far above any repetition the schedule reaches
-	var scheduled, resent, bad int
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		buf := make([]byte, wire.EncodedSize(1024))
-		for {
-			n, err := recv.Conn.Read(buf)
-			if err != nil {
-				return
-			}
-			c, err := wire.Decode(buf[:n])
-			if err != nil || content.Verify(c.Payload, int(c.Video), srv.cache.channel(0, int(c.Channel)).base+int64(c.Offset)) >= 0 {
-				bad++
-				continue
-			}
-			if c.Seq >= resendSeq {
-				resent++
-			} else {
-				scheduled++
-			}
-		}
-	}()
-
-	deadline := time.Now().Add(300 * time.Millisecond)
-	var wg sync.WaitGroup
-	for conn := 0; conn < 2; conn++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena frameArena
-			for seq := uint32(resendSeq); time.Now().Before(deadline); seq++ {
-				for ch := 1; ch <= 3; ch++ {
-					srv.nackResend(0, ch, seq, []int{0, 1, 2, 3}, &arena)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	recv.Close()
-	<-drained
-	if st := srv.Status(); st.NackResends == 0 {
-		t.Fatal("no re-send was exercised")
-	}
-	if bad != 0 {
-		t.Errorf("%d datagrams failed to decode or verify", bad)
-	}
-	if scheduled == 0 || resent == 0 {
-		t.Errorf("received %d scheduled and %d re-sent datagrams; want both flows on the wire", scheduled, resent)
 	}
 }
 

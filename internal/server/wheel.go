@@ -17,16 +17,16 @@
 // frame depends on the instant it leaves at, so a shard wakes early
 // enough to stage the whole batch — fault-plan decisions for every due
 // chunk, materialised frames for the heard ones, cursors advanced — then
-// holds on the clock, and at the instant only releases it: the hook, the
-// one send, the drift check.
+// holds on the clock, and at the instant only releases it: the one send,
+// the drift check.
 //
 // What every channel is owed:
 //
 //   - The absolute epoch-anchored grid: entry positions are derived from
-//     the wall clock (resync), never from send counts, so chunk c of
+//     the clock (resync), never from send counts, so chunk c of
 //     repetition n is due at epoch + n*period_i + c*spacing_i — the
-//     golden equivalence test pins every hook firing to the closed form
-//     of that grid.
+//     golden equivalence test pins every frame released to the closed
+//     form of that grid.
 //   - Supervision: a shard runs under a panic-recovery/backoff loop
 //     (runWheelShard); a restarted shard resyncs every entry from the
 //     clock and rejoins the grid mid-repetition instead of replaying a
@@ -37,7 +37,7 @@
 //     will see schedule misses as losses.
 //
 // What a tick costs follows what is heard, not M·K: every due chunk keeps
-// its place on the grid (hook, cursor, fault-plan accounting), but only a
+// its place on the grid (cursor, fault-plan accounting), but only a
 // chunk whose group has a listener is materialised and staged.
 package server
 
@@ -58,12 +58,12 @@ import (
 const wheelMaxRun = 64
 
 // The supervisor's (runWheelShard) restart backoff: exponential between
-// pacerRestartBase and pacerRestartMax, reset for a shard that stayed up
-// longer than pacerStableAfter.
+// shardRestartBase and shardRestartMax, reset for a shard that stayed up
+// longer than shardStableAfter.
 const (
-	pacerRestartBase = 5 * time.Millisecond
-	pacerRestartMax  = 500 * time.Millisecond
-	pacerStableAfter = time.Second
+	shardRestartBase = 5 * time.Millisecond
+	shardRestartMax  = 500 * time.Millisecond
+	shardStableAfter = time.Second
 )
 
 // Bounds on the wheel quantum. The quantum tracks the finest chunk
@@ -80,10 +80,8 @@ const (
 // geometry (period, spacing, chunk count) and its cursor (repetition n,
 // chunk c, and the absolute due offset from the epoch).
 type wheelEntry struct {
-	video   int
-	channel int
-	group   mcast.Group
-	cc      *channelCache
+	group mcast.Group
+	cc    *channelCache
 
 	period  time.Duration
 	spacing time.Duration
@@ -99,8 +97,8 @@ type wheelEntry struct {
 	// The tick being staged: its first chunk (repetition firstN, chunk
 	// firstC, due at firstDue — the most-late one) and how many chunks it
 	// holds. Staging advances the cursor past them before the batch
-	// leaves, so release reads them here: the hook walks the run, and the
-	// drift check measures and names its first chunk.
+	// leaves, so release reads them here: the drift check measures and
+	// names its first chunk.
 	firstN   uint32
 	firstC   int
 	firstDue time.Duration
@@ -124,20 +122,14 @@ func (e *wheelEntry) resync(elapsed time.Duration) {
 	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
 }
 
-// step returns the chunk after chunk c of repetition n.
-func (e *wheelEntry) step(n uint32, c int) (uint32, int) {
-	if c++; c >= e.chunks {
-		return n + 1, 0
-	}
-	return n, c
-}
-
 // advance moves the cursor to the next chunk. The due offset is always
 // recomputed from (n, c) — not incremented by spacing — because spacing
 // is the floor of period/chunks, and accumulating it would let the
 // schedule creep off the repetition boundaries the clients compute.
 func (e *wheelEntry) advance() {
-	e.n, e.c = e.step(e.n, e.c)
+	if e.c++; e.c >= e.chunks {
+		e.n, e.c = e.n+1, 0
+	}
 	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
 }
 
@@ -192,8 +184,6 @@ func (s *Server) newWheelEntry(v, i int) *wheelEntry {
 	period := time.Duration(size) * s.cfg.Unit
 	chunks := s.fragmentBytes(i) / s.cfg.ChunkBytes
 	return &wheelEntry{
-		video:   v,
-		channel: i,
 		group:   mcast.Group{Video: v, Channel: i},
 		cc:      s.cache.channel(v, i),
 		heard:   true,
@@ -285,28 +275,26 @@ func (sh *wheelShard) setTick(src tickSource) {
 // runWheelShard supervises one shard: a shard is the one goroutine its
 // channels cannot survive losing, so panics are recovered, the shard
 // restarts with exponential backoff, and a stable run earns the backoff
-// reset. Restarts are counted in pacerRestarts.
+// reset. Restarts are counted in shardRestarts.
 func (s *Server) runWheelShard(sh *wheelShard) {
 	defer s.wg.Done()
-	backoff := pacerRestartBase
+	backoff := shardRestartBase
 	for {
-		started := time.Now()
+		started := s.clock.now()
 		if sh.runRecovering() {
 			return // orderly exit: server stopping
 		}
-		d := s.pacerRestarts.Add(1)
-		if time.Since(started) > pacerStableAfter {
-			backoff = pacerRestartBase
+		d := s.shardRestarts.Add(1)
+		if s.clock.now().Sub(started) > shardStableAfter {
+			backoff = shardRestartBase
 		}
 		s.cfg.Logf("server: restarting egress shard %d (%d channels) in %v (restart #%d)",
 			sh.id, len(sh.entries), backoff, d)
-		select {
-		case <-s.stop:
+		if !s.clock.sleep(backoff, s.stop) {
 			return
-		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > pacerRestartMax {
-			backoff = pacerRestartMax
+		if backoff *= 2; backoff > shardRestartMax {
+			backoff = shardRestartMax
 		}
 	}
 }
@@ -390,7 +378,7 @@ func (sh *wheelShard) lead(bound time.Duration) time.Duration {
 // run is the shard's tick loop: park on the tick source until a little
 // before the earliest due tick, collect everything due and stage it as
 // one batch, hold on the clock until the instant, release the batch.
-// Entered fresh after every restart, it resyncs every entry from the wall
+// Entered fresh after every restart, it resyncs every entry from the
 // clock so the shard rejoins the absolute grid.
 //
 // The park ends `lead` early because the tick takes time before anything
@@ -407,7 +395,7 @@ func (sh *wheelShard) lead(bound time.Duration) time.Duration {
 func (sh *wheelShard) run() {
 	s := sh.s
 	sh.tickLen = sh.quantum()
-	start := time.Since(s.epoch)
+	start := s.since()
 	sh.cur = int64(start / sh.tickLen)
 	for _, e := range sh.entries {
 		e.resync(start)
@@ -426,9 +414,9 @@ func (sh *wheelShard) run() {
 		wait, lead := time.Hour, time.Duration(0)
 		if ok {
 			lead = sh.lead(maxLead)
-			wait = time.Until(s.epoch.Add(next)) - lead
+			wait = s.epoch.Add(next).Sub(s.clock.now()) - lead
 		}
-		ticked, err := src.wait(wait)
+		ticked, err := s.clock.park(src, wait)
 		if err != nil {
 			// Finish this run on the runtime timer. The loop tolerates a
 			// wait that ended early, so going round again is all it takes.
@@ -444,7 +432,7 @@ func (sh *wheelShard) run() {
 		if !ok {
 			continue
 		}
-		now := time.Since(s.epoch)
+		now := s.since()
 		if wait > 0 {
 			// The source was armed for next-lead; this is how long
 			// after it the shard is running.
@@ -459,8 +447,8 @@ func (sh *wheelShard) run() {
 			continue
 		}
 		sh.stageLead.observe(sh.stage(at), maxLead)
-		for now < next {
-			now = time.Since(s.epoch)
+		if now < next {
+			now = s.clock.hold(s.epoch.Add(next)).Sub(s.epoch)
 		}
 		sh.wakeLate.Observe(int64(now - next))
 		sh.release()
@@ -468,18 +456,18 @@ func (sh *wheelShard) run() {
 }
 
 // stage builds the tick collect put in due, for the batch to leave at the
-// epoch offset at, and reports how long that took; it sends nothing and
-// fires no hook. The hub's membership snapshot is read once, on entry
-// (and the per-channel answers redrawn only if it is not the one the last
-// stage saw): a chunk whose group has a member is materialised into the
-// shard's arena and staged into the tick's one batch, and a chunk nobody
-// hears is not built at all. Under a fault plan every due frame, built or
-// not, meets the plan's decision here (Server.emit), and the batch holds
-// what leaves — a frame held back from the group's previous tick copied
-// into the arena. Every due chunk advances its cursor. A group's first
-// member that joins after the read starts with the next tick — even when
-// it joins before this tick is released: release sends what was staged,
-// so each frame's fault-plan decision is made exactly once.
+// epoch offset at, and reports how long that took; it sends nothing. The
+// hub's membership snapshot is read once, on entry (and the per-channel
+// answers redrawn only if it is not the one the last stage saw): a chunk
+// whose group has a member is materialised into the shard's arena and
+// staged into the tick's one batch, and a chunk nobody hears is not built
+// at all. Under a fault plan every due frame, built or not, meets the
+// plan's decision here (Server.emit), and the batch holds what leaves — a
+// frame held back from the group's previous tick copied into the arena.
+// Every due chunk advances its cursor. A group's first member that joins
+// after the read starts with the next tick — even when it joins before
+// this tick is released: release sends what was staged, so each frame's
+// fault-plan decision is made exactly once.
 //
 // Catch-up shaping: when an entry has fallen behind — a stalled shard,
 // a restart, a dense schedule — every chunk already due at `at` is
@@ -494,7 +482,7 @@ func (sh *wheelShard) run() {
 // coalesces into super-frames.
 func (sh *wheelShard) stage(at time.Duration) time.Duration {
 	s := sh.s
-	began := time.Now()
+	began := s.clock.now()
 	sh.batch = sh.batch[:0]
 	sh.arena.reset()
 	if s.hub != nil { // nil only under tests that drive a never-started server
@@ -529,27 +517,18 @@ func (sh *wheelShard) stage(at time.Duration) time.Duration {
 	}
 	s.egressScheduled.Add(scheduled)
 	s.egressStaged.Add(staged)
-	took := time.Since(began)
+	took := s.clock.now().Sub(began)
 	sh.stageTime.Observe(int64(took))
 	return took
 }
 
-// release puts the staged tick on the wire: it fires the hook for every
-// staged chunk, hands the batch to the hub in one call — the fault plan,
-// if any, decided it at stage — and takes one drift sample per due entry,
-// against the first (most-late) chunk the entry staged.
+// release puts the staged tick on the wire: it hands the batch to the hub
+// in one call — the fault plan, if any, decided it at stage — and takes
+// one drift sample per due entry, against the first (most-late) chunk the
+// entry staged.
 func (sh *wheelShard) release() {
 	s := sh.s
-	if hook := s.cfg.PacerHook; hook != nil {
-		for _, e := range sh.due {
-			n, c := e.firstN, e.firstC
-			for range e.run {
-				hook(e.video, e.channel, n, c)
-				n, c = e.step(n, c)
-			}
-		}
-	}
-	sent := time.Since(s.epoch)
+	sent := s.since()
 	if len(sh.batch) > 0 {
 		stagedAt := sent
 		if _, err := s.send.SendBatch(sh.batch); err != nil {
@@ -559,7 +538,7 @@ func (sh *wheelShard) release() {
 				s.cfg.Logf("server: sending %v seq %d: %v", sh.batch[0].Group, sh.batchSeq, err)
 			}
 		}
-		sent = time.Since(s.epoch)
+		sent = s.since()
 		sh.sendTime.Observe(int64(sent - stagedAt))
 	}
 	for _, e := range sh.due {

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"math/rand"
+	"net"
 	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"skyscraper/internal/content"
 	"skyscraper/internal/core"
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/vod"
@@ -30,10 +33,10 @@ func wheelScheme(t testing.TB, m, k int) *core.Scheme {
 	return sch
 }
 
-// chanKey identifies one channel in the recorded event logs.
+// chanKey identifies one channel in the recorded logs.
 type chanKey struct{ video, channel int }
 
-// event is one hook observation: repetition n, chunk c.
+// event is one chunk of a channel's schedule: repetition n, chunk c.
 type event struct {
 	n uint32
 	c int
@@ -45,15 +48,6 @@ type event struct {
 type grid struct {
 	period, spacing time.Duration
 	chunks          int
-}
-
-// channelGrid is channel i's grid under the 4096/1024 density the wheel
-// tests broadcast at.
-func channelGrid(sch *core.Scheme, i int, unit time.Duration) grid {
-	size := sch.Sizes()[i-1]
-	g := grid{period: time.Duration(size) * unit, chunks: int(size) * 4096 / 1024}
-	g.spacing = g.period / time.Duration(g.chunks)
-	return g
 }
 
 // gridAt returns the slot containing elapsed: chunk c of repetition n with
@@ -74,84 +68,6 @@ func (g grid) dueOf(n uint32, c int) time.Duration {
 	return time.Duration(n)*g.period + time.Duration(c)*g.spacing
 }
 
-// firings is what the hook saw on one channel, in order: the (rep, chunk)
-// events and, beside each, how long after the epoch it fired.
-type firings struct {
-	events []event
-	at     []time.Duration
-}
-
-// recordWheel runs one server for d, recording every (video, channel, rep,
-// chunk) the wheel dispatched and when, in order, per channel. then, when
-// non-nil, runs in the hook once the firing is recorded. The server comes
-// back closed, its counters still readable.
-func recordWheel(t *testing.T, sch *core.Scheme, unit, d time.Duration, then func(v, i int, n uint32, c int)) (map[chanKey]*firings, *Server) {
-	t.Helper()
-	var mu sync.Mutex
-	fired := make(map[chanKey]*firings)
-	var srv *Server
-	srv, err := New(Config{
-		Scheme:       sch,
-		Unit:         unit,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		PacerHook: func(v, i int, n uint32, c int) {
-			at := time.Since(srv.Epoch())
-			mu.Lock()
-			f := fired[chanKey{v, i}]
-			if f == nil {
-				f = new(firings)
-				fired[chanKey{v, i}] = f
-			}
-			f.events = append(f.events, event{n, c})
-			f.at = append(f.at, at)
-			mu.Unlock()
-			if then != nil {
-				then(v, i, n, c)
-			}
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Status().EgressShards == 0 {
-		t.Error("wheel reports 0 shards")
-	}
-	time.Sleep(d)
-	srv.Close()
-	return fired, srv
-}
-
-// checkOnGrid holds one channel's firings to the closed-form grid: every
-// (n, c) is a slot of it and fired at or after epoch + dueOf(n, c), and
-// within one unit of it. A host that stops the process for longer than a
-// unit makes firings late through no fault of the wheel; the drift
-// watchdog counts exactly those dispatches, so a late firing fails only
-// when the watchdog stayed silent (drift == 0). It returns how many
-// firings were late.
-func checkOnGrid(t *testing.T, k chanKey, f *firings, g grid, unit time.Duration, drift int64) (late int) {
-	t.Helper()
-	for j, ev := range f.events {
-		due, at := g.dueOf(ev.n, ev.c), f.at[j]
-		if n, c := g.gridAt(due); (event{n, c}) != ev {
-			t.Fatalf("video%d/ch%d event %d: (rep %d, chunk %d) is not a grid slot (its instant %v holds (%d, %d))",
-				k.video, k.channel, j, ev.n, ev.c, due, n, c)
-		}
-		if at < due || (at > due+unit && drift == 0) {
-			t.Fatalf("video%d/ch%d event %d: (rep %d, chunk %d) fired at epoch+%v, want within [%v, %v]",
-				k.video, k.channel, j, ev.n, ev.c, at, due, due+unit)
-		}
-		if at > due+unit {
-			late++
-		}
-	}
-	return late
-}
-
 // checkContiguous asserts a channel's event sequence walks the broadcast
 // grid one chunk at a time: after (n, c) comes (n, c+1), or (n+1, 0) at
 // the repetition boundary.
@@ -170,138 +86,479 @@ func checkContiguous(t *testing.T, k chanKey, evs []event, chunks int) {
 	}
 }
 
-// TestWheelGoldenEquivalence is the schedule half of the golden
-// equivalence gate: for every channel, the wheel must emit exactly the
-// (rep, chunk) sequence of the closed-form grid — from the epoch (start
-// jitter can cost a chunk or two on a loaded machine), walked
-// contiguously, every firing on its instant (checkOnGrid).
-func TestWheelGoldenEquivalence(t *testing.T) { checkGoldenEquivalence(t) }
+// virtualClock is the clock the wheel's tests run the server on. It
+// stands still until the server reads it or waits on it, and then moves
+// as its script says, so a shard run on it is a function of the script
+// alone. It belongs to the shard goroutine.
+type virtualClock struct {
+	t    time.Time
+	stop <-chan struct{} // the server's: once closed, parks and sleeps report the stop
+	end  time.Time       // a park for an instant at or past end reports the stop too
+	// The script. onPark and onHold, when set, run first thing in every
+	// park and hold (numbered from 1) and may rewrite the rest, or panic.
+	work  time.Duration // how far each reading moves the clock: the cost of what runs between two
+	wake  time.Duration // how far past its instant a park returns; negative: that much before it
+	fail  bool          // the park fails, as a broken tick source does
+	stall time.Duration // how far past its instant a hold returns
+	onPark,
+	onHold func(n int)
 
-// checkGoldenEquivalence is the body of TestWheelGoldenEquivalence, shared
-// with the run that forces the shards onto the runtime-timer tick source.
-func checkGoldenEquivalence(t *testing.T) {
-	t.Helper()
-	sch := wheelScheme(t, 2, 3)
-	const unit = 25 * time.Millisecond
-	fired, srv := recordWheel(t, sch, unit, time.Second, nil)
-	drift, late := srv.Status().PacerDriftEvents, 0
-	for v := 0; v < 2; v++ {
-		for i := 1; i <= 3; i++ {
-			k := chanKey{v, i}
-			f := fired[k]
-			if f == nil || len(f.events) < 8 {
-				t.Fatalf("video%d/ch%d: too few events: %+v", v, i, f)
-			}
-			if first := f.events[0]; first.n != 0 || first.c > 2 {
-				t.Fatalf("video%d/ch%d starts at (rep %d, chunk %d), want near (0, 0)", v, i, first.n, first.c)
-			}
-			g := channelGrid(sch, i, unit)
-			checkContiguous(t, k, f.events, g.chunks)
-			late += checkOnGrid(t, k, f, g, unit, drift)
+	parks, holds int
+	maxHold      time.Duration // the longest a hold had to wait
+}
+
+func (c *virtualClock) now() time.Time {
+	t := c.t
+	c.t = t.Add(c.work)
+	return t
+}
+
+func (c *virtualClock) stopped() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+func (c *virtualClock) park(_ tickSource, d time.Duration) (bool, error) {
+	at := c.t.Add(d)
+	if c.stopped() || !at.Before(c.end) {
+		return false, nil
+	}
+	c.parks++
+	if c.onPark != nil {
+		c.onPark(c.parks)
+	}
+	if c.fail {
+		return false, errors.New("virtual clock: scripted tick source failure")
+	}
+	if at = at.Add(c.wake); at.After(c.t) {
+		c.t = at
+	}
+	return true, nil
+}
+
+func (c *virtualClock) hold(at time.Time) time.Time {
+	c.holds++
+	if c.onHold != nil {
+		c.onHold(c.holds)
+	}
+	c.maxHold = max(c.maxHold, at.Sub(c.t))
+	if at.After(c.t) {
+		c.t = at
+	}
+	c.t = c.t.Add(c.stall)
+	return c.now()
+}
+
+func (c *virtualClock) sleep(d time.Duration, _ <-chan struct{}) bool {
+	c.t = c.t.Add(d)
+	return !c.stopped()
+}
+
+// sentFrame is one frame the wheel handed its sender: its group, its
+// repetition and chunk (a parity frame's: its stripe group's first
+// chunk), the release it left in (counted from 1) and the virtual instant
+// it left at, from the epoch.
+type sentFrame struct {
+	g      mcast.Group
+	n      uint32
+	c      int
+	parity bool
+	batch  int
+	at     time.Duration
+}
+
+// sendLog stands in for the hub behind a wheelRig's seam: every frame it
+// is handed is decoded, a data frame checked against the content
+// function, and noted with the virtual instant it left at. Re-sends are
+// only counted: they leave from control goroutines, off the clock.
+type sendLog struct {
+	mu  sync.Mutex
+	srv *Server
+	vc  *virtualClock
+	// quiet counts frames, checking only that they decode, without
+	// keeping them; onSend, when set, runs as a release begins to hand its
+	// batch over; err is what SendBatch reports.
+	quiet  bool
+	onSend func(batch []mcast.BatchEntry)
+	err    error
+
+	sent                                 []sentFrame
+	batches, frames, parity, bad, resent int
+}
+
+func (l *sendLog) SendBatch(entries []mcast.BatchEntry) (int, error) {
+	if l.onSend != nil {
+		l.onSend(entries)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.batches++
+	for _, e := range entries {
+		f, ok := l.decode(e.Group, e.Frame)
+		if !ok {
+			l.bad++
+			continue
+		}
+		l.frames++
+		if f.parity {
+			l.parity++
+		}
+		if !l.quiet {
+			f.batch, f.at = l.batches, l.vc.t.Sub(l.srv.epoch)
+			l.sent = append(l.sent, f)
 		}
 	}
-	if late > 0 {
-		t.Logf("%d firings over one unit late, in a run whose watchdog counted %d drift events", late, drift)
+	return len(entries), l.err
+}
+
+func (l *sendLog) SendRepairBatch(entries []mcast.BatchEntry) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range entries {
+		if _, ok := l.decode(e.Group, e.Frame); ok {
+			l.resent++
+		} else {
+			l.bad++
+		}
+	}
+	return len(entries), nil
+}
+
+// Send is the fault injector's way out for a frame it delays.
+func (l *sendLog) Send(g mcast.Group, frame []byte) (int, error) {
+	return l.SendBatch([]mcast.BatchEntry{{Group: g, Frame: frame}})
+}
+
+func (*sendLog) Join(mcast.Group, *net.UDPAddr) error { return nil }
+func (*sendLog) Leave(mcast.Group, *net.UDPAddr)      {}
+
+// decode reads one frame of group g; ok is false for a frame that is not
+// g's, does not decode, or — unless the log is quiet — carries the wrong
+// bytes.
+func (l *sendLog) decode(g mcast.Group, frame []byte) (f sentFrame, ok bool) {
+	video, channel, _, _, ok := wire.PeekID(frame)
+	if !ok || int(video) != g.Video || int(channel) != g.Channel {
+		return f, false
+	}
+	f.g = g
+	cb := l.srv.cfg.ChunkBytes
+	if wire.IsParity(frame) {
+		p, err := wire.DecodeParity(frame)
+		f.parity, f.n, f.c = true, p.Seq, int(p.Base)/cb
+		return f, err == nil
+	}
+	c, err := wire.Decode(frame)
+	if err != nil || !l.quiet && content.Verify(c.Payload, g.Video, l.srv.cache.channel(g.Video, g.Channel).base+int64(c.Offset)) >= 0 {
+		return f, false
+	}
+	f.n, f.c = c.Seq, int(c.Offset)/cb
+	return f, true
+}
+
+// wheelRig is a server that was never started, with one shard owning
+// every channel, whose tick loop — runWheelShard, run, stage, release —
+// runs on a virtual clock from the epoch stepEpoch and sends to a
+// sendLog. Its hub only keeps memberships: a group's chunks are built
+// and sent once something joins it.
+type wheelRig struct {
+	srv *Server
+	sh  *wheelShard
+	vc  *virtualClock
+	log *sendLog
+}
+
+func newWheelRig(t testing.TB, cfg Config) *wheelRig {
+	t.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := mcast.NewHub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hub.Close() })
+	vc := &virtualClock{t: stepEpoch, stop: srv.stop}
+	log := &sendLog{srv: srv, vc: vc}
+	srv.clock, srv.hub, srv.send, srv.ln, srv.epoch = vc, hub, log, noListener{}, stepEpoch
+	sh := &wheelShard{s: srv}
+	sch := cfg.Scheme
+	for v := 0; v < sch.Config().Videos; v++ {
+		for i := 1; i <= sch.K(); i++ {
+			sh.entries = append(sh.entries, srv.newWheelEntry(v, i))
+		}
+	}
+	srv.wheel = []*wheelShard{sh}
+	return &wheelRig{srv: srv, sh: sh, vc: vc, log: log}
+}
+
+// join subscribes a throwaway loopback address to g.
+func (r *wheelRig) join(t testing.TB, g mcast.Group) *net.UDPAddr {
+	t.Helper()
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9} // discard; the hub sends nothing
+	if err := r.srv.hub.Join(g, addr); err != nil {
+		t.Fatal(err)
+	}
+	return addr
+}
+
+// hearAll joins every group, so every chunk is built and sent.
+func (r *wheelRig) hearAll(t testing.TB) {
+	for _, e := range r.sh.entries {
+		r.join(t, e.group)
+	}
+}
+
+// play runs the shard under its supervisor, on the calling goroutine,
+// through the grid's first `ticks` ticks: it returns when the shard parks
+// for a later one, or the server stops.
+func (r *wheelRig) play(ticks int) {
+	q := r.sh.quantum()
+	r.vc.end = r.srv.epoch.Add(time.Duration(ticks)*q - q/2)
+	r.srv.wg.Add(1)
+	r.srv.runWheelShard(r.sh)
+}
+
+// grid is the closed-form grid of g's channel.
+func (r *wheelRig) grid(g mcast.Group) grid {
+	e := r.sh.entries[g.Video*r.srv.cfg.Scheme.K()+g.Channel-1]
+	return grid{e.period, e.spacing, e.chunks}
+}
+
+// channels splits the data frames sent by channel, in send order.
+func (r *wheelRig) channels() map[chanKey][]sentFrame {
+	by := make(map[chanKey][]sentFrame)
+	for _, f := range r.log.sent {
+		if !f.parity {
+			k := chanKey{f.g.Video, f.g.Channel}
+			by[k] = append(by[k], f)
+		}
+	}
+	return by
+}
+
+// events is the (rep, chunk) walk of one channel's frames.
+func events(frames []sentFrame) []event {
+	evs := make([]event, len(frames))
+	for i, f := range frames {
+		evs[i] = event{f.n, f.c}
+	}
+	return evs
+}
+
+// checkOnGrid holds every channel's frames to the closed-form grid: each
+// channel walks it contiguously from (rep 0, chunk 0), and each frame is a
+// slot of it that left no earlier than its instant and less than `within`
+// after it.
+func checkOnGrid(t *testing.T, r *wheelRig, within time.Duration) map[chanKey][]sentFrame {
+	t.Helper()
+	by := r.channels()
+	for k, frames := range by {
+		g := r.grid(mcast.Group{Video: k.video, Channel: k.channel})
+		if first := frames[0]; first.n != 0 || first.c != 0 {
+			t.Fatalf("video%d/ch%d starts at (rep %d, chunk %d), want (0, 0)", k.video, k.channel, first.n, first.c)
+		}
+		checkContiguous(t, k, events(frames), g.chunks)
+		for j, f := range frames {
+			due := g.dueOf(f.n, f.c)
+			if n, c := g.gridAt(due); n != f.n || c != f.c {
+				t.Fatalf("video%d/ch%d frame %d: (rep %d, chunk %d) is not a grid slot", k.video, k.channel, j, f.n, f.c)
+			}
+			if f.at < due || f.at >= due+within {
+				t.Fatalf("video%d/ch%d frame %d: (rep %d, chunk %d) left at epoch+%v, want within [%v, %v)",
+					k.video, k.channel, j, f.n, f.c, f.at, due, due+within)
+			}
+		}
+	}
+	return by
+}
+
+// twice plays a rig twice and fails unless both runs sent the same frames
+// in the same releases at the same instants; it returns the first.
+func twice(t *testing.T, play func() *wheelRig) *wheelRig {
+	t.Helper()
+	a, b := play(), play()
+	if !slices.Equal(a.log.sent, b.log.sent) {
+		t.Fatalf("one script played twice: %d frames sent, then %d, not the same", len(a.log.sent), len(b.log.sent))
+	}
+	return a
+}
+
+// TestWheelGoldenEquivalence is the schedule half of the golden
+// equivalence gate: with every group heard and the shard waking up to
+// 150 µs late, every channel's frames walk exactly the closed-form grid
+// from (0, 0), one chunk a tick, each on its instant and within one unit
+// of it, and the drift watchdog stays silent.
+func TestWheelGoldenEquivalence(t *testing.T) {
+	const unit, ticks = 25 * time.Millisecond, 160
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 2, 3), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+		r.hearAll(t)
+		rng := rand.New(rand.NewSource(1))
+		r.vc.work = 2 * time.Microsecond
+		r.vc.onPark = func(int) { r.vc.wake = time.Duration(rng.Int63n(int64(150 * time.Microsecond))) }
+		r.play(ticks)
+		return r
+	})
+	by := checkOnGrid(t, r, unit)
+	if len(by) != 6 {
+		t.Fatalf("%d channels sent, want 6", len(by))
+	}
+	for k, frames := range by {
+		if len(frames) != ticks {
+			t.Errorf("video%d/ch%d sent %d chunks in %d ticks", k.video, k.channel, len(frames), ticks)
+		}
+	}
+	if d := r.srv.driftEvents.Value(); d != 0 {
+		t.Errorf("%d drift events, want 0", d)
 	}
 }
 
 // TestWheelSustainsManyChannels is the scale gate: 100 videos × 21
-// channels driven from at most GOMAXPROCS shard goroutines, with the
-// drift watchdog silent and wakeups far below the chunk count.
+// channels on one shard take exactly one wakeup per tick — however many
+// channels share it — with the drift watchdog silent.
 func TestWheelSustainsManyChannels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("2,100-channel sustain test in -short mode")
-	}
-	if raceEnabled {
-		// This test asserts a real-time property — 2,100 channels kept
-		// on schedule with a silent drift watchdog — and the race
-		// detector's 5-20x dispatch slowdown makes that workload
-		// infeasible on small hosts: the wheel falls permanently behind
-		// and every tick counts as drift. Wheel correctness under -race
-		// is covered by the golden-equivalence, panic-recovery, and
-		// mechanics tests.
-		t.Skip("real-time sustain assertion is meaningless under the race detector")
-	}
-	sch := wheelScheme(t, 100, 21)
-	srv, err := New(Config{
-		Scheme:       sch,
-		Unit:         100 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   1024,
-		Logf:         t.Logf,
+	const ticks = 80 // 2 s of 25 ms spacing
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 100, 21), Unit: 100 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+		r.vc.work = time.Microsecond
+		r.play(ticks)
+		return r
 	})
-	if err != nil {
-		t.Fatal(err)
+	if got := r.srv.wheelWakeups.Value(); got != ticks {
+		t.Errorf("%d wakeups for %d ticks of 2,100 channels, want one a tick", got, ticks)
 	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
+	if got, want := r.srv.egressScheduled.Value(), int64(2100*ticks); got != want {
+		t.Errorf("egressScheduled = %d, want %d", got, want)
 	}
-	time.Sleep(2 * time.Second)
-	st := srv.Status()
-	shards, wakeups, drift := st.EgressShards, st.EgressWakeups, st.PacerDriftEvents
-	srv.Close()
-
-	if max := runtime.GOMAXPROCS(0); shards < 1 || shards > max {
-		t.Errorf("EgressShards = %d, want in [1, %d]", shards, max)
+	if d := r.srv.driftEvents.Value(); d != 0 {
+		t.Errorf("%d drift events, want 0", d)
 	}
-	if wakeups == 0 {
-		t.Error("EgressWakeups = 0, want > 0")
-	}
-	if drift != 0 {
-		t.Errorf("PacerDriftEvents = %d, want 0 (watchdog must stay silent at 2,100 channels)", drift)
-	}
-	// 2,100 channels each due every unit/4 for 2s is ~168,000 chunk
-	// dispatches; per-channel timers would take one wakeup each. The
-	// wheel must do it in roughly ticks×shards wakeups.
-	if limit := int64(400 * shards); wakeups > limit {
-		t.Errorf("EgressWakeups = %d for ~80 ticks on %d shards, want <= %d", wakeups, shards, limit)
-	}
-	t.Logf("sustain: %d shards, %d wakeups, %d drift events", shards, wakeups, drift)
 }
 
 // TestWheelShardPanicRecovered is the supervisor's schedule half (its
-// session half is TestShardPanicRecoveredSession): a hook panic
-// mid-repetition kills a whole shard (many channels), the supervisor
-// restarts it, and every channel on it rejoins the absolute grid where the
-// clock is — no firing before its instant, none replayed from behind, the
-// panicked channel broadcasting again.
+// session half is TestShardPanicRecoveredSession): the clock panics in a
+// shard's hold, after the tick was staged and before it was released; the
+// supervisor restarts the shard one backoff later, which is within the
+// tick's spacing, so every channel rejoins the grid at the lost tick and
+// walks on with no chunk skipped or repeated, none early, and the lost
+// tick late by the backoff alone.
 func TestWheelShardPanicRecovered(t *testing.T) {
-	sch := wheelScheme(t, 2, 3)
-	const unit = 25 * time.Millisecond
-	var panicked atomic.Bool
-	fired, srv := recordWheel(t, sch, unit, 600*time.Millisecond, func(v, i int, n uint32, c int) {
-		if v == 0 && i == 2 && n >= 1 && c == 3 && !panicked.Swap(true) {
-			panic("wheel_test: injected shard panic")
+	const unit, ticks = 25 * time.Millisecond, 80
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 2, 3), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+		r.hearAll(t)
+		r.vc.work = 2 * time.Microsecond
+		r.vc.onHold = func(n int) {
+			if n == 20 {
+				panic("wheel_test: injected shard panic")
+			}
 		}
+		r.play(ticks)
+		return r
 	})
-	if restarts := srv.Status().PacerRestarts; restarts < 1 {
-		t.Fatalf("PacerRestarts = %d, want >= 1 after injected panic", restarts)
+	if got := r.srv.shardRestarts.Value(); got != 1 {
+		t.Fatalf("%d shard restarts, want 1", got)
 	}
-	for k, f := range fired {
-		evs := f.events
-		if len(evs) < 2 {
-			t.Errorf("video%d/ch%d: only %d events", k.video, k.channel, len(evs))
-			continue
+	late := 0
+	for k, frames := range checkOnGrid(t, r, unit) {
+		if len(frames) != ticks {
+			t.Errorf("video%d/ch%d sent %d chunks in %d ticks", k.video, k.channel, len(frames), ticks)
 		}
-		checkOnGrid(t, k, f, channelGrid(sch, k.channel, unit), unit, srv.Status().PacerDriftEvents)
-		// Across the restart the grid may skip chunks that fell into the
-		// backoff window, and may re-send the slot that was current when
-		// the panic hit (resync floors to the current slot — duplicates are
-		// idempotent to clients). It must never go backwards.
-		for j := 1; j < len(evs); j++ {
-			prev, cur := evs[j-1], evs[j]
-			if cur.n < prev.n || (cur.n == prev.n && cur.c < prev.c) {
-				t.Fatalf("video%d/ch%d event %d: (rep %d, chunk %d) after (rep %d, chunk %d) — schedule went backwards",
-					k.video, k.channel, j, cur.n, cur.c, prev.n, prev.c)
+		g := r.grid(frames[0].g)
+		for _, f := range frames {
+			if lag := f.at - g.dueOf(f.n, f.c); lag >= shardRestartBase {
+				late++
+				if lag > shardRestartBase+time.Millisecond {
+					t.Errorf("video%d/ch%d (rep %d, chunk %d) left %v late, want within a backoff", k.video, k.channel, f.n, f.c, lag)
+				}
 			}
 		}
-		// The panicked channel must have resumed after its restart.
-		if k == (chanKey{0, 2}) {
-			if last := evs[len(evs)-1]; last.n < 2 {
-				t.Errorf("video0/ch2 did not resume after panic: %d events, last (rep %d, chunk %d)",
-					len(evs), last.n, last.c)
+	}
+	if late != 6 {
+		t.Errorf("%d frames left a backoff late, want the lost tick's 6", late)
+	}
+}
+
+// TestWheelGridProperty plays seeded random scripts over a 3-video, K=5
+// catalogue with every group heard: wakes from on time to twice the lead
+// bound late, early returns, staging time, stalls of up to three units
+// and one panic. Whatever the script, no frame leaves before its grid
+// instant, no hold is longer than the lead bound, every channel walks
+// its grid with no chunk skipped or repeated, and after a stall every
+// channel is back on its grid within ⌈behind/wheelMaxRun⌉ + 1 ticks.
+func TestWheelGridProperty(t *testing.T) {
+	const unit, ticks = 40 * time.Millisecond, 240
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			var bound time.Duration
+			r := twice(t, func() *wheelRig {
+				r := newWheelRig(t, Config{Scheme: wheelScheme(t, 3, 5), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024})
+				r.hearAll(t)
+				bound = r.sh.leadBound()
+				rng := rand.New(rand.NewSource(seed))
+				panicAt, lastStall := 10+rng.Intn(20), 0
+				r.vc.onPark = func(int) {
+					r.vc.work = time.Microsecond + time.Duration(rng.Int63n(int64(40*time.Microsecond)))
+					r.vc.wake = time.Duration(rng.Int63n(int64(2*bound) + 1))
+					if rng.Intn(8) == 0 {
+						r.vc.wake = -time.Duration(rng.Int63n(int64(3 * time.Millisecond)))
+					}
+				}
+				r.vc.onHold = func(n int) {
+					r.vc.stall = 0
+					switch {
+					case n == panicAt:
+						panic("wheel_test: scripted panic")
+					case n > panicAt+4 && n > lastStall+8 && rng.Intn(6) == 0:
+						r.vc.stall, lastStall = time.Duration(rng.Int63n(int64(3*unit)))+1, n
+					}
+				}
+				r.play(ticks)
+				return r
+			})
+			if got := r.srv.shardRestarts.Value(); got != 1 {
+				t.Errorf("%d shard restarts, want 1", got)
 			}
-		}
+			if r.vc.maxHold > bound {
+				t.Errorf("a hold waited %v, over the lead bound %v", r.vc.maxHold, bound)
+			}
+			stalls := 0
+			for k, frames := range checkOnGrid(t, r, time.Hour) {
+				g := r.grid(frames[0].g)
+				// lag is how late a release's first frame of the channel left.
+				var lags []time.Duration
+				for i, f := range frames {
+					if i == 0 || f.batch != frames[i-1].batch {
+						lags = append(lags, f.at-g.dueOf(f.n, f.c))
+					}
+				}
+				for i := 0; i < len(lags); i++ {
+					if lags[i] < g.spacing {
+						continue
+					}
+					stalls++
+					behind := int(lags[i] / g.spacing)
+					within := (behind+wheelMaxRun-1)/wheelMaxRun + 1
+					j := i + 1
+					for j < len(lags) && j <= i+within && lags[j] >= g.spacing {
+						j++
+					}
+					if j < len(lags) && j > i+within {
+						t.Fatalf("video%d/ch%d: release %d left %v late (%d chunks behind), still off its grid %d releases later",
+							k.video, k.channel, i, lags[i], behind, within)
+					}
+					i = j - 1
+				}
+			}
+			if stalls == 0 {
+				t.Error("the script stalled nothing")
+			}
+		})
 	}
 }
 
@@ -402,159 +659,175 @@ func TestWheelEntryResyncMatchesGrid(t *testing.T) {
 	}
 }
 
-// recordingBatchSender captures every batch a shard releases, for direct
-// stage/release tests that bypass the hub.
-type recordingBatchSender struct {
-	batches [][]mcast.BatchEntry
-}
-
-func (r *recordingBatchSender) SendBatch(entries []mcast.BatchEntry) (int, error) {
-	r.batches = append(r.batches, append([]mcast.BatchEntry(nil), entries...))
-	return len(entries), nil
-}
-
-// catchupDispatch builds a two-channel shard whose epoch sits behind the
-// wall clock by the given offset, stages and releases one tick, and
-// returns what it staged: the recorded batches, the hook's per-channel (rep, chunk)
-// events, the shard's entries, and the drift-event count.
-func catchupDispatch(t *testing.T, chunkBytes int, behind time.Duration) (*recordingBatchSender, map[chanKey][]event, []*wheelEntry, int64) {
+// catchupRun plays three ticks of a one-video, three-channel wheel with
+// every group heard, its third wake `late` behind its instant, and
+// returns the rig and, from inside the third release, whether two of its
+// frames shared memory.
+func catchupRun(t *testing.T, chunkBytes int, late time.Duration) (*wheelRig, bool) {
 	t.Helper()
-	sch := wheelScheme(t, 1, 3)
-	events := make(map[chanKey][]event)
-	srv, err := New(Config{
-		Scheme:       sch,
-		Unit:         250 * time.Millisecond,
-		BytesPerUnit: 4096,
-		ChunkBytes:   chunkBytes,
-		PacerHook: func(v, i int, n uint32, c int) {
-			events[chanKey{v, i}] = append(events[chanKey{v, i}], event{n, c})
-		},
-		Logf: t.Logf,
+	shared := false
+	r := twice(t, func() *wheelRig {
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 250 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: chunkBytes, Logf: t.Logf})
+		r.hearAll(t)
+		r.vc.work = 2 * time.Microsecond
+		r.vc.onPark = func(n int) {
+			if r.vc.wake = 0; n == 3 {
+				r.vc.wake = late
+			}
+		}
+		r.log.onSend = func(batch []mcast.BatchEntry) {
+			if r.log.batches == 2 { // the third release is beginning
+				seen := make(map[*byte]bool)
+				for _, be := range batch {
+					shared = shared || seen[&be.Frame[0]]
+					seen[&be.Frame[0]] = true
+				}
+			}
+		}
+		r.play(3)
+		return r
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingBatchSender{}
-	srv.send = sendOnly{rec}
-	srv.epoch = time.Now().Add(-behind)
-	sh := &wheelShard{s: srv, id: 0}
-	for _, ch := range []int{1, 2} {
-		e := srv.newWheelEntry(0, ch)
-		e.resync(0)
-		sh.entries = append(sh.entries, e)
-		sh.due = append(sh.due, e)
-	}
-	sh.stage(time.Since(srv.epoch))
-	sh.release()
-	return rec, events, sh.entries, srv.driftEvents.Value()
+	return r, shared
 }
 
 // TestWheelCatchupStagesRuns pins the catch-up shaping dispatch feeds
-// the GSO path: a behind-schedule entry stages every due chunk as ONE
-// contiguous same-group run in a single batch, in schedule order and
-// across repetition boundaries, with each staged frame backed by distinct
-// memory and carrying its own repetition number; runs stop at
-// wheelMaxRun; a healthy entry stages exactly one chunk.
+// the GSO path: a shard that wakes behind its schedule stages every due
+// chunk of each entry as ONE contiguous same-group run in a single batch,
+// in schedule order and across repetition boundaries, with each staged
+// frame backed by distinct memory and carrying its own repetition number;
+// runs stop at wheelMaxRun; a healthy entry stages exactly one chunk.
 func TestWheelCatchupStagesRuns(t *testing.T) {
-	k1, k2 := chanKey{0, 1}, chanKey{0, 2}
+	// third returns each channel's chunks in the third release, checking
+	// that the release keeps each channel's run contiguous.
+	third := func(t *testing.T, r *wheelRig) map[chanKey][]event {
+		t.Helper()
+		runs := make(map[chanKey][]event)
+		switches := 0
+		var prev mcast.Group
+		for _, f := range r.log.sent {
+			if f.batch != 3 {
+				continue
+			}
+			if len(runs) > 0 && f.g != prev {
+				switches++
+			}
+			prev = f.g
+			k := chanKey{f.g.Video, f.g.Channel}
+			runs[k] = append(runs[k], event{f.n, f.c})
+		}
+		if len(runs) != 3 || switches != 2 {
+			t.Fatalf("third release holds %d channels and switches groups %d times, want 3 runs back to back", len(runs), switches)
+		}
+		return runs
+	}
 
 	t.Run("steady", func(t *testing.T) {
-		rec, events, _, drift := catchupDispatch(t, 1024, 0)
-		if len(rec.batches) != 1 || len(rec.batches[0]) != 2 {
-			t.Fatalf("staged %d batches (first %d entries), want 1 batch of 2", len(rec.batches), len(rec.batches[0]))
-		}
-		for _, k := range []chanKey{k1, k2} {
-			if evs := events[k]; len(evs) != 1 || evs[0] != (event{0, 0}) {
-				t.Errorf("video%d/ch%d staged %v, want [(0, 0)]", k.video, k.channel, evs)
+		r, _ := catchupRun(t, 1024, 0)
+		for k, evs := range third(t, r) {
+			if len(evs) != 1 || evs[0] != (event{0, 2}) {
+				t.Errorf("video%d/ch%d staged %v, want [(0, 2)]", k.video, k.channel, evs)
 			}
 		}
-		if drift != 0 {
-			t.Errorf("driftEvents = %d on a healthy dispatch, want 0", drift)
+		if d := r.srv.driftEvents.Value(); d != 0 {
+			t.Errorf("driftEvents = %d on a healthy run, want 0", d)
 		}
 	})
 
 	t.Run("behind", func(t *testing.T) {
-		// 375 ms behind at 62.5 ms spacing, 7 chunks due on each channel:
-		// channel 1 (4 chunks per repetition) runs through the repetition
-		// boundary, (0,0)…(0,3) then (1,0)…(1,2); channel 2 (8 chunks)
-		// stages (0,0)…(0,6).
-		rec, events, entries, drift := catchupDispatch(t, 1024, 375*time.Millisecond)
-		if len(rec.batches) != 1 {
-			t.Fatalf("staged %d batches, want 1", len(rec.batches))
+		// Woken 400 ms after the third tick's instant (125 ms) at 62.5 ms
+		// spacing: chunks 2 to 8 are due. Channel 1 (4 chunks a
+		// repetition) runs (0,2)…(2,0) across two boundaries, channels 2
+		// and 3 (8 chunks) (0,2)…(1,0) across one.
+		r, shared := catchupRun(t, 1024, 400*time.Millisecond)
+		want := map[int][]event{
+			1: {{0, 2}, {0, 3}, {1, 0}, {1, 1}, {1, 2}, {1, 3}, {2, 0}},
+			2: {{0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {1, 0}},
 		}
-		batch := rec.batches[0]
-		if len(batch) != 14 {
-			t.Fatalf("staged %d entries, want 14 (7 + 7)", len(batch))
-		}
-		switches := 0
-		for i := 1; i < len(batch); i++ {
-			if batch[i].Group != batch[i-1].Group {
-				switches++
+		want[3] = want[2]
+		for k, evs := range third(t, r) {
+			if !slices.Equal(evs, want[k.channel]) {
+				t.Errorf("video%d/ch%d staged %v, want %v", k.video, k.channel, evs, want[k.channel])
 			}
 		}
-		if switches != 1 {
-			t.Errorf("batch switches groups %d times, want 1 (one contiguous run per channel)", switches)
+		if shared {
+			t.Error("two staged frames share one backing buffer")
 		}
-		if evs := events[k1]; len(evs) != 7 || evs[0] != (event{0, 0}) || evs[6] != (event{1, 2}) {
-			t.Errorf("video0/ch1 staged %v, want (0, 0) through (1, 2)", evs)
+		if e1, e2 := r.sh.entries[0], r.sh.entries[1]; e1.n != 2 || e1.c != 1 || e2.n != 1 || e2.c != 1 {
+			t.Errorf("cursors at (rep %d, chunk %d) and (rep %d, chunk %d) after the runs, want (2, 1) and (1, 1)", e1.n, e1.c, e2.n, e2.c)
 		}
-		checkContiguous(t, k1, events[k1], 4)
-		if evs := events[k2]; len(evs) != 7 || evs[0] != (event{0, 0}) {
-			t.Errorf("video0/ch2 staged %v, want rep 0 chunks 0-6", evs)
-		}
-		checkContiguous(t, k2, events[k2], 8)
-		// Distinct backing memory per staged frame, and in each frame's
-		// header the repetition and offset of its own chunk: a run that
-		// crosses the boundary must not stamp one repetition on all of it.
-		seen := make(map[*byte]bool)
-		next := make(map[chanKey]int)
-		for _, be := range batch {
-			p := &be.Frame[0]
-			if seen[p] {
-				t.Fatal("two staged frames share one backing buffer")
-			}
-			seen[p] = true
-			k := chanKey{be.Group.Video, be.Group.Channel}
-			want := events[k][next[k]]
-			next[k]++
-			c, err := wire.Decode(be.Frame)
-			if err != nil {
-				t.Fatalf("staged frame does not decode: %v", err)
-			}
-			if c.Seq != want.n || int(c.Offset) != want.c*1024 {
-				t.Errorf("video%d/ch%d staged a frame with Seq %d offset %d for (rep %d, chunk %d)",
-					k.video, k.channel, c.Seq, c.Offset, want.n, want.c)
-			}
-		}
-		if e1 := entries[0]; e1.n != 1 || e1.c != 3 {
-			t.Errorf("channel 1 cursor at (rep %d, chunk %d) after the run, want (1, 3)", e1.n, e1.c)
-		}
-		if e2 := entries[1]; e2.n != 0 || e2.c != 7 {
-			t.Errorf("channel 2 cursor at (rep %d, chunk %d) after the run, want (0, 7)", e2.n, e2.c)
-		}
-		if drift != 2 {
-			t.Errorf("driftEvents = %d, want 2 (one per late entry per dispatch)", drift)
+		if d := r.srv.driftEvents.Value(); d != 3 {
+			t.Errorf("driftEvents = %d, want 3 (one per late entry per release)", d)
 		}
 	})
 
 	t.Run("capped", func(t *testing.T) {
-		// 64-byte chunks give the channels 64 and 128 chunks per
-		// repetition; 450 ms behind is over 64 spacings for both, so each
-		// run stops at exactly wheelMaxRun — the GSO segment cap.
-		rec, events, _, _ := catchupDispatch(t, 64, 450*time.Millisecond)
-		if len(rec.batches) != 1 {
-			t.Fatalf("staged %d batches, want 1", len(rec.batches))
-		}
-		if len(rec.batches[0]) != 2*wheelMaxRun {
-			t.Fatalf("staged %d entries, want %d", len(rec.batches[0]), 2*wheelMaxRun)
-		}
-		for _, k := range []chanKey{k1, k2} {
-			if got := len(events[k]); got != wheelMaxRun {
-				t.Errorf("video%d/ch%d staged %d chunks, want the %d cap", k.video, k.channel, got, wheelMaxRun)
+		// 64-byte chunks give the channels 64 and 128 chunks a repetition
+		// at 3.9 ms spacing; 450 ms behind is over 64 spacings for all, so
+		// each run stops at exactly wheelMaxRun — the GSO segment cap.
+		r, _ := catchupRun(t, 64, 450*time.Millisecond)
+		for k, evs := range third(t, r) {
+			if len(evs) != wheelMaxRun {
+				t.Errorf("video%d/ch%d staged %d chunks, want the %d cap", k.video, k.channel, len(evs), wheelMaxRun)
 			}
-			checkContiguous(t, k, events[k], 64*64) // chunks ≥ cap; contiguity is what matters
 		}
 	})
+}
+
+// TestWheelCatchupBehindNonBatchingSender: a tick whose release stalls
+// for five and a half spacings — the clock stops in the hold, after the
+// tick was staged — is made good by the very next release, whatever the
+// sender does with a batch (the log takes it frame by frame, the shape of
+// a sender that cannot batch): every chunk that fell due goes out as one
+// run, in order, and the channel is back within one spacing of its grid,
+// instead of one chunk per tick with the stall carried for ever. The
+// stalled release is a drift event, and its log line names the chunk
+// that was late, not the one the cursor has moved on to.
+func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
+	const unit = 200 * time.Millisecond
+	const spacing = unit / 4
+	var logged []string
+	r := twice(t, func() *wheelRig {
+		logged = nil
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024,
+			Logf: func(format string, args ...any) {
+				logged = append(logged, fmt.Sprintf(format, args...))
+				t.Logf(format, args...)
+			}})
+		r.join(t, mcast.Group{Video: 0, Channel: 2})
+		r.vc.work = 2 * time.Microsecond
+		r.vc.onHold = func(n int) {
+			if r.vc.stall = 0; n == 1 {
+				r.vc.stall = 5*spacing + spacing/2
+			}
+		}
+		r.play(12)
+		return r
+	})
+	frames := r.channels()[chanKey{0, 2}]
+	checkContiguous(t, chanKey{0, 2}, events(frames), 8)
+	// The stalled release is the first whose frame left over a unit late.
+	g := r.grid(frames[0].g)
+	i := slices.IndexFunc(frames, func(f sentFrame) bool { return f.at-g.dueOf(f.n, f.c) > unit })
+	if i < 0 {
+		t.Fatal("no release stalled")
+	}
+	stalled := frames[i]
+	want := fmt.Sprintf("pacing drift: %v seq %d chunk %d sent", r.sh.entries[0].group, stalled.n, stalled.c)
+	if drift := slices.DeleteFunc(slices.Clone(logged), func(l string) bool { return !strings.Contains(l, "pacing drift") }); len(drift) != 1 || !strings.Contains(drift[0], want) {
+		t.Errorf("stalled release logged %q, want one drift line naming %q", drift, want)
+	}
+	var run []sentFrame
+	for _, f := range frames[i+1:] {
+		if f.batch == frames[i+1].batch {
+			run = append(run, f)
+		}
+	}
+	if len(run) != 5 {
+		t.Fatalf("the release after the stall sent %d chunks, want the 5 that fell due", len(run))
+	}
+	if last := run[len(run)-1]; last.at-g.dueOf(last.n, last.c) >= spacing {
+		t.Errorf("the catch-up run ends %v behind its grid, want < %v", last.at-g.dueOf(last.n, last.c), spacing)
+	}
 }
 
 // BenchmarkWheelDispatch measures the scheduling machinery alone: one
