@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -167,6 +168,108 @@ func TestSendBatchBestEffort(t *testing.T) {
 		if got[0] != "best-effort" {
 			t.Errorf("member got %q, want best-effort", got)
 		}
+	}
+}
+
+// TestSendBatchConcurrentWithRepair: a tick's SendBatch and NACK
+// re-sends' SendRepairBatch run at once on one hub — a live server's shard
+// and its control goroutines — on every egress path the host has. Under
+// -race this is the proof that the two flows share nothing: not the pooled
+// batch buffers, the stager, or the destination chains. Every datagram
+// that arrives is whole, on its own group, and from one flow; the hub
+// counts every datagram of both, and the repair ledger the re-sends alone.
+func TestSendBatchConcurrentWithRepair(t *testing.T) {
+	const groups, size, batches, repairers = 3, 1000, 100, 2
+	for _, mode := range []string{"generic", "sendmmsg", "gso"} {
+		t.Run(mode, func(t *testing.T) {
+			gs := sharedGroups(groups)
+			hub, rcvs := newTestHub(t, gs, 1)
+			if !setBatchPath(hub, mode) {
+				t.Skipf("no %s path here", mode)
+			}
+			// A frame is its flow's tag, its group's channel, and then one
+			// byte, the batch's number, all the way to the end.
+			batch := func(flow byte, i int) []BatchEntry {
+				es := make([]BatchEntry, len(gs))
+				for j, g := range gs {
+					f := bytes.Repeat([]byte{byte(i)}, size)
+					f[0], f[1] = flow, byte(g.Channel)
+					es[j] = BatchEntry{Group: g, Frame: f}
+				}
+				return es
+			}
+			var readers sync.WaitGroup
+			got := make([]map[byte]int, len(gs)) // per group: datagrams by flow, 0 for a bad one
+			for j, g := range gs {
+				r := rcvs[g][0]
+				got[j] = make(map[byte]int)
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					buf := make([]byte, 2*size)
+					for {
+						n, err := r.Conn.Read(buf)
+						if err != nil {
+							return // the deadline set once both flows are sent
+						}
+						f := buf[:n]
+						if n != size || int(f[1]) != g.Channel || (f[0] != 'T' && f[0] != 'R') ||
+							bytes.Count(f[2:], f[2:3]) != size-2 {
+							got[j][0]++
+						} else {
+							got[j][f[0]]++
+						}
+					}
+				}()
+			}
+			var senders sync.WaitGroup
+			sent := make([]int, 1+repairers)
+			for k := range sent {
+				flow, send := byte('T'), hub.SendBatch
+				if k > 0 {
+					flow, send = 'R', hub.SendRepairBatch
+				}
+				senders.Add(1)
+				go func() {
+					defer senders.Done()
+					for i := 0; i < batches; i++ {
+						n, err := send(batch(flow, i))
+						if err != nil {
+							t.Errorf("%c batch %d: %v", flow, i, err)
+						}
+						sent[k] += n
+					}
+				}()
+			}
+			senders.Wait()
+			for _, g := range gs {
+				rcvs[g][0].Conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+			}
+			readers.Wait()
+
+			want := batches * groups
+			for k, n := range sent {
+				if n != want {
+					t.Errorf("sender %d wrote %d datagrams, want %d", k, n, want)
+				}
+			}
+			if st := hub.Stats(); st.DatagramsSent != int64((1+repairers)*want) || st.RepairDatagrams != int64(repairers*want) {
+				t.Errorf("hub counted %d datagrams, %d of them repairs; want %d, %d", st.DatagramsSent, st.RepairDatagrams, (1+repairers)*want, repairers*want)
+			}
+			var ticks, repairs int
+			for j, g := range got {
+				if g[0] != 0 {
+					t.Errorf("%v: %d datagrams torn, mixed or on the wrong group", gs[j], g[0])
+				}
+				ticks += g['T']
+				repairs += g['R']
+			}
+			// Loopback may drop what a slow reader leaves queued; what
+			// arrives must still include both flows.
+			if ticks == 0 || repairs == 0 || ticks > want || repairs > repairers*want {
+				t.Errorf("received %d tick and %d repair datagrams of %d and %d sent", ticks, repairs, want, repairers*want)
+			}
+		})
 	}
 }
 

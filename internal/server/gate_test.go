@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -64,7 +65,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 		first := r.sh.entries[3*20+6] // heard[1]
 		var m0 uint64
 		var staged0 int64
-		procs := 0
+		gcPercent := 0
 		failAt := 0
 		r.vc.onPark = func(n int) {
 			switch n {
@@ -74,11 +75,15 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 					cursors = append(cursors, e.due)
 				}
 				r.log.quiet = true // the frames of the first ticks are checked; the rest are counted
-			case measure: // one P, as testing.AllocsPerRun measures
-				procs, m0 = runtime.GOMAXPROCS(1), mallocs()
+			case measure:
+				// No collection in the window: a GC cycle wakes runtime
+				// goroutines that allocate (the unique package's map
+				// cleanup, the scavenger's timer), and mallocs counts the
+				// whole process.
+				gcPercent, m0 = debug.SetGCPercent(-1), mallocs()
 			case leave:
 				allocs = mallocs() - m0
-				runtime.GOMAXPROCS(procs)
+				debug.SetGCPercent(gcPercent)
 				r.srv.hub.Leave(heard[0], addr)
 				staged0 = r.srv.egressStaged.Value()
 			case leave + 1:
@@ -166,13 +171,17 @@ func faultRig(t *testing.T, plan faults.Plan, videos, channels, bytesPerUnit int
 // each frame is decided exactly once, at stage, whatever the membership
 // does.
 func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
+	const ticks = 60 // ten repetitions of the longest channel
 	plan := faults.Plan{Seed: 11, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
 		BurstEnter: 0.05, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
 	some := []mcast.Group{{Video: 0, Channel: 1}, {Video: 1, Channel: 3}, {Video: 2, Channel: 5}}
-	// flip, when set, runs before each tick.
-	run := func(gated bool, heard []mcast.Group, flip func(r *wheelRig, tick int)) (faults.Counts, *sendLog) {
+	// flip, when set, runs in each hold: after the tick was staged and
+	// before it is released. It reports whether it changed the membership.
+	run := func(gated bool, heard []mcast.Group, flip func(r *wheelRig, hold int) bool) (faults.Counts, *sendLog, int) {
 		var counts faults.Counts
+		flipped := 0
 		r := twice(t, func() *wheelRig {
+			flipped = 0
 			// 3-chunk units under G=4: groups straddle units, tails are short.
 			r := faultRig(t, plan, 3, 5, 3*1024)
 			if !gated {
@@ -182,30 +191,42 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 				r.join(t, g)
 			}
 			if flip != nil {
-				r.vc.onPark = func(n int) { flip(r, n) }
+				r.vc.onHold = func(n int) {
+					if flip(r, n) {
+						flipped++
+					}
+				}
 			}
-			r.play(60) // ten repetitions of the longest channel
+			r.play(ticks)
 			counts = r.srv.inj.Counts()
 			return r
 		})
-		return counts, r.log
+		return counts, r.log, flipped
 	}
-	all, allWire := run(false, nil, nil)
-	none, noneWire := run(true, nil, nil)
-	three, threeWire := run(true, some, nil)
-	// The three groups' members join before every odd tick and leave
-	// before every even one: no two ticks in a row stage for the same
-	// audience.
+	all, allWire, _ := run(false, nil, nil)
+	none, noneWire, _ := run(true, nil, nil)
+	three, threeWire, _ := run(true, some, nil)
+	// The three groups' members join in every odd hold and leave in every
+	// even one, between a tick's stage and its release: every release
+	// meets a membership its stage did not read, and no two ticks in a
+	// row stage for the same audience.
 	addrs := make([]*net.UDPAddr, len(some))
-	flipping, flippingWire := run(true, nil, func(r *wheelRig, tick int) {
+	flipping, flippingWire, flipped := run(true, nil, func(r *wheelRig, hold int) bool {
 		for j, g := range some {
-			if tick%2 == 1 {
+			if hold%2 == 1 {
 				addrs[j] = r.join(t, g)
 			} else {
 				r.srv.hub.Leave(g, addrs[j])
 			}
 		}
+		return r.srv.hub.Listeners() != r.sh.seen
 	})
+	// Every tick but the first two holds: until it has measured both its
+	// staging time and its wake-up, the shard does not lead an instant by
+	// enough to reach it early.
+	if flipped != ticks-2 {
+		t.Fatalf("membership changed between stage and release in %d of %d ticks, want %d", flipped, ticks, ticks-2)
+	}
 	if all.Dropped == 0 || all.BurstDropped == 0 || all.Duplicated == 0 || all.Reordered == 0 {
 		t.Fatalf("plan left a fault kind unexercised: %+v", all)
 	}
@@ -270,31 +291,38 @@ func TestStageSendsNothingBeforeRelease(t *testing.T) {
 // TestJoinBeforeTickHearsThatTick: gating adds no off-by-one to start
 // latency. A group's first member, joined before tick t's staging begins,
 // receives chunk t; one that joins an empty group once staging has read
-// the membership — here as tick t's release begins — is not heard by
-// tick t and starts with t+1.
+// the membership — here in tick t's hold, before its release — is not
+// heard by tick t and starts with t+1.
 func TestJoinBeforeTickHearsThatTick(t *testing.T) {
 	g, gLate := mcast.Group{Video: 0, Channel: 2}, mcast.Group{Video: 0, Channel: 3} // 8 chunks per repetition each
+	joinedLate := false
 	r := twice(t, func() *wheelRig {
+		joinedLate = false
 		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 100 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+		r.vc.work = 2 * time.Microsecond // staging takes time, so the shard leads and holds
 		r.vc.onPark = func(n int) {
 			if n == 3 { // before chunk 2's stage
 				r.join(t, g)
 			}
 		}
-		r.log.onSend = func([]mcast.BatchEntry) {
-			if r.log.batches == 0 { // chunk 2's release: the first one anybody hears
+		r.vc.onHold = func(int) {
+			if !joinedLate && len(r.sh.batch) > 0 { // chunk 2's tick: the first one anybody hears
+				joinedLate = true
 				r.join(t, gLate)
 			}
 		}
 		r.play(4)
 		return r
 	})
+	if !joinedLate {
+		t.Fatal("the tick that staged chunk 2 never held: nothing joined between its stage and its release")
+	}
 	by := r.channels()
 	if f := by[chanKey{0, 2}]; len(f) == 0 || (event{f[0].n, f[0].c}) != (event{0, 2}) {
 		t.Errorf("member joined before tick 2's stage first received %v, want (0, 2)", events(f))
 	}
 	if f := by[chanKey{0, 3}]; len(f) == 0 || (event{f[0].n, f[0].c}) != (event{0, 3}) {
-		t.Errorf("member joined as tick 2's release began first received %v, want (0, 3)", events(f))
+		t.Errorf("member joined in tick 2's hold first received %v, want (0, 3)", events(f))
 	}
 }
 

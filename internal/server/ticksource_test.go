@@ -186,7 +186,9 @@ func openFDs() int {
 // TestTickShardPanicsLeakNothing: four supervised shard restarts — the
 // wall clock panicking in a shard's hold — and a Close leave the
 // descriptor table and the goroutine count where they were: each run's
-// tick source is released on the way out, panic or not.
+// tick source is released on the way out, panic or not. It is also the
+// check on how Start splits the channels: one shard a P, never more
+// shards than channels.
 func TestTickShardPanicsLeakNothing(t *testing.T) {
 	settle := func(want func() bool) {
 		for i := 0; i < 100 && !want(); i++ {
@@ -218,6 +220,9 @@ func TestTickShardPanicsLeakNothing(t *testing.T) {
 
 	if st.ShardRestarts != panics {
 		t.Fatalf("ShardRestarts = %d, want %d", st.ShardRestarts, panics)
+	}
+	if want := min(runtime.GOMAXPROCS(0), 3); st.EgressShards != want {
+		t.Errorf("EgressShards = %d for 3 channels, want %d: one a P, never more than the channels", st.EgressShards, want)
 	}
 	if st.EgressWakeups < wakeups+10 {
 		t.Error("no wakeups after the restarts")
