@@ -43,9 +43,9 @@ fmt-check:
 # every concurrent sender), the server (egress shards, control
 # handlers and re-sends all materialising frames from the same CRC
 # table, each into memory of its own), and the viewer mux with its
-# one-session front (every client.Watch runs the mux's loader and
-# receiver goroutines) are concurrent; every PR must pass the race
-# detector over them.
+# one-session front (every client.Watch runs the mux's loader
+# goroutines against its router on the receiver's read loop) are
+# concurrent; every PR must pass the race detector over them.
 race:
 	$(GO) test -race ./internal/des ./internal/metrics ./internal/sim ./internal/bench \
 		./internal/faults ./internal/mcast ./internal/viewer ./internal/client ./internal/wire ./internal/server
@@ -67,11 +67,12 @@ race:
 # (recvmmsg/GRO/single-read delivery identity, kill-switch demotion, GRO
 # super-frame splitting, read-error backoff), the proactive FEC stripe
 # (parity encode,
-# stripe reassembly, defeat escalation, burst loss), the shared
-# receive arena (unsubscribe-while-delivering slot conservation, per-
-# subscription slot quotas, one refcounted slot per datagram whatever
-# the release order, holders out of step never torn, 200 closed
-# receivers leaving no descriptor, mapping or goroutine), and the
+# stripe reassembly, defeat escalation, burst loss), the audience's
+# receive pass (one decode per datagram for every cohort that hears it
+# under drop/duplicate/reorder with the stripe on, byte errors per
+# cohort, zero allocations per routed read, tap turnover retaining
+# nothing, 200 closed receivers leaving no descriptor, mapping or
+# goroutine), and the
 # wheel's tick source on the wall clock (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
 # goroutine left behind by restarts) and its wake lead on the virtual one
@@ -87,7 +88,7 @@ race:
 # injector's one decision path at stage (Stage ≡ per-chunk Send, counts
 # pinned per seed, held frames are copies) — under the race detector.
 CHAOS_PKGS = ./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
-CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Arena|Slot|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release
+CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Route|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release
 
 chaos:
 	$(GO) test -race -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)

@@ -64,15 +64,11 @@ type scaleRow struct {
 	ServerParityBytes  int64 `json:"server_parity_bytes"`
 	// BusyRate is BusyReplies / RepairRequests (0 when no requests).
 	BusyRate float64 `json:"busy_rate"`
-	// Datagrams / RecvDropped are shared-receiver deliveries and ring
-	// drops across emulators — per subscribed datagram, not per viewer.
+	// Datagrams / RecvDropped are the emulators' routed deliveries and
+	// event-queue drops — one per (datagram, tuned cohort fragment), not
+	// per viewer.
 	Datagrams   int64 `json:"datagrams"`
 	RecvDropped int64 `json:"recv_dropped"`
-	// PeakRecvSlots sums the emulators' shared-receiver slot high-water
-	// marks — slots, not deliveries: one slot holds a datagram for every
-	// subscription that hears it. Times the slot size, the audience's
-	// receive-buffer footprint.
-	PeakRecvSlots int64 `json:"peak_recv_slots"`
 	// The ingress ladder ledger, summed across emulators: datagrams
 	// delivered through the recvmmsg rung, kernel receive invocations
 	// (batched_reads/read_syscalls is the achieved ingress batching
@@ -419,7 +415,6 @@ func scalePoint(srv *server.Server, n, procs, videos int,
 		row.StripeDefeats += res.StripeDefeats
 		row.Datagrams += res.Datagrams
 		row.RecvDropped += res.RecvDropped
-		row.PeakRecvSlots += res.PeakRecvSlots
 		row.BatchedReads += res.BatchedReads
 		row.ReadSyscalls += res.ReadSyscalls
 		row.GroSegments += res.GroSegments

@@ -10,8 +10,9 @@ import (
 // through the shared receiver on the named rung by subs subscriptions of
 // that group. datagrams/readsyscall is the acceptance metric — the
 // single-read path pays one syscall per datagram by construction; the
-// batched rungs amortize. ns/delivery and B/op show what each further
-// subscription of a group costs: one queue handoff, not one copy.
+// batched rungs amortize. ns/delivery shows what each further
+// subscription of a group costs the adapter: one copy into its ring and
+// one handoff.
 func benchSharedRecvDrain(b *testing.B, burst, subs int, mode string) {
 	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Classify: testClassify})
 	if err != nil {
@@ -87,10 +88,10 @@ func benchSharedRecvDrain(b *testing.B, burst, subs int, mode string) {
 
 // BenchmarkSharedReceiverDrain is the ingress acceptance benchmark:
 // 1/8/64-datagram bursts drained through each rung of the ladder by one
-// subscription, and by four — about the deliveries per datagram a
-// cohort audience sees (skybench's dense_tick measures 4.4). The
-// ≥4× syscall-amortization criterion reads mode=single against
-// mode=recvmmsg (and mode=gro) at burst=64.
+// subscription, and by four. (The audience routes through its own
+// Handler and copies nothing; these are the subscription adapter's
+// figures.) The ≥4× syscall-amortization criterion reads mode=single
+// against mode=recvmmsg (and mode=gro) at burst=64.
 func BenchmarkSharedReceiverDrain(b *testing.B) {
 	for _, burst := range []int{1, 8, 64} {
 		for _, subs := range []int{1, 4} {

@@ -82,7 +82,7 @@ func TestGROSplit(t *testing.T) {
 
 // TestRecvBatchedZeroAlloc is the alloc gate on the batched receive fast
 // path: resetting the syscall arrays, splitting a drained batch, and
-// dispatching it to subscriptions must not allocate. The batch is staged
+// handing it to the subscription adapter must not allocate. The batch is staged
 // by hand (the syscall itself touches no Go heap), mirroring how
 // TestSharedRecvZeroAlloc drives dispatch directly.
 func TestRecvBatchedZeroAlloc(t *testing.T) {
@@ -123,7 +123,7 @@ func TestRecvBatchedZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		stage()
 		frames := rb.split()
-		s.dispatchFrames(frames)
+		s.handle(frames)
 		for i := 0; i < n; i++ {
 			sub.Release(<-sub.Ready())
 		}

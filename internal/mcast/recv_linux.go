@@ -128,8 +128,8 @@ func (s *SharedReceiver) initRecv() {
 }
 
 // freeRecv unmaps the landing zone. The run goroutine calls it once its
-// last dispatch is done, so no frame view into the zone outlives it (a
-// delivered frame lives in the slot arena).
+// last handler call has returned, so no frame view into the zone outlives
+// it (a handler keeps nothing it was handed).
 func (s *SharedReceiver) freeRecv() {
 	if s.rb == nil {
 		return
@@ -206,8 +206,8 @@ func (s *SharedReceiver) SetGRO(on bool) bool {
 	return true
 }
 
-// readBatched drains one recvmmsg batch and dispatches it under a single
-// subscription-snapshot load. It returns false only when the receiver is
+// readBatched drains one recvmmsg batch and hands it to the handler in
+// one call. It returns false only when the receiver is
 // closed. An EINVAL/ENOSYS from the real call after a passing probe
 // demotes the receiver to the portable rung for good (disarming GRO
 // first) — failing every read would be worse than losing the
@@ -235,7 +235,7 @@ func (s *SharedReceiver) readBatched() bool {
 	s.errStreak = 0
 	frames := rb.split()
 	s.batchedReads.Add(int64(len(frames)))
-	s.dispatchFrames(frames)
+	s.handle(frames)
 	return true
 }
 

@@ -14,10 +14,15 @@ import (
 
 // Classifier maps a raw datagram to its broadcast group without decoding
 // the payload. ok=false marks the datagram unroutable (garbage, foreign
-// traffic); it is counted and dropped. The virtual-viewer multiplexer
-// passes a wire.PeekID-based classifier, keeping this package free of any
-// framing knowledge.
+// traffic); it is counted and dropped. Only the subscription adapter
+// (Subscribe) classifies; a receiver with a Handler leaves routing to it.
 type Classifier func(frame []byte) (Group, bool)
+
+// Handler consumes one read's datagrams on the receiver's read loop, in
+// the order they arrived. The frames alias the receiver's landing zone:
+// they are valid only until the handler returns, and it must not write
+// them.
+type Handler func(frames [][]byte)
 
 // maxDatagram bounds one read from the shared socket: the largest UDP
 // payload loopback can carry.
@@ -48,7 +53,11 @@ type SharedReceiverConfig struct {
 	// RecvBufBytes is the kernel receive buffer (SetReadBuffer); zero or
 	// negative selects DefaultRecvBufBytes.
 	RecvBufBytes int
-	// Classify routes datagrams to groups; required.
+	// Handle, when set, receives every read's datagrams (see Handler), and
+	// Subscribe is refused. When nil, Classify is required and the
+	// receiver copies each datagram to the subscriptions of its group.
+	Handle Handler
+	// Classify routes datagrams to subscriptions.
 	Classify Classifier
 	// Logf receives the one-line notices of the ingress ladder (probe
 	// failures, kill-switches, runtime demotions); nil discards them.
@@ -56,36 +65,25 @@ type SharedReceiverConfig struct {
 }
 
 // SharedReceiver is the fan-in complement of Hub's fan-out: one UDP
-// socket whose datagrams are routed to per-group subscriptions. A cohort
-// multiplexer emulating thousands of viewers holds one SharedReceiver and
-// one subscription per tuned channel instead of one socket per viewer, so
-// kernel-side cost scales with cohorts, not audience size.
+// socket whose datagrams are handed, a read at a time, to one Handler —
+// the cohort multiplexer's router holds one instead of a socket per
+// viewer, so kernel-side cost scales with cohorts, not audience size.
 //
 // The read side is a two-rung ladder mirroring the hub's egress: a
 // recvmmsg rung drains up to recvBatch datagrams per syscall into a
 // landing zone mapped outside the Go heap (recv_linux.go), and a UDP
-// GRO rung on top receives the hub's GSO super-frames as one
-// coalesced buffer that is split back into wire-sized frames in
-// userspace. Platforms (or kill-switches) without the rungs read one
-// datagram per syscall through the portable path — behavior-identical,
-// just slower.
+// GRO rung on top receives the hub's GSO super-frames as one coalesced
+// buffer, split back into wire-sized frames in userspace. Without the
+// rungs (platform, kill-switch) it reads one datagram per syscall —
+// behavior-identical, just slower. The handler sees each read's frames
+// in wire order, straight off the landing zone.
 //
-// The dispatch path mirrors Send's discipline: subscriptions live in a
-// copy-on-write groupLists (Subscribe and Unsubscribe replace one
-// group's list under a mutex, the read loop only loads). Each datagram
-// is copied ONCE per slot size into a slot of a receiver-owned
-// arena (see slotArena), and that one slot is queued on every
-// subscription of the group that had quota for it, with a reference
-// count the last Release drops; slot handoff rides buffered int
-// channels. So a steady-state delivery allocates nothing, and buffer
-// memory follows the datagrams in flight — not the subscriptions open,
-// and not how many of them hear each datagram. A batched read classifies
-// and routes the whole batch under one snapshot load. Delivery is
-// best-effort, as multicast is: a subscriber that stops draining loses
-// its own datagrams (its quota counts the shared slots it pins), never
-// its neighbors'.
+// Without a Handler the receiver runs the subscription adapter
+// (Subscribe/Ready/Frame/Release), a copy ring per subscription kept
+// for the benchmark harness's layer probe and this package's tests.
 type SharedReceiver struct {
 	conn     *net.UDPConn
+	handle   Handler
 	classify Classifier
 	logf     func(format string, args ...any)
 
@@ -100,29 +98,17 @@ type SharedReceiver struct {
 	mmsgCapable bool
 	groCapable  bool
 
-	// errStreak counts consecutive read failures; owned by the run
-	// goroutine.
+	// errStreak counts consecutive read failures; one is the portable
+	// rung's one-frame batch. Both are owned by the run goroutine.
 	errStreak int
+	one       [1][]byte
 
-	// mu serializes the writers (Subscribe, Unsubscribe, Close); the read
-	// loop takes it only to collect retired subscriptions, and only when
-	// retiring says there are some.
+	// mu serializes the writers (Subscribe, Unsubscribe, Close); the
+	// adapter's fan-out reads subs without it.
 	mu     sync.Mutex
 	subs   groupLists[*Subscription]
 	closed atomic.Bool
 	done   chan struct{}
-
-	// arenas holds one slot arena per slot size (guarded by mu; each
-	// subscription keeps a pointer to its own). retired lists unsubscribed
-	// subscriptions whose queues the read loop has yet to drain. slots is
-	// the number of arena slots filled and not yet released by their last
-	// holder. taken is the read loop's scratch list of the subscriptions
-	// that accepted the datagram being fanned out.
-	arenas   map[int]*slotArena
-	retired  []*Subscription
-	retiring atomic.Bool
-	slots    metrics.PaddedGauge
-	taken    []*Subscription
 
 	// The ledger Stats reports as ReceiverStats, field for field.
 	delivered    metrics.PaddedCounter
@@ -135,102 +121,23 @@ type SharedReceiver struct {
 	readErrors   metrics.PaddedCounter
 }
 
-// arenaPageSlots is how many slots the arena adds per growth step: small
-// enough that a lightly loaded receiver holds a few dozen KiB, large
-// enough that growing to a burst's depth takes a handful of steps.
-const arenaPageSlots = 32
-
-// slotArena is the receiver's frame memory for one slot size, shared by
-// every subscription of that size. A slot holds one datagram however
-// many subscriptions it was queued on; its reference count says how many
-// have yet to Release it, and the last one returns it. Slots are handed
-// out from a LIFO free stack, so the slot a consumer just released —
-// still in cache — is the next one filled, and only as many pages as the
-// peak number of datagrams in flight are ever touched: memory follows
-// live traffic, not how many channels were ever tuned nor how many
-// subscriptions hear each one. The arena grows a page at a time when the
-// stack runs dry and never shrinks.
-type slotArena struct {
-	slotBytes int
-	// pages is the copy-on-grow page table; Frame loads it without the
-	// lock. Slot i lives in page i/arenaPageSlots.
-	pages atomic.Pointer[[]*arenaPage]
-
-	mu   sync.Mutex
-	free []int // LIFO; capacity always covers every slot, so put never allocates
-}
-
-type arenaPage struct {
-	buf  []byte
-	lens [arenaPageSlots]int          // frame length per slot
-	refs [arenaPageSlots]atomic.Int32 // holders yet to Release each slot
-}
-
-// get pops a free slot, growing the arena by one page when none is left.
-func (a *slotArena) get() int {
-	a.mu.Lock()
-	if len(a.free) == 0 {
-		a.grow()
-	}
-	slot := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	a.mu.Unlock()
-	return slot
-}
-
-// put returns slot to the top of the free stack.
-func (a *slotArena) put(slot int) {
-	a.mu.Lock()
-	a.free = append(a.free, slot)
-	a.mu.Unlock()
-}
-
-// grow adds one page (mu held, free stack empty). Pages already handed
-// out stay where they are: only the table is copied.
-func (a *slotArena) grow() {
-	var old []*arenaPage
-	if p := a.pages.Load(); p != nil {
-		old = *p
-	}
-	pages := append(old[:len(old):len(old)], &arenaPage{buf: make([]byte, arenaPageSlots*a.slotBytes)})
-	a.pages.Store(&pages)
-	a.free = make([]int, 0, len(pages)*arenaPageSlots)
-	for i := len(pages)*arenaPageSlots - 1; i >= len(old)*arenaPageSlots; i-- {
-		a.free = append(a.free, i)
-	}
-}
-
-// locate returns slot's page and its index within the page.
-func (a *slotArena) locate(slot int) (*arenaPage, int) {
-	return (*a.pages.Load())[slot/arenaPageSlots], slot % arenaPageSlots
-}
-
-// Subscription is one consumer's tap on a group: a queue of filled arena
-// slots, fed by the receiver's read loop. The consumer loop is
-//
-//	for slot := range sub.Ready() {
-//	    frame := sub.Frame(slot)
-//	    ... decode, dispatch ...
-//	    sub.Release(slot)
-//	}
-//
-// Ready is closed when the SharedReceiver shuts down. The same slot may
-// be queued on every subscription of the group, so a frame is shared and
-// read-only: consumers must not write to it, and it is stable until this
-// subscription's Release. A subscription may have at most depth slots
-// outstanding (queued or held), and datagrams arriving beyond that quota
-// are dropped (counted in Dropped) — so a stalled consumer costs only
-// its own frames.
+// Subscription is one consumer's tap on a group under the subscription
+// adapter: a ring of depth slots the read loop copies the group's
+// datagrams into, handed over by index on Ready (closed when the
+// receiver shuts down). A frame is stable until its Release, and slots go
+// back in the order they came. At most depth slots may be outstanding;
+// datagrams beyond that quota, or larger than a slot, are dropped
+// (Dropped), so a stalled consumer costs only its own frames.
 type Subscription struct {
-	g     Group
-	s     *SharedReceiver
-	arena *slotArena
-	depth int64
-	ready chan int
-	// out counts slots queued on this subscription and not yet released
-	// by it.
-	out atomic.Int64
-
+	g         Group
+	s         *SharedReceiver
+	slotBytes int
+	ring      []byte
+	lens      []int
+	next      int // the slot the read loop fills next
+	ready     chan int
+	// out counts slots queued on this subscription and not yet released.
+	out     atomic.Int64
 	dropped atomic.Int64
 }
 
@@ -249,8 +156,8 @@ func NewSharedReceiver(rcvBuf int, classify Classifier) (*SharedReceiver, error)
 // ingress rungs the platform and kernel support (recvmmsg, then UDP GRO
 // on top of it), and starts the read loop. Close stops it.
 func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, error) {
-	if cfg.Classify == nil {
-		return nil, fmt.Errorf("mcast: shared receiver needs a classifier")
+	if cfg.Handle == nil && cfg.Classify == nil {
+		return nil, fmt.Errorf("mcast: shared receiver needs a handler or a classifier")
 	}
 	r, err := NewReceiverSized(cfg.RecvBufBytes)
 	if err != nil {
@@ -262,10 +169,13 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 	}
 	s := &SharedReceiver{
 		conn:     r.Conn,
+		handle:   cfg.Handle,
 		classify: cfg.Classify,
 		logf:     logf,
 		done:     make(chan struct{}),
-		arenas:   make(map[int]*slotArena),
+	}
+	if s.handle == nil {
+		s.handle = s.fanOut
 	}
 	s.subs.init()
 	s.initRecv()
@@ -273,14 +183,14 @@ func NewSharedReceiverConfigured(cfg SharedReceiverConfig) (*SharedReceiver, err
 	return s, nil
 }
 
-// Addr returns the shared socket's UDP address — the one every
-// subscription's group is joined with.
+// Addr returns the shared socket's UDP address — the one every group is
+// joined with.
 func (s *SharedReceiver) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
-// Subscribe taps group g with a quota of depth outstanding slots of
-// slotBytes each, drawn from the receiver's arena for that slot size.
+// Subscribe taps group g with a ring of depth slots of slotBytes each.
 // Datagrams larger than slotBytes are dropped for this subscription
-// (counted), so size slots for the largest frame the group carries.
+// (counted), so size slots for the largest frame the group carries. A
+// receiver built with a Handler has no subscriptions.
 func (s *SharedReceiver) Subscribe(g Group, depth, slotBytes int) (*Subscription, error) {
 	if depth <= 0 || slotBytes <= 0 {
 		return nil, fmt.Errorf("mcast: subscription needs positive depth and slot size (got %d, %d)", depth, slotBytes)
@@ -290,86 +200,37 @@ func (s *SharedReceiver) Subscribe(g Group, depth, slotBytes int) (*Subscription
 	if s.closed.Load() {
 		return nil, fmt.Errorf("mcast: shared receiver closed")
 	}
-	arena := s.arenas[slotBytes]
-	if arena == nil {
-		arena = &slotArena{slotBytes: slotBytes}
-		s.arenas[slotBytes] = arena
+	if s.classify == nil {
+		return nil, fmt.Errorf("mcast: shared receiver routes through its handler")
 	}
 	sub := &Subscription{
-		g:     g,
-		s:     s,
-		arena: arena,
-		depth: int64(depth),
+		g:         g,
+		s:         s,
+		slotBytes: slotBytes,
+		ring:      make([]byte, depth*slotBytes),
+		lens:      make([]int, depth),
 		// Sized to the quota, so handing over a filled slot never blocks.
 		ready: make(chan int, depth),
 	}
-	// Insert behind the last subscription on the same arena (or at the
-	// end), keeping each slot size one contiguous run: the fan-out walks
-	// one run per slot size.
-	list := s.subs.load().list(g)
-	at := len(list)
-	for i, have := range list {
-		if have.arena == arena {
-			at = i + 1
-		}
-	}
-	s.subs.store(g, slices.Insert(slices.Clone(list), at, sub))
+	s.subs.store(g, append(slices.Clip(s.subs.load().list(g)), sub))
 	return sub, nil
 }
 
-// Unsubscribe detaches sub and hands it to the read loop for retirement.
-// A delivery routed under a snapshot loaded before the detach may still
-// land after return; the consumer simply stops draining Ready. Whatever
-// is left queued is released by the read loop — the only goroutine that
-// fills the queue, so nothing can slip in behind its drain — on its next
-// pass (or at Close). Slots the consumer still holds are its own to
-// Release.
+// Unsubscribe detaches sub. A delivery routed under a snapshot loaded
+// before the detach may still land after return; the consumer simply
+// stops draining Ready.
 func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	list := s.subs.load().list(sub.g)
-	idx := slices.Index(list, sub)
-	if idx < 0 {
-		return
-	}
-	s.subs.store(sub.g, slices.Delete(slices.Clone(list), idx, idx+1))
-	s.retired = append(s.retired, sub)
-	s.retiring.Store(true)
-}
-
-// retire releases the queued slots of every unsubscribed subscription.
-// It runs on the read loop between reads: the next dispatch loads a
-// snapshot that no longer holds them, so their queues stay empty.
-func (s *SharedReceiver) retire() {
-	if !s.retiring.Load() {
-		return
-	}
-	s.mu.Lock()
-	list := s.retired
-	s.retired = nil
-	s.retiring.Store(false)
-	s.mu.Unlock()
-	for _, sub := range list {
-		sub.drain()
-	}
-}
-
-// drain releases sub's reference to every slot still queued on it,
-// without ever waiting for one (the consumer may be taking them too).
-func (sub *Subscription) drain() {
-	for {
-		select {
-		case slot := <-sub.ready:
-			sub.Release(slot)
-		default:
-			return
-		}
+	if idx := slices.Index(list, sub); idx >= 0 {
+		s.subs.store(sub.g, slices.Delete(slices.Clone(list), idx, idx+1))
 	}
 }
 
 // run is the read loop: one read (a single datagram or a whole recvmmsg
-// batch, per the live rung) in, zero or more slot deliveries out. It owns
-// every ready channel and closes them all on exit.
+// batch, per the live rung) in, one handler call out. On exit it closes
+// the Ready channel of every subscription still attached.
 func (s *SharedReceiver) run() {
 	defer close(s.done)
 	var buf []byte // the portable rung's buffer, made on its first read
@@ -386,10 +247,8 @@ func (s *SharedReceiver) run() {
 		if !ok {
 			break
 		}
-		s.retire()
 	}
 	s.freeRecv()
-	s.retire()
 	// Wake every consumer: snapshot under mu so a racing Subscribe (which
 	// fails after closed is set) cannot add an unclosed channel.
 	s.mu.Lock()
@@ -411,7 +270,8 @@ func (s *SharedReceiver) readSingle(buf []byte) bool {
 		return s.noteReadError()
 	}
 	s.errStreak = 0
-	s.dispatch(buf[:n])
+	s.one[0] = buf[:n]
+	s.handle(s.one[:])
 	return true
 }
 
@@ -439,26 +299,10 @@ func (s *SharedReceiver) noteReadError() bool {
 	return true
 }
 
-// dispatch routes one datagram to every subscription of its group. It is
-// the per-datagram hot path: a snapshot load, the classifier, and the
-// fan-out — no allocation once the read loop's scratch list is warm.
-func (s *SharedReceiver) dispatch(frame []byte) {
-	g, ok := s.classify(frame)
-	if !ok {
-		s.unroutable.Inc()
-		return
-	}
-	s.fanOut(s.subs.load().list(g), frame)
-}
-
-// dispatchFrames routes a whole received batch under ONE subscription-
-// snapshot load — the batch mirror of dispatch, and the reason the
-// batched rung beats per-datagram reads even after the syscall win: the
-// atomic load and its cache traffic amortize across the run. Frames from
-// one batch are delivered in receive order, so the sequence every
-// subscription observes is identical to what per-datagram dispatch would
-// have produced.
-func (s *SharedReceiver) dispatchFrames(frames [][]byte) {
+// fanOut is the subscription adapter's Handler: each frame is classified
+// and copied into the ring of every subscription of its group, under one
+// snapshot load per read. It allocates nothing.
+func (s *SharedReceiver) fanOut(frames [][]byte) {
 	subs := s.subs.load()
 	for _, frame := range frames {
 		g, ok := s.classify(frame)
@@ -466,87 +310,43 @@ func (s *SharedReceiver) dispatchFrames(frames [][]byte) {
 			s.unroutable.Inc()
 			continue
 		}
-		s.fanOut(subs.list(g), frame)
+		for _, sub := range subs.list(g) {
+			sub.deliver(frame)
+		}
 	}
 }
 
-// fanOut delivers frame to a group's subscriptions, one run of
-// same-arena subscriptions at a time.
-func (s *SharedReceiver) fanOut(subs []*Subscription, frame []byte) {
-	for len(subs) > 0 {
-		n := 1
-		for n < len(subs) && subs[n].arena == subs[0].arena {
-			n++
-		}
-		s.deliver(subs[:n], frame)
-		subs = subs[n:]
-	}
-}
-
-// deliver copies frame once into a free slot of the run's arena and
-// queues that slot on every subscription of the run with quota left,
-// each holding one reference. A subscription at its quota (consumer too
-// slow), or every one when the slot is too small, drops it.
-func (s *SharedReceiver) deliver(run []*Subscription, frame []byte) {
-	a := run[0].arena
-	if len(frame) > a.slotBytes {
-		for _, sub := range run {
-			sub.drop()
-		}
+// deliver copies frame into sub's next slot and hands the slot over, or
+// drops it when it does not fit or the quota is spent.
+func (sub *Subscription) deliver(frame []byte) {
+	depth := len(sub.lens)
+	// Only this goroutine raises out, so a quota seen open stays open.
+	if len(frame) > sub.slotBytes || sub.out.Load() >= int64(depth) {
+		sub.dropped.Add(1)
+		sub.s.dropped.Inc()
 		return
 	}
-	taken := s.taken[:0]
-	for _, sub := range run {
-		if sub.out.Add(1) > sub.depth {
-			sub.out.Add(-1)
-			sub.drop()
-			continue
-		}
-		taken = append(taken, sub)
-	}
-	s.taken = taken
-	if len(taken) == 0 {
-		return
-	}
-	slot := a.get()
-	page, i := a.locate(slot)
-	copy(page.buf[i*a.slotBytes:], frame)
-	page.lens[i] = len(frame)
-	page.refs[i].Store(int32(len(taken))) // before any holder can Release
-	s.slots.Inc()
-	for _, sub := range taken {
-		sub.ready <- slot // never blocks: at most depth slots are outstanding
-	}
-	s.delivered.Add(int64(len(taken)))
-}
-
-func (sub *Subscription) drop() {
-	sub.dropped.Add(1)
-	sub.s.dropped.Inc()
+	sub.out.Add(1)
+	slot := sub.next
+	sub.next = (slot + 1) % depth
+	sub.lens[slot] = copy(sub.ring[slot*sub.slotBytes:], frame)
+	sub.s.delivered.Inc() // before the handoff: a consumer that has the slot sees it counted
+	sub.ready <- slot     // never blocks: at most depth slots are outstanding
 }
 
 // Ready delivers filled slot indices; it is closed when the shared
 // receiver shuts down.
 func (sub *Subscription) Ready() <-chan int { return sub.ready }
 
-// Frame returns slot's datagram bytes, valid until Release. They may be
-// shared with other subscriptions of the group: read them, never write.
+// Frame returns slot's datagram bytes, valid until Release.
 func (sub *Subscription) Frame(slot int) []byte {
-	page, i := sub.arena.locate(slot)
-	off := i * sub.arena.slotBytes
-	return page.buf[off : off+page.lens[i]]
+	off := slot * sub.slotBytes
+	return sub.ring[off : off+sub.lens[slot]]
 }
 
-// Release drops this subscription's reference to slot; the last holder
-// returns it to the arena for reuse.
-func (sub *Subscription) Release(slot int) {
-	sub.out.Add(-1)
-	page, i := sub.arena.locate(slot)
-	if page.refs[i].Add(-1) == 0 {
-		sub.arena.put(slot)
-		sub.s.slots.Dec()
-	}
-}
+// Release hands slot back to the ring; slots go back in the order Ready
+// delivered them.
+func (sub *Subscription) Release(int) { sub.out.Add(-1) }
 
 // Dropped returns how many datagrams this subscription lost to a spent
 // quota or an undersized slot.
@@ -554,19 +354,13 @@ func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
 
 // ReceiverStats is a shared receiver's ledger at one instant.
 type ReceiverStats struct {
-	// Delivered counts deliveries, one per (datagram, subscription)
-	// however many share a slot; Dropped the datagrams lost to a spent
-	// quota or an undersized slot; Unroutable those the classifier
-	// rejected.
+	// The subscription adapter's ledger (zero under a Handler):
+	// Delivered counts deliveries, one per (datagram, subscription);
+	// Dropped the datagrams lost to a spent quota or an undersized slot;
+	// Unroutable those the classifier rejected.
 	Delivered  int64 `json:"delivered"`
 	Dropped    int64 `json:"dropped"`
 	Unroutable int64 `json:"unroutable"`
-	// SlotsInUse is how many arena slots hold a frame (queued on or held
-	// by at least one subscription) — about one per datagram in flight per
-	// slot size, not one per delivery; SlotsPeak the most that ever did at
-	// once — times the slot size, the receiver's buffer footprint.
-	SlotsInUse int64 `json:"slotsInUse"`
-	SlotsPeak  int64 `json:"slotsPeak"`
 	// The ingress ledger: BatchedReads counts datagrams delivered through
 	// the recvmmsg rung (after GRO splitting) and ReadSyscalls every kernel
 	// receive invocation on either rung, so BatchedReads/ReadSyscalls is
@@ -586,8 +380,6 @@ func (s *SharedReceiver) Stats() ReceiverStats {
 		Delivered:    s.delivered.Value(),
 		Dropped:      s.dropped.Value(),
 		Unroutable:   s.unroutable.Value(),
-		SlotsInUse:   s.slots.Value(),
-		SlotsPeak:    s.slots.High(),
 		BatchedReads: s.batchedReads.Value(),
 		ReadSyscalls: s.readSyscalls.Value(),
 		GROSegments:  s.groSegments.Value(),

@@ -2,6 +2,7 @@ package mcast
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -132,9 +133,8 @@ func TestSharedReceiverFanIn(t *testing.T) {
 
 // TestSlotQuotaStallsOnlyItsSubscriber: a subscriber that stops draining
 // loses its own excess datagrams at its slot quota — counted, never
-// blocking the read loop — while a neighbour on the same group, drawing
-// on the same arena, receives every one; and the stalled subscription
-// pins exactly its quota of slots, no more.
+// blocking the read loop — while a neighbour on the same group receives
+// every one, each intact.
 func TestSlotQuotaStallsOnlyItsSubscriber(t *testing.T) {
 	s, err := NewSharedReceiver(0, testClassify)
 	if err != nil {
@@ -154,12 +154,18 @@ func TestSlotQuotaStallsOnlyItsSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := hub.Send(g, testFrame(g, 64)); err != nil {
+		frame := testFrame(g, 64)
+		frame[4] = byte(i)
+		if _, err := hub.Send(g, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 6; i++ {
-		live.Release(drain(t, live))
+		slot := drain(t, live)
+		if got := live.Frame(slot)[4]; got != byte(i) {
+			t.Fatalf("live subscription's frame %d carries tag %d: its ring was overwritten", i, got)
+		}
+		live.Release(slot)
 	}
 	if got := stuck.Dropped(); got != 4 {
 		t.Errorf("stuck subscription dropped %d datagrams, want 4 (quota 2 of 6 sent)", got)
@@ -167,11 +173,8 @@ func TestSlotQuotaStallsOnlyItsSubscriber(t *testing.T) {
 	if live.Dropped() != 0 {
 		t.Errorf("draining subscription dropped %d datagrams, want 0", live.Dropped())
 	}
-	if got := s.Stats().SlotsInUse; got != 2 {
-		t.Errorf("%d slots in use, want 2 (the stalled subscription's quota)", got)
-	}
-	if peak := s.Stats().SlotsPeak; peak < 3 || peak > 2+6 {
-		t.Errorf("slot peak %d, want in [3, 8] (stalled quota plus the live queue)", peak)
+	if st := s.Stats(); st.Delivered != 2+6 || st.Dropped != 4 {
+		t.Errorf("delivered=%d dropped=%d, want 8/4", st.Delivered, st.Dropped)
 	}
 }
 
@@ -239,10 +242,10 @@ func TestSharedReceiverCloseWakesConsumers(t *testing.T) {
 	}
 }
 
-// TestSharedRecvZeroAlloc is the alloc gate for the fan-in hot path,
-// mirroring TestSendZeroAlloc: dispatching a datagram to a populated
-// group — classify, snapshot load, slot copy, handoff — must not
-// allocate.
+// TestSharedRecvZeroAlloc is the alloc gate for the subscription
+// adapter, mirroring TestSendZeroAlloc: fanning a datagram out to a
+// populated group — classify, snapshot load, a copy into each ring,
+// handoff — must not allocate.
 func TestSharedRecvZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -261,15 +264,15 @@ func TestSharedRecvZeroAlloc(t *testing.T) {
 		}
 		subs = append(subs, sub)
 	}
-	frame := testFrame(g, 1052)
+	frames := [][]byte{testFrame(g, 1052)}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.dispatch(frame)
+		s.fanOut(frames)
 		for _, sub := range subs {
 			sub.Release(<-sub.Ready())
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("dispatch allocates %v objects per datagram, want 0", allocs)
+		t.Errorf("fan-out allocates %v objects per datagram, want 0", allocs)
 	}
 }
 
@@ -301,5 +304,53 @@ func TestSubscriptionsCopyOneGroup(t *testing.T) {
 	}
 	if per > 1024 {
 		t.Errorf("Subscribe+Unsubscribe inside a subscribed group of 500 allocates %d B, want <= 1024 (one group's list)", per)
+	}
+}
+
+// TestRecvHandlerSeesEveryRead: a receiver built with a Handler hands it
+// every datagram, in wire order, whichever rung reads them — a coalesced
+// same-group batch included — and has no subscriptions to offer.
+func TestRecvHandlerSeesEveryRead(t *testing.T) {
+	got := make(chan string, 64)
+	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Logf: t.Logf, Handle: func(frames [][]byte) {
+		for _, f := range frames {
+			got <- recvTag(f)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := Group{Video: 4, Channel: 1}
+	if _, err := s.Subscribe(g, 4, 64); err == nil {
+		t.Error("Subscribe succeeded on a receiver that routes through its handler")
+	}
+	hub, err := NewHub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if hub.SetVectorized(true) {
+		hub.SetGSO(true)
+	}
+	if err := hub.Join(g, s.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	var entries []BatchEntry
+	for i := 0; i < 8; i++ {
+		entries = append(entries, BatchEntry{Group: g, Frame: recvGoldenFrame(g, fmt.Sprintf("h%05d", i), 1052)})
+	}
+	if _, err := hub.SendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		select {
+		case tag := <-got:
+			if want := fmt.Sprintf("h%05d", i); tag != want {
+				t.Fatalf("frame %d = %q, want %q", i, tag, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("handler saw %d of 8 frames within 5s", i)
+		}
 	}
 }

@@ -180,8 +180,9 @@ type Server struct {
 
 	// shardRestarts counts supervisor restarts after egress shard panics;
 	// driftEvents broadcasts that missed their schedule by over one unit;
-	// wheelWakeups timer wakeups of the shards — each one releases every
-	// chunk due in its tick.
+	// wheelWakeups the ticks the shards released — a wake of the tick
+	// source that came too early to stage, or found nothing due, is not
+	// one.
 	// egressScheduled counts data chunks that fell due on the grid,
 	// egressStaged those that had a listener and were materialised: the
 	// gap is work the schedule names and nobody pays for.

@@ -60,8 +60,9 @@ type StatusSnapshot struct {
 	ShardRestarts int64 `json:"pacerRestarts"`
 	DriftEvents   int64 `json:"pacerDriftEvents"`
 	// EgressShards is how many shard goroutines the wheel runs;
-	// EgressWakeups their timer wakeups, each staging and releasing every
-	// chunk due in its tick.
+	// EgressWakeups the ticks they released, each staging and releasing
+	// every chunk due in it; a wake of the tick source too early to stage
+	// is not counted.
 	EgressShards  int   `json:"egressShards"`
 	EgressWakeups int64 `json:"egressWakeups"`
 	// EgressScheduled counts data chunks that fell due on the broadcast

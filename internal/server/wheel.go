@@ -428,7 +428,6 @@ func (sh *wheelShard) run() {
 		if !ticked {
 			return
 		}
-		s.wheelWakeups.Inc()
 		if !ok {
 			continue
 		}
@@ -451,6 +450,7 @@ func (sh *wheelShard) run() {
 			now = s.clock.hold(s.epoch.Add(next)).Sub(s.epoch)
 		}
 		sh.wakeLate.Observe(int64(now - next))
+		s.wheelWakeups.Inc()
 		sh.release()
 	}
 }

@@ -443,6 +443,28 @@ func TestWheelSustainsManyChannels(t *testing.T) {
 	}
 }
 
+// TestWheelWakeupsCountTicks: a tick source that always returns 3 ms
+// before its instant on a 5 ms grid sends the shard round its loop
+// thousands of times, but egressWakeups counts what the shard released —
+// one per tick, one release each — not how often the source returned.
+func TestWheelWakeupsCountTicks(t *testing.T) {
+	const ticks = 40
+	r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 20 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+	if q := r.sh.quantum(); q != 5*time.Millisecond {
+		t.Fatalf("grid spacing %v, want 5ms", q)
+	}
+	r.hearAll(t)
+	r.vc.work = time.Microsecond
+	r.vc.wake = -3 * time.Millisecond
+	r.play(ticks)
+	if r.vc.parks <= 2*ticks {
+		t.Fatalf("%d parks for %d ticks: the early source never sent the shard round again", r.vc.parks, ticks)
+	}
+	if got := r.srv.wheelWakeups.Value(); got != ticks || r.log.batches != ticks {
+		t.Errorf("%d wakeups and %d releases over %d parks, want %d of each (one a tick)", got, r.log.batches, r.vc.parks, ticks)
+	}
+}
+
 // TestWheelShardPanicRecovered is the supervisor's schedule half (its
 // session half is TestShardPanicRecoveredSession): the clock panics in a
 // shard's hold, after the tick was staged and before it was released; the

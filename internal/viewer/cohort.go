@@ -11,7 +11,6 @@ import (
 	"skyscraper/internal/core"
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/series"
-	"skyscraper/internal/wire"
 )
 
 // cohort is one set of viewers tuned identically: same video, same
@@ -114,20 +113,21 @@ func (c *cohort) run(groups []series.Group) error {
 
 // tuneEntry is one fragment on a loader's tuning schedule: which channel
 // to receive, when its join lead opens, and — once the tuner handoff has
-// fired — the live subscription opened from inside the previous
-// fragment's receive loop.
+// fired — the live tap opened from inside the previous fragment's receive
+// loop.
 type tuneEntry struct {
-	channel  int
-	g        series.Group
-	j        int
-	tuneUnit int64
-	joinAt   time.Time
-	sub      *mcast.Subscription // non-nil once tuned
+	channel   int
+	g         series.Group
+	j         int
+	tuneUnit  int64
+	seq       uint32 // the broadcast repetition received
+	videoBase int64  // where the fragment starts in the video, bytes
+	joinAt    time.Time
+	tap       *fragTap // non-nil once tuned
 }
 
 // loader receives loader ld's transmission groups in order — one of the
-// paper's two loader routines, its tuner a subscription on the shared
-// socket.
+// paper's two loader routines, its tuner a tap on the mux's router.
 func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 	m := c.mux
 	// Flatten the schedule so each fragment's receive loop can see its
@@ -140,11 +140,13 @@ func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 		for j := 0; j < d.Group.Count; j++ {
 			tuneUnit := d.FragmentStart(j)
 			entries = append(entries, &tuneEntry{
-				channel:  d.Group.First + j,
-				g:        d.Group,
-				j:        j,
-				tuneUnit: tuneUnit,
-				joinAt:   m.epoch.Add(time.Duration(tuneUnit)*m.unit - lead),
+				channel:   d.Group.First + j,
+				g:         d.Group,
+				j:         j,
+				tuneUnit:  tuneUnit,
+				seq:       uint32(tuneUnit / d.Group.Size),
+				videoBase: (d.Group.StartUnit + int64(j)*d.Group.Size) * int64(m.w.BytesPerUnit),
+				joinAt:    m.epoch.Add(time.Duration(tuneUnit)*m.unit - lead),
 			})
 		}
 	}
@@ -154,14 +156,14 @@ func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 			next = entries[i+1]
 		}
 		err := c.receiveFragment(e, next)
-		// Drop the finished entry: it pins its subscription's buffers, and
-		// a loader's schedule outlives any one fragment by the whole video.
+		// Drop the finished entry: it pins its tap's queue, and a loader's
+		// schedule outlives any one fragment by the whole video.
 		entries[i] = nil
 		if err != nil {
-			if next != nil && next.sub != nil {
+			if next != nil && next.tap != nil {
 				// The handoff had already tuned the successor; release it.
-				m.rcv.Unsubscribe(next.sub)
-				m.cc.leave(mcast.Group{Video: c.video, Channel: next.channel})
+				m.cc.leave(next.tap.g)
+				m.route.untap(next.tap)
 			}
 			return fmt.Errorf("viewer: cohort (video %d, start %d) %v loader: group %d %v channel %d: %w",
 				c.video, c.playStartUnit, ld, e.g.Index, e.g, e.channel, err)
@@ -170,65 +172,45 @@ func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 	return nil
 }
 
-// subDepth is how many received datagrams one subscription may hold
-// unreleased before further ones are dropped.
-const subDepth = 256
-
-// tune opens the cohort's tap on entry e's channel: subscribe first so no
+// tune opens the cohort's tap on entry e's channel: tap first so no
 // datagram lands between the join ack and the tap, then join.
 func (c *cohort) tune(e *tuneEntry) error {
 	m := c.mux
 	grp := mcast.Group{Video: c.video, Channel: e.channel}
-	// Every frame the group carries, data or parity, is one chunk behind
-	// a header, so that is the slot size.
-	sub, err := m.rcv.Subscribe(grp, subDepth, wire.EncodedSize(m.w.ChunkBytes))
-	if err != nil {
-		return err
-	}
+	tap := m.route.tap(grp, e.seq, int(e.g.Size)*m.w.BytesPerUnit, e.videoBase)
 	if err := m.cc.join(grp); err != nil {
-		m.rcv.Unsubscribe(sub)
+		m.route.untap(tap)
 		return err
 	}
-	e.sub = sub
+	e.tap = tap
 	return nil
 }
 
-// cohortFrag is one fragment reception shared by the whole cohort: the
-// machine the loader drives and the parity stripe it reassembles.
+// cohortFrag is one fragment reception shared by the whole cohort: its
+// schedule entry, and the machine the loader drives, fed by the entry's
+// tap. evs holds the events last taken from the tap, whose buffer goes
+// back as the next take's spare.
 type cohortFrag struct {
-	c          *cohort
-	channel    int
-	videoBase  int64
-	wantSeq    uint32
-	totalBytes int
-	m          *Machine
-
-	// stripe reassembles the broadcast's parity stripe once for the whole
-	// cohort (nil when the server sends none); heals is its reusable
-	// reconstruction buffer, consumed before the next frame is read.
-	stripe *Stripe
-	heals  []Heal
+	*tuneEntry
+	c   *cohort
+	m   *Machine
+	evs []rxEvent
 }
 
 // receiveFragment tunes one channel for the whole cohort: one join, one
-// subscription, one decode/verify pass per datagram and one recovery
-// round trip per loss, regardless of the cohort's size.
+// tap, and one recovery round trip per loss, regardless of the cohort's
+// size; the router has already decoded and verified each datagram once
+// for every cohort that hears it.
 //
 // When next is non-nil it is the successor fragment on the same loader,
 // and this loop performs the tuner handoff itself: it tunes next once
-// its join lead opens, so next's frames accumulate in its subscription
-// queue while this fragment's repair tail drains.
+// its join lead opens, so next's events accumulate on its tap while this
+// fragment's repair tail drains.
 func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
 	m := c.mux
 	size := g.Size
-	f := &cohortFrag{
-		c:          c,
-		channel:    channel,
-		videoBase:  (g.StartUnit + int64(j)*size) * int64(m.w.BytesPerUnit),
-		wantSeq:    uint32(tuneUnit / size),
-		totalBytes: int(size) * m.w.BytesPerUnit,
-	}
+	f := &cohortFrag{tuneEntry: e, c: c}
 	// Recovery timing — NACK windows and repair backoff — keys on the
 	// first member's seed, so a one-viewer cohort recovers on its viewer's
 	// own seed.
@@ -239,7 +221,7 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 		Size:           size,
 		TuneUnit:       tuneUnit,
 		PlayUnit:       c.playStartUnit + g.StartUnit + int64(j)*size,
-		TotalBytes:     f.totalBytes,
+		TotalBytes:     int(size) * m.w.BytesPerUnit,
 		ChunkBytes:     m.w.ChunkBytes,
 		BytesPerUnit:   m.w.BytesPerUnit,
 		Epoch:          m.epoch,
@@ -254,22 +236,16 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 			return JitterIn(seed, key, stream, window)
 		},
 		OnLost: func(idx, attempts int) {
-			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", channel, f.wantSeq, idx, attempts)
+			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", channel, f.seq, idx, attempts)
 			m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d",
 				c.video, c.playStartUnit, channel, idx)
 			c.lostShared.Add(1)
 			c.lostSharedBytes.Add(int64(f.m.ChunkLen(idx)))
 		},
 	})
-	// One stripe reassembler serves the whole cohort: a reconstruction
-	// heals every member at once, exactly like a chunk caught off the
-	// broadcast.
-	f.stripe = m.stripes.stripe(f.m.NChunks())
-	defer f.stripe.recycle()
-
 	// Join ahead of the broadcast start — unless the previous fragment's
 	// receive loop already tuned this entry during its handoff overlap.
-	if e.sub == nil {
+	if e.tap == nil {
 		if d := time.Until(e.joinAt); d > 0 {
 			time.Sleep(d)
 		}
@@ -277,30 +253,15 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 			return err
 		}
 	}
-	sub := e.sub
-	grp := mcast.Group{Video: c.video, Channel: channel}
-	defer m.rcv.Unsubscribe(sub)
-	defer m.cc.leave(grp)
+	defer m.route.untap(f.tap)
+	defer m.cc.leave(f.tap.g)
 
-	// Book the backlog that accumulated in the subscription queue during
-	// the tuner handoff before the machine's first deadline pass, so a
-	// boundary chunk that already arrived can never be mistaken for a
-	// gap, however late this loop starts.
-drain:
-	for {
-		select {
-		case slot, ok := <-sub.Ready():
-			if !ok {
-				return errors.New("shared receiver closed")
-			}
-			err := c.handleFrame(f, sub.Frame(slot), time.Now())
-			sub.Release(slot)
-			if err != nil {
-				return err
-			}
-		default:
-			break drain
-		}
+	// Book the backlog that accumulated on the tap during the tuner
+	// handoff before the machine's first deadline pass, so a boundary
+	// chunk that already arrived can never be mistaken for a gap, however
+	// late this loop starts.
+	if err := c.drainTap(f); err != nil {
+		return err
 	}
 
 	timer := time.NewTimer(time.Hour)
@@ -316,7 +277,7 @@ drain:
 		// Tuner handoff: once the successor's join lead opens, tune it
 		// from here, so whether its first chunks are caught off the
 		// broadcast no longer depends on how fast this loop exits.
-		if next != nil && next.sub == nil && !now.Before(next.joinAt) {
+		if next != nil && next.tap == nil && !now.Before(next.joinAt) {
 			if err := c.tune(next); err != nil {
 				return err
 			}
@@ -334,41 +295,17 @@ drain:
 			continue // that pass resolved the rest
 		}
 		wake := act.Wake
-		if next != nil && next.sub == nil && next.joinAt.Before(wake) {
+		if next != nil && next.tap == nil && next.joinAt.Before(wake) {
 			wake = next.joinAt
 		}
 		resetTimer(timer, max(wake.Sub(now), time.Millisecond))
 		select {
-		case slot, ok := <-sub.Ready():
-			if !ok {
-				return errors.New("shared receiver closed")
-			}
-			err := c.handleFrame(f, sub.Frame(slot), time.Now())
-			sub.Release(slot)
-			if err != nil {
+		case <-f.tap.wake:
+			// Everything posted since the last take — a whole read's run
+			// when the batched ingress rung lands one — is booked in one
+			// pass, before the next deadline recomputation.
+			if err := c.drainTap(f); err != nil {
 				return err
-			}
-			// The batched ingress rung lands whole contiguous runs in the
-			// queue at once; book the rest of the burst now — bounded by
-			// the slot quota so a saturated group cannot starve the
-			// repair passes — instead of paying one scheduler pass and
-			// one deadline recomputation per frame.
-			now = time.Now()
-		burst:
-			for i := 1; i < subDepth; i++ {
-				select {
-				case slot, ok := <-sub.Ready():
-					if !ok {
-						return errors.New("shared receiver closed")
-					}
-					err := c.handleFrame(f, sub.Frame(slot), now)
-					sub.Release(slot)
-					if err != nil {
-						return err
-					}
-				default:
-					break burst
-				}
 			}
 		case <-timer.C:
 		}
@@ -393,14 +330,14 @@ drain:
 // server's answer to the machine.
 func (c *cohort) nack(f *cohortFrag, chunks []int) {
 	m := c.mux
-	m.tracef("nack", "ch %d seq %d: %d chunks", f.channel, f.wantSeq, len(chunks))
-	accepted, err := m.cc.nack(c.video, f.channel, f.wantSeq, chunks)
+	m.tracef("nack", "ch %d seq %d: %d chunks", f.channel, f.seq, len(chunks))
+	accepted, err := m.cc.nack(c.video, f.channel, f.seq, chunks)
 	if err != nil {
 		var busy *busyError
 		if errors.As(err, &busy) {
 			c.busy.Add(1)
 		}
-		m.tracef("nack-fail", "ch %d seq %d: %v", f.channel, f.wantSeq, err)
+		m.tracef("nack-fail", "ch %d seq %d: %v", f.channel, f.seq, err)
 		m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
 			c.video, c.playStartUnit, f.channel, len(chunks), err)
 		accepted = nil
@@ -417,9 +354,9 @@ func (c *cohort) repair(f *cohortFrag, act Action) {
 	c.repairReqs.Add(1)
 	off := int64(idx) * int64(m.w.ChunkBytes)
 	if m.trace != nil {
-		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.wantSeq, idx, act.Attempt)
+		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.seq, idx, act.Attempt)
 	}
-	data, err := m.cc.repair(c.video, f.channel, f.wantSeq, off, f.m.ChunkLen(idx))
+	data, err := m.cc.repair(c.video, f.channel, f.seq, off, f.m.ChunkLen(idx))
 	now := time.Now()
 	outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
 	if err != nil {
@@ -449,84 +386,57 @@ func (c *cohort) repair(f *cohortFrag, act Action) {
 		if disp == Rescheduled {
 			note += fmt.Sprintf("; retry in %v", f.m.RetryAt(idx).Sub(now))
 		}
-		m.tracef(kind, "ch %d seq %d chunk %d attempt %d: %s", f.channel, f.wantSeq, idx, act.Attempt, note)
+		m.tracef(kind, "ch %d seq %d chunk %d attempt %d: %s", f.channel, f.seq, idx, act.Attempt, note)
 	}
 }
 
-// handleFrame books one datagram for the whole cohort: one decode, one
-// CRC check, one content verification — O(1) in the cohort's size. This
-// is the steady-state hot path; it allocates nothing.
-func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
-	m := c.mux
-	if wire.IsParity(frame) {
-		// Parity rides the same group as data; fold it into the cohort's
-		// stripe. Damaged or stray parity is dropped silently — redundancy
-		// must never fail a reception that the data path could finish.
-		if f.stripe == nil || f.m.Done() {
-			return nil
+// drainTap applies every event posted to f's tap since the last take.
+func (c *cohort) drainTap(f *cohortFrag) error {
+	f.evs = f.tap.take(f.evs)
+	for _, ev := range f.evs {
+		if err := c.apply(f, ev); err != nil {
+			return err
 		}
-		p, err := wire.DecodeParity(frame)
-		if err != nil || int(p.Video) != c.video || int(p.Channel) != f.channel || p.Seq != f.wantSeq ||
-			int(p.Total) != f.totalBytes {
-			return nil
-		}
-		f.heals = f.stripe.Parity(&p, f.heals[:0])
-		c.bookHeals(f, now)
-		return nil
-	}
-	ch, err := wire.Decode(frame)
-	if err != nil {
-		if errors.Is(err, wire.ErrBadCRC) {
-			c.byteErrors.Add(1)
-			return nil
-		}
-		return err
-	}
-	if int(ch.Video) != c.video || int(ch.Channel) != f.channel || ch.Seq != f.wantSeq {
-		return nil // stray datagram from an earlier membership or repetition
-	}
-	if int(ch.Total) != f.totalBytes || int(ch.Offset)%m.w.ChunkBytes != 0 || int(ch.Offset) >= f.totalBytes {
-		return fmt.Errorf("inconsistent chunk: offset %d total %d", ch.Offset, ch.Total)
-	}
-	if f.m.Done() {
-		return nil // post-deadline stray
-	}
-	idx := int(ch.Offset) / m.w.ChunkBytes
-	if f.m.Chunk(idx, now) == Duplicate {
-		return nil
-	}
-	if bad := content.Verify(ch.Payload, c.video, f.videoBase+int64(ch.Offset)); bad >= 0 {
-		c.byteErrors.Add(1)
-	}
-	c.credit(len(ch.Payload), now)
-	if f.stripe != nil {
-		f.heals = f.stripe.Data(idx, ch.Payload, f.heals[:0])
-		c.bookHeals(f, now)
 	}
 	return nil
 }
 
-// bookHeals books every chunk the stripe just reconstructed, for the
-// whole cohort at once. A heal is indistinguishable from a broadcast
-// arrival except in its accounting: the machine counts it as a FEC heal,
-// suppressing the NACK its window would have sent. Heal payloads alias
-// the stripe's pooled accumulators, so they are consumed here, before the
-// next frame is read.
-func (c *cohort) bookHeals(f *cohortFrag, now time.Time) {
-	m := c.mux
-	for _, h := range f.heals {
-		idx := h.Idx
-		if f.m.FecHealed(idx, now) == Duplicate {
-			continue
-		}
-		payload := h.Payload[:f.m.ChunkLen(idx)]
-		c.credit(len(payload), now)
-		if bad := content.Verify(payload, c.video, f.videoBase+int64(idx)*int64(m.w.ChunkBytes)); bad >= 0 {
+// apply books one routed datagram for the whole cohort — O(1) in the
+// cohort's size, and the decode, CRC check and content verification were
+// done once by the router for every cohort that hears the datagram. This
+// is the steady-state hot path; it allocates nothing.
+func (c *cohort) apply(f *cohortFrag, ev rxEvent) error {
+	switch ev.kind {
+	case rxStray:
+		return nil
+	case rxBadCRC:
+		c.byteErrors.Add(1)
+		return nil
+	case rxMalformed:
+		return errors.New("malformed datagram")
+	case rxInconsistent:
+		return fmt.Errorf("inconsistent chunk: offset %d total %d", ev.idx, ev.n)
+	}
+	if f.m.Done() {
+		return nil // post-deadline stray
+	}
+	now := time.Unix(0, ev.at)
+	if (ev.kind == rxData || ev.kind == rxDup) && f.m.Chunk(int(ev.idx), now) != Duplicate {
+		if ev.bad {
 			c.byteErrors.Add(1)
 		}
-		if m.trace != nil {
-			m.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", f.channel, f.wantSeq, idx)
+		c.credit(int(ev.n), now)
+	}
+	// A heal books like a broadcast arrival, save that the machine counts
+	// it as a FEC heal, suppressing the NACK its window would have sent.
+	if idx := int(ev.heal); idx >= 0 && f.m.FecHealed(idx, now) != Duplicate {
+		c.credit(f.m.ChunkLen(idx), now)
+		if ev.healBad {
+			c.byteErrors.Add(1)
+		}
+		if c.mux.trace != nil {
+			c.mux.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", f.channel, f.seq, idx)
 		}
 	}
-	f.heals = f.heals[:0]
+	return nil
 }

@@ -1,7 +1,6 @@
 package viewer
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,16 +11,57 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Steady-state hot path: one datagram must cost zero allocations.
+// Steady-state hot path: applying one routed datagram must cost zero
+// allocations.
 // ---------------------------------------------------------------------------
 
+// testMux is a mux that was never run: its geometry, and a router with a
+// stripe of width fecGroup (0: none).
+func testMux(chunkBytes, bytesPerUnit, fecGroup int) *Mux {
+	return &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: bytesPerUnit, FecGroup: fecGroup},
+		sess: &Session{}, unit: 10 * time.Millisecond, videoBytes: 1 << 20,
+		route: newRouter(chunkBytes, fecGroup)}
+}
+
+// tuneFrag tunes a fragment of cohort c with parameters p, starting
+// videoBase bytes into the video: its machine, and its tap on the mux's
+// router.
+func tuneFrag(c *cohort, p FragmentParams, videoBase int64) *cohortFrag {
+	e := &tuneEntry{channel: p.Channel, seq: uint32(p.TuneUnit / p.Size), videoBase: videoBase}
+	e.tap = c.mux.route.tap(mcast.Group{Video: p.Video, Channel: p.Channel}, e.seq, p.TotalBytes, videoBase)
+	return &cohortFrag{tuneEntry: e, c: c, m: NewMachine(p)}
+}
+
+// deliver routes frames, read off the socket at at, through f's router,
+// and applies what f's tap received.
+func deliver(f *cohortFrag, at time.Time, frames ...[]byte) error {
+	f.c.mux.route.route(frames, at)
+	return f.c.drainTap(f)
+}
+
+// dataFrame is chunk idx of fragment (video, channel, seq), total bytes
+// starting videoBase into the video, with its true content.
+func dataFrame(t testing.TB, video, channel int, seq uint32, total, chunkBytes int, videoBase int64, idx int) []byte {
+	t.Helper()
+	off := idx * chunkBytes
+	payload := make([]byte, min(chunkBytes, total-off))
+	content.Fill(payload, video, videoBase+int64(off))
+	frame, err := (&wire.Chunk{Video: uint16(video), Channel: uint16(channel), Seq: seq, Offset: uint32(off),
+		Total: uint32(total), Payload: payload}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestCohortConvergedPathZeroAlloc: a cohort applying routed datagrams to
+// its machine — accepted, then duplicate — allocates nothing.
 func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the gate")
 	}
 	const chunkBytes, nchunks = 512, 5
-	m := &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024},
-		unit: 10 * time.Millisecond, videoBytes: 1 << 20}
+	m := testMux(chunkBytes, 1024, 0)
 	c := &cohort{mux: m, video: 1, playStart: time.Unix(2001, 0)}
 	p := FragmentParams{
 		Video: 1, Channel: 2,
@@ -30,32 +70,28 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 		Epoch: time.Unix(2000, 0), Unit: 10 * time.Millisecond,
 		Slack: time.Second, Lag: time.Second,
 	}
-	f := &cohortFrag{c: c, channel: 2, wantSeq: 3, totalBytes: p.TotalBytes, videoBase: 4096, m: NewMachine(p)}
+	f := tuneFrag(c, p, 4096)
 
 	// Only nchunks-1 distinct frames, so the machine never completes and
-	// repeated deliveries walk the Accepted, then the Duplicate, branch.
+	// repeated events walk the Accepted, then the Duplicate, branch.
 	frames := make([][]byte, nchunks-1)
 	for i := range frames {
-		payload := make([]byte, chunkBytes)
-		content.Fill(payload, 1, f.videoBase+int64(i*chunkBytes))
-		ch := wire.Chunk{Video: 1, Channel: 2, Seq: 3, Offset: uint32(i * chunkBytes),
-			Total: nchunks * chunkBytes, Payload: payload}
-		frame, err := ch.Encode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames[i] = frame
+		frames[i] = dataFrame(t, 1, 2, 3, nchunks*chunkBytes, chunkBytes, f.videoBase, i)
 	}
-	now := p.Epoch.Add(60 * time.Millisecond)
+	m.route.route(frames, p.Epoch.Add(60*time.Millisecond))
+	evs := f.tap.take(nil)
+	if len(evs) != len(frames) {
+		t.Fatalf("%d events for %d frames", len(evs), len(frames))
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(400, func() {
-		if err := c.handleFrame(f, frames[i%len(frames)], now); err != nil {
+		if err := c.apply(f, evs[i%len(evs)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("receive path allocates %.1f bytes-objects per datagram, want 0", allocs)
+		t.Errorf("applying a routed datagram allocates %.1f objects, want 0", allocs)
 	}
 	if c.byteErrors.Load() != 0 {
 		t.Errorf("byteErrors %d after clean redeliveries", c.byteErrors.Load())
@@ -80,19 +116,14 @@ const stripeChunkBytes, stripeNChunks = 512, 8
 // 10 ms unit from playStart. Its frames are stripeData and stripeParity.
 func stripeCohort(t *testing.T, playStart time.Time) (*cohort, *cohortFrag) {
 	t.Helper()
-	m := &Mux{w: &wire.Welcome{ChunkBytes: stripeChunkBytes, BytesPerUnit: 1024}, sess: &Session{},
-		unit: 10 * time.Millisecond, videoBytes: 1 << 20}
+	m := testMux(stripeChunkBytes, 1024, 4)
 	c := &cohort{mux: m, video: 1, viewers: []int{0}, playStart: playStart}
-	f := &cohortFrag{
-		c: c, channel: 2, wantSeq: 3, videoBase: 0, totalBytes: stripeNChunks * stripeChunkBytes,
-		m: NewMachine(FragmentParams{
-			Video: 1, Channel: 2, Size: 4, TuneUnit: 12, PlayUnit: 100,
-			TotalBytes: stripeNChunks * stripeChunkBytes, ChunkBytes: stripeChunkBytes, BytesPerUnit: 1024,
-			Epoch: playStart.Add(-time.Second), Unit: 10 * time.Millisecond,
-			Slack: time.Second, Lag: time.Second, FecGroup: 4,
-		}),
-		stripe: newStripePool(4, stripeChunkBytes).stripe(stripeNChunks),
-	}
+	f := tuneFrag(c, FragmentParams{
+		Video: 1, Channel: 2, Size: 4, TuneUnit: 12, PlayUnit: 100,
+		TotalBytes: stripeNChunks * stripeChunkBytes, ChunkBytes: stripeChunkBytes, BytesPerUnit: 1024,
+		Epoch: playStart.Add(-time.Second), Unit: 10 * time.Millisecond,
+		Slack: time.Second, Lag: time.Second, FecGroup: 4,
+	}, 0)
 	return c, f
 }
 
@@ -106,12 +137,7 @@ func stripePayload(idx int) []byte {
 // stripeData is stripeCohort's data frame for chunk idx.
 func stripeData(t *testing.T, idx int) []byte {
 	t.Helper()
-	frame, err := (&wire.Chunk{Video: 1, Channel: 2, Seq: 3, Offset: uint32(idx * stripeChunkBytes),
-		Total: stripeNChunks * stripeChunkBytes, Payload: stripePayload(idx)}).Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame
+	return dataFrame(t, 1, 2, 3, stripeNChunks*stripeChunkBytes, stripeChunkBytes, 0, idx)
 }
 
 // stripeParity is the parity frame of stripeCohort's first group, with
@@ -154,9 +180,9 @@ func TestCohortBufferLedger(t *testing.T) {
 	m, sess := c.mux, c.mux.sess
 	at := func(ms int) time.Time { return playStart.Add(time.Duration(ms) * time.Millisecond) }
 	parity := stripeParity(t, 0, stripeNChunks*stripeChunkBytes)
-	deliver := func(ms int, frame []byte, wantLevel int64) {
+	arrive := func(ms int, frame []byte, wantLevel int64) {
 		t.Helper()
-		if err := c.handleFrame(f, frame, at(ms)); err != nil {
+		if err := deliver(f, at(ms), frame); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.downloaded.Load() - m.playedBytes(at(ms).Sub(playStart)); got != wantLevel {
@@ -164,22 +190,22 @@ func TestCohortBufferLedger(t *testing.T) {
 		}
 	}
 	data := func(idx int) []byte { return stripeData(t, idx) }
-	deliver(-30, data(0), 512)
-	deliver(-20, data(1), 1024)
-	deliver(-10, data(3), 1536)
-	deliver(0, parity, 2048)
+	arrive(-30, data(0), 512)
+	arrive(-20, data(1), 1024)
+	arrive(-10, data(3), 1536)
+	arrive(0, parity, 2048)
 	if f.m.Stats().FecHeals != 1 {
 		t.Fatalf("parity frame healed %d chunks, want chunk 2", f.m.Stats().FecHeals)
 	}
-	deliver(5, data(4), 2048)
+	arrive(5, data(4), 2048)
 	// The cohort's repair of chunk 5, booked as cohort.repair books it.
 	if f.m.RepairResult(5, RepairOK, 0, at(6)) != Repaired {
 		t.Fatal("repair of chunk 5 not booked")
 	}
 	c.credit(stripeChunkBytes, at(6))
-	deliver(7, data(5), 3072-716)
-	deliver(8, data(0), 3072-819)
-	deliver(20, data(6), 1536)
+	arrive(7, data(5), 3072-716)
+	arrive(8, data(0), 3072-819)
+	arrive(20, data(6), 1536)
 
 	if got := c.maxBuffer.Load(); got != highWater {
 		t.Errorf("buffer high-water %d, want %d", got, highWater)
@@ -219,85 +245,6 @@ func TestMaxInt64(t *testing.T) {
 	maxInt64(&a, 9)
 	if a.Load() != 9 {
 		t.Errorf("maxInt64 = %d, want 9", a.Load())
-	}
-}
-
-// TestTuneTurnoverAllocatesNoSlotMemory is the turnover mirror of the
-// gate above: once the receive arena is warm, a cohort's steady cycle of
-// tune (subscribe at the mux's depth), receive a burst, untune must not
-// allocate frame memory again — what a cycle allocates stays a small
-// fraction of one subscription's slot quota, which is what the
-// per-subscription rings used to allocate on every tune. Two cohorts
-// tune the group each cycle, and a datagram both hear occupies one slot,
-// so the slot peak stays within one burst, not two.
-func TestTuneTurnoverAllocatesNoSlotMemory(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race for the gate")
-	}
-	g := mcast.Group{Video: 1, Channel: 2}
-	rcv, err := mcast.NewSharedReceiver(0, func([]byte) (mcast.Group, bool) { return g, true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcv.Close()
-	hub, err := mcast.NewHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	if err := hub.Join(g, rcv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	const depth, burst = 256, 8
-	slotBytes := wire.EncodedSize(1024)
-	frame := make([]byte, slotBytes)
-	cycle := func() {
-		var subs [2]*mcast.Subscription
-		for k := range subs {
-			sub, err := rcv.Subscribe(g, depth, slotBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs[k] = sub
-		}
-		for i := 0; i < burst; i++ {
-			if _, err := hub.Send(g, frame); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, sub := range subs {
-			for i := 0; i < burst; i++ {
-				select {
-				case slot := <-sub.Ready():
-					sub.Release(slot)
-				case <-time.After(5 * time.Second):
-					t.Fatal("no delivery within 5s")
-				}
-			}
-			rcv.Unsubscribe(sub)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		cycle() // warm the arena
-	}
-	const cycles = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < cycles; i++ {
-		cycle()
-	}
-	runtime.ReadMemStats(&after)
-	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
-	if limit := uint64(depth * slotBytes / 16); perCycle > limit {
-		t.Errorf("a tune/untune cycle allocates %d bytes, want <= %d (1/16 of the %d-slot quota it may fill)",
-			perCycle, limit, depth)
-	}
-	if peak := rcv.Stats().SlotsPeak; peak > burst {
-		t.Errorf("slot peak %d over %d cycles of %d-frame bursts to two subscriptions, want <= %d (one slot per datagram)",
-			peak, cycles+3, burst, burst)
-	}
-	if n := rcv.Stats().SlotsInUse; n != 0 {
-		t.Errorf("%d slots in use after every frame was released", n)
 	}
 }
 

@@ -2,13 +2,14 @@
 // broadcast interleaves one parity frame per transmission group of G
 // data chunks (wire.KindParity); Stripe accumulates the running XOR of
 // the group's arrivals so a single missing datagram is reconstructed the
-// moment the last covering frame lands, with zero control round trips. The cohort multiplexer drives one Stripe per
-// fragment reception, drawn from one free list per Mux (stripePool):
-// chunk-sized accumulators go back to it once their group completes or
-// is evicted (at the stripe's next call, when the heals that alias them
-// are consumed) and the rest when the fragment ends, stripes themselves
-// when recycled. So the audience holds accumulators for the groups in
-// flight, and a recycled stripe's receive path allocates nothing.
+// moment the last covering frame lands, with zero control round trips.
+// The mux's router drives one Stripe per broadcast repetition somebody is
+// tuned to, drawn from one free list (stripePool): accumulators go back
+// to it once their group completes or is evicted (at the stripe's next
+// call, when the heals that alias them are consumed) and the rest when
+// the repetition's last fragment ends, stripes themselves when recycled.
+// So the audience holds accumulators for the groups in flight on the
+// broadcasts it hears, and a recycled stripe allocates nothing.
 package viewer
 
 import (
@@ -44,8 +45,8 @@ type stripeState struct {
 }
 
 // stripePool is the free list of stripes and chunk-sized accumulators
-// shared by every Stripe of one stripe geometry: the Mux keeps one for
-// all its cohorts' fragments, which draw from it concurrently.
+// shared by every Stripe of one stripe geometry: the router keeps one for
+// every broadcast it tracks. It is safe for concurrent use.
 type stripePool struct {
 	group, chunkBytes int
 
@@ -104,8 +105,8 @@ func (p *stripePool) state() *stripeState {
 	return st
 }
 
-// Stripe is the per-fragment reassembly buffer. Not safe for concurrent
-// use; the mux drives one per cohort fragment, from its receive loop.
+// Stripe is the per-repetition reassembly buffer. Not safe for
+// concurrent use; the router drives one per broadcast, under its lock.
 type Stripe struct {
 	pool    *stripePool
 	nchunks int

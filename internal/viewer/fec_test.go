@@ -119,22 +119,22 @@ func TestStripeGeometryReject(t *testing.T) {
 
 	t.Run("wrong Total at the cohort", func(t *testing.T) {
 		playStart := time.Unix(3000, 0)
-		c, f := stripeCohort(t, playStart)
+		_, f := stripeCohort(t, playStart)
 		for _, idx := range []int{0, 1, 3} {
-			if err := c.handleFrame(f, stripeData(t, idx), playStart); err != nil {
+			if err := deliver(f, playStart, stripeData(t, idx)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		total := uint32(stripeNChunks * stripeChunkBytes)
 		for _, wrong := range []uint32{total - stripeChunkBytes, total + stripeChunkBytes} {
-			if err := c.handleFrame(f, stripeParity(t, 0, wrong), playStart); err != nil {
+			if err := deliver(f, playStart, stripeParity(t, 0, wrong)); err != nil {
 				t.Fatal(err)
 			}
 			if n := f.m.Stats().FecHeals; n != 0 {
 				t.Fatalf("parity frame claiming a %d-byte fragment healed %d chunks of a %d-byte one", wrong, n, total)
 			}
 		}
-		if err := c.handleFrame(f, stripeParity(t, 0, total), playStart); err != nil {
+		if err := deliver(f, playStart, stripeParity(t, 0, total)); err != nil {
 			t.Fatal(err)
 		}
 		if n := f.m.Stats().FecHeals; n != 1 {

@@ -308,8 +308,8 @@ func TestMuxHeapFlatAcrossFragmentTurnover(t *testing.T) {
 			late = s
 		}
 	}
-	t.Logf("%d cohorts x %d fragments; heap in use after GC: early %d KiB, late max %d KiB; peak receive slots %d",
-		out.res.Cohorts, k, early>>10, late>>10, out.res.PeakRecvSlots)
+	t.Logf("%d cohorts x %d fragments; heap in use after GC: early %d KiB, late max %d KiB",
+		out.res.Cohorts, k, early>>10, late>>10)
 	const maxGrowth = 2 << 20
 	if late > early+maxGrowth {
 		t.Errorf("heap in use grew %d KiB from early to late in the run, want <= %d KiB: memory follows fragments completed",

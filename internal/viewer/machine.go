@@ -9,13 +9,14 @@
 //     scheduling with deadline-bounded jittered backoff, and degradation
 //     accounting.
 //
-//   - Mux (mux.go/cohort.go): the one driver of that machine. Viewers
-//     tuned to the same (video, channel set, phase) form a cohort sharing
-//     one receiver subscription, one decode/CRC/content-verify pass per
-//     datagram and one machine per fragment (repetition invariance: every
+//   - Mux (mux.go/cohort.go/route.go): the one driver of that machine.
+//     Viewers tuned to the same (video, channel set, phase) form a cohort
+//     sharing one machine per fragment (repetition invariance: every
 //     member receives the same datagrams, so every member misses the same
-//     chunks): one process holds 100k+ sessions, and a single session
-//     (RunSession, which client.Watch wraps) is a cohort of one.
+//     chunks), and the router decodes and verifies each datagram once
+//     for every cohort that hears it: one process holds 100k+ sessions,
+//     and a single session (RunSession, which client.Watch wraps) is a
+//     cohort of one.
 //
 // Machine is pure state: every method takes the current time explicitly
 // and touches no clock, socket, or goroutine, so the same transitions run
@@ -458,9 +459,6 @@ func (m *Machine) fecDefeatOff(idx int, cp, lb time.Duration) time.Duration {
 
 // WantSeq is the broadcast repetition this reception tunes to.
 func (m *Machine) WantSeq() uint32 { return uint32(m.p.TuneUnit / m.p.Size) }
-
-// NChunks is the fragment's chunk count.
-func (m *Machine) NChunks() int { return m.nchunks }
 
 // Done reports whether every chunk is resolved (received, repaired, or
 // declared lost).

@@ -201,7 +201,7 @@ func (mp *machinePair) check() {
 	// Attempts are recovery state, which retires with a resolved chunk's
 	// record (lazily on the incremental side, never on the reference
 	// side), so they are compared while the chunk is open.
-	for idx := 0; idx < mp.inc.NChunks(); idx++ {
+	for idx := 0; idx < mp.inc.nchunks; idx++ {
 		if mp.inc.Have(idx) != mp.ref.Have(idx) ||
 			!mp.inc.Have(idx) && mp.inc.Attempts(idx) != mp.ref.Attempts(idx) {
 			mp.failf("chunk %d: incremental have=%v attempts=%d, full scan have=%v attempts=%d", idx,
@@ -308,7 +308,7 @@ func TestMachineNextMatchesFullScan(t *testing.T) {
 // time until both machines are done.
 func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 	m := mp.ref
-	n := m.NChunks()
+	n := m.nchunks
 	start := m.arrival(-1)
 	// Broadcast arrivals: each chunk at its grid instant unless dropped;
 	// some late, some reordered, some duplicated.

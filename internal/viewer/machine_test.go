@@ -31,8 +31,8 @@ func testParams(epoch time.Time) FragmentParams {
 func TestMachineGeometry(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	m := NewMachine(testParams(epoch))
-	if m.NChunks() != 4 {
-		t.Fatalf("nchunks = %d, want 4", m.NChunks())
+	if m.nchunks != 4 {
+		t.Fatalf("nchunks = %d, want 4", m.nchunks)
 	}
 	if m.WantSeq() != 1 {
 		t.Errorf("wantSeq = %d, want 1 (tune unit 4 / size 4)", m.WantSeq())
@@ -57,8 +57,8 @@ func TestMachineTailChunkLen(t *testing.T) {
 	p := testParams(time.Unix(1000, 0))
 	p.TotalBytes = 250 // tail chunk short by 6 bytes
 	m := NewMachine(p)
-	if m.NChunks() != 4 {
-		t.Fatalf("nchunks = %d, want 4", m.NChunks())
+	if m.nchunks != 4 {
+		t.Fatalf("nchunks = %d, want 4", m.nchunks)
 	}
 	if m.ChunkLen(3) != 58 {
 		t.Errorf("tail chunkLen = %d, want 58", m.ChunkLen(3))

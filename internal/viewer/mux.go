@@ -206,16 +206,14 @@ type Result struct {
 	// PeakViewers and PeakCohorts are the concurrency high-water marks.
 	PeakViewers int64 `json:"peakViewers"`
 	PeakCohorts int64 `json:"peakCohorts"`
-	// Datagrams counts deliveries on the shared receiver, one per
-	// (datagram, subscription) — not per viewer; RecvDropped the
-	// datagrams lost to a subscription at its slot quota (they surface as
-	// repairs); PeakRecvSlots the most receive-arena slots ever filled at
-	// once — slots, not deliveries: every subscription that hears a
-	// datagram shares its one slot, so this tracks datagrams in flight.
-	// Times the slot size, it is the run's receive-buffer footprint.
-	Datagrams     int64 `json:"datagrams"`
-	RecvDropped   int64 `json:"recvDropped"`
-	PeakRecvSlots int64 `json:"peakRecvSlots"`
+	// Datagrams counts the router's deliveries, one per (datagram, cohort
+	// fragment tuned to its group) — strays of another repetition
+	// included, not per viewer — though each datagram is decoded,
+	// verified and stripe-folded once however many fragments hear it;
+	// RecvDropped the deliveries refused by a fragment's full event queue
+	// (they surface as repairs).
+	Datagrams   int64 `json:"datagrams"`
+	RecvDropped int64 `json:"recvDropped"`
 	// The ingress ledger of the shared receiver. BatchedReads counts
 	// datagrams drained through the recvmmsg rung (after GRO splitting);
 	// ReadSyscalls every kernel receive invocation —
@@ -281,9 +279,10 @@ func histFromCounts(counts map[int64]int64) []WaitBucket {
 
 // Mux is the virtual-viewer multiplexer: one process emulating Viewers
 // sessions against a live server. Viewers tuned to the same (video,
-// playback start) form a cohort sharing one receiver subscription per
-// channel, one decode/verify pass per datagram and one machine per
-// fragment; every control round trip goes over one connection.
+// playback start) form a cohort sharing one tap per channel and one
+// machine per fragment; the router decodes and verifies each datagram
+// once for every cohort that hears it; every control round trip goes
+// over one connection.
 type Mux struct {
 	cfg   MuxConfig
 	sess  *Session // non-nil for RunSession's one stated viewer
@@ -295,9 +294,9 @@ type Mux struct {
 	videoBytes int64
 	trace      *trace.Buffer
 
-	rcv     *mcast.SharedReceiver
-	cc      *controlConn
-	stripes *stripePool // every cohort fragment's parity stripe; nil without one
+	rcv   *mcast.SharedReceiver
+	route *router
+	cc    *controlConn
 
 	// bye latches a server-initiated drain for every viewer at once.
 	bye        atomic.Bool
@@ -384,7 +383,7 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 		m.videoBytes += s * int64(w.BytesPerUnit)
 	}
 	m.cc = cc
-	m.stripes = newStripePool(w.FecGroup, w.ChunkBytes)
+	m.route = newRouter(w.ChunkBytes, w.FecGroup)
 	return m, nil
 }
 
@@ -394,13 +393,7 @@ func (m *Mux) Run() (*Result, error) {
 	rcv, err := mcast.NewSharedReceiverConfigured(mcast.SharedReceiverConfig{
 		RecvBufBytes: m.cfg.RecvBufBytes,
 		Logf:         m.cfg.Logf,
-		Classify: func(frame []byte) (mcast.Group, bool) {
-			v, ch, _, _, ok := wire.PeekID(frame)
-			if !ok {
-				return mcast.Group{}, false
-			}
-			return mcast.Group{Video: int(v), Channel: int(ch)}, true
-		},
+		Handle:       func(frames [][]byte) { m.route.route(frames, time.Now()) },
 	})
 	if err != nil {
 		return nil, err
@@ -488,20 +481,19 @@ func (m *Mux) admit() []*cohort {
 func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	rs := m.rcv.Stats()
 	res := &Result{
-		Viewers:       m.cfg.Viewers,
-		Cohorts:       len(cohorts),
-		ElapsedSec:    elapsed.Seconds(),
-		PeakViewers:   m.liveViewers.High(),
-		PeakCohorts:   m.activeCohorts.High(),
-		Datagrams:     rs.Delivered,
-		RecvDropped:   rs.Dropped,
-		PeakRecvSlots: rs.SlotsPeak,
-		BatchedReads:  rs.BatchedReads,
-		ReadSyscalls:  rs.ReadSyscalls,
-		GroSegments:   rs.GROSegments,
-		GroFallbacks:  rs.GROFallbacks,
-		ReadErrors:    rs.ReadErrors,
-		Reconnects:    m.reconnects.Load(),
+		Viewers:      m.cfg.Viewers,
+		Cohorts:      len(cohorts),
+		ElapsedSec:   elapsed.Seconds(),
+		PeakViewers:  m.liveViewers.High(),
+		PeakCohorts:  m.activeCohorts.High(),
+		Datagrams:    m.route.delivered.Load(),
+		RecvDropped:  m.route.dropped.Load(),
+		BatchedReads: rs.BatchedReads,
+		ReadSyscalls: rs.ReadSyscalls,
+		GroSegments:  rs.GROSegments,
+		GroFallbacks: rs.GROFallbacks,
+		ReadErrors:   rs.ReadErrors,
+		Reconnects:   m.reconnects.Load(),
 	}
 	for _, co := range cohorts {
 		n := int64(len(co.viewers))
