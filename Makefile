@@ -86,9 +86,11 @@ race:
 # never aliasing dispatch memory, a heap that does not follow the
 # catalog), and the
 # injector's one decision path at stage (Stage ≡ per-chunk Send, counts
-# pinned per seed, held frames are copies) — under the race detector.
+# pinned per seed, held frames are copies), and the send-path warm (one
+# per heard tick, inside the lead, invisible to the fault plan and to
+# every member, its sink closed with the hub) — under the race detector.
 CHAOS_PKGS = ./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
-CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Route|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release
+CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Route|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release|Warm
 
 chaos:
 	$(GO) test -race -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
@@ -215,11 +217,13 @@ bench-scale:
 # wheel's dispatch cycle at 2..2100 channels and a whole
 # listener-gated dispatch at 200/400 channels with 5 % heard, plain and
 # behind the fault injector,
-# the shard wake lateness of both tick sources at 3.125 and 17.5 ms
-# spacing, and padded vs unpadded counter contention (see
-# EXPERIMENTS.md "Egress engine").
+# the first datagram's time to the receiver's kernel stamp after a
+# 0.5/5/17.5 ms quiet gap, sent cold and right after a warm, the shard
+# wake lateness of both tick sources at 3.125 and 17.5 ms spacing, and
+# padded vs unpadded counter contention (see EXPERIMENTS.md "Egress
+# engine").
 bench-egress:
-	$(GO) test -bench 'EgressFanout|EgressSuperframe|WheelDispatch|WheelWake|CounterParallel' -benchmem -run '^$$' -json \
+	$(GO) test -bench 'EgressFanout|EgressSuperframe|EgressWarm|WheelDispatch|WheelWake|CounterParallel' -benchmem -run '^$$' -json \
 		./internal/mcast ./internal/server ./internal/metrics > BENCH_egress.json
 	$(BENCHMETA) bench-egress >> BENCH_egress.json
 

@@ -158,6 +158,15 @@ type Hub struct {
 	failing  map[memberKey]int
 	nfailing atomic.Int32
 	evicted  metrics.PaddedCounter
+
+	// sink is the warm sink's raw descriptor (warm_linux.go), -1 when
+	// there is none or the hub is closed, and sinkAP its address; sinkMu
+	// keeps Close from closing it under a Warm. warms counts the warms
+	// sent.
+	sinkMu sync.RWMutex
+	sink   int
+	sinkAP netip.AddrPort
+	warms  metrics.PaddedCounter
 }
 
 var (
@@ -210,13 +219,14 @@ func NewHubConfigured(cfg HubConfig) (*Hub, error) {
 			return nil, fmt.Errorf("mcast: sizing receive buffer: %w", err)
 		}
 	}
-	h := &Hub{conn: conn, logf: cfg.Logf}
+	h := &Hub{conn: conn, logf: cfg.Logf, sink: -1}
 	if h.logf == nil {
 		h.logf = func(string, ...any) {}
 	}
 	h.members.init()
 	h.initVectorized()
 	h.initGSO()
+	h.initWarm()
 	return h, nil
 }
 
@@ -386,6 +396,9 @@ type HubStats struct {
 	SegmentsPerSuperframe float64 `json:"segmentsPerSuperframe"`
 	SegmentsPerSyscall    float64 `json:"segmentsPerSyscall"`
 	GSOFallbacks          int64   `json:"gsoFallbacks"`
+	// EgressWarms counts Warm's datagrams: each went to the hub's own
+	// sink, none to a member, and none is in any count above.
+	EgressWarms int64 `json:"egressWarms"`
 }
 
 // Stats returns the hub's ledger.
@@ -405,6 +418,7 @@ func (h *Hub) Stats() HubStats {
 		GSOSegments:     h.gsoSegments.Value(),
 		GSOSyscalls:     h.gsoSyscalls.Value(),
 		GSOFallbacks:    h.gsoFallbacks.Value(),
+		EgressWarms:     h.warms.Value(),
 	}
 	m := h.members.load()
 	for g := range m {
@@ -419,13 +433,15 @@ func (h *Hub) Stats() HubStats {
 	return st
 }
 
-// Close shuts the sending socket; subsequent Joins and Sends fail.
+// Close shuts the sending socket and the warm sink; subsequent Joins and
+// Sends fail, and Warms do nothing.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed.Swap(true) {
 		return nil
 	}
+	h.closeSink()
 	return h.conn.Close()
 }
 

@@ -25,6 +25,11 @@ type (
 
 func (h *Hub) initVectorized() {}
 func (h *Hub) initGSO()        {}
+func (h *Hub) initWarm()       {}
+func (h *Hub) closeSink()      {}
+
+// Warm does nothing here: the hub opens no sink to warm against.
+func (h *Hub) Warm() {}
 
 // SetVectorized and SetGSO report false: neither can be enabled here.
 func (h *Hub) SetVectorized(on bool) bool { return false }

@@ -23,10 +23,12 @@ import (
 )
 
 // hubSeam is what the server sends through and keeps memberships in: the
-// hub, or a recording fake under tests.
+// hub, or a recording fake under tests. Warm readies the send path for the
+// next send and reaches no member (mcast.Hub.Warm).
 type hubSeam interface {
 	mcast.BatchSender
 	SendRepairBatch(entries []mcast.BatchEntry) (int, error)
+	Warm()
 	Join(g mcast.Group, addr *net.UDPAddr) error
 	Leave(g mcast.Group, addr *net.UDPAddr)
 }

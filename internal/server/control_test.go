@@ -49,6 +49,8 @@ func (h *fakeHub) SendRepairBatch(entries []mcast.BatchEntry) (int, error) {
 	return len(entries), nil
 }
 
+func (*fakeHub) Warm() {}
+
 func (h *fakeHub) Join(g mcast.Group, addr *net.UDPAddr) error {
 	h.members[member{g, addr.Port}] = true
 	return nil

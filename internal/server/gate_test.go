@@ -246,6 +246,52 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 	}
 }
 
+// coldLog is a sendLog whose warms do nothing: the seam of a server that
+// does not warm.
+type coldLog struct{ *sendLog }
+
+func (coldLog) Warm() {}
+
+// TestFaultCountsIgnoreWarm: the warm is invisible to the fault plan. A
+// seeded plan run with the stage's warms noted, and run again with them
+// doing nothing, books the same counts, releases the same frames at the
+// same instants, and only the first run warmed — once a heard tick.
+func TestFaultCountsIgnoreWarm(t *testing.T) {
+	const ticks = 60
+	plan := faults.Plan{Seed: 11, Drop: 0.05, Duplicate: 0.05, Reorder: 0.05,
+		BurstEnter: 0.05, BurstExit: 0.3, BurstDrop: 0.8, ChunkBytes: 1024}
+	run := func(warm bool) (faults.Counts, *wheelRig) {
+		var counts faults.Counts
+		r := twice(t, func() *wheelRig {
+			r := faultRig(t, plan, 3, 5, 3*1024)
+			if !warm {
+				r.srv.send = coldLog{r.log}
+			}
+			for _, e := range r.sh.entries[:5] {
+				r.join(t, e.group)
+			}
+			r.play(ticks)
+			counts = r.srv.inj.Counts()
+			return r
+		})
+		return counts, r
+	}
+	warmCounts, warmed := run(true)
+	coldCounts, cold := run(false)
+	if warmCounts.Dropped == 0 || warmCounts.Duplicated == 0 || warmCounts.Reordered == 0 {
+		t.Fatalf("plan left a fault kind unexercised: %+v", warmCounts)
+	}
+	if warmCounts != coldCounts {
+		t.Errorf("fault counts depend on the warm:\n  warmed %+v\n  cold   %+v", warmCounts, coldCounts)
+	}
+	if !slices.Equal(warmed.log.sent, cold.log.sent) {
+		t.Errorf("warmed run released %d frames, cold run %d, not the same", len(warmed.log.sent), len(cold.log.sent))
+	}
+	if len(warmed.log.warms) != warmed.log.batches || len(cold.log.warms) != 0 {
+		t.Errorf("%d warms for %d releases warmed, %d cold; want one a release, and none", len(warmed.log.warms), warmed.log.batches, len(cold.log.warms))
+	}
+}
+
 // TestStageSendsNothingBeforeRelease: staging a tick — fault plan and all
 // — puts nothing on the wire; release hands the tick over in one batch,
 // and no frame leaves before its grid instant.

@@ -248,10 +248,11 @@ func TestLeadCloseDuringHold(t *testing.T) {
 	}
 }
 
-// TestTickBudgetReported: with a listener, every tick's staging and send
-// are timed — here each reading of the clock costs 10 µs, so both take
-// exactly that — and /status carries the tick's budget — lead, staging,
-// send — under its names beside the wake lateness.
+// TestTickBudgetReported: with a listener, every tick's staging, warm
+// and send are timed — here each reading of the clock costs 10 µs, so the
+// warm and the send take exactly that, and the staging, which the warm
+// ends, twice that — and /status carries the tick's budget — lead,
+// staging, warm, send — under its names beside the wake lateness.
 func TestTickBudgetReported(t *testing.T) {
 	const work = 10 * time.Microsecond
 	r := twice(t, func() *wheelRig {
@@ -264,10 +265,13 @@ func TestTickBudgetReported(t *testing.T) {
 	snap := r.srv.Status()
 	// A log2 bucket holds [2^(b-1), 2^b) ns; its quantiles interpolate
 	// inside it.
-	inBucket := func(us float64) bool { return us >= float64(work)/2e3 && us <= 2*float64(work)/1e3 }
-	if !inBucket(snap.EgressStageP50Us) || !inBucket(snap.EgressSendP50Us) || !inBucket(snap.EgressSendP99Us) {
-		t.Errorf("tick budget: stage p50 %v us, send p50 %v us, p99 %v us; want each in %v's bucket",
-			snap.EgressStageP50Us, snap.EgressSendP50Us, snap.EgressSendP99Us, work)
+	inBucket := func(us float64, d time.Duration) bool { return us >= float64(d)/2e3 && us <= 2*float64(d)/1e3 }
+	if !inBucket(snap.EgressWarmP50Us, work) || !inBucket(snap.EgressSendP50Us, work) || !inBucket(snap.EgressSendP99Us, work) {
+		t.Errorf("tick budget: warm p50 %v us, send p50 %v us, p99 %v us; want each in %v's bucket",
+			snap.EgressWarmP50Us, snap.EgressSendP50Us, snap.EgressSendP99Us, work)
+	}
+	if !inBucket(snap.EgressStageP50Us, 2*work) {
+		t.Errorf("tick budget: stage p50 %v us, want in %v's bucket", snap.EgressStageP50Us, 2*work)
 	}
 	if max := float64(r.sh.leadBound()) / 1e3; snap.EgressWakeLeadUs <= 0 || snap.EgressWakeLeadUs > max {
 		t.Errorf("egressWakeLeadUs = %v, outside (0, %v]", snap.EgressWakeLeadUs, max)
@@ -276,7 +280,7 @@ func TestTickBudgetReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"egressWakeLeadUs":`, `"egressStageP50Us":`, `"egressSendP50Us":`, `"egressSendP99Us":`} {
+	for _, field := range []string{`"egressWakeLeadUs":`, `"egressStageP50Us":`, `"egressWarmP50Us":`, `"egressSendP50Us":`, `"egressSendP99Us":`} {
 		if !strings.Contains(string(doc), field) {
 			t.Errorf("/status document lacks %s", field)
 		}

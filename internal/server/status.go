@@ -83,11 +83,15 @@ type StatusSnapshot struct {
 	// largest across shards), EgressStageP50Us how long staging a tick's
 	// batch takes — spent before the instant when the lead covers it — and
 	// EgressSendP50Us/P99Us how long inside the sender's SendBatch.
+	// EgressWarmP50Us is how long the warm that ends a heard tick's stage
+	// takes (part of EgressStageP50Us; the hub counts the warms, as
+	// egressWarms).
 	EgressTickSource    string  `json:"egressTickSource"`
 	EgressWakeLateP50Us float64 `json:"egressWakeLateP50Us"`
 	EgressWakeLateP99Us float64 `json:"egressWakeLateP99Us"`
 	EgressWakeLeadUs    float64 `json:"egressWakeLeadUs"`
 	EgressStageP50Us    float64 `json:"egressStageP50Us"`
+	EgressWarmP50Us     float64 `json:"egressWarmP50Us"`
 	EgressSendP50Us     float64 `json:"egressSendP50Us"`
 	EgressSendP99Us     float64 `json:"egressSendP99Us"`
 	// Draining reports a server in graceful shutdown.
@@ -117,6 +121,7 @@ func (s *Server) Status() StatusSnapshot {
 	}
 	wakeLate := s.wakeLateness()
 	stageTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.stageTime })
+	warmTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.warmTime })
 	sendTime := s.shardHist(func(sh *wheelShard) *metrics.Log2Histogram { return &sh.sendTime })
 	return StatusSnapshot{
 		Videos:              sch.Config().Videos,
@@ -149,6 +154,7 @@ func (s *Server) Status() StatusSnapshot {
 		EgressWakeLateP99Us: float64(wakeLate.Quantile(0.99)) / 1e3,
 		EgressWakeLeadUs:    float64(s.wakeLead()) / 1e3,
 		EgressStageP50Us:    float64(stageTime.Quantile(0.50)) / 1e3,
+		EgressWarmP50Us:     float64(warmTime.Quantile(0.50)) / 1e3,
 		EgressSendP50Us:     float64(sendTime.Quantile(0.50)) / 1e3,
 		EgressSendP99Us:     float64(sendTime.Quantile(0.99)) / 1e3,
 		Draining:            s.draining.Load(),

@@ -148,16 +148,38 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// tickKeys are the /status keys of the wheel's tick budget.
+var tickKeys = []string{
+	"egressTickSource", "egressWakeLateP50Us", "egressWakeLateP99Us", "egressWakeLeadUs",
+	"egressStageP50Us", "egressWarmP50Us", "egressSendP50Us", "egressSendP99Us", "egressWarms",
+}
+
 // TestStatusHTTP: the ops-facing HTTP endpoint serves the document at
-// /status, answers health checks and 404s, and refuses a ServeStatus
-// before Start.
+// /status with the tick budget's keys — a heard broadcast has been warmed,
+// at most once a released tick — answers health checks and 404s, and
+// refuses a ServeStatus before Start.
 func TestStatusHTTP(t *testing.T) {
 	srv, base, _, _ := statusServer(t)
 	code, doc := httpGet(t, base, "/status")
 	if code != http.StatusOK {
 		t.Fatalf("/status answered %d", code)
 	}
-	checkDocument(t, srv, "http", decodeStrict(t, doc))
+	st := decodeStrict(t, doc)
+	checkDocument(t, srv, "http", st)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range tickKeys {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("/status lacks %q", k)
+		}
+	}
+	// The document reads the warms before the wakeups, and a shard counts
+	// a tick's warm before its wakeup: each shard may be one tick between.
+	if st.EgressWarms == 0 || st.EgressWarms > st.EgressWakeups+int64(st.EgressShards) {
+		t.Errorf("egressWarms = %d for %d wakeups of %d shards, want in [1, wakeups + shards]", st.EgressWarms, st.EgressWakeups, st.EgressShards)
+	}
 
 	if code, _ := httpGet(t, base, "/healthz"); code != http.StatusOK {
 		t.Errorf("healthz status %d", code)

@@ -14,7 +14,11 @@
 // the way it is by a wait that is all nanosleep or spin. The shard does
 // finish each wait with a hold on the clock, but one bounded by the wake
 // latency and staging time it has measured (leadEstimator, together at
-// most maxWakeLead), not by the length of the wait.
+// most maxWakeLead), not by the length of the wait. Staging ends with the
+// send-path warm (mcast.Hub.Warm) when anything is heard, so the staging
+// time the lead covers includes it: a transmit path left idle for a tick
+// is cold, and it is the warm, not the tick's first datagram, that pays
+// for that before the instant.
 //
 // Everywhere else, and whenever the timerfd cannot be created or stops
 // answering, the shard waits on time.Timer exactly as before. Which one

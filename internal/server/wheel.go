@@ -16,9 +16,12 @@
 // A tick is built before its instant and only sent on it. Nothing in a
 // frame depends on the instant it leaves at, so a shard wakes early
 // enough to stage the whole batch — fault-plan decisions for every due
-// chunk, materialised frames for the heard ones, cursors advanced — then
-// holds on the clock, and at the instant only releases it: the one send,
-// the drift check.
+// chunk, materialised frames for the heard ones, cursors advanced — and,
+// when anything is heard, to warm the send path with one datagram to the
+// hub's own sink (mcast.Hub.Warm), then holds on the clock, and at the
+// instant only releases it: the one send, the drift check. Without the
+// warm the tick's first datagram would pay tens of microseconds after the
+// instant for a transmit path gone cold since the last tick.
 //
 // What every channel is owed:
 //
@@ -163,11 +166,12 @@ type wheelShard struct {
 	tick   tickSource
 	// wakeLate records, for every tick, how far past its grid instant the
 	// shard began the release; stageTime how long staging the tick took
-	// (before the instant, when the lead covered it), and sendTime, when
-	// there was anything to send, how long inside SendBatch. All in
-	// nanoseconds.
+	// (before the instant, when the lead covered it), warmTime, when there
+	// was anything to send, how long the warm at its end took, and
+	// sendTime how long inside SendBatch. All in nanoseconds.
 	wakeLate  metrics.Log2Histogram
 	stageTime metrics.Log2Histogram
+	warmTime  metrics.Log2Histogram
 	sendTime  metrics.Log2Histogram
 	// wakeLead and stageLead are what the shard has measured its wake
 	// latency and its staging time to be; it arms its tick source their
@@ -456,9 +460,10 @@ func (sh *wheelShard) run() {
 }
 
 // stage builds the tick collect put in due, for the batch to leave at the
-// epoch offset at, and reports how long that took; it sends nothing. The
-// hub's membership snapshot is read once, on entry (and the per-channel
-// answers redrawn only if it is not the one the last stage saw): a chunk
+// epoch offset at, and reports how long that took; it sends nothing a
+// member hears. The hub's membership snapshot is read once, on entry (and
+// the per-channel answers redrawn only if it is not the one the last stage
+// saw): a chunk
 // whose group has a member is materialised into the shard's arena and
 // staged into the tick's one batch, and a chunk nobody hears is not built
 // at all. Under a fault plan every due frame, built or not, meets the
@@ -480,6 +485,12 @@ func (sh *wheelShard) run() {
 // sequences stay contiguous on the grid, and a listener's share of the
 // batch — one run or twenty channels' chunks — is what the hub's GSO path
 // coalesces into super-frames.
+//
+// A non-empty batch ends the stage with a warm (hubSeam.Warm), inside the
+// timed region, so the stage lead — and with it the wake lead — covers
+// it. Last, only the hold stands between the warm and the release, and a
+// tick nobody hears is known not to need one. The fault plan never sees
+// it.
 func (sh *wheelShard) stage(at time.Duration) time.Duration {
 	s := sh.s
 	began := s.clock.now()
@@ -517,7 +528,14 @@ func (sh *wheelShard) stage(at time.Duration) time.Duration {
 	}
 	s.egressScheduled.Add(scheduled)
 	s.egressStaged.Add(staged)
-	took := s.clock.now().Sub(began)
+	end := s.clock.now()
+	if len(sh.batch) > 0 {
+		s.send.Warm()
+		warmed := s.clock.now()
+		sh.warmTime.Observe(int64(warmed.Sub(end)))
+		end = warmed
+	}
+	took := end.Sub(began)
 	sh.stageTime.Observe(int64(took))
 	return took
 }

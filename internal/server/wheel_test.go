@@ -173,8 +173,9 @@ type sentFrame struct {
 
 // sendLog stands in for the hub behind a wheelRig's seam: every frame it
 // is handed is decoded, a data frame checked against the content
-// function, and noted with the virtual instant it left at. Re-sends are
-// only counted: they leave from control goroutines, off the clock.
+// function, and noted with the virtual instant it left at, and every warm
+// is noted with its instant. Re-sends are only counted: they leave from
+// control goroutines, off the clock.
 type sendLog struct {
 	mu  sync.Mutex
 	srv *Server
@@ -187,7 +188,18 @@ type sendLog struct {
 	err    error
 
 	sent                                 []sentFrame
+	warms                                []time.Duration
 	batches, frames, parity, bad, resent int
+}
+
+// Warm notes the virtual instant, from the epoch, a stage warmed at,
+// unless the log is quiet.
+func (l *sendLog) Warm() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.quiet {
+		l.warms = append(l.warms, l.vc.t.Sub(l.srv.epoch))
+	}
 }
 
 func (l *sendLog) SendBatch(entries []mcast.BatchEntry) (int, error) {
@@ -416,6 +428,77 @@ func TestWheelGoldenEquivalence(t *testing.T) {
 	if d := r.srv.driftEvents.Value(); d != 0 {
 		t.Errorf("%d drift events, want 0", d)
 	}
+}
+
+// TestWheelWarmsEachHeardTick: the stage of a tick with anything heard
+// ends with exactly one warm, strictly before the tick's release begins
+// and — on every tick the shard woke in time to lead by more than a few
+// readings of the clock — strictly before the tick's instant, so the lead
+// covers it. Nobody hears a tick, nothing warms it: the shard still
+// wakes for every tick but neither warms nor sends.
+func TestWheelWarmsEachHeardTick(t *testing.T) {
+	const unit, ticks, work = 20 * time.Millisecond, 80, 2 * time.Microsecond
+	cfg := Config{Scheme: wheelScheme(t, 1, 3), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf}
+
+	t.Run("heard", func(t *testing.T) {
+		var margins []time.Duration // per park: how far the lead exceeded the wake
+		r := twice(t, func() *wheelRig {
+			margins = nil
+			r := newWheelRig(t, cfg)
+			r.hearAll(t)
+			r.vc.work = work
+			rng := rand.New(rand.NewSource(5))
+			r.vc.onPark = func(int) {
+				r.vc.wake = time.Duration(rng.Int63n(int64(150 * time.Microsecond)))
+				margins = append(margins, r.sh.lead(r.sh.leadBound())-r.vc.wake)
+			}
+			r.play(ticks)
+			return r
+		})
+		checkOnGrid(t, r, unit)
+		if len(r.log.warms) != r.log.batches || r.log.batches != ticks {
+			t.Fatalf("%d warms for %d releases in %d ticks, want one a tick", len(r.log.warms), r.log.batches, ticks)
+		}
+		// release[b] is when release b+1 handed its batch over; instant[b]
+		// the grid instant of its tick.
+		release := make([]time.Duration, ticks)
+		instant := make([]time.Duration, ticks)
+		for i := range instant {
+			instant[i] = -1
+		}
+		for _, f := range r.log.sent {
+			b := f.batch - 1
+			release[b] = f.at
+			if due := r.grid(f.g).dueOf(f.n, f.c); instant[b] < 0 || due < instant[b] {
+				instant[b] = due
+			}
+		}
+		led := 0
+		for b, at := range r.log.warms {
+			if at >= release[b] {
+				t.Errorf("tick %d: warmed at epoch+%v, not before its release began at %v", b+1, at, release[b])
+			}
+			if margins[b] > 10*work {
+				led++
+				if at >= instant[b] {
+					t.Errorf("tick %d led by %v: warmed at epoch+%v, not before its instant %v", b+1, margins[b], at, instant[b])
+				}
+			}
+		}
+		if led < ticks/4 {
+			t.Errorf("the shard led %d of %d ticks by more than %v; the script checks too little", led, ticks, 10*work)
+		}
+	})
+
+	t.Run("unheard", func(t *testing.T) {
+		r := newWheelRig(t, cfg)
+		r.vc.work = work
+		r.play(ticks)
+		if got := r.srv.wheelWakeups.Value(); got != ticks || r.log.batches != 0 || len(r.log.warms) != 0 {
+			t.Errorf("nobody listening: %d wakeups, %d releases, %d warms in %d ticks, want %d, 0, 0",
+				got, r.log.batches, len(r.log.warms), ticks, ticks)
+		}
+	})
 }
 
 // TestWheelSustainsManyChannels: 100 videos × 21 channels on one shard
