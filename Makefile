@@ -43,9 +43,9 @@ fmt-check:
 # every concurrent sender), the server (egress shards, control
 # handlers and re-sends all materialising frames from the same CRC
 # table, each into memory of its own), and the viewer mux with its
-# one-session front (every client.Watch runs the mux's loader
-# goroutines against its router on the receiver's read loop) are
-# concurrent; every PR must pass the race detector over them.
+# one-session front (every client.Watch runs the mux's read loop
+# against its control goroutine) are concurrent; every PR must pass the
+# race detector over them.
 race:
 	$(GO) test -race ./internal/des ./internal/metrics ./internal/sim ./internal/bench \
 		./internal/faults ./internal/mcast ./internal/viewer ./internal/client ./internal/wire ./internal/server
@@ -72,7 +72,9 @@ race:
 # under drop/duplicate/reorder with the stripe on, byte errors per
 # cohort, zero allocations per routed read, tap turnover retaining
 # nothing, 200 closed receivers leaving no descriptor, mapping or
-# goroutine), and the
+# goroutine), the audience's one loop (a pause of three repair lags
+# costing no gap, the handler's deadline and Wake on both read rungs,
+# two goroutines for 20+ cohorts), and the
 # wheel's tick source on the wall clock (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
 # goroutine left behind by restarts) and its wake lead on the virtual one
@@ -90,7 +92,7 @@ race:
 # per heard tick, inside the lead, invisible to the fault plan and to
 # every member, its sink closed with the hub) — under the race detector.
 CHAOS_PKGS = ./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
-CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Route|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release|Warm
+CHAOS_RUN = Chaos|Fault|Repair|Recover|Degrad|Reconnect|Control|Session|Membership|Overload|Drain|Evict|Busy|Bye|Jitter|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Overflow|Fec|Parity|Stripe|Recv|Gro|GRO|Route|Tick|WakeLate|Heard|Unheard|Materialise|HeapFlat|Lead|Stage|Release|Warm|Pause|Goroutine
 
 chaos:
 	$(GO) test -race -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)

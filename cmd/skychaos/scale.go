@@ -64,9 +64,9 @@ type scaleRow struct {
 	ServerParityBytes  int64 `json:"server_parity_bytes"`
 	// BusyRate is BusyReplies / RepairRequests (0 when no requests).
 	BusyRate float64 `json:"busy_rate"`
-	// Datagrams / RecvDropped are the emulators' routed deliveries and
-	// event-queue drops — one per (datagram, tuned cohort fragment), not
-	// per viewer.
+	// Datagrams are the emulators' routed deliveries — one per (datagram,
+	// tuned cohort fragment), not per viewer. RecvDropped is always 0: the
+	// audience applies every datagram it reads.
 	Datagrams   int64 `json:"datagrams"`
 	RecvDropped int64 `json:"recv_dropped"`
 	// The ingress ladder ledger, summed across emulators: datagrams

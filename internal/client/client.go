@@ -66,7 +66,7 @@ type Config struct {
 	// RecvBufBytes sizes the kernel receive buffer of the client's UDP
 	// socket (SetReadBuffer). The server's batched egress delivers chunks
 	// in deliberate bursts, so the buffer must absorb a whole burst while
-	// the loader goroutine is scheduled out. Zero selects
+	// the audience loop is scheduled out. Zero selects
 	// mcast.DefaultRecvBufBytes (4 MiB).
 	RecvBufBytes int
 	// Trace, when non-nil, journals recovery events — gaps, repair round

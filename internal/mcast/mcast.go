@@ -175,13 +175,7 @@ var (
 )
 
 // NewHub opens the hub's sending socket with default kernel buffers.
-func NewHub() (*Hub, error) { return NewHubBuffered(0, 0) }
-
-// NewHubBuffered opens the hub's sending socket and sizes its kernel
-// buffers; see HubConfig for the semantics of the two sizes.
-func NewHubBuffered(sndBuf, rcvBuf int) (*Hub, error) {
-	return NewHubConfigured(HubConfig{SendBufBytes: sndBuf, RecvBufBytes: rcvBuf})
-}
+func NewHub() (*Hub, error) { return NewHubConfigured(HubConfig{}) }
 
 // HubConfig parameterizes NewHubConfigured.
 type HubConfig struct {

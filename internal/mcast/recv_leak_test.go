@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -135,5 +136,117 @@ func TestRecvCloseLeaksNothing(t *testing.T) {
 				perReceiver, maxDatagram)
 		}
 		t.Logf("%d heap bytes allocated per receiver", perReceiver)
+	}
+}
+
+// TestRecvErrorBackoff pins the read-error latch: a persistently failing
+// read is counted and backed off — tens of wakeups over the window, not
+// a spinning core's millions — and a later successful read resumes
+// delivery. The failures are real: with IP_RECVERR set, every datagram
+// the receiver's own socket sends to a closed port comes back as an
+// ICMP error its next read returns. A passed deadline is not a failure
+// (TestRecvDeadlineIsNotAnError).
+func TestRecvErrorBackoff(t *testing.T) {
+	rungs(t, func(t *testing.T, batched bool) {
+		s, err := NewSharedReceiver(0, testClassify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if batched && !s.RecvBatched() {
+			t.Skip("recvmmsg rung not live")
+		}
+		s.SetRecvBatched(batched)
+		g := Group{Video: 9, Channel: 0}
+		sub, err := s.Subscribe(g, 8, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.rc.Control(func(fd uintptr) {
+			err = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_IP, syscall.IP_RECVERR, 1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		dead, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadAddr := dead.LocalAddr().(*net.UDPAddr)
+		dead.Close()
+		stop := make(chan struct{})
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_, _ = s.conn.WriteToUDP([]byte("x"), deadAddr)
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}()
+		time.Sleep(300 * time.Millisecond)
+		close(stop)
+		<-sent
+		errs := s.Stats().ReadErrors
+		if errs == 0 {
+			t.Fatal("ReadErrors = 0; the failing reads were not counted")
+		}
+		if errs > 1000 {
+			t.Errorf("ReadErrors = %d over 300ms; the error path is spinning, want backoff", errs)
+		}
+		t.Logf("%d read errors over 300ms", errs)
+
+		hub, err := NewHub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		if err := hub.Join(g, s.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hub.Send(g, testFrame(g, 64)); err != nil {
+			t.Fatal(err)
+		}
+		slot := drain(t, sub)
+		if len(sub.Frame(slot)) != 64 {
+			t.Fatalf("got %d bytes after recovery, want 64", len(sub.Frame(slot)))
+		}
+		sub.Release(slot)
+	})
+}
+
+// TestRecvCloseWithDeadlineLeaksNothing: receivers closed while their
+// loop waits out a handler's deadline, an hour away, leave no read loop
+// and no descriptor behind.
+func TestRecvCloseWithDeadlineLeaksNothing(t *testing.T) {
+	cycle := func() {
+		armed := make(chan struct{})
+		s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Handle: func(frames [][]byte) time.Time {
+			close(armed)
+			return time.Now().Add(time.Hour)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Wake()
+		<-armed
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	runtime.GC()
+	fds, goroutines := openFDs(t), runtime.NumGoroutine()
+	for range 200 {
+		cycle()
+	}
+	if n := openFDs(t); n > fds {
+		t.Errorf("%d descriptors open after 200 receivers were closed mid-deadline, baseline %d", n, fds)
+	}
+	if n := settledGoroutines(goroutines); n > goroutines {
+		t.Errorf("%d goroutines after 200 receivers were closed mid-deadline, baseline %d", n, goroutines)
 	}
 }

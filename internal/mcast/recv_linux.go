@@ -61,8 +61,9 @@ type groCmsg struct {
 // landing zone the iovecs point into (mapped outside the Go heap, and
 // unmapped by the run goroutine once it has dispatched its last batch),
 // and the frame views rebuilt from it after every drain. It is owned by
-// the run goroutine; fn is the pre-bound RawConn.Read callback (bound
-// once so the hot path never allocates a closure).
+// the run goroutine; fn and nowait are the pre-bound RawConn.Read and
+// RawConn.Control callbacks, a read that waits and one that does not
+// (bound once so the hot path never allocates a closure).
 type recvBuf struct {
 	hdrs  [recvBatch]mmsghdr
 	iovs  [recvBatch]syscall.Iovec
@@ -74,6 +75,7 @@ type recvBuf struct {
 	errno  syscall.Errno
 	s      *SharedReceiver
 	fn     func(fd uintptr) bool
+	nowait func(fd uintptr)
 }
 
 // initRecv arms the ingress ladder at receiver creation: the recvmmsg
@@ -84,14 +86,14 @@ type recvBuf struct {
 // SKYSCRAPER_NO_GRO or a failed sockopt, each logged once and counted in
 // GROFallbacks).
 func (s *SharedReceiver) initRecv() {
-	if os.Getenv(NoRecvmmsgEnv) != "" {
-		return
-	}
 	rc, err := s.conn.SyscallConn()
 	if err != nil {
 		return
 	}
 	s.rc = rc
+	if os.Getenv(NoRecvmmsgEnv) != "" {
+		return
+	}
 	if !s.probeRecvmmsg() {
 		s.logf("mcast: kernel lacks recvmmsg; shared receiver falls back to per-datagram reads")
 		return
@@ -104,6 +106,7 @@ func (s *SharedReceiver) initRecv() {
 	}
 	rb := &recvBuf{s: s, bufs: bufs}
 	rb.fn = rb.step
+	rb.nowait = func(fd uintptr) { rb.step(fd) }
 	rb.frames = make([][]byte, 0, recvBatch)
 	s.rb = rb
 	s.mmsgCapable = true
@@ -206,37 +209,54 @@ func (s *SharedReceiver) SetGRO(on bool) bool {
 	return true
 }
 
-// readBatched drains one recvmmsg batch and hands it to the handler in
-// one call. It returns false only when the receiver is
-// closed. An EINVAL/ENOSYS from the real call after a passing probe
-// demotes the receiver to the portable rung for good (disarming GRO
-// first) — failing every read would be worse than losing the
-// optimization; other errors go through the shared backoff tail.
-func (s *SharedReceiver) readBatched() bool {
+// readBatched is read's recvmmsg rung. An EINVAL/ENOSYS from the real
+// call after a passing probe demotes the receiver to the portable rung
+// for good (disarming GRO first) — failing every read would be worse
+// than losing the optimization; other errors go through the shared
+// backoff tail, save that a read that does not wait leaves them to the
+// next one that does.
+func (s *SharedReceiver) readBatched(wait bool) ([][]byte, bool) {
 	rb := s.rb
 	rb.prepare()
-	if err := s.rc.Read(rb.fn); err != nil {
-		return s.noteReadError()
+	if !wait {
+		if s.rc.Control(rb.nowait) != nil || rb.n == 0 {
+			return nil, true
+		}
+	} else if err := s.rc.Read(rb.fn); err != nil {
+		return nil, s.noteReadError(err)
 	}
 	if rb.errno != 0 {
 		switch rb.errno {
 		case syscall.EINTR:
-			return true
 		case syscall.EINVAL, syscall.ENOSYS:
 			if s.mmsgOn.CompareAndSwap(true, false) {
 				s.SetGRO(false)
 				s.logf("mcast: kernel rejected recvmmsg (%v); demoting to per-datagram reads", rb.errno)
 			}
-			return true
 		default:
-			return s.noteReadError()
+			return nil, s.noteReadError(rb.errno)
 		}
+		return nil, true
 	}
 	s.errStreak = 0
 	frames := rb.split()
 	s.batchedReads.Add(int64(len(frames)))
-	s.handle(frames)
-	return true
+	return frames, true
+}
+
+// readNow is read's portable rung when it does not wait: one datagram
+// if the socket holds one.
+func (s *SharedReceiver) readNow() ([][]byte, bool) {
+	n, err := 0, error(nil)
+	if s.rc == nil || s.rc.Control(func(fd uintptr) { n, err = syscall.Read(int(fd), s.buf) }) != nil {
+		return nil, true
+	}
+	s.readSyscalls.Inc()
+	if err != nil {
+		return nil, true
+	}
+	s.one[0] = s.buf[:n]
+	return s.one[:], true
 }
 
 // prepare resets the syscall arrays for one drain. The kernel mutates

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // recvGoldenFrame builds a size-byte frame for group g whose bytes
@@ -271,52 +270,4 @@ func assertRecvStillDelivers(t *testing.T, s *SharedReceiver) {
 		}
 		sub.Release(slot)
 	}
-}
-
-// TestRecvErrorBackoff pins the read-error latch: a persistently failing
-// read (here a read deadline in the past) is counted and backed off —
-// tens of wakeups over the window, not a spinning core's millions — and
-// a later successful read resumes delivery.
-func TestRecvErrorBackoff(t *testing.T) {
-	s, err := NewSharedReceiver(0, testClassify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	g := Group{Video: 9, Channel: 0}
-	sub, err := s.Subscribe(g, 8, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.conn.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(300 * time.Millisecond)
-	errs := s.Stats().ReadErrors
-	if errs == 0 {
-		t.Fatal("ReadErrors = 0; the failing reads were not counted")
-	}
-	if errs > 1000 {
-		t.Errorf("ReadErrors = %d over 300ms; the error path is spinning, want backoff", errs)
-	}
-	if err := s.conn.SetReadDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-
-	hub, err := NewHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	if err := hub.Join(g, s.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.Send(g, testFrame(g, 64)); err != nil {
-		t.Fatal(err)
-	}
-	slot := drain(t, sub)
-	if len(sub.Frame(slot)) != 64 {
-		t.Fatalf("got %d bytes after recovery, want 64", len(sub.Frame(slot)))
-	}
-	sub.Release(slot)
 }

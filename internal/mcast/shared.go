@@ -1,8 +1,10 @@
 package mcast
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,10 +21,12 @@ import (
 type Classifier func(frame []byte) (Group, bool)
 
 // Handler consumes one read's datagrams on the receiver's read loop, in
-// the order they arrived. The frames alias the receiver's landing zone:
-// they are valid only until the handler returns, and it must not write
-// them.
-type Handler func(frames [][]byte)
+// the order they arrived, and returns the next instant it wants to run
+// (zero for none). Once that instant passes, or Wake is called, the loop
+// first hands it every datagram the socket already holds, then calls it
+// with no frames. The frames alias the receiver's landing zone: they are
+// valid only until the handler returns, and it must not write them.
+type Handler func(frames [][]byte) time.Time
 
 // maxDatagram bounds one read from the shared socket: the largest UDP
 // payload loopback can carry.
@@ -98,10 +102,13 @@ type SharedReceiver struct {
 	mmsgCapable bool
 	groCapable  bool
 
-	// errStreak counts consecutive read failures; one is the portable
-	// rung's one-frame batch. Both are owned by the run goroutine.
+	// errStreak counts consecutive read failures; buf and one are the
+	// portable rung's buffer (made on its first read) and one-frame batch.
+	// All three are owned by the run goroutine. woken is a pending Wake.
 	errStreak int
+	buf       []byte
 	one       [1][]byte
+	woken     atomic.Bool
 
 	// mu serializes the writers (Subscribe, Unsubscribe, Close); the
 	// adapter's fan-out reads subs without it.
@@ -229,24 +236,38 @@ func (s *SharedReceiver) Unsubscribe(sub *Subscription) {
 }
 
 // run is the read loop: one read (a single datagram or a whole recvmmsg
-// batch, per the live rung) in, one handler call out. On exit it closes
-// the Ready channel of every subscription still attached.
+// batch, per the live rung) in, one handler call out, each read waiting
+// at most until the instant the handler last asked for. When that
+// instant passes or Wake is called, the loop hands the handler what the
+// socket holds, then calls it with no frames. On exit it closes the
+// Ready channel of every subscription still attached.
 func (s *SharedReceiver) run() {
 	defer close(s.done)
-	var buf []byte // the portable rung's buffer, made on its first read
+	var next, armed time.Time // the instant asked for; the socket's deadline
 	for {
-		var ok bool
-		if s.mmsgOn.Load() {
-			ok = s.readBatched()
-		} else {
-			if buf == nil {
-				buf = make([]byte, maxDatagram)
-			}
-			ok = s.readSingle(buf)
+		if s.woken.Swap(false) || !next.IsZero() && !time.Now().Before(next) {
+			s.drain()
+			next = s.handle(nil)
+			continue
 		}
+		if !next.Equal(armed) {
+			_ = s.conn.SetReadDeadline(next)
+			armed = next
+		}
+		// A Wake whose deadline landed before this one replaced it: its
+		// flag, raised first, is still up.
+		if s.woken.Load() {
+			continue
+		}
+		frames, ok := s.read(true)
 		if !ok {
 			break
 		}
+		if len(frames) == 0 {
+			armed = wakeDeadline // what a Wake leaves on the socket
+			continue
+		}
+		next = s.handle(frames)
 	}
 	s.freeRecv()
 	// Wake every consumer: snapshot under mu so a racing Subscribe (which
@@ -261,28 +282,78 @@ func (s *SharedReceiver) run() {
 	s.mu.Unlock()
 }
 
-// readSingle is the portable rung: one datagram per kernel crossing. It
-// returns false only when the receiver is closed.
-func (s *SharedReceiver) readSingle(buf []byte) bool {
+// drainReads bounds one drain: many times what a receive buffer holds, so
+// a loop back from a pause reads the whole backlog first, while a socket
+// that fills as fast as it is read still lets the handler's instants run.
+const drainReads = 4096
+
+// drain hands the handler, without waiting, what the socket holds: up to
+// a recvmmsg batch that comes back short, which emptied it.
+func (s *SharedReceiver) drain() {
+	for range drainReads {
+		frames, _ := s.read(false)
+		if len(frames) == 0 {
+			return
+		}
+		s.handle(frames)
+		if s.mmsgOn.Load() && len(frames) < recvBatch {
+			return
+		}
+	}
+}
+
+// Wake makes the read loop call the handler with no frames as soon as it
+// can, after handing it what the socket holds: the way another goroutine
+// gives the loop work. It never blocks, and a Wake racing the loop's
+// next deadline is not lost: it raises the flag before it cuts the
+// deadline, and the loop reads the flag after setting it.
+func (s *SharedReceiver) Wake() {
+	s.woken.Store(true)
+	_ = s.conn.SetReadDeadline(wakeDeadline)
+}
+
+// wakeDeadline is the read deadline Wake sets: one that has always passed.
+var wakeDeadline = time.Unix(1, 0)
+
+// read reads once on the live rung and returns its frames, waiting for
+// them until the deadline or a Wake, or with wait false taking only what
+// the socket already holds. No frames means a passed deadline, a Wake,
+// an empty socket or a failed read; false that the receiver is closed.
+func (s *SharedReceiver) read(wait bool) ([][]byte, bool) {
+	if s.mmsgOn.Load() {
+		return s.readBatched(wait)
+	}
+	if s.buf == nil {
+		s.buf = make([]byte, maxDatagram)
+	}
+	if !wait {
+		return s.readNow()
+	}
+	n, _, err := s.conn.ReadFromUDPAddrPort(s.buf)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return nil, true // no kernel crossing was made
+	}
 	s.readSyscalls.Inc()
-	n, _, err := s.conn.ReadFromUDPAddrPort(buf)
 	if err != nil {
-		return s.noteReadError()
+		return nil, s.noteReadError(err)
 	}
 	s.errStreak = 0
-	s.one[0] = buf[:n]
-	s.handle(s.one[:])
-	return true
+	s.one[0] = s.buf[:n]
+	return s.one[:], true
 }
 
 // noteReadError is the shared failure tail of both read rungs: it ends
-// the loop on close, and otherwise counts the error and backs off once a
-// streak shows the failure is persistent — a wedged socket (e.g. a
-// firewall rejecting with ICMP faster than we drain errors) must not
+// the loop on close, passes a deadline (the handler's instant, or a
+// Wake) as no error at all, and otherwise counts the error and backs off
+// once a streak shows the failure is persistent — a wedged socket (e.g.
+// a firewall rejecting with ICMP faster than we drain errors) must not
 // spin a core.
-func (s *SharedReceiver) noteReadError() bool {
+func (s *SharedReceiver) noteReadError(err error) bool {
 	if s.closed.Load() {
 		return false
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return true
 	}
 	s.readErrors.Inc()
 	s.errStreak++
@@ -301,8 +372,8 @@ func (s *SharedReceiver) noteReadError() bool {
 
 // fanOut is the subscription adapter's Handler: each frame is classified
 // and copied into the ring of every subscription of its group, under one
-// snapshot load per read. It allocates nothing.
-func (s *SharedReceiver) fanOut(frames [][]byte) {
+// snapshot load per read. It allocates nothing and asks for no wake.
+func (s *SharedReceiver) fanOut(frames [][]byte) time.Time {
 	subs := s.subs.load()
 	for _, frame := range frames {
 		g, ok := s.classify(frame)
@@ -314,6 +385,7 @@ func (s *SharedReceiver) fanOut(frames [][]byte) {
 			sub.deliver(frame)
 		}
 	}
+	return time.Time{}
 }
 
 // deliver copies frame into sub's next slot and hands the slot over, or

@@ -312,10 +312,11 @@ func TestSubscriptionsCopyOneGroup(t *testing.T) {
 // same-group batch included — and has no subscriptions to offer.
 func TestRecvHandlerSeesEveryRead(t *testing.T) {
 	got := make(chan string, 64)
-	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Logf: t.Logf, Handle: func(frames [][]byte) {
+	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Logf: t.Logf, Handle: func(frames [][]byte) time.Time {
 		for _, f := range frames {
 			got <- recvTag(f)
 		}
+		return time.Time{}
 	}})
 	if err != nil {
 		t.Fatal(err)

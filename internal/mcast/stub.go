@@ -46,6 +46,11 @@ func (s *SharedReceiver) freeRecv() {}
 func (s *SharedReceiver) SetRecvBatched(on bool) bool { return false }
 func (s *SharedReceiver) SetGRO(on bool) bool         { return false }
 
-func (s *SharedReceiver) readBatched() bool {
+func (s *SharedReceiver) readBatched(bool) ([][]byte, bool) {
 	panic("mcast: batched receive invoked without platform support")
 }
+
+// readNow takes nothing here: the portable build has no read that does
+// not wait, so a handler called with no frames meets what the socket
+// holds on the loop's next read.
+func (s *SharedReceiver) readNow() ([][]byte, bool) { return nil, true }

@@ -27,12 +27,13 @@ func TestWarmDeliversNothing(t *testing.T) {
 		heard atomic.Int64
 		first = make(chan []byte, 1)
 	)
-	shared, err := NewSharedReceiverConfigured(SharedReceiverConfig{Handle: func(frames [][]byte) {
+	shared, err := NewSharedReceiverConfigured(SharedReceiverConfig{Handle: func(frames [][]byte) time.Time {
 		for _, f := range frames {
 			if heard.Add(1) == 1 {
 				first <- slices.Clone(f)
 			}
 		}
+		return time.Time{}
 	}})
 	if err != nil {
 		t.Fatal(err)

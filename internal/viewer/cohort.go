@@ -3,8 +3,7 @@ package viewer
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"skyscraper/internal/content"
@@ -17,9 +16,9 @@ import (
 // playback start unit, hence the same channel set, the same broadcast
 // repetitions, and — by repetition invariance — byte-identical datagrams.
 // The fault plan drops by position, so every member also misses the same
-// chunks: one pair of loader goroutines receives and recovers for the
-// whole cohort, one machine per fragment, and every outcome counter here
-// applies to every member.
+// chunks: the cohort's two loaders receive and recover for the whole
+// cohort, one machine per fragment, and every outcome counter here
+// applies to every member. Everything in it runs on the audience loop.
 type cohort struct {
 	mux           *Mux
 	video         int
@@ -27,34 +26,92 @@ type cohort struct {
 	playStart     time.Time // playStartUnit on the wall clock
 	viewers       []int     // global viewer IDs, ascending
 
+	// loaders are the paper's Odd and Even Loader, indexed by
+	// core.LoaderID. at is when the loop next steps the cohort (zero:
+	// nothing scheduled); err is what failed it.
+	loaders [2]loader
+	at      time.Time
+	err     error
+
 	// The buffer ledger: payload bytes the cohort holds (downloaded) and
 	// the high-water mark of downloaded minus played, sampled at arrivals.
-	downloaded, maxBuffer atomic.Int64
+	downloaded, maxBuffer int64
 
 	// Chunk outcomes, each applying to every viewer of the cohort (the
-	// aggregator multiplies them by its size); written by the two loader
-	// goroutines. byteErrors counts verifications, once per cohort.
-	late, dup, lostShared, lostSharedBytes, byteErrors atomic.Int64
-	repaired, nackRepaired, fecHeals                   atomic.Int64
+	// aggregator multiplies them by its size). byteErrors counts
+	// verifications, once per cohort.
+	late, dup, lostShared, lostSharedBytes, byteErrors int64
+	repaired, nackRepaired, fecHeals                   int64
 
 	// Recovery events, one per cohort whatever its size: one NACK, one
 	// unicast round trip and one stripe defeat speak for every member.
 	// busy counts admission pushback on NACK and repair round trips.
-	nacks, nackSuppressed, repairReqs, busy, stripeDefeats atomic.Int64
+	nacks, nackSuppressed, repairReqs, busy, stripeDefeats int64
 }
+
+// loader is one of a cohort's two loader routines (§3.3) as the loop
+// drives it: its fragments in tuning order, and those tuned now — at
+// most two, the one being received and its successor, tuned when its
+// join lead opens while the first one's repair tail drains.
+type loader struct {
+	id    core.LoaderID
+	sched []tuneEntry
+	next  int     // sched[next] is the next fragment to tune
+	open  []*frag // tuned, oldest first
+	err   error
+}
+
+// finished reports whether the loader has nothing left to receive.
+func (ld *loader) finished() bool {
+	return ld.err != nil || ld.next == len(ld.sched) && len(ld.open) == 0
+}
+
+// tuneEntry is one fragment on a loader's tuning schedule: which channel
+// to receive, and when its join lead opens.
+type tuneEntry struct {
+	channel   int
+	g         series.Group
+	j         int
+	tuneUnit  int64
+	seq       uint32 // the broadcast repetition received
+	videoBase int64  // where the fragment starts in the video, bytes
+	joinAt    time.Time
+}
+
+// frag is one fragment reception shared by the whole cohort: its
+// schedule entry, the machine the router's datagrams and the control
+// plane's replies drive, and the repetition state it is tuned to.
+type frag struct {
+	tuneEntry
+	c *cohort
+	m *Machine
+	b *broadcast
+	// busy is a control request in flight (the join, a NACK, a repair):
+	// the fragment is not stepped until its reply is applied. done says it
+	// has left its loader, so a late reply is dropped. err is what failed
+	// it; joinErr, the join's outcome, is the control goroutine's alone.
+	busy, done   bool
+	err, joinErr error
+}
+
+func (f *frag) group() mcast.Group { return mcast.Group{Video: f.c.video, Channel: f.channel} }
 
 // credit books n payload bytes at the instant the cohort holds them — a
 // broadcast arrival, a stripe heal or a unicast repair — and raises the
-// buffer high-water mark: an atomic add and a little arithmetic per chunk.
+// buffer high-water mark. A cohort that outgrew its disk is stepped at
+// once, which fails it.
 func (c *cohort) credit(n int, now time.Time) {
-	maxInt64(&c.maxBuffer, c.downloaded.Add(int64(n))-c.mux.playedBytes(now.Sub(c.playStart)))
+	c.downloaded += int64(n)
+	c.maxBuffer = max(c.maxBuffer, c.downloaded-c.mux.playedBytes(now.Sub(c.playStart)))
+	if c.overCap() != nil {
+		c.wakeNow(now)
+	}
 }
 
-// overCap fails a session whose buffer outgrew its stated capacity; the
-// receive loops ask between bursts, whichever goroutine did the crediting.
+// overCap fails a session whose buffer outgrew its stated capacity.
 func (c *cohort) overCap() error {
-	if s := c.mux.sess; s != nil && s.MaxBufferBytes > 0 && c.maxBuffer.Load() > s.MaxBufferBytes {
-		return fmt.Errorf("buffer capacity exceeded: %d > %d bytes", c.maxBuffer.Load(), s.MaxBufferBytes)
+	if s := c.mux.sess; s != nil && s.MaxBufferBytes > 0 && c.maxBuffer > s.MaxBufferBytes {
+		return fmt.Errorf("buffer capacity exceeded: %d > %d bytes", c.maxBuffer, s.MaxBufferBytes)
 	}
 	return nil
 }
@@ -68,78 +125,40 @@ func (m *Mux) playedBytes(elapsed time.Duration) int64 {
 	return min(int64(float64(elapsed)/float64(m.unit)*float64(m.w.BytesPerUnit)), m.videoBytes)
 }
 
-// maxInt64 raises the atomic to at least v.
-func maxInt64(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
+// earliest is the earlier of two instants, zero standing for none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
 	}
+	return a
 }
 
-func (c *cohort) run(groups []series.Group) error {
+// wakeNow has the loop step c no later than now.
+func (c *cohort) wakeNow(now time.Time) {
+	c.at = earliest(c.at, now)
+	c.mux.next = earliest(c.mux.next, now)
+}
+
+// start plans the cohort's two loaders and steps it for the first time.
+func (c *cohort) start(groups []series.Group, now time.Time) {
 	m := c.mux
 	m.activeCohorts.Inc()
 	m.liveViewers.Add(int64(len(c.viewers)))
-	defer func() {
-		m.activeCohorts.Dec()
-		m.liveViewers.Add(-int64(len(c.viewers)))
-	}()
-
 	plan, err := core.PlanForGroups(groups, c.playStartUnit)
 	if err != nil {
-		return fmt.Errorf("viewer: planning cohort (video %d, start %d): %w", c.video, c.playStartUnit, err)
+		c.finish(fmt.Errorf("viewer: planning cohort (video %d, start %d): %w", c.video, c.playStartUnit, err))
+		return
 	}
-	byLoader := map[core.LoaderID][]core.Download{}
-	for _, d := range plan.Downloads {
-		byLoader[d.Loader] = append(byLoader[d.Loader], d)
-	}
-	// The cohort's own goroutine is the odd loader (every plan's first
-	// group is odd); only the even loader gets a goroutine of its own.
-	var evenErr error
-	var wg sync.WaitGroup
-	if even := byLoader[core.EvenLoader]; len(even) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			evenErr = c.loader(core.EvenLoader, even)
-		}()
-	}
-	oddErr := c.loader(core.OddLoader, byLoader[core.OddLoader])
-	wg.Wait()
-	return errors.Join(oddErr, evenErr)
-}
-
-// tuneEntry is one fragment on a loader's tuning schedule: which channel
-// to receive, when its join lead opens, and — once the tuner handoff has
-// fired — the live tap opened from inside the previous fragment's receive
-// loop.
-type tuneEntry struct {
-	channel   int
-	g         series.Group
-	j         int
-	tuneUnit  int64
-	seq       uint32 // the broadcast repetition received
-	videoBase int64  // where the fragment starts in the video, bytes
-	joinAt    time.Time
-	tap       *fragTap // non-nil once tuned
-}
-
-// loader receives loader ld's transmission groups in order — one of the
-// paper's two loader routines, its tuner a tap on the mux's router.
-func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
-	m := c.mux
-	// Flatten the schedule so each fragment's receive loop can see its
-	// successor: consecutive broadcast windows on a skyscraper loader abut
-	// exactly, so the handoff between them must not hinge on how fast the
-	// previous fragment's repair tail drains.
+	// Flatten each loader's schedule: consecutive broadcast windows on a
+	// skyscraper loader abut exactly, so the successor is tuned at its own
+	// join lead, not when the previous fragment's repair tail drains.
 	lead := time.Duration(m.cfg.JoinLeadFrac * float64(m.unit))
-	var entries []*tuneEntry
-	for _, d := range downloads {
+	c.loaders[core.EvenLoader].id = core.EvenLoader
+	for _, d := range plan.Downloads {
+		ld := &c.loaders[d.Loader]
 		for j := 0; j < d.Group.Count; j++ {
 			tuneUnit := d.FragmentStart(j)
-			entries = append(entries, &tuneEntry{
+			ld.sched = append(ld.sched, tuneEntry{
 				channel:   d.Group.First + j,
 				g:         d.Group,
 				j:         j,
@@ -150,77 +169,109 @@ func (c *cohort) loader(ld core.LoaderID, downloads []core.Download) error {
 			})
 		}
 	}
-	for i, e := range entries {
-		var next *tuneEntry
-		if i+1 < len(entries) {
-			next = entries[i+1]
-		}
-		err := c.receiveFragment(e, next)
-		// Drop the finished entry: it pins its tap's queue, and a loader's
-		// schedule outlives any one fragment by the whole video.
-		entries[i] = nil
-		if err != nil {
-			if next != nil && next.tap != nil {
-				// The handoff had already tuned the successor; release it.
-				m.cc.leave(next.tap.g)
-				m.route.untap(next.tap)
-			}
-			return fmt.Errorf("viewer: cohort (video %d, start %d) %v loader: group %d %v channel %d: %w",
-				c.video, c.playStartUnit, ld, e.g.Index, e.g, e.channel, err)
+	c.step(now)
+}
+
+// step runs whatever of the cohort is due at now and schedules it at the
+// earliest instant it asks for next; a cohort whose loaders both have
+// nothing left finishes.
+func (c *cohort) step(now time.Time) {
+	var wake time.Time
+	for i := range c.loaders {
+		wake = earliest(wake, c.loaders[i].step(c, now))
+	}
+	c.at = wake
+	if c.loaders[core.OddLoader].finished() && c.loaders[core.EvenLoader].finished() {
+		c.finish(errors.Join(c.loaders[core.OddLoader].err, c.loaders[core.EvenLoader].err))
+	}
+}
+
+// finish retires the cohort, failed by err when it is non-nil.
+func (c *cohort) finish(err error) {
+	m := c.mux
+	c.err = err
+	m.activeCohorts.Dec()
+	m.liveViewers.Add(-int64(len(c.viewers)))
+	if m.running--; m.running == 0 {
+		close(m.finished)
+	}
+}
+
+// step advances loader ld of cohort c at now: its tuned fragments are
+// stepped (a finished one leaves), then the next fragment is tuned once
+// its join lead has opened and fewer than two are tuned. It returns the
+// earliest instant the loader asks for, zero for none: a fragment
+// waiting on a reply is stepped when the reply is applied.
+func (ld *loader) step(c *cohort, now time.Time) (wake time.Time) {
+	if ld.err != nil {
+		return wake
+	}
+	if len(ld.open) > 0 {
+		if err := c.overCap(); err != nil {
+			ld.fail(c, ld.open[0], err)
+			return wake
 		}
 	}
-	return nil
-}
-
-// tune opens the cohort's tap on entry e's channel: tap first so no
-// datagram lands between the join ack and the tap, then join.
-func (c *cohort) tune(e *tuneEntry) error {
-	m := c.mux
-	grp := mcast.Group{Video: c.video, Channel: e.channel}
-	tap := m.route.tap(grp, e.seq, int(e.g.Size)*m.w.BytesPerUnit, e.videoBase)
-	if err := m.cc.join(grp); err != nil {
-		m.route.untap(tap)
-		return err
+	for i := 0; i < len(ld.open); {
+		f := ld.open[i]
+		if f.err != nil {
+			ld.fail(c, f, f.err)
+			return wake
+		}
+		if f.busy {
+			i++
+			continue
+		}
+		w, finished := c.advance(f, now)
+		if finished {
+			c.fold(f)
+			c.untune(f)
+			ld.open = slices.Delete(ld.open, i, i+1)
+			continue
+		}
+		wake = earliest(wake, w)
+		i++
 	}
-	e.tap = tap
-	return nil
+	for ld.next < len(ld.sched) && len(ld.open) < 2 {
+		e := &ld.sched[ld.next]
+		if now.Before(e.joinAt) {
+			wake = earliest(wake, e.joinAt)
+			break
+		}
+		ld.open = append(ld.open, c.tune(e))
+		ld.next++
+	}
+	return wake
 }
 
-// cohortFrag is one fragment reception shared by the whole cohort: its
-// schedule entry, and the machine the loader drives, fed by the entry's
-// tap. evs holds the events last taken from the tap, whose buffer goes
-// back as the next take's spare.
-type cohortFrag struct {
-	*tuneEntry
-	c   *cohort
-	m   *Machine
-	evs []rxEvent
+// fail ends loader ld at fragment f with err: every fragment it has
+// tuned is released, and nothing more is tuned.
+func (ld *loader) fail(c *cohort, f *frag, err error) {
+	ld.err = fmt.Errorf("viewer: cohort (video %d, start %d) %v loader: group %d %v channel %d: %w",
+		c.video, c.playStartUnit, ld.id, f.g.Index, f.g, f.channel, err)
+	for _, o := range ld.open {
+		c.untune(o)
+	}
+	ld.open = nil
 }
 
-// receiveFragment tunes one channel for the whole cohort: one join, one
-// tap, and one recovery round trip per loss, regardless of the cohort's
-// size; the router has already decoded and verified each datagram once
-// for every cohort that hears it.
-//
-// When next is non-nil it is the successor fragment on the same loader,
-// and this loop performs the tuner handoff itself: it tunes next once
-// its join lead opens, so next's events accumulate on its tap while this
-// fragment's repair tail drains.
-func (c *cohort) receiveFragment(e, next *tuneEntry) error {
-	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
+// tune opens the cohort's reception of entry e: on the router first, so
+// no datagram lands between the join ack and the routing, then the join.
+// The fragment is stepped once the join is acknowledged.
+func (c *cohort) tune(e *tuneEntry) *frag {
 	m := c.mux
-	size := g.Size
-	f := &cohortFrag{tuneEntry: e, c: c}
+	f := &frag{tuneEntry: *e, c: c, busy: true}
 	// Recovery timing — NACK windows and repair backoff — keys on the
 	// first member's seed, so a one-viewer cohort recovers on its viewer's
 	// own seed.
 	seed := m.viewerSeed(c.viewers[0])
+	size := e.g.Size
 	f.m = NewMachine(FragmentParams{
 		Video:          c.video,
-		Channel:        channel,
+		Channel:        e.channel,
 		Size:           size,
-		TuneUnit:       tuneUnit,
-		PlayUnit:       c.playStartUnit + g.StartUnit + int64(j)*size,
+		TuneUnit:       e.tuneUnit,
+		PlayUnit:       c.playStartUnit + e.g.StartUnit + int64(e.j)*size,
 		TotalBytes:     int(size) * m.w.BytesPerUnit,
 		ChunkBytes:     m.w.ChunkBytes,
 		BytesPerUnit:   m.w.BytesPerUnit,
@@ -236,134 +287,147 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 			return JitterIn(seed, key, stream, window)
 		},
 		OnLost: func(idx, attempts int) {
-			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", channel, f.seq, idx, attempts)
+			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", f.channel, f.seq, idx, attempts)
 			m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d",
-				c.video, c.playStartUnit, channel, idx)
-			c.lostShared.Add(1)
-			c.lostSharedBytes.Add(int64(f.m.ChunkLen(idx)))
+				c.video, c.playStartUnit, f.channel, idx)
+			c.lostShared++
+			c.lostSharedBytes += int64(f.m.ChunkLen(idx))
 		},
 	})
-	// Join ahead of the broadcast start — unless the previous fragment's
-	// receive loop already tuned this entry during its handoff overlap.
-	if e.tap == nil {
-		if d := time.Until(e.joinAt); d > 0 {
-			time.Sleep(d)
-		}
-		if err := c.tune(e); err != nil {
-			return err
-		}
-	}
-	defer m.route.untap(f.tap)
-	defer m.cc.leave(f.tap.g)
-
-	// Book the backlog that accumulated on the tap during the tuner
-	// handoff before the machine's first deadline pass, so a boundary
-	// chunk that already arrived can never be mistaken for a gap, however
-	// late this loop starts.
-	if err := c.drainTap(f); err != nil {
-		return err
-	}
-
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		if err := c.overCap(); err != nil {
-			return err
-		}
-		if f.m.Done() {
-			break
-		}
-		now := time.Now()
-		// Tuner handoff: once the successor's join lead opens, tune it
-		// from here, so whether its first chunks are caught off the
-		// broadcast no longer depends on how fast this loop exits.
-		if next != nil && next.tap == nil && !now.Before(next.joinAt) {
-			if err := c.tune(next); err != nil {
-				return err
+	m.route.tap(f)
+	c.request(f, func() func(time.Time) {
+		err := m.cc.join(f.group())
+		f.joinErr = err
+		return func(time.Time) {
+			if err != nil {
+				f.err = err
 			}
 		}
+	})
+	return f
+}
+
+// untune ends f's reception: off the router, and out of the group once
+// its join, asked before, has been answered.
+func (c *cohort) untune(f *frag) {
+	m := c.mux
+	f.done = true
+	m.route.untap(f)
+	m.ask(func() {
+		if f.joinErr == nil {
+			m.cc.leave(f.group())
+		}
+	})
+}
+
+// request runs do on the control goroutine with f busy meanwhile, then
+// the reply application do returns on the loop, and steps the cohort —
+// unless f has left its loader by then.
+func (c *cohort) request(f *frag, do func() func(now time.Time)) {
+	m := c.mux
+	f.busy = true
+	m.ask(func() {
+		apply := do()
+		m.post(func(now time.Time) {
+			f.busy = false
+			if !f.done {
+				apply(now)
+				c.step(now)
+			}
+		})
+	})
+}
+
+// advance steps f's machine at now. A NACK or a repair goes to the
+// control goroutine, and f waits for the reply; otherwise advance returns
+// the instant f next asks for, or finished once every chunk is resolved.
+func (c *cohort) advance(f *frag, now time.Time) (wake time.Time, finished bool) {
+	for !f.m.Done() {
 		act := f.m.Next(now)
 		switch act.Kind {
 		case ActNack:
 			c.nack(f, act.Chunks)
-			continue
+			return time.Time{}, false
 		case ActRepair:
 			c.repair(f, act)
-			continue
+			return time.Time{}, false
 		}
-		if f.m.Done() {
-			continue // that pass resolved the rest
-		}
-		wake := act.Wake
-		if next != nil && next.tap == nil && next.joinAt.Before(wake) {
-			wake = next.joinAt
-		}
-		resetTimer(timer, max(wake.Sub(now), time.Millisecond))
-		select {
-		case <-f.tap.wake:
-			// Everything posted since the last take — a whole read's run
-			// when the batched ingress rung lands one — is booked in one
-			// pass, before the next deadline recomputation.
-			if err := c.drainTap(f); err != nil {
-				return err
-			}
-		case <-timer.C:
+		if !f.m.Done() {
+			// At least a millisecond on: a wake due already re-steps f
+			// then, not in a spin.
+			return now.Add(max(act.Wake.Sub(now), time.Millisecond)), false
 		}
 	}
-
-	// Fold the machine's ledger in: these outcomes hit every viewer of the
-	// cohort identically. (Losses were booked through OnLost, with their
-	// byte counts.)
-	st := f.m.Stats()
-	c.late.Add(st.Late)
-	c.dup.Add(st.Duplicates)
-	c.repaired.Add(st.Repaired)
-	c.nacks.Add(st.Nacks)
-	c.nackSuppressed.Add(st.NacksSuppressed)
-	c.nackRepaired.Add(st.NackRepaired)
-	c.fecHeals.Add(st.FecHeals)
-	c.stripeDefeats.Add(st.StripeDefeats)
-	return nil
+	return time.Time{}, true
 }
 
-// nack sends one gap-bitmap NACK for the whole cohort and applies the
-// server's answer to the machine.
-func (c *cohort) nack(f *cohortFrag, chunks []int) {
+// fold adds a finished fragment's ledger to the cohort's: these outcomes
+// hit every viewer of the cohort identically. (Losses were booked
+// through OnLost, with their byte counts.)
+func (c *cohort) fold(f *frag) {
+	st := f.m.Stats()
+	c.late += st.Late
+	c.dup += st.Duplicates
+	c.repaired += st.Repaired
+	c.nacks += st.Nacks
+	c.nackSuppressed += st.NacksSuppressed
+	c.nackRepaired += st.NackRepaired
+	c.fecHeals += st.FecHeals
+	c.stripeDefeats += st.StripeDefeats
+}
+
+// nack sends one gap-bitmap NACK for the whole cohort; the server's
+// answer is applied to the machine when it comes back.
+func (c *cohort) nack(f *frag, chunks []int) {
 	m := c.mux
 	m.tracef("nack", "ch %d seq %d: %d chunks", f.channel, f.seq, len(chunks))
-	accepted, err := m.cc.nack(c.video, f.channel, f.seq, chunks)
-	if err != nil {
-		var busy *busyError
-		if errors.As(err, &busy) {
-			c.busy.Add(1)
+	c.request(f, func() func(time.Time) {
+		accepted, err := m.cc.nack(c.video, f.channel, f.seq, chunks)
+		return func(now time.Time) {
+			if err != nil {
+				var busy *busyError
+				if errors.As(err, &busy) {
+					c.busy++
+				}
+				m.tracef("nack-fail", "ch %d seq %d: %v", f.channel, f.seq, err)
+				m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
+					c.video, c.playStartUnit, f.channel, len(chunks), err)
+				accepted = nil
+			}
+			f.m.NackResult(chunks, accepted, now)
 		}
-		m.tracef("nack-fail", "ch %d seq %d: %v", f.channel, f.seq, err)
-		m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
-			c.video, c.playStartUnit, f.channel, len(chunks), err)
-		accepted = nil
-	}
-	f.m.NackResult(chunks, accepted, time.Now())
+	})
 }
 
 // repair pulls chunk act.Idx over unicast once for the whole cohort — its
-// members miss the same chunks, so one copy heals them all — and applies
-// the outcome to the machine.
-func (c *cohort) repair(f *cohortFrag, act Action) {
+// members miss the same chunks, so one copy heals them all; the outcome
+// is applied to the machine when it comes back.
+func (c *cohort) repair(f *frag, act Action) {
+	m := c.mux
+	c.repairReqs++
+	off := int64(act.Idx) * int64(m.w.ChunkBytes)
+	if m.trace != nil {
+		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.seq, act.Idx, act.Attempt)
+	}
+	n := f.m.ChunkLen(act.Idx)
+	c.request(f, func() func(time.Time) {
+		data, err := m.cc.repair(c.video, f.channel, f.seq, off, n)
+		return func(now time.Time) { c.repairResult(f, act, off, data, err, now) }
+	})
+}
+
+// repairResult applies one repair round trip's outcome to f's machine, and
+// books and verifies the chunk it brought, unless the broadcast brought
+// it while the request was in flight.
+func (c *cohort) repairResult(f *frag, act Action, off int64, data []byte, err error, now time.Time) {
 	m := c.mux
 	idx := act.Idx
-	c.repairReqs.Add(1)
-	off := int64(idx) * int64(m.w.ChunkBytes)
-	if m.trace != nil {
-		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.seq, idx, act.Attempt)
-	}
-	data, err := m.cc.repair(c.video, f.channel, f.seq, off, f.m.ChunkLen(idx))
-	now := time.Now()
 	outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
 	if err != nil {
 		var busy *busyError
 		switch {
 		case errors.As(err, &busy):
-			c.busy.Add(1)
+			c.busy++
 			outcome, retryAfter, kind = RepairBusy, busy.retryAfter, "repair-busy"
 		case errors.Is(err, errMuxDraining):
 			outcome, kind = RepairDisabled, "repair-off"
@@ -371,10 +435,11 @@ func (c *cohort) repair(f *cohortFrag, act Action) {
 			outcome, kind = RepairFailed, "repair-fail"
 		}
 	}
+	had := f.m.Have(idx)
 	disp := f.m.RepairResult(idx, outcome, retryAfter, now)
-	if disp == Repaired {
+	if disp == Repaired && !had {
 		if bad := content.Verify(data, c.video, f.videoBase+off); bad >= 0 {
-			c.byteErrors.Add(1)
+			c.byteErrors++
 		}
 		c.credit(len(data), now)
 	}
@@ -390,27 +455,16 @@ func (c *cohort) repair(f *cohortFrag, act Action) {
 	}
 }
 
-// drainTap applies every event posted to f's tap since the last take.
-func (c *cohort) drainTap(f *cohortFrag) error {
-	f.evs = f.tap.take(f.evs)
-	for _, ev := range f.evs {
-		if err := c.apply(f, ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // apply books one routed datagram for the whole cohort — O(1) in the
 // cohort's size, and the decode, CRC check and content verification were
 // done once by the router for every cohort that hears the datagram. This
 // is the steady-state hot path; it allocates nothing.
-func (c *cohort) apply(f *cohortFrag, ev rxEvent) error {
+func (c *cohort) apply(f *frag, ev rxEvent) error {
 	switch ev.kind {
 	case rxStray:
 		return nil
 	case rxBadCRC:
-		c.byteErrors.Add(1)
+		c.byteErrors++
 		return nil
 	case rxMalformed:
 		return errors.New("malformed datagram")
@@ -423,7 +477,7 @@ func (c *cohort) apply(f *cohortFrag, ev rxEvent) error {
 	now := time.Unix(0, ev.at)
 	if (ev.kind == rxData || ev.kind == rxDup) && f.m.Chunk(int(ev.idx), now) != Duplicate {
 		if ev.bad {
-			c.byteErrors.Add(1)
+			c.byteErrors++
 		}
 		c.credit(int(ev.n), now)
 	}
@@ -432,7 +486,7 @@ func (c *cohort) apply(f *cohortFrag, ev rxEvent) error {
 	if idx := int(ev.heal); idx >= 0 && f.m.FecHealed(idx, now) != Duplicate {
 		c.credit(f.m.ChunkLen(idx), now)
 		if ev.healBad {
-			c.byteErrors.Add(1)
+			c.byteErrors++
 		}
 		if c.mux.trace != nil {
 			c.mux.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", f.channel, f.seq, idx)

@@ -1,12 +1,10 @@
 package viewer
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"skyscraper/internal/content"
-	"skyscraper/internal/mcast"
 	"skyscraper/internal/wire"
 )
 
@@ -24,19 +22,21 @@ func testMux(chunkBytes, bytesPerUnit, fecGroup int) *Mux {
 }
 
 // tuneFrag tunes a fragment of cohort c with parameters p, starting
-// videoBase bytes into the video: its machine, and its tap on the mux's
+// videoBase bytes into the video: its machine, tapped on the mux's
 // router.
-func tuneFrag(c *cohort, p FragmentParams, videoBase int64) *cohortFrag {
-	e := &tuneEntry{channel: p.Channel, seq: uint32(p.TuneUnit / p.Size), videoBase: videoBase}
-	e.tap = c.mux.route.tap(mcast.Group{Video: p.Video, Channel: p.Channel}, e.seq, p.TotalBytes, videoBase)
-	return &cohortFrag{tuneEntry: e, c: c, m: NewMachine(p)}
+func tuneFrag(c *cohort, p FragmentParams, videoBase int64) *frag {
+	f := &frag{tuneEntry: tuneEntry{channel: p.Channel, seq: uint32(p.TuneUnit / p.Size), videoBase: videoBase},
+		c: c, m: NewMachine(p)}
+	c.mux.route.tap(f)
+	return f
 }
 
 // deliver routes frames, read off the socket at at, through f's router,
-// and applies what f's tap received.
-func deliver(f *cohortFrag, at time.Time, frames ...[]byte) error {
+// which applies them to f in place, and returns what failed f, if
+// anything.
+func deliver(f *frag, at time.Time, frames ...[]byte) error {
 	f.c.mux.route.route(frames, at)
-	return f.c.drainTap(f)
+	return f.err
 }
 
 // dataFrame is chunk idx of fragment (video, channel, seq), total bytes
@@ -54,8 +54,9 @@ func dataFrame(t testing.TB, video, channel int, seq uint32, total, chunkBytes i
 	return frame
 }
 
-// TestCohortConvergedPathZeroAlloc: a cohort applying routed datagrams to
-// its machine — accepted, then duplicate — allocates nothing.
+// TestCohortConvergedPathZeroAlloc: routing datagrams to a cohort, which
+// applies each to its machine in place — accepted, then duplicate —
+// allocates nothing.
 func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the gate")
@@ -78,26 +79,27 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 	for i := range frames {
 		frames[i] = dataFrame(t, 1, 2, 3, nchunks*chunkBytes, chunkBytes, f.videoBase, i)
 	}
-	m.route.route(frames, p.Epoch.Add(60*time.Millisecond))
-	evs := f.tap.take(nil)
-	if len(evs) != len(frames) {
-		t.Fatalf("%d events for %d frames", len(evs), len(frames))
-	}
+	at := p.Epoch.Add(60 * time.Millisecond)
 	i := 0
 	allocs := testing.AllocsPerRun(400, func() {
-		if err := c.apply(f, evs[i%len(evs)]); err != nil {
-			t.Fatal(err)
-		}
+		k := i % len(frames)
+		m.route.route(frames[k:k+1], at)
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("applying a routed datagram allocates %.1f objects, want 0", allocs)
+		t.Errorf("routing and applying a datagram allocates %.1f objects, want 0", allocs)
 	}
-	if c.byteErrors.Load() != 0 {
-		t.Errorf("byteErrors %d after clean redeliveries", c.byteErrors.Load())
+	if f.err != nil {
+		t.Fatal(f.err)
 	}
-	if want := int64((nchunks - 1) * chunkBytes); c.maxBuffer.Load() != want {
-		t.Errorf("buffer high-water %d before playback, want the %d bytes accepted (duplicates uncounted)", c.maxBuffer.Load(), want)
+	if st := f.m.Stats(); st.Duplicates != int64(i-len(frames)) {
+		t.Errorf("%d duplicates booked over %d deliveries of %d frames", st.Duplicates, i, len(frames))
+	}
+	if c.byteErrors != 0 {
+		t.Errorf("byteErrors %d after clean redeliveries", c.byteErrors)
+	}
+	if want := int64((nchunks - 1) * chunkBytes); c.maxBuffer != want {
+		t.Errorf("buffer high-water %d before playback, want the %d bytes accepted (duplicates uncounted)", c.maxBuffer, want)
 	}
 }
 
@@ -114,7 +116,7 @@ const stripeChunkBytes, stripeNChunks = 512, 8
 // repetition 3, in virtual time — stripeNChunks chunks of
 // stripeChunkBytes under a G=4 stripe — with playback at 1024 bytes per
 // 10 ms unit from playStart. Its frames are stripeData and stripeParity.
-func stripeCohort(t *testing.T, playStart time.Time) (*cohort, *cohortFrag) {
+func stripeCohort(t *testing.T, playStart time.Time) (*cohort, *frag) {
 	t.Helper()
 	m := testMux(stripeChunkBytes, 1024, 4)
 	c := &cohort{mux: m, video: 1, viewers: []int{0}, playStart: playStart}
@@ -185,7 +187,7 @@ func TestCohortBufferLedger(t *testing.T) {
 		if err := deliver(f, at(ms), frame); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.downloaded.Load() - m.playedBytes(at(ms).Sub(playStart)); got != wantLevel {
+		if got := c.downloaded - m.playedBytes(at(ms).Sub(playStart)); got != wantLevel {
 			t.Errorf("t=%dms: buffer level %d, want %d", ms, got, wantLevel)
 		}
 	}
@@ -207,11 +209,11 @@ func TestCohortBufferLedger(t *testing.T) {
 	arrive(8, data(0), 3072-819)
 	arrive(20, data(6), 1536)
 
-	if got := c.maxBuffer.Load(); got != highWater {
+	if got := c.maxBuffer; got != highWater {
 		t.Errorf("buffer high-water %d, want %d", got, highWater)
 	}
-	if c.byteErrors.Load() != 0 {
-		t.Errorf("%d byte errors on clean content", c.byteErrors.Load())
+	if c.byteErrors != 0 {
+		t.Errorf("%d byte errors on clean content", c.byteErrors)
 	}
 	// The capacity is enforced against the same mark: one byte under it
 	// fails the session, at or over it does not.
@@ -235,16 +237,6 @@ func TestPlayedBytes(t *testing.T) {
 	}
 	if got := m.playedBytes(time.Hour); got != 300 {
 		t.Errorf("past end: %d, want 300 (capped)", got)
-	}
-}
-
-func TestMaxInt64(t *testing.T) {
-	var a atomic.Int64
-	maxInt64(&a, 5)
-	maxInt64(&a, 3)
-	maxInt64(&a, 9)
-	if a.Load() != 9 {
-		t.Errorf("maxInt64 = %d, want 9", a.Load())
 	}
 }
 

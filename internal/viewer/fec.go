@@ -106,7 +106,7 @@ func (p *stripePool) state() *stripeState {
 }
 
 // Stripe is the per-repetition reassembly buffer. Not safe for
-// concurrent use; the router drives one per broadcast, under its lock.
+// concurrent use; the router drives one per broadcast, on the audience loop.
 type Stripe struct {
 	pool    *stripePool
 	nchunks int

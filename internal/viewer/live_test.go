@@ -316,3 +316,107 @@ func TestMuxHeapFlatAcrossFragmentTurnover(t *testing.T) {
 			(late-early)>>10, maxGrowth>>10)
 	}
 }
+
+// TestMuxPauseBooksNoGap: the audience loop stalls once for three repair
+// lags while the server keeps sending, so every cohort's gap checkpoints
+// for the chunks that landed meanwhile pass with those chunks sitting in
+// the socket. The loop drains the socket before it runs a single timer:
+// the lossless broadcast costs no degraded session, and not one NACK or
+// repair — every chunk a gap pass could have flagged at the resume was
+// in the socket buffer then.
+func TestMuxPauseBooksNoGap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live network test")
+	}
+	sch := liveScheme(t, 2, 5, 2)
+	unit := 200 * time.Millisecond
+	srv := startServer(t, sch, unit, nil)
+	const lagFrac = 0.5
+	m, err := viewer.NewMux(viewer.MuxConfig{
+		ServerAddr:    srv.Addr(),
+		Viewers:       20,
+		SpreadUnits:   3,
+		Seed:          3,
+		JoinLeadFrac:  0.9,
+		SlackFrac:     2.5, // past the pause: a chunk read at the resume is not late
+		RepairLagFrac: lagFrac,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pause := 3 * time.Duration(lagFrac*float64(unit))
+	paused := make(chan time.Time, 1)
+	viewer.PauseAt(m, time.Now().Add(4*unit), pause, paused)
+	res, err := m.Run()
+	if err != nil {
+		t.Fatalf("mux run: %v (result %+v)", err, res)
+	}
+	select {
+	case <-paused:
+	default:
+		t.Fatal("the run ended before the pause")
+	}
+	if res.Cohorts < 4 {
+		t.Fatalf("only %d cohorts; the pause must meet several", res.Cohorts)
+	}
+	if res.Degraded != 0 || res.LostChunks != 0 || res.LateChunks != 0 {
+		t.Errorf("a %v pause degraded %d viewers (%d lost, %d late chunks), want none", pause, res.Degraded, res.LostChunks, res.LateChunks)
+	}
+	if res.NacksSent != 0 || res.RepairRequests != 0 {
+		t.Errorf("a %v pause over a lossless broadcast sent %d NACKs and %d repairs: chunks in the socket were taken for gaps",
+			pause, res.NacksSent, res.RepairRequests)
+	}
+}
+
+// TestMuxGoroutineCount: an audience of 20+ cohorts runs on two
+// goroutines of its own — the receiver's read loop and the control
+// goroutine — however many cohorts and tuned fragments it holds.
+func TestMuxGoroutineCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live network test")
+	}
+	sch := liveScheme(t, 2, 5, 2)
+	unit := 100 * time.Millisecond
+	srv := startServer(t, sch, unit, nil)
+	m, err := viewer.NewMux(viewer.MuxConfig{
+		ServerAddr:    srv.Addr(),
+		Viewers:       400,
+		SpreadUnits:   12,
+		Seed:          5,
+		JoinLeadFrac:  0.9,
+		SlackFrac:     2.0,
+		RepairLagFrac: 1.125,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	done := make(chan *viewer.Result, 1)
+	go func() {
+		res, err := m.Run()
+		if err != nil {
+			t.Errorf("mux run: %v", err)
+		}
+		done <- res
+	}()
+	peak := 0
+	tick := time.NewTicker(unit / 4)
+	defer tick.Stop()
+	var res *viewer.Result
+	for res == nil {
+		select {
+		case res = <-done:
+		case <-tick.C:
+			peak = max(peak, runtime.NumGoroutine())
+		}
+	}
+	if res.Cohorts < 20 {
+		t.Fatalf("only %d cohorts, want >= 20", res.Cohorts)
+	}
+	// One goroutine is the test's own, running Run.
+	if added := peak - before - 1; added > 2 {
+		t.Errorf("the audience of %d cohorts added %d goroutines at its peak, want <= 2", res.Cohorts, added)
+	}
+	t.Logf("%d cohorts, %d goroutines before, %d at the peak", res.Cohorts, before, peak)
+}

@@ -215,7 +215,7 @@ const (
 )
 
 // Machine is the loader state machine for one fragment reception. It is
-// not safe for concurrent use; a cohort's loader is its only driver.
+// not safe for concurrent use; the audience loop is its only driver.
 //
 // Its memory is the open gaps, not the fragment: besides two bits per
 // chunk (resolved, listed), per-chunk recovery state exists only for the

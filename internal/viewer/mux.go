@@ -2,6 +2,7 @@ package viewer
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -209,9 +210,10 @@ type Result struct {
 	// Datagrams counts the router's deliveries, one per (datagram, cohort
 	// fragment tuned to its group) — strays of another repetition
 	// included, not per viewer — though each datagram is decoded,
-	// verified and stripe-folded once however many fragments hear it;
-	// RecvDropped the deliveries refused by a fragment's full event queue
-	// (they surface as repairs).
+	// verified and stripe-folded once however many fragments hear it.
+	// RecvDropped is always 0: the router applies every datagram in place
+	// and drops none. It stays because benchmark/harness and skychaos
+	// -scale read it.
 	Datagrams   int64 `json:"datagrams"`
 	RecvDropped int64 `json:"recvDropped"`
 	// The ingress ledger of the shared receiver. BatchedReads counts
@@ -279,10 +281,16 @@ func histFromCounts(counts map[int64]int64) []WaitBucket {
 
 // Mux is the virtual-viewer multiplexer: one process emulating Viewers
 // sessions against a live server. Viewers tuned to the same (video,
-// playback start) form a cohort sharing one tap per channel and one
-// machine per fragment; the router decodes and verifies each datagram
-// once for every cohort that hears it; every control round trip goes
-// over one connection.
+// playback start) form a cohort sharing one machine per fragment; the
+// router decodes and verifies each datagram once for every cohort that
+// hears it; every control round trip goes over one connection.
+//
+// The audience has two goroutines. The shared receiver's read loop is
+// its one driver (handle): it applies datagrams, steps the cohorts whose
+// instant has come and applies control replies. The control goroutine
+// (serveControl) owns the connection and runs the loop's requests in
+// order. Requests go out through outbox, replies come back through
+// inbox, and the loop never waits for the control goroutine.
 type Mux struct {
 	cfg   MuxConfig
 	sess  *Session // non-nil for RunSession's one stated viewer
@@ -297,6 +305,22 @@ type Mux struct {
 	rcv   *mcast.SharedReceiver
 	route *router
 	cc    *controlConn
+
+	// The loop's state: the run's cohorts, the earliest instant any of
+	// them asks for, how many are still running, and finished, closed by
+	// the last.
+	cohorts  []*cohort
+	next     time.Time
+	running  int
+	finished chan struct{}
+
+	// inbox carries the control plane's replies to the loop; outbox, under
+	// outMu, the loop's requests to the control goroutine, which kick
+	// wakes.
+	inbox  chan func(now time.Time)
+	outMu  sync.Mutex
+	outbox []func()
+	kick   chan struct{}
 
 	// bye latches a server-initiated drain for every viewer at once.
 	bye        atomic.Bool
@@ -366,13 +390,13 @@ func newMux(cfg MuxConfig, sess *Session) (*Mux, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	m := &Mux{cfg: cfg, sess: sess}
+	// The inbox's 64 slots let the control goroutine run ahead of the
+	// loop by more than a burst of replies; a full inbox holds only it.
+	m := &Mux{cfg: cfg, sess: sess, inbox: make(chan func(time.Time), 64), kick: make(chan struct{}, 1)}
 	// The control connection redials on the mux seed itself (a session's
 	// own seed).
 	cc := &controlConn{mux: m, seed: cfg.Seed, refs: map[mcast.Group]int{}}
-	cc.mu.Lock()
 	w, err := cc.handshake()
-	cc.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +417,7 @@ func (m *Mux) Run() (*Result, error) {
 	rcv, err := mcast.NewSharedReceiverConfigured(mcast.SharedReceiverConfig{
 		RecvBufBytes: m.cfg.RecvBufBytes,
 		Logf:         m.cfg.Logf,
-		Handle:       func(frames [][]byte) { m.route.route(frames, time.Now()) },
+		Handle:       m.handle,
 	})
 	if err != nil {
 		return nil, err
@@ -407,26 +431,29 @@ func (m *Mux) Run() (*Result, error) {
 	m.cfg.Logf("viewer: %d viewers in %d cohorts", m.cfg.Viewers, len(cohorts))
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(cohorts))
-	for _, co := range cohorts {
-		wg.Add(1)
-		go func(co *cohort) {
-			defer wg.Done()
-			if err := co.run(groups); err != nil {
-				errCh <- err
-			}
-		}(co)
-	}
-	wg.Wait()
+	m.cohorts, m.running, m.finished = cohorts, len(cohorts), make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		m.serveControl()
+	}()
+	m.post(func(now time.Time) {
+		for _, co := range cohorts {
+			co.start(groups, now)
+		}
+	})
+	<-m.finished
+	m.ask(nil)
+	<-served
 	_, _ = m.cc.roundTrip(&wire.Control{Kind: wire.KindBye}, false)
-	close(errCh)
+	rcv.Close() // the loop is done with the cohorts before they are read
+
 	var firstErr error
 	failed := 0
-	for err := range errCh {
-		failed++
-		if firstErr == nil {
-			firstErr = err
+	for _, co := range cohorts {
+		if co.err != nil {
+			failed++
+			firstErr = cmp.Or(firstErr, co.err)
 		}
 	}
 
@@ -486,8 +513,7 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 		ElapsedSec:   elapsed.Seconds(),
 		PeakViewers:  m.liveViewers.High(),
 		PeakCohorts:  m.activeCohorts.High(),
-		Datagrams:    m.route.delivered.Load(),
-		RecvDropped:  m.route.dropped.Load(),
+		Datagrams:    m.route.delivered,
 		BatchedReads: rs.BatchedReads,
 		ReadSyscalls: rs.ReadSyscalls,
 		GroSegments:  rs.GROSegments,
@@ -497,22 +523,21 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	}
 	for _, co := range cohorts {
 		n := int64(len(co.viewers))
-		res.MaxBufferBytes = max(res.MaxBufferBytes, co.maxBuffer.Load())
-		late, lost := co.late.Load(), co.lostShared.Load()
-		res.LateChunks += late * n
-		res.DuplicateChunks += co.dup.Load() * n
-		res.LostChunks += lost * n
-		res.RepairedChunks += co.repaired.Load() * n
-		res.MulticastRepairs += co.nackRepaired.Load() * n
-		res.FecHeals += co.fecHeals.Load() * n
-		res.Bytes += n * (m.videoBytes - co.lostSharedBytes.Load())
-		res.ByteErrors += co.byteErrors.Load()
-		res.RepairRequests += co.repairReqs.Load()
-		res.BusyReplies += co.busy.Load()
-		res.NacksSent += co.nacks.Load()
-		res.NacksSuppressed += co.nackSuppressed.Load()
-		res.StripeDefeats += co.stripeDefeats.Load()
-		if lost > 0 || late > 0 {
+		res.MaxBufferBytes = max(res.MaxBufferBytes, co.maxBuffer)
+		res.LateChunks += co.late * n
+		res.DuplicateChunks += co.dup * n
+		res.LostChunks += co.lostShared * n
+		res.RepairedChunks += co.repaired * n
+		res.MulticastRepairs += co.nackRepaired * n
+		res.FecHeals += co.fecHeals * n
+		res.Bytes += n * (m.videoBytes - co.lostSharedBytes)
+		res.ByteErrors += co.byteErrors
+		res.RepairRequests += co.repairReqs
+		res.BusyReplies += co.busy
+		res.NacksSent += co.nacks
+		res.NacksSuppressed += co.nackSuppressed
+		res.StripeDefeats += co.stripeDefeats
+		if co.lostShared > 0 || co.late > 0 {
 			res.Degraded += int(n)
 		}
 	}
@@ -524,27 +549,81 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 	return res
 }
 
-// resetTimer re-arms a timer whose channel is only read by its owner
-// loop (the pre-Go-1.23 drain discipline).
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
+// handle is the audience's one driver, the shared receiver's Handler. A
+// read's datagrams are applied in place to every fragment tuned to them.
+// A call with none — the receiver has drained the socket first, so
+// nothing that has arrived is taken for a gap — applies the control
+// plane's replies and steps every cohort whose instant has come. It
+// returns the earliest instant a cohort asks for. The cohorts' instants
+// fall on the broadcast's chunk grid, so one pass over them per grid
+// instant is the whole timer cost.
+func (m *Mux) handle(frames [][]byte) time.Time {
+	now := time.Now()
+	if len(frames) > 0 {
+		m.route.route(frames, now)
+		return m.next
+	}
+	for len(m.inbox) > 0 {
+		(<-m.inbox)(now)
+	}
+	m.next = time.Time{}
+	for _, c := range m.cohorts {
+		if !c.at.IsZero() && !c.at.After(now) {
+			c.step(now)
+		}
+		m.next = earliest(m.next, c.at)
+	}
+	return m.next
+}
+
+// post hands fn to the loop, which runs it on its next wake. Only the
+// control goroutine posts, so a full inbox holds it, never the loop.
+func (m *Mux) post(fn func(now time.Time)) {
+	m.inbox <- fn
+	m.rcv.Wake()
+}
+
+// ask hands fn to the control goroutine without waiting; it runs
+// requests in the order they were asked, and a nil fn stops it once
+// those before it ran.
+func (m *Mux) ask(fn func()) {
+	m.outMu.Lock()
+	m.outbox = append(m.outbox, fn)
+	m.outMu.Unlock()
+	select {
+	case m.kick <- struct{}{}:
+	default:
+	}
+}
+
+// serveControl is the control goroutine: the one owner of the control
+// connection, running the loop's requests until asked to stop.
+func (m *Mux) serveControl() {
+	for range m.kick {
+		m.outMu.Lock()
+		fns := m.outbox
+		m.outbox = nil
+		m.outMu.Unlock()
+		for _, fn := range fns {
+			if fn == nil {
+				return
+			}
+			fn()
 		}
 	}
-	t.Reset(d)
 }
 
 // controlTimeout bounds each control round trip and each dial.
 const controlTimeout = 5 * time.Second
 
 // controlConn is the mux's one control connection: re-dialed with
-// backoff on transport failure, serialized by a mutex. Joins, leaves,
-// NACKs and repairs of every cohort share it, and so do the group
-// memberships: refcounted across cohorts, the first subscriber of a group
-// joins it on the server, the last leaves, and a redial joins every held
-// group again — the server drops a connection's memberships with it.
+// backoff on transport failure, and used by the control goroutine alone
+// (by newMux for the first handshake, and by Run once that goroutine is
+// done). Joins, leaves, NACKs and repairs of every cohort share it, and
+// so do the group memberships: refcounted across cohorts, the first
+// subscriber of a group joins it on the server, the last leaves, and a
+// redial joins every held group again — the server drops a connection's
+// memberships with it.
 type controlConn struct {
 	mux *Mux
 	// seed keys the redial backoff (stream ReconnectJitterKey); redials
@@ -554,7 +633,6 @@ type controlConn struct {
 	// port is the shared receiver's, where every join sends the group.
 	port int
 
-	mu     sync.Mutex
 	conn   net.Conn
 	r      *bufio.Reader
 	dialed bool
@@ -564,8 +642,8 @@ type controlConn struct {
 // handshake dials, says hello and reads the server's welcome — the one
 // place a Welcome enters the process, so the one place it is validated
 // and, on a redial, held to the broadcast epoch the run began under — and
-// on a redial joins every held group again. Callers hold mu and have no
-// connection open.
+// on a redial joins every held group again. Callers have no connection
+// open.
 func (c *controlConn) handshake() (*wire.Welcome, error) {
 	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, controlTimeout)
 	if err != nil {
@@ -618,7 +696,7 @@ func (c *controlConn) handshake() (*wire.Welcome, error) {
 // audience of the old process re-dials at once, and the jitter — keyed on
 // each mux's own seed — spreads the wave. A changed epoch is
 // refused at once: no retry can make it the same broadcast.
-func (c *controlConn) redialLocked() error {
+func (c *controlConn) redial() error {
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
 		if attempt > 0 {
@@ -638,20 +716,13 @@ func (c *controlConn) redialLocked() error {
 // only transport failures are retried. A server bye latches the mux-wide
 // drain flag.
 func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Control, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.roundTripLocked(msg, wantReply)
-}
-
-// roundTripLocked is roundTrip for callers holding mu.
-func (c *controlConn) roundTripLocked(msg *wire.Control, wantReply bool) (*wire.Control, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if c.conn == nil {
 			if !wantReply {
 				return nil, nil // fire-and-forget on a dead link: drop it
 			}
-			if err := c.redialLocked(); err != nil {
+			if err := c.redial(); err != nil {
 				return nil, err
 			}
 		}
@@ -667,13 +738,13 @@ func (c *controlConn) roundTripLocked(msg *wire.Control, wantReply bool) (*wire.
 				c.mux.bye.Store(true)
 				c.mux.tracef("server-bye", "server draining; disabling repairs")
 				c.mux.cfg.Logf("viewer: server draining (bye); repairs disabled for all viewers")
-				c.closeLocked()
+				c.close()
 				return nil, errMuxDraining
 			}
 			return reply, nil
 		}
 		lastErr = err
-		c.closeLocked()
+		c.close()
 	}
 	return nil, lastErr
 }
@@ -723,12 +794,6 @@ func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(i
 }
 
 func (c *controlConn) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closeLocked()
-}
-
-func (c *controlConn) closeLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.r = nil, nil
@@ -741,13 +806,11 @@ func (c *controlConn) joinMsg(g mcast.Group) *wire.Control {
 
 // join adds one subscriber of g, joining it on the server for the first.
 func (c *controlConn) join(g mcast.Group) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.refs[g] > 0 {
 		c.refs[g]++
 		return nil
 	}
-	reply, err := c.roundTripLocked(c.joinMsg(g), true)
+	reply, err := c.roundTrip(c.joinMsg(g), true)
 	if err != nil {
 		return fmt.Errorf("viewer: waiting for join ack: %w", err)
 	}
@@ -760,13 +823,11 @@ func (c *controlConn) join(g mcast.Group) error {
 
 // leave drops one subscriber of g, leaving it on the server with the last.
 func (c *controlConn) leave(g mcast.Group) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.refs[g] == 0 {
 		return
 	}
 	if c.refs[g]--; c.refs[g] == 0 {
 		delete(c.refs, g)
-		_, _ = c.roundTripLocked(&wire.Control{Kind: wire.KindLeave, Video: g.Video, Channel: g.Channel}, false)
+		_, _ = c.roundTrip(&wire.Control{Kind: wire.KindLeave, Video: g.Video, Channel: g.Channel}, false)
 	}
 }

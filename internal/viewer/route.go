@@ -3,8 +3,6 @@ package viewer
 import (
 	"errors"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"skyscraper/internal/content"
@@ -12,15 +10,11 @@ import (
 	"skyscraper/internal/wire"
 )
 
-// tapDepth is how many events a tuned fragment may hold unapplied; the
-// router drops what arrives beyond it (Result.RecvDropped).
-const tapDepth = 256
-
-// rxKind says what a datagram was to the fragment it is posted to.
+// rxKind says what a datagram was to the fragment it is applied to.
 type rxKind uint8
 
 const (
-	rxStray        rxKind = iota // another repetition's datagram, or parity nobody folds: a wake, no more
+	rxStray        rxKind = iota // another repetition's datagram, or parity nobody folds: nothing to apply
 	rxData                       // a chunk of the fragment's repetition, its first copy
 	rxDup                        // a chunk the repetition already carried
 	rxParity                     // a parity frame of the fragment's repetition
@@ -29,8 +23,9 @@ const (
 	rxInconsistent               // a chunk at odds with the fragment's geometry: fails it
 )
 
-// rxEvent is what the router posts to a tuned fragment for one datagram.
-// It holds no pointer, so a queue of them is nothing to the collector.
+// rxEvent is what the router's one pass over a datagram found, applied to
+// every fragment tuned to its repetition (cohort.apply). It holds no
+// pointer.
 type rxEvent struct {
 	at int64 // when the read loop took the datagram off the socket, UnixNano
 	// idx and n are a data chunk's index and payload length, or an
@@ -51,7 +46,7 @@ type broadcast struct {
 	videoBase  int64
 	stripe     *Stripe // nil without FEC
 	seen, bad  bitset
-	taps       int // fragments tuned to it
+	frags      int // fragments tuned to it
 }
 
 // seenAll reports whether chunks [first, first+n) have all arrived (or
@@ -69,7 +64,7 @@ func (b *broadcast) seenAll(first, n int) bool {
 // repetitions they receive — one or two at a time, when a loader's next
 // repetition is tuned while the last one's tail drains.
 type groupRoute struct {
-	taps   []*fragTap
+	frags  []*frag
 	bcasts []*broadcast
 }
 
@@ -83,48 +78,23 @@ func (gr *groupRoute) find(seq uint32) *broadcast {
 	return nil
 }
 
-// fragTap is one cohort fragment's queue of events. The router appends
-// under mu and signals wake; the loader swaps the queue out (take).
-type fragTap struct {
-	g    mcast.Group
-	b    *broadcast
-	wake chan struct{} // capacity 1: one pending signal covers any number of events
-
-	mu sync.Mutex
-	q  []rxEvent
-}
-
-// take returns the events posted since the last take, leaving spare (its
-// contents spent) as the queue, so two buffers alternate and a steady
-// loader allocates nothing.
-func (t *fragTap) take(spare []rxEvent) []rxEvent {
-	t.mu.Lock()
-	evs := t.q
-	t.q = spare[:0]
-	t.mu.Unlock()
-	return evs
-}
-
 // router is the audience's receive pass (DESIGN.md 5f). SB sends the same
 // bytes to every viewer tuned to one repetition of a channel, so route
 // decodes, CRC-checks, verifies and stripe-folds each datagram once, in
 // one broadcast state per (video, channel, repetition) somebody is tuned
-// to, and posts one event per datagram to every cohort fragment tuned to
-// the group; a loader only applies events (cohort.apply). route runs on
-// the receiver's read loop, tap and untap on the loaders; mu covers the
-// table and every broadcast state.
+// to, and applies what it found to every cohort fragment tuned to the
+// repetition, in place (cohort.apply). Everything here runs on the
+// receiver's read loop, the audience's one driver, so nothing is locked.
 type router struct {
 	chunkBytes int
 	stripes    *stripePool
+	groups     map[mcast.Group]*groupRoute
+	heals      []Heal // the stripe's output, consumed before the next fold
 
-	mu     sync.Mutex
-	groups map[mcast.Group]*groupRoute
-	heals  []Heal // the stripe's output, consumed before the next fold
-
-	// delivered counts events posted, one per (datagram, tuned fragment);
-	// dropped those refused by a full queue; decoded the datagrams decoded,
-	// one per datagram read for a tuned group.
-	delivered, dropped, decoded atomic.Int64
+	// delivered counts deliveries, one per (datagram, tuned fragment);
+	// decoded the datagrams decoded, one per datagram read for a tuned
+	// group.
+	delivered, decoded int64
 }
 
 func newRouter(chunkBytes, fecGroup int) *router {
@@ -135,51 +105,47 @@ func newRouter(chunkBytes, fecGroup int) *router {
 	}
 }
 
-// tap tunes a fragment to repetition seq of group g, a fragment of
-// totalBytes starting videoBase bytes into the video.
-func (r *router) tap(g mcast.Group, seq uint32, totalBytes int, videoBase int64) *fragTap {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// tap tunes f to its repetition of its group.
+func (r *router) tap(f *frag) {
+	g := f.group()
 	gr := r.groups[g]
 	if gr == nil {
 		gr = &groupRoute{}
 		r.groups[g] = gr
 	}
-	b := gr.find(seq)
+	b := gr.find(f.seq)
 	if b == nil {
+		totalBytes := f.m.p.TotalBytes
 		nchunks := (totalBytes + r.chunkBytes - 1) / r.chunkBytes
-		b = &broadcast{seq: seq, totalBytes: totalBytes, videoBase: videoBase,
+		b = &broadcast{seq: f.seq, totalBytes: totalBytes, videoBase: f.videoBase,
 			stripe: r.stripes.stripe(nchunks), seen: newBitset(nchunks), bad: newBitset(nchunks)}
 		gr.bcasts = append(gr.bcasts, b)
 	}
-	b.taps++
-	t := &fragTap{g: g, b: b, wake: make(chan struct{}, 1)}
-	gr.taps = append(gr.taps, t)
-	return t
+	b.frags++
+	f.b = b
+	gr.frags = append(gr.frags, f)
 }
 
-// untap detaches t; the last fragment of a repetition retires its state.
-func (r *router) untap(t *fragTap) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	gr := r.groups[t.g]
-	gr.taps = slices.DeleteFunc(gr.taps, func(x *fragTap) bool { return x == t })
-	if t.b.taps--; t.b.taps == 0 {
-		gr.bcasts = slices.DeleteFunc(gr.bcasts, func(x *broadcast) bool { return x == t.b })
-		t.b.stripe.recycle()
+// untap detaches f; the last fragment of a repetition retires its state.
+func (r *router) untap(f *frag) {
+	g := f.group()
+	gr := r.groups[g]
+	gr.frags = slices.DeleteFunc(gr.frags, func(x *frag) bool { return x == f })
+	if f.b.frags--; f.b.frags == 0 {
+		gr.bcasts = slices.DeleteFunc(gr.bcasts, func(x *broadcast) bool { return x == f.b })
+		f.b.stripe.recycle()
 	}
-	if len(gr.taps) == 0 {
-		delete(r.groups, t.g)
+	if len(gr.frags) == 0 {
+		delete(r.groups, g)
 	}
 }
 
 // route passes one read's frames, received at now: each frame of a tuned
-// group is received once and posted to every fragment tuned to the group.
-// It allocates nothing once the queues have grown to the traffic.
+// group is received once and applied to every fragment tuned to its
+// repetition. A fragment the datagram finished or failed gets its cohort
+// stepped at now. It allocates nothing.
 func (r *router) route(frames [][]byte, now time.Time) {
 	at := now.UnixNano()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, frame := range frames {
 		video, channel, seq, _, ok := wire.PeekID(frame)
 		if !ok {
@@ -189,15 +155,19 @@ func (r *router) route(frames [][]byte, now time.Time) {
 		if gr == nil {
 			continue
 		}
-		r.decoded.Add(1)
+		r.decoded++
 		ev, b := r.receive(gr, frame, int(video), seq)
 		ev.at = at
-		stray := rxEvent{at: at, kind: rxStray, heal: -1}
-		for _, t := range gr.taps {
-			if b == nil || t.b == b {
-				r.post(t, ev)
-			} else {
-				r.post(t, stray)
+		for _, f := range gr.frags {
+			r.delivered++
+			if b != nil && f.b != b || f.err != nil {
+				continue // another repetition's datagram: a stray to f
+			}
+			if err := f.c.apply(f, ev); err != nil {
+				f.err = err
+			}
+			if f.err != nil || f.m.Done() {
+				f.c.wakeNow(now)
 			}
 		}
 	}
@@ -280,21 +250,4 @@ func (r *router) book(b *broadcast, video int, ev *rxEvent) {
 		}
 	}
 	r.heals = r.heals[:0]
-}
-
-// post queues ev on t and wakes its loader.
-func (r *router) post(t *fragTap, ev rxEvent) {
-	t.mu.Lock()
-	if len(t.q) >= tapDepth {
-		t.mu.Unlock()
-		r.dropped.Add(1)
-		return
-	}
-	t.q = append(t.q, ev)
-	t.mu.Unlock()
-	r.delivered.Add(1)
-	select {
-	case t.wake <- struct{}{}:
-	default:
-	}
 }

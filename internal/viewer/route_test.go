@@ -2,7 +2,6 @@ package viewer
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -152,7 +151,7 @@ func TestRouteDecodesOncePerDatagram(t *testing.T) {
 	epoch := time.Unix(5000, 0)
 	start := epoch.Add(routeSeq * routeSize * 10 * time.Millisecond)
 	at := func(i int) time.Time { return start.Add(time.Duration(i) * 100 * time.Microsecond) }
-	var frags []*cohortFrag
+	var frags []*frag
 	for k, play := range []int64{20, 21, 22} {
 		c := &cohort{mux: m, video: 1, viewers: []int{k}, playStart: epoch.Add(time.Duration(play) * 10 * time.Millisecond)}
 		frags = append(frags, tuneFrag(c, routeParams(epoch, routeSeq*routeSize, play), routeBase))
@@ -163,25 +162,24 @@ func TestRouteDecodesOncePerDatagram(t *testing.T) {
 	for i := 0; i < len(frames); i += batch {
 		m.route.route(frames[i:min(i+batch, len(frames))], at(i))
 		for _, f := range frags {
-			if err := f.c.drainTap(f); err != nil {
-				t.Fatal(err)
+			if f.err != nil {
+				t.Fatal(f.err)
 			}
 		}
 	}
-	if got := m.route.decoded.Load(); got != int64(len(frames)) {
+	if got := m.route.decoded; got != int64(len(frames)) {
 		t.Errorf("%d decodes for %d datagrams read, want one each", got, len(frames))
 	}
-	if got, want := m.route.delivered.Load(), int64(4*len(frames)); got != want {
+	if got, want := m.route.delivered, int64(4*len(frames)); got != want {
 		t.Errorf("Datagrams = %d, want %d: one per (datagram, tuned fragment), strays included", got, want)
 	}
-	strays := next.tap.take(nil)
-	for _, ev := range strays {
-		if ev.kind != rxStray {
-			t.Fatalf("the next repetition's fragment got a %v event", ev.kind)
-		}
+	if st := next.m.Stats(); st != (MachineStats{}) || next.err != nil {
+		t.Errorf("the next repetition's fragment booked %+v (err %v) from another repetition's datagrams", st, next.err)
 	}
-	if len(strays) != len(frames) {
-		t.Errorf("the next repetition's fragment got %d events for %d datagrams", len(strays), len(frames))
+	for idx := range routeChunks {
+		if next.m.Have(idx) {
+			t.Fatalf("the next repetition's fragment holds chunk %d of another repetition", idx)
+		}
 	}
 	for k, f := range frags {
 		ref := perCohortPass(t, routeParams(epoch, routeSeq*routeSize, 20+int64(k)), frames, func(i int) time.Time { return at(i - i%batch) })
@@ -196,7 +194,7 @@ func TestRouteDecodesOncePerDatagram(t *testing.T) {
 		if got.Duplicates == 0 || got.FecHeals == 0 {
 			t.Errorf("cohort %d: %d duplicates, %d heals; the comparison is vacuous", k, got.Duplicates, got.FecHeals)
 		}
-		if n := f.c.byteErrors.Load(); n != 0 {
+		if n := f.c.byteErrors; n != 0 {
 			t.Errorf("cohort %d: %d byte errors on clean content", k, n)
 		}
 	}
@@ -208,7 +206,7 @@ func TestRouteDecodesOncePerDatagram(t *testing.T) {
 func TestRouteByteErrorsPerCohort(t *testing.T) {
 	m := testMux(routeChunk, routeUnitBytes, 0)
 	epoch := time.Unix(5000, 0)
-	var frags []*cohortFrag
+	var frags []*frag
 	for k := range 3 {
 		c := &cohort{mux: m, video: 1, viewers: []int{k}, playStart: epoch}
 		frags = append(frags, tuneFrag(c, routeParams(epoch, routeSeq*routeSize, 20), routeBase))
@@ -223,14 +221,14 @@ func TestRouteByteErrorsPerCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.route.route([][]byte{badCRC, wrong}, epoch)
-	if got := m.route.decoded.Load(); got != 2 {
+	if got := m.route.decoded; got != 2 {
 		t.Errorf("%d decodes for 2 datagrams", got)
 	}
 	for k, f := range frags {
-		if err := f.c.drainTap(f); err != nil {
-			t.Fatal(err)
+		if f.err != nil {
+			t.Fatal(f.err)
 		}
-		if n := f.c.byteErrors.Load(); n != 2 {
+		if n := f.c.byteErrors; n != 2 {
 			t.Errorf("cohort %d: %d byte errors, want 2 (the bad CRC and the wrong content)", k, n)
 		}
 	}
@@ -238,16 +236,16 @@ func TestRouteByteErrorsPerCohort(t *testing.T) {
 
 // TestRouteZeroAlloc is the alloc gate of the receive pass: routing a
 // steady-state read — every datagram decoded, CRC-checked, verified and
-// folded into the stripe, a heal reconstructed and verified, an event
-// posted to each of four tuned fragments, one of them on another
-// repetition — and taking the events allocates nothing.
+// folded into the stripe, a heal reconstructed and verified, and applied
+// in place to each of four tuned fragments, one of them on another
+// repetition — allocates nothing.
 func TestRouteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the gate")
 	}
 	m := testMux(routeChunk, routeUnitBytes, routeG)
 	epoch := time.Unix(5000, 0)
-	var frags []*cohortFrag
+	var frags []*frag
 	for k := range 3 {
 		c := &cohort{mux: m, video: 1, viewers: []int{k}, playStart: epoch}
 		frags = append(frags, tuneFrag(c, routeParams(epoch, routeSeq*routeSize, 20), routeBase))
@@ -257,41 +255,34 @@ func TestRouteZeroAlloc(t *testing.T) {
 	// heals; the second whole.
 	all := routeBroadcast(t)
 	frames := [][]byte{all[0], all[2], all[3], all[4], all[5], all[6], all[7], all[8], all[9]}
-	b := frags[0].tap.b
-	evs := make([][]rxEvent, len(frags))
+	b := frags[0].b
 	read := func() {
 		clear(b.seen) // a fresh repetition's worth of first copies
 		m.route.route(frames, epoch)
-		for i, f := range frags {
-			evs[i] = f.tap.take(evs[i])
-		}
 	}
 	read()
-	read() // both event buffers of every tap grown
-	healed := 0
-	for _, ev := range evs[0] {
-		if ev.heal >= 0 {
-			healed++
-		}
+	if heals := frags[0].m.Stats().FecHeals; heals != 1 || frags[3].m.Stats() != (MachineStats{}) {
+		t.Fatalf("%d heals, and %+v booked on the other repetition's fragment; want 1 and nothing",
+			heals, frags[3].m.Stats())
 	}
-	if healed != 1 || len(evs[3]) != len(frames) {
-		t.Fatalf("%d heals and %d events on the stray tap, want 1 and %d", healed, len(evs[3]), len(frames))
-	}
-	decoded := m.route.decoded.Load()
+	decoded, delivered := m.route.decoded, m.route.delivered
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 		t.Errorf("a routed read allocates %v objects, want 0", allocs)
 	}
-	if per := float64(m.route.decoded.Load()-decoded) / 101 / float64(len(frames)); per != 1 {
+	if per := float64(m.route.decoded-decoded) / 101 / float64(len(frames)); per != 1 {
 		t.Errorf("%v decodes per datagram, want 1", per)
+	}
+	if per := float64(m.route.delivered-delivered) / 101 / float64(len(frames)); per != float64(len(frags)) {
+		t.Errorf("%v deliveries per datagram, want one per tuned fragment, %d", per, len(frags))
 	}
 }
 
 // TestRouteTapTurnoverRetainsNothing: a steady cycle of two cohorts
 // tuning one repetition, hearing a burst and untuning allocates a small
-// fixed amount — a tap, a broadcast state, their queues — nothing sized
-// to the events a queue may hold, and the router keeps nothing of a
-// repetition nobody is tuned to: its table empties and the stripe's
-// accumulators go back to the pool.
+// fixed amount — two fragments and their machines, a broadcast state —
+// less than one 256-event queue of the kind a tuned fragment once held,
+// and the router keeps nothing of a repetition nobody is tuned to: its
+// table empties and the stripe's accumulators go back to the pool.
 func TestRouteTapTurnoverRetainsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the gate")
@@ -300,16 +291,16 @@ func TestRouteTapTurnoverRetainsNothing(t *testing.T) {
 	epoch := time.Unix(5000, 0)
 	burst := routeBroadcast(t)[:10] // two stripe groups and their parity
 	cycle := func() {
-		var frags [2]*cohortFrag
+		var frags [2]*frag
 		for k := range frags {
 			frags[k] = tuneFrag(&cohort{mux: m, video: 1, playStart: epoch}, routeParams(epoch, routeSeq*routeSize, 20), routeBase)
 		}
 		m.route.route(burst, epoch)
 		for _, f := range frags {
-			if err := f.c.drainTap(f); err != nil {
-				t.Fatal(err)
+			if f.err != nil {
+				t.Fatal(f.err)
 			}
-			m.route.untap(f.tap)
+			m.route.untap(f)
 		}
 	}
 	for range 3 {
@@ -324,8 +315,8 @@ func TestRouteTapTurnoverRetainsNothing(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
-	// Two taps whose queues were sized to tapDepth would take twice this.
-	if limit := uint64(tapDepth * unsafe.Sizeof(rxEvent{})); perCycle > limit {
+	// Two fragments holding 256-event queues would take twice this.
+	if limit := uint64(256 * unsafe.Sizeof(rxEvent{})); perCycle > limit {
 		t.Errorf("a tune/untune cycle allocates %d bytes, want <= %d (one full event queue)", perCycle, limit)
 	}
 	if n := len(m.route.groups); n != 0 {
@@ -333,50 +324,5 @@ func TestRouteTapTurnoverRetainsNothing(t *testing.T) {
 	}
 	if n := len(m.route.stripes.states); n != pooled {
 		t.Errorf("stripe pool holds %d accumulators after %d cycles, %d when warm", n, cycles, pooled)
-	}
-}
-
-// TestRouteConcurrentTurnover: loaders tune, take and untune while the
-// read loop routes without pause — the receiver's goroutine against four
-// loaders on one repetition, each tap retiring the repetition's state
-// when it is the last. Run under -race; afterwards the router holds
-// nothing.
-func TestRouteConcurrentTurnover(t *testing.T) {
-	m := testMux(routeChunk, routeUnitBytes, routeG)
-	epoch := time.Unix(5000, 0)
-	burst := routeBroadcast(t)[:10]
-	stop := make(chan struct{})
-	routed := make(chan struct{})
-	go func() {
-		defer close(routed)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.route.route(burst, epoch)
-			}
-		}
-	}()
-	var loaders sync.WaitGroup
-	for k := range 4 {
-		loaders.Add(1)
-		go func() {
-			defer loaders.Done()
-			for range 50 {
-				f := tuneFrag(&cohort{mux: m, video: 1, viewers: []int{k}, playStart: epoch}, routeParams(epoch, routeSeq*routeSize, 20), routeBase)
-				<-f.tap.wake
-				if err := f.c.drainTap(f); err != nil {
-					t.Error(err)
-				}
-				m.route.untap(f.tap)
-			}
-		}()
-	}
-	loaders.Wait()
-	close(stop)
-	<-routed
-	if n := len(m.route.groups); n != 0 {
-		t.Errorf("router still routes %d groups after every tap left", n)
 	}
 }
