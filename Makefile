@@ -51,8 +51,10 @@ race:
 		./internal/faults ./internal/mcast ./internal/viewer ./internal/client ./internal/wire ./internal/server
 
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
-# — seeded drop/duplicate/reorder plans, unicast repair, reconnects (and
-# re-joins on a redial), graceful degradation, repair admission, the
+# — seeded drop/duplicate/reorder plans, NACK rounds healed by re-sends
+# (refused, failed, cut off by a bye), reconnects (and
+# re-joins on a redial), graceful degradation, repair admission (the
+# server's unicast arm, NACK re-sends refused over budget), the
 # control session's step (verbs on a virtual clock, the control-sequence
 # fuzzer's seeds, memberships shared and released exactly, the line cap
 # the longest lines fit), the NACK re-send table
@@ -138,10 +140,10 @@ vulncheck:
 	fi
 
 # The cohort-repair smoke gate: a fast faulted capacity sweep that fails
-# unless every session survives 2% loss undegraded AND unicast repair
-# round trips stay under half the per-viewer recovery baseline
-# (drop x chunks/session x viewers) — the NACK plane keeping repair
-# work O(cohorts), asserted on every verify.
+# unless every session survives 2% loss undegraded AND NACK round trips
+# stay under half the per-viewer recovery baseline (drop x
+# chunks/session x viewers) — each cohort NACKing as one voice keeps
+# repair work O(cohorts), asserted on every verify.
 scale-smoke:
 	$(GO) run ./cmd/skychaos -scale -viewers 200 -fault-viewers 200,800 \
 		-fault-drop 0.02 -unit 50ms -procs 2 -assert-cohort-repair \
@@ -197,14 +199,13 @@ bench-overload:
 # Record the audience-capacity curves: the lossless base sweep holds
 # 1k/10k/100k emulated sessions (two emulator processes, real loopback
 # sockets) against one server and records viewers vs {start-latency
-# quantiles, repair load, busy rate, degraded sessions, server CPU};
-# the faulted contrast sweep replays 500/2k/8k viewers under 2% drop on
-# its own server and records the cohort repair plane's ledger (NACKs,
-# suppressed windows, multicast heals, FEC stripe heals) next to the
-# unicast round trips it replaced. The G=4 parity stripe is on, so the
-# record shows the proactive rung absorbing scattered loss before the
-# reactive ladder spends any control traffic (see EXPERIMENTS.md
-# "Audience capacity").
+# quantiles, degraded sessions, server CPU}; the faulted contrast sweep
+# replays 500/2k/8k viewers under 2% drop on its own server and records
+# the cohort repair plane's ledger (NACKs, suppressed windows, multicast
+# heals, FEC stripe heals). The G=4 parity stripe is on, so the record
+# shows the proactive rung absorbing scattered loss before the NACK
+# ladder spends any control traffic (see EXPERIMENTS.md "Audience
+# capacity").
 bench-scale:
 	$(GO) run ./cmd/skychaos -scale -viewers 1000,10000,100000 -procs 2 \
 		-fault-drop 0.02 -fault-viewers 500,2000,8000 \

@@ -14,16 +14,16 @@
 // The -overload mode sweeps repair demand against a fixed admission
 // budget: the server's token bucket is provisioned for one session's
 // expected repair bandwidth, then 1x, 2x, 3x... concurrent degradable
-// clients offer multiples of it. The resulting delivered/degraded/busy
-// curves (written as JSON) show the overload-safe repair plane holding
-// its budget while every session still terminates.
+// clients offer multiples of it. The resulting delivered/degraded curves
+// and the server's NACK ledger (written as JSON) show the overload-safe
+// repair plane holding its budget while every session still terminates.
 //
 // The -scale mode records the audience capacity curve: one in-process
 // server, then for each viewer count it re-execs itself as -emulate
 // child processes whose virtual-viewer multiplexers (internal/viewer)
 // hold the audience between them over real loopback sockets. Each row
-// tabulates viewers vs start-latency quantiles, repair load, busy rate,
-// degraded sessions, and the server's own CPU — the paper's claim that
+// tabulates viewers vs start-latency quantiles, NACK load, degraded
+// sessions, and the server's own CPU — the paper's claim that
 // server cost is independent of the audience, measured.
 package main
 
@@ -84,7 +84,7 @@ func main() {
 		faultViewers = flag.String("fault-viewers", "500,2000,8000",
 			"comma-separated audience sizes for the faulted -scale sweep")
 		assertCohort = flag.Bool("assert-cohort-repair", false,
-			"fail -scale unless every faulted sweep ends undegraded with unicast repairs under half the per-viewer recovery baseline")
+			"fail -scale unless every faulted sweep ends undegraded with NACKs under half the per-viewer recovery baseline")
 		egressCaps = flag.Bool("egress-caps", false,
 			"probe this kernel's egress and ingress fast paths (sendmmsg, UDP GSO, recvmmsg, UDP GRO), print one capability line, and exit")
 	)
@@ -165,7 +165,7 @@ func main() {
 	}
 	failed := false
 	fmt.Printf("%-6s %9s %9s %9s %9s %9s %8s %6s %6s %9s %s\n",
-		"drop", "injected", "fec-heals", "repaired", "requests", "dups", "defeats", "lost", "late", "bytes", "verdict")
+		"drop", "injected", "fec-heals", "nacks", "mc-heals", "dups", "defeats", "lost", "late", "bytes", "verdict")
 	for _, rate := range rates {
 		if err := sweep(*videos, *channels, *width, *unit, rate, *dup, *reorder, *delay, *maxDelay,
 			*seed, *fecGroup, burst, *noRepair, *verbose); err != nil {
@@ -302,8 +302,8 @@ func sweep(videos, channels int, width int64, unit time.Duration,
 		verdict = "degraded"
 	}
 	fmt.Printf("%-6v %9d %9d %9d %9d %9d %8d %6d %6d %9d %s\n",
-		drop, injected.Dropped+injected.BurstDropped, stats.FecHeals, stats.RepairedChunks,
-		stats.RepairRequests, stats.DuplicateChunks, stats.StripeDefeats,
+		drop, injected.Dropped+injected.BurstDropped, stats.FecHeals, stats.NacksSent,
+		stats.MulticastRepairs, stats.DuplicateChunks, stats.StripeDefeats,
 		stats.LostChunks, stats.LateChunks, stats.Bytes, verdict)
 	st := srv.Status()
 	if fecGroup > 0 {
@@ -384,14 +384,14 @@ type overloadRow struct {
 	BudgetBytesPerSec float64 `json:"budget_bytes_per_sec"`
 	ElapsedSec        float64 `json:"elapsed_sec"`
 	BytesDelivered    int64   `json:"bytes_delivered"`
-	RepairedChunks    int64   `json:"repaired_chunks"`
-	LostChunks        int64   `json:"lost_chunks"`
-	DegradedSessions  int     `json:"degraded_sessions"`
-	BusyReplies       int64   `json:"busy_replies"`
-	RepairBytesServed int64   `json:"repair_bytes_served"`
+	// MulticastRepairs counts the clients' chunks healed by a re-send.
+	MulticastRepairs int64 `json:"multicast_repairs"`
+	LostChunks       int64 `json:"lost_chunks"`
+	DegradedSessions int   `json:"degraded_sessions"`
 	// NacksServed, NackResends and NackSuppressed are the server's NACK
-	// ledger: gap bitmaps answered, chunks multicast again, and NACKed
-	// chunks absorbed by a re-send already in flight.
+	// ledger: gap bitmaps answered, chunks multicast again (each spending
+	// the budget), and NACKed chunks absorbed by a re-send already in
+	// flight.
 	NacksServed    int64 `json:"nacks_served"`
 	NackResends    int64 `json:"nack_resends"`
 	NackSuppressed int64 `json:"nack_suppressed"`
@@ -411,9 +411,9 @@ type overloadReport struct {
 // overloadSweep provisions the server's repair token bucket for ONE
 // session's expected repair bandwidth (plus 20% slack), then offers it
 // multiples of that demand as concurrent degradable clients. Within
-// budget every loss is repaired; beyond it the bucket answers Busy, the
-// clients back off on desynchronized jittered schedules, and the surplus
-// degrades gracefully instead of extracting unbounded unicast bytes.
+// budget every loss is re-sent; beyond it the bucket refuses re-sends,
+// the clients re-listen and ask again in a later round, and the surplus
+// degrades gracefully instead of extracting unbounded repair bytes.
 func overloadSweep(videos, channels int, width int64, unit time.Duration,
 	drop float64, seed uint64, multipliers, out string) error {
 	var ms []int
@@ -454,18 +454,17 @@ func overloadSweep(videos, channels int, width int64, unit time.Duration,
 		Videos: videos, Channels: channels, Width: width,
 		UnitNanos: int64(unit), DropRate: drop, Seed: seed,
 	}
-	fmt.Printf("%-6s %8s %12s %10s %9s %6s %9s %9s %12s %6s %8s %9s\n",
-		"mult", "clients", "budget(B/s)", "delivered", "repaired", "lost", "degraded", "busy", "repair-bytes",
+	fmt.Printf("%-6s %8s %12s %10s %9s %6s %9s %6s %8s %9s\n",
+		"mult", "clients", "budget(B/s)", "delivered", "mc-heals", "lost", "degraded",
 		"nacks", "resends", "absorbed")
 	for _, m := range ms {
 		row, err := overloadPoint(sch, unit, drop, seed, budget, m)
 		if err != nil {
 			return fmt.Errorf("multiplier %d: %w", m, err)
 		}
-		fmt.Printf("%-6d %8d %12.0f %10d %9d %6d %9d %9d %12d %6d %8d %9d\n",
+		fmt.Printf("%-6d %8d %12.0f %10d %9d %6d %9d %6d %8d %9d\n",
 			row.Multiplier, row.Clients, row.BudgetBytesPerSec, row.BytesDelivered,
-			row.RepairedChunks, row.LostChunks, row.DegradedSessions,
-			row.BusyReplies, row.RepairBytesServed,
+			row.MulticastRepairs, row.LostChunks, row.DegradedSessions,
 			row.NacksServed, row.NackResends, row.NackSuppressed)
 		report.Rows = append(report.Rows, *row)
 	}
@@ -484,7 +483,7 @@ func overloadSweep(videos, channels int, width int64, unit time.Duration,
 // concurrent clients and tallies the curve point. The burst is sized to
 // one session's expected total repair bytes: a single in-budget client
 // rides the burst through its correlated loss spikes, while surplus
-// demand drains the bucket and meets Busy.
+// demand drains the bucket and meets refusals.
 func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 	seed uint64, budget float64, m int) (*overloadRow, error) {
 	chunksPerVideo := int(sch.TotalUnits()) * 4096 / 1024
@@ -517,12 +516,11 @@ func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// One unit of slack leaves no chunk a multicast round's worth of
-			// deadline headroom, so the NACK ladder stays out and the demand
-			// lands on the unicast budget: the row's NACK columns read 0 by
-			// design.
-			// At two units the ladder heals every loss off a few re-sends and
-			// the budget never binds.
+			// One unit of slack leaves no chunk room for an aggregation
+			// window, so every loss NACKs on its own at its gap checkpoint
+			// and each re-send spends the budget. At two units windows
+			// gather the losses, a few re-sends heal them and the budget
+			// never binds.
 			stats, err := client.Watch(client.Config{
 				ServerAddr:    srv.Addr(),
 				Video:         0,
@@ -539,9 +537,8 @@ func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 			mu.Lock()
 			defer mu.Unlock()
 			row.BytesDelivered += stats.Bytes
-			row.RepairedChunks += stats.RepairedChunks
+			row.MulticastRepairs += stats.MulticastRepairs
 			row.LostChunks += stats.LostChunks
-			row.BusyReplies += stats.BusyReplies
 			if stats.LostChunks > 0 {
 				row.DegradedSessions++
 			}
@@ -555,7 +552,6 @@ func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 	}
 	row.ElapsedSec = time.Since(start).Seconds()
 	st := srv.Status()
-	row.RepairBytesServed = st.RepairBytes
 	row.NacksServed = st.NacksServed
 	row.NackResends = st.NackResends
 	row.NackSuppressed = st.NackSuppressed

@@ -40,9 +40,6 @@ type scaleRow struct {
 	P99WaitUnits float64 `json:"p99_wait_units"`
 	// Viewer-side outcome sums across all emulators.
 	Bytes            int64 `json:"bytes"`
-	RepairRequests   int64 `json:"repair_requests"`
-	RepairedChunks   int64 `json:"repaired_chunks"`
-	BusyReplies      int64 `json:"busy_replies"`
 	LostChunks       int64 `json:"lost_chunks"`
 	LateChunks       int64 `json:"late_chunks"`
 	DegradedSessions int   `json:"degraded_sessions"`
@@ -53,7 +50,7 @@ type scaleRow struct {
 	NacksSent        int64 `json:"nacks_sent"`
 	NacksSuppressed  int64 `json:"nack_suppressed"`
 	MulticastRepairs int64 `json:"multicast_repairs"`
-	// The proactive repair rung below the ladder: chunks reconstructed
+	// The proactive rung below the ladder: chunks reconstructed
 	// locally from the parity stripe (summed over viewers, zero control
 	// round trips each) and cohort-level stripe defeats that escalated.
 	FecHeals      int64 `json:"fec_heals"`
@@ -62,8 +59,6 @@ type scaleRow struct {
 	// stripe added to the broadcast (bounded by 1/G of the data frames).
 	ServerParityFrames int64 `json:"server_parity_frames"`
 	ServerParityBytes  int64 `json:"server_parity_bytes"`
-	// BusyRate is BusyReplies / RepairRequests (0 when no requests).
-	BusyRate float64 `json:"busy_rate"`
 	// Datagrams are the emulators' routed deliveries — one per (datagram,
 	// tuned cohort fragment), not per viewer. RecvDropped is always 0: the
 	// audience applies every datagram it reads.
@@ -80,12 +75,11 @@ type scaleRow struct {
 	GroFallbacks int64 `json:"gro_fallbacks,omitempty"`
 	ReadErrors   int64 `json:"read_errors,omitempty"`
 	// Server-side deltas over the window: CPU burned by the server
-	// process, datagrams put on the wire, unicast repairs answered, and
+	// process, datagrams put on the wire, chunks re-sent for NACKs, and
 	// the control-session high-water mark (audience-independence: one
 	// session per emulator process, whatever Viewers is).
 	ServerCPUSec        float64 `json:"server_cpu_sec"`
 	ServerDatagrams     int64   `json:"server_datagrams"`
-	ServerRepairs       int64   `json:"server_repairs"`
 	ServerNackResends   int64   `json:"server_nack_resends"`
 	ControlSessionsPeak int64   `json:"control_sessions_peak"`
 }
@@ -177,12 +171,12 @@ func parseCounts(s string) ([]int, error) {
 // audience sizes) it starts a fresh in-process server, then for each
 // audience size N forks -emulate children (os.Executable re-exec) that
 // hold N virtual viewers between them over real loopback sockets, and
-// records the viewers-vs-{start latency, repair load, busy rate,
-// degradation, server CPU} capacity curve. Faulted sweeps additionally
-// record the cohort repair plane's ledger: NACKs, suppressed windows,
-// and multicast re-send heals. With assertCohort set, every faulted
-// sweep must come back undegraded with sublinear unicast-repair growth —
-// the O(cohorts)-not-O(viewers) property, enforced.
+// records the viewers-vs-{start latency, degradation, server CPU}
+// capacity curve. Faulted sweeps additionally record the cohort repair
+// plane's ledger: NACKs, suppressed windows, and multicast re-send heals.
+// With assertCohort set, every faulted sweep must come back undegraded
+// with sublinear NACK growth — the O(cohorts)-not-O(viewers) property,
+// enforced.
 func scaleSweep(videos, channels int, width int64, unit time.Duration,
 	seed uint64, sweeps []sweepSpec, procs int,
 	spread float64, fecGroup int, burst burstSpec,
@@ -264,18 +258,17 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 
 	res := &scaleSweepResult{DropRate: sw.drop}
 	fmt.Printf("sweep: drop=%v\n", sw.drop)
-	fmt.Printf("%-9s %5s %7s %9s %9s %9s %9s %8s %7s %8s %7s %8s %9s %9s %8s %9s\n",
-		"viewers", "procs", "cohorts", "p50-wait", "p99-wait", "fec-heals", "repairs", "defeats", "busy%", "degraded",
+	fmt.Printf("%-9s %5s %7s %9s %9s %9s %8s %8s %7s %8s %9s %9s %8s %9s\n",
+		"viewers", "procs", "cohorts", "p50-wait", "p99-wait", "fec-heals", "defeats", "degraded",
 		"nacks", "mc-heals", "datagrams", "srv-cpu-s", "srv-dgs", "sessions")
 	for _, n := range sw.counts {
 		row, err := scalePoint(srv, n, procs, videos, spread, seed, noRepair, verbose)
 		if err != nil {
 			return nil, fmt.Errorf("drop %v viewers %d: %w", sw.drop, n, err)
 		}
-		fmt.Printf("%-9d %5d %7d %9.3f %9.3f %9d %9d %8d %7.2f %8d %7d %8d %9d %9.2f %8d %9d\n",
+		fmt.Printf("%-9d %5d %7d %9.3f %9.3f %9d %8d %8d %7d %8d %9d %9.2f %8d %9d\n",
 			row.Viewers, row.Procs, row.Cohorts, row.P50WaitUnits, row.P99WaitUnits,
-			row.FecHeals, row.RepairRequests, row.StripeDefeats,
-			100*row.BusyRate, row.DegradedSessions,
+			row.FecHeals, row.StripeDefeats, row.DegradedSessions,
 			row.NacksSent, row.MulticastRepairs,
 			row.Datagrams, row.ServerCPUSec, row.ServerDatagrams, row.ControlSessionsPeak)
 		res.Rows = append(res.Rows, *row)
@@ -301,15 +294,14 @@ func runScaleSweep(sch *core.Scheme, unit time.Duration, seed uint64, sw sweepSp
 }
 
 // assertCohortRepair enforces the repair plane's scaling contract on
-// every faulted sweep: no session may degrade, and unicast repair round
-// trips must stay well under the per-viewer recovery baseline of
-// drop x chunks/session x viewers — what O(viewers) recovery would
-// spend (PR 6 measured exactly that: ~1 round trip per viewer at 2%
-// drop). Half the baseline is the failure line: generous enough that
-// deadline-forced unicast fallback on a stalled CI box (a legitimate
-// ladder escalation) passes, while a ladder that stopped aggregating —
-// every injured viewer pulling its own chunk — lands at ~1x baseline
-// and fails every row.
+// every faulted sweep: no session may degrade, and NACK round trips must
+// stay well under the per-viewer recovery baseline of drop x
+// chunks/session x viewers — what O(viewers) recovery would spend (~1
+// round trip per lost chunk per viewer). Half the baseline is the
+// failure line: generous enough that the just-in-time chunks, which NACK
+// one by one, and extra rounds on a stalled CI box pass, while a cohort
+// that stopped speaking as one voice — every injured viewer NACKing its
+// own chunks — lands at ~1x baseline and fails every row.
 func assertCohortRepair(report *scaleReport, chunksPerViewer int) error {
 	asserted := false
 	for _, sw := range report.Sweeps {
@@ -323,9 +315,9 @@ func assertCohortRepair(report *scaleReport, chunksPerViewer int) error {
 					sw.DropRate, row.Viewers, row.DegradedSessions)
 			}
 			baseline := sw.DropRate * float64(chunksPerViewer) * float64(row.Viewers)
-			if float64(row.RepairRequests) >= baseline/2 {
-				return fmt.Errorf("cohort-repair assertion: drop %v, %d viewers: %d unicast repairs vs a per-viewer baseline of %.0f — repair work is scaling with viewers, not cohorts",
-					sw.DropRate, row.Viewers, row.RepairRequests, baseline)
+			if float64(row.NacksSent) >= baseline/2 {
+				return fmt.Errorf("cohort-repair assertion: drop %v, %d viewers: %d NACKs vs a per-viewer baseline of %.0f — repair work is scaling with viewers, not cohorts",
+					sw.DropRate, row.Viewers, row.NacksSent, baseline)
 			}
 		}
 	}
@@ -402,9 +394,6 @@ func scalePoint(srv *server.Server, n, procs, videos int,
 		row.PeakViewers += res.PeakViewers
 		row.PeakCohorts += res.PeakCohorts
 		row.Bytes += res.Bytes
-		row.RepairRequests += res.RepairRequests
-		row.RepairedChunks += res.RepairedChunks
-		row.BusyReplies += res.BusyReplies
 		row.LostChunks += res.LostChunks
 		row.LateChunks += res.LateChunks
 		row.DegradedSessions += res.Degraded
@@ -425,12 +414,8 @@ func scalePoint(srv *server.Server, n, procs, videos int,
 	merged := viewer.MergeWaitHists(hists...)
 	row.P50WaitUnits = viewer.WaitQuantile(merged, int64(n), 0.50)
 	row.P99WaitUnits = viewer.WaitQuantile(merged, int64(n), 0.99)
-	if row.RepairRequests > 0 {
-		row.BusyRate = float64(row.BusyReplies) / float64(row.RepairRequests)
-	}
 	s1 := srv.Status()
 	row.ServerDatagrams = s1.DatagramsSent - s0.DatagramsSent
-	row.ServerRepairs = s1.RepairsServed - s0.RepairsServed
 	row.ServerNackResends = s1.NackResends - s0.NackResends
 	row.ServerParityFrames = s1.ParityFrames - s0.ParityFrames
 	row.ServerParityBytes = s1.ParityBytes - s0.ParityBytes

@@ -1,9 +1,10 @@
 // Package client is the one-session front of the live Skyscraper
 // Broadcasting demo's receiving end. The three service routines of Section
 // 3.3 — an Odd Loader, an Even Loader and a Video Player over at most two
-// tuners — the loss recovery that lets them survive a lossy channel
-// (parity-stripe heals, gap-bitmap NACKs, deadline-bounded unicast repair,
-// control reconnects) and the byte verification all live once, in
+// tuners — the loss recovery that lets them survive a lossy channel (two
+// rungs: parity-stripe heals, then gap-bitmap NACKs answered by multicast
+// re-sends; plus control reconnects) and the byte verification all live
+// once, in
 // internal/viewer, where an audience of thousands and a single set-top box
 // are the same cohort code. This package states one viewer (a video, a
 // seed, a disk size), runs it there as a one-viewer cohort, and applies
@@ -32,29 +33,24 @@ type Config struct {
 	SlackFrac float64
 	// RepairLagFrac is how long after a chunk's expected arrival, as a
 	// fraction of one unit, a loader waits before declaring the chunk a
-	// gap and starting its recovery — a NACK when the server offers the
-	// ladder, a unicast repair otherwise (absorbs pacing drift and
+	// gap and starting its recovery (absorbs pacing drift and
 	// reordering). Defaults to 0.5.
 	RepairLagFrac float64
 	// DisableRepair turns the loss-recovery path off: missing chunks are
 	// never requested from the server and become LostChunks when their
-	// playback deadline passes.
+	// playback deadline passes. Otherwise a burst of losses costs one
+	// aggregated gap-bitmap NACK and heals off one multicast re-send
+	// shared by the whole injured audience.
 	DisableRepair bool
-	// DisableNack turns off the multicast-first NACK ladder: gaps go
-	// straight to unicast KindRepair round trips. The ladder is on by
-	// default whenever the server advertises it (Welcome.NackRepair), so
-	// a burst of losses costs one aggregated gap-bitmap NACK and heals
-	// off one multicast re-send shared by the whole injured audience.
-	DisableNack bool
 	// AllowDegraded lets a session complete, with losses and jitter
 	// counted in Stats, instead of failing when chunks could not be
 	// recovered before their playback deadline. Content-verification
 	// errors always fail the session.
 	AllowDegraded bool
-	// Seed keys the session's deterministic backoff jitter: every repair
-	// retry and control reconnect sleeps a full-jitter delay drawn from a
-	// substream of this seed, so two clients with different seeds
-	// desynchronize their retry schedules instead of re-storming the
+	// Seed keys the session's deterministic jitter: every NACK
+	// aggregation window and every control reconnect waits a full-jitter
+	// delay drawn from a substream of this seed, so two clients with
+	// different seeds desynchronize their NACKs instead of storming the
 	// server in lockstep — while a given seed always reproduces the same
 	// schedule.
 	Seed uint64
@@ -69,8 +65,8 @@ type Config struct {
 	// the audience loop is scheduled out. Zero selects
 	// mcast.DefaultRecvBufBytes (4 MiB).
 	RecvBufBytes int
-	// Trace, when non-nil, journals recovery events — gaps, repair round
-	// trips, losses, reconnects — on the wall-minutes scale of the
+	// Trace, when non-nil, journals recovery events — NACK windows and
+	// round trips, losses, reconnects — on the wall-minutes scale of the
 	// broadcast epoch, so a failing chaos run can explain itself.
 	Trace *trace.Buffer
 	// Logf, when non-nil, receives diagnostic output.
@@ -78,7 +74,7 @@ type Config struct {
 }
 
 // Stats reports a completed session: the one-viewer cohort's result, so
-// every chunk-outcome and repair count reads as in viewer.Result, plus the
+// every chunk-outcome and recovery count reads as in viewer.Result, plus the
 // session's WaitUnits and Groups.
 type Stats = viewer.SessionResult
 
@@ -94,7 +90,6 @@ func Watch(cfg Config) (*Stats, error) {
 		SlackFrac:     cfg.SlackFrac,
 		RepairLagFrac: cfg.RepairLagFrac,
 		DisableRepair: cfg.DisableRepair,
-		DisableNack:   cfg.DisableNack,
 		RecvBufBytes:  cfg.RecvBufBytes,
 		Logf:          cfg.Logf,
 	}, viewer.Session{Video: cfg.Video, Seed: cfg.Seed, MaxBufferBytes: cfg.MaxBufferBytes, Trace: cfg.Trace})

@@ -36,17 +36,22 @@ type fakeServer struct {
 	corruptContent atomic.Bool // valid CRC over wrong bytes
 	duplicate      atomic.Bool // send every chunk twice
 	refuseJoins    atomic.Bool
-	refuseRepairs  atomic.Bool
+	// A NACK is answered in one of three ways. By default every chunk is
+	// accepted and re-sent to the joined port, past the fault plan.
+	// refuseNacks rejects every NACK with an error; refuseChunks leaves
+	// that many NACKed chunks unmarked (budget pushback) before accepting,
+	// and refuseAll every one; byeOnNack answers the first NACK with a
+	// server-initiated bye and hangs up.
+	refuseNacks  atomic.Bool
+	refuseChunks atomic.Int32
+	refuseAll    atomic.Bool
+	byeOnNack    atomic.Bool
+	// nacks and repairs count the NACKs and the unicast repair requests
+	// received.
+	nacks, repairs atomic.Int32
 	// garble, when set (before any client connects), edits the Welcome the
 	// fake is about to send.
 	garble func(*wire.Welcome)
-	// busyFirst answers that many repair requests with Busy (and a 5ms
-	// retry hint) before serving normally; alwaysBusy answers every
-	// repair with a zero-hint Busy (re-listen); byeOnRepair answers the
-	// first repair with a server-initiated bye and hangs up.
-	busyFirst   atomic.Int32
-	alwaysBusy  atomic.Bool
-	byeOnRepair atomic.Bool
 	// closeAfterJoins, when positive, drops the control connection after
 	// that many joins, exercising the client's reconnect path.
 	closeAfterJoins atomic.Int32
@@ -65,6 +70,7 @@ type fakeServer struct {
 type fakeConn struct {
 	joins []int        // channels joined, in order
 	held  map[int]bool // channels held now
+	port  int          // where the joins asked the groups sent
 	// heldAtHangup is what the connection held when it went; strayLeaves
 	// counts Leaves for channels it did not hold.
 	heldAtHangup []int
@@ -164,6 +170,7 @@ func (f *fakeServer) serve(conn net.Conn) {
 			f.mu.Lock()
 			fc.joins = append(fc.joins, m.Channel)
 			fc.held[m.Channel] = true
+			fc.port = m.Port
 			f.mu.Unlock()
 			dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: m.Port}
 			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindJoined, Video: m.Video, Channel: m.Channel})
@@ -172,32 +179,34 @@ func (f *fakeServer) serve(conn net.Conn) {
 				return // hang up; the client must reconnect
 			}
 		case wire.KindRepair:
-			rp := m.Repair
-			if rp == nil || rp.Channel < 1 || rp.Channel > len(f.sizes) || rp.Length <= 0 || f.refuseRepairs.Load() {
-				_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindError, Error: "repair refused"})
-				continue
-			}
-			if f.byeOnRepair.Load() {
+			f.repairs.Add(1)
+			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindError, Error: "no unicast repair here"})
+		case wire.KindNack:
+			f.nacks.Add(1)
+			nk := m.Nack
+			if f.byeOnNack.Load() {
 				_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindBye})
 				return
 			}
-			if f.alwaysBusy.Load() {
-				_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindBusy})
+			if nk.Channel < 1 || nk.Channel > len(f.sizes) || f.refuseNacks.Load() {
+				_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindError, Error: "nack refused"})
 				continue
 			}
-			if f.busyFirst.Load() > 0 && f.busyFirst.Add(-1) >= 0 {
-				_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindBusy,
-					RetryAfterNanos: int64(5 * time.Millisecond)})
-				continue
+			acc := &wire.Nack{Video: nk.Video, Channel: nk.Channel, Seq: nk.Seq,
+				BaseChunk: nk.BaseChunk, Bitmap: make([]byte, len(nk.Bitmap))}
+			f.mu.Lock()
+			dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: fc.port}
+			f.mu.Unlock()
+			for _, chunk := range nk.Chunks() {
+				if f.refuseAll.Load() || f.refuseChunks.Load() > 0 && f.refuseChunks.Add(-1) >= 0 {
+					continue
+				}
+				// As the real server does: one more copy on the broadcast
+				// group (here the joined port), past the fault plan.
+				acc.Set(chunk)
+				_, _ = udp.WriteToUDP(f.chunkFrame(nk.Channel, nk.Seq, chunk), dst)
 			}
-			var base int64
-			for _, s := range f.sizes[:rp.Channel-1] {
-				base += s
-			}
-			reply := *rp
-			reply.Data = make([]byte, rp.Length)
-			content.Fill(reply.Data, rp.Video, base*int64(f.bytesPerUnit)+rp.Offset)
-			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindRepairOK, Repair: &reply})
+			_ = wire.WriteControl(conn, &wire.Control{Kind: wire.KindNackOK, Nack: acc})
 		case wire.KindLeave:
 			f.mu.Lock()
 			if !fc.held[m.Channel] {
@@ -211,15 +220,31 @@ func (f *fakeServer) serve(conn net.Conn) {
 	}
 }
 
+// chunkFrame encodes chunk idx of repetition seq of the channel's fragment.
+func (f *fakeServer) chunkFrame(channel int, seq uint32, idx int) []byte {
+	var base int64
+	for _, s := range f.sizes[:channel-1] {
+		base += s
+	}
+	total := int(f.sizes[channel-1]) * f.bytesPerUnit
+	payload := make([]byte, f.chunkBytes)
+	content.Fill(payload, 0, base*int64(f.bytesPerUnit)+int64(idx*f.chunkBytes))
+	if f.corruptContent.Load() && idx == 0 {
+		payload[3] ^= 0xFF
+	}
+	c := wire.Chunk{Video: 0, Channel: uint16(channel), Seq: seq, Offset: uint32(idx * f.chunkBytes), Total: uint32(total), Payload: payload}
+	frame, err := c.Encode(nil)
+	if err != nil {
+		f.t.Errorf("fake server encode: %v", err)
+	}
+	return frame
+}
+
 // sendFragment blasts the chunks of several upcoming repetitions of the
 // channel's fragment; the client filters to the repetition it wants, and
 // early arrival is legal (broadcast data may be prefetched, never late).
 func (f *fakeServer) sendFragment(udp *net.UDPConn, dst *net.UDPAddr, channel int) {
 	size := f.sizes[channel-1]
-	var base int64
-	for _, s := range f.sizes[:channel-1] {
-		base += s
-	}
 	var snd mcast.Sender = udpSender{udp: udp, dst: dst}
 	if f.plan != nil {
 		inj, err := faults.New(snd, *f.plan)
@@ -230,31 +255,16 @@ func (f *fakeServer) sendFragment(udp *net.UDPConn, dst *net.UDPAddr, channel in
 		snd = inj
 		defer inj.Flush()
 	}
-	baseBytes := base * int64(f.bytesPerUnit)
-	total := int(size) * f.bytesPerUnit
+	nchunks := int(size) * f.bytesPerUnit / f.chunkBytes
 	nowUnits := int64(time.Since(f.epoch) / f.unit)
 	startSeq := uint32(nowUnits / size)
 	for seq := startSeq; seq < startSeq+8; seq++ {
-		for off := 0; off < total; off += f.chunkBytes {
-			payload := make([]byte, f.chunkBytes)
-			content.Fill(payload, 0, baseBytes+int64(off))
-			if f.corruptContent.Load() && off == 0 {
-				payload[3] ^= 0xFF
-			}
-			c := wire.Chunk{
-				Video:   0,
-				Channel: uint16(channel),
-				Seq:     seq,
-				Offset:  uint32(off),
-				Total:   uint32(total),
-				Payload: payload,
-			}
-			frame, err := c.Encode(nil)
-			if err != nil {
-				f.t.Errorf("fake server encode: %v", err)
+		for idx := 0; idx < nchunks; idx++ {
+			frame := f.chunkFrame(channel, seq, idx)
+			if frame == nil {
 				return
 			}
-			if f.corruptCRC.Load() && off == 0 {
+			if f.corruptCRC.Load() && idx == 0 {
 				bad := append([]byte(nil), frame...)
 				bad[len(bad)-1] ^= 0x01
 				_, _ = udp.WriteToUDP(bad, dst)
@@ -376,25 +386,25 @@ func TestWatchNoServer(t *testing.T) {
 
 // signature is the deterministic subset of Stats: the fields that depend
 // only on the fault plan's decisions, not on wall-clock timing (WaitUnits
-// and MaxBufferBytes vary run to run; repair retries may too).
+// and MaxBufferBytes vary run to run).
 type signature struct {
-	bytes, byteErrors, lost, repaired, dups int64
-	groups                                  int
+	bytes, byteErrors, lost, healed, dups, nacks int64
+	groups                                       int
 }
 
 func sig(s *Stats) signature {
 	return signature{
 		bytes: s.Bytes, byteErrors: s.ByteErrors, lost: s.LostChunks,
-		repaired: s.RepairedChunks, dups: s.DuplicateChunks, groups: s.Groups,
+		healed: s.MulticastRepairs, dups: s.DuplicateChunks, nacks: s.NacksSent, groups: s.Groups,
 	}
 }
 
 // faultyWatch runs one session against a fake with the given plan,
-// using timing loose enough that every repair window is comfortable.
+// using timing loose enough that every NACK round trip is comfortable.
 func faultyWatch(t *testing.T, plan faults.Plan, cfg Config) (*Stats, error) {
 	t.Helper()
 	f := newFakeServer(t)
-	f.unit = 80 * time.Millisecond // widen repair windows vs the 30ms default
+	f.unit = 80 * time.Millisecond // widen the chunk spacing vs the 30ms default
 	f.plan = &plan
 	cfg.ServerAddr = f.addr()
 	cfg.SlackFrac = 1.0
@@ -403,8 +413,9 @@ func faultyWatch(t *testing.T, plan faults.Plan, cfg Config) (*Stats, error) {
 
 // TestWatchRecoversFromFaultPlans is the client-side chaos table: under
 // seeded drop, duplication, reordering, and delay the session must still
-// complete with every byte verified, zero losses, zero jitter — and the
-// recovery statistics must be identical for identical seeds.
+// complete with every byte verified, zero losses, zero jitter — healing
+// every drop off the re-send its NACK brought — and the recovery
+// statistics must be identical for identical seeds.
 func TestWatchRecoversFromFaultPlans(t *testing.T) {
 	plans := []struct {
 		name string
@@ -415,7 +426,7 @@ func TestWatchRecoversFromFaultPlans(t *testing.T) {
 		{"reorder-only", faults.Plan{Reorder: 0.4}},
 		{"combined", faults.Plan{Drop: 0.2, Duplicate: 0.2, Reorder: 0.2, Delay: 0.2, MaxDelay: 5 * time.Millisecond}},
 	}
-	var totalRepaired, totalDups int64
+	var totalHealed, totalDups int64
 	for _, tc := range plans {
 		for _, seed := range []uint64{1, 11} {
 			t.Run(tc.name, func(t *testing.T) {
@@ -434,7 +445,7 @@ func TestWatchRecoversFromFaultPlans(t *testing.T) {
 						t.Errorf("seed %d run %d: bytes = %d, want %d", seed, run, stats.Bytes, want)
 					}
 					sigs[run] = sig(stats)
-					totalRepaired += stats.RepairedChunks
+					totalHealed += stats.MulticastRepairs
 					totalDups += stats.DuplicateChunks
 				}
 				if sigs[0] != sigs[1] {
@@ -444,9 +455,9 @@ func TestWatchRecoversFromFaultPlans(t *testing.T) {
 		}
 	}
 	// Across the whole table the faults must actually have fired: some
-	// chunk was repaired and some duplicate discarded.
-	if totalRepaired == 0 {
-		t.Error("no chunk was ever repaired across all drop plans")
+	// chunk was healed by a re-send and some duplicate discarded.
+	if totalHealed == 0 {
+		t.Error("no chunk was ever healed by a re-send across all drop plans")
 	}
 	if totalDups == 0 {
 		t.Error("no duplicate was ever discarded across all duplicate plans")
@@ -464,8 +475,8 @@ func TestWatchDegradesWithoutRepair(t *testing.T) {
 	if stats.LostChunks == 0 {
 		t.Fatal("a 30% drop plan lost nothing; seed choice broken")
 	}
-	if stats.RepairRequests != 0 || stats.RepairedChunks != 0 {
-		t.Errorf("repairs issued despite DisableRepair: %+v", stats)
+	if stats.NacksSent != 0 || stats.MulticastRepairs != 0 {
+		t.Errorf("NACKs issued despite DisableRepair: %+v", stats)
 	}
 	if want := int64(3*64) - stats.LostChunks*32; stats.Bytes != want {
 		t.Errorf("bytes = %d, want %d (total minus %d lost chunks)", stats.Bytes, want, stats.LostChunks)
@@ -485,7 +496,7 @@ func TestWatchStrictModeFailsOnLoss(t *testing.T) {
 // TestWatchReconnectsControl: the server hangs up the control connection
 // after the first join, dropping its membership; the client must re-dial,
 // re-handshake, join again every group it still holds, and complete the
-// session — including repairs over the new connection.
+// session — including NACKs over the new connection.
 func TestWatchReconnectsControl(t *testing.T) {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
@@ -525,22 +536,48 @@ func TestWatchReconnectsControl(t *testing.T) {
 	}
 }
 
-// TestWatchRepairRefused: a server that refuses repairs must not wedge the
-// client — capped retries, then counted losses in degraded mode.
+// TestWatchRepairRefused: a server that rejects every NACK must not wedge
+// the client — capped rounds, then counted losses in degraded mode.
 func TestWatchRepairRefused(t *testing.T) {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
 	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
-	f.refuseRepairs.Store(true)
+	f.refuseNacks.Store(true)
 	stats, err := Watch(Config{ServerAddr: f.addr(), Video: 0, SlackFrac: 1.0, AllowDegraded: true})
 	if err != nil {
-		t.Fatalf("refused repairs wedged the session: %v", err)
+		t.Fatalf("refused NACKs wedged the session: %v", err)
 	}
 	if stats.LostChunks == 0 {
-		t.Error("refused repairs produced no losses")
+		t.Error("refused NACKs produced no losses")
 	}
-	if stats.RepairRequests == 0 {
-		t.Error("no repair was ever attempted")
+	if stats.NacksSent == 0 || f.nacks.Load() == 0 {
+		t.Errorf("no NACK was ever sent (client %d, server %d)", stats.NacksSent, f.nacks.Load())
+	}
+}
+
+// TestWatchJustInTimeNackHeals: on this geometry no chunk's loss deadline
+// leaves room for an aggregation window (one unit of slack, chunks a half
+// unit apart), so every dropped chunk NACKs at its gap checkpoint, drawing
+// no jitter, and heals off the re-send — with not one unicast request.
+func TestWatchJustInTimeNackHeals(t *testing.T) {
+	f := newFakeServer(t)
+	f.unit = 80 * time.Millisecond
+	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
+	tb := trace.New(512)
+	stats, err := Watch(Config{ServerAddr: f.addr(), Video: 0, SlackFrac: 1.0, Trace: tb})
+	if err != nil {
+		t.Fatalf("watch: %v (stats %+v)", err, stats)
+	}
+	if stats.NacksSent == 0 || stats.MulticastRepairs == 0 {
+		t.Errorf("%d NACKs healed %d chunks, want both above 0", stats.NacksSent, stats.MulticastRepairs)
+	}
+	if n := f.repairs.Load(); n != 0 {
+		t.Errorf("%d unicast repair requests, want none", n)
+	}
+	for _, e := range tb.Events() {
+		if e.Kind == "nack-window" {
+			t.Errorf("a just-in-time chunk waited in a jittered window: %s", e.Detail)
+		}
 	}
 }
 
@@ -558,22 +595,21 @@ func TestWatchBufferCapacity(t *testing.T) {
 }
 
 // TestBackoffJitterDesync: the anti-storm property of Config.Seed. Two
-// sessions with different seeds must draw different backoff schedules from
-// the same retry sites (so a shared fault or a shared Busy release time
-// does not re-synchronize them), while the same seed must reproduce the
-// same schedule exactly, and every delay must respect (0, window] with the
-// 1ms anti-spin floor.
+// sessions with different seeds must draw different jitter from the same
+// retry sites (so a shared fault does not re-synchronize their NACKs),
+// while the same seed must reproduce the same schedule exactly, and every
+// delay must respect (0, window] with the 1ms anti-spin floor.
 func TestBackoffJitterDesync(t *testing.T) {
 	const window = 80 * time.Millisecond
 	// The two retry sites of the one driver: a Config.Seed reaches them
 	// unchanged as viewer.Session.Seed.
-	jitterKeyReconnect, repairJitterKey := viewer.ReconnectJitterKey, viewer.RepairJitterKey
+	jitterKeyReconnect, nackJitterKey := viewer.ReconnectJitterKey, viewer.NackJitterKey
 	schedule := func(seed uint64) []time.Duration {
 		var ds []time.Duration
 		for stream := uint64(1); stream <= 8; stream++ {
 			ds = append(ds,
 				viewer.JitterIn(seed, jitterKeyReconnect, stream, window),
-				viewer.JitterIn(seed, repairJitterKey(3, 7), stream, window))
+				viewer.JitterIn(seed, nackJitterKey(3), stream, window))
 		}
 		return ds
 	}
@@ -596,56 +632,68 @@ func TestBackoffJitterDesync(t *testing.T) {
 		t.Errorf("seeds 1 and 2 collide on %d/%d backoff slots; schedules not desynchronized", same, len(a))
 	}
 	// Distinct retry sites under one seed must also not share a stream.
-	if viewer.JitterIn(1, jitterKeyReconnect, 1, window) == viewer.JitterIn(1, repairJitterKey(1, 1), 1, window) {
-		t.Error("reconnect and repair sites drew identical jitter from one seed")
+	if viewer.JitterIn(1, jitterKeyReconnect, 1, window) == viewer.JitterIn(1, nackJitterKey(1), 1, window) {
+		t.Error("reconnect and NACK sites drew identical jitter from one seed")
 	}
 }
 
-// TestWatchHonorsBusyBackoff: admission pushback with a retry hint is flow
-// control, not failure — the client backs off for the hinted interval and
-// the retried repair then succeeds, so the session still completes with
-// every byte intact.
+// TestWatchHonorsBusyBackoff: budget pushback is flow control, not
+// failure — the first NACKed chunks come back refused, the client waits
+// out a re-listen and asks again in a later round, which heals them, so
+// the session still completes with every byte intact.
 func TestWatchHonorsBusyBackoff(t *testing.T) {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
 	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
-	f.busyFirst.Store(2)
-	stats, err := Watch(Config{ServerAddr: f.addr(), Video: 0, SlackFrac: 1.0, Seed: 7})
+	f.refuseChunks.Store(2)
+	tb := trace.New(512)
+	// Four units of slack leave every chunk room for several rounds.
+	stats, err := Watch(Config{ServerAddr: f.addr(), Video: 0, SlackFrac: 4.0, Seed: 7, Trace: tb})
 	if err != nil {
-		t.Fatalf("busy replies failed the session: %v (stats %+v)", err, stats)
+		t.Fatalf("refused chunks failed the session: %v (stats %+v)", err, stats)
 	}
-	if stats.BusyReplies == 0 {
-		t.Error("no Busy reply counted despite the server sending them")
+	if n := f.refuseChunks.Load(); n > 0 {
+		t.Errorf("%d of 2 refusals unspent: the pushback never ran", n)
 	}
-	if stats.RepairedChunks == 0 {
-		t.Error("no chunk repaired after backoff")
+	refused := 0
+	for _, e := range tb.Events() {
+		if e.Kind == "nack-refused" {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Error("no refused chunk journaled despite the server refusing them")
+	}
+	if stats.MulticastRepairs == 0 {
+		t.Error("no chunk healed after the pushback")
 	}
 	if stats.LostChunks != 0 || stats.ByteErrors != 0 {
-		t.Errorf("degraded despite transient busy: %+v", stats)
+		t.Errorf("degraded despite transient pushback: %+v", stats)
 	}
 	if want := int64(3 * 64); stats.Bytes != want {
 		t.Errorf("bytes = %d, want %d", stats.Bytes, want)
 	}
 }
 
-// TestWatchDegradesUnderPersistentBusy: a server that never admits repairs
-// (zero-hint Busy: "re-listen to the broadcast") must not wedge the client
-// — dropped chunks run out their deadlines and are counted as losses in
-// degraded mode, with no repair ever marked successful.
+// TestWatchDegradesUnderPersistentBusy: a server that never admits a
+// re-send (every NackOK marks nothing: the budget pushback that replaced
+// Busy on this plane) must not wedge the client — dropped chunks run out
+// their rounds and deadlines and are counted as losses in degraded mode,
+// with nothing healed.
 func TestWatchDegradesUnderPersistentBusy(t *testing.T) {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
 	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
-	f.alwaysBusy.Store(true)
+	f.refuseAll.Store(true)
 	stats, err := Watch(Config{ServerAddr: f.addr(), Video: 0, SlackFrac: 1.0, AllowDegraded: true, Seed: 7})
 	if err != nil {
-		t.Fatalf("persistent busy wedged the session: %v (stats %+v)", err, stats)
+		t.Fatalf("persistent pushback wedged the session: %v (stats %+v)", err, stats)
 	}
-	if stats.BusyReplies == 0 {
-		t.Error("no Busy reply counted")
+	if stats.NacksSent == 0 {
+		t.Error("no NACK sent")
 	}
-	if stats.RepairedChunks != 0 {
-		t.Errorf("repairs succeeded against an always-busy server: %+v", stats)
+	if stats.MulticastRepairs != 0 {
+		t.Errorf("chunks healed against a server that re-sends nothing: %+v", stats)
 	}
 	if stats.LostChunks == 0 {
 		t.Error("no losses counted; drop plan or deadline accounting broken")
@@ -653,78 +701,80 @@ func TestWatchDegradesUnderPersistentBusy(t *testing.T) {
 }
 
 // TestWatchStopsRepairsOnBye: a server-initiated bye (graceful drain)
-// latches for the whole session — no loader issues further repairs, and
+// latches for the whole session — no loader sends a NACK after it, and
 // the session completes degraded on broadcast data alone.
 func TestWatchStopsRepairsOnBye(t *testing.T) {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
 	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
-	f.byeOnRepair.Store(true)
+	f.byeOnNack.Store(true)
 	stats, err := Watch(Config{ServerAddr: f.addr(), Video: 0, SlackFrac: 1.0, AllowDegraded: true, Seed: 7})
 	if err != nil {
 		t.Fatalf("server bye wedged the session: %v (stats %+v)", err, stats)
 	}
-	if stats.RepairRequests == 0 {
-		t.Error("no repair was ever attempted, so the bye path never ran")
+	// The two loaders may each have a NACK queued when the bye lands;
+	// none follows.
+	if n := f.nacks.Load(); n == 0 || n > 2 {
+		t.Errorf("server got %d NACKs, want the one answered with bye (two at most, one per loader)", n)
 	}
-	if stats.RepairedChunks != 0 {
-		t.Errorf("repairs succeeded after the server said bye: %+v", stats)
+	if stats.MulticastRepairs != 0 {
+		t.Errorf("chunks healed after the server said bye: %+v", stats)
 	}
 	if stats.LostChunks == 0 {
-		t.Error("no losses counted after repairs were cut off")
+		t.Error("no losses counted after NACKs were cut off")
 	}
 }
 
-// retryDelays runs fn with a journal against a fake server that drops 30%
-// of the broadcast and refuses every repair, and returns the backoff each
-// failed repair attempt journaled, keyed by "channel/chunk/attempt" (the
-// repetition tuned differs from run to run; the retry sites do not).
-func retryDelays(t *testing.T, fn func(addr string, tb *trace.Buffer) error) map[string]time.Duration {
+// windowDraws runs fn with a journal against a fake server that drops 30%
+// of the broadcast, and returns the jitter each NACK aggregation window
+// journaled, keyed by "channel/window" (the repetition tuned differs from
+// run to run; the windows of a channel are numbered alike), with the
+// window it was drawn from.
+func windowDraws(t *testing.T, fn func(addr string, tb *trace.Buffer) error) map[string][2]time.Duration {
 	f := newFakeServer(t)
 	f.unit = 80 * time.Millisecond
 	f.plan = &faults.Plan{Seed: 11, Drop: 0.3}
-	f.refuseRepairs.Store(true)
 	tb := trace.New(512)
 	if err := fn(f.addr(), tb); err != nil {
 		t.Error(err)
 	}
-	re := regexp.MustCompile(`^ch (\d+) seq \d+ chunk (\d+) attempt (\d+): .*; retry in (\S+)$`)
-	delays := map[string]time.Duration{}
+	re := regexp.MustCompile(`^ch (\d+) seq \d+ window (\d+): (\S+) of (\S+)$`)
+	draws := map[string][2]time.Duration{}
 	for _, e := range tb.Events() {
-		// A failed attempt that rescheduled nothing (the last one: lost)
-		// journals no backoff and does not match.
-		if m := re.FindStringSubmatch(e.Detail); m != nil && e.Kind == "repair-fail" {
-			d, err := time.ParseDuration(m[4])
-			if err != nil {
-				t.Errorf("journal line %q: %v", e.Detail, err)
+		if m := re.FindStringSubmatch(e.Detail); m != nil && e.Kind == "nack-window" {
+			d, err := time.ParseDuration(m[3])
+			w, err2 := time.ParseDuration(m[4])
+			if err != nil || err2 != nil {
+				t.Errorf("journal line %q: %v %v", e.Detail, err, err2)
 			}
-			delays[m[1]+"/"+m[2]+"/"+m[3]] = d
+			draws[m[1]+"/"+m[2]] = [2]time.Duration{d, w}
 		}
 	}
-	return delays
+	return draws
 }
 
-// TestWatchSeedIsTheViewerSeed: Config.Seed reaches the retry sites as
-// given. A Watch seeded s and viewer 0 of an audience whose ViewerSeed is s
-// journal the same backoff at every retry site they both visit, and each
-// is the viewer.JitterIn(s, …) draw — no second derivation in between.
+// TestWatchSeedIsTheViewerSeed: Config.Seed reaches the NACK windows as
+// given. A Watch seeded s and viewer 0 of an audience whose ViewerSeed is
+// s journal the same jitter at every window they both arm, and each is
+// the viewer.JitterIn(s, …) draw — no second derivation in between. Four
+// units of slack give the chunks room for aggregation windows.
 func TestWatchSeedIsTheViewerSeed(t *testing.T) {
 	const muxSeed = 42
 	s := viewer.ViewerSeed(muxSeed, 0)
-	var watch, audience map[string]time.Duration
+	var watch, audience map[string][2]time.Duration
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		watch = retryDelays(t, func(addr string, tb *trace.Buffer) error {
-			_, err := Watch(Config{ServerAddr: addr, SlackFrac: 1.0, AllowDegraded: true, Seed: s, Trace: tb})
+		watch = windowDraws(t, func(addr string, tb *trace.Buffer) error {
+			_, err := Watch(Config{ServerAddr: addr, SlackFrac: 4.0, AllowDegraded: true, Seed: s, Trace: tb})
 			return err
 		})
 	}()
 	go func() {
 		defer wg.Done()
-		audience = retryDelays(t, func(addr string, tb *trace.Buffer) error {
-			m, err := viewer.NewMux(viewer.MuxConfig{ServerAddr: addr, Viewers: 1, Seed: muxSeed, SlackFrac: 1.0})
+		audience = windowDraws(t, func(addr string, tb *trace.Buffer) error {
+			m, err := viewer.NewMux(viewer.MuxConfig{ServerAddr: addr, Viewers: 1, Seed: muxSeed, SlackFrac: 4.0})
 			if err != nil {
 				return err
 			}
@@ -735,22 +785,22 @@ func TestWatchSeedIsTheViewerSeed(t *testing.T) {
 	}()
 	wg.Wait()
 	shared := 0
-	for site, d := range watch {
-		var ch, idx, attempt int
-		if _, err := fmt.Sscanf(site, "%d/%d/%d", &ch, &idx, &attempt); err != nil {
+	for site, dw := range watch {
+		var ch, window int
+		if _, err := fmt.Sscanf(site, "%d/%d", &ch, &window); err != nil {
 			t.Fatal(err)
 		}
-		if want := viewer.JitterIn(s, viewer.RepairJitterKey(ch, idx), uint64(attempt), 4*time.Millisecond<<attempt); d != want {
-			t.Errorf("site %s: Watch backed off %v, want JitterIn(seed, ...) = %v", site, d, want)
+		if want := viewer.JitterIn(s, viewer.NackJitterKey(ch), uint64(window), dw[1]); dw[0] != want {
+			t.Errorf("site %s: Watch drew %v, want JitterIn(seed, ...) = %v", site, dw[0], want)
 		}
 		if other, ok := audience[site]; ok {
 			shared++
-			if other != d {
-				t.Errorf("site %s: Watch backed off %v, the audience's viewer %v", site, d, other)
+			if other != dw {
+				t.Errorf("site %s: Watch drew %v, the audience's viewer %v", site, dw, other)
 			}
 		}
 	}
 	if shared == 0 {
-		t.Errorf("no retry site in common: watch %v, audience %v", watch, audience)
+		t.Errorf("no window in common: watch %v, audience %v", watch, audience)
 	}
 }

@@ -44,9 +44,6 @@ func chaosClient(addr string, video int, tb *trace.Buffer) client.Config {
 	cfg.SlackFrac = 2.0
 	cfg.RepairLagFrac = 0.3
 	cfg.Trace = tb
-	// These suites prove the unicast repair plane specifically; the
-	// NACK ladder has its own coverage (nack_test.go, live_test.go).
-	cfg.DisableNack = true
 	return cfg
 }
 
@@ -61,12 +58,12 @@ func dumpTrace(t *testing.T, tb *trace.Buffer) {
 // TestChaosSweepRecovers is the acceptance sweep: under seeded chunk loss
 // up to 5% plus duplication and reordering, a session must complete with
 // every byte verified, zero jitter and zero unrepaired losses — the
-// paper's guarantee, restored by the repair path.
+// paper's guarantee, restored by NACKs and their multicast re-sends.
 func TestChaosSweepRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
 	}
-	var totalRepaired int64
+	var totalHealed int64
 	for _, drop := range []float64{0.01, 0.03, 0.05} {
 		t.Run(fmt.Sprintf("drop=%v", drop), func(t *testing.T) {
 			sch := liveScheme(t, 1, 5, 2) // fragments 1,2,2,2,2 - 36 chunk positions
@@ -86,14 +83,14 @@ func TestChaosSweepRecovers(t *testing.T) {
 			if want := int64(sch.TotalUnits()) * 4096; stats.Bytes != want {
 				t.Errorf("received %d bytes, want %d", stats.Bytes, want)
 			}
-			totalRepaired += stats.RepairedChunks
+			totalHealed += stats.MulticastRepairs
 			if c := srv.Injector().Counts(); c.Dropped == 0 {
 				t.Errorf("injector dropped nothing at rate %v (counts %+v)", drop, c)
 			}
 		})
 	}
-	if totalRepaired == 0 {
-		t.Error("no chunk was repaired across the whole sweep; the loss path went unexercised")
+	if totalHealed == 0 {
+		t.Error("no chunk was healed by a re-send across the whole sweep; the loss path went unexercised")
 	}
 }
 
@@ -102,8 +99,8 @@ func TestChaosSweepRecovers(t *testing.T) {
 // — must report identical recovery statistics, because fault decisions
 // are keyed on chunk position, never on repetition or time. The plan uses
 // drop and duplication only: a reordered chunk is released one pacing slot
-// late, which races the repair trigger — whichever wins is correct but
-// shifts a chunk between RepairedChunks and DuplicateChunks, so reorder
+// late, which races the gap trigger — whichever wins is correct but
+// shifts a chunk between MulticastRepairs and DuplicateChunks, so reorder
 // determinism is asserted at the injector layer (internal/faults) instead.
 func TestChaosDeterministicStats(t *testing.T) {
 	if testing.Short() {
@@ -114,16 +111,16 @@ func TestChaosDeterministicStats(t *testing.T) {
 		Faults: &faults.Plan{Seed: 1, Drop: 0.05, Duplicate: 0.05},
 	})
 	type signature struct {
-		bytes, byteErrors, lost, repaired, dups int64
-		groups                                  int
+		bytes, byteErrors, lost, healed, dups int64
+		groups                                int
 	}
 	session := func(run int) signature {
 		tb := trace.New(256)
 		cfg := chaosClient(srv.Addr(), 0, tb)
 		// A full unit of repair lag: only chunks that are *truly* gone
-		// trigger repair, so a merely-slow broadcast chunk on a loaded
-		// machine cannot shift a chunk between the repaired and
-		// duplicate columns and break run-to-run equality.
+		// trigger a NACK, so a merely-slow broadcast chunk on a loaded
+		// machine cannot shift a chunk between the healed and duplicate
+		// columns and break run-to-run equality.
 		cfg.RepairLagFrac = 1.0
 		stats, err := client.Watch(cfg)
 		if err != nil {
@@ -132,11 +129,11 @@ func TestChaosDeterministicStats(t *testing.T) {
 		}
 		return signature{
 			bytes: stats.Bytes, byteErrors: stats.ByteErrors, lost: stats.LostChunks,
-			repaired: stats.RepairedChunks, dups: stats.DuplicateChunks, groups: stats.Groups,
+			healed: stats.MulticastRepairs, dups: stats.DuplicateChunks, groups: stats.Groups,
 		}
 	}
-	// The repair trigger races the wall clock: a scheduler stall longer
-	// than the repair lag fires a repair for a chunk still in flight and
+	// The gap trigger races the wall clock: a scheduler stall longer than
+	// the repair lag fires a NACK for a chunk still in flight and
 	// shifts the signature by one (the same race the comment above
 	// concedes for reorder). A seed-keyed nondeterminism would reproduce
 	// in every pair of sessions, a stall artifact will not — so compare
@@ -154,11 +151,11 @@ func TestChaosDeterministicStats(t *testing.T) {
 	if sigs[0] != sigs[1] {
 		t.Errorf("identical seed, diverging stats in three consecutive session pairs: %+v vs %+v", sigs[0], sigs[1])
 	}
-	if sigs[0].repaired == 0 {
-		t.Error("seed 1 at 5% drop repaired nothing; determinism claim untested")
+	if sigs[0].healed == 0 {
+		t.Error("seed 1 at 5% drop healed nothing; determinism claim untested")
 	}
-	if srv.Status().RepairsServed == 0 {
-		t.Error("server served no repairs")
+	if srv.Status().NackResends == 0 {
+		t.Error("server re-sent nothing")
 	}
 }
 
@@ -183,13 +180,13 @@ func TestChaosDegradedWithoutRepair(t *testing.T) {
 	if stats.LostChunks == 0 {
 		t.Fatal("a 25% drop plan lost nothing")
 	}
-	if stats.RepairRequests != 0 {
-		t.Errorf("repairs issued despite DisableRepair: %+v", stats)
+	if stats.NacksSent != 0 {
+		t.Errorf("NACKs sent despite DisableRepair: %+v", stats)
 	}
 	if want := int64(sch.TotalUnits())*4096 - stats.LostChunks*1024; stats.Bytes != want {
 		t.Errorf("bytes = %d, want %d (total minus %d lost chunks)", stats.Bytes, want, stats.LostChunks)
 	}
-	if srv.Status().RepairsServed != 0 {
-		t.Errorf("server served %d repairs to a repair-disabled client", srv.Status().RepairsServed)
+	if srv.Status().NacksServed != 0 {
+		t.Errorf("server answered %d NACKs from a repair-disabled client", srv.Status().NacksServed)
 	}
 }

@@ -180,7 +180,6 @@ func (cs *controlSession) step(now time.Time, m *wire.Control) (reply *wire.Cont
 			SizeUnits:        append([]int64(nil), sch.Sizes()...),
 			BytesPerUnit:     s.cfg.BytesPerUnit,
 			ChunkBytes:       s.cfg.ChunkBytes,
-			NackRepair:       true,
 			FecGroup:         s.cfg.FecGroup,
 		}}, false
 	case wire.KindJoin:
@@ -311,9 +310,9 @@ func (cs *controlSession) nack(now time.Time, nk *wire.Nack) *wire.Control {
 	resend := chunks[:0]
 	for _, chunk := range chunks {
 		// A fresh re-send spends the repair byte budget like any repair;
-		// a refused chunk stays unmarked and the client falls back to
-		// (equally budget-gated) unicast, so an over-budget plane degrades,
-		// not amplifies. One already in flight is ridden: the client just
+		// a refused chunk stays unmarked and the client asks again at
+		// most in a later round, so an over-budget plane degrades, not
+		// amplifies. One already in flight is ridden: the client just
 		// keeps re-listening.
 		k := resendKey{video: nk.Video, channel: nk.Channel, seq: nk.Seq, chunk: chunk}
 		accept, fresh := s.resends.note(k, now, s.repairBudget, min(cb, total-chunk*cb))

@@ -232,9 +232,9 @@ func TestNackResendPerRepetition(t *testing.T) {
 }
 
 // TestNackRefusedOverBudget starves the repair byte budget and proves the
-// degraded path: the NackOK's bitmap leaves the chunks unmarked — the
-// client's cue to fall back to (equally budget-gated) unicast — and no
-// re-send is dispatched. A refused chunk opens no re-send window either: a
+// degraded path: the NackOK's bitmap leaves the chunks unmarked — no
+// re-send is coming, so the client asks again in a later round, if any —
+// and no re-send is dispatched. A refused chunk opens no re-send window either: a
 // second NACK for it is refused in turn, not told a re-send is in flight.
 func TestNackRefusedOverBudget(t *testing.T) {
 	cfg := stepConfig(t, time.Second)

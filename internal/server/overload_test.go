@@ -120,8 +120,9 @@ func TestOverloadRepairBudget(t *testing.T) {
 }
 
 // TestOverloadClientsTerminate runs real client sessions against a
-// starved repair budget under injected loss: every session must
-// terminate — degraded, with losses counted — rather than hang retrying.
+// starved repair budget under injected loss: the server refuses NACKed
+// chunks, and every session must terminate — degraded, with losses
+// counted — rather than hang retrying.
 func TestOverloadClientsTerminate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -130,7 +131,7 @@ func TestOverloadClientsTerminate(t *testing.T) {
 	srv := startChaosServer(t, sch, 80*time.Millisecond, server.Config{
 		Faults: &faults.Plan{Seed: 3, Drop: 0.08},
 		// A budget of one chunk per second with a one-chunk burst: far
-		// below the repair demand of 8% loss, so most repairs are refused.
+		// below the repair demand of 8% loss, so most re-sends are refused.
 		RepairBandwidth:  1024,
 		RepairBurstBytes: 1024,
 	})
@@ -143,7 +144,7 @@ func TestOverloadClientsTerminate(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < n; i++ {
 		i := i
-		tbs[i] = trace.New(256)
+		tbs[i] = trace.New(4096)
 		cfg := chaosClient(srv.Addr(), 0, tbs[i])
 		cfg.AllowDegraded = true
 		cfg.Seed = uint64(i + 1)
@@ -159,7 +160,7 @@ func TestOverloadClientsTerminate(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("a client hung under repair-budget starvation")
 	}
-	var sawBusy int64
+	refused := 0
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			dumpTrace(t, tbs[i])
@@ -168,13 +169,18 @@ func TestOverloadClientsTerminate(t *testing.T) {
 		if stats[i].ByteErrors != 0 {
 			t.Errorf("client %d: %d byte errors", i, stats[i].ByteErrors)
 		}
-		sawBusy += stats[i].BusyReplies
+		for _, e := range tbs[i].Events() {
+			if e.Kind == "nack-refused" {
+				refused++
+			}
+		}
 	}
-	if sawBusy == 0 {
-		t.Error("no client saw a Busy reply despite the starved budget")
+	if refused == 0 {
+		t.Error("no client saw a NACKed chunk refused despite the starved budget")
 	}
-	if srv.Status().BusyReplies == 0 {
-		t.Error("server issued no Busy replies despite the starved budget")
+	if st := srv.Status(); st.NacksServed == 0 || st.RepairsServed != 0 || st.BusyReplies != 0 {
+		t.Errorf("server answered %d NACKs, %d unicast repairs, %d Busy replies; want NACKs only",
+			st.NacksServed, st.RepairsServed, st.BusyReplies)
 	}
 }
 

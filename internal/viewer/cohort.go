@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"skyscraper/internal/content"
 	"skyscraper/internal/core"
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/series"
@@ -41,18 +40,17 @@ type cohort struct {
 	// aggregator multiplies them by its size). byteErrors counts
 	// verifications, once per cohort.
 	late, dup, lostShared, lostSharedBytes, byteErrors int64
-	repaired, nackRepaired, fecHeals                   int64
+	nackRepaired, fecHeals                             int64
 
-	// Recovery events, one per cohort whatever its size: one NACK, one
-	// unicast round trip and one stripe defeat speak for every member.
-	// busy counts admission pushback on NACK and repair round trips.
-	nacks, nackSuppressed, repairReqs, busy, stripeDefeats int64
+	// Recovery events, one per cohort whatever its size: one NACK and one
+	// stripe defeat speak for every member.
+	nacks, nackSuppressed, stripeDefeats int64
 }
 
 // loader is one of a cohort's two loader routines (§3.3) as the loop
 // drives it: its fragments in tuning order, and those tuned now — at
 // most two, the one being received and its successor, tuned when its
-// join lead opens while the first one's repair tail drains.
+// join lead opens while the first one's recovery tail drains.
 type loader struct {
 	id    core.LoaderID
 	sched []tuneEntry
@@ -86,7 +84,7 @@ type frag struct {
 	c *cohort
 	m *Machine
 	b *broadcast
-	// busy is a control request in flight (the join, a NACK, a repair):
+	// busy is a control request in flight (the join, a NACK):
 	// the fragment is not stepped until its reply is applied. done says it
 	// has left its loader, so a late reply is dropped. err is what failed
 	// it; joinErr, the join's outcome, is the control goroutine's alone.
@@ -97,9 +95,9 @@ type frag struct {
 func (f *frag) group() mcast.Group { return mcast.Group{Video: f.c.video, Channel: f.channel} }
 
 // credit books n payload bytes at the instant the cohort holds them — a
-// broadcast arrival, a stripe heal or a unicast repair — and raises the
-// buffer high-water mark. A cohort that outgrew its disk is stepped at
-// once, which fails it.
+// broadcast arrival (a NACK's re-send among them) or a stripe heal — and
+// raises the buffer high-water mark. A cohort that outgrew its disk is
+// stepped at once, which fails it.
 func (c *cohort) credit(n int, now time.Time) {
 	c.downloaded += int64(n)
 	c.maxBuffer = max(c.maxBuffer, c.downloaded-c.mux.playedBytes(now.Sub(c.playStart)))
@@ -151,7 +149,7 @@ func (c *cohort) start(groups []series.Group, now time.Time) {
 	}
 	// Flatten each loader's schedule: consecutive broadcast windows on a
 	// skyscraper loader abut exactly, so the successor is tuned at its own
-	// join lead, not when the previous fragment's repair tail drains.
+	// join lead, not when the previous fragment's recovery tail drains.
 	lead := time.Duration(m.cfg.JoinLeadFrac * float64(m.unit))
 	c.loaders[core.EvenLoader].id = core.EvenLoader
 	for _, d := range plan.Downloads {
@@ -261,9 +259,8 @@ func (ld *loader) fail(c *cohort, f *frag, err error) {
 func (c *cohort) tune(e *tuneEntry) *frag {
 	m := c.mux
 	f := &frag{tuneEntry: *e, c: c, busy: true}
-	// Recovery timing — NACK windows and repair backoff — keys on the
-	// first member's seed, so a one-viewer cohort recovers on its viewer's
-	// own seed.
+	// The NACK windows' jitter keys on the first member's seed, so a
+	// one-viewer cohort recovers on its viewer's own seed.
 	seed := m.viewerSeed(c.viewers[0])
 	size := e.g.Size
 	f.m = NewMachine(FragmentParams{
@@ -282,12 +279,15 @@ func (c *cohort) tune(e *tuneEntry) *frag {
 		FecGroup:       m.w.FecGroup,
 		DisableRepair:  m.cfg.DisableRepair,
 		RepairsEnabled: func() bool { return !m.bye.Load() },
-		NackEnabled:    m.w.NackRepair && !m.cfg.DisableNack,
 		Jitter: func(key, stream uint64, window time.Duration) time.Duration {
-			return JitterIn(seed, key, stream, window)
+			d := JitterIn(seed, key, stream, window)
+			if m.trace != nil {
+				m.tracef("nack-window", "ch %d seq %d window %d: %v of %v", f.channel, f.seq, stream, d, window)
+			}
+			return d
 		},
-		OnLost: func(idx, attempts int) {
-			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", f.channel, f.seq, idx, attempts)
+		OnLost: func(idx, rounds int) {
+			m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d NACK rounds)", f.channel, f.seq, idx, rounds)
 			m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d",
 				c.video, c.playStartUnit, f.channel, idx)
 			c.lostShared++
@@ -338,18 +338,14 @@ func (c *cohort) request(f *frag, do func() func(now time.Time)) {
 	})
 }
 
-// advance steps f's machine at now. A NACK or a repair goes to the
-// control goroutine, and f waits for the reply; otherwise advance returns
-// the instant f next asks for, or finished once every chunk is resolved.
+// advance steps f's machine at now. A NACK goes to the control
+// goroutine, and f waits for the reply; otherwise advance returns the
+// instant f next asks for, or finished once every chunk is resolved.
 func (c *cohort) advance(f *frag, now time.Time) (wake time.Time, finished bool) {
 	for !f.m.Done() {
 		act := f.m.Next(now)
-		switch act.Kind {
-		case ActNack:
+		if act.Kind == ActNack {
 			c.nack(f, act.Chunks)
-			return time.Time{}, false
-		case ActRepair:
-			c.repair(f, act)
 			return time.Time{}, false
 		}
 		if !f.m.Done() {
@@ -368,7 +364,6 @@ func (c *cohort) fold(f *frag) {
 	st := f.m.Stats()
 	c.late += st.Late
 	c.dup += st.Duplicates
-	c.repaired += st.Repaired
 	c.nacks += st.Nacks
 	c.nackSuppressed += st.NacksSuppressed
 	c.nackRepaired += st.NackRepaired
@@ -385,74 +380,23 @@ func (c *cohort) nack(f *frag, chunks []int) {
 		accepted, err := m.cc.nack(c.video, f.channel, f.seq, chunks)
 		return func(now time.Time) {
 			if err != nil {
-				var busy *busyError
-				if errors.As(err, &busy) {
-					c.busy++
-				}
 				m.tracef("nack-fail", "ch %d seq %d: %v", f.channel, f.seq, err)
 				m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d nack (%d chunks) failed: %v",
 					c.video, c.playStartUnit, f.channel, len(chunks), err)
-				accepted = nil
+			} else if m.trace != nil {
+				refused := 0
+				for _, idx := range chunks {
+					if !accepted(idx) {
+						refused++
+					}
+				}
+				if refused > 0 {
+					m.tracef("nack-refused", "ch %d seq %d: %d of %d chunks", f.channel, f.seq, refused, len(chunks))
+				}
 			}
-			f.m.NackResult(chunks, accepted, now)
+			f.m.NackResult(chunks, now)
 		}
 	})
-}
-
-// repair pulls chunk act.Idx over unicast once for the whole cohort — its
-// members miss the same chunks, so one copy heals them all; the outcome
-// is applied to the machine when it comes back.
-func (c *cohort) repair(f *frag, act Action) {
-	m := c.mux
-	c.repairReqs++
-	off := int64(act.Idx) * int64(m.w.ChunkBytes)
-	if m.trace != nil {
-		m.tracef("repair-req", "ch %d seq %d chunk %d attempt %d", f.channel, f.seq, act.Idx, act.Attempt)
-	}
-	n := f.m.ChunkLen(act.Idx)
-	c.request(f, func() func(time.Time) {
-		data, err := m.cc.repair(c.video, f.channel, f.seq, off, n)
-		return func(now time.Time) { c.repairResult(f, act, off, data, err, now) }
-	})
-}
-
-// repairResult applies one repair round trip's outcome to f's machine, and
-// books and verifies the chunk it brought, unless the broadcast brought
-// it while the request was in flight.
-func (c *cohort) repairResult(f *frag, act Action, off int64, data []byte, err error, now time.Time) {
-	m := c.mux
-	idx := act.Idx
-	outcome, retryAfter, kind := RepairOK, time.Duration(0), "repair-ok"
-	if err != nil {
-		var busy *busyError
-		switch {
-		case errors.As(err, &busy):
-			c.busy++
-			outcome, retryAfter, kind = RepairBusy, busy.retryAfter, "repair-busy"
-		case errors.Is(err, errMuxDraining):
-			outcome, kind = RepairDisabled, "repair-off"
-		default:
-			outcome, kind = RepairFailed, "repair-fail"
-		}
-	}
-	had := f.m.Have(idx)
-	disp := f.m.RepairResult(idx, outcome, retryAfter, now)
-	if disp == Repaired && !had {
-		if bad := content.Verify(data, c.video, f.videoBase+off); bad >= 0 {
-			c.byteErrors++
-		}
-		c.credit(len(data), now)
-	}
-	if m.trace != nil {
-		note := "repaired"
-		if err != nil {
-			note = err.Error()
-		}
-		if disp == Rescheduled {
-			note += fmt.Sprintf("; retry in %v", f.m.RetryAt(idx).Sub(now))
-		}
-		m.tracef(kind, "ch %d seq %d chunk %d attempt %d: %s", f.channel, f.seq, idx, act.Attempt, note)
-	}
 }
 
 // apply books one routed datagram for the whole cohort — O(1) in the

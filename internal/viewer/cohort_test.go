@@ -159,10 +159,10 @@ func stripeParity(t *testing.T, base, total uint32) []byte {
 
 // TestCohortBufferLedger scripts one fragment in virtual time through
 // every way a chunk can come to be held — broadcast arrivals, a stripe
-// heal, the cohort's unicast repair, then that chunk's late broadcast copy
-// and a plain duplicate — and holds the high-water mark to the
-// hand-computed value. Playback runs at 1024 bytes per 10 ms unit from
-// t = 0; chunks are 512 bytes; chunk 2 (healed) and chunk 5 (repaired)
+// heal, the multicast re-send the cohort's NACK brought, then a second
+// copy of that chunk and a plain duplicate — and holds the high-water mark
+// to the hand-computed value. Playback runs at 1024 bytes per 10 ms unit
+// from t = 0; chunks are 512 bytes; chunk 2 (healed) and chunk 5 (re-sent)
 // are the two the broadcast drops.
 //
 //	t (ms)  event                         downloaded  played  level
@@ -171,8 +171,8 @@ func stripeParity(t *testing.T, base, total uint32) []byte {
 //	 -10    chunk 3, shared                  1536        0    1536
 //	   0    parity: chunk 2 healed           2048        0    2048
 //	   5    chunk 4, shared                  2560      512    2048
-//	   6    chunk 5, the cohort's repair     3072      614    2458  <- high
-//	   7    chunk 5, late broadcast copy     3072      716    (held: uncounted)
+//	   6    chunk 5, the NACK's re-send      3072      614    2458  <- high
+//	   7    chunk 5, a second copy           3072      716    (held: uncounted)
 //	   8    chunk 0, duplicate               3072      819    (uncounted)
 //	  20    chunk 6, shared                  3584     2048    1536
 func TestCohortBufferLedger(t *testing.T) {
@@ -200,11 +200,7 @@ func TestCohortBufferLedger(t *testing.T) {
 		t.Fatalf("parity frame healed %d chunks, want chunk 2", f.m.Stats().FecHeals)
 	}
 	arrive(5, data(4), 2048)
-	// The cohort's repair of chunk 5, booked as cohort.repair books it.
-	if f.m.RepairResult(5, RepairOK, 0, at(6)) != Repaired {
-		t.Fatal("repair of chunk 5 not booked")
-	}
-	c.credit(stripeChunkBytes, at(6))
+	arrive(6, data(5), 2458)
 	arrive(7, data(5), 3072-716)
 	arrive(8, data(0), 3072-819)
 	arrive(20, data(6), 1536)

@@ -196,8 +196,8 @@ func TestStripeNil(t *testing.T) {
 }
 
 // fecNackParams is nackParams with a two-chunk parity stripe and a window
-// small enough that chunks stay ladder-eligible from their later,
-// defeat-anchored start (testParams geometry: checkpoints at 5.25+idx s,
+// small enough that chunks keep room for it from their later,
+// defeat-anchored ladder start (testParams geometry: checkpoints at 5.25+idx s,
 // group {0,1} defeats at 6.75s, group {2,3} at 8.75s).
 func fecNackParams(epoch time.Time) FragmentParams {
 	p := nackParams(epoch)
@@ -206,8 +206,8 @@ func fecNackParams(epoch time.Time) FragmentParams {
 	return p
 }
 
-// TestMachineFecHoldThenHeal: a chunk missing at its checkpoint takes no
-// reactive action while the stripe can still save it, and a reconstruction
+// TestMachineFecHoldThenHeal: a chunk missing at its checkpoint sends no
+// NACK while the stripe can still save it, and a reconstruction
 // during the hold counts as a suppressed NACK — the window never armed.
 func TestMachineFecHoldThenHeal(t *testing.T) {
 	epoch := time.Unix(1000, 0)
@@ -235,7 +235,7 @@ func TestMachineFecHoldThenHeal(t *testing.T) {
 	if st.Nacks != 0 || st.NacksSuppressed != 1 || st.NackRepaired != 0 {
 		t.Errorf("nack stats = %+v, want only 1 suppressed (window never armed)", st)
 	}
-	if st.Late != 0 || st.Repaired != 0 || st.Lost != 0 {
+	if st.Late != 0 || st.Lost != 0 {
 		t.Errorf("ledger dirtied: %+v", st)
 	}
 }
@@ -262,7 +262,7 @@ func TestMachineFecDefeatAnchorsWindow(t *testing.T) {
 	if act.Kind != ActNack || len(act.Chunks) != 1 || act.Chunks[0] != 0 {
 		t.Fatalf("Next at fire = %+v, want nack [0]", act)
 	}
-	m.NackResult(act.Chunks, func(int) bool { return true }, fire.Add(20*time.Millisecond))
+	m.NackResult(act.Chunks, fire.Add(20*time.Millisecond))
 	if v := m.FecHealed(0, fire.Add(100*time.Millisecond)); v != Accepted {
 		t.Fatalf("late FecHealed verdict = %v, want Accepted", v)
 	}
@@ -272,9 +272,9 @@ func TestMachineFecDefeatAnchorsWindow(t *testing.T) {
 	}
 }
 
-// TestMachineFecHoldDelaysRepair: a gap is not pulled over unicast
-// until its stripe hold expires, so the cohort's round trip waits for the
-// free repair to miss.
+// TestMachineFecHoldDelaysRepair: a gap is not NACKed until its stripe
+// hold expires, so the cohort's round trip waits for the free repair to
+// miss; with no room for a window it then NACKs at the defeat instant.
 func TestMachineFecHoldDelaysRepair(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	p := testParams(epoch)
@@ -284,11 +284,11 @@ func TestMachineFecHoldDelaysRepair(t *testing.T) {
 		m.Chunk(idx, epoch.Add(time.Duration(5+idx)*time.Second))
 	}
 	if act := m.Next(epoch.Add(5*time.Second + 300*time.Millisecond)); act.Kind != ActWait {
-		t.Fatalf("Next during hold = %+v, want wait (no early repair)", act)
+		t.Fatalf("Next during hold = %+v, want wait (no early NACK)", act)
 	}
 	act := m.Next(epoch.Add(6*time.Second + 800*time.Millisecond))
-	if act.Kind != ActRepair || act.Idx != 0 || act.Attempt != 1 {
-		t.Fatalf("Next after defeat = %+v, want repair of chunk 0, attempt 1", act)
+	if act.Kind != ActNack || len(act.Chunks) != 1 || act.Chunks[0] != 0 {
+		t.Fatalf("Next after defeat = %+v, want nack [0]", act)
 	}
 	if st := m.Stats(); st.StripeDefeats != 1 {
 		t.Errorf("stats = %+v, want 1 stripe defeat", st)

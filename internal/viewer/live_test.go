@@ -60,11 +60,10 @@ func startServer(t *testing.T, sch *core.Scheme, unit time.Duration, plan *fault
 	return srv
 }
 
-// TestWatchNackLadderLive is the live pin of the multicast-first ladder
-// end to end: one client.Watch session against a server injecting a
-// deterministic 25 % drop plan must send gap-bitmap NACKs, recover chunks
-// (off a multicast re-send or over unicast), and finish with nothing lost,
-// late or corrupt.
+// TestWatchNackLadderLive is the live pin of the NACK ladder end to end:
+// one client.Watch session against a server injecting a deterministic
+// 25 % drop plan must send gap-bitmap NACKs, recover chunks off multicast
+// re-sends, and finish with nothing lost, late or corrupt.
 func TestWatchNackLadderLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -76,10 +75,8 @@ func TestWatchNackLadderLive(t *testing.T) {
 		ServerAddr:   srv.Addr(),
 		Video:        0,
 		JoinLeadFrac: 0.9,
-		// Three units of slack give every chunk enough deadline headroom
-		// for the NACK ladder (aggregation window plus re-listen); with
-		// the tighter 2.0 the just-in-time channels fall back to unicast
-		// and the NACK assertion would be vacuous.
+		// Three units of slack give every chunk room for an aggregation
+		// window and its re-listen, and for further rounds.
 		SlackFrac: 3.0,
 		// Over a unit of repair lag: merely-slow broadcast chunks on a
 		// loaded CI machine must not be taken for gaps.
@@ -90,7 +87,7 @@ func TestWatchNackLadderLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("client watch: %v (stats %+v)", err, stats)
 	}
-	if stats.RepairedChunks+stats.MulticastRepairs == 0 {
+	if stats.MulticastRepairs == 0 {
 		t.Error("client recovered no chunks under a 25% drop plan")
 	}
 	if stats.NacksSent == 0 {
@@ -103,10 +100,10 @@ func TestWatchNackLadderLive(t *testing.T) {
 
 // TestMuxMatchesIndependentClients is cohort ≡ independent viewers over
 // real sockets. The fault plan drops by position, so every member of a
-// cohort misses the same chunks, and the cohort recovers each once, on
-// its first member's seed: a 3-viewer cohort must book exactly 3 times
-// the chunk outcomes of one client.Watch seeded as that member, and pull
-// over unicast exactly as often as that one client does.
+// cohort misses the same chunks, and the cohort recovers them on its first
+// member's seed: a 3-viewer cohort must book exactly 3 times the chunk
+// outcomes (multicast heals among them) of one client.Watch seeded as that
+// member, and NACK exactly as often as that one client does.
 func TestMuxMatchesIndependentClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network test")
@@ -116,7 +113,7 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 
 	const n = 3
 	const muxSeed = 7
-	served := srv.Status().RepairsServed
+	served := srv.Status().NacksServed
 	res, err := viewer.Run(viewer.MuxConfig{
 		ServerAddr:    srv.Addr(),
 		Viewers:       n,
@@ -125,10 +122,6 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 		JoinLeadFrac:  0.9,
 		SlackFrac:     2.0,
 		RepairLagFrac: 1.125,
-		// This property pins unicast repair: with the ladder on, a re-send
-		// another session's NACK triggered can heal a chunk first, so the
-		// two runs could recover by different rungs.
-		DisableNack: true,
 	})
 	if err != nil {
 		t.Fatalf("mux run: %v (result %+v)", err, res)
@@ -136,9 +129,8 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 	if res.Cohorts != 1 {
 		t.Fatalf("%d viewers admitted at once formed %d cohorts, want 1", n, res.Cohorts)
 	}
-	if got, want := srv.Status().RepairsServed-served, res.RepairRequests-res.BusyReplies; got != want {
-		t.Errorf("server served %d repairs for the mux run, want its %d requests less %d busy replies = %d",
-			got, res.RepairRequests, res.BusyReplies, want)
+	if got := srv.Status().NacksServed - served; got != res.NacksSent {
+		t.Errorf("server answered %d NACKs for the mux run, want its %d", got, res.NacksSent)
 	}
 
 	st, err := client.Watch(client.Config{
@@ -148,27 +140,26 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 		SlackFrac:     2.0,
 		RepairLagFrac: 1.125,
 		Seed:          viewer.ViewerSeed(muxSeed, 0),
-		DisableNack:   true,
 	})
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
 	type sums struct {
-		bytes, lost, late, dup, repaired, byteErrors int64
+		bytes, lost, late, dup, healed, byteErrors int64
 	}
 	fold := func(r *viewer.Result) sums {
-		return sums{r.Bytes, r.LostChunks, r.LateChunks, r.DuplicateChunks, r.RepairedChunks, r.ByteErrors}
+		return sums{r.Bytes, r.LostChunks, r.LateChunks, r.DuplicateChunks, r.MulticastRepairs, r.ByteErrors}
 	}
 	want := fold(st.Result)
-	want = sums{n * want.bytes, n * want.lost, n * want.late, n * want.dup, n * want.repaired, n * want.byteErrors}
+	want = sums{n * want.bytes, n * want.lost, n * want.late, n * want.dup, n * want.healed, n * want.byteErrors}
 	if got := fold(res); got != want {
 		t.Errorf("mux chunk outcomes differ from %d x one client:\n mux        %+v\n %d x client %+v", n, got, n, want)
 	}
-	if res.RepairRequests != st.RepairRequests {
-		t.Errorf("mux pulled %d repairs, the one client %d: a cohort pulls each chunk once", res.RepairRequests, st.RepairRequests)
+	if res.NacksSent != st.NacksSent {
+		t.Errorf("mux sent %d NACKs, the one client %d: a cohort NACKs as one voice", res.NacksSent, st.NacksSent)
 	}
-	if res.RepairedChunks == 0 {
-		t.Error("no repairs under a 25% drop plan; the comparison is vacuous")
+	if res.MulticastRepairs == 0 {
+		t.Error("no multicast heals under a 25% drop plan; the comparison is vacuous")
 	}
 }
 
@@ -363,9 +354,9 @@ func TestMuxPauseBooksNoGap(t *testing.T) {
 	if res.Degraded != 0 || res.LostChunks != 0 || res.LateChunks != 0 {
 		t.Errorf("a %v pause degraded %d viewers (%d lost, %d late chunks), want none", pause, res.Degraded, res.LostChunks, res.LateChunks)
 	}
-	if res.NacksSent != 0 || res.RepairRequests != 0 {
-		t.Errorf("a %v pause over a lossless broadcast sent %d NACKs and %d repairs: chunks in the socket were taken for gaps",
-			pause, res.NacksSent, res.RepairRequests)
+	if res.NacksSent != 0 {
+		t.Errorf("a %v pause over a lossless broadcast sent %d NACKs: chunks in the socket were taken for gaps",
+			pause, res.NacksSent)
 	}
 }
 

@@ -5,9 +5,8 @@
 // that takes an audience the test machine can hold. Two layers:
 //
 //   - Machine (this file): the deterministic per-fragment loader state
-//     machine — gap detection on the wire sequence numbering, repair
-//     scheduling with deadline-bounded jittered backoff, and degradation
-//     accounting.
+//     machine — gap detection on the broadcast grid, NACK rounds in seeded
+//     jittered aggregation windows (nack.go), and degradation accounting.
 //
 //   - Mux (mux.go/cohort.go/route.go): the one driver of that machine.
 //     Viewers tuned to the same (video, channel set, phase) form a cohort
@@ -31,28 +30,17 @@ import (
 	"skyscraper/internal/des"
 )
 
-// DefaultMaxRepairAttempts caps the unicast round trips spent on one chunk
-// when FragmentParams leaves MaxRepairAttempts zero; it matches the
-// historical client constant.
-const DefaultMaxRepairAttempts = 5
-
 // DefaultGraceUnits is the receive cutoff's slack past the broadcast's
 // nominal end: several units absorb server pacing drift on a loaded
 // machine before missing chunks are declared lost.
 const DefaultGraceUnits = 6
-
-// RepairJitterKey is the jitter substream key for repair retries of one
-// chunk: distinct (channel, chunk) sites never share a stream.
-func RepairJitterKey(channel, idx int) uint64 {
-	return uint64(uint32(channel))<<32 | uint64(uint32(idx))
-}
 
 // JitterIn returns the deterministic full-jitter delay every retry site
 // uses: uniform in (0, window], bounded below by 1ms so retries never
 // spin, drawn from the substream of seed identified by (key, stream).
 // Distinct seeds produce uncorrelated schedules (SubSeed is a SplitMix64
 // finalizer), which is what breaks up viewer retry synchronization after
-// a shared fault or a shared Busy release time.
+// a shared fault.
 func JitterIn(seed, key, stream uint64, window time.Duration) time.Duration {
 	if window < time.Millisecond {
 		window = time.Millisecond
@@ -94,56 +82,47 @@ type FragmentParams struct {
 	GraceUnits int64
 
 	// DisableRepair turns recovery off: gaps run out their deadlines and
-	// become losses. MaxRepairAttempts caps round trips per chunk (zero
-	// selects DefaultMaxRepairAttempts; caps past 255 are clamped to it,
-	// the per-chunk counter being a byte). RepairsEnabled, when non-nil, is
-	// consulted before scheduling each repair — the multiplexer parks
-	// repairs after a server-initiated bye. Jitter draws retry backoff
-	// (required unless DisableRepair).
-	DisableRepair     bool
-	MaxRepairAttempts int
-	RepairsEnabled    func() bool
-	Jitter            JitterFunc
+	// become losses. RepairsEnabled, when non-nil, is consulted before a
+	// chunk joins each NACK round — the multiplexer stops rounds after a
+	// server-initiated bye. Jitter draws the aggregation windows (required
+	// unless DisableRepair).
+	DisableRepair  bool
+	RepairsEnabled func() bool
+	Jitter         JitterFunc
 
 	// Observe is read as DisableRepair. Kept for benchmark/harness, which
 	// sets it to time a machine that schedules no repair; the harness
 	// follow-up of ROADMAP item 2 deletes it.
 	Observe bool
 
-	// NackEnabled turns on the multicast-first NACK ladder (nack.go):
-	// missing chunks are aggregated into jittered gap-bitmap NACKs
-	// (ActNack) and heal off multicast re-sends, with unicast repair
-	// (ActRepair) as last resort. Requires Jitter. NackWindow is
-	// the aggregation window (zero selects two chunk intervals);
-	// MaxNackRounds caps windows joined per chunk (zero selects
-	// DefaultMaxNackRounds; caps past 255 are clamped to it).
-	NackEnabled   bool
+	// NackWindow is the NACK ladder's aggregation window (nack.go; zero
+	// selects two chunk intervals); MaxNackRounds caps the rounds one
+	// chunk joins (zero selects DefaultMaxNackRounds; caps past 255 are
+	// clamped to it, the per-chunk counter being a byte).
 	NackWindow    time.Duration
 	MaxNackRounds int
 
 	// FecGroup is the broadcast's proactive parity stripe width G (from
-	// Welcome.FecGroup); zero means no stripe and leaves every legacy
-	// path bit-identical. With a stripe, a chunk missing at its gap
-	// checkpoint first waits for the group's parity frame — the stripe
-	// heals single-datagram loss locally with no control traffic — and
-	// only enters the reactive ladder (NACK window, unicast repair) at
-	// stripe-defeat time: the grid instant by which the parity frame,
-	// broadcast alongside the group's last data chunk, can no longer
-	// save it. The driver reports reconstructions via FecHealed.
+	// Welcome.FecGroup); zero means no stripe. With a stripe, a chunk
+	// missing at its gap checkpoint first waits for the group's parity
+	// frame — the stripe heals single-datagram loss locally with no
+	// control traffic — and only enters the NACK ladder at stripe-defeat
+	// time: the grid instant by which the parity frame, broadcast
+	// alongside the group's last data chunk, can no longer save it. The
+	// driver reports reconstructions via FecHealed.
 	FecGroup int
 
 	// OnLost, when non-nil, observes each chunk declared unrecoverable
-	// (for tracing); attempts is how many repair round trips it consumed.
-	OnLost func(idx, attempts int)
+	// (for tracing); rounds is how many NACK rounds it joined.
+	OnLost func(idx, rounds int)
 }
 
 // MachineStats counts a fragment reception's recovery outcomes.
 type MachineStats struct {
-	// Late counts chunks that arrived (or were repaired) after their
+	// Late counts chunks that arrived (or were healed) after their
 	// playback time plus slack; Duplicates retransmissions discarded;
-	// Lost chunks neither broadcast nor repaired before their deadline;
-	// Repaired chunks recovered over unicast.
-	Late, Duplicates, Lost, Repaired int64
+	// Lost chunks neither broadcast nor healed before their deadline.
+	Late, Duplicates, Lost int64
 	// Nacks counts gap-bitmap NACK round trips issued; NacksSuppressed
 	// aggregation windows that closed with nothing left to report (the
 	// multicast re-send arrived first) plus gaps the parity stripe
@@ -153,8 +132,7 @@ type MachineStats struct {
 	// FecHeals counts chunks reconstructed locally from the parity
 	// stripe — zero control round trips; StripeDefeats chunks whose
 	// stripe hold expired unhealed (burst loss beyond the stripe's
-	// reach, or the parity frame itself lost) and escalated to the
-	// reactive ladder.
+	// reach, or the parity frame itself lost) and entered the NACK ladder.
 	FecHeals, StripeDefeats int64
 }
 
@@ -164,8 +142,6 @@ type ActionKind int
 const (
 	// ActWait blocks on the broadcast until Action.Wake, then polls again.
 	ActWait ActionKind = iota
-	// ActRepair requests one unicast round trip for chunk Action.Idx now.
-	ActRepair
 	// ActNack asks for one gap-bitmap NACK round trip covering
 	// Action.Chunks; the driver reports the reply via NackResult.
 	ActNack
@@ -174,45 +150,11 @@ const (
 // Action is one decision from Next.
 type Action struct {
 	Kind ActionKind
-	// Idx is the chunk for ActRepair.
-	Idx int
-	// Attempt is the 1-based repair attempt ActRepair begins.
-	Attempt int
 	// Wake is when to poll again for ActWait.
 	Wake time.Time
 	// Chunks are the missing chunk indices (ascending) for ActNack.
 	Chunks []int
 }
-
-// RepairOutcome classifies one repair round trip's result.
-type RepairOutcome int
-
-const (
-	// RepairOK recovered the chunk.
-	RepairOK RepairOutcome = iota
-	// RepairBusy is admission pushback: flow control, not failure.
-	RepairBusy
-	// RepairFailed is a transport or protocol failure, retried with
-	// exponential backoff up to the attempt cap.
-	RepairFailed
-	// RepairDisabled reports the repair plane gone for the session
-	// (server draining); the chunk rides the broadcast to its deadline.
-	RepairDisabled
-)
-
-// Disposition reports what RepairResult did with the chunk.
-type Disposition int
-
-const (
-	// Repaired: the chunk is recovered and booked.
-	Repaired Disposition = iota
-	// Rescheduled: a retry is planned at a backoff-jittered time.
-	Rescheduled
-	// Parked: no retry planned; the chunk waits on the broadcast.
-	Parked
-	// LostNow: the attempt cap is spent; the chunk was declared lost.
-	LostNow
-)
 
 // Machine is the loader state machine for one fragment reception. It is
 // not safe for concurrent use; the audience loop is its only driver.
@@ -220,9 +162,9 @@ const (
 // Its memory is the open gaps, not the fragment: besides two bits per
 // chunk (resolved, listed), per-chunk recovery state exists only for the
 // chunks in the active set. Every other unresolved chunk is dormant —
-// untouched since construction — and its gap checkpoint, stripe-defeat
-// instant and NACK eligibility are pure functions of the geometry
-// (dormant), recomputed when needed instead of stored.
+// untouched since construction — and its gap checkpoint and stripe-defeat
+// instant are pure functions of the geometry (dormant), recomputed when
+// needed instead of stored.
 type Machine struct {
 	p       FragmentParams // defaults and caps applied by NewMachine
 	nchunks int
@@ -255,19 +197,18 @@ type Machine struct {
 // openChunk is the recovery state of one chunk in the active set.
 type openChunk struct {
 	idx int
-	// tryAt is when the chunk is next due for recovery action: its gap
-	// checkpoint, a repair retry, or a NACK re-listen deadline.
+	// tryAt is when the chunk is next due for recovery action: its ladder
+	// start, or its NACK re-listen deadline.
 	tryAt time.Time
 	// fecUntil is the stripe-defeat instant while the chunk holds on the
-	// parity stripe: no reactive action before it, and it becomes the
-	// ladder anchor when the hold expires unhealed. Zero when there is no
-	// stripe or the hold is over.
+	// parity stripe: no NACK before it, and it becomes the ladder start
+	// when the hold expires unhealed. Zero when there is no stripe or the
+	// hold is over.
 	fecUntil time.Time
-	// attempts counts repair round trips; phase is the NACK ladder phase
-	// (nackDone unless the ladder is on and the chunk eligible); tries the
-	// aggregation windows joined. The caps NewMachine applies keep both
-	// counters inside their byte.
-	attempts, phase, tries uint8
+	// phase is the NACK ladder phase (nackDone from the start when
+	// recovery is off); tries the rounds joined, kept inside its byte by
+	// the cap NewMachine applies.
+	phase, tries uint8
 }
 
 // bitset is a set of small non-negative integers, one bit each.
@@ -286,30 +227,23 @@ func (m *Machine) resolved(idx int) bool { return m.bits.has(idx) }
 // defaults and caps. The gap detector's per-chunk checkpoints are fixed
 // by the geometry: the server paces chunk idx at start + idx*spacing, so
 // if it has not arrived one Lag past that it is presumed missing and
-// repair begins — early enough, though, that a repair round trip still
-// fits before the chunk's playback deadline.
+// recovery begins — early enough, though, that a NACK round still fits
+// before the chunk's playback deadline.
 func NewMachine(p FragmentParams) *Machine {
 	if p.GraceUnits == 0 {
 		p.GraceUnits = DefaultGraceUnits
 	}
-	if p.MaxRepairAttempts == 0 {
-		p.MaxRepairAttempts = DefaultMaxRepairAttempts
-	}
 	p.DisableRepair = p.DisableRepair || p.Observe
 	nchunks := (p.TotalBytes + p.ChunkBytes - 1) / p.ChunkBytes
 	spacing := time.Duration(p.Size) * p.Unit / time.Duration(nchunks)
-	p.NackEnabled = p.NackEnabled && !p.DisableRepair
-	if p.NackEnabled {
-		if p.NackWindow == 0 {
-			p.NackWindow = 2 * spacing
-		}
-		if p.MaxNackRounds == 0 {
-			p.MaxNackRounds = DefaultMaxNackRounds
-		}
+	if p.NackWindow == 0 {
+		p.NackWindow = 2 * spacing
 	}
-	// The per-chunk counters are bytes: a cap past 255 would let one wrap
-	// before it ever reached the cap.
-	p.MaxRepairAttempts = min(p.MaxRepairAttempts, math.MaxUint8)
+	if p.MaxNackRounds == 0 {
+		p.MaxNackRounds = DefaultMaxNackRounds
+	}
+	// The per-chunk round counter is a byte: a cap past 255 would let it
+	// wrap before it ever reached the cap.
 	p.MaxNackRounds = min(p.MaxNackRounds, math.MaxUint8)
 	return &Machine{
 		p:       p,
@@ -320,40 +254,20 @@ func NewMachine(p FragmentParams) *Machine {
 }
 
 // dormant is chunk idx's construction-time recovery state: its gap
-// checkpoint, its stripe-defeat instant, and whether it may enter the
-// NACK ladder. All three are pure functions of the broadcast geometry,
-// which is why a dormant chunk needs no storage.
+// checkpoint and, under a parity stripe, its stripe-defeat instant. Both
+// are pure functions of the broadcast geometry, which is why a dormant
+// chunk needs no storage.
 func (m *Machine) dormant(idx int) openChunk {
 	lb := m.lostOff(idx)
 	cp := m.checkpointOff(idx, lb)
-	c := openChunk{idx: idx, tryAt: m.at(cp), phase: nackDone}
-	// With a parity stripe the ladder starts at the chunk's stripe-defeat
-	// instant, not its gap checkpoint, so the headroom is measured from
-	// there — still a pure grid-time decision.
-	ladderStart := cp
-	if m.p.FecGroup > 0 {
-		fec := m.fecDefeatOff(idx, cp, lb)
-		c.fecUntil = m.at(fec)
-		ladderStart = max(ladderStart, fec)
+	c := openChunk{idx: idx, tryAt: m.at(cp)}
+	if m.p.DisableRepair {
+		c.phase = nackDone
 	}
-	if m.ladderRoom(ladderStart, lb) {
-		c.phase = nackPre
+	if m.p.FecGroup > 0 {
+		c.fecUntil = m.at(m.fecDefeatOff(idx, cp, lb))
 	}
 	return c
-}
-
-// ladderRoom reports whether a chunk whose ladder would start at
-// ladderStart, with loss deadline lb (both offsets), may enter the NACK
-// ladder. One whose loss deadline leaves no room for a multicast round
-// never does: on the tight just-in-time channels the unicast plane's
-// immediate round trip is the only recovery that fits. The room required
-// is the worst-case window fire (checkpoint + window) plus a re-listen
-// that still ends a full chunk interval before the deadline (relistenBy's
-// floor is half an interval), so even a lost re-send escalates to unicast
-// in time. The bound compares grid times: eligibility is a pure function
-// of the broadcast geometry, never of driver scheduling.
-func (m *Machine) ladderRoom(ladderStart, lb time.Duration) bool {
-	return m.p.NackEnabled && lb-ladderStart > m.p.NackWindow+m.spacing*3/2
 }
 
 // state returns chunk idx's recovery state: its record when listed, else
@@ -369,31 +283,6 @@ func (m *Machine) state(idx int) openChunk {
 // active set next grows or is compacted.
 func (m *Machine) find(idx int) *openChunk {
 	i, _ := slices.BinarySearchFunc(m.active, idx, func(c openChunk, idx int) int { return c.idx - idx })
-	return &m.active[i]
-}
-
-// open returns chunk idx's record, listing its dormant state first if it
-// has none: its schedule is about to change, so it can no longer ride
-// ahead of the frontier.
-func (m *Machine) open(idx int) *openChunk {
-	if m.listed(idx) {
-		return m.find(idx)
-	}
-	return m.list(m.dormant(idx))
-}
-
-// list inserts c into the active set, keeping it ascending: Next must
-// meet due chunks in index order to pick the same first action a full
-// scan would. Frontier activations append; only a RepairResult ahead of
-// the frontier lands mid-list.
-func (m *Machine) list(c openChunk) *openChunk {
-	m.setListed(c.idx)
-	i := len(m.active)
-	m.active = append(m.active, c)
-	for ; i > 0 && m.active[i-1].idx > c.idx; i-- {
-		m.active[i] = m.active[i-1]
-	}
-	m.active[i] = c
 	return &m.active[i]
 }
 
@@ -429,8 +318,8 @@ func (m *Machine) lostOff(idx int) time.Duration {
 
 // checkpointOff is the gap detector's initial deadline for chunk idx,
 // whose loss deadline is lb (see NewMachine): one Lag past its expected
-// arrival, clamped so a unicast round trip still fits before lb, and
-// never before the expected arrival itself.
+// arrival, clamped to a chunk interval before lb so a NACK round still
+// fits, and never before the expected arrival itself.
 func (m *Machine) checkpointOff(idx int, lb time.Duration) time.Duration {
 	expected := m.arrivalOff(idx)
 	return max(min(expected+m.p.Lag, lb-m.spacing), expected)
@@ -446,8 +335,8 @@ func (m *Machine) checkpoint(idx int) time.Time {
 // group's last data chunk, so half a chunk interval past that chunk's
 // gap checkpoint the stripe can no longer heal anything — either the
 // reconstruction already happened or the loss exceeded the stripe. The
-// instant is clamped like a checkpoint (a unicast round trip must still
-// fit before the loss deadline lb) and never precedes the chunk's own
+// instant is clamped like a checkpoint (a NACK round must still fit
+// before the loss deadline lb) and never precedes the chunk's own
 // checkpoint cp. A pure function of the broadcast geometry: cohorts and
 // single viewers compute identical defeat times, which is what keeps
 // NACK grouping bit-identical between them.
@@ -460,26 +349,9 @@ func (m *Machine) fecDefeatOff(idx int, cp, lb time.Duration) time.Duration {
 // WantSeq is the broadcast repetition this reception tunes to.
 func (m *Machine) WantSeq() uint32 { return uint32(m.p.TuneUnit / m.p.Size) }
 
-// Done reports whether every chunk is resolved (received, repaired, or
+// Done reports whether every chunk is resolved (received, healed, or
 // declared lost).
 func (m *Machine) Done() bool { return m.got >= m.nchunks }
-
-// Have reports whether chunk idx is resolved.
-func (m *Machine) Have(idx int) bool { return m.resolved(idx) }
-
-// Attempts returns how many repair round trips chunk idx has consumed.
-// The count is recovery state: it lives while the chunk is open and
-// retires with its record once the chunk is resolved.
-func (m *Machine) Attempts(idx int) int {
-	if m.listed(idx) {
-		return int(m.find(idx).attempts)
-	}
-	return 0
-}
-
-// RetryAt is when chunk idx is next due for recovery action: after a
-// Rescheduled repair result, its backoff-jittered retry instant.
-func (m *Machine) RetryAt(idx int) time.Time { return m.state(idx).tryAt }
 
 // Stats returns the recovery counters accumulated so far.
 func (m *Machine) Stats() MachineStats { return m.stats }
@@ -510,25 +382,17 @@ func (m *Machine) book(idx int) {
 	m.got++
 }
 
-// markLost books chunk idx as unrecoverable after attempts round trips.
-func (m *Machine) markLost(idx int, attempts uint8) {
+// markLost books chunk idx as unrecoverable after rounds NACK rounds.
+func (m *Machine) markLost(idx int, rounds uint8) {
 	m.book(idx)
 	m.stats.Lost++
 	if m.p.OnLost != nil {
-		m.p.OnLost(idx, int(attempts))
+		m.p.OnLost(idx, int(rounds))
 	}
-}
-
-// repairable reports whether chunk c may still be pulled over unicast.
-func (m *Machine) repairable(c *openChunk) bool {
-	if m.p.DisableRepair || int(c.attempts) >= m.p.MaxRepairAttempts {
-		return false
-	}
-	return m.p.RepairsEnabled == nil || m.p.RepairsEnabled()
 }
 
 // Next runs one recovery pass at time now: overdue chunks are declared
-// lost, the first due repair is returned, and otherwise the next deadline
+// lost, a NACK that is due is returned, and otherwise the next deadline
 // to wake at.
 // Drivers loop: act on the returned action, then call Next again with a
 // fresh now until Done.
@@ -550,10 +414,7 @@ func (m *Machine) Next(now time.Time) Action {
 	for i := range m.active {
 		c := &m.active[i]
 		if !m.resolved(c.idx) {
-			if act, acted := m.visit(c, now, &sc); acted {
-				m.active = append(live, m.active[i:]...)
-				return act
-			}
+			m.visit(c, now, &sc)
 		}
 		if m.resolved(c.idx) {
 			m.unsetListed(c.idx)
@@ -562,14 +423,21 @@ func (m *Machine) Next(now time.Time) Action {
 		}
 	}
 	m.active = live
+	// A chunk with no room for an aggregation window NACKs at its ladder
+	// start in a zero-length one: no jitter draw, and a bitmap shared only
+	// with the chunks due at that same instant.
+	if !sc.nackNow.IsZero() {
+		m.stats.Nacks++
+		return Action{Kind: ActNack, Chunks: m.fireNack(sc.nackNow, false, now)}
+	}
 	// Arm, then fire, the NACK aggregation window: one seeded-jittered
 	// window gathers a whole burst of losses into one gap bitmap. The
-	// window is anchored at the earliest due checkpoint — a grid time —
+	// window is anchored at the earliest due ladder start — a grid time —
 	// not at the wall clock, and fireNack admits chunks by comparing
-	// their checkpoints against the scheduled fire time, so which chunks
+	// their ladder starts against the scheduled fire time, so which chunks
 	// share a bitmap is a pure function of the loss pattern and the seed:
 	// driver scheduling latency cannot split or merge bursts.
-	if sc.nackDue && m.nackAt.IsZero() {
+	if !sc.nackAnchor.IsZero() && m.nackAt.IsZero() {
 		m.nackSeq++
 		m.nackAt = sc.nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.p.NackWindow))
 	}
@@ -577,7 +445,7 @@ func (m *Machine) Next(now time.Time) Action {
 		if !now.Before(m.nackAt) {
 			until := m.nackAt
 			m.nackAt = time.Time{}
-			if chunks := m.fireNack(until, now); len(chunks) > 0 {
+			if chunks := m.fireNack(until, true, now); len(chunks) > 0 {
 				m.stats.Nacks++
 				return Action{Kind: ActNack, Chunks: chunks}
 			}
@@ -592,19 +460,19 @@ func (m *Machine) Next(now time.Time) Action {
 }
 
 // scan accumulates one Next pass over the active set: the earliest wake
-// time seen, and whether (and from which checkpoint) a NACK aggregation
-// window is due.
+// time seen, the earliest due ladder start of a chunk with room for an
+// aggregation window (nackAnchor) and of one without (nackNow), zero for
+// none.
 type scan struct {
-	next       time.Time
-	nackDue    bool
-	nackAnchor time.Time
+	next, nackAnchor, nackNow time.Time
 }
 
 // advance moves the frontier over every chunk that is resolved, already
 // listed, or due — past its gap checkpoint or its loss deadline, the
 // earliest instants at which an untouched chunk needs more than a wake
 // time — listing the due ones. It stops at the first dormant chunk still
-// ahead of both; by monotonicity every later dormant chunk is too.
+// ahead of both; by monotonicity every later dormant chunk is too. Only
+// the frontier lists chunks, so the active set stays ascending.
 func (m *Machine) advance(now time.Time) {
 	off := now.Sub(m.p.Epoch)
 	for ; m.frontier < m.nchunks; m.frontier++ {
@@ -615,71 +483,55 @@ func (m *Machine) advance(now time.Time) {
 		if lb := m.lostOff(idx); off < m.checkpointOff(idx, lb) && off < lb {
 			return
 		}
-		m.list(m.dormant(idx))
+		m.setListed(idx)
+		m.active = append(m.active, m.dormant(idx))
 	}
 }
 
-// visit gives one unresolved active chunk its recovery pass at time now.
-// It returns the action the chunk demands, if any; otherwise it folds
-// the chunk's next deadline (and NACK-window demand) into sc.
-func (m *Machine) visit(c *openChunk, now time.Time, sc *scan) (Action, bool) {
+// visit gives one unresolved active chunk its recovery pass at time now,
+// folding its next deadline and its NACK demand into sc.
+func (m *Machine) visit(c *openChunk, now time.Time, sc *scan) {
 	lb := m.LostBy(c.idx)
 	if !now.Before(lb) {
-		m.markLost(c.idx, c.attempts)
-		return Action{}, false
+		m.markLost(c.idx, c.tries)
+		return
 	}
 	if !c.fecUntil.IsZero() {
 		if now.Before(c.fecUntil) {
-			// The parity stripe may still heal this chunk for free;
-			// every reactive rung holds until the defeat instant.
+			// The parity stripe may still heal this chunk for free; the
+			// ladder holds until the defeat instant.
 			sc.wakeBy(c.fecUntil)
 			sc.wakeBy(lb)
-			return Action{}, false
+			return
 		}
 		// Stripe defeated: burst loss beyond its reach, or the parity
-		// frame itself lost. The reactive ladder starts here, anchored
-		// at the defeat instant — a grid time — so the aggregation
-		// window of a defeated burst arms from stripe-defeat time, not
-		// first-gap time.
+		// frame itself lost. The ladder starts here, at the defeat
+		// instant — a grid time — so the aggregation window of a defeated
+		// burst arms from stripe-defeat time, not first-gap time.
 		if c.fecUntil.After(c.tryAt) {
 			m.stats.StripeDefeats++
 			c.tryAt = c.fecUntil
 		}
 		c.fecUntil = time.Time{}
 	}
-	if c.phase != nackDone {
-		// Multicast-first: the chunk is still in the NACK ladder.
-		if c.phase == nackWait && !now.Before(c.tryAt) {
-			// The re-listen deadline passed without the re-send.
-			m.escalateNack(c, now)
-		}
-		if c.phase == nackPre && !now.Before(c.tryAt) {
-			if int(c.tries) >= m.p.MaxNackRounds && m.nackAt.IsZero() {
-				// Round cap spent: the unicast plane takes over now.
-				c.phase = nackDone
-			} else {
-				sc.nackDue = true
-				if sc.nackAnchor.IsZero() || c.tryAt.Before(sc.nackAnchor) {
-					sc.nackAnchor = c.tryAt
-				}
-			}
-		}
-		if c.phase != nackDone {
-			if now.Before(c.tryAt) {
-				sc.wakeBy(c.tryAt)
-			}
-			sc.wakeBy(lb)
-			return Action{}, false
+	if c.phase == nackWait && !now.Before(c.tryAt) {
+		// The re-listen deadline passed without the re-send.
+		m.escalateNack(c, now)
+	}
+	if c.phase == nackPre && !now.Before(c.tryAt) {
+		switch {
+		case m.p.RepairsEnabled != nil && !m.p.RepairsEnabled():
+			c.phase = nackDone // rounds are off: ride the broadcast
+		case m.ladderRoom(c):
+			sc.nackAnchor = earliest(sc.nackAnchor, c.tryAt)
+		default:
+			sc.nackNow = earliest(sc.nackNow, c.tryAt)
 		}
 	}
-	if m.repairable(c) {
-		if !now.Before(c.tryAt) {
-			return Action{Kind: ActRepair, Idx: c.idx, Attempt: int(c.attempts) + 1}, true
-		}
+	if c.phase != nackDone && now.Before(c.tryAt) {
 		sc.wakeBy(c.tryAt)
 	}
 	sc.wakeBy(lb)
-	return Action{}, false
 }
 
 func (sc *scan) wakeBy(t time.Time) {
@@ -690,48 +542,27 @@ func (sc *scan) wakeBy(t time.Time) {
 
 // dormantWake folds the dormant chunks' deadlines into next. A dormant
 // chunk is in its construction-time state with every deadline ahead, so
-// all it asks of Next is a wake at the first of them: the stripe-defeat
-// instant under a parity stripe; else its gap checkpoint when something
-// would act there (the NACK ladder, a unicast repair); and always its
-// loss deadline. Each is non-decreasing in the chunk index and none
-// precedes the checkpoint, so the walk ends at the first dormant chunk
-// whose checkpoint and loss deadline are both no sooner than the wake
-// already found — usually the frontier chunk.
+// all it asks of Next is a wake at the first of them: its stripe-defeat
+// instant under a parity stripe, else its gap checkpoint when recovery is
+// on, and always its loss deadline. Each is non-decreasing in the chunk
+// index, so the first dormant chunk's wake is the earliest.
 func (m *Machine) dormantWake(next time.Time) time.Time {
-	// Whether an untouched chunk (zero attempts) could be pulled over
-	// unicast at its checkpoint — repairable, evaluated once.
-	repair := !m.p.DisableRepair && m.p.MaxRepairAttempts > 0 &&
-		(m.p.RepairsEnabled == nil || m.p.RepairsEnabled())
-	fec := m.p.FecGroup > 0
-	// Unless some dormant chunks wake at their checkpoint (in the ladder)
-	// while others only at their loss deadline (out of it, unrepairable),
-	// every dormant chunk wakes by the same rule, and the first one's
-	// wake is the earliest.
-	uniform := !m.p.NackEnabled || fec || repair
-	off := next.Sub(m.p.Epoch)
-	wake := off
-	for idx := m.frontier; idx < m.nchunks; idx++ {
-		if m.resolved(idx) || m.listed(idx) {
-			continue
-		}
-		lb := m.lostOff(idx)
-		cp := m.checkpointOff(idx, lb)
-		if cp >= wake && lb >= wake {
-			break
-		}
-		switch {
-		case fec:
-			wake = min(wake, m.fecDefeatOff(idx, cp, lb))
-		case repair || m.ladderRoom(cp, lb):
-			wake = min(wake, cp)
-		}
-		wake = min(wake, lb)
-		if uniform {
-			break
-		}
+	idx := m.frontier
+	for idx < m.nchunks && (m.resolved(idx) || m.listed(idx)) {
+		idx++
 	}
-	if wake < off {
-		return m.at(wake)
+	if idx == m.nchunks {
+		return next
+	}
+	lb := m.lostOff(idx)
+	wake := lb
+	if cp := m.checkpointOff(idx, lb); m.p.FecGroup > 0 {
+		wake = min(wake, m.fecDefeatOff(idx, cp, lb))
+	} else if !m.p.DisableRepair {
+		wake = min(wake, cp)
+	}
+	if t := m.at(wake); t.Before(next) {
+		return t
 	}
 	return next
 }
@@ -792,58 +623,4 @@ func (m *Machine) FecHealed(idx int, now time.Time) ChunkVerdict {
 		m.stats.NackRepaired++
 	}
 	return m.arrive(idx, now)
-}
-
-// RepairResult applies one repair round trip's outcome to chunk idx — the
-// recovery policy:
-//
-//   - RepairOK books the chunk (jitter-checked at now).
-//   - RepairBusy reschedules at now + hint plus half-window full jitter,
-//     so viewers released together do not re-storm. A zero hint — the
-//     protocol's "re-listen, a multicast re-send is in flight"; this
-//     repository's server sends only budget hints — waits two chunk
-//     intervals.
-//   - RepairFailed retries under full-jitter exponential backoff until
-//     the attempt cap, then declares the chunk lost.
-//   - RepairDisabled parks the chunk on the broadcast.
-//
-// The attempt counter increments for every outcome, and jitter streams key
-// on the post-increment count so no two retries share a draw. A result
-// for a chunk resolved meanwhile has nothing left to schedule: it reports
-// Repaired for RepairOK and Parked otherwise.
-func (m *Machine) RepairResult(idx int, outcome RepairOutcome, retryAfter time.Duration, now time.Time) Disposition {
-	if m.resolved(idx) {
-		if outcome == RepairOK {
-			return Repaired
-		}
-		return Parked
-	}
-	c := m.open(idx)
-	if c.attempts < math.MaxUint8 {
-		c.attempts++
-	}
-	switch outcome {
-	case RepairOK:
-		m.stats.Repaired++
-		m.arrive(idx, now)
-		return Repaired
-	case RepairBusy:
-		wait := retryAfter
-		if wait <= 0 {
-			wait = 2 * m.spacing
-		}
-		c.tryAt = now.Add(wait +
-			m.p.Jitter(RepairJitterKey(m.p.Channel, idx), uint64(c.attempts), wait/2+time.Millisecond))
-		return Rescheduled
-	case RepairDisabled:
-		return Parked
-	default: // RepairFailed
-		if int(c.attempts) >= m.p.MaxRepairAttempts {
-			m.markLost(idx, c.attempts)
-			return LostNow
-		}
-		window := 4 * time.Millisecond << c.attempts
-		c.tryAt = now.Add(m.p.Jitter(RepairJitterKey(m.p.Channel, idx), uint64(c.attempts), window))
-		return Rescheduled
-	}
 }

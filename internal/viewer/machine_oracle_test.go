@@ -3,6 +3,7 @@ package viewer
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -22,20 +23,20 @@ import (
 // wake times and stats.
 func (m *Machine) nextFullScan(now time.Time) Action {
 	next := m.Deadline()
-	nackDue := false
-	var nackAnchor time.Time
+	var nackAnchor, nackNow time.Time
 	for idx := 0; idx < m.nchunks; idx++ {
-		if m.Have(idx) {
+		if m.resolved(idx) {
 			continue
 		}
 		c := m.state(idx)
-		act, acted := m.fullScanChunk(&c, now, &next, &nackDue, &nackAnchor)
+		m.fullScanChunk(&c, now, &next, &nackAnchor, &nackNow)
 		m.store(c)
-		if acted {
-			return act
-		}
 	}
-	if nackDue && m.nackAt.IsZero() {
+	if !nackNow.IsZero() {
+		m.stats.Nacks++
+		return Action{Kind: ActNack, Chunks: m.fireNackFullScan(nackNow, false, now)}
+	}
+	if !nackAnchor.IsZero() && m.nackAt.IsZero() {
 		m.nackSeq++
 		m.nackAt = nackAnchor.Add(m.p.Jitter(NackJitterKey(m.p.Channel), m.nackSeq, m.p.NackWindow))
 	}
@@ -43,7 +44,7 @@ func (m *Machine) nextFullScan(now time.Time) Action {
 		if !now.Before(m.nackAt) {
 			until := m.nackAt
 			m.nackAt = time.Time{}
-			if chunks := m.fireNackFullScan(until, now); len(chunks) > 0 {
+			if chunks := m.fireNackFullScan(until, true, now); len(chunks) > 0 {
 				m.stats.Nacks++
 				return Action{Kind: ActNack, Chunks: chunks}
 			}
@@ -56,7 +57,7 @@ func (m *Machine) nextFullScan(now time.Time) Action {
 }
 
 // fullScanChunk is the full scan's pass over one unresolved chunk c.
-func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next *time.Time, nackDue *bool, nackAnchor *time.Time) (Action, bool) {
+func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next, nackAnchor, nackNow *time.Time) {
 	wakeBy := func(t time.Time) {
 		if t.Before(*next) {
 			*next = t
@@ -64,14 +65,14 @@ func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next *time.Time, na
 	}
 	lb := m.LostBy(c.idx)
 	if !now.Before(lb) {
-		m.markLost(c.idx, c.attempts)
-		return Action{}, false
+		m.markLost(c.idx, c.tries)
+		return
 	}
 	if !c.fecUntil.IsZero() {
 		if now.Before(c.fecUntil) {
 			wakeBy(c.fecUntil)
 			wakeBy(lb)
-			return Action{}, false
+			return
 		}
 		if c.fecUntil.After(c.tryAt) {
 			m.stats.StripeDefeats++
@@ -79,47 +80,34 @@ func (m *Machine) fullScanChunk(c *openChunk, now time.Time, next *time.Time, na
 		}
 		c.fecUntil = time.Time{}
 	}
-	if c.phase != nackDone {
-		if c.phase == nackWait && !now.Before(c.tryAt) {
-			m.escalateNack(c, now)
-		}
-		if c.phase == nackPre && !now.Before(c.tryAt) {
-			if int(c.tries) >= m.p.MaxNackRounds && m.nackAt.IsZero() {
-				c.phase = nackDone
-			} else {
-				*nackDue = true
-				if nackAnchor.IsZero() || c.tryAt.Before(*nackAnchor) {
-					*nackAnchor = c.tryAt
-				}
-			}
-		}
-		if c.phase != nackDone {
-			if now.Before(c.tryAt) {
-				wakeBy(c.tryAt)
-			}
-			wakeBy(lb)
-			return Action{}, false
+	if c.phase == nackWait && !now.Before(c.tryAt) {
+		m.escalateNack(c, now)
+	}
+	if c.phase == nackPre && !now.Before(c.tryAt) {
+		switch {
+		case m.p.RepairsEnabled != nil && !m.p.RepairsEnabled():
+			c.phase = nackDone
+		case m.ladderRoom(c):
+			*nackAnchor = earliest(*nackAnchor, c.tryAt)
+		default:
+			*nackNow = earliest(*nackNow, c.tryAt)
 		}
 	}
-	if m.repairable(c) {
-		if !now.Before(c.tryAt) {
-			return Action{Kind: ActRepair, Idx: c.idx, Attempt: int(c.attempts) + 1}, true
-		}
+	if c.phase != nackDone && now.Before(c.tryAt) {
 		wakeBy(c.tryAt)
 	}
 	wakeBy(lb)
-	return Action{}, false
 }
 
 // fireNackFullScan is fireNack over every chunk of the fragment.
-func (m *Machine) fireNackFullScan(until, now time.Time) []int {
+func (m *Machine) fireNackFullScan(until time.Time, windowed bool, now time.Time) []int {
 	var chunks []int
 	for idx := 0; idx < m.nchunks; idx++ {
-		if m.Have(idx) {
+		if m.resolved(idx) {
 			continue
 		}
 		c := m.state(idx)
-		if c.phase != nackPre || c.tryAt.After(until) || int(c.tries) >= m.p.MaxNackRounds {
+		if c.phase != nackPre || c.tryAt.After(until) || m.ladderRoom(&c) != windowed {
 			continue
 		}
 		c.tries++
@@ -141,14 +129,16 @@ type arrival struct {
 }
 
 // store writes c back as its chunk's recovery state: into its record when
-// listed, into a new record when it departs from the chunk's dormant
-// state, and nowhere when a dormant chunk stays dormant.
+// listed, into a new record — in index order — when it departs from the
+// chunk's dormant state, and nowhere when a dormant chunk stays dormant.
 func (m *Machine) store(c openChunk) {
 	switch {
 	case m.listed(c.idx):
 		*m.find(c.idx) = c
 	case c != m.dormant(c.idx):
-		m.list(c)
+		m.setListed(c.idx)
+		i, _ := slices.BinarySearchFunc(m.active, c.idx, func(o openChunk, idx int) int { return o.idx - idx })
+		m.active = slices.Insert(m.active, i, c)
 	}
 }
 
@@ -166,7 +156,7 @@ type machinePair struct {
 	lostInc, lostRef [][2]int
 	label            string
 	// kinds counts the actions Next returned, by kind.
-	kinds *[3]int
+	kinds *[2]int
 }
 
 func (mp *machinePair) failf(format string, args ...any) {
@@ -177,8 +167,7 @@ func (mp *machinePair) failf(format string, args ...any) {
 func (mp *machinePair) next(now time.Time) Action {
 	mp.t.Helper()
 	a, b := mp.inc.Next(now), mp.ref.nextFullScan(now)
-	if a.Kind != b.Kind || a.Idx != b.Idx || a.Attempt != b.Attempt || !a.Wake.Equal(b.Wake) ||
-		!reflect.DeepEqual(a.Chunks, b.Chunks) {
+	if a.Kind != b.Kind || !a.Wake.Equal(b.Wake) || !reflect.DeepEqual(a.Chunks, b.Chunks) {
 		mp.failf("Next(%v): incremental %+v, full scan %+v", now, a, b)
 	}
 	mp.kinds[a.Kind]++
@@ -198,14 +187,14 @@ func (mp *machinePair) check() {
 	if !reflect.DeepEqual(mp.lostInc, mp.lostRef) {
 		mp.failf("OnLost: incremental %v, full scan %v", mp.lostInc, mp.lostRef)
 	}
-	// Attempts are recovery state, which retires with a resolved chunk's
-	// record (lazily on the incremental side, never on the reference
-	// side), so they are compared while the chunk is open.
+	// Recovery state retires with a resolved chunk's record (lazily on
+	// the incremental side, never on the reference side), so it is
+	// compared while the chunk is open.
 	for idx := 0; idx < mp.inc.nchunks; idx++ {
-		if mp.inc.Have(idx) != mp.ref.Have(idx) ||
-			!mp.inc.Have(idx) && mp.inc.Attempts(idx) != mp.ref.Attempts(idx) {
-			mp.failf("chunk %d: incremental have=%v attempts=%d, full scan have=%v attempts=%d", idx,
-				mp.inc.Have(idx), mp.inc.Attempts(idx), mp.ref.Have(idx), mp.ref.Attempts(idx))
+		if mp.inc.resolved(idx) != mp.ref.resolved(idx) ||
+			!mp.inc.resolved(idx) && mp.inc.state(idx) != mp.ref.state(idx) {
+			mp.failf("chunk %d: incremental have=%v state=%+v, full scan have=%v state=%+v", idx,
+				mp.inc.resolved(idx), mp.inc.state(idx), mp.ref.resolved(idx), mp.ref.state(idx))
 		}
 	}
 }
@@ -222,15 +211,9 @@ func (mp *machinePair) fecHealed(idx int, now time.Time) {
 	}
 }
 
-func (mp *machinePair) repairResult(idx int, out RepairOutcome, retryAfter time.Duration, now time.Time) {
-	if a, b := mp.inc.RepairResult(idx, out, retryAfter, now), mp.ref.RepairResult(idx, out, retryAfter, now); a != b {
-		mp.failf("RepairResult(%d, %v): %v vs %v", idx, out, a, b)
-	}
-}
-
-func (mp *machinePair) nackResult(chunks []int, accepted func(int) bool, now time.Time) {
-	mp.inc.NackResult(chunks, accepted, now)
-	mp.ref.NackResult(chunks, accepted, now)
+func (mp *machinePair) nackResult(chunks []int, now time.Time) {
+	mp.inc.NackResult(chunks, now)
+	mp.ref.NackResult(chunks, now)
 }
 
 // diffGeometry draws one fragment shape: from a handful of chunks to a
@@ -259,23 +242,27 @@ func diffGeometry(r *des.Rand) FragmentParams {
 }
 
 // TestMachineNextMatchesFullScan is the seeded differential property
-// behind Next's frontier: over random geometries and every policy mix
-// (NACK ladder, parity stripe, repairs off or parked mid-run), scripts of
-// dropped, duplicated, reordered and late arrivals, stripe heals, repair
-// and NACK outcomes, and drivers that wake early or oversleep, the
-// incremental
-// pass and the full scan must agree on every action, every wake time,
-// every OnLost callback and every counter.
+// behind Next's frontier: over random geometries — windows with room and
+// without — and every policy mix (parity stripe, recovery off, NACK
+// rounds parked and resumed mid-run), scripts of dropped, duplicated,
+// reordered and late arrivals, stripe heals, NACK replies and re-sends,
+// and drivers that wake early or oversleep, the incremental pass and the
+// full scan must agree on every action, every wake time, every OnLost
+// callback, every counter and every open chunk's recovery state.
 func TestMachineNextMatchesFullScan(t *testing.T) {
 	runs := 4000
 	if testing.Short() {
 		runs = 800
 	}
-	var kinds [3]int
+	var kinds [2]int
+	windows := map[bool]int{}
 	for seed := uint64(1); seed <= uint64(runs); seed++ {
 		r := des.NewRand(des.SubSeed(0xD1FF, seed))
 		p := diffGeometry(r)
-		p.NackEnabled = r.Intn(2) == 0
+		if r.Intn(2) == 0 {
+			// A window short enough that many chunks have room for it.
+			p.NackWindow = time.Duration(1+r.Intn(10)) * time.Millisecond
+		}
 		if r.Intn(2) == 0 {
 			p.FecGroup = 4
 		}
@@ -289,24 +276,27 @@ func TestMachineNextMatchesFullScan(t *testing.T) {
 			p.RepairsEnabled = func() bool { return repairsOn }
 		}
 		mp := &machinePair{t: t, kinds: &kinds}
-		mp.label = fmt.Sprintf("seed %d (nack=%v fec=%d norepair=%v)", seed, p.NackEnabled, p.FecGroup, p.DisableRepair)
+		mp.label = fmt.Sprintf("seed %d (window=%v fec=%d norepair=%v)", seed, p.NackWindow, p.FecGroup, p.DisableRepair)
 		pi, pr := p, p
 		pi.OnLost = func(idx, attempts int) { mp.lostInc = append(mp.lostInc, [2]int{idx, attempts}) }
 		pr.OnLost = func(idx, attempts int) { mp.lostRef = append(mp.lostRef, [2]int{idx, attempts}) }
 		mp.ref, mp.inc = NewMachine(pr), NewMachine(pi)
 		mp.check()
-		runDiffScript(mp, r, &repairsOn)
+		runDiffScript(mp, r, &repairsOn, windows)
 	}
 	for kind, count := range kinds {
 		if count == 0 {
 			t.Errorf("no script ever drew action kind %d; the property is vacuous for it", kind)
 		}
 	}
+	if windows[true] == 0 || windows[false] == 0 {
+		t.Errorf("NACKs by window kind %v: the property is vacuous for one of them", windows)
+	}
 }
 
 // runDiffScript plays one random reception against the pair in virtual
 // time until both machines are done.
-func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
+func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool, windows map[bool]int) {
 	m := mp.ref
 	n := m.nchunks
 	start := m.arrival(-1)
@@ -315,7 +305,7 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 	var arrivals []arrival
 	drop := r.Float64() * 0.4
 	for idx := 0; idx < n; idx++ {
-		if m.Have(idx) || r.Float64() < drop {
+		if m.resolved(idx) || r.Float64() < drop {
 			continue
 		}
 		at := m.arrival(idx)
@@ -371,41 +361,27 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 			if m.p.FecGroup > 0 {
 				mp.fecHealed(r.Intn(n), now)
 			}
-		case 2: // a repair result nobody asked for, possibly ahead of the frontier
-			if idx := r.Intn(n); !mp.ref.Have(idx) {
-				mp.repairResult(idx, RepairOutcome(r.Intn(4)), 0, now)
-			}
+		case 2: // a NACK reply nobody waits for, possibly ahead of the frontier
+			mp.nackResult([]int{r.Intn(n)}, now)
 		}
 		mp.check()
 		if mp.ref.Done() && mp.inc.Done() {
 			break
 		}
 
+		seq, armed := mp.ref.nackSeq, mp.ref.nackAt
 		act := mp.next(now)
-		switch act.Kind {
-		case ActRepair:
-			out := RepairOutcome(r.Intn(4))
-			var hint time.Duration
-			if out == RepairBusy && r.Intn(2) == 0 {
-				hint = time.Duration(1+r.Intn(20)) * time.Millisecond
-			}
+		if act.Kind == ActNack {
+			// A zero-length window arms and closes nothing.
+			windows[mp.ref.nackSeq != seq || !mp.ref.nackAt.Equal(armed)]++
 			now = now.Add(time.Duration(r.Intn(2000)) * time.Microsecond) // round trip
-			mp.repairResult(act.Idx, out, hint, now)
-			continue
-		case ActNack:
-			now = now.Add(time.Duration(r.Intn(2000)) * time.Microsecond)
-			var accepted func(int) bool
-			switch r.Intn(4) {
-			case 0: // round trip failed
-			case 1:
-				accepted = func(int) bool { return false }
-			default:
-				mask := r.Uint64()
-				accepted = func(idx int) bool { return mask>>(uint(idx)%64)&1 == 1 }
-			}
-			mp.nackResult(act.Chunks, accepted, now)
+			// The reply: every chunk accepted, refused, or the round trip
+			// failed — which the machine treats alike — and the re-send of
+			// an accepted one may itself be lost.
+			mp.nackResult(act.Chunks, now)
+			mask := r.Uint64()
 			for _, idx := range act.Chunks {
-				if accepted != nil && accepted(idx) && r.Intn(4) != 0 { // the re-send itself may be lost
+				if mask>>(uint(idx)%64)&1 == 1 && r.Intn(4) != 0 {
 					heal := m.p.FecGroup > 0 && r.Intn(4) == 0
 					effects = append(effects, effect{at: now.Add(time.Duration(r.Intn(int(3*m.spacing) + 1))), heal: heal, idx: idx})
 				}
@@ -442,7 +418,7 @@ func runDiffScript(mp *machinePair, r *des.Rand, repairsOn *bool) {
 // BenchmarkMachineNext times one Next call on a cohort's machine as a
 // fragment streams in — each op books the next chunk's arrival and polls
 // — at three fragment sizes, lossless and with every sixteenth chunk lost
-// (pulled over unicast, answered at once, when Next asks). Each fragment's
+// (NACKed when Next asks, the reply and the re-send landing at once). Each fragment's
 // NewMachine is inside the timed loop, so B/op is the machine's memory
 // per chunk received. The frontier pass must cost the same at 4096
 // chunks as at 32; the fullscan rows run the reference scan over the
@@ -465,6 +441,7 @@ func BenchmarkMachineNext(b *testing.B) {
 						TotalBytes: n * 1024, ChunkBytes: 1024, BytesPerUnit: n * 1024 / 8,
 						Epoch: time.Unix(1000, 0), Unit: 100 * time.Millisecond,
 						Slack: 50 * time.Millisecond, Lag: 50 * time.Millisecond,
+						Jitter: func(key, stream uint64, window time.Duration) time.Duration { return window },
 					}
 					m := NewMachine(p)
 					idx := 0
@@ -479,8 +456,11 @@ func BenchmarkMachineNext(b *testing.B) {
 						if lossEvery == 0 || idx%lossEvery != lossEvery-1 {
 							m.Chunk(idx, at)
 						}
-						for act := impl.next(m, at); act.Kind == ActRepair; act = impl.next(m, at) {
-							m.RepairResult(act.Idx, RepairOK, 0, at)
+						for act := impl.next(m, at); act.Kind == ActNack; act = impl.next(m, at) {
+							m.NackResult(act.Chunks, at)
+							for _, idx := range act.Chunks {
+								m.Chunk(idx, at)
+							}
 						}
 						idx++
 					}

@@ -88,7 +88,8 @@ func TestMachineHappyPath(t *testing.T) {
 }
 
 // TestMachineGapCheckpoint: the gap detector fires one Lag past a
-// chunk's expected arrival, and Next's wake converges on that checkpoint.
+// chunk's expected arrival, and Next's wake converges on that checkpoint,
+// where the chunk NACKs.
 func TestMachineGapCheckpoint(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	m := NewMachine(testParams(epoch))
@@ -99,111 +100,80 @@ func TestMachineGapCheckpoint(t *testing.T) {
 		t.Fatalf("Next before checkpoint = %+v, want wait until %v", act, checkpoint)
 	}
 	act = m.Next(checkpoint)
-	if act.Kind != ActRepair || act.Idx != 0 || act.Attempt != 1 {
-		t.Fatalf("Next at checkpoint = %+v, want repair chunk 0 attempt 1", act)
+	if act.Kind != ActNack || len(act.Chunks) != 1 || act.Chunks[0] != 0 {
+		t.Fatalf("Next at checkpoint = %+v, want nack [0]", act)
 	}
 }
 
-// TestMachineRepairBusyThenOK: admission pushback reschedules at the
-// hint plus jitter without burning the chunk, and a later success books
-// it as repaired.
-func TestMachineRepairBusyThenOK(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	m := NewMachine(testParams(epoch))
-	now := epoch.Add(5*time.Second + 250*time.Millisecond)
-
-	if d := m.RepairResult(0, RepairBusy, 100*time.Millisecond, now); d != Rescheduled {
-		t.Fatalf("busy disposition = %v, want Rescheduled", d)
-	}
-	// Next must not re-fire before now + hint + jitter(=1ms).
-	retry := now.Add(100*time.Millisecond + time.Millisecond)
-	if act := m.Next(now.Add(50 * time.Millisecond)); act.Kind != ActWait || !act.Wake.Equal(retry) {
-		t.Fatalf("Next during busy hold-off = %+v, want wait until %v", act, retry)
-	}
-	act := m.Next(retry)
-	if act.Kind != ActRepair || act.Idx != 0 || act.Attempt != 2 {
-		t.Fatalf("Next at retry = %+v, want repair chunk 0 attempt 2", act)
-	}
-	if d := m.RepairResult(0, RepairOK, 0, retry); d != Repaired {
-		t.Fatalf("ok disposition = %v, want Repaired", d)
-	}
-	st := m.Stats()
-	if st.Repaired != 1 || st.Late != 0 || st.Lost != 0 {
-		t.Errorf("stats after repair = %+v, want 1 repaired", st)
-	}
-	if m.Attempts(0) != 2 {
-		t.Errorf("attempts = %d, want 2", m.Attempts(0))
-	}
-}
-
-// TestMachineBusyZeroHint: a zero retry hint means the answer is in
-// flight on the broadcast group; the retry waits about two chunk
-// intervals.
-func TestMachineBusyZeroHint(t *testing.T) {
-	epoch := time.Unix(1000, 0)
-	m := NewMachine(testParams(epoch))
-	now := epoch.Add(5*time.Second + 250*time.Millisecond)
-	for idx := 1; idx < 4; idx++ { // resolve the rest so chunk 0 owns the wake
-		m.Chunk(idx, now)
-	}
-	m.RepairResult(0, RepairBusy, 0, now)
-	retry := now.Add(2*time.Second + time.Millisecond) // 2*spacing + jitter
-	if act := m.Next(now); act.Kind != ActWait || !act.Wake.Equal(retry) {
-		t.Fatalf("Next = %+v, want wait until %v", act, retry)
-	}
-}
-
-// TestMachineRepairFailureExhaustsToLost: transport failures back off
-// and retry until the attempt cap, then the chunk is declared lost.
+// TestMachineRepairFailureExhaustsToLost: NACK round trips that fail
+// re-listen, then ask again, until the round cap; the chunk then rides
+// the broadcast and is declared lost at its deadline, with OnLost told
+// how many rounds it joined.
 func TestMachineRepairFailureExhaustsToLost(t *testing.T) {
 	epoch := time.Unix(1000, 0)
-	p := testParams(epoch)
-	var lostIdx, lostAttempts = -1, -1
-	p.OnLost = func(idx, attempts int) { lostIdx, lostAttempts = idx, attempts }
+	p := nackParams(epoch)
+	p.Slack = 5 * time.Second // LostBy(0) = 13s: room for every round
+	var lostIdx, lostRounds = -1, -1
+	p.OnLost = func(idx, rounds int) { lostIdx, lostRounds = idx, rounds }
 	m := NewMachine(p)
-	now := epoch.Add(5*time.Second + 250*time.Millisecond)
-
-	for try := 1; try < DefaultMaxRepairAttempts; try++ {
-		if d := m.RepairResult(0, RepairFailed, 0, now); d != Rescheduled {
-			t.Fatalf("attempt %d disposition = %v, want Rescheduled", try, d)
+	for idx := 1; idx < 4; idx++ {
+		m.Chunk(idx, epoch.Add(time.Duration(5+idx)*time.Second))
+	}
+	now := m.checkpoint(0)
+	nacks := 0
+	for {
+		act := m.Next(now)
+		if m.Done() {
+			break
 		}
-		now = now.Add(2 * time.Millisecond)
+		if act.Kind == ActNack {
+			nacks++
+			m.NackResult(act.Chunks, now.Add(time.Millisecond)) // failed round trip
+			continue
+		}
+		now = act.Wake
 	}
-	if d := m.RepairResult(0, RepairFailed, 0, now); d != LostNow {
-		t.Fatalf("final disposition = %v, want LostNow", d)
+	if nacks != DefaultMaxNackRounds {
+		t.Errorf("%d NACK rounds, want the cap of %d", nacks, DefaultMaxNackRounds)
 	}
-	if lostIdx != 0 || lostAttempts != DefaultMaxRepairAttempts {
-		t.Errorf("OnLost(%d, %d), want (0, %d)", lostIdx, lostAttempts, DefaultMaxRepairAttempts)
+	if !now.Equal(m.LostBy(0)) {
+		t.Errorf("declared lost at %v, want its loss deadline %v", now, m.LostBy(0))
 	}
-	if st := m.Stats(); st.Lost != 1 {
-		t.Errorf("stats = %+v, want 1 lost", st)
+	if lostIdx != 0 || lostRounds != DefaultMaxNackRounds {
+		t.Errorf("OnLost(%d, %d), want (0, %d)", lostIdx, lostRounds, DefaultMaxNackRounds)
 	}
-	if !m.Have(0) {
-		t.Error("lost chunk not resolved")
+	if st := m.Stats(); st.Lost != 1 || st.Nacks != int64(DefaultMaxNackRounds) {
+		t.Errorf("stats = %+v, want 1 lost after %d nacks", st, DefaultMaxNackRounds)
 	}
 }
 
-// TestMachineRepairDisabledParks: a draining server parks the chunk on
-// the broadcast; it is never repaired again but can still arrive.
+// TestMachineRepairDisabledParks: once RepairsEnabled says no (a draining
+// server), a due chunk joins no NACK round and rides the broadcast to its
+// loss deadline — and the broadcast can still deliver it.
 func TestMachineRepairDisabledParks(t *testing.T) {
 	epoch := time.Unix(1000, 0)
-	enabled := true
+	enabled := false
 	p := testParams(epoch)
 	p.RepairsEnabled = func() bool { return enabled }
 	m := NewMachine(p)
-	now := epoch.Add(5*time.Second + 250*time.Millisecond)
-
-	if d := m.RepairResult(0, RepairDisabled, 0, now); d != Parked {
-		t.Fatalf("disposition = %v, want Parked", d)
+	now := m.checkpoint(0)
+	if act := m.Next(now); act.Kind != ActWait || !act.Wake.Equal(m.checkpoint(1)) {
+		t.Fatalf("Next = %+v, want wait until the next checkpoint %v", act, m.checkpoint(1))
 	}
-	enabled = false
-	// No more repairs offered; the wake is the chunk's loss deadline.
+	// The chunk left the ladder for good: turning rounds back on does not
+	// bring it back, and it wakes only at its loss deadline.
+	enabled = true
+	for idx := 1; idx < 4; idx++ {
+		m.Chunk(idx, now)
+	}
 	if act := m.Next(now.Add(time.Second)); act.Kind != ActWait || !act.Wake.Equal(m.LostBy(0)) {
 		t.Fatalf("Next = %+v, want wait until lostBy(0) %v", act, m.LostBy(0))
 	}
-	// The broadcast can still deliver it.
 	if v := m.Chunk(0, now.Add(2*time.Second)); v != Accepted {
 		t.Fatalf("verdict = %v, want Accepted", v)
+	}
+	if st := m.Stats(); st.Nacks != 0 || st.Lost != 0 {
+		t.Errorf("stats = %+v, want no NACK and no loss", st)
 	}
 }
 
@@ -284,7 +254,7 @@ func TestJitterInDeterminismAndBounds(t *testing.T) {
 }
 
 // TestMachineFootprint holds a machine's memory to its open gaps: a
-// cohort's machine (repairs, NACK ladder, parity stripe) over a 384-chunk
+// cohort's machine (NACK ladder, parity stripe) over a 384-chunk
 // fragment received without loss allocates its two bits per chunk and its
 // fixed fields, not per-chunk recovery state.
 func TestMachineFootprint(t *testing.T) {
@@ -294,8 +264,8 @@ func TestMachineFootprint(t *testing.T) {
 		TotalBytes: n * 1024, ChunkBytes: 1024, BytesPerUnit: n * 1024 / 8,
 		Epoch: time.Unix(1000, 0), Unit: 100 * time.Millisecond,
 		Slack: 50 * time.Millisecond, Lag: 50 * time.Millisecond,
-		NackEnabled: true, FecGroup: 4,
-		Jitter: func(key, stream uint64, window time.Duration) time.Duration { return window },
+		FecGroup: 4,
+		Jitter:   func(key, stream uint64, window time.Duration) time.Duration { return window },
 	}
 	var bad string
 	res := testing.Benchmark(func(b *testing.B) {
@@ -322,10 +292,10 @@ func TestMachineFootprint(t *testing.T) {
 	}
 }
 
-// TestMachineCountersCappedAtWidth: the per-chunk repair and NACK-round
-// counters are bytes, so caps past 255 are clamped to 255 — a cap the
-// counter can never reach would leave a chunk in the ladder, or retrying,
-// for as long as its deadline allows.
+// TestMachineCountersCappedAtWidth: the per-chunk NACK-round counter is a
+// byte, so caps past 255 are clamped to 255 — a cap the counter can never
+// reach would leave a chunk in the ladder for as long as its deadline
+// allows.
 func TestMachineCountersCappedAtWidth(t *testing.T) {
 	for _, limit := range []int{255, 256, 1000} {
 		want := min(limit, 255)
@@ -333,7 +303,6 @@ func TestMachineCountersCappedAtWidth(t *testing.T) {
 		p := nackParams(epoch)
 		p.NackWindow = 10 * time.Millisecond
 		p.MaxNackRounds = limit
-		p.MaxRepairAttempts = limit
 		p.GraceUnits = 4000 // deadline room for far more rounds than the cap
 		p.Slack = 4000 * time.Second
 		m := NewMachine(p)
@@ -342,33 +311,20 @@ func TestMachineCountersCappedAtWidth(t *testing.T) {
 		}
 		now := m.checkpoint(0)
 		nacks := 0
-	ladder:
-		for iter := 0; ; iter++ {
+		for iter := 0; !m.Done(); iter++ {
 			if iter > 10*want {
 				t.Fatalf("cap %d: chunk still in the NACK ladder after %d rounds", limit, nacks)
 			}
 			switch act := m.Next(now); act.Kind {
 			case ActNack:
 				nacks++
-				m.NackResult(act.Chunks, func(int) bool { return true }, now)
-			case ActRepair:
-				break ladder
+				m.NackResult(act.Chunks, now)
 			default:
 				now = act.Wake
 			}
 		}
 		if nacks != want {
-			t.Errorf("cap %d: %d NACK rounds before unicast, want %d", limit, nacks, want)
-		}
-		tries := 0
-		for d := Rescheduled; d != LostNow; tries++ {
-			if tries > 2*want {
-				t.Fatalf("cap %d: chunk still retrying after %d repair attempts", limit, tries)
-			}
-			d = m.RepairResult(0, RepairFailed, 0, now)
-		}
-		if tries != want {
-			t.Errorf("cap %d: lost after %d repair attempts, want %d", limit, tries, want)
+			t.Errorf("cap %d: %d NACK rounds before the chunk rode out, want %d", limit, nacks, want)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // errMuxDraining reports a server-initiated bye on the mux's control
-// connection: unicast repair is gone for every emulated viewer.
+// connection: NACK rounds are over for every emulated viewer.
 // errEpochChanged refuses a redial that reached a different broadcast.
 var (
 	errMuxDraining  = errors.New("viewer: server draining (bye received)")
@@ -29,32 +29,21 @@ var (
 )
 
 // ReconnectJitterKey is the jitter substream key for control reconnects;
-// repair retries key on (channel, chunk) and NACK windows on bit 63 |
-// channel, so no two retry sites of one viewer seed share a stream.
+// NACK windows key on bit 63 | channel, so the two retry sites of one
+// viewer seed never share a stream.
 const ReconnectJitterKey = ^uint64(0)
-
-// busyError is the server's admission pushback on a NACK or repair round
-// trip; it is flow control, not failure.
-type busyError struct{ retryAfter time.Duration }
-
-func (e *busyError) Error() string {
-	if e.retryAfter <= 0 {
-		return "viewer: server busy (re-listen to broadcast)"
-	}
-	return fmt.Sprintf("viewer: server busy (retry after %v)", e.retryAfter)
-}
 
 // arrivalStream keys each viewer's admission-offset draw. It is a direct
 // substream of the viewer seed, one SubSeed layer above the jitter
 // streams (which derive via SubSeed(SubSeed(seed, key), stream)), so no
-// repair or reconnect jitter draw can collide with it.
+// NACK or reconnect jitter draw can collide with it.
 const arrivalStream = ^uint64(1)
 
 // ViewerSeed is virtual viewer v's session seed under a mux seeded with
 // muxSeed. A cohort times its recovery on its first member's seed, so a
-// Session{Seed: ViewerSeed(muxSeed, v)} draws bit-identical NACK and
-// repair jitter schedules to a mux cohort led by viewer v: a session's
-// seed is used as given, never re-derived.
+// Session{Seed: ViewerSeed(muxSeed, v)} draws bit-identical NACK window
+// jitter to a mux cohort led by viewer v: a session's seed is used as
+// given, never re-derived.
 func ViewerSeed(muxSeed uint64, v int) uint64 {
 	return des.SubSeed(muxSeed, uint64(v))
 }
@@ -85,7 +74,7 @@ type SessionResult struct {
 }
 
 // RunSession runs one viewing session as a one-viewer cohort: the same
-// admit, receive and repair path Run drives for an audience. It fails only
+// admit, receive and recovery path Run drives for an audience. It fails only
 // when the session could not be driven to its end (refused join, exceeded
 // buffer); losses and jitter are counts in the result, for the caller.
 func RunSession(cfg MuxConfig, s Session) (*SessionResult, error) {
@@ -122,7 +111,7 @@ type MuxConfig struct {
 	// Zero admits everyone at once (one cohort per video).
 	SpreadUnits float64
 	// Seed keys every viewer's deterministic substreams (arrival offset,
-	// repair jitter) via ViewerSeed.
+	// NACK window jitter) via ViewerSeed.
 	Seed uint64
 	// Workers is ignored. Kept for benchmark/harness, which sets it; the
 	// harness follow-up of ROADMAP item 2 deletes it.
@@ -133,14 +122,10 @@ type MuxConfig struct {
 	SlackFrac     float64
 	RepairLagFrac float64
 	// DisableRepair turns loss recovery off: gaps become losses at their
-	// playback deadlines.
+	// playback deadlines. Otherwise each cohort NACKs as one voice, so a
+	// burst of losses costs one aggregated gap bitmap whatever the
+	// cohort's size.
 	DisableRepair bool
-	// DisableNack turns off the multicast-first NACK ladder: gaps go
-	// straight to unicast repair, one round trip per cohort. The ladder
-	// is on by default whenever the server advertises it
-	// (Welcome.NackRepair): each cohort NACKs as one voice, so a burst of
-	// losses costs one aggregated gap bitmap regardless of cohort size.
-	DisableNack bool
 	// RecvBufBytes sizes the shared UDP socket's kernel buffer; zero
 	// selects mcast.DefaultRecvBufBytes.
 	RecvBufBytes int
@@ -169,15 +154,15 @@ type Result struct {
 	// mismatches (counted once per cohort).
 	Bytes      int64 `json:"bytes"`
 	ByteErrors int64 `json:"byteErrors"`
-	// Chunk outcome sums over viewers: a cohort's one unicast repair
-	// heals every member, so RepairedChunks counts it once per member.
+	// Chunk outcome sums over viewers.
 	LateChunks      int64 `json:"lateChunks"`
 	DuplicateChunks int64 `json:"duplicateChunks"`
 	LostChunks      int64 `json:"lostChunks"`
-	RepairedChunks  int64 `json:"repairedChunks"`
-	// RepairRequests counts unicast repair round trips and BusyReplies
-	// admission pushbacks on NACK and repair round trips. Both are per
-	// cohort, NOT per viewer, like NacksSent: one pull heals the cohort.
+	// RepairedChunks, RepairRequests and BusyReplies are always 0: the
+	// viewer pulls nothing over unicast and the server answers no NACK
+	// with Busy. They stay because benchmark/harness reads them; the
+	// harness follow-up of ROADMAP item 2 deletes them.
+	RepairedChunks int64 `json:"repairedChunks"`
 	RepairRequests int64 `json:"repairRequests"`
 	BusyReplies    int64 `json:"busyReplies"`
 	Reconnects     int64 `json:"reconnects"`
@@ -186,7 +171,7 @@ type Result struct {
 	// are per cohort, NOT per viewer — the cohort NACKs as one voice,
 	// which is exactly the control-traffic reduction being measured.
 	// MulticastRepairs counts chunks healed by a NACK-triggered multicast
-	// re-send, summed over viewers like RepairedChunks.
+	// re-send, summed over viewers like LostChunks.
 	NacksSent        int64 `json:"nacksSent"`
 	NacksSuppressed  int64 `json:"nacksSuppressed"`
 	MulticastRepairs int64 `json:"multicastRepairs"`
@@ -194,7 +179,7 @@ type Result struct {
 	// stripe, summed over viewers like MulticastRepairs (one shared-path
 	// reconstruction heals the whole cohort, for zero control traffic).
 	// StripeDefeats counts cohort-level escalations: gaps whose stripe
-	// hold expired unhealed and entered the reactive ladder.
+	// hold expired unhealed and entered the NACK ladder.
 	FecHeals      int64 `json:"fecHeals"`
 	StripeDefeats int64 `json:"stripeDefeats"`
 	// Degraded counts viewers that finished with any lost or late chunk.
@@ -348,14 +333,13 @@ func Run(cfg MuxConfig) (*Result, error) {
 // emulation. Run executes it.
 func NewMux(cfg MuxConfig) (*Mux, error) { return newMux(cfg, nil) }
 
-// Journal directs the run's recovery events (nack, nack-fail, repair-req,
-// repair-ok, repair-busy, repair-off, repair-fail, fec-heal, chunk-lost,
-// reconnect, server-bye) into tb on the broadcast epoch's wall scale; call
-// before Run.
+// Journal directs the run's recovery events (nack-window, nack,
+// nack-refused, nack-fail, fec-heal, chunk-lost, reconnect, server-bye)
+// into tb on the broadcast epoch's wall scale; call before Run.
 func (m *Mux) Journal(tb *trace.Buffer) { m.trace = tb }
 
 // tracef journals one recovery event. Sites an audience runs per datagram
-// or per repair test m.trace themselves, so no argument is boxed for nothing.
+// or per NACK test m.trace themselves, so no argument is boxed for nothing.
 func (m *Mux) tracef(kind, format string, args ...any) {
 	if m.trace != nil {
 		m.trace.Addf(trace.Wall(m.epoch, time.Now()), kind, format, args...)
@@ -527,13 +511,10 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 		res.LateChunks += co.late * n
 		res.DuplicateChunks += co.dup * n
 		res.LostChunks += co.lostShared * n
-		res.RepairedChunks += co.repaired * n
 		res.MulticastRepairs += co.nackRepaired * n
 		res.FecHeals += co.fecHeals * n
 		res.Bytes += n * (m.videoBytes - co.lostSharedBytes)
 		res.ByteErrors += co.byteErrors
-		res.RepairRequests += co.repairReqs
-		res.BusyReplies += co.busy
 		res.NacksSent += co.nacks
 		res.NacksSuppressed += co.nackSuppressed
 		res.StripeDefeats += co.stripeDefeats
@@ -619,7 +600,7 @@ const controlTimeout = 5 * time.Second
 // controlConn is the mux's one control connection: re-dialed with
 // backoff on transport failure, and used by the control goroutine alone
 // (by newMux for the first handshake, and by Run once that goroutine is
-// done). Joins, leaves, NACKs and repairs of every cohort share it, and
+// done). Joins, leaves and NACKs of every cohort share it, and
 // so do the group memberships: refcounted across cohorts, the first
 // subscriber of a group joins it on the server, the last leaves, and a
 // redial joins every held group again — the server drops a connection's
@@ -691,7 +672,7 @@ func (c *controlConn) handshake() (*wire.Welcome, error) {
 	return m.Welcome, nil
 }
 
-// redialLocked replaces a broken connection, sleeping a full-jitter delay
+// redial replaces a broken connection, sleeping a full-jitter delay
 // from a doubling window between attempts: after a server restart every
 // audience of the old process re-dials at once, and the jitter — keyed on
 // each mux's own seed — spreads the wave. A changed epoch is
@@ -736,8 +717,8 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 		if err == nil {
 			if wantReply && reply.Kind == wire.KindBye {
 				c.mux.bye.Store(true)
-				c.mux.tracef("server-bye", "server draining; disabling repairs")
-				c.mux.cfg.Logf("viewer: server draining (bye); repairs disabled for all viewers")
+				c.mux.tracef("server-bye", "server draining; NACK rounds off")
+				c.mux.cfg.Logf("viewer: server draining (bye); NACK rounds off for all viewers")
 				c.close()
 				return nil, errMuxDraining
 			}
@@ -749,39 +730,15 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 	return nil, lastErr
 }
 
-// repair pulls one chunk over unicast.
-func (c *controlConn) repair(video, channel int, seq uint32, offset int64, length int) ([]byte, error) {
-	req := &wire.Repair{Video: video, Channel: channel, Seq: seq, Offset: offset, Length: length}
-	reply, err := c.roundTrip(&wire.Control{Kind: wire.KindRepair, Repair: req}, true)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Kind == wire.KindBusy {
-		return nil, &busyError{retryAfter: time.Duration(reply.RetryAfterNanos)}
-	}
-	if reply.Kind != wire.KindRepairOK || reply.Repair == nil {
-		return nil, fmt.Errorf("viewer: repair rejected: %s", reply.Error)
-	}
-	rp := reply.Repair
-	if rp.Video != video || rp.Channel != channel || rp.Offset != offset || len(rp.Data) != length {
-		return nil, fmt.Errorf("viewer: repair reply mismatch: got %d/%d@%d (%d bytes)", rp.Video, rp.Channel, rp.Offset, len(rp.Data))
-	}
-	return rp.Data, nil
-}
-
 // nack reports a burst of losses as one gap-bitmap NACK — the cohort's
 // aggregated voice — and returns a predicate over the chunks the server
 // accepted for multicast re-send. A transport or protocol failure, or a
-// reply for another fragment repetition, returns an error; the caller
-// escalates every chunk to unicast repair.
+// reply for another fragment repetition, returns an error.
 func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(idx int) bool, error) {
 	req := wire.NackFromChunks(video, channel, seq, chunks)
 	reply, err := c.roundTrip(&wire.Control{Kind: wire.KindNack, Nack: req}, true)
 	if err != nil {
 		return nil, err
-	}
-	if reply.Kind == wire.KindBusy {
-		return nil, &busyError{retryAfter: time.Duration(reply.RetryAfterNanos)}
 	}
 	if reply.Kind != wire.KindNackOK {
 		return nil, fmt.Errorf("viewer: nack rejected: %s", reply.Error)

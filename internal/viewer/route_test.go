@@ -177,7 +177,7 @@ func TestRouteDecodesOncePerDatagram(t *testing.T) {
 		t.Errorf("the next repetition's fragment booked %+v (err %v) from another repetition's datagrams", st, next.err)
 	}
 	for idx := range routeChunks {
-		if next.m.Have(idx) {
+		if next.m.resolved(idx) {
 			t.Fatalf("the next repetition's fragment holds chunk %d of another repetition", idx)
 		}
 	}

@@ -22,18 +22,16 @@ const (
 	KindStatsOK  = "statsok"
 	KindRepair   = "repair"
 	KindRepairOK = "repairok"
-	// KindBusy is the server's admission-control pushback: the repair
-	// plane is over budget. RetryAfterNanos carries the earliest useful
-	// retry time. A zero hint means "re-listen to the broadcast group" —
-	// the answer is already in flight as a multicast re-send. Clients
-	// honor it; this repository's server sends only budget hints.
+	// KindBusy is the server's admission-control pushback on a KindRepair:
+	// the repair plane is over budget. RetryAfterNanos carries the
+	// earliest useful retry time.
 	KindBusy = "busy"
 	// KindNack reports a burst of losses on one channel as a compact gap
 	// bitmap (see Nack); the server answers with KindNackOK whose bitmap
 	// marks the chunks it accepted for a multicast re-send on the
 	// channel's broadcast group. Chunks left unmarked were refused
-	// (budget) and fall back to unicast KindRepair. A NACK for a
-	// repetition no viewer can still be receiving gets KindError.
+	// (budget); the viewer may NACK them again in a later round. A NACK
+	// for a repetition no viewer can still be receiving gets KindError.
 	KindNack   = "nack"
 	KindNackOK = "nackok"
 )
@@ -78,16 +76,16 @@ type Control struct {
 	Repair *Repair `json:"repair,omitempty"`
 	// Nack payload for KindNack/KindNackOK.
 	Nack *Nack `json:"nack,omitempty"`
-	// RetryAfterNanos is the KindBusy retry hint; zero means the request
-	// was answered via a multicast re-send and the client should
-	// re-listen instead of re-pulling.
+	// RetryAfterNanos is the KindBusy retry hint.
 	RetryAfterNanos int64 `json:"retryAfterNanos,omitempty"`
 }
 
-// Repair is a unicast chunk-repair round trip: a client that detected a
-// gap in a channel's broadcast asks the server to retransmit one chunk
-// over the control connection. The request leaves Data empty; the reply
-// echoes the identifying fields and fills Data with the chunk bytes.
+// Repair is a unicast chunk-repair round trip: the requester asks the
+// server to retransmit one chunk over the control connection. The request
+// leaves Data empty; the reply echoes the identifying fields and fills
+// Data with the chunk bytes. The viewer recovers over NACKs alone; the
+// server's unicast arm stays for benchmark/harness, which times it, until
+// the harness follow-up of ROADMAP item 2.
 type Repair struct {
 	// Video and Channel identify the fragment, exactly as in a Join.
 	Video   int `json:"video"`
@@ -126,11 +124,6 @@ type Welcome struct {
 	BytesPerUnit int `json:"bytesPerUnit"`
 	// ChunkBytes is the data-chunk payload size the server uses.
 	ChunkBytes int `json:"chunkBytes"`
-	// NackRepair advertises the cohort-aware repair plane: the server
-	// answers KindNack gap bitmaps with multicast re-sends. Clients only
-	// send NACKs when this is set, so old servers (and test fakes) keep
-	// seeing pure unicast KindRepair traffic.
-	NackRepair bool `json:"nackRepair,omitempty"`
 	// FecGroup advertises the proactive parity stripe: the broadcast
 	// interleaves one parity frame per group of FecGroup data chunks
 	// (see KindParity). Zero means no stripe — receivers then never see

@@ -35,10 +35,10 @@ func FuzzControlDecode(f *testing.F) {
 		// that advertise a stripe, one of them at the widest one.
 		{Kind: wire.KindWelcome, Welcome: &wire.Welcome{Videos: 1, ChannelsPerVideo: 3, Width: 2,
 			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024,
-			NackRepair: true, FecGroup: 8}},
+			FecGroup: 8}},
 		{Kind: wire.KindWelcome, Welcome: &wire.Welcome{Videos: 1, ChannelsPerVideo: 3, Width: 2,
 			UnitNanos: 8e7, EpochUnixNano: 1234, SizeUnits: []int64{1, 2, 2}, BytesPerUnit: 4096, ChunkBytes: 1024,
-			NackRepair: true, FecGroup: wire.MaxFecGroup}},
+			FecGroup: wire.MaxFecGroup}},
 		{Kind: wire.KindJoin, Video: 1, Channel: 2, Port: 45678},
 		{Kind: wire.KindJoined, Video: 1, Channel: 2},
 		{Kind: wire.KindLeave, Video: 1, Channel: 2},
@@ -50,7 +50,7 @@ func FuzzControlDecode(f *testing.F) {
 		{Kind: wire.KindRepair, Repair: &wire.Repair{Video: 1, Channel: 2, Seq: 7, Offset: 1024, Length: 512}},
 		{Kind: wire.KindRepairOK, Repair: &wire.Repair{Video: 1, Channel: 2, Seq: 7, Offset: 1024, Length: 4, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
 		{Kind: wire.KindBusy, RetryAfterNanos: 25e6},
-		{Kind: wire.KindBusy}, // Busy(0): re-listen after a coalesced multicast re-send
+		{Kind: wire.KindBusy}, // no hint
 		{Kind: wire.KindNack, Nack: wire.NackFromChunks(1, 2, 7, []int{3, 4, 9})},
 		{Kind: wire.KindNackOK, Nack: &wire.Nack{Video: 1, Channel: 2, Seq: 7, BaseChunk: 3, Bitmap: []byte{0x43}}},
 		{Kind: wire.KindNackOK, Nack: &wire.Nack{Video: 1, Channel: 2, Seq: 7, BaseChunk: 3, Bitmap: []byte{0, 0}}}, // nothing accepted
@@ -144,7 +144,7 @@ func planWelcome(w *wire.Welcome) {
 				PlayUnit:   plan.PlayStartUnit + d.Group.StartUnit + int64(j)*d.Group.Size,
 				TotalBytes: int(d.Group.Size) * w.BytesPerUnit, ChunkBytes: w.ChunkBytes, BytesPerUnit: w.BytesPerUnit,
 				Epoch: time.Unix(0, w.EpochUnixNano), Unit: time.Duration(w.UnitNanos),
-				FecGroup: w.FecGroup, NackEnabled: w.NackRepair,
+				FecGroup: w.FecGroup,
 			})
 		}
 	}
