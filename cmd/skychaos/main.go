@@ -483,7 +483,8 @@ func overloadSweep(videos, channels int, width int64, unit time.Duration,
 // concurrent clients and tallies the curve point. The burst is sized to
 // one session's expected total repair bytes: a single in-budget client
 // rides the burst through its correlated loss spikes, while surplus
-// demand drains the bucket and meets refusals.
+// demand drains the bucket and meets refusals. Client i starts i·W units
+// after the first, on its own repetitions: no re-send heals two clients.
 func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 	seed uint64, budget float64, m int) (*overloadRow, error) {
 	chunksPerVideo := int(sch.TotalUnits()) * 4096 / 1024
@@ -516,6 +517,7 @@ func overloadPoint(sch *core.Scheme, unit time.Duration, drop float64,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			time.Sleep(time.Duration(int64(i)*sch.Width()) * unit)
 			// One unit of slack leaves no chunk room for an aggregation
 			// window, so every loss NACKs on its own at its gap checkpoint
 			// and each re-send spends the budget. At two units windows
