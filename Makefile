@@ -119,10 +119,13 @@ chaos-check:
 # plain single-datagram reads (no recvmmsg, no GRO) must still pass the
 # mcast suite, proving the fast paths are accelerations of — not
 # departures from — the portable semantics every non-Linux build runs.
+# The server's tick-source tests run on the runtime timer, the source
+# every non-Linux build parks, wakes and pokes its shards on.
 test-portable:
 	SKYSCRAPER_NO_GSO=1 SKYSCRAPER_NO_SENDMMSG=1 \
 		SKYSCRAPER_NO_RECVMMSG=1 SKYSCRAPER_NO_GRO=1 \
 		$(GO) test -count=1 ./internal/mcast
+	$(GO) test -count=1 -run 'Tick/^timer$$' ./internal/server
 
 # Ten seconds of coverage-guided fuzzing per wire decoder (frame and
 # control planes): malformed input must error, never panic, and every

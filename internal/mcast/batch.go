@@ -82,19 +82,6 @@ type batchBuf struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// SendRepairBatch delivers repair re-sends through the same batch path as
-// scheduled egress — repair traffic shares the sendmmsg and batching
-// ledgers instead of bypassing them — while additionally
-// counting the datagrams in the repair ledger (RepairDatagrams) so
-// operators can tell the two flows apart.
-func (h *Hub) SendRepairBatch(entries []BatchEntry) (int, error) {
-	n, err := h.SendBatch(entries)
-	if n > 0 {
-		h.repairSent.Add(int64(n))
-	}
-	return n, err
-}
-
 // SendBatch delivers every entry's frame to every current member of its
 // group — the whole tick's egress in one call — returning how many
 // datagrams were written. Entries whose groups are empty cost nothing;

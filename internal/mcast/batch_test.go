@@ -171,15 +171,16 @@ func TestSendBatchBestEffort(t *testing.T) {
 	}
 }
 
-// TestSendBatchConcurrentWithRepair: a tick's SendBatch and NACK
-// re-sends' SendRepairBatch run at once on one hub — a live server's shard
-// and its control goroutines — on every egress path the host has. Under
-// -race this is the proof that the two flows share nothing: not the pooled
-// batch buffers, the stager, or the destination chains. Every datagram
-// that arrives is whole, on its own group, and from one flow; the hub
-// counts every datagram of both, and the repair ledger the re-sends alone.
+// TestSendBatchConcurrentWithRepair: several egress shards' SendBatch
+// calls run at once on one hub, each batch a tick's scheduled frames with
+// a NACK re-send staged behind them, as a live server's shards send, on
+// every egress path the host has. Under -race this is the proof that
+// concurrent batches share nothing: not the pooled batch buffers, the
+// stager, or the destination chains. Every datagram that arrives is
+// whole, on its own group, and from one shard, and the hub counts every
+// datagram every shard wrote.
 func TestSendBatchConcurrentWithRepair(t *testing.T) {
-	const groups, size, batches, repairers = 3, 1000, 100, 2
+	const groups, size, batches, shards = 3, 1000, 100, 3
 	for _, mode := range []string{"generic", "sendmmsg", "gso"} {
 		t.Run(mode, func(t *testing.T) {
 			gs := sharedGroups(groups)
@@ -187,22 +188,26 @@ func TestSendBatchConcurrentWithRepair(t *testing.T) {
 			if !setBatchPath(hub, mode) {
 				t.Skipf("no %s path here", mode)
 			}
-			// A frame is its flow's tag, its group's channel, and then one
-			// byte, the batch's number, all the way to the end.
-			batch := func(flow byte, i int) []BatchEntry {
-				es := make([]BatchEntry, len(gs))
-				for j, g := range gs {
-					f := bytes.Repeat([]byte{byte(i)}, size)
-					f[0], f[1] = flow, byte(g.Channel)
-					es[j] = BatchEntry{Group: g, Frame: f}
+			// A frame is its shard's tag, its group's channel, 'T' for a
+			// scheduled frame or 'R' for a re-send, and then one byte, the
+			// batch's number, all the way to the end.
+			frame := func(shard byte, g Group, kind byte, i int) BatchEntry {
+				f := bytes.Repeat([]byte{byte(i)}, size)
+				f[0], f[1], f[2] = shard, byte(g.Channel), kind
+				return BatchEntry{Group: g, Frame: f}
+			}
+			batch := func(shard byte, i int) []BatchEntry {
+				es := make([]BatchEntry, 0, len(gs)+1)
+				for _, g := range gs {
+					es = append(es, frame(shard, g, 'T', i))
 				}
-				return es
+				return append(es, frame(shard, gs[i%len(gs)], 'R', i))
 			}
 			var readers sync.WaitGroup
-			got := make([]map[byte]int, len(gs)) // per group: datagrams by flow, 0 for a bad one
+			got := make([]map[[2]byte]int, len(gs)) // per group: datagrams by (shard, kind), {0, 0} for a bad one
 			for j, g := range gs {
 				r := rcvs[g][0]
-				got[j] = make(map[byte]int)
+				got[j] = make(map[[2]byte]int)
 				readers.Add(1)
 				go func() {
 					defer readers.Done()
@@ -210,32 +215,28 @@ func TestSendBatchConcurrentWithRepair(t *testing.T) {
 					for {
 						n, err := r.Conn.Read(buf)
 						if err != nil {
-							return // the deadline set once both flows are sent
+							return // the deadline set once every shard is done
 						}
 						f := buf[:n]
-						if n != size || int(f[1]) != g.Channel || (f[0] != 'T' && f[0] != 'R') ||
-							bytes.Count(f[2:], f[2:3]) != size-2 {
-							got[j][0]++
+						if n != size || int(f[1]) != g.Channel || f[0] < 'A' || f[0] >= 'A'+shards ||
+							(f[2] != 'T' && f[2] != 'R') || bytes.Count(f[3:], f[3:4]) != size-3 {
+							got[j][[2]byte{}]++
 						} else {
-							got[j][f[0]]++
+							got[j][[2]byte{f[0], f[2]}]++
 						}
 					}
 				}()
 			}
 			var senders sync.WaitGroup
-			sent := make([]int, 1+repairers)
+			sent := make([]int, shards)
 			for k := range sent {
-				flow, send := byte('T'), hub.SendBatch
-				if k > 0 {
-					flow, send = 'R', hub.SendRepairBatch
-				}
 				senders.Add(1)
 				go func() {
 					defer senders.Done()
 					for i := 0; i < batches; i++ {
-						n, err := send(batch(flow, i))
+						n, err := hub.SendBatch(batch(byte('A'+k), i))
 						if err != nil {
-							t.Errorf("%c batch %d: %v", flow, i, err)
+							t.Errorf("shard %d batch %d: %v", k, i, err)
 						}
 						sent[k] += n
 					}
@@ -247,27 +248,32 @@ func TestSendBatchConcurrentWithRepair(t *testing.T) {
 			}
 			readers.Wait()
 
-			want := batches * groups
+			want := batches * (groups + 1)
 			for k, n := range sent {
 				if n != want {
-					t.Errorf("sender %d wrote %d datagrams, want %d", k, n, want)
+					t.Errorf("shard %d wrote %d datagrams, want %d", k, n, want)
 				}
 			}
-			if st := hub.Stats(); st.DatagramsSent != int64((1+repairers)*want) || st.RepairDatagrams != int64(repairers*want) {
-				t.Errorf("hub counted %d datagrams, %d of them repairs; want %d, %d", st.DatagramsSent, st.RepairDatagrams, (1+repairers)*want, repairers*want)
+			if st := hub.Stats(); st.DatagramsSent != int64(shards*want) {
+				t.Errorf("hub counted %d datagrams, want %d", st.DatagramsSent, shards*want)
 			}
-			var ticks, repairs int
+			byShard := make(map[[2]byte]int)
 			for j, g := range got {
-				if g[0] != 0 {
-					t.Errorf("%v: %d datagrams torn, mixed or on the wrong group", gs[j], g[0])
+				if g[[2]byte{}] != 0 {
+					t.Errorf("%v: %d datagrams torn, mixed or on the wrong group", gs[j], g[[2]byte{}])
 				}
-				ticks += g['T']
-				repairs += g['R']
+				for k, n := range g {
+					byShard[k] += n
+				}
 			}
 			// Loopback may drop what a slow reader leaves queued; what
-			// arrives must still include both flows.
-			if ticks == 0 || repairs == 0 || ticks > want || repairs > repairers*want {
-				t.Errorf("received %d tick and %d repair datagrams of %d and %d sent", ticks, repairs, want, repairers*want)
+			// arrives must still include every shard's scheduled frames and
+			// re-sends.
+			for k := byte('A'); k < 'A'+shards; k++ {
+				if ticks, resends := byShard[[2]byte{k, 'T'}], byShard[[2]byte{k, 'R'}]; ticks == 0 || resends == 0 ||
+					ticks > batches*groups || resends > batches {
+					t.Errorf("shard %c: received %d scheduled and %d re-sent datagrams of %d and %d sent", k, ticks, resends, batches*groups, batches)
+				}
 			}
 		})
 	}

@@ -145,7 +145,6 @@ type Hub struct {
 	batches      metrics.PaddedCounter
 	batchedBytes metrics.PaddedCounter
 	syscalls     metrics.PaddedCounter
-	repairSent   metrics.PaddedCounter
 	superframes  metrics.PaddedCounter
 	gsoSegments  metrics.PaddedCounter
 	gsoSyscalls  metrics.PaddedCounter
@@ -363,10 +362,6 @@ type HubStats struct {
 	SendFailures   int64 `json:"sendFailures"`
 	Memberships    int   `json:"memberships"`
 	MembersEvicted int64 `json:"membersEvicted"`
-	// RepairDatagrams counts the datagrams sent through SendRepairBatch
-	// (NACK-triggered re-sends), so repair traffic is told
-	// apart from schedule traffic on the same batch path.
-	RepairDatagrams int64 `json:"repairDatagrams"`
 	// EgressBatches counts SendBatch dispatches (a Send is one) that
 	// reached at least one destination, BatchedBytes their bytes, and
 	// EgressSyscalls the kernel send invocations (sendmmsg calls on the
@@ -398,21 +393,20 @@ type HubStats struct {
 // Stats returns the hub's ledger.
 func (h *Hub) Stats() HubStats {
 	st := HubStats{
-		DatagramsSent:   h.sent.Value(),
-		DatagramBytes:   h.sentBytes.Value(),
-		SendFailures:    h.failed.Value(),
-		MembersEvicted:  h.evicted.Value(),
-		RepairDatagrams: h.repairSent.Value(),
-		EgressBatches:   h.batches.Value(),
-		BatchedBytes:    h.batchedBytes.Value(),
-		EgressSyscalls:  h.syscalls.Value(),
-		Vectorized:      h.Vectorized(),
-		GSO:             h.GSO(),
-		Superframes:     h.superframes.Value(),
-		GSOSegments:     h.gsoSegments.Value(),
-		GSOSyscalls:     h.gsoSyscalls.Value(),
-		GSOFallbacks:    h.gsoFallbacks.Value(),
-		EgressWarms:     h.warms.Value(),
+		DatagramsSent:  h.sent.Value(),
+		DatagramBytes:  h.sentBytes.Value(),
+		SendFailures:   h.failed.Value(),
+		MembersEvicted: h.evicted.Value(),
+		EgressBatches:  h.batches.Value(),
+		BatchedBytes:   h.batchedBytes.Value(),
+		EgressSyscalls: h.syscalls.Value(),
+		Vectorized:     h.Vectorized(),
+		GSO:            h.GSO(),
+		Superframes:    h.superframes.Value(),
+		GSOSegments:    h.gsoSegments.Value(),
+		GSOSyscalls:    h.gsoSyscalls.Value(),
+		GSOFallbacks:   h.gsoFallbacks.Value(),
+		EgressWarms:    h.warms.Value(),
 	}
 	m := h.members.load()
 	for g := range m {

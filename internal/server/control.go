@@ -23,11 +23,11 @@ import (
 )
 
 // hubSeam is what the server sends through and keeps memberships in: the
-// hub, or a recording fake under tests. Warm readies the send path for the
+// hub, or a recording fake under tests. The wheel's shards are its only
+// senders, each tick one SendBatch. Warm readies the send path for the
 // next send and reaches no member (mcast.Hub.Warm).
 type hubSeam interface {
 	mcast.BatchSender
-	SendRepairBatch(entries []mcast.BatchEntry) (int, error)
 	Warm()
 	Join(g mcast.Group, addr *net.UDPAddr) error
 	Leave(g mcast.Group, addr *net.UDPAddr)
@@ -42,12 +42,11 @@ type member struct {
 func (m member) addr() *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: m.port} }
 
 // controlSession is one control connection's state: the memberships it
-// added, and the arena its re-sends are built in.
+// added.
 type controlSession struct {
 	s      *Server
 	peer   string
 	joined map[member]struct{}
-	arena  frameArena
 }
 
 func (s *Server) newSession(peer string) *controlSession {
@@ -289,8 +288,9 @@ func (cs *controlSession) repair(now time.Time, rp *wire.Repair) *wire.Control {
 }
 
 // nack answers one cohort's gap bitmap (its shape checked by ReadControl):
-// the accepted chunks are re-sent once on the channel's own group — one
-// dispatch heals every injured member — and the NackOK marks them.
+// the accepted chunks are queued to be re-sent once on the channel's own
+// group — one send heals every injured member — and the NackOK marks
+// them; it does not wait for the send.
 func (cs *controlSession) nack(now time.Time, nk *wire.Nack) *wire.Control {
 	s := cs.s
 	if !s.hasChannel(nk.Video, nk.Channel) {
@@ -327,7 +327,7 @@ func (cs *controlSession) nack(now time.Time, nk *wire.Nack) *wire.Control {
 		accepted.Set(chunk)
 	}
 	if len(resend) > 0 {
-		s.nackResend(nk.Video, nk.Channel, nk.Seq, resend, &cs.arena)
+		s.nackResend(nk.Video, nk.Channel, nk.Seq, resend)
 	}
 	return &wire.Control{Kind: wire.KindNackOK, Nack: accepted}
 }
@@ -408,21 +408,18 @@ func (t *resendTable) note(k resendKey, now time.Time, budget *metrics.TokenBuck
 	return true, true
 }
 
-// nackResend sends one NACK's fresh chunks as one repair batch under the
-// requester's Seq on the channel's own group. The fault injector decides
-// scheduled frames at stage, so a re-send reaches the hub untouched: the
-// plan whose loss it repairs never re-drops it. The frames are built in
-// the session's own arena, so a re-send cannot race a dispatch.
-func (s *Server) nackResend(video, channel int, seq uint32, chunks []int, a *frameArena) {
-	cc := s.cache.channel(video, channel)
-	g := mcast.Group{Video: video, Channel: channel}
-	a.reset() // the session's previous re-send has returned
-	entries := make([]mcast.BatchEntry, len(chunks))
-	for i, chunk := range chunks {
-		entries[i] = mcast.BatchEntry{Group: g, Frame: s.cache.materialise(a, cc, chunk, seq)}
+// nackResend queues one NACK's fresh chunks on the wheel shard that owns
+// the channel and pokes it: the shard builds them into its own arena
+// under the requester's Seq and sends them in its next release — at once
+// if it is parked, with or right behind the tick it is staging or holding
+// otherwise (wheelShard.stageResends).
+func (s *Server) nackResend(video, channel int, seq uint32, chunks []int) {
+	sh, e := s.entry(video, channel)
+	sh.resendMu.Lock()
+	for _, chunk := range chunks {
+		sh.resends = append(sh.resends, resend{e: e, seq: seq, chunk: chunk})
 	}
-	if _, err := s.send.SendRepairBatch(entries); err != nil {
-		s.cfg.Logf("server: nack re-send %v: %v", g, err)
-	}
+	sh.resendMu.Unlock()
 	s.nackResends.Add(int64(len(chunks)))
+	sh.poke()
 }

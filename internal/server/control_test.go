@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,35 +20,13 @@ import (
 )
 
 // fakeHub is a recording stand-in for the hub behind the server's seam.
-// Membership is a set of (group, address), as the hub keeps it, and every
-// re-send frame is decoded and kept. It opens no socket.
+// Membership is a set of (group, address), as the hub keeps it. It opens
+// no socket.
 type fakeHub struct {
 	members map[member]bool
-	resent  []resentFrame
-	bad     int // re-send frames that did not decode
-}
-
-// resentFrame is one decoded NACK re-send.
-type resentFrame struct {
-	g       mcast.Group
-	seq     uint32
-	offset  uint32
-	payload []byte
 }
 
 func (h *fakeHub) SendBatch(entries []mcast.BatchEntry) (int, error) { return len(entries), nil }
-
-func (h *fakeHub) SendRepairBatch(entries []mcast.BatchEntry) (int, error) {
-	for _, e := range entries {
-		c, err := wire.Decode(e.Frame)
-		if err != nil || int(c.Video) != e.Group.Video || int(c.Channel) != e.Group.Channel {
-			h.bad++
-			continue
-		}
-		h.resent = append(h.resent, resentFrame{e.Group, c.Seq, c.Offset, bytes.Clone(c.Payload)})
-	}
-	return len(entries), nil
-}
 
 func (*fakeHub) Warm() {}
 
@@ -71,9 +50,10 @@ func (noListener) Addr() net.Addr            { return &net.TCPAddr{IP: net.IPv4(
 var stepEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // stepServer is a server that was never started, driven one control
-// message at a time on a virtual clock: its hub seam is a fakeHub and its
-// epoch is stepEpoch. hub, when non-nil, is the hub its Stats document
-// reads; nothing joins it and nothing is sent on it.
+// message at a time on a virtual clock: its hub seam is a fakeHub, its
+// epoch is stepEpoch, and its wheel two shards that never run, whose
+// re-send queues takeResent reads. hub, when non-nil, is the hub its
+// Stats document reads; nothing joins it and nothing is sent on it.
 func stepServer(t testing.TB, cfg Config, hub *mcast.Hub) (*Server, *fakeHub) {
 	t.Helper()
 	srv, err := New(cfg)
@@ -82,7 +62,43 @@ func stepServer(t testing.TB, cfg Config, hub *mcast.Hub) (*Server, *fakeHub) {
 	}
 	fake := &fakeHub{members: make(map[member]bool)}
 	srv.send, srv.hub, srv.ln, srv.epoch = fake, hub, noListener{}, stepEpoch
+	srv.wheel = srv.newWheel(2)
 	return srv, fake
+}
+
+// resentFrame is one decoded NACK re-send.
+type resentFrame struct {
+	g       mcast.Group
+	seq     uint32
+	offset  uint32
+	payload []byte
+}
+
+// takeResent empties a step server's re-send queues, shard by shard, and
+// decodes each re-send as a stage would build it: its chunk under its
+// Seq. A re-send queued on a shard that does not own its channel, or one
+// that does not decode as its group's, fails the test.
+func takeResent(t testing.TB, srv *Server) []resentFrame {
+	t.Helper()
+	var got []resentFrame
+	var a frameArena
+	for _, sh := range srv.wheel {
+		sh.resendMu.Lock()
+		queue := sh.resends
+		sh.resends = nil
+		sh.resendMu.Unlock()
+		for _, r := range queue {
+			if !slices.Contains(sh.entries, r.e) {
+				t.Fatalf("re-send of %v queued on shard %d, which does not own it", r.e.group, sh.id)
+			}
+			c, err := wire.Decode(srv.cache.materialise(&a, r.e.cc, r.chunk, r.seq))
+			if err != nil || int(c.Video) != r.e.group.Video || int(c.Channel) != r.e.group.Channel {
+				t.Fatalf("re-send of %v chunk %d does not decode as its group's: %v", r.e.group, r.chunk, err)
+			}
+			got = append(got, resentFrame{r.e.group, c.Seq, c.Offset, bytes.Clone(c.Payload)})
+		}
+	}
+	return got
 }
 
 // statsHub opens a hub for a step server's Stats document, closed with
@@ -157,7 +173,7 @@ func checkResent(t *testing.T, srv *Server, got []resentFrame, g mcast.Group, wa
 // O(cohorts) instead of O(viewers).
 func TestNackMulticastResend(t *testing.T) {
 	const unit = time.Second
-	srv, fake := stepServer(t, stepConfig(t, unit), nil)
+	srv, _ := stepServer(t, stepConfig(t, unit), nil)
 	// Channel 2's fragment is 2 units x 4096 bytes = 8 chunks; repetition
 	// 0 is over a quarter unit ago.
 	now := stepEpoch.Add(2*unit + unit/4)
@@ -171,7 +187,7 @@ func TestNackMulticastResend(t *testing.T) {
 	if got := nackCounts(srv); got != [3]int64{1, 2, 0} {
 		t.Errorf("NACKs served, re-sent, suppressed = %v, want 1, 2 (one per accepted chunk), 0", got)
 	}
-	checkResent(t, srv, fake.resent, g, map[uint32]uint32{1 * 1024: 0, 3 * 1024: 0})
+	checkResent(t, srv, takeResent(t, srv), g, map[uint32]uint32{1 * 1024: 0, 3 * 1024: 0})
 
 	// A second cohort NACKing the same chunks inside the window is told
 	// "accepted" — its viewers keep re-listening — but triggers no second
@@ -184,8 +200,8 @@ func TestNackMulticastResend(t *testing.T) {
 	if got := nackCounts(srv); got != [3]int64{2, 2, 2} {
 		t.Errorf("after the suppressed NACK: NACKs served, re-sent, suppressed = %v, want 2, 2, 2", got)
 	}
-	if len(fake.resent) != 2 {
-		t.Errorf("%d re-sends after the suppressed NACK, want still 2", len(fake.resent))
+	if got := takeResent(t, srv); len(got) != 0 {
+		t.Errorf("%d more re-sends after the suppressed NACK, want none", len(got))
 	}
 
 	// A bitmap reaching past the fragment is refused, not a crash or a
@@ -210,7 +226,7 @@ func TestNackMulticastResend(t *testing.T) {
 // period is shorter than the window, so this is the common case.)
 func TestNackResendPerRepetition(t *testing.T) {
 	const unit = time.Second
-	srv, fake := stepServer(t, stepConfig(t, unit), nil)
+	srv, _ := stepServer(t, stepConfig(t, unit), nil)
 	// Channel 1 repeats every unit in 4 chunks; halfway through repetition
 	// 1, repetition 0 is over and still answered.
 	now := stepEpoch.Add(unit + unit/2)
@@ -223,10 +239,11 @@ func TestNackResendPerRepetition(t *testing.T) {
 	if got := nackCounts(srv); got != [3]int64{2, 2, 0} {
 		t.Errorf("NACKs served, re-sent, suppressed = %v, want 2, 2 (one per repetition), 0", got)
 	}
-	if len(fake.resent) != 2 || fake.resent[0].seq == fake.resent[1].seq {
-		t.Fatalf("re-sends %+v, want one under each repetition", fake.resent)
+	resent := takeResent(t, srv)
+	if len(resent) != 2 || resent[0].seq == resent[1].seq {
+		t.Fatalf("re-sends %+v, want one under each repetition", resent)
 	}
-	for _, r := range fake.resent {
+	for _, r := range resent {
 		checkResent(t, srv, []resentFrame{r}, mcast.Group{Video: 0, Channel: 1}, map[uint32]uint32{1024: r.seq})
 	}
 }
@@ -240,7 +257,7 @@ func TestNackRefusedOverBudget(t *testing.T) {
 	cfg := stepConfig(t, time.Second)
 	// A one-byte budget with a one-byte burst can never cover a chunk.
 	cfg.RepairBandwidth, cfg.RepairBurstBytes = 1, 1
-	srv, fake := stepServer(t, cfg, nil)
+	srv, _ := stepServer(t, cfg, nil)
 	cs := srv.newSession("a")
 	req := &wire.Control{Kind: wire.KindNack, Nack: wire.NackFromChunks(0, 2, 0, []int{2})}
 	for i := 0; i < 2; i++ {
@@ -252,9 +269,9 @@ func TestNackRefusedOverBudget(t *testing.T) {
 			t.Fatalf("over-budget NACK %d still accepted the chunk", i)
 		}
 	}
-	if got := nackCounts(srv); got != [3]int64{2, 0, 0} || len(fake.resent) != 0 {
+	if got, resent := nackCounts(srv), takeResent(t, srv); got != [3]int64{2, 0, 0} || len(resent) != 0 {
 		t.Errorf("NACKs served, re-sent, suppressed = %v, %d re-sends, want 2, 0, 0 and none (budget refused, no re-send in flight)",
-			got, len(fake.resent))
+			got, len(resent))
 	}
 }
 
@@ -617,7 +634,6 @@ func runControlSequence(t *testing.T, hub *mcast.Hub, sch *core.Scheme, prog []b
 		}
 
 		if m != nil {
-			before := len(fake.resent)
 			reply, done := exchange(t, cs, now, m)
 			switch {
 			case want == "" && reply != nil:
@@ -639,9 +655,9 @@ func runControlSequence(t *testing.T, hub *mcast.Hub, sch *core.Scheme, prog []b
 			if reply != nil && reply.Kind == wire.KindRepairOK && len(reply.Repair.Data) != m.Repair.Length {
 				t.Fatalf("step %d: repair of %d bytes answered with %d", step, m.Repair.Length, len(reply.Repair.Data))
 			}
-			got := fake.resent[before:]
-			if len(got) != len(wantResent) || fake.bad != 0 {
-				t.Fatalf("step %d: %d re-sends (%d undecodable), want %d", step, len(got), fake.bad, len(wantResent))
+			got := takeResent(t, srv)
+			if len(got) != len(wantResent) {
+				t.Fatalf("step %d: %d re-sends, want %d", step, len(got), len(wantResent))
 			}
 			for i, w := range wantResent {
 				if g := got[i]; g.g != w.g || g.seq != w.seq || g.offset != w.offset || len(g.payload) != 1024 {

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -522,72 +523,202 @@ func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 	b.ReportMetric(float64(len(r.sh.entries)), "channels/tick")
 }
 
-// TestNackResendNeverAliasesDispatch runs NACK re-sends flat out, from
-// two connections' worth of arenas, against a wheel that is materialising
-// the very same chunks for a live member every tick. Under -race this is
-// the proof that a re-send shares no memory with a dispatch (each builds
-// its own frame with its own Seq); every frame — scheduled or re-sent —
-// must decode, verify against the content function, and carry the Seq
-// its sender meant.
-func TestNackResendNeverAliasesDispatch(t *testing.T) {
-	const resendSeq = 1 << 30 // far above any repetition the schedule reaches
+// nackPrev steps, through a session's controlSession.step at the virtual
+// clock's instant, a NACK for one chunk of the repetition before the one
+// channel ch of video 0 is on, and reports that repetition and whether the
+// NACK opened a re-send (ok false: no earlier repetition yet, or a window
+// was open).
+func nackPrev(t *testing.T, r *wheelRig, cs *controlSession, ch, chunk int) (seq uint32, ok bool) {
+	t.Helper()
+	n := uint32(r.vc.t.Sub(r.srv.epoch) / r.grid(mcast.Group{Video: 0, Channel: ch}).period)
+	if n == 0 {
+		return 0, false
+	}
+	before := r.srv.nackResends.Value()
+	reply, _ := cs.step(r.vc.t, &wire.Control{Kind: wire.KindNack, Nack: wire.NackFromChunks(0, ch, n-1, []int{chunk})})
+	if reply.Kind != wire.KindNackOK || !reply.Nack.Has(chunk) {
+		t.Fatalf("NACK for channel %d rep %d chunk %d answered %+v", ch, n-1, chunk, reply)
+	}
+	return n - 1, r.srv.nackResends.Value() > before
+}
+
+// TestNackResendRidesWheel steps NACKs through controlSession.step from
+// the virtual clock's hooks — at random instants in the first half of a
+// park, and in the hold between a tick's stage and its release — while
+// the shard materialises every channel's chunks for a member each tick.
+// A NACK stepped in a park pokes the shard: its re-send leaves in the
+// very next release, before the tick the shard was parked for. One
+// stepped in a hold leaves with that tick's release or the next. None
+// leaves before its NACK. Every re-sent frame decodes, verifies against
+// the content function and carries the requester's Seq — a repetition
+// the schedule has moved past — and each channel's other frames walk its
+// grid one per tick, none early, so no scheduled frame carries a
+// re-send's Seq.
+func TestNackResendRidesWheel(t *testing.T) {
+	if !haveTimerfd {
+		t.Skip("the rig's tick source stands in for the timerfd, which this build lacks")
+	}
+	const ticks = 200
+	// pending is one fresh NACK, stepped at `at`: its re-send must leave
+	// before `by`, in a release numbered first to last.
+	type pending struct {
+		ch, chunk   int
+		seq         uint32
+		at, by      time.Duration
+		first, last int
+	}
+	var nacks []pending
 	r := twice(t, func() *wheelRig {
-		r := newWheelRig(t, Config{
-			Scheme:       wheelScheme(t, 1, 3),
-			Unit:         4 * time.Millisecond, // a dispatch per channel per millisecond
-			BytesPerUnit: 4096,
-			ChunkBytes:   1024,
-			Logf:         t.Logf,
-		})
+		nacks = nil
+		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 100 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
 		r.hearAll(t)
-		r.vc.work = time.Microsecond
-		done := make(chan struct{})
-		var wg, ready sync.WaitGroup
-		for conn := 0; conn < 2; conn++ {
-			wg.Add(1)
-			ready.Add(1)
-			go func() {
-				defer wg.Done()
-				var arena frameArena
-				for seq := uint32(resendSeq); ; seq++ {
-					for ch := 1; ch <= 3; ch++ {
-						r.srv.nackResend(0, ch, seq, []int{0, 1, 2, 3}, &arena)
-					}
-					if seq == resendSeq {
-						ready.Done()
-					}
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-			}()
-		}
-		r.vc.onPark = func(n int) {
-			if n == 1 { // both connections are re-sending before the first tick
-				ready.Wait()
+		r.vc.work = 2 * time.Microsecond
+		q, cs, rng := r.sh.quantum(), r.srv.newSession("cohort"), rand.New(rand.NewSource(7))
+		nack := func(by time.Duration, more int) {
+			ch := 1 + rng.Intn(3)
+			chunk := rng.Intn(r.grid(mcast.Group{Video: 0, Channel: ch}).chunks)
+			if seq, ok := nackPrev(t, r, cs, ch, chunk); ok {
+				nacks = append(nacks, pending{ch, chunk, seq, r.vc.t.Sub(r.srv.epoch), by, r.log.batches + 1, r.log.batches + 1 + more})
 			}
 		}
-		r.play(300)
-		close(done)
-		wg.Wait()
+		r.vc.onPark = func(int) {
+			if span := r.vc.until.Sub(r.vc.t); span > q/2 && rng.Intn(3) == 0 {
+				r.vc.t = r.vc.t.Add(time.Duration(rng.Int63n(int64(span / 2))))
+				nack((r.vc.t.Sub(r.srv.epoch)/q+1)*q, 0) // before the tick the shard parked for
+			}
+		}
+		r.vc.onHold = func(int) {
+			if rng.Intn(3) == 0 {
+				nack(time.Hour, 1)
+			}
+		}
+		r.play(ticks)
 		return r
 	})
-	if r.log.resent == 0 {
-		t.Fatal("no re-send was exercised")
-	}
 	if r.log.bad != 0 {
 		t.Errorf("%d frames failed to decode or verify", r.log.bad)
 	}
-	if r.log.frames != 3*300 {
-		t.Errorf("%d scheduled frames in 300 ticks of 3 channels", r.log.frames)
-	}
-	for _, f := range r.log.sent {
-		if f.n >= resendSeq {
-			t.Fatalf("a scheduled frame carries re-send Seq %d", f.n)
+	parked, held := 0, 0
+	for k, frames := range r.channels() {
+		g := r.grid(frames[0].g)
+		next, scheduled := event{0, 0}, 0
+		for _, f := range frames {
+			if (event{f.n, f.c}) == next {
+				if due := g.dueOf(f.n, f.c); f.at < due {
+					t.Fatalf("video%d/ch%d (rep %d, chunk %d) left at epoch+%v, before its instant %v", k.video, k.channel, f.n, f.c, f.at, due)
+				}
+				if next.c++; next.c == g.chunks {
+					next = event{next.n + 1, 0}
+				}
+				scheduled++
+				continue
+			}
+			i := slices.IndexFunc(nacks, func(p pending) bool { return p.ch == k.channel && p.seq == f.n && p.chunk == f.c })
+			if i < 0 {
+				t.Fatalf("video%d/ch%d: (rep %d, chunk %d) at epoch+%v is neither the schedule's next %v nor a NACKed chunk", k.video, k.channel, f.n, f.c, f.at, next)
+			}
+			p := nacks[i]
+			nacks = slices.Delete(nacks, i, i+1)
+			if f.at < p.at || f.at >= p.by || f.batch < p.first || f.batch > p.last {
+				t.Errorf("%+v left at epoch+%v in release %d", p, f.at, f.batch)
+			}
+			if p.first == p.last {
+				parked++
+			} else {
+				held++
+			}
+		}
+		if scheduled != ticks {
+			t.Errorf("video%d/ch%d: %d scheduled frames in %d ticks", k.video, k.channel, scheduled, ticks)
 		}
 	}
+	if len(nacks) != 0 {
+		t.Errorf("NACKed re-sends that never left: %+v", nacks)
+	}
+	if parked < 10 || held < 10 {
+		t.Errorf("%d re-sends NACKed in a park and %d in a hold; the script checks too little", parked, held)
+	}
+}
+
+// TestNackResendBypassesFaultPlan: under a plan that drops every
+// scheduled frame, the re-sends of a NACK stepped mid-run still reach the
+// sender, and the plan's counts are those of the same run without the
+// NACK: a re-send never meets the plan whose loss it repairs.
+func TestNackResendBypassesFaultPlan(t *testing.T) {
+	const ticks = 40
+	play := func(nack bool) *wheelRig {
+		r := faultRig(t, faults.Plan{Seed: 3, Drop: 1}, 1, 3, 4096)
+		r.hearAll(t)
+		cs := r.srv.newSession("cohort")
+		r.vc.onPark = func(n int) {
+			if nack && n == ticks/2 {
+				for chunk := 0; chunk < 4; chunk++ {
+					if _, ok := nackPrev(t, r, cs, 1, chunk); !ok {
+						t.Fatalf("NACK for chunk %d opened no re-send", chunk)
+					}
+				}
+			}
+		}
+		r.play(ticks)
+		return r
+	}
+	quiet, nacked := play(false), play(true)
+	if quiet.log.frames != 0 {
+		t.Fatalf("a plan dropping everything let %d frames through", quiet.log.frames)
+	}
+	if nacked.log.frames != 4 || nacked.log.bad != 0 {
+		t.Errorf("%d re-sent frames reached the sender (%d bad), want the 4 NACKed", nacked.log.frames, nacked.log.bad)
+	}
+	if q, n := quiet.srv.inj.Counts(), nacked.srv.inj.Counts(); q != n {
+		t.Errorf("fault counts %+v with the NACK, %+v without: the plan met a re-send", n, q)
+	}
+}
+
+// TestNackResendQueueConcurrent: control sessions on two goroutines queue
+// re-sends on a running server's shards while the shards tick, stage and
+// release. Under -race this is the proof that the queue is all the two
+// sides share; every NACKed chunk leaves, one datagram per member.
+func TestNackResendQueueConcurrent(t *testing.T) {
+	const unit = 20 * time.Millisecond
+	srv, err := New(Config{Scheme: wheelScheme(t, 1, 3), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	recv, err := mcast.NewReceiver() // never read: the kernel drops what overflows
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	chunks := 0
+	for ch := 1; ch <= 3; ch++ {
+		if err := srv.Hub().Join(mcast.Group{Video: 0, Channel: ch}, recv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		chunks += srv.fragmentBytes(ch) / 1024
+	}
+	var wg sync.WaitGroup
+	for half := 0; half < 2; half++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cs := srv.newSession("cohort")
+			for ch := 1; ch <= 3; ch++ {
+				for chunk := half; chunk < srv.fragmentBytes(ch)/1024; chunk += 2 {
+					now := time.Now()
+					seq := uint32(now.Sub(srv.Epoch()) / (time.Duration(srv.cfg.Scheme.Sizes()[ch-1]) * unit))
+					if reply, _ := cs.step(now, &wire.Control{Kind: wire.KindNack, Nack: wire.NackFromChunks(0, ch, seq, []int{chunk})}); reply.Kind != wire.KindNackOK || !reply.Nack.Has(chunk) {
+						t.Errorf("NACK for channel %d rep %d chunk %d answered %+v", ch, seq, chunk, reply)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, 5*time.Second, "every re-send staged", func() bool { return srv.Status().RepairDatagrams == int64(chunks) })
 }
 
 // TestStripeTickIsOneRun: a parity frame is a data frame's size, so a

@@ -167,10 +167,12 @@ type Server struct {
 	busyReplies metrics.PaddedCounter
 	// nacksServed counts gap-bitmap NACK messages answered; nackResends
 	// the multicast re-sends they triggered; nackSuppressed the NACKed
-	// chunks absorbed because a re-send was already in flight.
-	nacksServed    metrics.PaddedCounter
-	nackResends    metrics.PaddedCounter
-	nackSuppressed metrics.PaddedCounter
+	// chunks absorbed because a re-send was already in flight;
+	// repairDatagrams the datagrams the re-sends came to (stageResends).
+	nacksServed     metrics.PaddedCounter
+	nackResends     metrics.PaddedCounter
+	nackSuppressed  metrics.PaddedCounter
+	repairDatagrams metrics.PaddedCounter
 
 	// parityFrames counts stripe parity frames put on the wire;
 	// parityBytes their encoded bytes — the stripe's bandwidth overhead,

@@ -41,10 +41,13 @@ type StatusSnapshot struct {
 	BusyReplies int64 `json:"busyReplies"`
 	// NacksServed counts gap-bitmap NACK messages answered; NackResends
 	// the multicast re-sends they triggered; NackSuppressed the NACKed
-	// chunks absorbed by a re-send already in flight.
-	NacksServed    int64 `json:"nacksServed"`
-	NackResends    int64 `json:"nackResends"`
-	NackSuppressed int64 `json:"nackSuppressed"`
+	// chunks absorbed by a re-send already in flight; RepairDatagrams the
+	// datagrams the re-sends came to, a re-sent frame's group members
+	// counted as an egress shard staged it.
+	NacksServed     int64 `json:"nacksServed"`
+	NackResends     int64 `json:"nackResends"`
+	NackSuppressed  int64 `json:"nackSuppressed"`
+	RepairDatagrams int64 `json:"repairDatagrams"`
 	// FecGroup echoes the configured parity stripe width (0 when off);
 	// ParityFrames/ParityBytes count the stripe's broadcast overhead —
 	// the proactive repair the control-plane counters above never see.
@@ -139,6 +142,7 @@ func (s *Server) Status() StatusSnapshot {
 		NacksServed:         s.nacksServed.Value(),
 		NackResends:         s.nackResends.Value(),
 		NackSuppressed:      s.nackSuppressed.Value(),
+		RepairDatagrams:     s.repairDatagrams.Value(),
 		FecGroup:            s.cfg.FecGroup,
 		ParityFrames:        s.parityFrames.Value(),
 		ParityBytes:         s.parityBytes.Value(),
