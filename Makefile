@@ -13,10 +13,14 @@ build:
 # The files behind `!linux || (!amd64 && !arm64)` (internal/mcast/stub.go,
 # internal/server/ticksource_other.go) are compiled by nothing else in
 # this gate: a non-linux target and a linux target without the 64-bit
-# Msghdr layout. Cross-compiling needs no network and no C toolchain.
+# Msghdr layout. vet compiles the test files too, so a test that only
+# builds where int is 64 bits fails here. Cross-compiling needs no
+# network and no C toolchain.
 build-portable:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) vet ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -231,7 +235,9 @@ bench-scale:
 # listener-gated dispatch at 200/400 channels with 5 % heard, plain and
 # behind the fault injector,
 # the first datagram's time to the receiver's kernel stamp after a
-# 0.5/5/17.5 ms quiet gap, sent cold and right after a warm, the shard
+# 0.5/5/17.5 ms quiet gap, sent cold and right after a warm, and after
+# a 17.5 ms gap with a spin of 0 µs to 2 ms between the warm and the send
+# (how long a warm lasts, the hold's span), the shard
 # wake lateness of both tick sources at 3.125 and 17.5 ms spacing, and
 # padded vs unpadded counter contention (see EXPERIMENTS.md "Egress
 # engine").

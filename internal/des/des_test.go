@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -222,9 +223,10 @@ func TestIntnUnbiased(t *testing.T) {
 }
 
 func TestIntnLargeRange(t *testing.T) {
-	// Near-2^63 ranges exercise the rejection path's threshold math.
+	// Near-2^63 ranges (2^31 where int is 32 bits) exercise the rejection
+	// path's threshold math.
 	r := NewRand(5)
-	const n = 1<<62 + 12345
+	const n = 1<<(bits.UintSize-2) + 12345
 	for i := 0; i < 1000; i++ {
 		v := r.Intn(n)
 		if v < 0 || v >= n {

@@ -54,7 +54,7 @@ func (a *tickArena) take(n int) []byte {
 func stageTick(in *Injector, tick []scheduled, a *tickArena) []mcast.BatchEntry {
 	var batch []mcast.BatchEntry
 	for _, f := range tick {
-		batch = in.Stage(batch, f.g, f.seq, f.offset, f.covered, f.frame, a.take)
+		batch = in.Stage(batch, time.Now(), f.g, f.seq, f.offset, f.covered, f.frame, a.take)
 	}
 	return batch
 }
@@ -299,12 +299,12 @@ func TestFaultDecideNoTraceZeroAlloc(t *testing.T) {
 				"Stage": func() {
 					batch, used = batch[:0], 0
 					for c, f := range frames {
-						batch = in.Stage(batch, g, 1, uint32(c*64), 0, f, take)
+						batch = in.Stage(batch, time.Now(), g, 1, uint32(c*64), 0, f, take)
 					}
 				},
 				"Stage unheard": func() {
 					for c := range frames {
-						batch = in.Stage(batch[:0], g, 1, uint32(c*64), 0, nil, take)
+						batch = in.Stage(batch[:0], time.Now(), g, 1, uint32(c*64), 0, nil, take)
 					}
 				},
 			}

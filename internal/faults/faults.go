@@ -230,7 +230,7 @@ func (in *Injector) tracef(kind string, g mcast.Group, seq, offset uint32, forma
 // Stage makes the plan's decision for one scheduled frame of group g and
 // appends to batch what leaves with it; the server calls it for every
 // frame of a tick as it stages the tick, heard or not, and sends the
-// batch unfiltered at the instant. covered is 0 for a data chunk at byte
+// batch unfiltered at the instant, release. covered is 0 for a data chunk at byte
 // offset `offset`, and for a parity frame the number of chunks it covers
 // from its group base `offset` (wire.ParityCount).
 //
@@ -238,8 +238,8 @@ func (in *Injector) tracef(kind string, g mcast.Group, seq, offset uint32, forma
 // did not build it. A heard frame that passes is appended — twice when
 // the plan duplicates it — and one the plan reorders is held back and
 // appended behind g's next heard frame instead; a delayed frame leaves
-// through next later, its delay counted from this call (the server
-// stages at most one wake lead before the instant). An unheard frame is only booked: its decision
+// through next its delay after release, so never before the batch it was
+// staged with, however early the server staged. An unheard frame is only booked: its decision
 // lands in the counters and the trace exactly as a heard one's would, so
 // the counts over a window are a function of the seed alone however the
 // audience moves, and a frame still held for g goes back to the pool
@@ -248,13 +248,13 @@ func (in *Injector) tracef(kind string, g mcast.Group, seq, offset uint32, forma
 // frame must stay valid until batch is sent; anything that outlives that
 // is a copy. A held frame leaves in memory from take, which must stay
 // valid until batch is sent too — the server passes its tick arena.
-func (in *Injector) Stage(batch []mcast.BatchEntry, g mcast.Group, seq, offset uint32, covered int, frame []byte, take func(n int) []byte) []mcast.BatchEntry {
-	return in.stage(batch, g, uint16(g.Video), uint16(g.Channel), seq, offset, covered, frame, take)
+func (in *Injector) Stage(batch []mcast.BatchEntry, release time.Time, g mcast.Group, seq, offset uint32, covered int, frame []byte, take func(n int) []byte) []mcast.BatchEntry {
+	return in.stage(batch, release, g, uint16(g.Video), uint16(g.Channel), seq, offset, covered, frame, take)
 }
 
 // stage is Stage with the identity the rolls are keyed on given apart
 // from g, as Send reads it from the frame.
-func (in *Injector) stage(batch []mcast.BatchEntry, g mcast.Group, video, channel uint16, seq, offset uint32, covered int, frame []byte, take func(n int) []byte) []mcast.BatchEntry {
+func (in *Injector) stage(batch []mcast.BatchEntry, release time.Time, g mcast.Group, video, channel uint16, seq, offset uint32, covered int, frame []byte, take func(n int) []byte) []mcast.BatchEntry {
 	shift := 0
 	if covered > 0 {
 		shift = parityRollShift
@@ -270,7 +270,7 @@ func (in *Injector) stage(batch []mcast.BatchEntry, g mcast.Group, video, channe
 		// The deferred send must own a copy (pooled). Errors after the
 		// hub closes are expected noise.
 		cp := copyFrame(frame)
-		time.AfterFunc(d, func() {
+		time.AfterFunc(time.Until(release.Add(d)), func() {
 			_, _ = in.next.Send(g, *cp)
 			framePool.Put(cp)
 		})
@@ -320,7 +320,7 @@ func (sc *sendScratch) take(n int) []byte {
 }
 
 // Send applies the plan to one data chunk and hands what leaves to next,
-// frame by frame: Stage's decision, for a caller that sends as it goes.
+// frame by frame: Stage's decision, released now, for a caller that sends as it goes.
 // Anything else — a parity frame, whose coverage the frame does not
 // carry, or a frame that does not parse — is forwarded untouched. Kept
 // for benchmark/harness and the tests that drive a lone sender; the
@@ -331,7 +331,7 @@ func (in *Injector) Send(g mcast.Group, frame []byte) (int, error) {
 		return in.next.Send(g, frame)
 	}
 	sc := sendScratchPool.Get().(*sendScratch)
-	sc.out = in.stage(sc.out[:0], g, video, channel, seq, offset, 0, frame, sc.take)
+	sc.out = in.stage(sc.out[:0], time.Now(), g, video, channel, seq, offset, 0, frame, sc.take)
 	var n int
 	var err error
 	for _, e := range sc.out {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -235,6 +236,61 @@ func TestFaultDelayDefers(t *testing.T) {
 	}
 }
 
+// stampRecorder notes when each frame reached it.
+type stampRecorder struct {
+	mu    sync.Mutex
+	sends []time.Time
+}
+
+func (r *stampRecorder) Send(_ mcast.Group, frame []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sends = append(r.sends, time.Now())
+	return len(frame), nil
+}
+
+// TestFaultDelayCountsFromRelease: a delayed frame's delay runs from the
+// release instant Stage is given, not from the call. Every frame of a
+// tick staged 20 ms before its release is delayed by at most 1 µs, and
+// none reaches the sender before the release.
+func TestFaultDelayCountsFromRelease(t *testing.T) {
+	const n = 8
+	rec := &stampRecorder{}
+	in, err := New(rec, Plan{Seed: 5, Delay: 1, MaxDelay: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mcast.Group{Video: 1, Channel: 2}
+	release := time.Now().Add(20 * time.Millisecond)
+	var a tickArena
+	for c := 0; c < n; c++ {
+		if batch := in.Stage(nil, release, g, 1, uint32(c*64), 0, dataFrame(t, 1, 2, 1, c, n), a.take); len(batch) != 0 {
+			t.Fatalf("chunk %d: a delayed frame left in the batch", c)
+		}
+	}
+	if got := in.Counts().Delayed; got != n {
+		t.Fatalf("%d of %d frames delayed at rate 1", got, n)
+	}
+	deadline := time.Now().Add(time.Second)
+	for {
+		rec.mu.Lock()
+		sends := slices.Clone(rec.sends)
+		rec.mu.Unlock()
+		if len(sends) == n {
+			for i, at := range sends {
+				if at.Before(release) {
+					t.Errorf("delayed frame %d left %v before its release", i, release.Sub(at))
+				}
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d delayed frames sent a second on", len(sends), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // parityFrame encodes the parity frame of the group based at chunk base
 // of an nchunks-chunk fragment, with 64-byte chunks to match sendStream.
 func parityFrame(t testing.TB, video, channel uint16, base, nchunks int, seq uint32) []byte {
@@ -401,10 +457,10 @@ func TestFaultParityDoesNotShiftData(t *testing.T) {
 		}
 		var a tickArena
 		for c := 0; c < n; c++ {
-			batch := in.Stage(nil, g, 1, uint32(c*64), 0, dataFrame(t, 1, 2, 1, c, n), a.take)
+			batch := in.Stage(nil, time.Now(), g, 1, uint32(c*64), 0, dataFrame(t, 1, 2, 1, c, n), a.take)
 			if striped && (c+1)%group == 0 {
 				base := c + 1 - group
-				batch = in.Stage(batch, g, 1, uint32(base*64), wire.ParityCount(uint32(base*64), n*64, group, 64),
+				batch = in.Stage(batch, time.Now(), g, 1, uint32(base*64), wire.ParityCount(uint32(base*64), n*64, group, 64),
 					parityFrame(t, 1, 2, base, n, 1), a.take)
 			}
 			rec.SendBatch(batch)
@@ -434,7 +490,7 @@ func TestFaultParityFaulted(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := parityFrame(t, 1, 2, 0, 64, 1)
-	if batch := in.Stage(nil, g, 1, 0, 8, frame, nil); len(batch) != 0 {
+	if batch := in.Stage(nil, time.Now(), g, 1, 0, 8, frame, nil); len(batch) != 0 {
 		t.Error("Drop=1 plan staged a parity frame")
 	}
 	if c := in.Counts(); c.Dropped != 1 {
@@ -531,7 +587,7 @@ func driveSchedule(t *testing.T, plan Plan, steps []scheduled, nchunks int, hear
 				st.frame = dataFrame(t, video, channel, st.seq, int(st.offset/64), nchunks)
 			}
 		}
-		if batch := in.Stage(nil, st.g, st.seq, st.offset, st.covered, st.frame, a.take); len(batch) > 0 {
+		if batch := in.Stage(nil, time.Now(), st.g, st.seq, st.offset, st.covered, st.frame, a.take); len(batch) > 0 {
 			rec.SendBatch(batch)
 		}
 	}

@@ -99,7 +99,7 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	m := h.members.load()
 	bb := batchPool.Get().(*batchBuf)
 	var first error
-	if h.vectorized.Load() {
+	if h.vectorized {
 		first = h.writeDestsStaged(bb, m, entries)
 	} else {
 		ds := bb.ds[:0]

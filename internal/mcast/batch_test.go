@@ -184,8 +184,9 @@ func TestSendBatchConcurrentWithRepair(t *testing.T) {
 	for _, mode := range []string{"generic", "sendmmsg", "gso"} {
 		t.Run(mode, func(t *testing.T) {
 			gs := sharedGroups(groups)
+			pickBatchPath(t, mode)
 			hub, rcvs := newTestHub(t, gs, 1)
-			if !setBatchPath(hub, mode) {
+			if !onBatchPath(hub, mode) {
 				t.Skipf("no %s path here", mode)
 			}
 			// A frame is its shard's tag, its group's channel, 'T' for a
@@ -495,22 +496,29 @@ func owed(entries []BatchEntry, gs []Group) []string {
 	return want
 }
 
-// setBatchPath forces hub onto the named egress path, reporting false where
-// the platform or kernel does not have it.
-func setBatchPath(hub *Hub, mode string) bool {
+// pickBatchPath sets the kill-switches that put every hub t makes from
+// then on onto the named egress path: "generic" (the portable writer),
+// "sendmmsg" (the stager, runs of one frame) or "gso" (super-frames). A
+// test that compares paths makes each one's hub in a subtest of its own.
+func pickBatchPath(t testing.TB, mode string) {
 	switch mode {
 	case "generic":
-		hub.SetGSO(false)
-		hub.SetVectorized(false)
+		t.Setenv(NoSendmmsgEnv, "1")
 	case "sendmmsg":
-		if !hub.SetVectorized(true) {
-			return false
-		}
-		hub.SetGSO(false)
-	case "gso":
-		return hub.SetVectorized(true) && hub.SetGSO(true)
+		t.Setenv(NoGSOEnv, "1")
 	}
-	return true
+}
+
+// onBatchPath reports whether hub came up on the named egress path; not
+// where the platform, the kernel or the environment withholds it.
+func onBatchPath(hub *Hub, mode string) bool {
+	switch mode {
+	case "generic":
+		return !hub.Vectorized()
+	case "sendmmsg":
+		return hub.Vectorized() && !hub.GSO()
+	}
+	return hub.GSO()
 }
 
 // runBatchPath sends one golden case through the named egress path on a
@@ -518,6 +526,7 @@ func setBatchPath(hub *Hub, mode string) bool {
 // unavailable on this platform/kernel.
 func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group][][]string) {
 	t.Helper()
+	pickBatchPath(t, mode)
 	groups := []Group{goldenG0, goldenG1}
 	var hub *Hub
 	var rcvs map[Group][]*Receiver
@@ -528,7 +537,7 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 		hub, _ = newTestHub(t, nil, 0)
 		shared = joinShared(t, hub, tc)
 	}
-	if !setBatchPath(hub, mode) {
+	if !onBatchPath(hub, mode) {
 		return -1, nil
 	}
 	entries := tc.entries()
@@ -589,31 +598,38 @@ func runBatchPath(t *testing.T, mode string, tc batchGoldenCase) (int, map[Group
 // GSO super-frame path must deliver exactly the same frame sets to the
 // same members. The cases cover the sendmmsg
 // window handoff, a short final segment, and group/size breaks that
-// force the run builder to split. Unavailable paths are logged and
-// skipped — the generic baseline always runs.
+// force the run builder to split. Each path gets a hub of its own, made
+// on it; unavailable paths are skipped — the generic baseline always
+// runs.
 func TestBatchPathsIdentical(t *testing.T) {
 	for _, tc := range batchGoldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			nGen, framesGen := runBatchPath(t, "generic", tc)
-			for _, mode := range []string{"sendmmsg", "gso"} {
-				n, frames := runBatchPath(t, mode, tc)
-				if frames == nil {
-					t.Logf("%s path unavailable on this platform; not compared", mode)
-					continue
-				}
-				if n != nGen {
-					t.Errorf("%s wrote %d datagrams, generic %d", mode, n, nGen)
-				}
-				for _, g := range []Group{goldenG0, goldenG1} {
-					for i := range framesGen[g] {
-						for j := range framesGen[g][i] {
-							if frames[g][i][j] != framesGen[g][i][j] {
-								t.Fatalf("%v member %d frame %d: %s %q, generic %q",
-									g, i, j, mode, frames[g][i][j], framesGen[g][i][j])
+			var nGen int
+			var framesGen map[Group][][]string
+			for _, mode := range []string{"generic", "sendmmsg", "gso"} {
+				t.Run(mode, func(t *testing.T) {
+					n, frames := runBatchPath(t, mode, tc)
+					if frames == nil {
+						t.Skipf("%s path unavailable on this platform; not compared", mode)
+					}
+					if mode == "generic" {
+						nGen, framesGen = n, frames
+						return
+					}
+					if n != nGen {
+						t.Errorf("%s wrote %d datagrams, generic %d", mode, n, nGen)
+					}
+					for _, g := range []Group{goldenG0, goldenG1} {
+						for i := range framesGen[g] {
+							for j := range framesGen[g][i] {
+								if frames[g][i][j] != framesGen[g][i][j] {
+									t.Fatalf("%v member %d frame %d: %s %q, generic %q",
+										g, i, j, mode, frames[g][i][j], framesGen[g][i][j])
+								}
 							}
 						}
 					}
-				}
+				})
 			}
 		})
 	}
@@ -641,8 +657,8 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc count is meaningless")
 	}
+	pickBatchPath(t, "sendmmsg")
 	hub, _ := newTestHub(t, nil, 0)
-	hub.SetGSO(false)
 	tc := mixedTick()
 	joinShared(t, hub, tc)
 	entries := tc.entries()
@@ -665,9 +681,12 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 // benchFanout measures the batched egress path at a given group size:
 // one SendBatch per iteration delivering one chunk to every member.
 func benchFanout(b *testing.B, members int, vectorized bool) {
+	if !vectorized {
+		pickBatchPath(b, "generic")
+	}
 	g := Group{Video: 0, Channel: 0}
 	hub, rcvs := newTestHub(b, []Group{g}, members)
-	if on := hub.SetVectorized(vectorized); on != vectorized && vectorized {
+	if hub.Vectorized() != vectorized {
 		b.Skip("vectorized path unavailable on this platform")
 	}
 	// Receivers must drain or their kernel buffers fill and datagrams

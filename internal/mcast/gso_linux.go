@@ -137,7 +137,7 @@ func (h *Hub) initGSO() {
 		h.logf("mcast: UDP GSO disabled via %s; batches fall back to per-datagram sends", NoGSOEnv)
 		return
 	}
-	if !h.vectorized.Load() {
+	if !h.vectorized {
 		return // no sendmmsg message to attach the cmsg to
 	}
 	if !h.probeGSO() {
@@ -145,7 +145,6 @@ func (h *Hub) initGSO() {
 		h.logf("mcast: kernel rejected UDP_SEGMENT probe; batches fall back to per-datagram sendmmsg")
 		return
 	}
-	h.gsoCapable = true
 	h.gsoOn.Store(true)
 }
 
@@ -161,21 +160,6 @@ func (h *Hub) probeGSO() bool {
 		return false
 	}
 	return ok
-}
-
-// SetGSO is a test hook that forces super-frames on or off, returning
-// whether they are now on. Enabling fails where the creation-time probe
-// did not pass or the stager is off.
-func (h *Hub) SetGSO(on bool) bool {
-	if !on {
-		h.gsoOn.Store(false)
-		return false
-	}
-	if !h.gsoCapable || !h.vectorized.Load() {
-		return false
-	}
-	h.gsoOn.Store(true)
-	return true
 }
 
 // writeDestsStaged is SendBatch's sendmmsg body. It expands the batch

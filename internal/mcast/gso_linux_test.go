@@ -13,8 +13,9 @@ import "testing"
 func TestBatchShortestChainFirst(t *testing.T) {
 	for _, mode := range []string{"sendmmsg", "gso"} {
 		t.Run(mode, func(t *testing.T) {
+			pickBatchPath(t, mode)
 			hub, _ := newTestHub(t, nil, 0)
-			if !setBatchPath(hub, mode) {
+			if !onBatchPath(hub, mode) {
 				t.Skipf("%s path unavailable on this platform/kernel", mode)
 			}
 			tc := mixedTick()

@@ -9,9 +9,9 @@ import (
 
 // TestGSOKillSwitch pins graceful degradation: with SKYSCRAPER_NO_GSO
 // set, a fresh hub declines super-frames with exactly one logged notice
-// and one counted fallback, cannot be forced back on, and still delivers
-// batches as runs of one; a hub that loses GSO between two batches does
-// the same from the next batch on.
+// and one counted fallback, and still delivers batches as runs of one; a
+// hub that loses GSO between two batches does the same from the next
+// batch on.
 func TestGSOKillSwitch(t *testing.T) {
 	t.Setenv(NoGSOEnv, "1")
 	var notices []string
@@ -24,9 +24,6 @@ func TestGSOKillSwitch(t *testing.T) {
 	defer hub.Close()
 	if hub.GSO() {
 		t.Fatal("hub has GSO on despite the kill-switch")
-	}
-	if hub.SetGSO(true) {
-		t.Error("SetGSO(true) re-armed a kill-switched hub")
 	}
 	if gsoCompiled {
 		if got := hub.Stats().GSOFallbacks; got != 1 {
@@ -68,7 +65,8 @@ func TestGSOKillSwitch(t *testing.T) {
 	}
 
 	// Demotion at run time is the same stager with a lower cap: one hub,
-	// GSO switched off between two batches.
+	// GSO switched off between two batches, as a send the kernel rejects
+	// with EINVAL switches it off.
 	t.Setenv(NoGSOEnv, "")
 	live, _ := newTestHub(t, nil, 0)
 	if !live.GSO() {
@@ -88,7 +86,7 @@ func TestGSOKillSwitch(t *testing.T) {
 			t.Errorf("batch %d: Superframes = %d, EgressSyscalls = %d; want %d, %d",
 				i, st.Superframes, st.EgressSyscalls, want.superframes, want.syscalls)
 		}
-		live.SetGSO(false)
+		live.gsoOn.Store(false)
 	}
 }
 
@@ -126,16 +124,13 @@ func TestGSOZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchSuperframe sends one batch per iteration with the super-frame path
-// on or off, so the GSO rows in BENCH_egress.json read against a sendmmsg
-// baseline over the identical workload. drain empties a receiver's socket
-// in the background.
-func benchSuperframe(b *testing.B, hub *Hub, entries []BatchEntry, perBatch int, gso bool) {
-	if !hub.SetVectorized(true) {
-		b.Skip("vectorized path unavailable on this platform")
-	}
-	if on := hub.SetGSO(gso); on != gso && gso {
-		b.Skip("GSO path unavailable on this platform/kernel")
+// benchSuperframe sends one batch per iteration on a hub made on the named
+// path, "gso" or "sendmmsg", so the GSO rows in BENCH_egress.json read
+// against a sendmmsg baseline over the identical workload. drain empties a
+// receiver's socket in the background.
+func benchSuperframe(b *testing.B, hub *Hub, entries []BatchEntry, perBatch int, path string) {
+	if !onBatchPath(hub, path) {
+		b.Skipf("%s path unavailable on this platform/kernel", path)
 	}
 	b.SetBytes(int64(perBatch))
 	b.ReportAllocs()
@@ -179,14 +174,12 @@ func drainInBackground(r *Receiver) {
 // two one-group sockets behind it, so every op pays the shortest-first
 // reorder.
 func BenchmarkEgressSuperframe(b *testing.B) {
-	paths := []struct {
-		name string
-		gso  bool
-	}{{"gso", true}, {"sendmmsg", false}}
+	paths := []string{"gso", "sendmmsg"}
 	frame := make([]byte, 1052)
 	for _, members := range []int{1, 8, 64} {
 		for _, p := range paths {
-			b.Run(fmt.Sprintf("members=%d/path=%s", members, p.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("members=%d/path=%s", members, p), func(b *testing.B) {
+				pickBatchPath(b, p)
 				g := Group{Video: 0, Channel: 0}
 				hub, rcvs := newTestHub(b, []Group{g}, members)
 				for _, r := range rcvs[g] {
@@ -196,7 +189,7 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 				for i := range entries {
 					entries[i] = BatchEntry{Group: g, Frame: frame}
 				}
-				benchSuperframe(b, hub, entries, members*len(entries)*len(frame), p.gso)
+				benchSuperframe(b, hub, entries, members*len(entries)*len(frame), p)
 			})
 		}
 	}
@@ -207,7 +200,8 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 			name += "+larger-frames"
 		}
 		for _, p := range paths {
-			b.Run(name+"/path="+p.name, func(b *testing.B) {
+			b.Run(name+"/path="+p, func(b *testing.B) {
+				pickBatchPath(b, p)
 				hub, _ := newTestHub(b, nil, 0)
 				r, err := NewReceiver()
 				if err != nil {
@@ -229,12 +223,13 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 					}
 				}
 				drainInBackground(r)
-				benchSuperframe(b, hub, entries, bytes, p.gso)
+				benchSuperframe(b, hub, entries, bytes, p)
 			})
 		}
 	}
 	for _, p := range paths {
-		b.Run("mixed/path="+p.name, func(b *testing.B) {
+		b.Run("mixed/path="+p, func(b *testing.B) {
+			pickBatchPath(b, p)
 			hub, _ := newTestHub(b, nil, 0)
 			tc := mixedTick()
 			for _, r := range joinShared(b, hub, tc) {
@@ -245,7 +240,7 @@ func BenchmarkEgressSuperframe(b *testing.B) {
 			for _, e := range entries {
 				bytes += len(e.Frame)
 			}
-			benchSuperframe(b, hub, entries, bytes, p.gso)
+			benchSuperframe(b, hub, entries, bytes, p)
 		})
 	}
 }

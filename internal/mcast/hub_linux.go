@@ -46,24 +46,5 @@ func (h *Hub) initVectorized() {
 		return
 	}
 	h.rc = rc
-	h.vectorized.Store(true)
-}
-
-// SetVectorized is a test hook that forces the sendmmsg path on or off,
-// returning whether it is now active. Enabling fails (returns false) if
-// the raw socket handle is unavailable.
-func (h *Hub) SetVectorized(on bool) bool {
-	if !on {
-		h.vectorized.Store(false)
-		return false
-	}
-	if h.rc == nil {
-		rc, err := h.conn.SyscallConn()
-		if err != nil {
-			return false
-		}
-		h.rc = rc
-	}
-	h.vectorized.Store(true)
-	return true
+	h.vectorized = true
 }

@@ -123,18 +123,17 @@ type Hub struct {
 
 	// rc is the sending socket's raw handle, used by the sendmmsg stager
 	// (gso_linux.go); vectorized reports whether the stager is compiled in
-	// and enabled. On platforms without it, or with it disabled via
-	// NoSendmmsgEnv or SetVectorized(false), every write goes through
+	// and was enabled at creation. On platforms without it, or with it
+	// disabled via NoSendmmsgEnv, every write goes through
 	// WriteToUDPAddrPort.
 	rc         syscall.RawConn
-	vectorized atomic.Bool
+	vectorized bool
 
 	// gsoOn lets the stager send an address's run of frames as one
-	// UDP_SEGMENT super-frame; off, every run is one frame. gsoCapable
-	// records the creation-time capability probe, so the test hook SetGSO
-	// can re-arm it only where the kernel accepted it.
-	gsoOn      atomic.Bool
-	gsoCapable bool
+	// UDP_SEGMENT super-frame; off, every run is one frame. It is set at
+	// creation where the kernel accepted the probe, and cleared for good
+	// by a send the kernel rejects.
+	gsoOn atomic.Bool
 
 	// The egress ledger Stats reports as HubStats, field for field. Padded:
 	// the counters are bumped concurrently by every egress shard, and
@@ -344,7 +343,7 @@ func (h *Hub) Send(g Group, frame []byte) (int, error) {
 }
 
 // Vectorized reports whether the sendmmsg fast path is active.
-func (h *Hub) Vectorized() bool { return h.vectorized.Load() }
+func (h *Hub) Vectorized() bool { return h.vectorized }
 
 // GSO reports whether the UDP_SEGMENT super-frame path is active.
 func (h *Hub) GSO() bool { return h.gsoOn.Load() }

@@ -370,8 +370,9 @@ func TestSendCounters(t *testing.T) {
 	for _, mode := range []string{"generic", "sendmmsg", "gso"} {
 		t.Run(mode, func(t *testing.T) {
 			g := Group{Video: 0, Channel: 1}
+			pickBatchPath(t, mode)
 			hub, _ := newTestHub(t, []Group{g}, 1)
-			if !setBatchPath(hub, mode) {
+			if !onBatchPath(hub, mode) {
 				t.Skipf("%s path unavailable on this platform", mode)
 			}
 			frame := make([]byte, 100)

@@ -14,23 +14,14 @@ import (
 // subscription of a group costs the adapter: one copy into its ring and
 // one handoff.
 func benchSharedRecvDrain(b *testing.B, burst, subs int, mode string) {
+	pickRecvRung(b, mode)
 	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Classify: testClassify})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	switch mode {
-	case "single":
-		s.SetRecvBatched(false)
-	case "recvmmsg":
-		if !s.SetRecvBatched(true) {
-			b.Skip("recvmmsg rung unavailable on this platform/kernel")
-		}
-		s.SetGRO(false)
-	case "gro":
-		if !s.SetRecvBatched(true) || !s.SetGRO(true) {
-			b.Skip("GRO rung unavailable on this platform/kernel")
-		}
+	if !onRecvRung(s, mode) {
+		b.Skipf("%s rung unavailable on this platform/kernel", mode)
 	}
 	g := Group{Video: 0, Channel: 0}
 	var taps []*Subscription
@@ -46,9 +37,6 @@ func benchSharedRecvDrain(b *testing.B, burst, subs int, mode string) {
 		b.Fatal(err)
 	}
 	defer hub.Close()
-	if hub.SetVectorized(true) && mode == "gro" {
-		hub.SetGSO(true) // super-frames on the wire, the shape GRO coalesces
-	}
 	if err := hub.Join(g, s.Addr()); err != nil {
 		b.Fatal(err)
 	}

@@ -89,24 +89,21 @@ func TestRecvBatchedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
 	}
+	// The read loop stays on single reads: the gate drives a batch state
+	// of its own from this goroutine.
+	pickRecvRung(t, "single")
 	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Classify: testClassify})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.RecvBatched() {
-		t.Skip("recvmmsg rung unavailable on this platform/kernel")
-	}
-	// Park the read loop off the shared state: the gate drives the batch
-	// machinery from this goroutine.
-	s.SetRecvBatched(false)
 
 	g := Group{Video: 9, Channel: 2}
 	sub, err := s.Subscribe(g, 32, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := s.rb
+	rb := &recvBuf{s: s, bufs: make([]byte, recvBatch*maxDatagram), frames: make([][]byte, 0, recvBatch)}
 	const n = 16
 	frame := testFrame(g, 1052)
 	stage := func() {

@@ -156,7 +156,6 @@ func TestRecvErrorBackoff(t *testing.T) {
 		if batched && !s.RecvBatched() {
 			t.Skip("recvmmsg rung not live")
 		}
-		s.SetRecvBatched(batched)
 		g := Group{Video: 9, Channel: 0}
 		sub, err := s.Subscribe(g, 8, 256)
 		if err != nil {

@@ -109,7 +109,6 @@ func (s *SharedReceiver) initRecv() {
 	rb.nowait = func(fd uintptr) { rb.step(fd) }
 	rb.frames = make([][]byte, 0, recvBatch)
 	s.rb = rb
-	s.mmsgCapable = true
 	s.mmsgOn.Store(true)
 
 	// The GRO rung rides the batched reader: only the cmsg-aware recvmmsg
@@ -126,7 +125,6 @@ func (s *SharedReceiver) initRecv() {
 		s.logf("mcast: kernel rejected UDP_GRO; super-frames arrive kernel-segmented")
 		return
 	}
-	s.groCapable = true
 	s.groOn.Store(true)
 }
 
@@ -172,43 +170,6 @@ func (s *SharedReceiver) setGROSockopt(on bool) bool {
 	return ok
 }
 
-// SetRecvBatched is a test hook that forces the recvmmsg rung on or off,
-// returning whether it is now active. Disabling it also disarms GRO
-// first — a socket with UDP_GRO set must never be read without cmsg
-// access. Enabling fails where the creation-time probe did not pass.
-func (s *SharedReceiver) SetRecvBatched(on bool) bool {
-	if !on {
-		s.SetGRO(false)
-		s.mmsgOn.Store(false)
-		return false
-	}
-	if !s.mmsgCapable {
-		return false
-	}
-	s.mmsgOn.Store(true)
-	return true
-}
-
-// SetGRO is a test hook that forces the GRO rung on or off, returning
-// whether it is now active. Enabling fails where the creation-time
-// sockopt did not take or the recvmmsg rung it rides is off.
-func (s *SharedReceiver) SetGRO(on bool) bool {
-	if !on {
-		if s.groOn.CompareAndSwap(true, false) {
-			s.setGROSockopt(false)
-		}
-		return false
-	}
-	if !s.groCapable || !s.mmsgOn.Load() {
-		return false
-	}
-	if !s.setGROSockopt(true) {
-		return false
-	}
-	s.groOn.Store(true)
-	return true
-}
-
 // readBatched is read's recvmmsg rung. An EINVAL/ENOSYS from the real
 // call after a passing probe demotes the receiver to the portable rung
 // for good (disarming GRO first) — failing every read would be worse
@@ -230,7 +191,11 @@ func (s *SharedReceiver) readBatched(wait bool) ([][]byte, bool) {
 		case syscall.EINTR:
 		case syscall.EINVAL, syscall.ENOSYS:
 			if s.mmsgOn.CompareAndSwap(true, false) {
-				s.SetGRO(false)
+				// A socket with UDP_GRO set must never be read without
+				// cmsg access: disarm it before the portable rung reads.
+				if s.groOn.CompareAndSwap(true, false) {
+					s.setGROSockopt(false)
+				}
 				s.logf("mcast: kernel rejected recvmmsg (%v); demoting to per-datagram reads", rb.errno)
 			}
 		default:

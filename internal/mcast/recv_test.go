@@ -17,8 +17,34 @@ func recvGoldenFrame(g Group, tag string, size int) []byte {
 
 func recvTag(frame []byte) string { return string(frame[4:10]) }
 
+// pickRecvRung sets the kill-switches that put every shared receiver t
+// makes from then on onto the named ingress rung: "single" (one read a
+// datagram), "recvmmsg" (batched reads, no GRO) or "gro" (batched reads
+// of coalesced super-frames). A test that compares rungs makes each
+// one's receiver in a subtest of its own.
+func pickRecvRung(t testing.TB, mode string) {
+	switch mode {
+	case "single":
+		t.Setenv(NoRecvmmsgEnv, "1")
+	case "recvmmsg":
+		t.Setenv(NoGROEnv, "1")
+	}
+}
+
+// onRecvRung reports whether s came up on the named ingress rung; not
+// where the platform, the kernel or the environment withholds it.
+func onRecvRung(s *SharedReceiver, mode string) bool {
+	switch mode {
+	case "single":
+		return !s.RecvBatched()
+	case "recvmmsg":
+		return s.RecvBatched() && !s.GRO()
+	}
+	return s.GRO()
+}
+
 // runRecvPath drives one scripted workload through a fresh shared
-// receiver forced onto the named ingress rung and returns every group's
+// receiver made on the named ingress rung and returns every group's
 // ordered delivery sequence. The script mixes GSO-coalescible same-group
 // runs (including a short final segment), interleaved groups, plain
 // singles, and whole ticks for a socket subscribed to six more groups —
@@ -28,23 +54,14 @@ func recvTag(frame []byte) string { return string(frame[4:10]) }
 // platform/kernel.
 func runRecvPath(t *testing.T, mode string) map[Group][]string {
 	t.Helper()
+	pickRecvRung(t, mode)
 	s, err := NewSharedReceiverConfigured(SharedReceiverConfig{Classify: testClassify, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	switch mode {
-	case "single":
-		s.SetRecvBatched(false)
-	case "recvmmsg":
-		if !s.SetRecvBatched(true) {
-			return nil
-		}
-		s.SetGRO(false)
-	case "gro":
-		if !s.SetRecvBatched(true) || !s.SetGRO(true) {
-			return nil
-		}
+	if !onRecvRung(s, mode) {
+		return nil
 	}
 
 	gA, gB := Group{Video: 7, Channel: 0}, Group{Video: 7, Channel: 1}
@@ -65,9 +82,6 @@ func runRecvPath(t *testing.T, mode string) map[Group][]string {
 	// Super-frames on the wire when the platform offers them — the shape
 	// the GRO rung exists to receive; without GSO the same script arrives
 	// pre-segmented and the sequences must still match.
-	if hub.SetVectorized(true) {
-		hub.SetGSO(true)
-	}
 	subs := map[Group]*Subscription{gA: subA, gB: subB}
 	var ticked []Group // the groups that get one frame per tick
 	for ch := 2; ch < 8; ch++ {
@@ -157,29 +171,34 @@ func runRecvPath(t *testing.T, mode string) map[Group][]string {
 // Unavailable rungs are logged and skipped; the single-read baseline
 // always runs.
 func TestRecvPathsIdentical(t *testing.T) {
-	base := runRecvPath(t, "single")
-	for _, mode := range []string{"recvmmsg", "gro"} {
-		got := runRecvPath(t, mode)
-		if got == nil {
-			t.Logf("%s rung unavailable on this platform; not compared", mode)
-			continue
-		}
-		for g, want := range base {
-			if len(got[g]) != len(want) {
-				t.Fatalf("%s: group %v delivered %d frames, single-read %d", mode, g, len(got[g]), len(want))
+	var base map[Group][]string
+	for _, mode := range []string{"single", "recvmmsg", "gro"} {
+		t.Run(mode, func(t *testing.T) {
+			got := runRecvPath(t, mode)
+			if got == nil {
+				t.Skipf("%s rung unavailable on this platform; not compared", mode)
 			}
-			for i := range want {
-				if got[g][i] != want[i] {
-					t.Fatalf("%s: group %v frame %d = %q, single-read %q", mode, g, i, got[g][i], want[i])
+			if mode == "single" {
+				base = got
+				return
+			}
+			for g, want := range base {
+				if len(got[g]) != len(want) {
+					t.Fatalf("%s: group %v delivered %d frames, single-read %d", mode, g, len(got[g]), len(want))
+				}
+				for i := range want {
+					if got[g][i] != want[i] {
+						t.Fatalf("%s: group %v frame %d = %q, single-read %q", mode, g, i, got[g][i], want[i])
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestRecvKillSwitch pins graceful degradation of the ingress ladder,
 // mirroring TestGSOKillSwitch: each kill-switch leaves a fresh receiver
-// on the rung below, unable to be forced back up, and still delivering —
+// on the rung below, still delivering —
 // including the hub's super-frames, which must arrive kernel-segmented
 // once GRO is declined.
 func TestRecvKillSwitch(t *testing.T) {
@@ -192,12 +211,6 @@ func TestRecvKillSwitch(t *testing.T) {
 		defer s.Close()
 		if s.RecvBatched() || s.GRO() {
 			t.Fatalf("RecvBatched=%v GRO=%v despite the kill-switch, want false/false", s.RecvBatched(), s.GRO())
-		}
-		if s.SetRecvBatched(true) {
-			t.Error("SetRecvBatched(true) re-armed a kill-switched receiver")
-		}
-		if s.SetGRO(true) {
-			t.Error("SetGRO(true) armed GRO without the recvmmsg rung it rides")
 		}
 		assertRecvStillDelivers(t, s)
 	})
@@ -213,9 +226,6 @@ func TestRecvKillSwitch(t *testing.T) {
 		defer s.Close()
 		if s.GRO() {
 			t.Fatal("receiver has GRO on despite the kill-switch")
-		}
-		if s.SetGRO(true) {
-			t.Error("SetGRO(true) re-armed a kill-switched receiver")
 		}
 		if recvCompiled && s.RecvBatched() {
 			if got := s.Stats().GROFallbacks; got != 1 {
@@ -250,9 +260,6 @@ func assertRecvStillDelivers(t *testing.T, s *SharedReceiver) {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	if hub.SetVectorized(true) {
-		hub.SetGSO(true)
-	}
 	if err := hub.Join(g, s.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,15 @@ import (
 )
 
 // rungs runs f once per read rung the platform offers: recvmmsg, then
-// single reads (SetRecvBatched(false)).
+// single reads (SKYSCRAPER_NO_RECVMMSG set for the receivers f makes).
 func rungs(t *testing.T, f func(t *testing.T, batched bool)) {
 	for _, batched := range []bool{true, false} {
 		t.Run(map[bool]string{true: "recvmmsg", false: "single"}[batched], func(t *testing.T) {
 			if batched && !recvCompiled {
 				t.Skip("no recvmmsg rung in this build")
+			}
+			if !batched {
+				pickRecvRung(t, "single")
 			}
 			f(t, batched)
 		})
@@ -30,7 +33,6 @@ func wakeReceiver(t *testing.T, batched bool, h Handler) *SharedReceiver {
 	if batched && !s.RecvBatched() {
 		t.Skip("recvmmsg rung not live")
 	}
-	s.SetRecvBatched(batched)
 	return s
 }
 

@@ -92,15 +92,13 @@ type SharedReceiver struct {
 	logf     func(format string, args ...any)
 
 	// The ingress-ladder state: the raw socket handle the batched reader
-	// drives, the reusable syscall/buffer state, and the rung switches.
-	// mmsgCapable/groCapable record what the creation-time probes proved;
-	// mmsgOn/groOn are the live switches (runtime demotion, test hooks).
-	rc          syscall.RawConn
-	rb          *recvBuf
-	mmsgOn      atomic.Bool
-	groOn       atomic.Bool
-	mmsgCapable bool
-	groCapable  bool
+	// drives, the reusable syscall/buffer state, and the rung switches,
+	// set at creation where the probes passed and cleared for good by a
+	// runtime demotion.
+	rc     syscall.RawConn
+	rb     *recvBuf
+	mmsgOn atomic.Bool
+	groOn  atomic.Bool
 
 	// errStreak counts consecutive read failures; buf and one are the
 	// portable rung's buffer (made on its first read) and one-frame batch.

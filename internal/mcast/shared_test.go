@@ -331,9 +331,6 @@ func TestRecvHandlerSeesEveryRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	if hub.SetVectorized(true) {
-		hub.SetGSO(true)
-	}
 	if err := hub.Join(g, s.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -31,20 +31,12 @@ func (h *Hub) closeSink()      {}
 // Warm does nothing here: the hub opens no sink to warm against.
 func (h *Hub) Warm() {}
 
-// SetVectorized and SetGSO report false: neither can be enabled here.
-func (h *Hub) SetVectorized(on bool) bool { return false }
-func (h *Hub) SetGSO(on bool) bool        { return false }
-
 func (h *Hub) writeDestsStaged(*batchBuf, groupMap[netip.AddrPort], []BatchEntry) error {
 	panic("mcast: sendmmsg stager invoked without platform support")
 }
 
 func (s *SharedReceiver) initRecv() {}
 func (s *SharedReceiver) freeRecv() {}
-
-// SetRecvBatched and SetGRO report false: neither can be enabled here.
-func (s *SharedReceiver) SetRecvBatched(on bool) bool { return false }
-func (s *SharedReceiver) SetGRO(on bool) bool         { return false }
 
 func (s *SharedReceiver) readBatched(bool) ([][]byte, bool) {
 	panic("mcast: batched receive invoked without platform support")

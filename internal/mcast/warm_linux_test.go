@@ -154,18 +154,26 @@ func TestWarmCloseLeaksNothing(t *testing.T) {
 // receiver's kernel receive stamp (SO_TIMESTAMPNS), sent cold or right
 // after a Warm. The gap is a nanosleep, which idles the thread for exactly
 // that long, as a shard parked between ticks is idle; stamp-p50-us and
-// stamp-p90-us are quantiles over the iterations.
+// stamp-p90-us are quantiles over the iterations. The delay rows spin
+// between the Warm and the send, as a shard holds between the end of its
+// stage and its instant: how long a warm stays warm.
 func BenchmarkEgressWarm(b *testing.B) {
-	for _, gap := range []time.Duration{500 * time.Microsecond, 5 * time.Millisecond, 17500 * time.Microsecond} {
+	const tick = 17500 * time.Microsecond
+	for _, gap := range []time.Duration{500 * time.Microsecond, 5 * time.Millisecond, tick} {
 		for _, path := range []string{"cold", "warmed"} {
 			b.Run(fmt.Sprintf("gap=%v/path=%s", gap, path), func(b *testing.B) {
-				benchEgressWarm(b, gap, path == "warmed")
+				benchEgressWarm(b, gap, path == "warmed", 0)
 			})
 		}
 	}
+	for _, delay := range []time.Duration{0, 50 * time.Microsecond, 100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
+		b.Run(fmt.Sprintf("gap=%v/path=warmed/delay=%v", tick, delay), func(b *testing.B) {
+			benchEgressWarm(b, tick, true, delay)
+		})
+	}
 }
 
-func benchEgressWarm(b *testing.B, gap time.Duration, warm bool) {
+func benchEgressWarm(b *testing.B, gap time.Duration, warm bool, delay time.Duration) {
 	hub, err := NewHub()
 	if err != nil {
 		b.Fatal(err)
@@ -197,6 +205,8 @@ func benchEgressWarm(b *testing.B, gap time.Duration, warm bool) {
 		nap(gap)
 		if warm {
 			hub.Warm()
+		}
+		for until := time.Now().Add(delay); time.Now().Before(until); {
 		}
 		sent := time.Now()
 		if _, err := hub.Send(g, frame); err != nil {

@@ -163,8 +163,8 @@ func faultRig(t *testing.T, plan faults.Plan, videos, channels, bytesPerUnit int
 }
 
 // TestDispatchFaultCountsIgnoreHeardGroups: the fault plan's counts over a
-// stretch of schedule are the same whether every frame is built and sent
-// through the injector (no gate — the parent's behaviour), nobody listens,
+// stretch of schedule are the same whether every group is heard, so every
+// frame is built and sent through the injector, nobody listens,
 // members sit on a few groups, or members come and go from tick to tick;
 // and only heard frames reach the wire. This pins the positions the engine
 // hands to Injector.Stage — data offsets, parity bases, tail-group
@@ -178,15 +178,15 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 	some := []mcast.Group{{Video: 0, Channel: 1}, {Video: 1, Channel: 3}, {Video: 2, Channel: 5}}
 	// flip, when set, runs in each hold: after the tick was staged and
 	// before it is released. It reports whether it changed the membership.
-	run := func(gated bool, heard []mcast.Group, flip func(r *wheelRig, hold int) bool) (faults.Counts, *sendLog, int) {
+	run := func(everyone bool, heard []mcast.Group, flip func(r *wheelRig, hold int) bool) (faults.Counts, *sendLog, int) {
 		var counts faults.Counts
 		flipped := 0
 		r := twice(t, func() *wheelRig {
 			flipped = 0
 			// 3-chunk units under G=4: groups straddle units, tails are short.
 			r := faultRig(t, plan, 3, 5, 3*1024)
-			if !gated {
-				r.srv.hub = nil // no membership to ask: everything is staged
+			if everyone {
+				r.hearAll(t)
 			}
 			for _, g := range heard {
 				r.join(t, g)
@@ -204,15 +204,15 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 		})
 		return counts, r.log, flipped
 	}
-	all, allWire, _ := run(false, nil, nil)
-	none, noneWire, _ := run(true, nil, nil)
-	three, threeWire, _ := run(true, some, nil)
+	all, allWire, _ := run(true, nil, nil)
+	none, noneWire, _ := run(false, nil, nil)
+	three, threeWire, _ := run(false, some, nil)
 	// The three groups' members join in every odd hold and leave in every
 	// even one, between a tick's stage and its release: every release
 	// meets a membership its stage did not read, and no two ticks in a
 	// row stage for the same audience.
 	addrs := make([]*net.UDPAddr, len(some))
-	flipping, flippingWire, flipped := run(true, nil, func(r *wheelRig, hold int) bool {
+	flipping, flippingWire, flipped := run(false, nil, func(r *wheelRig, hold int) bool {
 		for j, g := range some {
 			if hold%2 == 1 {
 				addrs[j] = r.join(t, g)
@@ -232,13 +232,13 @@ func TestDispatchFaultCountsIgnoreHeardGroups(t *testing.T) {
 		t.Fatalf("plan left a fault kind unexercised: %+v", all)
 	}
 	if none != all || three != all || flipping != all {
-		t.Errorf("fault counts depend on the audience:\n  ungated  %+v\n  nobody   %+v\n  3 of 15  %+v\n  flipping %+v", all, none, three, flipping)
+		t.Errorf("fault counts depend on the audience:\n  everyone %+v\n  nobody   %+v\n  3 of 15  %+v\n  flipping %+v", all, none, three, flipping)
 	}
 	if noneWire.frames != 0 {
 		t.Errorf("%d frames reached the wire with nobody listening", noneWire.frames)
 	}
 	if threeWire.frames == 0 || threeWire.frames >= allWire.frames || threeWire.parity == 0 || threeWire.bad+allWire.bad != 0 {
-		t.Errorf("wire: %d frames (%d parity, %d bad) for 3 heard groups, %d (%d bad) ungated", threeWire.frames, threeWire.parity, threeWire.bad, allWire.frames, allWire.bad)
+		t.Errorf("wire: %d frames (%d parity, %d bad) for 3 heard groups, %d (%d bad) for all 15", threeWire.frames, threeWire.parity, threeWire.bad, allWire.frames, allWire.bad)
 	}
 	// Each member is present at every other stage, so the flipping run
 	// puts some frames on the wire, and fewer than the steady three.

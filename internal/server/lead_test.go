@@ -59,75 +59,67 @@ func TestWakeLeadEstimator(t *testing.T) {
 	}
 }
 
-// TestStageLeadEstimator pins the stage lead on scripted staging times,
-// no clock involved: it adopts its first sample, follows the measured time
-// when the tick's cost changes, clamps every sample to the shard's bound,
-// and the lead the shard arms with — wake latency plus staging time —
-// never exceeds min(maxWakeLead, quantum/4), however the two split it.
+// TestStageLeadEstimator pins the shard's one lead on scripted spans, no
+// clock involved. Each span runs from the instant the tick source was
+// armed for to the end of staging: a wake latency, then a staging time —
+// the build and the warm. The lead adopts its first span, follows the
+// measured span when the tick's cost changes, and never exceeds a quarter
+// of the quantum, the bound every span is clamped to. A wake and a stage
+// whose sum passes 300 µs are led by the sum when the quantum allows it.
 func TestStageLeadEstimator(t *testing.T) {
 	const us = time.Microsecond
+	const q4 = 781250 * time.Nanosecond // a quarter of a 3125 µs quantum
 	for _, tc := range []struct {
-		name          string
-		spacing       time.Duration // the shard's quantum
-		wake          time.Duration // every wake sample
-		stage, then   time.Duration // the staging samples, before and after the tick's cost changes
-		bound         time.Duration
-		stageLead     time.Duration // settled on `then`
-		lead          time.Duration // what the shard arms with, settled
-		firstStageObs time.Duration // the stage lead after one sample
+		name        string
+		spacing     time.Duration // the shard's quantum
+		wake        time.Duration // every span's wake latency
+		stage, then time.Duration // its staging time, before and after the tick's cost changes
+		bound       time.Duration
+		lead        time.Duration // what the shard arms with, settled on `then`
+		first       time.Duration // the lead after one span
 	}{
-		{"light tick", 3125 * us, 60 * us, 12 * us, 12 * us, 300 * us, 12 * us, 72 * us, 12 * us},
-		{"faulted tick", 3125 * us, 60 * us, 108 * us, 108 * us, 300 * us, 108 * us, 168 * us, 108 * us},
-		{"audience arrives", 3125 * us, 60 * us, 12 * us, 108 * us, 300 * us, 108 * us, 168 * us, 12 * us},
-		{"audience leaves", 3125 * us, 60 * us, 108 * us, 12 * us, 300 * us, 12 * us, 72 * us, 108 * us},
-		{"stage over bound", 3125 * us, 60 * us, 5 * time.Millisecond, 5 * time.Millisecond, 300 * us, 300 * us, 300 * us, 300 * us},
-		{"sum over bound", 3125 * us, 200 * us, 150 * us, 150 * us, 300 * us, 150 * us, 300 * us, 150 * us},
-		{"fine quantum", 400 * us, 60 * us, 108 * us, 108 * us, 100 * us, 100 * us, 100 * us, 100 * us},
+		{"light tick", 3125 * us, 60 * us, 12 * us, 12 * us, q4, 72 * us, 72 * us},
+		{"faulted tick", 3125 * us, 60 * us, 108 * us, 108 * us, q4, 168 * us, 168 * us},
+		{"audience arrives", 3125 * us, 60 * us, 12 * us, 108 * us, q4, 168 * us, 72 * us},
+		{"audience leaves", 3125 * us, 60 * us, 108 * us, 12 * us, q4, 72 * us, 168 * us},
+		{"stage over bound", 3125 * us, 60 * us, 5 * time.Millisecond, 5 * time.Millisecond, q4, q4, q4},
+		{"sum over bound", 3125 * us, 250 * us, 90 * us, 90 * us, q4, 340 * us, 340 * us},
+		{"fine quantum", 400 * us, 60 * us, 108 * us, 108 * us, 100 * us, 100 * us, 100 * us},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sh := &wheelShard{entries: []*wheelEntry{{spacing: tc.spacing}}}
-			bound := sh.leadBound()
+			bound := sh.quantum() / 4
 			if bound != tc.bound {
 				t.Fatalf("bound = %v at a %v quantum, want %v", bound, tc.spacing, tc.bound)
 			}
-			if got := sh.lead(bound); got != 0 {
-				t.Fatalf("lead before any sample = %v, want 0", got)
+			if got := sh.lead.value(); got != 0 {
+				t.Fatalf("lead before any span = %v, want 0", got)
 			}
-			sh.stageLead.observe(tc.stage, bound)
-			if got := sh.stageLead.value(); got != tc.firstStageObs {
-				t.Fatalf("stage lead after the first sample = %v, want %v", got, tc.firstStageObs)
+			sh.lead.observe(tc.wake+tc.stage, bound)
+			if got := sh.lead.value(); got != tc.first {
+				t.Fatalf("lead after the first span = %v, want %v", got, tc.first)
 			}
-			for i := 0; i < 64; i++ {
-				sh.wakeLead.observe(tc.wake, bound)
-				sh.stageLead.observe(tc.stage, bound)
-				if got := sh.lead(bound); got > bound {
-					t.Fatalf("lead = %v exceeds the bound %v", got, bound)
+			for _, stage := range []time.Duration{tc.stage, tc.then} {
+				for i := 0; i < 64; i++ {
+					sh.lead.observe(tc.wake+stage, bound)
+					if got := sh.lead.value(); got > bound {
+						t.Fatalf("lead = %v exceeds the bound %v", got, bound)
+					}
 				}
 			}
-			for i := 0; i < 64; i++ {
-				sh.wakeLead.observe(tc.wake, bound)
-				sh.stageLead.observe(tc.then, bound)
-				if got := sh.lead(bound); got > bound {
-					t.Fatalf("lead = %v exceeds the bound %v", got, bound)
-				}
-			}
-			near := func(got, want time.Duration) bool { return got >= want-us && got <= want+us }
-			if got := sh.stageLead.value(); !near(got, tc.stageLead) {
-				t.Errorf("stage lead = %v after 64 samples of %v, want %v", got, tc.then, tc.stageLead)
-			}
-			if got := sh.lead(bound); !near(got, tc.lead) {
-				t.Errorf("armed lead = %v, want %v", got, tc.lead)
+			if got := sh.lead.value(); got < tc.lead-us || got > tc.lead+us {
+				t.Errorf("lead = %v after 64 spans of %v, want %v", got, tc.wake+tc.then, tc.lead)
 			}
 			srv := &Server{wheel: []*wheelShard{sh}}
-			if got := srv.wakeLead(); got != sh.lead(bound) {
-				t.Errorf("/status lead = %v, want the armed %v", got, sh.lead(bound))
+			if got := srv.wakeLead(); got != sh.lead.value() {
+				t.Errorf("/status lead = %v, want the armed %v", got, sh.lead.value())
 			}
 		})
 	}
 }
 
 // leadRig is a wheelRig of one video's three channels, every group
-// heard, on a 5 ms grid (lead bound 300 µs) whose readings cost `work`
+// heard, on a 5 ms grid (lead bound 1.25 ms) whose readings cost `work`
 // each.
 func leadRig(t *testing.T, work time.Duration) *wheelRig {
 	t.Helper()
@@ -167,7 +159,7 @@ func TestLeadNeverDispatchesEarly(t *testing.T) {
 					t.Errorf("video%d/ch%d sent %d chunks in 40 ticks", k.video, k.channel, len(frames))
 				}
 			}
-			bound := r.sh.leadBound()
+			bound := r.sh.quantum() / 4
 			if lead := r.srv.wakeLead(); lead < 0 || lead > bound {
 				t.Errorf("lead = %v, outside [0, %v]", lead, bound)
 			}
@@ -203,7 +195,7 @@ func TestLeadFollowsWakeLatency(t *testing.T) {
 	if firstLead != 0 {
 		t.Errorf("lead when the first wait was armed = %v, want 0", firstLead)
 	}
-	bound := r.sh.leadBound()
+	bound := r.sh.quantum() / 4
 	if lead := r.srv.wakeLead(); lead < late || lead > bound {
 		t.Errorf("lead = %v after 100 ticks of wakes %v late, want within [%v, %v]", lead, late, late, bound)
 	}
@@ -213,6 +205,50 @@ func TestLeadFollowsWakeLatency(t *testing.T) {
 			if lag := f.at - g.dueOf(f.n, f.c); f.batch > 2 && lag >= late/2 {
 				t.Fatalf("video%d/ch%d (rep %d, chunk %d) left %v after its instant, want < %v", k.video, k.channel, f.n, f.c, lag, late/2)
 			}
+		}
+	}
+}
+
+// TestLeadCoversWakeAndWarm: a wake 250 µs late and 100 µs of staging and
+// warm — 350 µs together, past 300 µs, under the 1.25 ms quarter quantum —
+// are led by their sum. Each reading between the park and the hold costs
+// 50 µs (two of them span the stage and its warm) and the release costs
+// nothing, so once the lead has settled every frame leaves at most one
+// reading after its instant: none early, none later, each release behind
+// its tick's warm, and no hold longer than the quarter quantum.
+func TestLeadCoversWakeAndWarm(t *testing.T) {
+	const wake, reading = 250 * time.Microsecond, 50 * time.Microsecond
+	r := twice(t, func() *wheelRig {
+		r := leadRig(t, reading)
+		r.vc.wake = wake
+		r.vc.onPark = func(int) { r.vc.work = reading }
+		r.vc.onHold = func(int) { r.vc.work = 0 }
+		r.play(60)
+		return r
+	})
+	bound := r.sh.quantum() / 4
+	if lead := r.srv.wakeLead(); lead < wake+2*reading || lead > bound {
+		t.Errorf("lead = %v, want within [%v, %v]", lead, wake+2*reading, bound)
+	}
+	if r.vc.maxHold > bound {
+		t.Errorf("a hold waited %v, over the lead bound %v", r.vc.maxHold, bound)
+	}
+	released := map[int]time.Duration{}
+	for k, frames := range checkOnGrid(t, r, r.srv.cfg.Unit) {
+		g := r.grid(frames[0].g)
+		for _, f := range frames {
+			released[f.batch] = f.at
+			if lag := f.at - g.dueOf(f.n, f.c); f.batch > 2 && lag > reading {
+				t.Errorf("video%d/ch%d (rep %d, chunk %d) left %v after its instant, want at most %v", k.video, k.channel, f.n, f.c, lag, reading)
+			}
+		}
+	}
+	if len(r.log.warms) != r.log.batches {
+		t.Fatalf("%d warms for %d releases", len(r.log.warms), r.log.batches)
+	}
+	for b, at := range r.log.warms {
+		if at >= released[b+1] {
+			t.Errorf("tick %d warmed at epoch+%v, not before its release at %v", b+1, at, released[b+1])
 		}
 	}
 }
@@ -243,7 +279,7 @@ func TestLeadCloseDuringHold(t *testing.T) {
 	if r.log.batches != atStop+1 {
 		t.Errorf("%d releases after a stop during a hold, want just the held tick's", r.log.batches-atStop)
 	}
-	if bound := r.sh.leadBound(); r.vc.maxHold > bound {
+	if bound := r.sh.quantum() / 4; r.vc.maxHold > bound {
 		t.Errorf("a hold waited %v, over the lead bound %v", r.vc.maxHold, bound)
 	}
 }
@@ -273,7 +309,7 @@ func TestTickBudgetReported(t *testing.T) {
 	if !inBucket(snap.EgressStageP50Us, 2*work) {
 		t.Errorf("tick budget: stage p50 %v us, want in %v's bucket", snap.EgressStageP50Us, 2*work)
 	}
-	if max := float64(r.sh.leadBound()) / 1e3; snap.EgressWakeLeadUs <= 0 || snap.EgressWakeLeadUs > max {
+	if max := float64(r.sh.quantum()/4) / 1e3; snap.EgressWakeLeadUs <= 0 || snap.EgressWakeLeadUs > max {
 		t.Errorf("egressWakeLeadUs = %v, outside (0, %v]", snap.EgressWakeLeadUs, max)
 	}
 	doc, err := json.Marshal(snap)
@@ -296,7 +332,7 @@ func TestWakeLateReported(t *testing.T) {
 	var bound time.Duration
 	r := twice(t, func() *wheelRig {
 		r := leadRig(t, 5*time.Microsecond)
-		bound = r.sh.leadBound()
+		bound = r.sh.quantum() / 4
 		r.vc.wake = 2 * bound
 		r.play(ticks)
 		return r

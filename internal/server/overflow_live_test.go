@@ -27,9 +27,9 @@ func TestControlOverflowRejected(t *testing.T) {
 		msg  wire.Control
 	}{
 		{"nack last chunk wraps", wire.Control{Kind: wire.KindNack,
-			Nack: &wire.Nack{Video: 0, Channel: 1, BaseChunk: math.MaxInt64 - 7, Bitmap: []byte{0x00, 0x01}}}},
+			Nack: &wire.Nack{Video: 0, Channel: 1, BaseChunk: math.MaxInt - 7, Bitmap: []byte{0x00, 0x01}}}},
 		{"nack huge base, no wrap", wire.Control{Kind: wire.KindNack,
-			Nack: &wire.Nack{Video: 0, Channel: 1, BaseChunk: math.MaxInt64 - 16, Bitmap: []byte{0x01, 0x01}}}},
+			Nack: &wire.Nack{Video: 0, Channel: 1, BaseChunk: math.MaxInt - 16, Bitmap: []byte{0x01, 0x01}}}},
 		{"repair range wraps", wire.Control{Kind: wire.KindRepair,
 			Repair: &wire.Repair{Video: 0, Channel: 1, Offset: math.MaxInt64 &^ 1023, Length: 1024}}},
 		{"repair huge offset, no wrap", wire.Control{Kind: wire.KindRepair,

@@ -324,11 +324,12 @@ func (s *Server) wakeLateness() *metrics.Log2Histogram {
 }
 
 // wakeLead is the longest lead any shard currently arms its tick source
-// with: its wake latency plus its staging time, within its bound.
+// with: the span from the instant the source was armed for to the end of
+// staging, as measured, within a quarter of the shard's quantum.
 func (s *Server) wakeLead() time.Duration {
 	var lead time.Duration
 	for _, sh := range s.wheel {
-		lead = max(lead, sh.lead(sh.leadBound()))
+		lead = max(lead, sh.lead.value())
 	}
 	return lead
 }
@@ -372,14 +373,15 @@ func (s *Server) fragmentBytes(i int) int {
 // are materialised into a; without one nothing is built. Under a fault
 // plan every frame, built or not, meets its decision here, once (the
 // plan's counts must not depend on who listens), and the batch holds
-// what the plan lets leave at the instant.
-func (s *Server) emit(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) []mcast.BatchEntry {
+// what the plan lets leave at the instant, release; a frame the plan
+// delays leaves its delay after it.
+func (s *Server) emit(a *frameArena, batch []mcast.BatchEntry, release time.Time, g mcast.Group, cc *channelCache, c int, n uint32, heard bool) []mcast.BatchEntry {
 	cb, fg := s.cfg.ChunkBytes, s.cfg.FecGroup
 	var frame []byte
 	if heard {
 		frame = s.cache.materialise(a, cc, c, n)
 	}
-	batch = s.stageFrame(a, batch, g, n, uint32(c*cb), 0, frame)
+	batch = s.stageFrame(a, batch, release, g, n, uint32(c*cb), 0, frame)
 	if fg == 0 || ((c+1)%fg != 0 && c+1 != len(cc.crcs)) {
 		return batch
 	}
@@ -390,16 +392,16 @@ func (s *Server) emit(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, cc
 		s.parityFrames.Inc()
 		s.parityBytes.Add(int64(len(parity)))
 	}
-	return s.stageFrame(a, batch, g, n, uint32(pg*fg*cb), cc.groupCount(s.cache, pg), parity)
+	return s.stageFrame(a, batch, release, g, n, uint32(pg*fg*cb), cc.groupCount(s.cache, pg), parity)
 }
 
 // stageFrame appends one scheduled frame of group g — nil when unbuilt —
 // to the batch: what the fault plan lets leave when there is one (covered
 // is 0 for data, the chunks a parity frame covers otherwise), the frame
 // itself when there is none.
-func (s *Server) stageFrame(a *frameArena, batch []mcast.BatchEntry, g mcast.Group, seq, offset uint32, covered int, frame []byte) []mcast.BatchEntry {
+func (s *Server) stageFrame(a *frameArena, batch []mcast.BatchEntry, release time.Time, g mcast.Group, seq, offset uint32, covered int, frame []byte) []mcast.BatchEntry {
 	if s.inj != nil {
-		return s.inj.Stage(batch, g, seq, offset, covered, frame, a.take)
+		return s.inj.Stage(batch, release, g, seq, offset, covered, frame, a.take)
 	}
 	if frame != nil {
 		batch = append(batch, mcast.BatchEntry{Group: g, Frame: frame})

@@ -12,13 +12,14 @@
 // readiness event is what ends the epoll_wait, and the goroutine is
 // parked meanwhile — it holds no P, so the control plane is not starved
 // the way it is by a wait that is all nanosleep or spin. The shard does
-// finish each wait with a hold on the clock, but one bounded by the wake
-// latency and staging time it has measured (leadEstimator, together at
-// most maxWakeLead), not by the length of the wait. Staging ends with the
-// send-path warm (mcast.Hub.Warm) when anything is heard, so the staging
-// time the lead covers includes it: a transmit path left idle for a tick
-// is cold, and it is the warm, not the tick's first datagram, that pays
-// for that before the instant.
+// finish each wait with a hold on the clock, but one bounded by the lead
+// it has measured (leadEstimator), never more than a quarter of its
+// quantum, not by the length of the wait. The lead covers everything
+// between the instant the source was armed for and the end of staging:
+// the wake, the batch's build and, when anything is heard, the send-path
+// warm (mcast.Hub.Warm) that ends it — a transmit path left idle for a
+// tick is cold, and it is the warm, not the tick's first datagram, that
+// pays for that before the instant.
 //
 // Everywhere else, and whenever the timerfd cannot be created or stops
 // answering, the shard waits on time.Timer exactly as before. Which one
@@ -54,33 +55,28 @@ type tickSource interface {
 	close()
 }
 
-// maxWakeLead bounds how far ahead of a grid instant a shard arms its tick
-// source, and with it the hold on the clock that follows the park. A shard
-// also never leads by more than a quarter of its quantum.
-const maxWakeLead = 300 * time.Microsecond
-
-// leadEstimator is a shard's estimate of one thing that stands between
-// its park and the instant a tick leaves: its wake latency — how long
-// after the instant its tick source was armed for the goroutine is
-// running again — or its staging time — how long building the tick's
-// batch takes. The shard arms the source the sum of the two ahead of each
-// grid instant — what the ETF qdisc calls its delta — and holds on the
-// clock for the rest. The estimate is an exponentially weighted mean
-// (weight 1/8) of the measured durations, 0 until there is one. Both are
-// skewed — mostly a little under their mean, now and then far over — so
-// leading by the mean already has the batch built before the instant more
-// often than not, and no margin is added on top: a margin is hold time,
-// which is CPU. Every sample is clamped to the shard's bound first, so a
-// descheduled process moves the estimate by an eighth of the bound and is
-// forgotten within a few ticks.
+// leadEstimator is a shard's estimate of the span that stands between its
+// park and the instant a tick can leave: from the instant its tick source
+// was armed for to the end of staging — the wake latency, the batch's
+// build and the warm that ends it, measured as one span. The shard arms
+// the source that far ahead of each grid instant — what the ETF qdisc
+// calls its delta — and holds on the clock for whatever is left. The
+// estimate is an exponentially weighted mean (weight 1/8) of the measured
+// spans, 0 until there is one. The span is skewed — mostly a little under
+// its mean, now and then far over — so leading by the mean already has
+// the batch built before the instant more often than not, and no margin
+// is added on top: a margin is hold time, which is CPU. Every sample is
+// clamped to the shard's bound, a quarter of its quantum, first, so the
+// estimate never leaves it, and a descheduled process moves the estimate
+// by an eighth of the bound and is forgotten within a few ticks.
 //
 // observe belongs to the shard goroutine; value may be read from any.
 type leadEstimator struct {
 	mean atomic.Int64 // nanoseconds; 0: no sample yet
 }
 
-// observe folds in one measured duration; max is the shard's bound. A
-// negative duration — the source returned early — is no measurement.
+// observe folds in one measured span; max is the shard's bound. A
+// negative span — the source returned early — is no measurement.
 func (l *leadEstimator) observe(d, max time.Duration) {
 	if d < 0 {
 		return

@@ -97,8 +97,8 @@ type wheelEntry struct {
 	c   int
 	due time.Duration // offset of the next send from the epoch
 	// heard is whether the channel had a listener in the membership
-	// snapshot the shard last looked at (wheelShard.seen); true until a
-	// stage has a hub to ask.
+	// snapshot the shard last looked at (wheelShard.seen); true until the
+	// first stage reads one.
 	heard bool
 	// The tick being staged: its first chunk (repetition firstN, chunk
 	// firstC, due at firstDue — the most-late one) and how many chunks it
@@ -176,11 +176,10 @@ type wheelShard struct {
 	stageTime metrics.Log2Histogram
 	warmTime  metrics.Log2Histogram
 	sendTime  metrics.Log2Histogram
-	// wakeLead and stageLead are what the shard has measured its wake
-	// latency and its staging time to be; it arms its tick source their
-	// sum ahead of a grid instant (lead).
-	wakeLead  leadEstimator
-	stageLead leadEstimator
+	// lead is what the shard has measured the span from the instant its
+	// tick source was armed for to the end of staging to be; it arms the
+	// source that far ahead of a grid instant.
+	lead leadEstimator
 
 	// resends are the chunks NACKs queued for the next stage, under
 	// resendMu (Server.nackResend); staging is what the last stage took.
@@ -403,19 +402,6 @@ func (sh *wheelShard) nextDue() (next time.Duration, ok bool) {
 	return max(next, time.Duration(sh.cur)*sh.tickLen), true
 }
 
-// leadBound is how far ahead of a grid instant the shard may arm its tick
-// source: maxWakeLead, and never more than a quarter of its quantum.
-func (sh *wheelShard) leadBound() time.Duration {
-	return min(maxWakeLead, sh.quantum()/4)
-}
-
-// lead is how far ahead of a grid instant the shard arms its tick source:
-// the time it takes to be running again, plus the time it takes to stage
-// the tick, within bound.
-func (sh *wheelShard) lead(bound time.Duration) time.Duration {
-	return min(sh.wakeLead.value()+sh.stageLead.value(), bound)
-}
-
 // run is the shard's tick loop: park on the tick source until a little
 // before the earliest due tick, collect everything due and stage it as
 // one batch, hold on the clock until the instant, release the batch.
@@ -424,15 +410,18 @@ func (sh *wheelShard) lead(bound time.Duration) time.Duration {
 //
 // The park ends `lead` early because the tick takes time before anything
 // can be sent: being woken — the timer fires on the instant, the goroutine
-// runs some tens of microseconds later — and staging the batch, which
-// behind a fault plan takes longer than the wake. Both are measured
-// (wakeLead, stageLead), so the batch is usually built just before the
+// runs some tens of microseconds later — then staging the batch, which
+// behind a fault plan takes longer than the wake, and warming the send
+// path. The whole span, from the instant the source was armed for to the
+// end of the stage, is measured as one (lead), once per armed tick that
+// staged, so the batch is usually built and the path warm just before the
 // instant and the short hold that follows is what puts the send on it:
-// nothing is sent early, and the hold never exceeds lead. A shard that
-// wakes late, or whose staging overruns, sends late by the overrun; one
-// already past the instant stages and sends at once. A wait that ends
-// earlier than lead — or for no reason — is harmless: nothing is staged,
-// and the next pass re-arms from the clock.
+// nothing is sent early, and the hold never exceeds lead, which never
+// exceeds a quarter of the quantum. A shard that wakes late, or whose
+// staging overruns, sends late by the overrun; one already past the
+// instant stages and sends at once. A wait that ends earlier than lead —
+// or for no reason — is harmless: nothing is staged, and the next pass
+// re-arms from the clock.
 //
 // Queued re-sends ride the next release: a tick's, or, when a poke ended
 // the park too early to stage one, a release of the re-sends alone. A
@@ -445,7 +434,7 @@ func (sh *wheelShard) run() {
 	for _, e := range sh.entries {
 		e.resync(start)
 	}
-	maxLead := sh.leadBound()
+	bound := sh.tickLen / 4
 	src := s.newTickSource()
 	sh.setTick(src)
 	defer sh.setTick(nil) // every exit, a panic included, releases the source
@@ -458,7 +447,7 @@ func (sh *wheelShard) run() {
 		next, ok := sh.nextDue()
 		wait, lead := time.Hour, time.Duration(0)
 		if ok {
-			lead = sh.lead(maxLead)
+			lead = sh.lead.value()
 			wait = s.epoch.Add(next).Sub(s.clock.now()) - lead
 		}
 		ticked, err := s.clock.park(src, wait)
@@ -477,11 +466,6 @@ func (sh *wheelShard) run() {
 			continue
 		}
 		now := s.since()
-		if wait > 0 {
-			// The source was armed for next-lead; this is how long
-			// after it the shard is running.
-			sh.wakeLead.observe(now-(next-lead), maxLead)
-		}
 		at := max(now, next)
 		if next-now > lead {
 			sh.due = sh.due[:0] // too early to stage for the tick
@@ -495,7 +479,12 @@ func (sh *wheelShard) run() {
 			}
 			continue
 		}
-		sh.stageLead.observe(sh.stage(at), maxLead)
+		sh.stage(at)
+		if wait > 0 {
+			// The source was armed for next-lead: this is how long after
+			// it the tick was staged — the wake, the build and the warm.
+			sh.lead.observe(s.since()-(next-lead), bound)
+		}
 		if now < next {
 			now = s.clock.hold(s.epoch.Add(next)).Sub(s.epoch)
 		}
@@ -506,10 +495,9 @@ func (sh *wheelShard) run() {
 }
 
 // stage builds the tick collect put in due, for the batch to leave at the
-// epoch offset at, and reports how long that took; it sends nothing a
-// member hears. The hub's membership snapshot is read once, on entry (and
-// the per-channel answers redrawn only if it is not the one the last stage
-// saw): a chunk
+// epoch offset at; it sends nothing a member hears. The hub's membership
+// snapshot is read once, on entry (and the per-channel answers redrawn
+// only if it is not the one the last stage saw): a chunk
 // whose group has a member is materialised into the shard's arena and
 // staged into the tick's one batch, and a chunk nobody hears is not built
 // at all. Under a fault plan every due frame, built or not, meets the
@@ -533,32 +521,32 @@ func (sh *wheelShard) run() {
 // coalesces into super-frames.
 //
 // Queued re-sends go behind the scheduled frames (stageResends). A tick's
-// non-empty batch then ends the stage with a warm (hubSeam.Warm), inside
-// the timed region, so the stage lead — and with it the wake lead —
-// covers it. Last, only the hold stands between the warm and the release,
-// and a tick nobody hears is known not to need one. The fault plan never
-// sees it. Re-sends alone (nothing due) leave at once, unwarmed.
-func (sh *wheelShard) stage(at time.Duration) time.Duration {
+// non-empty batch then ends the stage with a warm (hubSeam.Warm), so the
+// lead, which runs to the end of the stage, covers it. Last, only the hold
+// stands between the warm and the release, and a tick nobody hears is
+// known not to need one. The fault plan never sees it. Re-sends alone
+// (nothing due) leave at once, unwarmed. stageTime and warmTime time the
+// stage and its warm for /status.
+func (sh *wheelShard) stage(at time.Duration) {
 	s := sh.s
 	began := s.clock.now()
 	sh.batch = sh.batch[:0]
 	sh.arena.reset()
-	if s.hub != nil { // nil only under tests that drive a never-started server
-		if l := s.hub.Listeners(); l != sh.seen {
-			sh.seen = l
-			for _, e := range sh.entries {
-				e.heard = l.Heard(e.group)
-			}
+	if l := s.hub.Listeners(); l != sh.seen {
+		sh.seen = l
+		for _, e := range sh.entries {
+			e.heard = l.Heard(e.group)
 		}
 	}
 	var scheduled, staged int64
+	release := s.epoch.Add(at)
 	for _, e := range sh.due {
 		if len(sh.batch) == 0 {
 			sh.batchSeq = e.n
 		}
 		e.firstN, e.firstC, e.firstDue, e.run = e.n, e.c, e.due, 0
 		for {
-			sh.batch = s.emit(&sh.arena, sh.batch, e.group, e.cc, e.c, e.n, e.heard)
+			sh.batch = s.emit(&sh.arena, sh.batch, release, e.group, e.cc, e.c, e.n, e.heard)
 			e.advance()
 			e.run++
 			// A run ends when the entry is caught up or at the wheelMaxRun
@@ -577,7 +565,7 @@ func (sh *wheelShard) stage(at time.Duration) time.Duration {
 	s.egressStaged.Add(staged)
 	sh.stageResends()
 	if len(sh.due) == 0 {
-		return 0
+		return
 	}
 	end := s.clock.now()
 	if len(sh.batch) > 0 {
@@ -586,9 +574,7 @@ func (sh *wheelShard) stage(at time.Duration) time.Duration {
 		sh.warmTime.Observe(int64(warmed.Sub(end)))
 		end = warmed
 	}
-	took := end.Sub(began)
-	sh.stageTime.Observe(int64(took))
-	return took
+	sh.stageTime.Observe(int64(end.Sub(began)))
 }
 
 // stageResends takes the queue and materialises each chunk heard into the

@@ -457,7 +457,7 @@ func TestWheelWarmsEachHeardTick(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			r.vc.onPark = func(int) {
 				r.vc.wake = time.Duration(rng.Int63n(int64(150 * time.Microsecond)))
-				margins = append(margins, r.sh.lead(r.sh.leadBound())-r.vc.wake)
+				margins = append(margins, r.sh.lead.value()-r.vc.wake)
 			}
 			r.play(ticks)
 			return r
@@ -614,7 +614,7 @@ func TestWheelGridProperty(t *testing.T) {
 			r := twice(t, func() *wheelRig {
 				r := newWheelRig(t, Config{Scheme: wheelScheme(t, 3, 5), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024})
 				r.hearAll(t)
-				bound = r.sh.leadBound()
+				bound = r.sh.quantum() / 4
 				rng := rand.New(rand.NewSource(seed))
 				panicAt, lastStall := 10+rng.Intn(20), 0
 				r.vc.onPark = func(int) {
