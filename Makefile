@@ -89,9 +89,13 @@ race:
 # wheel's tick source on the wall clock (never early,
 # stop wakes a parked shard, fallback and demotion, no descriptor or
 # goroutine left behind by restarts) and its wake lead on the virtual one
-# (never early whatever the source does, bounded, follows the wake
-# latency, a stop during a hold; the stage lead follows the staging time,
-# the sum bounded), the
+# (one measured span — wake, stage and warm — never early whatever the
+# source does, bounded by a quarter of the tick, following the wake
+# latency, a stop during a hold), the one grid every channel's chunks
+# fall on (chunkAt and chunkDue against the closed form up to 10⁹ units
+# past the epoch, and on a floored geometry — a chunk spacing that is
+# not a whole number of nanoseconds — every frame on or after its
+# instant and within a tick of it), the
 # tick split in two (staging sends nothing, a join between stage and
 # release starts with the next tick, each frame's
 # fault decision made once), listener-gated materialise-on-send (only

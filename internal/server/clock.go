@@ -26,7 +26,7 @@ func (wallClock) now() time.Time { return time.Now() }
 func (wallClock) park(src tickSource, d time.Duration) (bool, error) { return src.wait(d) }
 
 // hold spins: it is bounded by the shard's lead, at most a quarter of its
-// quantum, and a park for the rest could end past the instant.
+// tick, and a park for the rest could end past the instant.
 func (wallClock) hold(at time.Time) time.Time {
 	for {
 		if now := time.Now(); !now.Before(at) {

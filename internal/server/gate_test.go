@@ -19,8 +19,8 @@ import (
 )
 
 // warmTicks is how many ticks a test runs before it measures a dispatch's
-// steady state: far more than the due list, arena and batch take to reach
-// their steady size.
+// steady state: far more than the arena and batch take to reach their
+// steady size.
 const warmTicks = 256
 
 // mallocs is how many heap objects the process has allocated so far.
@@ -31,11 +31,12 @@ func mallocs() uint64 {
 }
 
 // TestDispatchStagesOnlyHeardGroups: on a 200-channel schedule with
-// members on 5 groups, every channel's cursor walks the grid a chunk a
-// tick, but only the 5 heard groups' chunks are materialised and staged,
-// and a steady-state tick allocates nothing. A group that loses its last
-// member stops costing from the next tick, and a failed send is logged
-// against the first chunk it staged.
+// members on 5 groups, the shard's index walks the grid a chunk a tick and
+// every channel is scheduled each tick, but only the 5 heard groups'
+// chunks are materialised and staged, and a steady-state tick allocates
+// nothing (checked without the race detector, whose runtime allocates on
+// its own). A group that loses its last member stops costing from the next
+// tick, and a failed send is logged against the first chunk it staged.
 func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 	const ticks = 40
 	heard := []mcast.Group{{Video: 0, Channel: 1}, {Video: 3, Channel: 7}, {Video: 5, Channel: 20}, {Video: 9, Channel: 2}, {Video: 9, Channel: 19}}
@@ -44,7 +45,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 		leave   = measure + 50          // the park that ends it and empties heard[0]
 	)
 	var (
-		cursors   []time.Duration // every entry's next due offset after `ticks` ticks
+		cursor    int64 // the shard's index after `ticks` ticks
 		allocs    uint64
 		afterLeft int64 // chunks staged by the tick after the Leave
 		want      string
@@ -71,10 +72,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 		r.vc.onPark = func(n int) {
 			switch n {
 			case ticks + 1:
-				cursors = nil
-				for _, e := range r.sh.entries {
-					cursors = append(cursors, e.due)
-				}
+				cursor = r.sh.next
 				r.log.quiet = true // the frames of the first ticks are checked; the rest are counted
 			case measure:
 				// No collection in the window: a GC cycle wakes runtime
@@ -91,10 +89,10 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 				afterLeft = r.srv.egressStaged.Value() - staged0
 			}
 			switch {
-			case n > leave+1 && failAt == 0 && first.c == first.chunks-1:
+			case n > leave+1 && failAt == 0 && r.sh.next%int64(first.chunks) == int64(first.chunks-1):
 				// Not the first due entry, which nobody hears any more, and
-				// not the repetition the cursor moves on to.
-				failAt, want = n, fmt.Sprintf("sending %v seq %d: refused", first.group, first.n)
+				// not the repetition the index moves on to.
+				failAt, want = n, fmt.Sprintf("sending %v seq %d: refused", first.group, r.sh.next/int64(first.chunks))
 				r.log.err = errors.New("refused")
 			case failAt > 0:
 				r.log.err = nil
@@ -104,10 +102,9 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 		return r
 	})
 
-	for j, e := range r.sh.entries {
-		if cursors[j] != ticks*e.spacing {
-			t.Fatalf("%v: after %d ticks the cursor is due at %v, want %v", e.group, ticks, cursors[j], ticks*e.spacing)
-		}
+	if spacing := r.srv.cfg.Unit / 4; cursor != ticks || r.sh.chunkDue(cursor) != ticks*spacing {
+		t.Fatalf("after %d ticks the index is at chunk %d, due at %v; want chunk %d, due at %v",
+			ticks, cursor, r.sh.chunkDue(cursor), ticks, ticks*spacing)
 	}
 	by := r.channels()
 	if len(by) != len(heard) {
@@ -129,7 +126,7 @@ func TestDispatchStagesOnlyHeardGroups(t *testing.T) {
 	if st := r.srv.cache.stats(); st.Hits+st.Misses != int64(r.log.frames) {
 		t.Errorf("frame cache served %d materialisations for %d frames sent", st.Hits+st.Misses, r.log.frames)
 	}
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("50 steady-state ticks allocated %d times, want 0", allocs)
 	}
 	if afterLeft != int64(len(heard)-1) {
@@ -460,8 +457,8 @@ func TestServerHeapFlatAcrossCatalog(t *testing.T) {
 // running skybench's lossy plan with a G=4 stripe, so staging also pays
 // the plan's per-entry decisions, heard and unheard. Every iteration is
 // one tick of the shard's loop on a virtual clock; phase picks which part
-// ns/op times: "stage" — from the wake to the hand-over: collect, gate,
-// materialise, decide with the fault plan, advance, what the shard does
+// ns/op times: "stage" — from the wake to the hand-over: gate,
+// materialise, decide with the fault plan, what the shard does
 // before the instant — or "release" — from the hand-over to the next
 // park: the send, what is left for the instant. allocs/op counts the
 // whole tick.
@@ -489,8 +486,8 @@ func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 	for j := 0; j < len(r.sh.entries); j += 20 {
 		r.join(b, r.sh.entries[j].group)
 	}
-	// The timed ticks are warmTicks+1 … warmTicks+b.N: the due list, arena
-	// and batch are at their steady size by then.
+	// The timed ticks are warmTicks+1 … warmTicks+b.N: the arena and batch
+	// are at their steady size by then.
 	var mark time.Time
 	var spent time.Duration
 	var staged int64
@@ -530,7 +527,7 @@ func benchFullDispatch(b *testing.B, k int, faulted bool, phase string) {
 // was open).
 func nackPrev(t *testing.T, r *wheelRig, cs *controlSession, ch, chunk int) (seq uint32, ok bool) {
 	t.Helper()
-	n := uint32(r.vc.t.Sub(r.srv.epoch) / r.grid(mcast.Group{Video: 0, Channel: ch}).period)
+	n := uint32(r.vc.t.Sub(r.srv.epoch) / r.grid(mcast.Group{Video: 0, Channel: ch}).period())
 	if n == 0 {
 		return 0, false
 	}
@@ -573,7 +570,7 @@ func TestNackResendRidesWheel(t *testing.T) {
 		r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 100 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
 		r.hearAll(t)
 		r.vc.work = 2 * time.Microsecond
-		q, cs, rng := r.sh.quantum(), r.srv.newSession("cohort"), rand.New(rand.NewSource(7))
+		q, cs, rng := r.sh.tickSpan(), r.srv.newSession("cohort"), rand.New(rand.NewSource(7))
 		nack := func(by time.Duration, more int) {
 			ch := 1 + rng.Intn(3)
 			chunk := rng.Intn(r.grid(mcast.Group{Video: 0, Channel: ch}).chunks)

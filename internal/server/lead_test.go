@@ -14,7 +14,7 @@ import (
 // steady latency; the clamp; how little one outlier moves it and how soon
 // it is forgotten; and that an early return is not a measurement.
 func TestWakeLeadEstimator(t *testing.T) {
-	const bound = 250 * time.Microsecond // quantum/4 of a 1 ms wheel
+	const bound = 250 * time.Microsecond // a quarter of a 1 ms tick
 	var l leadEstimator
 	if got := l.value(); got != 0 {
 		t.Fatalf("lead before any sample = %v, want 0", got)
@@ -64,14 +64,14 @@ func TestWakeLeadEstimator(t *testing.T) {
 // armed for to the end of staging: a wake latency, then a staging time —
 // the build and the warm. The lead adopts its first span, follows the
 // measured span when the tick's cost changes, and never exceeds a quarter
-// of the quantum, the bound every span is clamped to. A wake and a stage
-// whose sum passes 300 µs are led by the sum when the quantum allows it.
+// of the tick, the bound every span is clamped to. A wake and a stage
+// whose sum passes 300 µs are led by the sum when the tick allows it.
 func TestStageLeadEstimator(t *testing.T) {
 	const us = time.Microsecond
-	const q4 = 781250 * time.Nanosecond // a quarter of a 3125 µs quantum
+	const q4 = 781250 * time.Nanosecond // a quarter of a 3125 µs tick
 	for _, tc := range []struct {
 		name        string
-		spacing     time.Duration // the shard's quantum
+		spacing     time.Duration // the grid's, and so the shard's tick
 		wake        time.Duration // every span's wake latency
 		stage, then time.Duration // its staging time, before and after the tick's cost changes
 		bound       time.Duration
@@ -87,10 +87,10 @@ func TestStageLeadEstimator(t *testing.T) {
 		{"fine quantum", 400 * us, 60 * us, 108 * us, 108 * us, 100 * us, 100 * us, 100 * us},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh := &wheelShard{entries: []*wheelEntry{{spacing: tc.spacing}}}
-			bound := sh.quantum() / 4
+			sh := &wheelShard{unit: tc.spacing, perUnit: 1}
+			bound := sh.tickSpan() / 4
 			if bound != tc.bound {
-				t.Fatalf("bound = %v at a %v quantum, want %v", bound, tc.spacing, tc.bound)
+				t.Fatalf("bound = %v at a %v tick, want %v", bound, tc.spacing, tc.bound)
 			}
 			if got := sh.lead.value(); got != 0 {
 				t.Fatalf("lead before any span = %v, want 0", got)
@@ -159,7 +159,7 @@ func TestLeadNeverDispatchesEarly(t *testing.T) {
 					t.Errorf("video%d/ch%d sent %d chunks in 40 ticks", k.video, k.channel, len(frames))
 				}
 			}
-			bound := r.sh.quantum() / 4
+			bound := r.sh.tickSpan() / 4
 			if lead := r.srv.wakeLead(); lead < 0 || lead > bound {
 				t.Errorf("lead = %v, outside [0, %v]", lead, bound)
 			}
@@ -195,7 +195,7 @@ func TestLeadFollowsWakeLatency(t *testing.T) {
 	if firstLead != 0 {
 		t.Errorf("lead when the first wait was armed = %v, want 0", firstLead)
 	}
-	bound := r.sh.quantum() / 4
+	bound := r.sh.tickSpan() / 4
 	if lead := r.srv.wakeLead(); lead < late || lead > bound {
 		t.Errorf("lead = %v after 100 ticks of wakes %v late, want within [%v, %v]", lead, late, late, bound)
 	}
@@ -210,12 +210,12 @@ func TestLeadFollowsWakeLatency(t *testing.T) {
 }
 
 // TestLeadCoversWakeAndWarm: a wake 250 µs late and 100 µs of staging and
-// warm — 350 µs together, past 300 µs, under the 1.25 ms quarter quantum —
+// warm — 350 µs together, past 300 µs, under the 1.25 ms quarter tick —
 // are led by their sum. Each reading between the park and the hold costs
 // 50 µs (two of them span the stage and its warm) and the release costs
 // nothing, so once the lead has settled every frame leaves at most one
 // reading after its instant: none early, none later, each release behind
-// its tick's warm, and no hold longer than the quarter quantum.
+// its tick's warm, and no hold longer than the quarter tick.
 func TestLeadCoversWakeAndWarm(t *testing.T) {
 	const wake, reading = 250 * time.Microsecond, 50 * time.Microsecond
 	r := twice(t, func() *wheelRig {
@@ -226,7 +226,7 @@ func TestLeadCoversWakeAndWarm(t *testing.T) {
 		r.play(60)
 		return r
 	})
-	bound := r.sh.quantum() / 4
+	bound := r.sh.tickSpan() / 4
 	if lead := r.srv.wakeLead(); lead < wake+2*reading || lead > bound {
 		t.Errorf("lead = %v, want within [%v, %v]", lead, wake+2*reading, bound)
 	}
@@ -279,7 +279,7 @@ func TestLeadCloseDuringHold(t *testing.T) {
 	if r.log.batches != atStop+1 {
 		t.Errorf("%d releases after a stop during a hold, want just the held tick's", r.log.batches-atStop)
 	}
-	if bound := r.sh.quantum() / 4; r.vc.maxHold > bound {
+	if bound := r.sh.tickSpan() / 4; r.vc.maxHold > bound {
 		t.Errorf("a hold waited %v, over the lead bound %v", r.vc.maxHold, bound)
 	}
 }
@@ -309,7 +309,7 @@ func TestTickBudgetReported(t *testing.T) {
 	if !inBucket(snap.EgressStageP50Us, 2*work) {
 		t.Errorf("tick budget: stage p50 %v us, want in %v's bucket", snap.EgressStageP50Us, 2*work)
 	}
-	if max := float64(r.sh.quantum()/4) / 1e3; snap.EgressWakeLeadUs <= 0 || snap.EgressWakeLeadUs > max {
+	if max := float64(r.sh.tickSpan()/4) / 1e3; snap.EgressWakeLeadUs <= 0 || snap.EgressWakeLeadUs > max {
 		t.Errorf("egressWakeLeadUs = %v, outside (0, %v]", snap.EgressWakeLeadUs, max)
 	}
 	doc, err := json.Marshal(snap)
@@ -332,7 +332,7 @@ func TestWakeLateReported(t *testing.T) {
 	var bound time.Duration
 	r := twice(t, func() *wheelRig {
 		r := leadRig(t, 5*time.Microsecond)
-		bound = r.sh.quantum() / 4
+		bound = r.sh.tickSpan() / 4
 		r.vc.wake = 2 * bound
 		r.play(ticks)
 		return r

@@ -325,7 +325,7 @@ func (s *Server) wakeLateness() *metrics.Log2Histogram {
 
 // wakeLead is the longest lead any shard currently arms its tick source
 // with: the span from the instant the source was armed for to the end of
-// staging, as measured, within a quarter of the shard's quantum.
+// staging, as measured, within a quarter of the shard's tick.
 func (s *Server) wakeLead() time.Duration {
 	var lead time.Duration
 	for _, sh := range s.wheel {

@@ -83,7 +83,7 @@ type StatusSnapshot struct {
 	// sits beside them, same units and resolution: EgressWakeLeadUs is how
 	// far ahead of the instant the shards currently arm their tick source
 	// (the span from the armed instant to the end of staging — wake, build
-	// and warm — they have measured, within a quarter of the quantum; the
+	// and warm — they have measured, within a quarter of the tick; the
 	// largest across shards), EgressStageP50Us how long staging a tick's
 	// batch takes — spent before the instant when the lead covers it — and
 	// EgressSendP50Us/P99Us how long inside the sender's SendBatch.

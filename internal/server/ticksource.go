@@ -1,6 +1,6 @@
 // The wheel's tick source: what a shard goroutine parks on between ticks.
 //
-// The broadcast grid is exact — epoch + n·period + c·spacing — but a
+// The broadcast grid is exact — chunk j at epoch + ⌊j·Unit/perUnit⌋ — but a
 // shard that sleeps on time.Timer does not wake on it. An idle Go process
 // waits for its timers inside epoll_wait, whose timeout the runtime
 // passes in whole milliseconds with any sub-millisecond remainder rounded
@@ -14,7 +14,7 @@
 // the way it is by a wait that is all nanosleep or spin. The shard does
 // finish each wait with a hold on the clock, but one bounded by the lead
 // it has measured (leadEstimator), never more than a quarter of its
-// quantum, not by the length of the wait. The lead covers everything
+// tick, not by the length of the wait. The lead covers everything
 // between the instant the source was armed for and the end of staging:
 // the wake, the batch's build and, when anything is heard, the send-path
 // warm (mcast.Hub.Warm) that ends it — a transmit path left idle for a
@@ -66,7 +66,7 @@ type tickSource interface {
 // its mean, now and then far over — so leading by the mean already has
 // the batch built before the instant more often than not, and no margin
 // is added on top: a margin is hold time, which is CPU. Every sample is
-// clamped to the shard's bound, a quarter of its quantum, first, so the
+// clamped to the shard's bound, a quarter of its tick, first, so the
 // estimate never leaves it, and a descheduled process moves the estimate
 // by an eighth of the bound and is forgotten within a few ticks.
 //

@@ -1,22 +1,23 @@
 // The egress engine: the wheel, a small fixed pool of shard goroutines
 // that drives every (video, channel) broadcast schedule.
 //
-// M videos × K channels are M·K schedules, but not M·K timers: each shard
-// owns a fixed subset of the channels as a flat list, quantizes time to
-// their chunk spacing, and sleeps until the earliest due tick. One wakeup
-// collects *every* chunk due in that tick across all the shard's channels
-// and hands them to the sender as a single batch (mcast.BatchSender), which
-// puts them on the wire in sendmmsg batches. The paper broadcasts every
-// channel at the one display rate, so every entry is due every tick and
-// finding the due ones is a pass over the list — there is no structure to
-// keep. Steady state is one timer wakeup and a handful of syscalls per tick
-// per shard, independent of how many channels share the tick — the paper's
+// M videos × K channels are M·K schedules, but not M·K timers, nor M·K
+// cursors. The paper broadcasts every channel at the one display rate, so
+// every channel's chunks fall on one grid: chunk j of any channel's
+// timeline — chunk c of repetition n, j = n·chunks + c — is due
+// ⌊j·Unit/perUnit⌋ after the epoch, perUnit chunks to a unit. Each shard
+// owns a fixed subset of the channels as a flat list and one index into
+// that grid, sleeps until the chunk it names is due, and stages that chunk
+// of every channel it owns as one batch for the sender
+// (mcast.BatchSender), which puts them on the wire in sendmmsg batches.
+// Steady state is one timer wakeup and a handful of syscalls per tick per
+// shard, independent of how many channels share the tick — the paper's
 // O(channels) server cost with the constant actually small.
 //
 // A tick is built before its instant and only sent on it. Nothing in a
 // frame depends on the instant it leaves at, so a shard wakes early
 // enough to stage the whole batch — fault-plan decisions for every due
-// chunk, materialised frames for the heard ones, cursors advanced — and,
+// chunk, materialised frames for the heard ones, the index advanced — and,
 // when anything is heard, to warm the send path with one datagram to the
 // hub's own sink (mcast.Hub.Warm), then holds on the clock, and at the
 // instant only releases it: the one send, the drift check. Without the
@@ -25,22 +26,21 @@
 //
 // What every channel is owed:
 //
-//   - The absolute epoch-anchored grid: entry positions are derived from
-//     the clock (resync), never from send counts, so chunk c of
-//     repetition n is due at epoch + n*period_i + c*spacing_i — the
-//     golden equivalence test pins every frame released to the closed
-//     form of that grid.
+//   - The absolute epoch-anchored grid: the index is derived from the
+//     clock (chunkAt), never from send counts, and every repetition n
+//     starts exactly at epoch + n·period_i — the golden equivalence test
+//     pins every frame released to the closed form of that grid, and
+//     none leaves before its instant.
 //   - Supervision: a shard runs under a panic-recovery/backoff loop
-//     (runWheelShard); a restarted shard resyncs every entry from the
-//     clock and rejoins the grid mid-repetition instead of replaying a
-//     burst.
+//     (runWheelShard); a restarted shard takes its index from the clock
+//     and rejoins the grid mid-repetition instead of replaying a burst.
 //   - The drift watchdog: every chunk sent more than one unit after its
 //     scheduled instant counts a drift event, with rate-limited logging —
 //     sustained drift means the host cannot keep the grid and clients
 //     will see schedule misses as losses.
 //
 // What a tick costs follows what is heard, not M·K: every due chunk keeps
-// its place on the grid (cursor, fault-plan accounting), but only a
+// its place on the grid (the index, fault-plan accounting), but only a
 // chunk whose group has a listener is materialised and staged.
 //
 // The wheel is the server's only sender: NACK re-sends ride the releases
@@ -57,10 +57,10 @@ import (
 	"skyscraper/internal/metrics"
 )
 
-// wheelMaxRun caps how many chunks one entry may stage into a single
-// dispatch when catching up. 64 matches the kernel's UDP GSO segment cap
-// (UDP_MAX_SEGMENTS), so a maximal catch-up run coalesces into exactly
-// one super-frame on the GSO path.
+// wheelMaxRun caps how many chunks of each entry a shard may stage into a
+// single dispatch when catching up. 64 matches the kernel's UDP GSO
+// segment cap (UDP_MAX_SEGMENTS), so a maximal catch-up run coalesces
+// into exactly one super-frame on the GSO path.
 const wheelMaxRun = 64
 
 // The supervisor's (runWheelShard) restart backoff: exponential between
@@ -72,86 +72,39 @@ const (
 	shardStableAfter = time.Second
 )
 
-// Bounds on the wheel quantum. The quantum tracks the finest chunk
-// spacing so same-tick chunks batch without adding schedule error beyond
-// one spacing; the floor keeps a pathological spacing from turning the
-// wheel into a busy loop, the ceiling bounds how much of a sparse schedule
-// one tick may gather.
-const (
-	minWheelQuantum = 50 * time.Microsecond
-	maxWheelQuantum = time.Second
-)
+// minWheelQuantum is the least time between two releases of a shard: a
+// grid finer than it batches several chunks a tick instead of turning the
+// wheel into a busy loop.
+const minWheelQuantum = 50 * time.Microsecond
 
-// wheelEntry is one channel's place in the broadcast schedule: its static
-// geometry (period, spacing, chunk count) and its cursor (repetition n,
-// chunk c, and the absolute due offset from the epoch).
+// wheelEntry is one channel of a shard: its group, its frames, and how
+// many chunks a repetition holds. Where it is on the grid is the shard's.
 type wheelEntry struct {
-	group mcast.Group
-	cc    *channelCache
-
-	period  time.Duration
-	spacing time.Duration
-	chunks  int
-
-	n   uint32
-	c   int
-	due time.Duration // offset of the next send from the epoch
+	group  mcast.Group
+	cc     *channelCache
+	chunks int
 	// heard is whether the channel had a listener in the membership
 	// snapshot the shard last looked at (wheelShard.seen); true until the
 	// first stage reads one.
 	heard bool
-	// The tick being staged: its first chunk (repetition firstN, chunk
-	// firstC, due at firstDue — the most-late one) and how many chunks it
-	// holds. Staging advances the cursor past them before the batch
-	// leaves, so release reads them here: the drift check measures and
-	// names its first chunk.
-	firstN   uint32
-	firstC   int
-	firstDue time.Duration
-	run      int
-}
-
-// resync points the entry at the grid slot containing elapsed — the chunk
-// due now or most recently — so a shard restart rejoins the schedule where
-// the clock is, not where the sends left off.
-func (e *wheelEntry) resync(elapsed time.Duration) {
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	n := elapsed / e.period
-	c := int((elapsed % e.period) / e.spacing)
-	if c >= e.chunks {
-		n, c = n+1, 0
-	}
-	e.n = uint32(n)
-	e.c = c
-	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
-}
-
-// advance moves the cursor to the next chunk. The due offset is always
-// recomputed from (n, c) — not incremented by spacing — because spacing
-// is the floor of period/chunks, and accumulating it would let the
-// schedule creep off the repetition boundaries the clients compute.
-func (e *wheelEntry) advance() {
-	if e.c++; e.c >= e.chunks {
-		e.n, e.c = e.n+1, 0
-	}
-	e.due = time.Duration(e.n)*e.period + time.Duration(e.c)*e.spacing
 }
 
 // wheelShard owns a fixed subset of the channel entries and runs their
-// schedule from one goroutine. due and batch are reused across wakeups.
+// schedule from one goroutine. batch is reused across wakeups.
 type wheelShard struct {
 	s       *Server
 	id      int
 	entries []*wheelEntry
-	// tickLen is the run's quantum and cur the next tick not yet collected:
-	// time is cut into ticks of tickLen from the epoch, and one tick's
-	// entries leave together — that is the batching.
-	tickLen time.Duration
-	cur     int64
-	due     []*wheelEntry
-	batch   []mcast.BatchEntry
+	// The grid: unit is the server's Unit and perUnit its chunks a unit.
+	// next is the index of the next chunk to stage, of every entry; the
+	// tick being staged holds runLen chunks from first — 0 for re-sends
+	// alone. Staging moves next past them before the batch leaves, so
+	// release reads them here: the drift check measures and names first.
+	unit        time.Duration
+	perUnit     int64
+	next, first int64
+	runLen      int
+	batch       []mcast.BatchEntry
 	// batchSeq is the repetition of the batch's first frame, for the log
 	// line of a failed send.
 	batchSeq uint32
@@ -187,6 +140,31 @@ type wheelShard struct {
 	resends, staging []resend
 }
 
+// chunkDue is the epoch offset chunk j of every channel's timeline is due
+// at, ⌊j·unit/perUnit⌋, computed unit by unit so it cannot overflow
+// before the Duration does.
+func (sh *wheelShard) chunkDue(j int64) time.Duration {
+	p := sh.perUnit
+	return time.Duration(j/p)*sh.unit + time.Duration(j%p)*sh.unit/time.Duration(p)
+}
+
+// chunkAt is chunkDue's inverse: the last chunk due at or before elapsed,
+// 0 before the epoch. Within a unit, chunk k is due by r exactly when
+// k·unit < (r+1)·perUnit.
+func (sh *wheelShard) chunkAt(elapsed time.Duration) int64 {
+	if elapsed < 0 {
+		return 0
+	}
+	p, r := sh.perUnit, int64(elapsed%sh.unit)
+	return int64(elapsed/sh.unit)*p + ((r+1)*p-1)/int64(sh.unit)
+}
+
+// tickSpan is the shard's tick: the grid's spacing, but no finer than
+// minWheelQuantum. The lead is bounded by a quarter of it.
+func (sh *wheelShard) tickSpan() time.Duration {
+	return max(sh.unit/time.Duration(sh.perUnit), minWheelQuantum)
+}
+
 // resend is one NACKed chunk of an entry's channel, under the NACK's Seq.
 type resend struct {
 	e     *wheelEntry
@@ -194,20 +172,13 @@ type resend struct {
 	chunk int
 }
 
-// newWheelEntry builds the schedule state for (video v, channel i): chunks
-// of repetition n are spread evenly across [epoch + n*period,
-// epoch + (n+1)*period).
+// newWheelEntry builds the entry for (video v, channel i).
 func (s *Server) newWheelEntry(v, i int) *wheelEntry {
-	size := s.cfg.Scheme.Sizes()[i-1]
-	period := time.Duration(size) * s.cfg.Unit
-	chunks := s.fragmentBytes(i) / s.cfg.ChunkBytes
 	return &wheelEntry{
-		group:   mcast.Group{Video: v, Channel: i},
-		cc:      s.cache.channel(v, i),
-		heard:   true,
-		period:  period,
-		spacing: period / time.Duration(chunks),
-		chunks:  chunks,
+		group:  mcast.Group{Video: v, Channel: i},
+		cc:     s.cache.channel(v, i),
+		chunks: s.fragmentBytes(i) / s.cfg.ChunkBytes,
+		heard:  true,
 	}
 }
 
@@ -228,8 +199,9 @@ func (s *Server) newWheel(n int) []*wheelShard {
 	k := s.cfg.Scheme.K()
 	channels := s.cfg.Scheme.Config().Videos * k
 	wheel := make([]*wheelShard, min(n, channels))
+	perUnit := int64(s.cfg.BytesPerUnit / s.cfg.ChunkBytes)
 	for si := range wheel {
-		wheel[si] = &wheelShard{s: s, id: si}
+		wheel[si] = &wheelShard{s: s, id: si, unit: s.cfg.Unit, perUnit: perUnit}
 	}
 	for j := 0; j < channels; j++ {
 		sh := wheel[j%len(wheel)]
@@ -351,62 +323,11 @@ func (sh *wheelShard) runRecovering() (done bool) {
 	return true
 }
 
-// quantum picks the shard's wheel resolution: the finest chunk spacing
-// among its entries, clamped to [minWheelQuantum, maxWheelQuantum].
-func (sh *wheelShard) quantum() time.Duration {
-	q := maxWheelQuantum
-	for _, e := range sh.entries {
-		if e.spacing < q {
-			q = e.spacing
-		}
-	}
-	if q < minWheelQuantum {
-		q = minWheelQuantum
-	}
-	return q
-}
-
-// collect fills due with every entry whose due tick the clock has reached
-// and advances cur past the tick containing now. A past-due entry belongs
-// to tick cur: it waits for the clock to enter it, so a dispatch that left
-// an entry behind hands it to the next tick, not to a spin on this one.
-func (sh *wheelShard) collect(now time.Duration) {
-	sh.due = sh.due[:0]
-	target := int64(now / sh.tickLen)
-	if target < sh.cur {
-		return
-	}
-	sh.cur = target + 1
-	end := time.Duration(sh.cur) * sh.tickLen
-	for _, e := range sh.entries {
-		if e.due < end {
-			sh.due = append(sh.due, e)
-		}
-	}
-}
-
-// nextDue returns the epoch offset the shard should sleep until: the
-// earliest due offset, but never before the start of the tick that will
-// release it — a past-due entry keeps its stale offset while collect waits
-// for tick cur, and waking any earlier would spin (timer fires, collect
-// crosses no tick, nothing dispatches, repeat), burning the core exactly
-// when the schedule is already behind. ok is false for a shard of nothing.
-func (sh *wheelShard) nextDue() (next time.Duration, ok bool) {
-	if len(sh.entries) == 0 {
-		return 0, false
-	}
-	next = sh.entries[0].due
-	for _, e := range sh.entries[1:] {
-		next = min(next, e.due)
-	}
-	return max(next, time.Duration(sh.cur)*sh.tickLen), true
-}
-
 // run is the shard's tick loop: park on the tick source until a little
-// before the earliest due tick, collect everything due and stage it as
-// one batch, hold on the clock until the instant, release the batch.
-// Entered fresh after every restart, it resyncs every entry from the
-// clock so the shard rejoins the absolute grid.
+// before the next chunk is due, stage that chunk of every entry as one
+// batch, hold on the clock until the instant, release the batch. Entered
+// fresh after every restart, it takes its index from the clock so the
+// shard rejoins the absolute grid.
 //
 // The park ends `lead` early because the tick takes time before anything
 // can be sent: being woken — the timer fires on the instant, the goroutine
@@ -417,24 +338,21 @@ func (sh *wheelShard) nextDue() (next time.Duration, ok bool) {
 // staged, so the batch is usually built and the path warm just before the
 // instant and the short hold that follows is what puts the send on it:
 // nothing is sent early, and the hold never exceeds lead, which never
-// exceeds a quarter of the quantum. A shard that wakes late, or whose
+// exceeds a quarter of the tick. A shard that wakes late, or whose
 // staging overruns, sends late by the overrun; one already past the
 // instant stages and sends at once. A wait that ends earlier than lead —
 // or for no reason — is harmless: nothing is staged, and the next pass
-// re-arms from the clock.
+// re-arms from the clock. No two releases are nearer than
+// minWheelQuantum: on a finer grid, or catching up, a tick stages every
+// chunk due by its instant (see stage).
 //
 // Queued re-sends ride the next release: a tick's, or, when a poke ended
 // the park too early to stage one, a release of the re-sends alone. A
 // poke that finds the shard busy ends its next park.
 func (sh *wheelShard) run() {
 	s := sh.s
-	sh.tickLen = sh.quantum()
-	start := s.since()
-	sh.cur = int64(start / sh.tickLen)
-	for _, e := range sh.entries {
-		e.resync(start)
-	}
-	bound := sh.tickLen / 4
+	sh.next = sh.chunkAt(s.since())
+	bound := sh.tickSpan() / 4
 	src := s.newTickSource()
 	sh.setTick(src)
 	defer sh.setTick(nil) // every exit, a panic included, releases the source
@@ -443,13 +361,11 @@ func (sh *wheelShard) run() {
 		return // stopWheel may have passed before the source was published
 	default:
 	}
+	var floor time.Duration // minWheelQuantum past the last release
 	for {
-		next, ok := sh.nextDue()
-		wait, lead := time.Hour, time.Duration(0)
-		if ok {
-			lead = sh.lead.value()
-			wait = s.epoch.Add(next).Sub(s.clock.now()) - lead
-		}
+		next := max(sh.chunkDue(sh.next), floor)
+		lead := sh.lead.value()
+		wait := s.epoch.Add(next).Sub(s.clock.now()) - lead
 		ticked, err := s.clock.park(src, wait)
 		if err != nil {
 			// Finish this run on the runtime timer. The loop tolerates a
@@ -462,24 +378,17 @@ func (sh *wheelShard) run() {
 		if !ticked {
 			return
 		}
-		if !ok {
-			continue
-		}
 		now := s.since()
-		at := max(now, next)
-		if next-now > lead {
-			sh.due = sh.due[:0] // too early to stage for the tick
-		} else {
-			sh.collect(at)
-		}
-		if len(sh.due) == 0 {
+		if next-now > lead { // too early to stage for the tick
 			if sh.queued() {
-				sh.stage(now)
+				sh.stage(now, 0)
 				sh.release()
 			}
 			continue
 		}
-		sh.stage(at)
+		// at is at or past chunk next's instant, so the run holds at least it.
+		at := max(now, next)
+		sh.stage(at, int(min(sh.chunkAt(at)-sh.next+1, wheelMaxRun)))
 		if wait > 0 {
 			// The source was armed for next-lead: this is how long after
 			// it the tick was staged — the wake, the build and the warm.
@@ -491,43 +400,44 @@ func (sh *wheelShard) run() {
 		sh.wakeLate.Observe(int64(now - next))
 		s.wheelWakeups.Inc()
 		sh.release()
+		floor = at + minWheelQuantum
 	}
 }
 
-// stage builds the tick collect put in due, for the batch to leave at the
-// epoch offset at; it sends nothing a member hears. The hub's membership
-// snapshot is read once, on entry (and the per-channel answers redrawn
-// only if it is not the one the last stage saw): a chunk
-// whose group has a member is materialised into the shard's arena and
-// staged into the tick's one batch, and a chunk nobody hears is not built
-// at all. Under a fault plan every due frame, built or not, meets the
-// plan's decision here (Server.emit), and the batch holds what leaves — a
-// frame held back from the group's previous tick copied into the arena.
-// Every due chunk advances its cursor. A group's first member that joins
-// after the read starts with the next tick — even when it joins before
-// this tick is released: release sends what was staged, so each frame's
-// fault-plan decision is made exactly once.
+// stage builds a tick of run chunks of every entry from the index on, for
+// the batch to leave at the epoch offset at; it sends nothing a member
+// hears. The hub's membership snapshot is read once, on entry (and the
+// per-channel answers redrawn only if it is not the one the last stage
+// saw): a chunk whose group has a member is materialised into the shard's
+// arena and staged into the tick's one batch, and a chunk nobody hears is
+// not built at all. Under a fault plan every due frame, built or not,
+// meets the plan's decision here (Server.emit), and the batch holds what
+// leaves — a frame held back from the group's previous tick copied into
+// the arena. The index moves past the run. A group's first member that
+// joins after the read starts with the next tick — even when it joins
+// before this tick is released: release sends what was staged, so each
+// frame's fault-plan decision is made exactly once.
 //
-// Catch-up shaping: when an entry has fallen behind — a stalled shard,
-// a restart, a dense schedule — every chunk already due at `at` is
-// staged in the same tick as one same-group contiguous run (capped at
-// wheelMaxRun), instead of one chunk per wakeup; a shard that sent one
-// chunk per tick would stay as many ticks late as it once stalled, for
-// ever. A run may cross a repetition boundary: every staged frame is
-// materialised into memory of its own with its own repetition number.
-// The run order is the schedule order, so per-channel (rep, chunk)
-// sequences stay contiguous on the grid, and a listener's share of the
-// batch — one run or twenty channels' chunks — is what the hub's GSO path
-// coalesces into super-frames.
+// Catch-up shaping: when the shard has fallen behind — a stall, a
+// restart, a grid finer than minWheelQuantum — every chunk already due at
+// `at` is staged in the same tick, each entry's as one same-group
+// contiguous run (capped at wheelMaxRun), instead of one chunk per
+// wakeup; a shard that sent one chunk per tick would stay as many ticks
+// late as it once stalled, for ever. A run may cross a repetition
+// boundary: every staged frame is materialised into memory of its own
+// with its own repetition number. The run order is the schedule order, so
+// per-channel (rep, chunk) sequences stay contiguous on the grid, and a
+// listener's share of the batch — one run or twenty channels' chunks — is
+// what the hub's GSO path coalesces into super-frames.
 //
 // Queued re-sends go behind the scheduled frames (stageResends). A tick's
 // non-empty batch then ends the stage with a warm (hubSeam.Warm), so the
 // lead, which runs to the end of the stage, covers it. Last, only the hold
 // stands between the warm and the release, and a tick nobody hears is
 // known not to need one. The fault plan never sees it. Re-sends alone
-// (nothing due) leave at once, unwarmed. stageTime and warmTime time the
-// stage and its warm for /status.
-func (sh *wheelShard) stage(at time.Duration) {
+// (run 0) leave at once, unwarmed. stageTime and warmTime time the stage
+// and its warm for /status.
+func (sh *wheelShard) stage(at time.Duration, run int) {
 	s := sh.s
 	began := s.clock.now()
 	sh.batch = sh.batch[:0]
@@ -538,33 +448,29 @@ func (sh *wheelShard) stage(at time.Duration) {
 			e.heard = l.Heard(e.group)
 		}
 	}
-	var scheduled, staged int64
+	sh.first, sh.runLen = sh.next, run
+	sh.next += int64(run)
+	var staged int64
 	release := s.epoch.Add(at)
-	for _, e := range sh.due {
+	for _, e := range sh.entries {
+		n, c := uint32(sh.first/int64(e.chunks)), int(sh.first%int64(e.chunks))
 		if len(sh.batch) == 0 {
-			sh.batchSeq = e.n
+			sh.batchSeq = n
 		}
-		e.firstN, e.firstC, e.firstDue, e.run = e.n, e.c, e.due, 0
-		for {
-			sh.batch = s.emit(&sh.arena, sh.batch, release, e.group, e.cc, e.c, e.n, e.heard)
-			e.advance()
-			e.run++
-			// A run ends when the entry is caught up or at the wheelMaxRun
-			// cap; a still-behind entry is due again at the next tick and
-			// that wakeup continues the catch-up.
-			if e.due > at || e.run >= wheelMaxRun {
-				break
+		for range run {
+			sh.batch = s.emit(&sh.arena, sh.batch, release, e.group, e.cc, c, n, e.heard)
+			if c++; c == e.chunks {
+				n, c = n+1, 0
 			}
 		}
-		scheduled += int64(e.run)
 		if e.heard {
-			staged += int64(e.run)
+			staged += int64(run)
 		}
 	}
-	s.egressScheduled.Add(scheduled)
+	s.egressScheduled.Add(int64(run * len(sh.entries)))
 	s.egressStaged.Add(staged)
 	sh.stageResends()
-	if len(sh.due) == 0 {
+	if run == 0 {
 		return
 	}
 	end := s.clock.now()
@@ -601,8 +507,8 @@ func (sh *wheelShard) stageResends() {
 
 // release puts the staged tick on the wire: it hands the batch to the hub
 // in one call — the fault plan, if any, decided it at stage — and takes
-// one drift sample per due entry, against the first (most-late) chunk the
-// entry staged.
+// one drift sample, against the run's first (most-late) chunk, counted
+// once for every entry that staged it.
 func (sh *wheelShard) release() {
 	s := sh.s
 	sent := s.since()
@@ -618,11 +524,11 @@ func (sh *wheelShard) release() {
 		sent = s.since()
 		sh.sendTime.Observe(int64(sent - stagedAt))
 	}
-	for _, e := range sh.due {
-		if late := sent - e.firstDue; late > s.cfg.Unit {
+	if late := sent - sh.chunkDue(sh.first); sh.runLen > 0 && late > s.cfg.Unit {
+		for _, e := range sh.entries {
 			if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
 				s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",
-					e.group, e.firstN, e.firstC, late, d)
+					e.group, sh.first/int64(e.chunks), sh.first%int64(e.chunks), late, d)
 			}
 		}
 	}

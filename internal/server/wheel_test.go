@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"net"
 	"slices"
@@ -43,29 +44,35 @@ type event struct {
 }
 
 // grid is the closed form of the paper's broadcast grid (§3–§4) for one
-// channel repeating `chunks` chunks, `spacing` apart, every period — the
-// reference the wheel is held to.
+// channel of `chunks` chunks a repetition, perUnit of them to a unit:
+// chunk c of repetition n is chunk j = n·chunks + c of the channel's
+// timeline, due ⌊j·unit/perUnit⌋ after the epoch — the reference the
+// wheel is held to. It is worked in big integers, so no uptime overflows
+// it.
 type grid struct {
-	period, spacing time.Duration
-	chunks          int
+	unit            time.Duration
+	perUnit, chunks int
 }
 
-// gridAt returns the slot containing elapsed: chunk c of repetition n with
-// dueOf(n, c) <= elapsed < dueOf(n, c) + spacing — or, in the remainder
-// that flooring spacing leaves at the end of a period, the next
-// repetition's first chunk.
+func (g grid) period() time.Duration  { return time.Duration(g.chunks/g.perUnit) * g.unit }
+func (g grid) spacing() time.Duration { return g.unit / time.Duration(g.perUnit) }
+
+// gridAt returns the slot containing elapsed >= 0: the last chunk due at
+// or before it, the largest j with ⌊j·unit/perUnit⌋ <= elapsed.
 func (g grid) gridAt(elapsed time.Duration) (n uint32, c int) {
-	n, c = uint32(elapsed/g.period), int(elapsed%g.period/g.spacing)
-	if c >= g.chunks {
-		return n + 1, 0
-	}
-	return n, c
+	j := big.NewInt(int64(elapsed) + 1)
+	j.Mul(j, big.NewInt(int64(g.perUnit))).Sub(j, big.NewInt(1)).Quo(j, big.NewInt(int64(g.unit)))
+	q, r := j.QuoRem(j, big.NewInt(int64(g.chunks)), new(big.Int))
+	return uint32(q.Int64()), int(r.Int64())
 }
 
 // dueOf is gridAt's inverse: the offset from the epoch at which chunk c of
 // repetition n is due.
 func (g grid) dueOf(n uint32, c int) time.Duration {
-	return time.Duration(n)*g.period + time.Duration(c)*g.spacing
+	j := big.NewInt(int64(n))
+	j.Mul(j, big.NewInt(int64(g.chunks))).Add(j, big.NewInt(int64(c)))
+	j.Mul(j, big.NewInt(int64(g.unit))).Quo(j, big.NewInt(int64(g.perUnit)))
+	return time.Duration(j.Int64())
 }
 
 // checkContiguous asserts a channel's event sequence walks the broadcast
@@ -333,11 +340,10 @@ func (r *wheelRig) hearAll(t testing.TB) {
 }
 
 // play runs the shard under its supervisor, on the calling goroutine,
-// through the grid's first `ticks` ticks: it returns when the shard parks
+// through the grid's first `ticks` chunks: it returns when the shard parks
 // for a later one, or the server stops.
 func (r *wheelRig) play(ticks int) {
-	q := r.sh.quantum()
-	r.vc.end = r.srv.epoch.Add(time.Duration(ticks)*q - q/2)
+	r.vc.end = r.srv.epoch.Add(r.sh.chunkDue(int64(ticks)) - r.sh.tickSpan()/2)
 	r.srv.wg.Add(1)
 	r.srv.runWheelShard(r.sh)
 }
@@ -345,7 +351,7 @@ func (r *wheelRig) play(ticks int) {
 // grid is the closed-form grid of g's channel.
 func (r *wheelRig) grid(g mcast.Group) grid {
 	e := r.sh.entries[g.Video*r.srv.cfg.Scheme.K()+g.Channel-1]
-	return grid{e.period, e.spacing, e.chunks}
+	return grid{r.srv.cfg.Unit, r.srv.cfg.BytesPerUnit / r.srv.cfg.ChunkBytes, e.chunks}
 }
 
 // channels splits the data frames sent by channel, in send order.
@@ -540,7 +546,7 @@ func TestWheelSustainsManyChannels(t *testing.T) {
 func TestWheelWakeupsCountTicks(t *testing.T) {
 	const ticks = 40
 	r := newWheelRig(t, Config{Scheme: wheelScheme(t, 1, 3), Unit: 20 * time.Millisecond, BytesPerUnit: 4096, ChunkBytes: 1024, Logf: t.Logf})
-	if q := r.sh.quantum(); q != 5*time.Millisecond {
+	if q := r.sh.tickSpan(); q != 5*time.Millisecond {
 		t.Fatalf("grid spacing %v, want 5ms", q)
 	}
 	r.hearAll(t)
@@ -614,7 +620,7 @@ func TestWheelGridProperty(t *testing.T) {
 			r := twice(t, func() *wheelRig {
 				r := newWheelRig(t, Config{Scheme: wheelScheme(t, 3, 5), Unit: unit, BytesPerUnit: 4096, ChunkBytes: 1024})
 				r.hearAll(t)
-				bound = r.sh.quantum() / 4
+				bound = r.sh.tickSpan() / 4
 				rng := rand.New(rand.NewSource(seed))
 				panicAt, lastStall := 10+rng.Intn(20), 0
 				r.vc.onPark = func(int) {
@@ -653,14 +659,14 @@ func TestWheelGridProperty(t *testing.T) {
 					}
 				}
 				for i := 0; i < len(lags); i++ {
-					if lags[i] < g.spacing {
+					if lags[i] < g.spacing() {
 						continue
 					}
 					stalls++
-					behind := int(lags[i] / g.spacing)
+					behind := int(lags[i] / g.spacing())
 					within := (behind+wheelMaxRun-1)/wheelMaxRun + 1
 					j := i + 1
-					for j < len(lags) && j <= i+within && lags[j] >= g.spacing {
+					for j < len(lags) && j <= i+within && lags[j] >= g.spacing() {
 						j++
 					}
 					if j < len(lags) && j > i+within {
@@ -677,80 +683,41 @@ func TestWheelGridProperty(t *testing.T) {
 	}
 }
 
-// TestTimerWheelMechanics pins the shard's due-list itself: entries
-// surface exactly at their due ticks, however far off, a past-due one at
-// the current tick, and nextDue names the earliest. An entry that has
-// surfaced is taken off the list here, where a dispatch would advance it.
-func TestTimerWheelMechanics(t *testing.T) {
-	q := time.Millisecond
-	mk := func(due time.Duration) *wheelEntry {
-		return &wheelEntry{due: due, period: time.Hour, spacing: time.Hour, chunks: 1}
-	}
-	near := mk(3 * q)
-	mid := mk(300 * q)
-	far := mk(time.Duration(70000) * q)
-	past := mk(-5 * q) // clamped to the current tick
-	w := &wheelShard{tickLen: q, entries: []*wheelEntry{near, mid, far, past}}
-	collect := func(now time.Duration) []*wheelEntry {
-		w.collect(now)
-		for _, e := range w.due {
-			w.entries = slices.DeleteFunc(w.entries, func(have *wheelEntry) bool { return have == e })
-		}
-		return w.due
-	}
-
-	got := collect(0)
-	if len(got) != 1 || got[0] != past {
-		t.Fatalf("collect(0) = %v entries, want just the past-due entry", len(got))
-	}
-	if next, ok := w.nextDue(); !ok || next != 3*q {
-		t.Fatalf("nextDue = %v, %v; want %v, true", next, ok, 3*q)
-	}
-	got = collect(3 * q)
-	if len(got) != 1 || got[0] != near {
-		t.Fatalf("collect(3q) = %v entries, want the near entry", len(got))
-	}
-	if got = collect(299 * q); len(got) != 0 {
-		t.Fatalf("collect(299q) returned %d entries early", len(got))
-	}
-	got = collect(300 * q)
-	if len(got) != 1 || got[0] != mid {
-		t.Fatalf("collect(300q) = %d entries, want the 300q entry", len(got))
-	}
-	got = collect(70000 * q)
-	if len(got) != 1 || got[0] != far {
-		t.Fatalf("collect(70000q) = %d entries, want the 70000q entry", len(got))
-	}
-	if _, ok := w.nextDue(); ok {
-		t.Error("nextDue reports work on an empty wheel")
-	}
-}
-
-// TestWheelEntryResyncMatchesGrid pins resync — and advance after it — to
-// the closed-form grid, and the closed form to a table of hand-worked
-// slots, on an even geometry and on one whose floored spacing leaves a
-// remainder at the end of each period.
-func TestWheelEntryResyncMatchesGrid(t *testing.T) {
-	const ms = time.Millisecond
+// TestWheelGridMatchesClosedForm pins chunkAt and chunkDue to the
+// closed-form grid, and the closed form to a table of hand-worked slots:
+// on an even geometry, on ones whose chunk spacing is not a whole number
+// of nanoseconds, and 10⁶ and 10⁹ units past the epoch, where an int64
+// overflow in either would show.
+func TestWheelGridMatchesClosedForm(t *testing.T) {
+	const ms, u100, u25 = time.Millisecond, 100 * time.Millisecond, 25 * time.Millisecond
 	for _, tc := range []struct {
-		period  time.Duration
-		chunks  int
-		elapsed time.Duration
-		n       uint32
-		c       int
+		unit            time.Duration
+		perUnit, chunks int // chunks a unit, and a repetition
+		elapsed         time.Duration
+		n               uint32
+		c               int
 	}{
-		{80 * ms, 8, -5 * ms, 0, 0}, // before the epoch: the first slot
-		{80 * ms, 8, 0, 0, 0},
-		{80 * ms, 8, 9 * ms, 0, 0}, // mid-slot floors to the slot
-		{80 * ms, 8, 10 * ms, 0, 1},
-		{80 * ms, 8, 79 * ms, 0, 7},
-		{80 * ms, 8, 80 * ms, 1, 0},
-		{80 * ms, 8, 845 * ms, 10, 4},
-		{100 * ms, 7, 99 * ms, 0, 6},    // spacing floors to 14.285714ms
-		{100 * ms, 7, 100*ms - 1, 1, 0}, // the 2 ns remainder belongs to the next repetition
-		{100 * ms, 7, 350 * ms, 3, 3},
+		{80 * ms, 8, 8, -5 * ms, 0, 0}, // before the epoch: the first slot
+		{80 * ms, 8, 8, 0, 0, 0},
+		{80 * ms, 8, 8, 9 * ms, 0, 0}, // mid-slot floors to the slot
+		{80 * ms, 8, 8, 10 * ms, 0, 1},
+		{80 * ms, 8, 8, 79 * ms, 0, 7},
+		{80 * ms, 8, 8, 80 * ms, 1, 0},
+		{80 * ms, 8, 8, 845 * ms, 10, 4},
+		{u100, 7, 7, 99 * ms, 0, 6},    // chunk 6 is due at ⌊600/7⌋ ms = 85.714285 ms
+		{u100, 7, 7, u100 - 1, 0, 6},   // a repetition starts exactly on its period
+		{u100, 7, 7, 350 * ms, 3, 3},   // chunk 24, due at 342.857142 ms
+		{u100, 7, 14, 350 * ms, 1, 10}, // the same chunk of a 2-unit channel
+		{u100, 512, 512, 585936, 0, 2}, // chunk 3 is due at ⌊300/512⌋ ms = 585937 ns
+		{u100, 512, 512, 585937, 0, 3}, //
+		{u100, 512, 512, 1e6*u100 + 585937, 1e6, 3},
+		{u100, 512, 1024, 1e9*u100 + 585937, 5e8, 3},
+		{u100, 512, 512, 1e9*u100 - 1, 1e9 - 1, 511},
+		{u25, 7, 7, 1e6*u25 + 10714285, 1e6, 3}, // chunk 3 is due at ⌊75/7⌋ ms = 10.714285 ms
+		{u25, 7, 14, 1e9*u25 + 10714284, 5e8, 2},
+		{u25, 7, 7, 1e9*u25 + u25 - 1, 1e9, 6},
 	} {
-		g := grid{tc.period, tc.period / time.Duration(tc.chunks), tc.chunks}
+		g := grid{tc.unit, tc.perUnit, tc.chunks}
 		n, c := g.gridAt(max(tc.elapsed, 0))
 		if n != tc.n || c != tc.c {
 			t.Errorf("gridAt(%v) = (rep %d, chunk %d), want (rep %d, chunk %d)", tc.elapsed, n, c, tc.n, tc.c)
@@ -758,19 +725,61 @@ func TestWheelEntryResyncMatchesGrid(t *testing.T) {
 		if rn, rc := g.gridAt(g.dueOf(n, c)); rn != n || rc != c {
 			t.Errorf("gridAt(dueOf(%d, %d)) = (%d, %d): not an inverse", n, c, rn, rc)
 		}
-		e := &wheelEntry{period: g.period, spacing: g.spacing, chunks: g.chunks}
-		e.resync(tc.elapsed)
-		if e.n != n || e.c != c || e.due != g.dueOf(n, c) {
-			t.Errorf("resync(%v) = (rep %d, chunk %d) due %v, want (rep %d, chunk %d) due %v",
-				tc.elapsed, e.n, e.c, e.due, n, c, g.dueOf(n, c))
+		sh := &wheelShard{unit: tc.unit, perUnit: int64(tc.perUnit)}
+		j := sh.chunkAt(tc.elapsed)
+		if want := int64(tc.n)*int64(tc.chunks) + int64(tc.c); j != want {
+			t.Errorf("chunkAt(%v) = chunk %d, want %d: (rep %d, chunk %d)", tc.elapsed, j, want, tc.n, tc.c)
 		}
-		// advance lands on the slot holding the instant one spacing on.
-		e.advance()
-		wn, wc := g.gridAt(g.dueOf(n, c) + g.spacing)
-		if e.n != wn || e.c != wc || e.due != g.dueOf(wn, wc) {
-			t.Errorf("advance from (%d, %d) = (rep %d, chunk %d) due %v, want (rep %d, chunk %d) due %v",
-				n, c, e.n, e.c, e.due, wn, wc, g.dueOf(wn, wc))
+		if due := sh.chunkDue(j); due != g.dueOf(tc.n, tc.c) || due > max(tc.elapsed, 0) || sh.chunkDue(j+1) <= tc.elapsed {
+			t.Errorf("chunkDue(%d) = %v and chunkDue(%d) = %v; want %v, at or before %v, and the next after it",
+				j, due, j+1, sh.chunkDue(j+1), g.dueOf(tc.n, tc.c), tc.elapsed)
 		}
+		if got := sh.chunkAt(sh.chunkDue(j)); got != j {
+			t.Errorf("chunkAt(chunkDue(%d)) = %d: not an inverse", j, got)
+		}
+	}
+}
+
+// TestWheelFlooredGridOnTime plays two geometries whose chunk spacing is
+// not a whole number of nanoseconds — 512 chunks a 100 ms unit over sizes
+// 1–52, TestServerHeapFlatAcrossCatalog's, and 7 chunks a 25 ms unit over
+// sizes 1–2 — with every group heard, for 6,000 ticks each. Half the
+// wakes are on time, the rest up to 50 µs late, and reading the clock
+// costs nothing, so a frame released on its instant is seen on it, and
+// one a nanosecond early is seen early. Channels of different sizes stand
+// at different chunks of their repetitions, yet every frame of every
+// channel leaves on the one grid: none before its instant, each within a
+// tick of it.
+func TestWheelFlooredGridOnTime(t *testing.T) {
+	const ticks = 6000
+	for _, tc := range []struct {
+		name    string
+		w       int64 // the largest size
+		k       int
+		unit    time.Duration
+		perUnit int
+	}{
+		{"512 a 100ms unit", 52, 10, 100 * time.Millisecond, 512},
+		{"7 a 25ms unit", 2, 3, 25 * time.Millisecond, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newWheelRig(t, Config{Scheme: cacheScheme(t, 1, tc.k, tc.w), Unit: tc.unit, BytesPerUnit: tc.perUnit * 1024, ChunkBytes: 1024, Logf: t.Logf})
+			r.hearAll(t)
+			rng := rand.New(rand.NewSource(1))
+			r.vc.onPark = func(int) {
+				r.vc.wake = time.Duration(rng.Int63n(int64(50*time.Microsecond))) * time.Duration(rng.Intn(2))
+			}
+			r.play(ticks)
+			by := checkOnGrid(t, r, r.sh.tickSpan())
+			if len(by) != tc.k {
+				t.Fatalf("%d channels sent, want %d", len(by), tc.k)
+			}
+			for k, frames := range by {
+				if len(frames) != ticks {
+					t.Errorf("video%d/ch%d sent %d chunks in %d ticks", k.video, k.channel, len(frames), ticks)
+				}
+			}
+		})
 	}
 }
 
@@ -867,7 +876,10 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 		if shared {
 			t.Error("two staged frames share one backing buffer")
 		}
-		if e1, e2 := r.sh.entries[0], r.sh.entries[1]; e1.n != 2 || e1.c != 1 || e2.n != 1 || e2.c != 1 {
+		at := func(e *wheelEntry) event {
+			return event{uint32(r.sh.next / int64(e.chunks)), int(r.sh.next % int64(e.chunks))}
+		}
+		if e1, e2 := at(r.sh.entries[0]), at(r.sh.entries[1]); e1 != (event{2, 1}) || e2 != (event{1, 1}) {
 			t.Errorf("cursors at (rep %d, chunk %d) and (rep %d, chunk %d) after the runs, want (2, 1) and (1, 1)", e1.n, e1.c, e2.n, e2.c)
 		}
 		if d := r.srv.driftEvents.Value(); d != 3 {
@@ -896,7 +908,7 @@ func TestWheelCatchupStagesRuns(t *testing.T) {
 // run, in order, and the channel is back within one spacing of its grid,
 // instead of one chunk per tick with the stall carried for ever. The
 // stalled release is a drift event, and its log line names the chunk
-// that was late, not the one the cursor has moved on to.
+// that was late, not the one the index has moved on to.
 func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	const unit = 200 * time.Millisecond
 	const spacing = unit / 4
@@ -945,49 +957,16 @@ func TestWheelCatchupBehindNonBatchingSender(t *testing.T) {
 	}
 }
 
-// BenchmarkWheelDispatch measures the scheduling machinery alone: one
-// tick's collect → advance cycle with every channel due, at the
-// configured channel counts. This is the per-tick overhead the wheel
-// engine adds on top of frame preparation and the send itself. The "full"
-// cases are the whole tick on paper-shaped schedules (200 and 400
-// channels) with 5 % of the channels heard — what a tick costs when it
-// costs what is heard, and, faulted, what the fault injector in front of
-// the sender adds to it — split into its stage (before the instant) and
-// its release (at it).
+// BenchmarkWheelDispatch measures the whole tick on paper-shaped
+// schedules (200 and 400 channels) with 5 % of the channels heard — what a
+// tick costs when it costs what is heard, and, faulted, what the fault
+// injector in front of the sender adds to it — split into its stage
+// (before the instant) and its release (at it).
 func BenchmarkWheelDispatch(b *testing.B) {
 	for _, phase := range []string{"stage", "release"} {
 		for _, k := range []int{20, 40} {
 			b.Run(fmt.Sprintf("full/channels=%d/heard=5%%/%s", 10*k, phase), func(b *testing.B) { benchFullDispatch(b, k, false, phase) })
 		}
 		b.Run("full/channels=200/heard=5%/faulted/"+phase, func(b *testing.B) { benchFullDispatch(b, 20, true, phase) })
-	}
-	for _, channels := range []int{2, 100, 2100} {
-		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
-			const spacing = 25 * time.Millisecond
-			entries := make([]*wheelEntry, channels)
-			for i := range entries {
-				entries[i] = &wheelEntry{
-					period:  spacing * 8,
-					spacing: spacing,
-					chunks:  8,
-				}
-			}
-			for _, e := range entries {
-				e.resync(0)
-			}
-			w := &wheelShard{tickLen: spacing, entries: entries}
-			now := time.Duration(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now += spacing
-				w.collect(now)
-				for _, e := range w.due {
-					e.advance()
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(channels), "channels/tick")
-		})
 	}
 }

@@ -12,11 +12,7 @@
 // broadcasts it hears, and a recycled stripe allocates nothing.
 package viewer
 
-import (
-	"sync"
-
-	"skyscraper/internal/wire"
-)
+import "skyscraper/internal/wire"
 
 // stripeSlots is how many groups a Stripe tracks at once. Groups
 // broadcast (and complete) in schedule order; a handful of slots rides
@@ -46,13 +42,11 @@ type stripeState struct {
 
 // stripePool is the free list of stripes and chunk-sized accumulators
 // shared by every Stripe of one stripe geometry: the router keeps one for
-// every broadcast it tracks. It is safe for concurrent use.
+// every broadcast it tracks, on the audience loop.
 type stripePool struct {
 	group, chunkBytes int
-
-	mu      sync.Mutex
-	stripes []*Stripe
-	states  []*stripeState
+	stripes           []*Stripe
+	states            []*stripeState
 }
 
 // newStripePool returns the free list for stripes of width group over
@@ -71,14 +65,11 @@ func (p *stripePool) stripe(nchunks int) *Stripe {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
 	var s *Stripe
 	if n := len(p.stripes); n > 0 {
 		s = p.stripes[n-1]
 		p.stripes = p.stripes[:n-1]
-	}
-	p.mu.Unlock()
-	if s == nil {
+	} else {
 		s = &Stripe{pool: p}
 		for i := range s.slots {
 			s.slots[i].g = -1
@@ -90,16 +81,12 @@ func (p *stripePool) stripe(nchunks int) *Stripe {
 
 // state draws a cleared accumulator.
 func (p *stripePool) state() *stripeState {
-	p.mu.Lock()
-	var st *stripeState
-	if n := len(p.states); n > 0 {
-		st = p.states[n-1]
-		p.states = p.states[:n-1]
-	}
-	p.mu.Unlock()
-	if st == nil {
+	n := len(p.states)
+	if n == 0 {
 		return &stripeState{accP: make([]byte, p.chunkBytes)}
 	}
+	st := p.states[n-1]
+	p.states = p.states[:n-1]
 	st.got, st.gotN, st.pGot = 0, 0, false
 	clear(st.accP)
 	return st
@@ -115,7 +102,7 @@ type Stripe struct {
 		st *stripeState
 	}
 	// spent holds the accumulators released since the last call. A heal's
-	// payload aliases one, and the pool is shared with other cohorts, so
+	// payload aliases one, and the pool is shared with other stripes, so
 	// they go back to it only at the next call (or recycle), once the
 	// caller has consumed the heals.
 	spent []*stripeState
@@ -143,10 +130,7 @@ func (s *Stripe) recycle() {
 		}
 	}
 	s.flush()
-	p := s.pool
-	p.mu.Lock()
-	p.stripes = append(p.stripes, s)
-	p.mu.Unlock()
+	s.pool.stripes = append(s.pool.stripes, s)
 }
 
 // flush returns the spent accumulators to the pool.
@@ -154,10 +138,7 @@ func (s *Stripe) flush() {
 	if len(s.spent) == 0 {
 		return
 	}
-	p := s.pool
-	p.mu.Lock()
-	p.states = append(p.states, s.spent...)
-	p.mu.Unlock()
+	s.pool.states = append(s.pool.states, s.spent...)
 	clear(s.spent)
 	s.spent = s.spent[:0]
 }

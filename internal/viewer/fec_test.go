@@ -2,7 +2,6 @@ package viewer
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
@@ -347,31 +346,4 @@ func TestStripeRecycledZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, fragment); allocs != 0 {
 		t.Errorf("a fragment on a recycled stripe allocates %v times, want 0", allocs)
 	}
-}
-
-// TestStripePoolShared: the cohorts of one mux draw stripes from one pool
-// concurrently; every fragment still heals exactly (run under -race).
-func TestStripePoolShared(t *testing.T) {
-	pool := newStripePool(4, 8)
-	p0 := fecFrame(0, 4)
-	var wg sync.WaitGroup
-	for range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var heals []Heal
-			for range 50 {
-				s := pool.stripe(8)
-				for _, idx := range []int{0, 2, 3, 4} {
-					heals = s.Data(idx, fecChunk(idx), heals[:0])
-				}
-				heals = s.Parity(p0, heals[:0])
-				if len(heals) != 1 || heals[0].Idx != 1 || !bytes.Equal(heals[0].Payload, fecChunk(1)) {
-					t.Errorf("%d heals, want chunk 1 healed exactly", len(heals))
-				}
-				s.recycle()
-			}
-		}()
-	}
-	wg.Wait()
 }
